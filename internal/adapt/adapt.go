@@ -161,6 +161,18 @@ func (tx *Txn) GetByKey(table string, idx int, key ...core.Value) (core.Row, err
 	return row, mapErr(err)
 }
 
+// GetByKeyRaw implements engineapi.RawReader. It does not feed the
+// UpdateByKey memo: a reader of encoded rows is not about to write one.
+func (tx *Txn) GetByKeyRaw(table string, idx int, key []core.Value, fn func([]byte) error) error {
+	t, err := tx.db.table(table)
+	if err != nil {
+		return err
+	}
+	return mapErr(tx.t.GetByKeyRaw(t, idx, key, func(_ core.RID, p []byte) error {
+		return fn(p)
+	}))
+}
+
 // memoRID returns the memoized RID for (t, idx, key), if it matches the
 // last successful lookup.
 func (tx *Txn) memoRID(t *core.Table, idx int, key []core.Value) (core.RID, bool) {
@@ -214,5 +226,16 @@ func (tx *Txn) ScanPrefix(table string, idx int, prefix []core.Value, fn func(co
 	}
 	return mapErr(tx.t.ScanPrefix(t, idx, prefix, func(_ core.RID, row core.Row) bool {
 		return fn(row)
+	}))
+}
+
+// ScanPrefixRaw implements engineapi.RawReader.
+func (tx *Txn) ScanPrefixRaw(table string, idx int, prefix []core.Value, fn func([]byte) bool) error {
+	t, err := tx.db.table(table)
+	if err != nil {
+		return err
+	}
+	return mapErr(tx.t.ScanPrefixRaw(t, idx, prefix, func(_ core.RID, p []byte) bool {
+		return fn(p)
 	}))
 }

@@ -1,0 +1,105 @@
+package art
+
+import (
+	"bytes"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"hiengine/internal/raceflag"
+)
+
+// TestScanRangeRandomizedOracle pins Scan's range semantics (from
+// inclusive, to exclusive, nil open, ascending order, early stop) against a
+// sorted slice, over keys built to stress the bound tracking: a tiny
+// alphabet including 0x00 and 0xFF, lengths from 0 up, so keys are prefixes
+// of each other and of the bounds, and every node size class appears.
+func TestScanRangeRandomizedOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	alphabet := []byte{0x00, 0x01, 'a', 'b', 0xFE, 0xFF}
+	randKey := func(maxLen int) []byte {
+		k := make([]byte, rng.Intn(maxLen+1))
+		for i := range k {
+			if rng.Intn(4) == 0 {
+				k[i] = byte(rng.Intn(256)) // fan nodes out past 16 and 48 children
+			} else {
+				k[i] = alphabet[rng.Intn(len(alphabet))]
+			}
+		}
+		return k
+	}
+	for round := 0; round < 20; round++ {
+		tr := New()
+		set := map[string]bool{}
+		for i := 0; i < 50+rng.Intn(3000); i++ {
+			k := randKey(6)
+			tr.Insert(k, uint64(len(k)))
+			set[string(k)] = true
+		}
+		keys := make([]string, 0, len(set))
+		for k := range set {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		bound := func() []byte {
+			switch rng.Intn(4) {
+			case 0:
+				return nil
+			case 1:
+				return []byte(keys[rng.Intn(len(keys))]) // a stored key
+			default:
+				return randKey(7)
+			}
+		}
+		for q := 0; q < 300; q++ {
+			from, to := bound(), bound()
+			limit := -1
+			if rng.Intn(3) == 0 {
+				limit = 1 + rng.Intn(5)
+			}
+			var want []string
+			for _, k := range keys {
+				if (from == nil || bytes.Compare([]byte(k), from) >= 0) && (to == nil || bytes.Compare([]byte(k), to) < 0) {
+					want = append(want, k)
+				}
+			}
+			if limit >= 0 && len(want) > limit {
+				want = want[:limit]
+			}
+			var got []string
+			tr.Scan(from, to, func(k []byte, rid uint64, tomb bool) bool {
+				if rid != uint64(len(k)) || tomb {
+					t.Fatalf("key %x: rid %d tomb %v", k, rid, tomb)
+				}
+				got = append(got, string(k))
+				return len(got) != limit
+			})
+			if len(got) != len(want) {
+				t.Fatalf("round %d: scan [%x, %x) limit %d: got %d keys, want %d", round, from, to, limit, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("round %d: scan [%x, %x): key %d = %x, want %x", round, from, to, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestScanInnerNodesAllocFree pins the closure-free walk: a 100-key range
+// scan over a tree with inner nodes of every size allocates nothing.
+func TestScanInnerNodesAllocFree(t *testing.T) {
+	tr := New()
+	for i := 0; i < 100000; i++ {
+		tr.Insert(u64key(uint64(i)), uint64(i))
+	}
+	from, to := u64key(50000), u64key(50100)
+	n := 0
+	visit := func([]byte, uint64, bool) bool { n++; return true }
+	if allocs := testing.AllocsPerRun(100, func() { tr.Scan(from, to, visit) }); allocs != 0 && !raceflag.Enabled {
+		t.Fatalf("range scan allocates %.1f times, want 0", allocs)
+	}
+	if n != 101*100 {
+		t.Fatalf("visited %d keys, want %d", n, 101*100)
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hiengine/internal/raceflag"
 )
 
 // The quick-mode runners double as integration tests: every figure pipeline
@@ -36,7 +38,7 @@ func runQuick(t *testing.T, id string) *Report {
 // is unaffected.
 func skipShapes(t *testing.T) {
 	t.Helper()
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("performance shapes are not meaningful under the race detector")
 	}
 }

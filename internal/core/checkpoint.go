@@ -713,49 +713,65 @@ func (e *Engine) RebuildIndexes(parallelism int) error {
 	e.mu.RUnlock()
 
 	type item struct {
-		t   *Table
 		rid RID
 		v   *Version
 	}
-	ch := make(chan item, 1024)
+	type chunk struct {
+		t     *Table
+		items []item
+	}
+	// One channel send per rebuildChunk rows, not per row: at a few hundred
+	// nanoseconds of work per key the hand-off would otherwise dominate.
+	const rebuildChunk = 512
+	ch := make(chan chunk, 2*parallelism) // a chunk in hand and one waiting per worker
 	var wg sync.WaitGroup
 	errCh := make(chan error, parallelism)
 	for i := 0; i < parallelism; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for it := range ch {
-				p, err := it.v.payload(e)
-				if err != nil {
-					errCh <- err
-					return
-				}
-				row, err := DecodeRow(p)
-				if err != nil {
-					errCh <- err
-					return
-				}
-				for ixn := 0; ixn < len(it.t.indexes); ixn++ {
-					k, err := it.t.indexKey(ixn, row, it.rid)
+			// Keys are built straight from the payload; a failed worker
+			// keeps draining so the feeder never blocks.
+			var view RowView
+			var kbuf []byte
+			failed := false
+			for c := range ch {
+				for _, it := range c.items {
+					if failed {
+						break
+					}
+					p, err := it.v.payload(e)
+					if err == nil {
+						_, err = view.Reset(p)
+					}
+					for ixn := 0; err == nil && ixn < len(c.t.indexes); ixn++ {
+						if kbuf, err = c.t.viewIndexKeyAppend(kbuf[:0], ixn, &view, it.rid); err == nil {
+							err = c.t.indexes[ixn].Insert(kbuf, uint64(it.rid))
+						}
+					}
 					if err != nil {
 						errCh <- err
-						return
-					}
-					if err := it.t.indexes[ixn].Insert(k, uint64(it.rid)); err != nil {
-						errCh <- err
-						return
+						failed = true
 					}
 				}
 			}
 		}()
 	}
 	for _, t := range tables {
+		items := make([]item, 0, rebuildChunk)
 		t.rows.Range(func(rid RID, v *Version) bool {
 			if !v.tomb {
-				ch <- item{t: t, rid: rid, v: v}
+				items = append(items, item{rid: rid, v: v})
+				if len(items) == rebuildChunk {
+					ch <- chunk{t: t, items: items}
+					items = make([]item, 0, rebuildChunk)
+				}
 			}
 			return true
 		})
+		if len(items) > 0 {
+			ch <- chunk{t: t, items: items}
+		}
 	}
 	close(ch)
 	wg.Wait()

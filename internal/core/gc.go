@@ -133,12 +133,11 @@ func (e *Engine) removeStaleKey(tbl *Table, rid RID, ok oldKey) {
 	}
 	head := tbl.rows.Get(rid)
 	if head != nil && !head.tomb {
-		p, err := head.payload(e)
-		if err == nil {
-			if row, derr := DecodeRow(p); derr == nil {
-				pos := tbl.indexPos(ok.ix)
-				if pos >= 0 {
-					if k, kerr := tbl.indexKey(pos, row, rid); kerr == nil && string(k) == string(ok.key) {
+		var view RowView
+		if p, err := head.payload(e); err == nil {
+			if _, err = view.Reset(p); err == nil {
+				if pos := tbl.indexPos(ok.ix); pos >= 0 {
+					if k, kerr := tbl.viewIndexKeyAppend(nil, pos, &view, rid); kerr == nil && string(k) == string(ok.key) {
 						return // key is live again
 					}
 				}

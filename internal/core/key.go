@@ -1,9 +1,6 @@
 package core
 
-import (
-	"encoding/binary"
-	"math"
-)
+import "encoding/binary"
 
 // Order-preserving (memcomparable) key encoding for index keys: encoded keys
 // compare bytewise in the same order as the typed tuples they encode.
@@ -33,31 +30,37 @@ func EncodeKey(buf []byte, vals ...Value) []byte {
 		case 0:
 			buf = append(buf, keyTagNull)
 		case KindInt:
-			buf = append(buf, keyTagInt)
-			buf = binary.BigEndian.AppendUint64(buf, uint64(v.i)^(1<<63))
+			buf = appendKeyInt(buf, v.num)
 		case KindFloat:
-			buf = append(buf, keyTagFloat)
-			bits := math.Float64bits(v.f)
-			if bits&(1<<63) != 0 {
-				bits = ^bits // negative floats: invert everything
-			} else {
-				bits |= 1 << 63 // positive: set sign bit
-			}
-			buf = binary.BigEndian.AppendUint64(buf, bits)
-		case KindString:
-			buf = append(buf, keyTagStr)
-			buf = escapeAppend(buf, []byte(v.s))
-		case KindBytes:
-			buf = append(buf, keyTagStr)
-			buf = escapeAppend(buf, v.b)
+			buf = appendKeyFloat(buf, v.num)
+		case KindString, KindBytes:
+			buf = appendKeyStr(buf, v.s)
 		}
 	}
 	return buf
 }
 
-func escapeAppend(buf, p []byte) []byte {
-	for _, c := range p {
-		if c == 0x00 {
+func appendKeyInt(buf []byte, i uint64) []byte {
+	buf = append(buf, keyTagInt)
+	return binary.BigEndian.AppendUint64(buf, i^(1<<63))
+}
+
+func appendKeyFloat(buf []byte, bits uint64) []byte {
+	buf = append(buf, keyTagFloat)
+	if bits&(1<<63) != 0 {
+		bits = ^bits // negative floats: invert everything
+	} else {
+		bits |= 1 << 63 // positive: set sign bit
+	}
+	return binary.BigEndian.AppendUint64(buf, bits)
+}
+
+// appendKeyStr escapes p, which is a string (a Value's payload) or a byte
+// slice (a column read in place from an encoded row).
+func appendKeyStr[T string | []byte](buf []byte, p T) []byte {
+	buf = append(buf, keyTagStr)
+	for i := 0; i < len(p); i++ {
+		if c := p[i]; c == 0x00 {
 			buf = append(buf, 0x00, 0xFF)
 		} else {
 			buf = append(buf, c)

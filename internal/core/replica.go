@@ -473,16 +473,18 @@ func (r *Replica) applyFollower(addr wal.Addr, rec wal.Record) bool {
 			}
 		}
 	default:
-		row, err := DecodeRow(rec.Payload)
-		if err != nil {
+		var view RowView
+		if _, err := view.Reset(rec.Payload); err != nil {
 			return true // count as applied; the index entry is skipped
 		}
+		var kbuf []byte
 		for i := 0; i < len(t.indexes); i++ {
-			k, err := t.indexKeyAppend(nil, i, row, rid)
+			k, err := t.viewIndexKeyAppend(kbuf[:0], i, &view, rid)
 			if err != nil {
 				continue
 			}
 			_ = t.indexes[i].Insert(k, uint64(rid))
+			kbuf = k
 		}
 		if rec.Op == wal.OpInsert {
 			t.liveRows.Add(1)

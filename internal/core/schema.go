@@ -159,3 +159,16 @@ func (t *Table) indexKeyAppend(buf []byte, idx int, row Row, rid RID) ([]byte, e
 	}
 	return k, nil
 }
+
+// viewIndexKeyAppend is indexKeyAppend for a row still in its encoded form.
+func (t *Table) viewIndexKeyAppend(buf []byte, idx int, v *RowView, rid RID) ([]byte, error) {
+	def := t.Schema.Indexes[idx]
+	k, err := v.AppendKey(buf, def.Columns)
+	if err != nil {
+		return nil, fmt.Errorf("core: row too short for index %q", def.Name)
+	}
+	if !def.Unique {
+		k = EncodeRIDSuffix(k, uint64(rid))
+	}
+	return k, nil
+}

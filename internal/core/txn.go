@@ -62,6 +62,12 @@ type Txn struct {
 	// transaction's worker goroutine until CommitAsync hands it to the WAL
 	// I/O goroutine.
 	trace *obs.Trace
+
+	// view, kbuf and kbuf2 are scratch for deriving index keys from an
+	// encoded row (read-path key verification, a write's old keys), reused
+	// across calls: a Txn is single-goroutine.
+	view        RowView
+	kbuf, kbuf2 []byte
 }
 
 // SetTrace attaches a request trace to the transaction (nil detaches).
@@ -195,70 +201,103 @@ func (t *Txn) visibleVersion(head *Version) (*Version, error) {
 }
 
 // --- reads ---------------------------------------------------------------
+//
+// The raw reads are the implementation; Get, GetByKey, ScanKey and
+// ScanPrefix decode on top of them (the scans through scanEncoded). A raw callback receives the visible
+// version's payload -- the encoded row exactly as it was logged -- which may
+// be storage-backed memory: it is valid only until the callback returns, and
+// a caller that keeps any of it must copy it out before then.
 
-// Get returns the row at rid visible to t.
-func (t *Txn) Get(tbl *Table, rid RID) (Row, error) {
+// GetRaw hands fn the encoded row at rid visible to t.
+func (t *Txn) GetRaw(tbl *Table, rid RID, fn func(payload []byte) error) error {
 	if t.finished {
-		return nil, ErrTxnDone
+		return ErrTxnDone
 	}
 	head := tbl.rows.Get(rid)
 	if head == nil {
-		return nil, ErrNotFound
+		return ErrNotFound
 	}
 	v, err := t.visibleVersion(head)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if v == nil || v.tomb {
-		return nil, ErrNotFound
+		return ErrNotFound
 	}
 	p, err := v.payload(t.e)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return DecodeRow(p)
+	return fn(p)
 }
 
-// GetByKey looks a row up through a unique index. vals are the index key
-// column values in index order.
-func (t *Txn) GetByKey(tbl *Table, idx int, vals ...Value) (RID, Row, error) {
+// Get returns the row at rid visible to t.
+func (t *Txn) Get(tbl *Table, rid RID) (row Row, err error) {
+	err = t.GetRaw(tbl, rid, func(p []byte) (derr error) {
+		row, derr = DecodeRow(p)
+		return derr
+	})
+	return row, err
+}
+
+// GetByKeyRaw looks a row up through a unique index and hands fn its RID
+// and encoded form. vals are the index key column values in index order.
+func (t *Txn) GetByKeyRaw(tbl *Table, idx int, vals []Value, fn func(rid RID, payload []byte) error) error {
 	if t.finished {
-		return 0, nil, ErrTxnDone
+		return ErrTxnDone
 	}
 	def := tbl.Schema.Indexes[idx]
 	if !def.Unique {
-		return 0, nil, fmt.Errorf("core: GetByKey on non-unique index %q", def.Name)
+		return fmt.Errorf("core: GetByKey on non-unique index %q", def.Name)
 	}
-	key := EncodeKey(nil, vals...)
-	ridU, ok, err := tbl.indexes[idx].Get(key)
+	t.kbuf = EncodeKey(t.kbuf[:0], vals...)
+	ridU, ok, err := tbl.indexes[idx].Get(t.kbuf)
 	if err != nil {
-		return 0, nil, err
+		return err
 	}
 	if !ok {
-		return 0, nil, ErrNotFound
+		return ErrNotFound
 	}
 	rid := RID(ridU)
-	row, err := t.Get(tbl, rid)
+	return t.GetRaw(tbl, rid, func(p []byte) error {
+		// Index entries are single-versioned: verify the visible row still
+		// carries the probed key (it may be a newer entry for a key this
+		// snapshot should not see, or a stale entry for a changed key).
+		if _, err := t.view.Reset(p); err != nil {
+			return err
+		}
+		for i, c := range def.Columns {
+			if !t.view.ColEqual(c, vals[i]) {
+				return ErrNotFound
+			}
+		}
+		return fn(rid, p)
+	})
+}
+
+// GetByKey is GetByKeyRaw returning the decoded row.
+func (t *Txn) GetByKey(tbl *Table, idx int, vals ...Value) (rid RID, row Row, err error) {
+	err = t.GetByKeyRaw(tbl, idx, vals, func(r RID, p []byte) (derr error) {
+		rid = r
+		row, derr = DecodeRow(p)
+		return derr
+	})
 	if err != nil {
 		return 0, nil, err
-	}
-	// Index entries are single-versioned: verify the visible row still
-	// carries the probed key (it may be a newer entry for a key this
-	// snapshot should not see, or a stale entry for a changed key).
-	for i, c := range def.Columns {
-		if c >= len(row) || !row[c].Equal(vals[i]) {
-			return 0, nil, ErrNotFound
-		}
 	}
 	return rid, row, nil
 }
 
-// ScanKey visits visible rows whose index-idx keys fall in [fromVals,
-// toVals) in key order. A nil bound is open.
+// ScanPrefixRaw visits the visible rows whose index keys start with the
+// given values, encoded.
+func (t *Txn) ScanPrefixRaw(tbl *Table, idx int, prefix []Value, fn func(rid RID, payload []byte) bool) error {
+	p := encodePrefix(prefix)
+	return t.scanEncoded(tbl, idx, p, KeySuccessor(p), fn)
+}
+
+// ScanKey visits, in key order, the visible rows whose index-idx keys fall
+// in [from, to), decoded. A nil bound is open.
 func (t *Txn) ScanKey(tbl *Table, idx int, from, to []Value, fn func(rid RID, row Row) bool) error {
-	if t.finished {
-		return ErrTxnDone
-	}
 	var fromK, toK []byte
 	if from != nil {
 		fromK = EncodeKey(nil, from...)
@@ -266,22 +305,41 @@ func (t *Txn) ScanKey(tbl *Table, idx int, from, to []Value, fn func(rid RID, ro
 	if to != nil {
 		toK = EncodeKey(nil, to...)
 	}
-	return t.scanEncoded(tbl, idx, fromK, toK, fn)
+	return t.scanDecoded(tbl, idx, fromK, toK, fn)
 }
 
-// ScanPrefix visits visible rows whose index keys start with the given
-// values.
+// ScanPrefix is ScanPrefixRaw handing fn decoded rows.
 func (t *Txn) ScanPrefix(tbl *Table, idx int, prefix []Value, fn func(rid RID, row Row) bool) error {
+	p := encodePrefix(prefix)
+	return t.scanDecoded(tbl, idx, p, KeySuccessor(p), fn)
+}
+
+// encodePrefix is EncodeKey into a buffer sized for a few fixed-width
+// columns, so the usual prefix costs one allocation, not one per growth.
+func encodePrefix(prefix []Value) []byte {
+	return EncodeKey(make([]byte, 0, 32), prefix...)
+}
+
+func (t *Txn) scanDecoded(tbl *Table, idx int, fromK, toK []byte, fn func(rid RID, row Row) bool) error {
+	var derr error
+	err := t.scanEncoded(tbl, idx, fromK, toK, func(rid RID, p []byte) bool {
+		var row Row
+		if row, derr = DecodeRow(p); derr != nil {
+			return false
+		}
+		return fn(rid, row)
+	})
+	if derr != nil {
+		return derr
+	}
+	return err
+}
+
+func (t *Txn) scanEncoded(tbl *Table, idx int, fromK, toK []byte, fn func(rid RID, payload []byte) bool) error {
 	if t.finished {
 		return ErrTxnDone
 	}
-	p := EncodeKey(nil, prefix...)
-	return t.scanEncoded(tbl, idx, p, KeySuccessor(p), fn)
-}
-
-func (t *Txn) scanEncoded(tbl *Table, idx int, fromK, toK []byte, fn func(rid RID, row Row) bool) error {
 	var scanErr error
-	var kbuf []byte // reused per-row scratch for key verification
 	err := tbl.indexes[idx].Scan(fromK, toK, func(key []byte, ridU uint64) bool {
 		rid := RID(ridU)
 		head := tbl.rows.Get(rid)
@@ -301,27 +359,24 @@ func (t *Txn) scanEncoded(tbl *Table, idx int, fromK, toK []byte, fn func(rid RI
 			scanErr = err
 			return false
 		}
-		row, err := DecodeRow(p)
-		if err != nil {
-			scanErr = err
-			return false
-		}
 		// Verify the entry's key matches the visible row (a stale entry
 		// for a changed key, or a newer key this snapshot must not see).
 		// A single-version chain whose head is the visible version cannot
 		// have stale entries: GC removes stale keys before pruning chains
 		// to depth one, so the verification is skipped on that fast path.
 		if t.e.readOnly.Load() || v != head || head.next.Load() != nil {
-			kbuf, err = tbl.indexKeyAppend(kbuf[:0], idx, row, rid)
+			if _, err = t.view.Reset(p); err == nil {
+				t.kbuf, err = tbl.viewIndexKeyAppend(t.kbuf[:0], idx, &t.view, rid)
+			}
 			if err != nil {
 				scanErr = err
 				return false
 			}
-			if string(kbuf) != string(key) {
+			if string(t.kbuf) != string(key) {
 				return true
 			}
 		}
-		return fn(rid, row)
+		return fn(rid, p)
 	})
 	if scanErr != nil {
 		return scanErr
@@ -492,7 +547,7 @@ func (t *Txn) Update(tbl *Table, rid RID, row Row) error {
 	if len(row) != len(tbl.Schema.Columns) {
 		return fmt.Errorf("core: row arity %d != %d columns", len(row), len(tbl.Schema.Columns))
 	}
-	oldRow, head, err := t.fetchForWrite(tbl, rid)
+	head, err := t.fetchForWrite(tbl, rid)
 	if err != nil {
 		return err
 	}
@@ -508,19 +563,23 @@ func (t *Txn) Update(tbl *Table, rid RID, row Row) error {
 	we := writeEntry{table: tbl, rid: rid, newV: newV, oldV: head}
 	// Index maintenance for key-changing updates: add entries for the new
 	// keys, keep the old entries (older snapshots still resolve through
-	// them); old entries die with the old version at GC.
+	// them); old entries die with the old version at GC. The old keys come
+	// straight from the old payload (t.view, set by fetchForWrite); the
+	// common unchanged-key case touches only the two scratch buffers.
 	for i := 0; i < len(tbl.indexes); i++ {
-		oldK, err := tbl.indexKey(i, oldRow, rid)
+		t.kbuf, err = tbl.viewIndexKeyAppend(t.kbuf[:0], i, &t.view, rid)
 		if err != nil {
 			return t.failWith(err)
 		}
-		newK, err := tbl.indexKey(i, row, rid)
+		t.kbuf2, err = tbl.indexKeyAppend(t.kbuf2[:0], i, row, rid)
 		if err != nil {
 			return t.failWith(err)
 		}
-		if string(oldK) == string(newK) {
+		if string(t.kbuf) == string(t.kbuf2) {
 			continue
 		}
+		oldK := append([]byte(nil), t.kbuf...)
+		newK := append([]byte(nil), t.kbuf2...)
 		if tbl.Schema.Indexes[i].Unique {
 			ux := tbl.indexes[i]
 			unlock := ux.LockKey(newK)
@@ -556,7 +615,7 @@ func (t *Txn) Delete(tbl *Table, rid RID) error {
 	if err := t.e.writeBlocked(); err != nil {
 		return err
 	}
-	oldRow, head, err := t.fetchForWrite(tbl, rid)
+	head, err := t.fetchForWrite(tbl, rid)
 	if err != nil {
 		return err
 	}
@@ -571,7 +630,7 @@ func (t *Txn) Delete(tbl *Table, rid RID) error {
 	we := writeEntry{table: tbl, rid: rid, newV: newV, oldV: head}
 	// All index entries become garbage once the delete is reclaimable.
 	for i := 0; i < len(tbl.indexes); i++ {
-		k, err := tbl.indexKey(i, oldRow, rid)
+		k, err := tbl.viewIndexKeyAppend(nil, i, &t.view, rid)
 		if err != nil {
 			return t.failWith(err)
 		}
@@ -585,38 +644,38 @@ func (t *Txn) Delete(tbl *Table, rid RID) error {
 	return nil
 }
 
-// fetchForWrite resolves the visible row and performs first-committer-wins
-// conflict detection: the newest version must be the visible one.
-func (t *Txn) fetchForWrite(tbl *Table, rid RID) (Row, *Version, error) {
+// fetchForWrite performs first-committer-wins conflict detection -- the
+// newest version must be the visible one -- and leaves that version's
+// encoded row in t.view for the caller to derive the old index keys from.
+func (t *Txn) fetchForWrite(tbl *Table, rid RID) (*Version, error) {
 	head := tbl.rows.Get(rid)
 	if head == nil {
-		return nil, nil, ErrNotFound
+		return nil, ErrNotFound
 	}
 	raw := head.tmin.Load()
 	if isTID(raw) && raw != t.tid {
 		t.e.stats.Conflicts.Add(1)
 		t.e.mConflicts.Inc()
-		return nil, nil, t.failWith(ErrConflict)
+		return nil, t.failWith(ErrConflict)
 	}
 	if !isTID(raw) && raw > t.begin {
 		// Committed after our snapshot: first committer wins.
 		t.e.stats.Conflicts.Add(1)
 		t.e.mConflicts.Inc()
-		return nil, nil, t.failWith(ErrConflict)
+		return nil, t.failWith(ErrConflict)
 	}
 	// head is now our own write or a version visible to us.
 	if head.tomb {
-		return nil, nil, ErrNotFound
+		return nil, ErrNotFound
 	}
 	p, err := head.payload(t.e)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	row, err := DecodeRow(p)
-	if err != nil {
-		return nil, nil, err
+	if _, err := t.view.Reset(p); err != nil {
+		return nil, err
 	}
-	return row, head, nil
+	return head, nil
 }
 
 // failWith aborts the transaction (if the error demands it) and returns err.

@@ -44,29 +44,30 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is one typed column value. The zero Value is NULL.
+// Value is one typed column value. The zero Value is NULL. It is 32 bytes:
+// int and float share the num word, string and bytes share s. A Value is
+// immutable and owns its payload: B copies the slice it is given and Bytes
+// returns a fresh copy, so no Value aliases a buffer someone may reuse.
 type Value struct {
-	kind Kind // 0 = NULL
-	i    int64
-	f    float64
-	s    string
-	b    []byte
+	kind Kind   // 0 = NULL
+	num  uint64 // KindInt: the int64; KindFloat: the IEEE bits
+	s    string // KindString and KindBytes payload
 }
 
 // Null is the NULL value.
 var Null = Value{}
 
 // I wraps an integer.
-func I(v int64) Value { return Value{kind: KindInt, i: v} }
+func I(v int64) Value { return Value{kind: KindInt, num: uint64(v)} }
 
 // F wraps a float.
-func F(v float64) Value { return Value{kind: KindFloat, f: v} }
+func F(v float64) Value { return Value{kind: KindFloat, num: math.Float64bits(v)} }
 
 // S wraps a string.
 func S(v string) Value { return Value{kind: KindString, s: v} }
 
-// B wraps a byte slice (not copied).
-func B(v []byte) Value { return Value{kind: KindBytes, b: v} }
+// B wraps a copy of a byte slice.
+func B(v []byte) Value { return Value{kind: KindBytes, s: string(v)} }
 
 // IsNull reports whether the value is NULL.
 func (v Value) IsNull() bool { return v.kind == 0 }
@@ -75,16 +76,36 @@ func (v Value) IsNull() bool { return v.kind == 0 }
 func (v Value) Kind() Kind { return v.kind }
 
 // Int returns the integer payload (0 unless KindInt).
-func (v Value) Int() int64 { return v.i }
+func (v Value) Int() int64 {
+	if v.kind != KindInt {
+		return 0
+	}
+	return int64(v.num)
+}
 
-// Float returns the float payload.
-func (v Value) Float() float64 { return v.f }
+// Float returns the float payload (0 unless KindFloat).
+func (v Value) Float() float64 {
+	if v.kind != KindFloat {
+		return 0
+	}
+	return math.Float64frombits(v.num)
+}
 
-// Str returns the string payload.
-func (v Value) Str() string { return v.s }
+// Str returns the string payload ("" unless KindString).
+func (v Value) Str() string {
+	if v.kind != KindString {
+		return ""
+	}
+	return v.s
+}
 
-// Bytes returns the bytes payload.
-func (v Value) Bytes() []byte { return v.b }
+// Bytes returns a copy of the bytes payload (nil unless KindBytes).
+func (v Value) Bytes() []byte {
+	if v.kind != KindBytes {
+		return nil
+	}
+	return []byte(v.s)
+}
 
 // String renders the value for diagnostics.
 func (v Value) String() string {
@@ -92,13 +113,13 @@ func (v Value) String() string {
 	case 0:
 		return "NULL"
 	case KindInt:
-		return fmt.Sprintf("%d", v.i)
+		return fmt.Sprintf("%d", v.Int())
 	case KindFloat:
-		return fmt.Sprintf("%g", v.f)
+		return fmt.Sprintf("%g", v.Float())
 	case KindString:
 		return fmt.Sprintf("%q", v.s)
 	case KindBytes:
-		return fmt.Sprintf("x'%x'", v.b)
+		return fmt.Sprintf("x'%x'", v.s)
 	default:
 		return "?"
 	}
@@ -113,13 +134,11 @@ func (v Value) Equal(o Value) bool {
 	case 0:
 		return true
 	case KindInt:
-		return v.i == o.i
+		return v.num == o.num
 	case KindFloat:
-		return v.f == o.f
-	case KindString:
+		return v.Float() == o.Float()
+	case KindString, KindBytes:
 		return v.s == o.s
-	case KindBytes:
-		return string(v.b) == string(o.b)
 	}
 	return false
 }
@@ -145,15 +164,12 @@ func EncodeRow(buf []byte, row Row) []byte {
 		switch v.kind {
 		case 0:
 		case KindInt:
-			buf = binary.AppendVarint(buf, v.i)
+			buf = binary.AppendVarint(buf, int64(v.num))
 		case KindFloat:
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.f))
-		case KindString:
+			buf = binary.LittleEndian.AppendUint64(buf, v.num)
+		case KindString, KindBytes:
 			buf = binary.AppendUvarint(buf, uint64(len(v.s)))
 			buf = append(buf, v.s...)
-		case KindBytes:
-			buf = binary.AppendUvarint(buf, uint64(len(v.b)))
-			buf = append(buf, v.b...)
 		}
 	}
 	return buf
@@ -167,61 +183,160 @@ func DecodeRow(buf []byte) (Row, error) {
 }
 
 // DecodeRowPrefix parses an encoded row from the front of buf and returns
-// the unconsumed remainder, so callers can decode rows packed back to back
-// (the wire protocol's result encoding). Payloads are copied as in
-// DecodeRow.
+// the unconsumed remainder, so callers can decode rows packed back to back.
+// Payloads are copied as in DecodeRow: all of the row's string and bytes
+// values share one private copy of the row's bytes.
 func DecodeRowPrefix(buf []byte) (Row, []byte, error) {
-	n, w := binary.Uvarint(buf)
-	if w <= 0 || n > 1<<20 {
-		return nil, nil, ErrRowCorrupt
+	end, nVals, hasVar, err := measureRows(buf, 1)
+	if err != nil {
+		return nil, nil, err
 	}
-	pos := w
-	row := make(Row, 0, n)
-	for i := uint64(0); i < n; i++ {
-		if pos >= len(buf) {
-			return nil, nil, ErrRowCorrupt
+	row := make(Row, nVals)
+	fillRows(buf[:end], 1, hasVar, row, nil)
+	return row, buf[end:], nil
+}
+
+// DecodeRows parses n rows packed back to back at the front of data (the
+// wire protocol's result encoding) and returns the unconsumed remainder.
+// The whole result is materialised into one Value arena plus one private
+// copy of the encoded bytes that every string and bytes value points into:
+// three allocations however many rows, none of them aliasing data. Nothing
+// is allocated before data has been validated, so a hostile count cannot
+// pre-size anything beyond the bytes actually present.
+func DecodeRows(data []byte, n int) ([]Row, []byte, error) {
+	end, nVals, hasVar, err := measureRows(data, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	if n == 0 {
+		return nil, data, nil
+	}
+	rows := make([]Row, n)
+	fillRows(data[:end], n, hasVar, make([]Value, nVals), rows)
+	return rows, data[end:], nil
+}
+
+// maxRowCols bounds a row's declared column count.
+const maxRowCols = 1 << 20
+
+// rowHeader reads a row's column count at p[pos:]. Every column occupies at
+// least its kind byte, so a count above the bytes that follow is corrupt --
+// which also keeps a hostile header from sizing any allocation.
+func rowHeader(p []byte, pos int) (nCols, next int, err error) {
+	n, w := uvarint(p[pos:])
+	if w <= 0 || n > maxRowCols || n > uint64(len(p)-pos-w) {
+		return 0, 0, ErrRowCorrupt
+	}
+	return int(n), pos + w, nil
+}
+
+// uvarint is binary.Uvarint with the one-byte case -- every column count and
+// every length below 128, so nearly every call -- decided without the loop.
+func uvarint(p []byte) (uint64, int) {
+	if len(p) > 0 && p[0] < 0x80 {
+		return uint64(p[0]), 1
+	}
+	return binary.Uvarint(p)
+}
+
+// colEnd returns the offset just past the column whose kind byte is p[pos].
+func colEnd(p []byte, pos int) (int, error) {
+	if pos >= len(p) {
+		return 0, ErrRowCorrupt
+	}
+	k := Kind(p[pos])
+	pos++
+	switch k {
+	case 0:
+		return pos, nil
+	case KindInt:
+		_, w := binary.Varint(p[pos:])
+		if w <= 0 {
+			return 0, ErrRowCorrupt
 		}
-		k := Kind(buf[pos])
-		pos++
-		switch k {
-		case 0:
-			row = append(row, Null)
-		case KindInt:
-			v, w := binary.Varint(buf[pos:])
-			if w <= 0 {
-				return nil, nil, ErrRowCorrupt
+		return pos + w, nil
+	case KindFloat:
+		if pos+8 > len(p) {
+			return 0, ErrRowCorrupt
+		}
+		return pos + 8, nil
+	case KindString, KindBytes:
+		l, w := uvarint(p[pos:])
+		if w <= 0 {
+			return 0, ErrRowCorrupt
+		}
+		pos += w
+		// Compare in uint64: pos+int(l) would overflow for a hostile l.
+		if l > uint64(len(p)-pos) {
+			return 0, ErrRowCorrupt
+		}
+		return pos + int(l), nil
+	default:
+		return 0, ErrRowCorrupt
+	}
+}
+
+// measureRows validates n back-to-back rows at the front of p without
+// allocating: end is the offset past the last one, nVals their total column
+// count, hasVar whether any column is a string or bytes.
+func measureRows(p []byte, n int) (end, nVals int, hasVar bool, err error) {
+	if n < 0 || n > len(p) { // a row is at least its one-byte header
+		return 0, 0, false, ErrRowCorrupt
+	}
+	pos := 0
+	for r := 0; r < n; r++ {
+		nCols, next, err := rowHeader(p, pos)
+		if err != nil {
+			return 0, 0, false, err
+		}
+		pos = next
+		for c := 0; c < nCols; c++ {
+			if pos < len(p) && Kind(p[pos]) >= KindString {
+				hasVar = true
 			}
-			pos += w
-			row = append(row, I(v))
-		case KindFloat:
-			if pos+8 > len(buf) {
-				return nil, nil, ErrRowCorrupt
+			if pos, err = colEnd(p, pos); err != nil {
+				return 0, 0, false, err
 			}
-			row = append(row, F(math.Float64frombits(binary.LittleEndian.Uint64(buf[pos:]))))
-			pos += 8
-		case KindString, KindBytes:
-			l, w := binary.Uvarint(buf[pos:])
-			if w <= 0 {
-				return nil, nil, ErrRowCorrupt
+		}
+		nVals += nCols
+	}
+	return pos, nVals, hasVar, nil
+}
+
+// fillRows decodes the n rows measureRows validated in p into vals, carving
+// rows[i] out of vals when rows is non-nil. hasVar says a private copy of p
+// is needed for string and bytes values to point into.
+func fillRows(p []byte, n int, hasVar bool, vals []Value, rows []Row) {
+	var blob string
+	if hasVar {
+		blob = string(p)
+	}
+	pos, vi := 0, 0
+	for r := 0; r < n; r++ {
+		nCols, w := uvarint(p[pos:])
+		pos += w
+		row := vals[vi : vi+int(nCols) : vi+int(nCols)]
+		vi += int(nCols)
+		if rows != nil {
+			rows[r] = row
+		}
+		for c := range row {
+			k := Kind(p[pos])
+			pos++
+			switch k {
+			case KindInt:
+				x, w := binary.Varint(p[pos:])
+				pos += w
+				row[c] = I(x)
+			case KindFloat:
+				row[c] = Value{kind: KindFloat, num: binary.LittleEndian.Uint64(p[pos:])}
+				pos += 8
+			case KindString, KindBytes:
+				l, w := uvarint(p[pos:])
+				pos += w
+				row[c] = Value{kind: k, s: blob[pos : pos+int(l)]}
+				pos += int(l)
 			}
-			pos += w
-			// Compare in uint64: pos+int(l) would overflow for huge l,
-			// letting a hostile length pass the bounds check and panic
-			// the allocation below.
-			if l > uint64(len(buf)-pos) {
-				return nil, nil, ErrRowCorrupt
-			}
-			p := make([]byte, l)
-			copy(p, buf[pos:pos+int(l)])
-			pos += int(l)
-			if k == KindString {
-				row = append(row, S(string(p)))
-			} else {
-				row = append(row, B(p))
-			}
-		default:
-			return nil, nil, ErrRowCorrupt
 		}
 	}
-	return row, buf[pos:], nil
 }

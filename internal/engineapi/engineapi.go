@@ -101,3 +101,52 @@ type Txn interface {
 	// key order, until fn returns false.
 	ScanPrefix(table string, idx int, prefix []core.Value, fn func(row core.Row) bool) error
 }
+
+// RawReader is optionally implemented by transactions that can hand out a
+// row in its stored encoding (core.EncodeRow form) instead of decoding it,
+// so a reader that only forwards or filters rows (the SQL layer's SELECT)
+// never materialises the columns it does not look at. The payload passed to
+// fn may be storage-backed: it is valid only until fn returns.
+type RawReader interface {
+	// GetByKeyRaw is GetByKey handing fn the encoded row.
+	GetByKeyRaw(table string, idx int, key []core.Value, fn func(payload []byte) error) error
+	// ScanPrefixRaw is ScanPrefix handing fn encoded rows.
+	ScanPrefixRaw(table string, idx int, prefix []core.Value, fn func(payload []byte) bool) error
+}
+
+// Raw returns tx's raw read interface: tx itself when it implements
+// RawReader, otherwise a, set up to re-encode each row tx's decoding reads
+// return (the baselines and test stubs, which have no stored encoding to
+// hand out). The zero RawAdapter is ready to use; a caller that passes the
+// same one on every call keeps its buffer across them.
+func Raw(tx Txn, a *RawAdapter) RawReader {
+	if r, ok := tx.(RawReader); ok {
+		return r
+	}
+	a.tx = tx
+	return a
+}
+
+// RawAdapter implements RawReader over any Txn; see Raw.
+type RawAdapter struct {
+	tx  Txn
+	buf []byte
+}
+
+// GetByKeyRaw implements RawReader.
+func (a *RawAdapter) GetByKeyRaw(table string, idx int, key []core.Value, fn func([]byte) error) error {
+	row, err := a.tx.GetByKey(table, idx, key...)
+	if err != nil {
+		return err
+	}
+	a.buf = core.EncodeRow(a.buf[:0], row)
+	return fn(a.buf)
+}
+
+// ScanPrefixRaw implements RawReader.
+func (a *RawAdapter) ScanPrefixRaw(table string, idx int, prefix []core.Value, fn func([]byte) bool) error {
+	return a.tx.ScanPrefix(table, idx, prefix, func(row core.Row) bool {
+		a.buf = core.EncodeRow(a.buf[:0], row)
+		return fn(a.buf)
+	})
+}

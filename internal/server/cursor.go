@@ -19,7 +19,6 @@ import (
 	"strings"
 	"time"
 
-	"hiengine/internal/core"
 	"hiengine/internal/obs"
 	"hiengine/internal/sqlfront"
 	"hiengine/internal/wire"
@@ -169,26 +168,11 @@ func (c *conn) cursorPage(reqID, id uint64, ce *cursorEntry, fetch int, finish f
 		fetch = ce.fetch
 	}
 	rowsBP := wire.GetBuf()
-	rowData := (*rowsBP)[:0]
-	n := 0
-	done := false
-	var serr error
+	rows := sqlfront.RowBuf{Data: (*rowsBP)[:0]}
 	c.tr.Begin(obs.StageCursorProduce)
-	for n < fetch && len(rowData) < pageByteCap {
-		row, ok, err := ce.rs.NextRow()
-		if err != nil {
-			serr = err
-			break
-		}
-		if !ok {
-			done = true
-			break
-		}
-		rowData = core.EncodeRow(rowData, row)
-		n++
-	}
+	done, serr := ce.rs.NextPage(&rows, fetch, pageByteCap)
 	c.tr.End(obs.StageCursorProduce)
-	*rowsBP = rowData
+	*rowsBP = rows.Data
 	if serr != nil {
 		c.closeCursor(id, ce)
 		wire.PutBuf(rowsBP)
@@ -199,7 +183,7 @@ func (c *conn) cursorPage(reqID, id uint64, ce *cursorEntry, fetch int, finish f
 		c.closeCursor(id, ce)
 	}
 	bp := wire.GetBuf()
-	body := wire.AppendCursorPage((*bp)[:0], id, done, ce.rs.Columns, n, rowData)
+	body := wire.AppendCursorPage((*bp)[:0], id, done, ce.rs.Columns, rows.N, rows.Data)
 	finish(nil, body)
 	*bp = body
 	wire.PutBuf(bp)

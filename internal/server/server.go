@@ -1083,13 +1083,7 @@ func (c *conn) handle(f wire.Frame) bool {
 			finish(err, nil)
 			return true
 		}
-		res, err := e.stmt.Exec(args...)
-		c.releaseSlot()
-		if err != nil {
-			finish(err, nil)
-			return true
-		}
-		c.finishResult(finish, res)
+		c.execStmt(e.stmt, args, finish)
 
 	case wire.OpCloseStmt:
 		id, err := wire.DecodeCloseStmt(f.Payload)
@@ -1146,24 +1140,29 @@ func (c *conn) execSQL(reqID uint64, sql string, args []core.Value, finish func(
 		finish(fmt.Errorf("%w: %v", wire.ErrBadStatement, err), nil)
 		return
 	}
-	res, err := stmt.Exec(args...)
+	c.execStmt(stmt, args, finish)
+}
+
+// execStmt runs a compiled statement under the connection's worker slot and
+// responds CodeOK with its result, suffixed with the session's
+// read-your-writes token. Rows arrive from sqlfront already in wire form
+// (spliced out of storage into a pooled buffer) and are framed exactly as a
+// cursor page's are; both pooled buffers return to the pool once the
+// response frame is written (finish responds synchronously, so they are
+// dead by then).
+func (c *conn) execStmt(stmt *sqlfront.Stmt, args []core.Value, finish func(error, []byte)) {
+	rowsBP := wire.GetBuf()
+	rows := sqlfront.RowBuf{Data: (*rowsBP)[:0]}
+	res, err := stmt.ExecEncoded(&rows, args...)
 	c.releaseSlot()
+	*rowsBP = rows.Data
+	defer wire.PutBuf(rowsBP)
 	if err != nil {
 		finish(err, nil)
 		return
 	}
-	c.finishResult(finish, res)
-}
-
-// finishResult responds CodeOK with res encoded into a pooled body buffer,
-// suffixed with the session's read-your-writes token; the buffer returns to
-// the pool once the response frame is written (finish responds
-// synchronously, so the body is dead by then).
-func (c *conn) finishResult(finish func(error, []byte), res *sqlfront.Result) {
 	bp := wire.GetBuf()
-	body := wire.AppendResultCSN((*bp)[:0], &wire.Result{
-		Columns: res.Columns, Rows: res.Rows, Affected: res.Affected,
-	}, c.sess.LastCSN())
+	body := wire.AppendEncodedResultCSN((*bp)[:0], res.Affected, res.Columns, rows.N, rows.Data, c.sess.LastCSN())
 	finish(nil, body)
 	*bp = body
 	wire.PutBuf(bp)
@@ -1179,13 +1178,12 @@ func (c *conn) finishResult(finish func(error, []byte), res *sqlfront.Result) {
 // depend on the form).
 func (c *conn) commit(reqID uint64, release func()) {
 	start := time.Now()
-	var emptyRes wire.Result
 	respondOK := func(tr *obs.Trace) {
 		// Built per response from a pooled buffer: the CSN is only known
 		// once the commit has run, and respondTr consumes the body
 		// synchronously.
 		bp := wire.GetBuf()
-		body := wire.AppendResultCSN((*bp)[:0], &emptyRes, c.sess.LastCSN())
+		body := wire.AppendEncodedResultCSN((*bp)[:0], 0, nil, 0, nil, c.sess.LastCSN())
 		c.respondTr(reqID, tr, wire.CodeOK, "", body)
 		*bp = body
 		wire.PutBuf(bp)

@@ -581,8 +581,14 @@ func TestGracefulDrain(t *testing.T) {
 	// Wait until the commit is admitted (it holds its in-flight token
 	// until the durability callback answers). If the window is missed the
 	// commit already answered, which the assertions below still cover.
+	// Requests on one connection are handled in order, so once the commit
+	// has been counted the INSERT's token is back and a nonzero gauge can
+	// only be the commit's -- without the counter, the INSERT's token (given
+	// back just after its response is written) could end this wait before
+	// the commit frame has even arrived, and the drain would refuse it.
+	commits := h.reg.Counter("server.requests." + wire.OpCommit.String())
 	inflight := h.reg.Gauge("server.inflight")
-	for end := time.Now().Add(2 * time.Second); inflight.Load() == 0 && time.Now().Before(end); {
+	for end := time.Now().Add(2 * time.Second); (commits.Load() == 0 || inflight.Load() == 0) && time.Now().Before(end); {
 		time.Sleep(50 * time.Microsecond)
 	}
 	if err := h.srv.Close(); err != nil {

@@ -13,6 +13,16 @@ import (
 	"hiengine/internal/wire"
 )
 
+// awaitPublished polls until published() holds, for at most two seconds: the
+// server finishes (and so publishes) a trace just after it has written the
+// response, so a client that already holds the response can be ahead of
+// the ring.
+func awaitPublished(published func() bool) {
+	for end := time.Now().Add(2 * time.Second); !published() && time.Now().Before(end); {
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // traceHarness builds a deployment whose server traces requests with cfg.
 func traceHarness(t *testing.T, model *delay.Model, tcfg obs.TracerConfig, eng *chaos.Engine) (*harness, *obs.Tracer) {
 	t.Helper()
@@ -72,11 +82,14 @@ func TestRemoteTracedTransactionStages(t *testing.T) {
 	// the wire is necessarily encoded before the response write finishes,
 	// so the client's view reports respond as in-progress).
 	var rec *obs.TraceRecord
-	for _, r := range tracer.Recent() {
-		if r.ID == info.TraceID {
-			rec = r
+	awaitPublished(func() bool {
+		for _, r := range tracer.Recent() {
+			if r.ID == info.TraceID {
+				rec = r
+			}
 		}
-	}
+		return rec != nil
+	})
 	if rec == nil {
 		t.Fatalf("trace %d not in recent ring", info.TraceID)
 	}
@@ -163,6 +176,7 @@ func TestTraceSlowCaptureUnderChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	awaitPublished(func() bool { return len(tracer.Slow()) > 0 })
 	slow := tracer.Slow()
 	if len(slow) == 0 {
 		t.Fatal("chaos-delayed transaction missing from slow ring")
@@ -215,6 +229,7 @@ func TestTraceUntracedSessionUnaffected(t *testing.T) {
 	if lt == nil || !lt.Info.PlanMiss && !lt.Info.PlanHit {
 		t.Fatalf("forced trace missing or empty: %+v", lt)
 	}
+	awaitPublished(func() bool { return len(tracer.Recent()) > 0 })
 	recent := tracer.Recent()
 	if len(recent) != 1 || !recent[0].Forced {
 		t.Fatalf("forced trace not in recent ring: %+v", recent)

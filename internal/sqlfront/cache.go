@@ -23,7 +23,9 @@ const DefaultPlanCacheSize = 512
 type compiled struct {
 	nParams int
 	gen     uint64
-	fn      func(s *Session, args []core.Value) (*Result, error)
+	// Exactly one of sel (a SELECT) and fn (anything else) is set.
+	sel *selectPlan
+	fn  func(s *Session, args []core.Value) (*Result, error)
 }
 
 // planCache is a size-bounded, SQL-text-keyed LRU of compiled statements.

@@ -163,11 +163,15 @@ func (f *Frontend) prepare(sql string) (*compiled, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	fn, err := f.compile(st)
+	c := &compiled{nParams: nParams, gen: gen}
+	if sel, ok := st.(*selectStmt); ok {
+		c.sel, err = f.compileSelect(sel)
+	} else {
+		c.fn, err = f.compile(st)
+	}
 	if err != nil {
 		return nil, false, err
 	}
-	c := &compiled{nParams: nParams, gen: gen, fn: fn}
 	if cacheable(st) {
 		pc.put(sql, c)
 	}
@@ -215,6 +219,12 @@ type Session struct {
 	// plan-cache and execution stages against it, and transactions opened
 	// while it is set carry it through the engine's commit pipeline.
 	tr *obs.Trace
+
+	// sel and rows are SELECT scratch reused across statements (a session
+	// runs one at a time): the scan state, and the encoded rows Exec decodes
+	// Result.Rows from.
+	sel  selectRun
+	rows RowBuf
 }
 
 // LastCSN returns the session's read-your-writes token: the commit sequence
@@ -283,7 +293,7 @@ type Result struct {
 
 // Exec runs sql through the frontend plan cache: first sight of a SQL text
 // pays parse+plan+compile, every later execution (from any session) binds
-// parameters straight into the cached closure.
+// parameters straight into the cached plan.
 func (s *Session) Exec(sql string, args ...core.Value) (*Result, error) {
 	s.tr.Begin(obs.StagePlanCache)
 	c, hit, err := s.f.prepare(sql)
@@ -294,19 +304,47 @@ func (s *Session) Exec(sql string, args ...core.Value) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.execute(c, args, nil)
+}
+
+// maxRowScratch bounds what a session's row scratch may retain, so one
+// large in-process result does not pin its size for the session's life.
+const maxRowScratch = 64 << 10
+
+// execute is the exec stage shared by Exec, Stmt.Exec and Stmt.ExecEncoded.
+// A SELECT appends its rows to sink in wire form and leaves Result.Rows
+// nil; with a nil sink they go to the session's scratch and are decoded
+// from there into Result.Rows, one arena for the whole result.
+func (s *Session) execute(c *compiled, args []core.Value, sink *RowBuf) (*Result, error) {
 	if c.nParams != len(args) {
 		return nil, fmt.Errorf("%w: statement has %d, got %d", ErrParamCount, c.nParams, len(args))
 	}
 	s.tr.Begin(obs.StageExec)
-	res, err := c.fn(s, args)
-	s.tr.End(obs.StageExec)
-	return res, err
+	defer s.tr.End(obs.StageExec)
+	if c.sel == nil {
+		return c.fn(s, args)
+	}
+	if sink != nil {
+		return c.sel.exec(s, args, sink)
+	}
+	s.rows = RowBuf{Data: s.rows.Data[:0]}
+	res, err := c.sel.exec(s, args, &s.rows)
+	if err == nil {
+		res.Rows, _, err = core.DecodeRows(s.rows.Data, s.rows.N)
+	}
+	if cap(s.rows.Data) > maxRowScratch {
+		s.rows.Data = nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // Stmt is a compiled statement handle: the parse/plan work is done once
-// and the execution closure binds parameters straight into engine calls
-// (full-stack code generation, Section 3.3). A Stmt is bound to its
-// session and, like the session, is not safe for concurrent use.
+// and the plan binds parameters straight into engine calls (full-stack code
+// generation, Section 3.3). A Stmt is bound to its session and, like the
+// session, is not safe for concurrent use.
 type Stmt struct {
 	s   *Session
 	sql string
@@ -330,11 +368,19 @@ func (s *Session) Prepare(sql string) (*Stmt, error) {
 // NumParams reports the statement's parameter count.
 func (st *Stmt) NumParams() int { return st.c.nParams }
 
-// Exec runs the compiled statement. The plan revalidates its catalog
+// Exec runs the compiled statement; a SELECT's rows come back decoded in
+// Result.Rows.
+func (st *Stmt) Exec(args ...core.Value) (*Result, error) {
+	return st.ExecEncoded(nil, args...)
+}
+
+// ExecEncoded is Exec for a caller that forwards rows instead of reading
+// them (the network server): a SELECT's rows are appended to sink in wire
+// form and Result.Rows stays nil (a nil sink is Exec). The plan revalidates its catalog
 // generation first: if DDL ran since compile, the statement transparently
 // recompiles (through the cache) rather than execute a plan that may
 // capture stale table handles or routing.
-func (st *Stmt) Exec(args ...core.Value) (*Result, error) {
+func (st *Stmt) ExecEncoded(sink *RowBuf, args ...core.Value) (*Result, error) {
 	s := st.s
 	s.tr.Begin(obs.StagePlanCache)
 	if st.c.gen != s.f.schemaGen.Load() {
@@ -350,13 +396,7 @@ func (st *Stmt) Exec(args ...core.Value) (*Result, error) {
 		s.tr.PlanCache(true)
 	}
 	s.tr.End(obs.StagePlanCache)
-	if len(args) != st.c.nParams {
-		return nil, fmt.Errorf("%w: statement has %d, got %d", ErrParamCount, st.c.nParams, len(args))
-	}
-	s.tr.Begin(obs.StageExec)
-	res, err := st.c.fn(s, args)
-	s.tr.End(obs.StageExec)
-	return res, err
+	return s.execute(st.c, args, sink)
 }
 
 // --- transaction handling --------------------------------------------------
@@ -548,9 +588,16 @@ func (s *Session) opFailed(tx engineapi.Txn, auto bool, err error) {
 // a full unique match (point lookup) over a prefix (scan).
 type plan struct {
 	idx      int
-	prefix   []expr // values for the matched index-column prefix
-	point    bool   // full unique key covered
-	residual []cond // conditions checked row-by-row
+	prefix   []expr      // values for the matched index-column prefix
+	point    bool        // full unique key covered
+	residual []residCond // conditions checked row-by-row
+}
+
+// residCond is a WHERE equality the index does not absorb, its column
+// resolved to a position.
+type residCond struct {
+	pos int
+	rhs expr
 }
 
 func buildPlan(schema *core.Schema, where []cond) (plan, error) {
@@ -596,8 +643,8 @@ func buildPlan(schema *core.Schema, where []cond) (plan, error) {
 		return plan{}, fmt.Errorf("%w (columns: %v)", ErrBadPlan, where)
 	}
 	for _, c := range where {
-		if !used[schema.ColumnIndex(c.col)] {
-			best.residual = append(best.residual, c)
+		if pos := schema.ColumnIndex(c.col); !used[pos] {
+			best.residual = append(best.residual, residCond{pos: pos, rhs: c.rhs})
 		}
 	}
 	return best, nil
@@ -618,37 +665,21 @@ func bindAll(es []expr, args []core.Value) []core.Value {
 	return out
 }
 
-func matchResidual(schema *core.Schema, row core.Row, residual []cond, args []core.Value) bool {
+func matchResidual(row core.Row, residual []residCond, args []core.Value) bool {
 	for _, c := range residual {
-		pos := schema.ColumnIndex(c.col)
-		if pos < 0 || !row[pos].Equal(bind(c.rhs, args)) {
+		if !row[c.pos].Equal(bind(c.rhs, args)) {
 			return false
 		}
 	}
 	return true
 }
 
-func project(schema *core.Schema, row core.Row, cols []string) (core.Row, error) {
-	if cols == nil {
-		return row, nil
-	}
-	out := make(core.Row, len(cols))
-	for i, c := range cols {
-		pos := schema.ColumnIndex(c)
-		if pos < 0 {
-			return nil, fmt.Errorf("sqlfront: unknown column %q", c)
-		}
-		out[i] = row[pos]
-	}
-	return out, nil
-}
-
 // --- execution ----------------------------------------------------------------
 
-// compile lowers a statement to a session-free execution closure over
-// pre-resolved handles: the closure receives the executing session at call
-// time, which is what lets one compiled plan be shared by every session
-// through the frontend plan cache.
+// compile lowers a statement other than SELECT (compileSelect's) to a
+// session-free execution closure over pre-resolved handles: the closure
+// receives the executing session at call time, which is what lets one
+// compiled plan be shared by every session through the frontend plan cache.
 func (f *Frontend) compile(st stmt) (func(*Session, []core.Value) (*Result, error), error) {
 	switch st := st.(type) {
 	case *txnStmt:
@@ -724,70 +755,6 @@ func (f *Frontend) compile(st stmt) (func(*Session, []core.Value) (*Result, erro
 			return &Result{Affected: 1}, nil
 		}, nil
 
-	case *selectStmt:
-		ti, err := f.tableInfo(st.table)
-		if err != nil {
-			return nil, err
-		}
-		pl, err := buildPlan(ti.schema, st.where)
-		if err != nil {
-			return nil, err
-		}
-		cols := st.cols
-		limit := st.limit
-		residual := pl.residual
-		return func(s *Session, args []core.Value) (*Result, error) {
-			tx, auto, err := s.txnFor(ti)
-			if err != nil {
-				return nil, err
-			}
-			res := &Result{Columns: cols}
-			fail := func(err error) (*Result, error) {
-				s.opFailed(tx, auto, err)
-				return nil, err
-			}
-			// limit < 0 means no LIMIT clause; LIMIT 0 is a real limit and
-			// must fetch nothing at all.
-			switch {
-			case limit == 0:
-			case pl.point:
-				row, err := tx.GetByKey(ti.schema.Name, pl.idx, bindAll(pl.prefix, args)...)
-				if err != nil && !errors.Is(err, engineapi.ErrNotFound) {
-					return fail(err)
-				}
-				if err == nil && matchResidual(ti.schema, row, residual, args) {
-					pr, perr := project(ti.schema, row, cols)
-					if perr != nil {
-						return fail(perr)
-					}
-					res.Rows = append(res.Rows, pr)
-				}
-			default:
-				err := tx.ScanPrefix(ti.schema.Name, pl.idx, bindAll(pl.prefix, args),
-					func(row core.Row) bool {
-						if !matchResidual(ti.schema, row, residual, args) {
-							return true
-						}
-						pr, perr := project(ti.schema, row, cols)
-						if perr != nil {
-							err = perr
-							return false
-						}
-						res.Rows = append(res.Rows, pr)
-						return limit < 0 || len(res.Rows) < limit
-					})
-				if err != nil {
-					return fail(err)
-				}
-			}
-			if auto {
-				if err := s.commitAuto(tx); err != nil {
-					return nil, err
-				}
-			}
-			return res, nil
-		}, nil
-
 	case *updateStmt:
 		ti, err := f.tableInfo(st.table)
 		if err != nil {
@@ -827,7 +794,7 @@ func (f *Frontend) compile(st stmt) (func(*Session, []core.Value) (*Result, erro
 				s.opFailed(tx, auto, err)
 				return nil, err
 			}
-			if !matchResidual(ti.schema, row, residual, args) {
+			if !matchResidual(row, residual, args) {
 				if auto {
 					tx.Abort()
 				}

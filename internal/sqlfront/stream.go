@@ -16,13 +16,15 @@ var ErrNotStreamable = errors.New("sqlfront: only SELECT can stream")
 // MVCC snapshot, handing rows out in demand-driven, bounded pages instead
 // of materializing the full result (the server's cursor protocol sits
 // directly on top of it). The scan runs in a producer goroutine parked
-// inside the engine's ScanPrefix; each NextRow/Next call releases exactly
-// as many rows as it asks for, so peak buffering is one row beyond the
-// caller's page. The producer owns the stream's dedicated read transaction
-// end to end -- it opens under the session's worker slot in ExecStream and
-// is finished (committed on clean exhaustion or early Close, aborted on
-// error; for a read-only snapshot the two are equivalent) only by the
-// producer itself, which keeps the engine transaction single-goroutine.
+// inside the engine's scan callback; each NextPage call lends the producer
+// a RowBuf, the producer splices rows into it until the page's row or byte
+// bound is reached, and parks again -- one hand-off per page, nothing
+// buffered beyond it. The producer owns the stream's dedicated read
+// transaction end to end -- it opens under the session's worker slot in
+// ExecStream and is finished (committed on clean exhaustion or early Close,
+// aborted on error; for a read-only snapshot the two are equivalent) only
+// by the producer itself, which keeps the engine transaction
+// single-goroutine.
 //
 // A RowStream is not safe for concurrent use, matching Session. Callers
 // must either drain it to exhaustion or Close it; an abandoned stream pins
@@ -32,108 +34,120 @@ type RowStream struct {
 	// open so every page can carry it.
 	Columns []string
 
-	rows chan core.Row
-	stop chan struct{}
-	done chan error // buffered 1: the producer's terminal status
+	req  chan pageReq  // consumer -> producer: fill this page
+	more chan bool     // producer -> consumer: page handed back; false = scan over
+	stop chan struct{} // closed by Close
+	done chan error    // buffered 1: the producer's terminal status
 
-	stopped  bool
+	one RowBuf // NextRow's one-row page, reused
+
 	finished bool
 	err      error
 }
 
-// ExecStream opens a streaming SELECT: parse and plan run eagerly (errors
-// surface here, never mid-stream), a dedicated read transaction pins the
-// MVCC snapshot, and the returned stream yields rows from that snapshot
-// regardless of concurrent writers. Streaming inside an explicit
-// transaction is refused: the stream's snapshot would not see the
+// pageReq is one NextPage call: the sink to fill and its bounds.
+type pageReq struct {
+	sink     *RowBuf
+	maxRows  int
+	maxBytes int // <= 0: unbounded
+}
+
+// ExecStream opens a streaming SELECT: the plan is resolved eagerly through
+// the plan cache (errors surface here, never mid-stream), a dedicated read
+// transaction pins the MVCC snapshot, and the returned stream yields rows
+// from that snapshot regardless of concurrent writers. Streaming inside an
+// explicit transaction is refused: the stream's snapshot would not see the
 // transaction's own writes, which is a silent-surprise semantic.
 func (s *Session) ExecStream(sql string, args ...core.Value) (*RowStream, error) {
 	if s.InTxn() {
 		return nil, errors.New("sqlfront: cannot stream inside an explicit transaction")
 	}
-	st, nParams, err := parse(sql)
+	c, _, err := s.f.prepare(sql)
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := st.(*selectStmt)
-	if !ok {
+	if c.sel == nil {
 		return nil, ErrNotStreamable
 	}
-	if nParams != len(args) {
-		return nil, fmt.Errorf("%w: statement has %d, got %d", ErrParamCount, nParams, len(args))
+	if c.nParams != len(args) {
+		return nil, fmt.Errorf("%w: statement has %d, got %d", ErrParamCount, c.nParams, len(args))
 	}
-	ti, err := s.f.tableInfo(sel.table)
-	if err != nil {
-		return nil, err
-	}
-	pl, err := buildPlan(ti.schema, sel.where)
-	if err != nil {
-		return nil, err
-	}
-	// Validate the projection eagerly: a bad column name must fail the open,
-	// not the Nth page.
-	if _, err := project(ti.schema, make(core.Row, len(ti.schema.Columns)), sel.cols); err != nil {
-		return nil, err
-	}
-	tx, err := ti.db.Begin(s.worker)
+	tx, err := c.sel.ti.db.Begin(s.worker)
 	if err != nil {
 		return nil, err
 	}
 	rs := &RowStream{
-		Columns: sel.cols,
-		rows:    make(chan core.Row),
+		Columns: c.sel.cols,
+		req:     make(chan pageReq),
+		more:    make(chan bool),
 		stop:    make(chan struct{}),
 		done:    make(chan error, 1),
 	}
-	cols, limit, residual := sel.cols, sel.limit, pl.residual
-	schema := ti.schema
-	go func() {
-		var terr error
-		sent := 0
-		deliver := func(row core.Row) bool {
-			if !matchResidual(schema, row, residual, args) {
-				return true
-			}
-			pr, perr := project(schema, row, cols)
-			if perr != nil {
-				terr = perr
-				return false
-			}
-			select {
-			case rs.rows <- pr:
-				sent++
-				return limit < 0 || sent < limit
-			case <-rs.stop:
-				return false
-			}
-		}
-		switch {
-		case limit == 0:
-			// LIMIT 0: a real limit -- fetch nothing.
-		case pl.point:
-			row, gerr := tx.GetByKey(schema.Name, pl.idx, bindAll(pl.prefix, args)...)
-			if gerr != nil && !errors.Is(gerr, engineapi.ErrNotFound) {
-				terr = gerr
-			} else if gerr == nil {
-				deliver(row)
-			}
-		default:
-			serr := tx.ScanPrefix(schema.Name, pl.idx, bindAll(pl.prefix, args), deliver)
-			if terr == nil {
-				terr = serr
-			}
-		}
-		if terr != nil {
-			tx.Abort()
-		} else if cerr := tx.Commit(); cerr != nil {
-			terr = cerr
-		} else {
-			s.noteCSN(tx)
-		}
-		close(rs.rows)
-		rs.done <- terr
-	}()
+	go rs.produce(s, tx, &selectRun{p: c.sel, args: args})
 	return rs, nil
+}
+
+// produce is the producer goroutine: it waits for the first page request,
+// runs the select core with a page hand-off after every row, finishes the
+// transaction and reports the terminal status.
+func (rs *RowStream) produce(s *Session, tx engineapi.Txn, r *selectRun) {
+	var rq pageReq
+	// next parks until the consumer asks for a page (true) or closes.
+	next := func() bool {
+		select {
+		case rq = <-rs.req:
+			r.sink = rq.sink
+			return true
+		case <-rs.stop:
+			return false
+		}
+	}
+	r.emitted = func() bool {
+		if r.sink.N < rq.maxRows && (rq.maxBytes <= 0 || len(r.sink.Data) < rq.maxBytes) {
+			return true
+		}
+		rs.more <- true
+		return next()
+	}
+	var terr error
+	serving := next()
+	if serving {
+		terr = r.run(tx)
+		// A scan that unwound because Close arrived is not serving a page.
+		select {
+		case <-rs.stop:
+			serving = false
+		default:
+		}
+	}
+	if terr != nil {
+		tx.Abort()
+	} else if terr = tx.Commit(); terr == nil {
+		s.noteCSN(tx)
+	}
+	rs.done <- terr
+	if serving {
+		rs.more <- false
+	}
+}
+
+// NextPage appends the next page to sink: at most maxRows rows, and no more
+// rows once sink.Data has reached maxBytes (<= 0: no byte bound; sink's
+// prior content counts towards both). done=true means the stream is
+// finished and err carries the terminal status (nil on clean exhaustion);
+// the rows appended alongside done=true are the last ones, and none are
+// valid if err != nil.
+func (rs *RowStream) NextPage(sink *RowBuf, maxRows, maxBytes int) (done bool, err error) {
+	if rs.finished {
+		return true, rs.err
+	}
+	rs.req <- pageReq{sink: sink, maxRows: maxRows, maxBytes: maxBytes}
+	if <-rs.more {
+		return false, nil
+	}
+	rs.finished = true
+	rs.err = <-rs.done
+	return true, rs.err
 }
 
 // NextRow returns the next row. ok=false means the stream is finished: err
@@ -141,16 +155,12 @@ func (s *Session) ExecStream(sql string, args ...core.Value) (*RowStream, error)
 // its read-only commit error otherwise). After ok=false the stream is
 // closed and needs no Close.
 func (rs *RowStream) NextRow() (row core.Row, ok bool, err error) {
-	if rs.finished {
-		return nil, false, rs.err
+	rs.one = RowBuf{Data: rs.one.Data[:0]}
+	if _, err := rs.NextPage(&rs.one, 1, 0); err != nil || rs.one.N == 0 {
+		return nil, false, err
 	}
-	row, ok = <-rs.rows
-	if !ok {
-		rs.finished = true
-		rs.err = <-rs.done
-		return nil, false, rs.err
-	}
-	return row, true, nil
+	row, err = core.DecodeRow(rs.one.Data)
+	return row, err == nil, err
 }
 
 // Next collects the next bounded page of at most max rows (max <= 0 is
@@ -161,15 +171,13 @@ func (rs *RowStream) Next(max int) (page *Result, done bool, err error) {
 	if max <= 0 {
 		max = 1
 	}
+	var buf RowBuf
 	page = &Result{Columns: rs.Columns}
-	for len(page.Rows) < max {
-		row, ok, rerr := rs.NextRow()
-		if !ok {
-			return page, true, rerr
-		}
-		page.Rows = append(page.Rows, row)
+	if done, err = rs.NextPage(&buf, max, 0); err != nil {
+		return page, true, err
 	}
-	return page, false, nil
+	page.Rows, _, err = core.DecodeRows(buf.Data, buf.N)
+	return page, done, err
 }
 
 // Close abandons the stream early: the producer unwinds out of the scan,
@@ -180,13 +188,7 @@ func (rs *RowStream) Close() error {
 	if rs.finished {
 		return rs.err
 	}
-	if !rs.stopped {
-		rs.stopped = true
-		close(rs.stop)
-	}
-	for range rs.rows {
-		// Drain whatever the producer had in flight so it can unwind.
-	}
+	close(rs.stop)
 	rs.finished = true
 	rs.err = <-rs.done
 	return rs.err

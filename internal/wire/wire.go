@@ -1008,16 +1008,31 @@ func DecodeResponse(payload []byte) (Code, string, []byte, error) {
 
 // AppendResult appends a Result in response-body form to buf.
 func AppendResult(buf []byte, r *Result) []byte {
-	buf = binary.AppendUvarint(buf, uint64(r.Affected))
-	buf = binary.AppendUvarint(buf, uint64(len(r.Columns)))
-	for _, c := range r.Columns {
-		buf = appendString(buf, c)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(r.Rows)))
+	buf = appendResultHeader(buf, r.Affected, r.Columns, len(r.Rows))
 	for _, row := range r.Rows {
 		buf = core.EncodeRow(buf, row)
 	}
 	return buf
+}
+
+// appendResultHeader appends everything of a Result body ahead of its rows.
+func appendResultHeader(buf []byte, affected int, cols []string, nRows int) []byte {
+	buf = binary.AppendUvarint(buf, uint64(affected))
+	buf = binary.AppendUvarint(buf, uint64(len(cols)))
+	for _, c := range cols {
+		buf = appendString(buf, c)
+	}
+	return binary.AppendUvarint(buf, uint64(nRows))
+}
+
+// AppendEncodedResult appends a Result body whose rows arrive pre-encoded:
+// rowData must hold exactly nRows core.EncodeRow encodings. This is how the
+// server sends every row-bearing response, one-shot or cursor page: rows
+// reach it already in wire form, spliced out of storage, and are never
+// decoded on the way to the socket.
+func AppendEncodedResult(buf []byte, affected int, cols []string, nRows int, rowData []byte) []byte {
+	buf = appendResultHeader(buf, affected, cols, nRows)
+	return append(buf, rowData...)
 }
 
 // EncodeResult serializes a Result as a response body.
@@ -1027,17 +1042,17 @@ func EncodeResult(r *Result) []byte {
 
 // DecodeResult parses a Result body. Trailing bytes past the encoded result
 // are ignored, which is what lets newer servers append a commit-CSN suffix
-// (AppendResultCSN) without breaking older clients.
+// (AppendEncodedResultCSN) without breaking older clients.
 func DecodeResult(body []byte) (*Result, error) {
 	r, _, err := decodeResult(body)
 	return r, err
 }
 
-// AppendResultCSN appends a Result followed by the session's last commit
-// CSN. Decoders that know about the suffix recover it with DecodeResultCSN;
-// older decoders ignore it.
-func AppendResultCSN(buf []byte, r *Result, csn uint64) []byte {
-	buf = AppendResult(buf, r)
+// AppendEncodedResultCSN is AppendEncodedResult followed by the session's
+// last commit CSN. Decoders that know about the suffix recover it with
+// DecodeResultCSN; older decoders ignore it.
+func AppendEncodedResultCSN(buf []byte, affected int, cols []string, nRows int, rowData []byte, csn uint64) []byte {
+	buf = AppendEncodedResult(buf, affected, cols, nRows, rowData)
 	return binary.AppendUvarint(buf, csn)
 }
 
@@ -1058,6 +1073,10 @@ func DecodeResultCSN(body []byte) (*Result, uint64, error) {
 	return r, csn, nil
 }
 
+// decodeResult materialises a whole result with a handful of allocations:
+// the rows share one Value arena and one private copy of the row bytes
+// (core.DecodeRows), so nothing in the Result aliases body -- which may be
+// a FrameReader's or a pooled buffer, reused as soon as the caller returns.
 func decodeResult(body []byte) (*Result, []byte, error) {
 	affected, w := binary.Uvarint(body)
 	if w <= 0 {
@@ -1065,34 +1084,34 @@ func decodeResult(body []byte) (*Result, []byte, error) {
 	}
 	body = body[w:]
 	nCols, w := binary.Uvarint(body)
-	if w <= 0 || nCols > 1<<16 {
+	// A column name is at least its length byte, a row at least its
+	// column-count byte: a count above the bytes left is corrupt, and is
+	// refused before it sizes anything.
+	if w <= 0 || nCols > 1<<16 || nCols > uint64(len(body)-w) {
 		return nil, nil, ErrPayloadCorrupt
 	}
 	body = body[w:]
 	r := &Result{Affected: int(affected)}
-	for i := uint64(0); i < nCols; i++ {
-		var c string
+	if nCols > 0 {
+		r.Columns = make([]string, nCols)
+	}
+	for i := range r.Columns {
 		var err error
-		c, body, err = readString(body)
+		r.Columns[i], body, err = readString(body)
 		if err != nil {
 			return nil, nil, err
 		}
-		r.Columns = append(r.Columns, c)
 	}
 	nRows, w := binary.Uvarint(body)
-	if w <= 0 || nRows > 1<<24 {
+	if w <= 0 || nRows > 1<<24 || nRows > uint64(len(body)-w) {
 		return nil, nil, ErrPayloadCorrupt
 	}
-	body = body[w:]
-	for i := uint64(0); i < nRows; i++ {
-		row, rest, err := core.DecodeRowPrefix(body)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrPayloadCorrupt, err)
-		}
-		body = rest
-		r.Rows = append(r.Rows, row)
+	rows, rest, err := core.DecodeRows(body[w:], int(nRows))
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrPayloadCorrupt, err)
 	}
-	return r, body, nil
+	r.Rows = rows
+	return r, rest, nil
 }
 
 // --- streaming-scan payloads -------------------------------------------------
@@ -1152,10 +1171,9 @@ func EncodeScanClose(id uint64) []byte { return binary.AppendUvarint(nil, id) }
 func DecodeScanClose(payload []byte) (uint64, error) { return DecodeCloseStmt(payload) }
 
 // AppendCursorPage appends a cursor-page response body (the success body of
-// OpScanOpen and OpScanNext): cursor id, done flag, then a Result whose
-// rows arrive pre-encoded -- rowData must hold exactly nRows core.EncodeRow
-// encodings. Taking the rows in encoded form lets the server bound a page
-// by bytes while it pulls rows, without encoding everything twice.
+// OpScanOpen and OpScanNext): cursor id, done flag, then an encoded-rows
+// Result (see AppendEncodedResult). Taking the rows in encoded form lets the
+// server bound a page by bytes while it pulls rows.
 func AppendCursorPage(buf []byte, id uint64, done bool, cols []string, nRows int, rowData []byte) []byte {
 	buf = binary.AppendUvarint(buf, id)
 	if done {
@@ -1163,13 +1181,8 @@ func AppendCursorPage(buf []byte, id uint64, done bool, cols []string, nRows int
 	} else {
 		buf = append(buf, 0)
 	}
-	buf = binary.AppendUvarint(buf, 0) // affected: a scan mutates nothing
-	buf = binary.AppendUvarint(buf, uint64(len(cols)))
-	for _, c := range cols {
-		buf = appendString(buf, c)
-	}
-	buf = binary.AppendUvarint(buf, uint64(nRows))
-	return append(buf, rowData...)
+	// affected 0: a scan mutates nothing
+	return AppendEncodedResult(buf, 0, cols, nRows, rowData)
 }
 
 // DecodeCursorPage parses a cursor-page body. done=true means the server
