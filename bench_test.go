@@ -562,3 +562,83 @@ func BenchmarkAblationIndexComponents(b *testing.B) {
 		})
 	}
 }
+
+// --- Ablation: one-pass write path (ISSUE 14) -------------------------------------
+
+// The write path through sqlfront, as the repository benchmark's oltp and
+// ingest workloads drive it: prepared statements in an explicit transaction
+// whose pipelined commit is waited for. Run with -benchmem: allocs/op is the
+// number the path is held to (see the gates in internal/core and
+// internal/sqlfront).
+func BenchmarkWritePath(b *testing.B) {
+	setup := func(b *testing.B) (*sqlfront.Session, *sqlfront.Stmt, func()) {
+		e, err := core.Open(core.Config{Service: srss.New(srss.Config{Model: delay.Zero()}), Workers: 4})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(e.Close)
+		s := sqlfront.NewFrontend("hiengine", adapt.New(e)).NewSession(0)
+		if _, err := s.Exec("CREATE TABLE bench (id INT, k INT, c TEXT, PRIMARY KEY(id))"); err != nil {
+			b.Fatal(err)
+		}
+		ins, err := s.Prepare("INSERT INTO bench VALUES (?, ?, ?)")
+		if err != nil {
+			b.Fatal(err)
+		}
+		done := make(chan error, 1)
+		durable := func(err error) { done <- err }
+		commit := func() {
+			async, err := s.CommitAsync(durable)
+			if async {
+				err = <-done
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		return s, ins, commit
+	}
+	text := core.S(fmt.Sprintf("%0100d", 7))
+	insertTxns := func(b *testing.B, perTxn int) {
+		s, ins, commit := setup(b)
+		args := make([]core.Value, 3)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i, id := 0, int64(0); i < b.N; i++ {
+			s.Begin()
+			for j := 0; j < perTxn; j, id = j+1, id+1 {
+				args[0], args[1], args[2] = core.I(id), core.I(id*7919), text
+				if _, err := ins.Exec(args...); err != nil {
+					b.Fatal(err)
+				}
+			}
+			commit()
+		}
+	}
+	b.Run("insert", func(b *testing.B) { insertTxns(b, 1) })
+	b.Run("insert-128-commit", func(b *testing.B) { insertTxns(b, 128) })
+	b.Run("point-update", func(b *testing.B) {
+		s, ins, commit := setup(b)
+		const rows = 1000
+		for id := int64(0); id < rows; id++ {
+			if _, err := ins.Exec(core.I(id), core.I(id), text); err != nil {
+				b.Fatal(err)
+			}
+		}
+		upd, err := s.Prepare("UPDATE bench SET k = ?, c = ? WHERE id = ?")
+		if err != nil {
+			b.Fatal(err)
+		}
+		args := make([]core.Value, 3)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Begin()
+			args[0], args[1], args[2] = core.I(int64(i)), text, core.I(int64(i%rows))
+			if _, err := upd.Exec(args...); err != nil {
+				b.Fatal(err)
+			}
+			commit()
+		}
+	})
+}

@@ -120,9 +120,11 @@ func mapErr(err error) error {
 func (tx *Txn) Commit() error { return mapErr(tx.t.Commit()) }
 
 // CommitAsync implements engineapi.AsyncCommitter: the transaction's
-// versions are visible when this returns; cb fires on durability.
+// versions are visible when this returns; cb fires on durability. cb goes to
+// the engine as it is: a durability error is the log's or the storage
+// service's, never one of the categories mapErr translates.
 func (tx *Txn) CommitAsync(cb func(error)) error {
-	return mapErr(tx.t.CommitAsync(func(err error) { cb(mapErr(err)) }))
+	return mapErr(tx.t.CommitAsync(cb))
 }
 
 // PrepareAsync implements engineapi.Preparer: the transaction becomes a 2PC
@@ -179,7 +181,8 @@ func (tx *Txn) memoRID(t *core.Table, idx int, key []core.Value) (core.RID, bool
 	if tx.lastTable != t || tx.lastIdx != idx {
 		return 0, false
 	}
-	probe := core.EncodeKey(nil, key...)
+	var scratch [64]byte // the usual key stays on the stack
+	probe := core.EncodeKey(scratch[:0], key...)
 	if string(probe) != string(tx.lastKey) {
 		return 0, false
 	}
@@ -200,6 +203,16 @@ func (tx *Txn) UpdateByKey(table string, idx int, key []core.Value, newRow core.
 		}
 	}
 	return mapErr(tx.t.Update(t, rid, newRow))
+}
+
+// UpdateColumns implements engineapi.ColumnUpdater.
+func (tx *Txn) UpdateColumns(table string, idx int, key []core.Value, where, set []core.ColValue) (bool, error) {
+	t, err := tx.db.table(table)
+	if err != nil {
+		return false, err
+	}
+	updated, err := tx.t.UpdateColumns(t, idx, key, where, set)
+	return updated, mapErr(err)
 }
 
 // DeleteByKey implements engineapi.Txn.

@@ -6,6 +6,7 @@ import (
 
 	"hiengine/internal/core"
 	"hiengine/internal/engineapi"
+	"hiengine/internal/raceflag"
 )
 
 func testDB(t *testing.T) *DB {
@@ -150,4 +151,34 @@ func TestAdapterAsyncCommit(t *testing.T) {
 		t.Fatalf("async-committed row missing: %v", err)
 	}
 	tx2.Commit()
+}
+
+// TestMemoProbeAllocFree: the drivers' GetByKey-then-UpdateByKey pattern
+// resolves the RID from the memo; probing it builds the key on the stack.
+func TestMemoProbeAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	db := testDB(t)
+	btx, err := db.Begin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer btx.Abort()
+	tx := btx.(*Txn)
+	if err := tx.Insert("t", core.Row{core.I(1), core.I(1), core.S("v")}); err != nil {
+		t.Fatal(err)
+	}
+	key := []core.Value{core.I(1)}
+	if _, err := tx.GetByKey("t", 0, key...); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.table("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit := false
+	if avg := testing.AllocsPerRun(1000, func() { _, hit = tx.memoRID(tbl, 0, key) }); avg != 0 || !hit {
+		t.Fatalf("memo probe: hit=%v, %.1f allocations, want a hit and 0", hit, avg)
+	}
 }

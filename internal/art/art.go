@@ -36,19 +36,23 @@ const (
 	k256
 )
 
-// node is a leaf or an inner node. Leaves are immutable after construction;
-// inner nodes are protected by the OLC version lock in state.
+// node is a leaf or an inner node. A leaf is the first four fields and
+// nothing else: it is immutable after construction and there is one per
+// indexed key, so everything only an inner node needs sits behind the one
+// embedded pointer (nil in a leaf).
 type node struct {
-	state atomic.Uint64 // OLC: bit0 obsolete, bit1 locked, bits2+ version
-	kind  kind
-
-	// Leaf payload (kind == kLeaf); immutable.
-	key  []byte
-	rid  uint64
+	kind kind
 	tomb bool
+	rid  uint64
+	key  []byte // the leaf's full key
 
-	// Inner payload.
-	prefix atomic.Pointer[[]byte] // compressed path; never nil for inner
+	*inner
+}
+
+// inner is an inner node's state, protected by its OLC version lock.
+type inner struct {
+	state  atomic.Uint64          // OLC: bit0 obsolete, bit1 locked, bits2+ version
+	prefix atomic.Pointer[[]byte] // compressed path; never nil
 	term   atomic.Pointer[node]   // leaf for a key ending exactly at this node
 	b16    *body16
 	b48    *body48
@@ -74,17 +78,32 @@ type body256 struct {
 
 var emptyPrefix = []byte{}
 
+// leafInlineKey is the longest key stored in its leaf's own allocation: a
+// fixed-width column or two (an encoded int is 9 bytes), which is what most
+// primary keys are.
+const leafInlineKey = 16
+
 func newLeaf(key []byte, rid uint64, tomb bool) *node {
+	if len(key) <= leafInlineKey {
+		l := &struct {
+			node
+			buf [leafInlineKey]byte
+		}{node: node{kind: kLeaf, rid: rid, tomb: tomb}}
+		l.key = l.buf[:copy(l.buf[:], key)]
+		return &l.node
+	}
 	k := make([]byte, len(key))
 	copy(k, key)
 	return &node{kind: kLeaf, key: k, rid: rid, tomb: tomb}
 }
 
 func newInner(k kind, prefix []byte) *node {
-	n := &node{kind: k}
-	p := make([]byte, len(prefix))
-	copy(p, prefix)
-	n.prefix.Store(&p)
+	n := &struct {
+		node
+		in inner
+	}{node: node{kind: k}}
+	n.inner = &n.in
+	n.setPrefix(prefix)
 	switch k {
 	case k16:
 		n.b16 = &body16{}
@@ -93,7 +112,7 @@ func newInner(k kind, prefix []byte) *node {
 	case k256:
 		n.b256 = &body256{}
 	}
-	return n
+	return &n.node
 }
 
 func (n *node) loadPrefix() []byte {

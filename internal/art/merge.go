@@ -178,7 +178,7 @@ func trimPrefix(n *node, p []byte) *node {
 	if n.kind == kLeaf {
 		return n
 	}
-	cp := &node{kind: n.kind, b16: n.b16, b48: n.b48, b256: n.b256}
+	cp := &node{kind: n.kind, inner: &inner{b16: n.b16, b48: n.b48, b256: n.b256}}
 	cp.term.Store(n.term.Load())
 	cp.setPrefix(p)
 	return cp

@@ -3,6 +3,7 @@ package art
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -102,4 +103,46 @@ func TestScanInnerNodesAllocFree(t *testing.T) {
 	if n != 101*100 {
 		t.Fatalf("visited %d keys, want %d", n, 101*100)
 	}
+}
+
+// TestInsertLeafAllocs pins the leaf layout: a key of up to leafInlineKey
+// bytes (a 9-byte encoded int, the usual primary key) is stored in its
+// leaf's own allocation of at most 80 bytes, and an insert costs that one
+// allocation plus the inner nodes amortised over their children.
+func TestInsertLeafAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const n = 1 << 16
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = append([]byte{1}, u64key(uint64(i))...) // core's int key: tag + 8 bytes
+	}
+	var sink *node
+	mallocs, nbytes := allocsOf(func() {
+		for i := range keys {
+			sink = newLeaf(keys[i], uint64(i), false)
+		}
+	})
+	_ = sink
+	if mallocs != n || nbytes > 80*n {
+		t.Fatalf("%d leaves cost %d allocations and %d bytes, want 1 and <= 80 bytes each", n, mallocs, nbytes)
+	}
+	tr := New()
+	mallocs, _ = allocsOf(func() {
+		for i := range keys {
+			tr.Insert(keys[i], uint64(i))
+		}
+	})
+	if perKey := float64(mallocs) / n; perKey > 1.1 {
+		t.Fatalf("insert allocates %.2f times per key, want <= 1.1 (one leaf, inner nodes amortised)", perKey)
+	}
+}
+
+func allocsOf(fn func()) (mallocs, bytes uint64) {
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	fn()
+	runtime.ReadMemStats(&ms1)
+	return ms1.Mallocs - ms0.Mallocs, ms1.TotalAlloc - ms0.TotalAlloc
 }

@@ -62,14 +62,24 @@ func (e *Engine) checkpointLocked() (uint64, error) {
 	}
 	fence := e.log.SealedSegments()
 	ckptCSN := e.clk.Now()
-	// Durability barrier: wait until every commit started so far has its
-	// permanent addresses stamped. Afterwards every version with
-	// CSN <= ckptCSN is durable, the walk below captures a complete image
-	// of that prefix, and recovery may skip ALL log records with
-	// CSN <= ckptCSN -- which is what makes fencing (and the general
+	// Durability barrier: every version with CSN <= ckptCSN must be stamped
+	// and durable when the walk below reaches it, so that the walk captures
+	// a complete image of that prefix and recovery may skip ALL log records
+	// with CSN <= ckptCSN -- which is what makes fencing (and the general
 	// skip rule) safe against resurrecting deleted rows whose delete
 	// records would otherwise be skipped while their older inserts are
-	// replayed.
+	// replayed. Stamped: a commit at or below ckptCSN raised its slot's flag
+	// before drawing the CSN, so before the clock was read; once the slot is
+	// seen quiet its versions carry the CSN. Durable: the walk waits for
+	// each such version's own address (durableAddr). The count of started
+	// commits is waited for as well, for what it guarantees the 2PC filter
+	// below; on its own it is no barrier, since a commit started after the
+	// count was read can stand in for an earlier one still in flight.
+	for i := range e.workers {
+		for e.workers[i].stamping.Load() {
+			runtime.Gosched()
+		}
+	}
 	target := e.commitsStarted.Load()
 	for e.commitsDurable.Load() < target {
 		runtime.Gosched()
@@ -121,20 +131,13 @@ func (e *Engine) checkpointLocked() (uint64, error) {
 				if isTID(ts) || ts > ckptCSN {
 					continue
 				}
-				if v.tomb {
-					if v.addr.Load() != 0 {
-						// Durable delete: omit the record entirely.
-						return true
-					}
-					// Not yet durable: if it is lost in a crash, the
-					// record must survive -- fall through to an older
-					// durable version.
-					continue
+				addr, err := e.durableAddr(v)
+				if err != nil {
+					werr = err
+					return false
 				}
-				addr := v.addr.Load()
-				if addr == 0 {
-					// Committed but not yet durable: rely on replay.
-					continue
+				if v.tomb {
+					return true // a durable delete: omit the record entirely
 				}
 				buf = binary.AppendUvarint(buf, uint64(t.ID))
 				buf = binary.AppendUvarint(buf, uint64(rid))
@@ -548,8 +551,7 @@ func Recover(cfg Config, manifestID srss.PLogID, opt RecoverOptions) (*Engine, *
 		var live int64
 		t.rows.RangeAll(func(rid RID, v *Version, _ uint32) bool {
 			if v != nil && v.tomb {
-				_, _ = t.rows.CompareAndSwap(rid, v, nil)
-				_ = t.rows.Delete(rid)
+				_, _ = t.rows.DeleteIf(rid, v)
 			} else if v != nil {
 				live++
 			}
@@ -636,6 +638,20 @@ func applyReplay(catalog map[uint32]*Table, addr wal.Addr, rec wal.Record) bool 
 		} else if ok {
 			return true
 		}
+	}
+}
+
+// durableAddr returns v's permanent log address, waiting for it if v's
+// commit has stamped its CSN but the log has not reported it durable yet.
+func (e *Engine) durableAddr(v *Version) (uint64, error) {
+	for {
+		if addr := v.addr.Load(); addr != 0 {
+			return addr, nil
+		}
+		if e.durabilityLost.Load() {
+			return 0, ErrDurabilityLost // the append failed: no address will come
+		}
+		runtime.Gosched()
 	}
 }
 

@@ -50,6 +50,69 @@ func (t *Txn) commitStart(durable func(error)) (bool, error) {
 		// A prepared 2PC participant is decided only through Engine.Resolve.
 		return false, ErrInDoubt
 	}
+	readOnly, err := t.validate()
+	if err != nil || readOnly {
+		return false, err
+	}
+	if err := t.e.svc.Chaos().Check(SiteCommitBegin); err != nil {
+		// Crash at the head of the commit pipeline: no CSN acquired, no
+		// version stamped, nothing handed to the log -- a clean abort.
+		_ = t.Abort()
+		return false, err
+	}
+
+	// From before the CSN exists until every version carries it, the slot
+	// says so: a checkpoint that reads the clock and then finds the slot
+	// quiet knows no commit at or below its CSN is still unstamped here.
+	t.slot.stamping.Store(true)
+	// Acquire the commit sequence number (atomic fetch-add on the global
+	// counter, Section 3.5).
+	csn := t.e.clk.Next()
+	t.statusWord.Store(packStatus(txPrecommitted, csn))
+
+	// Stamp versions: replace TIDs with the CSN in tmin of new versions
+	// and tmax of superseded ones (Section 5.1). After this point other
+	// transactions read the new data.
+	ws := t.ws
+	for i := range ws.writes {
+		we := &ws.writes[i]
+		we.newV.tmin.Store(csn)
+		if we.oldV != nil {
+			we.oldV.tmax.Store(csn)
+		}
+		wal.PatchCSN(ws.log, we.logOff, csn)
+	}
+	t.slot.stamping.Store(false)
+	// The status-map entry is only needed while versions still carry the
+	// TID; drop it now that stamping is complete.
+	t.e.status.remove(t.tid)
+	t.retireWrites(csn)
+
+	// Hand the buffer to the stream's I/O goroutine; the worker slot is
+	// freed immediately (commit pipelining). The write set is the log's
+	// from here: it returns to the slot from the completion callback, which
+	// may run before AppendTraced does.
+	t.ws = nil
+	ws.durable = durable
+	t.e.commitsStarted.Add(1)
+	t.e.log.AppendTraced(t.worker, ws.log, t.trace, ws.logDone)
+
+	t.statusWord.Store(packStatus(txCommitted, csn))
+	t.finishSlot()
+	t.markFinished()
+	t.e.stats.Commits.Add(1)
+	t.e.mCommits.Inc()
+
+	// Interleave incremental GC with forward processing (Section 4.4).
+	t.e.maybeGC(t.worker)
+	return true, nil
+}
+
+// validate is what commit and prepare share before anything is logged:
+// fail-stop and fencing checks, then register-and-report. It finishes a
+// transaction that wrote nothing and reports it read-only; on an error the
+// transaction has been aborted.
+func (t *Txn) validate() (readOnly bool, err error) {
 	// Fail-stop: once any commit's log append has failed durability, no
 	// further commit may be acknowledged -- the client-visible history
 	// would silently diverge from what recovery can reconstruct.
@@ -59,7 +122,7 @@ func (t *Txn) commitStart(durable func(error)) (bool, error) {
 	}
 	// A node fenced mid-transaction must not acknowledge buffered writes:
 	// the new lineage would lose them.
-	if len(t.writes) > 0 {
+	if t.hasWrites() {
 		if err := t.e.writeBlocked(); err != nil {
 			_ = t.Abort()
 			return false, err
@@ -75,76 +138,13 @@ func (t *Txn) commitStart(durable func(error)) (bool, error) {
 			return false, ErrDependencyAborted
 		}
 	}
-	if len(t.writes) == 0 {
+	if !t.hasWrites() {
 		t.finish(txCommitted, 0)
 		t.e.stats.Commits.Add(1)
 		t.e.mCommits.Inc()
-		return false, nil
+		return true, nil
 	}
-	if err := t.e.svc.Chaos().Check(SiteCommitBegin); err != nil {
-		// Crash at the head of the commit pipeline: no CSN acquired, no
-		// version stamped, nothing handed to the log -- a clean abort.
-		_ = t.Abort()
-		return false, err
-	}
-
-	// Acquire the commit sequence number (atomic fetch-add on the global
-	// counter, Section 3.5).
-	csn := t.e.clk.Next()
-	t.statusWord.Store(packStatus(txPrecommitted, csn))
-
-	// Stamp versions: replace TIDs with the CSN in tmin of new versions
-	// and tmax of superseded ones (Section 5.1). After this point other
-	// transactions read the new data.
-	for i := range t.writes {
-		we := &t.writes[i]
-		we.newV.tmin.Store(csn)
-		if we.oldV != nil {
-			we.oldV.tmax.Store(csn)
-		}
-		wal.PatchCSN(t.logBuf, we.logOff, csn)
-	}
-	// The status-map entry is only needed while versions still carry the
-	// TID; drop it now that stamping is complete.
-	t.e.status.remove(t.tid)
-
-	// Hand the buffer to the stream's I/O goroutine; the worker slot is
-	// freed immediately (commit pipelining).
-	writes := t.writes
-	logBuf := t.logBuf
-	e := t.e
-	worker := t.worker
-	e.commitsStarted.Add(1)
-	e.log.AppendTraced(worker, logBuf, t.trace, func(base wal.Addr, err error) {
-		if err == nil {
-			// Stamp permanent addresses: each version now has a home
-			// in the replicated log (Figure 4b).
-			for i := range writes {
-				we := &writes[i]
-				we.newV.addr.Store(uint64(base.Add(uint32(we.logOff))))
-			}
-		} else {
-			// The transaction is already visible to other workers, but
-			// its log records will never be durable: latch the sticky
-			// fail-stop flag so no later Begin/Commit is acknowledged
-			// against the diverged state.
-			e.durabilityLost.Store(true)
-			e.mDurabilityFail.Inc()
-		}
-		e.commitsDurable.Add(1)
-		durable(err)
-	})
-
-	t.statusWord.Store(packStatus(txCommitted, csn))
-	t.retireWrites(csn)
-	t.finishSlot()
-	t.markFinished()
-	t.e.stats.Commits.Add(1)
-	t.e.mCommits.Inc()
-
-	// Interleave incremental GC with forward processing (Section 4.4).
-	e.maybeGC(worker)
-	return true, nil
+	return false, nil
 }
 
 // Abort rolls the transaction back: installed versions are uninstalled from
@@ -159,27 +159,98 @@ func (t *Txn) Abort() error {
 		return ErrInDoubt
 	}
 	t.statusWord.Store(packStatus(txAborted, 0))
-	// Uninstall in reverse order so chained writes to the same RID unwind
-	// correctly.
-	for i := len(t.writes) - 1; i >= 0; i-- {
-		we := &t.writes[i]
-		ok, _ := we.table.rows.CompareAndSwap(we.rid, we.newV, we.oldV)
-		_ = ok // the CAS cannot fail: our TID head blocks other writers
-		for j := len(we.idxOps) - 1; j >= 0; j-- {
-			op := we.idxOps[j]
-			_ = op.ix.Delete(op.key)
-		}
-		if we.oldV == nil {
-			we.table.liveRows.Add(-1)
-		} else if we.newV.tomb {
-			we.table.liveRows.Add(1)
-		}
+	t.undo()
+	if t.ws != nil {
+		t.ws.release()
+		t.ws = nil
 	}
-	t.e.status.remove(t.tid)
 	t.finish(txAborted, 0)
 	t.e.stats.Aborts.Add(1)
 	t.e.mAborts.Inc()
 	return nil
+}
+
+// undo is the exact mirror of the transaction's writes, newest first so
+// chained writes to one RID unwind correctly: each version is uninstalled,
+// the index entries it added are hidden again, and the live-row count moves
+// back. Which entries a version added is read off the payloads -- the keys
+// it carries that no row left in the chain does (dropKeysOf).
+func (t *Txn) undo() {
+	if t.ws == nil {
+		return
+	}
+	// Local scratch: a prepared transaction is rolled back off its worker.
+	var u keyScratch
+	for i := len(t.ws.writes) - 1; i >= 0; i-- {
+		we := &t.ws.writes[i]
+		// The CAS cannot fail: our TID head blocks other writers.
+		_, _ = we.table.rows.CompareAndSwap(we.rid, we.newV, we.oldV)
+		if we.newV.tomb {
+			we.table.liveRows.Add(1) // a delete
+			continue
+		}
+		t.e.dropKeysOf(&u, we.table, we.rid, we.newV, nil)
+		if we.oldV == nil || we.oldV.tomb {
+			we.table.liveRows.Add(-1) // an insert, onto a fresh RID or a deleted row's
+		}
+	}
+}
+
+// keyScratch is what deriving index keys from version payloads needs, for
+// the paths that run off a worker slot (abort of a prepared transaction, GC).
+type keyScratch struct {
+	row, other    RowView
+	key, otherKey []byte
+}
+
+// dropKeysOf tombstones the index entries of v's row that map to rid, except
+// those a live row in rid's chain, from its head down to (not including)
+// stop, also carries: such an entry serves the snapshots that see that row.
+// An abort calls it for the version it uninstalled, over the whole chain
+// that is left; GC for a version it is about to unlink, over what stays
+// above it.
+func (e *Engine) dropKeysOf(u *keyScratch, tbl *Table, rid RID, v, stop *Version) {
+	p, err := v.payload(e)
+	if err == nil {
+		_, err = u.row.Reset(p)
+	}
+	if err != nil {
+		return
+	}
+	for i, ix := range tbl.indexes {
+		if u.key, err = tbl.viewIndexKeyAppend(u.key[:0], i, &u.row, rid); err != nil {
+			continue
+		}
+		// Under the key's lock, as an insert's check-and-reserve is: one that
+		// reuses rid for this key either has its version in the chain
+		// already, and the entry stays, or finds the entry gone.
+		lock := ix.LockKey(u.key)
+		if cur, found, _ := ix.Get(u.key); found && cur == uint64(rid) && !e.chainCarriesKey(u, tbl, i, rid, tbl.rows.Get(rid), stop) {
+			_ = ix.Delete(u.key)
+		}
+		lock.Unlock()
+	}
+}
+
+// chainCarriesKey reports whether a live row in the chain from v down to,
+// but not including, stop has u.key as its index-i key.
+func (e *Engine) chainCarriesKey(u *keyScratch, tbl *Table, i int, rid RID, v, stop *Version) bool {
+	for ; v != nil && v != stop; v = v.next.Load() {
+		if v.tomb {
+			continue
+		}
+		p, err := v.payload(e)
+		if err == nil {
+			_, err = u.other.Reset(p)
+		}
+		if err == nil {
+			u.otherKey, err = tbl.viewIndexKeyAppend(u.otherKey[:0], i, &u.other, rid)
+		}
+		if err == nil && string(u.otherKey) == string(u.key) {
+			return true
+		}
+	}
+	return false
 }
 
 // finish marks the transaction terminal and releases its worker slot.
@@ -199,7 +270,9 @@ func (t *Txn) finishSlot() {
 func (t *Txn) markFinished() {
 	if !t.finished {
 		t.finished = true
-		close(t.doneCh)
+		if t.doneCh != nil {
+			close(t.doneCh)
+		}
 	}
 }
 
@@ -208,28 +281,28 @@ func (t *Txn) markFinished() {
 func (t *Txn) retireWrites(csn uint64) {
 	slot := &t.e.workers[t.worker]
 	slot.mu.Lock()
-	for i := range t.writes {
-		we := &t.writes[i]
+	for i := range t.ws.writes {
+		we := &t.ws.writes[i]
 		if we.oldV != nil {
 			slot.retired = append(slot.retired, retiredVersion{
-				owner:     we.newV,
-				victim:    we.oldV,
-				retireCSN: csn,
-				table:     we.table,
-				rid:       we.rid,
-				oldKeys:   we.oldKeys,
+				owner:       we.newV,
+				victim:      we.oldV,
+				retireCSN:   csn,
+				table:       we.table,
+				rid:         we.rid,
+				keysChanged: we.keysChanged,
 			})
 		}
 		if we.newV.tomb {
 			// A committed delete: once reclaimable, the PIA entry is
-			// cleared (epoch preserved) and index entries tombstoned.
+			// cleared (epoch preserved). Its index entries go with the
+			// deleted row, retired just above under the same CSN.
 			slot.retired = append(slot.retired, retiredVersion{
 				victim:    we.newV,
 				retireCSN: csn,
 				table:     we.table,
 				rid:       we.rid,
 				isDelete:  true,
-				oldKeys:   we.oldKeys,
 			})
 		}
 	}

@@ -245,6 +245,30 @@ func TestConcurrentMixedWorkloadWithGC(t *testing.T) {
 	}
 	commit(t, tx)
 
+	// The indexes and the indirection array agree: every row whose chain
+	// starts at a live version is the one row of its key the scan found. (GC
+	// dropping a key's entry, or clearing a RID, under an insert that was
+	// reusing them left rows no index led to.)
+	tbl.rows.Range(func(rid RID, v *Version) bool {
+		if v.tomb {
+			return true
+		}
+		p, err := v.payload(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row, err := DecodeRow(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id := row[0].Int(); !seen[id] {
+			t.Errorf("row %d is live at RID %v but no index entry leads to it", id, rid)
+		} else {
+			delete(seen, id) // a second live RID for the id is as wrong
+		}
+		return true
+	})
+
 	// The engine survives recovery after the storm.
 	want := snapshotTable(t, e, "users")
 	e2, _ := recoverEngine(t, e, RecoverOptions{ReplayThreads: 4})

@@ -156,14 +156,29 @@ type Stats struct {
 }
 
 // workerSlot is per-worker state: the active transaction's begin timestamp
-// (the worker's readCSN of Section 4.4) and the garbage-collection bag.
+// (the worker's readCSN of Section 4.4), the garbage-collection bag, and
+// what the slot's transactions reuse one after another instead of
+// allocating.
 type workerSlot struct {
 	activeBegin atomic.Uint64 // 0 = idle
 	lastRead    atomic.Uint64 // last refreshed readCSN
+	// stamping is set while a commit on this slot has drawn (or is about to
+	// draw) its CSN and has not finished stamping its versions with it.
+	stamping atomic.Bool
 
 	mu            sync.Mutex
 	retired       []retiredVersion
 	commitCounter int
+	// free holds write sets whose log records are durable (or were rolled
+	// back), ready for the slot's next writing transaction.
+	free []*writeSet
+
+	// Scratch of the slot's active transaction (a slot runs one at a time,
+	// on one goroutine): view and view2 walk encoded rows -- a row read, a
+	// write's old and new payloads -- and kbuf and kbuf2 hold the index keys
+	// derived from them.
+	view, view2 RowView
+	kbuf, kbuf2 []byte
 }
 
 // Engine is a HiEngine instance.
@@ -675,13 +690,18 @@ func (e *Engine) ImportRow(tbl *Table, row Row) (RID, error) {
 	if len(row) != len(tbl.Schema.Columns) {
 		return 0, fmt.Errorf("core: row arity %d != %d columns", len(row), len(tbl.Schema.Columns))
 	}
-	pk, err := tbl.keyOf(0, row)
+	payload := encodePayload(row)
+	var view RowView
+	if _, err := view.Reset(*payload); err != nil {
+		return 0, err
+	}
+	pk, err := tbl.viewIndexKeyAppend(nil, 0, &view, 0)
 	if err != nil {
 		return 0, err
 	}
 	primary := tbl.indexes[0]
-	unlock := primary.LockKey(pk)
-	defer unlock()
+	lock := primary.LockKey(pk)
+	defer lock.Unlock()
 	if ridU, ok, err := primary.Get(pk); err != nil {
 		return 0, err
 	} else if ok {
@@ -689,7 +709,6 @@ func (e *Engine) ImportRow(tbl *Table, row Row) (RID, error) {
 			return 0, fmt.Errorf("%w: import of existing key", ErrDuplicateKey)
 		}
 	}
-	payload := EncodeRow(nil, row)
 	const loadCSN = 1
 	v := newVersion(loadCSN, payload, false, nil)
 	rid, err := tbl.rows.Alloc()
@@ -703,7 +722,7 @@ func (e *Engine) ImportRow(tbl *Table, row Row) (RID, error) {
 		return 0, err
 	}
 	for i := 1; i < len(tbl.indexes); i++ {
-		k, err := tbl.indexKey(i, row, rid)
+		k, err := tbl.viewIndexKeyAppend(nil, i, &view, rid)
 		if err != nil {
 			return 0, err
 		}
@@ -711,7 +730,7 @@ func (e *Engine) ImportRow(tbl *Table, row Row) (RID, error) {
 			return 0, err
 		}
 	}
-	buf, off := wal.AppendRecord(nil, wal.OpInsert, tbl.ID, uint64(rid), payload)
+	buf, off := wal.AppendRecord(nil, wal.OpInsert, tbl.ID, uint64(rid), *payload)
 	wal.PatchCSN(buf, off, loadCSN)
 	base, err := e.log.AppendSync(0, buf)
 	if err != nil {

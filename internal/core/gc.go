@@ -19,15 +19,15 @@ type retiredVersion struct {
 	// retireCSN is the CSN of the superseding transaction.
 	retireCSN uint64
 
-	// Delete-specific cleanup: clear the PIA entry (epoch preserved) and
-	// tombstone index entries once the delete marker itself is invisible
-	// to everyone.
+	// Delete-specific cleanup: clear the PIA entry (epoch preserved) once
+	// the delete marker itself is invisible to everyone.
 	table    *Table
 	rid      RID
 	isDelete bool
 
-	// oldKeys are stale index entries to remove alongside the victim.
-	oldKeys []oldKey
+	// keysChanged says victim's row carries index keys its successor's does
+	// not: their entries are removed alongside the victim.
+	keysChanged bool
 }
 
 // maybeGC runs an incremental GC pass on the worker's bag every N commits.
@@ -79,6 +79,7 @@ func (e *Engine) gcWorker(w int, wm uint64) int {
 	slot.mu.Unlock()
 
 	reclaimed := 0
+	var u keyScratch
 	for _, r := range reap {
 		if r.isDelete {
 			// The delete marker is invisible to every active snapshot:
@@ -87,14 +88,10 @@ func (e *Engine) gcWorker(w int, wm uint64) int {
 			// unlinks the marker AND every version still chained below
 			// it, so count the full chain -- mirroring the update path
 			// -- not just the cleared entry.
-			if ok, _ := r.table.rows.CompareAndSwap(r.rid, r.victim, nil); ok {
-				_ = r.table.rows.Delete(r.rid) // bumps the entry epoch
+			if ok, _ := r.table.rows.DeleteIf(r.rid, r.victim); ok { // bumps the entry epoch
 				for v := r.victim; v != nil; v = v.next.Load() {
 					reclaimed++
 				}
-			}
-			for _, ok := range r.oldKeys {
-				e.removeStaleKey(r.table, r.rid, ok)
 			}
 			continue
 		}
@@ -102,8 +99,11 @@ func (e *Engine) gcWorker(w int, wm uint64) int {
 		// key verification on single-version chains, which is only sound
 		// if no stale entry can outlive the chain's extra versions
 		// (sequentially consistent atomics make this ordering visible).
-		for _, ok := range r.oldKeys {
-			e.removeStaleKey(r.table, r.rid, ok)
+		// The stale keys are the victim's that no row above it carries too
+		// (an A->B->A key flip re-validated the entry, or a newer insert
+		// reused the RID with the same key).
+		if r.keysChanged {
+			e.dropKeysOf(&u, r.table, r.rid, r.victim, r.victim)
 		}
 		// Prune the chain below the superseding version: victim and
 		// everything older is unreachable by any current or future
@@ -120,29 +120,4 @@ func (e *Engine) gcWorker(w int, wm uint64) int {
 		e.mReclaimed.Add(int64(reclaimed))
 	}
 	return reclaimed
-}
-
-// removeStaleKey tombstones an index entry left behind by a key-changing
-// update or a delete -- unless the record's current head row still carries
-// that key (e.g. an A->B->A key flip re-validated the entry, or the RID was
-// reused by a newer insert).
-func (e *Engine) removeStaleKey(tbl *Table, rid RID, ok oldKey) {
-	cur, found, _ := ok.ix.Get(ok.key)
-	if !found || cur != uint64(rid) {
-		return
-	}
-	head := tbl.rows.Get(rid)
-	if head != nil && !head.tomb {
-		var view RowView
-		if p, err := head.payload(e); err == nil {
-			if _, err = view.Reset(p); err == nil {
-				if pos := tbl.indexPos(ok.ix); pos >= 0 {
-					if k, kerr := tbl.viewIndexKeyAppend(nil, pos, &view, rid); kerr == nil && string(k) == string(ok.key) {
-						return // key is live again
-					}
-				}
-			}
-		}
-	}
-	_ = ok.ix.Delete(ok.key)
 }

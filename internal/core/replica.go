@@ -468,9 +468,7 @@ func (r *Replica) applyFollower(addr wal.Addr, rec wal.Record) bool {
 		// Clear the tombstone stub (epoch preserved), mirroring the
 		// recovery post-pass.
 		if head != nil && head.tomb {
-			if ok, _ := t.rows.CompareAndSwap(rid, head, nil); ok {
-				_ = t.rows.Delete(rid)
-			}
+			_, _ = t.rows.DeleteIf(rid, head)
 		}
 	default:
 		var view RowView

@@ -56,6 +56,76 @@ func (v *RowView) AppendProjection(dst []byte, cols []int) ([]byte, error) {
 	return dst, nil
 }
 
+// ColValue names a column by position and gives a value for it: one SET
+// assignment or one WHERE equality of a statement already resolved against
+// the table's schema.
+type ColValue struct {
+	Col int
+	Val Value
+}
+
+// assigned returns the value set gives column c: the last assignment wins,
+// as when they are applied in order.
+func assigned(set []ColValue, c int) (Value, bool) {
+	for i := len(set) - 1; i >= 0; i-- {
+		if set[i].Col == c {
+			return set[i].Val, true
+		}
+	}
+	return Value{}, false
+}
+
+// SplicedLen is the length of the row AppendSplice(nil, set) builds. A set
+// column the row does not have is an error.
+func (v *RowView) SplicedLen(set []ColValue) (int, error) {
+	n := len(v.p)
+	for i, cv := range set {
+		if cv.Col < 0 || cv.Col >= v.NumCols() {
+			return 0, ErrRowCorrupt
+		}
+		if _, last := assigned(set[i+1:], cv.Col); !last {
+			n += colLen(cv.Val) - (v.off[cv.Col+1] - v.off[cv.Col])
+		}
+	}
+	return n, nil
+}
+
+// AppendSplice appends to dst this row with each column in set replaced by
+// its value: the header and the other columns' bytes are copied verbatim,
+// the set columns encoded in place -- exactly EncodeRow of the decoded row
+// with the assignments applied. A set column the row does not have is an
+// error.
+func (v *RowView) AppendSplice(dst []byte, set []ColValue) ([]byte, error) {
+	for _, cv := range set {
+		if cv.Col < 0 || cv.Col >= v.NumCols() {
+			return nil, ErrRowCorrupt
+		}
+	}
+	dst = append(dst, v.p[:v.off[0]]...)
+	for c := 0; c < v.NumCols(); c++ {
+		if val, ok := assigned(set, c); ok {
+			dst = appendCol(dst, val)
+		} else {
+			dst = append(dst, v.p[v.off[c]:v.off[c+1]]...)
+		}
+	}
+	return dst, nil
+}
+
+// sameCols reports whether the given columns hold the same bytes in v and
+// o. Stored rows are in EncodeRow's one form, so for them equal values mean
+// equal bytes and this decides whether an index key changed without
+// building either key.
+func (v *RowView) sameCols(o *RowView, cols []int) bool {
+	for _, c := range cols {
+		if c >= v.NumCols() || c >= o.NumCols() ||
+			string(v.p[v.off[c]:v.off[c+1]]) != string(o.p[o.off[c]:o.off[c+1]]) {
+			return false
+		}
+	}
+	return true
+}
+
 // ColEqual reports whether column c holds val, with Value.Equal's meaning.
 // A column the row does not have equals nothing.
 func (v *RowView) ColEqual(c int, val Value) bool {

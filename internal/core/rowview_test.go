@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"hiengine/internal/raceflag"
 )
 
 func TestValueIs32Bytes(t *testing.T) {
@@ -51,6 +53,9 @@ func TestRowViewAgreesWithDecode(t *testing.T) {
 		rest, err := v.Reset(enc)
 		if err != nil || !bytes.Equal(rest, tail) || v.NumCols() != len(row) {
 			t.Fatalf("Reset(%v): cols %d rest %x err %v", row, v.NumCols(), rest, err)
+		}
+		if p := encodePayload(row); encodedRowLen(row) != len(enc)-len(tail) || !bytes.Equal(*p, enc[:len(enc)-len(tail)]) {
+			t.Fatalf("encodePayload(%v) = %x (encodedRowLen %d), EncodeRow gives %x", row, *p, encodedRowLen(row), enc[:len(enc)-len(tail)])
 		}
 		cols := make([]int, rng.Intn(5))
 		proj := make(Row, len(cols))
@@ -98,9 +103,10 @@ func TestRowViewAgreesWithDecode(t *testing.T) {
 // scratch has grown.
 func TestRowViewAllocFree(t *testing.T) {
 	enc := EncodeRow(nil, Row{I(7), I(42), F(1.5), S("some hundred bytes of text")})
-	var v RowView
+	var v, v2 RowView
 	dst := make([]byte, 0, 256)
 	want := S("some hundred bytes of text")
+	set := []ColValue{{Col: 1, Val: I(-1 << 40)}, {Col: 3, Val: S("other text")}}
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := v.Reset(enc); err != nil {
 			t.Fatal(err)
@@ -110,6 +116,13 @@ func TestRowViewAllocFree(t *testing.T) {
 		}
 		dst, _ = v.AppendProjection(dst[:0], []int{1, 3})
 		dst, _ = v.AppendKey(dst[:0], []int{0, 3})
+		n, _ := v.SplicedLen(set)
+		if dst, _ = v.AppendSplice(dst[:0], set); len(dst) != n {
+			t.Fatal("SplicedLen")
+		}
+		if _, err := v2.Reset(dst); err != nil || !v.sameCols(&v2, []int{0, 2}) || v.sameCols(&v2, []int{1}) {
+			t.Fatal("sameCols")
+		}
 	})
 	if allocs != 0 {
 		t.Fatalf("RowView allocates %.1f times per row, want 0", allocs)
@@ -185,5 +198,28 @@ func TestDecodeRowsArena(t *testing.T) {
 	}
 	if _, _, err := DecodeRows(data, len(rows)+1); err == nil {
 		t.Fatal("more rows than the data holds accepted")
+	}
+}
+
+// TestPayloadIsOneAllocation: a payload's bytes and the slice header a
+// version points at come from one allocation up to the largest boxed size,
+// and a buffer of any size is exactly as long as asked and zeroed.
+func TestPayloadIsOneAllocation(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	for _, n := range []int{0, 1, 40, 41, 122, 136, 137, 488, 489, 5000} {
+		var p *[]byte
+		allocs := testing.AllocsPerRun(10, func() { p = newPayload(n) })
+		want := 1.0
+		if n > 488 {
+			want = 2 // a buffer and a boxed header
+		}
+		if allocs != want {
+			t.Errorf("newPayload(%d) allocates %.0f times, want %.0f", n, allocs, want)
+		}
+		if len(*p) != n || !bytes.Equal(*p, make([]byte, n)) {
+			t.Errorf("newPayload(%d) is %d bytes: %x", n, len(*p), *p)
+		}
 	}
 }

@@ -125,42 +125,9 @@ func (t *Table) indexPos(ix *index.Index) int {
 // LiveRows returns the approximate visible row count.
 func (t *Table) LiveRows() int64 { return t.liveRows.Load() }
 
-// keyOf builds the encoded key of index idx for row, without RID suffix.
-func (t *Table) keyOf(idx int, row Row) ([]byte, error) {
-	return t.keyOfAppend(nil, idx, row)
-}
-
-// keyOfAppend is keyOf appending into buf (hot paths reuse scratch buffers).
-func (t *Table) keyOfAppend(buf []byte, idx int, row Row) ([]byte, error) {
-	def := t.Schema.Indexes[idx]
-	for _, c := range def.Columns {
-		if c >= len(row) {
-			return nil, fmt.Errorf("core: row too short for index %q", def.Name)
-		}
-		buf = EncodeKey(buf, row[c])
-	}
-	return buf, nil
-}
-
-// indexKey builds the physical index key: unique indexes use the encoded
-// key directly; non-unique indexes append the RID so every entry is unique.
-func (t *Table) indexKey(idx int, row Row, rid RID) ([]byte, error) {
-	return t.indexKeyAppend(nil, idx, row, rid)
-}
-
-// indexKeyAppend is indexKey appending into buf.
-func (t *Table) indexKeyAppend(buf []byte, idx int, row Row, rid RID) ([]byte, error) {
-	k, err := t.keyOfAppend(buf, idx, row)
-	if err != nil {
-		return nil, err
-	}
-	if !t.Schema.Indexes[idx].Unique {
-		k = EncodeRIDSuffix(k, uint64(rid))
-	}
-	return k, nil
-}
-
-// viewIndexKeyAppend is indexKeyAppend for a row still in its encoded form.
+// viewIndexKeyAppend appends the physical index-idx key of an encoded row:
+// unique indexes use the encoded key directly; non-unique indexes append the
+// RID so every entry is unique.
 func (t *Table) viewIndexKeyAppend(buf []byte, idx int, v *RowView, rid RID) ([]byte, error) {
 	def := t.Schema.Indexes[idx]
 	k, err := v.AppendKey(buf, def.Columns)

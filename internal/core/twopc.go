@@ -104,16 +104,6 @@ type pend2pcEntry struct {
 	waiters []func(csn uint64, err error)
 }
 
-// uvarintLen returns the encoded size of v.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
 // prepHeaderLen is the encoded header size of an OpPrepare/OpDecide record
 // (op + fixed CSN + table 0 + rid 0 + payload length) -- the offset from the
 // record's address to its payload.
@@ -236,31 +226,11 @@ func (t *Txn) prepareStart(gtid string, durable func(readOnly bool, err error)) 
 	if t.finished || t.prepared {
 		return false, ErrTxnDone
 	}
-	if t.e.durabilityLost.Load() {
-		_ = t.Abort()
-		return false, ErrDurabilityLost
-	}
-	if len(t.writes) > 0 {
-		if err := t.e.writeBlocked(); err != nil {
-			_ = t.Abort()
-			return false, err
-		}
-	}
-	for _, dep := range t.deps {
-		<-dep.doneCh
-		if st, _ := dep.state(); st == txAborted {
-			_ = t.Abort()
-			t.e.mDepAborts.Inc()
-			return false, ErrDependencyAborted
-		}
-	}
-	if len(t.writes) == 0 {
-		// Nothing to prepare: commit locally, vote read-only. The
-		// coordinator excludes this participant from phase two.
-		t.finish(txCommitted, 0)
-		t.e.stats.Commits.Add(1)
-		t.e.mCommits.Inc()
-		return true, nil
+	// Nothing to prepare: a transaction that wrote nothing commits locally
+	// and votes read-only; the coordinator excludes this participant from
+	// phase two.
+	if ro, err := t.validate(); err != nil || ro {
+		return ro, err
 	}
 	e := t.e
 	if err := e.svc.Chaos().Check(SitePrepareLog); err != nil {
@@ -287,14 +257,17 @@ func (t *Txn) prepareStart(gtid string, durable func(readOnly bool, err error)) 
 	e.pend2pc[gtid] = entry
 	e.pendMu.Unlock()
 
-	payload := encodePreparePayload(gtid, t.logBuf)
+	// The write set stays with the transaction until the decision, long
+	// after the slot has moved on: it is not recycled.
+	ws := t.ws
+	ws.slot = nil
+	payload := encodePreparePayload(gtid, ws.log)
 	buf, off := wal.AppendRecord(nil, wal.OpPrepare, 0, 0, payload)
 	// Byte offset from the OpPrepare record's address to the embedded write
 	// buffer: record header, then the gtid length prefix and gtid.
 	embBase := off + prepHeaderLen(len(payload)) + uvarintLen(uint64(len(gtid))) + len(gtid)
 
 	t.prepared = true
-	writes := t.writes
 	worker := t.worker
 	e.commitsStarted.Add(1)
 	e.log.AppendTraced(worker, buf, t.trace, func(base wal.Addr, err error) {
@@ -303,8 +276,8 @@ func (t *Txn) prepareStart(gtid string, durable func(readOnly bool, err error)) 
 			// WAL records, so each version's home is inside the prepare
 			// record. A checkpoint taken after the decision can then cover
 			// these writes like any others.
-			for i := range writes {
-				we := &writes[i]
+			for i := range ws.writes {
+				we := &ws.writes[i]
 				we.newV.addr.Store(uint64(base.Add(uint32(embBase + we.logOff))))
 			}
 			entry.mu.Lock()
@@ -437,8 +410,8 @@ func (e *Engine) applyDecisionLocked(entry *pend2pcEntry) {
 	if entry.commit {
 		csn := entry.csn
 		t.statusWord.Store(packStatus(txPrecommitted, csn))
-		for i := range t.writes {
-			we := &t.writes[i]
+		for i := range t.ws.writes {
+			we := &t.ws.writes[i]
 			we.newV.tmin.Store(csn)
 			if we.oldV != nil {
 				we.oldV.tmax.Store(csn)
@@ -453,19 +426,7 @@ func (e *Engine) applyDecisionLocked(entry *pend2pcEntry) {
 		return
 	}
 	t.statusWord.Store(packStatus(txAborted, 0))
-	for i := len(t.writes) - 1; i >= 0; i-- {
-		we := &t.writes[i]
-		_, _ = we.table.rows.CompareAndSwap(we.rid, we.newV, we.oldV)
-		for j := len(we.idxOps) - 1; j >= 0; j-- {
-			op := we.idxOps[j]
-			_ = op.ix.Delete(op.key)
-		}
-		if we.oldV == nil {
-			we.table.liveRows.Add(-1)
-		} else if we.newV.tomb {
-			we.table.liveRows.Add(1)
-		}
-	}
+	t.undo()
 	e.status.remove(t.tid)
 	t.markFinished()
 	e.stats.Aborts.Add(1)
@@ -601,11 +562,16 @@ func (e *Engine) reconstructInDoubt(gtid string, addr wal.Addr, payload []byte) 
 		e:        e,
 		worker:   0,
 		tid:      e.tidSeq.Add(1) | tidFlag,
-		doneCh:   make(chan struct{}),
+		ws:       &writeSet{e: e},
 		prepared: true,
+	}
+	if e.cfg.SpeculativeReads {
+		t.doneCh = make(chan struct{})
 	}
 	t.statusWord.Store(packStatus(txActive, 0))
 	e.status.register(t)
+	var newRow, oldRow RowView
+	var kbuf []byte
 	err = forEachEmbedded(body, func(off int, rec wal.Record) error {
 		tbl, ok := e.tableByID(rec.Table)
 		if !ok {
@@ -617,55 +583,49 @@ func (e *Engine) reconstructInDoubt(gtid string, addr wal.Addr, payload []byte) 
 		}
 		head := tbl.rows.Get(rid)
 		tomb := rec.Op == wal.OpDelete
-		var pay []byte
+		var pay *[]byte
 		if !tomb {
-			pay = append([]byte(nil), rec.Payload...)
+			pay = copyPayload(rec.Payload)
 		}
 		newV := newVersion(t.tid, pay, tomb, head)
 		newV.addr.Store(uint64(addr.Add(uint32(embBase + off))))
 		if ok, err := tbl.rows.CompareAndSwap(rid, head, newV); err != nil || !ok {
 			return fmt.Errorf("core: in-doubt reconstruction lost a CAS on table %d rid %d", rec.Table, rid)
 		}
-		we := writeEntry{table: tbl, rid: rid, newV: newV, oldV: head}
-		switch rec.Op {
-		case wal.OpInsert, wal.OpUpdate:
-			row, err := DecodeRow(rec.Payload)
-			if err != nil {
+		// keysChanged is not in the log; assuming it only costs the GC a
+		// look at the payloads.
+		t.ws.writes = append(t.ws.writes, writeEntry{table: tbl, rid: rid, newV: newV, oldV: head, keysChanged: head != nil})
+		if tomb {
+			tbl.liveRows.Add(-1)
+			return nil
+		}
+		if head == nil || head.tomb {
+			tbl.liveRows.Add(1)
+		}
+		// Mirror the live path's index discipline: inserts (and updates with
+		// no visible predecessor) add every key; updates add only keys that
+		// changed. An abort hides exactly those again.
+		if _, err := newRow.Reset(*pay); err != nil {
+			return err
+		}
+		haveOld := false
+		if rec.Op == wal.OpUpdate && head != nil && !head.tomb {
+			if p, err := head.payload(e); err == nil && p != nil {
+				_, err = oldRow.Reset(p)
+				haveOld = err == nil
+			}
+		}
+		for i, def := range tbl.Schema.Indexes {
+			if haveOld && oldRow.sameCols(&newRow, def.Columns) {
+				continue
+			}
+			if kbuf, err = tbl.viewIndexKeyAppend(kbuf[:0], i, &newRow, rid); err != nil {
 				return err
 			}
-			// Mirror the live path's index discipline: inserts (and updates
-			// with no visible predecessor) add every key; updates add only
-			// keys that changed, so an abort's uninstall never removes a
-			// committed row's live entries.
-			var oldRow Row
-			if rec.Op == wal.OpUpdate && head != nil && !head.tomb {
-				if p, err := head.payload(e); err == nil && p != nil {
-					oldRow, _ = DecodeRow(p)
-				}
+			if err := tbl.indexes[i].Insert(kbuf, uint64(rid)); err != nil {
+				return err
 			}
-			for i := 0; i < len(tbl.indexes); i++ {
-				k, err := tbl.indexKey(i, row, rid)
-				if err != nil {
-					return err
-				}
-				if oldRow != nil {
-					oldK, err := tbl.indexKey(i, oldRow, rid)
-					if err == nil && string(oldK) == string(k) {
-						continue
-					}
-				}
-				if err := tbl.indexes[i].Insert(k, uint64(rid)); err != nil {
-					return err
-				}
-				we.idxOps = append(we.idxOps, idxOp{ix: tbl.indexes[i], key: k})
-			}
-			if head == nil {
-				tbl.liveRows.Add(1)
-			}
-		case wal.OpDelete:
-			tbl.liveRows.Add(-1)
 		}
-		t.writes = append(t.writes, we)
 		return nil
 	})
 	if err != nil {

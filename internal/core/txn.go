@@ -9,30 +9,109 @@ import (
 	"hiengine/internal/wal"
 )
 
-// idxOp records an index entry inserted during execution; undo on abort is
-// a tombstone hiding the entry again.
-type idxOp struct {
-	ix  *index.Index
-	key []byte
-}
-
-// writeEntry records one write for commit stamping, logging, undo and GC.
+// writeEntry records one write for commit stamping, undo and GC. It holds
+// no keys: the index entries a write added, and the ones it made stale, are
+// derived from the versions' payloads by whoever needs them (abort, GC).
 type writeEntry struct {
 	table  *Table
 	rid    RID
 	newV   *Version
 	oldV   *Version // version superseded by newV (nil for a fresh insert)
-	logOff int      // offset of the op record in Txn.logBuf
-	idxOps []idxOp
-	// oldKeys are index keys that become garbage when oldV is reclaimed
-	// (key-changing updates and deletes keep old entries alive for old
-	// snapshots; GC removes them).
-	oldKeys []oldKey
+	logOff int      // offset of the op record in the write set's log buffer
+	// keysChanged says oldV carries an index key newV does not (a
+	// key-changing update, a delete): its entries become garbage when oldV
+	// is reclaimed. Old entries stay until then -- older snapshots still
+	// resolve through them.
+	keysChanged bool
 }
 
-type oldKey struct {
-	ix  *index.Index
-	key []byte
+// writeSet is the write side of one transaction: the log buffer its records
+// are encoded into, once, and the entries commit stamps. It belongs to a
+// worker slot and goes back to it when the WAL reports the buffer durable
+// (or the transaction rolls back), so a slot's transactions grow one buffer
+// between them instead of one each.
+type writeSet struct {
+	e    *Engine
+	slot *workerSlot // nil: not recycled (a prepared transaction's outlives its slot's use of it)
+
+	log    []byte
+	writes []writeEntry
+
+	// durable is the committing transaction's callback; logDone is
+	// ws.onLogDone, bound once for the write set's life so a commit hands
+	// the WAL a callback without allocating one.
+	durable func(error)
+	logDone func(wal.Addr, error)
+}
+
+// Bounds on what a slot keeps: write sets in flight at once under commit
+// pipelining, and the capacity one oversized transaction may leave behind.
+const (
+	maxFreeWriteSets  = 4
+	maxKeptLogBytes   = 1 << 20
+	maxKeptWriteSlots = 1 << 13
+)
+
+// writeSet returns the transaction's write set, taking one from the slot on
+// the first write.
+func (t *Txn) writeSet() *writeSet {
+	if t.ws != nil {
+		return t.ws
+	}
+	if s := t.slot; s != nil {
+		s.mu.Lock()
+		if n := len(s.free); n > 0 {
+			t.ws, s.free[n-1] = s.free[n-1], nil
+			s.free = s.free[:n-1]
+		}
+		s.mu.Unlock()
+	}
+	if t.ws == nil {
+		ws := &writeSet{e: t.e, slot: t.slot}
+		ws.logDone = ws.onLogDone
+		t.ws = ws
+	}
+	return t.ws
+}
+
+// release returns the write set to its slot. The caller is done with it: the
+// WAL has copied the log buffer out (its done fired), or nothing was handed
+// over.
+func (ws *writeSet) release() {
+	s := ws.slot
+	if s == nil || cap(ws.log) > maxKeptLogBytes || cap(ws.writes) > maxKeptWriteSlots {
+		return
+	}
+	clear(ws.writes) // drop the version pointers
+	ws.log, ws.writes, ws.durable = ws.log[:0], ws.writes[:0], nil
+	s.mu.Lock()
+	if len(s.free) < maxFreeWriteSets {
+		s.free = append(s.free, ws)
+	}
+	s.mu.Unlock()
+}
+
+// onLogDone is the WAL's completion callback for a committed write set.
+func (ws *writeSet) onLogDone(base wal.Addr, err error) {
+	e := ws.e
+	if err == nil {
+		// Stamp permanent addresses: each version now has a home in the
+		// replicated log (Figure 4b).
+		for i := range ws.writes {
+			we := &ws.writes[i]
+			we.newV.addr.Store(uint64(base.Add(uint32(we.logOff))))
+		}
+	} else {
+		// The transaction is already visible to other workers, but its log
+		// records will never be durable: latch the sticky fail-stop flag so
+		// no later Begin/Commit is acknowledged against the diverged state.
+		e.durabilityLost.Store(true)
+		e.mDurabilityFail.Inc()
+	}
+	e.commitsDurable.Add(1)
+	durable := ws.durable
+	ws.release()
+	durable(err)
 }
 
 // Txn is one transaction. A Txn is not safe for concurrent use; it belongs
@@ -40,14 +119,19 @@ type oldKey struct {
 type Txn struct {
 	e      *Engine
 	worker int
-	tid    uint64
-	begin  uint64
+	// slot is the worker slot the transaction runs on; its scratch is the
+	// transaction's while it is active. nil for a prepared transaction
+	// rebuilt by recovery, which runs on no slot.
+	slot  *workerSlot
+	tid   uint64
+	begin uint64
 
 	statusWord atomic.Uint64 // packStatus(state, csn)
 
-	writes []writeEntry
-	logBuf []byte
+	ws *writeSet // nil until the first write
 
+	// deps and doneCh exist only under SpeculativeReads: the transactions
+	// whose uncommitted data this one read, and what their dependents wait on.
 	deps   map[uint64]*Txn // register-and-report commit dependencies
 	doneCh chan struct{}
 
@@ -62,13 +146,10 @@ type Txn struct {
 	// transaction's worker goroutine until CommitAsync hands it to the WAL
 	// I/O goroutine.
 	trace *obs.Trace
-
-	// view, kbuf and kbuf2 are scratch for deriving index keys from an
-	// encoded row (read-path key verification, a write's old keys), reused
-	// across calls: a Txn is single-goroutine.
-	view        RowView
-	kbuf, kbuf2 []byte
 }
+
+// hasWrites reports whether the transaction has written anything.
+func (t *Txn) hasWrites() bool { return t.ws != nil && len(t.ws.writes) > 0 }
 
 // SetTrace attaches a request trace to the transaction (nil detaches).
 // The commit path threads it through the WAL so enqueue, group-commit,
@@ -100,9 +181,12 @@ func (e *Engine) Begin(worker int) (*Txn, error) {
 	t := &Txn{
 		e:      e,
 		worker: worker,
+		slot:   slot,
 		tid:    e.tidSeq.Add(1) | tidFlag,
 		begin:  begin,
-		doneCh: make(chan struct{}),
+	}
+	if e.cfg.SpeculativeReads {
+		t.doneCh = make(chan struct{})
 	}
 	t.statusWord.Store(packStatus(txActive, 0))
 	e.status.register(t)
@@ -250,8 +334,9 @@ func (t *Txn) GetByKeyRaw(tbl *Table, idx int, vals []Value, fn func(rid RID, pa
 	if !def.Unique {
 		return fmt.Errorf("core: GetByKey on non-unique index %q", def.Name)
 	}
-	t.kbuf = EncodeKey(t.kbuf[:0], vals...)
-	ridU, ok, err := tbl.indexes[idx].Get(t.kbuf)
+	s := t.slot
+	s.kbuf = EncodeKey(s.kbuf[:0], vals...)
+	ridU, ok, err := tbl.indexes[idx].Get(s.kbuf)
 	if err != nil {
 		return err
 	}
@@ -263,11 +348,11 @@ func (t *Txn) GetByKeyRaw(tbl *Table, idx int, vals []Value, fn func(rid RID, pa
 		// Index entries are single-versioned: verify the visible row still
 		// carries the probed key (it may be a newer entry for a key this
 		// snapshot should not see, or a stale entry for a changed key).
-		if _, err := t.view.Reset(p); err != nil {
+		if _, err := s.view.Reset(p); err != nil {
 			return err
 		}
 		for i, c := range def.Columns {
-			if !t.view.ColEqual(c, vals[i]) {
+			if !s.view.ColEqual(c, vals[i]) {
 				return ErrNotFound
 			}
 		}
@@ -365,14 +450,15 @@ func (t *Txn) scanEncoded(tbl *Table, idx int, fromK, toK []byte, fn func(rid RI
 		// have stale entries: GC removes stale keys before pruning chains
 		// to depth one, so the verification is skipped on that fast path.
 		if t.e.readOnly.Load() || v != head || head.next.Load() != nil {
-			if _, err = t.view.Reset(p); err == nil {
-				t.kbuf, err = tbl.viewIndexKeyAppend(t.kbuf[:0], idx, &t.view, rid)
+			s := t.slot
+			if _, err = s.view.Reset(p); err == nil {
+				s.kbuf, err = tbl.viewIndexKeyAppend(s.kbuf[:0], idx, &s.view, rid)
 			}
 			if err != nil {
 				scanErr = err
 				return false
 			}
-			if string(t.kbuf) != string(key) {
+			if string(s.kbuf) != string(key) {
 				return true
 			}
 		}
@@ -385,118 +471,134 @@ func (t *Txn) scanEncoded(tbl *Table, idx int, fromK, toK []byte, fn func(rid RI
 }
 
 // --- writes --------------------------------------------------------------
+//
+// A row crosses the write path in its encoded form. Insert and Update encode
+// the caller's Row once, into a payload of exactly its size, and
+// UpdateColumns splices the old payload; from there one implementation
+// (insertPayload, installUpdate) derives the index keys from the payload,
+// appends it to the write set's log buffer -- the record's body is the
+// payload's bytes -- and installs a version that points at the same payload.
+//
+// Every write records its writeEntry as soon as its version is installed,
+// before index maintenance: whatever fails afterwards aborts the
+// transaction, and the abort uninstalls the version and hides the entries
+// it added.
 
 // Insert adds a new row and returns its RID. Unique-index violations abort
 // with ErrDuplicateKey; conflicts with concurrent writers abort with
 // ErrConflict.
 func (t *Txn) Insert(tbl *Table, row Row) (RID, error) {
-	if t.finished {
-		return 0, ErrTxnDone
-	}
-	if err := t.e.writeBlocked(); err != nil {
+	if err := t.writable(); err != nil {
 		return 0, err
 	}
 	if len(row) != len(tbl.Schema.Columns) {
 		return 0, fmt.Errorf("core: row arity %d != %d columns", len(row), len(tbl.Schema.Columns))
 	}
-	pk, err := tbl.keyOf(0, row)
+	return t.insertPayload(tbl, encodePayload(row))
+}
+
+// writable reports why the transaction cannot write right now, if it cannot.
+func (t *Txn) writable() error {
+	if t.finished {
+		return ErrTxnDone
+	}
+	return t.e.writeBlocked()
+}
+
+func (t *Txn) insertPayload(tbl *Table, payload *[]byte) (RID, error) {
+	s := t.slot
+	_, err := s.view.Reset(*payload)
+	if err == nil {
+		s.kbuf, err = tbl.viewIndexKeyAppend(s.kbuf[:0], 0, &s.view, 0)
+	}
 	if err != nil {
 		return 0, err
 	}
 	primary := tbl.indexes[0]
 
 	// Serialize uniqueness-check + reservation per key.
-	unlock := primary.LockKey(pk)
-	existing, havePrev, err := t.checkUnique(tbl, primary, pk)
+	lock := primary.LockKey(s.kbuf)
+	rid, havePrev, err := t.checkUnique(tbl, primary, s.kbuf, 0)
 	if err != nil {
-		unlock()
+		lock.Unlock()
 		return 0, t.failWith(err)
 	}
-
-	payload := EncodeRow(nil, row)
-	var rid RID
-	var oldV, newV *Version
-	var ops []idxOp
+	newV := newVersion(t.tid, payload, false, nil)
+	var oldV *Version
 	if havePrev {
-		// The key maps to a RID whose chain is a visible committed
-		// delete: reuse the RID by chaining a fresh version (keeps the
-		// index entry stable).
-		rid = existing
-		head := tbl.rows.Get(rid)
-		newV = newVersion(t.tid, payload, false, head)
-		okCAS, err := tbl.rows.CompareAndSwap(rid, head, newV)
-		if err != nil || !okCAS {
-			unlock()
+		// The key maps to a RID whose chain is a visible committed delete:
+		// reuse the RID by chaining a fresh version (keeps the index entry
+		// stable).
+		oldV = tbl.rows.Get(rid)
+		newV.next.Store(oldV)
+		if ok, err := tbl.rows.CompareAndSwap(rid, oldV, newV); err != nil || !ok {
+			lock.Unlock()
 			return 0, t.failWith(ErrConflict)
 		}
-		oldV = head
 	} else {
-		rid, err = tbl.rows.Alloc()
+		if rid, err = tbl.rows.Alloc(); err == nil {
+			err = tbl.rows.Store(rid, newV)
+		}
 		if err != nil {
-			unlock()
+			lock.Unlock()
 			return 0, t.failWith(err)
 		}
-		newV = newVersion(t.tid, payload, false, nil)
-		if err := tbl.rows.Store(rid, newV); err != nil {
-			unlock()
-			return 0, t.failWith(err)
-		}
-		if err := primary.Insert(pk, uint64(rid)); err != nil {
-			unlock()
-			return 0, t.failWith(err)
-		}
-		ops = append(ops, idxOp{ix: primary, key: pk})
 	}
-	unlock()
-
-	// Secondary indexes.
-	for i := 1; i < len(tbl.indexes); i++ {
-		k, err := tbl.indexKey(i, row, rid)
-		if err != nil {
-			return 0, t.failWith(err)
-		}
-		if tbl.Schema.Indexes[i].Unique {
-			ux := tbl.indexes[i]
-			unlock := ux.LockKey(k)
-			if _, dup, err := t.checkUnique(tbl, ux, k); err != nil {
-				unlock()
-				return 0, t.failWith(err)
-			} else if dup {
-				// A visible committed delete on a unique secondary:
-				// treat as free (entry will be shadowed).
-				_ = dup
-			}
-			if err := ux.Insert(k, uint64(rid)); err != nil {
-				unlock()
-				return 0, t.failWith(err)
-			}
-			unlock()
-		} else {
-			if err := tbl.indexes[i].Insert(k, uint64(rid)); err != nil {
-				return 0, t.failWith(err)
-			}
-		}
-		ops = append(ops, idxOp{ix: tbl.indexes[i], key: k})
-	}
-
-	var logOff int
-	t.logBuf, logOff = wal.AppendRecord(t.logBuf, wal.OpInsert, tbl.ID, uint64(rid), payload)
-	t.writes = append(t.writes, writeEntry{table: tbl, rid: rid, newV: newV, oldV: oldV, logOff: logOff, idxOps: ops})
+	t.record(wal.OpInsert, writeEntry{table: tbl, rid: rid, newV: newV, oldV: oldV}, *payload)
 	tbl.liveRows.Add(1)
+	if !havePrev {
+		err = primary.Insert(s.kbuf, uint64(rid))
+	}
+	lock.Unlock()
+
+	for i := 1; err == nil && i < len(tbl.indexes); i++ {
+		if s.kbuf, err = tbl.viewIndexKeyAppend(s.kbuf[:0], i, &s.view, rid); err == nil {
+			// A visible committed delete behind a unique secondary key is
+			// free: its entry is shadowed.
+			err = t.addIndexEntry(tbl, i, s.kbuf, rid)
+		}
+	}
+	if err != nil {
+		return 0, t.abortWith(err)
+	}
 	return rid, nil
+}
+
+// record appends a write's log record -- body is the version's payload, nil
+// for a delete -- and its entry.
+func (t *Txn) record(op byte, we writeEntry, body []byte) {
+	ws := t.writeSet()
+	ws.log, we.logOff = wal.AppendRecord(ws.log, op, we.table.ID, uint64(we.rid), body)
+	ws.writes = append(ws.writes, we)
+}
+
+// addIndexEntry maps key to rid in index i, under the key's lock and after
+// the uniqueness check when the index is unique.
+func (t *Txn) addIndexEntry(tbl *Table, i int, key []byte, rid RID) error {
+	ix := tbl.indexes[i]
+	if !tbl.Schema.Indexes[i].Unique {
+		return ix.Insert(key, uint64(rid))
+	}
+	lock := ix.LockKey(key)
+	defer lock.Unlock()
+	if _, _, err := t.checkUnique(tbl, ix, key, rid); err != nil {
+		return err
+	}
+	return ix.Insert(key, uint64(rid))
 }
 
 // checkUnique inspects the chain behind an existing index entry for key.
 // It returns (rid, reusable) where reusable means the key's record is a
-// committed delete visible to t (insert may chain onto it). Errors:
-// ErrDuplicateKey for a live or pending record, ErrConflict for an
-// uncommitted writer.
-func (t *Txn) checkUnique(tbl *Table, ix *index.Index, key []byte) (RID, bool, error) {
+// committed delete visible to t (insert may chain onto it). An entry that
+// already maps to self -- the record being written, whose key flipped back
+// to one it held before -- is no violation. Errors: ErrDuplicateKey for a
+// live or pending record, ErrConflict for an uncommitted writer.
+func (t *Txn) checkUnique(tbl *Table, ix *index.Index, key []byte, self RID) (RID, bool, error) {
 	ridU, ok, err := ix.Get(key)
 	if err != nil {
 		return 0, false, err
 	}
-	if !ok {
+	if !ok || RID(ridU) == self {
 		return 0, false, nil
 	}
 	rid := RID(ridU)
@@ -519,16 +621,9 @@ func (t *Txn) checkUnique(tbl *Table, ix *index.Index, key []byte) (RID, bool, e
 		// wins on insert too).
 		return 0, false, ErrDuplicateKey
 	}
-	// Invisible or deleted. If the newest version is a committed delete,
-	// the RID is reusable; if the newest is a live version committed
-	// after our snapshot, that is a conflict.
-	if !head.tomb && !isTID(head.tmin.Load()) {
-		return 0, false, ErrConflict
-	}
-	if isTID(head.tmin.Load()) && head.tmin.Load() == t.tid && head.tomb {
-		// We deleted it ourselves in this transaction: reuse.
-		return rid, true, nil
-	}
+	// Invisible or deleted. If the newest version is a delete -- committed,
+	// or our own in this transaction -- the RID is reusable; if the newest
+	// is a live version committed after our snapshot, that is a conflict.
 	if head.tomb {
 		return rid, true, nil
 	}
@@ -538,10 +633,7 @@ func (t *Txn) checkUnique(tbl *Table, ix *index.Index, key []byte) (RID, bool, e
 // Update replaces the row at rid. The caller supplies the complete new row
 // (Section 4.2: versions store full record contents).
 func (t *Txn) Update(tbl *Table, rid RID, row Row) error {
-	if t.finished {
-		return ErrTxnDone
-	}
-	if err := t.e.writeBlocked(); err != nil {
+	if err := t.writable(); err != nil {
 		return err
 	}
 	if len(row) != len(tbl.Schema.Columns) {
@@ -551,7 +643,55 @@ func (t *Txn) Update(tbl *Table, rid RID, row Row) error {
 	if err != nil {
 		return err
 	}
-	payload := EncodeRow(nil, row)
+	return t.installUpdate(tbl, rid, head, encodePayload(row))
+}
+
+// UpdateColumns is the point UPDATE in one call: it finds the row through
+// unique index idx with one probe, checks that every where column holds its
+// value, and replaces the set columns, building the new payload by splicing
+// the old one -- no column is decoded and the unchanged ones are copied as
+// they are. It returns false, with nothing written, when the row does not
+// satisfy where, and ErrNotFound when no visible row has the key.
+func (t *Txn) UpdateColumns(tbl *Table, idx int, key []Value, where, set []ColValue) (bool, error) {
+	if err := t.writable(); err != nil {
+		return false, err
+	}
+	var rid RID
+	// The read half is GetByKeyRaw: the snapshot's visible row, verified to
+	// carry the key. It leaves the row in the slot's view.
+	err := t.GetByKeyRaw(tbl, idx, key, func(r RID, _ []byte) error {
+		rid = r
+		return nil
+	})
+	if err != nil {
+		return false, err
+	}
+	s := t.slot
+	for _, w := range where {
+		if !s.view.ColEqual(w.Col, w.Val) {
+			return false, nil
+		}
+	}
+	// The write half: the visible row must also be the newest (first
+	// committer wins), in which case it is the one in the view.
+	head, err := t.writableHead(tbl, rid)
+	if err != nil {
+		return false, err
+	}
+	n, err := s.view.SplicedLen(set)
+	if err != nil {
+		return false, err
+	}
+	p := newPayload(n)
+	if _, err := s.view.AppendSplice((*p)[:0], set); err != nil {
+		return false, err
+	}
+	return true, t.installUpdate(tbl, rid, head, p)
+}
+
+// installUpdate chains payload onto head, the row's newest version, whose
+// encoded row is in the slot's view.
+func (t *Txn) installUpdate(tbl *Table, rid RID, head *Version, payload *[]byte) error {
 	newV := newVersion(t.tid, payload, false, head)
 	okCAS, err := tbl.rows.CompareAndSwap(rid, head, newV)
 	if err != nil {
@@ -560,62 +700,40 @@ func (t *Txn) Update(tbl *Table, rid RID, row Row) error {
 	if !okCAS {
 		return t.failWith(ErrConflict)
 	}
-	we := writeEntry{table: tbl, rid: rid, newV: newV, oldV: head}
+	t.record(wal.OpUpdate, writeEntry{table: tbl, rid: rid, newV: newV, oldV: head}, *payload)
+	we := &t.ws.writes[len(t.ws.writes)-1]
 	// Index maintenance for key-changing updates: add entries for the new
 	// keys, keep the old entries (older snapshots still resolve through
-	// them); old entries die with the old version at GC. The old keys come
-	// straight from the old payload (t.view, set by fetchForWrite); the
-	// common unchanged-key case touches only the two scratch buffers.
-	for i := 0; i < len(tbl.indexes); i++ {
-		t.kbuf, err = tbl.viewIndexKeyAppend(t.kbuf[:0], i, &t.view, rid)
-		if err != nil {
-			return t.failWith(err)
-		}
-		t.kbuf2, err = tbl.indexKeyAppend(t.kbuf2[:0], i, row, rid)
-		if err != nil {
-			return t.failWith(err)
-		}
-		if string(t.kbuf) == string(t.kbuf2) {
+	// them); old entries die with the old version at GC. Both keys come from
+	// the payloads; the usual update changes no key column and builds none.
+	s := t.slot
+	if _, err = s.view2.Reset(*payload); err != nil {
+		return t.abortWith(err)
+	}
+	for i := range tbl.indexes {
+		if s.view.sameCols(&s.view2, tbl.Schema.Indexes[i].Columns) {
 			continue
 		}
-		oldK := append([]byte(nil), t.kbuf...)
-		newK := append([]byte(nil), t.kbuf2...)
-		if tbl.Schema.Indexes[i].Unique {
-			ux := tbl.indexes[i]
-			unlock := ux.LockKey(newK)
-			if _, _, err := t.checkUnique(tbl, ux, newK); err != nil {
-				unlock()
-				return t.failWith(err)
-			}
-			if err := ux.Insert(newK, uint64(rid)); err != nil {
-				unlock()
-				return t.failWith(err)
-			}
-			unlock()
-		} else {
-			if err := tbl.indexes[i].Insert(newK, uint64(rid)); err != nil {
-				return t.failWith(err)
-			}
+		if s.kbuf, err = tbl.viewIndexKeyAppend(s.kbuf[:0], i, &s.view, rid); err == nil {
+			s.kbuf2, err = tbl.viewIndexKeyAppend(s.kbuf2[:0], i, &s.view2, rid)
 		}
-		we.idxOps = append(we.idxOps, idxOp{ix: tbl.indexes[i], key: newK})
-		we.oldKeys = append(we.oldKeys, oldKey{ix: tbl.indexes[i], key: oldK})
+		if err == nil && string(s.kbuf) != string(s.kbuf2) {
+			we.keysChanged = true
+			err = t.addIndexEntry(tbl, i, s.kbuf2, rid)
+		}
+		if err != nil {
+			return t.abortWith(err)
+		}
 	}
-	var logOff int
-	t.logBuf, logOff = wal.AppendRecord(t.logBuf, wal.OpUpdate, tbl.ID, uint64(rid), payload)
-	we.logOff = logOff
-	t.writes = append(t.writes, we)
 	return nil
 }
 
 // Delete removes the row at rid by installing a tombstone version.
 func (t *Txn) Delete(tbl *Table, rid RID) error {
-	if t.finished {
-		return ErrTxnDone
-	}
-	if err := t.e.writeBlocked(); err != nil {
+	if err := t.writable(); err != nil {
 		return err
 	}
-	head, err := t.fetchForWrite(tbl, rid)
+	head, err := t.writableHead(tbl, rid)
 	if err != nil {
 		return err
 	}
@@ -627,52 +745,46 @@ func (t *Txn) Delete(tbl *Table, rid RID) error {
 	if !okCAS {
 		return t.failWith(ErrConflict)
 	}
-	we := writeEntry{table: tbl, rid: rid, newV: newV, oldV: head}
-	// All index entries become garbage once the delete is reclaimable.
-	for i := 0; i < len(tbl.indexes); i++ {
-		k, err := tbl.viewIndexKeyAppend(nil, i, &t.view, rid)
-		if err != nil {
-			return t.failWith(err)
-		}
-		we.oldKeys = append(we.oldKeys, oldKey{ix: tbl.indexes[i], key: k})
-	}
-	var logOff int
-	t.logBuf, logOff = wal.AppendRecord(t.logBuf, wal.OpDelete, tbl.ID, uint64(rid), nil)
-	we.logOff = logOff
-	t.writes = append(t.writes, we)
+	// All of the row's index entries become garbage once the delete is
+	// reclaimable.
+	t.record(wal.OpDelete, writeEntry{table: tbl, rid: rid, newV: newV, oldV: head, keysChanged: true}, nil)
 	tbl.liveRows.Add(-1)
 	return nil
 }
 
-// fetchForWrite performs first-committer-wins conflict detection -- the
-// newest version must be the visible one -- and leaves that version's
-// encoded row in t.view for the caller to derive the old index keys from.
-func (t *Txn) fetchForWrite(tbl *Table, rid RID) (*Version, error) {
+// writableHead performs first-committer-wins conflict detection: the row's
+// newest version must be the transaction's own write or visible to it.
+func (t *Txn) writableHead(tbl *Table, rid RID) (*Version, error) {
 	head := tbl.rows.Get(rid)
 	if head == nil {
 		return nil, ErrNotFound
 	}
 	raw := head.tmin.Load()
-	if isTID(raw) && raw != t.tid {
+	if isTID(raw) && raw != t.tid || !isTID(raw) && raw > t.begin {
+		// Another transaction's pending write, or one committed after our
+		// snapshot: first committer wins.
 		t.e.stats.Conflicts.Add(1)
 		t.e.mConflicts.Inc()
 		return nil, t.failWith(ErrConflict)
 	}
-	if !isTID(raw) && raw > t.begin {
-		// Committed after our snapshot: first committer wins.
-		t.e.stats.Conflicts.Add(1)
-		t.e.mConflicts.Inc()
-		return nil, t.failWith(ErrConflict)
-	}
-	// head is now our own write or a version visible to us.
 	if head.tomb {
 		return nil, ErrNotFound
+	}
+	return head, nil
+}
+
+// fetchForWrite is writableHead leaving the head's encoded row in the
+// slot's view for the caller to derive the old index keys from.
+func (t *Txn) fetchForWrite(tbl *Table, rid RID) (*Version, error) {
+	head, err := t.writableHead(tbl, rid)
+	if err != nil {
+		return nil, err
 	}
 	p, err := head.payload(t.e)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := t.view.Reset(p); err != nil {
+	if _, err := t.slot.view.Reset(p); err != nil {
 		return nil, err
 	}
 	return head, nil
@@ -684,5 +796,12 @@ func (t *Txn) failWith(err error) error {
 	case ErrConflict, ErrDuplicateKey, ErrDependencyAborted:
 		_ = t.Abort()
 	}
+	return err
+}
+
+// abortWith fails a write whose version is already installed: whatever the
+// error, only an abort takes the version and its index entries out again.
+func (t *Txn) abortWith(err error) error {
+	_ = t.Abort()
 	return err
 }

@@ -160,19 +160,58 @@ var ErrRowCorrupt = errors.New("core: corrupt row payload")
 func EncodeRow(buf []byte, row Row) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(row)))
 	for _, v := range row {
-		buf = append(buf, byte(v.kind))
-		switch v.kind {
-		case 0:
-		case KindInt:
-			buf = binary.AppendVarint(buf, int64(v.num))
-		case KindFloat:
-			buf = binary.LittleEndian.AppendUint64(buf, v.num)
-		case KindString, KindBytes:
-			buf = binary.AppendUvarint(buf, uint64(len(v.s)))
-			buf = append(buf, v.s...)
-		}
+		buf = appendCol(buf, v)
 	}
 	return buf
+}
+
+// appendCol appends one column: the kind byte and the value's payload.
+func appendCol(buf []byte, v Value) []byte {
+	buf = append(buf, byte(v.kind))
+	switch v.kind {
+	case KindInt:
+		buf = binary.AppendVarint(buf, int64(v.num))
+	case KindFloat:
+		buf = binary.LittleEndian.AppendUint64(buf, v.num)
+	case KindString, KindBytes:
+		buf = binary.AppendUvarint(buf, uint64(len(v.s)))
+		buf = append(buf, v.s...)
+	}
+	return buf
+}
+
+// colLen is len(appendCol(nil, v)).
+func colLen(v Value) int {
+	switch v.kind {
+	case KindInt:
+		x := int64(v.num)
+		return 1 + uvarintLen(uint64(x<<1)^uint64(x>>63)) // zigzag, as AppendVarint
+	case KindFloat:
+		return 1 + 8
+	case KindString, KindBytes:
+		return 1 + uvarintLen(uint64(len(v.s))) + len(v.s)
+	}
+	return 1
+}
+
+// uvarintLen returns the encoded size of v.
+func uvarintLen(v uint64) int {
+	n := 1
+	for v >= 0x80 {
+		v >>= 7
+		n++
+	}
+	return n
+}
+
+// encodedRowLen is len(EncodeRow(nil, row)): what encodePayload sizes its
+// buffer by.
+func encodedRowLen(row Row) int {
+	n := uvarintLen(uint64(len(row)))
+	for _, v := range row {
+		n += colLen(v)
+	}
+	return n
 }
 
 // DecodeRow parses an encoded row. String and bytes payloads are copied so

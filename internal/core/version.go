@@ -38,13 +38,12 @@ type Version struct {
 	tomb bool
 }
 
-func newVersion(tid uint64, payload []byte, tomb bool, next *Version) *Version {
+// newVersion builds a version around a payload from newPayload (nil for a
+// delete marker): the version itself is its only allocation.
+func newVersion(tid uint64, payload *[]byte, tomb bool, next *Version) *Version {
 	v := &Version{tomb: tomb}
 	v.tmin.Store(tid)
-	if payload != nil {
-		p := payload
-		v.data.Store(&p)
-	}
+	v.data.Store(payload)
 	v.next.Store(next)
 	return v
 }

@@ -84,7 +84,9 @@ type Importer interface {
 	Import(table string, row core.Row) error
 }
 
-// Txn is one transaction.
+// Txn is one transaction. Rows and keys passed in are borrowed for the call:
+// an engine that keeps any of one copies it, so a caller may bind every
+// statement's values into the same scratch.
 type Txn interface {
 	Commit() error
 	Abort() error
@@ -112,6 +114,20 @@ type RawReader interface {
 	GetByKeyRaw(table string, idx int, key []core.Value, fn func(payload []byte) error) error
 	// ScanPrefixRaw is ScanPrefix handing fn encoded rows.
 	ScanPrefixRaw(table string, idx int, prefix []core.Value, fn func(payload []byte) bool) error
+}
+
+// ColumnUpdater is optionally implemented by transactions that can run a
+// point UPDATE as one call on the stored encoding: one index probe, the
+// residual WHERE checked and the new row spliced from the old without
+// decoding either. A caller without it (the baselines, test stubs) does the
+// same with GetByKey, a check and a copy of the Row, and UpdateByKey.
+type ColumnUpdater interface {
+	// UpdateColumns sets the given columns of the row matching key on
+	// unique index idx, provided each where column equals its value. It
+	// reports whether the row was updated -- false, with nothing written,
+	// when it does not satisfy where -- and ErrNotFound when no row has the
+	// key.
+	UpdateColumns(table string, idx int, key []core.Value, where, set []core.ColValue) (updated bool, err error)
 }
 
 // Raw returns tx's raw read interface: tx itself when it implements

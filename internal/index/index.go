@@ -503,17 +503,23 @@ func (ix *Index) Attach(meta ComponentMeta) error {
 	return nil
 }
 
-// LockKey acquires the stripe lock covering key and returns the unlock
-// function. Unique-constraint enforcement wraps its lookup-check-insert
-// sequence in this lock so concurrent inserts of the same key serialize.
-func (ix *Index) LockKey(key []byte) func() {
+// KeyLock is a held key-stripe lock; see LockKey.
+type KeyLock struct{ mu *sync.Mutex }
+
+// Unlock releases the stripe.
+func (l KeyLock) Unlock() { l.mu.Unlock() }
+
+// LockKey acquires the stripe lock covering key and returns it held.
+// Unique-constraint enforcement wraps its lookup-check-insert sequence in
+// this lock so concurrent inserts of the same key serialize.
+func (ix *Index) LockKey(key []byte) KeyLock {
 	var h uint32 = 2166136261
 	for _, c := range key {
 		h = (h ^ uint32(c)) * 16777619
 	}
 	mu := &ix.keyLocks[h&63]
 	mu.Lock()
-	return mu.Unlock
+	return KeyLock{mu}
 }
 
 // String summarizes the index shape.

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"hiengine/internal/raceflag"
 	"hiengine/internal/srss"
 )
 
@@ -376,4 +377,17 @@ func TestConcurrentReadsDuringMerge(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestLockKeyAllocFree: taking and releasing a key's stripe lock is on every
+// insert's path and allocates nothing (it hands back a lock, not a closure).
+func TestLockKeyAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	ix, _ := testIndex(t, Config{})
+	k := key(42)
+	if avg := testing.AllocsPerRun(1000, func() { ix.LockKey(k).Unlock() }); avg != 0 {
+		t.Fatalf("LockKey allocates %.1f times, want 0", avg)
+	}
 }

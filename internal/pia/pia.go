@@ -313,6 +313,18 @@ func (m *Map[T]) Delete(rid RID) error {
 	return nil
 }
 
+// DeleteIf is Delete provided the pointer at rid is still old: the clear and
+// the check are one step, so a version installed in between (an insert
+// reusing the RID) is never swept out with the delete marker it replaced.
+func (m *Map[T]) DeleteIf(rid RID, old *T) (bool, error) {
+	ok, err := m.CompareAndSwap(rid, old, nil)
+	if ok {
+		e, _ := m.entryOf(rid)
+		e.epoch.Add(1)
+	}
+	return ok, err
+}
+
 // Epoch returns the GC epoch stored at rid.
 func (m *Map[T]) Epoch(rid RID) uint32 {
 	p := m.part(rid.Partition())

@@ -277,3 +277,23 @@ func TestPropertyMapEquivalence(t *testing.T) {
 		t.Fatalf("Live = %d, want %d", m.Live(), len(ref))
 	}
 }
+
+// TestDeleteIfSparesANewerPointer: the conditional delete clears the entry
+// and bumps its epoch only while the pointer is still the expected one.
+func TestDeleteIfSparesANewerPointer(t *testing.T) {
+	m := New[int](Config{})
+	rid, err := m.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := new(int), new(int)
+	if err := m.Store(rid, a); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := m.DeleteIf(rid, b); ok || err != nil || m.Get(rid) != a || m.Epoch(rid) != 0 {
+		t.Fatalf("DeleteIf with a stale pointer: ok=%v err=%v epoch=%d", ok, err, m.Epoch(rid))
+	}
+	if ok, err := m.DeleteIf(rid, a); !ok || err != nil || m.Get(rid) != nil || m.Epoch(rid) != 1 {
+		t.Fatalf("DeleteIf with the current pointer: ok=%v err=%v epoch=%d", ok, err, m.Epoch(rid))
+	}
+}

@@ -225,6 +225,13 @@ type Session struct {
 	// Result.Rows from.
 	sel  selectRun
 	rows RowBuf
+
+	// vals, where and set are what a write statement binds its parameters
+	// into -- an INSERT's row or a key, an UPDATE's residual conditions and
+	// assignments -- reused across statements: the engine borrows them for
+	// the call (see engineapi.Txn).
+	vals       []core.Value
+	where, set []core.ColValue
 }
 
 // LastCSN returns the session's read-your-writes token: the commit sequence
@@ -588,16 +595,9 @@ func (s *Session) opFailed(tx engineapi.Txn, auto bool, err error) {
 // a full unique match (point lookup) over a prefix (scan).
 type plan struct {
 	idx      int
-	prefix   []expr      // values for the matched index-column prefix
-	point    bool        // full unique key covered
-	residual []residCond // conditions checked row-by-row
-}
-
-// residCond is a WHERE equality the index does not absorb, its column
-// resolved to a position.
-type residCond struct {
-	pos int
-	rhs expr
+	prefix   []expr    // values for the matched index-column prefix
+	point    bool      // full unique key covered
+	residual []colExpr // conditions the index does not absorb, checked row by row
 }
 
 func buildPlan(schema *core.Schema, where []cond) (plan, error) {
@@ -644,7 +644,7 @@ func buildPlan(schema *core.Schema, where []cond) (plan, error) {
 	}
 	for _, c := range where {
 		if pos := schema.ColumnIndex(c.col); !used[pos] {
-			best.residual = append(best.residual, residCond{pos: pos, rhs: c.rhs})
+			best.residual = append(best.residual, colExpr{pos: pos, rhs: c.rhs})
 		}
 	}
 	return best, nil
@@ -657,21 +657,51 @@ func bind(e expr, args []core.Value) core.Value {
 	return e.val
 }
 
-func bindAll(es []expr, args []core.Value) []core.Value {
-	out := make([]core.Value, len(es))
-	for i, e := range es {
-		out[i] = bind(e, args)
+// bindAll appends the values of es to dst, which a session passes its
+// scratch for.
+func bindAll(dst []core.Value, es []expr, args []core.Value) []core.Value {
+	for _, e := range es {
+		dst = append(dst, bind(e, args))
 	}
-	return out
+	return dst
 }
 
-func matchResidual(row core.Row, residual []residCond, args []core.Value) bool {
-	for _, c := range residual {
-		if !row[c.pos].Equal(bind(c.rhs, args)) {
-			return false
+// colExpr is a column position and the expression a statement gives it: a
+// SET assignment or a residual WHERE equality.
+type colExpr struct {
+	pos int
+	rhs expr
+}
+
+// bindCols is bindAll for column/value pairs.
+func bindCols(dst []core.ColValue, ces []colExpr, args []core.Value) []core.ColValue {
+	for _, ce := range ces {
+		dst = append(dst, core.ColValue{Col: ce.pos, Val: bind(ce.rhs, args)})
+	}
+	return dst
+}
+
+// getThenUpdate is the point UPDATE on an engine without
+// engineapi.ColumnUpdater: read the row, check the residual conditions,
+// copy it with the assignments applied, write it back.
+func getThenUpdate(tx engineapi.Txn, table string, key []core.Value, where, set []core.ColValue) (bool, error) {
+	row, err := tx.GetByKey(table, 0, key...)
+	if err != nil {
+		return false, err
+	}
+	for _, w := range where {
+		if !row[w.Col].Equal(w.Val) {
+			return false, nil
 		}
 	}
-	return true
+	newRow := append(core.Row{}, row...)
+	for _, cv := range set {
+		newRow[cv.Col] = cv.Val
+	}
+	if err := tx.UpdateByKey(table, 0, key, newRow); err != nil {
+		return false, err
+	}
+	return true, nil
 }
 
 // --- execution ----------------------------------------------------------------
@@ -743,7 +773,8 @@ func (f *Frontend) compile(st stmt) (func(*Session, []core.Value) (*Result, erro
 			if err != nil {
 				return nil, err
 			}
-			if err := tx.Insert(ti.schema.Name, bindAll(vals, args)); err != nil {
+			s.vals = bindAll(s.vals[:0], vals, args)
+			if err := tx.Insert(ti.schema.Name, s.vals); err != nil {
 				s.opFailed(tx, auto, err)
 				return nil, err
 			}
@@ -767,46 +798,38 @@ func (f *Frontend) compile(st stmt) (func(*Session, []core.Value) (*Result, erro
 		if !pl.point || pl.idx != 0 {
 			return nil, fmt.Errorf("%w: UPDATE requires full primary key equality", ErrBadPlan)
 		}
-		setPos := make([]int, len(st.sets))
+		sets := make([]colExpr, len(st.sets))
 		for i, sc := range st.sets {
 			pos := ti.schema.ColumnIndex(sc.col)
 			if pos < 0 {
 				return nil, fmt.Errorf("sqlfront: unknown column %q in SET", sc.col)
 			}
-			setPos[i] = pos
+			sets[i] = colExpr{pos: pos, rhs: sc.rhs}
 		}
-		sets := st.sets
 		residual := pl.residual
 		return func(s *Session, args []core.Value) (*Result, error) {
 			tx, auto, err := s.txnFor(ti)
 			if err != nil {
 				return nil, err
 			}
-			key := bindAll(pl.prefix, args)
-			row, err := tx.GetByKey(ti.schema.Name, 0, key...)
-			if err != nil {
-				if errors.Is(err, engineapi.ErrNotFound) {
-					if auto {
-						tx.Abort()
-					}
-					return &Result{Affected: 0}, nil
-				}
+			s.vals = bindAll(s.vals[:0], pl.prefix, args)
+			s.where = bindCols(s.where[:0], residual, args)
+			s.set = bindCols(s.set[:0], sets, args)
+			var updated bool
+			if cu, ok := tx.(engineapi.ColumnUpdater); ok {
+				updated, err = cu.UpdateColumns(ti.schema.Name, 0, s.vals, s.where, s.set)
+			} else {
+				updated, err = getThenUpdate(tx, ti.schema.Name, s.vals, s.where, s.set)
+			}
+			if err != nil && !errors.Is(err, engineapi.ErrNotFound) {
 				s.opFailed(tx, auto, err)
 				return nil, err
 			}
-			if !matchResidual(row, residual, args) {
+			if !updated {
 				if auto {
 					tx.Abort()
 				}
 				return &Result{Affected: 0}, nil
-			}
-			newRow := append(core.Row{}, row...)
-			for i, sc := range sets {
-				newRow[setPos[i]] = bind(sc.rhs, args)
-			}
-			if err := tx.UpdateByKey(ti.schema.Name, 0, key, newRow); err != nil {
-				s.opFailed(tx, auto, err)
-				return nil, err
 			}
 			if auto {
 				if err := s.commitAuto(tx); err != nil {
@@ -833,7 +856,8 @@ func (f *Frontend) compile(st stmt) (func(*Session, []core.Value) (*Result, erro
 			if err != nil {
 				return nil, err
 			}
-			if err := tx.DeleteByKey(ti.schema.Name, bindAll(pl.prefix, args)...); err != nil {
+			s.vals = bindAll(s.vals[:0], pl.prefix, args)
+			if err := tx.DeleteByKey(ti.schema.Name, s.vals...); err != nil {
 				if errors.Is(err, engineapi.ErrNotFound) {
 					if auto {
 						tx.Abort()

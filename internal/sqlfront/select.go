@@ -61,6 +61,7 @@ type selectRun struct {
 
 	// Scratch that outlives one execution when the selectRun does.
 	view    core.RowView
+	key     []core.Value         // the bound index prefix
 	adapter engineapi.RawAdapter // for engines without raw reads
 
 	// emitted, when set, runs after each row lands in sink (a stream hands
@@ -97,10 +98,10 @@ func (r *selectRun) run(tx engineapi.Txn) error {
 		return nil // LIMIT 0 is a real limit: fetch nothing at all
 	}
 	raw := engineapi.Raw(tx, &r.adapter)
-	key := bindAll(p.pl.prefix, r.args)
+	r.key = bindAll(r.key[:0], p.pl.prefix, r.args)
 	var err error
 	if p.pl.point {
-		err = raw.GetByKeyRaw(p.ti.schema.Name, p.pl.idx, key, func(payload []byte) error {
+		err = raw.GetByKeyRaw(p.ti.schema.Name, p.pl.idx, r.key, func(payload []byte) error {
 			r.row(payload)
 			return nil
 		})
@@ -108,7 +109,7 @@ func (r *selectRun) run(tx engineapi.Txn) error {
 			err = nil
 		}
 	} else {
-		err = raw.ScanPrefixRaw(p.ti.schema.Name, p.pl.idx, key, r.row)
+		err = raw.ScanPrefixRaw(p.ti.schema.Name, p.pl.idx, r.key, r.row)
 	}
 	if r.err != nil {
 		return r.err

@@ -2,12 +2,15 @@ package sqlfront
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"hiengine/internal/adapt"
 	"hiengine/internal/baseline/innosim"
 	"hiengine/internal/core"
+	"hiengine/internal/engineapi"
+	"hiengine/internal/raceflag"
 	"hiengine/internal/srss"
 )
 
@@ -368,4 +371,115 @@ func TestAdoptAllSyncsTrailingCatalog(t *testing.T) {
 	if _, err := f.AdoptAll("bogus", schemas); err == nil {
 		t.Fatal("unknown engine accepted")
 	}
+}
+
+// TestUpdateLoweringsAgree runs one UPDATE script against an engine with
+// engineapi.ColumnUpdater (HiEngine: one call, the row spliced in its stored
+// form) and one without (innosim: read, check, copy, write back) and expects
+// the same affected counts and the same rows.
+func TestUpdateLoweringsAgree(t *testing.T) {
+	f, _ := testFrontend(t)
+	inno, err := innosim.New(innosim.Config{Service: srss.New(srss.Config{}), SegmentSize: 1 << 22})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(inno.Close)
+	f.Register("innodb", inno)
+	s := f.NewSession(0)
+	script := func(table string) (affected []int, rows []core.Row) {
+		for id := int64(1); id <= 3; id++ {
+			mustExec(t, s, "INSERT INTO "+table+" VALUES (?, ?, ?, ?)", core.I(id), core.S("n"), core.I(id*10), core.Null)
+		}
+		for _, st := range []struct {
+			sql  string
+			args []core.Value
+		}{
+			{"UPDATE " + table + " SET v = ? WHERE id = ?", []core.Value{core.I(11), core.I(1)}},
+			{"UPDATE " + table + " SET name = ?, note = ?, v = 0 WHERE id = ?", []core.Value{core.S("a much longer name than before"), core.S("x"), core.I(2)}},
+			{"UPDATE " + table + " SET v = 1, v = 2 WHERE id = 3", nil},                                   // the last assignment wins
+			{"UPDATE " + table + " SET v = 99 WHERE id = 3 AND name = ?", []core.Value{core.S("m")}},      // residual mismatch
+			{"UPDATE " + table + " SET note = NULL WHERE id = 2 AND name = ?", []core.Value{core.S("n")}}, // stale residual
+			{"UPDATE " + table + " SET name = '' WHERE id = 1 AND v = 11 AND name = 'n'", nil},            // residual match
+			{"UPDATE " + table + " SET v = 5 WHERE id = 4", nil},                                          // no such row
+			{"UPDATE " + table + " SET note = ? WHERE id = ?", []core.Value{core.B([]byte{0, 1, 2}), core.I(1)}},
+		} {
+			affected = append(affected, mustExec(t, s, st.sql, st.args...).Affected)
+		}
+		for id := int64(1); id <= 4; id++ {
+			rows = append(rows, mustExec(t, s, "SELECT * FROM "+table+" WHERE id = ?", core.I(id)).Rows...)
+		}
+		return affected, rows
+	}
+	const cols = " (id INT, name TEXT, v INT, note TEXT, PRIMARY KEY(id))"
+	mustExec(t, s, "CREATE TABLE spliced"+cols+" WITH ENGINE=hiengine")
+	mustExec(t, s, "CREATE TABLE copied"+cols+" WITH ENGINE=innodb")
+	gotN, gotRows := script("spliced")
+	wantN, wantRows := script("copied")
+	if fmt.Sprint(gotN) != fmt.Sprint(wantN) {
+		t.Fatalf("affected counts: spliced %v, get-then-update %v", gotN, wantN)
+	}
+	if fmt.Sprint(gotRows) != fmt.Sprint(wantRows) {
+		t.Fatalf("rows after the script:\nspliced         %v\nget-then-update %v", gotRows, wantRows)
+	}
+	if want := []int{1, 1, 1, 0, 0, 1, 0, 1}; fmt.Sprint(gotN) != fmt.Sprint(want) {
+		t.Fatalf("affected counts %v, want %v", gotN, want)
+	}
+	// Setting the key column itself re-keys the row (the baseline's update
+	// does not, so this is checked on the spliced path alone).
+	mustExec(t, s, "UPDATE spliced SET id = 7 WHERE id = 3")
+	if res := mustExec(t, s, "UPDATE spliced SET v = ? WHERE id = ?", core.I(-1<<40), core.I(7)); res.Affected != 1 {
+		t.Fatalf("update under the new key affected %d rows", res.Affected)
+	}
+	if res := mustExec(t, s, "SELECT v FROM spliced WHERE id = 3"); len(res.Rows) != 0 {
+		t.Fatalf("the old key still resolves: %v", res.Rows)
+	}
+	if _, err := s.Exec("UPDATE spliced SET id = 1 WHERE id = 7"); !errors.Is(err, engineapi.ErrDuplicate) {
+		t.Fatalf("re-keying onto a taken key: %v", err)
+	}
+}
+
+// TestWriteStatementAllocs holds prepared writes in an open transaction to
+// what outlives them: an INSERT its payload, version, index leaf and Result;
+// a point UPDATE its payload, version and Result. Parameters are bound into
+// session scratch and the row never exists as Values below sqlfront.
+func TestWriteStatementAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	f, _ := testFrontend(t)
+	s := f.NewSession(0)
+	mustExec(t, s, "CREATE TABLE bench (id INT, k INT, c TEXT, PRIMARY KEY(id))")
+	ins, err := s.Prepare("INSERT INTO bench VALUES (?, ?, ?)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	upd, err := s.Prepare("UPDATE bench SET k = ?, c = ? WHERE id = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := core.S(strings.Repeat("x", 100))
+	args := make([]core.Value, 3)
+	next := int64(0)
+	mustExec(t, s, "BEGIN")
+	avg := testing.AllocsPerRun(500, func() {
+		args[0], args[1], args[2] = core.I(next), core.I(next*7919), text
+		next++
+		if _, err := ins.Exec(args...); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 5 { // 4 and the index's inner nodes
+		t.Errorf("a prepared INSERT allocates %.1f times, want <= 5", avg)
+	}
+	avg = testing.AllocsPerRun(500, func() {
+		next++
+		args[0], args[1], args[2] = core.I(next), text, core.I(next%500)
+		if res, err := upd.Exec(args...); err != nil || res.Affected != 1 {
+			t.Fatal(res, err)
+		}
+	})
+	if avg > 4 {
+		t.Errorf("a prepared point UPDATE allocates %.1f times, want <= 4", avg)
+	}
+	mustExec(t, s, "COMMIT")
 }

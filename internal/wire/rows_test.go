@@ -263,3 +263,67 @@ func FuzzSpliceProjection(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSpliceUpdate: the point UPDATE's new payload. For a stored row and any
+// assignments, splicing the set columns into the encoded row equals
+// decoding it, assigning, and re-encoding -- byte for byte when the row is
+// in EncodeRow's own form, value for value otherwise -- the two reject the
+// same malformed rows, and the splice has exactly the length it announced.
+func FuzzSpliceUpdate(f *testing.F) {
+	for i, seed := range goldenRows() {
+		f.Add(seed, []byte{byte(i), 0, byte(i >> 1), 3}, int64(i)-3, fmt.Sprint("v", i))
+	}
+	f.Fuzz(func(t *testing.T, data, pick []byte, num int64, str string) {
+		var v core.RowView
+		rest, verr := v.Reset(data)
+		row, _, derr := core.DecodeRowPrefix(data)
+		if (verr == nil) != (derr == nil) {
+			t.Fatalf("walker err %v, decoder err %v", verr, derr)
+		}
+		if verr != nil {
+			return
+		}
+		// Each pick byte assigns one column a value of a kind it selects;
+		// a column may be assigned twice (the last assignment wins).
+		values := []core.Value{core.I(num), core.S(str), core.Null, core.F(float64(num) / 7), core.B([]byte(str)), core.I(-num)}
+		var set []core.ColValue
+		want := append(core.Row{}, row...)
+		for i, p := range pick {
+			if len(row) == 0 {
+				break
+			}
+			cv := core.ColValue{Col: int(p) % len(row), Val: values[(int(p)/len(row)+i)%len(values)]}
+			set = append(set, cv)
+			want[cv.Col] = cv.Val
+		}
+		n, err := v.SplicedLen(set)
+		if err != nil {
+			t.Fatalf("assignments %v: %v", set, err)
+		}
+		got, err := v.AppendSplice(nil, set)
+		if err != nil || len(got) != n {
+			t.Fatalf("assignments %v: spliced %d bytes (%v), announced %d", set, len(got), err, n)
+		}
+		canonical := bytes.Equal(core.EncodeRow(nil, row), data[:len(data)-len(rest)])
+		if enc := core.EncodeRow(nil, want); canonical && !bytes.Equal(got, enc) {
+			t.Fatalf("assignments %v: spliced %x, re-encoded %x", set, got, enc)
+		}
+		back, err := core.DecodeRow(got)
+		if err != nil || len(back) != len(want) {
+			t.Fatalf("assignments %v: spliced row decodes to %v (%v), want %v", set, back, err, want)
+		}
+		for i := range want {
+			if nan := want[i].Kind() == core.KindFloat && math.IsNaN(want[i].Float()); !nan && !back[i].Equal(want[i]) {
+				t.Fatalf("assignments %v col %d: %v, want %v", set, i, back[i], want[i])
+			}
+		}
+		// A column the row does not have is refused, not spliced.
+		bad := []core.ColValue{{Col: len(row), Val: core.I(1)}}
+		if _, err := v.SplicedLen(bad); err == nil {
+			t.Fatal("SplicedLen accepted a column past the row's end")
+		}
+		if _, err := v.AppendSplice(nil, bad); err == nil {
+			t.Fatal("AppendSplice accepted a column past the row's end")
+		}
+	})
+}
