@@ -243,24 +243,25 @@ func (c *Client) LastCSN() uint64 { return c.csn.Load() }
 // Options.Addr until failover repoints it at a promoted node.
 func (c *Client) PrimaryAddr() string { return *c.primary.Load() }
 
-// noteEpoch latches a greeting's epoch claim (monotonic max; 0 no-op).
-func (c *Client) noteEpoch(v uint64) {
-	if v == 0 {
-		return
-	}
+// raise lifts a monotonic high-water mark to at least v.
+func raise(mark *atomic.Uint64, v uint64) {
 	for {
-		cur := c.maxEpoch.Load()
-		if v <= cur || c.maxEpoch.CompareAndSwap(cur, v) {
+		cur := mark.Load()
+		if v <= cur || mark.CompareAndSwap(cur, v) {
 			return
 		}
 	}
 }
 
-// backoff sleeps the jittered exponential backoff for attempt (0-based).
-func (c *Client) backoff(attempt int) {
-	d := c.opts.RetryBase << uint(attempt)
-	if d > c.opts.RetryMax {
-		d = c.opts.RetryMax
+// noteEpoch latches a greeting's epoch claim (0 = no claim).
+func (c *Client) noteEpoch(v uint64) { raise(&c.maxEpoch, v) }
+
+// jitter sleeps a jittered exponential backoff for attempt (0-based): a
+// duration in [d/2, d] around base<<attempt, capped at max.
+func (c *Client) jitter(base, max time.Duration, attempt int) {
+	d := base << uint(attempt)
+	if d > max || d <= 0 {
+		d = max
 	}
 	c.mu.Lock()
 	j := time.Duration(c.rng.Uint64() % uint64(d/2+1))
@@ -268,11 +269,19 @@ func (c *Client) backoff(attempt int) {
 	time.Sleep(d/2 + j)
 }
 
-// retryable reports whether err may be retried (retryable wire codes
-// only; I/O and fatal errors fail fast).
-func retryable(err error) bool {
-	var we *wire.Error
-	return errors.As(err, &we) && we.Retryable()
+// retry is the client's one retry loop: fn runs until it succeeds, its
+// failure is one the request's retry class does not allow reissuing
+// (wire.RetryClass -- in particular any I/O error and any fatal code, so a
+// killed server makes clients fail fast, not retry-storm), or MaxRetries
+// attempts were spent, with seeded-jitter exponential backoff in between.
+func (c *Client) retry(class wire.RetryClass, inTxn bool, fn func() error) error {
+	for attempt := 0; ; attempt++ {
+		err := fn()
+		if err == nil || attempt >= c.opts.MaxRetries || !class.Allows(wire.CodeOf(err), inTxn) {
+			return err
+		}
+		c.jitter(c.opts.RetryBase, c.opts.RetryMax, attempt)
+	}
 }
 
 // Session leases a pooled connection as a dedicated session. Callers must
@@ -283,9 +292,8 @@ func (c *Client) Session() (*Session, error) {
 	select {
 	case <-c.tokens:
 	case <-t.C:
-		// A *wire.Error (not a bare fmt.Errorf wrap of the sentinel) so
-		// retryable() classifies pool exhaustion as CodeBusy: retryable
-		// with backoff, exactly like server-side admission rejection.
+		// A *wire.Error carrying CodeBusy, so pool exhaustion is retried
+		// with backoff exactly like server-side admission rejection.
 		return nil, &wire.Error{Code: wire.CodeBusy,
 			Msg: fmt.Sprintf("client: no session available in %v", c.opts.RequestTimeout)}
 	}
@@ -295,6 +303,30 @@ func (c *Client) Session() (*Session, error) {
 		return nil, err
 	}
 	return &Session{c: c, w: w}, nil
+}
+
+// lease is Session for the client's own one-shot calls: it rides out pool
+// exhaustion, and the session carries dt (nil = untraced).
+func (c *Client) lease(dt *DistTrace) (s *Session, err error) {
+	err = c.retry(wire.RetryAlways, false, func() error {
+		s, err = c.Session()
+		return err
+	})
+	if err == nil {
+		s.dist = dt
+	}
+	return s, err
+}
+
+// withSession leases a pooled session, runs fn on it and returns it to the
+// pool: the shape of every Client-level call.
+func (c *Client) withSession(dt *DistTrace, fn func(*Session) error) error {
+	s, err := c.lease(dt)
+	if err != nil {
+		return err
+	}
+	defer s.Close()
+	return fn(s)
 }
 
 // conn returns an idle pooled connection or dials a fresh one.
@@ -325,7 +357,7 @@ func (c *Client) dial() (*wconn, error) {
 	w := &wconn{
 		nc:      nc,
 		br:      bufio.NewReader(nc),
-		pending: make(map[uint64]chan response),
+		pending: make(map[uint64]chan wire.Response),
 		csn:     c.csn,
 		onGreeting: func(role byte, primary string, epoch uint64) {
 			c.noteEpoch(epoch)
@@ -353,23 +385,16 @@ func (c *Client) release(w *wconn, reusable bool) {
 
 // Ping round-trips an empty frame on a pooled connection.
 func (c *Client) Ping() error {
-	s, err := c.Session()
-	if err != nil {
-		return err
-	}
-	defer s.Close()
-	_, err = s.do(wire.OpPing, nil)
-	return err
+	return c.withSession(nil, (*Session).Ping)
 }
 
 // Stats fetches the server's stats snapshot text.
-func (c *Client) Stats() (string, error) {
-	s, err := c.Session()
-	if err != nil {
-		return "", err
-	}
-	defer s.Close()
-	return s.Stats()
+func (c *Client) Stats() (text string, err error) {
+	err = c.withSession(nil, func(s *Session) error {
+		text, err = s.Stats()
+		return err
+	})
+	return text, err
 }
 
 // isReadOnlySQL reports whether sql is a statement safe to route to a
@@ -379,66 +404,44 @@ func isReadOnlySQL(sql string) bool {
 	return len(s) >= 6 && strings.EqualFold(s[:6], "SELECT")
 }
 
-// execReplica runs one read-only statement on the next replica in
-// round-robin order, presenting the client's read-your-writes token. Any
-// failure is returned to the caller, who falls back to the primary.
-func (c *Client) execReplica(sql string, args []core.Value) (*wire.Result, error) {
-	rc := c.replicas[int(c.rr.Add(1))%len(c.replicas)]
-	s, err := rc.Session()
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	return s.execAt(c.csn.Load(), sql, args)
-}
-
 // Exec runs one autocommit statement on a pooled connection, retrying
 // retryable wire errors with backoff. When the client has replicas,
-// read-only statements route to a replica first and fall back to the
-// primary if the replica cannot serve them (behind the read-your-writes
-// token, unreachable, or read-only refusal); and a primary failure that
-// signals failover (connection loss, stale epoch, demotion) triggers
-// primary rediscovery followed by one replay of the statement. The
-// replay is at-least-once: a write whose acknowledgement was lost in
-// the failover may be applied twice (for inserts, the replay then
-// surfaces CodeDuplicate).
+// read-only statements route round-robin to a replica first, presenting the
+// client's read-your-writes token, and fall back to the primary if the
+// replica cannot serve them (behind the token, unreachable, or read-only
+// refusal); and a primary failure that signals failover (connection loss,
+// stale epoch, demotion) triggers primary rediscovery followed by one
+// replay of the statement. The replay is at-least-once: a write whose
+// acknowledgement was lost in the failover may be applied twice (for
+// inserts, the replay then surfaces CodeDuplicate).
 func (c *Client) Exec(sql string, args ...core.Value) (*wire.Result, error) {
+	return c.ExecTraced(nil, sql, args...)
+}
+
+// ExecTraced is Exec with every request it sends -- replica attempt, primary
+// attempt, replay -- carrying dt and recording its hop there (nil =
+// untraced). Tracing is an attribute of the call, never of its routing.
+func (c *Client) ExecTraced(dt *DistTrace, sql string, args ...core.Value) (res *wire.Result, err error) {
 	if len(c.replicas) > 0 && isReadOnlySQL(sql) {
-		if res, err := c.execReplica(sql, args); err == nil {
+		rc := c.replicas[int(c.rr.Add(1))%len(c.replicas)]
+		if rc.withSession(dt, func(s *Session) error {
+			res, err = s.ExecAt(c.csn.Load(), sql, args...)
+			return err
+		}) == nil {
 			return res, nil
 		}
 	}
-	res, err := c.execPrimary(sql, args)
-	if err == nil || !c.failoverEnabled() || !failoverable(err) {
-		return res, err
+	onPrimary := func(s *Session) error {
+		res, err = s.Exec(sql, args...)
+		return err
 	}
-	if ferr := c.rediscoverPrimary(); ferr != nil {
-		return nil, ferr
-	}
-	return c.execPrimary(sql, args)
-}
-
-// execPrimary runs one autocommit statement against the current primary,
-// retrying retryable wire errors with backoff.
-func (c *Client) execPrimary(sql string, args []core.Value) (*wire.Result, error) {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		s, err := c.Session()
-		if err != nil {
-			lastErr = err
-		} else {
-			var res *wire.Result
-			res, lastErr = s.exec(sql, args)
-			s.Close()
-			if lastErr == nil {
-				return res, nil
-			}
+	err = c.withSession(dt, onPrimary)
+	if err != nil && c.failoverEnabled() && failoverable(err) {
+		if err = c.rediscoverPrimary(); err == nil {
+			err = c.withSession(dt, onPrimary)
 		}
-		if attempt >= c.opts.MaxRetries || !retryable(lastErr) {
-			return nil, lastErr
-		}
-		c.backoff(attempt)
 	}
+	return res, err
 }
 
 // --- failover --------------------------------------------------------------
@@ -452,20 +455,15 @@ func (c *Client) failoverEnabled() bool {
 // failoverable reports whether err signals that the current primary is
 // gone or demoted, so rediscovery (not retry-in-place) is the remedy:
 // connection-level I/O failures, and the wire codes a losing-side node
-// answers with after a failover (stale epoch, read-only demotion, closed
-// engine). Retryable codes (conflict, busy) and statement errors stay
-// with the current primary.
+// answers with after a failover (wire.Moved). Retryable codes (conflict,
+// busy) and statement errors stay with the current primary.
 func failoverable(err error) bool {
 	if err == nil || errors.Is(err, ErrClientClosed) {
 		return false
 	}
 	var we *wire.Error
 	if errors.As(err, &we) {
-		switch we.Code {
-		case wire.CodeStaleEpoch, wire.CodeReadOnly, wire.CodeClosed:
-			return true
-		}
-		return false
+		return wire.Moved(we.Code)
 	}
 	return true // dial / read / write / timeout: the connection is gone
 }
@@ -516,7 +514,7 @@ func (c *Client) rediscoverPrimary() error {
 			c.adoptPrimary(bestAddr, best)
 			return nil
 		}
-		c.failoverBackoff(round)
+		c.jitter(c.opts.FailoverBase, c.opts.FailoverMax, round)
 	}
 	if lastErr != nil {
 		return fmt.Errorf("%w after %d rounds (last error: %v)",
@@ -542,14 +540,14 @@ func (c *Client) probe(addr string) (*Greeting, error) {
 	if err != nil {
 		return nil, fmt.Errorf("client: probe %s: %w", addr, err)
 	}
-	code, msg, body, err := wire.DecodeResponse(f.Payload)
+	r, err := wire.DecodeResponseFrame(f)
+	if err == nil {
+		err = r.Err()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("client: probe %s: %w", addr, err)
 	}
-	if code != wire.CodeOK {
-		return nil, fmt.Errorf("client: probe %s: %w", addr, wire.FromCode(code, msg))
-	}
-	role, primary, epoch, ok := wire.DecodeGreeting(body)
+	role, primary, epoch, ok := wire.DecodeGreeting(r.Body)
 	if !ok {
 		return nil, fmt.Errorf("client: probe %s: malformed greeting", addr)
 	}
@@ -580,28 +578,17 @@ func (c *Client) adoptPrimary(addr string, g *Greeting) {
 	}
 }
 
-// failoverBackoff sleeps the jittered rediscovery backoff for round
-// (0-based).
-func (c *Client) failoverBackoff(round int) {
-	d := c.opts.FailoverBase << uint(round)
-	if d > c.opts.FailoverMax || d <= 0 {
-		d = c.opts.FailoverMax
-	}
-	c.mu.Lock()
-	j := time.Duration(c.rng.Uint64() % uint64(d/2+1))
-	c.mu.Unlock()
-	time.Sleep(d/2 + j)
-}
-
 // --- session ---------------------------------------------------------------
 
-// Session is one leased server-side session. Statements inside an open
-// transaction are never retried; autocommit statements retry retryable
-// codes like Client.Exec.
+// Session is one leased server-side session. Every request goes through do,
+// which reissues it as its opcode's retry class allows: in particular,
+// statements inside an open transaction are never retried, autocommit
+// statements retry retryable codes.
 type Session struct {
 	c      *Client
 	w      *wconn
 	stmts  map[uint64]*Stmt
+	rows   map[uint64]*Rows // open server-side cursors
 	inTxn  bool
 	closed bool
 	fetch  int // streaming-page row hint; 0 = Options.FetchSize
@@ -651,24 +638,12 @@ func (s *Session) Trace(on bool) {
 // runs without a tracer).
 func (s *Session) LastTrace() *TraceResult { return s.lastTrace }
 
-// traceID returns the trace id for the next request: 0 when tracing is off,
-// otherwise the current unit's id (allocating one, and stamping the unit's
-// start time, when a new unit begins).
-func (s *Session) traceID() uint64 {
-	if !s.trace {
-		return 0
-	}
-	if s.curTraceID == 0 {
-		s.curTraceID = s.c.traceSeq.Add(1)
-		s.traceT0 = time.Now()
-	}
-	return s.curTraceID
-}
-
 // traceIDs returns the (trace id, hop id) pair for the next request. An
 // attached distributed trace supplies both: the shared trace id and a
 // fresh hop id numbering this request within the distributed transaction.
-// Otherwise plain per-session tracing applies with hop 0.
+// Otherwise plain per-session tracing applies with hop 0: trace id 0 when
+// tracing is off, else the current unit's id (allocating one, and stamping
+// the unit's start time, when a new unit begins).
 func (s *Session) traceIDs() (uint64, uint32) {
 	if s.dist != nil {
 		if s.traceT0.IsZero() {
@@ -676,38 +651,50 @@ func (s *Session) traceIDs() (uint64, uint32) {
 		}
 		return s.dist.ID(), s.dist.nextHop()
 	}
-	return s.traceID(), 0
+	if !s.trace {
+		return 0, 0
+	}
+	if s.curTraceID == 0 {
+		s.curTraceID = s.c.traceSeq.Add(1)
+		s.traceT0 = time.Now()
+	}
+	return s.curTraceID, 0
 }
 
 // Close rolls back any open transaction, closes any open prepared
-// statements, and returns the connection to the pool. Both must
-// round-trip before the connection is pooled: a reused connection is the
-// same server-side session, so pooling one with an open transaction
+// statements and cursors, and returns the connection to the pool. All of
+// it must round-trip before the connection is pooled: a reused connection
+// is the same server-side session, so pooling one with an open transaction
 // would leak that transaction (and its worker slot) to the next lessee,
-// and pooling one with live statement ids would leak server-side
+// pooling one with live statement ids would leak server-side
 // statement-table entries (and let a stale client Stmt execute against a
-// stranger's session). If either cleanup fails the connection is
-// discarded instead.
+// stranger's session), and pooling one with a live cursor would leak its
+// worker slot and pinned snapshot until the cursor table fills. If any
+// cleanup fails the connection is discarded instead.
 func (s *Session) Close() {
 	if s.closed {
 		return
 	}
 	if s.inTxn && s.w.healthy() {
-		if _, err := s.do(wire.OpAbort, nil); err == nil {
-			s.inTxn = false
-		}
+		s.Rollback()
 	}
 	reusable := !s.inTxn
-	if len(s.stmts) > 0 && s.w.healthy() {
+	if len(s.stmts)+len(s.rows) > 0 && s.w.healthy() {
 		// Pipeline the closes: start them all, then collect.
-		pend := make([]*Pending, 0, len(s.stmts))
-		for id := range s.stmts {
-			p, err := s.w.start(wire.OpCloseStmt, wire.EncodeCloseStmt(id), s.c.opts.RequestTimeout, 0, 0)
+		pend := make([]*Pending, 0, len(s.stmts)+len(s.rows))
+		closeHandle := func(op wire.Op, id uint64) {
+			p, err := s.w.start(op, wire.EncodeHandle(id), s.c.opts.RequestTimeout, 0, 0)
 			if err != nil {
 				reusable = false
-				break
+				return
 			}
 			pend = append(pend, p)
+		}
+		for id := range s.stmts {
+			closeHandle(wire.OpCloseStmt, id)
+		}
+		for id := range s.rows {
+			closeHandle(wire.OpScanClose, id)
 		}
 		for _, p := range pend {
 			if _, err := p.wait(); err != nil {
@@ -718,7 +705,10 @@ func (s *Session) Close() {
 	for _, st := range s.stmts {
 		st.closed = true
 	}
-	s.stmts = nil
+	for _, r := range s.rows {
+		r.closed, r.err = true, ErrClientClosed
+	}
+	s.stmts, s.rows = nil, nil
 	s.closed = true
 	s.c.release(s.w, reusable)
 }
@@ -726,11 +716,28 @@ func (s *Session) Close() {
 // InTxn reports the client-side view of the transaction state.
 func (s *Session) InTxn() bool { return s.inTxn }
 
-// do round-trips one request on the pinned connection.
-func (s *Session) do(op wire.Op, payload []byte) (response, error) {
+// do round-trips one request on the pinned connection, reissuing it as its
+// opcode's retry class allows, and mirrors what the outcome did to the
+// server-side transaction: conflict and duplicate errors abort it there
+// (the session is detached), as does losing the connection.
+func (s *Session) do(op wire.Op, payload []byte) (r wire.Response, err error) {
 	if s.closed {
-		return response{}, ErrClientClosed
+		return r, ErrClientClosed
 	}
+	err = s.c.retry(op.Retry(), s.inTxn, func() error {
+		r, err = s.roundTrip(op, payload)
+		return err
+	})
+	if err != nil {
+		if code := wire.CodeOf(err); code == wire.CodeConflict || code == wire.CodeDuplicate || !s.w.healthy() {
+			s.inTxn = false
+		}
+	}
+	return r, err
+}
+
+// roundTrip is one attempt of do.
+func (s *Session) roundTrip(op wire.Op, payload []byte) (wire.Response, error) {
 	tid, hop := s.traceIDs()
 	var sent time.Duration
 	if s.dist != nil {
@@ -739,10 +746,10 @@ func (s *Session) do(op wire.Op, payload []byte) (response, error) {
 	t0 := time.Now()
 	p, err := s.w.start(op, payload, s.c.opts.RequestTimeout, tid, hop)
 	if err != nil {
-		return response{}, err
+		return wire.Response{}, err
 	}
 	r, err := p.wait()
-	if r.trace != nil {
+	if r.Trace != nil {
 		// Stage timings ride the terminal response of the traced unit;
 		// receiving them completes the unit client-side. (A server whose
 		// own sampler picked the request can return timings even when this
@@ -751,35 +758,19 @@ func (s *Session) do(op wire.Op, payload []byte) (response, error) {
 		if !s.traceT0.IsZero() {
 			clientNS = int64(time.Since(s.traceT0))
 		}
-		s.lastTrace = &TraceResult{Info: r.trace, ClientNS: clientNS}
+		s.lastTrace = &TraceResult{Info: r.Trace, ClientNS: clientNS}
 		s.curTraceID = 0
 		s.traceT0 = time.Time{}
 		if s.dist != nil {
-			s.dist.record(op, sent, time.Since(t0), r.trace)
+			s.dist.record(op, sent, time.Since(t0), r.Trace)
 		}
 	}
 	return r, err
 }
 
-// noteOutcome tracks server-side transaction state: commit/rollback end
-// it; conflict and duplicate errors abort it server-side (the session is
-// detached there, so mirror that).
-func (s *Session) noteOutcome(err error) {
-	if err == nil {
-		return
-	}
-	var we *wire.Error
-	if errors.As(err, &we) && (we.Code == wire.CodeConflict || we.Code == wire.CodeDuplicate) {
-		s.inTxn = false
-	}
-	if !s.w.healthy() {
-		s.inTxn = false
-	}
-}
-
 // Begin opens the session transaction.
 func (s *Session) Begin() error {
-	_, err := s.doRetryable(wire.OpBegin, nil)
+	_, err := s.do(wire.OpBegin, nil)
 	if err == nil {
 		s.inTxn = true
 	}
@@ -790,23 +781,17 @@ func (s *Session) Begin() error {
 // response carries the commit CSN, which becomes the session's client's
 // read-your-writes token for subsequent replica reads.
 func (s *Session) Commit() error {
-	r, err := s.do(wire.OpCommit, nil)
+	_, err := s.result(s.do(wire.OpCommit, nil))
 	if err == nil {
-		if _, csn, derr := wire.DecodeResultCSN(r.body); derr == nil {
-			s.w.noteCSN(csn)
-		}
-	}
-	if err == nil || !s.w.healthy() {
 		s.inTxn = false
 	}
-	s.noteOutcome(err)
 	return err
 }
 
 // Rollback aborts the session transaction.
 func (s *Session) Rollback() error {
 	_, err := s.do(wire.OpAbort, nil)
-	if err == nil || !s.w.healthy() {
+	if err == nil {
 		s.inTxn = false
 	}
 	return err
@@ -821,7 +806,7 @@ func (s *Session) ShardMap(expect bool, id uint32) (*wire.ShardMap, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wire.DecodeShardMap(r.body)
+	return wire.DecodeShardMap(r.Body)
 }
 
 // TxnPrepare votes on the open session transaction as a two-phase-commit
@@ -835,27 +820,19 @@ func (s *Session) ShardMap(expect bool, id uint32) (*wire.ShardMap, error) {
 // leaves the participant in-doubt, and only the coordinator's recovery
 // protocol may resolve that.
 func (s *Session) TxnPrepare(gtid string) (vote byte, err error) {
-	r, err := s.do(wire.OpTxnPrepare, wire.EncodeTxnPrepare(gtid))
-	if err == nil {
+	r, err := s.do(wire.OpTxnPrepare, wire.EncodeGTID(gtid))
+	// Any definitive server answer means the transaction is gone; only
+	// admission refusals (Busy/Closed) answer without executing.
+	if code := wire.CodeOf(err); code != wire.CodeBusy && code != wire.CodeClosed {
 		s.inTxn = false
-	} else {
-		// Any definitive server answer means the transaction is gone; only
-		// admission refusals (Busy/Closed) answer without executing.
-		var we *wire.Error
-		if errors.As(err, &we) && we.Code != wire.CodeBusy && we.Code != wire.CodeClosed {
-			s.inTxn = false
-		}
-		if !s.w.healthy() {
-			s.inTxn = false
-		}
 	}
 	if err != nil {
 		return 0, err
 	}
-	if len(r.body) != 1 || r.body[0] > wire.PreparedReadOnly {
+	if len(r.Body) != 1 || r.Body[0] > wire.PreparedReadOnly {
 		return 0, wire.ErrPayloadCorrupt
 	}
-	return r.body[0], nil
+	return r.Body[0], nil
 }
 
 // TxnDecide delivers the coordinator's decision for a prepared gtid; the
@@ -867,18 +844,18 @@ func (s *Session) TxnDecide(gtid string, commit bool) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return wire.DecodeTxnCSN(r.body)
+	return wire.DecodeTxnCSN(r.Body)
 }
 
 // TxnStatus asks a participant for a gtid's outcome (wire.Txn* state byte
 // plus commit CSN). Recovering coordinators use it against a transaction's
 // home shard to learn the authoritative decision.
 func (s *Session) TxnStatus(gtid string) (state byte, csn uint64, err error) {
-	r, err := s.do(wire.OpTxnStatus, wire.EncodeTxnStatus(gtid))
+	r, err := s.do(wire.OpTxnStatus, wire.EncodeGTID(gtid))
 	if err != nil {
 		return 0, 0, err
 	}
-	return wire.DecodeTxnState(r.body)
+	return wire.DecodeTxnState(r.Body)
 }
 
 // TxnRecover lists the gtids prepared on this node but still undecided --
@@ -888,7 +865,7 @@ func (s *Session) TxnRecover() ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wire.DecodeGTIDList(r.body)
+	return wire.DecodeGTIDList(r.Body)
 }
 
 // TxnForget tells a participant to prune a decided gtid's 2PC bookkeeping.
@@ -896,17 +873,14 @@ func (s *Session) TxnRecover() ([]string, error) {
 // every participant; the response arrives when the forget record is durable.
 // Best-effort -- a lost forget just retains metadata.
 func (s *Session) TxnForget(gtid string) error {
-	_, err := s.do(wire.OpTxnForget, wire.EncodeTxnForget(gtid))
+	_, err := s.do(wire.OpTxnForget, wire.EncodeGTID(gtid))
 	return err
 }
 
 // Stats fetches the server stats snapshot.
 func (s *Session) Stats() (string, error) {
 	r, err := s.do(wire.OpStats, nil)
-	if err != nil {
-		return "", err
-	}
-	return string(r.body), nil
+	return string(r.Body), err
 }
 
 // Ping round-trips an empty frame.
@@ -917,6 +891,7 @@ func (s *Session) Ping() error {
 
 // txnVerb reports whether sql is bare BEGIN/COMMIT/ROLLBACK text (any
 // case, optional trailing semicolon), returning the normalized verb or "".
+// The client has to know: the verbs change the transaction state it mirrors.
 func txnVerb(sql string) string {
 	switch t := strings.ToUpper(strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(sql), ";"))); t {
 	case "BEGIN", "COMMIT", "ROLLBACK":
@@ -925,36 +900,54 @@ func txnVerb(sql string) string {
 	return ""
 }
 
-// Exec runs one statement. BEGIN/COMMIT/ROLLBACK text routes to the
-// dedicated opcodes so interactive drivers (hishell) get pipelined
-// commits and correct state tracking. Outside a transaction, retryable
-// errors retry with backoff; inside one they surface immediately.
-func (s *Session) Exec(sql string, args ...core.Value) (*wire.Result, error) {
-	switch txnVerb(sql) {
+// control runs a transaction verb through its dedicated opcode, so that
+// interactive drivers (hishell) and prepared verbs get pipelined commits
+// and correct state tracking.
+func (s *Session) control(verb string) (*wire.Result, error) {
+	switch verb {
 	case "BEGIN":
 		return &wire.Result{}, s.Begin()
 	case "COMMIT":
 		return &wire.Result{}, s.Commit()
-	case "ROLLBACK":
-		return &wire.Result{}, s.Rollback()
 	}
-	if s.inTxn {
-		res, err := s.exec(sql, args)
-		s.noteOutcome(err)
-		return res, err
+	return &wire.Result{}, s.Rollback()
+}
+
+// Exec runs one statement; BEGIN/COMMIT/ROLLBACK text routes to the
+// dedicated opcodes.
+func (s *Session) Exec(sql string, args ...core.Value) (*wire.Result, error) {
+	if verb := txnVerb(sql); verb != "" {
+		return s.control(verb)
 	}
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		res, err := s.exec(sql, args)
-		if err == nil {
-			return res, nil
-		}
-		lastErr = err
-		if attempt >= s.c.opts.MaxRetries || !retryable(lastErr) {
-			return nil, lastErr
-		}
-		s.c.backoff(attempt)
+	return s.result(s.do(wire.OpExec, wire.AppendExec(nil, sql, args)))
+}
+
+// ExecAt runs one read-only statement at-or-after minCSN: on a replica
+// the server waits (bounded) for its applied watermark to reach minCSN
+// before executing, answering CodeBusy if it cannot catch up in time.
+func (s *Session) ExecAt(minCSN uint64, sql string, args ...core.Value) (*wire.Result, error) {
+	return s.result(s.do(wire.OpExecAt, wire.AppendExecAt(nil, minCSN, sql, args)))
+}
+
+// result decodes a Result body, folding its trailing commit CSN (the
+// read-your-writes token) into the client token.
+func (s *Session) result(r wire.Response, err error) (*wire.Result, error) {
+	if err != nil {
+		return nil, err
 	}
+	return decodeResultNote(s.w, r.Body)
+}
+
+func decodeResultNote(w *wconn, body []byte) (*wire.Result, error) {
+	if len(body) == 0 {
+		return &wire.Result{}, nil
+	}
+	res, csn, err := wire.DecodeResultCSN(body)
+	if err != nil {
+		return nil, err
+	}
+	w.noteCSN(csn)
+	return res, nil
 }
 
 // --- prepared statements ---------------------------------------------------
@@ -967,28 +960,23 @@ func (s *Session) Exec(sql string, args ...core.Value) (*wire.Result, error) {
 type Stmt struct {
 	s       *Session
 	id      uint64
-	sql     string
 	verb    string // BEGIN/COMMIT/ROLLBACK, delegated to session state tracking
 	nParams int
 	closed  bool
 }
 
 // Prepare compiles sql server-side and returns its statement handle.
-// Retryable errors (busy admission) retry with backoff: preparing
-// executes nothing, so retry is safe even inside a transaction.
+// Preparing executes nothing, so it is retried even inside a transaction.
 func (s *Session) Prepare(sql string) (*Stmt, error) {
-	if s.closed {
-		return nil, ErrClientClosed
-	}
-	r, err := s.doRetryable(wire.OpPrepare, wire.EncodePrepare(sql))
+	r, err := s.do(wire.OpPrepare, wire.EncodePrepare(sql))
 	if err != nil {
 		return nil, err
 	}
-	id, n, err := wire.DecodePrepareResult(r.body)
+	id, n, err := wire.DecodePrepareResult(r.Body)
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
-	st := &Stmt{s: s, id: id, sql: sql, verb: txnVerb(sql), nParams: n}
+	st := &Stmt{s: s, id: id, verb: txnVerb(sql), nParams: n}
 	if s.stmts == nil {
 		s.stmts = make(map[uint64]*Stmt)
 	}
@@ -1002,47 +990,14 @@ func (st *Stmt) NumParams() int { return st.nParams }
 // Exec runs the prepared statement. Prepared BEGIN/COMMIT/ROLLBACK
 // delegate to the session's transaction methods so client-side state
 // tracking (and the pipelined commit path) stay exactly as for text.
-// Retry mirrors Session.Exec: retryable codes retry with backoff outside
-// a transaction, never inside one.
 func (st *Stmt) Exec(args ...core.Value) (*wire.Result, error) {
 	if st.closed {
 		return nil, ErrStmtClosed
 	}
-	s := st.s
-	switch st.verb {
-	case "BEGIN":
-		return &wire.Result{}, s.Begin()
-	case "COMMIT":
-		return &wire.Result{}, s.Commit()
-	case "ROLLBACK":
-		return &wire.Result{}, s.Rollback()
+	if st.verb != "" {
+		return st.s.control(st.verb)
 	}
-	if s.inTxn {
-		res, err := st.exec(args)
-		s.noteOutcome(err)
-		return res, err
-	}
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		res, err := st.exec(args)
-		if err == nil {
-			return res, nil
-		}
-		lastErr = err
-		if attempt >= s.c.opts.MaxRetries || !retryable(lastErr) {
-			return nil, lastErr
-		}
-		s.c.backoff(attempt)
-	}
-}
-
-// exec is one un-retried prepared round trip.
-func (st *Stmt) exec(args []core.Value) (*wire.Result, error) {
-	r, err := st.s.do(wire.OpExecStmt, wire.EncodeExecStmt(st.id, args))
-	if err != nil {
-		return nil, err
-	}
-	return decodeResultNote(st.s.w, r.body)
+	return st.s.result(st.s.do(wire.OpExecStmt, wire.AppendExecStmt(nil, st.id, args)))
 }
 
 // ExecPipe sends a prepared execution without waiting (no retry). A
@@ -1053,17 +1008,10 @@ func (st *Stmt) ExecPipe(args ...core.Value) (*Pending, error) {
 	if st.closed {
 		return nil, ErrStmtClosed
 	}
-	if st.s.closed {
-		return nil, ErrClientClosed
+	if st.verb != "" {
+		st.s.inTxn = st.verb == "BEGIN"
 	}
-	switch st.verb {
-	case "BEGIN":
-		st.s.inTxn = true
-	case "COMMIT", "ROLLBACK":
-		st.s.inTxn = false
-	}
-	tid, hop := st.s.traceIDs()
-	return st.s.w.start(wire.OpExecStmt, wire.EncodeExecStmt(st.id, args), st.s.c.opts.RequestTimeout, tid, hop)
+	return st.s.pipe(wire.OpExecStmt, wire.AppendExecStmt(nil, st.id, args))
 }
 
 // Close releases the server-side statement. Closing twice (or closing
@@ -1078,65 +1026,8 @@ func (st *Stmt) Close() error {
 	if s.closed || !s.w.healthy() {
 		return nil
 	}
-	_, err := s.do(wire.OpCloseStmt, wire.EncodeCloseStmt(st.id))
+	_, err := s.do(wire.OpCloseStmt, wire.EncodeHandle(st.id))
 	return err
-}
-
-// exec is one un-retried statement round trip.
-func (s *Session) exec(sql string, args []core.Value) (*wire.Result, error) {
-	r, err := s.do(wire.OpExec, wire.EncodeExec(sql, args))
-	if err != nil {
-		return nil, err
-	}
-	return decodeResultNote(s.w, r.body)
-}
-
-// execAt is one un-retried snapshot-read round trip against a replica,
-// carrying minCSN as the read-your-writes token.
-func (s *Session) execAt(minCSN uint64, sql string, args []core.Value) (*wire.Result, error) {
-	r, err := s.do(wire.OpExecAt, wire.EncodeExecAt(minCSN, sql, args))
-	if err != nil {
-		return nil, err
-	}
-	return decodeResultNote(s.w, r.body)
-}
-
-// ExecAt runs one read-only statement at-or-after minCSN: on a replica
-// the server waits (bounded) for its applied watermark to reach minCSN
-// before executing, answering CodeBusy if it cannot catch up in time.
-func (s *Session) ExecAt(minCSN uint64, sql string, args ...core.Value) (*wire.Result, error) {
-	return s.execAt(minCSN, sql, args)
-}
-
-// decodeResultNote decodes a Result body, folding any trailing commit CSN
-// (the read-your-writes token on commit responses) into the client token.
-func decodeResultNote(w *wconn, body []byte) (*wire.Result, error) {
-	if len(body) == 0 {
-		return &wire.Result{}, nil
-	}
-	res, csn, err := wire.DecodeResultCSN(body)
-	if err != nil {
-		return nil, err
-	}
-	w.noteCSN(csn)
-	return res, nil
-}
-
-// doRetryable round-trips with retry on retryable codes (used by Begin,
-// which precedes any transaction state).
-func (s *Session) doRetryable(op wire.Op, payload []byte) (response, error) {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		r, err := s.do(op, payload)
-		if err == nil {
-			return r, nil
-		}
-		lastErr = err
-		if attempt >= s.c.opts.MaxRetries || !retryable(lastErr) {
-			return response{}, lastErr
-		}
-		s.c.backoff(attempt)
-	}
 }
 
 // --- pipelined futures -----------------------------------------------------
@@ -1147,28 +1038,29 @@ func (s *Session) doRetryable(op wire.Op, payload []byte) (response, error) {
 type Pending struct {
 	w  *wconn
 	id uint64
-	ch chan response
+	ch chan wire.Response
 	t  time.Duration
+}
+
+// pipe sends one request without waiting for its response (no retry).
+func (s *Session) pipe(op wire.Op, payload []byte) (*Pending, error) {
+	if s.closed {
+		return nil, ErrClientClosed
+	}
+	tid, hop := s.traceIDs()
+	return s.w.start(op, payload, s.c.opts.RequestTimeout, tid, hop)
 }
 
 // ExecPipe sends a statement without waiting (no retry; transaction-state
 // tracking is the caller's concern when pipelining).
 func (s *Session) ExecPipe(sql string, args ...core.Value) (*Pending, error) {
-	if s.closed {
-		return nil, ErrClientClosed
-	}
-	tid, hop := s.traceIDs()
-	return s.w.start(wire.OpExec, wire.EncodeExec(sql, args), s.c.opts.RequestTimeout, tid, hop)
+	return s.pipe(wire.OpExec, wire.AppendExec(nil, sql, args))
 }
 
 // CommitPipe sends a commit without waiting; Wait returns at durability.
 func (s *Session) CommitPipe() (*Pending, error) {
-	if s.closed {
-		return nil, ErrClientClosed
-	}
 	s.inTxn = false
-	tid, hop := s.traceIDs()
-	return s.w.start(wire.OpCommit, nil, s.c.opts.RequestTimeout, tid, hop)
+	return s.pipe(wire.OpCommit, nil)
 }
 
 // Wait blocks for the response.
@@ -1177,18 +1069,10 @@ func (p *Pending) Wait() (*wire.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeResultNote(p.w, r.body)
+	return decodeResultNote(p.w, r.Body)
 }
 
 // --- connection ------------------------------------------------------------
-
-// response is one decoded response.
-type response struct {
-	code  wire.Code
-	msg   string
-	body  []byte
-	trace *wire.TraceInfo // stage timings, on traced terminal responses
-}
 
 // wconn is one multiplexed TCP connection.
 type wconn struct {
@@ -1203,24 +1087,14 @@ type wconn struct {
 	writeMu sync.Mutex
 
 	mu      sync.Mutex
-	pending map[uint64]chan response
+	pending map[uint64]chan wire.Response
 	reqSeq  uint64
 	err     error // sticky: set once the connection fails
 }
 
 // noteCSN folds a commit CSN from a response body into the client's shared
-// read-your-writes token (monotonic max; 0 is a no-op).
-func (w *wconn) noteCSN(v uint64) {
-	if v == 0 || w.csn == nil {
-		return
-	}
-	for {
-		cur := w.csn.Load()
-		if v <= cur || w.csn.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
+// read-your-writes token.
+func (w *wconn) noteCSN(v uint64) { raise(w.csn, v) }
 
 // healthy reports whether the connection can carry more requests.
 func (w *wconn) healthy() bool {
@@ -1236,7 +1110,7 @@ func (w *wconn) fail(err error) {
 		w.err = err
 	}
 	pend := w.pending
-	w.pending = make(map[uint64]chan response)
+	w.pending = make(map[uint64]chan wire.Response)
 	w.mu.Unlock()
 	w.nc.Close()
 	for _, ch := range pend {
@@ -1248,7 +1122,7 @@ func (w *wconn) fail(err error) {
 // flags the frame as traced, asking the server to trace the request; hop
 // is the request's span id within a distributed trace (0 outside one).
 func (w *wconn) start(op wire.Op, payload []byte, timeout time.Duration, traceID uint64, hop uint32) (*Pending, error) {
-	ch := make(chan response, 1)
+	ch := make(chan wire.Response, 1)
 	w.mu.Lock()
 	if w.err != nil {
 		err := w.err
@@ -1282,7 +1156,7 @@ func (w *wconn) start(op wire.Op, payload []byte, timeout time.Duration, traceID
 // wait blocks for the future's response, the connection's failure, or the
 // timeout (which fails the connection: request IDs cannot be resynced
 // once a response is abandoned).
-func (p *Pending) wait() (response, error) {
+func (p *Pending) wait() (wire.Response, error) {
 	t := time.NewTimer(p.t)
 	defer t.Stop()
 	select {
@@ -1291,18 +1165,15 @@ func (p *Pending) wait() (response, error) {
 			p.w.mu.Lock()
 			err := p.w.err
 			p.w.mu.Unlock()
-			return response{}, err
+			return wire.Response{}, err
 		}
-		if r.code != wire.CodeOK {
-			// Return r alongside the error: traced error responses still
-			// carry stage timings worth surfacing.
-			return r, wire.FromCode(r.code, r.msg)
-		}
-		return r, nil
+		// r rides along with an error: traced error responses still carry
+		// stage timings worth surfacing.
+		return r, r.Err()
 	case <-t.C:
 		err := fmt.Errorf("client: request %d timed out after %v", p.id, p.t)
 		p.w.fail(err)
-		return response{}, err
+		return wire.Response{}, err
 	}
 }
 
@@ -1318,22 +1189,7 @@ func (w *wconn) readLoop() {
 			w.fail(fmt.Errorf("client: read: %w", err))
 			return
 		}
-		payload := f.Payload
-		var ti *wire.TraceInfo
-		if f.Traced {
-			// Traced responses carry the stage-timing block ahead of the
-			// response body.
-			var rest []byte
-			ti, rest, err = wire.DecodeTraceBlock(payload)
-			if err != nil {
-				w.fail(fmt.Errorf("client: %w", err))
-				return
-			}
-			ti.TraceID = f.TraceID
-			ti.Hop = f.Hop
-			payload = rest
-		}
-		code, msg, body, err := wire.DecodeResponse(payload)
+		r, err := wire.DecodeResponseFrame(f)
 		if err != nil {
 			w.fail(fmt.Errorf("client: %w", err))
 			return
@@ -1343,20 +1199,20 @@ func (w *wconn) readLoop() {
 		delete(w.pending, f.RequestID)
 		w.mu.Unlock()
 		if !ok {
-			if code != wire.CodeOK {
-				w.fail(wire.FromCode(code, msg))
+			if err := r.Err(); err != nil {
+				w.fail(err)
 				return
 			}
-			if role, primary, epoch, gok := wire.DecodeGreeting(body); gok && w.onGreeting != nil {
+			if role, primary, epoch, gok := wire.DecodeGreeting(r.Body); gok && w.onGreeting != nil {
 				w.onGreeting(role, primary, epoch)
 			}
 			continue
 		}
-		// body aliases the FrameReader's reusable buffer; the future runs
+		// Body aliases the FrameReader's reusable buffer; the future runs
 		// on another goroutine, so hand it a copy.
-		if len(body) > 0 {
-			body = append([]byte(nil), body...)
+		if len(r.Body) > 0 {
+			r.Body = append([]byte(nil), r.Body...)
 		}
-		ch <- response{code: code, msg: msg, body: body, trace: ti}
+		ch <- r
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hiengine/internal/core"
 	"hiengine/internal/wire"
 )
 
@@ -91,44 +90,3 @@ func (d *DistTrace) Hops() []DistHop {
 // trace id with a fresh hop id, and each completed traced unit's stage
 // block is collected into the trace. Takes precedence over Trace(on).
 func (s *Session) SetDistTrace(dt *DistTrace) { s.dist = dt }
-
-// ExecDist runs one autocommit statement on a pooled session carrying dt,
-// recording the statement's hop into the trace. Retry semantics are the
-// session's (autocommit statements retry retryable codes like Exec).
-func (c *Client) ExecDist(dt *DistTrace, sql string, args ...core.Value) (*wire.Result, error) {
-	s, err := c.Session()
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	s.SetDistTrace(dt)
-	return s.Exec(sql, args...)
-}
-
-// ExecBatchDist runs one atomic batch on a pooled session carrying dt.
-func (c *Client) ExecBatchDist(dt *DistTrace, stmts []wire.BatchStmt) ([]int, error) {
-	s, err := c.Session()
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	s.SetDistTrace(dt)
-	return s.ExecBatch(stmts)
-}
-
-// QueryDist is Client.Query with dt attached to the session for the life
-// of the cursor: the open and every page fetch record hops into dt.
-func (c *Client) QueryDist(dt *DistTrace, sql string, args ...core.Value) (*Rows, error) {
-	s, err := c.Session()
-	if err != nil {
-		return nil, err
-	}
-	s.SetDistTrace(dt)
-	r, err := s.Query(sql, args...)
-	if err != nil {
-		s.Close()
-		return nil, err
-	}
-	r.ownSess = true
-	return r, nil
-}

@@ -3,8 +3,6 @@
 package client
 
 import (
-	"errors"
-
 	"hiengine/internal/core"
 	"hiengine/internal/wire"
 )
@@ -52,7 +50,14 @@ type Rows struct {
 // exactly like Exec -- nothing has streamed yet, so replaying the open is
 // safe.
 func (c *Client) Query(sql string, args ...core.Value) (*Rows, error) {
-	s, err := c.Session()
+	return c.QueryTraced(nil, sql, args...)
+}
+
+// QueryTraced is Query with dt attached to the session for the life of the
+// cursor: the open and every page fetch record hops into dt (nil =
+// untraced).
+func (c *Client) QueryTraced(dt *DistTrace, sql string, args ...core.Value) (*Rows, error) {
+	s, err := c.lease(dt)
 	if err != nil {
 		return nil, err
 	}
@@ -68,22 +73,39 @@ func (c *Client) Query(sql string, args ...core.Value) (*Rows, error) {
 // Query opens a streaming SELECT on this session. The cursor pins its own
 // MVCC snapshot server-side: the stream is consistent as of the open
 // regardless of concurrent writers. Refused inside an open transaction
-// (the snapshot would not see the transaction's own writes).
+// (the snapshot would not see the transaction's own writes). An open
+// cursor is tracked on the session until it is exhausted or closed, so
+// that Session.Close can release it.
 func (s *Session) Query(sql string, args ...core.Value) (*Rows, error) {
-	if s.closed {
-		return nil, ErrClientClosed
-	}
 	fetch := s.fetchSize()
-	r, err := s.doRetryable(wire.OpScanOpen, wire.EncodeScanOpen(fetch, sql, args))
+	resp, err := s.do(wire.OpScanOpen, wire.AppendScanOpen(nil, fetch, sql, args))
 	if err != nil {
 		return nil, err
 	}
-	id, done, res, err := wire.DecodeCursorPage(r.body)
-	if err != nil {
+	r := &Rows{s: s, fetch: fetch}
+	if err := r.loadPage(resp.Body); err != nil {
 		return nil, err
 	}
-	return &Rows{s: s, id: id, fetch: fetch, cols: res.Columns,
-		page: res.Rows, srvDone: done}, nil
+	if !r.srvDone {
+		if s.rows == nil {
+			s.rows = make(map[uint64]*Rows)
+		}
+		s.rows[r.id] = r
+	}
+	return r, nil
+}
+
+// loadPage installs one cursor-page body as the current page.
+func (r *Rows) loadPage(body []byte) error {
+	id, done, res, err := wire.DecodeCursorPage(body)
+	if err != nil {
+		return err
+	}
+	r.id, r.cols, r.page, r.idx, r.srvDone = id, res.Columns, res.Rows, 0, done
+	if done {
+		delete(r.s.rows, id)
+	}
+	return nil
 }
 
 // SetFetchSize sets the rows-per-page hint for this session's streaming
@@ -104,8 +126,10 @@ func (s *Session) fetchSize() int {
 }
 
 // Next advances to the next row, fetching the next page from the server
-// when the current one drains. It returns false at exhaustion or on
-// error; Err distinguishes the two.
+// when the current one drains (one OpScanNext round trip; of its failures
+// only an admission refusal is retried, anything later may have consumed
+// rows and is terminal for the stream). It returns false at exhaustion or
+// on error; Err distinguishes the two.
 func (r *Rows) Next() bool {
 	if r.closed {
 		return false
@@ -115,41 +139,18 @@ func (r *Rows) Next() bool {
 			r.finish(nil)
 			return false
 		}
-		if !r.fetchPage() {
+		resp, err := r.s.do(wire.OpScanNext, wire.EncodeScanNext(r.id, r.fetch))
+		if err == nil {
+			err = r.loadPage(resp.Body)
+		}
+		if err != nil {
+			r.finish(err)
 			return false
 		}
 	}
 	r.row = r.page[r.idx]
 	r.idx++
 	return true
-}
-
-// fetchPage issues one OpScanNext round trip. Only CodeBusy retries: busy
-// means the request was rejected at admission, before touching the
-// cursor, so replay is safe; any error after rows may have been consumed
-// (including conflict) is terminal for the stream.
-func (r *Rows) fetchPage() bool {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		resp, err := r.s.do(wire.OpScanNext, wire.EncodeScanNext(r.id, r.fetch))
-		if err == nil {
-			_, done, res, derr := wire.DecodeCursorPage(resp.body)
-			if derr != nil {
-				r.finish(derr)
-				return false
-			}
-			r.page, r.idx, r.srvDone = res.Rows, 0, done
-			return true
-		}
-		lastErr = err
-		var we *wire.Error
-		if attempt >= r.s.c.opts.MaxRetries || !errors.As(err, &we) || we.Code != wire.CodeBusy {
-			break
-		}
-		r.s.c.backoff(attempt)
-	}
-	r.finish(lastErr)
-	return false
 }
 
 // Row returns the current row (valid after Next returned true, until the
@@ -176,10 +177,13 @@ func (r *Rows) finish(err error) {
 	}
 	r.closed = true
 	r.err = err
-	if !r.srvDone && !r.s.closed && r.s.w.healthy() {
-		// Best effort: the server reaps abandoned cursors with the
-		// connection anyway.
-		r.s.do(wire.OpScanClose, wire.EncodeScanClose(r.id))
+	if !r.srvDone {
+		delete(r.s.rows, r.id)
+		if !r.s.closed && r.s.w.healthy() {
+			// Best effort: the server reaps abandoned cursors with the
+			// connection anyway.
+			r.s.do(wire.OpScanClose, wire.EncodeHandle(r.id))
+		}
 	}
 	if r.ownSess {
 		r.s.Close()
@@ -193,39 +197,14 @@ func (r *Rows) finish(err error) {
 // nothing applied; inside one it is simply N statements of the open
 // transaction and errors surface immediately, like Exec.
 func (s *Session) ExecBatch(stmts []wire.BatchStmt) ([]int, error) {
-	if s.closed {
-		return nil, ErrClientClosed
-	}
 	if len(stmts) == 0 {
 		return nil, nil
 	}
-	payload := wire.EncodeExecBatch(stmts)
-	if s.inTxn {
-		aff, err := s.execBatch(payload)
-		s.noteOutcome(err)
-		return aff, err
-	}
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		aff, err := s.execBatch(payload)
-		if err == nil {
-			return aff, nil
-		}
-		lastErr = err
-		if attempt >= s.c.opts.MaxRetries || !retryable(lastErr) {
-			return nil, lastErr
-		}
-		s.c.backoff(attempt)
-	}
-}
-
-// execBatch is one un-retried batch round trip.
-func (s *Session) execBatch(payload []byte) ([]int, error) {
-	r, err := s.do(wire.OpExecBatch, payload)
+	r, err := s.do(wire.OpExecBatch, wire.AppendExecBatch(nil, stmts))
 	if err != nil {
 		return nil, err
 	}
-	aff, csn, err := wire.DecodeBatchResult(r.body)
+	aff, csn, err := wire.DecodeBatchResult(r.Body)
 	if err != nil {
 		return nil, err
 	}
@@ -233,30 +212,16 @@ func (s *Session) execBatch(payload []byte) ([]int, error) {
 	return aff, nil
 }
 
-// ExecBatch runs one atomic batch on a pooled connection, retrying
-// retryable wire errors with backoff (safe: a failed auto-batch applies
-// nothing).
+// ExecBatch runs one atomic batch on a pooled connection.
 func (c *Client) ExecBatch(stmts []wire.BatchStmt) ([]int, error) {
-	if len(stmts) == 0 {
-		return nil, nil
-	}
-	payload := wire.EncodeExecBatch(stmts)
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		s, err := c.Session()
-		if err != nil {
-			lastErr = err
-		} else {
-			aff, berr := s.execBatch(payload)
-			s.Close()
-			if berr == nil {
-				return aff, nil
-			}
-			lastErr = berr
-		}
-		if attempt >= c.opts.MaxRetries || !retryable(lastErr) {
-			return nil, lastErr
-		}
-		c.backoff(attempt)
-	}
+	return c.ExecBatchTraced(nil, stmts)
+}
+
+// ExecBatchTraced is ExecBatch on a session carrying dt (nil = untraced).
+func (c *Client) ExecBatchTraced(dt *DistTrace, stmts []wire.BatchStmt) (aff []int, err error) {
+	err = c.withSession(dt, func(s *Session) error {
+		aff, err = s.ExecBatch(stmts)
+		return err
+	})
+	return aff, err
 }

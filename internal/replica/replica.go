@@ -135,7 +135,7 @@ type Shipper struct {
 	timeout time.Duration
 
 	nc     net.Conn
-	br     *bufio.Reader
+	fr     *wire.FrameReader
 	reqSeq uint64
 
 	manifest srss.PLogID
@@ -201,22 +201,20 @@ func (sh *Shipper) ObserveEpoch(e uint64) {
 func (sh *Shipper) Close() {
 	if sh.nc != nil {
 		sh.nc.Close()
-		sh.nc = nil
-		sh.br = nil
+		sh.nc, sh.fr = nil, nil
 	}
 }
 
-func (sh *Shipper) roundTrip(op wire.Op, payload []byte) ([]byte, error) {
-	return sh.roundTripTraced(op, payload, false)
-}
-
-func (sh *Shipper) roundTripTraced(op wire.Op, payload []byte, traced bool) ([]byte, error) {
+// roundTrip sends one request and returns its success body (a copy: the
+// read buffer is reused by the next frame). A traced request asks the
+// primary for its stage timings, which land in lastTrace.
+func (sh *Shipper) roundTrip(op wire.Op, payload []byte, traced bool) ([]byte, error) {
 	if sh.nc == nil {
 		nc, err := net.DialTimeout("tcp", sh.addr, sh.timeout)
 		if err != nil {
 			return nil, fmt.Errorf("replica: dial %s: %w", sh.addr, err)
 		}
-		sh.nc, sh.br = nc, bufio.NewReader(nc)
+		sh.nc, sh.fr = nc, wire.NewFrameReader(bufio.NewReader(nc), false)
 	}
 	sh.reqSeq++
 	id := sh.reqSeq
@@ -232,7 +230,7 @@ func (sh *Shipper) roundTripTraced(op wire.Op, payload []byte, traced bool) ([]b
 		return nil, fmt.Errorf("replica: write: %w", err)
 	}
 	for {
-		f, err := wire.ReadFrame(sh.br, false)
+		f, err := sh.fr.Read()
 		if err != nil {
 			sh.Close()
 			return nil, fmt.Errorf("replica: read: %w", err)
@@ -240,31 +238,18 @@ func (sh *Shipper) roundTripTraced(op wire.Op, payload []byte, traced bool) ([]b
 		if f.RequestID != id {
 			continue // the connection greeting (and any stale notice)
 		}
-		resp := f.Payload
-		if f.Traced {
-			// Peel the stage block off the front and keep it as the last
-			// sampled fetch trace. An untraced response to a traced request
-			// is fine (the primary may not be tracing); the reverse never
-			// happens.
-			ti, rest, terr := wire.DecodeTraceBlock(resp)
-			if terr != nil {
-				sh.Close()
-				return nil, fmt.Errorf("replica: %w", terr)
-			}
-			ti.TraceID, ti.Hop = f.TraceID, f.Hop
-			sh.lastTrace.Store(ti)
-			resp = rest
-		}
-		code, msg, body, err := wire.DecodeResponse(resp)
+		r, err := wire.DecodeResponseFrame(f)
 		if err != nil {
 			sh.Close()
 			return nil, fmt.Errorf("replica: %w", err)
 		}
-		if code != wire.CodeOK {
-			return nil, wire.FromCode(code, msg)
+		if r.Trace != nil {
+			sh.lastTrace.Store(r.Trace)
 		}
-		// body aliases the read buffer only until the next frame; copy.
-		return append([]byte(nil), body...), nil
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		return append([]byte(nil), r.Body...), nil
 	}
 }
 
@@ -274,7 +259,7 @@ func (sh *Shipper) roundTripTraced(op wire.Op, payload []byte, traced bool) ([]b
 // hello fails with core.ErrStaleEpoch so the follower never applies a
 // superseded lineage's log.
 func (sh *Shipper) Hello() (srss.PLogID, uint64, error) {
-	body, err := sh.roundTrip(wire.OpReplHello, wire.EncodeReplHelloReq(sh.Epoch()))
+	body, err := sh.roundTrip(wire.OpReplHello, wire.EncodeReplHelloReq(sh.Epoch()), false)
 	if err != nil {
 		return srss.PLogID{}, 0, err
 	}
@@ -309,7 +294,7 @@ func (sh *Shipper) LagBytes() int64 { return sh.lagBytes.Load() }
 // date, sealing mirrors of sealed PLogs (torn state mirrored). Returns
 // the number of bytes shipped.
 func (sh *Shipper) ShipOnce() (int64, error) {
-	body, err := sh.roundTrip(wire.OpReplList, nil)
+	body, err := sh.roundTrip(wire.OpReplList, nil, false)
 	if err != nil {
 		return 0, err
 	}
@@ -384,7 +369,7 @@ func (sh *Shipper) fetch(id srss.PLogID, off int64, max int) (wire.PLogStat, []b
 	}
 	sh.fetchSeq++
 	traced := sh.traceEvery > 0 && (sh.fetchSeq-1)%sh.traceEvery == 0
-	body, err := sh.roundTripTraced(wire.OpReplFetch, wire.EncodeReplFetch(id, off, max, sh.Epoch()), traced)
+	body, err := sh.roundTrip(wire.OpReplFetch, wire.EncodeReplFetch(id, off, max, sh.Epoch()), traced)
 	if err != nil {
 		return wire.PLogStat{}, nil, err
 	}

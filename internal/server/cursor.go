@@ -1,5 +1,5 @@
-// Streaming scans and batch writes: the server side of the cursor protocol
-// (OpScanOpen/OpScanNext/OpScanClose) and of OpExecBatch.
+// Streaming scans: the server side of the cursor protocol
+// (OpScanOpen/OpScanNext/OpScanClose).
 //
 // A cursor is a connection-scoped handle over a sqlfront.RowStream: one
 // SELECT pinned to its own MVCC snapshot, drained in bounded pages. Each
@@ -16,7 +16,6 @@ package server
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"hiengine/internal/obs"
@@ -66,29 +65,23 @@ func (s *Server) leaseSlot(tr *obs.Trace) (int, error) {
 
 // scanOpen handles OpScanOpen: parse/plan the SELECT, pin its snapshot in a
 // dedicated stream transaction under a freshly leased worker slot, register
-// the cursor and answer with the first page. Returns false only on a
-// protocol violation (corrupt payload).
-func (c *conn) scanOpen(reqID uint64, payload []byte, finish func(error, []byte)) bool {
-	fetch, sql, args, err := wire.DecodeScanOpen(payload)
+// the cursor and answer with the first page.
+func (c *conn) scanOpen(rq request, p []byte) bool {
+	fetch, sql, args, err := wire.DecodeScanOpen(p)
 	if err != nil {
-		c.s.mProtoErrs.Inc()
-		finish(err, nil)
-		return false
+		return rq.corrupt(err)
 	}
 	// A cursor pins its own snapshot, which would not see an open explicit
 	// transaction's writes -- refuse rather than surprise.
 	if c.sess.InTxn() {
-		finish(fmt.Errorf("%w: cannot open a cursor inside an explicit transaction", wire.ErrBadStatement), nil)
-		return true
+		return rq.fail(fmt.Errorf("%w: cannot open a cursor inside an explicit transaction", wire.ErrBadStatement))
 	}
 	if len(c.cursors) >= c.s.cfg.MaxCursors {
-		finish(fmt.Errorf("%w: cursor table full (%d open)", wire.ErrBadStatement, len(c.cursors)), nil)
-		return true
+		return rq.fail(fmt.Errorf("%w: cursor table full (%d open)", wire.ErrBadStatement, len(c.cursors)))
 	}
 	slot, err := c.s.leaseSlot(c.tr)
 	if err != nil {
-		finish(err, nil)
-		return true
+		return rq.fail(err)
 	}
 	// The stream gets its own throwaway session bound to the leased slot:
 	// the connection's session keeps serving interleaved statements while
@@ -103,8 +96,7 @@ func (c *conn) scanOpen(reqID uint64, payload []byte, finish func(error, []byte)
 		c.s.slots <- slot
 		// Engine sentinels (closed, busy) keep their codes through the
 		// wrap; everything else from open is a bad request.
-		finish(fmt.Errorf("%w: %w", wire.ErrBadStatement, err), nil)
-		return true
+		return rq.fail(fmt.Errorf("%w: %w", wire.ErrBadStatement, err))
 	}
 	if fetch <= 0 {
 		fetch = defaultFetchRows
@@ -113,48 +105,39 @@ func (c *conn) scanOpen(reqID uint64, payload []byte, finish func(error, []byte)
 		c.cursors = make(map[uint64]*cursorEntry)
 	}
 	c.curSeq++
-	id := c.curSeq
 	ce := &cursorEntry{rs: rs, slot: slot, fetch: fetch}
-	c.cursors[id] = ce
+	c.cursors[c.curSeq] = ce
 	c.s.mCursorsOpen.Add(1)
-	c.cursorPage(reqID, id, ce, fetch, finish)
-	return true
+	return c.cursorPage(rq, c.curSeq, ce, fetch)
 }
 
 // scanNext handles OpScanNext: pull the next page from an open cursor. An
 // unknown id -- never opened, exhausted (the server auto-closes on the done
 // page), failed mid-scan, or torn down -- answers CodeCursorGone.
-func (c *conn) scanNext(reqID uint64, payload []byte, finish func(error, []byte)) bool {
-	id, fetch, err := wire.DecodeScanNext(payload)
+func (c *conn) scanNext(rq request, p []byte) bool {
+	id, fetch, err := wire.DecodeScanNext(p)
 	if err != nil {
-		c.s.mProtoErrs.Inc()
-		finish(err, nil)
-		return false
+		return rq.corrupt(err)
 	}
 	ce := c.cursors[id]
 	if ce == nil {
-		finish(fmt.Errorf("%w: cursor %d", wire.ErrCursorGone, id), nil)
-		return true
+		return rq.fail(fmt.Errorf("%w: cursor %d", wire.ErrCursorGone, id))
 	}
-	c.cursorPage(reqID, id, ce, fetch, finish)
-	return true
+	return c.cursorPage(rq, id, ce, fetch)
 }
 
 // scanClose handles OpScanClose. Idempotent like OpCloseStmt: closing an
 // unknown or already-finished cursor succeeds, so clients can close
 // defensively.
-func (c *conn) scanClose(payload []byte, finish func(error, []byte)) bool {
-	id, err := wire.DecodeScanClose(payload)
+func (c *conn) scanClose(rq request, p []byte) bool {
+	id, err := wire.DecodeHandle(p)
 	if err != nil {
-		c.s.mProtoErrs.Inc()
-		finish(err, nil)
-		return false
+		return rq.corrupt(err)
 	}
 	if ce := c.cursors[id]; ce != nil {
 		c.closeCursor(id, ce)
 	}
-	finish(nil, nil)
-	return true
+	return rq.ok(nil)
 }
 
 // cursorPage pulls one bounded page off the cursor's stream and responds
@@ -163,31 +146,26 @@ func (c *conn) scanClose(payload []byte, finish func(error, []byte)) bool {
 // whichever lands first. On exhaustion the page carries done=true and the
 // cursor auto-closes; a mid-scan error closes the cursor and answers the
 // classified error.
-func (c *conn) cursorPage(reqID, id uint64, ce *cursorEntry, fetch int, finish func(error, []byte)) {
+func (c *conn) cursorPage(rq request, id uint64, ce *cursorEntry, fetch int) bool {
 	if fetch <= 0 {
 		fetch = ce.fetch
 	}
 	rowsBP := wire.GetBuf()
+	defer wire.PutBuf(rowsBP)
 	rows := sqlfront.RowBuf{Data: (*rowsBP)[:0]}
 	c.tr.Begin(obs.StageCursorProduce)
-	done, serr := ce.rs.NextPage(&rows, fetch, pageByteCap)
+	done, err := ce.rs.NextPage(&rows, fetch, pageByteCap)
 	c.tr.End(obs.StageCursorProduce)
 	*rowsBP = rows.Data
-	if serr != nil {
-		c.closeCursor(id, ce)
-		wire.PutBuf(rowsBP)
-		finish(serr, nil)
-		return
-	}
-	if done {
+	if done || err != nil {
 		c.closeCursor(id, ce)
 	}
-	bp := wire.GetBuf()
-	body := wire.AppendCursorPage((*bp)[:0], id, done, ce.rs.Columns, rows.N, rows.Data)
-	finish(nil, body)
-	*bp = body
-	wire.PutBuf(bp)
-	wire.PutBuf(rowsBP)
+	if err != nil {
+		return rq.fail(err)
+	}
+	return rq.okBuilt(func(buf []byte) []byte {
+		return wire.AppendCursorPage(buf, id, done, ce.rs.Columns, rows.N, rows.Data)
+	})
 }
 
 // closeCursor finishes a cursor's stream (unwinding its producer and its
@@ -197,116 +175,4 @@ func (c *conn) closeCursor(id uint64, ce *cursorEntry) {
 	c.s.slots <- ce.slot
 	delete(c.cursors, id)
 	c.s.mCursorsOpen.Add(-1)
-}
-
-// closeAllCursors is teardown's cursor cleanup: every open cursor's
-// snapshot and slot is released with the connection, which is also how
-// idle-cursor reaping works (the read-loop timeout fails the connection,
-// teardown reaps the cursors).
-func (c *conn) closeAllCursors() {
-	for id, ce := range c.cursors {
-		c.closeCursor(id, ce)
-	}
-}
-
-// isTxnControlText reports whether sql is a bare transaction verb (any
-// case, optional trailing semicolon).
-func isTxnControlText(sql string) bool {
-	s := strings.ToUpper(strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(sql), ";")))
-	return s == "BEGIN" || s == "COMMIT" || s == "ROLLBACK"
-}
-
-// execBatch handles OpExecBatch: N statements in one frame, one response
-// with a per-statement affected vector. Outside an explicit transaction the
-// batch is atomic -- it opens its own transaction and the response defers
-// to the commit's durability callback, riding the same pipelined
-// group-commit path as OpCommit. Inside one, the batch is simply N
-// statements of the open transaction and answers immediately (durability
-// comes with the eventual COMMIT). Any statement error aborts the rest of
-// the batch; an auto-batch is rolled back whole. Transaction verbs inside a
-// batch are refused -- they would break the one-response contract.
-func (c *conn) execBatch(reqID uint64, payload []byte, finish func(error, []byte), release func()) bool {
-	stmts, err := wire.DecodeExecBatch(payload)
-	if err != nil {
-		c.s.mProtoErrs.Inc()
-		finish(err, nil)
-		return false
-	}
-	if err := c.acquireSlot(); err != nil {
-		finish(err, nil)
-		return true
-	}
-	auto := !c.sess.InTxn()
-	if auto {
-		if err := c.sess.Begin(); err != nil {
-			c.releaseSlot()
-			finish(err, nil)
-			return true
-		}
-	}
-	fail := func(err error) {
-		if auto && c.sess.InTxn() {
-			c.sess.Rollback()
-		}
-		c.releaseSlot()
-		finish(err, nil)
-	}
-	affected := make([]int, 0, len(stmts))
-	for i, bs := range stmts {
-		if isTxnControlText(bs.SQL) {
-			fail(fmt.Errorf("%w: batch statement %d: transaction control not allowed in a batch", wire.ErrBadStatement, i))
-			return true
-		}
-		st, err := c.sess.Prepare(bs.SQL)
-		if err != nil {
-			fail(fmt.Errorf("%w: batch statement %d: %v", wire.ErrBadStatement, i, err))
-			return true
-		}
-		res, err := st.Exec(bs.Args...)
-		if err != nil {
-			fail(fmt.Errorf("batch statement %d: %w", i, err))
-			return true
-		}
-		affected = append(affected, res.Affected)
-	}
-	if !auto {
-		bp := wire.GetBuf()
-		body := wire.AppendBatchResult((*bp)[:0], affected, c.sess.LastCSN())
-		finish(nil, body)
-		*bp = body
-		wire.PutBuf(bp)
-		return true
-	}
-	// Atomic auto-batch: answer at durability, exactly like commit().
-	start := time.Now()
-	respondOK := func(tr *obs.Trace) {
-		bp := wire.GetBuf()
-		body := wire.AppendBatchResult((*bp)[:0], affected, c.sess.LastCSN())
-		c.respondTr(reqID, tr, wire.CodeOK, "", body)
-		*bp = body
-		wire.PutBuf(bp)
-	}
-	tr := c.tr
-	c.tr = nil
-	async, err := c.sess.CommitAsync(func(cerr error) {
-		c.s.mCommitDur.Record(time.Since(start).Nanoseconds())
-		if cerr != nil {
-			c.respondTrErr(reqID, tr, cerr)
-		} else {
-			respondOK(tr)
-		}
-		release()
-	})
-	c.sess.SetTrace(nil)
-	c.releaseSlot()
-	if async {
-		return true
-	}
-	if err != nil {
-		c.respondTrErr(reqID, tr, err)
-	} else {
-		respondOK(tr)
-	}
-	release()
-	return true
 }

@@ -167,7 +167,7 @@ func TestPreparedRawProtocol(t *testing.T) {
 		if f.RequestID != reqID {
 			t.Fatalf("response id %d, want %d", f.RequestID, reqID)
 		}
-		code, msg, body, err := wire.DecodeResponse(f.Payload)
+		code, msg, body, err := decodeResponse(f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func TestPreparedRawProtocol(t *testing.T) {
 	}
 
 	// Executing an id never issued is a bad request, not a dead connection.
-	code, msg, _ := roundTrip(wire.OpExecStmt, wire.EncodeExecStmt(999, []core.Value{core.I(1)}))
+	code, msg, _ := roundTrip(wire.OpExecStmt, wire.AppendExecStmt(nil, 999, []core.Value{core.I(1)}))
 	if code != wire.CodeBadRequest || !strings.Contains(msg, "unknown statement") {
 		t.Fatalf("unknown stmt id: code=%v msg=%q", code, msg)
 	}
@@ -189,19 +189,19 @@ func TestPreparedRawProtocol(t *testing.T) {
 	if err != nil || n != 1 {
 		t.Fatalf("prepare result: id=%d n=%d err=%v", id, n, err)
 	}
-	if code, msg, _ = roundTrip(wire.OpExecStmt, wire.EncodeExecStmt(id, []core.Value{core.I(1)})); code != wire.CodeOK {
+	if code, msg, _ = roundTrip(wire.OpExecStmt, wire.AppendExecStmt(nil, id, []core.Value{core.I(1)})); code != wire.CodeOK {
 		t.Fatalf("exec stmt: code=%v msg=%q", code, msg)
 	}
 
 	// Close is idempotent: both the live id and a never-issued id succeed.
-	if code, msg, _ = roundTrip(wire.OpCloseStmt, wire.EncodeCloseStmt(id)); code != wire.CodeOK {
+	if code, msg, _ = roundTrip(wire.OpCloseStmt, wire.EncodeHandle(id)); code != wire.CodeOK {
 		t.Fatalf("close stmt: code=%v msg=%q", code, msg)
 	}
-	if code, msg, _ = roundTrip(wire.OpCloseStmt, wire.EncodeCloseStmt(id)); code != wire.CodeOK {
+	if code, msg, _ = roundTrip(wire.OpCloseStmt, wire.EncodeHandle(id)); code != wire.CodeOK {
 		t.Fatalf("re-close stmt: code=%v msg=%q", code, msg)
 	}
 	// The closed id is gone.
-	if code, _, _ = roundTrip(wire.OpExecStmt, wire.EncodeExecStmt(id, []core.Value{core.I(2)})); code != wire.CodeBadRequest {
+	if code, _, _ = roundTrip(wire.OpExecStmt, wire.AppendExecStmt(nil, id, []core.Value{core.I(2)})); code != wire.CodeBadRequest {
 		t.Fatalf("exec closed stmt: code=%v", code)
 	}
 
@@ -220,7 +220,7 @@ func TestPreparedRawProtocol(t *testing.T) {
 	if code != wire.CodeBadRequest || !strings.Contains(msg, "statement table full") {
 		t.Fatalf("over-bound prepare: code=%v msg=%q", code, msg)
 	}
-	if code, _, _ = roundTrip(wire.OpExecStmt, wire.EncodeExecStmt(ids[0], []core.Value{core.I(1)})); code != wire.CodeOK {
+	if code, _, _ = roundTrip(wire.OpExecStmt, wire.AppendExecStmt(nil, ids[0], []core.Value{core.I(1)})); code != wire.CodeOK {
 		t.Fatalf("stmt lost after bound rejection: code=%v", code)
 	}
 }

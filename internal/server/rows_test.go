@@ -28,10 +28,10 @@ func TestHostileArgsRowIsCheapToRefuse(t *testing.T) {
 		return append(payload[:len(payload)-1:len(payload)-1], 0x80, 0x80, 0x40)
 	}
 	payloads := map[wire.Op][]byte{
-		wire.OpExec:      hostile(wire.EncodeExec("SELECT 1", nil)),
-		wire.OpExecStmt:  hostile(wire.EncodeExecStmt(1, nil)),
-		wire.OpScanOpen:  hostile(wire.EncodeScanOpen(0, "SELECT 1", nil)),
-		wire.OpExecBatch: hostile(wire.EncodeExecBatch([]wire.BatchStmt{{SQL: "SELECT 1"}})),
+		wire.OpExec:      hostile(wire.AppendExec(nil, "SELECT 1", nil)),
+		wire.OpExecStmt:  hostile(wire.AppendExecStmt(nil, 1, nil)),
+		wire.OpScanOpen:  hostile(wire.AppendScanOpen(nil, 0, "SELECT 1", nil)),
+		wire.OpExecBatch: hostile(wire.AppendExecBatch(nil, []wire.BatchStmt{{SQL: "SELECT 1"}})),
 	}
 	for op, payload := range payloads {
 		nc, err := net.Dial("tcp", h.addr)
@@ -52,7 +52,7 @@ func TestHostileArgsRowIsCheapToRefuse(t *testing.T) {
 			t.Fatalf("%v: %v", op, err)
 		}
 		runtime.ReadMemStats(&ms1)
-		if code, msg, _, _ := wire.DecodeResponse(f.Payload); code != wire.CodeBadRequest {
+		if code, msg, _, _ := decodeResponse(f); code != wire.CodeBadRequest {
 			t.Fatalf("%v: hostile args row answered %v %q, want bad_request", op, code, msg)
 		}
 		if grew := ms1.TotalAlloc - ms0.TotalAlloc; grew > 1<<20 {

@@ -54,13 +54,11 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"hiengine/internal/chaos"
-	"hiengine/internal/core"
 	"hiengine/internal/obs"
 	"hiengine/internal/sqlfront"
 	"hiengine/internal/srss"
@@ -306,7 +304,7 @@ type Server struct {
 	mCommitDur    *obs.Histogram
 	mReqs         [wire.MaxOp + 1]*obs.Counter   // by opcode
 	mOpLat        [wire.MaxOp + 1]*obs.Histogram // per-opcode latency ("server.op.<name>")
-	mErrs         [16]*obs.Counter
+	mErrs         [wire.MaxCode + 1]*obs.Counter // by status code
 	mSlotWaitBusy *obs.Counter
 	mStmtsOpen    *obs.Gauge
 	mCursorsOpen  *obs.Gauge
@@ -355,20 +353,15 @@ func New(cfg Config) (*Server, error) {
 	s.mCursorsOpen = r.Gauge("server.cursors_open")
 	s.mReadTimeouts = r.Counter("server.read_timeouts")
 	s.mIdleReaped = r.Counter("server.idle_reaped")
-	if r != nil {
-		for op := wire.OpPing; op <= wire.MaxOp; op++ {
-			if op == wire.OpResponse {
-				continue
-			}
-			s.mReqs[op] = r.Counter("server.requests." + op.String())
-			// One histogram per opcode under the wire golden-table name:
-			// its _count series is the request count, its buckets the
-			// latency distribution.
-			s.mOpLat[op] = r.Histogram("server.op." + op.String())
-		}
-		for c := wire.CodeConflict; c <= wire.MaxCode; c++ {
-			s.mErrs[c] = r.Counter("server.errors." + c.String())
-		}
+	for _, op := range wire.RequestOps() {
+		s.mReqs[op] = r.Counter("server.requests." + op.String())
+		// One histogram per opcode under the wire golden-table name:
+		// its _count series is the request count, its buckets the
+		// latency distribution.
+		s.mOpLat[op] = r.Histogram("server.op." + op.String())
+	}
+	for c := wire.CodeOK + 1; c <= wire.MaxCode; c++ {
+		s.mErrs[c] = r.Counter("server.errors." + c.String())
 	}
 	return s, nil
 }
@@ -491,7 +484,7 @@ func (s *Server) admitConn(nc net.Conn) bool {
 		s.mConnsReject.Inc()
 		nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 		wire.WriteFrame(nc, wire.Frame{Op: wire.OpResponse,
-			Payload: wire.EncodeResponse(refuse, "connection refused", nil)})
+			Payload: wire.AppendResponse(nil, refuse, "connection refused", nil)})
 		nc.Close()
 		return false
 	}
@@ -556,7 +549,7 @@ type conn struct {
 	// stmts is the connection's prepared-statement table: ids issued by
 	// OpPrepare, scoped to (and dying with) the connection. Bounded by
 	// Config.MaxStmts.
-	stmts   map[uint64]*stmtEntry
+	stmts   map[uint64]*sqlfront.Stmt
 	stmtSeq uint64
 
 	// cursors is the connection's open-cursor table: ids issued by
@@ -576,25 +569,10 @@ type conn struct {
 
 	// tr is the active request trace. It spans a whole transaction
 	// (BEGIN..COMMIT arrive as separate frames) and completes with the
-	// terminal response: the commit durability callback, or any response
-	// after which no transaction remains open. Owned by the read-loop
-	// goroutine, except that commit() hands it to the WAL I/O goroutine
-	// (via the engine's commit pipeline) for the callback to complete.
+	// terminal response: a deferred answer's durability callback, or any
+	// response after which no transaction remains open. Owned by the
+	// read-loop goroutine until deferAnswer hands it to the callback.
 	tr *obs.Trace
-}
-
-// stmtEntry is one server-side prepared statement. commit marks a
-// prepared COMMIT so its executions route through the pipelined commit
-// path exactly like the textual and OpCommit forms.
-type stmtEntry struct {
-	stmt   *sqlfront.Stmt
-	commit bool
-}
-
-// isCommitText reports whether sql is the statement COMMIT (any case,
-// optional trailing semicolon).
-func isCommitText(sql string) bool {
-	return strings.ToUpper(strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(sql), ";"))) == "COMMIT"
 }
 
 // isTimeout reports whether a read failed by deadline rather than by
@@ -608,7 +586,7 @@ func isTimeout(err error) bool {
 }
 
 // serve is the per-connection read loop. Requests execute serially (the
-// session is stateful); responses may be written out of order by commit
+// session is stateful); responses may be written out of order by
 // durability callbacks.
 //
 // Read deadlines bound a peer's silence: waiting between frames is
@@ -648,16 +626,16 @@ func (c *conn) serve() {
 			case isTimeout(err):
 				if inFrame || c.sess.InTxn() {
 					c.s.mReadTimeouts.Inc()
-					c.respond(0, wire.CodeClosed, "read timeout", nil)
+					c.respond(0, nil, wire.CodeClosed, "read timeout", nil)
 				} else {
 					c.s.mIdleReaped.Inc()
-					c.respond(0, wire.CodeClosed, "connection idle timeout", nil)
+					c.respond(0, nil, wire.CodeClosed, "connection idle timeout", nil)
 				}
 			case errors.Is(err, wire.ErrProtocol):
 				// Torn/oversize/garbage frame: fail the connection with
 				// a best-effort protocol-violation notice.
 				c.s.mProtoErrs.Inc()
-				c.respond(0, wire.CodeBadRequest, err.Error(), nil)
+				c.respond(0, nil, wire.CodeBadRequest, err.Error(), nil)
 			}
 			return
 		}
@@ -704,29 +682,29 @@ func (c *conn) greet() {
 	if rc := c.s.replicaCfg(); rc != nil {
 		role, primary = wire.RoleReplica, rc.PrimaryAddr
 	}
-	c.respond(0, wire.CodeOK, "", wire.EncodeGreeting(role, primary, c.s.epoch()))
+	c.respond(0, nil, wire.CodeOK, "", wire.EncodeGreeting(role, primary, c.s.epoch()))
 }
 
 // teardown runs when the read loop exits: the open transaction (if any)
 // aborts, the worker-slot lease releases, and the connection unregisters.
-// Pending commit-durability callbacks may still fire afterwards; respond
-// tolerates the dead connection.
+// Pending durability callbacks may still fire afterwards; respond tolerates
+// the dead connection.
 func (c *conn) teardown() {
-	if c.tr != nil {
-		// The traced unit never reached a terminal response (connection
-		// died mid-transaction): drop it without publishing.
-		c.tr.Discard()
-		c.tr = nil
-	}
+	// A traced unit that never reached a terminal response (the connection
+	// died mid-transaction) is dropped without publishing.
+	c.tr.Discard()
+	c.tr = nil
 	if c.sess.InTxn() {
 		c.sess.Rollback()
 	}
 	c.releaseSlot()
-	c.closeAllCursors()
-	if n := len(c.stmts); n > 0 {
-		c.s.mStmtsOpen.Add(-int64(n))
-		c.stmts = nil
+	for id, ce := range c.cursors {
+		// Idle-cursor reaping too: the read-loop timeout fails the
+		// connection, and every cursor's snapshot and slot go with it.
+		c.closeCursor(id, ce)
 	}
+	c.s.mStmtsOpen.Add(-int64(len(c.stmts)))
+	c.stmts = nil
 	c.nc.Close()
 	c.s.mu.Lock()
 	delete(c.s.conns, c)
@@ -758,520 +736,33 @@ func (c *conn) releaseSlot() {
 	}
 }
 
-// handle executes one request. Returns false when the connection must
-// close. The in-flight token and reqWG entry taken at admission are
-// released exactly once, after the response is written (possibly from a
-// durability callback).
+// handle admits one request and runs its opcode's handler. Returns false
+// when the connection must close. The in-flight token and reqWG entry taken
+// here are released exactly once, after the response is written (possibly
+// from a durability callback): request.release.
 func (c *conn) handle(f wire.Frame) bool {
-	if c.s.mReqs[f.Op] != nil {
-		c.s.mReqs[f.Op].Inc()
-	}
-	c.s.admitMu.Lock()
-	if c.s.draining.Load() {
-		c.s.admitMu.Unlock()
-		c.respondTr(f.RequestID, c.takeTerminalTrace(), wire.CodeClosed, "server draining", nil)
+	s := c.s
+	s.mReqs[f.Op].Inc()
+	s.admitMu.Lock()
+	if s.draining.Load() {
+		s.admitMu.Unlock()
+		c.respond(f.RequestID, c.takeTerminalTrace(), wire.CodeClosed, "server draining", nil)
 		return true
 	}
 	select {
-	case c.s.inflight <- struct{}{}:
+	case s.inflight <- struct{}{}:
 	default:
-		c.s.admitMu.Unlock()
-		c.s.mBusy.Inc()
-		c.respondTr(f.RequestID, c.takeTerminalTrace(), wire.CodeBusy, "server at max in-flight requests", nil)
+		s.admitMu.Unlock()
+		s.mBusy.Inc()
+		c.respond(f.RequestID, c.takeTerminalTrace(), wire.CodeBusy, "server at max in-flight requests", nil)
 		return true
 	}
-	c.s.reqWG.Add(1)
-	c.s.admitMu.Unlock()
-	c.s.mInflight.Add(1)
-	start := time.Now()
-	opLat := c.s.mOpLat[f.Op]
-	release := func() {
-		<-c.s.inflight
-		c.s.mInflight.Add(-1)
-		c.s.reqWG.Done()
-		ns := time.Since(start).Nanoseconds()
-		c.s.mLatency.Record(ns)
-		opLat.Record(ns)
-	}
-
-	finish := func(err error, body []byte) {
-		// A response after which no transaction remains open terminates the
-		// traced unit: complete and publish the trace with this response.
-		tr := c.takeTerminalTrace()
-		if err != nil {
-			c.respondTrErr(f.RequestID, tr, err)
-		} else {
-			c.respondTr(f.RequestID, tr, wire.CodeOK, "", body)
-		}
-		release()
-	}
-
-	switch f.Op {
-	case wire.OpPing:
-		finish(nil, nil)
-
-	case wire.OpStats:
-		var b strings.Builder
-		if c.s.cfg.Stats != nil {
-			b.WriteString(c.s.cfg.Stats())
-		}
-		pcs := c.s.cfg.Frontend.PlanCacheStats()
-		fmt.Fprintf(&b, "plancache size=%d hits=%d misses=%d evictions=%d invalidations=%d\n",
-			pcs.Size, pcs.Hits, pcs.Misses, pcs.Evictions, pcs.Invalidations)
-		if c.s.cfg.Obs != nil {
-			b.WriteString(c.s.cfg.Obs.Snapshot().String())
-		}
-		finish(nil, []byte(b.String()))
-
-	case wire.OpBegin:
-		if err := c.acquireSlot(); err != nil {
-			finish(err, nil)
-			return true
-		}
-		err := c.sess.Begin()
-		c.releaseSlot() // only on error: Begin leaves InTxn true on success
-		finish(err, nil)
-
-	case wire.OpAbort:
-		err := c.sess.Rollback()
-		c.releaseSlot()
-		finish(err, nil)
-
-	case wire.OpCommit:
-		c.commit(f.RequestID, release)
-
-	case wire.OpExec:
-		sql, args, err := wire.DecodeExec(f.Payload)
-		if err != nil {
-			// Corrupt payload is a protocol violation: answer, then fail
-			// the connection.
-			c.s.mProtoErrs.Inc()
-			finish(err, nil)
-			return false
-		}
-		c.execSQL(f.RequestID, sql, args, finish, release)
-
-	case wire.OpExecAt:
-		minCSN, sql, args, err := wire.DecodeExecAt(f.Payload)
-		if err != nil {
-			c.s.mProtoErrs.Inc()
-			finish(err, nil)
-			return false
-		}
-		// The read-your-writes token: on a replica, wait (bounded) until
-		// the applied watermark covers the client's last commit; a primary
-		// trivially satisfies any token it issued. A timeout is CodeBusy:
-		// the client redirects the read to the primary rather than see a
-		// stale snapshot.
-		if rc := c.s.replicaCfg(); rc != nil && minCSN > 0 {
-			if !rc.WaitCSN(minCSN, rc.TokenWait) {
-				finish(fmt.Errorf("replica behind read-your-writes token %d: %w",
-					minCSN, ErrServerBusy), nil)
-				return true
-			}
-		}
-		c.execSQL(f.RequestID, sql, args, finish, release)
-
-	case wire.OpReplHello, wire.OpReplList, wire.OpReplFetch:
-		src := c.s.replSource()
-		if src == nil {
-			finish(fmt.Errorf("%w: replication source not enabled", wire.ErrBadStatement), nil)
-			return true
-		}
-		switch f.Op {
-		case wire.OpReplHello:
-			// The hello carries the caller's observed epoch; folding it in
-			// is how a promoted node's fencer demotes this one. A fenced
-			// node still answers hello (with its stale epoch) -- refusing
-			// would hide the very state the caller is probing -- but it
-			// must not serve its log (fetch below).
-			remote, err := wire.DecodeReplHelloReq(f.Payload)
-			if err != nil {
-				c.s.mProtoErrs.Inc()
-				finish(err, nil)
-				return false
-			}
-			if c.s.cfg.ObserveEpoch != nil {
-				c.s.cfg.ObserveEpoch(remote)
-			}
-			manifest, csn := src.ReplHello()
-			finish(nil, wire.EncodeReplHello(manifest, csn, c.s.epoch()))
-		case wire.OpReplList:
-			finish(nil, wire.EncodeReplList(src.ReplList()))
-		default:
-			id, off, maxBytes, remote, err := wire.DecodeReplFetch(f.Payload)
-			if err != nil {
-				c.s.mProtoErrs.Inc()
-				finish(err, nil)
-				return false
-			}
-			// A node fenced by a newer lineage must not serve its log: a
-			// follower replaying it would diverge from the promoted
-			// history. The typed refusal is the follower's cue to
-			// rediscover the primary.
-			if c.s.cfg.ObserveEpoch != nil && c.s.cfg.ObserveEpoch(remote) {
-				finish(fmt.Errorf("fenced at epoch %d: %w", c.s.epoch(), core.ErrStaleEpoch), nil)
-				return true
-			}
-			st, data, err := src.ReplFetch(id, off, maxBytes)
-			if err != nil {
-				finish(err, nil)
-				return true
-			}
-			finish(nil, wire.EncodeReplChunk(st, data))
-		}
-
-	case wire.OpShardMap:
-		expect, id, err := wire.DecodeShardMapReq(f.Payload)
-		if err != nil {
-			c.s.mProtoErrs.Inc()
-			finish(err, nil)
-			return false
-		}
-		var m *wire.ShardMap
-		if c.s.cfg.ShardInfo != nil {
-			m = c.s.cfg.ShardInfo()
-		}
-		if m == nil {
-			finish(fmt.Errorf("%w: sharding not enabled", wire.ErrBadStatement), nil)
-			return true
-		}
-		// The router's stale-map detector: a request asserting the wrong
-		// shard id gets the typed refusal (plus the current map in the
-		// message-free body) instead of silently serving foreign keys.
-		if expect && id != m.SelfID {
-			finish(fmt.Errorf("node serves shard %d, not %d: %w", m.SelfID, id, wire.ErrWrongShard), nil)
-			return true
-		}
-		finish(nil, wire.EncodeShardMap(m))
-
-	case wire.OpTxnPrepare:
-		gtid, err := wire.DecodeTxnPrepare(f.Payload)
-		if err != nil {
-			c.s.mProtoErrs.Inc()
-			finish(err, nil)
-			return false
-		}
-		c.prepare2pc(f.RequestID, gtid, release)
-
-	case wire.OpTxnDecide:
-		gtid, commit, err := wire.DecodeTxnDecide(f.Payload)
-		if err != nil {
-			c.s.mProtoErrs.Inc()
-			finish(err, nil)
-			return false
-		}
-		tp := c.s.cfg.TwoPC
-		if tp == nil {
-			finish(fmt.Errorf("%w: two-phase commit not enabled", wire.ErrBadStatement), nil)
-			return true
-		}
-		// Like commit, the decision answers at durability: the response
-		// (and the admission token) defers to the decision record's
-		// durability callback while the read loop moves on.
-		tr := c.takeTerminalTrace()
-		if rerr := tp.Resolve(gtid, commit, func(csn uint64, derr error) {
-			switch {
-			case derr != nil:
-				c.respondTrErr(f.RequestID, tr, derr)
-			case c.ackLost(tr):
-			default:
-				c.respondTr(f.RequestID, tr, wire.CodeOK, "", wire.EncodeTxnCSN(csn))
-			}
-			release()
-		}); rerr != nil {
-			c.respondTrErr(f.RequestID, tr, rerr)
-			release()
-		}
-
-	case wire.OpTxnStatus:
-		gtid, err := wire.DecodeTxnStatus(f.Payload)
-		if err != nil {
-			c.s.mProtoErrs.Inc()
-			finish(err, nil)
-			return false
-		}
-		tp := c.s.cfg.TwoPC
-		if tp == nil {
-			finish(fmt.Errorf("%w: two-phase commit not enabled", wire.ErrBadStatement), nil)
-			return true
-		}
-		st, csn := tp.Status(gtid)
-		finish(nil, wire.EncodeTxnState(st, csn))
-
-	case wire.OpTxnRecover:
-		tp := c.s.cfg.TwoPC
-		if tp == nil {
-			finish(fmt.Errorf("%w: two-phase commit not enabled", wire.ErrBadStatement), nil)
-			return true
-		}
-		finish(nil, wire.EncodeGTIDList(tp.InDoubt()))
-
-	case wire.OpTxnForget:
-		gtid, err := wire.DecodeTxnForget(f.Payload)
-		if err != nil {
-			c.s.mProtoErrs.Inc()
-			finish(err, nil)
-			return false
-		}
-		tp := c.s.cfg.TwoPC
-		if tp == nil {
-			finish(fmt.Errorf("%w: two-phase commit not enabled", wire.ErrBadStatement), nil)
-			return true
-		}
-		// Like the decision, the forget answers at durability of its record.
-		tr := c.takeTerminalTrace()
-		if rerr := tp.Forget(gtid, func(ferr error) {
-			switch {
-			case ferr != nil:
-				c.respondTrErr(f.RequestID, tr, ferr)
-			case c.ackLost(tr):
-			default:
-				c.respondTr(f.RequestID, tr, wire.CodeOK, "", nil)
-			}
-			release()
-		}); rerr != nil {
-			c.respondTrErr(f.RequestID, tr, rerr)
-			release()
-		}
-
-	case wire.OpPrepare:
-		sql, err := wire.DecodePrepare(f.Payload)
-		if err != nil {
-			c.s.mProtoErrs.Inc()
-			finish(err, nil)
-			return false
-		}
-		if len(c.stmts) >= c.s.cfg.MaxStmts {
-			finish(fmt.Errorf("%w: statement table full (%d open)", wire.ErrBadStatement, len(c.stmts)), nil)
-			return true
-		}
-		// Prepare only touches the catalog (parse/plan/compile through the
-		// frontend plan cache) -- no engine transaction, so no worker slot.
-		st, err := c.sess.Prepare(sql)
-		if err != nil {
-			finish(fmt.Errorf("%w: %v", wire.ErrBadStatement, err), nil)
-			return true
-		}
-		if c.stmts == nil {
-			c.stmts = make(map[uint64]*stmtEntry)
-		}
-		c.stmtSeq++
-		id := c.stmtSeq
-		c.stmts[id] = &stmtEntry{stmt: st, commit: isCommitText(sql)}
-		c.s.mStmtsOpen.Add(1)
-		finish(nil, wire.EncodePrepareResult(id, st.NumParams()))
-
-	case wire.OpExecStmt:
-		id, args, err := wire.DecodeExecStmt(f.Payload)
-		if err != nil {
-			c.s.mProtoErrs.Inc()
-			finish(err, nil)
-			return false
-		}
-		e := c.stmts[id]
-		if e == nil {
-			finish(fmt.Errorf("%w: unknown statement id %d", wire.ErrBadStatement, id), nil)
-			return true
-		}
-		// A prepared COMMIT pipelines exactly like the textual form.
-		if e.commit {
-			c.commit(f.RequestID, release)
-			return true
-		}
-		if err := c.acquireSlot(); err != nil {
-			finish(err, nil)
-			return true
-		}
-		c.execStmt(e.stmt, args, finish)
-
-	case wire.OpCloseStmt:
-		id, err := wire.DecodeCloseStmt(f.Payload)
-		if err != nil {
-			c.s.mProtoErrs.Inc()
-			finish(err, nil)
-			return false
-		}
-		// Idempotent: closing an unknown or already-closed id succeeds, so
-		// pooled clients can close defensively on connection reuse.
-		if _, ok := c.stmts[id]; ok {
-			delete(c.stmts, id)
-			c.s.mStmtsOpen.Add(-1)
-		}
-		finish(nil, nil)
-
-	case wire.OpScanOpen:
-		return c.scanOpen(f.RequestID, f.Payload, finish)
-
-	case wire.OpScanNext:
-		return c.scanNext(f.RequestID, f.Payload, finish)
-
-	case wire.OpScanClose:
-		return c.scanClose(f.Payload, finish)
-
-	case wire.OpExecBatch:
-		return c.execBatch(f.RequestID, f.Payload, finish, release)
-
-	default:
-		// ReadFrame validated the opcode; unreachable.
-		finish(fmt.Errorf("%w: opcode %d", wire.ErrProtocol, f.Op), nil)
-		return false
-	}
-	return true
-}
-
-// execSQL runs one SQL statement: the shared body of OpExec and OpExecAt.
-// SQL COMMIT goes through the pipelined path so every commit, however
-// expressed, batches into the group append.
-func (c *conn) execSQL(reqID uint64, sql string, args []core.Value, finish func(error, []byte), release func()) {
-	if isCommitText(sql) {
-		c.commit(reqID, release)
-		return
-	}
-	if err := c.acquireSlot(); err != nil {
-		finish(err, nil)
-		return
-	}
-	stmt, err := c.sess.Prepare(sql)
-	if err != nil {
-		// Parse/plan/arity failures are bad requests, distinct from
-		// engine-side execution failures.
-		c.releaseSlot()
-		finish(fmt.Errorf("%w: %v", wire.ErrBadStatement, err), nil)
-		return
-	}
-	c.execStmt(stmt, args, finish)
-}
-
-// execStmt runs a compiled statement under the connection's worker slot and
-// responds CodeOK with its result, suffixed with the session's
-// read-your-writes token. Rows arrive from sqlfront already in wire form
-// (spliced out of storage into a pooled buffer) and are framed exactly as a
-// cursor page's are; both pooled buffers return to the pool once the
-// response frame is written (finish responds synchronously, so they are
-// dead by then).
-func (c *conn) execStmt(stmt *sqlfront.Stmt, args []core.Value, finish func(error, []byte)) {
-	rowsBP := wire.GetBuf()
-	rows := sqlfront.RowBuf{Data: (*rowsBP)[:0]}
-	res, err := stmt.ExecEncoded(&rows, args...)
-	c.releaseSlot()
-	*rowsBP = rows.Data
-	defer wire.PutBuf(rowsBP)
-	if err != nil {
-		finish(err, nil)
-		return
-	}
-	bp := wire.GetBuf()
-	body := wire.AppendEncodedResultCSN((*bp)[:0], res.Affected, res.Columns, rows.N, rows.Data, c.sess.LastCSN())
-	finish(nil, body)
-	*bp = body
-	wire.PutBuf(bp)
-}
-
-// commit runs the session commit through the pipelined path: on an async
-// commit the response (and the admission token) is deferred to the
-// durability callback while the read loop moves on -- the out-of-order
-// case of the protocol. The response body is an empty Result suffixed with
-// the session's post-commit CSN -- the read-your-writes token the client
-// presents to replicas -- for both the SQL COMMIT and OpCommit forms
-// (clients decode any commit body as a Result, so the shape must not
-// depend on the form).
-func (c *conn) commit(reqID uint64, release func()) {
-	start := time.Now()
-	respondOK := func(tr *obs.Trace) {
-		// Built per response from a pooled buffer: the CSN is only known
-		// once the commit has run, and respondTr consumes the body
-		// synchronously.
-		bp := wire.GetBuf()
-		body := wire.AppendEncodedResultCSN((*bp)[:0], 0, nil, 0, nil, c.sess.LastCSN())
-		c.respondTr(reqID, tr, wire.CodeOK, "", body)
-		*bp = body
-		wire.PutBuf(bp)
-	}
-	// The commit response terminates the traced unit. Detach the trace from
-	// the connection before CommitAsync: on the async path the engine's
-	// commit pipeline carries it to the WAL I/O goroutine (the channel send
-	// transfers ownership), and the durability callback -- which runs there
-	// -- completes it. The read loop must not touch it afterwards.
-	tr := c.tr
-	c.tr = nil
-	async, err := c.sess.CommitAsync(func(cerr error) {
-		c.s.mCommitDur.Record(time.Since(start).Nanoseconds())
-		if cerr != nil {
-			c.respondTrErr(reqID, tr, cerr)
-		} else {
-			respondOK(tr)
-		}
-		release()
-	})
-	// CommitAsync has detached the session's transaction, so this only
-	// clears the session-level pointer (the read-loop goroutine owns the
-	// session; the trace itself is not touched).
-	c.sess.SetTrace(nil)
-	c.releaseSlot()
-	if async {
-		return
-	}
-	if err != nil {
-		c.respondTrErr(reqID, tr, err)
-	} else {
-		respondOK(tr)
-	}
-	release()
-}
-
-// prepare2pc runs phase one of 2PC on the session's open transaction
-// (OpTxnPrepare). Like commit, the response answers at durability: the vote
-// byte distinguishes a prepared write set (the coordinator owes a decision)
-// from a read-only local commit, and an error response is a "no" vote (the
-// transaction is already aborted). The session detaches from the
-// transaction either way -- the prepared participant belongs to the
-// engine's decision path, so the worker-slot lease returns immediately.
-func (c *conn) prepare2pc(reqID uint64, gtid string, release func()) {
-	start := time.Now()
-	tr := c.tr
-	c.tr = nil
-	err := c.sess.PrepareTxn(gtid, func(readOnly bool, perr error) {
-		c.s.mCommitDur.Record(time.Since(start).Nanoseconds())
-		switch {
-		case perr != nil:
-			c.respondTrErr(reqID, tr, perr)
-		case c.ackLost(tr):
-		default:
-			vote := wire.PreparedWrites
-			if readOnly {
-				vote = wire.PreparedReadOnly
-			}
-			c.respondTr(reqID, tr, wire.CodeOK, "", []byte{vote})
-		}
-		release()
-	})
-	c.sess.SetTrace(nil)
-	c.releaseSlot()
-	if err != nil {
-		// Immediate "no" vote; PrepareTxn never invokes the callback after
-		// a non-nil return.
-		c.respondTrErr(reqID, tr, err)
-		release()
-	}
-}
-
-// ackLost checks the 2PC ack-loss chaos site: on an injected error the
-// connection dies without a response -- the participant's durable state
-// outlives the coordinator's knowledge of it, which is the in-doubt window
-// the recovery protocol exists for. Reports whether the ack was dropped.
-func (c *conn) ackLost(tr *obs.Trace) bool {
-	if err := c.s.cfg.Chaos.Check(Site2PCAck); err == nil {
-		return false
-	}
-	c.writeMu.Lock()
-	c.dead = true
-	c.nc.Close()
-	c.writeMu.Unlock()
-	if tr != nil {
-		tr.Discard()
-	}
-	return true
+	s.reqWG.Add(1)
+	s.admitMu.Unlock()
+	s.mInflight.Add(1)
+	// The frame reader admits exactly the opcodes wire.RequestOps lists, and
+	// each of them has a handler (TestEveryRequestOpcodeIsHandled).
+	return handlers[f.Op](c, request{c: c, id: f.RequestID, op: f.Op, start: time.Now()}, f.Payload)
 }
 
 // takeTerminalTrace detaches and returns the active trace if the response
@@ -1288,19 +779,12 @@ func (c *conn) takeTerminalTrace() *obs.Trace {
 	return tr
 }
 
-// respondErr classifies err onto its stable wire code and responds.
-func (c *conn) respondErr(reqID uint64, err error) {
-	c.respondTrErr(reqID, nil, err)
-}
-
-// respondTrErr classifies err onto its stable wire code and responds,
+// respondErr classifies err onto its stable wire code and responds,
 // completing tr (if any) with the response.
-func (c *conn) respondTrErr(reqID uint64, tr *obs.Trace, err error) {
+func (c *conn) respondErr(reqID uint64, tr *obs.Trace, err error) {
 	code := wire.Classify(err)
-	if c.s.mErrs[code] != nil {
-		c.s.mErrs[code].Inc()
-	}
-	c.respondTr(reqID, tr, code, err.Error(), nil)
+	c.s.mErrs[code].Inc()
+	c.respond(reqID, tr, code, err.Error(), nil)
 }
 
 // respond writes one response frame. Any goroutine may call it (the read
@@ -1308,45 +792,33 @@ func (c *conn) respondTrErr(reqID uint64, tr *obs.Trace, err error) {
 // out-of-order responses interleave at frame granularity, never byte
 // granularity. Write failures (or an injected mid-response drop) kill the
 // connection's write side; later responses are dropped silently.
-func (c *conn) respond(reqID uint64, code wire.Code, msg string, body []byte) {
-	c.respondTr(reqID, nil, code, msg, body)
-}
-
-// respondTr writes one response frame and, when tr is non-nil, completes
-// the trace: the frame carries the stage-timing block, the write itself is
-// recorded as the respond stage, and the trace finishes (publishing per its
-// sampling/slow policy) after the write. The caller must have detached tr
-// from the connection; respondTr consumes it.
-func (c *conn) respondTr(reqID uint64, tr *obs.Trace, code wire.Code, msg string, body []byte) {
+//
+// A non-nil tr is completed by the response: the frame carries the
+// stage-timing block, the write itself is recorded as the respond stage, and
+// the trace finishes (publishing per its sampling/slow policy) after the
+// write. The caller must have detached tr from the connection; respond
+// consumes it.
+func (c *conn) respond(reqID uint64, tr *obs.Trace, code wire.Code, msg string, body []byte) {
 	bp := wire.GetBuf()
 	defer wire.PutBuf(bp)
-	var buf []byte
-	if tr != nil {
-		tr.End(obs.StageDurable)
-		tr.Begin(obs.StageRespond)
-		buf = wire.AppendTracedResponseFrame((*bp)[:0], reqID, tr.ID(), tr, code, msg, body)
-	} else {
-		buf = wire.AppendResponseFrame((*bp)[:0], reqID, code, msg, body)
-	}
+	tr.End(obs.StageDurable)
+	tr.Begin(obs.StageRespond)
+	buf := wire.AppendResponseFrame((*bp)[:0], reqID, tr, code, msg, body)
 	if payload := len(buf) - 13; payload > wire.MaxPayload {
 		// An oversize response (e.g. a huge scan result) must never reach
 		// the wire: the client's ReadFrame would reject the frame as a
 		// protocol violation and kill the connection, failing every
 		// pipelined request on it. Substitute a clean per-request error.
-		if c.s.mErrs[wire.CodeBadRequest] != nil {
-			c.s.mErrs[wire.CodeBadRequest].Inc()
-		}
-		buf = wire.AppendResponseFrame(buf[:0], reqID, wire.CodeBadRequest,
+		c.s.mErrs[wire.CodeBadRequest].Inc()
+		buf = wire.AppendResponseFrame(buf[:0], reqID, nil, wire.CodeBadRequest,
 			fmt.Sprintf("result too large: %d bytes exceeds frame limit %d", payload, wire.MaxFrame), nil)
 	}
 	*bp = buf
 	c.writeMu.Lock()
 	c.write(buf)
 	c.writeMu.Unlock()
-	if tr != nil {
-		tr.End(obs.StageRespond)
-		tr.Finish()
-	}
+	tr.End(obs.StageRespond)
+	tr.Finish()
 }
 
 // write sends one framed response; the caller holds writeMu.

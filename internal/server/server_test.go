@@ -240,7 +240,7 @@ func TestFramingViolations(t *testing.T) {
 				}
 				t.Fatalf("unexpected read error: %v", err)
 			}
-			code, _, _, derr := wire.DecodeResponse(f.Payload)
+			code, _, _, derr := decodeResponse(f)
 			if derr == nil && code == wire.CodeOK && f.RequestID == 0 {
 				continue // the connection greeting
 			}
@@ -806,4 +806,10 @@ func TestSoakChaos(t *testing.T) {
 	if err := h.srv.Close(); err != nil {
 		t.Fatalf("post-soak drain: %v", err)
 	}
+}
+
+// decodeResponse splits a response frame read off a raw connection.
+func decodeResponse(f wire.Frame) (wire.Code, string, []byte, error) {
+	r, err := wire.DecodeResponseFrame(f)
+	return r.Code, r.Msg, r.Body, err
 }

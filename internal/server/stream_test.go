@@ -169,7 +169,7 @@ func rawRequest(t *testing.T, nc net.Conn, id uint64, op wire.Op, payload []byte
 		if err != nil {
 			t.Fatal(err)
 		}
-		code, msg, body, err := wire.DecodeResponse(f.Payload)
+		code, msg, body, err := decodeResponse(f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,11 +214,11 @@ func TestCursorGoneAndIdempotentClose(t *testing.T) {
 		t.Fatalf("unknown cursor: code %v (%s), want cursor_gone", code, msg)
 	}
 	// ScanClose on the same unknown id succeeds: close is idempotent.
-	if code, msg, _ = rawRequest(t, nc, 2, wire.OpScanClose, wire.EncodeScanClose(42)); code != wire.CodeOK {
+	if code, msg, _ = rawRequest(t, nc, 2, wire.OpScanClose, wire.EncodeHandle(42)); code != wire.CodeOK {
 		t.Fatalf("idempotent close: code %v (%s)", code, msg)
 	}
 	// A drained cursor auto-closes: the done page's id is already gone.
-	code, msg, body := rawRequest(t, nc, 3, wire.OpScanOpen, wire.EncodeScanOpen(10, "SELECT * FROM cg", nil))
+	code, msg, body := rawRequest(t, nc, 3, wire.OpScanOpen, wire.AppendScanOpen(nil, 10, "SELECT * FROM cg", nil))
 	if code != wire.CodeOK {
 		t.Fatalf("scan open: code %v (%s)", code, msg)
 	}
@@ -455,5 +455,49 @@ func TestDrainWithOpenCursor(t *testing.T) {
 	}
 	if rs.Err() == nil {
 		t.Fatal("stream survived server shutdown")
+	}
+}
+
+// TestSessionCloseReleasesUndrainedCursor: a session closed while one of its
+// Rows is still open hands its connection back to the pool, and the
+// connection is the server-side session, so the cursor -- a worker slot and
+// a pinned snapshot -- has to be closed first. Without that, every lessee of
+// the pooled connection leaks one more until the cursor table is full.
+func TestSessionCloseReleasesUndrainedCursor(t *testing.T) {
+	h := newHarness(t, nil, nil)
+	cl := h.client(t, func(o *client.Options) { o.PoolSize = 1 })
+	if _, err := cl.Exec("CREATE TABLE uc (id INT, PRIMARY KEY(id))"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := cl.Exec("INSERT INTO uc VALUES (?)", core.I(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// More lessees than Config.MaxCursors (4): the fifth used to be refused.
+	for i := 0; i < 6; i++ {
+		s, err := cl.Session()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetFetchSize(2)
+		rows, err := s.Query("SELECT * FROM uc")
+		if err != nil {
+			t.Fatalf("lessee %d: %v", i, err)
+		}
+		if !rows.Next() {
+			t.Fatalf("lessee %d: no first row: %v", i, rows.Err())
+		}
+		s.Close() // rows neither drained nor closed
+		if rows.Next() || !errors.Is(rows.Err(), client.ErrClientClosed) {
+			t.Fatalf("lessee %d: Rows outlived its session (err %v)", i, rows.Err())
+		}
+		if n := h.srv.CursorsOpen(); n != 0 {
+			t.Fatalf("lessee %d: %d cursors open after Session.Close", i, n)
+		}
+	}
+	// The one connection was pooled every time, not discarded.
+	if n := h.reg.Counter("server.conns_total").Load(); n != 1 {
+		t.Fatalf("server.conns_total = %d, want the one pooled connection", n)
 	}
 }

@@ -131,12 +131,10 @@ func (r *Router) Exec(key int64, sql string, args ...core.Value) (*wire.Result, 
 	if err != nil {
 		return nil, err
 	}
-	if dt := r.distTrace(); dt != nil {
-		res, err := c.ExecDist(dt, sql, args...)
-		r.publishDist(dt, 0, 0, 0)
-		return res, err
-	}
-	return c.Exec(sql, args...)
+	dt := r.distTrace()
+	res, err := c.ExecTraced(dt, sql, args...)
+	r.publishDist(dt, 0, 0, 0)
+	return res, err
 }
 
 // Query opens a streaming SELECT on the shard owning key. Like Exec, this
@@ -149,14 +147,12 @@ func (r *Router) Query(key int64, sql string, args ...core.Value) (*client.Rows,
 	if err != nil {
 		return nil, err
 	}
-	if dt := r.distTrace(); dt != nil {
-		rows, err := c.QueryDist(dt, sql, args...)
-		// The open hop is in; page hops keep accumulating on dt but the
-		// published tree snapshots the cursor open.
-		r.publishDist(dt, 0, 0, 0)
-		return rows, err
-	}
-	return c.Query(sql, args...)
+	dt := r.distTrace()
+	rows, err := c.QueryTraced(dt, sql, args...)
+	// The open hop is in; page hops keep accumulating on dt but the
+	// published tree snapshots the cursor open.
+	r.publishDist(dt, 0, 0, 0)
+	return rows, err
 }
 
 // ExecBatch runs one atomic batch on the shard owning key. Every statement
@@ -166,12 +162,10 @@ func (r *Router) ExecBatch(key int64, stmts []wire.BatchStmt) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	if dt := r.distTrace(); dt != nil {
-		affected, err := c.ExecBatchDist(dt, stmts)
-		r.publishDist(dt, 0, 0, 0)
-		return affected, err
-	}
-	return c.ExecBatch(stmts)
+	dt := r.distTrace()
+	affected, err := c.ExecBatchTraced(dt, stmts)
+	r.publishDist(dt, 0, 0, 0)
+	return affected, err
 }
 
 func (r *Router) chaosCheck(site string) error { return r.ch.Check(site) }

@@ -23,6 +23,9 @@ const DefaultPlanCacheSize = 512
 type compiled struct {
 	nParams int
 	gen     uint64
+	// verb is "BEGIN", "COMMIT" or "ROLLBACK" for a transaction-control
+	// statement, "" for everything else.
+	verb string
 	// Exactly one of sel (a SELECT) and fn (anything else) is set.
 	sel *selectPlan
 	fn  func(s *Session, args []core.Value) (*Result, error)

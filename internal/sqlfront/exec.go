@@ -169,6 +169,9 @@ func (f *Frontend) prepare(sql string) (*compiled, bool, error) {
 	} else {
 		c.fn, err = f.compile(st)
 	}
+	if tx, ok := st.(*txnStmt); ok {
+		c.verb = tx.verb
+	}
 	if err != nil {
 		return nil, false, err
 	}
@@ -374,6 +377,12 @@ func (s *Session) Prepare(sql string) (*Stmt, error) {
 
 // NumParams reports the statement's parameter count.
 func (st *Stmt) NumParams() int { return st.c.nParams }
+
+// TxnVerb reports the parser's verdict on a transaction-control statement:
+// "BEGIN", "COMMIT" or "ROLLBACK", and "" for any other statement. The
+// network server asks it to route COMMIT, however expressed, through the
+// pipelined commit path, and to refuse transaction control inside a batch.
+func (st *Stmt) TxnVerb() string { return st.c.verb }
 
 // Exec runs the compiled statement; a SELECT's rows come back decoded in
 // Result.Rows.

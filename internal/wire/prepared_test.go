@@ -29,7 +29,7 @@ func TestPreparedCodecs(t *testing.T) {
 	}
 
 	args := []core.Value{core.I(7), core.S("x")}
-	gid, gargs, err := DecodeExecStmt(EncodeExecStmt(9, args))
+	gid, gargs, err := DecodeExecStmt(AppendExecStmt(nil, 9, args))
 	if err != nil || gid != 9 || len(gargs) != 2 || !gargs[0].Equal(args[0]) || !gargs[1].Equal(args[1]) {
 		t.Fatalf("exec stmt round trip: %d %+v %v", gid, gargs, err)
 	}
@@ -37,11 +37,11 @@ func TestPreparedCodecs(t *testing.T) {
 		t.Fatalf("truncated exec stmt must be corrupt, got %v", err)
 	}
 
-	cid, err := DecodeCloseStmt(EncodeCloseStmt(13))
+	cid, err := DecodeHandle(EncodeHandle(13))
 	if err != nil || cid != 13 {
 		t.Fatalf("close stmt round trip: %d %v", cid, err)
 	}
-	if _, err := DecodeCloseStmt(append(EncodeCloseStmt(13), 1)); !errors.Is(err, ErrProtocol) {
+	if _, err := DecodeHandle(append(EncodeHandle(13), 1)); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("close stmt trailing bytes must be corrupt, got %v", err)
 	}
 }
@@ -138,11 +138,11 @@ func TestFrameReaderShrinksAfterOversize(t *testing.T) {
 // TestAppendResponseFrame checks the single-pass frame builder agrees with
 // the compositional encoders byte for byte.
 func TestAppendResponseFrame(t *testing.T) {
-	body := EncodeResult(&Result{Affected: 2, Columns: []string{"a"}, Rows: []core.Row{{core.I(1)}}})
-	want := AppendFrame(nil, Frame{RequestID: 77, Op: OpResponse, Payload: EncodeResponse(CodeConflict, "boom", body)})
-	got := AppendResponseFrame(nil, 77, CodeConflict, "boom", body)
+	body := AppendResult(nil, &Result{Affected: 2, Columns: []string{"a"}, Rows: []core.Row{{core.I(1)}}})
+	want := AppendFrame(nil, Frame{RequestID: 77, Op: OpResponse, Payload: AppendResponse(nil, CodeConflict, "boom", body)})
+	got := AppendResponseFrame(nil, 77, nil, CodeConflict, "boom", body)
 	if !bytes.Equal(got, want) {
-		t.Fatalf("AppendResponseFrame diverges from AppendFrame+EncodeResponse:\n%x\n%x", got, want)
+		t.Fatalf("AppendResponseFrame diverges from AppendFrame+AppendResponse:\n%x\n%x", got, want)
 	}
 }
 
@@ -155,7 +155,7 @@ func (nullWriter) Write(p []byte) (int, error) { return len(p), nil }
 // frame path (pooled write, reusable-buffer read) must not allocate per
 // frame. A tiny epsilon absorbs one-time pool warmup.
 func TestFrameRoundTripAllocs(t *testing.T) {
-	payload := EncodeExec("INSERT INTO t VALUES (?, ?)", []core.Value{core.I(1), core.S("v")})
+	payload := AppendExec(nil, "INSERT INTO t VALUES (?, ?)", []core.Value{core.I(1), core.S("v")})
 	var stream bytes.Buffer
 	f := Frame{RequestID: 1, Op: OpExec, Payload: payload}
 	fr := NewFrameReader(&stream, true)
@@ -184,7 +184,7 @@ func TestFrameRoundTripAllocs(t *testing.T) {
 // BenchmarkFrameRoundTrip measures the pooled frame path; run with
 // -benchmem to see the allocs/op figure the regression test asserts.
 func BenchmarkFrameRoundTrip(b *testing.B) {
-	payload := EncodeExec("INSERT INTO t VALUES (?, ?)", []core.Value{core.I(1), core.S("v")})
+	payload := AppendExec(nil, "INSERT INTO t VALUES (?, ?)", []core.Value{core.I(1), core.S("v")})
 	var stream bytes.Buffer
 	f := Frame{RequestID: 1, Op: OpExec, Payload: payload}
 	fr := NewFrameReader(&stream, true)
@@ -204,7 +204,7 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 // BenchmarkFrameWriteOnly isolates the send path (frame assembly into a
 // pooled buffer + write).
 func BenchmarkFrameWriteOnly(b *testing.B) {
-	payload := EncodeExec("SELECT v FROM t WHERE id = ?", []core.Value{core.I(42)})
+	payload := AppendExec(nil, "SELECT v FROM t WHERE id = ?", []core.Value{core.I(42)})
 	f := Frame{RequestID: 7, Op: OpExec, Payload: payload}
 	var w nullWriter
 	b.ReportAllocs()

@@ -38,7 +38,7 @@ func checkScanResult(t *testing.T, got *Result) {
 // whole result is one Value arena plus one copy of the row bytes, not
 // three allocations per row.
 func TestDecodeResultAllocs(t *testing.T) {
-	body := EncodeResult(scanResult())
+	body := AppendResult(nil, scanResult())
 	avg := testing.AllocsPerRun(100, func() {
 		if _, err := DecodeResult(body); err != nil {
 			t.Fatal(err)
@@ -95,14 +95,14 @@ func TestEncodedResultMatchesAppendResult(t *testing.T) {
 // reader reusing (here: scribbling over) its buffer for the next frame.
 func TestDecodedResultDoesNotAliasFrameBuffer(t *testing.T) {
 	var stream bytes.Buffer
-	stream.Write(AppendResponseFrame(nil, 1, CodeOK, "", EncodeResult(scanResult())))
-	stream.Write(AppendResponseFrame(nil, 2, CodeOK, "", bytes.Repeat([]byte{0xFF}, 12<<10)))
+	stream.Write(AppendResponseFrame(nil, 1, nil, CodeOK, "", AppendResult(nil, scanResult())))
+	stream.Write(AppendResponseFrame(nil, 2, nil, CodeOK, "", bytes.Repeat([]byte{0xFF}, 12<<10)))
 	fr := NewFrameReader(&stream, false)
 	f, err := fr.Read()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, body, err := DecodeResponse(f.Payload)
+	_, _, body, err := decodeResponse(f.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}

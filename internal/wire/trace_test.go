@@ -110,7 +110,7 @@ func TestTraceBlockRoundTrip(t *testing.T) {
 	tr.SetShard(2)
 
 	body := []byte("result")
-	frameBuf := AppendTracedResponseFrame(nil, 11, tr.ID(), tr, CodeOK, "", body)
+	frameBuf := AppendResponseFrame(nil, 11, tr, CodeOK, "", body)
 	tr.Discard()
 
 	f, err := ReadFrame(bytes.NewReader(frameBuf), false)
@@ -148,7 +148,7 @@ func TestTraceBlockRoundTrip(t *testing.T) {
 	if ti.Stages[2].BeginNS != 500 || ti.Stages[2].DurNS != 1000 {
 		t.Fatalf("replicate span: %+v", ti.Stages[2])
 	}
-	c, msg, gotBody, err := DecodeResponse(rest)
+	c, msg, gotBody, err := decodeResponse(rest)
 	if err != nil || c != CodeOK || msg != "" || string(gotBody) != "result" {
 		t.Fatalf("response after trace block: %v %v %q %v", c, msg, gotBody, err)
 	}

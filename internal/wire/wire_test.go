@@ -87,7 +87,7 @@ func TestFrameViolations(t *testing.T) {
 
 func TestExecPayloadRoundTrip(t *testing.T) {
 	args := []core.Value{core.I(7), core.S("x"), core.Null, core.F(1.5), core.B([]byte{1, 2})}
-	p := EncodeExec("INSERT INTO t VALUES (?, ?, ?, ?, ?)", args)
+	p := AppendExec(nil, "INSERT INTO t VALUES (?, ?, ?, ?, ?)", args)
 	sql, got, err := DecodeExec(p)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestResultRoundTrip(t *testing.T) {
 		Rows:     []core.Row{{core.I(1), core.S("ada")}, {core.I(2), core.Null}},
 		Affected: 3,
 	}
-	out, err := DecodeResult(EncodeResult(in))
+	out, err := DecodeResult(AppendResult(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestResultRoundTrip(t *testing.T) {
 		t.Fatalf("rows: %+v", out.Rows)
 	}
 	// Empty result.
-	out, err = DecodeResult(EncodeResult(&Result{}))
+	out, err = DecodeResult(AppendResult(nil, &Result{}))
 	if err != nil || len(out.Rows) != 0 || out.Affected != 0 {
 		t.Fatalf("empty: %+v %v", out, err)
 	}
@@ -132,12 +132,12 @@ func TestResultRoundTrip(t *testing.T) {
 }
 
 func TestResponseRoundTrip(t *testing.T) {
-	p := EncodeResponse(CodeConflict, "boom", []byte("body"))
-	c, msg, body, err := DecodeResponse(p)
+	p := AppendResponse(nil, CodeConflict, "boom", []byte("body"))
+	c, msg, body, err := decodeResponse(p)
 	if err != nil || c != CodeConflict || msg != "boom" || string(body) != "body" {
 		t.Fatalf("response: %v %q %q %v", c, msg, body, err)
 	}
-	if _, _, _, err := DecodeResponse([]byte{0}); !errors.Is(err, ErrProtocol) {
+	if _, _, _, err := decodeResponse([]byte{0}); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("short response: %v", err)
 	}
 }
@@ -191,8 +191,8 @@ func TestErrorRoundTrip(t *testing.T) {
 				t.Fatalf("Retryable(%v) = %v, want %v", code, Retryable(code), tc.retryable)
 			}
 			// Cross the wire: encode, decode, rehydrate.
-			p := EncodeResponse(code, tc.err.Error(), nil)
-			c2, msg, _, err := DecodeResponse(p)
+			p := AppendResponse(nil, code, tc.err.Error(), nil)
+			c2, msg, _, err := decodeResponse(p)
 			if err != nil || c2 != code {
 				t.Fatalf("wire round trip: %v %v", c2, err)
 			}
@@ -223,4 +223,10 @@ func TestClassifyNil(t *testing.T) {
 	if Classify(nil) != CodeOK {
 		t.Fatal("nil must classify OK")
 	}
+}
+
+// decodeResponse splits an untraced response payload.
+func decodeResponse(payload []byte) (Code, string, []byte, error) {
+	r, err := DecodeResponseFrame(Frame{Op: OpResponse, Payload: payload})
+	return r.Code, r.Msg, r.Body, err
 }
