@@ -2,6 +2,7 @@ package core
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -231,10 +232,16 @@ func TestWritePathAllocs(t *testing.T) {
 
 // --- WAL bytes --------------------------------------------------------------
 
-// walImageHash hashes every log segment's bytes, in segment order.
-func walImageHash(t *testing.T, e *Engine) string {
+// walSegment is one log segment's bytes.
+type walSegment struct {
+	id uint16
+	b  []byte
+}
+
+// walSegments returns every log segment, in segment order.
+func walSegments(t *testing.T, e *Engine) []walSegment {
 	t.Helper()
-	h := sha256.New()
+	var segs []walSegment
 	for _, seg := range e.Log().Segments() {
 		id, ok := e.Log().Directory().Lookup(seg)
 		if !ok {
@@ -244,90 +251,146 @@ func walImageHash(t *testing.T, e *Engine) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v := p.Mmap()
-		b, err := v.At(0, int(v.Len()))
-		if err != nil {
+		b := make([]byte, p.Size())
+		if _, err := p.ReadAt(b, 0); err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(h, "segment %d: %d bytes\n", seg, len(b))
-		h.Write(b)
+		segs = append(segs, walSegment{seg, b})
+	}
+	return segs
+}
+
+// walImageHash hashes a log image, segment by segment.
+func walImageHash(segs []walSegment) string {
+	h := sha256.New()
+	for _, s := range segs {
+		fmt.Fprintf(h, "segment %d: %d bytes\n", s.id, len(s.b))
+		h.Write(s.b)
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// TestWALImageUnchanged pins the log format byte for byte: a fixed sequence
-// of inserts, updates, a delete, a re-insert and an abort produces exactly
-// the log the commit before the one-pass write path did (the hash was taken
-// there, with Update on decoded rows), whether the updates re-encode a Row
-// or splice the stored payload. Replicas, recovery and log_bytes_per_user_byte
-// depend on nothing here moving.
-func TestWALImageUnchanged(t *testing.T) {
-	const parentHash = "3a707e07b0850d837b26bbba86796bd0b783367059ae3515bae3c7ad4cfb2ef1"
-	for _, splice := range []bool{false, true} {
-		e := testEngine(t, func(c *Config) { c.Workers = 1; c.LogStreams = 1; c.GCEveryNCommits = -1 })
-		tbl := mustTable(t, e, usersSchema())
-		update := func(tx *Txn, id int64, name *string, balance int64) {
-			t.Helper()
-			if splice {
-				set := []ColValue{{Col: 2, Val: I(balance)}}
-				if name != nil {
-					set = append(set, ColValue{Col: 1, Val: S(*name)})
-				}
-				if ok, err := tx.UpdateColumns(tbl, 0, []Value{I(id)}, nil, set); err != nil || !ok {
-					t.Fatal(ok, err)
-				}
-				return
-			}
-			rid, row, err := tx.GetByKey(tbl, 0, I(id))
-			if err != nil {
-				t.Fatal(err)
-			}
+// walImageRun logs a fixed sequence of inserts, updates, a delete, a
+// re-insert and an abort on one stream; the updates re-encode a Row or, with
+// splice, splice the stored payload.
+func walImageRun(t *testing.T, splice bool) *Engine {
+	t.Helper()
+	e := testEngine(t, func(c *Config) { c.Workers = 1; c.LogStreams = 1; c.GCEveryNCommits = -1 })
+	tbl := mustTable(t, e, usersSchema())
+	update := func(tx *Txn, id int64, name *string, balance int64) {
+		t.Helper()
+		if splice {
+			set := []ColValue{{Col: 2, Val: I(balance)}}
 			if name != nil {
-				row[1] = S(*name)
+				set = append(set, ColValue{Col: 1, Val: S(*name)})
 			}
-			row[2] = I(balance)
-			if err := tx.Update(tbl, rid, row); err != nil {
-				t.Fatal(err)
+			if ok, err := tx.UpdateColumns(tbl, 0, []Value{I(id)}, nil, set); err != nil || !ok {
+				t.Fatal(ok, err)
 			}
+			return
 		}
-		for txn := int64(0); txn < 4; txn++ {
-			tx := begin(t, e, 0)
-			for i := int64(0); i < 8; i++ {
-				id := txn*8 + i
-				if _, err := tx.Insert(tbl, Row{I(id), S(fmt.Sprintf("name-%d", id%5)), I(id * 1000)}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			commit(t, tx)
-		}
-		tx := begin(t, e, 0)
-		renamed := "renamed"
-		for _, id := range []int64{3, 9, 27} {
-			update(tx, id, &renamed, -id)
-		}
-		rid, _, err := tx.GetByKey(tbl, 0, I(12))
+		rid, row, err := tx.GetByKey(tbl, 0, I(id))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tx.Delete(tbl, rid); err != nil {
+		if name != nil {
+			row[1] = S(*name)
+		}
+		row[2] = I(balance)
+		if err := tx.Update(tbl, rid, row); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tx.Insert(tbl, Row{I(12), Null, I(1 << 40)}); err != nil {
-			t.Fatal(err)
+	}
+	for txn := int64(0); txn < 4; txn++ {
+		tx := begin(t, e, 0)
+		for i := int64(0); i < 8; i++ {
+			id := txn*8 + i
+			if _, err := tx.Insert(tbl, Row{I(id), S(fmt.Sprintf("name-%d", id%5)), I(id * 1000)}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		commit(t, tx)
-		// An aborted transaction leaves nothing in the log.
-		tx = begin(t, e, 0)
-		if _, err := tx.Insert(tbl, Row{I(500), S("gone"), I(0)}); err != nil {
-			t.Fatal(err)
+	}
+	tx := begin(t, e, 0)
+	renamed := "renamed"
+	for _, id := range []int64{3, 9, 27} {
+		update(tx, id, &renamed, -id)
+	}
+	rid, _, err := tx.GetByKey(tbl, 0, I(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Delete(tbl, rid); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Insert(tbl, Row{I(12), Null, I(1 << 40)}); err != nil {
+		t.Fatal(err)
+	}
+	commit(t, tx)
+	// An aborted transaction leaves nothing in the log.
+	tx = begin(t, e, 0)
+	if _, err := tx.Insert(tbl, Row{I(500), S("gone"), I(0)}); err != nil {
+		t.Fatal(err)
+	}
+	tx.Abort()
+	tx = begin(t, e, 0)
+	update(tx, 27, nil, 77)
+	commit(t, tx)
+	return e
+}
+
+// The log image of walImageRun. fnvImage is the hash the commit before the
+// one-pass write path took and every commit up to the one before this kept:
+// records closed by a 4-byte FNV-1a. crcImage is the same log with each
+// record closed by CRC-32C instead (SRSS is memory-only: no image in the old
+// format outlives its process, so nothing has to read both).
+const (
+	fnvImage = "3a707e07b0850d837b26bbba86796bd0b783367059ae3515bae3c7ad4cfb2ef1"
+	crcImage = "47a1f4dccc06574360949482992868abedf459a90064435b74cffd9ed6253e13"
+)
+
+// TestWALImageUnchanged pins the log format byte for byte, whether the
+// updates re-encode a Row or splice the stored payload. Replicas, recovery
+// and log_bytes_per_user_byte depend on nothing here moving.
+func TestWALImageUnchanged(t *testing.T) {
+	for _, splice := range []bool{false, true} {
+		if got := walImageHash(walSegments(t, walImageRun(t, splice))); got != crcImage {
+			t.Errorf("splice=%v: WAL image hash %s, want %s", splice, got, crcImage)
 		}
-		tx.Abort()
-		tx = begin(t, e, 0)
-		update(tx, 27, nil, 77)
-		commit(t, tx)
-		if got := walImageHash(t, e); got != parentHash {
-			t.Errorf("splice=%v: WAL image hash %s, want the parent's %s", splice, got, parentHash)
+	}
+}
+
+// TestWALImageOnlyChecksumMoved shows that the re-freeze of crcImage moved
+// nothing but the checksum: put FNV-1a back into the last 4 bytes of every
+// record of today's log and it is the parent's image again -- every other
+// byte, every record boundary and the log's length are where they were.
+func TestWALImageOnlyChecksumMoved(t *testing.T) {
+	fnv1a := func(h uint32, b []byte) uint32 {
+		for _, c := range b {
+			h = (h ^ uint32(c)) * 16777619
 		}
+		return h
+	}
+	segs := walSegments(t, walImageRun(t, false))
+	records := 0
+	for _, s := range segs {
+		b := s.b
+		for pos := 1; pos < len(b); { // byte 0 is the segment header
+			rec, n, err := wal.DecodeRecord(b[pos:])
+			if err != nil {
+				t.Fatalf("record at %d: %v", pos, err)
+			}
+			body := b[pos+9 : pos+n-4] // after op and CSN, before the checksum
+			binary.LittleEndian.PutUint32(b[pos+n-4:], fnv1a(uint32(rec.Op)+1, body))
+			pos += n
+			records++
+		}
+	}
+	if records != 4*8+3+2+1 {
+		t.Errorf("walked %d records, want 38", records)
+	}
+	if got := walImageHash(segs); got != fnvImage {
+		t.Errorf("with FNV-1a checksums the image hashes to %s, want the parent's %s", got, fnvImage)
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -122,16 +123,17 @@ type Record struct {
 	Payload []byte
 }
 
-// fnv1a hashes b with FNV-1a (records carry an integrity checksum; storage
-// and network corruption must not replay as valid data).
-func fnv1a(h uint32, b []byte) uint32 {
-	if h == 0 {
-		h = 2166136261
-	}
-	for _, c := range b {
-		h = (h ^ uint32(c)) * 16777619
-	}
-	return h
+// castagnoli is the CRC-32C table: amd64 and arm64 compute it with a CPU
+// instruction, several bytes per cycle, where a byte-serial hash costs a
+// multiply per byte.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// checksum is a record's integrity checksum (storage and network corruption
+// must not replay as valid data): CRC-32C over the record's body -- the
+// three uvarints and the payload -- seeded with op+1, so that the op tag is
+// covered too and a run of zero bytes never sums to zero.
+func checksum(op byte, body []byte) uint32 {
+	return crc32.Update(uint32(op)+1, castagnoli, body)
 }
 
 // AppendRecord encodes r onto buf and returns the extended buffer plus the
@@ -149,7 +151,7 @@ func AppendRecord(buf []byte, op byte, table uint32, rid uint64, payload []byte)
 	buf = binary.AppendUvarint(buf, rid)
 	buf = binary.AppendUvarint(buf, uint64(len(payload)))
 	buf = append(buf, payload...)
-	sum := fnv1a(uint32(op)+1, buf[body:])
+	sum := checksum(op, buf[body:])
 	buf = binary.LittleEndian.AppendUint32(buf, sum)
 	return buf, off
 }
@@ -200,7 +202,7 @@ func DecodeRecord(buf []byte) (Record, int, error) {
 		return Record{}, 0, errors.New("wal: missing checksum")
 	}
 	want := binary.LittleEndian.Uint32(buf[pos : pos+4])
-	if got := fnv1a(uint32(r.Op)+1, buf[9:pos]); got != want {
+	if got := checksum(r.Op, buf[9:pos]); got != want {
 		return Record{}, 0, fmt.Errorf("wal: record checksum mismatch (%08x != %08x)", got, want)
 	}
 	return r, pos + 4, nil
