@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -357,4 +358,60 @@ func TestLostUncommittedNotRecovered(t *testing.T) {
 		t.Fatal("uncommitted row recovered")
 	}
 	_ = errors.Is
+}
+
+// TestRebuildReadsTheLogThroughWindows: the index rebuild leaves every row's
+// payload cached and aliasing the log's storage, reads the log in windows
+// (far fewer storage reads than rows), and a second rebuild -- every payload
+// now resident -- reads nothing. The same recovery over storage in 64-byte
+// chunks, where nearly every record straddles one, recovers the same rows.
+func TestRebuildReadsTheLogThroughWindows(t *testing.T) {
+	for _, chunk := range []int{0, 64} { // 0: the default, 256 KiB
+		svc := srss.New(srss.Config{ChunkSize: chunk})
+		e := testEngine(t, func(c *Config) { c.Service = svc })
+		tbl := mustTable(t, e, usersSchema())
+		const rows = 3000
+		for i := int64(0); i < rows; i++ {
+			insertUser(t, e, tbl, int(i%4), i, fmt.Sprintf("user-%d", i%97), i)
+			if i == rows/2 {
+				if _, err := e.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		want := snapshotTable(t, e, "users")
+		before := svc.Stats().Reads.Load()
+		e2, stats := recoverEngine(t, e, RecoverOptions{ReplayThreads: 2})
+		reads := svc.Stats().Reads.Load() - before
+		if got := snapshotTable(t, e2, "users"); len(got) != rows || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("chunk %d: recovered %d rows, want the %d before the crash", chunk, len(got), rows)
+		}
+		if stats.IndexKeys != 2*rows || stats.WindowReads == 0 || stats.WindowReads > reads ||
+			stats.CheckpointLoadDuration <= 0 || stats.CheckpointLoadDuration > stats.ReplayDuration {
+			t.Errorf("chunk %d: stats %+v with %d storage reads", chunk, *stats, reads)
+		}
+		if chunk == 0 && reads > rows/10 {
+			t.Errorf("recovery of %d rows issued %d storage reads, want a few per log chunk", rows, reads)
+		}
+		tbl2, _ := e2.Table("users")
+		tbl2.rows.Range(func(rid RID, v *Version) bool {
+			d := v.data.Load()
+			if d == nil {
+				t.Fatalf("chunk %d: rid %v: payload not cached by the rebuild", chunk, rid)
+			}
+			if rec, err := e2.log.ReadRecord(v.Addr()); err != nil || !bytes.Equal(rec.Payload, *d) {
+				t.Fatalf("chunk %d: rid %v: cached payload is not the log's (%v)", chunk, rid, err)
+			} else if chunk == 0 && &rec.Payload[0] != &(*d)[0] {
+				t.Fatalf("rid %v: cached payload is a copy of the log's bytes", rid)
+			}
+			return true
+		})
+		windows := e2.log.WindowReads()
+		if _, err := e2.RebuildIndexes(2); err != nil {
+			t.Fatal(err)
+		}
+		if got := e2.log.WindowReads() - windows; got != 0 {
+			t.Errorf("chunk %d: a rebuild over resident payloads read the log %d times", chunk, got)
+		}
+	}
 }

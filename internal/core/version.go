@@ -76,13 +76,26 @@ func (v *Version) payload(e *Engine) ([]byte, error) {
 	if v.tomb {
 		return nil, nil
 	}
-	rec, err := e.log.ReadRecord(wal.Addr(v.addr.Load()))
+	return v.reload(e.log, new([]byte))
+}
+
+// recordReader is the log's point read: a wal.Manager, or a wal.Reader that
+// shares a storage read among the records of a chunk.
+type recordReader interface {
+	ReadRecord(wal.Addr) (wal.Record, error)
+}
+
+// reload reads v's evicted payload back from the log and caches it in the
+// version, boxed in hdr. The payload aliases storage-backed memory: the
+// log's bytes are the row.
+func (v *Version) reload(log recordReader, hdr *[]byte) ([]byte, error) {
+	rec, err := log.ReadRecord(wal.Addr(v.addr.Load()))
 	if err != nil {
 		return nil, err
 	}
-	p := rec.Payload
-	v.data.Store(&p)
-	return p, nil
+	*hdr = rec.Payload
+	v.data.Store(hdr)
+	return rec.Payload, nil
 }
 
 // Evict drops the in-memory payload of a durable version. Returns false if

@@ -70,25 +70,48 @@ type compList struct {
 	svc  *srss.Service
 }
 
-// memComp wraps the mutable in-memory tree with a writer pin so Freeze can
-// wait for in-flight writers before serializing the retired tree (a write
-// landing after serialization would be silently lost).
+// memComp wraps the mutable in-memory tree with a writer pin (see Loader) so
+// Freeze can wait for in-flight writers before serializing the retired tree
+// (a write landing after serialization would be silently lost).
 type memComp struct {
 	tree    *art.Tree
 	writers atomic.Int64
 }
 
-// pinWriter returns the current in-memory component with its writer count
-// raised; the caller must call release after mutating.
-func (ix *Index) pinWriter() *memComp {
+// Loader is a pin on the in-memory component: while it is held, Insert
+// goes straight to the tree. A bulk load takes one per batch of rows instead
+// of paying the pin -- a lock and two writes to a counter every loading
+// thread shares -- and the maintenance check per key. A Freeze waits for the
+// pin, so a batch stays a few hundred rows.
+type Loader struct {
+	ix *Index
+	m  *memComp
+}
+
+// Load pins the current in-memory component for a batch of inserts; the
+// caller must call Done after the last.
+func (ix *Index) Load() Loader {
 	ix.mu.RLock()
 	m := ix.mem
 	m.writers.Add(1)
 	ix.mu.RUnlock()
-	return m
+	return Loader{ix, m}
 }
 
-func (m *memComp) release() { m.writers.Add(-1) }
+// Insert upserts key -> rid.
+func (l Loader) Insert(key []byte, rid uint64) error {
+	if len(key) > art.MaxKeyLen {
+		return art.ErrKeyTooLong
+	}
+	l.m.tree.Insert(key, rid)
+	return nil
+}
+
+// Done releases the pin and applies the auto freeze/merge policies.
+func (l Loader) Done() {
+	l.m.writers.Add(-1)
+	l.ix.maybeMaintain()
+}
 
 func newCompList(svc *srss.Service, comps []*component) *compList {
 	l := &compList{comps: comps, svc: svc}
@@ -142,16 +165,12 @@ var (
 	ErrNoService = errors.New("index: no storage service configured")
 )
 
-// Insert upserts key -> rid in the in-memory component.
+// Insert upserts key -> rid in the in-memory component: a load of one.
 func (ix *Index) Insert(key []byte, rid uint64) error {
-	if len(key) > art.MaxKeyLen {
-		return art.ErrKeyTooLong
-	}
-	m := ix.pinWriter()
-	m.tree.Insert(key, rid)
-	m.release()
-	ix.maybeMaintain()
-	return nil
+	l := ix.Load()
+	err := l.Insert(key, rid)
+	l.Done()
+	return err
 }
 
 // Delete records a tombstone for key.
@@ -159,10 +178,9 @@ func (ix *Index) Delete(key []byte) error {
 	if len(key) > art.MaxKeyLen {
 		return art.ErrKeyTooLong
 	}
-	m := ix.pinWriter()
-	m.tree.InsertTombstone(key)
-	m.release()
-	ix.maybeMaintain()
+	l := ix.Load()
+	l.m.tree.InsertTombstone(key)
+	l.Done()
 	return nil
 }
 

@@ -863,6 +863,20 @@ func (v *View) At(off int64, n int) ([]byte, error) {
 	return r.slice(off, n), nil
 }
 
+// Window returns the durable bytes from off to the end of the chunk that
+// holds off: the longest read that is always zero-copy. A sequential reader
+// takes one window per chunk -- one chaos check, one latency charge, one
+// count in Stats.Reads -- and decodes in place, where At per item would pay
+// all three per item.
+func (v *View) Window(off int64) ([]byte, error) {
+	size := v.plog.size.Load()
+	if off < 0 || off >= size {
+		return nil, fmt.Errorf("%w: window at %d of %d", ErrOutOfRange, off, size)
+	}
+	cs := int64(v.plog.svc.cfg.ChunkSize)
+	return v.At(off, int(min(size, (off/cs+1)*cs)-off))
+}
+
 // replicasEqual verifies that all replicas hold identical bytes over the
 // full durable extent; used by invariant tests. Torn PLogs fail this check
 // by design (replica extents diverge past the last acked append).

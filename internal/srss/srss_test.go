@@ -2,6 +2,7 @@ package srss
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -260,6 +261,51 @@ func TestMmapViewZeroCopyAndStability(t *testing.T) {
 	}
 	if _, err := v.At(0, int(v.Len())+1); err == nil {
 		t.Fatal("view read past end succeeded")
+	}
+}
+
+// TestViewWindow: a window runs from its offset to the end of that chunk or
+// of the PLog, aliases the replica's memory, and is one read.
+func TestViewWindow(t *testing.T) {
+	s := New(Config{MaxPLogSize: 1 << 20, ChunkSize: 64})
+	p, _ := s.Create(TierCompute)
+	data := make([]byte, 150)
+	for i := range data {
+		data[i] = byte(i)
+	}
+	p.Append(data)
+	v := p.Mmap()
+	for _, c := range []struct{ off, want int }{{0, 64}, {10, 54}, {63, 1}, {64, 64}, {128, 22}, {149, 1}} {
+		before := s.Stats().Reads.Load()
+		w, err := v.Window(int64(c.off))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(w) != c.want || cap(w) != c.want || !bytes.Equal(w, data[c.off:c.off+c.want]) {
+			t.Errorf("window at %d: %d bytes (cap %d), want %d", c.off, len(w), cap(w), c.want)
+		}
+		if got := s.Stats().Reads.Load() - before; got != 1 {
+			t.Errorf("window at %d cost %d reads, want 1", c.off, got)
+		}
+		again, _ := v.Window(int64(c.off))
+		if &w[0] != &again[0] {
+			t.Errorf("window at %d is a copy", c.off)
+		}
+	}
+	for _, off := range []int64{-1, 150, 151} {
+		if _, err := v.Window(off); !errors.Is(err, ErrOutOfRange) {
+			t.Errorf("window at %d: %v, want ErrOutOfRange", off, err)
+		}
+	}
+	// The PLog grows inside the last window's chunk: the old window is
+	// untouched, a new one sees the new bytes.
+	w, _ := v.Window(128)
+	p.Append([]byte{200, 201})
+	if len(w) != 22 {
+		t.Fatal("a window grew with the PLog")
+	}
+	if w2, _ := v.Window(128); len(w2) != 24 || w2[23] != 201 {
+		t.Errorf("window after growth: %d bytes", len(w2))
 	}
 }
 

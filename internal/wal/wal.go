@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -162,50 +163,82 @@ func PatchCSN(buf []byte, off int, csn uint64) {
 	binary.LittleEndian.PutUint64(buf[off+1:off+9], csn)
 }
 
-// DecodeRecord parses the record at buf[0:] and returns it together with its
-// encoded length. The returned payload aliases buf.
-func DecodeRecord(buf []byte) (Record, int, error) {
-	if len(buf) < 10 {
-		return Record{}, 0, errors.New("wal: short record")
+// decodeError is what DecodeRecord rejects bytes with. A scan classifies it
+// -- torn tail, live tail or corruption -- where an error of the storage
+// underneath is returned as it is.
+type decodeError string
+
+func (e decodeError) Error() string { return string(e) }
+
+// errShort rejects bytes that end before the record they begin does.
+const errShort decodeError = "wal: short record"
+
+// maxRecordHeader bounds what precedes a record's payload: the op tag, the
+// fixed-width CSN, and the table, RID and payload-length uvarints.
+const maxRecordHeader = 1 + 8 + binary.MaxVarintLen32 + 2*binary.MaxVarintLen64
+
+// decodeHeader parses what precedes the payload of the record at buf[0:]
+// and returns the payload's position and length.
+func decodeHeader(buf []byte) (r Record, pos, plen int, err error) {
+	if len(buf) < 1 {
+		return r, 0, 0, errShort
 	}
-	r := Record{Op: buf[0]}
+	r.Op = buf[0]
 	switch r.Op {
 	case OpInsert, OpUpdate, OpDelete, OpPrepare, OpDecide, OpForget:
 	default:
-		return Record{}, 0, fmt.Errorf("wal: bad op tag %#x", buf[0])
+		return r, 0, 0, decodeError(fmt.Sprintf("wal: bad op tag %#x", buf[0]))
+	}
+	if len(buf) < 9 {
+		return r, 0, 0, errShort
 	}
 	r.CSN = binary.LittleEndian.Uint64(buf[1:9])
-	pos := 9
-	tbl, n := binary.Uvarint(buf[pos:])
-	if n <= 0 {
-		return Record{}, 0, errors.New("wal: bad table id")
+	pos = 9
+	var field [3]uint64 // table, RID, payload length
+	for i := range field {
+		v, n := binary.Uvarint(buf[pos:])
+		if n == 0 {
+			return r, 0, 0, errShort
+		}
+		if n < 0 {
+			return r, 0, 0, decodeError("wal: bad record header")
+		}
+		field[i] = v
+		pos += n
 	}
-	pos += n
-	r.Table = uint32(tbl)
-	rid, n := binary.Uvarint(buf[pos:])
-	if n <= 0 {
-		return Record{}, 0, errors.New("wal: bad rid")
+	// A segment offset is 32 bits: no record is longer, and a length that
+	// claims to be must not wrap the arithmetic below.
+	if field[0] > math.MaxUint32 || field[2] > math.MaxUint32 {
+		return r, 0, 0, decodeError("wal: bad record header")
 	}
-	pos += n
-	r.RID = rid
-	plen, n := binary.Uvarint(buf[pos:])
-	if n <= 0 {
-		return Record{}, 0, errors.New("wal: bad payload len")
+	r.Table, r.RID = uint32(field[0]), field[1]
+	return r, pos, int(field[2]), nil
+}
+
+// recordLen returns the encoded length of the record whose header buf
+// begins with, which may be more than buf holds.
+func recordLen(buf []byte) (int, error) {
+	_, pos, plen, err := decodeHeader(buf)
+	return pos + plen + 4, err
+}
+
+// DecodeRecord parses the record at buf[0:] and returns it together with its
+// encoded length. The returned payload aliases buf.
+func DecodeRecord(buf []byte) (Record, int, error) {
+	r, pos, plen, err := decodeHeader(buf)
+	if err != nil {
+		return Record{}, 0, err
 	}
-	pos += n
-	if pos+int(plen) > len(buf) {
-		return Record{}, 0, errors.New("wal: truncated payload")
+	end := pos + plen
+	if end+4 > len(buf) {
+		return Record{}, 0, errShort
 	}
-	r.Payload = buf[pos : pos+int(plen)]
-	pos += int(plen)
-	if pos+4 > len(buf) {
-		return Record{}, 0, errors.New("wal: missing checksum")
+	r.Payload = buf[pos:end:end]
+	want := binary.LittleEndian.Uint32(buf[end : end+4])
+	if got := checksum(r.Op, buf[9:end]); got != want {
+		return Record{}, 0, decodeError(fmt.Sprintf("wal: record checksum mismatch (%08x != %08x)", got, want))
 	}
-	want := binary.LittleEndian.Uint32(buf[pos : pos+4])
-	if got := checksum(r.Op, buf[9:pos]); got != want {
-		return Record{}, 0, fmt.Errorf("wal: record checksum mismatch (%08x != %08x)", got, want)
-	}
-	return r, pos + 4, nil
+	return r, end + 4, nil
 }
 
 // segmentHeader is the first byte of every segment PLog, ensuring offset 0
@@ -499,6 +532,8 @@ type Manager struct {
 
 	mu    sync.RWMutex
 	views map[uint16]*srss.View
+	// windowReads counts the storage reads of the read paths; see WindowReads.
+	windowReads atomic.Int64
 
 	// scanMu fences DropSegment against in-progress scans: a drop marks the
 	// segment and waits for its scanRefs to drain before deleting the
@@ -1021,35 +1056,110 @@ func (m *Manager) view(seg uint16) (*srss.View, error) {
 	return v, nil
 }
 
+// window is a sequential reader's place in one segment: the bytes from off
+// to the end of the SRSS chunk that holds off, zero-copy. Records are
+// decoded where they lie, so a pass over a chunk's ~1,700 rows costs the
+// storage one read.
+type window struct {
+	m   *Manager
+	v   *srss.View
+	off int64
+	b   []byte
+}
+
+// record decodes the record at offset off of the segment. The payload
+// aliases storage-backed memory. An error is a decodeError when the bytes
+// are there and do not parse, else the storage's.
+func (w *window) record(off int64) (Record, int, error) {
+	if off < w.off || off >= w.off+int64(len(w.b)) {
+		b, err := w.v.Window(off)
+		if err != nil {
+			return Record{}, 0, err
+		}
+		w.m.windowReads.Add(1)
+		w.off, w.b = off, b
+	}
+	b := w.b[off-w.off:]
+	rec, n, err := DecodeRecord(b)
+	if err != errShort {
+		return rec, n, err
+	}
+	// The record runs past the window. Unless that is the end of the
+	// segment, the rest of it is in the next chunk: size the record from its
+	// header -- read on its own first, if the boundary cuts the header too
+	// -- and take that one range, which the view copies together.
+	rem := w.v.Len() - off
+	if int64(len(b)) >= rem {
+		return Record{}, 0, errShort
+	}
+	if n, err = recordLen(b); err == errShort {
+		w.m.windowReads.Add(1)
+		if b, err = w.v.At(off, int(min(maxRecordHeader, rem))); err != nil {
+			return Record{}, 0, err
+		}
+		n, err = recordLen(b)
+	}
+	if err == nil && int64(n) > rem {
+		err = errShort // the segment ends inside the record
+	}
+	if err != nil {
+		return Record{}, 0, err
+	}
+	w.m.windowReads.Add(1)
+	if b, err = w.v.At(off, n); err != nil {
+		return Record{}, 0, err
+	}
+	return DecodeRecord(b)
+}
+
 // ReadRecord materializes the log record at addr through the segment's mmap
 // view. This is the path that serves reads of evicted versions (Section
-// 4.2): the returned payload references storage-backed memory.
+// 4.2): the returned payload references storage-backed memory. The record is
+// read once and decoded once, whatever its size.
 func (m *Manager) ReadRecord(addr Addr) (Record, error) {
 	v, err := m.view(addr.Segment())
 	if err != nil {
 		return Record{}, err
 	}
-	// Read a bounded window; extend if the record is larger.
-	want := 512
-	for {
-		n := int64(want)
-		if rem := v.Len() - int64(addr.Offset()); n > rem {
-			n = rem
-		}
-		b, err := v.At(int64(addr.Offset()), int(n))
+	w := window{m: m, v: v}
+	rec, _, err := w.record(int64(addr.Offset()))
+	return rec, err
+}
+
+// Reader is ReadRecord for a caller that reads many records: it keeps the
+// last window of every segment it has read from, so records read in log
+// order -- or in the order of several interleaved streams, as a table's rows
+// are in RID order -- share a storage read per chunk. Not for concurrent
+// use; each goroutine takes its own.
+type Reader struct {
+	m    *Manager
+	wins map[uint16]*window
+}
+
+// NewReader returns a Reader on m's log.
+func (m *Manager) NewReader() *Reader {
+	return &Reader{m: m, wins: make(map[uint16]*window)}
+}
+
+// ReadRecord is Manager.ReadRecord through the reader's windows.
+func (r *Reader) ReadRecord(addr Addr) (Record, error) {
+	w := r.wins[addr.Segment()]
+	if w == nil {
+		v, err := r.m.view(addr.Segment())
 		if err != nil {
 			return Record{}, err
 		}
-		rec, _, derr := DecodeRecord(b)
-		if derr == nil {
-			return rec, nil
-		}
-		if int64(want) >= v.Len()-int64(addr.Offset()) {
-			return Record{}, derr
-		}
-		want *= 4
+		w = &window{m: r.m, v: v}
+		r.wins[addr.Segment()] = w
 	}
+	rec, _, err := w.record(int64(addr.Offset()))
+	return rec, err
 }
+
+// WindowReads counts the storage reads the log's read paths (ReadRecord,
+// Reader, scans) have issued: one per chunk window, and one or two more for
+// a record that straddles a chunk boundary.
+func (m *Manager) WindowReads() int64 { return m.windowReads.Load() }
 
 // ScanSegment iterates the records of one segment in append order, calling
 // fn with each record's permanent address. Replay threads run one scan per
@@ -1061,7 +1171,9 @@ func (m *Manager) ScanSegment(seg uint16, fn func(addr Addr, rec Record) bool) e
 
 // ScanSegmentFrom scans a segment starting at byte offset from (0 = the
 // beginning) and returns the offset just past the last record seen, which a
-// follower passes back on its next catch-up scan.
+// follower passes back on its next catch-up scan. The scan is sequential --
+// the cheapest access pattern on log-structured storage -- and copies
+// nothing: records are decoded in the chunk windows of the segment's view.
 func (m *Manager) ScanSegmentFrom(seg uint16, from int64, fn func(addr Addr, rec Record) bool) (int64, error) {
 	if err := m.beginScan(seg); err != nil {
 		return from, err
@@ -1075,6 +1187,7 @@ func (m *Manager) ScanSegmentFrom(seg uint16, from int64, fn func(addr Addr, rec
 	if size == 0 || from >= size {
 		return from, nil
 	}
+	w := window{m: m, v: v}
 	if from == 0 {
 		from = 1 // skip the segment header byte
 		h, err := v.At(0, 1)
@@ -1085,39 +1198,35 @@ func (m *Manager) ScanSegmentFrom(seg uint16, from int64, fn func(addr Addr, rec
 			return 0, fmt.Errorf("wal: segment %d missing header", seg)
 		}
 	}
-	// One bulk read: replay is a sequential scan, the cheapest access
-	// pattern on log-structured storage.
-	b, err := v.At(from, int(size-from))
-	if err != nil {
-		return from, m.mapSegErr(seg, err)
-	}
-	pos := 0
-	for pos < len(b) {
-		rec, n, err := DecodeRecord(b[pos:])
+	pos := from
+	for pos < size {
+		rec, n, err := w.record(pos)
 		if err != nil {
-			abs := from + int64(pos)
-			switch m.classifyTail(v.PLog(), abs) {
+			if !errors.As(err, new(decodeError)) {
+				return pos, m.mapSegErr(seg, err)
+			}
+			switch m.classifyTail(v.PLog(), pos) {
 			case tailTorn:
 				// Torn tail: the writer died mid-replication, leaving a
 				// partially materialized final record. Truncate the scan at
-				// the last valid record; the bytes past abs were never
+				// the last valid record; the bytes past pos were never
 				// acked to any committer, so dropping them is correct.
-				m.countTailTrunc(seg, abs, size)
-				return abs, nil
+				m.countTailTrunc(seg, pos, size)
+				return pos, nil
 			case tailLive:
-				// End of the currently-available log: the record past abs is
+				// End of the currently-available log: the record past pos is
 				// still being appended (or shipped). Not torn, not corrupt --
-				// the follower retries from abs on its next poll.
-				return abs, nil
+				// the follower retries from pos on its next poll.
+				return pos, nil
 			}
-			return abs, fmt.Errorf("wal: segment %d at %d: %w", seg, abs, err)
+			return pos, fmt.Errorf("wal: segment %d at %d: %w", seg, pos, err)
 		}
-		if !fn(MakeAddr(seg, uint32(from+int64(pos))), rec) {
-			return from + int64(pos), nil
+		if !fn(MakeAddr(seg, uint32(pos)), rec) {
+			return pos, nil
 		}
-		pos += n
+		pos += int64(n)
 	}
-	return from + int64(pos), nil
+	return pos, nil
 }
 
 type tailClass int
