@@ -3,11 +3,19 @@
 // A Client owns a bounded pool of TCP connections to one server. Each
 // server connection is one server-side session, so session-scoped work
 // (BEGIN...COMMIT) leases a connection via Session and pins it until the
-// session closes. Requests are multiplexed by request ID: every
-// connection runs one reader goroutine that dispatches responses to
-// waiting futures, so pipelined requests (several in flight before the
-// first response, notably commits answered only at durability) complete
-// out of order exactly as the server sends them.
+// session closes. The calling goroutine drives its connection: it writes
+// its request and reads the socket itself until its response arrives, with
+// the socket deadline as the timeout; no goroutine belongs to a connection.
+// Requests are matched by request ID, so pipelined requests (ExecPipe,
+// CommitPipe: several in flight before the first response, notably commits
+// answered only at durability) complete out of order exactly as the server
+// sends them: whoever reads a response meant for another in-flight request
+// parks it with that request's Pending.
+//
+// BEGIN costs no round trip: Session.Begin only notes it, and the first
+// statement carries it to the server as a flag (wire.FlagBegin), so errors
+// opening the transaction -- an admission refusal, above all -- surface from
+// that first statement.
 //
 // Failure handling mirrors the wire contract:
 //
@@ -287,15 +295,19 @@ func (c *Client) retry(class wire.RetryClass, inTxn bool, fn func() error) error
 // Session leases a pooled connection as a dedicated session. Callers must
 // Close it; sessions are not safe for concurrent use.
 func (c *Client) Session() (*Session, error) {
-	t := time.NewTimer(c.opts.RequestTimeout)
-	defer t.Stop()
 	select {
 	case <-c.tokens:
-	case <-t.C:
-		// A *wire.Error carrying CodeBusy, so pool exhaustion is retried
-		// with backoff exactly like server-side admission rejection.
-		return nil, &wire.Error{Code: wire.CodeBusy,
-			Msg: fmt.Sprintf("client: no session available in %v", c.opts.RequestTimeout)}
+	default: // pool exhausted: only now is a timer worth arming
+		t := time.NewTimer(c.opts.RequestTimeout)
+		defer t.Stop()
+		select {
+		case <-c.tokens:
+		case <-t.C:
+			// A *wire.Error carrying CodeBusy, so pool exhaustion is retried
+			// with backoff exactly like server-side admission rejection.
+			return nil, &wire.Error{Code: wire.CodeBusy,
+				Msg: fmt.Sprintf("client: no session available in %v", c.opts.RequestTimeout)}
+		}
 	}
 	w, err := c.conn()
 	if err != nil {
@@ -329,23 +341,29 @@ func (c *Client) withSession(dt *DistTrace, fn func(*Session) error) error {
 	return fn(s)
 }
 
-// conn returns an idle pooled connection or dials a fresh one.
+// conn returns an idle pooled connection or dials a fresh one. Nobody reads
+// a connection while it sits in the pool, so one the server meanwhile reaped,
+// closed or sent a notice on is found out here, by one non-blocking look at
+// the socket, and discarded instead of failing its next caller.
 func (c *Client) conn() (*wconn, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClientClosed
-	}
-	for len(c.idle) > 0 {
+	for {
+		c.mu.Lock()
+		if c.closed {
+			c.mu.Unlock()
+			return nil, ErrClientClosed
+		}
+		if len(c.idle) == 0 {
+			c.mu.Unlock()
+			return c.dial()
+		}
 		w := c.idle[len(c.idle)-1]
 		c.idle = c.idle[:len(c.idle)-1]
-		if w.healthy() {
-			c.mu.Unlock()
+		c.mu.Unlock()
+		if w.quiet() {
 			return w, nil
 		}
+		w.fail(errors.New("client: connection went stale in the pool"))
 	}
-	c.mu.Unlock()
-	return c.dial()
 }
 
 func (c *Client) dial() (*wconn, error) {
@@ -354,25 +372,15 @@ func (c *Client) dial() (*wconn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
-	w := &wconn{
-		nc:      nc,
-		br:      bufio.NewReader(nc),
-		pending: make(map[uint64]chan wire.Response),
-		csn:     c.csn,
-		onGreeting: func(role byte, primary string, epoch uint64) {
-			c.noteEpoch(epoch)
-			c.greeting.Store(&Greeting{Role: role, PrimaryAddr: primary, Epoch: epoch})
-		},
-	}
-	go w.readLoop()
-	return w, nil
+	return newWconn(c, nc), nil
 }
 
-// release returns a session's connection to the pool (healthy) or drops
-// it (failed / mid-transaction).
+// release returns a session's connection to the pool (healthy, nothing in
+// flight) or drops it (failed / mid-transaction / responses still owed).
 func (c *Client) release(w *wconn, reusable bool) {
+	reusable = reusable && w.settled()
 	c.mu.Lock()
-	if reusable && !c.closed && w.healthy() {
+	if reusable && !c.closed {
 		c.idle = append(c.idle, w)
 		w = nil
 	}
@@ -580,8 +588,8 @@ func (c *Client) adoptPrimary(addr string, g *Greeting) {
 
 // --- session ---------------------------------------------------------------
 
-// Session is one leased server-side session. Every request goes through do,
-// which reissues it as its opcode's retry class allows: in particular,
+// Session is one leased server-side session. Every request goes through
+// call, which reissues it as its retry class allows: in particular,
 // statements inside an open transaction are never retried, autocommit
 // statements retry retryable codes.
 type Session struct {
@@ -592,6 +600,12 @@ type Session struct {
 	inTxn  bool
 	closed bool
 	fetch  int // streaming-page row hint; 0 = Options.FetchSize
+
+	// begin: Begin was called and no request has told the server yet. The
+	// first OpExec/OpExecStmt carries it as wire.FlagBegin; any other
+	// request is preceded by an explicit OpBegin (do).
+	begin bool
+	buf   []byte // statement payload scratch, reused across calls
 
 	trace      bool // request server-side tracing on every request
 	curTraceID uint64
@@ -676,14 +690,14 @@ func (s *Session) Close() {
 		return
 	}
 	if s.inTxn && s.w.healthy() {
-		s.Rollback()
+		s.Rollback() // sends nothing if the server never heard of the BEGIN
 	}
 	reusable := !s.inTxn
 	if len(s.stmts)+len(s.rows) > 0 && s.w.healthy() {
 		// Pipeline the closes: start them all, then collect.
 		pend := make([]*Pending, 0, len(s.stmts)+len(s.rows))
 		closeHandle := func(op wire.Op, id uint64) {
-			p, err := s.w.start(op, wire.EncodeHandle(id), s.c.opts.RequestTimeout, 0, 0)
+			p, err := s.w.start(op, wire.EncodeHandle(id), 0, 0)
 			if err != nil {
 				reusable = false
 				return
@@ -716,27 +730,72 @@ func (s *Session) Close() {
 // InTxn reports the client-side view of the transaction state.
 func (s *Session) InTxn() bool { return s.inTxn }
 
-// do round-trips one request on the pinned connection, reissuing it as its
-// opcode's retry class allows, and mirrors what the outcome did to the
-// server-side transaction: conflict and duplicate errors abort it there
-// (the session is detached), as does losing the connection.
-func (s *Session) do(op wire.Op, payload []byte) (r wire.Response, err error) {
+// do round-trips one request on the pinned connection under its opcode's
+// retry class. A BEGIN the server has not heard of goes first, as an explicit
+// OpBegin: only a statement (stmt) can carry it.
+func (s *Session) do(op wire.Op, payload []byte) (wire.Response, error) {
+	if err := s.sendBegin(); err != nil {
+		return wire.Response{}, err
+	}
+	return s.call(op, op.Retry(), payload)
+}
+
+// sendBegin tells the server of a pending BEGIN with an explicit OpBegin.
+func (s *Session) sendBegin() error {
+	if !s.begin {
+		return nil
+	}
+	_, err := s.call(wire.OpBegin, wire.OpBegin.Retry(), nil)
+	if err == nil {
+		s.begin = false
+	}
+	return err
+}
+
+// stmt round-trips an OpExec or OpExecStmt payload built in s.buf. A pending
+// BEGIN rides it as the flags trailer; such a statement is reissued only for
+// an admission refusal (nothing executed), never for a conflict, and if it
+// fails otherwise the server has rolled back what it opened, so the next
+// statement carries the flag again.
+func (s *Session) stmt(op wire.Op) (*wire.Result, error) {
+	class := op.Retry()
+	if s.begin {
+		s.buf = wire.AppendStmtFlags(s.buf, wire.FlagBegin)
+		class = wire.RetryBusyOnly
+	}
+	r, err := s.call(op, class, s.buf)
+	if cap(s.buf) > maxRetainedBuf {
+		s.buf = nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	s.begin = false
+	return decodeResultNote(s.w, r.Body)
+}
+
+// call round-trips one request, reissuing it as class allows, and mirrors
+// what the outcome did to the server-side transaction: conflict and duplicate
+// errors abort it there (the session is detached), as does losing the
+// connection. The response body aliases the connection's read buffer: it is
+// valid until the session's next request.
+func (s *Session) call(op wire.Op, class wire.RetryClass, payload []byte) (r wire.Response, err error) {
 	if s.closed {
 		return r, ErrClientClosed
 	}
-	err = s.c.retry(op.Retry(), s.inTxn, func() error {
+	err = s.c.retry(class, s.inTxn, func() error {
 		r, err = s.roundTrip(op, payload)
 		return err
 	})
 	if err != nil {
 		if code := wire.CodeOf(err); code == wire.CodeConflict || code == wire.CodeDuplicate || !s.w.healthy() {
-			s.inTxn = false
+			s.inTxn, s.begin = false, false
 		}
 	}
 	return r, err
 }
 
-// roundTrip is one attempt of do.
+// roundTrip is one attempt of call.
 func (s *Session) roundTrip(op wire.Op, payload []byte) (wire.Response, error) {
 	tid, hop := s.traceIDs()
 	var sent time.Duration
@@ -744,11 +803,7 @@ func (s *Session) roundTrip(op wire.Op, payload []byte) (wire.Response, error) {
 		sent = s.dist.Since()
 	}
 	t0 := time.Now()
-	p, err := s.w.start(op, payload, s.c.opts.RequestTimeout, tid, hop)
-	if err != nil {
-		return wire.Response{}, err
-	}
-	r, err := p.wait()
+	r, err := s.w.roundTrip(op, payload, t0, tid, hop)
 	if r.Trace != nil {
 		// Stage timings ride the terminal response of the traced unit;
 		// receiving them completes the unit client-side. (A server whose
@@ -768,19 +823,39 @@ func (s *Session) roundTrip(op wire.Op, payload []byte) (wire.Response, error) {
 	return r, err
 }
 
-// Begin opens the session transaction.
+// Begin opens the session transaction. It sends nothing: the first statement
+// carries the BEGIN, so what the server has to say about opening a
+// transaction -- an admission refusal, above all -- is that statement's
+// error. Only a Begin inside a transaction is sent, for the server to judge.
 func (s *Session) Begin() error {
-	_, err := s.do(wire.OpBegin, nil)
-	if err == nil {
-		s.inTxn = true
+	if s.closed {
+		return ErrClientClosed
 	}
-	return err
+	if s.inTxn {
+		_, err := s.do(wire.OpBegin, nil)
+		return err
+	}
+	s.inTxn, s.begin = true, true
+	return nil
+}
+
+// unbegun ends a transaction the server never heard of: committing or
+// rolling back nothing takes no request.
+func (s *Session) unbegun() bool {
+	if !s.begin || s.closed {
+		return false
+	}
+	s.inTxn, s.begin = false, false
+	return true
 }
 
 // Commit commits; the response arrives when the commit is durable. The
 // response carries the commit CSN, which becomes the session's client's
 // read-your-writes token for subsequent replica reads.
 func (s *Session) Commit() error {
+	if s.unbegun() {
+		return nil
+	}
 	_, err := s.result(s.do(wire.OpCommit, nil))
 	if err == nil {
 		s.inTxn = false
@@ -790,6 +865,9 @@ func (s *Session) Commit() error {
 
 // Rollback aborts the session transaction.
 func (s *Session) Rollback() error {
+	if s.unbegun() {
+		return nil
+	}
 	_, err := s.do(wire.OpAbort, nil)
 	if err == nil {
 		s.inTxn = false
@@ -824,7 +902,7 @@ func (s *Session) TxnPrepare(gtid string) (vote byte, err error) {
 	// Any definitive server answer means the transaction is gone; only
 	// admission refusals (Busy/Closed) answer without executing.
 	if code := wire.CodeOf(err); code != wire.CodeBusy && code != wire.CodeClosed {
-		s.inTxn = false
+		s.inTxn, s.begin = false, false
 	}
 	if err != nil {
 		return 0, err
@@ -919,7 +997,8 @@ func (s *Session) Exec(sql string, args ...core.Value) (*wire.Result, error) {
 	if verb := txnVerb(sql); verb != "" {
 		return s.control(verb)
 	}
-	return s.result(s.do(wire.OpExec, wire.AppendExec(nil, sql, args)))
+	s.buf = wire.AppendExec(s.buf[:0], sql, args)
+	return s.stmt(wire.OpExec)
 }
 
 // ExecAt runs one read-only statement at-or-after minCSN: on a replica
@@ -997,7 +1076,8 @@ func (st *Stmt) Exec(args ...core.Value) (*wire.Result, error) {
 	if st.verb != "" {
 		return st.s.control(st.verb)
 	}
-	return st.s.result(st.s.do(wire.OpExecStmt, wire.AppendExecStmt(nil, st.id, args)))
+	st.s.buf = wire.AppendExecStmt(st.s.buf[:0], st.id, args)
+	return st.s.stmt(wire.OpExecStmt)
 }
 
 // ExecPipe sends a prepared execution without waiting (no retry). A
@@ -1008,10 +1088,11 @@ func (st *Stmt) ExecPipe(args ...core.Value) (*Pending, error) {
 	if st.closed {
 		return nil, ErrStmtClosed
 	}
+	p, err := st.s.pipe(wire.OpExecStmt, wire.AppendExecStmt(nil, st.id, args))
 	if st.verb != "" {
-		st.s.inTxn = st.verb == "BEGIN"
+		st.s.inTxn, st.s.begin = st.verb == "BEGIN", false
 	}
-	return st.s.pipe(wire.OpExecStmt, wire.AppendExecStmt(nil, st.id, args))
+	return p, err
 }
 
 // Close releases the server-side statement. Closing twice (or closing
@@ -1034,21 +1115,31 @@ func (st *Stmt) Close() error {
 
 // Pending is an in-flight request: the pipelining primitive. Start
 // several, then wait; responses complete in whatever order the server
-// answers (commits answer at durability).
+// answers (commits answer at durability). A Pending belongs to its session
+// and, like it, is not safe for concurrent use.
 type Pending struct {
 	w  *wconn
 	id uint64
-	ch chan wire.Response
-	t  time.Duration
+
+	// Set, under w.mu, by whoever reads this request's response off the
+	// socket while waiting for another: r is the parked response (its body a
+	// copy) and done says it is there.
+	r    wire.Response
+	done bool
 }
 
-// pipe sends one request without waiting for its response (no retry).
+// pipe sends one request without waiting for its response (no retry). A
+// BEGIN the server has not heard of is sent, and answered, first: nothing may
+// be in flight behind a BEGIN that might yet be refused.
 func (s *Session) pipe(op wire.Op, payload []byte) (*Pending, error) {
 	if s.closed {
 		return nil, ErrClientClosed
 	}
+	if err := s.sendBegin(); err != nil {
+		return nil, err
+	}
 	tid, hop := s.traceIDs()
-	return s.w.start(op, payload, s.c.opts.RequestTimeout, tid, hop)
+	return s.w.start(op, payload, tid, hop)
 }
 
 // ExecPipe sends a statement without waiting (no retry; transaction-state
@@ -1059,8 +1150,9 @@ func (s *Session) ExecPipe(sql string, args ...core.Value) (*Pending, error) {
 
 // CommitPipe sends a commit without waiting; Wait returns at durability.
 func (s *Session) CommitPipe() (*Pending, error) {
-	s.inTxn = false
-	return s.pipe(wire.OpCommit, nil)
+	p, err := s.pipe(wire.OpCommit, nil)
+	s.inTxn, s.begin = false, false
+	return p, err
 }
 
 // Wait blocks for the response.
@@ -1072,29 +1164,68 @@ func (p *Pending) Wait() (*wire.Result, error) {
 	return decodeResultNote(p.w, r.Body)
 }
 
+// wait blocks for the future's response, the connection's failure, or the
+// timeout (which fails the connection: request IDs cannot be resynced
+// once a response is abandoned).
+func (p *Pending) wait() (wire.Response, error) {
+	w := p.w
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	switch {
+	case p.done:
+		// r rides along with an error: traced error responses still carry
+		// stage timings worth surfacing.
+		return p.r, p.r.Err()
+	case w.err != nil:
+		return wire.Response{}, w.err
+	case w.piped[p.id] != p:
+		return wire.Response{}, fmt.Errorf("client: request %d already waited for", p.id)
+	}
+	delete(w.piped, p.id)
+	w.arm(time.Now())
+	return w.recv(p.id)
+}
+
 // --- connection ------------------------------------------------------------
 
-// wconn is one multiplexed TCP connection.
+// maxUnread bounds the pipelined requests one connection may have sent
+// without reading their responses. A sender about to exceed it reads one
+// response first (parking it with its Pending), so however far a caller
+// pipelines ahead of its Waits, the responses owed never outgrow what the
+// socket buffers hold and the server never blocks writing to a connection
+// nobody reads -- which would stop it reading, and deadlock the sender.
+const maxUnread = 64
+
+// wconn is one TCP connection, driven by whichever goroutine is using it:
+// that goroutine writes its request and reads the socket until its response
+// arrives. mu serialises them; a session is used by one goroutine at a time,
+// so it is uncontended. A response body aliases the frame reader's buffer:
+// valid until the next read on the connection.
 type wconn struct {
+	c  *Client
 	nc net.Conn
-	br *bufio.Reader
 
-	// csn is the owning client's shared read-your-writes token; commit
-	// CSNs riding response bodies fold into it (monotonic max).
-	csn        *atomic.Uint64
-	onGreeting func(role byte, primary string, epoch uint64)
+	mu   sync.Mutex
+	br   *bufio.Reader
+	fr   *wire.FrameReader
+	wbuf []byte        // the request frame being written
+	dl   wire.Deadline // socket deadline (read and write), armed lazily
 
-	writeMu sync.Mutex
+	// piped holds the pipelined requests whose responses are still on the
+	// socket (at most maxUnread); a synchronous round trip is never in it.
+	piped  map[uint64]*Pending
+	reqSeq uint64
+	err    error // sticky: set once the connection fails
+}
 
-	mu      sync.Mutex
-	pending map[uint64]chan wire.Response
-	reqSeq  uint64
-	err     error // sticky: set once the connection fails
+func newWconn(c *Client, nc net.Conn) *wconn {
+	br := bufio.NewReader(nc)
+	return &wconn{c: c, nc: nc, br: br, fr: wire.NewFrameReader(br, false)}
 }
 
 // noteCSN folds a commit CSN from a response body into the client's shared
 // read-your-writes token.
-func (w *wconn) noteCSN(v uint64) { raise(w.csn, v) }
+func (w *wconn) noteCSN(v uint64) { raise(w.c.csn, v) }
 
 // healthy reports whether the connection can carry more requests.
 func (w *wconn) healthy() bool {
@@ -1103,116 +1234,157 @@ func (w *wconn) healthy() bool {
 	return w.err == nil
 }
 
-// fail marks the connection dead and wakes every pending request.
-func (w *wconn) fail(err error) {
+// settled reports whether the connection is healthy with nothing in flight:
+// fit to be pooled.
+func (w *wconn) settled() bool {
 	w.mu.Lock()
-	if w.err == nil {
-		w.err = err
-	}
-	pend := w.pending
-	w.pending = make(map[uint64]chan wire.Response)
-	w.mu.Unlock()
-	w.nc.Close()
-	for _, ch := range pend {
-		close(ch) // closed channel = connection-level failure; err is sticky
-	}
+	defer w.mu.Unlock()
+	return w.err == nil && len(w.piped) == 0
 }
 
-// start registers a future and writes the request frame. A nonzero traceID
-// flags the frame as traced, asking the server to trace the request; hop
-// is the request's span id within a distributed trace (0 outside one).
-func (w *wconn) start(op wire.Op, payload []byte, timeout time.Duration, traceID uint64, hop uint32) (*Pending, error) {
-	ch := make(chan wire.Response, 1)
+// quiet is the lease-time check of a pooled connection: healthy, and nothing
+// to read -- neither buffered nor, by one non-blocking peek, on the socket,
+// where anything at all (a notice, the server's FIN, an error) means the
+// connection is no longer what it was when it was pooled.
+func (w *wconn) quiet() bool {
 	w.mu.Lock()
-	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
+	defer w.mu.Unlock()
+	if w.err != nil || w.br.Buffered() > 0 {
+		return false
+	}
+	// A deadline that lapsed in the pool would answer the peek by itself,
+	// without a look at the socket.
+	w.arm(time.Now())
+	return !readable(w.nc)
+}
+
+// fail marks the connection dead.
+func (w *wconn) fail(err error) {
+	w.mu.Lock()
+	w.failLocked(err)
+	w.mu.Unlock()
+}
+
+// failLocked latches the connection's first failure, closes the socket and
+// returns the sticky error: what every current and later request sees.
+func (w *wconn) failLocked(err error) error {
+	if w.err == nil {
+		w.err = err
+		w.piped = nil
+		w.nc.Close()
+	}
+	return w.err
+}
+
+// arm makes the socket deadline cover RequestTimeout from now: a request's
+// write and the read of its response, or one Wait.
+func (w *wconn) arm(now time.Time) {
+	w.dl.Arm(w.nc.SetDeadline, now, w.c.opts.RequestTimeout)
+}
+
+// roundTrip sends one request and reads until its response arrives. A
+// nonzero traceID flags the frame as traced, asking the server to trace the
+// request; hop is the request's span id within a distributed trace (0
+// outside one).
+func (w *wconn) roundTrip(op wire.Op, payload []byte, now time.Time, traceID uint64, hop uint32) (wire.Response, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.arm(now)
+	id, err := w.send(op, payload, traceID, hop)
+	if err != nil {
+		return wire.Response{}, err
+	}
+	return w.recv(id)
+}
+
+// start sends one pipelined request and returns its future.
+func (w *wconn) start(op wire.Op, payload []byte, traceID uint64, hop uint32) (*Pending, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.arm(time.Now())
+	if _, err := w.recv(0); err != nil { // keep within maxUnread
 		return nil, err
 	}
-	w.reqSeq++
-	id := w.reqSeq
-	w.pending[id] = ch
-	w.mu.Unlock()
+	id, err := w.send(op, payload, traceID, hop)
+	if err != nil {
+		return nil, err
+	}
+	p := &Pending{w: w, id: id}
+	if w.piped == nil {
+		w.piped = make(map[uint64]*Pending)
+	}
+	w.piped[id] = p
+	return p, nil
+}
 
-	bp := wire.GetBuf()
-	f := wire.Frame{RequestID: id, Op: op, Payload: payload}
+// send frames one request into the connection's buffer and writes it.
+func (w *wconn) send(op wire.Op, payload []byte, traceID uint64, hop uint32) (uint64, error) {
+	if w.err != nil {
+		return 0, w.err
+	}
+	w.reqSeq++
+	f := wire.Frame{RequestID: w.reqSeq, Op: op, Payload: payload}
 	if traceID != 0 {
 		f.Traced, f.TraceID, f.Hop = true, traceID, hop
 	}
-	buf := wire.AppendFrame((*bp)[:0], f)
-	w.writeMu.Lock()
-	w.nc.SetWriteDeadline(time.Now().Add(timeout))
-	_, err := w.nc.Write(buf)
-	w.writeMu.Unlock()
-	*bp = buf
-	wire.PutBuf(bp)
+	w.wbuf = wire.AppendFrame(w.wbuf[:0], f)
+	_, err := w.nc.Write(w.wbuf)
+	if cap(w.wbuf) > maxRetainedBuf {
+		w.wbuf = nil
+	}
 	if err != nil {
-		w.fail(fmt.Errorf("client: write: %w", err))
-		return nil, fmt.Errorf("client: write: %w", err)
+		return 0, w.failLocked(fmt.Errorf("client: write: %w", err))
 	}
-	return &Pending{w: w, id: id, ch: ch, t: timeout}, nil
+	return w.reqSeq, nil
 }
 
-// wait blocks for the future's response, the connection's failure, or the
-// timeout (which fails the connection: request IDs cannot be resynced
-// once a response is abandoned).
-func (p *Pending) wait() (wire.Response, error) {
-	t := time.NewTimer(p.t)
-	defer t.Stop()
-	select {
-	case r, ok := <-p.ch:
-		if !ok {
-			p.w.mu.Lock()
-			err := p.w.err
-			p.w.mu.Unlock()
-			return wire.Response{}, err
+// maxRetainedBuf bounds the buffers a connection (frame) and a session
+// (statement payload) keep between requests: one huge statement must not pin
+// its size for their lifetime.
+const maxRetainedBuf = 64 << 10
+
+// recv is the connection's one read path: it reads the socket until request
+// id's response arrives and returns it, its body still in the frame buffer,
+// with its status as the error. With id 0 it reads only while maxUnread
+// pipelined responses are unread. On the way, a response to another in-flight
+// request is parked, its body copied, with that request's Pending. A
+// RequestID-0 frame is a connection-level notice, acted on here: the greeting
+// is recorded, a non-OK code (the server's refusal, idle reap or read
+// timeout) fails the connection with that error so current and future
+// requests see it. Any failure -- I/O, timeout, an undecodable frame, a
+// response nobody is owed -- fails the connection.
+func (w *wconn) recv(id uint64) (wire.Response, error) {
+	for id != 0 || len(w.piped) >= maxUnread {
+		if w.err != nil {
+			return wire.Response{}, w.err
 		}
-		// r rides along with an error: traced error responses still carry
-		// stage timings worth surfacing.
-		return r, r.Err()
-	case <-t.C:
-		err := fmt.Errorf("client: request %d timed out after %v", p.id, p.t)
-		p.w.fail(err)
-		return wire.Response{}, err
-	}
-}
-
-// readLoop dispatches response frames to futures. A response whose ID
-// matches no pending request is a connection-level notice (the server's
-// greeting rejection uses ID 0): a non-OK code fails the connection with
-// that error so current and future requests see it.
-func (w *wconn) readLoop() {
-	fr := wire.NewFrameReader(w.br, false)
-	for {
-		f, err := fr.Read()
+		f, err := w.fr.Read()
 		if err != nil {
-			w.fail(fmt.Errorf("client: read: %w", err))
-			return
+			return wire.Response{}, w.failLocked(fmt.Errorf("client: read: %w", err))
 		}
 		r, err := wire.DecodeResponseFrame(f)
 		if err != nil {
-			w.fail(fmt.Errorf("client: %w", err))
-			return
+			return wire.Response{}, w.failLocked(fmt.Errorf("client: %w", err))
 		}
-		w.mu.Lock()
-		ch, ok := w.pending[f.RequestID]
-		delete(w.pending, f.RequestID)
-		w.mu.Unlock()
-		if !ok {
+		switch p := w.piped[f.RequestID]; {
+		case f.RequestID == 0:
 			if err := r.Err(); err != nil {
-				w.fail(err)
-				return
+				return wire.Response{}, w.failLocked(err)
 			}
-			if role, primary, epoch, gok := wire.DecodeGreeting(r.Body); gok && w.onGreeting != nil {
-				w.onGreeting(role, primary, epoch)
+			if role, primary, epoch, ok := wire.DecodeGreeting(r.Body); ok {
+				w.c.noteEpoch(epoch)
+				w.c.greeting.Store(&Greeting{Role: role, PrimaryAddr: primary, Epoch: epoch})
 			}
-			continue
-		}
-		// Body aliases the FrameReader's reusable buffer; the future runs
-		// on another goroutine, so hand it a copy.
-		if len(r.Body) > 0 {
+		case f.RequestID == id:
+			return r, r.Err()
+		case p != nil:
+			delete(w.piped, f.RequestID)
 			r.Body = append([]byte(nil), r.Body...)
+			p.r, p.done = r, true
+		default:
+			return wire.Response{}, w.failLocked(fmt.Errorf("client: %w: response to request %d, which is not in flight",
+				wire.ErrProtocol, f.RequestID))
 		}
-		ch <- r
 	}
+	return wire.Response{}, nil
 }

@@ -14,10 +14,10 @@ import (
 // client and server together (process-wide runtime.MemStats.Mallocs, both
 // ends in this process): the seconds-long guard for the benchmark's 1 %
 // allocs_per_op bound, which otherwise takes a benchmark run to see. The
-// ceilings are what this test measured at the commit before the service
-// layer's request lifecycle was unified (7.00, 22.01, 27.00, 18.00, 36.21;
-// the lifecycle brought them to 6.00, 21.01, 25.00, 15.00, 32.22): neither
-// that change nor any after it may add an allocation to a request.
+// ceilings are what this test measures now that the caller drives its
+// connection and BEGIN rides the first statement (before: 6.00, 21.01, 25.00,
+// 15.00, 32.22), plus 0.05: no later change may add an allocation to a
+// request. The last row is the benchmark's own oltp_wire transaction.
 func TestServiceRoundTripAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -45,22 +45,24 @@ func TestServiceRoundTripAllocs(t *testing.T) {
 	must(err)
 	one := []core.Value{core.I(1)}
 	two := []core.Value{core.I(5), core.I(1)}
+	txn, _ := benchTxn(t, s)
+	var txns int64
 
 	cases := []struct {
 		name string
 		max  float64
 		op   func() error
 	}{
-		{"ping", 7.05, s.Ping},
-		{"prepared point SELECT", 22.05, func() error { _, err := sel.Exec(one...); return err }},
-		{"text point SELECT", 27.05, func() error { _, err := s.Exec("SELECT v FROM a WHERE k = ?", one...); return err }},
-		{"empty BEGIN+COMMIT", 18.05, func() error {
+		{"ping", 0.05, s.Ping},
+		{"prepared point SELECT", 13.06, func() error { _, err := sel.Exec(one...); return err }},
+		{"text point SELECT", 16.05, func() error { _, err := s.Exec("SELECT v FROM a WHERE k = ?", one...); return err }},
+		{"empty BEGIN+COMMIT", 0.05, func() error { // no request at all
 			if err := s.Begin(); err != nil {
 				return err
 			}
 			return s.Commit()
 		}},
-		{"BEGIN + prepared UPDATE + COMMIT", 36.25, func() error {
+		{"BEGIN + prepared UPDATE + COMMIT", 11.27, func() error {
 			if err := s.Begin(); err != nil {
 				return err
 			}
@@ -69,6 +71,7 @@ func TestServiceRoundTripAllocs(t *testing.T) {
 			}
 			return s.Commit()
 		}},
+		{"BEGIN, 2 SELECT, UPDATE, INSERT, COMMIT", 38.31, func() error { txns++; return txn(txns) }},
 	}
 	// With the collector off, sync.Pool keeps what it is given and the
 	// counts repeat; the loop allocates a few MB at most.
@@ -85,7 +88,7 @@ func TestServiceRoundTripAllocs(t *testing.T) {
 		}
 		runtime.ReadMemStats(&m1)
 		got := float64(m1.Mallocs-m0.Mallocs) / rounds
-		t.Logf("%-34s %.2f allocs per call (ceiling %.2f)", c.name, got, c.max)
+		t.Logf("%-40s %.2f allocs per call (ceiling %.2f)", c.name, got, c.max)
 		if got > c.max {
 			t.Errorf("%s: %.2f allocations per call, ceiling %.2f", c.name, got, c.max)
 		}

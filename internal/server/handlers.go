@@ -337,8 +337,11 @@ func (c *conn) run(st *sqlfront.Stmt, args []core.Value, sink *sqlfront.RowBuf) 
 // suffixed with the session's read-your-writes token. Rows arrive from
 // sqlfront already in wire form (spliced out of storage into a pooled
 // buffer) and are framed exactly as a cursor page's are.
-func (c *conn) execStmt(rq request, st *sqlfront.Stmt, args []core.Value) bool {
-	if st.TxnVerb() == "COMMIT" {
+func (c *conn) execStmt(rq request, st *sqlfront.Stmt, args []core.Value, flags uint64) bool {
+	switch {
+	case st.TxnVerb() != "" && flags&wire.FlagBegin != 0:
+		return c.failStmt(rq, flags, fmt.Errorf("%w: begin flag on a transaction verb", wire.ErrBadStatement))
+	case st.TxnVerb() == "COMMIT":
 		return c.commit(rq, nil)
 	}
 	rowsBP := wire.GetBuf()
@@ -346,24 +349,67 @@ func (c *conn) execStmt(rq request, st *sqlfront.Stmt, args []core.Value) bool {
 	rows := sqlfront.RowBuf{Data: (*rowsBP)[:0]}
 	res, err := c.run(st, args, &rows)
 	*rowsBP = rows.Data
+	if err == nil && len(rows.Data) > maxResultRows {
+		// respond would replace this answer by an error too, but only once it
+		// is past failStmt: a transaction the begin flag opened would stay.
+		err = fmt.Errorf("%w: result too large: %d bytes of rows exceed frame limit %d",
+			wire.ErrBadStatement, len(rows.Data), wire.MaxFrame)
+	}
 	if err != nil {
-		return rq.fail(err)
+		return c.failStmt(rq, flags, err)
 	}
 	return rq.okBuilt(func(buf []byte) []byte {
 		return wire.AppendEncodedResultCSN(buf, res.Affected, res.Columns, rows.N, rows.Data, c.sess.LastCSN())
 	})
 }
 
+// maxResultRows bounds the encoded rows of a one-shot result: the largest
+// payload less room for the envelope, the column names and a trace block.
+const maxResultRows = wire.MaxPayload - 64<<10
+
+// applyFlags acts on a statement's flags trailer before the statement is
+// resolved. wire.FlagBegin is OpBegin riding the statement's frame: the slot
+// is leased and the session transaction opened first, exactly as OpBegin
+// would, so an admission refusal costs nothing else. Once it returned nil the
+// statement's failures go through failStmt.
+func (c *conn) applyFlags(flags uint64) error {
+	switch {
+	case flags&^wire.FlagBegin != 0: // a future bit must not be silently ignored
+		return fmt.Errorf("%w: unknown statement flags %#x", wire.ErrBadStatement, flags)
+	case flags&wire.FlagBegin == 0:
+		return nil
+	case c.sess.InTxn():
+		return fmt.Errorf("%w: begin flag inside a transaction", wire.ErrBadStatement)
+	}
+	return c.openTxn()
+}
+
+// failStmt answers a statement that failed after applyFlags: the transaction
+// its begin flag opened (unless a conflict or duplicate already aborted it)
+// is rolled back first, so a begin-carrying statement never executes outside
+// a transaction and its error never leaves one behind -- the client carries
+// the flag again on its next statement.
+func (c *conn) failStmt(rq request, flags uint64, err error) bool {
+	if flags&wire.FlagBegin != 0 && c.sess.InTxn() {
+		c.sess.Rollback()
+		c.releaseSlot()
+	}
+	return rq.fail(err)
+}
+
 func (c *conn) exec(rq request, p []byte) bool {
-	sql, args, err := wire.DecodeExec(p)
+	sql, args, flags, err := wire.DecodeExecFlags(p)
 	if err != nil {
 		return rq.corrupt(err)
 	}
-	st, err := c.compile(sql)
-	if err != nil {
+	if err := c.applyFlags(flags); err != nil {
 		return rq.fail(err)
 	}
-	return c.execStmt(rq, st, args)
+	st, err := c.compile(sql)
+	if err != nil {
+		return c.failStmt(rq, flags, err)
+	}
+	return c.execStmt(rq, st, args, flags)
 }
 
 // execAt is OpExec behind the read-your-writes token: on a replica, wait
@@ -383,15 +429,18 @@ func (c *conn) execAt(rq request, p []byte) bool {
 }
 
 func (c *conn) execPrepared(rq request, p []byte) bool {
-	id, args, err := wire.DecodeExecStmt(p)
+	id, args, flags, err := wire.DecodeExecStmtFlags(p)
 	if err != nil {
 		return rq.corrupt(err)
 	}
+	if err := c.applyFlags(flags); err != nil {
+		return rq.fail(err)
+	}
 	st := c.stmts[id]
 	if st == nil {
-		return rq.fail(fmt.Errorf("%w: unknown statement id %d", wire.ErrBadStatement, id))
+		return c.failStmt(rq, flags, fmt.Errorf("%w: unknown statement id %d", wire.ErrBadStatement, id))
 	}
-	return c.execStmt(rq, st, args)
+	return c.execStmt(rq, st, args, flags)
 }
 
 // prepare only touches the catalog (parse/plan/compile through the frontend
@@ -487,13 +536,17 @@ func (c *conn) execBatch(rq request, p []byte) bool {
 
 func (c *conn) ping(rq request, _ []byte) bool { return rq.ok(nil) }
 
-func (c *conn) begin(rq request, _ []byte) bool {
+func (c *conn) begin(rq request, _ []byte) bool { return rq.done(c.openTxn(), nil) }
+
+// openTxn leases the worker slot and opens the session transaction: OpBegin,
+// and a statement carrying wire.FlagBegin.
+func (c *conn) openTxn() error {
 	if err := c.acquireSlot(); err != nil {
-		return rq.fail(err)
+		return err
 	}
 	err := c.sess.Begin()
 	c.releaseSlot() // only on error: Begin leaves InTxn true on success
-	return rq.done(err, nil)
+	return err
 }
 
 func (c *conn) abort(rq request, _ []byte) bool {

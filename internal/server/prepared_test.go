@@ -442,6 +442,10 @@ func TestReadTimeoutReleasesSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// No goroutine pins a session's connection: were sa to become unreachable
+	// mid-test, the collector could close its socket, and the server would see
+	// a hang-up instead of the stall.
+	defer sa.Close()
 	if _, err := sa.Exec("CREATE TABLE t (id INT, PRIMARY KEY(id))"); err != nil {
 		t.Fatal(err)
 	}
@@ -462,10 +466,11 @@ func TestReadTimeoutReleasesSlot(t *testing.T) {
 	}
 	defer s2.Close()
 	if err := s2.Begin(); err != nil {
-		t.Fatalf("slot never released by in-txn read timeout: %v", err)
-	}
-	if _, err := s2.Exec("INSERT INTO t VALUES (?)", core.I(2)); err != nil {
 		t.Fatal(err)
+	}
+	// The BEGIN rides this statement, which is reissued while refused.
+	if _, err := s2.Exec("INSERT INTO t VALUES (?)", core.I(2)); err != nil {
+		t.Fatalf("slot never released by in-txn read timeout: %v", err)
 	}
 	if err := s2.Commit(); err != nil {
 		t.Fatal(err)

@@ -567,6 +567,10 @@ type conn struct {
 	writeMu sync.Mutex
 	dead    bool // write side failed; further responses are dropped
 
+	// Socket deadlines, armed lazily (wire.Deadline): rdl belongs to the
+	// read loop, wdl to whoever holds writeMu.
+	rdl, wdl wire.Deadline
+
 	// tr is the active request trace. It spans a whole transaction
 	// (BEGIN..COMMIT arrive as separate frames) and completes with the
 	// terminal response: a deferred answer's durability callback, or any
@@ -595,7 +599,10 @@ func isTimeout(err error) bool {
 // bytes arrive its remainder must land within ReadTimeout -- a peer
 // trickling a frame byte-by-byte (slowloris) cannot hold the connection
 // open past it. A deadline failure kills only this connection; teardown
-// releases the worker slot and the MaxConns seat.
+// releases the worker slot and the MaxConns seat. Deadlines are armed lazily
+// (wire.Deadline): none fires early, each at most a quarter of its budget
+// late, and a transaction's frames, all under the one ReadTimeout budget,
+// cost a clock read each instead of two timer updates.
 func (c *conn) serve() {
 	defer c.teardown()
 	c.greet()
@@ -605,7 +612,7 @@ func (c *conn) serve() {
 	fr.OnFrameStart = func() {
 		inFrame = true
 		frameT0 = time.Now()
-		c.nc.SetReadDeadline(frameT0.Add(c.s.cfg.ReadTimeout))
+		c.rdl.Arm(c.nc.SetReadDeadline, frameT0, c.s.cfg.ReadTimeout)
 		// A continuing trace attributes the frame's bytes-on-the-wire time
 		// (first byte to full frame), not the idle wait before it.
 		c.tr.Begin(obs.StageFrameRead)
@@ -619,7 +626,7 @@ func (c *conn) serve() {
 			// under the tighter budget or lose the connection.
 			wait = c.s.cfg.ReadTimeout
 		}
-		c.nc.SetReadDeadline(time.Now().Add(wait))
+		c.rdl.Arm(c.nc.SetReadDeadline, time.Now(), wait)
 		f, err := fr.Read()
 		if err != nil {
 			switch {
@@ -666,7 +673,7 @@ func (c *conn) serve() {
 		// The terminal opcode of the traced unit names the whole trace
 		// (the last tag before Finish wins).
 		c.tr.SetOp(f.Op.String())
-		c.s.mBytesIn.Add(int64(len(f.Payload)) + 13)
+		c.s.mBytesIn.Add(int64(fr.WireLen()))
 		if !c.handle(f) {
 			return
 		}
@@ -835,7 +842,7 @@ func (c *conn) write(buf []byte) {
 		c.nc.Close()
 		return
 	}
-	c.nc.SetWriteDeadline(time.Now().Add(c.s.cfg.WriteTimeout))
+	c.wdl.Arm(c.nc.SetWriteDeadline, time.Now(), c.s.cfg.WriteTimeout)
 	if _, err := c.nc.Write(buf); err != nil {
 		c.dead = true
 		c.nc.Close()

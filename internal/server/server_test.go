@@ -34,11 +34,11 @@ type harness struct {
 	reg    *obs.Registry
 }
 
-func newHarness(t *testing.T, mutate func(*Config), eng *chaos.Engine) *harness {
+func newHarness(t testing.TB, mutate func(*Config), eng *chaos.Engine) *harness {
 	return newHarnessModel(t, delay.Zero(), mutate, eng)
 }
 
-func newHarnessModel(t *testing.T, model *delay.Model, mutate func(*Config), eng *chaos.Engine) *harness {
+func newHarnessModel(t testing.TB, model *delay.Model, mutate func(*Config), eng *chaos.Engine) *harness {
 	t.Helper()
 	reg := obs.NewRegistry("servertest")
 	// The chaos engine reaches the storage stack (wal, srss sites) through
@@ -96,7 +96,7 @@ func newHarnessModel(t *testing.T, model *delay.Model, mutate func(*Config), eng
 	return h
 }
 
-func (h *harness) client(t *testing.T, mutate func(*client.Options)) *client.Client {
+func (h *harness) client(t testing.TB, mutate func(*client.Options)) *client.Client {
 	t.Helper()
 	opts := client.Options{Addr: h.addr}
 	if mutate != nil {
@@ -365,6 +365,25 @@ func TestOversizeResultError(t *testing.T) {
 	if len(res.Rows) != 1 || len(res.Rows[0][0].Str()) != 1<<20 {
 		t.Fatalf("bounded read after oversize result: %+v", len(res.Rows))
 	}
+
+	// As a transaction's first statement the oversize read carries the BEGIN:
+	// its refusal must take the transaction it opened with it, or the next
+	// statement's BEGIN would find one open.
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err = s.Exec("SELECT * FROM big"); wire.CodeOf(err) != wire.CodeBadRequest {
+		t.Fatalf("oversize result on the first statement: want CodeBadRequest, got %v", err)
+	}
+	if _, err := s.Exec("INSERT INTO big VALUES (?, ?)", core.I(100), core.S("in the transaction")); err != nil {
+		t.Fatalf("statement after the refused first one: %v", err)
+	}
+	if err := s.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := s.Exec("SELECT id FROM big WHERE id = ?", core.I(100)); err != nil || len(res.Rows) != 0 {
+		t.Fatalf("the insert ran outside the transaction: %+v, %v", res, err)
+	}
 }
 
 // TestPoolExhaustionRetryable leases the whole pool and checks that the
@@ -430,19 +449,31 @@ func TestBusyBackpressure(t *testing.T) {
 	}
 
 	// The slot is leased to sa's transaction: sb must be refused with the
-	// retryable busy code, visible through errors.Is on both sentinels.
+	// retryable busy code, visible through errors.Is on both sentinels. BEGIN
+	// rides sb's first statement, so that is where the refusal arrives.
 	sb, err := cl.Session()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sb.Close()
-	err = sb.Begin()
+	if err := sb.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = sb.Exec("INSERT INTO t VALUES (?)", core.I(3))
 	if !errors.Is(err, wire.ErrServerBusy) || !errors.Is(err, ErrServerBusy) {
 		t.Fatalf("want ErrServerBusy, got %v", err)
 	}
 	var we *wire.Error
 	if !errors.As(err, &we) || !we.Retryable() {
 		t.Fatalf("busy must be retryable: %v", err)
+	}
+	// Nothing executed and nothing was opened: the transaction is still
+	// sb's to start, and ending it costs the server nothing.
+	if !sb.InTxn() {
+		t.Fatal("a refused first statement ended the client-side transaction")
+	}
+	if err := sb.Rollback(); err != nil || sb.InTxn() {
+		t.Fatalf("rollback of a transaction the server never opened: %v", err)
 	}
 
 	// A retrying client succeeds once the slot frees.

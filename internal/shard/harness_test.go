@@ -10,6 +10,7 @@ import (
 	"hiengine/internal/client"
 	"hiengine/internal/core"
 	"hiengine/internal/delay"
+	"hiengine/internal/obs"
 	"hiengine/internal/server"
 	"hiengine/internal/sqlfront"
 	"hiengine/internal/srss"
@@ -27,8 +28,9 @@ type tnode struct {
 	engine *core.Engine
 	front  *sqlfront.Frontend
 	srv    *server.Server
-	mapB   []byte   // this node's SelfID-stamped map encoding
-	armed  []string // chaos sites armed via arm(), cleared on restart
+	reg    *obs.Registry // the server's metrics, across restarts
+	mapB   []byte        // this node's SelfID-stamped map encoding
+	armed  []string      // chaos sites armed via arm(), cleared on restart
 }
 
 // arm installs a chaos rule on this node, remembering the site so restart
@@ -64,7 +66,7 @@ func newCluster(t *testing.T, n int, seed uint64) *cluster {
 	}
 	c := &cluster{t: t, m: m}
 	for i := range lns {
-		nd := &tnode{id: uint32(i), addr: addrs[i], ch: chaos.New(seed + uint64(i)*1000)}
+		nd := &tnode{id: uint32(i), addr: addrs[i], ch: chaos.New(seed + uint64(i)*1000), reg: obs.NewRegistry("shardtest")}
 		sm := m.ShardMap
 		sm.SelfID = nd.id
 		nd.mapB = wire.EncodeShardMap(&sm)
@@ -99,6 +101,7 @@ func (n *tnode) listen(t *testing.T, ln net.Listener) {
 		Frontend:     n.front,
 		WorkerSlots:  engine.Workers(),
 		Chaos:        n.ch,
+		Obs:          n.reg,
 		Epoch:        engine.Epoch,
 		ObserveEpoch: engine.ObserveEpoch,
 		DrainTimeout: 250 * time.Millisecond,
@@ -117,6 +120,15 @@ func (n *tnode) listen(t *testing.T, ln net.Listener) {
 	}
 	n.srv = srv
 	go srv.Serve(ln)
+}
+
+// requests is the number of request frames the node's server has seen.
+func (n *tnode) requests() int64 {
+	var total int64
+	for _, op := range wire.RequestOps() {
+		total += n.reg.Counter("server.requests." + op.String()).Load()
+	}
+	return total
 }
 
 // crash simulates a node's process death: the server drops every

@@ -224,6 +224,11 @@ func TestErrorIdentityThroughRouter(t *testing.T) {
 			if err := s.Begin(); err != nil {
 				t.Fatal(err)
 			}
+			// BEGIN reaches the server, and leases its slot, with the
+			// transaction's first statement.
+			if _, err := s.Exec("SELECT val FROM bench WHERE id = ?", core.I(keys[0])); err != nil {
+				t.Fatal(err)
+			}
 		}
 		r := c.router(t, nil, func(o *client.Options) { o.MaxRetries = 1 })
 		_, err := r.Exec(keys[0], "UPDATE bench SET val = 1 WHERE id = ?", core.I(keys[0]))
@@ -298,6 +303,60 @@ func TestErrorIdentityThroughRouter(t *testing.T) {
 		}
 		tx.Rollback()
 	})
+}
+
+// TestTxnFirstTouchIsOneFrame: a distributed transaction opens a shard's
+// server-side transaction with the first statement it sends there -- BEGIN
+// rides that statement -- so touching a shard costs one request, and a
+// single-shard transaction is its statements plus the commit.
+func TestTxnFirstTouchIsOneFrame(t *testing.T) {
+	c := newCluster(t, 2, 15)
+	keys := c.keysOnDistinctShards(1, 2)
+	c.createBench(t, keys, 100)
+	r := c.router(t, nil, nil)
+	for _, commit := range []bool{true, false} {
+		tx := r.Begin()
+		for i, k := range keys {
+			n := c.nodes[c.m.ShardOfInt(k)]
+			for j := int64(0); j < 2; j++ {
+				val := 200 + j
+				if !commit {
+					val = 300 + j
+				}
+				before := n.requests()
+				if _, err := tx.Exec(k, "UPDATE bench SET val = ? WHERE id = ?", core.I(val), core.I(k)); err != nil {
+					t.Fatal(err)
+				}
+				if got := n.requests() - before; got != 1 {
+					t.Fatalf("statement %d on shard %d (touch %d) took %d requests", j, n.id, i, got)
+				}
+			}
+		}
+		if commit {
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := tx.Rollback(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range keys {
+		if v, _ := readVal(t, r, k); v != 201 {
+			t.Fatalf("key %d = %d after one committed and one rolled-back transaction, want 201", k, v)
+		}
+	}
+	owner := c.nodes[c.m.ShardOfInt(keys[0])]
+	before := owner.requests()
+	tx := r.Begin()
+	if _, err := tx.Exec(keys[0], "UPDATE bench SET val = 7 WHERE id = ?", core.I(keys[0])); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := owner.requests() - before; got != 2 {
+		t.Fatalf("a one-statement single-shard transaction took %d requests, want the statement and the commit", got)
+	}
 }
 
 // TestWrongShardDetection: a shard-id assertion against the wrong node is

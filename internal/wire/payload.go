@@ -15,9 +15,10 @@ import (
 //
 // Protocol extensions ride as optional trailing uvarints (the commit CSN on
 // result bodies, the primary epoch on the greeting and the log-shipping
-// hello/fetch), under one rule, reader.trailer: absent decodes as 0 so older
-// peers interoperate, a varint that stops short is corrupt, and bytes after
-// the last trailer a decoder knows belong to a newer peer and are ignored.
+// hello/fetch, the statement flags on exec and exec_stmt), under one rule,
+// reader.trailer: absent decodes as 0 so older peers interoperate, a varint
+// that stops short is corrupt, and bytes after the last trailer a decoder
+// knows belong to a newer peer and are ignored.
 
 // ErrPayloadCorrupt marks undecodable payloads; it is a protocol violation.
 var ErrPayloadCorrupt = fmt.Errorf("%w: corrupt payload", ErrProtocol)
@@ -154,17 +155,39 @@ func appendFlag(buf []byte, b bool) []byte {
 
 // --- statements ------------------------------------------------------------
 
+// FlagBegin is bit 0 of the statement flags, the optional trailer of an OpExec
+// or OpExecStmt payload: open the session transaction, then run the statement
+// inside it. If the statement fails, the transaction it opened is rolled
+// back, so a begin-carrying statement never executes outside a transaction
+// and never leaves one behind. A server refuses bits it does not know.
+const FlagBegin uint64 = 1 << 0
+
+// AppendStmtFlags closes an OpExec or OpExecStmt payload with its flags
+// trailer. No flags, no bytes: the payload stays what it was before flags.
+func AppendStmtFlags(buf []byte, flags uint64) []byte {
+	if flags == 0 {
+		return buf
+	}
+	return binary.AppendUvarint(buf, flags)
+}
+
 // AppendExec appends an OpExec payload: sql, then the argument row.
 func AppendExec(buf []byte, sql string, args []core.Value) []byte {
 	buf = appendString(buf, sql)
 	return core.EncodeRow(buf, args)
 }
 
-// DecodeExec parses an OpExec payload.
+// DecodeExec parses an OpExec payload, ignoring its flags.
 func DecodeExec(payload []byte) (sql string, args []core.Value, err error) {
+	sql, args, _, err = DecodeExecFlags(payload)
+	return sql, args, err
+}
+
+// DecodeExecFlags parses an OpExec payload and its flags trailer.
+func DecodeExecFlags(payload []byte) (sql string, args []core.Value, flags uint64, err error) {
 	r := reader{b: payload}
-	sql, args = r.str(), r.args()
-	return sql, args, r.err
+	sql, args, flags = r.str(), r.args(), r.trailer()
+	return sql, args, flags, r.err
 }
 
 // AppendExecAt appends an OpExecAt payload: the read-your-writes token (the
@@ -213,11 +236,17 @@ func AppendExecStmt(buf []byte, id uint64, args []core.Value) []byte {
 	return core.EncodeRow(buf, args)
 }
 
-// DecodeExecStmt parses an OpExecStmt payload.
+// DecodeExecStmt parses an OpExecStmt payload, ignoring its flags.
 func DecodeExecStmt(payload []byte) (id uint64, args []core.Value, err error) {
+	id, args, _, err = DecodeExecStmtFlags(payload)
+	return id, args, err
+}
+
+// DecodeExecStmtFlags parses an OpExecStmt payload and its flags trailer.
+func DecodeExecStmtFlags(payload []byte) (id uint64, args []core.Value, flags uint64, err error) {
 	r := reader{b: payload}
-	id, args = r.uvarint(), r.args()
-	return id, args, r.err
+	id, args, flags = r.uvarint(), r.args(), r.trailer()
+	return id, args, flags, r.err
 }
 
 // EncodeHandle builds the payload of the opcodes that name one

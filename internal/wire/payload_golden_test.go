@@ -41,6 +41,7 @@ type execReq struct {
 	Fetch  int
 	SQL    string
 	Args   []core.Value
+	Flags  uint64
 }
 
 type idReq struct {
@@ -240,6 +241,24 @@ var goldenPayloads = []goldenPayload{
 		},
 		dec:  func(b []byte) (any, error) { return DecodeExecBatch(b) },
 		want: []BatchStmt{{goldenSQL, goldenArgs}, {"D", core.Row{}}}},
+	// The statement flags trailer: the rows above, which carry none, are the
+	// same payloads byte for byte.
+	{name: "exec + begin", op: OpExec,
+		hex: "1b53454c45435420762046524f4d2074205748455245206b203d203f0201" + "0e" + "030178" + "01",
+		enc: func() []byte { return AppendStmtFlags(AppendExec(nil, goldenSQL, goldenArgs), FlagBegin) },
+		dec: func(b []byte) (any, error) {
+			sql, args, flags, err := DecodeExecFlags(b)
+			return execReq{SQL: sql, Args: args, Flags: flags}, err
+		},
+		want: execReq{SQL: goldenSQL, Args: goldenArgs, Flags: FlagBegin}},
+	{name: "exec_stmt + begin", op: OpExecStmt,
+		hex: "03" + "02010e030178" + "01",
+		enc: func() []byte { return AppendStmtFlags(AppendExecStmt(nil, 3, goldenArgs), FlagBegin) },
+		dec: func(b []byte) (any, error) {
+			id, args, flags, err := DecodeExecStmtFlags(b)
+			return execReq{MinCSN: id, Args: args, Flags: flags}, err
+		},
+		want: execReq{MinCSN: 3, Args: goldenArgs, Flags: FlagBegin}},
 
 	// Response bodies, and the envelope they ride in.
 	{name: "response envelope", op: OpResponse,
@@ -443,6 +462,16 @@ var trailerCases = []trailerCase{
 	{"repl fetch epoch", "0102030405060708090a0b0c0d0e0f101112131415161718" + "8020" + "808004", func(b []byte) (uint64, error) {
 		_, _, _, epoch, err := DecodeReplFetch(b)
 		return epoch, err
+	}},
+	// Which flag bits mean something is the server's call (it refuses the
+	// ones it does not know with bad_request); the codec carries any value.
+	{"exec flags", "0144" + "00", func(b []byte) (uint64, error) {
+		_, _, flags, err := DecodeExecFlags(b)
+		return flags, err
+	}},
+	{"exec_stmt flags", "03" + "02010e030178", func(b []byte) (uint64, error) {
+		_, _, flags, err := DecodeExecStmtFlags(b)
+		return flags, err
 	}},
 }
 

@@ -40,6 +40,11 @@ func TestTracedFrameRoundTrip(t *testing.T) {
 	if !got2.Traced || got2.TraceID != f.TraceID || got2.Hop != 300 || string(got2.Payload) != "body" {
 		t.Fatalf("FrameReader mismatch: %+v", got2)
 	}
+	// What the frame occupied on the wire counts the trace extension the
+	// reader stripped from Payload.
+	if fr.WireLen() != buf.Len() || fr.WireLen() != 4+9+8+2+len("body") {
+		t.Fatalf("WireLen = %d, frame is %d bytes", fr.WireLen(), buf.Len())
+	}
 }
 
 func TestTracedFrameGoldenLayout(t *testing.T) {

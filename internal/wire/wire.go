@@ -37,6 +37,7 @@ import (
 	"io"
 	"math"
 	"sync"
+	"time"
 
 	"hiengine/internal/obs"
 )
@@ -158,15 +159,17 @@ func WriteFrame(w io.Writer, f Frame) error {
 
 // FrameReader reads frames from one stream into a reusable payload buffer.
 // The returned Frame's Payload aliases that buffer: it is valid only until
-// the next Read. Callers that hand payload bytes to another goroutine (the
-// client's response futures) must copy them first; callers that decode
-// synchronously (the server's request loop -- row decoding copies) need
-// not. One FrameReader serves one goroutine.
+// the next Read. Callers that keep payload bytes past it (the client, parking
+// a response for a pipelined request that is not the one being waited for)
+// must copy them first; callers that decode before they read again (the
+// server's request loop, the client's own response -- row decoding copies)
+// need not. One FrameReader serves one goroutine at a time.
 type FrameReader struct {
 	r           io.Reader
 	requestSide bool
 	buf         []byte
 	hdr         [4 + headerSize]byte // reused: a stack header would escape through the io.Reader call
+	wireLen     int
 
 	// OnFrameStart, when set, fires after a frame's 4-byte length prefix
 	// has been read and before its body is read. The server uses it to
@@ -199,6 +202,7 @@ func (fr *FrameReader) Read() (Frame, error) {
 	if n > MaxFrame {
 		return Frame{}, fmt.Errorf("%w: frame length %d exceeds max %d", ErrProtocol, n, MaxFrame)
 	}
+	fr.wireLen = 4 + int(n)
 	if _, err := io.ReadFull(fr.r, hdr[4:]); err != nil {
 		return Frame{}, unexpectedEOF(err)
 	}
@@ -231,6 +235,10 @@ func (fr *FrameReader) Read() (Frame, error) {
 	}
 	return f, nil
 }
+
+// WireLen is the number of bytes the frame last read occupied on the wire:
+// length prefix, header, trace extension and payload.
+func (fr *FrameReader) WireLen() int { return fr.wireLen }
 
 // stripTraceID moves a traced frame's trace extension (id prefix + hop
 // uvarint) out of Payload.
@@ -266,6 +274,24 @@ func unexpectedEOF(err error) error {
 		return io.ErrUnexpectedEOF
 	}
 	return err
+}
+
+// --- deadlines -------------------------------------------------------------
+
+// Deadline arms a socket deadline lazily: a request that finds the armed
+// deadline within [now+budget, now+budget+budget/4] leaves it alone, so a busy
+// connection pays a clock read per request instead of a timer update. The
+// deadline never fires early and at most a quarter of the budget late.
+type Deadline struct{ armed time.Time }
+
+// Arm makes the deadline cover budget from now, calling set (a net.Conn's
+// SetDeadline, SetReadDeadline or SetWriteDeadline) only when it must move.
+func (d *Deadline) Arm(set func(time.Time) error, now time.Time, budget time.Duration) {
+	want := now.Add(budget)
+	if d.armed.Before(want) || d.armed.Sub(want) > budget/4 {
+		d.armed = want.Add(budget / 4)
+		set(d.armed)
+	}
 }
 
 // --- responses -------------------------------------------------------------

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"testing"
+	"time"
 
 	"hiengine/internal/core"
 	"hiengine/internal/engineapi"
@@ -229,4 +230,34 @@ func TestClassifyNil(t *testing.T) {
 func decodeResponse(payload []byte) (Code, string, []byte, error) {
 	r, err := DecodeResponseFrame(Frame{Op: OpResponse, Payload: payload})
 	return r.Code, r.Msg, r.Body, err
+}
+
+// TestDeadlineArmsLazily: the armed deadline is never earlier than asked and
+// at most a quarter of the budget later, and a steady stream of requests
+// under one budget moves it once per quarter-budget, not once per request.
+func TestDeadlineArmsLazily(t *testing.T) {
+	var d Deadline
+	var armed time.Time
+	sets := 0
+	set := func(t time.Time) error { armed = t; sets++; return nil }
+	t0 := time.Unix(1000, 0)
+	arm := func(at, budget time.Duration) {
+		t.Helper()
+		now := t0.Add(at)
+		d.Arm(set, now, budget)
+		if late := armed.Sub(now.Add(budget)); late < 0 || late > budget/4 {
+			t.Fatalf("at %v, budget %v: armed %v off the asked deadline", at, budget, late)
+		}
+	}
+	for s := 0; s <= 20; s++ { // a request a second, 40 s each: armed at 0 s and at 11 s
+		arm(time.Duration(s)*time.Second, 40*time.Second)
+	}
+	if sets != 2 {
+		t.Fatalf("21 requests under one budget moved the deadline %d times, want 2", sets)
+	}
+	arm(21*time.Second, 4*time.Second) // a tighter budget pulls it in
+	arm(22*time.Second, 5*time.Minute) // a wider one pushes it out
+	if sets != 4 {
+		t.Fatalf("a changed budget did not move the deadline (%d sets)", sets)
+	}
 }
