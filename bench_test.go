@@ -731,8 +731,9 @@ func BenchmarkRecover(b *testing.B) {
 }
 
 // TestRecoveryAllocs holds recovery to what a recovered row needs: its
-// Version and its index leaf, plus the amortised rest (a payload header out
-// of a slab of 512, the tree's inner nodes, the PIA's pages). It also holds
+// Version -- the header of its log-backed payload is inside it -- and its
+// index leaf, plus the amortised rest (the tree's inner nodes, the PIA's
+// pages). It also holds
 // the storage reads of a recovery to the log's chunks, not its rows -- the
 // count behind recover_s that no host can blur -- and checks that a rebuilt
 // row is read back from memory.

@@ -125,8 +125,12 @@ func TestInsertLeafAllocs(t *testing.T) {
 		}
 	})
 	_ = sink
-	if mallocs != n || nbytes > 80*n {
-		t.Fatalf("%d leaves cost %d allocations and %d bytes, want 1 and <= 80 bytes each", n, mallocs, nbytes)
+	// MemStats counts the whole process: the runtime's own background
+	// allocations (a timer, a GC worker starting) land in a window of 65,536
+	// now and then, a handful at a time. n/1000 lets those through and still
+	// fails a leaf that takes a second allocation in one insert of a thousand.
+	if mallocs < n || mallocs > n+n/1000 || nbytes > 80*n {
+		t.Fatalf("%d leaves cost %d allocations and %d bytes, want 1 (at most %d in all) and <= 80 bytes each", n, mallocs, nbytes, n+n/1000)
 	}
 	tr := New()
 	mallocs, _ = allocsOf(func() {

@@ -638,11 +638,13 @@ func applyReplay(catalog map[uint32]*Table, addr wal.Addr, rec wal.Record) bool 
 			if have == rec.CSN {
 				// The same version at a new address: a compaction rewrite
 				// relocated the record (rewrites keep their original CSN).
-				// Refresh the permanent address so payload reads stop
-				// pointing into the old segment, which the primary drops
-				// once the rewrite is durable. Not counted as applied --
-				// the version's content and indexes are already in place.
+				// Refresh the permanent address, and let go of a payload cached
+				// from the old one, so reads stop pointing into the old
+				// segment, which the primary drops once the rewrite is
+				// durable. Not counted as applied -- the version's content
+				// and indexes are already in place.
 				cur.addr.Store(uint64(addr))
+				cur.data.Store(nil)
 				return false
 			}
 		}
@@ -732,15 +734,13 @@ func (e *Engine) loadCheckpoint(id srss.PLogID) (int64, error) {
 }
 
 // rebuildChunk is the rows a rebuild worker takes at a time: one channel
-// send, one slab of payload headers and one pin per index for that many
-// rows, not per row -- at a few hundred nanoseconds of work per key any of
-// them would otherwise dominate.
+// send and one pin per index for that many rows, not per row -- at a few
+// hundred nanoseconds of work per key either would otherwise dominate.
 const rebuildChunk = 512
 
 // rebuilder is one rebuild worker's state.
 type rebuilder struct {
 	log  *wal.Reader
-	hdrs [][]byte // payload headers not yet handed to a version
 	view RowView
 	kbuf []byte
 }
@@ -752,14 +752,10 @@ func (r *rebuilder) add(t *Table, loaders []index.Loader, rid RID, v *Version) e
 	if d := v.data.Load(); d != nil {
 		p = *d
 	} else {
-		if len(r.hdrs) == 0 {
-			r.hdrs = make([][]byte, rebuildChunk)
-		}
 		var err error
-		if p, err = v.reload(r.log, &r.hdrs[0]); err != nil {
+		if p, err = v.reload(r.log); err != nil {
 			return err
 		}
-		r.hdrs = r.hdrs[1:]
 	}
 	if _, err := r.view.Reset(p); err != nil {
 		return err

@@ -94,6 +94,7 @@ func (t *Txn) commitStart(durable func(error)) (bool, error) {
 	// may run before AppendTraced does.
 	t.ws = nil
 	ws.durable = durable
+	t.e.mPrivateBytes.Add(int64(ws.private))
 	t.e.commitsStarted.Add(1)
 	t.e.log.AppendTraced(t.worker, ws.log, t.trace, ws.logDone)
 
@@ -185,6 +186,10 @@ func (t *Txn) undo() {
 		we := &t.ws.writes[i]
 		// The CAS cannot fail: our TID head blocks other writers.
 		_, _ = we.table.rows.CompareAndSwap(we.rid, we.newV, we.oldV)
+		if t.prepared {
+			// A prepared transaction's payloads went on the ledger with its vote.
+			t.e.dropPrivate(we.newV, we.newV.data.Load())
+		}
 		if we.newV.tomb {
 			we.table.liveRows.Add(1) // a delete
 			continue

@@ -88,6 +88,7 @@ func (e *Engine) CompactFull() (CompactionStats, error) {
 	// Rewrite every reachable durable version that lives in an old
 	// segment. Versions keep their CSNs; only their permanent addresses
 	// change (Figure 4b addresses are updated in place in the PIA chain).
+	c := compactor{e: e, win: logWindow{log: e.log}, stats: &stats}
 	for _, t := range tables {
 		var rerr error
 		t.rows.Range(func(rid RID, head *Version) bool {
@@ -100,32 +101,13 @@ func (e *Engine) CompactFull() (CompactionStats, error) {
 				if !oldSegs[addr.Segment()] {
 					continue // already in a fresh segment
 				}
-				csn := v.tmin.Load()
-				if isTID(csn) {
+				if isTID(v.tmin.Load()) {
 					continue
 				}
-				op := wal.OpUpdate
-				var payload []byte
-				if v.tomb {
-					op = wal.OpDelete
-				} else {
-					p, err := v.payload(e)
-					if err != nil {
-						rerr = fmt.Errorf("core: compaction read %v: %w", addr, err)
-						return false
-					}
-					payload = p
-				}
-				buf, off := wal.AppendRecord(nil, op, t.ID, uint64(rid), payload)
-				wal.PatchCSN(buf, off, csn)
-				base, err := e.log.AppendSync(0, buf)
-				if err != nil {
-					rerr = fmt.Errorf("core: compaction append: %w", err)
+				if rerr = c.rewrite(t, rid, v); rerr != nil {
+					rerr = fmt.Errorf("core: compaction of %v: %w", addr, rerr)
 					return false
 				}
-				v.addr.Store(uint64(base.Add(uint32(off))))
-				stats.RecordsRewritten++
-				stats.BytesRewritten += int64(len(buf))
 			}
 			return true
 		})
@@ -173,6 +155,7 @@ func (e *Engine) CompactPartial(sinceCSN, untilCSN uint64) (CompactionStats, err
 	}
 	e.mu.RUnlock()
 
+	c := compactor{e: e, win: logWindow{log: e.log}, stats: &stats}
 	for _, t := range tables {
 		var rerr error
 		t.rows.Range(func(rid RID, head *Version) bool {
@@ -184,21 +167,9 @@ func (e *Engine) CompactPartial(sinceCSN, untilCSN uint64) (CompactionStats, err
 				if v.addr.Load() == 0 || v.tomb {
 					continue
 				}
-				p, err := v.payload(e)
-				if err != nil {
-					rerr = err
+				if rerr = c.rewrite(t, rid, v); rerr != nil {
 					return false
 				}
-				buf, off := wal.AppendRecord(nil, wal.OpUpdate, t.ID, uint64(rid), p)
-				wal.PatchCSN(buf, off, csn)
-				base, err := e.log.AppendSync(0, buf)
-				if err != nil {
-					rerr = err
-					return false
-				}
-				v.addr.Store(uint64(base.Add(uint32(off))))
-				stats.RecordsRewritten++
-				stats.BytesRewritten += int64(len(buf))
 			}
 			return true
 		})
@@ -208,4 +179,47 @@ func (e *Engine) CompactPartial(sinceCSN, untilCSN uint64) (CompactionStats, err
 	}
 	e.stats.Compactions.Add(1)
 	return stats, nil
+}
+
+// compactor is one compaction pass's rewriting state. Its rewrites go to one
+// stream back to back, so a window of the log serves a chunk's worth of them.
+type compactor struct {
+	e     *Engine
+	win   logWindow
+	stats *CompactionStats
+}
+
+// rewrite appends v's record again at the log's tail, under v's CSN, and
+// moves v there: its permanent address, and its payload too -- whatever the
+// segment v leaves is dropped, no version may keep aliasing its memory. A
+// rewritten record that straddles a storage chunk cannot back a payload;
+// then v keeps a private one, or goes back to reading the log on demand.
+func (c *compactor) rewrite(t *Table, rid RID, v *Version) error {
+	op := wal.OpUpdate
+	var payload []byte
+	if v.tomb {
+		op = wal.OpDelete
+	} else {
+		var err error
+		if payload, err = v.payload(c.e); err != nil {
+			return err
+		}
+	}
+	buf, off := wal.AppendRecord(nil, op, t.ID, uint64(rid), payload)
+	wal.PatchCSN(buf, off, v.tmin.Load())
+	base, err := c.e.log.AppendSync(0, buf)
+	if err != nil {
+		return fmt.Errorf("core: compaction append: %w", err)
+	}
+	v.addr.Store(uint64(base.Add(uint32(off))))
+	if !v.tomb {
+		if n, ok := v.swing(&c.win, base.Add(uint32(wal.PayloadOffset(buf, len(payload)))), len(payload)); ok {
+			c.e.swung(1, n)
+		} else if !v.private.Load() {
+			v.data.Store(nil)
+		}
+	}
+	c.stats.RecordsRewritten++
+	c.stats.BytesRewritten += int64(len(buf))
+	return nil
 }

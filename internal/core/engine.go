@@ -248,6 +248,12 @@ type Engine struct {
 	mCheckpoints    *obs.Counter
 	mGCPause        *obs.Histogram // nanoseconds per GC drain
 	mCheckpointDur  *obs.Histogram // nanoseconds per checkpoint
+	// The heap ledger's payload lines: row bytes held a second time, in
+	// private buffers beside their log records (commits in flight, records
+	// that straddle a storage chunk, in-doubt writes rebuilt by recovery),
+	// and how many payloads have been swung onto the log instead.
+	mPrivateBytes *obs.Gauge
+	mSwings       *obs.Counter
 
 	// stopRepair halts the background replica repairer (nil when
 	// RepairInterval is 0).
@@ -340,6 +346,8 @@ func (e *Engine) initObs() {
 	e.mCheckpoints = reg.Counter("core.checkpoints")
 	e.mGCPause = reg.Histogram("core.gc_pause_ns")
 	e.mCheckpointDur = reg.Histogram("core.checkpoint_ns")
+	e.mPrivateBytes = reg.Gauge("core.payload_private_bytes")
+	e.mSwings = reg.Counter("core.payload_swings")
 	// Durability lag: commits acknowledged to the pipeline but not yet
 	// durable (commitsStarted - commitsDurable), sampled at snapshot time.
 	reg.GaugeFunc("core.durability_lag", func() int64 {
@@ -348,6 +356,21 @@ func (e *Engine) initObs() {
 	// Prepared-but-undecided global transactions awaiting a coordinator.
 	reg.GaugeFunc("core.indoubt_2pc", e.inDoubtCount)
 	e.svc.AttachObs(reg)
+}
+
+// swung books n payloads pointed at the log, which took released bytes of
+// private payload off the ledger.
+func (e *Engine) swung(n, released int) {
+	e.mSwings.Add(int64(n))
+	e.mPrivateBytes.Add(-int64(released))
+}
+
+// dropPrivate takes v off the private-payload ledger, if it is still on it,
+// when its payload p goes away private: an eviction, GC, a 2PC abort.
+func (e *Engine) dropPrivate(v *Version, p *[]byte) {
+	if p != nil && v.private.Load() && v.private.CompareAndSwap(true, false) {
+		e.mPrivateBytes.Add(-int64(len(*p)))
+	}
 }
 
 // Service returns the underlying SRSS deployment.
@@ -732,9 +755,14 @@ func (e *Engine) ImportRow(tbl *Table, row Row) (RID, error) {
 	}
 	buf, off := wal.AppendRecord(nil, wal.OpInsert, tbl.ID, uint64(rid), *payload)
 	wal.PatchCSN(buf, off, loadCSN)
+	e.mPrivateBytes.Add(int64(len(*payload)))
 	base, err := e.log.AppendSync(0, buf)
 	if err != nil {
 		return 0, err
+	}
+	win := logWindow{log: e.log}
+	if n, ok := v.swing(&win, base.Add(uint32(wal.PayloadOffset(buf, len(*payload)))), len(*payload)); ok {
+		e.swung(1, n)
 	}
 	v.addr.Store(uint64(base.Add(uint32(off))))
 	tbl.liveRows.Add(1)
@@ -752,8 +780,10 @@ func (e *Engine) Evict(tableName string) (int, error) {
 	n := 0
 	t.rows.Range(func(_ RID, v *Version) bool {
 		for ; v != nil; v = v.next.Load() {
+			p := v.data.Load()
 			if v.Evict() {
 				n++
+				e.dropPrivate(v, p)
 			}
 		}
 		return true

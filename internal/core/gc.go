@@ -90,6 +90,7 @@ func (e *Engine) gcWorker(w int, wm uint64) int {
 			// -- not just the cleared entry.
 			if ok, _ := r.table.rows.DeleteIf(r.rid, r.victim); ok { // bumps the entry epoch
 				for v := r.victim; v != nil; v = v.next.Load() {
+					e.dropPrivate(v, v.data.Load())
 					reclaimed++
 				}
 			}
@@ -111,6 +112,7 @@ func (e *Engine) gcWorker(w int, wm uint64) int {
 		if r.owner != nil && r.owner.next.Load() == r.victim {
 			r.owner.next.Store(nil)
 			for v := r.victim; v != nil; v = v.next.Load() {
+				e.dropPrivate(v, v.data.Load())
 				reclaimed++
 			}
 		}

@@ -269,17 +269,15 @@ func (t *Txn) prepareStart(gtid string, durable func(readOnly bool, err error)) 
 
 	t.prepared = true
 	worker := t.worker
+	e.mPrivateBytes.Add(int64(ws.private))
 	e.commitsStarted.Add(1)
 	e.log.AppendTraced(worker, buf, t.trace, func(base wal.Addr, err error) {
 		if err == nil {
 			// Stamp permanent addresses NOW: the embedded records are full
-			// WAL records, so each version's home is inside the prepare
-			// record. A checkpoint taken after the decision can then cover
-			// these writes like any others.
-			for i := range ws.writes {
-				we := &ws.writes[i]
-				we.newV.addr.Store(uint64(base.Add(uint32(embBase + we.logOff))))
-			}
+			// WAL records, so each version's home -- and its payload from
+			// here on -- is inside the prepare record. A checkpoint taken
+			// after the decision can then cover these writes like any others.
+			ws.landed(base.Add(uint32(embBase)))
 			entry.mu.Lock()
 			entry.havePrep = true
 			entry.prepSeg = base.Segment()
@@ -586,6 +584,7 @@ func (e *Engine) reconstructInDoubt(gtid string, addr wal.Addr, payload []byte) 
 		var pay *[]byte
 		if !tomb {
 			pay = copyPayload(rec.Payload)
+			e.mPrivateBytes.Add(int64(len(rec.Payload)))
 		}
 		newV := newVersion(t.tid, pay, tomb, head)
 		newV.addr.Store(uint64(addr.Add(uint32(embBase + off))))

@@ -18,6 +18,7 @@ type writeEntry struct {
 	newV   *Version
 	oldV   *Version // version superseded by newV (nil for a fresh insert)
 	logOff int      // offset of the op record in the write set's log buffer
+	payOff int      // offset of the record's payload, newV's row, in the same
 	// keysChanged says oldV carries an index key newV does not (a
 	// key-changing update, a delete): its entries become garbage when oldV
 	// is reclaimed. Old entries stay until then -- older snapshots still
@@ -36,6 +37,9 @@ type writeSet struct {
 
 	log    []byte
 	writes []writeEntry
+	// private is the payload bytes of writes: what the transaction puts on
+	// the engine's private-payload ledger when it hands the log over.
+	private int
 
 	// durable is the committing transaction's callback; logDone is
 	// ws.onLogDone, bound once for the write set's life so a commit hands
@@ -83,7 +87,7 @@ func (ws *writeSet) release() {
 		return
 	}
 	clear(ws.writes) // drop the version pointers
-	ws.log, ws.writes, ws.durable = ws.log[:0], ws.writes[:0], nil
+	ws.log, ws.writes, ws.private, ws.durable = ws.log[:0], ws.writes[:0], 0, nil
 	s.mu.Lock()
 	if len(s.free) < maxFreeWriteSets {
 		s.free = append(s.free, ws)
@@ -91,16 +95,34 @@ func (ws *writeSet) release() {
 	s.mu.Unlock()
 }
 
+// landed is what a write set does when its log buffer is durable, buffer
+// offset 0 at base. Each version now has a home in the replicated log
+// (Figure 4b): its record there is the authoritative copy of the row, so the
+// version reads it from there from now on and the private payload, the second
+// copy, is dropped -- unless the payload straddles a storage chunk, in which
+// case no one slice of the log holds it. Then the permanent address is
+// stamped.
+func (ws *writeSet) landed(base wal.Addr) {
+	win := logWindow{log: ws.e.log}
+	swings, released := 0, 0
+	for i := range ws.writes {
+		we := &ws.writes[i]
+		if p := we.newV.data.Load(); p != nil { // nil: a delete marker
+			if n, ok := we.newV.swing(&win, base.Add(uint32(we.payOff)), len(*p)); ok {
+				swings++
+				released += n
+			}
+		}
+		we.newV.addr.Store(uint64(base.Add(uint32(we.logOff))))
+	}
+	ws.e.swung(swings, released)
+}
+
 // onLogDone is the WAL's completion callback for a committed write set.
 func (ws *writeSet) onLogDone(base wal.Addr, err error) {
 	e := ws.e
 	if err == nil {
-		// Stamp permanent addresses: each version now has a home in the
-		// replicated log (Figure 4b).
-		for i := range ws.writes {
-			we := &ws.writes[i]
-			we.newV.addr.Store(uint64(base.Add(uint32(we.logOff))))
-		}
+		ws.landed(base)
 	} else {
 		// The transaction is already visible to other workers, but its log
 		// records will never be durable: latch the sticky fail-stop flag so
@@ -569,6 +591,8 @@ func (t *Txn) insertPayload(tbl *Table, payload *[]byte) (RID, error) {
 func (t *Txn) record(op byte, we writeEntry, body []byte) {
 	ws := t.writeSet()
 	ws.log, we.logOff = wal.AppendRecord(ws.log, op, we.table.ID, uint64(we.rid), body)
+	we.payOff = wal.PayloadOffset(ws.log, len(body))
+	ws.private += len(body)
 	ws.writes = append(ws.writes, we)
 }
 

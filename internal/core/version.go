@@ -30,12 +30,25 @@ type Version struct {
 	// addr 0 exists only in memory (not yet durable).
 	addr atomic.Uint64
 	// data holds the full row payload (Section 4.2: updates write
-	// complete record contents). It may be evicted (set to nil) for
+	// complete record contents): a private buffer from newPayload until the
+	// version's log record is durable, the record's own bytes in the log
+	// from then on (backWithLog). It may be evicted (set to nil) for
 	// durable versions; readers then reload it through the log's mmap
 	// view using addr.
 	data atomic.Pointer[[]byte]
 	// tomb marks delete markers (immutable after creation).
 	tomb bool
+	// private says data is still the newPayload buffer the version was
+	// built around. Whoever clears it takes those bytes off the engine's
+	// ledger of them (core.payload_private_bytes): the swing onto the log,
+	// an eviction, GC.
+	private atomic.Bool
+	// own is the slice header the version's first log-backed payload is
+	// boxed in (backWithLog): data then points into the version itself, and
+	// a read goes from the version straight to the log's bytes. Written
+	// once, by whoever sets ownTaken, before data publishes it.
+	ownTaken atomic.Bool
+	own      []byte
 }
 
 // newVersion builds a version around a payload from newPayload (nil for a
@@ -44,6 +57,7 @@ func newVersion(tid uint64, payload *[]byte, tomb bool, next *Version) *Version 
 	v := &Version{tomb: tomb}
 	v.tmin.Store(tid)
 	v.data.Store(payload)
+	v.private.Store(payload != nil)
 	v.next.Store(next)
 	return v
 }
@@ -76,7 +90,7 @@ func (v *Version) payload(e *Engine) ([]byte, error) {
 	if v.tomb {
 		return nil, nil
 	}
-	return v.reload(e.log, new([]byte))
+	return v.reload(e.log)
 }
 
 // recordReader is the log's point read: a wal.Manager, or a wal.Reader that
@@ -85,17 +99,71 @@ type recordReader interface {
 	ReadRecord(wal.Addr) (wal.Record, error)
 }
 
+// backWithLog makes b -- the payload of v's record where it lies in the
+// durable log -- v's payload. It is the one writer of log-backed
+// Version.data: a reload, the index rebuild, the swing at durability and
+// compaction all end here. The slice header data points at is the one inside
+// v the first time and a fresh one after that: a header is immutable once
+// published, a reader may be looking at it -- as a reader that loaded the
+// previous pointer goes on reading the same immutable bytes through it.
+func (v *Version) backWithLog(b []byte) {
+	hdr := &v.own
+	if !v.ownTaken.CompareAndSwap(false, true) {
+		hdr = new([]byte)
+	}
+	*hdr = b
+	v.data.Store(hdr)
+}
+
 // reload reads v's evicted payload back from the log and caches it in the
-// version, boxed in hdr. The payload aliases storage-backed memory: the
-// log's bytes are the row.
-func (v *Version) reload(log recordReader, hdr *[]byte) ([]byte, error) {
+// version. The payload aliases storage-backed memory: the log's bytes are
+// the row.
+func (v *Version) reload(log recordReader) ([]byte, error) {
 	rec, err := log.ReadRecord(wal.Addr(v.addr.Load()))
 	if err != nil {
 		return nil, err
 	}
-	*hdr = rec.Payload
-	v.data.Store(hdr)
+	v.backWithLog(rec.Payload)
 	return rec.Payload, nil
+}
+
+// logWindow is a writer's place in the log it has appended: the bytes from
+// at to the end of their storage chunk (wal.Manager.Appended). Consecutive
+// records -- a write set's, a compaction's rewrites -- resolve their segment
+// once per window, not once each.
+type logWindow struct {
+	log *wal.Manager
+	at  wal.Addr
+	b   []byte
+}
+
+// bytes returns the n durable bytes at addr, zero-copy, or nil when they
+// straddle a chunk boundary (or addr is not in the durable log).
+func (w *logWindow) bytes(addr wal.Addr, n int) []byte {
+	off := int(addr.Offset()) - int(w.at.Offset())
+	if addr.Segment() != w.at.Segment() || off < 0 || off+n > len(w.b) {
+		w.at, w.b, off = addr, w.log.Appended(addr), 0
+		if n > len(w.b) {
+			return nil
+		}
+	}
+	return w.b[off : off+n : off+n]
+}
+
+// swing points v's payload at the n bytes at addr in the durable log -- the
+// payload of v's record there. It reports false, with v untouched, when no
+// single chunk holds those bytes, and otherwise how many bytes of private
+// payload v let go of.
+func (v *Version) swing(win *logWindow, addr wal.Addr, n int) (released int, ok bool) {
+	b := win.bytes(addr, n)
+	if b == nil {
+		return 0, false
+	}
+	v.backWithLog(b)
+	if v.private.CompareAndSwap(true, false) {
+		released = n
+	}
+	return released, true
 }
 
 // Evict drops the in-memory payload of a durable version. Returns false if

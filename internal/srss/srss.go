@@ -877,6 +877,26 @@ func (v *View) Window(off int64) ([]byte, error) {
 	return v.At(off, int(min(size, (off/cs+1)*cs)-off))
 }
 
+// Appended is the writer's look at what it has appended: the durable bytes
+// from off to the end of the chunk that holds off, zero-copy like a Window,
+// or nil when off is not inside the durable extent. The bytes are already in
+// the caller's memory -- a compute-tier PLog is the local persistent memory
+// the append just filled -- so this is not a storage read: it draws no chaos
+// decision, charges no latency and is not counted in Stats.Reads.
+func (p *PLog) Appended(off int64) []byte {
+	size := p.size.Load()
+	if off < 0 || off >= size || p.deleted.Load() {
+		return nil
+	}
+	cs := int64(p.svc.cfg.ChunkSize)
+	end := min(size, (off/cs+1)*cs)
+	r := p.replicaFor(end)
+	if r.extent() < end {
+		return nil // torn: no replica holds the whole range
+	}
+	return r.slice(off, int(end-off))
+}
+
 // replicasEqual verifies that all replicas hold identical bytes over the
 // full durable extent; used by invariant tests. Torn PLogs fail this check
 // by design (replica extents diverge past the last acked append).

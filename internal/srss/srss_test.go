@@ -291,10 +291,19 @@ func TestViewWindow(t *testing.T) {
 		if &w[0] != &again[0] {
 			t.Errorf("window at %d is a copy", c.off)
 		}
+		// The appender's own look at the same bytes is the same memory, and
+		// is not a read.
+		before = s.Stats().Reads.Load()
+		if a := p.Appended(int64(c.off)); len(a) != c.want || cap(a) != c.want || &a[0] != &w[0] || s.Stats().Reads.Load() != before {
+			t.Errorf("Appended(%d): %d bytes, %d reads; want the window's %d and none", c.off, len(a), s.Stats().Reads.Load()-before, c.want)
+		}
 	}
 	for _, off := range []int64{-1, 150, 151} {
 		if _, err := v.Window(off); !errors.Is(err, ErrOutOfRange) {
 			t.Errorf("window at %d: %v, want ErrOutOfRange", off, err)
+		}
+		if a := p.Appended(off); a != nil {
+			t.Errorf("Appended(%d): %d bytes, want nil", off, len(a))
 		}
 	}
 	// The PLog grows inside the last window's chunk: the old window is

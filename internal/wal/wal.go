@@ -157,6 +157,13 @@ func AppendRecord(buf []byte, op byte, table uint32, rid uint64, payload []byte)
 	return buf, off
 }
 
+// PayloadOffset returns where in buf the payload of the record AppendRecord
+// has just encoded begins, given the payload's length: the record ends buf,
+// and only its checksum follows the payload.
+func PayloadOffset(buf []byte, payloadLen int) int {
+	return len(buf) - 4 - payloadLen
+}
+
 // PatchCSN stamps the commit sequence number into a record previously
 // encoded at off by AppendRecord.
 func PatchCSN(buf []byte, off int, csn uint64) {
@@ -876,8 +883,7 @@ func (st *Stream) flushBatch() {
 	i := 0
 	for i < len(st.batch) {
 		// Take the largest prefix of requests fitting the open segment.
-		st.concat = st.concat[:0]
-		j := i
+		j, size := i, int64(0)
 		for j < len(st.batch) {
 			pl := int64(len(st.batch[j].payload))
 			if pl+1 > segSize {
@@ -895,19 +901,30 @@ func (st *Stream) flushBatch() {
 				}
 				break
 			}
-			if st.offset+int64(len(st.concat))+pl > segSize {
+			if st.offset+size+pl > segSize {
 				break
 			}
-			st.concat = append(st.concat, st.batch[j].payload...)
+			size += pl
 			j++
 		}
-		if len(st.concat) == 0 {
+		if size == 0 {
 			// Open segment too full for even one request: rotate.
 			if err := st.rotate(); err != nil {
 				st.failRest(i, err)
 				return
 			}
 			continue
+		}
+		// A group is copied together so that it is one append; a request on
+		// its own is appended from its own buffer, which is the WAL's until
+		// done fires.
+		data := st.batch[i].payload
+		if j-i > 1 {
+			st.concat = st.concat[:0]
+			for k := i; k < j; k++ {
+				st.concat = append(st.concat, st.batch[k].payload...)
+			}
+			data = st.concat
 		}
 		// Traced requests leave the enqueue stage as the group flush picks
 		// them up; the flush itself -- including any injected pre-append
@@ -925,7 +942,7 @@ func (st *Stream) flushBatch() {
 			st.failRest(i, err)
 			return
 		}
-		base, replNS, err := st.appendWithRetry(st.concat)
+		base, replNS, err := st.appendWithRetry(data)
 		if err != nil {
 			st.failRest(i, err)
 			return
@@ -957,10 +974,10 @@ func (st *Stream) flushBatch() {
 			off += uint32(len(st.batch[k].payload))
 		}
 		st.mgr.mBatchTxns.Record(int64(j - i))
-		st.mgr.mBatchBytes.Record(int64(len(st.concat)))
+		st.mgr.mBatchBytes.Record(size)
 		st.appends.Add(1)
 		st.batchedTxns.Add(int64(j - i))
-		st.bytesWritten.Add(int64(len(st.concat)))
+		st.bytesWritten.Add(size)
 		i = j
 	}
 }
@@ -1154,6 +1171,20 @@ func (r *Reader) ReadRecord(addr Addr) (Record, error) {
 	}
 	rec, _, err := w.record(int64(addr.Offset()))
 	return rec, err
+}
+
+// Appended returns the log's own bytes from addr to the end of the storage
+// chunk that holds it, zero-copy, or nil when addr is not in the durable log.
+// It is for the writer, about what it has appended (a done callback's base
+// address onward): srss.PLog.Appended, so not a storage read and not counted
+// in WindowReads. A record that ends inside the returned bytes can serve as
+// its own in-memory copy; one that runs past them straddles a chunk.
+func (m *Manager) Appended(addr Addr) []byte {
+	v, err := m.view(addr.Segment())
+	if err != nil {
+		return nil
+	}
+	return v.PLog().Appended(int64(addr.Offset()))
 }
 
 // WindowReads counts the storage reads the log's read paths (ReadRecord,

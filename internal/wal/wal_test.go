@@ -106,6 +106,40 @@ func TestAppendSyncAndReadRecord(t *testing.T) {
 	if rec.RID != 11 || string(rec.Payload) != "hello" || rec.CSN != 5 {
 		t.Fatalf("read back: %+v", rec)
 	}
+	// The appender's look at its record: the same memory ReadRecord decoded
+	// in, found by the address done reported, without a storage read.
+	reads := m.WindowReads()
+	a := m.Appended(base)
+	at := PayloadOffset(buf, len(rec.Payload))
+	if !bytes.HasPrefix(a, buf) || &a[at] != &rec.Payload[0] || m.WindowReads() != reads {
+		t.Fatalf("Appended(%v): %d bytes, %d storage reads", base, len(a), m.WindowReads()-reads)
+	}
+	if a := m.Appended(base.Add(uint32(len(buf)))); a != nil {
+		t.Fatalf("Appended past the log's end: %d bytes", len(a))
+	}
+}
+
+// TestLoneRequestIsAppendedFromItsOwnBuffer: a batch of one is no group, and
+// takes no trip through the stream's group buffer.
+func TestLoneRequestIsAppendedFromItsOwnBuffer(t *testing.T) {
+	_, m := testManager(t, Config{Streams: 1, SegmentSize: 1 << 12})
+	for i := 0; i < 200; i++ { // enough to rotate a few times
+		buf, off := AppendRecord(nil, OpInsert, 1, uint64(i), bytes.Repeat([]byte{byte(i)}, 40))
+		PatchCSN(buf, off, uint64(i+1))
+		base, err := m.AppendSync(0, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec, err := m.ReadRecord(base); err != nil || rec.RID != uint64(i) || !bytes.Equal(rec.Payload, bytes.Repeat([]byte{byte(i)}, 40)) {
+			t.Fatalf("record %d reads back %+v (%v)", i, rec, err)
+		}
+	}
+	if appends, txns, _ := m.Stream(0).Stats(); appends != 200 || txns != 200 {
+		t.Fatalf("%d appends of %d requests, want 200 of 200", appends, txns)
+	}
+	if c := cap(m.Stream(0).concat); c != 0 {
+		t.Errorf("lone requests were copied into a %d-byte group buffer", c)
+	}
 }
 
 func TestGroupCommitBatches(t *testing.T) {
