@@ -1,6 +1,7 @@
-// Package hiengine_test holds the repository-level benchmark harness: one
-// benchmark per table/figure of the paper's evaluation (Section 6) plus the
-// ablation benchmarks for the design decisions called out in DESIGN.md.
+// Package hiengine_test holds the repository-level per-operation benchmarks:
+// the workload unit of each measured figure of the paper's evaluation
+// (Section 6; Figure 8's is BenchmarkRecover) plus the ablation benchmarks
+// for the design decisions called out in DESIGN.md.
 // Full figure regeneration (sweeps, series, expected-shape comparisons) is
 // cmd/hibench; these benchmarks measure the per-operation cost of each
 // figure's workload unit so `go test -bench` gives ns/op and allocs for the
@@ -16,7 +17,6 @@ import (
 	"hiengine/internal/adapt"
 	"hiengine/internal/baseline/innosim"
 	"hiengine/internal/baseline/memocc"
-	"hiengine/internal/bench"
 	"hiengine/internal/clock"
 	"hiengine/internal/core"
 	"hiengine/internal/delay"
@@ -28,20 +28,6 @@ import (
 	"hiengine/internal/srss"
 	"hiengine/internal/workload/tpcc"
 )
-
-// --- Table 1 ---------------------------------------------------------------
-
-func BenchmarkTable1Architectures(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := bench.Table1(bench.Options{Quick: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.Rows) != 9 {
-			b.Fatal("bad table")
-		}
-	}
-}
 
 // --- Figure 5: sysbench through the SQL layer -------------------------------
 
@@ -219,45 +205,6 @@ func BenchmarkFig7NumaAccess(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				acct.Access(c.core, c.die)
 			}
-		})
-	}
-}
-
-// --- Figure 8: recovery ------------------------------------------------------
-
-func BenchmarkFig8Recovery(b *testing.B) {
-	// One shared crashed instance; each iteration recovers it fully.
-	svc := srss.New(srss.Config{})
-	e, err := core.Open(core.Config{Service: svc, Workers: 8, SegmentSize: 2 << 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	db := adapt.New(e)
-	sc := tpcc.SmallScale()
-	if err := tpcc.Load(db, 2, sc, 4); err != nil {
-		b.Fatal(err)
-	}
-	d := tpcc.NewDriver(tpcc.Config{DB: db, Warehouses: 2, Threads: 4, Scale: sc,
-		Duration: 300 * time.Millisecond, Partitioned: true})
-	if _, err := d.Run(); err != nil {
-		b.Fatal(err)
-	}
-	manifest := e.ManifestID()
-	e.Close()
-
-	for _, threads := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("replay-threads-%d", threads), func(b *testing.B) {
-			var records int64
-			for i := 0; i < b.N; i++ {
-				e2, stats, err := core.Recover(core.Config{Service: svc, Workers: 2, SegmentSize: 2 << 20},
-					manifest, core.RecoverOptions{ReplayThreads: threads, SkipIndexRebuild: true})
-				if err != nil {
-					b.Fatal(err)
-				}
-				records = stats.RecordsScanned
-				e2.Close()
-			}
-			b.ReportMetric(float64(records), "records")
 		})
 	}
 }

@@ -1,121 +1,67 @@
-// Command hibench regenerates the tables and figures of the HiEngine paper's
-// evaluation (Section 6). Each experiment builds the engines it compares in
-// a simulated cloud deployment, runs the paper's workload, and prints the
-// measured series next to the paper's expected shape.
+// Command hibench runs the experiments of the internal/bench registry: the
+// tables and figures of the HiEngine paper's evaluation (Section 6) and the
+// service-deployment experiments benchmark/ does not cover (replica fan-out,
+// failover, sharding with 2PC, streamed scans). Each experiment builds what
+// it compares, runs its workload, and prints the measured series next to
+// the paper's expected shape. Nothing is written unless -out names a
+// directory, which then receives one BENCH_<id>.json per experiment.
 //
 // Usage:
 //
-//	hibench -exp all              # every experiment, full scale
-//	hibench -exp fig5a            # one experiment
-//	hibench -exp fig6 -quick      # reduced scale (CI-sized)
-//	hibench -list                 # list experiment IDs
-//
-// Networked mode (wire-protocol throughput, see netbench.go):
-//
-//	hibench -serve :7609                    # run a server and block
-//	hibench -connect host:port -clients 8   # drive a remote server
-//	hibench -netlocal -clients 8            # loopback vs in-process
-//	hibench -replicas 2 -clients 8          # read fan-out across replicas
-//	hibench -failover -clients 4            # failover cost (promote + write gap)
-//	hibench -scanrows 50000 -batch 128      # streamed scans + batch writes (BENCH_scan.json)
+//	hibench -exp all                        # every experiment, full scale
+//	hibench -exp fig5a                      # one experiment
+//	hibench -exp fig6 -quick                # reduced scale (CI-sized)
+//	hibench -exp shard -quick -out bench-out  # and write bench-out/BENCH_shard.json
+//	hibench -list                           # list experiment IDs
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"time"
 
 	"hiengine/internal/bench"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its arguments, streams and exit code as values.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hibench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp      = flag.String("exp", "all", "experiment id (see -list) or 'all'")
-		quick    = flag.Bool("quick", false, "reduced dataset sizes and durations")
-		threads  = flag.Int("threads", 0, "override worker thread count (0 = per-experiment default)")
-		duration = flag.Duration("duration", 0, "override per-measurement duration (0 = default)")
-		stats    = flag.Bool("stats", false, "append the HiEngine obs snapshot (latency percentiles, batch sizes, GC) to each report")
-		list     = flag.Bool("list", false, "list experiments and exit")
-		verbose  = flag.Bool("v", false, "print progress lines")
-
-		serve    = flag.String("serve", "", "networked mode: listen on this address and serve")
-		connect  = flag.String("connect", "", "networked mode: drive the server at host:port")
-		netlocal = flag.Bool("netlocal", false, "networked mode: loopback server vs in-process comparison")
-		clients  = flag.Int("clients", 8, "networked mode: concurrent client sessions")
-		prepared = flag.Bool("prepared", false, "networked mode: use prepared statements (OpPrepare/OpExecStmt) instead of per-call SQL text")
-		trace    = flag.Bool("trace", false, "networked mode: trace every transaction and append a per-stage latency table to the report; sharded mode: finish with one traced cross-shard 2PC transaction and its per-hop table")
-		replicas = flag.Int("replicas", 0, "networked mode: spin N read replicas and measure SELECT fan-out scaling (writes BENCH_replica.json)")
-		failover = flag.Bool("failover", false, "networked mode: kill the primary under load, promote a replica, and measure time-to-promote and client write gaps (writes BENCH_failover.json)")
-		shards   = flag.Int("shards", 0, "sharded mode: spin N shard nodes and measure routed + 2PC scaling vs a 1-shard baseline (writes BENCH_shard.json)")
-		scanRows = flag.Int("scanrows", 0, "scan mode: load N rows (single vs batched) and stream them back through the cursor protocol (writes BENCH_scan.json)")
-		batchSz  = flag.Int("batch", 0, "scan mode: statements per OpExecBatch frame (default 128)")
-		crossPct = flag.Int("cross", 10, "sharded mode: percent of transactions that are cross-shard 2PC transfers")
-		outDir   = flag.String("out", "", "directory for BENCH_*.json documents (default: current directory)")
+		exp      = fs.String("exp", "all", "experiment id (see -list) or 'all'")
+		quick    = fs.Bool("quick", false, "reduced dataset sizes and durations")
+		threads  = fs.Int("threads", 0, "override worker thread (service experiments: client) count (0 = per-experiment default)")
+		duration = fs.Duration("duration", 0, "override per-measurement duration (0 = default)")
+		stats    = fs.Bool("stats", false, "append the HiEngine obs snapshot (latency percentiles, batch sizes, GC) to each report")
+		list     = fs.Bool("list", false, "list experiments and exit")
+		verbose  = fs.Bool("v", false, "print progress lines")
+		outDir   = fs.String("out", "", "directory for BENCH_<id>.json documents (default: none are written)")
 	)
-	flag.Parse()
-	benchOutDir = *outDir
-
-	if *serve != "" || *connect != "" || *netlocal || *replicas > 0 || *failover || *shards > 0 || *scanRows > 0 || *batchSz > 0 {
-		workers := *threads
-		if workers <= 0 {
-			workers = 8
-		}
-		d := *duration
-		if d <= 0 {
-			d = 3 * time.Second
-		}
-		var err error
-		switch {
-		case *scanRows > 0 || *batchSz > 0:
-			rows, batch := *scanRows, *batchSz
-			if rows <= 0 {
-				rows = 50000
-			}
-			if batch <= 0 {
-				batch = 128
-			}
-			err = scanBench(rows, batch, workers)
-		case *shards > 0:
-			err = shardBench(*shards, *clients, workers, *crossPct, d, *trace)
-		case *failover:
-			err = failoverBench(*clients, workers, d)
-		case *replicas > 0:
-			err = replBench(*replicas, *clients, workers, d)
-		case *serve != "":
-			err = netServe(*serve, workers)
-		case *connect != "":
-			err = netConnect(*connect, *clients, d, *prepared, *trace)
-		default:
-			err = netLocal(*clients, workers, d, *prepared, *trace)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hibench:", err)
-			os.Exit(1)
-		}
-		return
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-
 	if *list {
 		for _, r := range bench.All() {
-			fmt.Printf("%-8s %s\n", r.ID, r.Title)
+			fmt.Fprintf(stdout, "%-9s %s\n", r.ID, r.Title)
 		}
-		return
+		return 0
 	}
 
 	opts := bench.Options{Quick: *quick, Threads: *threads, Duration: *duration, Stats: *stats}
 	if *verbose {
-		opts.Progress = func(s string) { fmt.Fprintln(os.Stderr, "  ..", s) }
+		opts.Progress = func(s string) { fmt.Fprintln(stderr, "  ..", s) }
 	}
-
-	var runners []bench.Runner
-	if *exp == "all" {
-		runners = bench.All()
-	} else {
+	runners := bench.All()
+	if *exp != "all" {
 		r, ok := bench.Find(*exp)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "hibench: unknown experiment %q (use -list)\n", *exp)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "hibench: unknown experiment %q (use -list)\n", *exp)
+			return 2
 		}
 		runners = []bench.Runner{r}
 	}
@@ -124,28 +70,32 @@ func main() {
 		start := time.Now()
 		rep, err := r.Run(opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hibench: %s failed: %v\n", r.ID, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "hibench: %s failed: %v\n", r.ID, err)
+			return 1
 		}
-		fmt.Println(rep)
-		fmt.Printf("(%s completed in %v)\n\n", r.ID, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintln(stdout, rep)
+		if *outDir != "" {
+			path, err := write(*outDir, rep)
+			if err != nil {
+				fmt.Fprintf(stderr, "hibench: %s: %v\n", r.ID, err)
+				return 1
+			}
+			fmt.Fprintf(stdout, "hibench: wrote %s\n", path)
+		}
+		fmt.Fprintf(stdout, "(%s completed in %v)\n\n", r.ID, time.Since(start).Round(time.Millisecond))
 	}
+	return 0
+}
 
-	// Default mode always ends with the machine-readable single-node
-	// baseline: BENCH_core.json (txn/s plus per-stage commit latency).
-	workers := *threads
-	if workers <= 0 {
-		workers = 8
+// write puts rep's document at dir/BENCH_<id>.json.
+func write(dir string, rep *bench.Report) (string, error) {
+	doc, err := rep.JSON()
+	if err != nil {
+		return "", err
 	}
-	d := *duration
-	if d <= 0 {
-		d = 2 * time.Second
-		if *quick {
-			d = 500 * time.Millisecond
-		}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", err
 	}
-	if err := coreBench(*clients, workers, d); err != nil {
-		fmt.Fprintf(os.Stderr, "hibench: core report: %v\n", err)
-		os.Exit(1)
-	}
+	path := filepath.Join(dir, "BENCH_"+rep.ID+".json")
+	return path, os.WriteFile(path, doc, 0o644)
 }

@@ -63,7 +63,7 @@ func Ablations(o Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.Rows = append(r.Rows, []string{"commit persistence", c.name, d.Round(time.Microsecond).String()})
+		r.row("commit persistence", c.name, took(d))
 	}
 
 	// Pipelining.
@@ -82,7 +82,7 @@ func Ablations(o Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.Rows = append(r.Rows, []string{"commit pipelining", name, d.Round(time.Microsecond).String()})
+		r.row("commit pipelining", name, took(d))
 	}
 
 	// Group commit batch size (single stream, pipelined).
@@ -97,7 +97,7 @@ func Ablations(o Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.Rows = append(r.Rows, []string{"group commit", fmt.Sprintf("batch-%d", batch), d.Round(time.Microsecond).String()})
+		r.row("group commit", fmt.Sprintf("batch-%d", batch), took(d))
 	}
 
 	// Dataless vs full-data checkpoint.
@@ -149,9 +149,9 @@ func Ablations(o Options) (*Report, error) {
 		tx.Commit()
 		fulldata := time.Since(start)
 		e.Close()
-		r.Rows = append(r.Rows, []string{"checkpoint", "dataless (PIA only)", dataless.Round(time.Microsecond).String()})
-		r.Rows = append(r.Rows, []string{"checkpoint", "full-data", fulldata.Round(time.Microsecond).String()})
-		r.Notes = append(r.Notes, fmt.Sprintf("checkpoint table had %d rows; full-data/dataless = %s", rows, ratio(float64(fulldata), float64(dataless))))
+		r.row("checkpoint", "dataless (PIA only)", took(dataless))
+		r.row("checkpoint", "full-data", took(fulldata))
+		r.Notes = append(r.Notes, fmt.Sprintf("checkpoint table had %d rows; full-data/dataless = %s", rows, ratio(float64(fulldata), float64(dataless)).text))
 	}
 	r.attachStats(reg) // aggregated across the ablation engines
 	return r, nil

@@ -1,15 +1,20 @@
-// Package bench contains one runner per table/figure of the paper's
-// evaluation (Section 6). Each runner builds the engines it compares, runs
-// the workload at the configured scale, and renders a report with the
-// measured series next to the paper's expected shape. Absolute numbers are
-// not comparable to the paper's testbed (128-core Kunpeng servers with
-// persistent memory vs a simulated cluster in Go); ratios and trends are
-// the reproduction target, as recorded in EXPERIMENTS.md.
+// Package bench is the repository's experiment registry: one runner per
+// table/figure of the paper's evaluation (Section 6) and one per service
+// deployment benchmark/ does not cover (replica fan-out, failover, sharding
+// with 2PC, streamed scans). Every runner builds what it compares (the
+// service runners through serve), loads it through the one closed-loop
+// drive, and returns a Report, which alone renders: the aligned text table,
+// and the BENCH_<id>.json document. Absolute numbers are not comparable to
+// the paper's testbed (128-core Kunpeng servers with persistent memory vs a
+// simulated cluster in Go); ratios and trends are the reproduction target,
+// as recorded in EXPERIMENTS.md.
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
-	"sort"
+	"math"
+	"runtime"
 	"strings"
 	"time"
 
@@ -21,8 +26,8 @@ type Options struct {
 	// Quick shrinks datasets and durations for CI/tests. Full runs are
 	// the default for cmd/hibench.
 	Quick bool
-	// Threads overrides the default thread counts (0 = per-experiment
-	// defaults).
+	// Threads overrides the default worker-thread count of a figure and the
+	// client count of a service experiment (0 = per-experiment defaults).
 	Threads int
 	// Duration overrides per-measurement run time (0 = default).
 	Duration time.Duration
@@ -59,7 +64,19 @@ func (o Options) dur(full, quick time.Duration) time.Duration {
 	return full
 }
 
-// Report is a rendered experiment result.
+// threads is dur's twin for the thread (or client) count.
+func (o Options) threads(full, quick int) int {
+	if o.Threads > 0 {
+		return o.Threads
+	}
+	if o.Quick {
+		return quick
+	}
+	return full
+}
+
+// Report is an experiment's result: a table of text cells, and the number
+// behind every measured cell as named series.
 type Report struct {
 	ID       string // e.g. "fig5a"
 	Title    string
@@ -67,9 +84,80 @@ type Report struct {
 	Header   []string
 	Rows     [][]string
 	Notes    []string
+	// Series holds one entry per measured column, filled by row.
+	Series []Series
 	// Stats is the rendered obs snapshot of the HiEngine instance(s) under
 	// test, present when Options.Stats was set.
 	Stats string
+}
+
+// Series is one measured column of a report: the number behind each of its
+// cells, labelled by the text cells of the cell's row. Durations are in
+// milliseconds; every other value is the number its cell shows.
+type Series struct {
+	Name   string    `json:"name"`
+	Labels []string  `json:"labels"`
+	Values []float64 `json:"values"`
+}
+
+// cell is one measured table cell: the text the table shows and the number
+// behind it.
+type cell struct {
+	text string
+	val  float64
+}
+
+func f0(v float64) cell  { return cell{fmt.Sprintf("%.0f", v), v} }
+func f2(v float64) cell  { return cell{fmt.Sprintf("%.2f", v), v} }
+func f4(v float64) cell  { return cell{fmt.Sprintf("%.4f", v), v} }
+func pct(v float64) cell { return cell{fmt.Sprintf("%.1f%%", v*100), v * 100} }
+
+// ratio is a/b; a zero b reads "inf" and carries no number.
+func ratio(a, b float64) cell {
+	if b == 0 {
+		return cell{"inf", math.NaN()}
+	}
+	return cell{fmt.Sprintf("%.2fx", a/b), a / b}
+}
+
+// took shows d to the microsecond and carries it in milliseconds.
+func took(d time.Duration) cell {
+	return cell{d.Round(time.Microsecond).String(), float64(d) / float64(time.Millisecond)}
+}
+
+// row appends one table row. A string or int cell is text and part of the
+// row's label; a cell is a measurement, which also lands in the series
+// named after its column.
+func (r *Report) row(cells ...interface{}) {
+	text := make([]string, len(cells))
+	var label []string
+	for i, c := range cells {
+		if m, ok := c.(cell); ok {
+			text[i] = m.text
+		} else if text[i] = fmt.Sprint(c); text[i] != "" {
+			label = append(label, text[i])
+		}
+	}
+	r.Rows = append(r.Rows, text)
+	for i, c := range cells {
+		m, ok := c.(cell)
+		if !ok || math.IsNaN(m.val) {
+			continue
+		}
+		s := r.series(r.Header[i])
+		s.Labels = append(s.Labels, strings.Join(label, "/"))
+		s.Values = append(s.Values, m.val)
+	}
+}
+
+func (r *Report) series(name string) *Series {
+	for i := range r.Series {
+		if r.Series[i].Name == name {
+			return &r.Series[i]
+		}
+	}
+	r.Series = append(r.Series, Series{Name: name})
+	return &r.Series[len(r.Series)-1]
 }
 
 // attachStats renders reg's snapshot into the report (no-op for nil reg).
@@ -124,6 +212,27 @@ func (r *Report) String() string {
 	return b.String()
 }
 
+// SchemaVersion stamps every BENCH_<id>.json document. Version history:
+//
+//	1: implicit (documents predating the stamp carry no field)
+//	2: schema_version added
+//	3: BENCH_scan.json introduced; one document shape per hibench mode
+//	4: one shape for every experiment: id, title, gomaxprocs, timestamp, series
+const SchemaVersion = 4
+
+// JSON renders the report as its BENCH_<id>.json document.
+func (r *Report) JSON() ([]byte, error) {
+	buf, err := json.MarshalIndent(struct {
+		SchemaVersion int      `json:"schema_version"`
+		ID            string   `json:"id"`
+		Title         string   `json:"title"`
+		GOMAXPROCS    int      `json:"gomaxprocs"`
+		Timestamp     string   `json:"timestamp"`
+		Series        []Series `json:"series"`
+	}{SchemaVersion, r.ID, r.Title, runtime.GOMAXPROCS(0), time.Now().UTC().Format(time.RFC3339), r.Series}, "", "  ")
+	return append(buf, '\n'), err
+}
+
 // Runner is one experiment.
 type Runner struct {
 	ID    string
@@ -142,6 +251,10 @@ func All() []Runner {
 		{ID: "fig8", Title: "Parallel recovery RTO speedup (Figure 8)", Run: Fig8},
 		{ID: "clock", Title: "Timestamp grant: logical vs global clock (Section 5.3)", Run: ClockBench},
 		{ID: "ablations", Title: "Design-decision ablations (DESIGN.md)", Run: Ablations},
+		{ID: "replica", Title: "Read fan-out across log-shipping replicas (Figure 3 deployment)", Run: ReplicaFanout},
+		{ID: "failover", Title: "Primary kill: time-to-promote and client write gap", Run: Failover},
+		{ID: "shard", Title: "Routed and cross-shard 2PC transactions vs one shard", Run: Shard},
+		{ID: "scan", Title: "Batch writes and streamed scans over the wire", Run: Scan},
 	}
 }
 
@@ -153,22 +266,4 @@ func Find(id string) (Runner, bool) {
 		}
 	}
 	return Runner{}, false
-}
-
-func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
-func f0(v float64) string  { return fmt.Sprintf("%.0f", v) }
-func pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
-
-// ratio formats a/b with guard.
-func ratio(a, b float64) string {
-	if b == 0 {
-		return "inf"
-	}
-	return fmt.Sprintf("%.2fx", a/b)
-}
-
-// sortInts sorts in place and returns s (tiny helper for stable reports).
-func sortInts(s []int) []int {
-	sort.Ints(s)
-	return s
 }

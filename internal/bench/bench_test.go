@@ -1,6 +1,10 @@
 package bench
 
 import (
+	"encoding/json"
+	"os"
+	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -205,12 +209,94 @@ func TestAblationsShape(t *testing.T) {
 	_ = parse("checkpoint/full-data")
 }
 
+// experimentIDs is the registry as a reader of -list sees it.
+var experimentIDs = []string{"table1", "fig5a", "fig5b", "fig6", "fig7", "fig8", "clock", "ablations",
+	"replica", "failover", "shard", "scan"}
+
 func TestFindAndAll(t *testing.T) {
-	if len(All()) != 8 {
-		t.Fatalf("runner count = %d", len(All()))
+	var ids []string
+	for _, r := range All() {
+		ids = append(ids, r.ID)
+		if got, ok := Find(r.ID); !ok || got.Title != r.Title {
+			t.Errorf("Find(%q) = %+v, %v", r.ID, got, ok)
+		}
+	}
+	if !reflect.DeepEqual(ids, experimentIDs) {
+		t.Fatalf("registry ids = %v, want %v", ids, experimentIDs)
 	}
 	if _, ok := Find("ghost"); ok {
 		t.Fatal("found nonexistent runner")
 	}
-	_ = sortInts([]int{3, 1, 2})
+}
+
+// TestEveryExperimentRuns runs the whole registry at quick scale. A service
+// runner's correctness conditions (every routed read returns one row,
+// streamed rows == loaded rows, no shard error but a tolerated busy, every
+// failover client reconverges) are errors of its Run, so they fail here.
+func TestEveryExperimentRuns(t *testing.T) {
+	for _, r := range All() {
+		t.Run(r.ID, func(t *testing.T) {
+			rep := runQuick(t, r.ID)
+			doc, err := rep.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got struct {
+				SchemaVersion int    `json:"schema_version"`
+				ID            string `json:"id"`
+				Title         string `json:"title"`
+				GOMAXPROCS    int    `json:"gomaxprocs"`
+				Timestamp     string `json:"timestamp"`
+				Series        []Series
+			}
+			if err := json.Unmarshal(doc, &got); err != nil {
+				t.Fatalf("%v in %s", err, doc)
+			}
+			if got.SchemaVersion != SchemaVersion || got.ID != r.ID || got.Title != rep.Title ||
+				got.GOMAXPROCS < 1 || got.Timestamp == "" {
+				t.Fatalf("document head: %+v", got)
+			}
+			if len(got.Series) == 0 || !reflect.DeepEqual(got.Series, rep.Series) {
+				t.Fatalf("series did not round-trip: %+v, want %+v", got.Series, rep.Series)
+			}
+			for _, s := range got.Series {
+				if s.Name == "" || len(s.Values) == 0 || len(s.Labels) != len(s.Values) {
+					t.Fatalf("malformed series %+v", s)
+				}
+			}
+		})
+	}
+}
+
+// TestExperimentIndexMatchesRegistry holds the two documents that list the
+// experiments to the registry: DESIGN.md's per-experiment index has one row
+// per id, whose command runs that id, and README's -exp list names them all.
+func TestExperimentIndexMatchesRegistry(t *testing.T) {
+	read := func(name string) string {
+		b, err := os.ReadFile("../../" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	_, index, ok := strings.Cut(read("DESIGN.md"), "\n## Per-experiment index")
+	if !ok {
+		t.Fatal("DESIGN.md has no per-experiment index")
+	}
+	index, _, _ = strings.Cut(index, "\n## ")
+	row := regexp.MustCompile("(?m)^\\| *`([a-z0-9]+)` *\\|.*`hibench -exp ([a-z0-9]+)[ `]")
+	var ids []string
+	for _, m := range row.FindAllStringSubmatch(index, -1) {
+		if m[1] != m[2] {
+			t.Errorf("DESIGN.md index row %q regenerates with -exp %s", m[1], m[2])
+		}
+		ids = append(ids, m[1])
+	}
+	if !reflect.DeepEqual(ids, experimentIDs) {
+		t.Errorf("DESIGN.md index rows = %v, want %v", ids, experimentIDs)
+	}
+	list := regexp.MustCompile(`-exp all\|([a-z0-9|]+)`).FindStringSubmatch(read("README.md"))
+	if list == nil || !reflect.DeepEqual(strings.Split(list[1], "|"), experimentIDs) {
+		t.Errorf("README.md -exp list = %v, want all|%s", list, strings.Join(experimentIDs, "|"))
+	}
 }

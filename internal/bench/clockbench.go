@@ -1,9 +1,6 @@
 package bench
 
 import (
-	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"hiengine/internal/clock"
@@ -17,14 +14,13 @@ import (
 // with a 10-20us uncertainty bound, which grants locally and scales with
 // node count.
 func ClockBench(o Options) (*Report, error) {
-	dur := o.dur(500*time.Millisecond, 100*time.Millisecond)
+	d := o.dur(500*time.Millisecond, 100*time.Millisecond)
 	nodeCounts := []int{1, 3, 6, 12}
 	if o.Quick {
 		nodeCounts = []int{1, 3}
 	}
 	const clientsPerNode = 4
 
-	model := &delay.Model{RDMAFetchAdd: 13 * time.Microsecond}
 	r := &Report{
 		ID:       "clock",
 		Title:    "Timestamp grant latency/throughput: logical clock vs global clock",
@@ -32,48 +28,31 @@ func ClockBench(o Options) (*Report, error) {
 		Header:   []string{"nodes", "mechanism", "grants/s", "avg latency"},
 	}
 
-	measure := func(src clock.Source, nodes int) (float64, time.Duration) {
-		var grants atomic.Int64
-		var totalLat atomic.Int64
-		var wg sync.WaitGroup
-		deadline := time.Now().Add(dur)
-		for c := 0; c < nodes*clientsPerNode; c++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for time.Now().Before(deadline) {
-					t0 := time.Now()
-					src.Next()
-					totalLat.Add(int64(time.Since(t0)))
-					grants.Add(1)
-				}
-			}()
-		}
-		wg.Wait()
-		g := grants.Load()
-		if g == 0 {
-			return 0, 0
-		}
-		return float64(g) / dur.Seconds(), time.Duration(totalLat.Load() / g)
-	}
-
 	for _, nodes := range nodeCounts {
 		o.progress("clock: %d nodes", nodes)
 		// The logical clock's RDMA latency grows slightly with fabric
 		// contention; model the paper's 40us at 3 nodes.
-		m := *model
-		m.RDMAFetchAdd = time.Duration(13+9*nodes) * time.Microsecond
-		lc := clock.NewLogicalClock(&m, nil, 1_500_000)
-		tps, lat := measure(lc, nodes)
-		r.Rows = append(r.Rows, []string{fmt.Sprint(nodes), "logical (RDMA FAA)", f0(tps), lat.Round(time.Microsecond).String()})
-
-		gc := clock.NewGlobalClock(10*time.Microsecond, nil)
-		tps, lat = measure(gc, nodes)
-		r.Rows = append(r.Rows, []string{fmt.Sprint(nodes), "global (eps=10us)", f0(tps), lat.Round(time.Microsecond).String()})
-
-		gc20 := clock.NewGlobalClock(20*time.Microsecond, nil)
-		tps, lat = measure(gc20, nodes)
-		r.Rows = append(r.Rows, []string{fmt.Sprint(nodes), "global (eps=20us)", f0(tps), lat.Round(time.Microsecond).String()})
+		m := &delay.Model{RDMAFetchAdd: time.Duration(13+9*nodes) * time.Microsecond}
+		for _, c := range []struct {
+			name string
+			src  clock.Source
+		}{
+			{"logical (RDMA FAA)", clock.NewLogicalClock(m, nil, 1_500_000)},
+			{"global (eps=10us)", clock.NewGlobalClock(10*time.Microsecond, nil)},
+			{"global (eps=20us)", clock.NewGlobalClock(20*time.Microsecond, nil)},
+		} {
+			out, err := drive(load{clients: nodes * clientsPerNode, dur: d}, func(int) (op, error) {
+				return func(int64) (int, error) { c.src.Next(); return 0, nil }, nil
+			})
+			if err != nil {
+				return nil, err
+			}
+			var mean time.Duration
+			if n := out.lat[0].Count(); n > 0 {
+				mean = time.Duration(out.lat[0].Sum() / n)
+			}
+			r.row(nodes, c.name, f0(out.rate()), took(mean))
+		}
 	}
 	r.Notes = append(r.Notes,
 		"the logical clock's aggregate rate is bounded by the hosting NIC (1.5M PPS model) regardless of node count; the global clock has no shared bottleneck -- the paper's conclusion that a centralized logical clock is not the right choice for distributed HiEngine")

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hiengine/internal/adapt"
@@ -130,106 +129,80 @@ func fig5Load(front *sqlfront.Frontend, size, threads int) error {
 // fig5Run measures TPS for one engine/mix/mode combination.
 func fig5Run(front *sqlfront.Frontend, size, threads, queriesPerTxn int,
 	write, compiled bool, dur time.Duration) (float64, error) {
-	var txns atomic.Int64
-	var wg sync.WaitGroup
-	errCh := make(chan error, threads)
-	deadline := time.Now().Add(dur)
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sess := front.NewSession(w)
-			rng := rand.New(rand.NewSource(int64(w)*31 + 1))
-			var sel, upd, begin, commit *sqlfront.Stmt
-			if compiled {
+	out, err := drive(load{
+		clients: threads,
+		dur:     dur,
+		tolerate: func(err error) bool { // the transaction is retried
+			return errors.Is(err, engineapi.ErrConflict)
+		},
+	}, func(w int) (op, error) {
+		sess := front.NewSession(w)
+		rng := rand.New(rand.NewSource(int64(w)*31 + 1))
+		// The compiled path executes prepared handles, the interpreted one
+		// hands the same text to the session each time.
+		const begin, sel, upd, commit = 0, 1, 2, 3
+		texts := [...]string{
+			begin:  "BEGIN",
+			sel:    "SELECT c FROM sbtest WHERE id = ?",
+			upd:    "UPDATE sbtest SET c = ? WHERE id = ?",
+			commit: "COMMIT",
+		}
+		var stmts [len(texts)]*sqlfront.Stmt
+		if compiled {
+			for i, text := range texts {
 				var err error
-				if sel, err = sess.Prepare("SELECT c FROM sbtest WHERE id = ?"); err != nil {
-					errCh <- err
-					return
-				}
-				if upd, err = sess.Prepare("UPDATE sbtest SET c = ? WHERE id = ?"); err != nil {
-					errCh <- err
-					return
-				}
-				if begin, err = sess.Prepare("BEGIN"); err != nil {
-					errCh <- err
-					return
-				}
-				if commit, err = sess.Prepare("COMMIT"); err != nil {
-					errCh <- err
-					return
+				if stmts[i], err = sess.Prepare(text); err != nil {
+					return nil, err
 				}
 			}
-			for time.Now().Before(deadline) {
-				err := func() error {
-					if compiled {
-						if _, err := begin.Exec(); err != nil {
-							return err
-						}
-					} else if _, err := sess.Exec("BEGIN"); err != nil {
-						return err
-					}
-					for q := 0; q < queriesPerTxn; q++ {
-						id := core.I(int64(rng.Intn(size) + 1))
-						var err error
-						if write {
-							if compiled {
-								_, err = upd.Exec(core.S(fmt.Sprintf("v-%d", rng.Int())), id)
-							} else {
-								_, err = sess.Exec("UPDATE sbtest SET c = ? WHERE id = ?",
-									core.S(fmt.Sprintf("v-%d", rng.Int())), id)
-							}
-						} else {
-							if compiled {
-								_, err = sel.Exec(id)
-							} else {
-								_, err = sess.Exec("SELECT c FROM sbtest WHERE id = ?", id)
-							}
-						}
-						if err != nil {
-							return err
-						}
-					}
-					if compiled {
-						_, err := commit.Exec()
-						return err
-					}
-					_, err := sess.Exec("COMMIT")
-					return err
-				}()
+		}
+		exec := func(i int, args ...core.Value) error {
+			var err error
+			if compiled {
+				_, err = stmts[i].Exec(args...)
+			} else {
+				_, err = sess.Exec(texts[i], args...)
+			}
+			return err
+		}
+		txn := func() error {
+			if err := exec(begin); err != nil {
+				return err
+			}
+			for q := 0; q < queriesPerTxn; q++ {
+				id := core.I(int64(rng.Intn(size) + 1))
+				var err error
+				if write {
+					err = exec(upd, core.S(fmt.Sprintf("v-%d", rng.Int())), id)
+				} else {
+					err = exec(sel, id)
+				}
 				if err != nil {
-					if errors.Is(err, engineapi.ErrConflict) {
-						if sess.InTxn() {
-							sess.Exec("ROLLBACK")
-						}
-						continue // retry the transaction
-					}
-					errCh <- err
-					return
+					return err
 				}
-				txns.Add(1)
 			}
-		}(w)
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
+			return exec(commit)
+		}
+		return func(int64) (int, error) {
+			err := txn()
+			if err != nil && sess.InTxn() {
+				sess.Exec("ROLLBACK")
+			}
+			return 0, err
+		}, nil
+	})
+	if err != nil {
 		return 0, err
-	default:
 	}
-	return float64(txns.Load()) / dur.Seconds(), nil
+	return out.rate(), nil
 }
 
 func fig5(o Options, compiled bool) (*Report, error) {
-	size := 50000
-	threads := 16
-	queries := 4
+	size, queries := 50000, 4
 	if o.Quick {
-		size, threads, queries = 2000, 4, 2
+		size, queries = 2000, 2
 	}
-	if o.Threads > 0 {
-		threads = o.Threads
-	}
+	threads := o.threads(16, 4)
 	dur := o.dur(3*time.Second, 300*time.Millisecond)
 
 	engines, heReg, err := buildFig5Engines(o)
@@ -278,11 +251,9 @@ func fig5(o Options, compiled bool) (*Report, error) {
 	dt := results["DBMS-T"]
 	for _, e := range engines {
 		c := results[e.name]
-		r.Rows = append(r.Rows, []string{
-			e.name, f0(c.read), f0(c.write),
+		r.row(e.name, f0(c.read), f0(c.write),
 			ratio(c.read, my.read), ratio(c.write, my.write),
-			ratio(c.read, dt.read), ratio(c.write, dt.write),
-		})
+			ratio(c.read, dt.read), ratio(c.write, dt.write))
 	}
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("%d threads, %d-query transactions, %d rows, cloud latency profile (compute PM append 1us, cross-layer RTT 20us, SSD write 80us)",
@@ -301,7 +272,7 @@ func fig5(o Options, compiled bool) (*Report, error) {
 		}
 		r.Notes = append(r.Notes, fmt.Sprintf(
 			"HiEngine 1-query write txns: compiled %.0f TPS vs interpreted %.0f TPS (%s; paper: compiled ~2x prepare+execute, up to ~1M TPS on 128 ARM cores)",
-			simple, interp, ratio(simple, interp)))
+			simple, interp, ratio(simple, interp).text))
 	}
 	if o.Stats {
 		r.attachStats(heReg)

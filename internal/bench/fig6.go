@@ -215,16 +215,8 @@ func Fig6(o Options) (*Report, error) {
 			k := key{platform, cores}
 			hi := results[k]["HiEngine"]
 			dm := results[k]["DBMS-M"]
-			for _, name := range []string{"HiEngine", "DBMS-M"} {
-				rr := ""
-				if name == "HiEngine" {
-					rr = ratio(hi, dm)
-				}
-				r.Rows = append(r.Rows, []string{
-					platform, fmt.Sprint(cores), name,
-					f0(results[k][name]), pct(remotes[k][name]), rr,
-				})
-			}
+			r.row(platform, cores, "HiEngine", f0(hi), pct(remotes[k]["HiEngine"]), ratio(hi, dm))
+			r.row(platform, cores, "DBMS-M", f0(dm), pct(remotes[k]["DBMS-M"]), "")
 		}
 	}
 	emit("ARM", armCounts)

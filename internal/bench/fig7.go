@@ -19,19 +19,15 @@ import (
 // and tpmC drops roughly 5% per additional 10% of remote accesses.
 func Fig7(o Options) (*Report, error) {
 	sc := tpcc.BenchScale()
-	threads := 64 // 2 dies x 32 cores
+	threads := o.threads(64, 16) // 2 dies x 32 cores
 	dur := o.dur(2*time.Second, 250*time.Millisecond)
 	topo := numa.ARMKunpeng920()
 	if o.Quick {
 		sc = tpcc.SmallScale()
-		threads = 16
 		// Scale the topology down with the thread count so the 16
 		// threads still span two dies of one socket (the experiment's
 		// 2-die configuration).
 		topo.CoresPerDie = 8
-	}
-	if o.Threads > 0 {
-		threads = o.Threads
 	}
 	warehouses := threads
 	model := delay.CloudProfile()
@@ -75,8 +71,8 @@ func Fig7(o Options) (*Report, error) {
 	for _, c := range combos {
 		hi := all[c.label]["HiEngine"]
 		dm := all[c.label]["DBMS-M"]
-		r.Rows = append(r.Rows, []string{c.label, "HiEngine", f0(hi.tpmc), pct(hi.remote), ratio(hi.tpmc, dm.tpmc)})
-		r.Rows = append(r.Rows, []string{c.label, "DBMS-M", f0(dm.tpmc), pct(dm.remote), ""})
+		r.row(c.label, "HiEngine", f0(hi.tpmc), pct(hi.remote), ratio(hi.tpmc, dm.tpmc))
+		r.row(c.label, "DBMS-M", f0(dm.tpmc), pct(dm.remote), "")
 	}
 
 	// Derived observations mirroring the paper's text.
@@ -87,12 +83,12 @@ func Fig7(o Options) (*Report, error) {
 		slope := (1 - worst.tpmc/best.tpmc) / ((worst.remote - best.remote) / 0.10)
 		r.Notes = append(r.Notes, fmt.Sprintf(
 			"HiEngine tpmC drop per +10%% remote accesses: %.1f%% (paper: ~5%%); worst-case remote fraction %s (paper: 69%%)",
-			slope*100, pct(worst.remote)))
+			slope*100, pct(worst.remote).text))
 	}
 	if rnd.tpmc > 0 {
 		r.Notes = append(r.Notes, fmt.Sprintf(
 			"partitioning effect (HiEngine): remote accesses %s -> %s, tpmC %sx vs random placement",
-			pct(rnd.remote), pct(best.remote), f2(best.tpmc/rnd.tpmc)))
+			pct(rnd.remote).text, pct(best.remote).text, f2(best.tpmc/rnd.tpmc).text))
 	}
 	r.attachStats(reg) // aggregated across HiEngine runs in every combo
 	return r, nil

@@ -76,12 +76,7 @@ func Fig8(o Options) (*Report, error) {
 			serial = stats.ReplayDuration
 		}
 		rate := float64(stats.RecordsScanned) / stats.ReplayDuration.Seconds()
-		r.Rows = append(r.Rows, []string{
-			fmt.Sprint(rt),
-			stats.ReplayDuration.Round(time.Microsecond).String(),
-			ratio(float64(serial), float64(stats.ReplayDuration)),
-			f0(rate),
-		})
+		r.row(rt, took(stats.ReplayDuration), ratio(float64(serial), float64(stats.ReplayDuration)), f0(rate))
 	}
 
 	// Checkpoint ablation: recover from a checkpointed manifest.

@@ -11,22 +11,22 @@ func Table1(o Options) (*Report, error) {
 		Title:    "Logical Architecture Comparison for Popular Database Engines",
 		Expected: "HiEngine uniquely combines memory-centric design, log-is-database, and a disaggregated compute+logging+storage architecture on DRAM/NVM",
 		Header:   []string{"System", "Design Principle", "Log is Database", "Disaggregated Architecture", "Main Location"},
-		Rows: [][]string{
-			{"Aurora", "Storage-centric", "Yes", "Compute + Shared Storage", "SSD/HDD"},
-			{"Taurus", "Storage-centric", "Yes", "Compute + Shared Storage", "SSD/HDD"},
-			{"PolarDB", "Storage-centric", "No", "Compute + Shared Storage", "SSD/HDD"},
-			{"Socrates", "Storage-centric", "Yes", "Compute + Logging + Shared Storage", "SSD/HDD"},
-			{"HiEngine", "Memory-centric", "Yes", "Compute + Logging + Shared Storage", "DRAM/NVM"},
-			{"ERMIA", "Memory-centric", "Yes", "Not Disaggregated", "DRAM"},
-			{"Hekaton", "Memory-centric", "No", "Not Disaggregated", "DRAM/SSD"},
-			{"NAM-DB", "Memory-centric", "No", "Compute + Shared Storage (Memory)", "DRAM"},
-			{"FaRM", "Memory-centric", "No", "Compute + Shared Storage (Memory)", "DRAM/NVM"},
-		},
 		Notes: []string{
 			"this repository implements the HiEngine row end-to-end: internal/core over internal/srss " +
 				"(compute-side logging layer + storage tier), plus the storage-centric (innosim) and " +
 				"memory-centric non-disaggregated (memocc) rows as baselines",
 		},
 	}
+	// The one yes/no column is the taxonomy's numeric series (1 = yes).
+	yes, no := cell{"Yes", 1}, cell{"No", 0}
+	r.row("Aurora", "Storage-centric", yes, "Compute + Shared Storage", "SSD/HDD")
+	r.row("Taurus", "Storage-centric", yes, "Compute + Shared Storage", "SSD/HDD")
+	r.row("PolarDB", "Storage-centric", no, "Compute + Shared Storage", "SSD/HDD")
+	r.row("Socrates", "Storage-centric", yes, "Compute + Logging + Shared Storage", "SSD/HDD")
+	r.row("HiEngine", "Memory-centric", yes, "Compute + Logging + Shared Storage", "DRAM/NVM")
+	r.row("ERMIA", "Memory-centric", yes, "Not Disaggregated", "DRAM")
+	r.row("Hekaton", "Memory-centric", no, "Not Disaggregated", "DRAM/SSD")
+	r.row("NAM-DB", "Memory-centric", no, "Compute + Shared Storage (Memory)", "DRAM")
+	r.row("FaRM", "Memory-centric", no, "Compute + Shared Storage (Memory)", "DRAM/NVM")
 	return r, nil
 }

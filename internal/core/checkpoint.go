@@ -499,7 +499,7 @@ func Recover(cfg Config, manifestID srss.PLogID, opt RecoverOptions) (*Engine, *
 						// (durability barrier at checkpoint time).
 						return true
 					}
-					if applyReplay(catalog, addr, rec) {
+					if t := catalog[rec.Table]; t != nil && applyReplay(t, addr, rec) {
 						localApplied++
 					}
 					return true
@@ -540,7 +540,7 @@ func Recover(cfg Config, manifestID srss.PLogID, opt RecoverOptions) (*Engine, *
 			embBase := prepHeaderLen(len(p.payload)) + (len(p.payload) - len(body))
 			_ = forEachEmbedded(body, func(off int, rec wal.Record) error {
 				rec.CSN = d.csn
-				if applyReplay(catalog, p.addr.Add(uint32(embBase+off)), rec) {
+				if t := catalog[rec.Table]; t != nil && applyReplay(t, p.addr.Add(uint32(embBase+off)), rec) {
 					applied.Add(1)
 				}
 				return nil
@@ -615,12 +615,9 @@ func Recover(cfg Config, manifestID srss.PLogID, opt RecoverOptions) (*Engine, *
 	return e, stats, nil
 }
 
-// applyReplay applies one log record with newest-CSN-wins semantics.
-func applyReplay(catalog map[uint32]*Table, addr wal.Addr, rec wal.Record) bool {
-	t, ok := catalog[rec.Table]
-	if !ok {
-		return false
-	}
+// applyReplay applies one log record of table t with newest-CSN-wins
+// semantics.
+func applyReplay(t *Table, addr wal.Addr, rec wal.Record) bool {
 	rid := RID(rec.RID)
 	if err := t.rows.AllocAt(rid); err != nil {
 		return false

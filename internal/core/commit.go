@@ -65,6 +65,12 @@ func (t *Txn) commitStart(durable func(error)) (bool, error) {
 	// says so: a checkpoint that reads the clock and then finds the slot
 	// quiet knows no commit at or below its CSN is still unstamped here.
 	t.slot.stamping.Store(true)
+	// Announce the commit before its CSN exists (precommitted, CSN 0): a
+	// snapshot drawn after the clock moves must not find this transaction
+	// still "active" -- it would skip the version now and see it, stamped at
+	// or below its begin, on its next read. A reader that meets the
+	// announcement waits for the CSN (visible).
+	t.statusWord.Store(packStatus(txPrecommitted, 0))
 	// Acquire the commit sequence number (atomic fetch-add on the global
 	// counter, Section 3.5).
 	csn := t.e.clk.Next()

@@ -40,6 +40,11 @@ type Replica struct {
 	maxCSN   uint64
 	manifest srss.PLogID // current manifest (the primary migrates it; TrackManifest follows)
 
+	// view and kbuf are applyFollower's row walker and index-key buffer,
+	// kept across the records of a shipped log instead of made for each.
+	view RowView
+	kbuf []byte
+
 	// pendPrep buffers OpPrepare records seen while following, keyed by
 	// gtid: their embedded writes apply only when the matching OpDecide
 	// ships (commit) or are dropped (abort). Prepares still undecided at
@@ -451,6 +456,7 @@ func (r *Replica) forgetIfSettled(gtid string) {
 // applyFollower applies one log record on the replica: newest-CSN-wins into
 // the PIA plus index maintenance (recovery defers index work to a bulk
 // rebuild; a live follower must keep indexes current incrementally).
+// Requires r.mu.
 func (r *Replica) applyFollower(addr wal.Addr, rec wal.Record) bool {
 	t, ok := r.catalog[rec.Table]
 	if !ok {
@@ -458,7 +464,7 @@ func (r *Replica) applyFollower(addr wal.Addr, rec wal.Record) bool {
 		// the scan on unknown tables before applying); kept as a guard.
 		return false
 	}
-	if !applyReplay(map[uint32]*Table{rec.Table: t}, addr, rec) {
+	if !applyReplay(t, addr, rec) {
 		return false
 	}
 	rid := RID(rec.RID)
@@ -471,18 +477,16 @@ func (r *Replica) applyFollower(addr wal.Addr, rec wal.Record) bool {
 			_, _ = t.rows.DeleteIf(rid, head)
 		}
 	default:
-		var view RowView
-		if _, err := view.Reset(rec.Payload); err != nil {
+		if _, err := r.view.Reset(rec.Payload); err != nil {
 			return true // count as applied; the index entry is skipped
 		}
-		var kbuf []byte
 		for i := 0; i < len(t.indexes); i++ {
-			k, err := t.viewIndexKeyAppend(kbuf[:0], i, &view, rid)
+			k, err := t.viewIndexKeyAppend(r.kbuf[:0], i, &r.view, rid)
 			if err != nil {
 				continue
 			}
 			_ = t.indexes[i].Insert(k, uint64(rid))
-			kbuf = k
+			r.kbuf = k
 		}
 		if rec.Op == wal.OpInsert {
 			t.liveRows.Add(1)

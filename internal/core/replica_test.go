@@ -3,7 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
+
+	"hiengine/internal/raceflag"
 )
 
 func TestReplicaFollowsPrimary(t *testing.T) {
@@ -301,5 +304,50 @@ func TestReplicaTwoPCPrepareThenDecide(t *testing.T) {
 	}
 	if snap := snapshotTable(t, re, "users"); snap[20][1].(int64) != 20 {
 		t.Fatalf("forget regressed follower data: %v", snap)
+	}
+}
+
+// TestFollowerApplyAllocs pins what a live follower allocates for each
+// shipped record it applies, at the measured figure: the version stub, one
+// ART leaf per index and the bytes of the secondary key (name + RID is
+// longer than a leaf holds inline), plus the indexes' inner nodes amortised
+// = 4.40. Nothing per record for the catalog lookup, the row walker or the
+// index-key buffer, which live on the Replica: with a map, a RowView and a
+// key buffer made per record this read 10.40.
+func TestFollowerApplyAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	primary := testEngine(t, func(c *Config) { c.GCEveryNCommits = -1 })
+	tbl := mustTable(t, primary, usersSchema()) // two indexes
+	rep, _, err := OpenReplica(Config{Service: primary.Service(), Workers: 2}, primary.ManifestID(), RecoverOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	const records = 4096
+	for i := int64(0); i < records; i += 128 {
+		tx, err := primary.Begin(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := i; j < i+128; j++ {
+			if _, err := tx.Insert(tbl, Row{I(j), S(fmt.Sprintf("name-%06d", j)), I(j * 3)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		commit(t, tx)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	applied, err := rep.CatchUp()
+	runtime.ReadMemStats(&after)
+	if err != nil || applied != records {
+		t.Fatalf("CatchUp applied %d records, %v; want %d", applied, err, records)
+	}
+	per := float64(after.Mallocs-before.Mallocs) / records
+	t.Logf("%.3f allocations per applied record", per)
+	if per > 4.5 {
+		t.Errorf("a follower allocates %.3f times per applied record, want <= 4.5", per)
 	}
 }

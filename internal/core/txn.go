@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 
 	"hiengine/internal/index"
@@ -195,11 +196,19 @@ func (e *Engine) Begin(worker int) (*Txn, error) {
 	if worker < 0 || worker >= len(e.workers) {
 		return nil, fmt.Errorf("core: worker %d out of range [0,%d)", worker, len(e.workers))
 	}
-	begin := e.clk.Now()
+	// Pin the slot below every snapshot before reading the clock: watermark
+	// reads its clock before it walks the slots, so a slot it saw idle begins
+	// at or above it, and one it sees pinned holds it down. (Published after
+	// the clock read, the slot could be passed over by a GC pass in between,
+	// whose watermark is then above this snapshot and prunes the version it
+	// needs.) One clock read: a second would double LogicalClock's charged
+	// round trip.
 	slot := &e.workers[worker]
-	if !slot.activeBegin.CompareAndSwap(0, begin) {
+	if !slot.activeBegin.CompareAndSwap(0, 1) {
 		return nil, ErrWorkerBusy
 	}
+	begin := e.clk.Now()
+	slot.activeBegin.Store(begin)
 	t := &Txn{
 		e:      e,
 		worker: worker,
@@ -268,6 +277,12 @@ func (t *Txn) visible(v *Version) (bool, error) {
 		st, csn := owner.state()
 		switch st {
 		case txPrecommitted, txCommitted:
+			if csn == 0 {
+				// Committing, CSN not drawn yet (commitStart): whether it
+				// lands at or below t.begin is not knowable; ask again.
+				runtime.Gosched()
+				continue
+			}
 			return csn <= t.begin, nil
 		case txAborted:
 			return false, nil

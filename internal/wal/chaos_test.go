@@ -58,6 +58,9 @@ func TestFlushCrashSites(t *testing.T) {
 		if !errors.Is(aerr, chaos.ErrCrashed) {
 			t.Fatalf("%s: append error = %v", site, aerr)
 		}
+		if appends, txns, bytes := m.Stream(0).Stats(); appends+txns+bytes != 0 {
+			t.Fatalf("%s: crashed batch counted: %d appends, %d txns, %d bytes", site, appends, txns, bytes)
+		}
 		m.Close()
 		ch.ClearCrash()
 

@@ -953,6 +953,11 @@ func (st *Stream) flushBatch() {
 			st.failRest(i, err)
 			return
 		}
+		// Counted before any callback runs: a caller that waited for its
+		// commit and then reads Stats must find its own batch there.
+		st.appends.Add(1)
+		st.batchedTxns.Add(int64(j - i))
+		st.bytesWritten.Add(size)
 		off := uint32(base)
 		durableNS := time.Now().UnixNano()
 		for k := i; k < j; k++ {
@@ -975,9 +980,6 @@ func (st *Stream) flushBatch() {
 		}
 		st.mgr.mBatchTxns.Record(int64(j - i))
 		st.mgr.mBatchBytes.Record(size)
-		st.appends.Add(1)
-		st.batchedTxns.Add(int64(j - i))
-		st.bytesWritten.Add(size)
 		i = j
 	}
 }

@@ -167,6 +167,25 @@ func TestGroupCommitBatches(t *testing.T) {
 	}
 }
 
+// TestStatsCountABatchBeforeItsCallbacks: whoever waited for a commit and
+// then reads Stats (this package's tests, the benchmark's counter diffs) must
+// find that commit's batch counted -- so it is counted before done runs.
+func TestStatsCountABatchBeforeItsCallbacks(t *testing.T) {
+	_, m := testManager(t, Config{Streams: 1})
+	buf, off := AppendRecord(nil, OpInsert, 1, 1, []byte("row"))
+	PatchCSN(buf, off, 1)
+	type stats struct{ appends, txns, bytes int64 }
+	seen := make(chan stats, 1)
+	m.Append(0, buf, func(Addr, error) {
+		var s stats
+		s.appends, s.txns, s.bytes = m.Stream(0).Stats()
+		seen <- s
+	})
+	if got, want := <-seen, (stats{1, 1, int64(len(buf))}); got != want {
+		t.Fatalf("Stats inside the commit callback = %+v, want %+v", got, want)
+	}
+}
+
 func TestSegmentRotation(t *testing.T) {
 	_, m := testManager(t, Config{Streams: 1, SegmentSize: 512})
 	var addrs []Addr
