@@ -6,8 +6,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -17,67 +19,81 @@ import (
 	"hiengine/internal/workload/tpcc"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run is main with its arguments, streams and exit code as values.
+func run(args []string, _ io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hirecover", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		warehouses = flag.Int("warehouses", 4, "TPC-C warehouses")
-		threads    = flag.Int("threads", 4, "workload threads")
-		runFor     = flag.Duration("run", 2*time.Second, "traffic duration before the crash")
-		checkpoint = flag.Bool("checkpoint", false, "take a dataless checkpoint before the crash")
-		maxReplay  = flag.Int("max-replay", 8, "maximum replay thread count in the sweep")
+		warehouses = fs.Int("warehouses", 4, "TPC-C warehouses")
+		threads    = fs.Int("threads", 4, "workload threads")
+		runFor     = fs.Duration("run", 2*time.Second, "traffic duration before the crash")
+		checkpoint = fs.Bool("checkpoint", false, "take a dataless checkpoint before the crash")
+		maxReplay  = fs.Int("max-replay", 8, "maximum replay thread count in the sweep")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "hirecover:", err)
+		return 1
+	}
 
 	svc := srss.New(srss.Config{})
 	engine, err := core.Open(core.Config{Service: svc, Workers: *threads + 2, SegmentSize: 4 << 20})
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	db := adapt.New(engine)
 	sc := tpcc.BenchScale()
 
-	fmt.Printf("loading %d warehouses...\n", *warehouses)
+	fmt.Fprintf(stdout, "loading %d warehouses...\n", *warehouses)
 	if err := tpcc.Load(db, *warehouses, sc, *threads); err != nil {
-		fail(err)
+		return fail(err)
 	}
-	fmt.Printf("running traffic for %v...\n", *runFor)
+	fmt.Fprintf(stdout, "running traffic for %v...\n", *runFor)
 	d := tpcc.NewDriver(tpcc.Config{
 		DB: db, Warehouses: *warehouses, Threads: *threads, Scale: sc,
 		Duration: *runFor, Partitioned: true, PipelineDepth: 8,
 	})
 	res, err := d.Run()
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
-	fmt.Printf("  %v\n", res)
+	fmt.Fprintf(stdout, "  %v\n", res)
 	if *checkpoint {
 		csn, err := engine.Checkpoint()
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Printf("dataless checkpoint at CSN %d\n", csn)
+		fmt.Fprintf(stdout, "dataless checkpoint at CSN %d\n", csn)
 	}
 	logMB := float64(engine.Log().TotalBytes()) / (1 << 20)
 	segments := len(engine.Log().Segments())
 	manifest := engine.ManifestID()
 	engine.Close()
-	fmt.Printf("CRASH. (%.1f MB of log across %d segments)\n\n", logMB, segments)
+	fmt.Fprintf(stdout, "CRASH. (%.1f MB of log across %d segments)\n\n", logMB, segments)
 
 	// The three phases of a recovery: the checkpoint image into the PIAs,
 	// the unfenced log segments over them, the indexes from the PIAs. The
 	// speedup is that of the first two together (the PIAs are set up).
-	fmt.Printf("%-14s  %-15s  %-12s  %-13s  %-10s  %-12s  %s\n",
+	fmt.Fprintf(stdout, "%-14s  %-15s  %-12s  %-13s  %-10s  %-12s  %s\n",
 		"replay threads", "checkpoint load", "log replay", "index rebuild", "index keys", "window reads", "speedup")
 	var serial time.Duration
 	for rt := 1; rt <= *maxReplay; rt *= 2 {
 		e2, stats, err := core.Recover(core.Config{Service: svc, Workers: 4, SegmentSize: 4 << 20},
 			manifest, core.RecoverOptions{ReplayThreads: rt})
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		if rt == 1 {
 			serial = stats.ReplayDuration
 		}
-		fmt.Printf("%-14d  %-15v  %-12v  %-13v  %-10d  %-12d  %.2fx\n",
+		fmt.Fprintf(stdout, "%-14d  %-15v  %-12v  %-13v  %-10d  %-12d  %.2fx\n",
 			rt,
 			stats.CheckpointLoadDuration.Round(time.Microsecond),
 			(stats.ReplayDuration - stats.CheckpointLoadDuration).Round(time.Microsecond),
@@ -89,15 +105,11 @@ func main() {
 			// consistency checks before exiting.
 			d2 := tpcc.NewDriver(tpcc.Config{DB: adapt.New(e2), Warehouses: *warehouses, Scale: sc})
 			if err := d2.Verify(); err != nil {
-				fail(fmt.Errorf("recovered state inconsistent: %w", err))
+				return fail(fmt.Errorf("recovered state inconsistent: %w", err))
 			}
-			fmt.Println("\nrecovered state passes TPC-C consistency checks")
+			fmt.Fprintln(stdout, "\nrecovered state passes TPC-C consistency checks")
 		}
 		e2.Close()
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "hirecover:", err)
-	os.Exit(1)
+	return 0
 }

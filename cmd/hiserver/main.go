@@ -10,7 +10,6 @@
 //	hiserver -addr :7609
 //	hiserver -addr :7609 -http :7610    # + HTTP admin plane
 //	hishell -connect localhost:7609     # remote REPL
-//	hibench -connect localhost:7609 ... # remote load
 //
 // The admin plane (-http) serves /metrics (Prometheus), /statusz (JSON),
 // /traces (recent/slow request traces; ?distributed=1 for stitched
@@ -35,56 +34,44 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
-	"hiengine/internal/adapt"
 	"hiengine/internal/admin"
 	"hiengine/internal/baseline/innosim"
-	"hiengine/internal/chaos"
 	"hiengine/internal/core"
 	"hiengine/internal/delay"
+	"hiengine/internal/engineapi"
+	"hiengine/internal/node"
 	"hiengine/internal/obs"
 	"hiengine/internal/replica"
-	"hiengine/internal/server"
 	"hiengine/internal/shard"
-	"hiengine/internal/sqlfront"
 	"hiengine/internal/srss"
-	"hiengine/internal/wire"
 )
 
 // parseShardMap turns the -shard-map flag into the address list: either a
 // comma-separated list inline, or "@path" naming a file with one address
 // per line (blank lines and #-comments ignored).
 func parseShardMap(v string) ([]string, error) {
-	if v == "" {
-		return nil, nil
-	}
+	sep := ","
 	if strings.HasPrefix(v, "@") {
 		b, err := os.ReadFile(v[1:])
 		if err != nil {
 			return nil, fmt.Errorf("read shard map: %w", err)
 		}
-		var addrs []string
-		for _, line := range strings.Split(string(b), "\n") {
-			line = strings.TrimSpace(line)
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			addrs = append(addrs, line)
-		}
-		return addrs, nil
+		v, sep = string(b), "\n"
 	}
 	var addrs []string
-	for _, a := range strings.Split(v, ",") {
-		if a = strings.TrimSpace(a); a != "" {
+	for _, a := range strings.Split(v, sep) {
+		if a = strings.TrimSpace(a); a != "" && !strings.HasPrefix(a, "#") {
 			addrs = append(addrs, a)
 		}
 	}
@@ -113,414 +100,230 @@ func parsePeerAdmin(v string) ([]admin.Peer, error) {
 	return peers, nil
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run is main with its arguments, streams and exit code as values. The
+// daemon reads nothing and writes its log to stderr.
+func run(args []string, _ io.Reader, _, stderr io.Writer) int {
+	signals := make(chan os.Signal, 1)
+	signal.Notify(signals, syscall.SIGINT, syscall.SIGTERM, syscall.SIGUSR1)
+	defer signal.Stop(signals)
+	err := serve(args, stderr, signals)
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errUsage):
+		return 2
+	}
+	fmt.Fprintln(stderr, "hiserver:", err)
+	return 1
+}
+
+// errUsage marks a flag-parsing failure: the flag package has printed it.
+var errUsage = errors.New("usage")
+
+// serve runs the daemon until a signal other than SIGUSR1 arrives, which
+// promotes a replica (the admin plane's POST /promote by another door).
+func serve(args []string, stderr io.Writer, signals <-chan os.Signal) error {
+	fs := flag.NewFlagSet("hiserver", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr        = flag.String("addr", ":7609", "listen address")
-		httpAddr    = flag.String("http", "", "HTTP admin-plane listen address (empty = off)")
-		workers     = flag.Int("workers", 8, "engine worker slots (max concurrent transactions)")
-		maxConns    = flag.Int("max-conns", 256, "max concurrent connections")
-		maxInflight = flag.Int("max-inflight", 4096, "max admitted unanswered requests")
-		drain       = flag.Duration("drain", 5*time.Second, "graceful-drain timeout on shutdown")
-		profile     = flag.String("profile", "cloud", "latency model: cloud or zero")
-		statsEvery  = flag.Duration("stats-interval", 0, "periodic one-line stats summary to stderr (0 = off)")
-		traceSample = flag.Int("trace-sample", 0, "trace 1 in N requests (0 = head sampling off)")
-		traceSlow   = flag.Duration("trace-slow", 0, "always capture traces slower than this (0 = off)")
-		replicaOf   = flag.String("replica-of", "", "primary wire address to follow as a read replica")
-		replicaPoll = flag.Duration("replica-poll", 10*time.Millisecond, "replica log-shipping poll interval")
-		shardID     = flag.Uint("shard-id", 0, "this node's shard id in -shard-map")
-		shardMap    = flag.String("shard-map", "", "cluster shard map: comma-separated node addresses (index = shard id), or @file with one address per line")
-		nodeName    = flag.String("name", "", "node name in /clusterz (default: shard<id>, replica, or primary)")
-		peerAdmin   = flag.String("peer-admin", "", "peer admin addresses for /clusterz: comma-separated name=host:port entries (name optional), or @file with one entry per line")
-		readyMaxLag = flag.Int64("ready-max-lag", 0, "replica readiness: /healthz answers 503 once lag_csn exceeds this (0 = lag never gates readiness)")
+		ncfg       node.Config
+		reg        = obs.NewRegistry("hiserver")
+		ecfg       = core.Config{Obs: reg}
+		addr       = fs.String("addr", ":7609", "listen address")
+		httpAddr   = fs.String("http", "", "HTTP admin-plane listen address (empty = off)")
+		profile    = fs.String("profile", "cloud", "latency model: cloud or zero")
+		statsEvery = fs.Duration("stats-interval", 0, "periodic one-line stats summary to stderr (0 = off)")
+		shardID    = fs.Uint("shard-id", 0, "this node's shard id in -shard-map")
+		shardMap   = fs.String("shard-map", "", "cluster shard map: comma-separated node addresses (index = shard id), or @file with one address per line")
+		nodeName   = fs.String("name", "", "node name in /clusterz (default: shard<id>, replica, or primary)")
+		peerAdmin  = fs.String("peer-admin", "", "peer admin addresses for /clusterz: comma-separated name=host:port entries (name optional), or @file with one entry per line")
 	)
-	flag.Parse()
+	fs.IntVar(&ecfg.Workers, "workers", 8, "engine worker slots (max concurrent transactions)")
+	fs.IntVar(&ncfg.MaxConns, "max-conns", 256, "max concurrent connections")
+	fs.IntVar(&ncfg.MaxInFlight, "max-inflight", 4096, "max admitted unanswered requests")
+	fs.DurationVar(&ncfg.DrainTimeout, "drain", 5*time.Second, "graceful-drain timeout on shutdown")
+	fs.IntVar(&ncfg.TraceSample, "trace-sample", 0, "trace 1 in N requests (0 = head sampling off)")
+	fs.DurationVar(&ncfg.TraceSlow, "trace-slow", 0, "always capture traces slower than this (0 = off)")
+	fs.StringVar(&ncfg.PrimaryAddr, "replica-of", "", "primary wire address to follow as a read replica")
+	fs.DurationVar(&ncfg.Poll, "replica-poll", 10*time.Millisecond, "replica log-shipping poll interval")
+	fs.Int64Var(&ncfg.ReadyMaxLag, "ready-max-lag", 0, "replica readiness: /healthz answers 503 once lag_csn exceeds this (0 = lag never gates readiness)")
+	if err := fs.Parse(args); err != nil {
+		return errors.Join(errUsage, err)
+	}
 
 	shardAddrs, err := parseShardMap(*shardMap)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hiserver:", err)
-		os.Exit(1)
+		return err
 	}
 	peers, err := parsePeerAdmin(*peerAdmin)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hiserver:", err)
-		os.Exit(1)
+		return err
 	}
 	if len(shardAddrs) > 0 && int(*shardID) >= len(shardAddrs) {
-		fmt.Fprintf(os.Stderr, "hiserver: -shard-id %d out of range for %d-shard map\n", *shardID, len(shardAddrs))
-		os.Exit(1)
+		return fmt.Errorf("-shard-id %d out of range for %d-shard map", *shardID, len(shardAddrs))
+	}
+	if len(shardAddrs) > 0 && ncfg.PrimaryAddr != "" {
+		return errors.New("-shard-map is a primary flag; replicas inherit the map from their primary")
 	}
 
 	model := delay.CloudProfile()
 	if *profile == "zero" {
 		model = delay.Zero()
 	}
-	var eng *chaos.Engine
-	if seed, ok := chaos.SeedFromEnv(); ok {
-		eng = chaos.New(seed)
-		fmt.Fprintf(os.Stderr, "hiserver: chaos enabled, seed %d\n", seed)
-	}
-
-	reg := obs.NewRegistry("hiserver")
-	var tracer *obs.Tracer
-	if *traceSample > 0 || *traceSlow > 0 || *httpAddr != "" {
-		// With the admin plane up, keep a tracer around even if both
-		// policies are off: client-forced traces still work and /traces
-		// stays live, at zero cost to untraced requests.
-		tracer = obs.NewTracer(obs.TracerConfig{
-			SampleEvery:   *traceSample,
-			SlowThreshold: *traceSlow,
-			Registry:      reg,
-		})
-	}
-
-	var (
-		engine      *core.Engine
-		follower    *replica.Follower
-		roleMu      sync.Mutex
-		catalogSync func() error // replica mode: frontend catalog re-sync
-	)
-	role := "primary"
-	getRole := func() string { roleMu.Lock(); defer roleMu.Unlock(); return role }
-	if *replicaOf != "" {
+	ecfg.Service = srss.New(srss.Config{Model: model})
+	var engine *core.Engine
+	if ncfg.PrimaryAddr != "" {
 		// Replica mode: mirror the primary's PLogs into a fresh local
 		// SRSS deployment, open a read-only engine over the mirror, and
 		// follow the primary's log.
-		role = "replica"
-		f, rep, err := replica.Bootstrap(*replicaOf, core.Config{
-			Service: srss.New(srss.Config{Model: model}),
-			Workers: *workers,
-			Obs:     reg,
-		}, core.RecoverOptions{}, reg)
+		f, rep, err := replica.Bootstrap(ncfg.PrimaryAddr, ecfg, core.RecoverOptions{}, reg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hiserver: replica bootstrap:", err)
-			os.Exit(1)
+			return fmt.Errorf("replica bootstrap: %w", err)
 		}
-		follower, engine = f, rep.Engine()
-		fmt.Fprintf(os.Stderr, "hiserver: replica of %s, applied CSN %d\n",
-			*replicaOf, follower.AppliedCSN())
+		ncfg.Follower, engine = f, rep.Engine()
+		fmt.Fprintf(stderr, "hiserver: replica of %s, applied CSN %d\n", ncfg.PrimaryAddr, f.AppliedCSN())
 	} else {
-		var err error
-		engine, err = core.Open(core.Config{
-			Service: srss.New(srss.Config{Model: model, Chaos: eng}),
-			Workers: *workers,
-			Obs:     reg,
-		})
+		inno, err := innosim.New(innosim.Config{Service: srss.New(srss.Config{Model: model})})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hiserver:", err)
-			os.Exit(1)
+			return err
+		}
+		defer inno.Close()
+		ncfg.Engines = map[string]engineapi.DB{"innodb": inno}
+		if engine, err = core.Open(ecfg); err != nil {
+			return err
 		}
 	}
 	defer engine.Close()
 
 	// Sharded deployment: persist the flag-supplied topology (stamped with
-	// this node's shard id) as the newest manifest record, and serve
+	// this node's shard id) as the newest manifest record; the node serves
 	// whatever the manifest holds over OpShardMap so clients and resolvers
 	// can self-bootstrap from any member. A restart without the flags keeps
 	// serving the persisted map; a replica inherits its primary's record
 	// through log shipping.
 	if len(shardAddrs) > 0 {
-		if follower != nil {
-			fmt.Fprintln(os.Stderr, "hiserver: -shard-map is a primary flag; replicas inherit the map from their primary")
-			os.Exit(1)
-		}
 		m, err := shard.NewMap(1, shardAddrs)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hiserver:", err)
-			os.Exit(1)
-		}
-		m.SelfID = uint32(*shardID)
-		persist := true
-		if prev := engine.ShardMapPayload(); prev != nil {
-			if pm, err := shard.DecodeMap(prev); err == nil {
-				m.Version = pm.Version
-				if string(prev) == string(m.Encode()) {
-					persist = false // unchanged topology: keep the record
-				} else {
-					m.Version = pm.Version + 1
-				}
-			}
-		}
-		if persist {
-			if err := engine.SetShardMap(m.Encode()); err != nil {
-				fmt.Fprintln(os.Stderr, "hiserver: persist shard map:", err)
-				os.Exit(1)
-			}
-		}
-	}
-	shardInfo := func() *wire.ShardMap {
-		b := engine.ShardMapPayload()
-		if b == nil {
-			return nil
-		}
-		sm, err := wire.DecodeShardMap(b)
-		if err != nil {
-			return nil
-		}
-		return sm
-	}
-
-	front := sqlfront.NewFrontend("hiengine", adapt.New(engine))
-	if follower != nil {
-		// Adopt the primary's tables into the frontend catalog (the
-		// replica never runs DDL; its catalog is the recovered manifest).
-		// Replay keeps creating tables after bootstrap, so the sync
-		// repeats on a ticker below and once more during promotion.
-		syncCatalog := func() error {
-			var schemas []*core.Schema
-			for _, name := range engine.Tables() {
-				t, err := engine.Table(name)
-				if err != nil {
-					continue
-				}
-				schemas = append(schemas, t.Schema)
-			}
-			_, err := front.AdoptAll("hiengine", schemas)
 			return err
 		}
-		if err := syncCatalog(); err != nil {
-			fmt.Fprintln(os.Stderr, "hiserver: adopt:", err)
-			os.Exit(1)
-		}
-		catalogSync = syncCatalog
-		go func() {
-			tick := time.NewTicker(*replicaPoll)
-			defer tick.Stop()
-			for range tick.C {
-				if err := syncCatalog(); err != nil {
-					fmt.Fprintln(os.Stderr, "hiserver: adopt:", err)
-				}
+		m.SelfID = uint32(*shardID)
+		prev := engine.ShardMapPayload()
+		if pm, err := shard.DecodeMap(prev); err == nil {
+			m.Version = pm.Version
+			if string(prev) != string(m.Encode()) {
+				m.Version++ // a changed topology takes the next version
 			}
-		}()
-		follower.SetInterval(*replicaPoll)
-		follower.Start()
-		defer follower.Stop()
-	} else {
-		inno, err := innosim.New(innosim.Config{Service: srss.New(srss.Config{Model: model})})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hiserver:", err)
-			os.Exit(1)
 		}
-		defer inno.Close()
-		front.Register("innodb", inno)
+		if string(prev) != string(m.Encode()) { // an unchanged one keeps its record
+			if err := engine.SetShardMap(m.Encode()); err != nil {
+				return fmt.Errorf("persist shard map: %w", err)
+			}
+		}
 	}
 
-	statsLine := func() string {
-		s := engine.Stats()
-		return fmt.Sprintf("commits=%d aborts=%d conflicts=%d reclaimed=%d checkpoints=%d compactions=%d log=%dB",
-			s.Commits.Load(), s.Aborts.Load(), s.Conflicts.Load(),
-			s.ReclaimedVersions.Load(), s.Checkpoints.Load(), s.Compactions.Load(),
-			engine.Log().TotalBytes())
-	}
-
-	scfg := server.Config{
-		Frontend:     front,
-		WorkerSlots:  engine.Workers(),
-		MaxConns:     *maxConns,
-		MaxInFlight:  *maxInflight,
-		DrainTimeout: *drain,
-		Obs:          reg,
-		Tracer:       tracer,
-		Chaos:        eng,
-		Stats:        func() string { return statsLine() + "\n" },
-		Epoch:        engine.Epoch,
-		ObserveEpoch: engine.ObserveEpoch,
-		ShardInfo:    shardInfo,
-		// The 2PC participant surface is wired unconditionally: a promoted
-		// replica adopts its primary's prepared transactions and must serve
-		// OpTxnRecover/OpTxnDecide for coordinator recovery.
-		TwoPC: shard.EngineHooks(engine),
-	}
-	if follower != nil {
-		scfg.Replica = &server.ReplicaConfig{
-			PrimaryAddr: *replicaOf,
-			AppliedCSN:  follower.AppliedCSN,
-			WaitCSN:     follower.WaitCSN,
-		}
-	} else {
-		scfg.ReplSource = replica.NewSource(engine)
-	}
-	srv, err := server.New(scfg)
+	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hiserver:", err)
-		os.Exit(1)
+		return err
 	}
-
-	// promote transitions a replica process to primary: the follower seals
-	// its shipped log and the engine starts writing at a bumped epoch, then
-	// the wire server flips roles so greetings advertise the new primary.
-	// Serialized and idempotent; nil on a process started as primary.
-	var promote func() (uint64, error)
-	if follower != nil {
-		var promoteMu sync.Mutex
-		promote = func() (uint64, error) {
-			promoteMu.Lock()
-			defer promoteMu.Unlock()
-			epoch, err := follower.Promote()
-			if err != nil {
-				return 0, err
-			}
-			// The final catch-up drain may have applied DDL; make it
-			// visible before the first post-promotion statement lands.
-			if err := catalogSync(); err != nil {
-				return 0, fmt.Errorf("catalog sync: %w", err)
-			}
-			srv.Promote(replica.NewSource(engine))
-			roleMu.Lock()
-			role = "primary (promoted)"
-			roleMu.Unlock()
-			return epoch, nil
-		}
+	n, err := node.New(engine, ln, ncfg)
+	if err != nil {
+		return err
 	}
-
-	status := func() map[string]any {
-		st := map[string]any{
-			"role":         getRole(),
-			"epoch":        engine.Epoch(),
-			"fenced_by":    engine.FencedBy(),
-			"fenced":       engine.Fenced(),
-			"cursors_open": srv.CursorsOpen(),
-		}
-		if follower != nil {
-			st["applied_csn"] = follower.AppliedCSN()
-			st["lag_csn"] = follower.LagCSN()
-			if err := follower.Err(); err != nil {
-				st["poll_error"] = err.Error()
-			}
-			if ti := follower.LastFetchTrace(); ti != nil {
-				st["repl_fetch_us"] = ti.TotalNS / 1000
-			}
-		}
-		if sm := shardInfo(); sm != nil {
-			st["shard"] = map[string]any{
-				"id":          sm.SelfID,
-				"shards":      len(sm.Addrs),
-				"map_version": sm.Version,
-				"addrs":       sm.Addrs,
-			}
-		}
-		st["indoubt_2pc"] = engine.InDoubt()
-		return st
-	}
-
-	// Readiness: a fenced engine, a draining server, or a replica lagging
-	// past -ready-max-lag answers /healthz with 503 and the reason, so load
-	// balancers stop routing to a node that would refuse or serve stale.
-	ready := func() error {
-		if engine.Fenced() {
-			return fmt.Errorf("fenced by epoch %d (own epoch %d)", engine.FencedBy(), engine.Epoch())
-		}
-		if srv.Draining() {
-			return fmt.Errorf("draining")
-		}
-		if follower != nil && *readyMaxLag > 0 {
-			if lag := follower.LagCSN(); lag > *readyMaxLag {
-				return fmt.Errorf("replica lagging: lag_csn %d > %d", lag, *readyMaxLag)
-			}
-		}
-		return nil
-	}
+	defer n.Close()
 
 	name := *nodeName
-	if name == "" {
-		switch {
-		case len(shardAddrs) > 0:
-			name = fmt.Sprintf("shard%d", *shardID)
-		case follower != nil:
-			name = "replica"
-		default:
-			name = "primary"
-		}
+	switch {
+	case name != "":
+	case len(shardAddrs) > 0:
+		name = fmt.Sprintf("shard%d", *shardID)
+	case ncfg.Follower != nil:
+		name = "replica"
+	default:
+		name = "primary"
 	}
 
-	var adm *admin.Server
 	if *httpAddr != "" {
-		adm = admin.New(admin.Config{
+		acfg := admin.Config{
 			Registry: reg,
-			Tracer:   tracer,
+			Tracer:   n.Tracer(),
 			Info: map[string]string{
 				"name":    name,
-				"addr":    *addr,
+				"addr":    n.Addr(),
 				"profile": *profile,
-				"primary": *replicaOf,
+				"primary": ncfg.PrimaryAddr,
 			},
-			Status:  status,
-			Ready:   ready,
-			Peers:   func() []admin.Peer { return peers },
-			Promote: promote,
-		})
+			Status: n.Status,
+			Ready:  n.Ready,
+			Peers:  func() []admin.Peer { return peers },
+		}
+		if ncfg.Follower != nil {
+			acfg.Promote = n.Promote // a process born primary answers 404
+		}
+		adm := admin.New(acfg)
 		aln, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hiserver: admin:", err)
-			os.Exit(1)
+			return fmt.Errorf("admin: %w", err)
 		}
+		defer func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			adm.Shutdown(ctx)
+			cancel()
+		}()
 		go func() {
 			if err := adm.Serve(aln); err != nil {
-				fmt.Fprintln(os.Stderr, "hiserver: admin:", err)
+				fmt.Fprintln(stderr, "hiserver: admin:", err)
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "hiserver: admin plane on http://%s (/metrics /statusz /traces /clusterz /healthz /debug/pprof)\n",
+		fmt.Fprintf(stderr, "hiserver: admin plane on http://%s (/metrics /statusz /traces /clusterz /healthz /debug/pprof)\n",
 			aln.Addr())
 	}
 
-	// Periodic one-line operational summary; the ticker goroutine dies
-	// with the process.
-	if *statsEvery > 0 {
-		go func() {
-			tick := time.NewTicker(*statsEvery)
-			defer tick.Stop()
-			for range tick.C {
-				fmt.Fprintf(os.Stderr, "hiserver: %s\n", statsLine())
-			}
-		}()
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	// The periodic one-line summary and the signals share one goroutine,
+	// which ends with the drain.
+	tick := time.Tick(*statsEvery) // nil, so never ready, at interval 0
 	go func() {
-		<-sig
-		fmt.Fprintln(os.Stderr, "hiserver: draining...")
-		if err := srv.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "hiserver: drain:", err)
+		for {
+			select {
+			case <-tick:
+				fmt.Fprintf(stderr, "hiserver: %s\n", n.StatsLine())
+			case sig := <-signals:
+				if sig != syscall.SIGUSR1 {
+					fmt.Fprintln(stderr, "hiserver: draining...")
+					if err := n.Stop(); err != nil {
+						fmt.Fprintln(stderr, "hiserver: drain:", err)
+					}
+					return
+				}
+				if ncfg.Follower == nil {
+					continue // nothing to promote in a process born primary
+				}
+				if epoch, err := n.Promote(); err != nil {
+					fmt.Fprintln(stderr, "hiserver: promote:", err)
+				} else {
+					fmt.Fprintf(stderr, "hiserver: promoted to primary at epoch %d\n", epoch)
+				}
+			}
 		}
 	}()
 
-	// SIGUSR1 promotes a replica process to primary (same path as the
-	// admin plane's POST /promote).
-	if promote != nil {
-		promoteSig := make(chan os.Signal, 1)
-		signal.Notify(promoteSig, syscall.SIGUSR1)
-		go func() {
-			for range promoteSig {
-				if epoch, err := promote(); err != nil {
-					fmt.Fprintln(os.Stderr, "hiserver: promote:", err)
-				} else {
-					fmt.Fprintf(os.Stderr, "hiserver: promoted to primary at epoch %d\n", epoch)
-				}
-			}
-		}()
-	}
-
-	if follower != nil {
-		fmt.Fprintf(os.Stderr, "hiserver: read replica of %s; listening on %s\n", *replicaOf, *addr)
+	if ncfg.Follower != nil {
+		fmt.Fprintf(stderr, "hiserver: read replica of %s; listening on %s\n", ncfg.PrimaryAddr, n.Addr())
 	} else {
-		fmt.Fprintf(os.Stderr, "hiserver: engines hiengine (default), innodb; listening on %s\n", *addr)
+		fmt.Fprintf(stderr, "hiserver: engines hiengine (default), innodb; listening on %s\n", n.Addr())
 	}
-	if sm := shardInfo(); sm != nil {
-		fmt.Fprintf(os.Stderr, "hiserver: shard %d of %d (map version %d)\n", sm.SelfID, len(sm.Addrs), sm.Version)
+	if sm, err := shard.DecodeMap(engine.ShardMapPayload()); err == nil {
+		fmt.Fprintf(stderr, "hiserver: shard %d of %d (map version %d)\n", sm.SelfID, len(sm.Addrs), sm.Version)
 	}
-	if err := srv.ListenAndServe(*addr); err != nil {
-		fmt.Fprintln(os.Stderr, "hiserver:", err)
-		os.Exit(1)
+	if err := n.Wait(); err != nil {
+		return err
 	}
-	// Serve returned after drain: wait for Close to finish tearing down,
+	// The accept loop returns when the drain begins: wait for it to finish,
 	// then dump the full metrics snapshot so the run's numbers survive it.
-	srv.Close()
-	if adm != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		adm.Shutdown(ctx)
-		cancel()
-	}
-	fmt.Fprintln(os.Stderr, "hiserver: final stats:", statsLine())
-	fmt.Fprint(os.Stderr, reg.Snapshot().String())
-	fmt.Fprintln(os.Stderr, "hiserver: drained, bye")
+	n.Close()
+	fmt.Fprintln(stderr, "hiserver: final stats:", n.StatsLine())
+	fmt.Fprint(stderr, reg.Snapshot().String())
+	fmt.Fprintln(stderr, "hiserver: drained, bye")
+	return nil
 }

@@ -24,8 +24,10 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -48,9 +50,19 @@ type session interface {
 	Stats() (string, error)
 }
 
-func main() {
-	connect := flag.String("connect", "", "drive a remote hiserver at host:port instead of an in-process engine")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run is main with its arguments, streams and exit code as values.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hishell", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	connect := fs.String("connect", "", "drive a remote hiserver at host:port instead of an in-process engine")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	var (
 		sess   session
@@ -60,121 +72,121 @@ func main() {
 	if *connect != "" {
 		cl, err := client.New(client.Options{Addr: *connect})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hishell:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "hishell:", err)
+			return 1
 		}
 		defer cl.Close()
 		s, err := cl.Session()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hishell: connect:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "hishell: connect:", err)
+			return 1
 		}
 		defer s.Close()
 		if err := s.Ping(); err != nil {
-			fmt.Fprintln(os.Stderr, "hishell: connect:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "hishell: connect:", err)
+			return 1
 		}
-		fmt.Printf("HiEngine shell -- connected to %s. \\q to quit.\n", *connect)
+		fmt.Fprintf(stdout, "HiEngine shell -- connected to %s. \\q to quit.\n", *connect)
 		remote = s
 		sess = &remoteBackend{s: s, stmts: make(map[string]*client.Stmt)}
 	} else {
 		var err error
 		local, err = newLocalBackend()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hishell:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "hishell:", err)
+			return 1
 		}
 		defer local.close()
-		fmt.Println("HiEngine shell -- engines: hiengine (default), innodb. \\q to quit.")
+		fmt.Fprintln(stdout, "HiEngine shell -- engines: hiengine (default), innodb. \\q to quit.")
 		sess = local
 	}
 
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var lastShown *client.TraceResult
 	for {
 		if sess.InTxn() {
-			fmt.Print("hiengine*> ")
+			fmt.Fprint(stdout, "hiengine*> ")
 		} else {
-			fmt.Print("hiengine> ")
+			fmt.Fprint(stdout, "hiengine> ")
 		}
 		if !sc.Scan() {
-			return
+			return 0
 		}
 		line := strings.TrimSpace(sc.Text())
 		switch {
 		case line == "":
 			continue
 		case line == `\q` || line == "exit" || line == "quit":
-			return
+			return 0
 		case line == `\stats`:
 			text, err := sess.Stats()
 			if err != nil {
-				fmt.Println("error:", err)
+				fmt.Fprintln(stdout, "error:", err)
 			} else {
-				fmt.Print(text)
+				fmt.Fprint(stdout, text)
 			}
 			continue
 		case line == `\trace on` || line == `\trace off`:
 			if remote == nil {
-				fmt.Println("error: \\trace needs a remote session (-connect)")
+				fmt.Fprintln(stdout, "error: \\trace needs a remote session (-connect)")
 				continue
 			}
 			on := line == `\trace on`
 			remote.Trace(on)
 			if on {
-				fmt.Println("tracing on: each statement's terminal response prints its stage breakdown")
+				fmt.Fprintln(stdout, "tracing on: each statement's terminal response prints its stage breakdown")
 			} else {
-				fmt.Println("tracing off")
+				fmt.Fprintln(stdout, "tracing off")
 			}
 			continue
 		case line == `\fetchsize` || strings.HasPrefix(line, `\fetchsize `):
 			if remote == nil {
-				fmt.Println("error: \\fetchsize needs a remote session (-connect)")
+				fmt.Fprintln(stdout, "error: \\fetchsize needs a remote session (-connect)")
 				continue
 			}
 			arg := strings.TrimSpace(strings.TrimPrefix(line, `\fetchsize`))
 			if arg == "" {
-				fmt.Printf("fetch size: %d rows per page\n", remote.FetchSize())
+				fmt.Fprintf(stdout, "fetch size: %d rows per page\n", remote.FetchSize())
 				continue
 			}
 			var n int
 			if _, err := fmt.Sscanf(arg, "%d", &n); err != nil || n <= 0 {
-				fmt.Println("error: \\fetchsize wants a positive row count")
+				fmt.Fprintln(stdout, "error: \\fetchsize wants a positive row count")
 				continue
 			}
 			remote.SetFetchSize(n)
-			fmt.Printf("fetch size: %d rows per page\n", n)
+			fmt.Fprintf(stdout, "fetch size: %d rows per page\n", n)
 			continue
 		case line == `\checkpoint`:
 			if local == nil {
-				fmt.Println("error: \\checkpoint is in-process only")
+				fmt.Fprintln(stdout, "error: \\checkpoint is in-process only")
 				continue
 			}
 			csn, err := local.engine.Checkpoint()
 			if err != nil {
-				fmt.Println("error:", err)
+				fmt.Fprintln(stdout, "error:", err)
 			} else {
-				fmt.Printf("checkpoint at CSN %d\n", csn)
+				fmt.Fprintf(stdout, "checkpoint at CSN %d\n", csn)
 			}
 			continue
 		case line == `\gc`:
 			if local == nil {
-				fmt.Println("error: \\gc is in-process only")
+				fmt.Fprintln(stdout, "error: \\gc is in-process only")
 				continue
 			}
-			fmt.Printf("reclaimed %d versions\n", local.engine.RunGC())
+			fmt.Fprintf(stdout, "reclaimed %d versions\n", local.engine.RunGC())
 			continue
 		case line == `\compact`:
 			if local == nil {
-				fmt.Println("error: \\compact is in-process only")
+				fmt.Fprintln(stdout, "error: \\compact is in-process only")
 				continue
 			}
 			stats, err := local.engine.CompactFull()
 			if err != nil {
-				fmt.Println("error:", err)
+				fmt.Fprintln(stdout, "error:", err)
 			} else {
-				fmt.Printf("rewrote %d records (%d B), dropped %d segments, reclaimed %d B\n",
+				fmt.Fprintf(stdout, "rewrote %d records (%d B), dropped %d segments, reclaimed %d B\n",
 					stats.RecordsRewritten, stats.BytesRewritten, stats.SegmentsDropped, stats.BytesReclaimed)
 			}
 			continue
@@ -187,7 +199,7 @@ func main() {
 		if remote != nil && !remote.InTxn() && isSelectText(line) {
 			rows, err := remote.Query(line)
 			if err != nil {
-				fmt.Println("error:", err)
+				fmt.Fprintln(stdout, "error:", err)
 				continue
 			}
 			n := 0
@@ -197,19 +209,19 @@ func main() {
 				for i, v := range row {
 					parts[i] = v.String()
 				}
-				fmt.Println(strings.Join(parts, " | "))
+				fmt.Fprintln(stdout, strings.Join(parts, " | "))
 				n++
 			}
 			if err := rows.Close(); err != nil {
-				fmt.Println("error:", err)
+				fmt.Fprintln(stdout, "error:", err)
 				continue
 			}
-			fmt.Printf("(%d rows)\n", n)
+			fmt.Fprintf(stdout, "(%d rows)\n", n)
 			continue
 		}
 		res, err := sess.Exec(line)
 		if err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(stdout, "error:", err)
 			continue
 		}
 		for _, row := range res.Rows {
@@ -217,14 +229,14 @@ func main() {
 			for i, v := range row {
 				parts[i] = v.String()
 			}
-			fmt.Println(strings.Join(parts, " | "))
+			fmt.Fprintln(stdout, strings.Join(parts, " | "))
 		}
 		if len(res.Rows) > 0 {
-			fmt.Printf("(%d rows)\n", len(res.Rows))
+			fmt.Fprintf(stdout, "(%d rows)\n", len(res.Rows))
 		} else if res.Affected > 0 {
-			fmt.Printf("OK, %d affected\n", res.Affected)
+			fmt.Fprintf(stdout, "OK, %d affected\n", res.Affected)
 		} else {
-			fmt.Println("OK")
+			fmt.Fprintln(stdout, "OK")
 		}
 		// A traced unit completes on its terminal response (an autocommit
 		// statement, or COMMIT/ROLLBACK closing a transaction); print each
@@ -232,7 +244,7 @@ func main() {
 		if remote != nil {
 			if lt := remote.LastTrace(); lt != nil && lt != lastShown {
 				lastShown = lt
-				printTrace(lt)
+				printTrace(stdout, lt)
 			}
 		}
 	}
@@ -246,32 +258,32 @@ func isSelectText(sql string) bool {
 }
 
 // printTrace renders one completed traced unit as a stage table.
-func printTrace(lt *client.TraceResult) {
+func printTrace(w io.Writer, lt *client.TraceResult) {
 	info := lt.Info
-	fmt.Printf("trace %d: server %v", info.TraceID, time.Duration(info.TotalNS))
+	fmt.Fprintf(w, "trace %d: server %v", info.TraceID, time.Duration(info.TotalNS))
 	if info.HasShard {
-		fmt.Printf(", shard %d", info.Shard)
+		fmt.Fprintf(w, ", shard %d", info.Shard)
 		if info.Hop > 0 {
-			fmt.Printf(" hop %d", info.Hop)
+			fmt.Fprintf(w, " hop %d", info.Hop)
 		}
 	}
 	if lt.ClientNS > 0 {
-		fmt.Printf(", client %v, network+queue %v", time.Duration(lt.ClientNS), time.Duration(lt.NetworkNS()))
+		fmt.Fprintf(w, ", client %v, network+queue %v", time.Duration(lt.ClientNS), time.Duration(lt.NetworkNS()))
 	}
 	if info.Batch > 0 {
-		fmt.Printf(", commit batch %d", info.Batch)
+		fmt.Fprintf(w, ", commit batch %d", info.Batch)
 	}
 	switch {
 	case info.PlanHit && info.PlanMiss:
-		fmt.Print(", plan cache mixed")
+		fmt.Fprint(w, ", plan cache mixed")
 	case info.PlanHit:
-		fmt.Print(", plan cache hit")
+		fmt.Fprint(w, ", plan cache hit")
 	case info.PlanMiss:
-		fmt.Print(", plan cache miss")
+		fmt.Fprint(w, ", plan cache miss")
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, st := range info.Stages {
-		fmt.Printf("  %-14s @%-10v %v\n", st.Stage.String(), time.Duration(st.BeginNS), time.Duration(st.DurNS))
+		fmt.Fprintf(w, "  %-14s @%-10v %v\n", st.Stage.String(), time.Duration(st.BeginNS), time.Duration(st.DurNS))
 	}
 }
 

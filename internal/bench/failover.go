@@ -71,8 +71,8 @@ func failoverTrial(trial, clients int, d time.Duration) (*failoverResult, error)
 	if err != nil {
 		return nil, err
 	}
-	defer primary.close()
-	seed, err := client.New(client.Options{Addr: primary.addr})
+	defer primary.Close()
+	seed, err := client.New(client.Options{Addr: primary.Addr()})
 	if err != nil {
 		return nil, err
 	}
@@ -81,11 +81,11 @@ func failoverTrial(trial, clients int, d time.Duration) (*failoverResult, error)
 	if err != nil {
 		return nil, err
 	}
-	standby, err := serve(deployment{logStreams: 1, replicaOf: primary.addr})
+	standby, err := serve(deployment{logStreams: 1, replicaOf: primary.Addr()})
 	if err != nil {
 		return nil, err
 	}
-	defer standby.close()
+	defer standby.Close()
 
 	// writer is one client's view: when the old primary last acked it, when
 	// the promoted node first did (UnixNano; 0 = not yet), and how many
@@ -117,8 +117,8 @@ func failoverTrial(trial, clients int, d time.Duration) (*failoverResult, error)
 			time.Sleep(d) // steady state on the old primary
 			t0 := time.Now()
 			killed.Store(true)
-			primary.srv.Close()
-			if err := standby.promote(); err != nil {
+			primary.Stop()
+			if _, err := standby.Promote(); err != nil {
 				return fmt.Errorf("promote: %w", err)
 			}
 			res.promote = time.Since(t0)
@@ -134,8 +134,8 @@ func failoverTrial(trial, clients int, d time.Duration) (*failoverResult, error)
 		},
 	}, func(c int) (op, error) {
 		cl, err := client.New(client.Options{
-			Addr:            primary.addr,
-			ReplicaAddrs:    []string{standby.addr},
+			Addr:            primary.Addr(),
+			ReplicaAddrs:    []string{standby.Addr()},
 			DialTimeout:     500 * time.Millisecond,
 			MaxRetries:      2,
 			FailoverRetries: 12,
@@ -156,7 +156,7 @@ func failoverTrial(trial, clients int, d time.Duration) (*failoverResult, error)
 				return 0, fmt.Errorf("%w: %v", errOutage, err)
 			case err != nil:
 				return 0, err
-			case cl.PrimaryAddr() == primary.addr:
+			case cl.PrimaryAddr() == primary.Addr():
 				w.lastOld.Store(now)
 				w.before.Add(1)
 			default:

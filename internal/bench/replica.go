@@ -31,10 +31,10 @@ func ReplicaFanout(o Options) (*Report, error) {
 	nodes := []*node{primary}
 	defer func() {
 		for _, n := range nodes {
-			n.close()
+			n.Close()
 		}
 	}()
-	seed, err := client.New(client.Options{Addr: primary.addr})
+	seed, err := client.New(client.Options{Addr: primary.Addr()})
 	if err != nil {
 		return nil, err
 	}
@@ -58,18 +58,18 @@ func ReplicaFanout(o Options) (*Report, error) {
 		serving := nodes // the primary alone, before it has a follower to ship to
 		if k > 0 {
 			o.progress("replica: bootstrapping replica %d", k)
-			n, err := serve(deployment{replicaOf: primary.addr})
+			n, err := serve(deployment{replicaOf: primary.Addr()})
 			if err != nil {
 				return nil, fmt.Errorf("replica %d: %w", k, err)
 			}
 			nodes = append(nodes, n)
-			addrs = append(addrs, n.addr)
+			addrs = append(addrs, n.Addr())
 			if !n.follower.WaitCSN(seed.LastCSN(), 30*time.Second) {
 				return nil, fmt.Errorf("replica %d never caught up to CSN %d (applied %d)", k, seed.LastCSN(), n.follower.AppliedCSN())
 			}
 			serving = nodes[1:]
 		}
-		cl, err := client.New(client.Options{Addr: primary.addr, PoolSize: clients, ReplicaAddrs: addrs})
+		cl, err := client.New(client.Options{Addr: primary.Addr(), PoolSize: clients, ReplicaAddrs: addrs})
 		if err != nil {
 			return nil, err
 		}

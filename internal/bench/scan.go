@@ -21,8 +21,8 @@ func Scan(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer n.close()
-	cl, err := client.New(client.Options{Addr: n.addr, PoolSize: 2})
+	defer n.Close()
+	cl, err := client.New(client.Options{Addr: n.Addr(), PoolSize: 2})
 	if err != nil {
 		return nil, err
 	}

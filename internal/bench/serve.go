@@ -4,14 +4,11 @@ import (
 	"net"
 	"time"
 
-	"hiengine/internal/adapt"
 	"hiengine/internal/core"
 	"hiengine/internal/delay"
+	hinode "hiengine/internal/node"
 	"hiengine/internal/obs"
 	"hiengine/internal/replica"
-	"hiengine/internal/server"
-	"hiengine/internal/shard"
-	"hiengine/internal/sqlfront"
 	"hiengine/internal/srss"
 	"hiengine/internal/wire"
 )
@@ -31,121 +28,68 @@ type deployment struct {
 	ln       net.Listener
 }
 
-// node is one served deployment: engine, SQL front end and wire server on
-// a loopback listener, wired the way cmd/hiserver wires them (replication
-// source or follower, epoch fencing, 2PC participant, a tracer that answers
-// client-forced traces only) without its flags and admin plane.
+// node is one served deployment on a loopback listener: the engine this
+// file opened, behind the assembly cmd/hiserver serves through.
 type node struct {
-	engine   *core.Engine // its Obs() registry is the server's too
-	srv      *server.Server
-	addr     string
+	*hinode.Node
+	engine   *core.Engine      // its Obs() registry is the server's too
 	follower *replica.Follower // the log-shipping loop; nil on a primary
 }
 
 // serve is the only place an experiment stands a server up.
 func serve(d deployment) (*node, error) {
-	n, reg := &node{}, obs.NewRegistry("bench-node")
+	ln := d.ln
+	if ln == nil {
+		var err error
+		if ln, err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+			return nil, err
+		}
+	}
+	n, err := d.open()
+	if err != nil {
+		ln.Close()
+		return nil, err
+	}
+	n.Node, err = hinode.New(n.engine, ln, hinode.Config{
+		Follower:     n.follower,
+		PrimaryAddr:  d.replicaOf,
+		Poll:         2 * time.Millisecond,
+		DrainTimeout: 500 * time.Millisecond, // a killed primary must not linger
+	})
+	if err != nil {
+		return nil, err // New closed the engine and the listener
+	}
+	return n, nil
+}
+
+// open opens the deployment's engine: a fresh one, or a read-only one over a
+// mirror of the primary's log.
+func (d deployment) open() (*node, error) {
+	reg := obs.NewRegistry("bench-node")
 	cfg := core.Config{
 		Service:    srss.New(srss.Config{Model: d.model}),
 		Workers:    nodeWorkers,
 		LogStreams: d.logStreams,
 		Obs:        reg,
 	}
-	var err error
 	if d.replicaOf != "" {
-		var rep *core.Replica
-		if n.follower, rep, err = replica.Bootstrap(d.replicaOf, cfg, core.RecoverOptions{}, reg); err != nil {
+		f, rep, err := replica.Bootstrap(d.replicaOf, cfg, core.RecoverOptions{}, reg)
+		if err != nil {
 			return nil, err
 		}
-		n.engine = rep.Engine()
-	} else if n.engine, err = core.Open(cfg); err != nil {
-		return nil, err
+		return &node{engine: rep.Engine(), follower: f}, nil
 	}
-	fail := func(err error) (*node, error) {
-		n.close()
-		if d.ln != nil {
-			d.ln.Close()
-		}
+	e, err := core.Open(cfg)
+	if err != nil {
 		return nil, err
 	}
 	if d.shardMap != nil {
-		if err := n.engine.SetShardMap(d.shardMap); err != nil {
-			return fail(err)
+		if err := e.SetShardMap(d.shardMap); err != nil {
+			e.Close()
+			return nil, err
 		}
 	}
-	front := sqlfront.NewFrontend("hiengine", adapt.New(n.engine))
-	scfg := server.Config{
-		Frontend:     front,
-		WorkerSlots:  nodeWorkers,
-		DrainTimeout: 500 * time.Millisecond, // a killed primary must not linger
-		Obs:          reg,
-		Tracer:       obs.NewTracer(obs.TracerConfig{Registry: reg}),
-		Epoch:        n.engine.Epoch,
-		ObserveEpoch: n.engine.ObserveEpoch,
-		TwoPC:        shard.EngineHooks(n.engine),
-		ShardInfo: func() *wire.ShardMap {
-			sm, err := wire.DecodeShardMap(n.engine.ShardMapPayload())
-			if err != nil {
-				return nil
-			}
-			return sm
-		},
-	}
-	if n.follower != nil {
-		// A replica never runs DDL: its catalog is the recovered manifest.
-		var schemas []*core.Schema
-		for _, name := range n.engine.Tables() {
-			if t, err := n.engine.Table(name); err == nil {
-				schemas = append(schemas, t.Schema)
-			}
-		}
-		if _, err := front.AdoptAll("hiengine", schemas); err != nil {
-			return fail(err)
-		}
-		scfg.Replica = &server.ReplicaConfig{
-			PrimaryAddr: d.replicaOf,
-			AppliedCSN:  n.follower.AppliedCSN,
-			WaitCSN:     n.follower.WaitCSN,
-		}
-	} else {
-		scfg.ReplSource = replica.NewSource(n.engine)
-	}
-	if n.srv, err = server.New(scfg); err != nil {
-		return fail(err)
-	}
-	ln := d.ln
-	if ln == nil {
-		if ln, err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
-			return fail(err)
-		}
-	}
-	n.addr = ln.Addr().String()
-	go n.srv.Serve(ln)
-	if n.follower != nil {
-		n.follower.SetInterval(2 * time.Millisecond)
-		n.follower.Start()
-	}
-	return n, nil
-}
-
-// close stops the node; it is safe on one serve gave up on half-built.
-func (n *node) close() {
-	if n.srv != nil {
-		n.srv.Close()
-	}
-	if n.follower != nil {
-		n.follower.Stop()
-	}
-	n.engine.Close()
-}
-
-// promote turns a replica node into the primary.
-func (n *node) promote() error {
-	_, err := n.follower.Promote()
-	if err == nil {
-		n.srv.Promote(replica.NewSource(n.engine))
-	}
-	return err
+	return &node{engine: e}, nil
 }
 
 // sum adds one of the counters below over nodes. Their differences across a

@@ -52,7 +52,7 @@ func shardRun(r *Report, n, clients, crossPct int, d time.Duration) (float64, er
 	m, nodes, err := serveShards(n)
 	defer func() {
 		for _, nd := range nodes {
-			nd.close()
+			nd.Close()
 		}
 	}()
 	if err != nil {

@@ -1,4 +1,4 @@
-package replica
+package replica_test
 
 import (
 	"errors"
@@ -9,24 +9,22 @@ import (
 	"testing"
 	"time"
 
-	"hiengine/internal/adapt"
 	"hiengine/internal/chaos"
 	"hiengine/internal/client"
 	"hiengine/internal/core"
 	"hiengine/internal/delay"
+	"hiengine/internal/node"
 	"hiengine/internal/obs"
-	"hiengine/internal/server"
-	"hiengine/internal/sqlfront"
+	"hiengine/internal/replica"
 	"hiengine/internal/srss"
 	"hiengine/internal/wire"
 )
 
-// failoverNode is one wire server over an engine, restartable at a fixed
-// address (the crash/restart primitive of the torture harness).
+// failoverNode is a primary restartable at a fixed address (the
+// crash/restart primitive of the torture harness).
 type failoverNode struct {
+	*node.Node
 	engine *core.Engine
-	front  *sqlfront.Frontend
-	srv    *server.Server
 	addr   string
 }
 
@@ -46,50 +44,34 @@ func startFailoverPrimary(t *testing.T) *failoverNode {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := &failoverNode{
-		engine: engine,
-		front:  sqlfront.NewFrontend("hiengine", adapt.New(engine)),
-	}
-	t.Cleanup(engine.Close)
-	n.listen(t, "127.0.0.1:0")
-	return n
-}
-
-// listen (re)starts the node's wire server on addr.
-func (n *failoverNode) listen(t *testing.T, addr string) {
-	t.Helper()
-	srv, err := server.New(server.Config{
-		Frontend:     n.front,
-		WorkerSlots:  n.engine.Workers(),
-		ReplSource:   NewSource(n.engine),
-		Epoch:        n.engine.Epoch,
-		ObserveEpoch: n.engine.ObserveEpoch,
-		DrainTimeout: 500 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.srv, n.addr = srv, ln.Addr().String()
-	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
+	n := serveNode(t, engine, node.Config{DrainTimeout: 500 * time.Millisecond})
+	return &failoverNode{Node: n, engine: engine, addr: n.Addr()}
 }
 
 // kill stops the node's wire server (the engine object survives, playing
 // the role of the crashed process's durable state).
-func (n *failoverNode) kill() { n.srv.Close() }
+func (n *failoverNode) kill() { n.Stop() }
+
+// revive serves the killed node again at its old address.
+func (n *failoverNode) revive(t *testing.T) {
+	t.Helper()
+	ln, err := net.Listen("tcp", n.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Serve(ln); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // startChaosReplica bootstraps a follower of primaryAddr whose local
-// service carries the armed chaos engine, serving it behind a wire
-// server. Chaos is armed by the caller after bootstrap (so the initial
-// mirror itself cannot be torn by the harness).
-func startChaosReplica(t *testing.T, primaryAddr string, ch *chaos.Engine) (*Follower, *core.Replica, *server.Server, string, func() error) {
+// service carries the armed chaos engine, serving it behind a node. Chaos
+// is armed by the caller after bootstrap (so the initial mirror itself
+// cannot be torn by the harness).
+func startChaosReplica(t *testing.T, primaryAddr string, ch *chaos.Engine) (*replica.Follower, *node.Node) {
 	t.Helper()
 	reg := obs.NewRegistry("failover-replica")
-	f, rep, err := Bootstrap(primaryAddr, core.Config{
+	f, rep, err := replica.Bootstrap(primaryAddr, core.Config{
 		Service: srss.New(srss.Config{Model: delay.Zero(), Chaos: ch}),
 		Workers: 4,
 		Obs:     reg,
@@ -97,52 +79,9 @@ func startChaosReplica(t *testing.T, primaryAddr string, ch *chaos.Engine) (*Fol
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := rep.Engine()
-	front := sqlfront.NewFrontend("hiengine", adapt.New(engine))
-	// Same catalog sync hiserver runs: replay keeps creating tables after
-	// bootstrap, so the frontend re-adopts from the engine's table list.
-	syncCatalog := func() error {
-		var schemas []*core.Schema
-		for _, name := range engine.Tables() {
-			tbl, terr := engine.Table(name)
-			if terr != nil {
-				continue
-			}
-			schemas = append(schemas, tbl.Schema)
-		}
-		_, aerr := front.AdoptAll("hiengine", schemas)
-		return aerr
-	}
-	if err := syncCatalog(); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.New(server.Config{
-		Frontend:    front,
-		WorkerSlots: engine.Workers(),
-		Replica: &server.ReplicaConfig{
-			PrimaryAddr: primaryAddr,
-			AppliedCSN:  f.AppliedCSN,
-			WaitCSN:     f.WaitCSN,
-		},
-		Epoch:        engine.Epoch,
-		ObserveEpoch: engine.ObserveEpoch,
+	return f, serveNode(t, rep.Engine(), node.Config{
+		Follower: f, PrimaryAddr: primaryAddr, Poll: 2 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	f.SetInterval(2 * time.Millisecond)
-	f.Start()
-	t.Cleanup(func() {
-		srv.Close()
-		f.Stop()
-		rep.Close()
-	})
-	return f, rep, srv, ln.Addr().String(), syncCatalog
 }
 
 // ackedWrite is one client-acknowledged commit: the oracle's unit.
@@ -234,14 +173,15 @@ func tortureOneSeed(t *testing.T, seed uint64) {
 	seedCl.Close()
 
 	ch := chaos.New(seed)
-	follower, rep, replicaSrv, replicaAddr, _ := startChaosReplica(t, primary.addr, ch)
+	follower, standby := startChaosReplica(t, primary.addr, ch)
+	replicaAddr := standby.Addr()
 	// Armed after bootstrap: tear shipping fetches and fail apply passes
 	// throughout the run, and fail promotion itself up to twice.
-	ch.Arm(chaos.Rule{Site: SiteShipFetch, Action: chaos.Fault, Prob: 0.05})
-	ch.Arm(chaos.Rule{Site: SiteApply, Action: chaos.Fault, Prob: 0.05})
+	ch.Arm(chaos.Rule{Site: replica.SiteShipFetch, Action: chaos.Fault, Prob: 0.05})
+	ch.Arm(chaos.Rule{Site: replica.SiteApply, Action: chaos.Fault, Prob: 0.05})
 	// The first promotion attempt always fails mid-step (OnHit), so every
 	// seed exercises the promote-retry path.
-	ch.Arm(chaos.Rule{Site: SitePromote, Action: chaos.Fault, OnHit: 1})
+	ch.Arm(chaos.Rule{Site: replica.SitePromote, Action: chaos.Fault, OnHit: 1})
 
 	// Writers: pooled failover clients hammering unique-key inserts.
 	const nWriters = 3
@@ -289,7 +229,7 @@ func tortureOneSeed(t *testing.T, seed uint64) {
 	primary.kill()
 	var epoch uint64
 	for attempt := 0; ; attempt++ {
-		if epoch, err = follower.Promote(); err == nil {
+		if epoch, err = standby.Promote(); err == nil {
 			break
 		}
 		if attempt > 10 {
@@ -299,7 +239,6 @@ func tortureOneSeed(t *testing.T, seed uint64) {
 	if want := uint64(2); epoch != want {
 		t.Fatalf("promoted epoch = %d, want %d", epoch, want)
 	}
-	replicaSrv.Promote(NewSource(rep.Engine()))
 	watermark := follower.AppliedCSN()
 	phase.Store(1)
 
@@ -323,7 +262,7 @@ func tortureOneSeed(t *testing.T, seed uint64) {
 	// fencer (and client probes) must demote it before it commits
 	// anything.
 	oldCommits := primary.engine.Stats().Commits.Load()
-	primary.listen(t, primary.addr)
+	primary.revive(t)
 	waitFor(t, 10*time.Second, "old primary fenced", func() bool {
 		return primary.engine.Fenced()
 	})
@@ -385,7 +324,7 @@ func tortureOneSeed(t *testing.T, seed uint64) {
 
 	// The promotion chaos site must have actually fired this seed's
 	// armed faults (the harness exercised the retry path).
-	if ch.Fired(SitePromote) == 0 {
+	if ch.Fired(replica.SitePromote) == 0 {
 		t.Fatalf("replica.promote chaos site never fired")
 	}
 }
@@ -456,7 +395,7 @@ func TestClientGreetingRediscovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	seedCl.Close()
-	_, _, replicaAddr, _ := startReplica(t, primaryAddr, time.Second)
+	_, _, replicaAddr := startReplica(t, primaryAddr, time.Second)
 
 	// A dead "old" primary address: the cluster moved, the client's
 	// config did not. Only the replica endpoint still answers, and its
@@ -492,8 +431,8 @@ func TestClientGreetingRediscovery(t *testing.T) {
 // AFTER the replica bootstrapped reach the replica only through replay --
 // the engine catalog advances but the SQL frontend's does not. Without
 // catalog re-sync a promoted node is writable yet blind to every table
-// younger than its bootstrap. Exercises the same AdoptAll sync hiserver
-// runs on its poll ticker and inside promote.
+// younger than its bootstrap. The node re-syncs at its poll interval and
+// once more inside Promote; the test calls no sync function.
 func TestPromoteServesPostBootstrapTables(t *testing.T) {
 	primary := startFailoverPrimary(t)
 	seedCl, err := client.New(client.Options{Addr: primary.addr})
@@ -504,7 +443,7 @@ func TestPromoteServesPostBootstrapTables(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	follower, rep, replicaSrv, replicaAddr, syncCatalog := startChaosReplica(t, primary.addr, chaos.New(1))
+	follower, standby := startChaosReplica(t, primary.addr, chaos.New(1))
 
 	// The cluster's schema keeps moving after the replica joined.
 	if _, err := seedCl.Exec("CREATE TABLE post (k INT, v TEXT, PRIMARY KEY(k))"); err != nil {
@@ -520,15 +459,11 @@ func TestPromoteServesPostBootstrapTables(t *testing.T) {
 	})
 
 	primary.kill()
-	if _, err := follower.Promote(); err != nil {
+	if _, err := standby.Promote(); err != nil {
 		t.Fatalf("promote: %v", err)
 	}
-	if err := syncCatalog(); err != nil {
-		t.Fatalf("catalog sync: %v", err)
-	}
-	replicaSrv.Promote(NewSource(rep.Engine()))
 
-	cl, err := client.New(client.Options{Addr: replicaAddr})
+	cl, err := client.New(client.Options{Addr: standby.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}

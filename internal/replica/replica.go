@@ -554,11 +554,12 @@ func (f *Follower) AppliedCSN() uint64 {
 }
 
 // LagCSN returns how far the watermark trails the primary CSN observed at
-// the last hello (0 when caught up).
+// the last hello (0 when caught up, and once promoted: nothing moves the
+// target after that, and a primary trails no one).
 func (f *Follower) LagCSN() int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.target <= f.watermark {
+	if f.promoted || f.target <= f.watermark {
 		return 0
 	}
 	return int64(f.target - f.watermark)

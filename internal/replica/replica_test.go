@@ -1,4 +1,4 @@
-package replica
+package replica_test
 
 import (
 	"errors"
@@ -7,19 +7,33 @@ import (
 	"testing"
 	"time"
 
-	"hiengine/internal/adapt"
 	"hiengine/internal/client"
 	"hiengine/internal/core"
 	"hiengine/internal/delay"
+	"hiengine/internal/node"
 	"hiengine/internal/obs"
-	"hiengine/internal/server"
-	"hiengine/internal/sqlfront"
+	"hiengine/internal/replica"
 	"hiengine/internal/srss"
 	"hiengine/internal/wire"
 )
 
-// startPrimary runs a primary engine behind a wire server with the
-// log-shipping source enabled.
+// serveNode stands a node up over engine on a fresh loopback port, the way
+// production does, and closes it with the test.
+func serveNode(t *testing.T, engine *core.Engine, cfg node.Config) *node.Node {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := node.New(engine, ln, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Close)
+	return n
+}
+
+// startPrimary runs a primary engine behind a node.
 func startPrimary(t *testing.T) (*core.Engine, string) {
 	t.Helper()
 	engine, err := core.Open(core.Config{
@@ -30,34 +44,15 @@ func startPrimary(t *testing.T) (*core.Engine, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	front := sqlfront.NewFrontend("hiengine", adapt.New(engine))
-	srv, err := server.New(server.Config{
-		Frontend:    front,
-		WorkerSlots: engine.Workers(),
-		ReplSource:  NewSource(engine),
-	})
-	if err != nil {
-		engine.Close()
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	t.Cleanup(func() {
-		srv.Close()
-		engine.Close()
-	})
-	return engine, ln.Addr().String()
+	return engine, serveNode(t, engine, node.Config{}).Addr()
 }
 
 // startReplica bootstraps a replica of the primary and serves it with the
 // read-your-writes token honored against the follower's watermark.
-func startReplica(t *testing.T, primaryAddr string, tokenWait time.Duration) (*Follower, *core.Replica, string, *obs.Registry) {
+func startReplica(t *testing.T, primaryAddr string, tokenWait time.Duration) (*replica.Follower, *core.Replica, string) {
 	t.Helper()
 	reg := obs.NewRegistry("replicatest")
-	f, rep, err := Bootstrap(primaryAddr, core.Config{
+	f, rep, err := replica.Bootstrap(primaryAddr, core.Config{
 		Service: srss.New(srss.Config{Model: delay.Zero()}),
 		Workers: 4,
 		Obs:     reg,
@@ -65,43 +60,10 @@ func startReplica(t *testing.T, primaryAddr string, tokenWait time.Duration) (*F
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := rep.Engine()
-	front := sqlfront.NewFrontend("hiengine", adapt.New(engine))
-	for _, name := range engine.Tables() {
-		tbl, terr := engine.Table(name)
-		if terr != nil {
-			t.Fatal(terr)
-		}
-		if err := front.Adopt("hiengine", tbl.Schema); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srv, err := server.New(server.Config{
-		Frontend:    front,
-		WorkerSlots: engine.Workers(),
-		Replica: &server.ReplicaConfig{
-			PrimaryAddr: primaryAddr,
-			AppliedCSN:  f.AppliedCSN,
-			WaitCSN:     f.WaitCSN,
-			TokenWait:   tokenWait,
-		},
+	n := serveNode(t, rep.Engine(), node.Config{
+		Follower: f, PrimaryAddr: primaryAddr, Poll: 2 * time.Millisecond, TokenWait: tokenWait,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	f.SetInterval(2 * time.Millisecond)
-	f.Start()
-	t.Cleanup(func() {
-		srv.Close()
-		f.Stop()
-		rep.Close()
-	})
-	return f, rep, ln.Addr().String(), reg
+	return f, rep, n.Addr()
 }
 
 // TestReplicaEndToEnd is the acceptance path: a replica process bootstraps
@@ -124,7 +86,7 @@ func TestReplicaEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	follower, rep, replicaAddr, _ := startReplica(t, primaryAddr, time.Second)
+	follower, rep, replicaAddr := startReplica(t, primaryAddr, time.Second)
 
 	// The bootstrap image already holds the seeded row.
 	rcl, err := client.New(client.Options{Addr: replicaAddr})
@@ -234,7 +196,7 @@ func TestReplicaSoakUnderLiveWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	follower, rep, _, _ := startReplica(t, primaryAddr, time.Second)
+	follower, rep, _ := startReplica(t, primaryAddr, time.Second)
 
 	// Hammer commits while the follower polls concurrently; then verify
 	// the replica holds exactly the committed state.

@@ -7,10 +7,10 @@ package shard
 // cross-shard transaction stitches into a multi-hop distributed trace with
 // monotone per-hop stage offsets, served by /traces?distributed=1.
 //
-// The shard nodes are built by hand rather than via newCluster because the
-// plane needs pieces the chaos harness leaves out: a per-node Tracer (so
-// traced frames come back with stage blocks), a per-node Registry, an admin
-// server, and a log-shipping source on shard 0 for the replica.
+// The nodes are not newCluster's because the plane needs what the chaos
+// harness leaves out: a tracer that samples every request (so traced frames
+// come back with stage blocks) and an admin server per node, serving the
+// node's own Status.
 
 import (
 	"encoding/json"
@@ -24,15 +24,13 @@ import (
 	"testing"
 	"time"
 
-	"hiengine/internal/adapt"
 	"hiengine/internal/admin"
 	"hiengine/internal/client"
 	"hiengine/internal/core"
 	"hiengine/internal/delay"
+	"hiengine/internal/node"
 	"hiengine/internal/obs"
 	"hiengine/internal/replica"
-	"hiengine/internal/server"
-	"hiengine/internal/sqlfront"
 	"hiengine/internal/srss"
 	"hiengine/internal/wire"
 )
@@ -41,7 +39,7 @@ import (
 // plane over a real listener.
 type cpNode struct {
 	name   string
-	addr   string // wire address ("" for the replica: admin-only in this test)
+	addr   string // wire address
 	tracer *obs.Tracer
 	adm    *httptest.Server
 }
@@ -110,12 +108,8 @@ func newClusterPlane(t *testing.T) (*Map, []*cpNode) {
 	lns := make([]net.Listener, nShards)
 	addrs := make([]string, nShards)
 	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
+		lns[i] = listen(t)
+		addrs[i] = lns[i].Addr().String()
 	}
 	m, err := NewMap(1, addrs)
 	if err != nil {
@@ -123,14 +117,24 @@ func newClusterPlane(t *testing.T) (*Map, []*cpNode) {
 	}
 
 	var nodes []*cpNode
+	join := func(name string, reg *obs.Registry, nd *node.Node) {
+		adm := admin.New(admin.Config{
+			Registry: reg,
+			Tracer:   nd.Tracer(),
+			Info:     map[string]string{"name": name},
+			Status:   nd.Status,
+			Peers:    peersFor(name),
+		})
+		n := &cpNode{name: name, addr: nd.Addr(), tracer: nd.Tracer(), adm: httptest.NewServer(adm.Handler())}
+		t.Cleanup(n.adm.Close)
+		addPeer(n.name, n.adminAddr())
+		nodes = append(nodes, n)
+	}
 	for i := range lns {
 		name := fmt.Sprintf("shard%d", i)
 		reg := obs.NewRegistry("cplane-" + name)
-		tracer := obs.NewTracer(obs.TracerConfig{SampleEvery: 1, Registry: reg})
-
 		sm := m.ShardMap
 		sm.SelfID = uint32(i)
-		mapB := wire.EncodeShardMap(&sm)
 		engine, err := core.Open(core.Config{
 			Service: srss.New(srss.Config{Model: delay.Zero()}),
 			Workers: 8,
@@ -139,60 +143,13 @@ func newClusterPlane(t *testing.T) (*Map, []*cpNode) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := engine.SetShardMap(mapB); err != nil {
+		if err := engine.SetShardMap(wire.EncodeShardMap(&sm)); err != nil {
 			t.Fatal(err)
 		}
-		scfg := server.Config{
-			Frontend:     sqlfront.NewFrontend("hiengine", adapt.New(engine)),
-			WorkerSlots:  engine.Workers(),
-			Obs:          reg,
-			Tracer:       tracer,
-			Epoch:        engine.Epoch,
-			ObserveEpoch: engine.ObserveEpoch,
-			ShardInfo: func() *wire.ShardMap {
-				sm, err := wire.DecodeShardMap(mapB)
-				if err != nil {
-					return nil
-				}
-				return sm
-			},
-			TwoPC: EngineHooks(engine),
-		}
-		if i == 0 {
-			scfg.ReplSource = replica.NewSource(engine)
-		}
-		srv, err := server.New(scfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		go srv.Serve(lns[i])
-		t.Cleanup(func() {
-			srv.Close()
-			engine.Close()
-		})
-
-		e, s := engine, srv
-		adm := admin.New(admin.Config{
-			Registry: reg,
-			Tracer:   tracer,
-			Info:     map[string]string{"name": name},
-			Status: func() map[string]any {
-				return map[string]any{
-					"role":         "primary",
-					"epoch":        e.Epoch(),
-					"cursors_open": s.CursorsOpen(),
-				}
-			},
-			Peers: peersFor(name),
-		})
-		n := &cpNode{name: name, addr: addrs[i], tracer: tracer, adm: httptest.NewServer(adm.Handler())}
-		t.Cleanup(n.adm.Close)
-		addPeer(n.name, n.adminAddr())
-		nodes = append(nodes, n)
+		join(name, reg, serveOn(t, engine, lns[i], node.Config{TraceSample: 1}))
 	}
 
 	// Replica of shard 0: bootstrapped over the wire, polling continuously.
-	// It only joins the admin plane here; serving reads is covered elsewhere.
 	rreg := obs.NewRegistry("cplane-replica0")
 	f, rep, err := replica.Bootstrap(addrs[0], core.Config{
 		Service: srss.New(srss.Config{Model: delay.Zero()}),
@@ -202,28 +159,9 @@ func newClusterPlane(t *testing.T) (*Map, []*cpNode) {
 	if err != nil {
 		t.Fatalf("replica bootstrap: %v", err)
 	}
-	f.SetInterval(2 * time.Millisecond)
-	f.Start()
-	t.Cleanup(func() {
-		f.Stop()
-		rep.Close()
-	})
-	radm := admin.New(admin.Config{
-		Registry: rreg,
-		Info:     map[string]string{"name": "replica0"},
-		Status: func() map[string]any {
-			return map[string]any{
-				"role":        "replica",
-				"applied_csn": f.AppliedCSN(),
-				"lag_csn":     f.LagCSN(),
-			}
-		},
-		Peers: peersFor("replica0"),
-	})
-	rn := &cpNode{name: "replica0", adm: httptest.NewServer(radm.Handler())}
-	t.Cleanup(rn.adm.Close)
-	addPeer(rn.name, rn.adminAddr())
-	nodes = append(nodes, rn)
+	join("replica0", rreg, serveOn(t, rep.Engine(), listen(t), node.Config{
+		Follower: f, PrimaryAddr: addrs[0], Poll: 2 * time.Millisecond,
+	}))
 
 	// Schema on every shard; remember shard 0's CSN so the replica's
 	// applied watermark is provably past the create.

@@ -5,32 +5,26 @@ import (
 	"testing"
 	"time"
 
-	"hiengine/internal/adapt"
 	"hiengine/internal/chaos"
 	"hiengine/internal/client"
 	"hiengine/internal/core"
 	"hiengine/internal/delay"
-	"hiengine/internal/obs"
-	"hiengine/internal/server"
-	"hiengine/internal/sqlfront"
+	"hiengine/internal/node"
 	"hiengine/internal/srss"
 	"hiengine/internal/wire"
 )
 
-// tnode is one shard: engine + frontend + wire server, with its own chaos
-// engine (so crashing one node never poisons the others) and a stable
-// address that survives restarts (the shard map is static).
+// tnode is one shard: an engine behind a node, with its own chaos engine
+// (so crashing one node never poisons the others) and a stable address that
+// survives restarts (the shard map is static).
 type tnode struct {
 	id     uint32
 	addr   string
 	ch     *chaos.Engine
 	svc    *srss.Service
 	engine *core.Engine
-	front  *sqlfront.Frontend
-	srv    *server.Server
-	reg    *obs.Registry // the server's metrics, across restarts
-	mapB   []byte        // this node's SelfID-stamped map encoding
-	armed  []string      // chaos sites armed via arm(), cleared on restart
+	node   *node.Node
+	armed  []string // chaos sites armed via arm(), cleared on restart
 }
 
 // arm installs a chaos rule on this node, remembering the site so restart
@@ -53,12 +47,8 @@ func newCluster(t *testing.T, n int, seed uint64) *cluster {
 	lns := make([]net.Listener, n)
 	addrs := make([]string, n)
 	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
+		lns[i] = listen(t)
+		addrs[i] = lns[i].Addr().String()
 	}
 	m, err := NewMap(1, addrs)
 	if err != nil {
@@ -66,10 +56,9 @@ func newCluster(t *testing.T, n int, seed uint64) *cluster {
 	}
 	c := &cluster{t: t, m: m}
 	for i := range lns {
-		nd := &tnode{id: uint32(i), addr: addrs[i], ch: chaos.New(seed + uint64(i)*1000), reg: obs.NewRegistry("shardtest")}
+		nd := &tnode{id: uint32(i), addr: addrs[i], ch: chaos.New(seed + uint64(i)*1000)}
 		sm := m.ShardMap
 		sm.SelfID = nd.id
-		nd.mapB = wire.EncodeShardMap(&sm)
 		nd.svc = srss.New(srss.Config{Model: delay.Zero(), Chaos: nd.ch})
 		engine, err := core.Open(core.Config{
 			Service:     nd.svc,
@@ -79,54 +68,50 @@ func newCluster(t *testing.T, n int, seed uint64) *cluster {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := engine.SetShardMap(nd.mapB); err != nil {
+		if err := engine.SetShardMap(wire.EncodeShardMap(&sm)); err != nil {
 			t.Fatal(err)
 		}
-		nd.engine = engine
-		nd.front = sqlfront.NewFrontend("hiengine", adapt.New(engine))
-		nd.listen(t, lns[i])
+		nd.serve(t, engine, lns[i])
 		c.nodes = append(c.nodes, nd)
-		t.Cleanup(func() {
-			nd.srv.Close()
-			nd.engine.Close()
-		})
 	}
 	return c
 }
 
-func (n *tnode) listen(t *testing.T, ln net.Listener) {
+// listen reserves a loopback port.
+func listen(t *testing.T) net.Listener {
 	t.Helper()
-	engine := n.engine
-	srv, err := server.New(server.Config{
-		Frontend:     n.front,
-		WorkerSlots:  engine.Workers(),
-		Chaos:        n.ch,
-		Obs:          n.reg,
-		Epoch:        engine.Epoch,
-		ObserveEpoch: engine.ObserveEpoch,
-		DrainTimeout: 250 * time.Millisecond,
-		SlotWait:     100 * time.Millisecond,
-		ShardInfo: func() *wire.ShardMap {
-			sm, err := wire.DecodeShardMap(n.mapB)
-			if err != nil {
-				return nil
-			}
-			return sm
-		},
-		TwoPC: EngineHooks(engine),
-	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.srv = srv
-	go srv.Serve(ln)
+	return ln
+}
+
+// serveOn stands a node up over engine on ln, the way production does; the
+// test's end closes it.
+func serveOn(t *testing.T, engine *core.Engine, ln net.Listener, cfg node.Config) *node.Node {
+	t.Helper()
+	n, err := node.New(engine, ln, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Close)
+	return n
+}
+
+func (n *tnode) serve(t *testing.T, engine *core.Engine, ln net.Listener) {
+	n.engine = engine
+	n.node = serveOn(t, engine, ln, node.Config{
+		DrainTimeout: 250 * time.Millisecond,
+		SlotWait:     100 * time.Millisecond,
+	})
 }
 
 // requests is the number of request frames the node's server has seen.
 func (n *tnode) requests() int64 {
 	var total int64
 	for _, op := range wire.RequestOps() {
-		total += n.reg.Counter("server.requests." + op.String()).Load()
+		total += n.engine.Obs().Counter("server.requests." + op.String()).Load()
 	}
 	return total
 }
@@ -134,10 +119,7 @@ func (n *tnode) requests() int64 {
 // crash simulates a node's process death: the server drops every
 // connection and the engine object is discarded. The SRSS service plays
 // the durable storage that survives.
-func (n *tnode) crash() {
-	n.srv.Close()
-	n.engine.Close()
-}
+func (n *tnode) crash() { n.node.Close() }
 
 // restart recovers the node from its durable state and serves again on the
 // same address. Chaos is cleared: the restarted process starts healthy.
@@ -157,28 +139,11 @@ func (n *tnode) restart(t *testing.T) *core.RecoveryStats {
 	if err != nil {
 		t.Fatalf("shard %d restart: %v", n.id, err)
 	}
-	n.engine = e2
-	n.front = sqlfront.NewFrontend("hiengine", adapt.New(e2))
-	var schemas []*core.Schema
-	for _, name := range e2.Tables() {
-		tbl, terr := e2.Table(name)
-		if terr != nil {
-			continue
-		}
-		schemas = append(schemas, tbl.Schema)
-	}
-	if _, err := n.front.AdoptAll("hiengine", schemas); err != nil {
-		t.Fatalf("shard %d catalog adopt: %v", n.id, err)
-	}
 	ln, err := net.Listen("tcp", n.addr)
 	if err != nil {
 		t.Fatalf("shard %d rebind %s: %v", n.id, n.addr, err)
 	}
-	n.listen(t, ln)
-	t.Cleanup(func() {
-		n.srv.Close()
-		n.engine.Close()
-	})
+	n.serve(t, e2, ln)
 	return stats
 }
 

@@ -1,18 +1,15 @@
 package shard
 
 import (
-	"net"
 	"testing"
 	"time"
 
-	"hiengine/internal/adapt"
 	"hiengine/internal/client"
 	"hiengine/internal/core"
 	"hiengine/internal/delay"
+	"hiengine/internal/node"
 	"hiengine/internal/obs"
 	"hiengine/internal/replica"
-	"hiengine/internal/server"
-	"hiengine/internal/sqlfront"
 	"hiengine/internal/srss"
 	"hiengine/internal/wire"
 )
@@ -28,24 +25,7 @@ func TestTracedReadRoutesLikeUntraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	psrv, err := server.New(server.Config{
-		Frontend:    sqlfront.NewFrontend("hiengine", adapt.New(engine)),
-		WorkerSlots: engine.Workers(),
-		ReplSource:  replica.NewSource(engine),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go psrv.Serve(pln)
-	t.Cleanup(func() {
-		psrv.Close()
-		engine.Close()
-	})
-	primaryAddr := pln.Addr().String()
+	primaryAddr := serveOn(t, engine, listen(t), node.Config{}).Addr()
 
 	seed, err := client.New(client.Options{Addr: primaryAddr})
 	if err != nil {
@@ -65,46 +45,14 @@ func TestTracedReadRoutesLikeUntraced(t *testing.T) {
 	f, rep, err := replica.Bootstrap(primaryAddr, core.Config{
 		Service: srss.New(srss.Config{Model: delay.Zero()}),
 		Workers: 4,
+		Obs:     rreg,
 	}, core.RecoverOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rfront := sqlfront.NewFrontend("hiengine", adapt.New(rep.Engine()))
-	for _, name := range rep.Engine().Tables() {
-		tbl, err := rep.Engine().Table(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rfront.Adopt("hiengine", tbl.Schema); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rsrv, err := server.New(server.Config{
-		Frontend:    rfront,
-		WorkerSlots: rep.Engine().Workers(),
-		Obs:         rreg,
-		Tracer:      obs.NewTracer(obs.TracerConfig{Registry: rreg}),
-		Replica: &server.ReplicaConfig{
-			PrimaryAddr: primaryAddr,
-			AppliedCSN:  f.AppliedCSN,
-			WaitCSN:     f.WaitCSN,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go rsrv.Serve(rln)
-	f.SetInterval(2 * time.Millisecond)
-	f.Start()
-	t.Cleanup(func() {
-		rsrv.Close()
-		f.Stop()
-		rep.Close()
-	})
+	replicaAddr := serveOn(t, rep.Engine(), listen(t), node.Config{
+		Follower: f, PrimaryAddr: primaryAddr, Poll: 2 * time.Millisecond,
+	}).Addr()
 	if !f.WaitCSN(seed.LastCSN(), 10*time.Second) {
 		t.Fatalf("replica never reached CSN %d", seed.LastCSN())
 	}
@@ -113,7 +61,7 @@ func TestTracedReadRoutesLikeUntraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(m, client.Options{ReplicaAddrs: []string{rln.Addr().String()}}, nil)
+	r := NewRouter(m, client.Options{ReplicaAddrs: []string{replicaAddr}}, nil)
 	defer r.Close()
 	execAt := rreg.Counter("server.requests.exec_at")
 

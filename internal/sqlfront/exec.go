@@ -79,29 +79,12 @@ func (f *Frontend) Register(name string, db engineapi.DB) {
 	f.schemaGen.Add(1)
 }
 
-// Adopt registers a table that already exists inside a storage engine --
-// e.g. one recovered from a replica's shipped manifest -- so statements can
-// resolve it without running CREATE TABLE (which would attempt a write).
-// The engine must already be registered. Catalog DDL: bumps the schema
-// generation.
-func (f *Frontend) Adopt(engine string, schema *core.Schema) error {
-	engine = strings.ToLower(engine)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	db, ok := f.engines[engine]
-	if !ok {
-		return fmt.Errorf("sqlfront: unknown engine %q", engine)
-	}
-	if _, dup := f.tables[schema.Name]; dup {
-		return fmt.Errorf("sqlfront: table %q exists", schema.Name)
-	}
-	f.tables[schema.Name] = &tableInfo{engine: engine, db: db, schema: schema}
-	f.schemaGen.Add(1)
-	return nil
-}
-
-// AdoptAll adopts every schema whose name is not yet in the catalog and
-// skips the rest. A replica's catalog trails its replayed manifest --
+// AdoptAll registers tables that already exist inside a registered storage
+// engine -- recovered from a manifest, or replayed from a primary's log --
+// so statements resolve them without running CREATE TABLE (which would
+// attempt a write). It adopts every schema whose name is not yet in the
+// catalog and skips the rest. A replica's catalog trails its replayed
+// manifest --
 // tables created on the primary after bootstrap exist in the engine but
 // not the frontend -- so callers re-sync by passing the engine's full
 // table list after each catch-up (and before serving writes on
