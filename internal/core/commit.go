@@ -99,6 +99,7 @@ func (t *Txn) commitStart(durable func(error)) (bool, error) {
 	// from here: it returns to the slot from the completion callback, which
 	// may run before AppendTraced does.
 	t.ws = nil
+	t.slot.lastLogBytes, t.slot.lastWrites = len(ws.log), len(ws.writes)
 	ws.durable = durable
 	t.e.mPrivateBytes.Add(int64(ws.private))
 	t.e.commitsStarted.Add(1)

@@ -175,10 +175,16 @@ type workerSlot struct {
 
 	// Scratch of the slot's active transaction (a slot runs one at a time,
 	// on one goroutine): view and view2 walk encoded rows -- a row read, a
-	// write's old and new payloads -- and kbuf and kbuf2 hold the index keys
-	// derived from them.
+	// write's old and new payloads -- kbuf and kbuf2 hold the index keys
+	// derived from them, and rowbuf an insert's row until its record has a
+	// RID to be reserved under.
 	view, view2 RowView
 	kbuf, kbuf2 []byte
+	rowbuf      []byte
+	// What the slot's last committing transaction filled of its log buffer
+	// and how many writes it made: the next one's buffer and header chunk
+	// are allocated that size. The active transaction's, like the scratch.
+	lastLogBytes, lastWrites int
 }
 
 // Engine is a HiEngine instance.
@@ -713,7 +719,11 @@ func (e *Engine) ImportRow(tbl *Table, row Row) (RID, error) {
 	if len(row) != len(tbl.Schema.Columns) {
 		return 0, fmt.Errorf("core: row arity %d != %d columns", len(row), len(tbl.Schema.Columns))
 	}
-	payload := encodePayload(row)
+	// One row, logged on its own: its bytes before durability are a buffer of
+	// exactly their size, which is also what a record that straddles a
+	// storage chunk keeps.
+	enc := EncodeRow(make([]byte, 0, encodedRowLen(row)), row)
+	payload := &enc
 	var view RowView
 	if _, err := view.Reset(*payload); err != nil {
 		return 0, err

@@ -295,23 +295,53 @@ func TestSwingUnderConcurrentReaders(t *testing.T) {
 	}
 }
 
+// overlap reports whether a and b share memory.
+func overlap(a, b []byte) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	for i := range a {
+		if &a[i] == &b[0] {
+			return true
+		}
+	}
+	for i := range b {
+		if &b[i] == &a[0] {
+			return true
+		}
+	}
+	return false
+}
+
 // TestStraddlingRecordStaysPrivate: over storage in 64-byte chunks most
 // records cross a chunk boundary, and no one slice of the log holds such a
-// payload. Those versions keep their private payloads -- the ledger counts
-// exactly them -- the rest are swung, and every row reads the same live and
-// recovered.
+// payload. Those versions keep private payloads -- the ledger counts exactly
+// them -- the rest are swung, and every row reads the same live and
+// recovered. A straddler's private payload is its own, exactly its size: left
+// in the transaction's log buffer it would keep the whole buffer alive, for
+// as long as the row lives, after every sibling has swung off it.
 func TestStraddlingRecordStaysPrivate(t *testing.T) {
 	const chunk = 64
 	svc := srss.New(srss.Config{ChunkSize: chunk})
 	e := testEngine(t, func(c *Config) { c.Service = svc; c.GCEveryNCommits = -1 })
 	tbl := mustTable(t, e, usersSchema())
 	const rows = 600
+	// Where each transaction's rows lay before it was durable: its buffer.
+	buffers := map[RID][][]byte{}
 	for i := int64(0); i < rows; i += 6 {
 		tx := begin(t, e, int(i/6%4))
+		var rids []RID
+		var buffer [][]byte
 		for j := i; j < i+6; j++ {
-			if _, err := tx.Insert(tbl, Row{I(j), S(fmt.Sprintf("user-%d", j%89)), I(j)}); err != nil {
+			rid, err := tx.Insert(tbl, Row{I(j), S(fmt.Sprintf("user-%d", j%89)), I(j)})
+			if err != nil {
 				t.Fatal(err)
 			}
+			rids = append(rids, rid)
+			buffer = append(buffer, *tbl.rows.Get(rid).data.Load())
+		}
+		for _, rid := range rids {
+			buffers[rid] = buffer
 		}
 		commit(t, tx)
 	}
@@ -327,6 +357,14 @@ func TestStraddlingRecordStaysPrivate(t *testing.T) {
 			t.Fatalf("rid %v: payload [%d,+%d) lies in one chunk and was not swung", rid, from, len(d))
 		case straddles:
 			private += int64(len(d))
+			if cap(d) != len(d) {
+				t.Errorf("rid %v: a straddler's payload of %d bytes has capacity %d", rid, len(d), cap(d))
+			}
+			for _, sibling := range buffers[rid] {
+				if overlap(d, sibling) {
+					t.Fatalf("rid %v: a straddler's payload is still in its transaction's log buffer", rid)
+				}
+			}
 		default:
 			swung++
 		}

@@ -1,7 +1,10 @@
 package core
 
 // A version publishes its payload as a *[]byte (Version.data), so that
-// eviction is one atomic store and a reload another. newPayload allocates
+// eviction is one atomic store and a reload another. A write's payload lies
+// in its transaction's log buffer and then in the log; the payloads here are
+// for the rows that must be private for good -- a record that straddles a
+// storage chunk, an in-doubt write rebuilt by recovery. newPayload allocates
 // the slice header a version points at and the bytes it describes together:
 // one allocation per payload instead of a boxed header plus a buffer, and
 // dropping the pointer frees both.
@@ -14,7 +17,7 @@ type boxed[A any] struct {
 
 func box[A any](n int, slice func(*A) []byte) *[]byte {
 	b := new(boxed[A])
-	b.h = slice(&b.a)[:n]
+	b.h = slice(&b.a)[:n:n]
 	return &b.h
 }
 
@@ -43,13 +46,6 @@ func newPayload(n int) *[]byte {
 	}
 	p := make([]byte, n)
 	return &p
-}
-
-// encodePayload is EncodeRow into an exactly-sized payload.
-func encodePayload(row Row) *[]byte {
-	p := newPayload(encodedRowLen(row))
-	EncodeRow((*p)[:0], row)
-	return p
 }
 
 // copyPayload returns a private copy of an encoded row as a payload.

@@ -54,8 +54,11 @@ func TestRowViewAgreesWithDecode(t *testing.T) {
 		if err != nil || !bytes.Equal(rest, tail) || v.NumCols() != len(row) {
 			t.Fatalf("Reset(%v): cols %d rest %x err %v", row, v.NumCols(), rest, err)
 		}
-		if p := encodePayload(row); encodedRowLen(row) != len(enc)-len(tail) || !bytes.Equal(*p, enc[:len(enc)-len(tail)]) {
-			t.Fatalf("encodePayload(%v) = %x (encodedRowLen %d), EncodeRow gives %x", row, *p, encodedRowLen(row), enc[:len(enc)-len(tail)])
+		// What Update relies on: a row encodes in place into the
+		// encodedRowLen bytes reserved for it.
+		room := make([]byte, encodedRowLen(row))
+		if p := EncodeRow(room[:0], row); len(p) != len(room) || (len(p) > 0 && &p[0] != &room[0]) || !bytes.Equal(p, enc[:len(enc)-len(tail)]) {
+			t.Fatalf("EncodeRow(%v) into encodedRowLen %d bytes = %x, EncodeRow(nil) gives %x", row, len(room), p, enc[:len(enc)-len(tail)])
 		}
 		cols := make([]int, rng.Intn(5))
 		proj := make(Row, len(cols))
@@ -218,7 +221,7 @@ func TestPayloadIsOneAllocation(t *testing.T) {
 		if allocs != want {
 			t.Errorf("newPayload(%d) allocates %.0f times, want %.0f", n, allocs, want)
 		}
-		if len(*p) != n || !bytes.Equal(*p, make([]byte, n)) {
+		if len(*p) != n || cap(*p) != n || !bytes.Equal(*p, make([]byte, n)) {
 			t.Errorf("newPayload(%d) is %d bytes: %x", n, len(*p), *p)
 		}
 	}

@@ -261,6 +261,7 @@ func (t *Txn) prepareStart(gtid string, durable func(readOnly bool, err error)) 
 	// after the slot has moved on: it is not recycled.
 	ws := t.ws
 	ws.slot = nil
+	t.slot.lastLogBytes, t.slot.lastWrites = len(ws.log), len(ws.writes)
 	payload := encodePreparePayload(gtid, ws.log)
 	buf, off := wal.AppendRecord(nil, wal.OpPrepare, 0, 0, payload)
 	// Byte offset from the OpPrepare record's address to the embedded write

@@ -28,16 +28,23 @@ type writeEntry struct {
 }
 
 // writeSet is the write side of one transaction: the log buffer its records
-// are encoded into, once, and the entries commit stamps. It belongs to a
-// worker slot and goes back to it when the WAL reports the buffer durable
-// (or the transaction rolls back), so a slot's transactions grow one buffer
-// between them instead of one each.
+// are encoded into, once, and the entries commit stamps. The entries belong
+// to a worker slot and go back to it when the WAL reports the buffer durable
+// (or the transaction rolls back). The buffer does not: until then it is
+// where the transaction's versions read their rows (Version.data), and a
+// reader that loaded such a payload may go on reading it after the swing, so
+// every transaction's buffer is a fresh one, sized by what the slot's previous
+// transaction filled.
 type writeSet struct {
 	e    *Engine
 	slot *workerSlot // nil: not recycled (a prepared transaction's outlives its slot's use of it)
 
 	log    []byte
 	writes []writeEntry
+	// hdrs is the chunk the transaction's versions take their pre-durable
+	// slice headers from, past the ones inline in the Txn; like log it is the
+	// transaction's own, never reused.
+	hdrs [][]byte
 	// private is the payload bytes of writes: what the transaction puts on
 	// the engine's private-payload ledger when it hands the log over.
 	private int
@@ -53,7 +60,6 @@ type writeSet struct {
 // pipelining, and the capacity one oversized transaction may leave behind.
 const (
 	maxFreeWriteSets  = 4
-	maxKeptLogBytes   = 1 << 20
 	maxKeptWriteSlots = 1 << 13
 )
 
@@ -76,19 +82,24 @@ func (t *Txn) writeSet() *writeSet {
 		ws.logDone = ws.onLogDone
 		t.ws = ws
 	}
+	if s := t.slot; s != nil && s.lastLogBytes > 0 {
+		// An eighth over what the last one filled: a transaction a little
+		// larger than its predecessor does not pay a second buffer and a copy.
+		t.ws.log = make([]byte, 0, s.lastLogBytes+s.lastLogBytes/8)
+	}
 	return t.ws
 }
 
-// release returns the write set to its slot. The caller is done with it: the
-// WAL has copied the log buffer out (its done fired), or nothing was handed
-// over.
+// release returns the write set's entries to its slot. The caller is done
+// with it: the WAL has copied the log buffer out (its done fired), or nothing
+// was handed over.
 func (ws *writeSet) release() {
 	s := ws.slot
-	if s == nil || cap(ws.log) > maxKeptLogBytes || cap(ws.writes) > maxKeptWriteSlots {
+	if s == nil || cap(ws.writes) > maxKeptWriteSlots {
 		return
 	}
 	clear(ws.writes) // drop the version pointers
-	ws.log, ws.writes, ws.private, ws.durable = ws.log[:0], ws.writes[:0], 0, nil
+	ws.log, ws.hdrs, ws.writes, ws.private, ws.durable = nil, nil, ws.writes[:0], 0, nil
 	s.mu.Lock()
 	if len(s.free) < maxFreeWriteSets {
 		s.free = append(s.free, ws)
@@ -99,10 +110,11 @@ func (ws *writeSet) release() {
 // landed is what a write set does when its log buffer is durable, buffer
 // offset 0 at base. Each version now has a home in the replicated log
 // (Figure 4b): its record there is the authoritative copy of the row, so the
-// version reads it from there from now on and the private payload, the second
-// copy, is dropped -- unless the payload straddles a storage chunk, in which
-// case no one slice of the log holds it. Then the permanent address is
-// stamped.
+// version reads it from there from now on and lets go of the transaction's
+// buffer, the second copy -- unless the payload straddles a storage chunk, in
+// which case no one slice of the log holds it. Such a version takes a private
+// copy of its row: left where it is, it would keep the whole transaction's
+// buffer alive for one row. Then the permanent address is stamped.
 func (ws *writeSet) landed(base wal.Addr) {
 	win := logWindow{log: ws.e.log}
 	swings, released := 0, 0
@@ -112,6 +124,8 @@ func (ws *writeSet) landed(base wal.Addr) {
 			if n, ok := we.newV.swing(&win, base.Add(uint32(we.payOff)), len(*p)); ok {
 				swings++
 				released += n
+			} else {
+				we.newV.data.Store(copyPayload(*p))
 			}
 		}
 		we.newV.addr.Store(uint64(base.Add(uint32(we.logOff))))
@@ -152,6 +166,11 @@ type Txn struct {
 	statusWord atomic.Uint64 // packStatus(state, csn)
 
 	ws *writeSet // nil until the first write
+	// hdr is the slice headers the transaction's first writes publish their
+	// payloads through until they are durable (Version.data points at a
+	// header): the usual transaction needs no others, and a header must not
+	// be reused any more than the buffer it describes.
+	hdr [2][]byte
 
 	// deps and doneCh exist only under SpeculativeReads: the transactions
 	// whose uncommitted data this one read, and what their dependents wait on.
@@ -509,12 +528,24 @@ func (t *Txn) scanEncoded(tbl *Table, idx int, fromK, toK []byte, fn func(rid RI
 
 // --- writes --------------------------------------------------------------
 //
-// A row crosses the write path in its encoded form. Insert and Update encode
-// the caller's Row once, into a payload of exactly its size, and
-// UpdateColumns splices the old payload; from there one implementation
-// (insertPayload, installUpdate) derives the index keys from the payload,
-// appends it to the write set's log buffer -- the record's body is the
-// payload's bytes -- and installs a version that points at the same payload.
+// A row crosses the write path in its encoded form, and from the moment its
+// version can be seen that form lies in one place: the record's payload in
+// the transaction's log buffer, which is the transaction's redo and, until
+// the log is durable, where the version reads the row (Version.data). Update
+// encodes the caller's Row and UpdateColumns splices the old payload straight
+// into a record reserved for it (stage); Insert, whose record needs the RID
+// that the uniqueness check -- which needs the key -- yields, encodes into
+// the slot's scratch first and copies. Three rules hold the arrangement up:
+//
+//   - A record is complete -- payload written, checksum sealed, the version
+//     pointing at it -- before the version is published to the indirection
+//     array: a reader that finds the version may dereference it at once
+//     (SpeculativeReads).
+//   - A write that fails after its record was staged and before its version
+//     was published takes the record out of the buffer again (unstage).
+//   - What happens to the buffer after a version is published touches no byte
+//     a published payload covers: later records are appended behind it,
+//     PatchCSN writes header bytes, a buffer that grows is copied, not moved.
 //
 // Every write records its writeEntry as soon as its version is installed,
 // before index maintenance: whatever fails afterwards aborts the
@@ -531,20 +562,9 @@ func (t *Txn) Insert(tbl *Table, row Row) (RID, error) {
 	if len(row) != len(tbl.Schema.Columns) {
 		return 0, fmt.Errorf("core: row arity %d != %d columns", len(row), len(tbl.Schema.Columns))
 	}
-	return t.insertPayload(tbl, encodePayload(row))
-}
-
-// writable reports why the transaction cannot write right now, if it cannot.
-func (t *Txn) writable() error {
-	if t.finished {
-		return ErrTxnDone
-	}
-	return t.e.writeBlocked()
-}
-
-func (t *Txn) insertPayload(tbl *Table, payload *[]byte) (RID, error) {
 	s := t.slot
-	_, err := s.view.Reset(*payload)
+	s.rowbuf = EncodeRow(s.rowbuf[:0], row)
+	_, err := s.view.Reset(s.rowbuf)
 	if err == nil {
 		s.kbuf, err = tbl.viewIndexKeyAppend(s.kbuf[:0], 0, &s.view, 0)
 	}
@@ -556,32 +576,37 @@ func (t *Txn) insertPayload(tbl *Table, payload *[]byte) (RID, error) {
 	// Serialize uniqueness-check + reservation per key.
 	lock := primary.LockKey(s.kbuf)
 	rid, havePrev, err := t.checkUnique(tbl, primary, s.kbuf, 0)
+	var oldV *Version
+	if err == nil {
+		if havePrev {
+			// The key maps to a RID whose chain is a visible committed
+			// delete: reuse the RID by chaining a fresh version (keeps the
+			// index entry stable).
+			oldV = tbl.rows.Get(rid)
+		} else {
+			rid, err = tbl.rows.Alloc()
+		}
+	}
 	if err != nil {
 		lock.Unlock()
 		return 0, t.failWith(err)
 	}
-	newV := newVersion(t.tid, payload, false, nil)
-	var oldV *Version
+	we, payload := t.stage(wal.OpInsert, tbl, rid, len(s.rowbuf))
+	copy(payload, s.rowbuf)
+	t.seal(&we, payload, oldV)
 	if havePrev {
-		// The key maps to a RID whose chain is a visible committed delete:
-		// reuse the RID by chaining a fresh version (keeps the index entry
-		// stable).
-		oldV = tbl.rows.Get(rid)
-		newV.next.Store(oldV)
-		if ok, err := tbl.rows.CompareAndSwap(rid, oldV, newV); err != nil || !ok {
-			lock.Unlock()
-			return 0, t.failWith(ErrConflict)
+		if ok, cerr := tbl.rows.CompareAndSwap(rid, oldV, we.newV); cerr != nil || !ok {
+			err = ErrConflict
 		}
 	} else {
-		if rid, err = tbl.rows.Alloc(); err == nil {
-			err = tbl.rows.Store(rid, newV)
-		}
-		if err != nil {
-			lock.Unlock()
-			return 0, t.failWith(err)
-		}
+		err = tbl.rows.Store(rid, we.newV)
 	}
-	t.record(wal.OpInsert, writeEntry{table: tbl, rid: rid, newV: newV, oldV: oldV}, *payload)
+	if err != nil {
+		t.unstage(&we)
+		lock.Unlock()
+		return 0, t.failWith(err)
+	}
+	t.wrote(we)
 	tbl.liveRows.Add(1)
 	if !havePrev {
 		err = primary.Insert(s.kbuf, uint64(rid))
@@ -601,14 +626,86 @@ func (t *Txn) insertPayload(tbl *Table, payload *[]byte) (RID, error) {
 	return rid, nil
 }
 
-// record appends a write's log record -- body is the version's payload, nil
-// for a delete -- and its entry.
-func (t *Txn) record(op byte, we writeEntry, body []byte) {
+// writable reports why the transaction cannot write right now, if it cannot.
+func (t *Txn) writable() error {
+	if t.finished {
+		return ErrTxnDone
+	}
+	return t.e.writeBlocked()
+}
+
+// stage reserves, at the end of the transaction's log buffer, the record of a
+// write to rid with an n-byte payload. It returns the write's entry so far
+// and the payload's bytes where the log will take them from, for the caller
+// to fill before seal.
+func (t *Txn) stage(op byte, tbl *Table, rid RID, n int) (we writeEntry, payload []byte) {
 	ws := t.writeSet()
-	ws.log, we.logOff = wal.AppendRecord(ws.log, op, we.table.ID, uint64(we.rid), body)
-	we.payOff = wal.PayloadOffset(ws.log, len(body))
-	ws.private += len(body)
+	we.table, we.rid = tbl, rid
+	ws.log, we.logOff, payload = wal.ReserveRecord(ws.log, op, tbl.ID, uint64(rid), n)
+	we.payOff = len(ws.log) - n
+	return we, payload
+}
+
+// seal closes the staged record and builds the write's version over next,
+// the version it supersedes: its row is payload, read where it lies in the
+// log buffer; a nil payload makes it a delete marker. The version is ready to
+// be published.
+func (t *Txn) seal(we *writeEntry, payload []byte, next *Version) {
+	ws := t.ws
+	ws.log = wal.SealRecord(ws.log, we.logOff)
+	var data *[]byte
+	if payload != nil {
+		data = t.header()
+		*data = payload
+	}
+	we.newV, we.oldV = newVersion(t.tid, data, payload == nil, next), next
+}
+
+// header returns the slice header the transaction's next write publishes its
+// payload through: one of the Txn's own, then one of a chunk sized by how
+// many writes the slot's previous transaction made.
+func (t *Txn) header() *[]byte {
+	ws := t.ws
+	if n := len(ws.writes); n < len(t.hdr) {
+		return &t.hdr[n]
+	}
+	if len(ws.hdrs) == cap(ws.hdrs) {
+		n := max(8, 2*cap(ws.hdrs))
+		if s := t.slot; s != nil {
+			n = max(n, s.lastWrites-len(t.hdr))
+		}
+		ws.hdrs = make([][]byte, 0, n)
+	}
+	ws.hdrs = ws.hdrs[:len(ws.hdrs)+1]
+	return &ws.hdrs[len(ws.hdrs)-1]
+}
+
+// publish swaps the sealed write's version in for the one it supersedes. A
+// write that loses the swap is a conflict, and leaves the log buffer.
+func (t *Txn) publish(we *writeEntry) error {
+	ok, err := we.table.rows.CompareAndSwap(we.rid, we.oldV, we.newV)
+	if err == nil && !ok {
+		err = ErrConflict
+	}
+	if err != nil {
+		t.unstage(we)
+		return t.failWith(err)
+	}
+	return nil
+}
+
+// unstage takes the record of a write whose version was not published back
+// out of the log buffer.
+func (t *Txn) unstage(we *writeEntry) { t.ws.log = t.ws.log[:we.logOff] }
+
+// wrote enters a write whose version is published.
+func (t *Txn) wrote(we writeEntry) *writeEntry {
+	ws := t.ws
+	if p := we.newV.data.Load(); p != nil {
+		ws.private += len(*p)
+	}
 	ws.writes = append(ws.writes, we)
+	return &ws.writes[len(ws.writes)-1]
 }
 
 // addIndexEntry maps key to rid in index i, under the key's lock and after
@@ -682,7 +779,9 @@ func (t *Txn) Update(tbl *Table, rid RID, row Row) error {
 	if err != nil {
 		return err
 	}
-	return t.installUpdate(tbl, rid, head, encodePayload(row))
+	we, payload := t.stage(wal.OpUpdate, tbl, rid, encodedRowLen(row))
+	EncodeRow(payload[:0], row)
+	return t.installUpdate(head, we, payload)
 }
 
 // UpdateColumns is the point UPDATE in one call: it finds the row through
@@ -721,32 +820,30 @@ func (t *Txn) UpdateColumns(tbl *Table, idx int, key []Value, where, set []ColVa
 	if err != nil {
 		return false, err
 	}
-	p := newPayload(n)
-	if _, err := s.view.AppendSplice((*p)[:0], set); err != nil {
+	we, payload := t.stage(wal.OpUpdate, tbl, rid, n)
+	if _, err := s.view.AppendSplice(payload[:0], set); err != nil {
+		t.unstage(&we)
 		return false, err
 	}
-	return true, t.installUpdate(tbl, rid, head, p)
+	return true, t.installUpdate(head, we, payload)
 }
 
-// installUpdate chains payload onto head, the row's newest version, whose
-// encoded row is in the slot's view.
-func (t *Txn) installUpdate(tbl *Table, rid RID, head *Version, payload *[]byte) error {
-	newV := newVersion(t.tid, payload, false, head)
-	okCAS, err := tbl.rows.CompareAndSwap(rid, head, newV)
-	if err != nil {
-		return t.failWith(err)
+// installUpdate chains the staged write, whose row is payload, onto head, the
+// row's newest version, whose encoded row is in the slot's view.
+func (t *Txn) installUpdate(head *Version, staged writeEntry, payload []byte) error {
+	tbl, rid := staged.table, staged.rid
+	t.seal(&staged, payload, head)
+	if err := t.publish(&staged); err != nil {
+		return err
 	}
-	if !okCAS {
-		return t.failWith(ErrConflict)
-	}
-	t.record(wal.OpUpdate, writeEntry{table: tbl, rid: rid, newV: newV, oldV: head}, *payload)
-	we := &t.ws.writes[len(t.ws.writes)-1]
+	we := t.wrote(staged)
 	// Index maintenance for key-changing updates: add entries for the new
 	// keys, keep the old entries (older snapshots still resolve through
 	// them); old entries die with the old version at GC. Both keys come from
 	// the payloads; the usual update changes no key column and builds none.
 	s := t.slot
-	if _, err = s.view2.Reset(*payload); err != nil {
+	_, err := s.view2.Reset(payload)
+	if err != nil {
 		return t.abortWith(err)
 	}
 	for i := range tbl.indexes {
@@ -776,17 +873,15 @@ func (t *Txn) Delete(tbl *Table, rid RID) error {
 	if err != nil {
 		return err
 	}
-	newV := newVersion(t.tid, nil, true, head)
-	okCAS, err := tbl.rows.CompareAndSwap(rid, head, newV)
-	if err != nil {
-		return t.failWith(err)
-	}
-	if !okCAS {
-		return t.failWith(ErrConflict)
-	}
 	// All of the row's index entries become garbage once the delete is
 	// reclaimable.
-	t.record(wal.OpDelete, writeEntry{table: tbl, rid: rid, newV: newV, oldV: head, keysChanged: true}, nil)
+	we, _ := t.stage(wal.OpDelete, tbl, rid, 0)
+	we.keysChanged = true
+	t.seal(&we, nil, head)
+	if err := t.publish(&we); err != nil {
+		return err
+	}
+	t.wrote(we)
 	tbl.liveRows.Add(-1)
 	return nil
 }

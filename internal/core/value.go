@@ -204,8 +204,8 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// encodedRowLen is len(EncodeRow(nil, row)): what encodePayload sizes its
-// buffer by.
+// encodedRowLen is len(EncodeRow(nil, row)): what a write reserves in the
+// log for the row it is about to encode there.
 func encodedRowLen(row Row) int {
 	n := uvarintLen(uint64(len(row)))
 	for _, v := range row {

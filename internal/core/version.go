@@ -30,16 +30,17 @@ type Version struct {
 	// addr 0 exists only in memory (not yet durable).
 	addr atomic.Uint64
 	// data holds the full row payload (Section 4.2: updates write
-	// complete record contents): a private buffer from newPayload until the
-	// version's log record is durable, the record's own bytes in the log
-	// from then on (backWithLog). It may be evicted (set to nil) for
-	// durable versions; readers then reload it through the log's mmap
-	// view using addr.
+	// complete record contents): the record's payload where it lies in the
+	// creating transaction's log buffer until the version's log record is
+	// durable, the record's own bytes in the log from then on
+	// (backWithLog). It may be evicted (set to nil) for durable versions;
+	// readers then reload it through the log's mmap view using addr.
 	data atomic.Pointer[[]byte]
 	// tomb marks delete markers (immutable after creation).
 	tomb bool
-	// private says data is still the newPayload buffer the version was
-	// built around. Whoever clears it takes those bytes off the engine's
+	// private says data is still the bytes the version was built around,
+	// beside the log's: the transaction's buffer, or a payload of its own
+	// (newPayload). Whoever clears it takes those bytes off the engine's
 	// ledger of them (core.payload_private_bytes): the swing onto the log,
 	// an eviction, GC.
 	private atomic.Bool
@@ -51,8 +52,8 @@ type Version struct {
 	own      []byte
 }
 
-// newVersion builds a version around a payload from newPayload (nil for a
-// delete marker): the version itself is its only allocation.
+// newVersion builds a version around a payload (nil for a delete marker):
+// the version itself is its only allocation.
 func newVersion(tid uint64, payload *[]byte, tomb bool, next *Version) *Version {
 	v := &Version{tomb: tomb}
 	v.tmin.Store(tid)

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -49,9 +53,46 @@ func begin(t *testing.T, e *Engine, worker int) *Txn {
 	return tx
 }
 
+// assertNeverLogged fails the test if a record of e's log, or a row of the
+// engine recovered from it, is row: a write that failed left nothing of
+// itself in the redo. It closes e.
+func assertNeverLogged(t *testing.T, e *Engine, table string, row Row) {
+	t.Helper()
+	want := EncodeRow(nil, row)
+	for _, seg := range e.Log().Segments() {
+		err := e.Log().ScanSegment(seg, func(addr wal.Addr, rec wal.Record) bool {
+			if bytes.Equal(rec.Payload, want) {
+				t.Errorf("the log holds the failed write of %v at %v", row, addr)
+			}
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec, _ := recoverEngine(t, e, RecoverOptions{ReplayThreads: 2})
+	tbl, err := rec.Table(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := begin(t, rec, 0)
+	defer tx.Abort()
+	if err := tx.ScanKey(tbl, 0, nil, nil, func(_ RID, got Row) bool {
+		if fmt.Sprint(got) == fmt.Sprint(row) {
+			t.Errorf("recovery brought the failed write of %v back", row)
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFailedInsertReleasesItsVersion: an INSERT that fails on a unique
 // secondary after its version and primary entry are in place must take both
-// out again; the primary key it tried stays insertable.
+// out again; the primary key it tried stays insertable. Its record, appended
+// before the version was published, goes nowhere: the slot's next transaction
+// -- which takes over the failed one's write-set entries, not its buffer --
+// logs its own write alone.
 func TestFailedInsertReleasesItsVersion(t *testing.T) {
 	e := testEngine(t)
 	tbl := mustTable(t, e, accountsSchema())
@@ -72,23 +113,64 @@ func TestFailedInsertReleasesItsVersion(t *testing.T) {
 		t.Fatalf("LiveRows = %d after the failed insert, want 1", n)
 	}
 
-	tx = begin(t, e, 1)
+	tx = begin(t, e, 0)
 	if _, err := tx.Insert(tbl, account(2, "b", "x")); err != nil {
 		t.Fatalf("insert of the primary key the failed insert tried: %v", err)
 	}
 	commit(t, tx)
 	tx = begin(t, e, 0)
-	defer tx.Abort()
 	if _, row, err := tx.GetByKey(tbl, 1, S("a")); err != nil || row[0].Int() != 1 {
 		t.Fatalf("email a resolves to %v (%v), want row 1", row, err)
 	}
 	if _, row, err := tx.GetByKey(tbl, 0, I(2)); err != nil || row[1].Str() != "b" {
 		t.Fatalf("row 2 reads %v (%v)", row, err)
 	}
+	tx.Abort()
+	assertNeverLogged(t, e, "accounts", account(2, "a", "x"))
+}
+
+// TestUnpublishedWriteLeavesTheLogBuffer: a write whose record is staged and
+// sealed but whose version is never published -- it lost the race for the
+// indirection entry -- takes the record back out of the buffer, and the
+// transaction goes on: what it commits is its other writes, byte for byte.
+func TestUnpublishedWriteLeavesTheLogBuffer(t *testing.T) {
+	e := testEngine(t, func(c *Config) { c.LogStreams = 1 })
+	tbl := mustTable(t, e, usersSchema())
+	lost := Row{I(7), S("lost-the-race"), I(7)}
+	tx := begin(t, e, 0)
+	if _, err := tx.Insert(tbl, Row{I(1), S("before"), I(1)}); err != nil {
+		t.Fatal(err)
+	}
+	before := len(tx.ws.log)
+	we, payload := tx.stage(wal.OpInsert, tbl, 99, encodedRowLen(lost))
+	EncodeRow(payload[:0], lost)
+	tx.seal(&we, payload, nil)
+	tx.unstage(&we)
+	if len(tx.ws.log) != before || len(tx.ws.writes) != 1 {
+		t.Fatalf("after unstage the buffer holds %d bytes and %d writes, want %d and 1", len(tx.ws.log), len(tx.ws.writes), before)
+	}
+	if _, err := tx.Insert(tbl, Row{I(2), S("after"), I(2)}); err != nil {
+		t.Fatal(err)
+	}
+	commit(t, tx)
+	records := 0
+	for _, seg := range e.Log().Segments() {
+		if err := e.Log().ScanSegment(seg, func(_ wal.Addr, rec wal.Record) bool {
+			records++
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if records != 2 {
+		t.Errorf("the log holds %d records, want the two published writes'", records)
+	}
+	assertNeverLogged(t, e, "users", lost)
 }
 
 // TestFailedUpdateReleasesItsVersion is the same for a key-changing UPDATE
-// that collides on the unique secondary.
+// that collides on the unique secondary, its row encoded straight into the
+// reserved record.
 func TestFailedUpdateReleasesItsVersion(t *testing.T) {
 	e := testEngine(t)
 	tbl := mustTable(t, e, accountsSchema())
@@ -109,19 +191,20 @@ func TestFailedUpdateReleasesItsVersion(t *testing.T) {
 		t.Fatalf("update onto a taken email: %v, want ErrDuplicateKey", err)
 	}
 
-	tx = begin(t, e, 1)
+	tx = begin(t, e, 0)
 	if err := tx.Update(tbl, rid, account(2, "c", "y")); err != nil {
 		t.Fatalf("update of the row the failed update touched: %v", err)
 	}
 	commit(t, tx)
 	tx = begin(t, e, 0)
-	defer tx.Abort()
 	if _, row, err := tx.GetByKey(tbl, 1, S("c")); err != nil || row[0].Int() != 2 {
 		t.Fatalf("email c resolves to %v (%v), want row 2", row, err)
 	}
 	if _, _, err := tx.GetByKey(tbl, 1, S("b")); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("the old email still resolves: %v", err)
 	}
+	tx.Abort()
+	assertNeverLogged(t, e, "accounts", account(2, "a", "y"))
 }
 
 // TestLiveRowsAbortMirrorsWrites: an aborted insert onto a deleted row's RID
@@ -166,9 +249,11 @@ func TestLiveRowsAbortMirrorsWrites(t *testing.T) {
 // --- allocation gates -------------------------------------------------------
 
 // TestWritePathAllocs holds the engine's write path to what outlives a
-// write: the payload, the version and the index leaf of an insert, the
-// payload and the version of an update, and per transaction the Txn, a sync
-// Commit's channel and callback. Bounds are the measured counts plus one.
+// transaction: the version and the index leaf of an insert, the version of an
+// update, and per transaction the Txn, a sync Commit's channel and callback,
+// the log buffer its rows live in until they are durable and, past two
+// writes, one chunk of slice headers. A one-write transaction trades the
+// payload it used to allocate for its buffer, one for one.
 func TestWritePathAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -197,13 +282,15 @@ func TestWritePathAllocs(t *testing.T) {
 			}
 		}
 	}
-	// Txn, Commit's channel and closure; then payload, version and index
-	// leaf per row, the index's inner nodes amortised.
+	// Txn, Commit's channel and closure, the log buffer; then version and
+	// index leaf per row, the index's inner nodes amortised.
 	if avg := testing.AllocsPerRun(200, insertTxn(1)); avg > 7 {
 		t.Errorf("a one-insert transaction allocates %.1f times, want <= 7", avg)
 	}
-	if avg := testing.AllocsPerRun(20, insertTxn(128)); avg > 3+128*3+8 {
-		t.Errorf("a 128-insert transaction allocates %.1f times, want <= %d", avg, 3+128*3+8)
+	// The same, and the header chunk: no allocation per row but the two that
+	// stay.
+	if avg := testing.AllocsPerRun(20, insertTxn(128)); avg > 3+128*2+10 {
+		t.Errorf("a 128-insert transaction allocates %.1f times, want <= %d", avg, 3+128*2+10)
 	}
 
 	key := []Value{I(0)}
@@ -224,9 +311,188 @@ func TestWritePathAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Txn, channel, closure, payload, version.
+	// Txn, channel, closure, log buffer, version.
 	if avg := testing.AllocsPerRun(200, update); avg > 6 {
 		t.Errorf("a point-update transaction allocates %.1f times, want <= 6", avg)
+	}
+}
+
+// TestVersionIsEightyBytes: the pre-durable slice header of a payload lives
+// in its transaction, not in the version. A second header inline would put
+// the version in the allocator's 96-byte class, for every row in memory.
+func TestVersionIsEightyBytes(t *testing.T) {
+	if n := reflect.TypeOf(Version{}).Size(); n != 80 {
+		t.Errorf("a Version is %d bytes, want 80", n)
+	}
+}
+
+// --- the transaction's buffer as the row's home ---------------------------------
+
+// TestPreDurablePayloadOutlivesTheSwing: a reader that took a version's
+// payload before its transaction was durable -- the bytes in the
+// transaction's log buffer, through the transaction's slice header -- may
+// hold both across the swing onto the log and for as long as it likes: the
+// slot's next 200 transactions, which reuse the write set's entries, touch
+// neither. A buffer or a header recycled into a later transaction would show
+// here as a changed row (and, under -race, as a write racing the reader).
+func TestPreDurablePayloadOutlivesTheSwing(t *testing.T) {
+	e := testEngine(t, func(c *Config) { c.Workers = 2; c.LogStreams = 1; c.GCEveryNCommits = -1 })
+	tbl := mustTable(t, e, usersSchema())
+	name := func(id int64) string { return fmt.Sprintf("held-across-the-swing-%04d", id) }
+	const held = 5 // headers from the Txn and from its chunk
+	tx := begin(t, e, 0)
+	var versions [held]*Version
+	var headers [held]*[]byte
+	var payloads, want [held][]byte
+	for i := range versions {
+		rid, err := tx.Insert(tbl, Row{I(int64(i)), S(name(int64(i))), I(int64(i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		versions[i] = tbl.rows.Get(rid)
+		headers[i] = versions[i].data.Load()
+		payloads[i] = *headers[i]
+		want[i] = append([]byte(nil), payloads[i]...)
+	}
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			for i := range payloads {
+				if !bytes.Equal(payloads[i], want[i]) || !bytes.Equal(*headers[i], want[i]) {
+					t.Errorf("row %d changed under a reader that held its pre-durable payload", i)
+					return
+				}
+			}
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+	commit(t, tx)
+	for i, v := range versions {
+		if d := v.data.Load(); d == headers[i] || &(*d)[0] == &payloads[i][0] || !logBacked(t, e, v) {
+			t.Fatalf("row %d still reads the transaction's buffer after Commit returned", i)
+		}
+	}
+	for n := int64(0); n < 200; n++ {
+		tx := begin(t, e, 0)
+		for i := int64(0); i < held; i++ {
+			id := held + n*held + i
+			if _, err := tx.Insert(tbl, Row{I(id), S(name(id)), I(id)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		commit(t, tx)
+	}
+	close(stop)
+	reader.Wait()
+	if n := privateBytes(e); n != 0 {
+		t.Errorf("%d bytes on the private-payload ledger with every commit durable", n)
+	}
+}
+
+// TestSpeculativeReaderSeesCompleteRows: with SpeculativeReads a reader
+// dereferences a version the moment it is in the indirection array, while
+// its transaction is still writing. Whatever it finds -- an uncommitted
+// insert, an uncommitted Update or UpdateColumns -- decodes as a complete row
+// some writer wrote: the record is filled in, sealed and the version pointed
+// at it before the version is published, and nothing written to the buffer
+// afterwards lands on a published payload.
+func TestSpeculativeReaderSeesCompleteRows(t *testing.T) {
+	e := testEngine(t, func(c *Config) { c.Workers = 2; c.SpeculativeReads = true; c.GCEveryNCommits = 8 })
+	tbl := mustTable(t, e, usersSchema())
+	const rounds = 300
+	rid0 := func() RID {
+		tx := begin(t, e, 0)
+		defer commit(t, tx)
+		rid, err := tx.Insert(tbl, swingRow(0, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rid
+	}()
+	var newest atomic.Uint64 // RID+1 of the writer's latest insert, published while uncommitted
+	var reads, uncommitted atomic.Int64
+	done := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		check := func(p []byte) error { return checkSwingRow(p, rounds) }
+		// The writer's inserts take the RIDs after rid0, one by one: the
+		// reader finds each in the indirection array, with nothing else to
+		// tell it the row is there, and reads it as soon as it is.
+		next := rid0 + 1
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			tx, err := e.Begin(1)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for ; tbl.rows.Get(next) != nil; next++ {
+				if err := tx.GetRaw(tbl, next, check); err != nil && !errors.Is(err, ErrNotFound) {
+					t.Errorf("GetRaw(%v): %v", next, err)
+				}
+			}
+			for _, rid := range []RID{rid0, RID(newest.Load()) - 1} {
+				if rid == ^RID(0) {
+					continue
+				}
+				if isTID(tbl.rows.Get(rid).tmin.Load()) {
+					uncommitted.Add(1)
+				}
+				// The newest insert may have committed since, past this snapshot.
+				if err := tx.GetRaw(tbl, rid, check); err != nil && (rid == rid0 || !errors.Is(err, ErrNotFound)) {
+					t.Errorf("GetRaw(%v): %v", rid, err)
+				}
+			}
+			if err := tx.ScanPrefixRaw(tbl, 1, []Value{S("w0")}, func(_ RID, p []byte) bool {
+				if err := check(p); err != nil {
+					t.Errorf("ScanPrefixRaw: %v", err)
+				}
+				return true
+			}); err != nil {
+				t.Errorf("ScanPrefixRaw: %v", err)
+			}
+			tx.Abort()
+			reads.Add(1)
+		}
+	}()
+	for ver := int64(1); ver <= rounds && !t.Failed(); ver++ {
+		tx := begin(t, e, 0)
+		rid, err := tx.Insert(tbl, swingRow(ver, 0))
+		if err == nil {
+			newest.Store(uint64(rid) + 1)
+			if ver%2 == 0 {
+				err = tx.Update(tbl, rid0, swingRow(0, ver))
+			} else {
+				_, err = tx.UpdateColumns(tbl, 0, []Value{I(0)}, nil, []ColValue{{Col: 2, Val: I(ver * swingModulus)}})
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Hold the transaction open until the reader has been through.
+		for seen := reads.Load(); reads.Load() < seen+2 && !t.Failed(); {
+			runtime.Gosched()
+		}
+		commit(t, tx)
+	}
+	close(done)
+	reader.Wait()
+	if uncommitted.Load() == 0 {
+		t.Error("the reader never met an uncommitted version: the test did not test")
 	}
 }
 

@@ -218,6 +218,17 @@ type Session struct {
 	// the call (see engineapi.Txn).
 	vals       []core.Value
 	where, set []core.ColValue
+
+	// dml is the Result every INSERT, UPDATE and DELETE of the session
+	// returns (see Result): a caller reads Affected off it and drops it, so
+	// one per statement would be an allocation per written row for nothing.
+	dml Result
+}
+
+// affected returns the session's DML result, reporting n rows.
+func (s *Session) affected(n int) *Result {
+	s.dml = Result{Affected: n}
+	return &s.dml
 }
 
 // LastCSN returns the session's read-your-writes token: the commit sequence
@@ -277,7 +288,10 @@ func (s *Session) SetWorker(worker int) {
 	}
 }
 
-// Result is a statement result.
+// Result is a statement result. The Result of an INSERT, UPDATE or DELETE is
+// the session's one, reused: it is valid until the session's next statement,
+// and a caller that wants Affected for longer copies it out. The Result of
+// any other statement -- a SELECT's, with its rows -- is the caller's to keep.
 type Result struct {
 	Rows     []core.Row
 	Columns  []string
@@ -286,7 +300,8 @@ type Result struct {
 
 // Exec runs sql through the frontend plan cache: first sight of a SQL text
 // pays parse+plan+compile, every later execution (from any session) binds
-// parameters straight into the cached plan.
+// parameters straight into the cached plan. A DML statement's Result is the
+// session's, valid until its next statement (see Result).
 func (s *Session) Exec(sql string, args ...core.Value) (*Result, error) {
 	s.tr.Begin(obs.StagePlanCache)
 	c, hit, err := s.f.prepare(sql)
@@ -368,17 +383,19 @@ func (st *Stmt) NumParams() int { return st.c.nParams }
 func (st *Stmt) TxnVerb() string { return st.c.verb }
 
 // Exec runs the compiled statement; a SELECT's rows come back decoded in
-// Result.Rows.
+// Result.Rows. A DML statement's Result is the session's, valid until its
+// next statement (see Result).
 func (st *Stmt) Exec(args ...core.Value) (*Result, error) {
 	return st.ExecEncoded(nil, args...)
 }
 
 // ExecEncoded is Exec for a caller that forwards rows instead of reading
 // them (the network server): a SELECT's rows are appended to sink in wire
-// form and Result.Rows stays nil (a nil sink is Exec). The plan revalidates its catalog
-// generation first: if DDL ran since compile, the statement transparently
-// recompiles (through the cache) rather than execute a plan that may
-// capture stale table handles or routing.
+// form and Result.Rows stays nil (a nil sink is Exec). A DML statement's
+// Result is the session's, valid until its next statement (see Result). The
+// plan revalidates its catalog generation first: if DDL ran since compile,
+// the statement transparently recompiles (through the cache) rather than
+// execute a plan that may capture stale table handles or routing.
 func (st *Stmt) ExecEncoded(sink *RowBuf, args ...core.Value) (*Result, error) {
 	s := st.s
 	s.tr.Begin(obs.StagePlanCache)
@@ -775,7 +792,7 @@ func (f *Frontend) compile(st stmt) (func(*Session, []core.Value) (*Result, erro
 					return nil, err
 				}
 			}
-			return &Result{Affected: 1}, nil
+			return s.affected(1), nil
 		}, nil
 
 	case *updateStmt:
@@ -821,14 +838,14 @@ func (f *Frontend) compile(st stmt) (func(*Session, []core.Value) (*Result, erro
 				if auto {
 					tx.Abort()
 				}
-				return &Result{Affected: 0}, nil
+				return s.affected(0), nil
 			}
 			if auto {
 				if err := s.commitAuto(tx); err != nil {
 					return nil, err
 				}
 			}
-			return &Result{Affected: 1}, nil
+			return s.affected(1), nil
 		}, nil
 
 	case *deleteStmt:
@@ -854,7 +871,7 @@ func (f *Frontend) compile(st stmt) (func(*Session, []core.Value) (*Result, erro
 					if auto {
 						tx.Abort()
 					}
-					return &Result{Affected: 0}, nil
+					return s.affected(0), nil
 				}
 				s.opFailed(tx, auto, err)
 				return nil, err
@@ -864,7 +881,7 @@ func (f *Frontend) compile(st stmt) (func(*Session, []core.Value) (*Result, erro
 					return nil, err
 				}
 			}
-			return &Result{Affected: 1}, nil
+			return s.affected(1), nil
 		}, nil
 
 	default:

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -137,24 +138,42 @@ func checksum(op byte, body []byte) uint32 {
 	return crc32.Update(uint32(op)+1, castagnoli, body)
 }
 
-// AppendRecord encodes r onto buf and returns the extended buffer plus the
-// record's offset within buf. Workers call this while building their private
-// transaction buffer; the CSN field is patched at commit time via PatchCSN,
-// so it is a fixed-width field excluded from the integrity checksum.
+// A record is built in two steps, so that a writer whose payload is produced
+// by an encoder can have it encoded where it will be logged: ReserveRecord
+// writes the header and makes room for the payload, the caller fills the
+// payload in, SealRecord closes the record with its checksum. The CSN field
+// is patched at commit time via PatchCSN, so it is a fixed-width field
+// excluded from the integrity checksum.
+
+// ReserveRecord appends to buf the header of a record with an n-byte payload
+// and n bytes for the payload, which it returns (cap == len) for the caller
+// to fill before SealRecord, together with the record's offset within buf.
+// The extended buffer has room for the checksum: SealRecord does not move it.
+func ReserveRecord(buf []byte, op byte, table uint32, rid uint64, n int) (out []byte, off int, payload []byte) {
+	var hdr [maxRecordHeader]byte
+	hdr[0] = op
+	h := 9 // the CSN is fixed-width, so commit can patch it in place
+	h += binary.PutUvarint(hdr[h:], uint64(table))
+	h += binary.PutUvarint(hdr[h:], rid)
+	h += binary.PutUvarint(hdr[h:], uint64(n))
+	off = len(buf)
+	buf = append(slices.Grow(buf, h+n+4), hdr[:h]...)
+	end := len(buf) + n
+	return buf[:end], off, buf[end-n : end : end]
+}
+
+// SealRecord closes the record ReserveRecord began at off, whose payload now
+// ends buf, with its checksum.
+func SealRecord(buf []byte, off int) []byte {
+	return binary.LittleEndian.AppendUint32(buf, checksum(buf[off], buf[off+9:]))
+}
+
+// AppendRecord encodes a record with the given payload onto buf and returns
+// the extended buffer plus the record's offset within buf.
 func AppendRecord(buf []byte, op byte, table uint32, rid uint64, payload []byte) ([]byte, int) {
-	off := len(buf)
-	buf = append(buf, op)
-	// Fixed-width CSN so commit can patch it in place.
-	var csn [8]byte
-	buf = append(buf, csn[:]...)
-	body := len(buf)
-	buf = binary.AppendUvarint(buf, uint64(table))
-	buf = binary.AppendUvarint(buf, rid)
-	buf = binary.AppendUvarint(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	sum := checksum(op, buf[body:])
-	buf = binary.LittleEndian.AppendUint32(buf, sum)
-	return buf, off
+	buf, off, room := ReserveRecord(buf, op, table, rid, len(payload))
+	copy(room, payload)
+	return SealRecord(buf, off), off
 }
 
 // PayloadOffset returns where in buf the payload of the record AppendRecord
@@ -564,6 +583,14 @@ var ErrClosed = errors.New("wal: manager closed")
 // size.
 var ErrTooLarge = errors.New("wal: transaction log exceeds segment size")
 
+// ErrSegmentsExhausted is returned by an append or a rotation that needs a
+// fresh segment when all 65,536 segment ids have been handed out: a 16-bit id
+// is what an Addr has room for, and a second segment under a live id would be
+// read through every address that points into the first. The log stops there
+// (a failed append is fail-stop for its writer); wal.segments_allocated is the
+// gauge to watch.
+var ErrSegmentsExhausted = errors.New("wal: segment ids exhausted")
+
 // ErrSegmentDropped is returned when a scan targets a segment whose backing
 // PLog has been (or is being) dropped -- by this manager's DropSegment, or
 // by the primary underneath a read-only follower. A follower treats it as
@@ -673,6 +700,7 @@ func (m *Manager) startStreams() error {
 	m.mOversized = cfg.Obs.Counter("wal.oversized_rejects")
 	m.mGiveups = cfg.Obs.Counter("wal.append_giveups")
 	m.mTornTails = cfg.Obs.Counter("wal.torn_tail_truncations")
+	cfg.Obs.GaugeFunc("wal.segments_allocated", func() int64 { return int64(m.nextSeg.Load()) })
 	var seed uint64
 	if ch := cfg.Service.Chaos(); ch != nil {
 		seed = ch.Seed()
@@ -806,13 +834,29 @@ func (m *Manager) Close() {
 	}
 }
 
+// allocSegment hands out the next segment id, each once.
+func (m *Manager) allocSegment() (uint16, error) {
+	for {
+		n := m.nextSeg.Load()
+		if n > math.MaxUint16 {
+			return 0, ErrSegmentsExhausted
+		}
+		if m.nextSeg.CompareAndSwap(n, n+1) {
+			return uint16(n), nil
+		}
+	}
+}
+
 // rotate opens a fresh segment (PLog) for the stream. Called by the I/O
 // goroutine and during setup.
 func (st *Stream) rotate() error {
+	seg, err := st.mgr.allocSegment()
+	if err != nil {
+		return err
+	}
 	if st.plog != nil {
 		st.plog.Seal()
 	}
-	seg := uint16(st.mgr.nextSeg.Add(1) - 1)
 	p, err := st.mgr.cfg.Service.Create(st.mgr.cfg.Tier)
 	if err != nil {
 		return err
@@ -972,10 +1016,12 @@ func (st *Stream) flushBatch() {
 				tr.SetBatch(j - i)
 				tr.Begin(obs.StageDurable)
 			}
+			// Recorded, like the stats above, before the callback that lets
+			// the committer go and look.
+			st.mgr.mCommitLatency.Record(durableNS - st.batch[k].enqueuedNS)
 			if st.batch[k].done != nil {
 				st.batch[k].done(MakeAddr(st.seg, off), nil)
 			}
-			st.mgr.mCommitLatency.Record(durableNS - st.batch[k].enqueuedNS)
 			off += uint32(len(st.batch[k].payload))
 		}
 		st.mgr.mBatchTxns.Record(int64(j - i))

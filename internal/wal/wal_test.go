@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -730,5 +731,96 @@ func TestBatchHistogramMatchesStreamStats(t *testing.T) {
 	}
 	if lat := reg.Histogram("wal.commit_latency_ns"); lat.Count() != n {
 		t.Fatalf("commit_latency_ns count = %d, want one sample per txn (%d)", lat.Count(), n)
+	}
+}
+
+// TestSegmentIDsExhaustedFailStop: a segment id is 16 bits of an Addr, so the
+// 65,537th segment has no id of its own. A manager started three ids below
+// the limit rotates through them and then refuses -- ErrSegmentsExhausted
+// from the append that needed the rotation and from every later one -- where
+// it used to hand out id 0 again and rebind it under every live address. No
+// segment that exists is rebound, every acknowledged record still reads, and
+// wal.segments_allocated says how far the ids have run.
+func TestSegmentIDsExhaustedFailStop(t *testing.T) {
+	const first = math.MaxUint16 - 2 // ids 65533, 65534, 65535 are left
+	reg := obs.NewRegistry("wal-test")
+	svc := srss.New(srss.Config{MaxPLogSize: 1 << 20})
+	cfg := Config{Service: svc, Streams: 1, SegmentSize: 256, Obs: reg}
+	if err := cfg.fill(); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := svc.Create(cfg.Tier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := newDirectory(svc, meta)
+	// A segment of an earlier life of the log holds id 0: the wrapped counter
+	// would reissue exactly it.
+	old, err := svc.Create(cfg.Tier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dir.record(0, old.ID()); err != nil {
+		t.Fatal(err)
+	}
+	m, err := build(cfg, dir, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	allocated := func() int64 {
+		for _, mt := range reg.Snapshot().Metrics {
+			if mt.Name == "wal.segments_allocated" {
+				return mt.Value
+			}
+		}
+		t.Fatal("wal.segments_allocated is not exported")
+		return 0
+	}
+	if got := allocated(); got != first+1 {
+		t.Fatalf("wal.segments_allocated = %d after the first segment, want %d", got, first+1)
+	}
+
+	var acked []Addr
+	var failed error
+	for i := 0; i < 40 && failed == nil; i++ {
+		buf, off := AppendRecord(nil, OpInsert, 1, uint64(i), bytes.Repeat([]byte("x"), 40))
+		PatchCSN(buf, off, uint64(i+1))
+		a, err := m.AppendSync(0, buf)
+		if err != nil {
+			failed = err
+			break
+		}
+		acked = append(acked, a)
+	}
+	if !errors.Is(failed, ErrSegmentsExhausted) {
+		t.Fatalf("append past the last segment id: %v after %d acked, want ErrSegmentsExhausted", failed, len(acked))
+	}
+	if got := allocated(); got != math.MaxUint16+1 {
+		t.Fatalf("wal.segments_allocated = %d at exhaustion, want %d", got, math.MaxUint16+1)
+	}
+	segs := map[uint16]bool{}
+	for _, a := range acked {
+		segs[a.Segment()] = true
+	}
+	if len(segs) != 3 || !segs[first] || !segs[math.MaxUint16] {
+		t.Fatalf("acked records lie in segments %v, want the last three ids", segs)
+	}
+	// It stays refused: no id comes back.
+	if _, err := m.AppendSync(0, bytes.Repeat([]byte("y"), 200)); !errors.Is(err, ErrSegmentsExhausted) {
+		t.Fatalf("append after exhaustion: %v, want ErrSegmentsExhausted", err)
+	}
+	if err := m.RotateAll(); !errors.Is(err, ErrSegmentsExhausted) {
+		t.Fatalf("RotateAll after exhaustion: %v, want ErrSegmentsExhausted", err)
+	}
+	if id, ok := dir.Lookup(0); !ok || id != old.ID() {
+		t.Fatalf("segment 0 was rebound: %v (bound %v), want %v", id, ok, old.ID())
+	}
+	for i, a := range acked {
+		rec, err := m.ReadRecord(a)
+		if err != nil || rec.RID != uint64(i) {
+			t.Fatalf("acked record %d at %v reads %+v (%v)", i, a, rec, err)
+		}
 	}
 }
