@@ -4,13 +4,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"hiengine/internal/clock"
 	"hiengine/internal/index"
 	"hiengine/internal/srss"
 	"hiengine/internal/wal"
@@ -192,9 +191,6 @@ type RecoverOptions struct {
 	// paper's "recovery is finished once the PIAs are set up"). Point
 	// reads by RID work immediately; key access requires indexes.
 	SkipIndexRebuild bool
-	// UseCheckpoint loads the newest checkpoint image before replay
-	// (default true via Recover; set false to force full-log replay).
-	SkipCheckpoint bool
 
 	// readOnly opens the log without streams and marks the engine a
 	// replica (set by OpenReplica).
@@ -231,9 +227,6 @@ type RecoveryStats struct {
 	// InDoubt counts prepared-but-undecided global transactions
 	// reconstructed from OpPrepare records (awaiting their coordinator).
 	InDoubt int64
-
-	// fenced carries the checkpoint-covered segment set to OpenReplica.
-	fenced []uint16
 }
 
 // RecoverByName rebuilds an engine whose manifest identity is registered in
@@ -254,8 +247,18 @@ func RecoverByName(cfg Config, opt RecoverOptions) (*Engine, *RecoveryStats, err
 }
 
 // Recover rebuilds an engine from its manifest PLog: catalog, checkpoint
-// image, parallel log replay, and (optionally) index rebuild.
+// image, the log applier's parallel pass, and (optionally) index rebuild.
 func Recover(cfg Config, manifestID srss.PLogID, opt RecoverOptions) (*Engine, *RecoveryStats, error) {
+	a, stats, err := recoverLog(cfg, manifestID, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	return a.e, stats, nil
+}
+
+// recoverLog is Recover, returning the engine's log applier, which a replica
+// keeps to go on applying the log (OpenReplica).
+func recoverLog(cfg Config, manifestID srss.PLogID, opt RecoverOptions) (*applier, *RecoveryStats, error) {
 	if cfg.Service == nil {
 		return nil, nil, errors.New("core: Recover requires the SRSS service")
 	}
@@ -263,20 +266,7 @@ func Recover(cfg Config, manifestID srss.PLogID, opt RecoverOptions) (*Engine, *
 	if opt.ReplayThreads <= 0 {
 		opt.ReplayThreads = 1
 	}
-	e := &Engine{
-		cfg:        cfg,
-		svc:        cfg.Service,
-		clk:        cfg.Clock,
-		tables:     make(map[string]*Table),
-		tablesByID: make(map[uint32]*Table),
-		status:     newStatusMap(),
-		workers:    make([]workerSlot, cfg.Workers),
-		pend2pc:    make(map[string]*pend2pcEntry),
-	}
-	if c, ok := cfg.Clock.(*clock.Counter); ok {
-		e.counter = c
-	}
-	e.initObs()
+	e := newEngine(cfg)
 	manifest, err := e.svc.Open(manifestID)
 	if err != nil {
 		return nil, nil, err
@@ -284,11 +274,14 @@ func Recover(cfg Config, manifestID srss.PLogID, opt RecoverOptions) (*Engine, *
 	e.manifest = manifest
 	e.svc.SetWellKnown(cfg.Name, manifestID)
 
-	var walMeta srss.PLogID
-	var ckptID srss.PLogID
-	var ckptCSN uint64
-	var fenced map[uint16]bool
-	haveCkpt := false
+	a := &applier{
+		e:          e,
+		manifest:   manifestID,
+		offsets:    make(map[uint16]int64),
+		pendPrep:   make(map[string]prepared),
+		pendForget: make(map[string]bool),
+	}
+	var walMeta, ckptID srss.PLogID
 	var epoch, fencedBy uint64
 	if err := scanManifest(manifest, func(typ byte, payload []byte) error {
 		switch typ {
@@ -305,23 +298,7 @@ func Recover(cfg Config, manifestID srss.PLogID, opt RecoverOptions) (*Engine, *
 		case manifestShard:
 			e.lastShardPayload = append([]byte(nil), payload...)
 		case manifestTable:
-			id, n := binary.Uvarint(payload)
-			if n <= 0 {
-				return fmt.Errorf("core: corrupt table manifest record")
-			}
-			s, err := unmarshalSchema(payload[n:])
-			if err != nil {
-				return err
-			}
-			t, err := e.buildTable(uint32(id), s)
-			if err != nil {
-				return err
-			}
-			e.tables[s.Name] = t
-			e.tablesByID[t.ID] = t
-			if uint32(id) > e.nextTable {
-				e.nextTable = uint32(id)
-			}
+			return e.addTable(payload)
 		case manifestCheckpoint:
 			if len(payload) < 24 {
 				return fmt.Errorf("core: corrupt checkpoint manifest record")
@@ -334,11 +311,11 @@ func Recover(cfg Config, manifestID srss.PLogID, opt RecoverOptions) (*Engine, *
 				return fmt.Errorf("core: corrupt checkpoint CSN")
 			}
 			pos += n
-			ckptCSN = csn
+			a.skipCSN = csn
 			if _, n = binary.Uvarint(payload[pos:]); n > 0 { // entry count
 				pos += n
 			}
-			fenced = map[uint16]bool{}
+			a.fenced = map[uint16]bool{}
 			if cnt, n := binary.Uvarint(payload[pos:]); n > 0 {
 				pos += n
 				for i := uint64(0); i < cnt; i++ {
@@ -347,10 +324,9 @@ func Recover(cfg Config, manifestID srss.PLogID, opt RecoverOptions) (*Engine, *
 						return fmt.Errorf("core: corrupt checkpoint fence")
 					}
 					pos += n
-					fenced[uint16(seg)] = true
+					a.fenced[uint16(seg)] = true
 				}
 			}
-			haveCkpt = true
 		}
 		return nil
 	}); err != nil {
@@ -365,23 +341,12 @@ func Recover(cfg Config, manifestID srss.PLogID, opt RecoverOptions) (*Engine, *
 	e.epoch.Store(epoch)
 	e.fencedBy.Store(fencedBy)
 
-	walCfg := wal.Config{
-		Service:     e.svc,
-		Tier:        cfg.LogTier,
-		Streams:     cfg.LogStreams,
-		SegmentSize: cfg.SegmentSize,
-		BatchMax:    cfg.GroupCommitBatch,
-		OnMetaChange: func(id srss.PLogID) error {
-			return e.appendManifest(manifestWAL, id[:])
-		},
-		Obs: e.obs,
-	}
 	var log *wal.Manager
 	if opt.readOnly {
 		e.readOnly.Store(true)
-		log, err = wal.OpenReadOnly(walCfg, walMeta)
+		log, err = wal.OpenReadOnly(e.walConfig(), walMeta)
 	} else {
-		log, err = wal.Reopen(walCfg, walMeta)
+		log, err = wal.Reopen(e.walConfig(), walMeta)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -392,8 +357,8 @@ func Recover(cfg Config, manifestID srss.PLogID, opt RecoverOptions) (*Engine, *
 	start := time.Now()
 
 	// Phase 1: load the checkpoint image (addresses only -- dataless).
-	if haveCkpt && !opt.SkipCheckpoint {
-		stats.CheckpointCSN = ckptCSN
+	if !ckptID.IsZero() {
+		stats.CheckpointCSN = a.skipCSN
 		n, err := e.loadCheckpoint(ckptID)
 		if err != nil {
 			return nil, nil, err
@@ -402,161 +367,17 @@ func Recover(cfg Config, manifestID srss.PLogID, opt RecoverOptions) (*Engine, *
 		stats.CheckpointLoadDuration = time.Since(start)
 	}
 
-	// Phase 2: parallel replay with newest-CSN-wins CAS conflict
-	// resolution. Segments fenced by the checkpoint are skipped: their
-	// records are represented in (or superseded by) the checkpoint image;
-	// the segments themselves stay available as version storage.
-	var skipCSN uint64
-	if haveCkpt && !opt.SkipCheckpoint {
-		skipCSN = ckptCSN
-	}
-	var segs []uint16
-	for _, seg := range log.Segments() {
-		if haveCkpt && !opt.SkipCheckpoint && fenced[seg] {
-			stats.SegmentsSkipped++
-			stats.fenced = append(stats.fenced, seg)
-			continue
-		}
-		segs = append(segs, seg)
-	}
-	stats.SegmentsScanned = len(segs)
-	// Longest-processing-time-first scheduling: replay threads pull whole
-	// segments, so handing out the big ones first balances the tail.
-	sort.Slice(segs, func(i, j int) bool {
-		return segmentSize(e, segs[i]) > segmentSize(e, segs[j])
-	})
-	// Snapshot the catalog once: replay resolves tables per record and
-	// must not bounce on the engine lock.
-	catalog := make(map[uint32]*Table, len(e.tablesByID))
-	for id, t := range e.tablesByID {
-		catalog[id] = t
-	}
-	var scanned, applied atomic.Int64
-	var maxCSN atomic.Uint64
-	segCh := make(chan uint16, len(segs))
-	for _, s := range segs {
-		segCh <- s
-	}
-	close(segCh)
-	// 2PC records collected during replay. OpPrepare/OpDecide are handled
-	// BEFORE the skip-CSN check: a prepare record carries CSN 0 (the skip
-	// rule would always drop it) and decision records must always be
-	// collected so the node keeps answering TxnStatus.
-	type prepRec struct {
-		addr    wal.Addr
-		payload []byte
-	}
-	type decRec struct {
-		commit bool
-		csn    uint64
-		seg    uint16
-	}
-	var twopcMu sync.Mutex
-	preps := make(map[string]prepRec)
-	decs := make(map[string]decRec)
-	forgets := make(map[string]bool)
-	var wg sync.WaitGroup
-	errCh := make(chan error, opt.ReplayThreads)
-	for i := 0; i < opt.ReplayThreads; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Thread-local counters: replay applies millions of records,
-			// so shared atomics per record would serialize the threads.
-			var localScanned, localApplied int64
-			var localMax uint64
-			for seg := range segCh {
-				err := log.ScanSegment(seg, func(addr wal.Addr, rec wal.Record) bool {
-					localScanned++
-					if rec.CSN > localMax {
-						localMax = rec.CSN
-					}
-					switch rec.Op {
-					case wal.OpPrepare:
-						if gtid, _, err := decodePreparePayload(rec.Payload); err == nil {
-							twopcMu.Lock()
-							preps[gtid] = prepRec{addr: addr, payload: append([]byte(nil), rec.Payload...)}
-							twopcMu.Unlock()
-						}
-						return true
-					case wal.OpDecide:
-						if gtid, commit, err := decodeDecidePayload(rec.Payload); err == nil {
-							twopcMu.Lock()
-							decs[gtid] = decRec{commit: commit, csn: rec.CSN, seg: addr.Segment()}
-							twopcMu.Unlock()
-						}
-						return true
-					case wal.OpForget:
-						if gtid, err := decodeGTIDPayload(rec.Payload); err == nil {
-							twopcMu.Lock()
-							forgets[gtid] = true
-							twopcMu.Unlock()
-						}
-						return true
-					}
-					if rec.CSN <= skipCSN {
-						// Fully represented by the checkpoint image
-						// (durability barrier at checkpoint time).
-						return true
-					}
-					if t := catalog[rec.Table]; t != nil && applyReplay(t, addr, rec) {
-						localApplied++
-					}
-					return true
-				})
-				if err != nil {
-					errCh <- err
-					return
-				}
-			}
-			scanned.Add(localScanned)
-			applied.Add(localApplied)
-			for {
-				m := maxCSN.Load()
-				if localMax <= m || maxCSN.CompareAndSwap(m, localMax) {
-					break
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
+	// Phase 2: the applier's pass, newest CSN wins. Segments fenced by the
+	// checkpoint are skipped: their records are represented in (or
+	// superseded by) the checkpoint image; the segments themselves stay
+	// available as version storage.
+	a.maxCSN = a.skipCSN
+	a.tables = maps.Clone(e.tablesByID)
+	if _, err := a.pass(opt.ReplayThreads, stats); err != nil {
 		return nil, nil, err
-	default:
 	}
-
-	// Apply decided 2PC writes: a prepare paired with a commit decision
-	// replays its embedded records at the decision CSN (newest-CSN-wins, so
-	// re-applying writes a checkpoint image already covers is a no-op). A
-	// prepare paired with an abort is dropped. Undecided prepares are
-	// reconstructed as in-doubt transactions after the index rebuild below.
-	for gtid, p := range preps {
-		d, decided := decs[gtid]
-		if !decided || !d.commit {
-			continue
-		}
-		if _, body, err := decodePreparePayload(p.payload); err == nil {
-			embBase := prepHeaderLen(len(p.payload)) + (len(p.payload) - len(body))
-			_ = forEachEmbedded(body, func(off int, rec wal.Record) error {
-				rec.CSN = d.csn
-				if t := catalog[rec.Table]; t != nil && applyReplay(t, p.addr.Add(uint32(embBase+off)), rec) {
-					applied.Add(1)
-				}
-				return nil
-			})
-		}
-		if d.csn > maxCSN.Load() {
-			maxCSN.Store(d.csn)
-		}
-	}
-	stats.RecordsScanned = scanned.Load()
-	stats.RecordsApplied = applied.Load()
 	stats.TornTails, stats.TruncatedBytes = log.TailTruncations()
-	stats.MaxCSN = maxCSN.Load()
-	if stats.CheckpointCSN > stats.MaxCSN {
-		stats.MaxCSN = stats.CheckpointCSN
-	}
+	stats.MaxCSN = a.maxCSN
 
 	// Phase 3: clear tombstone heads (deletes), preserving entry epochs.
 	for _, t := range e.tablesByID {
@@ -585,72 +406,19 @@ func Recover(cfg Config, manifestID srss.PLogID, opt RecoverOptions) (*Engine, *
 		stats.IndexDuration = time.Since(ixStart)
 	}
 
-	// Phase 5: 2PC state. Undecided prepares become in-doubt transactions
-	// again -- TID-stamped versions on the heads (re-acquired write locks)
-	// plus their index entries -- awaiting the coordinator; decided gtids
-	// are remembered so TxnStatus keeps answering across the restart. An
-	// OpForget record is the coordinator's tombstone for the whole gtid:
-	// forgotten gtids rebuild no state (their committed writes were still
-	// applied above -- the forget prunes metadata, never data).
-	for gtid, p := range preps {
-		if _, decided := decs[gtid]; decided || forgets[gtid] {
-			continue
+	// Phase 5, on a writable engine: the end of the log (a replica's comes
+	// at Promote).
+	if !opt.readOnly {
+		if stats.InDoubt, err = a.settle(); err != nil {
+			return nil, nil, err
 		}
-		if err := e.reconstructInDoubt(gtid, p.addr, p.payload); err != nil {
-			return nil, nil, fmt.Errorf("core: in-doubt reconstruction of %q: %w", gtid, err)
+		if cfg.RepairInterval > 0 {
+			e.stopRepair = e.svc.StartRepairer(cfg.RepairInterval)
 		}
-		stats.InDoubt++
 	}
-	for gtid, d := range decs {
-		if forgets[gtid] {
-			continue
-		}
-		p, havePrep := preps[gtid]
-		e.noteDecision(gtid, d.commit, d.csn, d.seg, p.addr.Segment(), havePrep)
-	}
-	if cfg.RepairInterval > 0 && !opt.readOnly {
-		e.stopRepair = e.svc.StartRepairer(cfg.RepairInterval)
-	}
+	a.live = true
 	stats.WindowReads = log.WindowReads()
-	return e, stats, nil
-}
-
-// applyReplay applies one log record of table t with newest-CSN-wins
-// semantics.
-func applyReplay(t *Table, addr wal.Addr, rec wal.Record) bool {
-	rid := RID(rec.RID)
-	if err := t.rows.AllocAt(rid); err != nil {
-		return false
-	}
-	stub := &Version{tomb: rec.Op == wal.OpDelete}
-	stub.tmin.Store(rec.CSN)
-	stub.addr.Store(uint64(addr))
-	for {
-		cur := t.rows.Get(rid)
-		if cur != nil {
-			have := cur.tmin.Load()
-			if have > rec.CSN {
-				return false // a newer record already won
-			}
-			if have == rec.CSN {
-				// The same version at a new address: a compaction rewrite
-				// relocated the record (rewrites keep their original CSN).
-				// Refresh the permanent address, and let go of a payload cached
-				// from the old one, so reads stop pointing into the old
-				// segment, which the primary drops once the rewrite is
-				// durable. Not counted as applied -- the version's content
-				// and indexes are already in place.
-				cur.addr.Store(uint64(addr))
-				cur.data.Store(nil)
-				return false
-			}
-		}
-		if ok, err := t.rows.CompareAndSwap(rid, cur, stub); err != nil {
-			return false
-		} else if ok {
-			return true
-		}
-	}
+	return a, stats, nil
 }
 
 // durableAddr returns v's permanent log address, waiting for it if v's

@@ -294,29 +294,35 @@ func (t *Txn) retireWrites(csn uint64) {
 	slot := &t.e.workers[t.worker]
 	slot.mu.Lock()
 	for i := range t.ws.writes {
-		we := &t.ws.writes[i]
-		if we.oldV != nil {
-			slot.retired = append(slot.retired, retiredVersion{
-				owner:       we.newV,
-				victim:      we.oldV,
-				retireCSN:   csn,
-				table:       we.table,
-				rid:         we.rid,
-				keysChanged: we.keysChanged,
-			})
-		}
-		if we.newV.tomb {
-			// A committed delete: once reclaimable, the PIA entry is
-			// cleared (epoch preserved). Its index entries go with the
-			// deleted row, retired just above under the same CSN.
-			slot.retired = append(slot.retired, retiredVersion{
-				victim:    we.newV,
-				retireCSN: csn,
-				table:     we.table,
-				rid:       we.rid,
-				isDelete:  true,
-			})
-		}
+		slot.retire(&t.ws.writes[i], csn)
 	}
 	slot.mu.Unlock()
+}
+
+// retire puts what a write committed at csn made garbage in the slot's bag:
+// the version it superseded, and for a delete the PIA entry. A follower's
+// applier retires a shipped record's the same way. Requires s.mu.
+func (s *workerSlot) retire(we *writeEntry, csn uint64) {
+	if we.oldV != nil {
+		s.retired = append(s.retired, retiredVersion{
+			owner:       we.newV,
+			victim:      we.oldV,
+			retireCSN:   csn,
+			table:       we.table,
+			rid:         we.rid,
+			keysChanged: we.keysChanged,
+		})
+	}
+	if we.newV.tomb {
+		// A committed delete: once reclaimable, the PIA entry is cleared
+		// (epoch preserved). Its index entries go with the deleted row,
+		// retired just above under the same CSN.
+		s.retired = append(s.retired, retiredVersion{
+			victim:    we.newV,
+			retireCSN: csn,
+			table:     we.table,
+			rid:       we.rid,
+			isDelete:  true,
+		})
+	}
 }

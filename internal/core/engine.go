@@ -269,9 +269,10 @@ type Engine struct {
 	closed atomic.Bool
 
 	// readOnly marks replica engines: write operations are rejected, and
-	// index scans always verify entry keys (a follower applies no GC, so
-	// stale entries from key-changing updates can linger). Atomic because
-	// promotion clears it while reads are in flight.
+	// index scans always verify entry keys (a follower's entries are added
+	// record by record from the log, which cannot always say which entry a
+	// record made stale). Atomic because promotion clears it while reads are
+	// in flight.
 	readOnly atomic.Bool
 
 	// epoch is the primary epoch of this node's write lineage, persisted in
@@ -287,37 +288,14 @@ type Engine struct {
 // Open creates a fresh engine instance.
 func Open(cfg Config) (*Engine, error) {
 	cfg.fill()
-	e := &Engine{
-		cfg:        cfg,
-		svc:        cfg.Service,
-		clk:        cfg.Clock,
-		tables:     make(map[string]*Table),
-		tablesByID: make(map[uint32]*Table),
-		status:     newStatusMap(),
-		workers:    make([]workerSlot, cfg.Workers),
-		pend2pc:    make(map[string]*pend2pcEntry),
-	}
-	if c, ok := cfg.Clock.(*clock.Counter); ok {
-		e.counter = c
-	}
-	e.initObs()
+	e := newEngine(cfg)
 	manifest, err := e.svc.Create(srss.TierCompute)
 	if err != nil {
 		return nil, err
 	}
 	e.manifest = manifest
 	e.svc.SetWellKnown(cfg.Name, manifest.ID())
-	log, err := wal.Open(wal.Config{
-		Service:     e.svc,
-		Tier:        cfg.LogTier,
-		Streams:     cfg.LogStreams,
-		SegmentSize: cfg.SegmentSize,
-		BatchMax:    cfg.GroupCommitBatch,
-		OnMetaChange: func(id srss.PLogID) error {
-			return e.appendManifest(manifestWAL, id[:])
-		},
-		Obs: e.obs,
-	})
+	log, err := wal.Open(e.walConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -335,6 +313,41 @@ func Open(cfg Config) (*Engine, error) {
 		e.stopRepair = e.svc.StartRepairer(cfg.RepairInterval)
 	}
 	return e, nil
+}
+
+// newEngine is an engine with an empty catalog and no storage yet, for Open
+// and Recover to attach a manifest and a log to. cfg is filled.
+func newEngine(cfg Config) *Engine {
+	e := &Engine{
+		cfg:        cfg,
+		svc:        cfg.Service,
+		clk:        cfg.Clock,
+		tables:     make(map[string]*Table),
+		tablesByID: make(map[uint32]*Table),
+		status:     newStatusMap(),
+		workers:    make([]workerSlot, cfg.Workers),
+		pend2pc:    make(map[string]*pend2pcEntry),
+	}
+	if c, ok := cfg.Clock.(*clock.Counter); ok {
+		e.counter = c
+	}
+	e.initObs()
+	return e
+}
+
+// walConfig is the configuration of e's log.
+func (e *Engine) walConfig() wal.Config {
+	return wal.Config{
+		Service:     e.svc,
+		Tier:        e.cfg.LogTier,
+		Streams:     e.cfg.LogStreams,
+		SegmentSize: e.cfg.SegmentSize,
+		BatchMax:    e.cfg.GroupCommitBatch,
+		OnMetaChange: func(id srss.PLogID) error {
+			return e.appendManifest(manifestWAL, id[:])
+		},
+		Obs: e.obs,
+	}
 }
 
 // initObs caches metric handles and hooks the engine into the registry

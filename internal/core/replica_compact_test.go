@@ -81,8 +81,8 @@ func TestReplicaCatchUpAcrossCompactFull(t *testing.T) {
 	// Snapshot the follower's progress table and the primary's segment set
 	// before the compaction so we can prove the dropped-segment path ran.
 	rep.mu.Lock()
-	preApplied := make(map[uint16]int64, len(rep.applied))
-	for seg, off := range rep.applied {
+	preApplied := make(map[uint16]int64, len(rep.offsets))
+	for seg, off := range rep.offsets {
 		preApplied[seg] = off
 	}
 	rep.mu.Unlock()
@@ -124,7 +124,7 @@ func TestReplicaCatchUpAcrossCompactFull(t *testing.T) {
 	forgotten := 0
 	for seg := range preApplied {
 		if segsBefore[seg] && !segsAfter[seg] {
-			if _, still := rep.applied[seg]; !still {
+			if _, still := rep.offsets[seg]; !still {
 				forgotten++
 			}
 		}

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"hiengine/internal/raceflag"
+	"hiengine/internal/srss"
 )
 
 func TestReplicaFollowsPrimary(t *testing.T) {
@@ -120,6 +122,282 @@ func TestReplicaFollowsPrimary(t *testing.T) {
 	}
 	if rep.AppliedCSN() == 0 {
 		t.Fatal("replica has no freshness horizon")
+	}
+	// The live-row count follows inserts and deletes alike, and promotion
+	// leaves it alone.
+	if got, want := rtbl.LiveRows(), tbl.LiveRows(); got != want {
+		t.Fatalf("replica LiveRows %d, primary %d", got, want)
+	}
+	if _, err := rep.Promote(0); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rtbl.LiveRows(), tbl.LiveRows(); got != want {
+		t.Fatalf("promoted replica LiveRows %d, primary %d", got, want)
+	}
+}
+
+// openTestReplica opens a replica of primary over its SRSS service.
+func openTestReplica(t *testing.T, primary *Engine) *Replica {
+	t.Helper()
+	rep, _, err := OpenReplica(Config{Service: primary.Service(), Workers: 4, SegmentSize: 1 << 20},
+		primary.ManifestID(), RecoverOptions{ReplayThreads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rep.Close)
+	return rep
+}
+
+// catchUp runs one CatchUp and checks how many records it applied (want < 0:
+// any number).
+func catchUp(t *testing.T, rep *Replica, want int64) int64 {
+	t.Helper()
+	n, err := rep.CatchUp()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want >= 0 && n != want {
+		t.Fatalf("CatchUp applied %d records, want %d", n, want)
+	}
+	return n
+}
+
+// deleteAcrossStreams inserts row 7 on worker 9 and deletes it on worker 0:
+// with the default 16 log streams the delete lies in a segment with a lower
+// id than the insert's, so a scan in segment order meets it first.
+func deleteAcrossStreams(t *testing.T, primary *Engine, tbl *Table) {
+	t.Helper()
+	rid := insertUser(t, primary, tbl, 9, 7, "doomed", 7)
+	tx, err := primary.Begin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Delete(tbl, rid); err != nil {
+		t.Fatal(err)
+	}
+	commit(t, tx)
+}
+
+func assertOnlyKeep(t *testing.T, rep *Replica) {
+	t.Helper()
+	snap := snapshotTable(t, rep.Engine(), "users")
+	if _, ok := snap[7]; ok || len(snap) != 1 {
+		t.Fatalf("replica holds %v, want the keep row alone", snap)
+	}
+}
+
+// TestReplicaDeleteNotResurrectedAtBootstrap: a replica opened after the
+// delete resumes its first catch-up where its bootstrap replay stopped. A
+// rescan from offset 0 met the delete again -- its row already cleared by
+// recovery -- and then the insert, which came back.
+func TestReplicaDeleteNotResurrectedAtBootstrap(t *testing.T) {
+	primary := testEngine(t)
+	tbl := mustTable(t, primary, usersSchema())
+	insertUser(t, primary, tbl, 0, 1, "keep", 1)
+	deleteAcrossStreams(t, primary, tbl)
+	rep := openTestReplica(t, primary)
+	n := catchUp(t, rep, -1)
+	assertOnlyKeep(t, rep)
+	if n != 0 {
+		t.Fatalf("the first catch-up with nothing new applied %d records", n)
+	}
+}
+
+// TestReplicaDeleteNotResurrectedLive: insert and delete ship in one pass,
+// delete first. The delete marker stays on the row until GC after the pass,
+// so the older insert loses to it.
+func TestReplicaDeleteNotResurrectedLive(t *testing.T) {
+	primary := testEngine(t)
+	tbl := mustTable(t, primary, usersSchema())
+	insertUser(t, primary, tbl, 0, 1, "keep", 1)
+	rep := openTestReplica(t, primary)
+	catchUp(t, rep, 0)
+	deleteAcrossStreams(t, primary, tbl)
+	catchUp(t, rep, -1)
+	assertOnlyKeep(t, rep)
+}
+
+// TestReplicaSnapshotSurvivesCatchUp: a follower installs a shipped update on
+// top of the chain, so a read transaction already running keeps the version
+// it read; GC prunes the chain, and the old secondary key with it, once no
+// snapshot needs them.
+func TestReplicaSnapshotSurvivesCatchUp(t *testing.T) {
+	primary := testEngine(t)
+	tbl := mustTable(t, primary, usersSchema())
+	rid := insertUser(t, primary, tbl, 0, 1, "v1", 1)
+	rep := openTestReplica(t, primary)
+	re := rep.Engine()
+	rtbl, err := re.Table("users")
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func(tx *Txn, want string) {
+		t.Helper()
+		if _, row, err := tx.GetByKey(rtbl, 0, I(1)); err != nil || row[1].Str() != want {
+			t.Fatalf("replica read %v, %v; want %s", row, err, want)
+		}
+	}
+	tx, err := re.Begin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read(tx, "v1")
+
+	ptx, err := primary.Begin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ptx.Update(tbl, rid, Row{I(1), S("v2"), I(2)}); err != nil {
+		t.Fatal(err)
+	}
+	commit(t, ptx)
+	catchUp(t, rep, 1)
+	read(tx, "v1")
+	commit(t, tx)
+	fresh, err := re.Begin(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read(fresh, "v2")
+	commit(t, fresh)
+
+	catchUp(t, rep, 0)
+	if head := rtbl.rows.Get(rid); head == nil || head.next.Load() != nil {
+		t.Fatal("the superseded version outlived every snapshot and a pass")
+	}
+	old := encodePrefix([]Value{S("v1")})
+	stale := 0
+	if err := rtbl.indexes[1].Scan(old, KeySuccessor(old), func([]byte, uint64) bool { stale++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	if stale != 0 {
+		t.Fatalf("the renamed row's old secondary key still has %d index entries", stale)
+	}
+}
+
+// TestReplicaStalledCommitIsNotApplied: a pass that stops at a record of a
+// table the replica cannot see yet -- its manifest has migrated and the new
+// one has not shipped -- does not count the record's CSN as applied, so a
+// read-your-writes wait for that commit does not return before its row
+// exists. Once the table is visible, the next pass applies the row.
+func TestReplicaStalledCommitIsNotApplied(t *testing.T) {
+	primary := testEngine(t)
+	insertUser(t, primary, mustTable(t, primary, usersSchema()), 0, 1, "keep", 1)
+	rep := openTestReplica(t, primary)
+	catchUp(t, rep, 0)
+	unshipped, err := primary.Service().Create(srss.TierCompute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.TrackManifest(unshipped.ID())
+
+	s := usersSchema()
+	s.Name = "later"
+	later := mustTable(t, primary, s)
+	tx, err := primary.Begin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Insert(later, Row{I(2), S("new"), I(2)}); err != nil {
+		t.Fatal(err)
+	}
+	commit(t, tx)
+	csn := tx.CSN()
+
+	catchUp(t, rep, 0)
+	if got := rep.AppliedCSN(); got >= csn {
+		t.Fatalf("AppliedCSN %d after a pass stalled at CSN %d", got, csn)
+	}
+	rep.TrackManifest(primary.ManifestID())
+	catchUp(t, rep, 1)
+	if got := rep.AppliedCSN(); got < csn {
+		t.Fatalf("AppliedCSN %d after the stalled commit %d applied", got, csn)
+	}
+	if snap := snapshotTable(t, rep.Engine(), "later"); snap[2][0] != "new" {
+		t.Fatalf("replica holds %v, want the row of the stalled commit", snap)
+	}
+}
+
+// pend2pcLen is how many gtids the engine remembers.
+func pend2pcLen(e *Engine) int {
+	e.pendMu.Lock()
+	defer e.pendMu.Unlock()
+	return len(e.pend2pc)
+}
+
+// TestTwoPCMatcher runs every interleaving of a gtid's prepare (worker 1's
+// stream), decision and forget (worker 0's) through both drivers of the one
+// log applier -- Recover over the finished log, and a replica following it as
+// it is written, then promoted -- and holds both to what the primary knows:
+// the gtid's status, the in-doubt list, the visible rows, how many gtids are
+// remembered. The replica meets the records in its bootstrap replay, in one
+// live pass (the decision before the prepare, in segment order) or one pass
+// per record; with ckpt a checkpoint follows the records, which fences the
+// prepare's segment once the gtid is decided.
+func TestTwoPCMatcher(t *testing.T) {
+	const gtid = "h0-matcher"
+	for _, steps := range []string{"P", "PC", "PA", "PCF", "PAF", "A", "AF"} {
+		for _, sched := range []string{"bootstrap", "one pass", "pass per record"} {
+			for _, ckpt := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%s/ckpt=%v", steps, sched, ckpt), func(t *testing.T) {
+					primary := testEngine(t)
+					tbl := mustTable(t, primary, usersSchema())
+					insertUser(t, primary, tbl, 0, 1, "base", 1)
+					var rep *Replica
+					if sched != "bootstrap" {
+						rep = openTestReplica(t, primary)
+					}
+					for _, s := range steps {
+						switch s {
+						case 'P':
+							tx, _ := primary.Begin(1)
+							if _, err := tx.Insert(tbl, Row{I(10), S("twopc"), I(10)}); err != nil {
+								t.Fatal(err)
+							}
+							prepare(t, tx, gtid)
+						case 'C', 'A':
+							resolve(t, primary, gtid, s == 'C')
+						case 'F':
+							forget(t, primary, gtid)
+						}
+						if sched == "pass per record" {
+							catchUp(t, rep, -1)
+						}
+					}
+					if ckpt {
+						if _, err := primary.Checkpoint(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if rep == nil {
+						rep = openTestReplica(t, primary)
+					}
+					catchUp(t, rep, -1)
+
+					type state struct {
+						status  TxnState
+						inDoubt string
+						rows    string
+						pend    int
+					}
+					of := func(e *Engine) state {
+						st, _ := e.TxnStatus(gtid)
+						return state{st, fmt.Sprint(e.InDoubt()), fmt.Sprint(snapshotTable(t, e, "users")), pend2pcLen(e)}
+					}
+					want := of(primary)
+					recovered, _ := recoverEngine(t, primary, RecoverOptions{ReplayThreads: 2})
+					if got := of(recovered); got != want {
+						t.Errorf("Recover: %+v, the primary %+v", got, want)
+					}
+					if _, err := rep.Promote(0); err != nil {
+						t.Fatal(err)
+					}
+					if got := of(rep.Engine()); got != want {
+						t.Errorf("replica after Promote: %+v, the primary %+v", got, want)
+					}
+				})
+			}
+		}
 	}
 }
 
@@ -305,6 +583,69 @@ func TestReplicaTwoPCPrepareThenDecide(t *testing.T) {
 	if snap := snapshotTable(t, re, "users"); snap[20][1].(int64) != 20 {
 		t.Fatalf("forget regressed follower data: %v", snap)
 	}
+}
+
+// BenchmarkFollowerCatchUp times one CatchUp over a shipped log of 4096
+// updates, GC after the pass included: what a follower spends per record, as
+// ns/record. "same-keys" updates change no index key, "new-name" changes the
+// secondary one.
+func BenchmarkFollowerCatchUp(b *testing.B) {
+	for _, tc := range []struct{ name, prefix string }{{"same-keys", "name"}, {"new-name", "renamed"}} {
+		b.Run(tc.name, func(b *testing.B) { benchFollowerCatchUp(b, tc.prefix) })
+	}
+}
+
+func benchFollowerCatchUp(b *testing.B, prefix string) {
+	const rows = 4096
+	var total time.Duration
+	for i := 0; i < b.N; i++ {
+		primary, err := Open(Config{Workers: 16, SegmentSize: 1 << 20, GCEveryNCommits: 4})
+		if err != nil {
+			b.Fatal(err)
+		}
+		tbl, err := primary.CreateTable(usersSchema())
+		if err != nil {
+			b.Fatal(err)
+		}
+		write := func(fn func(tx *Txn, id int64) error) {
+			for j := int64(0); j < rows; j += 128 {
+				tx, _ := primary.Begin(0)
+				for id := j; id < j+128; id++ {
+					if err := fn(tx, id); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := tx.Commit(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		rids := make([]RID, rows)
+		write(func(tx *Txn, id int64) (err error) {
+			rids[id], err = tx.Insert(tbl, Row{I(id), S(fmt.Sprintf("name-%06d", id)), I(id)})
+			return err
+		})
+		rep, _, err := OpenReplica(Config{Service: primary.Service(), Workers: 4, SegmentSize: 1 << 20},
+			primary.ManifestID(), RecoverOptions{ReplayThreads: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := rep.CatchUp(); err != nil {
+			b.Fatal(err)
+		}
+		write(func(tx *Txn, id int64) error {
+			return tx.Update(tbl, rids[id], Row{I(id), S(fmt.Sprintf("%s-%06d", prefix, id)), I(id + 1)})
+		})
+		start := time.Now()
+		n, err := rep.CatchUp()
+		total += time.Since(start)
+		if err != nil || n != rows {
+			b.Fatalf("CatchUp applied %d records, %v; want %d", n, err, rows)
+		}
+		rep.Close()
+		primary.Close()
+	}
+	b.ReportMetric(float64(total.Nanoseconds())/float64(b.N*rows), "ns/record")
 }
 
 // TestFollowerApplyAllocs pins what a live follower allocates for each

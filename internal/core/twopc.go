@@ -438,9 +438,7 @@ func (e *Engine) applyDecisionLocked(entry *pend2pcEntry) {
 // as abort (presumed abort -- a home without a durable decision has never
 // acknowledged the commit).
 func (e *Engine) TxnStatus(gtid string) (TxnState, uint64) {
-	e.pendMu.Lock()
-	entry := e.pend2pc[gtid]
-	e.pendMu.Unlock()
+	entry := e.pendEntry(gtid)
 	if entry == nil {
 		return TxnUnknown, 0
 	}
@@ -546,11 +544,12 @@ func (e *Engine) protect2PCSegments(drop map[uint16]bool) {
 }
 
 // reconstructInDoubt rebuilds a prepared transaction from its OpPrepare
-// record during recovery (or replica promotion): TID-stamped versions are
-// installed on top of the current heads -- re-acquiring the write locks --
-// and index entries are re-inserted for keys the transaction added, exactly
-// mirroring the live write path so a later abort uninstalls cleanly.
-// Runs single-threaded after replay and index rebuild.
+// record at the end of the log (applier.settle: recovery, or replica
+// promotion): TID-stamped versions are installed on top of the current heads
+// -- re-acquiring the write locks -- and index entries are re-inserted for
+// keys the transaction added, exactly mirroring the live write path so a
+// later abort uninstalls cleanly. Runs single-threaded after replay and index
+// rebuild.
 func (e *Engine) reconstructInDoubt(gtid string, addr wal.Addr, payload []byte) error {
 	_, body, err := decodePreparePayload(payload)
 	if err != nil {
@@ -651,9 +650,7 @@ func (e *Engine) Forget(gtid string, done func(err error)) error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	e.pendMu.Lock()
-	entry := e.pend2pc[gtid]
-	e.pendMu.Unlock()
+	entry := e.pendEntry(gtid)
 	if entry == nil {
 		done(nil)
 		return nil
@@ -686,8 +683,15 @@ func (e *Engine) Forget(gtid string, done func(err error)) error {
 	return nil
 }
 
-// noteDecision records a durable decision observed during recovery or
-// follower replay for a gtid with no live prepared state here.
+// pendEntry returns gtid's entry, nil if there is none.
+func (e *Engine) pendEntry(gtid string) *pend2pcEntry {
+	e.pendMu.Lock()
+	defer e.pendMu.Unlock()
+	return e.pend2pc[gtid]
+}
+
+// noteDecision records a durable decision the log applier met for a gtid
+// with no live prepared state here.
 func (e *Engine) noteDecision(gtid string, commit bool, csn uint64, decSeg uint16, prepSeg uint16, havePrep bool) {
 	entry := &pend2pcEntry{
 		gtid:     gtid,
