@@ -620,9 +620,11 @@ func (t *Txn) Commit() error {
 	}
 	// Phase 3: commit TID, apply in place, release locks.
 	ctid := t.db.commitSeq.Add(1)
+	last := 0 // the buffer's last record: the latest any write appended
 	for i := range t.writes {
-		wal.PatchCSN(t.logBuf, t.writes[i].logOff, ctid)
+		last = max(last, t.writes[i].logOff)
 	}
+	wal.StampTxn(t.logBuf, last, ctid)
 	for i := range t.writes {
 		w := &t.writes[i]
 		if w.newData != nil {

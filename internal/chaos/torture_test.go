@@ -38,15 +38,43 @@ func crashy(err error) bool {
 // oracle mirrors the acknowledged database state. Keys whose last write
 // ended in a crash are indeterminate: the commit may or may not have become
 // durable before the process died, so either the previous or the attempted
-// state is acceptable after recovery.
+// state is acceptable after recovery -- for the two keys of a transfer, the
+// same one for both.
 type oracle struct {
 	committed     map[int64]int64 // key -> balance of acknowledged state
-	indeterminate map[int64]bool
+	indeterminate map[int64]write // key -> the write a crash left in doubt
+}
+
+// write is what a transaction tried to leave at a key: a balance, or no row.
+type write struct {
+	bal int64
+	del bool
 }
 
 func newOracle() *oracle {
-	return &oracle{committed: map[int64]int64{}, indeterminate: map[int64]bool{}}
+	return &oracle{committed: map[int64]int64{}, indeterminate: map[int64]write{}}
 }
+
+// set makes w the acknowledged state of key.
+func (o *oracle) set(key int64, w write) {
+	if w.del {
+		delete(o.committed, key)
+	} else {
+		o.committed[key] = w.bal
+	}
+}
+
+// Transfers run over pairs of keys above the single-key space: a pair's two
+// rows are inserted, moved between and deleted together, and while they exist
+// their balances sum to pairSum.
+const (
+	keySpace = 64
+	pairs    = 8
+	pairSum  = 1_000_000
+)
+
+// pairOf returns the two keys of pair p.
+func pairOf(p int) [2]int64 { return [2]int64{keySpace + 2*int64(p), keySpace + 2*int64(p) + 1} }
 
 func tortureSchema() *core.Schema {
 	return &core.Schema{
@@ -120,10 +148,7 @@ func tortureOne(t *testing.T, seed uint64) {
 	failed := map[int]bool{} // currently-failed compute nodes
 	crashes, repairs := 0, 0
 
-	const (
-		ops      = 400
-		keySpace = 64
-	)
+	const ops = 400
 	for op := 0; op < ops; op++ {
 		// Fault-environment actions, drawn from the same seeded stream.
 		switch rnd.Intn(40) {
@@ -154,8 +179,15 @@ func tortureOne(t *testing.T, seed uint64) {
 			}
 		}
 
-		key := int64(rnd.Intn(keySpace))
-		bal := int64(rnd.Intn(1_000_000))
+		// One op in four is a two-key transfer, the rest write one key.
+		var keys []int64
+		if rnd.Intn(4) == 0 {
+			p := pairOf(rnd.Intn(pairs))
+			keys = p[:]
+		} else {
+			keys = []int64{int64(rnd.Intn(keySpace))}
+		}
+		bal := int64(rnd.Intn(pairSum))
 		del := rnd.Intn(10) == 0
 
 		tx, berr := e.Begin(0)
@@ -166,59 +198,38 @@ func tortureOne(t *testing.T, seed uint64) {
 			e, tbl = recoverAndDiff(t, ch, svc, cfg, o, &crashes, e, rules)
 			continue
 		}
-		prior, exists := o.committed[key]
-		_ = prior
-		var werr error
-		rid, _, gerr := tx.GetByKey(tbl, 0, core.I(key))
-		switch {
-		case gerr == nil && del:
-			werr = tx.Delete(tbl, rid)
-		case gerr == nil:
-			werr = tx.Update(tbl, rid, core.Row{core.I(key), core.I(bal)})
-		case errors.Is(gerr, core.ErrNotFound):
-			if del {
-				_ = tx.Abort()
-				continue
-			}
-			_, werr = tx.Insert(tbl, core.Row{core.I(key), core.I(bal)})
-		default:
+		writes, werr := writeKeys(tx, tbl, keys, bal, del)
+		if werr != nil {
 			_ = tx.Abort()
-			if !crashy(gerr) {
-				t.Fatalf("op %d: get key %d: %v", op, key, gerr)
+			// Conflicts/duplicates can't happen single-threaded; anything
+			// else non-crashy is a real bug.
+			if !crashy(werr) {
+				t.Fatalf("op %d: write keys %v: %v", op, keys, werr)
 			}
 			e, tbl = recoverAndDiff(t, ch, svc, cfg, o, &crashes, e, rules)
 			continue
 		}
-		if werr != nil {
-			_ = tx.Abort()
-			if crashy(werr) {
-				e, tbl = recoverAndDiff(t, ch, svc, cfg, o, &crashes, e, rules)
-			}
-			// Conflicts/duplicates can't happen single-threaded; anything
-			// else non-crashy is a real bug.
-			if !crashy(werr) {
-				t.Fatalf("op %d: write key %d: %v", op, key, werr)
-			}
+		if writes == nil {
+			_ = tx.Abort() // nothing to write
 			continue
 		}
 		cerr := tx.Commit()
 		switch {
 		case cerr == nil:
-			if del {
-				delete(o.committed, key)
-			} else {
-				o.committed[key] = bal
+			for i, k := range keys {
+				o.set(k, writes[i])
+				delete(o.indeterminate, k)
 			}
-			delete(o.indeterminate, key)
 		case crashy(cerr):
-			// Ambiguous: the write may or may not have reached the log
-			// before the crash. Either outcome is acceptable.
-			o.indeterminate[key] = true
+			// Ambiguous: the writes may or may not have reached the log
+			// before the crash. Either outcome is acceptable, all or none.
+			for i, k := range keys {
+				o.indeterminate[k] = writes[i]
+			}
 			e, tbl = recoverAndDiff(t, ch, svc, cfg, o, &crashes, e, rules)
 		default:
-			t.Fatalf("op %d: commit key %d: %v", op, key, cerr)
+			t.Fatalf("op %d: commit keys %v: %v", op, keys, cerr)
 		}
-		_ = exists
 	}
 
 	// Final verification pass; leave the schedule disarmed so Close runs
@@ -231,6 +242,62 @@ func tortureOne(t *testing.T, seed uint64) {
 	e.Close()
 	t.Logf("seed %d: %d crashes, %d replicas repaired, %d live keys, %d torn appends",
 		seed, crashes, repairs, len(o.committed), svc.Stats().TornAppends.Load())
+}
+
+// writeKeys writes keys in tx and returns what it wrote at each, nil when
+// there was nothing to write. One key is deleted, updated to bal or inserted
+// at bal. A pair is deleted, inserted with balances bal and pairSum-bal, or
+// has bal moved, modulo pairSum, from its first row to its second.
+func writeKeys(tx *core.Txn, tbl *core.Table, keys []int64, bal int64, del bool) ([]write, error) {
+	rids := make([]core.RID, len(keys))
+	rows := make([]core.Row, len(keys))
+	found := 0
+	for i, k := range keys {
+		rid, row, err := tx.GetByKey(tbl, 0, core.I(k))
+		switch {
+		case err == nil:
+			rids[i], rows[i] = rid, row
+			found++
+		case !errors.Is(err, core.ErrNotFound):
+			return nil, err
+		}
+	}
+	if found != 0 && found != len(keys) {
+		return nil, fmt.Errorf("transfer pair %v holds %d of its rows", keys, found)
+	}
+	writes := make([]write, len(keys))
+	switch {
+	case del && found == 0:
+		return nil, nil
+	case del:
+		for i := range keys {
+			writes[i].del = true
+		}
+	case found == 0 || len(keys) == 1:
+		writes[0].bal = bal
+		if len(keys) == 2 {
+			writes[1].bal = pairSum - bal
+		}
+	default:
+		a, b := rows[0][1].Int(), rows[1][1].Int()
+		d := bal % (a + 1)
+		writes[0].bal, writes[1].bal = a-d, b+d
+	}
+	for i, k := range keys {
+		var err error
+		switch {
+		case writes[i].del:
+			err = tx.Delete(tbl, rids[i])
+		case found == 0:
+			_, err = tx.Insert(tbl, core.Row{core.I(k), core.I(writes[i].bal)})
+		default:
+			err = tx.Update(tbl, rids[i], core.Row{core.I(k), core.I(writes[i].bal)})
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return writes, nil
 }
 
 // recoverAndDiff models a process restart: close the dead engine, clear the
@@ -268,30 +335,55 @@ func recoverAndDiff(t *testing.T, ch *chaos.Engine, svc *srss.Service, cfg core.
 	if err != nil {
 		t.Fatalf("begin on recovered engine: %v", err)
 	}
-	for key := int64(0); key < 64; key++ {
+	recovered := map[int64]write{}
+	for key := int64(0); key < keySpace+2*pairs; key++ {
 		_, row, gerr := tx.GetByKey(tbl, 0, core.I(key))
-		if o.indeterminate[key] {
-			// Resolve the ambiguity to the recovered truth.
-			if gerr == nil {
-				o.committed[key] = row[1].Int()
-			} else if errors.Is(gerr, core.ErrNotFound) {
-				delete(o.committed, key)
-			} else {
-				t.Fatalf("key %d (indeterminate): %v", key, gerr)
-			}
-			delete(o.indeterminate, key)
-			continue
+		switch {
+		case gerr == nil:
+			recovered[key] = write{bal: row[1].Int()}
+		case errors.Is(gerr, core.ErrNotFound):
+			recovered[key] = write{del: true}
+		default:
+			t.Fatalf("key %d: read after recovery: %v", key, gerr)
 		}
+	}
+	// An indeterminate key recovers either its acknowledged state or the
+	// write in doubt, and the keys of one transaction -- the two of a
+	// transfer -- recover the same one of the two.
+	var kept, applied []int64
+	for key, attempt := range o.indeterminate {
+		bal, exists := o.committed[key]
+		switch got, prior := recovered[key], (write{bal: bal, del: !exists}); {
+		case got == prior && got == attempt:
+		case got == prior:
+			kept = append(kept, key)
+		case got == attempt:
+			applied = append(applied, key)
+			o.set(key, attempt)
+		default:
+			t.Fatalf("key %d (indeterminate): recovered %+v, neither the acknowledged %+v nor the attempted %+v", key, got, prior, attempt)
+		}
+		delete(o.indeterminate, key)
+	}
+	if len(kept) > 0 && len(applied) > 0 {
+		t.Fatalf("a transaction in doubt recovered in part: keys %v as before it, %v as it wrote them", kept, applied)
+	}
+	for p := 0; p < pairs; p++ {
+		k := pairOf(p)
+		a, b := recovered[k[0]], recovered[k[1]]
+		if a.del != b.del || !a.del && a.bal+b.bal != pairSum {
+			t.Fatalf("pair %v recovered as %+v and %+v: not both rows summing to %d, nor neither", k, a, b, pairSum)
+		}
+	}
+	for key, got := range recovered {
 		want, exists := o.committed[key]
 		switch {
-		case gerr == nil && !exists:
-			t.Fatalf("key %d: present after recovery, oracle says deleted/absent (row %v)", key, row)
-		case gerr == nil && row[1].Int() != want:
-			t.Fatalf("key %d: balance %d after recovery, oracle says %d", key, row[1].Int(), want)
-		case errors.Is(gerr, core.ErrNotFound) && exists:
+		case !got.del && !exists:
+			t.Fatalf("key %d: present after recovery, oracle says deleted/absent (balance %d)", key, got.bal)
+		case !got.del && got.bal != want:
+			t.Fatalf("key %d: balance %d after recovery, oracle says %d", key, got.bal, want)
+		case got.del && exists:
 			t.Fatalf("key %d: lost after recovery, oracle says balance %d", key, want)
-		case gerr != nil && !errors.Is(gerr, core.ErrNotFound):
-			t.Fatalf("key %d: read after recovery: %v", key, gerr)
 		}
 	}
 	if err := tx.Commit(); err != nil {

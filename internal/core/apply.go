@@ -127,31 +127,38 @@ func (a *applier) pass(threads int, st *RecoveryStats) (stalled bool, err error)
 			var scanned, applied int64
 			var top uint64
 			halted := false
-			fn := func(addr wal.Addr, rec wal.Record) bool {
-				scanned++
+			fn := func(txn []wal.Entry) bool {
+				scanned += int64(len(txn))
+				// 2PC records come before the skip rule: a prepare carries CSN
+				// 0, and every decision must reach the matcher for TxnStatus.
+				// Each is a transaction of its own.
+				op, csn := txn[0].Op, txn[0].CSN
 				ok := true
 				switch {
-				case rec.Op == wal.OpPrepare || rec.Op == wal.OpDecide || rec.Op == wal.OpForget:
-					// Before the skip rule: a prepare carries CSN 0, and every
-					// decision must reach the matcher for TxnStatus.
+				case op == wal.OpPrepare || op == wal.OpDecide || op == wal.OpForget:
 					var n int64
 					a.twopcMu.Lock()
-					n, ok = a.match(addr, rec)
+					n, ok = a.match(txn[0].Addr, txn[0].Record)
 					a.twopcMu.Unlock()
 					applied += n
-				case a.live || rec.CSN > a.skipCSN:
-					var t *Table
-					if t, ok = a.table(rec.Table); t != nil && a.apply(t, addr, rec) {
-						applied++
+				case !a.live && csn <= a.skipCSN:
+				case !a.known(txn):
+					ok = false
+				default:
+					for i := range txn {
+						r := &txn[i]
+						if t := a.tables[r.Table]; t != nil && a.apply(t, r.Addr, r.Record) {
+							applied++
+						}
 					}
 				}
 				if !ok {
-					// The scan stops here, and the record waits: its CSN
-					// must not count as applied.
+					// The scan stops here, and the transaction waits, whole:
+					// none of it applied, its CSN not counted.
 					halted = true
 					return false
 				}
-				top = max(top, rec.CSN)
+				top = max(top, csn)
 				return true
 			}
 			for i := range next {
@@ -190,11 +197,22 @@ func (a *applier) pass(threads int, st *RecoveryStats) (stalled bool, err error)
 	return stalled, err
 }
 
+// known reports whether the catalog knows every table txn writes. When it
+// does not, the scan stops at the transaction: a replica's copy of the log can
+// hold a new table's records before the manifest record the primary wrote
+// ahead of them, and the transaction waits, whole, for a catalog refresh.
+func (a *applier) known(txn []wal.Entry) bool {
+	for i := range txn {
+		if _, ok := a.table(txn[i].Table); !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // table resolves a record's table. ok is false when the scan must stop at the
-// record: a replica's copy of the log can hold a new table's records before
-// the manifest record the primary wrote ahead of them, and the record waits
-// for a catalog refresh. A writable engine has read its whole manifest; it
-// skips a record of a table it does not know.
+// record's transaction (see known). A writable engine has read its whole
+// manifest; it skips a record of a table it does not know.
 func (a *applier) table(id uint32) (t *Table, ok bool) {
 	t = a.tables[id]
 	return t, t != nil || !a.e.readOnly.Load()
@@ -314,8 +332,8 @@ func (a *applier) addKeys(t *Table, rid RID, payload []byte, head *Version) (cha
 //     (forgetIfSettled).
 //
 // What still waits at the end of the log is settle's. ok is false when a
-// prepare writes a table the catalog does not know (see table). Requires
-// twopcMu.
+// prepare writes a table the catalog does not know (see known): a prepare is
+// a transaction of its own. Requires twopcMu.
 func (a *applier) match(addr wal.Addr, rec wal.Record) (applied int64, ok bool) {
 	var gtid string
 	switch rec.Op {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"hiengine/internal/chaos"
@@ -79,6 +80,54 @@ func TestTornTailRecovery(t *testing.T) {
 		}
 		commit(t, tx2)
 		e2.Close()
+	}
+}
+
+// TestTornTransactionIsAllOrNothing: the append of an 8-insert transaction is
+// torn at a seeded point -- inside a record, or between two -- and recovery
+// brings back all of its rows or none. Recovering the records before the cut
+// would commit part of a transaction nobody acknowledged.
+func TestTornTransactionIsAllOrNothing(t *testing.T) {
+	cfg := Config{Name: "torn-txn", Workers: 1, LogStreams: 1}
+	const rows = 8
+	partial := 0
+	for seed := uint64(1); seed <= 200; seed++ {
+		ch := chaos.New(seed)
+		cfg.Service = srss.New(srss.Config{ComputeNodes: 5, Chaos: ch})
+		e, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl := mustTable(t, e, usersSchema())
+		ch.Arm(chaos.Rule{Site: srss.SiteAppendTear, Action: chaos.Tear, Prob: 1})
+		tx := begin(t, e, 0)
+		for i := int64(0); i < rows; i++ {
+			if _, err := tx.Insert(tbl, Row{I(i), S(fmt.Sprintf("row-%d", i)), I(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); !errors.Is(err, chaos.ErrCrashed) {
+			t.Fatalf("seed %d: torn commit: %v, want ErrCrashed", seed, err)
+		}
+		ch.Disarm(srss.SiteAppendTear)
+		ch.ClearCrash()
+		e.Close()
+		rec, _, err := RecoverByName(cfg, RecoverOptions{ReplayThreads: 2})
+		if err != nil {
+			t.Fatalf("seed %d: recover: %v", seed, err)
+		}
+		rtbl, err := rec.Table("users")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := rtbl.LiveRows(); n != 0 && n != rows {
+			partial++
+			t.Errorf("seed %d: recovered %d of the torn transaction's %d rows", seed, n, rows)
+		}
+		rec.Close()
+	}
+	if partial > 0 {
+		t.Errorf("%d of 200 torn transactions recovered in part", partial)
 	}
 }
 

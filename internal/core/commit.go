@@ -78,7 +78,8 @@ func (t *Txn) commitStart(durable func(error)) (bool, error) {
 
 	// Stamp versions: replace TIDs with the CSN in tmin of new versions
 	// and tmax of superseded ones (Section 5.1). After this point other
-	// transactions read the new data.
+	// transactions read the new data. The log buffer takes the CSN once, in
+	// its first record, and the end mark on its last.
 	ws := t.ws
 	for i := range ws.writes {
 		we := &ws.writes[i]
@@ -86,8 +87,8 @@ func (t *Txn) commitStart(durable func(error)) (bool, error) {
 		if we.oldV != nil {
 			we.oldV.tmax.Store(csn)
 		}
-		wal.PatchCSN(ws.log, we.logOff, csn)
 	}
+	wal.StampTxn(ws.log, ws.writes[len(ws.writes)-1].logOff, csn)
 	t.slot.stamping.Store(false)
 	// The status-map entry is only needed while versions still carry the
 	// TID; drop it now that stamping is complete.

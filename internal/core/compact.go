@@ -206,7 +206,7 @@ func (c *compactor) rewrite(t *Table, rid RID, v *Version) error {
 		}
 	}
 	buf, off := wal.AppendRecord(nil, op, t.ID, uint64(rid), payload)
-	wal.PatchCSN(buf, off, v.tmin.Load())
+	wal.StampTxn(buf, off, v.tmin.Load())
 	base, err := c.e.log.AppendSync(0, buf)
 	if err != nil {
 		return fmt.Errorf("core: compaction append: %w", err)

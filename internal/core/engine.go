@@ -777,7 +777,7 @@ func (e *Engine) ImportRow(tbl *Table, row Row) (RID, error) {
 		}
 	}
 	buf, off := wal.AppendRecord(nil, wal.OpInsert, tbl.ID, uint64(rid), *payload)
-	wal.PatchCSN(buf, off, loadCSN)
+	wal.StampTxn(buf, off, loadCSN)
 	e.mPrivateBytes.Add(int64(len(*payload)))
 	base, err := e.log.AppendSync(0, buf)
 	if err != nil {

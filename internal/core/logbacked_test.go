@@ -37,14 +37,13 @@ func logBacked(t *testing.T, e *Engine, v *Version) bool {
 	}
 	// (ReadRecord's own payload is a copy whenever any part of the record
 	// crosses a chunk, so it is not what to compare with.)
-	w := e.log.Appended(payloadAddr(v.Addr(), rec.Table, rec.RID, len(rec.Payload)))
+	w := e.log.Appended(payloadAddr(e, v.Addr(), rec))
 	return len(w) >= len(*d) && &w[0] == &(*d)[0]
 }
 
-// payloadAddr is where the n-byte payload of the record at addr lies: after
-// the op tag, the CSN and the header's three uvarints.
-func payloadAddr(addr wal.Addr, table uint32, rid uint64, n int) wal.Addr {
-	return addr.Add(uint32(1 + 8 + uvarintLen(uint64(table)) + uvarintLen(rid) + uvarintLen(uint64(n))))
+// payloadAddr is where the payload of rec, the record at addr, lies.
+func payloadAddr(e *Engine, addr wal.Addr, rec wal.Record) wal.Addr {
+	return addr.Add(uint32(wal.HeaderLen(e.log.Appended(addr)[0], rec)))
 }
 
 func privateBytes(e *Engine) int64 { return e.Obs().Gauge("core.payload_private_bytes").Load() }
@@ -348,7 +347,11 @@ func TestStraddlingRecordStaysPrivate(t *testing.T) {
 	var private, swung int64
 	tbl.rows.Range(func(rid RID, v *Version) bool {
 		d := *v.data.Load()
-		from := int64(payloadAddr(v.Addr(), tbl.ID, uint64(rid), len(d)).Offset())
+		rec, err := e.log.ReadRecord(v.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		from := int64(payloadAddr(e, v.Addr(), rec).Offset())
 		straddles := from/chunk != (from+int64(len(d))-1)/chunk
 		switch backed := logBacked(t, e, v); {
 		case straddles && (backed || !v.private.Load()):

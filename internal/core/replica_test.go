@@ -318,6 +318,158 @@ func TestReplicaStalledCommitIsNotApplied(t *testing.T) {
 	}
 }
 
+// TestReplicaStallRetriesTheWholeTransaction: a transaction whose second
+// record names a table the replica cannot see yet stalls whole -- its first
+// record, of a table the replica knows, is not applied either, and its CSN is
+// not counted -- and is applied whole from its first record once the table is
+// visible.
+func TestReplicaStallRetriesTheWholeTransaction(t *testing.T) {
+	primary := testEngine(t)
+	users := mustTable(t, primary, usersSchema())
+	insertUser(t, primary, users, 0, 1, "keep", 1)
+	rep := openTestReplica(t, primary)
+	catchUp(t, rep, 0)
+	unshipped, err := primary.Service().Create(srss.TierCompute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.TrackManifest(unshipped.ID())
+
+	s := usersSchema()
+	s.Name = "later"
+	later := mustTable(t, primary, s)
+	tx := begin(t, primary, 0)
+	if _, err := tx.Insert(users, Row{I(2), S("known-table"), I(2)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Insert(later, Row{I(2), S("unknown-table"), I(2)}); err != nil {
+		t.Fatal(err)
+	}
+	commit(t, tx)
+	csn := tx.CSN()
+
+	catchUp(t, rep, 0)
+	if got := rep.AppliedCSN(); got >= csn {
+		t.Fatalf("AppliedCSN %d after a pass stalled at CSN %d", got, csn)
+	}
+	rusers, err := rep.Engine().Table("users")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := rusers.LiveRows(); n != 1 {
+		t.Fatalf("the stalled transaction's first record was applied: users holds %d rows, want 1", n)
+	}
+	rep.TrackManifest(primary.ManifestID())
+	catchUp(t, rep, 2)
+	if got := rep.AppliedCSN(); got < csn {
+		t.Fatalf("AppliedCSN %d after the stalled commit %d applied", got, csn)
+	}
+	if snap := snapshotTable(t, rep.Engine(), "users"); snap[2][0] != "known-table" || len(snap) != 2 {
+		t.Fatalf("replica users hold %v, want the keep row and the stalled commit's", snap)
+	}
+	if snap := snapshotTable(t, rep.Engine(), "later"); snap[2][0] != "unknown-table" {
+		t.Fatalf("replica holds %v in later, want the stalled commit's row", snap)
+	}
+}
+
+// shipLog brings dst's copy of src's PLogs up to date, as log shipping does
+// for a follower, except for the PLog named in cut, whose copy it brings up
+// to the given offset only.
+func shipLog(t *testing.T, src, dst *srss.Service, cut srss.PLogID, at int64) {
+	t.Helper()
+	for _, tier := range []srss.Tier{srss.TierCompute, srss.TierStorage} {
+		for _, id := range src.List(tier) {
+			p, err := src.Open(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			end := p.Size()
+			if id == cut {
+				end = at
+			}
+			q, err := dst.ImportPLog(id, tier)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if q.Size() >= end {
+				continue
+			}
+			b := make([]byte, end-q.Size())
+			if _, err := p.ReadAt(b, q.Size()); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := q.Append(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestReplicaNeverShowsPartOfATransaction: a follower's copy of the log,
+// shipped in chunks that are not record-aligned, can end inside a
+// transaction -- between two of its records, or inside one. CatchUp applies
+// none of it and does not count its CSN, so no replica snapshot holds a
+// prefix of it; once the rest arrives, all of it is applied.
+func TestReplicaNeverShowsPartOfATransaction(t *testing.T) {
+	const rows = 8
+	for _, inside := range []bool{false, true} {
+		primary := testEngine(t, func(c *Config) { c.LogStreams = 1 })
+		users := mustTable(t, primary, usersSchema())
+		insertUser(t, primary, users, 0, 0, "before", 0)
+		follower := srss.New(srss.Config{})
+		shipLog(t, primary.Service(), follower, srss.PLogID{}, 0)
+		rep, _, err := OpenReplica(Config{Service: follower, Workers: 2}, primary.ManifestID(), RecoverOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rep.Close()
+
+		tx := begin(t, primary, 0)
+		var rids []RID
+		for i := int64(1); i <= rows; i++ {
+			rid, err := tx.Insert(users, Row{I(i), S(fmt.Sprintf("row-%d", i)), I(i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rids = append(rids, rid)
+		}
+		commit(t, tx)
+		csn := tx.CSN()
+		// The copy ends at the transaction's fourth record, or 3 bytes into
+		// its last.
+		at := users.rows.Get(rids[3]).Addr()
+		if inside {
+			at = users.rows.Get(rids[rows-1]).Addr().Add(3)
+		}
+		seg, ok := primary.Log().Directory().Lookup(at.Segment())
+		if !ok {
+			t.Fatal("the transaction's segment is not in the directory")
+		}
+		shipLog(t, primary.Service(), follower, seg, int64(at.Offset()))
+
+		catchUp(t, rep, 0)
+		if got := rep.AppliedCSN(); got >= csn {
+			t.Fatalf("inside=%v: AppliedCSN %d with part of CSN %d shipped", inside, got, csn)
+		}
+		rusers, err := rep.Engine().Table("users")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, snap := rusers.LiveRows(), snapshotTable(t, rep.Engine(), "users"); n != 1 || len(snap) != 1 {
+			t.Fatalf("inside=%v: the replica holds %d rows, shows %v, with part of a transaction shipped; want the one before it", inside, n, snap)
+		}
+
+		shipLog(t, primary.Service(), follower, srss.PLogID{}, 0)
+		catchUp(t, rep, rows)
+		if got := rep.AppliedCSN(); got < csn {
+			t.Fatalf("inside=%v: AppliedCSN %d after the rest of CSN %d arrived", inside, got, csn)
+		}
+		if snap := snapshotTable(t, rep.Engine(), "users"); len(snap) != rows+1 {
+			t.Fatalf("inside=%v: the replica shows %d rows once the transaction arrived, want %d", inside, len(snap), rows+1)
+		}
+	}
+}
+
 // pend2pcLen is how many gtids the engine remembers.
 func pend2pcLen(e *Engine) int {
 	e.pendMu.Lock()

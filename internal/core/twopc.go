@@ -264,6 +264,7 @@ func (t *Txn) prepareStart(gtid string, durable func(readOnly bool, err error)) 
 	t.slot.lastLogBytes, t.slot.lastWrites = len(ws.log), len(ws.writes)
 	payload := encodePreparePayload(gtid, ws.log)
 	buf, off := wal.AppendRecord(nil, wal.OpPrepare, 0, 0, payload)
+	wal.StampTxn(buf, off, 0)
 	// Byte offset from the OpPrepare record's address to the embedded write
 	// buffer: record header, then the gtid length prefix and gtid.
 	embBase := off + prepHeaderLen(len(payload)) + uvarintLen(uint64(len(gtid))) + len(gtid)
@@ -367,7 +368,7 @@ func (e *Engine) Resolve(gtid string, commit bool, done func(csn uint64, err err
 	entry.mu.Unlock()
 
 	buf, off := wal.AppendRecord(nil, wal.OpDecide, 0, 0, encodeDecidePayload(gtid, commit))
-	wal.PatchCSN(buf, off, csn)
+	wal.StampTxn(buf, off, csn)
 	e.commitsStarted.Add(1)
 	e.log.AppendTraced(0, buf, nil, func(base wal.Addr, err error) {
 		entry.mu.Lock()
@@ -664,7 +665,8 @@ func (e *Engine) Forget(gtid string, done func(err error)) error {
 	if e.durabilityLost.Load() {
 		return ErrDurabilityLost
 	}
-	buf, _ := wal.AppendRecord(nil, wal.OpForget, 0, 0, encodeGTIDPayload(gtid))
+	buf, off := wal.AppendRecord(nil, wal.OpForget, 0, 0, encodeGTIDPayload(gtid))
+	wal.StampTxn(buf, off, 0)
 	e.commitsStarted.Add(1)
 	e.log.AppendTraced(0, buf, nil, func(_ wal.Addr, err error) {
 		if err == nil {

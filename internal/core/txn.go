@@ -545,7 +545,7 @@ func (t *Txn) scanEncoded(tbl *Table, idx int, fromK, toK []byte, fn func(rid RI
 //     was published takes the record out of the buffer again (unstage).
 //   - What happens to the buffer after a version is published touches no byte
 //     a published payload covers: later records are appended behind it,
-//     PatchCSN writes header bytes, a buffer that grows is copied, not moved.
+//     StampTxn writes header bytes, a buffer that grows is copied, not moved.
 //
 // Every write records its writeEntry as soon as its version is installed,
 // before index maintenance: whatever fails afterwards aborts the

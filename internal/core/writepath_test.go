@@ -605,14 +605,14 @@ func walImageRun(t *testing.T, splice bool) *Engine {
 	return e
 }
 
-// The log image of walImageRun. fnvImage is the hash the commit before the
-// one-pass write path took and every commit up to the one before this kept:
-// records closed by a 4-byte FNV-1a. crcImage is the same log with each
-// record closed by CRC-32C instead (SRSS is memory-only: no image in the old
-// format outlives its process, so nothing has to read both).
+// The log image of walImageRun. crcImage is today's: the transaction is the
+// log's unit, its CSN in its first record only. recordCSNImage is the image
+// every commit up to the one before this kept, in which each record repeated
+// its transaction's CSN (SRSS is memory-only: no image in the old format
+// outlives its process, so nothing has to read both).
 const (
-	fnvImage = "3a707e07b0850d837b26bbba86796bd0b783367059ae3515bae3c7ad4cfb2ef1"
-	crcImage = "47a1f4dccc06574360949482992868abedf459a90064435b74cffd9ed6253e13"
+	recordCSNImage = "47a1f4dccc06574360949482992868abedf459a90064435b74cffd9ed6253e13"
+	crcImage       = "e25be58bb526e29944192bb51313b46ebb27769dcb66ff24a9287eefd20ef7c0"
 )
 
 // TestWALImageUnchanged pins the log format byte for byte, whether the
@@ -626,37 +626,92 @@ func TestWALImageUnchanged(t *testing.T) {
 	}
 }
 
-// TestWALImageOnlyChecksumMoved shows that the re-freeze of crcImage moved
-// nothing but the checksum: put FNV-1a back into the last 4 bytes of every
-// record of today's log and it is the parent's image again -- every other
-// byte, every record boundary and the log's length are where they were.
-func TestWALImageOnlyChecksumMoved(t *testing.T) {
-	fnv1a := func(h uint32, b []byte) uint32 {
-		for _, c := range b {
-			h = (h ^ uint32(c)) * 16777619
-		}
-		return h
-	}
-	segs := walSegments(t, walImageRun(t, false))
-	records := 0
-	for _, s := range segs {
-		b := s.b
-		for pos := 1; pos < len(b); { // byte 0 is the segment header
-			rec, n, err := wal.DecodeRecord(b[pos:])
-			if err != nil {
-				t.Fatalf("record at %d: %v", pos, err)
+// TestWALImageOnlyFramingMoved shows that the re-freeze of crcImage moved
+// nothing but the framing of a transaction: write every record the log's scan
+// delivers in the layout every commit up to the one before this kept -- op,
+// its transaction's CSN, table, RID, payload length, payload, checksum, no
+// marks -- and the log is that image again: every payload, table, RID and
+// checksum is what it was. The image is the 32 continuations' 8 bytes
+// shorter.
+func TestWALImageOnlyFramingMoved(t *testing.T) {
+	e := walImageRun(t, false)
+	segs := walSegments(t, e)
+	records, txns, newLen, oldLen := 0, 0, 0, 0
+	for i, s := range segs {
+		old := s.b[:1:1] // byte 0 is the segment header
+		end, err := e.Log().ScanSegmentFrom(s.id, 0, func(txn []wal.Entry) bool {
+			for _, r := range txn {
+				// A record alone in its buffer is a first record with room for
+				// the CSN right after its op byte, and no end mark until stamped.
+				rec, _ := wal.AppendRecord(nil, r.Op, r.Table, r.RID, r.Payload)
+				binary.LittleEndian.PutUint64(rec[1:9], r.CSN)
+				old = append(old, rec...)
 			}
-			body := b[pos+9 : pos+n-4] // after op and CSN, before the checksum
-			binary.LittleEndian.PutUint32(b[pos+n-4:], fnv1a(uint32(rec.Op)+1, body))
-			pos += n
-			records++
+			records, txns = records+len(txn), txns+1
+			return true
+		})
+		if err != nil || end != int64(len(s.b)) {
+			t.Fatalf("segment %d: scan stopped at %d of %d: %v", s.id, end, len(s.b), err)
 		}
+		newLen, oldLen = newLen+len(s.b), oldLen+len(old)
+		segs[i].b = old
 	}
-	if records != 4*8+3+2+1 {
-		t.Errorf("walked %d records, want 38", records)
+	if records != 4*8+5+1 || txns != 6 {
+		t.Errorf("walked %d records in %d transactions, want 38 in 6", records, txns)
 	}
-	if got := walImageHash(segs); got != fnvImage {
-		t.Errorf("with FNV-1a checksums the image hashes to %s, want the parent's %s", got, fnvImage)
+	if oldLen-newLen != 32*8 {
+		t.Errorf("the image is %d bytes shorter than with a CSN in every record, want %d", oldLen-newLen, 32*8)
+	}
+	if got := walImageHash(segs); got != recordCSNImage {
+		t.Errorf("with a CSN in every record the image hashes to %s, want the parent's %s", got, recordCSNImage)
+	}
+}
+
+// TestTransactionLogBytes counts what logging a transaction as the unit
+// saves: a 128-insert transaction's buffer is 127 CSNs, 8 bytes each, shorter
+// than its records each written as a one-record transaction, and a one-insert
+// transaction's buffer is byte for byte that one record.
+func TestTransactionLogBytes(t *testing.T) {
+	e := testEngine(t, func(c *Config) { c.LogStreams = 1 })
+	tbl := mustTable(t, e, usersSchema())
+	next := int64(0)
+	for _, n := range []int{128, 1} {
+		tx := begin(t, e, 0)
+		var first RID
+		var records [][]byte // the same writes, each a record of its own
+		for i := 0; i < n; i++ {
+			row := Row{I(next), S(fmt.Sprintf("name-%d", next)), I(next * 3)}
+			next++
+			rid, err := tx.Insert(tbl, row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				first = rid
+			}
+			rec, _ := wal.AppendRecord(nil, wal.OpInsert, tbl.ID, uint64(rid), EncodeRow(nil, row))
+			records = append(records, rec)
+		}
+		commit(t, tx)
+		var standalone []byte
+		for _, rec := range records {
+			wal.StampTxn(rec, 0, tx.CSN())
+			standalone = append(standalone, rec...)
+		}
+		// The transaction is the last thing its stream logged.
+		at := tbl.rows.Get(first).Addr()
+		var logged []byte
+		for _, s := range walSegments(t, e) {
+			if s.id == at.Segment() {
+				logged = s.b[at.Offset():]
+			}
+		}
+		if saved := len(standalone) - len(logged); saved != (n-1)*8 {
+			t.Errorf("a %d-insert transaction logs %d bytes, its records on their own %d: %d saved, want %d", n, len(logged), len(standalone), saved, (n-1)*8)
+		}
+		if n == 1 && !bytes.Equal(logged, standalone) {
+			t.Errorf("a one-insert transaction logs %x, its record on its own is %x", logged, standalone)
+		}
 	}
 }
 

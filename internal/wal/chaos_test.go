@@ -23,7 +23,7 @@ func TestAppendGiveupWhenTierDown(t *testing.T) {
 		svc.ComputeNode(i).Fail()
 	}
 	buf, off := AppendRecord(nil, OpInsert, 1, 1, []byte("doomed"))
-	PatchCSN(buf, off, 1)
+	StampTxn(buf, off, 1)
 	_, aerr := m.AppendSync(0, buf)
 	if !errors.Is(aerr, srss.ErrNoHealthyNodes) {
 		t.Fatalf("append with tier down: %v, want wrapped ErrNoHealthyNodes", aerr)
@@ -53,7 +53,7 @@ func TestFlushCrashSites(t *testing.T) {
 			t.Fatal(err)
 		}
 		buf, off := AppendRecord(nil, OpInsert, 1, 7, []byte("batch"))
-		PatchCSN(buf, off, 5)
+		StampTxn(buf, off, 5)
 		_, aerr := m.AppendSync(0, buf)
 		if !errors.Is(aerr, chaos.ErrCrashed) {
 			t.Fatalf("%s: append error = %v", site, aerr)
@@ -101,7 +101,7 @@ func TestTornTailTruncation(t *testing.T) {
 		var good []Addr
 		for i := 0; i < 2; i++ {
 			buf, off := AppendRecord(nil, OpInsert, 1, uint64(i), []byte("intact-record-payload"))
-			PatchCSN(buf, off, uint64(i+1))
+			StampTxn(buf, off, uint64(i+1))
 			a, err := m.AppendSync(0, buf)
 			if err != nil {
 				t.Fatalf("seed %d: good append %d: %v", seed, i, err)
@@ -110,7 +110,7 @@ func TestTornTailTruncation(t *testing.T) {
 		}
 		ch.Arm(chaos.Rule{Site: srss.SiteAppendTear, Action: chaos.Tear, OnHit: ch.Hits(srss.SiteAppendTear) + 1})
 		buf, off := AppendRecord(nil, OpInsert, 1, 99, []byte("this-record-will-be-torn-apart"))
-		PatchCSN(buf, off, 3)
+		StampTxn(buf, off, 3)
 		if _, err := m.AppendSync(0, buf); !errors.Is(err, chaos.ErrCrashed) {
 			t.Fatalf("seed %d: torn append error = %v", seed, err)
 		}
@@ -125,8 +125,8 @@ func TestTornTailTruncation(t *testing.T) {
 		var got []Addr
 		var end int64
 		for _, seg := range m2.Segments() {
-			e, err := m2.ScanSegmentFrom(seg, 0, func(a Addr, _ Record) bool {
-				got = append(got, a)
+			e, err := m2.ScanSegmentFrom(seg, 0, func(txn []Entry) bool {
+				got = append(got, txn[0].Addr)
 				return true
 			})
 			if err != nil {
@@ -157,7 +157,7 @@ func TestGenuineCorruptionStillFails(t *testing.T) {
 	}
 	defer m.Close()
 	buf, off := AppendRecord(nil, OpInsert, 1, 1, []byte("valid"))
-	PatchCSN(buf, off, 1)
+	StampTxn(buf, off, 1)
 	if _, err := m.AppendSync(0, buf); err != nil {
 		t.Fatal(err)
 	}

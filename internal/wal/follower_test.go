@@ -35,7 +35,7 @@ func TestFollowerLiveTailSoak(t *testing.T) {
 		defer close(writeErr)
 		for i := uint64(1); i <= total; i++ {
 			buf, off := AppendRecord(nil, OpInsert, 1, i, []byte("soak-payload-of-nontrivial-length"))
-			PatchCSN(buf, off, i)
+			StampTxn(buf, off, i)
 			if _, err := w.AppendSync(0, buf); err != nil {
 				writeErr <- err
 				return
@@ -55,8 +55,8 @@ func TestFollowerLiveTailSoak(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, seg := range f.Segments() {
-			next, err := f.ScanSegmentFrom(seg, applied[seg], func(_ Addr, rec Record) bool {
-				got = append(got, rec.CSN)
+			next, err := f.ScanSegmentFrom(seg, applied[seg], func(txn []Entry) bool {
+				got = append(got, txn[0].CSN)
 				return true
 			})
 			if err != nil {
@@ -108,13 +108,13 @@ func TestTailTruncationCountedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf, off := AppendRecord(nil, OpInsert, 1, 1, []byte("good-record"))
-	PatchCSN(buf, off, 1)
+	StampTxn(buf, off, 1)
 	if _, err := m.AppendSync(0, buf); err != nil {
 		t.Fatal(err)
 	}
 	ch.Arm(chaos.Rule{Site: srss.SiteAppendTear, Action: chaos.Tear, OnHit: ch.Hits(srss.SiteAppendTear) + 1})
 	buf, off = AppendRecord(nil, OpInsert, 1, 2, []byte("torn-record-payload"))
-	PatchCSN(buf, off, 2)
+	StampTxn(buf, off, 2)
 	if _, err := m.AppendSync(0, buf); !errors.Is(err, chaos.ErrCrashed) {
 		t.Fatalf("torn append error = %v", err)
 	}
@@ -129,7 +129,7 @@ func TestTailTruncationCountedOnce(t *testing.T) {
 	defer m2.Close()
 	seg := m2.Segments()[0]
 	for scan := 0; scan < 3; scan++ {
-		if _, err := m2.ScanSegmentFrom(seg, 0, func(_ Addr, _ Record) bool { return true }); err != nil {
+		if _, err := m2.ScanSegmentFrom(seg, 0, func([]Entry) bool { return true }); err != nil {
 			t.Fatalf("scan %d: %v", scan, err)
 		}
 	}
@@ -150,7 +150,7 @@ func TestDropSegmentFencesScans(t *testing.T) {
 	defer m.Close()
 	for i := uint64(1); i <= 3; i++ {
 		buf, off := AppendRecord(nil, OpInsert, 1, i, []byte("fenced"))
-		PatchCSN(buf, off, i)
+		StampTxn(buf, off, i)
 		if _, err := m.AppendSync(0, buf); err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestDropSegmentFencesScans(t *testing.T) {
 	unblock := make(chan struct{})
 	scanDone := make(chan error, 1)
 	go func() {
-		_, err := m.ScanSegmentFrom(seg, 0, func(_ Addr, _ Record) bool {
+		_, err := m.ScanSegmentFrom(seg, 0, func([]Entry) bool {
 			inScan <- struct{}{}
 			<-unblock
 			return false // stop after the first record
@@ -191,7 +191,7 @@ func TestDropSegmentFencesScans(t *testing.T) {
 	}
 
 	// The segment is gone: scans fail typed, and the count stays clean.
-	if _, err := m.ScanSegmentFrom(seg, 0, func(_ Addr, _ Record) bool { return true }); !errors.Is(err, ErrSegmentDropped) {
+	if _, err := m.ScanSegmentFrom(seg, 0, func([]Entry) bool { return true }); !errors.Is(err, ErrSegmentDropped) {
 		t.Fatalf("scan of dropped segment: %v, want ErrSegmentDropped", err)
 	}
 	if cnt, _ := m.TailTruncations(); cnt != 0 {

@@ -105,7 +105,7 @@ func TestReaderSharesWindows(t *testing.T) {
 	var addrs []Addr
 	for i := 0; i < 400; i++ {
 		buf, off := AppendRecord(nil, OpInsert, 1, uint64(i), bytes.Repeat([]byte{byte(i)}, 20+i%50))
-		PatchCSN(buf, off, uint64(i+1))
+		StampTxn(buf, off, uint64(i+1))
 		a, err := m.AppendSync(i%2, buf)
 		if err != nil {
 			t.Fatal(err)

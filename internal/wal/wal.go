@@ -116,13 +116,39 @@ const (
 )
 
 // Record is one decoded log record: a full record version (or a delete
-// marker) tagged with its creating transaction's CSN.
+// marker) tagged with its creating transaction's CSN -- which a point read of
+// a transaction's later records does not know (see DecodeRecord).
 type Record struct {
 	Op      byte
 	CSN     uint64
 	Table   uint32
 	RID     uint64
 	Payload []byte
+}
+
+// The transaction is the log's unit. A transaction's buffer is its records
+// back to back; only the first carries the CSN, and commit stamps it once:
+//
+//	first record:  op | CSN (8 bytes) | table | RID | payload length | payload | CRC-32C
+//	continuation:  op |                 table | RID | payload length | payload | CRC-32C
+//
+// Spare bits of the op byte (the tags are ASCII capitals) say which a record
+// is, and commit marks the transaction's last record as its end. Neither mark
+// is under the checksum, like the CSN. A one-record transaction is a first
+// record with the end mark, exactly as long as a record has always been.
+const (
+	markCont byte = 0x80 // a continuation: no CSN of its own
+	markEnd  byte = 0x20 // the last record of its transaction
+	markBits      = markCont | markEnd
+)
+
+// bodyAt is where the checksummed body of a record with the given marks
+// begins: past the op byte and, in a transaction's first record, the CSN.
+func bodyAt(mark byte) int {
+	if mark&markCont != 0 {
+		return 1
+	}
+	return 9
 }
 
 // castagnoli is the CRC-32C table: amd64 and arm64 compute it with a CPU
@@ -141,18 +167,22 @@ func checksum(op byte, body []byte) uint32 {
 // A record is built in two steps, so that a writer whose payload is produced
 // by an encoder can have it encoded where it will be logged: ReserveRecord
 // writes the header and makes room for the payload, the caller fills the
-// payload in, SealRecord closes the record with its checksum. The CSN field
-// is patched at commit time via PatchCSN, so it is a fixed-width field
-// excluded from the integrity checksum.
+// payload in, SealRecord closes the record with its checksum. Once the
+// transaction's records are sealed, StampTxn stamps its CSN and end mark.
 
-// ReserveRecord appends to buf the header of a record with an n-byte payload
-// and n bytes for the payload, which it returns (cap == len) for the caller
-// to fill before SealRecord, together with the record's offset within buf.
-// The extended buffer has room for the checksum: SealRecord does not move it.
+// ReserveRecord appends to buf, a transaction's buffer, the header of a record
+// with an n-byte payload and n bytes for the payload, which it returns (cap ==
+// len) for the caller to fill before SealRecord, together with the record's
+// offset within buf. The record at offset 0 is the transaction's first, with
+// room for the CSN; any later one is a continuation. The extended buffer has
+// room for the checksum: SealRecord does not move it.
 func ReserveRecord(buf []byte, op byte, table uint32, rid uint64, n int) (out []byte, off int, payload []byte) {
 	var hdr [maxRecordHeader]byte
 	hdr[0] = op
-	h := 9 // the CSN is fixed-width, so commit can patch it in place
+	if len(buf) > 0 {
+		hdr[0] |= markCont
+	}
+	h := bodyAt(hdr[0])
 	h += binary.PutUvarint(hdr[h:], uint64(table))
 	h += binary.PutUvarint(hdr[h:], rid)
 	h += binary.PutUvarint(hdr[h:], uint64(n))
@@ -165,7 +195,8 @@ func ReserveRecord(buf []byte, op byte, table uint32, rid uint64, n int) (out []
 // SealRecord closes the record ReserveRecord began at off, whose payload now
 // ends buf, with its checksum.
 func SealRecord(buf []byte, off int) []byte {
-	return binary.LittleEndian.AppendUint32(buf, checksum(buf[off], buf[off+9:]))
+	op := buf[off]
+	return binary.LittleEndian.AppendUint32(buf, checksum(op&^markBits, buf[off+bodyAt(op):]))
 }
 
 // AppendRecord encodes a record with the given payload onto buf and returns
@@ -183,10 +214,25 @@ func PayloadOffset(buf []byte, payloadLen int) int {
 	return len(buf) - 4 - payloadLen
 }
 
-// PatchCSN stamps the commit sequence number into a record previously
-// encoded at off by AppendRecord.
-func PatchCSN(buf []byte, off int, csn uint64) {
-	binary.LittleEndian.PutUint64(buf[off+1:off+9], csn)
+// HeaderLen returns how far into its record the payload of rec begins, given
+// the op byte the record is stored with: what a point read returns does not
+// say whether the record carries a CSN, the stored op byte's marks do.
+func HeaderLen(op byte, rec Record) int {
+	var b [binary.MaxVarintLen64]byte
+	n := bodyAt(op & markBits)
+	for _, v := range [...]uint64{uint64(rec.Table), rec.RID, uint64(len(rec.Payload))} {
+		n += binary.PutUvarint(b[:], v)
+	}
+	return n
+}
+
+// StampTxn readies the transaction buffer buf, whose last record begins at
+// last, for the log: its CSN goes into the first record and the end mark onto
+// the last. It writes no byte a checksum or a payload covers, so commit
+// stamps a transaction whose rows readers may already be reading.
+func StampTxn(buf []byte, last int, csn uint64) {
+	binary.LittleEndian.PutUint64(buf[1:9], csn)
+	buf[last] |= markEnd
 }
 
 // decodeError is what DecodeRecord rejects bytes with. A scan classifies it
@@ -204,30 +250,32 @@ const errShort decodeError = "wal: short record"
 const maxRecordHeader = 1 + 8 + binary.MaxVarintLen32 + 2*binary.MaxVarintLen64
 
 // decodeHeader parses what precedes the payload of the record at buf[0:]
-// and returns the payload's position and length.
-func decodeHeader(buf []byte) (r Record, pos, plen int, err error) {
+// and returns its marks and the payload's position and length.
+func decodeHeader(buf []byte) (r Record, mark byte, pos, plen int, err error) {
 	if len(buf) < 1 {
-		return r, 0, 0, errShort
+		return r, 0, 0, 0, errShort
 	}
-	r.Op = buf[0]
+	r.Op, mark = buf[0]&^markBits, buf[0]&markBits
 	switch r.Op {
 	case OpInsert, OpUpdate, OpDelete, OpPrepare, OpDecide, OpForget:
 	default:
-		return r, 0, 0, decodeError(fmt.Sprintf("wal: bad op tag %#x", buf[0]))
+		return r, 0, 0, 0, decodeError(fmt.Sprintf("wal: bad op tag %#x", buf[0]))
 	}
-	if len(buf) < 9 {
-		return r, 0, 0, errShort
+	pos = bodyAt(mark)
+	if len(buf) < pos {
+		return r, 0, 0, 0, errShort
 	}
-	r.CSN = binary.LittleEndian.Uint64(buf[1:9])
-	pos = 9
+	if pos == 9 {
+		r.CSN = binary.LittleEndian.Uint64(buf[1:9])
+	}
 	var field [3]uint64 // table, RID, payload length
 	for i := range field {
 		v, n := binary.Uvarint(buf[pos:])
 		if n == 0 {
-			return r, 0, 0, errShort
+			return r, 0, 0, 0, errShort
 		}
 		if n < 0 {
-			return r, 0, 0, decodeError("wal: bad record header")
+			return r, 0, 0, 0, decodeError("wal: bad record header")
 		}
 		field[i] = v
 		pos += n
@@ -235,37 +283,51 @@ func decodeHeader(buf []byte) (r Record, pos, plen int, err error) {
 	// A segment offset is 32 bits: no record is longer, and a length that
 	// claims to be must not wrap the arithmetic below.
 	if field[0] > math.MaxUint32 || field[2] > math.MaxUint32 {
-		return r, 0, 0, decodeError("wal: bad record header")
+		return r, 0, 0, 0, decodeError("wal: bad record header")
 	}
 	r.Table, r.RID = uint32(field[0]), field[1]
-	return r, pos, int(field[2]), nil
+	return r, mark, pos, int(field[2]), nil
 }
 
 // recordLen returns the encoded length of the record whose header buf
 // begins with, which may be more than buf holds.
 func recordLen(buf []byte) (int, error) {
-	_, pos, plen, err := decodeHeader(buf)
+	_, _, pos, plen, err := decodeHeader(buf)
 	return pos + plen + 4, err
 }
 
-// DecodeRecord parses the record at buf[0:] and returns it together with its
-// encoded length. The returned payload aliases buf.
+// DecodeRecord parses the record at buf[0:] on its own and returns it
+// together with its encoded length: op, table, RID and payload, checksum
+// verified. A continuation's CSN is its transaction's, which only a scan
+// knows: here it is 0. The returned payload aliases buf.
 func DecodeRecord(buf []byte) (Record, int, error) {
-	r, pos, plen, err := decodeHeader(buf)
+	r, _, n, err := decode(buf)
+	return r, n, err
+}
+
+// decode is DecodeRecord, also returning the record's marks.
+func decode(buf []byte) (Record, byte, int, error) {
+	r, mark, pos, plen, err := decodeHeader(buf)
 	if err != nil {
-		return Record{}, 0, err
+		return Record{}, 0, 0, err
 	}
 	end := pos + plen
 	if end+4 > len(buf) {
-		return Record{}, 0, errShort
+		return Record{}, 0, 0, errShort
 	}
 	r.Payload = buf[pos:end:end]
 	want := binary.LittleEndian.Uint32(buf[end : end+4])
-	if got := checksum(r.Op, buf[9:end]); got != want {
-		return Record{}, 0, decodeError(fmt.Sprintf("wal: record checksum mismatch (%08x != %08x)", got, want))
+	if got := checksum(r.Op, buf[bodyAt(mark):end]); got != want {
+		return Record{}, 0, 0, decodeError(fmt.Sprintf("wal: record checksum mismatch (%08x != %08x)", got, want))
 	}
-	return r, end + 4, nil
+	return r, mark, end + 4, nil
 }
+
+// errOutOfPlace rejects a record whose marks do not fit where it lies: a
+// continuation where a transaction must begin, or a first record inside an
+// unfinished transaction. An end mark flipped either way shows as one of the
+// two.
+const errOutOfPlace decodeError = "wal: record out of place in its transaction"
 
 // segmentHeader is the first byte of every segment PLog, ensuring offset 0
 // is never a record address.
@@ -1132,22 +1194,23 @@ type window struct {
 	b   []byte
 }
 
-// record decodes the record at offset off of the segment. The payload
-// aliases storage-backed memory. An error is a decodeError when the bytes
-// are there and do not parse, else the storage's.
-func (w *window) record(off int64) (Record, int, error) {
+// record decodes the record at offset off of the segment and returns it with
+// its marks and length. The payload aliases storage-backed memory. An error
+// is a decodeError when the bytes are there and do not parse, else the
+// storage's.
+func (w *window) record(off int64) (Record, byte, int, error) {
 	if off < w.off || off >= w.off+int64(len(w.b)) {
 		b, err := w.v.Window(off)
 		if err != nil {
-			return Record{}, 0, err
+			return Record{}, 0, 0, err
 		}
 		w.m.windowReads.Add(1)
 		w.off, w.b = off, b
 	}
 	b := w.b[off-w.off:]
-	rec, n, err := DecodeRecord(b)
+	rec, mark, n, err := decode(b)
 	if err != errShort {
-		return rec, n, err
+		return rec, mark, n, err
 	}
 	// The record runs past the window. Unless that is the end of the
 	// segment, the rest of it is in the next chunk: size the record from its
@@ -1155,12 +1218,12 @@ func (w *window) record(off int64) (Record, int, error) {
 	// -- and take that one range, which the view copies together.
 	rem := w.v.Len() - off
 	if int64(len(b)) >= rem {
-		return Record{}, 0, errShort
+		return Record{}, 0, 0, errShort
 	}
 	if n, err = recordLen(b); err == errShort {
 		w.m.windowReads.Add(1)
 		if b, err = w.v.At(off, int(min(maxRecordHeader, rem))); err != nil {
-			return Record{}, 0, err
+			return Record{}, 0, 0, err
 		}
 		n, err = recordLen(b)
 	}
@@ -1168,26 +1231,27 @@ func (w *window) record(off int64) (Record, int, error) {
 		err = errShort // the segment ends inside the record
 	}
 	if err != nil {
-		return Record{}, 0, err
+		return Record{}, 0, 0, err
 	}
 	w.m.windowReads.Add(1)
 	if b, err = w.v.At(off, n); err != nil {
-		return Record{}, 0, err
+		return Record{}, 0, 0, err
 	}
-	return DecodeRecord(b)
+	return decode(b)
 }
 
 // ReadRecord materializes the log record at addr through the segment's mmap
 // view. This is the path that serves reads of evicted versions (Section
 // 4.2): the returned payload references storage-backed memory. The record is
-// read once and decoded once, whatever its size.
+// read once and decoded once, whatever its size, and on its own, as
+// DecodeRecord decodes it.
 func (m *Manager) ReadRecord(addr Addr) (Record, error) {
 	v, err := m.view(addr.Segment())
 	if err != nil {
 		return Record{}, err
 	}
 	w := window{m: m, v: v}
-	rec, _, err := w.record(int64(addr.Offset()))
+	rec, _, _, err := w.record(int64(addr.Offset()))
 	return rec, err
 }
 
@@ -1217,7 +1281,7 @@ func (r *Reader) ReadRecord(addr Addr) (Record, error) {
 		w = &window{m: r.m, v: v}
 		r.wins[addr.Segment()] = w
 	}
-	rec, _, err := w.record(int64(addr.Offset()))
+	rec, _, _, err := w.record(int64(addr.Offset()))
 	return rec, err
 }
 
@@ -1240,20 +1304,41 @@ func (m *Manager) Appended(addr Addr) []byte {
 // a record that straddles a chunk boundary.
 func (m *Manager) WindowReads() int64 { return m.windowReads.Load() }
 
-// ScanSegment iterates the records of one segment in append order, calling
-// fn with each record's permanent address. Replay threads run one scan per
-// segment in parallel (Section 4.3).
+// ScanSegment iterates the records of one segment's whole transactions in
+// append order, calling fn with each record's permanent address and its
+// transaction's CSN.
 func (m *Manager) ScanSegment(seg uint16, fn func(addr Addr, rec Record) bool) error {
-	_, err := m.ScanSegmentFrom(seg, 0, fn)
+	_, err := m.ScanSegmentFrom(seg, 0, func(txn []Entry) bool {
+		for _, r := range txn {
+			if !fn(r.Addr, r.Record) {
+				return false
+			}
+		}
+		return true
+	})
 	return err
 }
 
-// ScanSegmentFrom scans a segment starting at byte offset from (0 = the
-// beginning) and returns the offset just past the last record seen, which a
-// follower passes back on its next catch-up scan. The scan is sequential --
-// the cheapest access pattern on log-structured storage -- and copies
-// nothing: records are decoded in the chunk windows of the segment's view.
-func (m *Manager) ScanSegmentFrom(seg uint16, from int64, fn func(addr Addr, rec Record) bool) (int64, error) {
+// Entry is a record as a scan delivers it: its permanent address, and the
+// record with its transaction's CSN.
+type Entry struct {
+	Addr Addr
+	Record
+}
+
+// ScanSegmentFrom scans a segment a transaction at a time, starting at byte
+// offset from (0 = the beginning). It decodes a transaction's records up to
+// the one marked its end before fn sees any of them, then hands fn all of
+// them, each with the first record's CSN; the slice is the scan's, reused for
+// the next transaction. A transaction the segment holds only part of -- a
+// torn tail, or one still being appended or shipped -- is not delivered at
+// all. The scan returns where it stopped, which a follower passes back on its
+// next catch-up scan: always a transaction's first record, the one fn
+// declined or the one after the last delivered. Replay threads run one scan
+// per segment in parallel (Section 4.3). The scan is sequential -- the
+// cheapest access pattern on log-structured storage -- and copies nothing:
+// records are decoded in the chunk windows of the segment's view.
+func (m *Manager) ScanSegmentFrom(seg uint16, from int64, fn func(txn []Entry) bool) (int64, error) {
 	if err := m.beginScan(seg); err != nil {
 		return from, err
 	}
@@ -1277,35 +1362,61 @@ func (m *Manager) ScanSegmentFrom(seg uint16, from int64, fn func(addr Addr, rec
 			return 0, fmt.Errorf("wal: segment %d missing header", seg)
 		}
 	}
-	pos := from
-	for pos < size {
-		rec, n, err := w.record(pos)
+	var txn []Entry
+	for pos := from; pos < size; {
+		var at int64
+		txn, at, err = w.readTxn(seg, pos, size, txn[:0])
 		if err != nil {
 			if !errors.As(err, new(decodeError)) {
 				return pos, m.mapSegErr(seg, err)
 			}
-			switch m.classifyTail(v.PLog(), pos) {
+			switch m.classifyTail(v.PLog(), at) {
 			case tailTorn:
 				// Torn tail: the writer died mid-replication, leaving a
-				// partially materialized final record. Truncate the scan at
-				// the last valid record; the bytes past pos were never
+				// partially materialized final transaction. Truncate the
+				// scan at its first record; the bytes past pos were never
 				// acked to any committer, so dropping them is correct.
 				m.countTailTrunc(seg, pos, size)
 				return pos, nil
 			case tailLive:
-				// End of the currently-available log: the record past pos is
-				// still being appended (or shipped). Not torn, not corrupt --
-				// the follower retries from pos on its next poll.
+				// End of the currently-available log: the transaction at pos
+				// is still being appended (or shipped). Not torn, not
+				// corrupt -- the follower retries from pos on its next poll.
 				return pos, nil
 			}
-			return pos, fmt.Errorf("wal: segment %d at %d: %w", seg, pos, err)
+			return pos, fmt.Errorf("wal: segment %d at %d: %w", seg, at, err)
 		}
-		if !fn(MakeAddr(seg, uint32(pos)), rec) {
+		if !fn(txn) {
 			return pos, nil
 		}
-		pos += int64(n)
+		pos = at
 	}
-	return pos, nil
+	return size, nil
+}
+
+// readTxn appends to txn the records of the transaction whose first record is
+// at pos, up to its end mark, and returns it with the offset past it. On an
+// error the offset is where the transaction stopped decoding: at a record that
+// does not decode or is out of place, or at the segment's end.
+func (w *window) readTxn(seg uint16, pos, size int64, txn []Entry) ([]Entry, int64, error) {
+	for at := pos; at < size; {
+		rec, mark, n, err := w.record(at)
+		if err == nil && (mark&markCont != 0) != (at > pos) {
+			err = errOutOfPlace
+		}
+		if err != nil {
+			return txn, at, err
+		}
+		if at > pos {
+			rec.CSN = txn[0].CSN
+		}
+		txn = append(txn, Entry{MakeAddr(seg, uint32(at)), rec})
+		at += int64(n)
+		if mark&markEnd != 0 {
+			return txn, at, nil
+		}
+	}
+	return txn, size, errShort // the segment ends inside the transaction
 }
 
 type tailClass int

@@ -36,7 +36,7 @@ func TestAddrPacking(t *testing.T) {
 
 func TestRecordRoundTrip(t *testing.T) {
 	buf, off := AppendRecord(nil, OpInsert, 7, 42, []byte("payload"))
-	PatchCSN(buf, off, 99)
+	StampTxn(buf, off, 99)
 	rec, n, err := DecodeRecord(buf[off:])
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestRecordDecodeErrors(t *testing.T) {
 		t.Fatal("short record accepted")
 	}
 	buf, off := AppendRecord(nil, OpUpdate, 1, 2, []byte("xyz"))
-	PatchCSN(buf, off, 1)
+	StampTxn(buf, off, 1)
 	buf[0] = 'Z'
 	if _, _, err := DecodeRecord(buf); err == nil {
 		t.Fatal("bad op tag accepted")
@@ -65,6 +65,9 @@ func TestRecordDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestMultipleRecordsOneBuffer: a transaction's first record carries its CSN,
+// every later one is 8 bytes shorter and decodes on its own with CSN 0, and
+// the stamp marks the last record, and only it, as the end.
 func TestMultipleRecordsOneBuffer(t *testing.T) {
 	var buf []byte
 	var offs []int
@@ -73,20 +76,28 @@ func TestMultipleRecordsOneBuffer(t *testing.T) {
 		buf, off = AppendRecord(buf, OpInsert, 1, uint64(i), []byte(fmt.Sprintf("v%d", i)))
 		offs = append(offs, off)
 	}
-	for i, off := range offs {
-		PatchCSN(buf, off, uint64(100+i))
-	}
+	StampTxn(buf, offs[4], 100)
 	pos := 0
 	for i := 0; pos < len(buf); i++ {
-		rec, n, err := DecodeRecord(buf[pos:])
+		rec, mark, n, err := decode(buf[pos:])
 		if err != nil {
 			t.Fatal(err)
 		}
 		if pos != offs[i] {
 			t.Fatalf("record %d at %d, expected %d", i, pos, offs[i])
 		}
-		if rec.RID != uint64(i) || rec.CSN != uint64(100+i) {
-			t.Fatalf("record %d: %+v", i, rec)
+		wantCSN, wantMark, wantLen := uint64(100), byte(0), 9+1+1+1+2+4
+		if i > 0 {
+			wantCSN, wantMark, wantLen = 0, markCont, wantLen-8
+		}
+		if i == 4 {
+			wantMark |= markEnd
+		}
+		if rec.Op != OpInsert || rec.RID != uint64(i) || rec.CSN != wantCSN || mark != wantMark || n != wantLen {
+			t.Fatalf("record %d: %+v, marks %#x, %d bytes; want CSN %d, marks %#x, %d bytes", i, rec, mark, n, wantCSN, wantMark, wantLen)
+		}
+		if h := HeaderLen(buf[pos], rec); &buf[pos+h] != &rec.Payload[0] {
+			t.Fatalf("record %d: HeaderLen %d, its payload begins at %d", i, h, cap(buf[pos:])-cap(rec.Payload))
 		}
 		pos += n
 	}
@@ -95,7 +106,7 @@ func TestMultipleRecordsOneBuffer(t *testing.T) {
 func TestAppendSyncAndReadRecord(t *testing.T) {
 	_, m := testManager(t, Config{Streams: 2, SegmentSize: 1 << 16})
 	buf, off := AppendRecord(nil, OpInsert, 3, 11, []byte("hello"))
-	PatchCSN(buf, off, 5)
+	StampTxn(buf, off, 5)
 	base, err := m.AppendSync(0, buf)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +137,7 @@ func TestLoneRequestIsAppendedFromItsOwnBuffer(t *testing.T) {
 	_, m := testManager(t, Config{Streams: 1, SegmentSize: 1 << 12})
 	for i := 0; i < 200; i++ { // enough to rotate a few times
 		buf, off := AppendRecord(nil, OpInsert, 1, uint64(i), bytes.Repeat([]byte{byte(i)}, 40))
-		PatchCSN(buf, off, uint64(i+1))
+		StampTxn(buf, off, uint64(i+1))
 		base, err := m.AppendSync(0, buf)
 		if err != nil {
 			t.Fatal(err)
@@ -149,7 +160,7 @@ func TestGroupCommitBatches(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		buf, off := AppendRecord(nil, OpInsert, 1, uint64(i), bytes.Repeat([]byte{byte(i)}, 20))
-		PatchCSN(buf, off, uint64(i+1))
+		StampTxn(buf, off, uint64(i+1))
 		wg.Add(1)
 		m.Append(0, buf, func(base Addr, err error) {
 			if err != nil {
@@ -174,7 +185,7 @@ func TestGroupCommitBatches(t *testing.T) {
 func TestStatsCountABatchBeforeItsCallbacks(t *testing.T) {
 	_, m := testManager(t, Config{Streams: 1})
 	buf, off := AppendRecord(nil, OpInsert, 1, 1, []byte("row"))
-	PatchCSN(buf, off, 1)
+	StampTxn(buf, off, 1)
 	type stats struct{ appends, txns, bytes int64 }
 	seen := make(chan stats, 1)
 	m.Append(0, buf, func(Addr, error) {
@@ -192,7 +203,7 @@ func TestSegmentRotation(t *testing.T) {
 	var addrs []Addr
 	for i := 0; i < 50; i++ {
 		buf, off := AppendRecord(nil, OpInsert, 1, uint64(i), bytes.Repeat([]byte("x"), 40))
-		PatchCSN(buf, off, uint64(i+1))
+		StampTxn(buf, off, uint64(i+1))
 		a, err := m.AppendSync(0, buf)
 		if err != nil {
 			t.Fatal(err)
@@ -225,7 +236,7 @@ func TestTooLargeTxn(t *testing.T) {
 	}
 	// Manager still usable.
 	buf, off := AppendRecord(nil, OpInsert, 1, 1, []byte("ok"))
-	PatchCSN(buf, off, 1)
+	StampTxn(buf, off, 1)
 	if _, err := m.AppendSync(0, buf); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +247,7 @@ func TestScanSegmentSequential(t *testing.T) {
 	const n = 100
 	for i := 0; i < n; i++ {
 		buf, off := AppendRecord(nil, OpUpdate, 2, uint64(i), []byte(fmt.Sprintf("val-%d", i)))
-		PatchCSN(buf, off, uint64(i+1))
+		StampTxn(buf, off, uint64(i+1))
 		if _, err := m.AppendSync(0, buf); err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +286,7 @@ func TestConcurrentStreams(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				buf, off := AppendRecord(nil, OpInsert, uint32(w), uint64(i), []byte("d"))
-				PatchCSN(buf, off, uint64(w*per+i+1))
+				StampTxn(buf, off, uint64(w*per+i+1))
 				a, err := m.AppendSync(w, buf)
 				if err != nil {
 					t.Errorf("append: %v", err)
@@ -305,7 +316,7 @@ func TestReopenRecoversDirectory(t *testing.T) {
 	var addrs []Addr
 	for i := 0; i < 40; i++ {
 		buf, off := AppendRecord(nil, OpInsert, 1, uint64(i), bytes.Repeat([]byte("y"), 60))
-		PatchCSN(buf, off, uint64(i+1))
+		StampTxn(buf, off, uint64(i+1))
 		a, err := m.AppendSync(i%2, buf)
 		if err != nil {
 			t.Fatal(err)
@@ -333,7 +344,7 @@ func TestReopenRecoversDirectory(t *testing.T) {
 		t.Fatalf("reopen created no fresh segments: %d <= %d", got, oldSegs)
 	}
 	buf, off := AppendRecord(nil, OpInsert, 1, 999, []byte("post"))
-	PatchCSN(buf, off, 1000)
+	StampTxn(buf, off, 1000)
 	a, err := m2.AppendSync(0, buf)
 	if err != nil {
 		t.Fatal(err)
@@ -351,7 +362,7 @@ func TestSealRetryOnNodeFailureThenHeal(t *testing.T) {
 	}
 	defer m.Close()
 	buf, off := AppendRecord(nil, OpInsert, 1, 1, []byte("pre"))
-	PatchCSN(buf, off, 1)
+	StampTxn(buf, off, 1)
 	if _, err := m.AppendSync(0, buf); err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +370,7 @@ func TestSealRetryOnNodeFailureThenHeal(t *testing.T) {
 	// stream must rotate to a plog on the remaining healthy nodes.
 	svc.ComputeNode(0).Fail()
 	buf2, off2 := AppendRecord(nil, OpInsert, 1, 2, []byte("during"))
-	PatchCSN(buf2, off2, 2)
+	StampTxn(buf2, off2, 2)
 	a, err := m.AppendSync(0, buf2)
 	if err != nil {
 		t.Fatalf("append during failure: %v", err)
@@ -380,7 +391,7 @@ func TestLogIsRedoOnly(t *testing.T) {
 			continue // "aborted": never appended
 		}
 		buf, off := AppendRecord(nil, OpInsert, 1, uint64(i), []byte("c"))
-		PatchCSN(buf, off, uint64(i+1))
+		StampTxn(buf, off, uint64(i+1))
 		if _, err := m.AppendSync(i%2, buf); err != nil {
 			t.Fatal(err)
 		}
@@ -412,7 +423,7 @@ func TestDestageSealed(t *testing.T) {
 	defer m.Close()
 	for i := 0; i < 40; i++ {
 		buf, off := AppendRecord(nil, OpInsert, 1, uint64(i), bytes.Repeat([]byte("z"), 40))
-		PatchCSN(buf, off, uint64(i+1))
+		StampTxn(buf, off, uint64(i+1))
 		if _, err := m.AppendSync(0, buf); err != nil {
 			t.Fatal(err)
 		}
@@ -469,7 +480,7 @@ func TestScanSegmentFromResumes(t *testing.T) {
 	var want []uint64
 	for i := 0; i < 20; i++ {
 		buf, off := AppendRecord(nil, OpInsert, 1, uint64(i), []byte("r"))
-		PatchCSN(buf, off, uint64(i+1))
+		StampTxn(buf, off, uint64(i+1))
 		if _, err := m.AppendSync(0, buf); err != nil {
 			t.Fatal(err)
 		}
@@ -477,8 +488,8 @@ func TestScanSegmentFromResumes(t *testing.T) {
 	}
 	seg := m.Segments()[0]
 	var got []uint64
-	next, err := m.ScanSegmentFrom(seg, 0, func(_ Addr, rec Record) bool {
-		got = append(got, rec.RID)
+	next, err := m.ScanSegmentFrom(seg, 0, func(txn []Entry) bool {
+		got = append(got, txn[0].RID)
 		return true
 	})
 	if err != nil {
@@ -487,14 +498,14 @@ func TestScanSegmentFromResumes(t *testing.T) {
 	// More records appended after the scan position.
 	for i := 20; i < 30; i++ {
 		buf, off := AppendRecord(nil, OpInsert, 1, uint64(i), []byte("r"))
-		PatchCSN(buf, off, uint64(i+1))
+		StampTxn(buf, off, uint64(i+1))
 		if _, err := m.AppendSync(0, buf); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, uint64(i))
 	}
-	next2, err := m.ScanSegmentFrom(seg, next, func(_ Addr, rec Record) bool {
-		got = append(got, rec.RID)
+	next2, err := m.ScanSegmentFrom(seg, next, func(txn []Entry) bool {
+		got = append(got, txn[0].RID)
 		return true
 	})
 	if err != nil {
@@ -513,7 +524,7 @@ func TestScanSegmentFromResumes(t *testing.T) {
 	}
 	// Resuming at the end yields nothing.
 	n := 0
-	if _, err := m.ScanSegmentFrom(seg, next2, func(Addr, Record) bool { n++; return true }); err != nil {
+	if _, err := m.ScanSegmentFrom(seg, next2, func([]Entry) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 0 {
@@ -528,7 +539,7 @@ func TestOpenReadOnlyRejectsAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf, off := AppendRecord(nil, OpInsert, 1, 1, []byte("x"))
-	PatchCSN(buf, off, 1)
+	StampTxn(buf, off, 1)
 	addr, err := m.AppendSync(0, buf)
 	if err != nil {
 		t.Fatal(err)
@@ -554,7 +565,7 @@ func TestOpenReadOnlyRejectsAppends(t *testing.T) {
 	// The follower picks up segments the primary creates later.
 	for i := 0; i < 100; i++ {
 		big, boff := AppendRecord(nil, OpInsert, 1, uint64(i+10), bytes.Repeat([]byte("y"), 800))
-		PatchCSN(big, boff, uint64(i+2))
+		StampTxn(big, boff, uint64(i+2))
 		if _, err := m.AppendSync(0, big); err != nil {
 			t.Fatal(err)
 		}
@@ -584,7 +595,7 @@ func TestDirectoryMetaMigrationOnSeal(t *testing.T) {
 	var addrs []Addr
 	for i := 0; i < 10; i++ {
 		buf, off := AppendRecord(nil, OpInsert, 1, uint64(i), bytes.Repeat([]byte("a"), 100))
-		PatchCSN(buf, off, uint64(i+1))
+		StampTxn(buf, off, uint64(i+1))
 		a, err := m.AppendSync(0, buf)
 		if err != nil {
 			t.Fatal(err)
@@ -597,7 +608,7 @@ func TestDirectoryMetaMigrationOnSeal(t *testing.T) {
 	svc.ComputeNode(1).Fail()
 	for i := 10; i < 120 && newMeta.IsZero(); i++ {
 		buf, off := AppendRecord(nil, OpInsert, 1, uint64(i), bytes.Repeat([]byte("b"), 100))
-		PatchCSN(buf, off, uint64(i+1))
+		StampTxn(buf, off, uint64(i+1))
 		a, err := m.AppendSync(0, buf)
 		if err != nil {
 			t.Fatal(err)
@@ -635,7 +646,7 @@ func TestDirectoryMetaMigrationOnSeal(t *testing.T) {
 
 func TestRecordChecksumDetectsCorruption(t *testing.T) {
 	buf, off := AppendRecord(nil, OpInsert, 3, 7, []byte("integrity"))
-	PatchCSN(buf, off, 42)
+	StampTxn(buf, off, 42)
 	// Sanity: intact record decodes, CSN patch does not break the sum.
 	if _, _, err := DecodeRecord(buf); err != nil {
 		t.Fatal(err)
@@ -786,7 +797,7 @@ func TestSegmentIDsExhaustedFailStop(t *testing.T) {
 	var failed error
 	for i := 0; i < 40 && failed == nil; i++ {
 		buf, off := AppendRecord(nil, OpInsert, 1, uint64(i), bytes.Repeat([]byte("x"), 40))
-		PatchCSN(buf, off, uint64(i+1))
+		StampTxn(buf, off, uint64(i+1))
 		a, err := m.AppendSync(0, buf)
 		if err != nil {
 			failed = err
