@@ -678,9 +678,9 @@ func BenchmarkRecover(b *testing.B) {
 }
 
 // TestRecoveryAllocs holds recovery to what a recovered row needs: its
-// Version -- the header of its log-backed payload is inside it -- and its
-// index leaf, plus the amortised rest (the tree's inner nodes, the PIA's
-// pages). It also holds
+// Version -- the header of its log-backed payload is inside it; its int key's
+// RID is a word in an index node's slot, no leaf -- plus the amortised rest
+// (the tree's inner nodes and value arrays, the PIA's pages). It also holds
 // the storage reads of a recovery to the log's chunks, not its rows -- the
 // count behind recover_s that no host can blur -- and checks that a rebuilt
 // row is read back from memory.
@@ -706,8 +706,8 @@ func TestRecoveryAllocs(t *testing.T) {
 		t.Fatalf("recovered %d keys from %d checkpoint entries and %d replayed records, want %d, %d, %d",
 			st.IndexKeys, st.CheckpointEntries, st.RecordsApplied, rows, rows*3/4, rows/4)
 	}
-	if perRow := float64(after.Mallocs-before.Mallocs) / rows; perRow > 2.1 {
-		t.Errorf("recovery allocates %.2f times per recovered row, want <= 2.1", perRow)
+	if perRow := float64(after.Mallocs-before.Mallocs) / rows; perRow > 1.1 {
+		t.Errorf("recovery allocates %.2f times per recovered row, want <= 1.1", perRow)
 	} else {
 		t.Logf("%.3f allocations per recovered row", perRow)
 	}

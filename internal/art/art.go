@@ -1,9 +1,9 @@
 // Package art implements the concurrent adaptive radix tree (ART) HiEngine
 // uses as its baseline index structure (Section 4.5, building on Leis et
 // al., ICDE 2013), together with the paper's LSM-like persistence support:
-// trees can be serialized into SRSS PLogs in an append-only format, searched
-// directly in their serialized (mmap'ed) form, and merged pairwise with the
-// recursive node-merge algorithm of Section 4.5.
+// trees can be serialized into SRSS PLogs in an append-only format and
+// searched directly in their serialized (mmap'ed) form, which package index
+// merges component by component.
 //
 // Values are 64-bit record IDs: HiEngine indexes store only key->RID
 // mappings, never record data, which is what keeps merges and compaction
@@ -11,13 +11,23 @@
 // stale entries in older read-only components; physical removal happens when
 // components are merged.
 //
+// A key's value sits in the child slot of its parent node that the key's
+// last byte selects -- Leis et al.'s combined pointer/value slots -- whenever
+// the key ends exactly at that slot's edge, which under fixed-width keys is
+// every slot of a bottom node. Prefixes are stored whole, so the path to a
+// slot spells its key and nothing else is kept. A leaf object, holding its
+// own copy of the key, remains for three cases: a lone key whose bytes go on
+// past its slot (lazy expansion), a key ending exactly at an inner node (the
+// node's terminal leaf), and a value too large for a slot word.
+//
 // Concurrency follows optimistic lock coupling: every inner node carries a
 // version-lock word, readers proceed lock-free and validate versions,
-// writers lock only the nodes they modify and restart on conflict. Leaves
-// are immutable and replaced through their parent. The classic Node4 and
-// Node16 size classes are coalesced into one 16-way class (Go's allocator
-// size classes make a separate 4-way node unprofitable); Node48 and Node256
-// are as in the paper.
+// writers lock only the nodes they modify and restart on conflict. A slot's
+// (child, value) pair changes only under its node's write lock, and a reader
+// validates the node's version after reading both. Leaves are immutable and
+// replaced through their parent. The classic Node4 and Node16 size classes
+// are coalesced into one 16-way class (Go's allocator size classes make a
+// separate 4-way node unprofitable); Node48 and Node256 are as in the paper.
 package art
 
 import (
@@ -37,9 +47,8 @@ const (
 )
 
 // node is a leaf or an inner node. A leaf is the first four fields and
-// nothing else: it is immutable after construction and there is one per
-// indexed key, so everything only an inner node needs sits behind the one
-// embedded pointer (nil in a leaf).
+// nothing else: it is immutable after construction, so everything only an
+// inner node needs sits behind the one embedded pointer (nil in a leaf).
 type node struct {
 	kind kind
 	tomb bool
@@ -51,32 +60,58 @@ type node struct {
 
 // inner is an inner node's state, protected by its OLC version lock.
 type inner struct {
-	state  atomic.Uint64          // OLC: bit0 obsolete, bit1 locked, bits2+ version
-	prefix atomic.Pointer[[]byte] // compressed path; never nil
-	term   atomic.Pointer[node]   // leaf for a key ending exactly at this node
+	state  atomic.Uint64        // OLC: bit0 obsolete, bit1 locked, bits2+ version
+	prefix []byte               // compressed path; immutable
+	term   atomic.Pointer[node] // leaf for a key ending exactly at this node
 	b16    *body16
 	b48    *body48
 	b256   *body256
 }
 
+// Slot i of a body is children[i] and vals[i]: a child node, an inline value
+// word, or neither (an empty Node256 slot). vals is allocated, under the
+// node's write lock, when its first inline value arrives.
 type body16 struct {
 	count    atomic.Int32
 	keys     [16]atomic.Uint32 // key bytes, unsorted; only [0,count) valid
 	children [16]atomic.Pointer[node]
+	vals     atomic.Pointer[[16]atomic.Uint64]
 }
 
 type body48 struct {
 	count    atomic.Int32
 	index    [256]atomic.Int32 // 0 = empty, else slot+1
 	children [48]atomic.Pointer[node]
+	vals     atomic.Pointer[[48]atomic.Uint64]
 }
 
 type body256 struct {
 	count    atomic.Int32
 	children [256]atomic.Pointer[node]
+	vals     atomic.Pointer[[256]atomic.Uint64]
 }
 
-var emptyPrefix = []byte{}
+// An inline value word is inlineBit | tomb<<62 | rid; 0 is an empty slot.
+const (
+	inlineBit uint64 = 1 << 63
+	tombBit   uint64 = 1 << 62
+)
+
+// slotWord is key's entry as the value word of the slot at depth d, when key
+// ends at that slot's edge and rid fits beside the two flag bits.
+func slotWord(key []byte, d int, rid uint64, tomb bool) (uint64, bool) {
+	if len(key) != d+1 || rid >= tombBit {
+		return 0, false
+	}
+	w := inlineBit | rid
+	if tomb {
+		w |= tombBit
+	}
+	return w, true
+}
+
+func wordRID(w uint64) uint64 { return w &^ (inlineBit | tombBit) }
+func wordTomb(w uint64) bool  { return w&tombBit != 0 }
 
 // leafInlineKey is the longest key stored in its leaf's own allocation: a
 // fixed-width column or two (an encoded int is 9 bytes), which is what most
@@ -97,13 +132,22 @@ func newLeaf(key []byte, rid uint64, tomb bool) *node {
 	return &node{kind: kLeaf, key: k, rid: rid, tomb: tomb}
 }
 
+// newEntry is key's entry for the slot at depth d: a value word when
+// slotWord allows one, else a fresh leaf.
+func newEntry(key []byte, d int, rid uint64, tomb bool) (*node, uint64) {
+	if w, ok := slotWord(key, d, rid, tomb); ok {
+		return nil, w
+	}
+	return newLeaf(key, rid, tomb), 0
+}
+
 func newInner(k kind, prefix []byte) *node {
 	n := &struct {
 		node
 		in inner
 	}{node: node{kind: k}}
 	n.inner = &n.in
-	n.setPrefix(prefix)
+	n.prefix = append([]byte(nil), prefix...)
 	switch k {
 	case k16:
 		n.b16 = &body16{}
@@ -113,20 +157,6 @@ func newInner(k kind, prefix []byte) *node {
 		n.b256 = &body256{}
 	}
 	return &n.node
-}
-
-func (n *node) loadPrefix() []byte {
-	p := n.prefix.Load()
-	if p == nil {
-		return emptyPrefix
-	}
-	return *p
-}
-
-func (n *node) setPrefix(p []byte) {
-	cp := make([]byte, len(p))
-	copy(cp, p)
-	n.prefix.Store(&cp)
 }
 
 // --- OLC version lock ---------------------------------------------------
@@ -170,45 +200,97 @@ func (n *node) unlockObsolete() {
 	n.state.Add(versionInc - lockedBit + obsoleteBit)
 }
 
-// --- child access (callers hold a read version or the write lock) --------
+// --- slot access (callers hold a read version or the write lock) ---------
 
-// child returns the child for byte b, or nil.
-func (n *node) child(b byte) *node {
+// find returns the index of byte b's slot, or -1 when b has none. Every byte
+// has a Node256 slot, empty or not.
+func (n *node) find(b byte) int {
 	switch n.kind {
 	case k16:
 		cnt := int(n.b16.count.Load())
 		for i := 0; i < cnt && i < 16; i++ {
 			if byte(n.b16.keys[i].Load()) == b {
-				return n.b16.children[i].Load()
+				return i
 			}
 		}
-		return nil
 	case k48:
-		s := n.b48.index[b].Load()
-		if s == 0 {
-			return nil
-		}
-		return n.b48.children[s-1].Load()
+		return int(n.b48.index[b].Load()) - 1
 	case k256:
-		return n.b256.children[b].Load()
+		return int(b)
+	}
+	return -1
+}
+
+func (n *node) children() []atomic.Pointer[node] {
+	switch n.kind {
+	case k16:
+		return n.b16.children[:]
+	case k48:
+		return n.b48.children[:]
+	}
+	return n.b256.children[:]
+}
+
+// vals returns n's value array, nil before its first inline value.
+func (n *node) vals() []atomic.Uint64 {
+	switch n.kind {
+	case k16:
+		if vs := n.b16.vals.Load(); vs != nil {
+			return vs[:]
+		}
+	case k48:
+		if vs := n.b48.vals.Load(); vs != nil {
+			return vs[:]
+		}
+	case k256:
+		if vs := n.b256.vals.Load(); vs != nil {
+			return vs[:]
+		}
 	}
 	return nil
 }
 
-// childCount returns the number of children (excluding the terminal leaf).
-func (n *node) childCount() int {
-	switch n.kind {
-	case k16:
-		return int(n.b16.count.Load())
-	case k48:
-		return int(n.b48.count.Load())
-	case k256:
-		return int(n.b256.count.Load())
+// slot returns what byte b's slot holds: a child, a value word, or neither.
+func (n *node) slot(b byte) (*node, uint64) {
+	i := n.find(b)
+	if i < 0 {
+		return nil, 0
 	}
-	return 0
+	var w uint64
+	if vs := n.vals(); vs != nil {
+		w = vs[i].Load()
+	}
+	return n.children()[i].Load(), w
 }
 
-// full reports whether addChild would overflow the node's size class.
+// fill writes slot i: child c or value word w, the other half cleared.
+// Caller holds the write lock.
+func (n *node) fill(i int, c *node, w uint64) {
+	n.children()[i].Store(c)
+	vs := n.vals()
+	if vs == nil {
+		if w == 0 {
+			return
+		}
+		switch n.kind {
+		case k16:
+			a := new([16]atomic.Uint64)
+			n.b16.vals.Store(a)
+			vs = a[:]
+		case k48:
+			a := new([48]atomic.Uint64)
+			n.b48.vals.Store(a)
+			vs = a[:]
+		case k256:
+			a := new([256]atomic.Uint64)
+			n.b256.vals.Store(a)
+			vs = a[:]
+		}
+	}
+	vs[i].Store(w)
+}
+
+// full reports whether addSlot would overflow the node's size class.
 func (n *node) full() bool {
 	switch n.kind {
 	case k16:
@@ -220,109 +302,112 @@ func (n *node) full() bool {
 	}
 }
 
-// addChild inserts a child for byte b. Caller holds the write lock and has
-// checked !full() and that b is absent.
-func (n *node) addChild(b byte, c *node) {
+// addSlot gives byte b a slot holding child c or value word w. Caller holds
+// the write lock and has checked !full() and that b's slot is empty.
+func (n *node) addSlot(b byte, c *node, w uint64) {
 	switch n.kind {
 	case k16:
 		i := n.b16.count.Load()
 		n.b16.keys[i].Store(uint32(b))
-		n.b16.children[i].Store(c)
+		n.fill(int(i), c, w)
 		n.b16.count.Store(i + 1) // publish after the slot is complete
 	case k48:
 		i := n.b48.count.Add(1) - 1
-		n.b48.children[i].Store(c)
+		n.fill(int(i), c, w)
 		n.b48.index[b].Store(i + 1)
 	case k256:
-		n.b256.children[b].Store(c)
+		n.fill(int(b), c, w)
 		n.b256.count.Add(1)
 	}
 }
 
-// replaceChild swaps the child at byte b. Caller holds the write lock; b
-// must exist.
-func (n *node) replaceChild(b byte, c *node) {
-	switch n.kind {
-	case k16:
-		cnt := int(n.b16.count.Load())
-		for i := 0; i < cnt; i++ {
-			if byte(n.b16.keys[i].Load()) == b {
-				n.b16.children[i].Store(c)
-				return
-			}
-		}
-	case k48:
-		s := n.b48.index[b].Load()
-		if s != 0 {
-			n.b48.children[s-1].Store(c)
-		}
-	case k256:
-		n.b256.children[b].Store(c)
-	}
+// setSlot replaces what byte b's slot holds. Caller holds the write lock;
+// the slot must exist.
+func (n *node) setSlot(b byte, c *node, w uint64) {
+	n.fill(n.find(b), c, w)
 }
 
-// grown returns a copy of n in the next size class (caller holds n's write
-// lock). The copy is unlocked and carries n's prefix and terminal leaf.
-func (n *node) grown() *node {
-	var big *node
-	switch n.kind {
-	case k16:
-		big = newInner(k48, n.loadPrefix())
-	case k48:
-		big = newInner(k256, n.loadPrefix())
-	default:
-		return n
-	}
-	big.term.Store(n.term.Load())
-	n.eachChild(func(b byte, c *node) bool {
-		big.addChild(b, c)
-		return true
-	})
-	return big
+// slotEntry is one occupied slot: its byte, and its child or value word.
+type slotEntry struct {
+	b byte
+	c *node
+	w uint64
 }
 
-// eachChild visits children in ascending byte order. Caller must hold the
-// write lock or be operating on a quiescent tree.
-func (n *node) eachChild(fn func(b byte, c *node) bool) {
+// appendSlots appends n's occupied slots to dst in ascending byte order. A
+// lock-free reader validates n's version afterwards.
+func (n *node) appendSlots(dst []slotEntry) []slotEntry {
+	cs, vs := n.children(), n.vals()
+	add := func(b byte, i int) {
+		e := slotEntry{b: b, c: cs[i].Load()}
+		if vs != nil {
+			e.w = vs[i].Load()
+		}
+		if e.c != nil || e.w != 0 {
+			dst = append(dst, e)
+		}
+	}
 	switch n.kind {
 	case k16:
+		base := len(dst)
 		cnt := int(n.b16.count.Load())
-		type kv struct {
-			b byte
-			c *node
+		for i := 0; i < cnt && i < 16; i++ {
+			add(byte(n.b16.keys[i].Load()), i)
 		}
-		var tmp [16]kv
-		for i := 0; i < cnt; i++ {
-			tmp[i] = kv{byte(n.b16.keys[i].Load()), n.b16.children[i].Load()}
-		}
-		s := tmp[:cnt]
-		for i := 1; i < len(s); i++ {
-			for j := i; j > 0 && s[j-1].b > s[j].b; j-- {
-				s[j-1], s[j] = s[j], s[j-1]
-			}
-		}
-		for _, e := range s {
-			if !fn(e.b, e.c) {
-				return
+		// Node16 keys are unsorted: insertion-sort the few of them.
+		for es, i := dst[base:], 1; i < len(es); i++ {
+			for j := i; j > 0 && es[j-1].b > es[j].b; j-- {
+				es[j-1], es[j] = es[j], es[j-1]
 			}
 		}
 	case k48:
 		for b := 0; b < 256; b++ {
 			if s := n.b48.index[b].Load(); s != 0 {
-				if !fn(byte(b), n.b48.children[s-1].Load()) {
-					return
-				}
+				add(byte(b), int(s-1))
 			}
 		}
 	case k256:
 		for b := 0; b < 256; b++ {
-			if c := n.b256.children[b].Load(); c != nil {
-				if !fn(byte(b), c) {
-					return
-				}
-			}
+			add(byte(b), b)
 		}
 	}
+	return dst
+}
+
+// copyAs returns a copy of n in size class k with prefix p (caller holds n's
+// write lock): its terminal leaf and slots, values included. The copy is
+// unlocked. Growth and a prefix split replace a node by a copy and mark the
+// original obsolete, so a live node keeps its prefix and its place in the
+// tree for as long as it lives.
+func (n *node) copyAs(k kind, p []byte) *node {
+	c := newInner(k, p)
+	c.term.Store(n.term.Load())
+	var buf [256]slotEntry
+	for _, e := range n.appendSlots(buf[:0]) {
+		c.addSlot(e.b, e.c, e.w)
+	}
+	return c
+}
+
+// place stores key's entry in n, a new node no reader can reach yet whose
+// path ends at depth d: as its terminal leaf when key ends there, else in
+// slot key[d]. l, when not nil, is an existing leaf holding the entry.
+func (n *node) place(key []byte, d int, rid uint64, tomb bool, l *node) {
+	if d == len(key) {
+		if l == nil {
+			l = newLeaf(key, rid, tomb)
+		}
+		n.term.Store(l)
+		return
+	}
+	if w, ok := slotWord(key, d, rid, tomb); ok {
+		n.addSlot(key[d], nil, w)
+		return
+	}
+	if l == nil {
+		l = newLeaf(key, rid, tomb)
+	}
+	n.addSlot(key[d], l, 0)
 }
 
 // --- Tree ----------------------------------------------------------------
@@ -385,7 +470,7 @@ func (t *Tree) search(key []byte) (rid uint64, found, tomb, ok bool) {
 	}
 	depth := 0
 	for {
-		p := n.loadPrefix()
+		p := n.prefix
 		m := matchLen(p, key[depth:])
 		if m < len(p) {
 			if !n.rValidate(v) {
@@ -404,14 +489,20 @@ func (t *Tree) search(key []byte) (rid uint64, found, tomb, ok bool) {
 			}
 			return l.rid, true, l.tomb, true
 		}
-		next := n.child(key[depth])
+		next, w := n.slot(key[depth])
 		if !n.rValidate(v) {
 			return 0, false, false, false
 		}
-		if next == nil {
+		switch {
+		case w != 0:
+			// The path spells the value's key: it is key when key ends here.
+			if depth+1 == len(key) {
+				return wordRID(w), true, wordTomb(w), true
+			}
 			return 0, false, false, true
-		}
-		if next.kind == kLeaf {
+		case next == nil:
+			return 0, false, false, true
+		case next.kind == kLeaf:
 			if bytes.Equal(next.key, key) {
 				return next.rid, true, next.tomb, true
 			}
@@ -440,12 +531,13 @@ restart:
 		var parentByte byte
 		depth := 0
 		for {
-			p := n.loadPrefix()
+			p := n.prefix
 			m := matchLen(p, key[depth:])
 			if m < len(p) {
 				// Key diverges inside n's compressed path: split the
-				// prefix by interposing a new inner node. Needs the
-				// parent (to swap the edge) and n (to trim its prefix).
+				// prefix by interposing a new inner node over a copy of
+				// n with the rest of the prefix. Needs the parent (to
+				// swap the edge) and n (to retire it).
 				if parent == nil {
 					goto restart // root has an empty prefix; cannot happen
 				}
@@ -457,15 +549,10 @@ restart:
 					goto restart
 				}
 				ni := newInner(k16, p[:m])
-				ni.addChild(p[m], n)
-				if depth+m == len(key) {
-					ni.term.Store(newLeaf(key, rid, tomb))
-				} else {
-					ni.addChild(key[depth+m], newLeaf(key, rid, tomb))
-				}
-				n.setPrefix(p[m+1:])
-				parent.replaceChild(parentByte, ni)
-				n.unlock()
+				ni.addSlot(p[m], n.copyAs(n.kind, p[m+1:]), 0)
+				ni.place(key, depth+m, rid, tomb, nil)
+				parent.setSlot(parentByte, ni, 0)
+				n.unlockObsolete()
 				parent.unlock()
 				t.size.Add(1)
 				return
@@ -485,11 +572,12 @@ restart:
 				return
 			}
 			b := key[depth]
-			next := n.child(b)
+			next, w := n.slot(b)
 			if !n.rValidate(v) {
 				goto restart
 			}
-			if next == nil {
+			if next == nil && w == 0 {
+				c, w := newEntry(key, depth, rid, tomb)
 				if n.full() {
 					// Grow n into the next size class; the copy replaces
 					// n under the parent's edge.
@@ -503,9 +591,9 @@ restart:
 						parent.unlock()
 						goto restart
 					}
-					big := n.grown()
-					big.addChild(b, newLeaf(key, rid, tomb))
-					parent.replaceChild(parentByte, big)
+					big := n.copyAs(n.kind+1, n.prefix) // k16 -> k48 -> k256
+					big.addSlot(b, c, w)
+					parent.setSlot(parentByte, big, 0)
 					n.unlockObsolete()
 					parent.unlock()
 					t.size.Add(1)
@@ -514,40 +602,37 @@ restart:
 				if !n.upgrade(v) {
 					goto restart
 				}
-				n.addChild(b, newLeaf(key, rid, tomb))
+				n.addSlot(b, c, w)
 				n.unlock()
 				t.size.Add(1)
 				return
 			}
-			if next.kind == kLeaf {
-				if bytes.Equal(next.key, key) {
-					if !n.upgrade(v) {
-						goto restart
-					}
-					n.replaceChild(b, newLeaf(key, rid, tomb))
-					n.unlock()
-					return
+			if w != 0 || next.kind == kLeaf {
+				// The slot holds one entry: an inline value, whose key is
+				// the path to the slot, or a leaf.
+				okey, orid, otomb, oleaf := key[:depth+1], wordRID(w), wordTomb(w), next
+				if w == 0 {
+					okey, orid, otomb = next.key, next.rid, next.tomb
 				}
-				// Two distinct keys share the edge: push both under a
-				// fresh inner node keyed past their common prefix.
 				if !n.upgrade(v) {
 					goto restart
 				}
-				ok := next.key
-				common := matchLen(ok[depth+1:], key[depth+1:])
-				ni := newInner(k16, key[depth+1:depth+1+common])
+				if bytes.Equal(okey, key) {
+					c, w := newEntry(key, depth, rid, tomb)
+					n.setSlot(b, c, w)
+					n.unlock()
+					return
+				}
+				// Two distinct keys share the slot: push both under a
+				// fresh inner node keyed past their common prefix. An
+				// inline key ends at the slot, so it becomes the new
+				// node's terminal leaf.
+				common := matchLen(okey[depth+1:], key[depth+1:])
 				d2 := depth + 1 + common
-				if d2 == len(ok) {
-					ni.term.Store(next)
-				} else {
-					ni.addChild(ok[d2], next)
-				}
-				if d2 == len(key) {
-					ni.term.Store(newLeaf(key, rid, tomb))
-				} else {
-					ni.addChild(key[d2], newLeaf(key, rid, tomb))
-				}
-				n.replaceChild(b, ni)
+				ni := newInner(k16, key[depth+1:d2])
+				ni.place(okey, d2, orid, otomb, oleaf)
+				ni.place(key, d2, rid, tomb, nil)
+				n.setSlot(b, ni, 0)
 				n.unlock()
 				t.size.Add(1)
 				return

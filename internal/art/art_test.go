@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -240,205 +242,165 @@ func TestScanVariableLengthKeysOrdered(t *testing.T) {
 	}
 }
 
+// concurrentKeySets are the key shapes the concurrent tests run over:
+// dense 9-byte keys (core's int key: tag + 8 bytes), every one inline in a
+// bottom node's slot, and decimal strings of 1 to 5 bytes, prefixes of one
+// another, so inline slots turn into inner nodes with terminal leaves and
+// lazy leaves split while other goroutines read and write them.
+var concurrentKeySets = []struct {
+	name string
+	key  func(v uint64) []byte
+	val  func(k []byte) uint64
+}{
+	{"dense",
+		func(v uint64) []byte { return append([]byte{1}, u64key(v)...) },
+		func(k []byte) uint64 { return binary.BigEndian.Uint64(k[1:]) }},
+	{"mixed",
+		func(v uint64) []byte { return strconv.AppendUint(nil, v, 10) },
+		func(k []byte) uint64 { v, _ := strconv.ParseUint(string(k), 10, 64); return v }},
+}
+
+// TestConcurrentInsertSearch: writers insert interleaved keys, so they meet
+// in the same nodes as those grow and split, and each finds its own insert
+// at once; a scanner running beside them must visit, in order, every key
+// inserted before its scan began.
 func TestConcurrentInsertSearch(t *testing.T) {
-	tr := New()
-	const workers = 8
-	const per = 5000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				k := u64key(uint64(w)<<32 | uint64(i))
-				tr.Insert(k, uint64(w*per+i+1))
-				if rid, ok, _ := tr.Search(k); !ok || rid != uint64(w*per+i+1) {
-					t.Errorf("lost own insert w=%d i=%d", w, i)
-					return
+	for _, ks := range concurrentKeySets {
+		t.Run(ks.name, func(t *testing.T) {
+			tr := New()
+			const workers = 8
+			const per = 5000
+			key := func(w, i int) []byte { return ks.key(uint64(i*workers + w)) }
+			var done [workers]atomic.Int64 // inserts each worker has finished
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < per; i++ {
+						k := key(w, i)
+						tr.Insert(k, uint64(w*per+i+1))
+						if rid, ok, _ := tr.Search(k); !ok || rid != uint64(w*per+i+1) {
+							t.Errorf("lost own insert w=%d i=%d", w, i)
+							return
+						}
+						done[w].Store(int64(i + 1))
+					}
+				}(w)
+			}
+			stop := make(chan struct{})
+			scanned := make(chan struct{})
+			go func() {
+				defer close(scanned)
+				seen := make([]bool, workers*per)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					var before [workers]int64
+					for w := range before {
+						before[w] = done[w].Load()
+					}
+					clear(seen)
+					var prev []byte
+					tr.Scan(nil, nil, func(k []byte, _ uint64, _ bool) bool {
+						if prev != nil && bytes.Compare(prev, k) >= 0 {
+							t.Errorf("scan out of order: %x after %x", k, prev)
+							return false
+						}
+						prev = append(prev[:0], k...)
+						seen[ks.val(k)] = true
+						return true
+					})
+					for w := range before {
+						for i := 0; i < int(before[w]); i++ {
+							if !seen[i*workers+w] {
+								t.Errorf("scan missed key w=%d i=%d, inserted before it began", w, i)
+								return
+							}
+						}
+					}
+				}
+			}()
+			wg.Wait()
+			close(stop)
+			<-scanned
+			if tr.Len() != workers*per {
+				t.Fatalf("Len = %d, want %d", tr.Len(), workers*per)
+			}
+			for w := 0; w < workers; w++ {
+				for i := 0; i < per; i++ {
+					if rid, ok, _ := tr.Search(key(w, i)); !ok || rid != uint64(w*per+i+1) {
+						t.Fatalf("post-hoc miss w=%d i=%d", w, i)
+					}
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
-	if tr.Len() != workers*per {
-		t.Fatalf("Len = %d, want %d", tr.Len(), workers*per)
-	}
-	for w := 0; w < workers; w++ {
-		for i := 0; i < per; i += 97 {
-			k := u64key(uint64(w)<<32 | uint64(i))
-			if rid, ok, _ := tr.Search(k); !ok || rid != uint64(w*per+i+1) {
-				t.Fatalf("post-hoc miss w=%d i=%d", w, i)
-			}
-		}
+		})
 	}
 }
 
 func TestConcurrentMixedHotKeys(t *testing.T) {
-	// Contended upserts on a small key space plus concurrent scans: the
-	// OLC paths must neither lose updates nor crash/livelock.
-	tr := New()
-	const workers = 8
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < workers/2; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 3000; i++ {
-				tr.Insert(u64key(uint64(i%64)), uint64(i+1))
+	// Contended upserts and tombstones on a small key space plus concurrent
+	// scans: the OLC paths must neither lose updates nor crash/livelock, and
+	// every scan must come out in key order.
+	for _, ks := range concurrentKeySets {
+		t.Run(ks.name, func(t *testing.T) {
+			tr := New()
+			const workers = 8
+			const hot = 200
+			var writers, scanners sync.WaitGroup
+			stop := make(chan struct{})
+			for w := 0; w < workers/2; w++ {
+				writers.Add(1)
+				go func(w int) {
+					defer writers.Done()
+					for i := 0; i < 3000; i++ {
+						if i%7 == w {
+							tr.InsertTombstone(ks.key(uint64(i % hot)))
+						}
+						tr.Insert(ks.key(uint64(i%hot)), uint64(i+1))
+					}
+				}(w)
 			}
-		}(w)
-	}
-	for w := 0; w < workers/2; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
+			for w := 0; w < workers/2; w++ {
+				scanners.Add(1)
+				go func() {
+					defer scanners.Done()
+					var prev []byte
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						prev = prev[:0]
+						n := 0
+						tr.Scan(nil, nil, func(k []byte, _ uint64, _ bool) bool {
+							if n > 0 && bytes.Compare(prev, k) >= 0 {
+								t.Errorf("scan out of order: %x after %x", k, prev)
+								return false
+							}
+							prev = append(prev[:0], k...)
+							n++
+							return true
+						})
+					}
+				}()
+			}
+			writers.Wait()
+			close(stop)
+			scanners.Wait()
+			for i := 0; i < hot; i++ {
+				if _, ok, tomb := tr.Search(ks.key(uint64(i))); !ok || tomb {
+					t.Fatalf("hot key %d: found %v tomb %v", i, ok, tomb)
 				}
-				n := 0
-				tr.Scan(nil, nil, func([]byte, uint64, bool) bool { n++; return true })
 			}
-		}()
-	}
-	// Wait for writers, then stop scanners.
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	for w := 0; w < workers/2; w++ {
-	}
-	close(stop)
-	<-done
-	for i := 0; i < 64; i++ {
-		if _, ok, _ := tr.Search(u64key(uint64(i))); !ok {
-			t.Fatalf("hot key %d missing", i)
-		}
-	}
-}
-
-func treeEntries(tr *Tree) []Entry {
-	var out []Entry
-	tr.Scan(nil, nil, func(k []byte, rid uint64, tomb bool) bool {
-		out = append(out, Entry{Key: append([]byte(nil), k...), RID: rid, Tomb: tomb})
-		return true
-	})
-	return out
-}
-
-func TestMergeUnionNewerWins(t *testing.T) {
-	newer, older := New(), New()
-	ref := make(map[string]uint64)
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 2000; i++ {
-		k := u64key(uint64(rng.Intn(3000)))
-		older.Insert(k, uint64(i))
-		ref[string(k)] = uint64(i)
-	}
-	for i := 0; i < 2000; i++ {
-		k := u64key(uint64(rng.Intn(3000)))
-		newer.Insert(k, uint64(100000+i))
-		ref[string(k)] = uint64(100000 + i)
-	}
-	merged := newer.Merge(older, false)
-	if merged.Len() != len(ref) {
-		t.Fatalf("merged Len = %d, want %d", merged.Len(), len(ref))
-	}
-	for k, v := range ref {
-		got, ok, _ := merged.Search([]byte(k))
-		if !ok || got != v {
-			t.Fatalf("merged[%x] = %d,%v want %d", k, got, ok, v)
-		}
-	}
-	// Inputs untouched.
-	if older.Len() != 0 && newer.Len() != 0 {
-		e := treeEntries(older)
-		if len(e) == 0 {
-			t.Fatal("older tree mutated")
-		}
-	}
-}
-
-func TestMergeVariableLengthAndPrefixCases(t *testing.T) {
-	// Exercise inner/inner unequal-prefix, inner/leaf and leaf/leaf cases.
-	a, b := New(), New()
-	aKeys := []string{"app", "apple", "applesauce", "banana", "x"}
-	bKeys := []string{"app", "application", "band", "bandana", "x", "xyz"}
-	for i, k := range aKeys {
-		a.Insert([]byte(k), uint64(i+1))
-	}
-	for i, k := range bKeys {
-		b.Insert([]byte(k), uint64(100+i))
-	}
-	m := a.Merge(b, false)
-	ref := map[string]uint64{}
-	for i, k := range bKeys {
-		ref[k] = uint64(100 + i)
-	}
-	for i, k := range aKeys {
-		ref[k] = uint64(i + 1) // newer wins
-	}
-	if m.Len() != len(ref) {
-		t.Fatalf("Len = %d want %d; entries: %v", m.Len(), len(ref), treeEntries(m))
-	}
-	for k, v := range ref {
-		if got, ok, _ := m.Search([]byte(k)); !ok || got != v {
-			t.Fatalf("m[%q] = %d,%v want %d", k, got, ok, v)
-		}
-	}
-}
-
-func TestMergeTombstones(t *testing.T) {
-	newer, older := New(), New()
-	older.Insert([]byte("keep"), 1)
-	older.Insert([]byte("kill"), 2)
-	newer.InsertTombstone([]byte("kill"))
-	// Retained tombstone (not the oldest component).
-	m := newer.Merge(older, false)
-	if _, ok, tomb := m.Search([]byte("kill")); !ok || !tomb {
-		t.Fatal("tombstone dropped in non-final merge")
-	}
-	// Dropped tombstone (final merge).
-	m2 := newer.Merge(older, true)
-	if _, ok, _ := m2.Search([]byte("kill")); ok {
-		t.Fatal("deleted key resurfaced in final merge")
-	}
-	if rid, ok, _ := m2.Search([]byte("keep")); !ok || rid != 1 {
-		t.Fatal("unrelated key lost in final merge")
-	}
-	if m2.Len() != 1 {
-		t.Fatalf("final merge Len = %d", m2.Len())
-	}
-}
-
-func TestPropertyMergeEquivalence(t *testing.T) {
-	f := func(aKeys, bKeys []uint16) bool {
-		a, b := New(), New()
-		ref := make(map[string]uint64)
-		for i, k := range bKeys {
-			key := u64key(uint64(k))
-			b.Insert(key, uint64(1000+i))
-			ref[string(key)] = uint64(1000 + i)
-		}
-		for i, k := range aKeys {
-			key := u64key(uint64(k))
-			a.Insert(key, uint64(i))
-			ref[string(key)] = uint64(i)
-		}
-		m := a.Merge(b, false)
-		if m.Len() != len(ref) {
-			return false
-		}
-		for k, v := range ref {
-			if got, ok, _ := m.Search([]byte(k)); !ok || got != v {
-				return false
+			if tr.Len() != hot {
+				t.Fatalf("Len = %d, want %d", tr.Len(), hot)
 			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+		})
 	}
 }
 

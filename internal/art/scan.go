@@ -8,81 +8,62 @@ import (
 // Scan visits entries with from <= key < to in ascending key order, calling
 // fn until it returns false. A nil from means "from the beginning"; a nil to
 // means "to the end". Tombstones are visited with tomb=true so that
-// multi-component merging scans can suppress deleted keys.
+// multi-component merging scans can suppress deleted keys. The key handed to
+// fn is valid only during the call: an inline value's key is rebuilt from
+// the path in the scan's own buffer.
 //
 // Scan is safe to run concurrently with writers; it reads each node under
 // optimistic version validation and retries nodes that change underneath it.
-// It does not promise a point-in-time snapshot of the index -- in HiEngine
-// that guarantee comes from MVCC visibility over the returned RIDs, not from
-// the index itself.
+// A node replaced while the scan walks to it (grown, or copied by a prefix
+// split) sends the scan back to the root, resuming where the node's keys
+// begin, so no key present throughout the scan is missed or repeated. It
+// does not promise a point-in-time snapshot of the index -- in HiEngine that
+// guarantee comes from MVCC visibility over the returned RIDs, not from the
+// index itself.
 func (t *Tree) Scan(from, to []byte, fn func(key []byte, rid uint64, tomb bool) bool) {
 	s := scanPool.Get().(*scanner)
 	s.from, s.to, s.fn = from, to, fn
-	s.node(t.root, 0, from != nil, to != nil)
+	for !s.node(t.root, 0, s.from != nil, to != nil) && s.restart {
+		s.restart = false
+	}
 	s.from, s.to, s.fn = nil, nil, nil
 	scanPool.Put(s)
 }
 
-// scanner is one range scan's state. children is the scan's whole working
-// memory, owned by the scan and kept across scans through scanPool, so
-// walking an inner node allocates nothing: it is a stack of the visited
-// nodes' child lists (each node reads its own consistent snapshot onto the
-// top and pops it when done). No path is kept: the bounds are tracked by
-// depth alone (see node).
+// scanner is one range scan's state. slots and path are the scan's whole
+// working memory, owned by the scan and kept across scans through scanPool,
+// so walking an inner node allocates nothing: slots is a stack of the
+// visited nodes' slot lists (each node reads its own consistent snapshot
+// onto the top and pops it when done), path the key bytes from the root to
+// the slot being visited.
 type scanner struct {
 	from, to []byte
 	fn       func(key []byte, rid uint64, tomb bool) bool
-	children []snapChild
-}
-
-type snapChild struct {
-	b byte
-	c *node
+	slots    []slotEntry
+	path     []byte
+	// restart says the walk met a replaced node and stopped; from is then
+	// resume, the path to that node, unless from was already past it.
+	restart bool
+	resume  []byte
 }
 
 var scanPool = sync.Pool{New: func() interface{} { return new(scanner) }}
 
-// snapshot pushes n's children, in ascending byte order, onto s.children
+// snapshot pushes n's occupied slots, in ascending byte order, onto s.slots
 // under version validation, retrying until a consistent view is observed,
-// and returns n's prefix and terminal leaf from the same view. ok is false
-// when the node became obsolete.
-func (s *scanner) snapshot(n *node) (prefix []byte, term *node, ok bool) {
-	base := len(s.children)
+// and returns n's terminal leaf from the same view. ok is false when the
+// node became obsolete.
+func (s *scanner) snapshot(n *node) (term *node, ok bool) {
+	base := len(s.slots)
 	for {
 		v, alive := n.rLock()
 		if !alive {
-			return nil, nil, false
+			return nil, false
 		}
-		prefix = n.loadPrefix()
 		term = n.term.Load()
-		s.children = s.children[:base]
-		switch n.kind {
-		case k16:
-			cnt := int(n.b16.count.Load())
-			for i := 0; i < cnt && i < 16; i++ {
-				s.children = append(s.children, snapChild{byte(n.b16.keys[i].Load()), n.b16.children[i].Load()})
-			}
-			// Node16 keys are unsorted: insertion-sort the few of them.
-			for cs, i := s.children[base:], 1; i < len(cs); i++ {
-				for j := i; j > 0 && cs[j-1].b > cs[j].b; j-- {
-					cs[j-1], cs[j] = cs[j], cs[j-1]
-				}
-			}
-		case k48:
-			for b := 0; b < 256; b++ {
-				if slot := n.b48.index[b].Load(); slot != 0 {
-					s.children = append(s.children, snapChild{byte(b), n.b48.children[slot-1].Load()})
-				}
-			}
-		case k256:
-			for b := 0; b < 256; b++ {
-				if c := n.b256.children[b].Load(); c != nil {
-					s.children = append(s.children, snapChild{byte(b), c})
-				}
-			}
-		}
+		s.slots = n.appendSlots(s.slots[:base])
 		if n.rValidate(v) {
-			return prefix, term, true
+			return term, true
 		}
 	}
 }
@@ -98,6 +79,15 @@ func keyInRange(k, from, to []byte) bool {
 	return true
 }
 
+// emit hands fn one entry, checking it against the bounds first when check
+// says the walk has not ruled it in.
+func (s *scanner) emit(key []byte, rid uint64, tomb, check bool) bool {
+	if check && !keyInRange(key, s.from, s.to) {
+		return true
+	}
+	return s.fn(key, rid, tomb)
+}
+
 // node scans the subtree under n, which sits depth key bytes below the
 // root, and returns false when the scan is over: fn said stop, or the walk
 // has passed `to` (it is in key order, so nothing later can match).
@@ -109,28 +99,31 @@ func keyInRange(k, from, to []byte) bool {
 // child is ruled in or out by one byte, its own against the bound's next.
 func (s *scanner) node(n *node, depth int, lo, hi bool) bool {
 	if n.kind == kLeaf {
-		if (lo || hi) && !keyInRange(n.key, s.from, s.to) {
-			return true
-		}
-		return s.fn(n.key, n.rid, n.tomb)
+		return s.emit(n.key, n.rid, n.tomb, lo || hi)
 	}
-	base := len(s.children)
+	base := len(s.slots)
 	more := s.inner(n, depth, lo, hi)
-	s.children = s.children[:base]
+	s.slots = s.slots[:base]
 	return more
 }
 
-// inner is node for an inner node; it leaves n's child list on s.children.
+// inner is node for an inner node; it leaves n's slot list on s.slots.
 func (s *scanner) inner(n *node, depth int, lo, hi bool) bool {
-	base := len(s.children)
-	prefix, term, ok := s.snapshot(n)
+	base := len(s.slots)
+	term, ok := s.snapshot(n)
 	if !ok {
-		// Node was replaced (grow/split); its contents remain reachable
-		// through the new node on the next scan, but this path cannot
-		// continue. Treat as empty: the replacing writer's data is newer
-		// than the scan's start anyway.
-		return true
+		// A writer replaced n after the walk read the pointer to it. Every
+		// key handed out so far is below the path to n and every key of
+		// n's replacement starts with it: walk again from there.
+		if !lo {
+			s.resume = append(s.resume[:0], s.path[:depth]...)
+			s.from = s.resume
+		}
+		s.restart = true
+		return false
 	}
+	prefix := n.prefix
+	s.path = append(s.path[:depth], prefix...)
 	depth += len(prefix)
 	if lo {
 		switch c := bytes.Compare(prefix, bound(s.from, depth-len(prefix), depth)); {
@@ -148,27 +141,32 @@ func (s *scanner) inner(n *node, depth int, lo, hi bool) bool {
 			hi = false
 		}
 	}
-	if term != nil && ((!lo && !hi) || keyInRange(term.key, s.from, s.to)) {
-		if !s.fn(term.key, term.rid, term.tomb) {
-			return false
-		}
+	if term != nil && !s.emit(term.key, term.rid, term.tomb, lo || hi) {
+		return false
 	}
-	for i := base; i < len(s.children); i++ {
-		ch := s.children[i]
+	for i := base; i < len(s.slots); i++ {
+		e := s.slots[i]
 		clo, chi := lo, hi
 		if lo { // depth < len(from) here
-			if ch.b < s.from[depth] {
+			if e.b < s.from[depth] {
 				continue
 			}
-			clo = ch.b == s.from[depth]
+			clo = e.b == s.from[depth]
 		}
 		if hi { // depth < len(to) here
-			if ch.b > s.to[depth] {
+			if e.b > s.to[depth] {
 				return false
 			}
-			chi = ch.b == s.to[depth]
+			chi = e.b == s.to[depth]
 		}
-		if !s.node(ch.c, depth+1, clo, chi) {
+		s.path = append(s.path[:depth], e.b)
+		var more bool
+		if e.w != 0 {
+			more = s.emit(s.path, wordRID(e.w), wordTomb(e.w), clo || chi)
+		} else {
+			more = s.node(e.c, depth+1, clo, chi)
+		}
+		if !more {
 			return false
 		}
 	}
@@ -184,13 +182,4 @@ func bound(b []byte, lo, hi int) []byte {
 		hi = len(b)
 	}
 	return b[lo:hi]
-}
-
-// Min returns the smallest key in the tree (nil if empty). Tombstones count.
-func (t *Tree) Min() (key []byte, rid uint64, ok bool) {
-	t.Scan(nil, nil, func(k []byte, r uint64, _ bool) bool {
-		key, rid, ok = k, r, true
-		return false
-	})
-	return key, rid, ok
 }

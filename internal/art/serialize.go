@@ -126,6 +126,24 @@ func (e *encoder) leaf(key []byte, rid uint64, tomb bool) {
 	}
 }
 
+// cref is an inner node's reference to one child: its byte and offset.
+type cref struct {
+	b   byte
+	off int64
+}
+
+func (e *encoder) inner(prefix []byte, termOff int64, crefs []cref) {
+	e.reset()
+	e.byte(tagInner)
+	e.bytes(prefix)
+	e.uvarint(uint64(termOff))
+	e.uvarint(uint64(len(crefs)))
+	for _, c := range crefs {
+		e.byte(c.b)
+		e.uvarint(uint64(c.off))
+	}
+}
+
 // SerializeResult describes a serialized tree region.
 type SerializeResult struct {
 	RootOff int64 // offset of the root node within the region
@@ -144,7 +162,7 @@ func SerializeTree(t *Tree, dst Appender) (SerializeResult, error) {
 	}
 	var enc encoder
 	var count int64
-	rootOff := serializeNode(t.root, w, &enc, &count)
+	rootOff := serializeNode(t.root, nil, w, &enc, &count)
 	w.flush()
 	if w.err != nil {
 		return SerializeResult{}, w.err
@@ -152,34 +170,35 @@ func SerializeTree(t *Tree, dst Appender) (SerializeResult, error) {
 	return SerializeResult{RootOff: rootOff, Length: w.off, Count: count}, nil
 }
 
-func serializeNode(n *node, w *regionWriter, enc *encoder, count *int64) int64 {
+// serializeNode writes the subtree under n, whose path from the root is
+// path. An inline value becomes an ordinary leaf record keyed by its path.
+func serializeNode(n *node, path []byte, w *regionWriter, enc *encoder, count *int64) int64 {
 	if n.kind == kLeaf {
-		enc.leaf(n.key, n.rid, n.tomb)
-		*count++
-		return w.write(enc.b)
+		return writeLeaf(n.key, n.rid, n.tomb, w, enc, count)
 	}
+	path = append(path, n.prefix...)
 	var termOff int64
 	if l := n.term.Load(); l != nil {
-		termOff = serializeNode(l, w, enc, count)
+		termOff = serializeNode(l, path, w, enc, count)
 	}
-	type cref struct {
-		b   byte
-		off int64
+	slots := n.appendSlots(nil)
+	crefs := make([]cref, len(slots))
+	for i, e := range slots {
+		key := append(path, e.b)
+		crefs[i].b = e.b
+		if e.w != 0 {
+			crefs[i].off = writeLeaf(key, wordRID(e.w), wordTomb(e.w), w, enc, count)
+		} else {
+			crefs[i].off = serializeNode(e.c, key, w, enc, count)
+		}
 	}
-	var crefs []cref
-	n.eachChild(func(b byte, c *node) bool {
-		crefs = append(crefs, cref{b, serializeNode(c, w, enc, count)})
-		return true
-	})
-	enc.reset()
-	enc.byte(tagInner)
-	enc.bytes(n.loadPrefix())
-	enc.uvarint(uint64(termOff))
-	enc.uvarint(uint64(len(crefs)))
-	for _, c := range crefs {
-		enc.byte(c.b)
-		enc.uvarint(uint64(c.off))
-	}
+	enc.inner(n.prefix, termOff, crefs)
+	return w.write(enc.b)
+}
+
+func writeLeaf(key []byte, rid uint64, tomb bool, w *regionWriter, enc *encoder, count *int64) int64 {
+	enc.leaf(key, rid, tomb)
+	*count++
 	return w.write(enc.b)
 }
 
@@ -225,11 +244,7 @@ func BuildFromSorted(entries []Entry, dst Appender) (SerializeResult, error) {
 func buildRange(entries []Entry, depth int, w *regionWriter, enc *encoder, root bool) int64 {
 	if len(entries) == 0 {
 		// Empty root only.
-		enc.reset()
-		enc.byte(tagInner)
-		enc.bytes(nil)
-		enc.uvarint(0)
-		enc.uvarint(0)
+		enc.inner(nil, 0, nil)
 		return w.write(enc.b)
 	}
 	if len(entries) == 1 && !root {
@@ -253,10 +268,6 @@ func buildRange(entries []Entry, depth int, w *regionWriter, enc *encoder, root 
 		termOff = w.write(enc.b)
 		rest = rest[1:]
 	}
-	type cref struct {
-		b   byte
-		off int64
-	}
 	var crefs []cref
 	for len(rest) > 0 {
 		b := rest[0].Key[pos]
@@ -267,15 +278,7 @@ func buildRange(entries []Entry, depth int, w *regionWriter, enc *encoder, root 
 		crefs = append(crefs, cref{b, buildRange(rest[:j], pos+1, w, enc, false)})
 		rest = rest[j:]
 	}
-	enc.reset()
-	enc.byte(tagInner)
-	enc.bytes(prefix)
-	enc.uvarint(uint64(termOff))
-	enc.uvarint(uint64(len(crefs)))
-	for _, c := range crefs {
-		enc.byte(c.b)
-		enc.uvarint(uint64(c.off))
-	}
+	enc.inner(prefix, termOff, crefs)
 	return w.write(enc.b)
 }
 

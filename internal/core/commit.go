@@ -77,16 +77,12 @@ func (t *Txn) commitStart(durable func(error)) (bool, error) {
 	t.statusWord.Store(packStatus(txPrecommitted, csn))
 
 	// Stamp versions: replace TIDs with the CSN in tmin of new versions
-	// and tmax of superseded ones (Section 5.1). After this point other
-	// transactions read the new data. The log buffer takes the CSN once, in
-	// its first record, and the end mark on its last.
+	// (Section 5.1). After this point other transactions read the new data.
+	// The log buffer takes the CSN once, in its first record, and the end
+	// mark on its last.
 	ws := t.ws
 	for i := range ws.writes {
-		we := &ws.writes[i]
-		we.newV.tmin.Store(csn)
-		if we.oldV != nil {
-			we.oldV.tmax.Store(csn)
-		}
+		ws.writes[i].newV.tmin.Store(csn)
 	}
 	wal.StampTxn(ws.log, ws.writes[len(ws.writes)-1].logOff, csn)
 	t.slot.stamping.Store(false)

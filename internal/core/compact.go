@@ -215,7 +215,7 @@ func (c *compactor) rewrite(t *Table, rid RID, v *Version) error {
 	if !v.tomb {
 		if n, ok := v.swing(&c.win, base.Add(uint32(wal.PayloadOffset(buf, len(payload)))), len(payload)); ok {
 			c.e.swung(1, n)
-		} else if !v.private.Load() {
+		} else if !v.private() {
 			v.data.Store(nil)
 		}
 	}

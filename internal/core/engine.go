@@ -387,7 +387,7 @@ func (e *Engine) swung(n, released int) {
 // dropPrivate takes v off the private-payload ledger, if it is still on it,
 // when its payload p goes away private: an eviction, GC, a 2PC abort.
 func (e *Engine) dropPrivate(v *Version, p *[]byte) {
-	if p != nil && v.private.Load() && v.private.CompareAndSwap(true, false) {
+	if p != nil && v.release(flagPrivate) {
 		e.mPrivateBytes.Add(-int64(len(*p)))
 	}
 }

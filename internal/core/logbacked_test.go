@@ -60,8 +60,8 @@ func TestDurablePayloadIsTheLog(t *testing.T) {
 		t.Helper()
 		for _, rid := range rids {
 			v := tbl.rows.Get(rid)
-			if v.Addr() == wal.InvalidAddr || v.private.Load() || !logBacked(t, e, v) {
-				t.Fatalf("after %s: rid %v (addr %v, private %v) does not read the log's bytes", what, rid, v.Addr(), v.private.Load())
+			if v.Addr() == wal.InvalidAddr || v.private() || !logBacked(t, e, v) {
+				t.Fatalf("after %s: rid %v (addr %v, private %v) does not read the log's bytes", what, rid, v.Addr(), v.private())
 			}
 			// Which is where a cold read of the same address looks.
 			if rec, err := e.log.ReadRecord(v.Addr()); err != nil || &rec.Payload[0] != &(*v.data.Load())[0] {
@@ -354,9 +354,9 @@ func TestStraddlingRecordStaysPrivate(t *testing.T) {
 		from := int64(payloadAddr(e, v.Addr(), rec).Offset())
 		straddles := from/chunk != (from+int64(len(d))-1)/chunk
 		switch backed := logBacked(t, e, v); {
-		case straddles && (backed || !v.private.Load()):
+		case straddles && (backed || !v.private()):
 			t.Fatalf("rid %v: payload [%d,+%d) straddles a chunk and is not private", rid, from, len(d))
-		case !straddles && (!backed || v.private.Load()):
+		case !straddles && (!backed || v.private()):
 			t.Fatalf("rid %v: payload [%d,+%d) lies in one chunk and was not swung", rid, from, len(d))
 		case straddles:
 			private += int64(len(d))
@@ -422,8 +422,8 @@ func TestFailedAppendKeepsPrivatePayload(t *testing.T) {
 		if !e.DurabilityLost() {
 			t.Errorf("%s: the failed append did not latch fail-stop", site)
 		}
-		if v.data.Load() != payload || !v.private.Load() || v.Addr() != wal.InvalidAddr {
-			t.Errorf("%s: the version of the failed commit was touched (addr %v, private %v)", site, v.Addr(), v.private.Load())
+		if v.data.Load() != payload || !v.private() || v.Addr() != wal.InvalidAddr {
+			t.Errorf("%s: the version of the failed commit was touched (addr %v, private %v)", site, v.Addr(), v.private())
 		}
 		if got := privateBytes(e); got != int64(len(*payload)) {
 			t.Errorf("%s: core.payload_private_bytes = %d, want the unacked row's %d", site, got, len(*payload))
@@ -438,7 +438,7 @@ func TestFailedAppendKeepsPrivatePayload(t *testing.T) {
 		t.Fatalf("a commit drew %d srss.read decisions and counted %d storage reads",
 			ch.Hits(srss.SiteRead)-hits, e.svc.Stats().Reads.Load()-reads)
 	}
-	if v := tbl.rows.Get(rid); v.private.Load() || privateBytes(e) != 0 {
+	if v := tbl.rows.Get(rid); v.private() || privateBytes(e) != 0 {
 		t.Fatal("the commit's payload was not swung")
 	}
 	// The fault is still armed, for the first real read.
@@ -580,7 +580,7 @@ func TestCompactFullReleasesDroppedSegments(t *testing.T) {
 					t.Fatalf("rid %v: the version at %v still reads the memory of dropped segment %d", rid, v.Addr(), seg)
 				}
 			}
-			if !v.private.Load() && !logBacked(t, e, v) {
+			if !v.private() && !logBacked(t, e, v) {
 				t.Fatalf("rid %v: payload is neither private nor its record's at %v", rid, v.Addr())
 			}
 		}

@@ -411,11 +411,7 @@ func (e *Engine) applyDecisionLocked(entry *pend2pcEntry) {
 		csn := entry.csn
 		t.statusWord.Store(packStatus(txPrecommitted, csn))
 		for i := range t.ws.writes {
-			we := &t.ws.writes[i]
-			we.newV.tmin.Store(csn)
-			if we.oldV != nil {
-				we.oldV.tmax.Store(csn)
-			}
+			t.ws.writes[i].newV.tmin.Store(csn)
 		}
 		e.status.remove(t.tid)
 		t.statusWord.Store(packStatus(txCommitted, csn))

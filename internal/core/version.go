@@ -15,14 +15,13 @@ func isTID(ts uint64) bool { return ts&tidFlag != 0 }
 
 // Version is one record version, chained new-to-old from the record's PIA
 // entry (Section 4). All mutable fields are atomics: versions are read
-// lock-free by any transaction.
+// lock-free by any transaction. It is 64 bytes, the allocator's 64-byte
+// class: a version's end is the start of the one above it in the chain
+// (tmin of next-newer), so it keeps no tmax.
 type Version struct {
 	// tmin is the creating transaction: TID (flagged) while uncommitted,
 	// then the creator's CSN.
 	tmin atomic.Uint64
-	// tmax is the superseding transaction: 0 while this is the newest
-	// version, then the CSN of the update/delete that replaced it.
-	tmax atomic.Uint64
 	// next points to the previous (older) version.
 	next atomic.Pointer[Version]
 	// addr is the version's permanent address in the log, set when the
@@ -38,19 +37,25 @@ type Version struct {
 	data atomic.Pointer[[]byte]
 	// tomb marks delete markers (immutable after creation).
 	tomb bool
-	// private says data is still the bytes the version was built around,
-	// beside the log's: the transaction's buffer, or a payload of its own
-	// (newPayload). Whoever clears it takes those bytes off the engine's
-	// ledger of them (core.payload_private_bytes): the swing onto the log,
-	// an eviction, GC.
-	private atomic.Bool
+	// flags holds flagPrivate and flagOwnTaken.
+	flags atomic.Uint32
 	// own is the slice header the version's first log-backed payload is
 	// boxed in (backWithLog): data then points into the version itself, and
 	// a read goes from the version straight to the log's bytes. Written
-	// once, by whoever sets ownTaken, before data publishes it.
-	ownTaken atomic.Bool
-	own      []byte
+	// once, by whoever sets flagOwnTaken, before data publishes it.
+	own []byte
 }
+
+const (
+	// flagPrivate says data is still the bytes the version was built
+	// around, beside the log's: the transaction's buffer, or a payload of
+	// its own (newPayload). Whoever clears it takes those bytes off the
+	// engine's ledger of them (core.payload_private_bytes): the swing onto
+	// the log, an eviction, GC.
+	flagPrivate uint32 = 1 << iota
+	// flagOwnTaken says own has been claimed (backWithLog).
+	flagOwnTaken
+)
 
 // newVersion builds a version around a payload (nil for a delete marker):
 // the version itself is its only allocation.
@@ -58,9 +63,41 @@ func newVersion(tid uint64, payload *[]byte, tomb bool, next *Version) *Version 
 	v := &Version{tomb: tomb}
 	v.tmin.Store(tid)
 	v.data.Store(payload)
-	v.private.Store(payload != nil)
+	if payload != nil {
+		v.flags.Store(flagPrivate)
+	}
 	v.next.Store(next)
 	return v
+}
+
+// private reports whether v's payload is still off the log (flagPrivate).
+func (v *Version) private() bool { return v.flags.Load()&flagPrivate != 0 }
+
+// claim sets flag f and reports whether this call set it: exactly one
+// caller wins each flag.
+func (v *Version) claim(f uint32) bool {
+	for {
+		old := v.flags.Load()
+		if old&f != 0 {
+			return false
+		}
+		if v.flags.CompareAndSwap(old, old|f) {
+			return true
+		}
+	}
+}
+
+// release clears flag f and reports whether this call cleared it.
+func (v *Version) release(f uint32) bool {
+	for {
+		old := v.flags.Load()
+		if old&f == 0 {
+			return false
+		}
+		if v.flags.CompareAndSwap(old, old&^f) {
+			return true
+		}
+	}
 }
 
 // Tomb reports whether the version is a delete marker.
@@ -109,7 +146,7 @@ type recordReader interface {
 // previous pointer goes on reading the same immutable bytes through it.
 func (v *Version) backWithLog(b []byte) {
 	hdr := &v.own
-	if !v.ownTaken.CompareAndSwap(false, true) {
+	if !v.claim(flagOwnTaken) {
 		hdr = new([]byte)
 	}
 	*hdr = b
@@ -161,7 +198,7 @@ func (v *Version) swing(win *logWindow, addr wal.Addr, n int) (released int, ok 
 		return 0, false
 	}
 	v.backWithLog(b)
-	if v.private.CompareAndSwap(true, false) {
+	if v.release(flagPrivate) {
 		released = n
 	}
 	return released, true

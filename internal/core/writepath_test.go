@@ -249,18 +249,17 @@ func TestLiveRowsAbortMirrorsWrites(t *testing.T) {
 // --- allocation gates -------------------------------------------------------
 
 // TestWritePathAllocs holds the engine's write path to what outlives a
-// transaction: the version and the index leaf of an insert, the version of an
-// update, and per transaction the Txn, a sync Commit's channel and callback,
-// the log buffer its rows live in until they are durable and, past two
-// writes, one chunk of slice headers. A one-write transaction trades the
-// payload it used to allocate for its buffer, one for one.
+// transaction: the version of an insert or an update (an int key's RID is a
+// word in its index node's slot, no leaf), and per transaction the Txn, a
+// sync Commit's channel and callback, the log buffer its rows live in until
+// they are durable and, past two writes, one chunk of slice headers.
 func TestWritePathAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	e := testEngine(t, func(c *Config) { c.Workers = 2; c.GCEveryNCommits = -1 })
 	schema := usersSchema()
-	schema.Indexes = schema.Indexes[:1] // the primary key alone: one leaf per row
+	schema.Indexes = schema.Indexes[:1] // the primary key alone: inline in its slot
 	tbl := mustTable(t, e, schema)
 	next := int64(0)
 	row := Row{I(0), S("a-name-of-some-length"), I(0)}
@@ -282,15 +281,15 @@ func TestWritePathAllocs(t *testing.T) {
 			}
 		}
 	}
-	// Txn, Commit's channel and closure, the log buffer; then version and
-	// index leaf per row, the index's inner nodes amortised.
-	if avg := testing.AllocsPerRun(200, insertTxn(1)); avg > 7 {
-		t.Errorf("a one-insert transaction allocates %.1f times, want <= 7", avg)
+	// Txn, Commit's channel and closure, the log buffer; then the version
+	// per row, the index's inner nodes amortised.
+	if avg := testing.AllocsPerRun(200, insertTxn(1)); avg > 6 {
+		t.Errorf("a one-insert transaction allocates %.1f times, want <= 6", avg)
 	}
-	// The same, and the header chunk: no allocation per row but the two that
-	// stay.
-	if avg := testing.AllocsPerRun(20, insertTxn(128)); avg > 3+128*2+10 {
-		t.Errorf("a 128-insert transaction allocates %.1f times, want <= %d", avg, 3+128*2+10)
+	// The same, and the header chunk: no allocation per row but the one
+	// that stays.
+	if avg := testing.AllocsPerRun(20, insertTxn(128)); avg > 3+128+10 {
+		t.Errorf("a 128-insert transaction allocates %.1f times, want <= %d", avg, 3+128+10)
 	}
 
 	key := []Value{I(0)}
@@ -317,12 +316,14 @@ func TestWritePathAllocs(t *testing.T) {
 	}
 }
 
-// TestVersionIsEightyBytes: the pre-durable slice header of a payload lives
-// in its transaction, not in the version. A second header inline would put
-// the version in the allocator's 96-byte class, for every row in memory.
-func TestVersionIsEightyBytes(t *testing.T) {
-	if n := reflect.TypeOf(Version{}).Size(); n != 80 {
-		t.Errorf("a Version is %d bytes, want 80", n)
+// TestVersionIsSixtyFourBytes: a version is the allocator's 64-byte class,
+// for every row in memory. It keeps no end timestamp, its two flags share
+// one word, and the pre-durable slice header of a payload lives in its
+// transaction: any of those back in the version would put it in the 80-byte
+// class.
+func TestVersionIsSixtyFourBytes(t *testing.T) {
+	if n := reflect.TypeOf(Version{}).Size(); n != 64 {
+		t.Errorf("a Version is %d bytes, want 64", n)
 	}
 }
 

@@ -209,6 +209,7 @@ type Entry = art.Entry
 
 // Scan visits live entries with from <= key < to in ascending key order,
 // resolving duplicates newest-component-wins and suppressing tombstones.
+// The key handed to fn is valid only during the call.
 func (ix *Index) Scan(from, to []byte, fn func(key []byte, rid uint64) bool) error {
 	mem, l := ix.acquire()
 	defer l.unref()
