@@ -105,7 +105,7 @@ func mapErr(err error) error {
 	switch {
 	case err == nil:
 		return nil
-	case errors.Is(err, core.ErrConflict), errors.Is(err, core.ErrDependencyAborted):
+	case errors.Is(err, core.ErrConflict):
 		return fmt.Errorf("%w: %v", engineapi.ErrConflict, err)
 	case errors.Is(err, core.ErrDuplicateKey):
 		return fmt.Errorf("%w: %v", engineapi.ErrDuplicate, err)

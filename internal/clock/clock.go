@@ -144,9 +144,6 @@ func NewGlobalClock(epsilon time.Duration, waiter delay.Waiter) *GlobalClock {
 	return &GlobalClock{epsilon: epsilon, waiter: waiter}
 }
 
-// Epsilon returns the clock's uncertainty bound.
-func (g *GlobalClock) Epsilon() time.Duration { return g.epsilon }
-
 // Now returns the current physical timestamp (monotone, nanoseconds).
 func (g *GlobalClock) Now() CSN {
 	ts := uint64(time.Now().UnixNano())

@@ -187,10 +187,6 @@ type RecoverOptions struct {
 	// ReplayThreads is the number of parallel replay goroutines (Figure 8
 	// sweeps this). Default 1 (serial replay, the baseline).
 	ReplayThreads int
-	// SkipIndexRebuild leaves indexes empty (PIA-only recovery, the
-	// paper's "recovery is finished once the PIAs are set up"). Point
-	// reads by RID work immediately; key access requires indexes.
-	SkipIndexRebuild bool
 
 	// readOnly opens the log without streams and marks the engine a
 	// replica (set by OpenReplica).
@@ -247,7 +243,7 @@ func RecoverByName(cfg Config, opt RecoverOptions) (*Engine, *RecoveryStats, err
 }
 
 // Recover rebuilds an engine from its manifest PLog: catalog, checkpoint
-// image, the log applier's parallel pass, and (optionally) index rebuild.
+// image, the log applier's parallel pass, and the index rebuild.
 func Recover(cfg Config, manifestID srss.PLogID, opt RecoverOptions) (*Engine, *RecoveryStats, error) {
 	a, stats, err := recoverLog(cfg, manifestID, opt)
 	if err != nil {
@@ -395,25 +391,20 @@ func recoverLog(cfg Config, manifestID srss.PLogID, opt RecoverOptions) (*applie
 	stats.ReplayDuration = time.Since(start)
 
 	// Resume CSN allocation above everything replayed.
-	e.advanceClock(stats.MaxCSN)
+	e.clk.AdvanceTo(stats.MaxCSN)
 
-	// Phase 4 (optional): rebuild in-memory indexes by scanning the PIAs.
-	if !opt.SkipIndexRebuild {
-		ixStart := time.Now()
-		if stats.IndexKeys, err = e.RebuildIndexes(opt.ReplayThreads); err != nil {
-			return nil, nil, err
-		}
-		stats.IndexDuration = time.Since(ixStart)
+	// Phase 4: rebuild in-memory indexes by scanning the PIAs.
+	ixStart := time.Now()
+	if stats.IndexKeys, err = e.RebuildIndexes(opt.ReplayThreads); err != nil {
+		return nil, nil, err
 	}
+	stats.IndexDuration = time.Since(ixStart)
 
 	// Phase 5, on a writable engine: the end of the log (a replica's comes
 	// at Promote).
 	if !opt.readOnly {
 		if stats.InDoubt, err = a.settle(); err != nil {
 			return nil, nil, err
-		}
-		if cfg.RepairInterval > 0 {
-			e.stopRepair = e.svc.StartRepairer(cfg.RepairInterval)
 		}
 	}
 	a.live = true
@@ -673,16 +664,4 @@ func scanManifest(p *srss.PLog, fn func(typ byte, payload []byte) error) error {
 		pos += int(l)
 	}
 	return nil
-}
-
-// advanceClock raises the local counter (when in use) past csn so new
-// transactions order after everything recovered.
-func (e *Engine) advanceClock(csn uint64) {
-	if e.counter != nil {
-		e.counter.AdvanceTo(csn)
-		return
-	}
-	if a, ok := e.clk.(interface{ AdvanceTo(uint64) }); ok {
-		a.AdvanceTo(csn)
-	}
 }

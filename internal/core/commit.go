@@ -104,7 +104,7 @@ func (t *Txn) commitStart(durable func(error)) (bool, error) {
 
 	t.statusWord.Store(packStatus(txCommitted, csn))
 	t.finishSlot()
-	t.markFinished()
+	t.finished = true
 	t.e.stats.Commits.Add(1)
 	t.e.mCommits.Inc()
 
@@ -114,9 +114,9 @@ func (t *Txn) commitStart(durable func(error)) (bool, error) {
 }
 
 // validate is what commit and prepare share before anything is logged:
-// fail-stop and fencing checks, then register-and-report. It finishes a
-// transaction that wrote nothing and reports it read-only; on an error the
-// transaction has been aborted.
+// the fail-stop and fencing checks. It finishes a transaction that wrote
+// nothing and reports it read-only; on an error the transaction has been
+// aborted.
 func (t *Txn) validate() (readOnly bool, err error) {
 	// Fail-stop: once any commit's log append has failed durability, no
 	// further commit may be acknowledged -- the client-visible history
@@ -131,16 +131,6 @@ func (t *Txn) validate() (readOnly bool, err error) {
 		if err := t.e.writeBlocked(); err != nil {
 			_ = t.Abort()
 			return false, err
-		}
-	}
-	// Register-and-report (Section 5.2): wait for every transaction whose
-	// uncommitted data we read; abort if any of them aborted.
-	for _, dep := range t.deps {
-		<-dep.doneCh
-		if st, _ := dep.state(); st == txAborted {
-			_ = t.Abort()
-			t.e.mDepAborts.Inc()
-			return false, ErrDependencyAborted
 		}
 	}
 	if !t.hasWrites() {
@@ -267,22 +257,13 @@ func (t *Txn) finish(state, csn uint64) {
 	t.statusWord.Store(packStatus(state, csn))
 	t.e.status.remove(t.tid)
 	t.finishSlot()
-	t.markFinished()
+	t.finished = true
 }
 
 func (t *Txn) finishSlot() {
 	slot := &t.e.workers[t.worker]
 	slot.lastRead.Store(t.e.clk.Now())
 	slot.activeBegin.Store(0)
-}
-
-func (t *Txn) markFinished() {
-	if !t.finished {
-		t.finished = true
-		if t.doneCh != nil {
-			close(t.doneCh)
-		}
-	}
 }
 
 // retireWrites hands superseded versions to the worker's GC bag

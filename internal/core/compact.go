@@ -136,51 +136,6 @@ func (e *Engine) CompactFull() (CompactionStats, error) {
 	return stats, nil
 }
 
-// CompactPartial rewrites only versions created in (sinceCSN, untilCSN],
-// clustering recent changes without touching cold segments (the paper's
-// partial compaction). Old segments are not dropped -- partial compaction
-// restores locality for recent data; space reclamation needs CompactFull.
-func (e *Engine) CompactPartial(sinceCSN, untilCSN uint64) (CompactionStats, error) {
-	if e.closed.Load() {
-		return CompactionStats{}, ErrClosed
-	}
-	e.ckptMu.Lock()
-	defer e.ckptMu.Unlock()
-
-	var stats CompactionStats
-	e.mu.RLock()
-	tables := make([]*Table, 0, len(e.tablesByID))
-	for _, t := range e.tablesByID {
-		tables = append(tables, t)
-	}
-	e.mu.RUnlock()
-
-	c := compactor{e: e, win: logWindow{log: e.log}, stats: &stats}
-	for _, t := range tables {
-		var rerr error
-		t.rows.Range(func(rid RID, head *Version) bool {
-			for v := head; v != nil; v = v.next.Load() {
-				csn := v.tmin.Load()
-				if isTID(csn) || csn <= sinceCSN || csn > untilCSN {
-					continue
-				}
-				if v.addr.Load() == 0 || v.tomb {
-					continue
-				}
-				if rerr = c.rewrite(t, rid, v); rerr != nil {
-					return false
-				}
-			}
-			return true
-		})
-		if rerr != nil {
-			return stats, rerr
-		}
-	}
-	e.stats.Compactions.Add(1)
-	return stats, nil
-}
-
 // compactor is one compaction pass's rewriting state. Its rewrites go to one
 // stream back to back, so a window of the log serves a chunk's worth of them.
 type compactor struct {

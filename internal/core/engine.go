@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hiengine/internal/chaos"
 	"hiengine/internal/clock"
@@ -49,9 +48,6 @@ var (
 	ErrTxnDone = errors.New("core: transaction already finished")
 	// ErrWorkerBusy means the worker slot already has an active txn.
 	ErrWorkerBusy = errors.New("core: worker slot busy")
-	// ErrDependencyAborted means a speculatively-read transaction aborted,
-	// cascading the abort (Section 5.2 register-and-report).
-	ErrDependencyAborted = errors.New("core: commit dependency aborted")
 	// ErrNoTable is returned for unknown table names/IDs.
 	ErrNoTable = errors.New("core: no such table")
 	// ErrClosed is returned after Engine.Close.
@@ -85,27 +81,10 @@ type Config struct {
 	// LogTier places the log (default TierCompute = compute-side
 	// persistence; TierStorage models a storage-centric deployment).
 	LogTier srss.Tier
-	// Clock is the CSN source (default a local counter, the standalone
-	// mode of Section 5.3).
-	Clock clock.Source
-	// SpeculativeReads enables reading uncommitted versions with
-	// register-and-report commit dependencies (Section 5.2).
-	SpeculativeReads bool
-	// PIASlotBits sizes indirection-array partitions (default 20).
-	PIASlotBits uint
-	// IndexFreezeThreshold / IndexMaxComponents configure index
-	// persistence (0 disables auto freeze/merge).
-	IndexFreezeThreshold int
-	IndexMaxComponents   int
 	// GCEveryNCommits interleaves incremental garbage collection with
-	// forward processing every N commits per worker (default 64; 0
-	// disables automatic GC).
+	// forward processing every N commits per worker (default 64; a
+	// negative value disables automatic GC).
 	GCEveryNCommits int
-	// RepairInterval starts the SRSS background replica repairer with the
-	// given sweep period: PLogs degraded by node failures are
-	// re-replicated onto healthy spares. 0 (the default) disables it;
-	// tests drive srss.Service.RepairOnce directly.
-	RepairInterval time.Duration
 	// Obs is the observability registry the engine (and the WAL and SRSS
 	// layers under it) records into. A fresh registry named after the
 	// engine is created when nil.
@@ -133,9 +112,6 @@ func (c *Config) fill() {
 	}
 	if c.GroupCommitBatch <= 0 {
 		c.GroupCommitBatch = 64
-	}
-	if c.Clock == nil {
-		c.Clock = clock.NewCounter(1)
 	}
 	if c.GCEveryNCommits == 0 {
 		c.GCEveryNCommits = 64
@@ -192,11 +168,9 @@ type Engine struct {
 	cfg Config
 	svc *srss.Service
 	log *wal.Manager
-	clk clock.Source
-
-	// counter is non-nil when clk is the local counter (recovery advances
-	// it past replayed CSNs).
-	counter *clock.Counter
+	// clk is the CSN source: a local counter, the standalone mode of
+	// Section 5.3 (recovery advances it past replayed CSNs).
+	clk *clock.Counter
 
 	mu         sync.RWMutex
 	tables     map[string]*Table
@@ -248,7 +222,6 @@ type Engine struct {
 	mCommits        *obs.Counter
 	mAborts         *obs.Counter
 	mConflicts      *obs.Counter
-	mDepAborts      *obs.Counter
 	mDurabilityFail *obs.Counter
 	mReclaimed      *obs.Counter
 	mCheckpoints    *obs.Counter
@@ -260,10 +233,6 @@ type Engine struct {
 	// and how many payloads have been swung onto the log instead.
 	mPrivateBytes *obs.Gauge
 	mSwings       *obs.Counter
-
-	// stopRepair halts the background replica repairer (nil when
-	// RepairInterval is 0).
-	stopRepair func()
 
 	stats  Stats
 	closed atomic.Bool
@@ -309,9 +278,6 @@ func Open(cfg Config) (*Engine, error) {
 	if err := e.appendManifest(manifestEpoch, binary.AppendUvarint(nil, 1)); err != nil {
 		return nil, err
 	}
-	if cfg.RepairInterval > 0 {
-		e.stopRepair = e.svc.StartRepairer(cfg.RepairInterval)
-	}
 	return e, nil
 }
 
@@ -321,15 +287,12 @@ func newEngine(cfg Config) *Engine {
 	e := &Engine{
 		cfg:        cfg,
 		svc:        cfg.Service,
-		clk:        cfg.Clock,
+		clk:        clock.NewCounter(1),
 		tables:     make(map[string]*Table),
 		tablesByID: make(map[uint32]*Table),
 		status:     newStatusMap(),
 		workers:    make([]workerSlot, cfg.Workers),
 		pend2pc:    make(map[string]*pend2pcEntry),
-	}
-	if c, ok := cfg.Clock.(*clock.Counter); ok {
-		e.counter = c
 	}
 	e.initObs()
 	return e
@@ -359,7 +322,6 @@ func (e *Engine) initObs() {
 	e.mCommits = reg.Counter("core.commits")
 	e.mAborts = reg.Counter("core.aborts")
 	e.mConflicts = reg.Counter("core.conflicts")
-	e.mDepAborts = reg.Counter("core.dependency_aborts")
 	e.mDurabilityFail = reg.Counter("core.durability_failures")
 	e.mReclaimed = reg.Counter("core.gc_reclaimed_versions")
 	e.mCheckpoints = reg.Counter("core.checkpoints")
@@ -422,7 +384,7 @@ func (e *Engine) LastCheckpointCSN() uint64 { return e.lastCkpt.Load() }
 // CurrentCSN returns the engine clock's current commit sequence number
 // without advancing it. A primary reports this to replicas so they can
 // compute their lag.
-func (e *Engine) CurrentCSN() uint64 { return uint64(e.clk.Now()) }
+func (e *Engine) CurrentCSN() uint64 { return e.clk.Now() }
 
 // Workers returns the session-slot count.
 func (e *Engine) Workers() int { return len(e.workers) }
@@ -481,9 +443,6 @@ func (e *Engine) writeBlocked() error {
 func (e *Engine) Close() {
 	if e.closed.Swap(true) {
 		return
-	}
-	if e.stopRepair != nil {
-		e.stopRepair()
 	}
 	e.log.Close()
 }
@@ -650,14 +609,9 @@ func (e *Engine) CreateTable(s *Schema) (*Table, error) {
 }
 
 func (e *Engine) buildTable(id uint32, s *Schema) (*Table, error) {
-	t := &Table{ID: id, Schema: s, rows: pia.New[Version](pia.Config{SlotBits: e.cfg.PIASlotBits})}
+	t := &Table{ID: id, Schema: s, rows: pia.New[Version](pia.Config{})}
 	for range s.Indexes {
-		t.indexes = append(t.indexes, index.New(index.Config{
-			Service:         e.svc,
-			Tier:            srss.TierCompute,
-			FreezeThreshold: e.cfg.IndexFreezeThreshold,
-			MaxComponents:   e.cfg.IndexMaxComponents,
-		}))
+		t.indexes = append(t.indexes, index.New(index.Config{Service: e.svc, Tier: srss.TierCompute}))
 	}
 	return t, nil
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 )
 
 // usersSchema is the standard test table: id (pk), name, balance, plus a
@@ -562,40 +561,6 @@ func TestTxnDoneGuards(t *testing.T) {
 	}
 }
 
-func TestSpeculativeReadsAndDependencies(t *testing.T) {
-	e := testEngine(t, func(c *Config) { c.SpeculativeReads = true })
-	tbl := mustTable(t, e, usersSchema())
-	rid := insertUser(t, e, tbl, 0, 1, "ada", 100)
-
-	writer, _ := e.Begin(1)
-	if err := writer.Update(tbl, rid, Row{I(1), S("ada"), I(200)}); err != nil {
-		t.Fatal(err)
-	}
-	// Speculative reader sees the uncommitted value and registers a
-	// dependency (register-and-report, Section 5.2).
-	reader, _ := e.Begin(2)
-	row, err := reader.Get(tbl, rid)
-	if err != nil || row[2].Int() != 200 {
-		t.Fatalf("speculative read: %v %v", row, err)
-	}
-	// Reader commits only after writer resolves; commit in order here.
-	commit(t, writer)
-	commit(t, reader)
-
-	// Cascading abort: a reader of an eventually-aborted writer aborts.
-	writer2, _ := e.Begin(1)
-	writer2.Update(tbl, rid, Row{I(1), S("ada"), I(300)})
-	reader2, _ := e.Begin(2)
-	row, err = reader2.Get(tbl, rid)
-	if err != nil || row[2].Int() != 300 {
-		t.Fatalf("speculative read 2: %v %v", row, err)
-	}
-	writer2.Abort()
-	if err := reader2.Commit(); !errors.Is(err, ErrDependencyAborted) {
-		t.Fatalf("cascading abort: %v", err)
-	}
-}
-
 func TestCommitAsyncPipelines(t *testing.T) {
 	e := testEngine(t)
 	tbl := mustTable(t, e, usersSchema())
@@ -656,59 +621,6 @@ func TestUniqueSecondaryIndex(t *testing.T) {
 		t.Fatalf("secondary lookup: %v %v", row, err)
 	}
 	commit(t, tx3)
-}
-
-func TestBackgroundMaintenance(t *testing.T) {
-	e := testEngine(t, func(c *Config) { c.SegmentSize = 4096; c.GCEveryNCommits = 0 })
-	tbl := mustTable(t, e, usersSchema())
-	stop := e.StartMaintenance(MaintenanceConfig{
-		CheckpointEvery: 5 * time.Millisecond,
-		DestageEvery:    5 * time.Millisecond,
-		GCEvery:         5 * time.Millisecond,
-		OnError: func(task string, err error) {
-			t.Errorf("maintenance %s: %v", task, err)
-		},
-	})
-	defer stop()
-	// Generate churn: inserts + repeated updates so GC and destage have
-	// work, with enough log volume to rotate segments.
-	for i := int64(0); i < 300; i++ {
-		insertUser(t, e, tbl, int(i%4), i, "bg", i)
-	}
-	rid, _ := func() (RID, error) {
-		tx, _ := e.Begin(0)
-		defer tx.Commit()
-		r, _, err := tx.GetByKey(tbl, 0, I(7))
-		return r, err
-	}()
-	for i := int64(0); i < 200; i++ {
-		tx, _ := e.Begin(0)
-		if err := tx.Update(tbl, rid, Row{I(7), S("bg"), I(i)}); err != nil {
-			t.Fatal(err)
-		}
-		commit(t, tx)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if e.Stats().Checkpoints.Load() > 0 && e.Stats().ReclaimedVersions.Load() > 0 &&
-			len(e.Log().DestagedSegments()) > 0 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if e.Stats().Checkpoints.Load() == 0 {
-		t.Fatal("background checkpoint never ran")
-	}
-	if e.Stats().ReclaimedVersions.Load() == 0 {
-		t.Fatal("background GC reclaimed nothing")
-	}
-	if len(e.Log().DestagedSegments()) == 0 {
-		t.Fatal("background destage archived nothing")
-	}
-	stop()
-	// Stop is idempotent and the engine still works.
-	stop()
-	insertUser(t, e, tbl, 0, 9999, "post", 1)
 }
 
 func TestLastCheckpointCSNExposed(t *testing.T) {

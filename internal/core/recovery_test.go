@@ -183,25 +183,6 @@ func TestRecoveryParallelReplayOrderInsensitive(t *testing.T) {
 	e.Close()
 }
 
-func TestRecoverySkipIndexRebuild(t *testing.T) {
-	e := testEngine(t)
-	tbl := mustTable(t, e, usersSchema())
-	rid := insertUser(t, e, tbl, 0, 1, "ada", 10)
-	e2, stats := recoverEngine(t, e, RecoverOptions{ReplayThreads: 1, SkipIndexRebuild: true})
-	if stats.IndexDuration != 0 {
-		t.Fatal("index rebuild ran despite skip")
-	}
-	tbl2, _ := e2.Table("users")
-	// RID access works without indexes (the paper's instant-recovery
-	// property: PIAs alone suffice for record access).
-	tx, _ := e2.Begin(0)
-	row, err := tx.Get(tbl2, rid)
-	if err != nil || row[1].Str() != "ada" {
-		t.Fatalf("PIA-only access: %v %v", row, err)
-	}
-	commit(t, tx)
-}
-
 func TestRecoveryAfterCompaction(t *testing.T) {
 	e := testEngine(t, func(c *Config) { c.GCEveryNCommits = 0 })
 	tbl := mustTable(t, e, usersSchema())
@@ -304,25 +285,6 @@ func TestCompactionReclaimsSpace(t *testing.T) {
 		t.Fatalf("post-compaction value: %v %v", row, err)
 	}
 	commit(t, tx)
-}
-
-func TestCompactPartialRewritesWindow(t *testing.T) {
-	e := testEngine(t, func(c *Config) { c.GCEveryNCommits = 0 })
-	tbl := mustTable(t, e, usersSchema())
-	for i := int64(0); i < 20; i++ {
-		insertUser(t, e, tbl, 0, i, "x", i)
-	}
-	mid := e.watermark()
-	for i := int64(20); i < 40; i++ {
-		insertUser(t, e, tbl, 0, i, "y", i)
-	}
-	cs, err := e.CompactPartial(mid, e.watermark())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs.RecordsRewritten != 20 {
-		t.Fatalf("partial compaction rewrote %d records, want 20", cs.RecordsRewritten)
-	}
 }
 
 func TestRecoverRequiresService(t *testing.T) {

@@ -91,7 +91,7 @@ func (r *Replica) CatchUp() (int64, error) {
 		// an unapplied commit.
 		_, err = r.pass(1, &st)
 	}
-	r.e.advanceClock(r.maxCSN)
+	r.e.clk.AdvanceTo(r.maxCSN)
 	r.e.gcWorker(0, r.e.watermark())
 	return st.RecordsApplied, err
 }
@@ -135,9 +135,6 @@ func (r *Replica) Promote(observed uint64) (uint64, error) {
 	// become in-doubt transactions for the coordinator to resolve here.
 	if _, err := r.settle(); err != nil {
 		return 0, err
-	}
-	if e.cfg.RepairInterval > 0 && e.stopRepair == nil {
-		e.stopRepair = e.svc.StartRepairer(e.cfg.RepairInterval)
 	}
 	e.readOnly.Store(false)
 	return epoch, nil

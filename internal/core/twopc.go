@@ -180,10 +180,6 @@ func forEachEmbedded(body []byte, fn func(off int, rec wal.Record) error) error 
 	return nil
 }
 
-// Prepared reports whether the transaction has voted in a 2PC prepare and
-// now awaits the coordinator's decision.
-func (t *Txn) Prepared() bool { return t.prepared }
-
 // Prepare is the synchronous form of PrepareAsync: it blocks until the
 // prepare record is durable and returns the vote (readOnly=true means the
 // transaction wrote nothing and committed locally; no decision is owed).
@@ -292,8 +288,7 @@ func (t *Txn) prepareStart(gtid string, durable func(readOnly bool, err error)) 
 		durable(false, err)
 	})
 	// Free the worker slot: the session moves on, the prepared transaction
-	// belongs to the coordinator now. Deliberately NOT markFinished -- the
-	// doneCh stays open so speculative readers block until the decision.
+	// belongs to the coordinator now.
 	t.finishSlot()
 	return false, nil
 }
@@ -416,7 +411,7 @@ func (e *Engine) applyDecisionLocked(entry *pend2pcEntry) {
 		e.status.remove(t.tid)
 		t.statusWord.Store(packStatus(txCommitted, csn))
 		t.retireWrites(csn)
-		t.markFinished()
+		t.finished = true
 		e.stats.Commits.Add(1)
 		e.mCommits.Inc()
 		return
@@ -424,7 +419,7 @@ func (e *Engine) applyDecisionLocked(entry *pend2pcEntry) {
 	t.statusWord.Store(packStatus(txAborted, 0))
 	t.undo()
 	e.status.remove(t.tid)
-	t.markFinished()
+	t.finished = true
 	e.stats.Aborts.Add(1)
 	e.mAborts.Inc()
 }
@@ -559,9 +554,6 @@ func (e *Engine) reconstructInDoubt(gtid string, addr wal.Addr, payload []byte) 
 		tid:      e.tidSeq.Add(1) | tidFlag,
 		ws:       &writeSet{e: e},
 		prepared: true,
-	}
-	if e.cfg.SpeculativeReads {
-		t.doneCh = make(chan struct{})
 	}
 	t.statusWord.Store(packStatus(txActive, 0))
 	e.status.register(t)

@@ -172,11 +172,6 @@ type Txn struct {
 	// be reused any more than the buffer it describes.
 	hdr [2][]byte
 
-	// deps and doneCh exist only under SpeculativeReads: the transactions
-	// whose uncommitted data this one read, and what their dependents wait on.
-	deps   map[uint64]*Txn // register-and-report commit dependencies
-	doneCh chan struct{}
-
 	finished bool
 	// prepared marks a 2PC participant transaction that has voted and now
 	// awaits the coordinator's decision: no further operations, commits or
@@ -220,8 +215,7 @@ func (e *Engine) Begin(worker int) (*Txn, error) {
 	// at or above it, and one it sees pinned holds it down. (Published after
 	// the clock read, the slot could be passed over by a GC pass in between,
 	// whose watermark is then above this snapshot and prunes the version it
-	// needs.) One clock read: a second would double LogicalClock's charged
-	// round trip.
+	// needs.)
 	slot := &e.workers[worker]
 	if !slot.activeBegin.CompareAndSwap(0, 1) {
 		return nil, ErrWorkerBusy
@@ -235,22 +229,13 @@ func (e *Engine) Begin(worker int) (*Txn, error) {
 		tid:    e.tidSeq.Add(1) | tidFlag,
 		begin:  begin,
 	}
-	if e.cfg.SpeculativeReads {
-		t.doneCh = make(chan struct{})
-	}
 	t.statusWord.Store(packStatus(txActive, 0))
 	e.status.register(t)
 	return t, nil
 }
 
-// Begin0 begins on worker 0 (convenience for examples and tests).
-func (e *Engine) Begin0() (*Txn, error) { return e.Begin(0) }
-
 // TID returns the transaction ID.
 func (t *Txn) TID() uint64 { return t.tid }
-
-// BeginTS returns the snapshot timestamp.
-func (t *Txn) BeginTS() uint64 { return t.begin }
 
 // CSN returns the commit sequence number (0 while active, after abort, or
 // for read-only commits, which consume no CSN).
@@ -272,16 +257,17 @@ func (t *Txn) state() (uint64, uint64) {
 
 // visible reports whether version v is visible to t under snapshot
 // isolation, resolving TID-stamped versions through the status map
-// (Section 5.1) and, when enabled, registering commit dependencies on
-// uncommitted versions (Section 5.2).
-func (t *Txn) visible(v *Version) (bool, error) {
+// (Section 5.1). Another transaction's write is visible once its CSN is
+// drawn at or below t's snapshot, before it is durable (Section 5.2's early
+// commit); an active transaction's write is not.
+func (t *Txn) visible(v *Version) bool {
 	for {
 		raw := v.tmin.Load()
 		if !isTID(raw) {
-			return raw <= t.begin, nil
+			return raw <= t.begin
 		}
 		if raw == t.tid {
-			return true, nil // own write
+			return true // own write
 		}
 		owner := t.e.status.lookup(raw)
 		if owner == nil {
@@ -289,7 +275,7 @@ func (t *Txn) visible(v *Version) (bool, error) {
 			if v.tmin.Load() == raw {
 				// Still TID and gone from the map: the owner aborted
 				// and is uninstalling; invisible.
-				return false, nil
+				return false
 			}
 			continue
 		}
@@ -302,42 +288,22 @@ func (t *Txn) visible(v *Version) (bool, error) {
 				runtime.Gosched()
 				continue
 			}
-			return csn <= t.begin, nil
-		case txAborted:
-			return false, nil
-		default: // active
-			if t.e.cfg.SpeculativeReads {
-				// Early commit (Section 5.2): read the uncommitted
-				// version and register a dependency; we cannot commit
-				// before the owner does, and we abort if it aborts.
-				t.addDep(owner)
-				return true, nil
-			}
-			return false, nil
+			return csn <= t.begin
+		default: // aborted or active
+			return false
 		}
 	}
-}
-
-func (t *Txn) addDep(owner *Txn) {
-	if t.deps == nil {
-		t.deps = make(map[uint64]*Txn)
-	}
-	t.deps[owner.tid] = owner
 }
 
 // visibleVersion walks the chain from head and returns the first version
 // visible to t (nil if none).
-func (t *Txn) visibleVersion(head *Version) (*Version, error) {
+func (t *Txn) visibleVersion(head *Version) *Version {
 	for v := head; v != nil; v = v.next.Load() {
-		ok, err := t.visible(v)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return v, nil
+		if t.visible(v) {
+			return v
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 // --- reads ---------------------------------------------------------------
@@ -357,10 +323,7 @@ func (t *Txn) GetRaw(tbl *Table, rid RID, fn func(payload []byte) error) error {
 	if head == nil {
 		return ErrNotFound
 	}
-	v, err := t.visibleVersion(head)
-	if err != nil {
-		return err
-	}
+	v := t.visibleVersion(head)
 	if v == nil || v.tomb {
 		return ErrNotFound
 	}
@@ -487,11 +450,7 @@ func (t *Txn) scanEncoded(tbl *Table, idx int, fromK, toK []byte, fn func(rid RI
 		if head == nil {
 			return true
 		}
-		v, err := t.visibleVersion(head)
-		if err != nil {
-			scanErr = err
-			return false
-		}
+		v := t.visibleVersion(head)
 		if v == nil || v.tomb {
 			return true // not visible in this snapshot
 		}
@@ -539,8 +498,8 @@ func (t *Txn) scanEncoded(tbl *Table, idx int, fromK, toK []byte, fn func(rid RI
 //
 //   - A record is complete -- payload written, checksum sealed, the version
 //     pointing at it -- before the version is published to the indirection
-//     array: a reader that finds the version may dereference it at once
-//     (SpeculativeReads).
+//     array: a reader that finds the version may dereference it at once (the
+//     transaction's own later reads; every snapshot once it commits).
 //   - A write that fails after its record was staged and before its version
 //     was published takes the record out of the buffer again (unstage).
 //   - What happens to the buffer after a version is published touches no byte
@@ -747,11 +706,7 @@ func (t *Txn) checkUnique(tbl *Table, ix *index.Index, key []byte, self RID) (RI
 		// Pending insert/update by another transaction.
 		return 0, false, ErrConflict
 	}
-	v, err := t.visibleVersion(head)
-	if err != nil {
-		return 0, false, err
-	}
-	if v != nil && !v.tomb {
+	if v := t.visibleVersion(head); v != nil && !v.tomb {
 		// Live row under our snapshot... but also guard against a
 		// committed-but-invisible newer live version (first-committer
 		// wins on insert too).
@@ -927,7 +882,7 @@ func (t *Txn) fetchForWrite(tbl *Table, rid RID) (*Version, error) {
 // failWith aborts the transaction (if the error demands it) and returns err.
 func (t *Txn) failWith(err error) error {
 	switch err {
-	case ErrConflict, ErrDuplicateKey, ErrDependencyAborted:
+	case ErrConflict, ErrDuplicateKey:
 		_ = t.Abort()
 	}
 	return err

@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -398,103 +397,96 @@ func TestPreDurablePayloadOutlivesTheSwing(t *testing.T) {
 	}
 }
 
-// TestSpeculativeReaderSeesCompleteRows: with SpeculativeReads a reader
-// dereferences a version the moment it is in the indirection array, while
-// its transaction is still writing. Whatever it finds -- an uncommitted
-// insert, an uncommitted Update or UpdateColumns -- decodes as a complete row
-// some writer wrote: the record is filled in, sealed and the version pointed
-// at it before the version is published, and nothing written to the buffer
-// afterwards lands on a published payload.
-func TestSpeculativeReaderSeesCompleteRows(t *testing.T) {
-	e := testEngine(t, func(c *Config) { c.Workers = 2; c.SpeculativeReads = true; c.GCEveryNCommits = 8 })
+// TestOwnWritesStayCompleteAsTheBufferGrows: a transaction reads its own
+// writes out of its log buffer, and that buffer is copied to a larger one as
+// later writes fill it. Every insert, Update and UpdateColumns the transaction
+// made -- of rows it inserted itself and of a row committed before it began --
+// reads back whole after each growth, through GetRaw and ScanPrefixRaw: its
+// record was complete before its version was published, and a growth copies
+// the buffer without touching a published payload. A later snapshot then
+// reads the same rows, committed.
+func TestOwnWritesStayCompleteAsTheBufferGrows(t *testing.T) {
+	e := testEngine(t, func(c *Config) { c.Workers = 2 })
 	tbl := mustTable(t, e, usersSchema())
 	const rounds = 300
-	rid0 := func() RID {
-		tx := begin(t, e, 0)
-		defer commit(t, tx)
-		rid, err := tx.Insert(tbl, swingRow(0, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rid
-	}()
-	var newest atomic.Uint64 // RID+1 of the writer's latest insert, published while uncommitted
-	var reads, uncommitted atomic.Int64
-	done := make(chan struct{})
-	var reader sync.WaitGroup
-	reader.Add(1)
-	go func() {
-		defer reader.Done()
-		check := func(p []byte) error { return checkSwingRow(p, rounds) }
-		// The writer's inserts take the RIDs after rid0, one by one: the
-		// reader finds each in the indirection array, with nothing else to
-		// tell it the row is there, and reads it as soon as it is.
-		next := rid0 + 1
-		for {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			tx, err := e.Begin(1)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			for ; tbl.rows.Get(next) != nil; next++ {
-				if err := tx.GetRaw(tbl, next, check); err != nil && !errors.Is(err, ErrNotFound) {
-					t.Errorf("GetRaw(%v): %v", next, err)
+	rids := map[int64]RID{}
+	want := map[int64][]byte{}
+	put := func(row Row) { want[row[0].Int()] = EncodeRow(nil, row) }
+	seed := begin(t, e, 0)
+	rid0, err := seed.Insert(tbl, swingRow(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit(t, seed)
+	rids[0] = rid0
+	put(swingRow(0, 0))
+
+	readAll := func(tx *Txn, when string) {
+		t.Helper()
+		for id, rid := range rids {
+			if err := tx.GetRaw(tbl, rid, func(p []byte) error {
+				if !bytes.Equal(p, want[id]) {
+					return fmt.Errorf("reads %x, want %x", p, want[id])
 				}
-			}
-			for _, rid := range []RID{rid0, RID(newest.Load()) - 1} {
-				if rid == ^RID(0) {
-					continue
-				}
-				if isTID(tbl.rows.Get(rid).tmin.Load()) {
-					uncommitted.Add(1)
-				}
-				// The newest insert may have committed since, past this snapshot.
-				if err := tx.GetRaw(tbl, rid, check); err != nil && (rid == rid0 || !errors.Is(err, ErrNotFound)) {
-					t.Errorf("GetRaw(%v): %v", rid, err)
-				}
-			}
-			if err := tx.ScanPrefixRaw(tbl, 1, []Value{S("w0")}, func(_ RID, p []byte) bool {
-				if err := check(p); err != nil {
-					t.Errorf("ScanPrefixRaw: %v", err)
-				}
-				return true
+				return nil
 			}); err != nil {
-				t.Errorf("ScanPrefixRaw: %v", err)
+				t.Fatalf("%s: GetRaw of row %d: %v", when, id, err)
 			}
-			tx.Abort()
-			reads.Add(1)
 		}
-	}()
-	for ver := int64(1); ver <= rounds && !t.Failed(); ver++ {
-		tx := begin(t, e, 0)
-		rid, err := tx.Insert(tbl, swingRow(ver, 0))
-		if err == nil {
-			newest.Store(uint64(rid) + 1)
-			if ver%2 == 0 {
-				err = tx.Update(tbl, rid0, swingRow(0, ver))
-			} else {
-				_, err = tx.UpdateColumns(tbl, 0, []Value{I(0)}, nil, []ColValue{{Col: 2, Val: I(ver * swingModulus)}})
+		seen := 0
+		if err := tx.ScanPrefixRaw(tbl, 1, []Value{S("w0")}, func(_ RID, p []byte) bool {
+			row, err := DecodeRow(p)
+			if err != nil || !bytes.Equal(p, want[row[0].Int()]) {
+				t.Fatalf("%s: ScanPrefixRaw reads %x (%v)", when, p, err)
 			}
+			seen++
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if seen != len(want) {
+			t.Fatalf("%s: ScanPrefixRaw saw %d rows, want %d", when, seen, len(want))
+		}
+	}
+
+	tx := begin(t, e, 0)
+	growths, lastCap := 0, 0
+	for ver := int64(1); ver <= rounds; ver++ {
+		rid, err := tx.Insert(tbl, swingRow(ver, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids[ver] = rid
+		put(swingRow(ver, 0))
+		// Rewrite an earlier row: the committed one, or one this transaction
+		// inserted.
+		k := ver / 2
+		if ver%2 == 0 {
+			err = tx.Update(tbl, rids[k], swingRow(k, ver))
+		} else {
+			_, err = tx.UpdateColumns(tbl, 0, []Value{I(k)}, nil, []ColValue{{Col: 2, Val: I(k + ver*swingModulus)}})
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Hold the transaction open until the reader has been through.
-		for seen := reads.Load(); reads.Load() < seen+2 && !t.Failed(); {
-			runtime.Gosched()
+		put(swingRow(k, ver))
+		if c := cap(tx.ws.log); c != lastCap {
+			if lastCap != 0 {
+				growths++
+				readAll(tx, fmt.Sprintf("after growth %d", growths))
+			}
+			lastCap = c
 		}
-		commit(t, tx)
 	}
-	close(done)
-	reader.Wait()
-	if uncommitted.Load() == 0 {
-		t.Error("the reader never met an uncommitted version: the test did not test")
+	if growths < 3 {
+		t.Fatalf("the log buffer grew %d times: the test did not test", growths)
 	}
+	readAll(tx, "before commit")
+	commit(t, tx)
+
+	later := begin(t, e, 1)
+	defer later.Abort()
+	readAll(later, "a later snapshot")
 }
 
 // --- WAL bytes --------------------------------------------------------------

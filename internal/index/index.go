@@ -3,14 +3,14 @@
 // component and a list of immutable, serialized components persisted through
 // SRSS and searched in place via mmap-style reads.
 //
-// Under memory pressure the in-memory component is frozen: serialized into a
-// fresh PLog, pushed onto the read-only list, and replaced by an empty tree.
-// Lookups probe the in-memory component first, then read-only components
-// newest-to-oldest; the first hit (including tombstones) wins. A background
-// (or explicitly invoked) merge bounds the component count by folding
-// read-only components together, dropping tombstones when merging into the
-// oldest component. Because indexes store only key->RID mappings, merges
-// move no record data (Section 4.5).
+// Freeze, called by its owner, serializes the in-memory component into a
+// fresh PLog, pushes it onto the read-only list, and replaces it by an empty
+// tree. Lookups probe the in-memory component first, then read-only
+// components newest-to-oldest; the first hit (including tombstones) wins.
+// Merge bounds the component count by folding read-only components together,
+// dropping tombstones when merging into the oldest component. Because
+// indexes store only key->RID mappings, merges move no record data (Section
+// 4.5).
 package index
 
 import (
@@ -32,12 +32,6 @@ type Config struct {
 	Service *srss.Service
 	// Tier is where frozen components are written (default compute).
 	Tier srss.Tier
-	// FreezeThreshold freezes the in-memory component automatically when
-	// its entry count exceeds this value. Zero disables auto-freeze.
-	FreezeThreshold int
-	// MaxComponents triggers a merge when the read-only list grows past
-	// this length. Zero disables auto-merge. Must be >= 2 when set.
-	MaxComponents int
 }
 
 // Index is one LSM-like index instance. Point and range operations are safe
@@ -81,11 +75,10 @@ type memComp struct {
 // Loader is a pin on the in-memory component: while it is held, Insert
 // goes straight to the tree. A bulk load takes one per batch of rows instead
 // of paying the pin -- a lock and two writes to a counter every loading
-// thread shares -- and the maintenance check per key. A Freeze waits for the
-// pin, so a batch stays a few hundred rows.
+// thread shares -- per key. A Freeze waits for the pin, so a batch stays a
+// few hundred rows.
 type Loader struct {
-	ix *Index
-	m  *memComp
+	m *memComp
 }
 
 // Load pins the current in-memory component for a batch of inserts; the
@@ -95,7 +88,7 @@ func (ix *Index) Load() Loader {
 	m := ix.mem
 	m.writers.Add(1)
 	ix.mu.RUnlock()
-	return Loader{ix, m}
+	return Loader{m}
 }
 
 // Insert upserts key -> rid.
@@ -107,11 +100,8 @@ func (l Loader) Insert(key []byte, rid uint64) error {
 	return nil
 }
 
-// Done releases the pin and applies the auto freeze/merge policies.
-func (l Loader) Done() {
-	l.m.writers.Add(-1)
-	l.ix.maybeMaintain()
-}
+// Done releases the pin.
+func (l Loader) Done() { l.m.writers.Add(-1) }
 
 func newCompList(svc *srss.Service, comps []*component) *compList {
 	l := &compList{comps: comps, svc: svc}
@@ -303,16 +293,6 @@ func (ix *Index) Components() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return len(ix.comps.comps)
-}
-
-// maybeMaintain applies the auto freeze/merge policies.
-func (ix *Index) maybeMaintain() {
-	if ix.cfg.FreezeThreshold > 0 && ix.MemLen() >= ix.cfg.FreezeThreshold {
-		_ = ix.Freeze() // best effort; explicit Freeze reports errors
-	}
-	if ix.cfg.MaxComponents > 0 && ix.Components() > ix.cfg.MaxComponents {
-		_ = ix.Merge()
-	}
 }
 
 // Freeze serializes the in-memory component to a fresh PLog, pushes it onto

@@ -180,24 +180,6 @@ func TestScanEarlyStop(t *testing.T) {
 	}
 }
 
-func TestAutoFreezeAndMerge(t *testing.T) {
-	ix, _ := testIndex(t, Config{FreezeThreshold: 100, MaxComponents: 2})
-	for i := 0; i < 1000; i++ {
-		ix.Insert(key(uint64(i)), uint64(i+1))
-	}
-	if c := ix.Components(); c > 3 {
-		t.Fatalf("auto-merge did not bound components: %d", c)
-	}
-	if m := ix.MemLen(); m >= 200 {
-		t.Fatalf("auto-freeze did not bound mem: %d", m)
-	}
-	for i := 0; i < 1000; i += 37 {
-		if rid, ok, err := ix.Get(key(uint64(i))); err != nil || !ok || rid != uint64(i+1) {
-			t.Fatalf("get %d after auto maintenance: %d %v %v", i, rid, ok, err)
-		}
-	}
-}
-
 func TestAttachRoundTrip(t *testing.T) {
 	svc := srss.New(srss.Config{MaxPLogSize: 1 << 24})
 	ix := New(Config{Service: svc})
@@ -280,10 +262,22 @@ func TestConcurrentWritesWithFreezes(t *testing.T) {
 }
 
 func TestScanRandomizedAgainstReference(t *testing.T) {
-	ix, _ := testIndex(t, Config{FreezeThreshold: 300, MaxComponents: 3})
+	ix, _ := testIndex(t, Config{})
 	ref := map[uint64]uint64{}
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 3000; i++ {
+		// Freeze every 300 operations and merge past three components, so
+		// the scan below reads the memory component and merged ones.
+		if i > 0 && i%300 == 0 {
+			if err := ix.Freeze(); err != nil {
+				t.Fatal(err)
+			}
+			if ix.Components() > 3 {
+				if err := ix.Merge(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		k := uint64(rng.Intn(1000))
 		if rng.Intn(5) == 0 {
 			ix.Delete(key(k))
@@ -292,6 +286,9 @@ func TestScanRandomizedAgainstReference(t *testing.T) {
 			ix.Insert(key(k), uint64(i+1))
 			ref[k] = uint64(i + 1)
 		}
+	}
+	if ix.Components() < 2 || ix.MemLen() == 0 {
+		t.Fatalf("%d components and %d keys in memory: the scan would not cross components", ix.Components(), ix.MemLen())
 	}
 	got := map[uint64]uint64{}
 	if err := ix.Scan(nil, nil, func(k []byte, rid uint64) bool {

@@ -149,25 +149,23 @@ type Shipper struct {
 	// fenced. Atomic: status surfaces read it off the shipping goroutine.
 	epoch atomic.Uint64
 
-	// Every traceEvery'th fetch round trip is traced (0 disables): the
-	// primary's stage timings for the sampled OpReplFetch land in
-	// lastTrace, so replication-path latency is attributable to server
-	// stages without taxing the steady-state shipping loop.
-	traceEvery uint64
-	fetchSeq   uint64
-	lastTrace  atomic.Pointer[wire.TraceInfo]
+	// Every fetchTraceEvery'th fetch round trip is traced: the primary's
+	// stage timings for the sampled OpReplFetch land in lastTrace, so
+	// replication-path latency is attributable to server stages without
+	// taxing the steady-state shipping loop.
+	fetchSeq  uint64
+	lastTrace atomic.Pointer[wire.TraceInfo]
 
 	// chaos (nil = inert) arms the replica.ship.fetch site.
 	chaos *chaos.Engine
 }
 
-// defaultFetchTraceEvery samples one traced OpReplFetch out of this many.
-const defaultFetchTraceEvery = 64
+// fetchTraceEvery samples one traced OpReplFetch out of this many.
+const fetchTraceEvery = 64
 
 // NewShipper ships from the primary at addr into svc.
 func NewShipper(addr string, svc *srss.Service) *Shipper {
-	sh := &Shipper{addr: addr, svc: svc, timeout: 10 * time.Second,
-		traceEvery: defaultFetchTraceEvery}
+	sh := &Shipper{addr: addr, svc: svc, timeout: 10 * time.Second}
 	if svc != nil {
 		sh.chaos = svc.Chaos()
 	}
@@ -176,10 +174,6 @@ func NewShipper(addr string, svc *srss.Service) *Shipper {
 
 // Epoch returns the highest primary epoch observed so far.
 func (sh *Shipper) Epoch() uint64 { return sh.epoch.Load() }
-
-// SetTraceEvery adjusts the traced-fetch sampling rate (every n'th fetch;
-// 0 disables). Call before the shipping loop starts.
-func (sh *Shipper) SetTraceEvery(n uint64) { sh.traceEvery = n }
 
 // LastFetchTrace returns the primary's stage-timing block from the most
 // recent sampled traced fetch (nil before the first one completes).
@@ -368,7 +362,7 @@ func (sh *Shipper) fetch(id srss.PLogID, off int64, max int) (wire.PLogStat, []b
 		return wire.PLogStat{}, nil, err
 	}
 	sh.fetchSeq++
-	traced := sh.traceEvery > 0 && (sh.fetchSeq-1)%sh.traceEvery == 0
+	traced := (sh.fetchSeq-1)%fetchTraceEvery == 0
 	body, err := sh.roundTrip(wire.OpReplFetch, wire.EncodeReplFetch(id, off, max, sh.Epoch()), traced)
 	if err != nil {
 		return wire.PLogStat{}, nil, err

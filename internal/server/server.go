@@ -312,7 +312,7 @@ type Server struct {
 	mIdleReaped   *obs.Counter
 }
 
-// New builds a server. It does not listen; call Serve or ListenAndServe.
+// New builds a server. It does not listen; call Serve with a listener.
 func New(cfg Config) (*Server, error) {
 	if cfg.Frontend == nil {
 		return nil, errors.New("server: Config.Frontend is required")
@@ -404,15 +404,6 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // CursorsOpen returns the number of currently open streaming cursors.
 func (s *Server) CursorsOpen() int64 { return s.mCursorsOpen.Load() }
-
-// ListenAndServe listens on addr and serves until Shutdown/Close.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
 
 // Addr returns the listener address ("" before Serve).
 func (s *Server) Addr() string {

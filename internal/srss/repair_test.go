@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-	"time"
 
 	"hiengine/internal/chaos"
 )
@@ -52,8 +51,8 @@ func TestReadFallbackWithFailedReplicas(t *testing.T) {
 	}
 }
 
-// TestRepairAfterNodeFailure: a node failing mid-write seals the PLog; the
-// repairer re-replicates onto a spare and the PLog stays readable with the
+// TestRepairAfterNodeFailure: a node failing mid-write seals the PLog;
+// RepairOnce re-replicates onto a spare and the PLog stays readable with the
 // failed node permanently down.
 func TestRepairAfterNodeFailure(t *testing.T) {
 	s := New(Config{ComputeNodes: 5, MaxPLogSize: 1 << 20, ChunkSize: 64})
@@ -133,42 +132,6 @@ func TestRepairNoSpares(t *testing.T) {
 	got := make([]byte, 7)
 	if _, err := p.ReadAt(got, 0); err != nil {
 		t.Fatalf("degraded read: %v", err)
-	}
-}
-
-// TestBackgroundRepairer: StartRepairer heals a degraded PLog without an
-// explicit sweep.
-func TestBackgroundRepairer(t *testing.T) {
-	s := New(Config{ComputeNodes: 4, MaxPLogSize: 1 << 20, ChunkSize: 64})
-	p, err := s.Create(TierCompute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Append([]byte("bg-repair")); err != nil {
-		t.Fatal(err)
-	}
-	stop := s.StartRepairer(time.Millisecond)
-	defer stop()
-	victim := p.ReplicaNodes()[0]
-	s.ComputeNode(victim).Fail()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		degradedStill := false
-		for _, id := range p.ReplicaNodes() {
-			if id == victim {
-				degradedStill = true
-			}
-		}
-		if !degradedStill {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background repairer never healed the plog")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if !p.CheckReplicas() {
-		t.Fatal("replicas diverge after background repair")
 	}
 }
 

@@ -1028,9 +1028,9 @@ func (s *Service) Destage(p *PLog) (*PLog, error) {
 //
 // When a replica node fails, the PLog seals and the writer moves on to a
 // fresh PLog -- but the sealed PLog keeps serving reads with a degraded
-// replica set. The repairer restores full redundancy in the background: for
-// each PLog with a failed replica node it copies the longest replica's
-// extent onto a healthy spare node and swaps the new replica into the set.
+// replica set. RepairOnce restores full redundancy: for each PLog with a
+// failed replica node it copies the longest replica's extent onto a healthy
+// spare node and swaps the new replica into the set.
 // ---------------------------------------------------------------------------
 
 // degraded reports whether any replica sits on a failed node.
@@ -1165,34 +1165,4 @@ func (s *Service) RepairOnce() (int, error) {
 		}
 	}
 	return total, firstErr
-}
-
-// StartRepairer runs RepairOnce every interval until the returned stop
-// function is called. Stop blocks until the loop exits.
-func (s *Service) StartRepairer(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = 50 * time.Millisecond
-	}
-	done := make(chan struct{})
-	exited := make(chan struct{})
-	go func() {
-		defer close(exited)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				s.RepairOnce() //nolint:errcheck // best-effort sweep; next tick retries
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			close(done)
-			<-exited
-		})
-	}
 }
