@@ -416,7 +416,6 @@ func (n *node) place(key []byte, d int, rid uint64, tomb bool, l *node) {
 // is not usable; call New.
 type Tree struct {
 	root *node // permanent k256 root with empty prefix; never replaced
-	size atomic.Int64
 }
 
 // New returns an empty tree.
@@ -424,8 +423,19 @@ func New() *Tree {
 	return &Tree{root: newInner(k256, nil)}
 }
 
-// Len returns the number of entries, counting tombstones.
-func (t *Tree) Len() int { return int(t.size.Load()) }
+// Len returns the number of entries, counting tombstones, by walking the
+// tree: no insert pays for a count that only tests and diagnostics ask for.
+func (t *Tree) Len() int {
+	n := 0
+	t.Scan(nil, nil, func([]byte, uint64, bool) bool { n++; return true })
+	return n
+}
+
+// Empty reports whether the tree holds no entry. The root is never replaced
+// and never loses a slot, so an entry anywhere shows there.
+func (t *Tree) Empty() bool {
+	return t.root.term.Load() == nil && t.root.b256.count.Load() == 0
+}
 
 // Insert upserts key -> rid.
 func (t *Tree) Insert(key []byte, rid uint64) {
@@ -554,7 +564,6 @@ restart:
 				parent.setSlot(parentByte, ni, 0)
 				n.unlockObsolete()
 				parent.unlock()
-				t.size.Add(1)
 				return
 			}
 			depth += len(p)
@@ -563,12 +572,8 @@ restart:
 				if !n.upgrade(v) {
 					goto restart
 				}
-				replaced := n.term.Load() != nil
 				n.term.Store(newLeaf(key, rid, tomb))
 				n.unlock()
-				if !replaced {
-					t.size.Add(1)
-				}
 				return
 			}
 			b := key[depth]
@@ -596,7 +601,6 @@ restart:
 					parent.setSlot(parentByte, big, 0)
 					n.unlockObsolete()
 					parent.unlock()
-					t.size.Add(1)
 					return
 				}
 				if !n.upgrade(v) {
@@ -604,7 +608,6 @@ restart:
 				}
 				n.addSlot(b, c, w)
 				n.unlock()
-				t.size.Add(1)
 				return
 			}
 			if w != 0 || next.kind == kLeaf {
@@ -634,7 +637,6 @@ restart:
 				ni.place(key, d2, rid, tomb, nil)
 				n.setSlot(b, ni, 0)
 				n.unlock()
-				t.size.Add(1)
 				return
 			}
 			// Descend.

@@ -757,7 +757,10 @@ func (s *Session) sendBegin() error {
 // an admission refusal (nothing executed), never for a conflict, and if it
 // fails otherwise the server has rolled back what it opened, so the next
 // statement carries the flag again.
-func (s *Session) stmt(op wire.Op) (*wire.Result, error) {
+//
+// cols is the statement's previous column slice, which the result takes
+// instead of a fresh one when its names are the same (nil: none).
+func (s *Session) stmt(op wire.Op, cols []string) (*wire.Result, error) {
 	class := op.Retry()
 	if s.begin {
 		s.buf = wire.AppendStmtFlags(s.buf, wire.FlagBegin)
@@ -771,7 +774,7 @@ func (s *Session) stmt(op wire.Op) (*wire.Result, error) {
 		return nil, err
 	}
 	s.begin = false
-	return decodeResultNote(s.w, r.Body)
+	return decodeResultNote(s.w, r.Body, cols)
 }
 
 // call round-trips one request, reissuing it as class allows, and mirrors
@@ -851,12 +854,19 @@ func (s *Session) unbegun() bool {
 
 // Commit commits; the response arrives when the commit is durable. The
 // response carries the commit CSN, which becomes the session's client's
-// read-your-writes token for subsequent replica reads.
+// read-your-writes token for subsequent replica reads; it is all of the
+// response that is read.
 func (s *Session) Commit() error {
 	if s.unbegun() {
 		return nil
 	}
-	_, err := s.result(s.do(wire.OpCommit, nil))
+	r, err := s.do(wire.OpCommit, nil)
+	if err == nil && len(r.Body) > 0 {
+		var csn uint64
+		if csn, err = wire.ResultCSN(r.Body); err == nil {
+			s.w.noteCSN(csn)
+		}
+	}
 	if err == nil {
 		s.inTxn = false
 	}
@@ -998,7 +1008,7 @@ func (s *Session) Exec(sql string, args ...core.Value) (*wire.Result, error) {
 		return s.control(verb)
 	}
 	s.buf = wire.AppendExec(s.buf[:0], sql, args)
-	return s.stmt(wire.OpExec)
+	return s.stmt(wire.OpExec, nil)
 }
 
 // ExecAt runs one read-only statement at-or-after minCSN: on a replica
@@ -1014,14 +1024,17 @@ func (s *Session) result(r wire.Response, err error) (*wire.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeResultNote(s.w, r.Body)
+	return decodeResultNote(s.w, r.Body, nil)
 }
 
-func decodeResultNote(w *wconn, body []byte) (*wire.Result, error) {
+// decodeResultNote decodes a Result body, taking cols as its Columns when
+// the names match (see wire.DecodeResultCSN), and folds its CSN trailer into
+// the client token.
+func decodeResultNote(w *wconn, body []byte, cols []string) (*wire.Result, error) {
 	if len(body) == 0 {
 		return &wire.Result{}, nil
 	}
-	res, csn, err := wire.DecodeResultCSN(body)
+	res, csn, err := wire.DecodeResultCSN(body, cols)
 	if err != nil {
 		return nil, err
 	}
@@ -1036,12 +1049,16 @@ func decodeResultNote(w *wconn, body []byte) (*wire.Result, error) {
 // row. A Stmt is bound to its session (statement ids are scoped to the
 // server-side session) and, like the session, is not safe for concurrent
 // use. Session.Close closes any statements still open.
+//
+// The results of one Stmt share their Columns slice for as long as the names
+// stay the same (a new one when they change): it is read-only.
 type Stmt struct {
 	s       *Session
 	id      uint64
 	verb    string // BEGIN/COMMIT/ROLLBACK, delegated to session state tracking
 	nParams int
 	closed  bool
+	cols    []string // the column names of its last result
 }
 
 // Prepare compiles sql server-side and returns its statement handle.
@@ -1077,7 +1094,11 @@ func (st *Stmt) Exec(args ...core.Value) (*wire.Result, error) {
 		return st.s.control(st.verb)
 	}
 	st.s.buf = wire.AppendExecStmt(st.s.buf[:0], st.id, args)
-	return st.s.stmt(wire.OpExecStmt)
+	res, err := st.s.stmt(wire.OpExecStmt, st.cols)
+	if err == nil {
+		st.cols = res.Columns
+	}
+	return res, err
 }
 
 // ExecPipe sends a prepared execution without waiting (no retry). A
@@ -1161,7 +1182,7 @@ func (p *Pending) Wait() (*wire.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeResultNote(p.w, r.Body)
+	return decodeResultNote(p.w, r.Body, nil)
 }
 
 // wait blocks for the future's response, the connection's failure, or the

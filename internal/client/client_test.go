@@ -90,10 +90,10 @@ func (fc *fakeConn) serve() {
 		fs.seen[f.Op]++
 		switch f.Op {
 		case wire.OpExec:
-			_, _, flags, _ := wire.DecodeExecFlags(f.Payload)
+			_, _, flags, _ := wire.DecodeExecFlags(f.Payload, nil)
 			fs.flags = append(fs.flags, flags)
 		case wire.OpExecStmt:
-			_, _, flags, _ := wire.DecodeExecStmtFlags(f.Payload)
+			_, _, flags, _ := wire.DecodeExecStmtFlags(f.Payload, nil)
 			fs.flags = append(fs.flags, flags)
 		}
 		fs.mu.Unlock()
@@ -723,5 +723,59 @@ func TestResultSurvivesNextCall(t *testing.T) {
 		if want := fmt.Sprintf("row-of-request-%d", i+1); res.Rows[0][0].Str() != want || string(res.Rows[0][1].Bytes()) != want {
 			t.Fatalf("result %d holds %v, want %s", i+1, res.Rows, want)
 		}
+	}
+}
+
+// TestStmtColumnsFollowTheServer: a prepared statement's results share one
+// column slice while the names stay the same, and carry the server's new
+// names -- not the slice the statement kept -- once a schema change renames
+// them; the results handed out before keep the names they had.
+func TestStmtColumnsFollowTheServer(t *testing.T) {
+	fs := newFakeServer(t, allOK)
+	var mu sync.Mutex
+	names := []string{"id", "name"}
+	fs.set(func(fs *fakeServer) {
+		fs.body = func(f wire.Frame) []byte {
+			if f.Op == wire.OpPrepare {
+				return wire.EncodePrepareResult(1, 0)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			return wire.AppendEncodedResultCSN(nil, 0, names, 0, nil, 0)
+		}
+	})
+	s, err := fs.client(t, nil).Session()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	st, err := s.Prepare("SELECT id, name FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := func() []string {
+		t.Helper()
+		res, err := st.Exec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Columns
+	}
+	first, second := exec(), exec()
+	if !reflect.DeepEqual(second, []string{"id", "name"}) || &first[0] != &second[0] {
+		t.Fatalf("same names: %v then %v, shared %v", first, second, &first[0] == &second[0])
+	}
+	mu.Lock()
+	names = []string{"id", "label"}
+	mu.Unlock()
+	renamed := exec()
+	if !reflect.DeepEqual(renamed, []string{"id", "label"}) {
+		t.Fatalf("after the rename the statement returns %v", renamed)
+	}
+	if !reflect.DeepEqual(first, []string{"id", "name"}) {
+		t.Fatalf("an earlier result's columns changed to %v", first)
+	}
+	if again := exec(); &again[0] != &renamed[0] {
+		t.Fatal("the renamed columns are not reused by the next result")
 	}
 }

@@ -9,16 +9,13 @@ import (
 // is pipelined: versions become visible to other transactions as soon as the
 // commit sequence number is stamped, while the client acknowledgement waits
 // for durability -- HiEngine's early-commit design (Section 5.2). Read-only
-// transactions commit without touching the log.
+// transactions commit without touching the log, and without allocating.
 func (t *Txn) Commit() error {
-	done := make(chan error, 1)
-	started, err := t.commitStart(func(err error) { done <- err })
-	if err != nil {
+	if readOnly, err := t.commitCheck(); err != nil || readOnly {
 		return err
 	}
-	if !started {
-		return nil // read-only
-	}
+	done := make(chan error, 1)
+	t.commitStart(func(err error) { done <- err })
 	return <-done
 }
 
@@ -27,22 +24,22 @@ func (t *Txn) Commit() error {
 // begin its next transaction -- the commit-pipelining behavior of
 // Section 4.2.
 func (t *Txn) CommitAsync(cb func(error)) error {
-	started, err := t.commitStart(cb)
+	readOnly, err := t.commitCheck()
 	if err != nil {
 		return err
 	}
-	if !started {
+	if readOnly {
 		cb(nil)
+		return nil
 	}
+	t.commitStart(cb)
 	return nil
 }
 
-// commitStart runs the synchronous part of commit: dependency resolution,
-// CSN acquisition, version stamping and handing the log buffer to the I/O
-// goroutine. durable is invoked (from the I/O goroutine) with the
-// durability result; started is false for read-only transactions, which
-// touch no log.
-func (t *Txn) commitStart(durable func(error)) (bool, error) {
+// commitCheck is what runs before a commit may start: readOnly reports a
+// transaction that wrote nothing, now committed without touching the log; on
+// an error the transaction did not commit.
+func (t *Txn) commitCheck() (readOnly bool, err error) {
 	if t.finished {
 		return false, ErrTxnDone
 	}
@@ -50,9 +47,8 @@ func (t *Txn) commitStart(durable func(error)) (bool, error) {
 		// A prepared 2PC participant is decided only through Engine.Resolve.
 		return false, ErrInDoubt
 	}
-	readOnly, err := t.validate()
-	if err != nil || readOnly {
-		return false, err
+	if readOnly, err = t.validate(); err != nil || readOnly {
+		return readOnly, err
 	}
 	if err := t.e.svc.Chaos().Check(SiteCommitBegin); err != nil {
 		// Crash at the head of the commit pipeline: no CSN acquired, no
@@ -60,7 +56,14 @@ func (t *Txn) commitStart(durable func(error)) (bool, error) {
 		_ = t.Abort()
 		return false, err
 	}
+	return false, nil
+}
 
+// commitStart runs the synchronous part of a commit commitCheck let through:
+// CSN acquisition, version stamping and handing the log buffer to the I/O
+// goroutine. durable is invoked (from the I/O goroutine) with the
+// durability result.
+func (t *Txn) commitStart(durable func(error)) {
 	// From before the CSN exists until every version carries it, the slot
 	// says so: a checkpoint that reads the clock and then finds the slot
 	// quiet knows no commit at or below its CSN is still unstamped here.
@@ -110,7 +113,6 @@ func (t *Txn) commitStart(durable func(error)) (bool, error) {
 
 	// Interleave incremental GC with forward processing (Section 4.4).
 	t.e.maybeGC(t.worker)
-	return true, nil
 }
 
 // validate is what commit and prepare share before anything is logged:

@@ -139,7 +139,7 @@ func TestDecodeRowHostileCount(t *testing.T) {
 	hostile := []byte{0x80, 0x80, 0x40} // uvarint 1<<20, then nothing
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
-	_, _, err := DecodeRowPrefix(hostile)
+	_, _, err := DecodeRowPrefix(nil, hostile)
 	_, _, rerr := DecodeRows(hostile, 1)
 	_, _, nerr := DecodeRows(hostile, 1<<30)
 	runtime.ReadMemStats(&ms1)

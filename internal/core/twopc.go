@@ -197,7 +197,7 @@ func (t *Txn) Prepare(gtid string) (readOnly bool, err error) {
 }
 
 // PrepareAsync runs phase one of 2PC on this participant: it validates the
-// transaction exactly like commitStart (dependencies, conflicts, fencing),
+// transaction exactly like a commit does (validate: fail-stop, fencing),
 // then logs the whole write set inside one OpPrepare record and invokes cb
 // once that record is durable. The versions stay TID-stamped -- invisible
 // to readers, blocking conflicting writers -- until Resolve delivers the

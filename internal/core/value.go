@@ -217,22 +217,38 @@ func encodedRowLen(row Row) int {
 // DecodeRow parses an encoded row. String and bytes payloads are copied so
 // the result does not alias storage-backed buffers.
 func DecodeRow(buf []byte) (Row, error) {
-	row, _, err := DecodeRowPrefix(buf)
+	row, _, err := DecodeRowPrefix(nil, buf)
 	return row, err
 }
 
 // DecodeRowPrefix parses an encoded row from the front of buf and returns
 // the unconsumed remainder, so callers can decode rows packed back to back.
+// The row is decoded into dst's backing array when it has room (a caller
+// that owns dst reuses one row across decodes), into a fresh one otherwise.
 // Payloads are copied as in DecodeRow: all of the row's string and bytes
 // values share one private copy of the row's bytes.
-func DecodeRowPrefix(buf []byte) (Row, []byte, error) {
+func DecodeRowPrefix(dst Row, buf []byte) (Row, []byte, error) {
 	end, nVals, hasVar, err := measureRows(buf, 1)
 	if err != nil {
 		return nil, nil, err
 	}
-	row := make(Row, nVals)
+	row := dst[:0]
+	if row == nil || cap(row) < nVals {
+		row = make(Row, nVals)
+	}
+	row = row[:nVals]
 	fillRows(buf[:end], 1, hasVar, row, nil)
 	return row, buf[end:], nil
+}
+
+// SkipRows validates n rows packed back to back at the front of data, as
+// DecodeRows does, and returns the remainder without decoding them.
+func SkipRows(data []byte, n int) ([]byte, error) {
+	end, _, _, err := measureRows(data, n)
+	if err != nil {
+		return nil, err
+	}
+	return data[end:], nil
 }
 
 // DecodeRows parses n rows packed back to back at the front of data (the

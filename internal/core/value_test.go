@@ -66,11 +66,37 @@ func TestDecodeRowHostileLength(t *testing.T) {
 		for _, l := range []uint64{math.MaxUint64, math.MaxUint64 - 7, 1 << 62} {
 			buf := []byte{1, byte(k)} // one column of kind k
 			buf = binary.AppendUvarint(buf, l)
-			row, rest, err := DecodeRowPrefix(buf)
+			row, rest, err := DecodeRowPrefix(nil, buf)
 			if err == nil {
 				t.Fatalf("kind %v length %d: accepted (row=%v rest=%v)", k, l, row, rest)
 			}
 		}
+	}
+}
+
+// TestDecodeRowPrefixIntoDst: a row decodes into the caller's row when it has
+// room -- no Row allocated, only the string bytes' private copy -- and into a
+// fresh one when it has not, leaving the caller's untouched.
+func TestDecodeRowPrefixIntoDst(t *testing.T) {
+	dst := make(Row, 0, 3)
+	ints, text := EncodeRow(nil, Row{I(1), I(2)}), EncodeRow(nil, Row{I(3), S("three")})
+	for _, c := range []struct {
+		buf   []byte
+		want  Row
+		alloc float64
+	}{{ints, Row{I(1), I(2)}, 0}, {text, Row{I(3), S("three")}, 1}} {
+		row, rest, err := DecodeRowPrefix(dst, c.buf)
+		if err != nil || len(rest) != 0 || &row[0] != &dst[:1][0] || !row[0].Equal(c.want[0]) || !row[1].Equal(c.want[1]) {
+			t.Fatalf("decode into dst: %v, rest %d, err %v, shares dst %v", row, len(rest), err, &row[0] == &dst[:1][0])
+		}
+		if got := testing.AllocsPerRun(100, func() { DecodeRowPrefix(dst, c.buf) }); got != c.alloc {
+			t.Fatalf("decoding %v into dst allocates %.0f, want %.0f", c.want, got, c.alloc)
+		}
+	}
+	wide := EncodeRow(nil, Row{I(1), I(2), I(3), I(4)})
+	row, _, err := DecodeRowPrefix(dst, wide)
+	if err != nil || len(row) != 4 || &row[0] == &dst[:1][0] || !dst[:1][0].Equal(I(3)) {
+		t.Fatalf("a row wider than dst: %v, err %v; dst holds %v", row, err, dst[:2])
 	}
 }
 

@@ -309,7 +309,7 @@ func (ix *Index) Freeze() error {
 
 	ix.mu.Lock()
 	old := ix.mem
-	if old.tree.Len() == 0 {
+	if old.tree.Empty() {
 		ix.mu.Unlock()
 		return nil
 	}

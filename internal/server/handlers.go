@@ -335,8 +335,10 @@ func (c *conn) run(st *sqlfront.Stmt, args []core.Value, sink *sqlfront.RowBuf) 
 // however expressed, takes the pipelined path so every commit batches into
 // the group append; anything else runs now and answers with its result,
 // suffixed with the session's read-your-writes token. Rows arrive from
-// sqlfront already in wire form (spliced out of storage into a pooled
-// buffer) and are framed exactly as a cursor page's are.
+// sqlfront already in wire form (spliced out of storage into the
+// connection's row sink) and are framed exactly as a cursor page's are. The
+// statement's scratch -- args, the sink, the session's Result -- is all
+// consumed before this returns.
 func (c *conn) execStmt(rq request, st *sqlfront.Stmt, args []core.Value, flags uint64) bool {
 	switch {
 	case st.TxnVerb() != "" && flags&wire.FlagBegin != 0:
@@ -345,10 +347,11 @@ func (c *conn) execStmt(rq request, st *sqlfront.Stmt, args []core.Value, flags 
 		return c.commit(rq, nil)
 	}
 	rowsBP := wire.GetBuf()
-	defer wire.PutBuf(rowsBP)
-	rows := sqlfront.RowBuf{Data: (*rowsBP)[:0]}
-	res, err := c.run(st, args, &rows)
-	*rowsBP = rows.Data
+	c.rows = sqlfront.RowBuf{Data: (*rowsBP)[:0]}
+	defer c.putRows(rowsBP)
+	res, err := c.run(st, args, &c.rows)
+	clear(args) // consumed: a large string among them is not kept past the statement
+	rows := &c.rows
 	if err == nil && len(rows.Data) > maxResultRows {
 		// respond would replace this answer by an error too, but only once it
 		// is past failStmt: a transaction the begin flag opened would stay.
@@ -362,6 +365,27 @@ func (c *conn) execStmt(rq request, st *sqlfront.Stmt, args []core.Value, flags 
 		return wire.AppendEncodedResultCSN(buf, res.Affected, res.Columns, rows.N, rows.Data, c.sess.LastCSN())
 	})
 }
+
+// putRows hands the row sink's buffer back to the pool once the statement's
+// response is written, and drops the connection's hold on it.
+func (c *conn) putRows(bp *[]byte) {
+	*bp = c.rows.Data
+	c.rows = sqlfront.RowBuf{}
+	wire.PutBuf(bp)
+}
+
+// keepArgs makes a statement's decoded argument row the one the next
+// statement decodes into, unless it is wide enough that keeping it would pin
+// memory.
+func (c *conn) keepArgs(args core.Row) {
+	if cap(args) <= maxArgScratch {
+		c.args = args
+	}
+}
+
+// maxArgScratch bounds the argument row a connection keeps between
+// statements, in values.
+const maxArgScratch = 1024
 
 // maxResultRows bounds the encoded rows of a one-shot result: the largest
 // payload less room for the envelope, the column names and a trace block.
@@ -398,10 +422,11 @@ func (c *conn) failStmt(rq request, flags uint64, err error) bool {
 }
 
 func (c *conn) exec(rq request, p []byte) bool {
-	sql, args, flags, err := wire.DecodeExecFlags(p)
+	sql, args, flags, err := wire.DecodeExecFlags(p, c.args)
 	if err != nil {
 		return rq.corrupt(err)
 	}
+	c.keepArgs(args)
 	if err := c.applyFlags(flags); err != nil {
 		return rq.fail(err)
 	}
@@ -429,10 +454,11 @@ func (c *conn) execAt(rq request, p []byte) bool {
 }
 
 func (c *conn) execPrepared(rq request, p []byte) bool {
-	id, args, flags, err := wire.DecodeExecStmtFlags(p)
+	id, args, flags, err := wire.DecodeExecStmtFlags(p, c.args)
 	if err != nil {
 		return rq.corrupt(err)
 	}
+	c.keepArgs(args)
 	if err := c.applyFlags(flags); err != nil {
 		return rq.fail(err)
 	}

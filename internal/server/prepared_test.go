@@ -14,6 +14,73 @@ import (
 	"hiengine/internal/wire"
 )
 
+// TestArgumentRowDoesNotLeakBetweenStatements: a connection decodes every
+// statement's arguments into the same row, so nothing a statement writes may
+// keep pointing into it. An INSERT's TEXT arguments are read back, inside its
+// transaction and after the commit, once statements of other widths and
+// values have been decoded over them; and a short argument row is never
+// padded with the previous statement's values.
+func TestArgumentRowDoesNotLeakBetweenStatements(t *testing.T) {
+	h := newHarness(t, nil, nil)
+	s, err := h.client(t, nil).Session()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Exec("CREATE TABLE al (id INT, v TEXT, w TEXT, PRIMARY KEY(id))"); err != nil {
+		t.Fatal(err)
+	}
+	ins, err := s.Prepare("INSERT INTO al VALUES (?, ?, ?)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := s.Prepare("SELECT v, w FROM al WHERE id = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Repeat("first insert, second column ", 200)
+	check := func(when string, id int64, v, w string) {
+		t.Helper()
+		res, err := sel.Exec(core.I(id))
+		if err != nil || len(res.Rows) != 1 || res.Rows[0][0].Str() != v || res.Rows[0][1].Str() != w {
+			t.Fatalf("%s: row %d reads %v, err %v", when, id, res, err)
+		}
+	}
+	others := func() {
+		t.Helper()
+		if _, err := s.Exec("UPDATE al SET w = ? WHERE id = ?", core.S(strings.Repeat("x", len(long))), core.I(99)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ins.Exec(core.I(7)); err == nil || !strings.Contains(err.Error(), "parameter count") {
+			t.Fatalf("a one-value row after three-value ones: %v", err)
+		}
+		if _, err := sel.Exec(core.I(99)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ins.Exec(core.I(1), core.S(long), core.S("w1")); err != nil {
+		t.Fatal(err)
+	}
+	others()
+	check("in its transaction", 1, long, "w1")
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	others()
+	check("after the commit", 1, long, "w1")
+
+	if _, err := s.Exec("INSERT INTO al VALUES (?, ?, ?)", core.I(2), core.S("autocommit"), core.S("w2")); err != nil {
+		t.Fatal(err)
+	}
+	others()
+	check("autocommit text INSERT", 2, "autocommit", "w2")
+	check("the first row still", 1, long, "w1")
+}
+
 // TestPreparedFlow is the prepared-statement acceptance path: prepare,
 // execute by id (autocommit and inside an explicit transaction), close,
 // parameter-count errors, and a fully pipelined prepared transaction

@@ -59,6 +59,7 @@ import (
 	"time"
 
 	"hiengine/internal/chaos"
+	"hiengine/internal/core"
 	"hiengine/internal/obs"
 	"hiengine/internal/sqlfront"
 	"hiengine/internal/srss"
@@ -548,6 +549,13 @@ type conn struct {
 	// Config.MaxCursors; each entry leases its own worker slot.
 	cursors map[uint64]*cursorEntry
 	curSeq  uint64
+
+	// Statement scratch, the read loop's, valid for one OpExec or
+	// OpExecStmt: args is the row its arguments decode into (a cursor and a
+	// batch decode their own, which they keep), rows the sink its result rows
+	// are encoded into, over a pooled buffer lent for the statement.
+	args core.Row
+	rows sqlfront.RowBuf
 
 	// worker-slot lease: held for the lifetime of a transaction
 	// (explicit or autocommit); the engine frees its own slot earlier on

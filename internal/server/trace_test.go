@@ -345,10 +345,18 @@ func TestPerOpcodeMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	counts := make(map[string]int64)
-	for _, m := range h.reg.Snapshot().Metrics {
-		if m.Hist != nil {
-			counts[m.Name] = m.Hist.Count
+	// A request's latency is recorded once its response is written, so the
+	// INSERT's may land just after the client has read the answer: wait for it.
+	var counts map[string]int64
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		counts = make(map[string]int64)
+		for _, m := range h.reg.Snapshot().Metrics {
+			if m.Hist != nil {
+				counts[m.Name] = m.Hist.Count
+			}
+		}
+		if counts["server.op."+wire.OpExec.String()] >= 2 || time.Now().After(deadline) {
+			break
 		}
 	}
 	if got := counts["server.op."+wire.OpPing.String()]; got < 1 {

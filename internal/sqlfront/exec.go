@@ -219,16 +219,22 @@ type Session struct {
 	vals       []core.Value
 	where, set []core.ColValue
 
-	// dml is the Result every INSERT, UPDATE and DELETE of the session
-	// returns (see Result): a caller reads Affected off it and drops it, so
-	// one per statement would be an allocation per written row for nothing.
-	dml Result
+	// res is the Result every INSERT, UPDATE and DELETE of the session
+	// returns, and every SELECT run through ExecEncoded (see Result): a
+	// caller reads Affected or Columns off it and drops it, so one per
+	// statement would be an allocation per statement for nothing.
+	res Result
+
+	// autoDone and autoCommitted are commitAuto's wait for durability: the
+	// channel, and the callback that signals it, made once per session.
+	autoDone      chan error
+	autoCommitted func(error)
 }
 
 // affected returns the session's DML result, reporting n rows.
 func (s *Session) affected(n int) *Result {
-	s.dml = Result{Affected: n}
-	return &s.dml
+	s.res = Result{Affected: n}
+	return &s.res
 }
 
 // LastCSN returns the session's read-your-writes token: the commit sequence
@@ -254,9 +260,26 @@ func (s *Session) noteCSN(t engineapi.Txn) {
 }
 
 // commitAuto finishes an auto-commit statement: commit, then record the
-// session's read-your-writes token.
+// session's read-your-writes token. It waits for durability on the session's
+// own channel, through the engine's pipelined commit when it has one, so a
+// statement's commit allocates nothing of its own.
 func (s *Session) commitAuto(tx engineapi.Txn) error {
-	if err := tx.Commit(); err != nil {
+	ac, ok := tx.(engineapi.AsyncCommitter)
+	if !ok {
+		if err := tx.Commit(); err != nil {
+			return err
+		}
+		s.noteCSN(tx)
+		return nil
+	}
+	if s.autoDone == nil {
+		done := make(chan error, 1)
+		s.autoDone, s.autoCommitted = done, func(err error) { done <- err }
+	}
+	if err := ac.CommitAsync(s.autoCommitted); err != nil {
+		return err
+	}
+	if err := <-s.autoDone; err != nil {
 		return err
 	}
 	s.noteCSN(tx)
@@ -288,10 +311,12 @@ func (s *Session) SetWorker(worker int) {
 	}
 }
 
-// Result is a statement result. The Result of an INSERT, UPDATE or DELETE is
-// the session's one, reused: it is valid until the session's next statement,
-// and a caller that wants Affected for longer copies it out. The Result of
-// any other statement -- a SELECT's, with its rows -- is the caller's to keep.
+// Result is a statement result. The Result of an INSERT, UPDATE or DELETE,
+// and of a SELECT run through ExecEncoded (its rows are in the caller's
+// sink), is the session's one, reused: it is valid until the session's next
+// statement, and a caller that wants a field for longer copies it out. The
+// Result of a SELECT run through Exec, with its rows, is the caller's to
+// keep.
 type Result struct {
 	Rows     []core.Row
 	Columns  []string
@@ -333,12 +358,17 @@ func (s *Session) execute(c *compiled, args []core.Value, sink *RowBuf) (*Result
 		return c.fn(s, args)
 	}
 	if sink != nil {
-		return c.sel.exec(s, args, sink)
+		if err := c.sel.exec(s, args, sink); err != nil {
+			return nil, err
+		}
+		s.res = Result{Columns: c.sel.cols}
+		return &s.res, nil
 	}
 	s.rows = RowBuf{Data: s.rows.Data[:0]}
-	res, err := c.sel.exec(s, args, &s.rows)
+	err := c.sel.exec(s, args, &s.rows)
+	var rows []core.Row
 	if err == nil {
-		res.Rows, _, err = core.DecodeRows(s.rows.Data, s.rows.N)
+		rows, _, err = core.DecodeRows(s.rows.Data, s.rows.N)
 	}
 	if cap(s.rows.Data) > maxRowScratch {
 		s.rows.Data = nil
@@ -346,7 +376,7 @@ func (s *Session) execute(c *compiled, args []core.Value, sink *RowBuf) (*Result
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return &Result{Columns: c.sel.cols, Rows: rows}, nil
 }
 
 // Stmt is a compiled statement handle: the parse/plan work is done once
@@ -391,11 +421,12 @@ func (st *Stmt) Exec(args ...core.Value) (*Result, error) {
 
 // ExecEncoded is Exec for a caller that forwards rows instead of reading
 // them (the network server): a SELECT's rows are appended to sink in wire
-// form and Result.Rows stays nil (a nil sink is Exec). A DML statement's
-// Result is the session's, valid until its next statement (see Result). The
-// plan revalidates its catalog generation first: if DDL ran since compile,
-// the statement transparently recompiles (through the cache) rather than
-// execute a plan that may capture stale table handles or routing.
+// form and Result.Rows stays nil (a nil sink is Exec). With a sink, a
+// SELECT's Result is the session's, as a DML statement's always is: valid
+// until its next statement (see Result). The plan revalidates its catalog
+// generation first: if DDL ran since compile, the statement transparently
+// recompiles (through the cache) rather than execute a plan that may capture
+// stale table handles or routing.
 func (st *Stmt) ExecEncoded(sink *RowBuf, args ...core.Value) (*Result, error) {
 	s := st.s
 	s.tr.Begin(obs.StagePlanCache)

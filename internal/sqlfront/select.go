@@ -63,6 +63,11 @@ type selectRun struct {
 	view    core.RowView
 	key     []core.Value         // the bound index prefix
 	adapter engineapi.RawAdapter // for engines without raw reads
+	// get and scan are the engine callbacks, bound to this selectRun on its
+	// first run: a closure or method value made per run would be an
+	// allocation each time.
+	get  func(payload []byte) error
+	scan func(payload []byte) bool
 
 	// emitted, when set, runs after each row lands in sink (a stream hands
 	// a full page over here); returning false ends the scan.
@@ -97,19 +102,23 @@ func (r *selectRun) run(tx engineapi.Txn) error {
 	if p.limit == 0 {
 		return nil // LIMIT 0 is a real limit: fetch nothing at all
 	}
+	if r.scan == nil {
+		r.scan = r.row
+		r.get = func(payload []byte) error {
+			r.row(payload)
+			return nil
+		}
+	}
 	raw := engineapi.Raw(tx, &r.adapter)
 	r.key = bindAll(r.key[:0], p.pl.prefix, r.args)
 	var err error
 	if p.pl.point {
-		err = raw.GetByKeyRaw(p.ti.schema.Name, p.pl.idx, r.key, func(payload []byte) error {
-			r.row(payload)
-			return nil
-		})
+		err = raw.GetByKeyRaw(p.ti.schema.Name, p.pl.idx, r.key, r.get)
 		if errors.Is(err, engineapi.ErrNotFound) {
 			err = nil
 		}
 	} else {
-		err = raw.ScanPrefixRaw(p.ti.schema.Name, p.pl.idx, r.key, r.row)
+		err = raw.ScanPrefixRaw(p.ti.schema.Name, p.pl.idx, r.key, r.scan)
 	}
 	if r.err != nil {
 		return r.err
@@ -118,10 +127,10 @@ func (r *selectRun) run(tx engineapi.Txn) error {
 }
 
 // exec runs the SELECT as one statement of s, appending its rows to sink.
-func (p *selectPlan) exec(s *Session, args []core.Value, sink *RowBuf) (*Result, error) {
+func (p *selectPlan) exec(s *Session, args []core.Value, sink *RowBuf) error {
 	tx, auto, err := s.txnFor(p.ti)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r := &s.sel
 	r.p, r.args, r.sink, r.sent, r.err = p, args, sink, 0, nil
@@ -129,12 +138,10 @@ func (p *selectPlan) exec(s *Session, args []core.Value, sink *RowBuf) (*Result,
 	r.args, r.sink = nil, nil
 	if err != nil {
 		s.opFailed(tx, auto, err)
-		return nil, err
+		return err
 	}
 	if auto {
-		if err := s.commitAuto(tx); err != nil {
-			return nil, err
-		}
+		return s.commitAuto(tx)
 	}
-	return &Result{Columns: p.cols}, nil
+	return nil
 }

@@ -111,6 +111,44 @@ func TestSelectWireSinkAllocs(t *testing.T) {
 	}
 }
 
+// TestInTxnPointSelectAllocs: a prepared point SELECT inside an open
+// transaction, run through ExecEncoded as the server runs it, allocates
+// nothing -- its callback is the session's, bound once, and so is its
+// Result, valid until the next statement.
+func TestInTxnPointSelectAllocs(t *testing.T) {
+	f, _ := testFrontend(t)
+	s := f.NewSession(0)
+	mustExec(t, s, "CREATE TABLE pt (id INT, k INT, c TEXT, PRIMARY KEY(id))")
+	mustExec(t, s, "INSERT INTO pt VALUES (1, 10, 'one')")
+	st, err := s.Prepare("SELECT k, c FROM pt WHERE id = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Rollback()
+	sink := RowBuf{Data: make([]byte, 0, 256)}
+	args := []core.Value{core.I(1)}
+	var res *Result
+	avg := testing.AllocsPerRun(100, func() {
+		sink = RowBuf{Data: sink.Data[:0]}
+		if res, err = st.ExecEncoded(&sink, args...); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if sink.N != 1 || len(res.Columns) != 2 || res.Columns[0] != "k" || res.Columns[1] != "c" {
+		t.Fatalf("point select: %d rows, columns %v", sink.N, res.Columns)
+	}
+	if avg != 0 && !raceflag.Enabled {
+		t.Fatalf("in-transaction point SELECT through ExecEncoded allocates %.2f times, want 0", avg)
+	}
+	again, err := st.ExecEncoded(&sink, args...)
+	if err != nil || again != res {
+		t.Fatalf("the Result of an ExecEncoded SELECT is not the session's: %p then %p, err %v", res, again, err)
+	}
+}
+
 // TestResultRowsSurviveReuseAndCompaction is the aliasing contract on the
 // in-process side: Result.Rows own their bytes. They are decoded out of the
 // session's reused scratch, whose rows were spliced out of version

@@ -118,12 +118,13 @@ func (r *reader) plogID() (id srss.PLogID) {
 	return id
 }
 
-// args reads one core.EncodeRow encoding (a statement's argument row).
-func (r *reader) args() []core.Value {
+// args reads one core.EncodeRow encoding (a statement's argument row) into
+// dst's backing array when it has room (see core.DecodeRowPrefix).
+func (r *reader) args(dst []core.Value) []core.Value {
 	if r.err != nil {
 		return nil
 	}
-	row, rest, err := core.DecodeRowPrefix(r.b)
+	row, rest, err := core.DecodeRowPrefix(dst, r.b)
 	if err != nil {
 		r.fail(fmt.Errorf("%w: %v", ErrPayloadCorrupt, err))
 		return nil
@@ -179,14 +180,16 @@ func AppendExec(buf []byte, sql string, args []core.Value) []byte {
 
 // DecodeExec parses an OpExec payload, ignoring its flags.
 func DecodeExec(payload []byte) (sql string, args []core.Value, err error) {
-	sql, args, _, err = DecodeExecFlags(payload)
+	sql, args, _, err = DecodeExecFlags(payload, nil)
 	return sql, args, err
 }
 
-// DecodeExecFlags parses an OpExec payload and its flags trailer.
-func DecodeExecFlags(payload []byte) (sql string, args []core.Value, flags uint64, err error) {
+// DecodeExecFlags parses an OpExec payload and its flags trailer. The
+// argument row is decoded into dst's backing array when it has room: a
+// caller that passes the same row every time decodes without allocating one.
+func DecodeExecFlags(payload []byte, dst []core.Value) (sql string, args []core.Value, flags uint64, err error) {
 	r := reader{b: payload}
-	sql, args, flags = r.str(), r.args(), r.trailer()
+	sql, args, flags = r.str(), r.args(dst), r.trailer()
 	return sql, args, flags, r.err
 }
 
@@ -238,14 +241,15 @@ func AppendExecStmt(buf []byte, id uint64, args []core.Value) []byte {
 
 // DecodeExecStmt parses an OpExecStmt payload, ignoring its flags.
 func DecodeExecStmt(payload []byte) (id uint64, args []core.Value, err error) {
-	id, args, _, err = DecodeExecStmtFlags(payload)
+	id, args, _, err = DecodeExecStmtFlags(payload, nil)
 	return id, args, err
 }
 
-// DecodeExecStmtFlags parses an OpExecStmt payload and its flags trailer.
-func DecodeExecStmtFlags(payload []byte) (id uint64, args []core.Value, flags uint64, err error) {
+// DecodeExecStmtFlags parses an OpExecStmt payload and its flags trailer,
+// decoding the argument row into dst as DecodeExecFlags does.
+func DecodeExecStmtFlags(payload []byte, dst []core.Value) (id uint64, args []core.Value, flags uint64, err error) {
 	r := reader{b: payload}
-	id, args, flags = r.uvarint(), r.args(), r.trailer()
+	id, args, flags = r.uvarint(), r.args(dst), r.trailer()
 	return id, args, flags, r.err
 }
 
@@ -308,19 +312,44 @@ func AppendEncodedResultCSN(buf []byte, affected int, cols []string, nRows int, 
 
 // DecodeResult parses a Result body, ignoring the CSN trailer.
 func DecodeResult(body []byte) (*Result, error) {
-	res, _, err := DecodeResultCSN(body)
+	res, _, err := DecodeResultCSN(body, nil)
 	return res, err
 }
 
-// DecodeResultCSN parses a Result body plus its commit-CSN trailer.
-func DecodeResultCSN(body []byte) (*Result, uint64, error) {
+// DecodeResultCSN parses a Result body plus its commit-CSN trailer. When the
+// body's column names equal cols, cols itself becomes Result.Columns: a
+// caller that passes a statement's previous column slice decodes its next
+// result without allocating one.
+func DecodeResultCSN(body []byte, cols []string) (*Result, uint64, error) {
 	r := reader{b: body}
-	res := r.result()
+	res := r.result(cols)
 	csn := r.trailer()
 	if r.err != nil {
 		return nil, 0, r.err
 	}
 	return res, csn, nil
+}
+
+// ResultCSN reads only the commit-CSN trailer of a Result body, validating
+// the rest as DecodeResultCSN does without materialising it: what a commit's
+// answer is read for.
+func ResultCSN(body []byte) (uint64, error) {
+	r := reader{b: body}
+	r.uvarint() // affected
+	for n := r.count(1 << 16); n > 0; n-- {
+		r.take(r.uvarint())
+	}
+	nRows := r.count(1 << 24)
+	if r.err != nil {
+		return 0, r.err
+	}
+	rest, err := core.SkipRows(r.b, nRows)
+	if err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrPayloadCorrupt, err)
+	}
+	r.b = rest
+	csn := r.trailer()
+	return csn, r.err
 }
 
 // result materialises a whole result with a handful of allocations: the rows
@@ -329,14 +358,8 @@ func DecodeResultCSN(body []byte) (*Result, uint64, error) {
 // may be a FrameReader's or a pooled buffer, reused as soon as the caller
 // returns. A column name is at least its length byte and a row at least its
 // column-count byte, which is what bounds the two counts.
-func (r *reader) result() *Result {
-	res := &Result{Affected: int(r.uvarint())}
-	if n := r.count(1 << 16); n > 0 {
-		res.Columns = make([]string, n)
-	}
-	for i := range res.Columns {
-		res.Columns[i] = r.str()
-	}
+func (r *reader) result(cols []string) *Result {
+	res := &Result{Affected: int(r.uvarint()), Columns: r.columns(cols)}
 	nRows := r.count(1 << 24)
 	if r.err != nil {
 		return nil
@@ -348,6 +371,34 @@ func (r *reader) result() *Result {
 	}
 	res.Rows, r.b = rows, rest
 	return res
+}
+
+// columns reads a result's column names: prev itself when they equal it
+// (comparing allocates nothing), a fresh slice otherwise -- never prev
+// overwritten, which earlier results may share.
+func (r *reader) columns(prev []string) []string {
+	n := r.count(1 << 16)
+	if n == 0 {
+		return nil
+	}
+	if n == len(prev) {
+		from, same := r.b, true
+		for i := 0; i < n && same; i++ {
+			same = string(r.take(r.uvarint())) == prev[i]
+		}
+		switch {
+		case r.err != nil:
+			return nil
+		case same:
+			return prev
+		}
+		r.b = from // a name differs: read them afresh
+	}
+	cols := make([]string, n)
+	for i := range cols {
+		cols[i] = r.str()
+	}
+	return cols
 }
 
 // --- streaming scans -------------------------------------------------------
@@ -368,7 +419,7 @@ func AppendScanOpen(buf []byte, fetchSize int, sql string, args []core.Value) []
 // DecodeScanOpen parses an OpScanOpen payload.
 func DecodeScanOpen(payload []byte) (fetchSize int, sql string, args []core.Value, err error) {
 	r := reader{b: payload}
-	fetchSize, sql, args = int(r.upTo(MaxFetchSize)), r.str(), r.args()
+	fetchSize, sql, args = int(r.upTo(MaxFetchSize)), r.str(), r.args(nil)
 	return fetchSize, sql, args, r.err
 }
 
@@ -402,7 +453,7 @@ func AppendCursorPage(buf []byte, id uint64, done bool, cols []string, nRows int
 // send OpScanNext or OpScanClose for it.
 func DecodeCursorPage(body []byte) (id uint64, done bool, res *Result, err error) {
 	r := reader{b: body}
-	id, done, res = r.uvarint(), r.flag(), r.result()
+	id, done, res = r.uvarint(), r.flag(), r.result(nil)
 	if err := r.end(); err != nil {
 		return 0, false, nil, err
 	}
@@ -440,7 +491,7 @@ func DecodeExecBatch(payload []byte) ([]BatchStmt, error) {
 	}
 	out := make([]BatchStmt, n)
 	for i := range out {
-		out[i] = BatchStmt{SQL: r.str(), Args: r.args()}
+		out[i] = BatchStmt{SQL: r.str(), Args: r.args(nil)}
 	}
 	if err := r.end(); err != nil {
 		return nil, err

@@ -247,7 +247,7 @@ var goldenPayloads = []goldenPayload{
 		hex: "1b53454c45435420762046524f4d2074205748455245206b203d203f0201" + "0e" + "030178" + "01",
 		enc: func() []byte { return AppendStmtFlags(AppendExec(nil, goldenSQL, goldenArgs), FlagBegin) },
 		dec: func(b []byte) (any, error) {
-			sql, args, flags, err := DecodeExecFlags(b)
+			sql, args, flags, err := DecodeExecFlags(b, nil)
 			return execReq{SQL: sql, Args: args, Flags: flags}, err
 		},
 		want: execReq{SQL: goldenSQL, Args: goldenArgs, Flags: FlagBegin}},
@@ -255,7 +255,7 @@ var goldenPayloads = []goldenPayload{
 		hex: "03" + "02010e030178" + "01",
 		enc: func() []byte { return AppendStmtFlags(AppendExecStmt(nil, 3, goldenArgs), FlagBegin) },
 		dec: func(b []byte) (any, error) {
-			id, args, flags, err := DecodeExecStmtFlags(b)
+			id, args, flags, err := DecodeExecStmtFlags(b, nil)
 			return execReq{MinCSN: id, Args: args, Flags: flags}, err
 		},
 		want: execReq{MinCSN: 3, Args: goldenArgs, Flags: FlagBegin}},
@@ -286,7 +286,7 @@ var goldenPayloads = []goldenPayload{
 			return AppendEncodedResultCSN(nil, 0, goldenResult.Columns, 2, goldenRowData(), 300)
 		},
 		dec: func(b []byte) (any, error) {
-			r, csn, err := DecodeResultCSN(b)
+			r, csn, err := DecodeResultCSN(b, nil)
 			return resultCSN{r, csn}, err
 		},
 		want: resultCSN{goldenResult, 300}},
@@ -294,7 +294,7 @@ var goldenPayloads = []goldenPayload{
 		hex: "03" + "00" + "00" + "ac02",
 		enc: func() []byte { return AppendEncodedResultCSN(nil, 3, nil, 0, nil, 300) },
 		dec: func(b []byte) (any, error) {
-			r, csn, err := DecodeResultCSN(b)
+			r, csn, err := DecodeResultCSN(b, nil)
 			return resultCSN{r, csn}, err
 		},
 		want: resultCSN{&Result{Affected: 3}, 300}},
@@ -444,9 +444,10 @@ type trailerCase struct {
 
 var trailerCases = []trailerCase{
 	{"result csn", "03" + "00" + "00", func(b []byte) (uint64, error) {
-		_, csn, err := DecodeResultCSN(b)
+		_, csn, err := DecodeResultCSN(b, nil)
 		return csn, err
 	}},
+	{"result csn, rows skipped", "00" + "02" + "016b" + "0176" + "02" + "020102030161" + "0201040302" + "6263", ResultCSN},
 	{"greeting epoch", "48494752" + "00" + "00", func(b []byte) (uint64, error) {
 		_, _, epoch, ok := DecodeGreeting(b)
 		if !ok {
@@ -466,11 +467,11 @@ var trailerCases = []trailerCase{
 	// Which flag bits mean something is the server's call (it refuses the
 	// ones it does not know with bad_request); the codec carries any value.
 	{"exec flags", "0144" + "00", func(b []byte) (uint64, error) {
-		_, _, flags, err := DecodeExecFlags(b)
+		_, _, flags, err := DecodeExecFlags(b, nil)
 		return flags, err
 	}},
 	{"exec_stmt flags", "03" + "02010e030178", func(b []byte) (uint64, error) {
-		_, _, flags, err := DecodeExecStmtFlags(b)
+		_, _, flags, err := DecodeExecStmtFlags(b, nil)
 		return flags, err
 	}},
 }

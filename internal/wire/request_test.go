@@ -21,18 +21,18 @@ var requestDecoders = map[Op]func(p []byte) (int, error){
 	OpAbort:  nil,
 	OpStats:  nil,
 	OpExec: func(p []byte) (int, error) {
-		_, args, _, err := DecodeExecFlags(p)
+		_, args, _, err := DecodeExecFlags(p, nil)
 		return len(args), err
 	},
 	OpPrepare:   func(p []byte) (int, error) { _, err := DecodePrepare(p); return 0, err },
-	OpExecStmt:  func(p []byte) (int, error) { _, args, _, err := DecodeExecStmtFlags(p); return len(args), err },
+	OpExecStmt:  func(p []byte) (int, error) { _, args, _, err := DecodeExecStmtFlags(p, nil); return len(args), err },
 	OpCloseStmt: func(p []byte) (int, error) { _, err := DecodeHandle(p); return 0, err },
 	OpExecAt: func(p []byte) (int, error) {
 		_, exec, err := DecodeExecAt(p)
 		if err != nil {
 			return 0, err
 		}
-		_, args, _, err := DecodeExecFlags(exec)
+		_, args, _, err := DecodeExecFlags(exec, nil)
 		return len(args), err
 	},
 	OpReplHello:  func(p []byte) (int, error) { _, err := DecodeReplHelloReq(p); return 0, err },

@@ -143,6 +143,57 @@ func TestDecodeResultHostileCounts(t *testing.T) {
 	}
 }
 
+// TestResultColumnsReuse: a result whose column names equal the slice the
+// caller passes takes that slice instead of allocating one; one whose names
+// differ gets a fresh slice, and the caller's -- which earlier results share
+// -- is left as it was.
+func TestResultColumnsReuse(t *testing.T) {
+	prev := []string{"id", "c"}
+	body := AppendEncodedResultCSN(nil, 0, []string{"id", "c"}, 0, nil, 7)
+	res, csn, err := DecodeResultCSN(body, prev)
+	if err != nil || csn != 7 || &res.Columns[0] != &prev[0] {
+		t.Fatalf("same names: columns %v (shared %v), csn %d, err %v", res.Columns, err == nil && &res.Columns[0] == &prev[0], csn, err)
+	}
+	if got := testing.AllocsPerRun(100, func() { DecodeResultCSN(body, prev) }); got != 1 {
+		t.Fatalf("decoding a row-less result with the previous columns allocates %.0f times, want 1 (the Result)", got)
+	}
+	for _, cols := range [][]string{{"id", "k"}, {"id"}, {"id", "c", "x"}, nil} {
+		res, _, err := DecodeResultCSN(AppendEncodedResultCSN(nil, 0, cols, 0, nil, 0), prev)
+		if err != nil || len(res.Columns) != len(cols) || (len(cols) > 0 && &res.Columns[0] == &prev[0]) {
+			t.Fatalf("names %v: got %v, err %v", cols, res.Columns, err)
+		}
+		for i := range cols {
+			if res.Columns[i] != cols[i] {
+				t.Fatalf("names %v: got %v", cols, res.Columns)
+			}
+		}
+		if prev[0] != "id" || prev[1] != "c" {
+			t.Fatalf("names %v overwrote the previous slice: %v", cols, prev)
+		}
+	}
+	if _, _, err := DecodeResultCSN([]byte{0, 2, 2, 'i', 'd', 9}, prev); !errors.Is(err, ErrPayloadCorrupt) {
+		t.Fatalf("name cut short: err %v", err)
+	}
+}
+
+// TestResultCSNAgreesWithDecode: reading only a result's CSN accepts and
+// rejects exactly what decoding the whole result does, agrees on the CSN,
+// and allocates nothing.
+func TestResultCSNAgreesWithDecode(t *testing.T) {
+	full := AppendEncodedResultCSN(nil, 2, []string{"id", "c"}, 100, encodeRows(scanResult().Rows), 300)
+	for n := 0; n <= len(full); n++ {
+		body := full[:n]
+		_, want, werr := DecodeResultCSN(body, nil)
+		got, gerr := ResultCSN(body)
+		if (werr == nil) != (gerr == nil) || got != want {
+			t.Fatalf("first %d bytes: ResultCSN = %d, %v; DecodeResultCSN = %d, %v", n, got, gerr, want, werr)
+		}
+	}
+	if avg := testing.AllocsPerRun(100, func() { ResultCSN(full) }); avg != 0 {
+		t.Fatalf("ResultCSN allocates %.1f times", avg)
+	}
+}
+
 // goldenRows turns the frozen opcode and status-code tables into encoded
 // rows of every column kind: the fuzz corpus seeds.
 func goldenRows() [][]byte {
@@ -173,7 +224,7 @@ func FuzzRowWalk(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var v core.RowView
 		rest, verr := v.Reset(data)
-		row, drest, derr := core.DecodeRowPrefix(data)
+		row, drest, derr := core.DecodeRowPrefix(nil, data)
 		// A column is at least one byte and costs a 32-byte Value, an
 		// 8-byte offset and its share of the copied bytes. TotalAlloc is
 		// process-wide and the fuzzing engine allocates alongside, so the
@@ -184,7 +235,7 @@ func FuzzRowWalk(f *testing.F) {
 			runtime.ReadMemStats(&ms0)
 			var v2 core.RowView
 			v2.Reset(data)
-			core.DecodeRowPrefix(data)
+			core.DecodeRowPrefix(nil, data)
 			runtime.ReadMemStats(&ms1)
 			grew = min(grew, ms1.TotalAlloc-ms0.TotalAlloc)
 		}
@@ -224,7 +275,7 @@ func FuzzSpliceProjection(f *testing.F) {
 		f.Add(seed, []byte{byte(i), 0, byte(i >> 1), 3})
 	}
 	f.Fuzz(func(t *testing.T, data, pick []byte) {
-		row, rest, err := core.DecodeRowPrefix(data)
+		row, rest, err := core.DecodeRowPrefix(nil, data)
 		if err != nil {
 			return
 		}
@@ -276,7 +327,7 @@ func FuzzSpliceUpdate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data, pick []byte, num int64, str string) {
 		var v core.RowView
 		rest, verr := v.Reset(data)
-		row, _, derr := core.DecodeRowPrefix(data)
+		row, _, derr := core.DecodeRowPrefix(nil, data)
 		if (verr == nil) != (derr == nil) {
 			t.Fatalf("walker err %v, decoder err %v", verr, derr)
 		}
