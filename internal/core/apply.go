@@ -233,7 +233,7 @@ func (a *applier) apply(t *Table, addr wal.Addr, rec wal.Record) bool {
 	v.tmin.Store(rec.CSN)
 	v.addr.Store(uint64(addr))
 	if a.live && !v.tomb {
-		v.backWithLog(rec.Payload)
+		v.setData(rec.Payload)
 	}
 	for {
 		head := t.rows.Get(rid)

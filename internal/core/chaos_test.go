@@ -180,24 +180,36 @@ func TestCheckpointMidCrashSite(t *testing.T) {
 	}
 	defer e.Close()
 	tbl := mustTable(t, e, usersSchema())
-	// Enough rows for several 64 KiB image flushes (~10 bytes per entry).
-	for i := int64(0); i < 15000; i++ {
-		insertUser(t, e, tbl, int(i%2), i, "row-payload-for-checkpoint-size", i)
+	// Enough rows for at least three 64 KiB image flushes at ~5 bytes an
+	// entry, so that the site is reached twice.
+	const rows, perTxn = 60_000, 100
+	for i := int64(0); i < rows; i += perTxn {
+		tx := begin(t, e, int(i/perTxn%2))
+		for j := i; j < i+perTxn; j++ {
+			if _, err := tx.Insert(tbl, Row{I(j), S("row-payload-for-checkpoint-size"), I(j)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		commit(t, tx)
 	}
+	hits := ch.Hits(SiteCheckpointMid)
 	first, err := e.Checkpoint()
 	if err != nil {
 		t.Fatalf("baseline checkpoint: %v", err)
 	}
+	if n := ch.Hits(SiteCheckpointMid) - hits; n < 2 {
+		t.Fatalf("the checkpoint reached %s %d times, want >= 2: its image no longer spans three flushes", SiteCheckpointMid, n)
+	}
 	ch.Arm(chaos.Rule{Site: SiteCheckpointMid, Action: chaos.Crash,
 		OnHit: ch.Hits(SiteCheckpointMid) + 1})
-	if _, err := e.Checkpoint(); !errors.Is(err, chaos.ErrCrashed) {
-		t.Fatalf("mid-crash checkpoint error = %v", err)
+	if _, err := e.Checkpoint(); !errors.Is(err, chaos.ErrCrashed) || ch.Fired(SiteCheckpointMid) != 1 {
+		t.Fatalf("mid-crash checkpoint error = %v, %d crashes at %s", err, ch.Fired(SiteCheckpointMid), SiteCheckpointMid)
 	}
 	if e.LastCheckpointCSN() != first {
 		t.Fatalf("failed checkpoint advanced the anchor: %d != %d", e.LastCheckpointCSN(), first)
 	}
 	ch.ClearCrash()
-	insertUser(t, e, tbl, 0, 20000, "after-crash", 1)
+	insertUser(t, e, tbl, 0, rows, "after-crash", 1)
 	second, err := e.Checkpoint()
 	if err != nil {
 		t.Fatalf("checkpoint after restart: %v", err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -18,7 +19,8 @@ import (
 // Dataless checkpoints and parallel recovery (Section 4.3).
 //
 // A checkpoint persists only the indirection arrays -- (table, RID,
-// permanent log address, CSN) tuples -- never record data. Recovery
+// permanent log address, CSN) tuples, delta-encoded (imageWriter) -- never
+// record data. Recovery
 // reconstructs the PIAs from the newest checkpoint image and then replays
 // log segments in parallel, using a newest-CSN-wins compare-and-swap per
 // entry so the scattered multi-stream redo logs can be applied in any
@@ -26,6 +28,178 @@ import (
 // log, and later accesses fault data in through SRSS mmap views.
 
 const checkpointHeader byte = 'K'
+
+// The checkpoint image, after its header byte, is a sequence of table runs:
+// a uvarint table ID, the table's entries in ascending RID order, and a
+// uvarint 0. An entry is
+//
+//   - uvarint delta<<1 | switched: delta (>= 1) is the RID minus the run's
+//     previous RID (0 before the first); switched says the entry's segment
+//     key differs from the image's previous entry's, and then
+//   - uvarint key: addr>>32, the segment key (the first entry compares
+//     with key 0);
+//   - varint (zigzag) offset delta: addr's low 32 bits minus the offset of
+//     the image's last entry under the same key (0 before the first);
+//   - varint (zigzag) CSN delta against that same entry, modulo 2^64.
+//
+// Rows in RID order lie in log order within each stream's segments, so an
+// entry is mostly a one-byte RID delta, a record's length and a CSN delta of
+// 0: three to five bytes where four plain uvarints took 12-14. SRSS is
+// memory-only, so no image of an older format ever has to load.
+
+// maxImageRID is the largest RID a PIA addresses: a 16-bit partition and a
+// 32-bit slot.
+const maxImageRID = 1<<48 - 1
+
+// imageCursor is the last entry under one segment key: what the next one's
+// offset and CSN are encoded against.
+type imageCursor struct{ off, csn uint64 }
+
+// imageWriter encodes a checkpoint image into buf.
+type imageWriter struct {
+	buf   []byte
+	run   bool // a table run is open
+	table uint32
+	rid   RID
+	key   uint64
+	cur   *imageCursor // key's cursor
+	last  map[uint64]*imageCursor
+}
+
+// cursorOf returns segment key k's cursor in m, adding a zero one.
+func cursorOf(m map[uint64]*imageCursor, k uint64) *imageCursor {
+	c := m[k]
+	if c == nil {
+		c = new(imageCursor)
+		m[k] = c
+	}
+	return c
+}
+
+// add appends one entry. Within a table run RIDs must ascend strictly.
+func (w *imageWriter) add(table uint32, rid RID, addr, csn uint64) {
+	if w.last == nil {
+		w.last = map[uint64]*imageCursor{}
+		w.cur = cursorOf(w.last, 0)
+	}
+	if !w.run || table != w.table {
+		w.end()
+		w.buf = binary.AppendUvarint(w.buf, uint64(table))
+		w.run, w.table, w.rid = true, table, 0
+	}
+	key, off := addr>>32, addr&math.MaxUint32
+	head := uint64(rid-w.rid) << 1
+	if key != w.key {
+		w.buf = binary.AppendUvarint(w.buf, head|1)
+		w.buf = binary.AppendUvarint(w.buf, key)
+		w.key, w.cur = key, cursorOf(w.last, key)
+	} else {
+		w.buf = binary.AppendUvarint(w.buf, head)
+	}
+	w.buf = binary.AppendVarint(w.buf, int64(off-w.cur.off))
+	w.buf = binary.AppendVarint(w.buf, int64(csn-w.cur.csn))
+	w.cur.off, w.cur.csn, w.rid = off, csn, rid
+}
+
+// end closes the open table run, if any.
+func (w *imageWriter) end() {
+	if w.run {
+		w.buf = append(w.buf, 0)
+		w.run = false
+	}
+}
+
+// imageReader decodes varints off a checkpoint image; the first error sticks.
+type imageReader struct {
+	b   []byte
+	pos int
+	err error
+}
+
+func (r *imageReader) fail(what string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("core: corrupt checkpoint image: %s at byte %d", what, r.pos+1)
+	}
+}
+
+func (r *imageReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	x, n := binary.Uvarint(r.b[r.pos:])
+	if n <= 0 {
+		r.fail("bad uvarint")
+		return 0
+	}
+	r.pos += n
+	return x
+}
+
+func (r *imageReader) varint() int64 {
+	if r.err != nil {
+		return 0
+	}
+	x, n := binary.Varint(r.b[r.pos:])
+	if n <= 0 {
+		r.fail("bad varint")
+		return 0
+	}
+	r.pos += n
+	return x
+}
+
+// readImage hands fn every entry of a checkpoint image (b is the bytes after
+// its header). Bytes that are not an image are an error, never a panic: a
+// varint cut short or overlong, a run without its end, a RID delta of 0 or
+// one past 48 bits, a segment key past 32 bits, an offset outside
+// [0, 2^32).
+func readImage(b []byte, fn func(table uint32, rid RID, addr, csn uint64) error) error {
+	r := imageReader{b: b}
+	last := map[uint64]*imageCursor{}
+	key, cur := uint64(0), cursorOf(last, 0)
+	for r.pos < len(b) {
+		table := r.uvarint()
+		if table > math.MaxUint32 {
+			r.fail("table id past 32 bits")
+		}
+		var rid uint64
+		for {
+			head := r.uvarint()
+			if r.err != nil {
+				return r.err
+			}
+			if head == 0 {
+				break
+			}
+			d := head >> 1
+			if d == 0 || d > maxImageRID-rid {
+				r.fail("RID delta out of range")
+				return r.err
+			}
+			rid += d
+			if head&1 != 0 {
+				if key = r.uvarint(); key > math.MaxUint32 {
+					r.fail("segment key past 32 bits")
+				}
+				cur = cursorOf(last, key)
+			}
+			dOff, dCSN := r.varint(), r.varint()
+			if r.err != nil {
+				return r.err
+			}
+			off := int64(cur.off) + dOff
+			if off < 0 || off > math.MaxUint32 {
+				r.fail("offset out of range")
+				return r.err
+			}
+			cur.off, cur.csn = uint64(off), cur.csn+uint64(dCSN)
+			if err := fn(uint32(table), RID(rid), key<<32|cur.off, cur.csn); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
 
 // Checkpoint writes a new checkpoint image and registers it in the
 // manifest. It runs concurrently with forward processing: the image is a
@@ -93,12 +267,12 @@ func (e *Engine) checkpointLocked() (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	buf := make([]byte, 0, 64<<10)
-	buf = append(buf, checkpointHeader)
+	img := imageWriter{buf: make([]byte, 0, 64<<10)}
+	img.buf = append(img.buf, checkpointHeader)
 	entries := int64(0)
 	flushes := 0
 	flush := func() error {
-		if len(buf) == 0 {
+		if len(img.buf) == 0 {
 			return nil
 		}
 		if flushes > 0 {
@@ -110,8 +284,8 @@ func (e *Engine) checkpointLocked() (uint64, error) {
 			}
 		}
 		flushes++
-		_, err := plog.Append(buf)
-		buf = buf[:0]
+		_, err := plog.Append(img.buf)
+		img.buf = img.buf[:0]
 		return err
 	}
 
@@ -139,12 +313,9 @@ func (e *Engine) checkpointLocked() (uint64, error) {
 				if v.tomb {
 					return true // a durable delete: omit the record entirely
 				}
-				buf = binary.AppendUvarint(buf, uint64(t.ID))
-				buf = binary.AppendUvarint(buf, uint64(rid))
-				buf = binary.AppendUvarint(buf, addr)
-				buf = binary.AppendUvarint(buf, ts)
+				img.add(t.ID, rid, addr, ts)
 				entries++
-				if len(buf) >= 64<<10 {
+				if len(img.buf) >= 64<<10 {
 					if werr = flush(); werr != nil {
 						return false
 					}
@@ -157,10 +328,12 @@ func (e *Engine) checkpointLocked() (uint64, error) {
 			return 0, werr
 		}
 	}
+	img.end()
 	if err := flush(); err != nil {
 		return 0, err
 	}
 	plog.Seal()
+	e.mCheckpointImage.Set(plog.Size())
 
 	// Register in the manifest: ckpt PLog ID | csn | entry count | fenced
 	// segment list.
@@ -375,10 +548,10 @@ func recoverLog(cfg Config, manifestID srss.PLogID, opt RecoverOptions) (*applie
 	stats.TornTails, stats.TruncatedBytes = log.TailTruncations()
 	stats.MaxCSN = a.maxCSN
 
-	// Phase 3: clear tombstone heads (deletes), preserving entry epochs.
+	// Phase 3: clear tombstone heads (deletes).
 	for _, t := range e.tablesByID {
 		var live int64
-		t.rows.RangeAll(func(rid RID, v *Version, _ uint32) bool {
+		t.rows.RangeAll(func(rid RID, v *Version) bool {
 			if v != nil && v.tomb {
 				_, _ = t.rows.DeleteIf(rid, v)
 			} else if v != nil {
@@ -444,49 +617,29 @@ func (e *Engine) loadCheckpoint(id srss.PLogID) (int64, error) {
 	if b[0] != checkpointHeader {
 		return 0, fmt.Errorf("core: bad checkpoint header %#x", b[0])
 	}
-	pos := 1
+	e.mCheckpointImage.Set(size)
 	var n int64
 	var t *Table
-	for pos < len(b) {
-		tbl, w := binary.Uvarint(b[pos:])
-		if w <= 0 {
-			return n, fmt.Errorf("core: corrupt checkpoint at %d", pos)
-		}
-		pos += w
-		rid, w := binary.Uvarint(b[pos:])
-		if w <= 0 {
-			return n, fmt.Errorf("core: corrupt checkpoint rid at %d", pos)
-		}
-		pos += w
-		addr, w := binary.Uvarint(b[pos:])
-		if w <= 0 {
-			return n, fmt.Errorf("core: corrupt checkpoint addr at %d", pos)
-		}
-		pos += w
-		csn, w := binary.Uvarint(b[pos:])
-		if w <= 0 {
-			return n, fmt.Errorf("core: corrupt checkpoint csn at %d", pos)
-		}
-		pos += w
-		if t == nil || t.ID != uint32(tbl) {
+	err = readImage(b[1:], func(table uint32, rid RID, addr, csn uint64) error {
+		if t == nil || t.ID != table {
 			// The image is written table by table: look each up once.
-			if t, _ = e.tableByID(uint32(tbl)); t == nil {
-				continue
+			if t, _ = e.tableByID(table); t == nil {
+				return nil
 			}
 		}
-		r := RID(rid)
-		if err := t.rows.AllocAt(r); err != nil {
-			return n, err
+		if err := t.rows.AllocAt(rid); err != nil {
+			return err
 		}
 		stub := &Version{}
 		stub.tmin.Store(csn)
 		stub.addr.Store(addr)
-		if err := t.rows.Store(r, stub); err != nil {
-			return n, err
+		if err := t.rows.Store(rid, stub); err != nil {
+			return err
 		}
 		n++
-	}
-	return n, nil
+		return nil
+	})
+	return n, err
 }
 
 // rebuildChunk is the rows a rebuild worker takes at a time: one channel
@@ -504,10 +657,8 @@ type rebuilder struct {
 // add indexes one row version in every index of its table, through the
 // loaders its chunk holds on them.
 func (r *rebuilder) add(t *Table, loaders []index.Loader, rid RID, v *Version) error {
-	var p []byte
-	if d := v.data.Load(); d != nil {
-		p = *d
-	} else {
+	p, ok := v.resident()
+	if !ok {
 		var err error
 		if p, err = v.reload(r.log); err != nil {
 			return err

@@ -99,7 +99,7 @@ func (t *Txn) commitStart(durable func(error)) {
 	// from here: it returns to the slot from the completion callback, which
 	// may run before AppendTraced does.
 	t.ws = nil
-	t.slot.lastLogBytes, t.slot.lastWrites = len(ws.log), len(ws.writes)
+	t.slot.lastLogBytes = len(ws.log)
 	ws.durable = durable
 	t.e.mPrivateBytes.Add(int64(ws.private))
 	t.e.commitsStarted.Add(1)
@@ -184,7 +184,7 @@ func (t *Txn) undo() {
 		_, _ = we.table.rows.CompareAndSwap(we.rid, we.newV, we.oldV)
 		if t.prepared {
 			// A prepared transaction's payloads went on the ledger with its vote.
-			t.e.dropPrivate(we.newV, we.newV.data.Load())
+			t.e.dropPrivate(we.newV)
 		}
 		if we.newV.tomb {
 			we.table.liveRows.Add(1) // a delete
@@ -294,8 +294,8 @@ func (s *workerSlot) retire(we *writeEntry, csn uint64) {
 		})
 	}
 	if we.newV.tomb {
-		// A committed delete: once reclaimable, the PIA entry is cleared
-		// (epoch preserved). Its index entries go with the deleted row,
+		// A committed delete: once reclaimable, the PIA entry is cleared.
+		// Its index entries go with the deleted row,
 		// retired just above under the same CSN.
 		s.retired = append(s.retired, retiredVersion{
 			victim:    we.newV,

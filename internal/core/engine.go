@@ -157,10 +157,10 @@ type workerSlot struct {
 	view, view2 RowView
 	kbuf, kbuf2 []byte
 	rowbuf      []byte
-	// What the slot's last committing transaction filled of its log buffer
-	// and how many writes it made: the next one's buffer and header chunk
-	// are allocated that size. The active transaction's, like the scratch.
-	lastLogBytes, lastWrites int
+	// What the slot's last committing transaction filled of its log buffer:
+	// the next one's buffer is allocated that size. The active
+	// transaction's, like the scratch.
+	lastLogBytes int
 }
 
 // Engine is a HiEngine instance.
@@ -227,6 +227,10 @@ type Engine struct {
 	mCheckpoints    *obs.Counter
 	mGCPause        *obs.Histogram // nanoseconds per GC drain
 	mCheckpointDur  *obs.Histogram // nanoseconds per checkpoint
+	// mCheckpointImage is the newest checkpoint image's size in bytes (one
+	// replica's), written or loaded: a line of the heap ledger, as SRSS
+	// holds it three times.
+	mCheckpointImage *obs.Gauge
 	// The heap ledger's payload lines: row bytes held a second time, in
 	// private buffers beside their log records (commits in flight, records
 	// that straddle a storage chunk, in-doubt writes rebuilt by recovery),
@@ -327,6 +331,10 @@ func (e *Engine) initObs() {
 	e.mCheckpoints = reg.Counter("core.checkpoints")
 	e.mGCPause = reg.Histogram("core.gc_pause_ns")
 	e.mCheckpointDur = reg.Histogram("core.checkpoint_ns")
+	e.mCheckpointImage = reg.Gauge("core.checkpoint_image_bytes")
+	// The indirection arrays' share of the heap ledger: the slot pages of
+	// every table's PIA.
+	reg.GaugeFunc("pia.slot_bytes", e.piaSlotBytes)
 	e.mPrivateBytes = reg.Gauge("core.payload_private_bytes")
 	e.mSwings = reg.Counter("core.payload_swings")
 	// Durability lag: commits acknowledged to the pipeline but not yet
@@ -339,6 +347,17 @@ func (e *Engine) initObs() {
 	e.svc.AttachObs(reg)
 }
 
+// piaSlotBytes is the bytes of slot pages every table's PIA has allocated.
+func (e *Engine) piaSlotBytes() int64 {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	var n int64
+	for _, t := range e.tablesByID {
+		n += t.rows.SlotBytes()
+	}
+	return n
+}
+
 // swung books n payloads pointed at the log, which took released bytes of
 // private payload off the ledger.
 func (e *Engine) swung(n, released int) {
@@ -347,10 +366,10 @@ func (e *Engine) swung(n, released int) {
 }
 
 // dropPrivate takes v off the private-payload ledger, if it is still on it,
-// when its payload p goes away private: an eviction, GC, a 2PC abort.
-func (e *Engine) dropPrivate(v *Version, p *[]byte) {
-	if p != nil && v.release(flagPrivate) {
-		e.mPrivateBytes.Add(-int64(len(*p)))
+// when its payload goes away private: an eviction, GC, a 2PC abort.
+func (e *Engine) dropPrivate(v *Version) {
+	if v.release() {
+		e.mPrivateBytes.Add(-int64(v.n.Load()))
 	}
 }
 
@@ -689,10 +708,9 @@ func (e *Engine) ImportRow(tbl *Table, row Row) (RID, error) {
 	// One row, logged on its own: its bytes before durability are a buffer of
 	// exactly their size, which is also what a record that straddles a
 	// storage chunk keeps.
-	enc := EncodeRow(make([]byte, 0, encodedRowLen(row)), row)
-	payload := &enc
+	payload := EncodeRow(make([]byte, 0, encodedRowLen(row)), row)
 	var view RowView
-	if _, err := view.Reset(*payload); err != nil {
+	if _, err := view.Reset(payload); err != nil {
 		return 0, err
 	}
 	pk, err := tbl.viewIndexKeyAppend(nil, 0, &view, 0)
@@ -710,7 +728,7 @@ func (e *Engine) ImportRow(tbl *Table, row Row) (RID, error) {
 		}
 	}
 	const loadCSN = 1
-	v := newVersion(loadCSN, payload, false, nil)
+	v := newVersion(loadCSN, payload, nil)
 	rid, err := tbl.rows.Alloc()
 	if err != nil {
 		return 0, err
@@ -730,15 +748,15 @@ func (e *Engine) ImportRow(tbl *Table, row Row) (RID, error) {
 			return 0, err
 		}
 	}
-	buf, off := wal.AppendRecord(nil, wal.OpInsert, tbl.ID, uint64(rid), *payload)
+	buf, off := wal.AppendRecord(nil, wal.OpInsert, tbl.ID, uint64(rid), payload)
 	wal.StampTxn(buf, off, loadCSN)
-	e.mPrivateBytes.Add(int64(len(*payload)))
+	e.mPrivateBytes.Add(int64(len(payload)))
 	base, err := e.log.AppendSync(0, buf)
 	if err != nil {
 		return 0, err
 	}
 	win := logWindow{log: e.log}
-	if n, ok := v.swing(&win, base.Add(uint32(wal.PayloadOffset(buf, len(*payload)))), len(*payload)); ok {
+	if n, ok := v.swing(&win, base.Add(uint32(wal.PayloadOffset(buf, len(payload)))), len(payload)); ok {
 		e.swung(1, n)
 	}
 	v.addr.Store(uint64(base.Add(uint32(off))))
@@ -757,10 +775,9 @@ func (e *Engine) Evict(tableName string) (int, error) {
 	n := 0
 	t.rows.Range(func(_ RID, v *Version) bool {
 		for ; v != nil; v = v.next.Load() {
-			p := v.data.Load()
 			if v.Evict() {
 				n++
-				e.dropPrivate(v, p)
+				e.dropPrivate(v)
 			}
 		}
 		return true

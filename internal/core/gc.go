@@ -19,8 +19,8 @@ type retiredVersion struct {
 	// retireCSN is the CSN of the superseding transaction.
 	retireCSN uint64
 
-	// Delete-specific cleanup: clear the PIA entry (epoch preserved) once
-	// the delete marker itself is invisible to everyone.
+	// Delete-specific cleanup: clear the PIA entry once the delete marker
+	// itself is invisible to everyone.
 	table    *Table
 	rid      RID
 	isDelete bool
@@ -88,9 +88,9 @@ func (e *Engine) gcWorker(w int, wm uint64) int {
 			// unlinks the marker AND every version still chained below
 			// it, so count the full chain -- mirroring the update path
 			// -- not just the cleared entry.
-			if ok, _ := r.table.rows.DeleteIf(r.rid, r.victim); ok { // bumps the entry epoch
+			if ok, _ := r.table.rows.DeleteIf(r.rid, r.victim); ok {
 				for v := r.victim; v != nil; v = v.next.Load() {
-					e.dropPrivate(v, v.data.Load())
+					e.dropPrivate(v)
 					reclaimed++
 				}
 			}
@@ -112,7 +112,7 @@ func (e *Engine) gcWorker(w int, wm uint64) int {
 		if r.owner != nil && r.owner.next.Load() == r.victim {
 			r.owner.next.Store(nil)
 			for v := r.victim; v != nil; v = v.next.Load() {
-				e.dropPrivate(v, v.data.Load())
+				e.dropPrivate(v)
 				reclaimed++
 			}
 		}

@@ -24,21 +24,21 @@ import (
 // bytes, failing the test if it is resident and differs from them.
 func logBacked(t *testing.T, e *Engine, v *Version) bool {
 	t.Helper()
-	d := v.data.Load()
-	if d == nil {
+	d, ok := v.resident()
+	if !ok {
 		return false
 	}
 	rec, err := e.log.ReadRecord(v.Addr())
 	if err != nil {
 		t.Fatalf("record at %v: %v", v.Addr(), err)
 	}
-	if !bytes.Equal(rec.Payload, *d) {
+	if !bytes.Equal(rec.Payload, d) {
 		t.Fatalf("payload of the version at %v is not its record's", v.Addr())
 	}
 	// (ReadRecord's own payload is a copy whenever any part of the record
 	// crosses a chunk, so it is not what to compare with.)
 	w := e.log.Appended(payloadAddr(e, v.Addr(), rec))
-	return len(w) >= len(*d) && &w[0] == &(*d)[0]
+	return len(w) >= len(d) && &w[0] == &d[0]
 }
 
 // payloadAddr is where the payload of rec, the record at addr, lies.
@@ -64,7 +64,7 @@ func TestDurablePayloadIsTheLog(t *testing.T) {
 				t.Fatalf("after %s: rid %v (addr %v, private %v) does not read the log's bytes", what, rid, v.Addr(), v.private())
 			}
 			// Which is where a cold read of the same address looks.
-			if rec, err := e.log.ReadRecord(v.Addr()); err != nil || &rec.Payload[0] != &(*v.data.Load())[0] {
+			if rec, err := e.log.ReadRecord(v.Addr()); err != nil || &rec.Payload[0] != v.data.Load() {
 				t.Fatalf("after %s: rid %v: ReadRecord(%v) returns other memory than the version holds (%v)", what, rid, v.Addr(), err)
 			}
 		}
@@ -316,7 +316,7 @@ func overlap(a, b []byte) bool {
 // records cross a chunk boundary, and no one slice of the log holds such a
 // payload. Those versions keep private payloads -- the ledger counts exactly
 // them -- the rest are swung, and every row reads the same live and
-// recovered. A straddler's private payload is its own, exactly its size: left
+// recovered. A straddler's private payload is its own: left
 // in the transaction's log buffer it would keep the whole buffer alive, for
 // as long as the row lives, after every sibling has swung off it.
 func TestStraddlingRecordStaysPrivate(t *testing.T) {
@@ -337,7 +337,8 @@ func TestStraddlingRecordStaysPrivate(t *testing.T) {
 				t.Fatal(err)
 			}
 			rids = append(rids, rid)
-			buffer = append(buffer, *tbl.rows.Get(rid).data.Load())
+			d, _ := tbl.rows.Get(rid).resident()
+			buffer = append(buffer, d)
 		}
 		for _, rid := range rids {
 			buffers[rid] = buffer
@@ -346,7 +347,7 @@ func TestStraddlingRecordStaysPrivate(t *testing.T) {
 	}
 	var private, swung int64
 	tbl.rows.Range(func(rid RID, v *Version) bool {
-		d := *v.data.Load()
+		d, _ := v.resident()
 		rec, err := e.log.ReadRecord(v.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -360,9 +361,6 @@ func TestStraddlingRecordStaysPrivate(t *testing.T) {
 			t.Fatalf("rid %v: payload [%d,+%d) lies in one chunk and was not swung", rid, from, len(d))
 		case straddles:
 			private += int64(len(d))
-			if cap(d) != len(d) {
-				t.Errorf("rid %v: a straddler's payload of %d bytes has capacity %d", rid, len(d), cap(d))
-			}
 			for _, sibling := range buffers[rid] {
 				if overlap(d, sibling) {
 					t.Fatalf("rid %v: a straddler's payload is still in its transaction's log buffer", rid)
@@ -414,7 +412,7 @@ func TestFailedAppendKeepsPrivatePayload(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := tbl.rows.Get(rid)
-		payload := v.data.Load()
+		payload, _ := v.resident()
 		ch.Arm(chaos.Rule{Site: site, Action: chaos.Crash, OnHit: ch.Hits(site) + 1})
 		if err := tx.Commit(); !errors.Is(err, chaos.ErrCrashed) {
 			t.Fatalf("%s: commit returned %v, want the crash", site, err)
@@ -422,11 +420,11 @@ func TestFailedAppendKeepsPrivatePayload(t *testing.T) {
 		if !e.DurabilityLost() {
 			t.Errorf("%s: the failed append did not latch fail-stop", site)
 		}
-		if v.data.Load() != payload || !v.private() || v.Addr() != wal.InvalidAddr {
+		if v.data.Load() != &payload[0] || !v.private() || v.Addr() != wal.InvalidAddr {
 			t.Errorf("%s: the version of the failed commit was touched (addr %v, private %v)", site, v.Addr(), v.private())
 		}
-		if got := privateBytes(e); got != int64(len(*payload)) {
-			t.Errorf("%s: core.payload_private_bytes = %d, want the unacked row's %d", site, got, len(*payload))
+		if got := privateBytes(e); got != int64(len(payload)) {
+			t.Errorf("%s: core.payload_private_bytes = %d, want the unacked row's %d", site, got, len(payload))
 		}
 	}
 
@@ -457,8 +455,8 @@ func heapAfterGC() int64 {
 }
 
 // TestLiveEngineIsAsLeanAsRecovered: an engine that wrote its rows holds
-// what one that recovered them holds -- a version, an index leaf, a boxed
-// slice of the log -- and no second copy of the row. Both are measured over
+// what one that recovered them holds -- a version pointing into the log, an
+// index entry -- and no second copy of the row. Both are measured over
 // the same storage, which holds the log either way.
 func TestLiveEngineIsAsLeanAsRecovered(t *testing.T) {
 	if raceflag.Enabled {
@@ -572,11 +570,11 @@ func TestCompactFullReleasesDroppedSegments(t *testing.T) {
 				t.Fatalf("rid %v: a live version's address %v is in a dropped segment", rid, v.Addr())
 			}
 			d := v.data.Load()
-			if d == nil || len(*d) == 0 {
+			if d == nil {
 				continue
 			}
 			for seg, mem := range old {
-				if mem[&(*d)[0]] {
+				if mem[d] {
 					t.Fatalf("rid %v: the version at %v still reads the memory of dropped segment %d", rid, v.Addr(), seg)
 				}
 			}

@@ -357,13 +357,13 @@ func TestRebuildReadsTheLogThroughWindows(t *testing.T) {
 		}
 		tbl2, _ := e2.Table("users")
 		tbl2.rows.Range(func(rid RID, v *Version) bool {
-			d := v.data.Load()
-			if d == nil {
+			d, ok := v.resident()
+			if !ok {
 				t.Fatalf("chunk %d: rid %v: payload not cached by the rebuild", chunk, rid)
 			}
-			if rec, err := e2.log.ReadRecord(v.Addr()); err != nil || !bytes.Equal(rec.Payload, *d) {
+			if rec, err := e2.log.ReadRecord(v.Addr()); err != nil || !bytes.Equal(rec.Payload, d) {
 				t.Fatalf("chunk %d: rid %v: cached payload is not the log's (%v)", chunk, rid, err)
-			} else if chunk == 0 && &rec.Payload[0] != &(*d)[0] {
+			} else if chunk == 0 && &rec.Payload[0] != &d[0] {
 				t.Fatalf("rid %v: cached payload is a copy of the log's bytes", rid)
 			}
 			return true

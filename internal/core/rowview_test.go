@@ -7,8 +7,6 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-
-	"hiengine/internal/raceflag"
 )
 
 func TestValueIs32Bytes(t *testing.T) {
@@ -201,28 +199,5 @@ func TestDecodeRowsArena(t *testing.T) {
 	}
 	if _, _, err := DecodeRows(data, len(rows)+1); err == nil {
 		t.Fatal("more rows than the data holds accepted")
-	}
-}
-
-// TestPayloadIsOneAllocation: a payload's bytes and the slice header a
-// version points at come from one allocation up to the largest boxed size,
-// and a buffer of any size is exactly as long as asked and zeroed.
-func TestPayloadIsOneAllocation(t *testing.T) {
-	if raceflag.Enabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	for _, n := range []int{0, 1, 40, 41, 122, 136, 137, 488, 489, 5000} {
-		var p *[]byte
-		allocs := testing.AllocsPerRun(10, func() { p = newPayload(n) })
-		want := 1.0
-		if n > 488 {
-			want = 2 // a buffer and a boxed header
-		}
-		if allocs != want {
-			t.Errorf("newPayload(%d) allocates %.0f times, want %.0f", n, allocs, want)
-		}
-		if len(*p) != n || cap(*p) != n || !bytes.Equal(*p, make([]byte, n)) {
-			t.Errorf("newPayload(%d) is %d bytes: %x", n, len(*p), *p)
-		}
 	}
 }

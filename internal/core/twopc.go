@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -257,7 +258,7 @@ func (t *Txn) prepareStart(gtid string, durable func(readOnly bool, err error)) 
 	// after the slot has moved on: it is not recycled.
 	ws := t.ws
 	ws.slot = nil
-	t.slot.lastLogBytes, t.slot.lastWrites = len(ws.log), len(ws.writes)
+	t.slot.lastLogBytes = len(ws.log)
 	payload := encodePreparePayload(gtid, ws.log)
 	buf, off := wal.AppendRecord(nil, wal.OpPrepare, 0, 0, payload)
 	wal.StampTxn(buf, off, 0)
@@ -570,12 +571,12 @@ func (e *Engine) reconstructInDoubt(gtid string, addr wal.Addr, payload []byte) 
 		}
 		head := tbl.rows.Get(rid)
 		tomb := rec.Op == wal.OpDelete
-		var pay *[]byte
+		var pay []byte
 		if !tomb {
-			pay = copyPayload(rec.Payload)
+			pay = bytes.Clone(rec.Payload)
 			e.mPrivateBytes.Add(int64(len(rec.Payload)))
 		}
-		newV := newVersion(t.tid, pay, tomb, head)
+		newV := newVersion(t.tid, pay, head)
 		newV.addr.Store(uint64(addr.Add(uint32(embBase + off))))
 		if ok, err := tbl.rows.CompareAndSwap(rid, head, newV); err != nil || !ok {
 			return fmt.Errorf("core: in-doubt reconstruction lost a CAS on table %d rid %d", rec.Table, rid)
@@ -593,7 +594,7 @@ func (e *Engine) reconstructInDoubt(gtid string, addr wal.Addr, payload []byte) 
 		// Mirror the live path's index discipline: inserts (and updates with
 		// no visible predecessor) add every key; updates add only keys that
 		// changed. An abort hides exactly those again.
-		if _, err := newRow.Reset(*pay); err != nil {
+		if _, err := newRow.Reset(pay); err != nil {
 			return err
 		}
 		haveOld := false

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -41,10 +42,6 @@ type writeSet struct {
 
 	log    []byte
 	writes []writeEntry
-	// hdrs is the chunk the transaction's versions take their pre-durable
-	// slice headers from, past the ones inline in the Txn; like log it is the
-	// transaction's own, never reused.
-	hdrs [][]byte
 	// private is the payload bytes of writes: what the transaction puts on
 	// the engine's private-payload ledger when it hands the log over.
 	private int
@@ -99,7 +96,7 @@ func (ws *writeSet) release() {
 		return
 	}
 	clear(ws.writes) // drop the version pointers
-	ws.log, ws.hdrs, ws.writes, ws.private, ws.durable = nil, nil, ws.writes[:0], 0, nil
+	ws.log, ws.writes, ws.private, ws.durable = nil, ws.writes[:0], 0, nil
 	s.mu.Lock()
 	if len(s.free) < maxFreeWriteSets {
 		s.free = append(s.free, ws)
@@ -120,12 +117,12 @@ func (ws *writeSet) landed(base wal.Addr) {
 	swings, released := 0, 0
 	for i := range ws.writes {
 		we := &ws.writes[i]
-		if p := we.newV.data.Load(); p != nil { // nil: a delete marker
-			if n, ok := we.newV.swing(&win, base.Add(uint32(we.payOff)), len(*p)); ok {
+		if p, ok := we.newV.resident(); ok { // a delete marker has none
+			if n, ok := we.newV.swing(&win, base.Add(uint32(we.payOff)), len(p)); ok {
 				swings++
 				released += n
 			} else {
-				we.newV.data.Store(copyPayload(*p))
+				we.newV.setData(bytes.Clone(p))
 			}
 		}
 		we.newV.addr.Store(uint64(base.Add(uint32(we.logOff))))
@@ -166,11 +163,6 @@ type Txn struct {
 	statusWord atomic.Uint64 // packStatus(state, csn)
 
 	ws *writeSet // nil until the first write
-	// hdr is the slice headers the transaction's first writes publish their
-	// payloads through until they are durable (Version.data points at a
-	// header): the usual transaction needs no others, and a header must not
-	// be reused any more than the buffer it describes.
-	hdr [2][]byte
 
 	finished bool
 	// prepared marks a 2PC participant transaction that has voted and now
@@ -612,31 +604,7 @@ func (t *Txn) stage(op byte, tbl *Table, rid RID, n int) (we writeEntry, payload
 func (t *Txn) seal(we *writeEntry, payload []byte, next *Version) {
 	ws := t.ws
 	ws.log = wal.SealRecord(ws.log, we.logOff)
-	var data *[]byte
-	if payload != nil {
-		data = t.header()
-		*data = payload
-	}
-	we.newV, we.oldV = newVersion(t.tid, data, payload == nil, next), next
-}
-
-// header returns the slice header the transaction's next write publishes its
-// payload through: one of the Txn's own, then one of a chunk sized by how
-// many writes the slot's previous transaction made.
-func (t *Txn) header() *[]byte {
-	ws := t.ws
-	if n := len(ws.writes); n < len(t.hdr) {
-		return &t.hdr[n]
-	}
-	if len(ws.hdrs) == cap(ws.hdrs) {
-		n := max(8, 2*cap(ws.hdrs))
-		if s := t.slot; s != nil {
-			n = max(n, s.lastWrites-len(t.hdr))
-		}
-		ws.hdrs = make([][]byte, 0, n)
-	}
-	ws.hdrs = ws.hdrs[:len(ws.hdrs)+1]
-	return &ws.hdrs[len(ws.hdrs)-1]
+	we.newV, we.oldV = newVersion(t.tid, payload, next), next
 }
 
 // publish swaps the sealed write's version in for the one it supersedes. A
@@ -660,8 +628,8 @@ func (t *Txn) unstage(we *writeEntry) { t.ws.log = t.ws.log[:we.logOff] }
 // wrote enters a write whose version is published.
 func (t *Txn) wrote(we writeEntry) *writeEntry {
 	ws := t.ws
-	if p := we.newV.data.Load(); p != nil {
-		ws.private += len(*p)
+	if p, ok := we.newV.resident(); ok {
+		ws.private += len(p)
 	}
 	ws.writes = append(ws.writes, we)
 	return &ws.writes[len(ws.writes)-1]

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync/atomic"
+	"unsafe"
 
 	"hiengine/internal/wal"
 )
@@ -15,9 +16,10 @@ func isTID(ts uint64) bool { return ts&tidFlag != 0 }
 
 // Version is one record version, chained new-to-old from the record's PIA
 // entry (Section 4). All mutable fields are atomics: versions are read
-// lock-free by any transaction. It is 64 bytes, the allocator's 64-byte
+// lock-free by any transaction. It is 48 bytes, the allocator's 48-byte
 // class: a version's end is the start of the one above it in the chain
-// (tmin of next-newer), so it keeps no tmax.
+// (tmin of next-newer), so it keeps no tmax, and its payload is a pointer and
+// a length, not a slice header.
 type Version struct {
 	// tmin is the creating transaction: TID (flagged) while uncommitted,
 	// then the creator's CSN.
@@ -28,77 +30,66 @@ type Version struct {
 	// creating transaction's log records become durable. A version with
 	// addr 0 exists only in memory (not yet durable).
 	addr atomic.Uint64
-	// data holds the full row payload (Section 4.2: updates write
-	// complete record contents): the record's payload where it lies in the
-	// creating transaction's log buffer until the version's log record is
-	// durable, the record's own bytes in the log from then on
-	// (backWithLog). It may be evicted (set to nil) for durable versions;
-	// readers then reload it through the log's mmap view using addr.
-	data atomic.Pointer[[]byte]
+	// data is the first byte of the full row payload (Section 4.2: updates
+	// write complete record contents), n bytes long: the record's payload
+	// where it lies in the creating transaction's log buffer until the
+	// version's log record is durable, the record's own bytes in the log from
+	// then on (setData). It may be evicted (set to nil) for durable
+	// versions; readers then reload it through the log's mmap view using
+	// addr. Every payload a version is given is the same row, so n is set
+	// once, before data is first published -- by a checkpoint stub, at its
+	// first load.
+	data atomic.Pointer[byte]
+	n    atomic.Uint32
+	// priv says data is still the bytes the version was built around,
+	// beside the log's: the transaction's buffer, or a payload of its own.
+	// Whoever clears it (release) takes those bytes off the engine's ledger
+	// of them (core.payload_private_bytes): the swing onto the log, an
+	// eviction, GC.
+	priv atomic.Bool
 	// tomb marks delete markers (immutable after creation).
 	tomb bool
-	// flags holds flagPrivate and flagOwnTaken.
-	flags atomic.Uint32
-	// own is the slice header the version's first log-backed payload is
-	// boxed in (backWithLog): data then points into the version itself, and
-	// a read goes from the version straight to the log's bytes. Written
-	// once, by whoever sets flagOwnTaken, before data publishes it.
-	own []byte
 }
-
-const (
-	// flagPrivate says data is still the bytes the version was built
-	// around, beside the log's: the transaction's buffer, or a payload of
-	// its own (newPayload). Whoever clears it takes those bytes off the
-	// engine's ledger of them (core.payload_private_bytes): the swing onto
-	// the log, an eviction, GC.
-	flagPrivate uint32 = 1 << iota
-	// flagOwnTaken says own has been claimed (backWithLog).
-	flagOwnTaken
-)
 
 // newVersion builds a version around a payload (nil for a delete marker):
 // the version itself is its only allocation.
-func newVersion(tid uint64, payload *[]byte, tomb bool, next *Version) *Version {
-	v := &Version{tomb: tomb}
+func newVersion(tid uint64, payload []byte, next *Version) *Version {
+	v := &Version{tomb: payload == nil}
 	v.tmin.Store(tid)
-	v.data.Store(payload)
 	if payload != nil {
-		v.flags.Store(flagPrivate)
+		v.setData(payload)
+		v.priv.Store(true)
 	}
 	v.next.Store(next)
 	return v
 }
 
-// private reports whether v's payload is still off the log (flagPrivate).
-func (v *Version) private() bool { return v.flags.Load()&flagPrivate != 0 }
-
-// claim sets flag f and reports whether this call set it: exactly one
-// caller wins each flag.
-func (v *Version) claim(f uint32) bool {
-	for {
-		old := v.flags.Load()
-		if old&f != 0 {
-			return false
-		}
-		if v.flags.CompareAndSwap(old, old|f) {
-			return true
-		}
-	}
+// setData makes b, the row's bytes, v's payload: a pre-durable write's in its
+// transaction's buffer, the record's in the durable log (a reload, the index
+// rebuild, the swing at durability, compaction), or a private copy. The
+// length is stored first, so a reader that sees the pointer sees its length;
+// a reader that loaded the previous payload goes on reading the same
+// immutable bytes.
+func (v *Version) setData(b []byte) {
+	v.n.Store(uint32(len(b)))
+	v.data.Store(unsafe.SliceData(b))
 }
 
-// release clears flag f and reports whether this call cleared it.
-func (v *Version) release(f uint32) bool {
-	for {
-		old := v.flags.Load()
-		if old&f == 0 {
-			return false
-		}
-		if v.flags.CompareAndSwap(old, old&^f) {
-			return true
-		}
+// resident returns v's payload and true when it is in memory; false when it
+// is evicted, not loaded yet, or v is a delete marker.
+func (v *Version) resident() ([]byte, bool) {
+	p := v.data.Load()
+	if p == nil {
+		return nil, false
 	}
+	return unsafe.Slice(p, v.n.Load()), true
 }
+
+// private reports whether v's payload is still off the log (priv).
+func (v *Version) private() bool { return v.priv.Load() }
+
+// release clears priv and reports whether this call cleared it.
+func (v *Version) release() bool { return v.priv.CompareAndSwap(true, false) }
 
 // Tomb reports whether the version is a delete marker.
 func (v *Version) Tomb() bool { return v.tomb }
@@ -122,8 +113,8 @@ func (v *Version) Next() *Version { return v.next.Load() }
 // through the engine's mmap read path (the partial-memory story of Section
 // 4.2). Loaded data is cached back into the version.
 func (v *Version) payload(e *Engine) ([]byte, error) {
-	if p := v.data.Load(); p != nil {
-		return *p, nil
+	if p, ok := v.resident(); ok {
+		return p, nil
 	}
 	if v.tomb {
 		return nil, nil
@@ -137,22 +128,6 @@ type recordReader interface {
 	ReadRecord(wal.Addr) (wal.Record, error)
 }
 
-// backWithLog makes b -- the payload of v's record where it lies in the
-// durable log -- v's payload. It is the one writer of log-backed
-// Version.data: a reload, the index rebuild, the swing at durability and
-// compaction all end here. The slice header data points at is the one inside
-// v the first time and a fresh one after that: a header is immutable once
-// published, a reader may be looking at it -- as a reader that loaded the
-// previous pointer goes on reading the same immutable bytes through it.
-func (v *Version) backWithLog(b []byte) {
-	hdr := &v.own
-	if !v.claim(flagOwnTaken) {
-		hdr = new([]byte)
-	}
-	*hdr = b
-	v.data.Store(hdr)
-}
-
 // reload reads v's evicted payload back from the log and caches it in the
 // version. The payload aliases storage-backed memory: the log's bytes are
 // the row.
@@ -161,7 +136,7 @@ func (v *Version) reload(log recordReader) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	v.backWithLog(rec.Payload)
+	v.setData(rec.Payload)
 	return rec.Payload, nil
 }
 
@@ -197,8 +172,8 @@ func (v *Version) swing(win *logWindow, addr wal.Addr, n int) (released int, ok 
 	if b == nil {
 		return 0, false
 	}
-	v.backWithLog(b)
-	if v.release(flagPrivate) {
+	v.setData(b)
+	if v.release() {
 		released = n
 	}
 	return released, true

@@ -250,8 +250,8 @@ func TestLiveRowsAbortMirrorsWrites(t *testing.T) {
 // TestWritePathAllocs holds the engine's write path to what outlives a
 // transaction: the version of an insert or an update (an int key's RID is a
 // word in its index node's slot, no leaf), and per transaction the Txn, a
-// sync Commit's channel and callback, the log buffer its rows live in until
-// they are durable and, past two writes, one chunk of slice headers.
+// sync Commit's channel and callback and the log buffer its rows live in
+// until they are durable.
 func TestWritePathAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -285,10 +285,9 @@ func TestWritePathAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, insertTxn(1)); avg > 6 {
 		t.Errorf("a one-insert transaction allocates %.1f times, want <= 6", avg)
 	}
-	// The same, and the header chunk: no allocation per row but the one
-	// that stays.
-	if avg := testing.AllocsPerRun(20, insertTxn(128)); avg > 3+128+10 {
-		t.Errorf("a 128-insert transaction allocates %.1f times, want <= %d", avg, 3+128+10)
+	// The same: no allocation per row but the one that stays.
+	if avg := testing.AllocsPerRun(20, insertTxn(128)); avg > 2+128+10 {
+		t.Errorf("a 128-insert transaction allocates %.1f times, want <= %d", avg, 2+128+10)
 	}
 
 	key := []Value{I(0)}
@@ -315,14 +314,55 @@ func TestWritePathAllocs(t *testing.T) {
 	}
 }
 
-// TestVersionIsSixtyFourBytes: a version is the allocator's 64-byte class,
-// for every row in memory. It keeps no end timestamp, its two flags share
-// one word, and the pre-durable slice header of a payload lives in its
-// transaction: any of those back in the version would put it in the 80-byte
-// class.
-func TestVersionIsSixtyFourBytes(t *testing.T) {
-	if n := reflect.TypeOf(Version{}).Size(); n != 64 {
-		t.Errorf("a Version is %d bytes, want 64", n)
+// TestRowFootprint: what a resident row costs the engine beside its bytes in
+// the log. Its version is the allocator's 48-byte class: no end timestamp,
+// and the payload a pointer and a length, not a slice header (either back in
+// the version puts it in the 64-byte class). Its indirection entry is one
+// word. Its checkpoint entry, over two log streams whose transactions
+// interleave their RIDs, is at most 6 bytes of each image.
+func TestRowFootprint(t *testing.T) {
+	if n := reflect.TypeOf(Version{}).Size(); n != 48 {
+		t.Errorf("a Version is %d bytes, want 48", n)
+	}
+	e := testEngine(t, func(c *Config) { c.Workers = 2; c.LogStreams = 2; c.GCEveryNCommits = -1 })
+	tbl := mustTable(t, e, usersSchema())
+	const rows, perTxn = 20_000, 50
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := int64(w * perTxn); i < rows; i += 2 * perTxn {
+				tx, err := e.Begin(w)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for j := i; j < i+perTxn; j++ {
+					if _, err := tx.Insert(tbl, Row{I(j), S(fmt.Sprintf("user-%d", j)), I(j)}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if err := tx.Commit(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	// A page of 4,096 slots per 4,096 RIDs handed out.
+	if pages := int64(rows/4096 + 1); tbl.rows.SlotBytes() != pages*4096*8 {
+		t.Errorf("%d rows hold %d bytes of PIA slots, want %d pages of 8-byte entries", rows, tbl.rows.SlotBytes(), pages)
+	}
+	if _, err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	img := e.Obs().Gauge("core.checkpoint_image_bytes").Load()
+	t.Logf("checkpoint image: %d bytes for %d rows", img, rows)
+	if per := float64(img) / rows; per > 6 {
+		t.Errorf("the checkpoint image is %d bytes for %d rows, %.2f per entry, want <= 6", img, rows, per)
 	}
 }
 
@@ -330,19 +370,18 @@ func TestVersionIsSixtyFourBytes(t *testing.T) {
 
 // TestPreDurablePayloadOutlivesTheSwing: a reader that took a version's
 // payload before its transaction was durable -- the bytes in the
-// transaction's log buffer, through the transaction's slice header -- may
-// hold both across the swing onto the log and for as long as it likes: the
-// slot's next 200 transactions, which reuse the write set's entries, touch
-// neither. A buffer or a header recycled into a later transaction would show
-// here as a changed row (and, under -race, as a write racing the reader).
+// transaction's log buffer -- may hold them across the swing onto the log and
+// for as long as it likes: the slot's next 200 transactions, which reuse the
+// write set's entries, do not touch them. A buffer recycled into a later
+// transaction would show here as a changed row (and, under -race, as a write
+// racing the reader).
 func TestPreDurablePayloadOutlivesTheSwing(t *testing.T) {
 	e := testEngine(t, func(c *Config) { c.Workers = 2; c.LogStreams = 1; c.GCEveryNCommits = -1 })
 	tbl := mustTable(t, e, usersSchema())
 	name := func(id int64) string { return fmt.Sprintf("held-across-the-swing-%04d", id) }
-	const held = 5 // headers from the Txn and from its chunk
+	const held = 5
 	tx := begin(t, e, 0)
 	var versions [held]*Version
-	var headers [held]*[]byte
 	var payloads, want [held][]byte
 	for i := range versions {
 		rid, err := tx.Insert(tbl, Row{I(int64(i)), S(name(int64(i))), I(int64(i))})
@@ -350,8 +389,7 @@ func TestPreDurablePayloadOutlivesTheSwing(t *testing.T) {
 			t.Fatal(err)
 		}
 		versions[i] = tbl.rows.Get(rid)
-		headers[i] = versions[i].data.Load()
-		payloads[i] = *headers[i]
+		payloads[i], _ = versions[i].resident()
 		want[i] = append([]byte(nil), payloads[i]...)
 	}
 	stop := make(chan struct{})
@@ -361,7 +399,7 @@ func TestPreDurablePayloadOutlivesTheSwing(t *testing.T) {
 		defer reader.Done()
 		for {
 			for i := range payloads {
-				if !bytes.Equal(payloads[i], want[i]) || !bytes.Equal(*headers[i], want[i]) {
+				if !bytes.Equal(payloads[i], want[i]) {
 					t.Errorf("row %d changed under a reader that held its pre-durable payload", i)
 					return
 				}
@@ -376,7 +414,7 @@ func TestPreDurablePayloadOutlivesTheSwing(t *testing.T) {
 	}()
 	commit(t, tx)
 	for i, v := range versions {
-		if d := v.data.Load(); d == headers[i] || &(*d)[0] == &payloads[i][0] || !logBacked(t, e, v) {
+		if v.data.Load() == &payloads[i][0] || !logBacked(t, e, v) {
 			t.Fatalf("row %d still reads the transaction's buffer after Commit returned", i)
 		}
 	}

@@ -10,9 +10,10 @@
 // lazily, mirroring the paper's trick of reserving virtual address space and
 // letting the OS back it with physical pages on first touch.
 //
-// Each entry holds an atomic pointer (version installation is a single CAS,
-// Section 5.1) plus an epoch counter used by garbage collection and by
-// deletes, which clear the pointer but preserve the epoch (Section 4.3).
+// Each entry is one atomic pointer, a machine word: version installation is a
+// single CAS (Section 5.1), and a delete clears it. The paper's per-entry
+// delete epochs (Section 4.3) are not kept -- replay orders deletes by CSN
+// instead (DESIGN.md "Honest deviations").
 package pia
 
 import (
@@ -21,6 +22,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // RID is a record identifier: bits [32,48) are the partition ID and bits
@@ -54,10 +56,9 @@ var (
 	ErrBadRID = errors.New("pia: rid out of range")
 )
 
-// entry is one indirection array slot.
+// entry is one indirection array slot: one word.
 type entry[T any] struct {
-	ptr   atomic.Pointer[T]
-	epoch atomic.Uint32
+	ptr atomic.Pointer[T]
 }
 
 // pageBits is the log2 of slots per lazily-allocated page.
@@ -193,7 +194,7 @@ func (m *Map[T]) grow() (*partition[T], error) {
 }
 
 // Alloc reserves a fresh RID and returns it. The slot starts with a nil
-// pointer and epoch 0; the caller installs the first version with Store or
+// pointer; the caller installs the first version with Store or
 // CompareAndSwap.
 func (m *Map[T]) Alloc() (RID, error) {
 	for {
@@ -298,54 +299,25 @@ func (m *Map[T]) accountSwap(rid RID, old, v *T) {
 	}
 }
 
-// Delete clears the pointer at rid but preserves (and advances) the entry's
-// epoch, per Section 4.3's delete-replay semantics.
+// Delete clears the pointer at rid.
 func (m *Map[T]) Delete(rid RID) error {
 	e, err := m.entryOf(rid)
 	if err != nil {
 		return err
 	}
-	old := e.ptr.Swap(nil)
-	if old != nil {
+	if e.ptr.Swap(nil) != nil {
 		m.part(rid.Partition()).live.Add(-1)
 	}
-	e.epoch.Add(1)
 	return nil
 }
 
 // DeleteIf is Delete provided the pointer at rid is still old: the clear and
 // the check are one step, so a version installed in between (an insert
-// reusing the RID) is never swept out with the delete marker it replaced.
+// reusing the RID) is never swept out with the delete marker it replaced. The
+// caller holds old, so it cannot be freed and reused in between: a pointer
+// compare-and-swap has no ABA problem here.
 func (m *Map[T]) DeleteIf(rid RID, old *T) (bool, error) {
-	ok, err := m.CompareAndSwap(rid, old, nil)
-	if ok {
-		e, _ := m.entryOf(rid)
-		e.epoch.Add(1)
-	}
-	return ok, err
-}
-
-// Epoch returns the GC epoch stored at rid.
-func (m *Map[T]) Epoch(rid RID) uint32 {
-	p := m.part(rid.Partition())
-	if p == nil || rid.Slot() >= p.capacity() {
-		return 0
-	}
-	e := p.slot(rid.Slot(), false)
-	if e == nil {
-		return 0
-	}
-	return e.epoch.Load()
-}
-
-// SetEpoch stores a GC epoch at rid.
-func (m *Map[T]) SetEpoch(rid RID, epoch uint32) error {
-	e, err := m.entryOf(rid)
-	if err != nil {
-		return err
-	}
-	e.epoch.Store(epoch)
-	return nil
+	return m.CompareAndSwap(rid, old, nil)
 }
 
 func (m *Map[T]) entryOf(rid RID) (*entry[T], error) {
@@ -368,6 +340,23 @@ func (m *Map[T]) Live() int64 {
 		}
 	}
 	return n
+}
+
+// SlotBytes returns the bytes of the slot pages allocated so far: what the
+// indirection arrays hold in memory, whatever the slots point at.
+func (m *Map[T]) SlotBytes() int64 {
+	var n int64
+	for _, p := range *m.partitions.Load() {
+		if p == nil {
+			continue
+		}
+		for i := range p.pages {
+			if p.pages[i].Load() != nil {
+				n++
+			}
+		}
+	}
+	return n * int64(unsafe.Sizeof([1 << pageBits]entry[T]{}))
 }
 
 // Range calls fn for every allocated slot holding a non-nil pointer, in RID
@@ -400,7 +389,7 @@ func (m *Map[T]) Range(fn func(rid RID, v *T) bool) {
 
 // RangeAll is Range but also visits nil-pointer slots that were allocated
 // (recovery and invariant checks need to see tombstoned entries).
-func (m *Map[T]) RangeAll(fn func(rid RID, v *T, epoch uint32) bool) {
+func (m *Map[T]) RangeAll(fn func(rid RID, v *T) bool) {
 	for _, p := range *m.partitions.Load() {
 		if p == nil {
 			continue
@@ -415,7 +404,7 @@ func (m *Map[T]) RangeAll(fn func(rid RID, v *T, epoch uint32) bool) {
 				s |= 1<<pageBits - 1
 				continue
 			}
-			if !fn(MakeRID(p.id, s), e.ptr.Load(), e.epoch.Load()) {
+			if !fn(MakeRID(p.id, s), e.ptr.Load()) {
 				return
 			}
 		}

@@ -47,15 +47,11 @@ func TestStoreGetDelete(t *testing.T) {
 	if m.Live() != 1 {
 		t.Fatalf("Live = %d", m.Live())
 	}
-	e0 := m.Epoch(rid)
 	if err := m.Delete(rid); err != nil {
 		t.Fatal(err)
 	}
 	if m.Get(rid) != nil {
 		t.Fatal("Get after delete not nil")
-	}
-	if m.Epoch(rid) != e0+1 {
-		t.Fatalf("delete did not advance epoch: %d -> %d", e0, m.Epoch(rid))
 	}
 	if m.Live() != 0 {
 		t.Fatalf("Live after delete = %d", m.Live())
@@ -216,14 +212,11 @@ func TestRangeAllSeesTombstones(t *testing.T) {
 	m.Store(rid, &rec{1})
 	m.Delete(rid)
 	found := false
-	m.RangeAll(func(r RID, v *rec, epoch uint32) bool {
+	m.RangeAll(func(r RID, v *rec) bool {
 		if r == rid {
 			found = true
 			if v != nil {
 				t.Fatal("tombstone has value")
-			}
-			if epoch != 1 {
-				t.Fatalf("tombstone epoch = %d", epoch)
 			}
 		}
 		return true
@@ -279,7 +272,7 @@ func TestPropertyMapEquivalence(t *testing.T) {
 }
 
 // TestDeleteIfSparesANewerPointer: the conditional delete clears the entry
-// and bumps its epoch only while the pointer is still the expected one.
+// only while the pointer is still the expected one.
 func TestDeleteIfSparesANewerPointer(t *testing.T) {
 	m := New[int](Config{})
 	rid, err := m.Alloc()
@@ -290,10 +283,31 @@ func TestDeleteIfSparesANewerPointer(t *testing.T) {
 	if err := m.Store(rid, a); err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := m.DeleteIf(rid, b); ok || err != nil || m.Get(rid) != a || m.Epoch(rid) != 0 {
-		t.Fatalf("DeleteIf with a stale pointer: ok=%v err=%v epoch=%d", ok, err, m.Epoch(rid))
+	if ok, err := m.DeleteIf(rid, b); ok || err != nil || m.Get(rid) != a || m.Live() != 1 {
+		t.Fatalf("DeleteIf with a stale pointer: ok=%v err=%v live=%d", ok, err, m.Live())
 	}
-	if ok, err := m.DeleteIf(rid, a); !ok || err != nil || m.Get(rid) != nil || m.Epoch(rid) != 1 {
-		t.Fatalf("DeleteIf with the current pointer: ok=%v err=%v epoch=%d", ok, err, m.Epoch(rid))
+	if ok, err := m.DeleteIf(rid, a); !ok || err != nil || m.Get(rid) != nil || m.Live() != 0 {
+		t.Fatalf("DeleteIf with the current pointer: ok=%v err=%v live=%d", ok, err, m.Live())
+	}
+}
+
+// TestSlotBytes: the heap ledger's pia.slot_bytes counts the pages touched,
+// 4,096 one-word slots each.
+func TestSlotBytes(t *testing.T) {
+	m := New[rec](Config{SlotBits: 16})
+	if n := m.SlotBytes(); n != 0 {
+		t.Fatalf("an empty map holds %d bytes of slots", n)
+	}
+	for i := 0; i < 4096+1; i++ {
+		rid, err := m.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Store(rid, &rec{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := m.SlotBytes(); n != 2*4096*8 {
+		t.Fatalf("4,097 slots hold %d bytes, want two pages of 8-byte entries (%d)", n, 2*4096*8)
 	}
 }

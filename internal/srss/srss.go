@@ -261,6 +261,23 @@ func (s *Service) AttachObs(reg *obs.Registry) {
 		placementFailures: reg.Counter("srss.placement_failures"),
 	}
 	s.obsM.CompareAndSwap(nil, m)
+	reg.GaugeFunc("srss.replica_bytes", s.replicaBytes)
+}
+
+// replicaBytes is the chunk capacity the replicas of every PLog not deleted
+// hold: the log, checkpoint images and metadata, three times over.
+func (s *Service) replicaBytes() int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var n int64
+	for _, p := range s.plogs {
+		for _, r := range p.replicaList() {
+			r.mu.RLock()
+			n += int64(len(r.chunks)) * int64(r.chunkSize)
+			r.mu.RUnlock()
+		}
+	}
+	return n
 }
 
 // Node is one simulated compute or storage node.

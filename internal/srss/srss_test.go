@@ -426,3 +426,28 @@ func TestWellKnownRegistry(t *testing.T) {
 		t.Fatal("re-anchor did not overwrite")
 	}
 }
+
+// TestReplicaBytes: the heap ledger's srss.replica_bytes is the chunk
+// capacity every replica allocated, and a deleted PLog's leaves it.
+func TestReplicaBytes(t *testing.T) {
+	s := testService(t) // 256-byte chunks, three replicas
+	p, err := s.Create(TierCompute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := s.replicaBytes(); n != 0 {
+		t.Fatalf("an empty PLog holds %d bytes", n)
+	}
+	if _, err := p.Append(make([]byte, 300)); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.replicaBytes(); n != 3*2*256 {
+		t.Fatalf("300 bytes in 256-byte chunks hold %d bytes over three replicas, want %d", n, 3*2*256)
+	}
+	if err := s.Delete(p.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.replicaBytes(); n != 0 {
+		t.Fatalf("a deleted PLog still counts %d bytes", n)
+	}
+}
