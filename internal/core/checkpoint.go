@@ -349,6 +349,13 @@ func (e *Engine) checkpointLocked() (uint64, error) {
 	if err := e.appendManifest(manifestCheckpoint, payload); err != nil {
 		return 0, err
 	}
+	// The manifest names the new image now: the one it supersedes is no
+	// recovery's anchor, and goes (a follower's mirror of it with it). A
+	// delete that fails leaves an image nothing reads; the checkpoint stands.
+	if !e.lastImage.IsZero() {
+		_ = e.svc.Delete(e.lastImage)
+	}
+	e.lastImage = id
 	e.lastCkpt.Store(ckptCSN)
 	e.stats.Checkpoints.Add(1)
 	e.mCheckpoints.Inc()
@@ -568,7 +575,8 @@ func recoverLog(cfg Config, manifestID srss.PLogID, opt RecoverOptions) (*applie
 
 	// Phase 4: rebuild in-memory indexes by scanning the PIAs.
 	ixStart := time.Now()
-	if stats.IndexKeys, err = e.RebuildIndexes(opt.ReplayThreads); err != nil {
+	var live []int64
+	if stats.IndexKeys, live, err = e.rebuildIndexes(opt.ReplayThreads); err != nil {
 		return nil, nil, err
 	}
 	stats.IndexDuration = time.Since(ixStart)
@@ -582,6 +590,9 @@ func recoverLog(cfg Config, manifestID srss.PLogID, opt RecoverOptions) (*applie
 	}
 	a.live = true
 	stats.WindowReads = log.WindowReads()
+	if !opt.readOnly && cfg.GCEveryNCommits > 0 {
+		e.startMaintenance(e.seedDeadLog(live))
+	}
 	return a, stats, nil
 }
 
@@ -618,6 +629,7 @@ func (e *Engine) loadCheckpoint(id srss.PLogID) (int64, error) {
 		return 0, fmt.Errorf("core: bad checkpoint header %#x", b[0])
 	}
 	e.mCheckpointImage.Set(size)
+	e.lastImage = id
 	var n int64
 	var t *Table
 	err = readImage(b[1:], func(table uint32, rid RID, addr, csn uint64) error {
@@ -652,6 +664,8 @@ type rebuilder struct {
 	log  *wal.Reader
 	view RowView
 	kbuf []byte
+	// live is, by segment id, the bytes of the records of the rows it added.
+	live []int64
 }
 
 // add indexes one row version in every index of its table, through the
@@ -664,6 +678,11 @@ func (r *rebuilder) add(t *Table, loaders []index.Loader, rid RID, v *Version) e
 			return err
 		}
 	}
+	seg := int(wal.Addr(v.addr.Load()).Segment())
+	if seg >= len(r.live) {
+		r.live = append(r.live, make([]int64, seg+1-len(r.live))...)
+	}
+	r.live[seg] += v.logLen(t.ID, rid)
 	if _, err := r.view.Reset(p); err != nil {
 		return err
 	}
@@ -687,6 +706,13 @@ func (r *rebuilder) add(t *Table, loaders []index.Loader, rid RID, v *Version) e
 // lie in log order within each stream's segments, so a worker's wal.Reader
 // serves a chunk's worth of them from one storage read.
 func (e *Engine) RebuildIndexes(parallelism int) (keys int64, err error) {
+	keys, _, err = e.rebuildIndexes(parallelism)
+	return keys, err
+}
+
+// rebuildIndexes is RebuildIndexes, also returning, by segment id, the bytes
+// of the records the rows it indexed live in.
+func (e *Engine) rebuildIndexes(parallelism int) (keys int64, live []int64, err error) {
 	if parallelism <= 0 {
 		parallelism = 1
 	}
@@ -708,12 +734,23 @@ func (e *Engine) RebuildIndexes(parallelism int) (keys int64, err error) {
 	ch := make(chan chunk, 2*parallelism) // a chunk in hand and one waiting per worker
 	var wg sync.WaitGroup
 	var total atomic.Int64
+	var liveMu sync.Mutex
 	errCh := make(chan error, parallelism)
 	for i := 0; i < parallelism; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			r := rebuilder{log: e.log.NewReader()}
+			defer func() {
+				liveMu.Lock()
+				if len(r.live) > len(live) {
+					live = append(live, make([]int64, len(r.live)-len(live))...)
+				}
+				for s, n := range r.live {
+					live[s] += n
+				}
+				liveMu.Unlock()
+			}()
 			var loaders []index.Loader
 			failed := false // a failed worker keeps draining so the feeder never blocks
 			for c := range ch {
@@ -762,9 +799,9 @@ func (e *Engine) RebuildIndexes(parallelism int) (keys int64, err error) {
 	wg.Wait()
 	select {
 	case err := <-errCh:
-		return 0, err
+		return 0, nil, err
 	default:
-		return total.Load(), nil
+		return total.Load(), live, nil
 	}
 }
 

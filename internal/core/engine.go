@@ -199,6 +199,14 @@ type Engine struct {
 	workers []workerSlot
 
 	ckptMu sync.Mutex // serializes checkpoint/compaction
+	// compactHeld stops compaction (HoldCompaction); guarded by ckptMu.
+	compactHeld bool
+	// lastImage is the newest checkpoint image, which the next checkpoint
+	// supersedes and deletes; guarded by ckptMu.
+	lastImage srss.PLogID
+	// dead is the dead-log ledger and its maintenance goroutine: nil on an
+	// engine that is read-only or runs no GC.
+	dead *deadLog
 	// lastCkpt tracks the newest checkpoint CSN (diagnostics).
 	lastCkpt atomic.Uint64
 
@@ -231,6 +239,9 @@ type Engine struct {
 	// replica's), written or loaded: a line of the heap ledger, as SRSS
 	// holds it three times.
 	mCheckpointImage *obs.Gauge
+	// Log compaction: passes completed, and the bytes they rewrote.
+	mCompactions    *obs.Counter
+	mCompactedBytes *obs.Counter
 	// The heap ledger's payload lines: row bytes held a second time, in
 	// private buffers beside their log records (commits in flight, records
 	// that straddle a storage chunk, in-doubt writes rebuilt by recovery),
@@ -282,6 +293,9 @@ func Open(cfg Config) (*Engine, error) {
 	if err := e.appendManifest(manifestEpoch, binary.AppendUvarint(nil, 1)); err != nil {
 		return nil, err
 	}
+	if cfg.GCEveryNCommits > 0 {
+		e.startMaintenance(&deadLog{})
+	}
 	return e, nil
 }
 
@@ -332,6 +346,11 @@ func (e *Engine) initObs() {
 	e.mGCPause = reg.Histogram("core.gc_pause_ns")
 	e.mCheckpointDur = reg.Histogram("core.checkpoint_ns")
 	e.mCheckpointImage = reg.Gauge("core.checkpoint_image_bytes")
+	e.mCompactions = reg.Counter("core.compactions")
+	e.mCompactedBytes = reg.Counter("core.compaction_rewritten_bytes")
+	// The log's retirable bytes: what GC has pruned of the records in the
+	// segments there are (deadLog).
+	reg.GaugeFunc("core.log_dead_bytes", e.logDeadBytes)
 	// The indirection arrays' share of the heap ledger: the slot pages of
 	// every table's PIA.
 	reg.GaugeFunc("pia.slot_bytes", e.piaSlotBytes)
@@ -463,6 +482,7 @@ func (e *Engine) Close() {
 	if e.closed.Swap(true) {
 		return
 	}
+	e.stopMaintenance()
 	e.log.Close()
 }
 
@@ -728,7 +748,7 @@ func (e *Engine) ImportRow(tbl *Table, row Row) (RID, error) {
 		}
 	}
 	const loadCSN = 1
-	v := newVersion(loadCSN, payload, nil)
+	v := newVersion(loadCSN, payload, nil, true)
 	rid, err := tbl.rows.Alloc()
 	if err != nil {
 		return 0, err

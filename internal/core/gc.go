@@ -80,6 +80,10 @@ func (e *Engine) gcWorker(w int, wm uint64) int {
 
 	reclaimed := 0
 	var u keyScratch
+	// The pass's dead log bytes, booked at its end: GC prunes durable
+	// versions, and the log holds their records until a compaction.
+	var dead deadTally
+	count := e.dead != nil
 	for _, r := range reap {
 		if r.isDelete {
 			// The delete marker is invisible to every active snapshot:
@@ -91,6 +95,9 @@ func (e *Engine) gcWorker(w int, wm uint64) int {
 			if ok, _ := r.table.rows.DeleteIf(r.rid, r.victim); ok {
 				for v := r.victim; v != nil; v = v.next.Load() {
 					e.dropPrivate(v)
+					if count {
+						dead.version(e, r.table.ID, r.rid, v)
+					}
 					reclaimed++
 				}
 			}
@@ -113,9 +120,15 @@ func (e *Engine) gcWorker(w int, wm uint64) int {
 			r.owner.next.Store(nil)
 			for v := r.victim; v != nil; v = v.next.Load() {
 				e.dropPrivate(v)
+				if count {
+					dead.version(e, r.table.ID, r.rid, v)
+				}
 				reclaimed++
 			}
 		}
+	}
+	if count && (dead.n > 0 || e.dead.due.Load()) {
+		e.flushDead(&dead)
 	}
 	if reclaimed > 0 {
 		e.stats.ReclaimedVersions.Add(int64(reclaimed))

@@ -11,7 +11,8 @@ import (
 
 // TestPropertyEngineMatchesReferenceModel drives the engine with a long
 // randomized single-session history -- inserts, updates, deletes, point
-// reads, scans, plus periodic GC, checkpoints, compaction, eviction and
+// reads, scans, plus periodic GC, checkpoints, compaction (full and of a
+// segment subset, beside the engine's own), eviction and
 // even full crash-recovery -- and checks after every step that the visible
 // state matches a plain map reference model. This is the repository's
 // model-checking test: any divergence in MVCC visibility, index
@@ -146,7 +147,23 @@ func TestPropertyEngineMatchesReferenceModel(t *testing.T) {
 			}
 		case op < 96: // maintenance: compaction + eviction round trip
 			e.RunGC()
-			if _, err := e.CompactFull(); err != nil {
+			var err error
+			if rng.Intn(2) == 0 {
+				_, err = e.CompactFull()
+			} else {
+				// A compaction of some sealed segments, the others left as
+				// they are: the engine's own compacts a nearly dead set.
+				_, err = e.compact(func() ([]uint16, error) {
+					var set []uint16
+					for _, seg := range e.log.SealedSegments() {
+						if rng.Intn(2) == 0 {
+							set = append(set, seg)
+						}
+					}
+					return set, nil
+				})
+			}
+			if err != nil {
 				t.Fatalf("step %d: compact: %v", step, err)
 			}
 			if _, err := e.Evict("users"); err != nil {

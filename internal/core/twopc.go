@@ -576,7 +576,7 @@ func (e *Engine) reconstructInDoubt(gtid string, addr wal.Addr, payload []byte) 
 			pay = bytes.Clone(rec.Payload)
 			e.mPrivateBytes.Add(int64(len(rec.Payload)))
 		}
-		newV := newVersion(t.tid, pay, head)
+		newV := newVersion(t.tid, pay, head, off == 0)
 		newV.addr.Store(uint64(addr.Add(uint32(embBase + off))))
 		if ok, err := tbl.rows.CompareAndSwap(rid, head, newV); err != nil || !ok {
 			return fmt.Errorf("core: in-doubt reconstruction lost a CAS on table %d rid %d", rec.Table, rid)

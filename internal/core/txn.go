@@ -604,7 +604,7 @@ func (t *Txn) stage(op byte, tbl *Table, rid RID, n int) (we writeEntry, payload
 func (t *Txn) seal(we *writeEntry, payload []byte, next *Version) {
 	ws := t.ws
 	ws.log = wal.SealRecord(ws.log, we.logOff)
-	we.newV, we.oldV = newVersion(t.tid, payload, next), next
+	we.newV, we.oldV = newVersion(t.tid, payload, next, we.logOff == 0), next
 }
 
 // publish swaps the sealed write's version in for the one it supersedes. A

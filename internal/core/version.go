@@ -41,27 +41,66 @@ type Version struct {
 	// first load.
 	data atomic.Pointer[byte]
 	n    atomic.Uint32
-	// priv says data is still the bytes the version was built around,
-	// beside the log's: the transaction's buffer, or a payload of its own.
-	// Whoever clears it (release) takes those bytes off the engine's ledger
-	// of them (core.payload_private_bytes): the swing onto the log, an
-	// eviction, GC.
-	priv atomic.Bool
+	// flags holds the version's flag bits (flagPriv, flagCSN, flagDead).
+	flags atomic.Uint32
 	// tomb marks delete markers (immutable after creation).
 	tomb bool
 }
 
+// Version flag bits.
+const (
+	// flagPriv says data is still the bytes the version was built around,
+	// beside the log's: the transaction's buffer, or a payload of its own.
+	// Whoever clears it (release) takes those bytes off the engine's ledger
+	// of them (core.payload_private_bytes): the swing onto the log, an
+	// eviction, GC.
+	flagPriv uint32 = 1 << iota
+	// flagCSN says the version's record is its transaction's first, the one
+	// that carries the CSN: eight bytes longer than a continuation (logLen).
+	flagCSN
+	// flagDead says GC has put the record's bytes on the dead-log ledger:
+	// once, whichever prune reaches the version first.
+	flagDead
+)
+
 // newVersion builds a version around a payload (nil for a delete marker):
-// the version itself is its only allocation.
-func newVersion(tid uint64, payload []byte, next *Version) *Version {
+// the version itself is its only allocation. first says its record is its
+// transaction's first.
+func newVersion(tid uint64, payload []byte, next *Version, first bool) *Version {
 	v := &Version{tomb: payload == nil}
 	v.tmin.Store(tid)
+	var f uint32
 	if payload != nil {
 		v.setData(payload)
-		v.priv.Store(true)
+		f = flagPriv
 	}
+	if first {
+		f |= flagCSN
+	}
+	v.flags.Store(f)
 	v.next.Store(next)
 	return v
+}
+
+// setFlag sets f and reports whether this call set it.
+func (v *Version) setFlag(f uint32) bool {
+	for {
+		old := v.flags.Load()
+		if old&f != 0 {
+			return false
+		}
+		if v.flags.CompareAndSwap(old, old|f) {
+			return true
+		}
+	}
+}
+
+// logLen is the length of v's log record, v being a version of table's row
+// rid: what the log holds for it, and frees when GC prunes it. A checkpoint
+// stub no read has loaded yet knows neither its payload's length nor its
+// framing, and undercounts.
+func (v *Version) logLen(table uint32, rid RID) int64 {
+	return int64(wal.RecordLen(v.flags.Load()&flagCSN != 0, table, uint64(rid), int(v.n.Load())))
 }
 
 // setData makes b, the row's bytes, v's payload: a pre-durable write's in its
@@ -85,11 +124,21 @@ func (v *Version) resident() ([]byte, bool) {
 	return unsafe.Slice(p, v.n.Load()), true
 }
 
-// private reports whether v's payload is still off the log (priv).
-func (v *Version) private() bool { return v.priv.Load() }
+// private reports whether v's payload is still off the log (flagPriv).
+func (v *Version) private() bool { return v.flags.Load()&flagPriv != 0 }
 
-// release clears priv and reports whether this call cleared it.
-func (v *Version) release() bool { return v.priv.CompareAndSwap(true, false) }
+// release clears flagPriv and reports whether this call cleared it.
+func (v *Version) release() bool {
+	for {
+		old := v.flags.Load()
+		if old&flagPriv == 0 {
+			return false
+		}
+		if v.flags.CompareAndSwap(old, old&^flagPriv) {
+			return true
+		}
+	}
+}
 
 // Tomb reports whether the version is a delete marker.
 func (v *Version) Tomb() bool { return v.tomb }
@@ -137,6 +186,9 @@ func (v *Version) reload(log recordReader) ([]byte, error) {
 		return nil, err
 	}
 	v.setData(rec.Payload)
+	if rec.CSN != 0 && v.flags.Load()&flagCSN == 0 {
+		v.setFlag(flagCSN) // a checkpoint stub learns its framing
+	}
 	return rec.Payload, nil
 }
 

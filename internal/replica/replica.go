@@ -59,12 +59,23 @@ func init() {
 
 // Source serves the log-shipping opcodes for a primary engine. It
 // implements server.ReplicationSource.
+//
+// The first shipping request (a list or a fetch: a client's fencing probe
+// says hello too) holds the engine's log compaction
+// (core.Engine.HoldCompaction), for the Source's lifetime: a follower that
+// has attached may resume from its mirror at any time, and one that applied a
+// row's insert and had not yet mirrored its delete would keep the row if a
+// compaction dropped the delete's segment. Checkpoints go on.
 type Source struct {
-	e *core.Engine
+	e      *core.Engine
+	attach sync.Once
 }
 
 // NewSource exposes a primary engine's PLogs for shipping.
 func NewSource(e *core.Engine) *Source { return &Source{e: e} }
+
+// attached holds compaction once a follower ships.
+func (s *Source) attached() { s.attach.Do(s.e.HoldCompaction) }
 
 // ReplHello identifies the primary: its manifest PLog and current CSN.
 func (s *Source) ReplHello() (srss.PLogID, uint64) {
@@ -82,6 +93,7 @@ func stat(p *srss.PLog) wire.PLogStat {
 
 // ReplList enumerates the primary's PLogs across both tiers.
 func (s *Source) ReplList() []wire.PLogStat {
+	s.attached()
 	svc := s.e.Service()
 	var out []wire.PLogStat
 	for _, tier := range []srss.Tier{srss.TierCompute, srss.TierStorage} {
@@ -98,6 +110,7 @@ func (s *Source) ReplList() []wire.PLogStat {
 
 // ReplFetch reads up to maxBytes from one PLog at offset.
 func (s *Source) ReplFetch(id srss.PLogID, offset int64, maxBytes int) (wire.PLogStat, []byte, error) {
+	s.attached()
 	p, err := s.e.Service().Open(id)
 	if err != nil {
 		return wire.PLogStat{}, nil, err
@@ -158,6 +171,9 @@ type Shipper struct {
 
 	// chaos (nil = inert) arms the replica.ship.fetch site.
 	chaos *chaos.Engine
+
+	// mirrored is the PLogs the last whole pass listed and mirrored.
+	mirrored map[srss.PLogID]bool
 }
 
 // fetchTraceEvery samples one traced OpReplFetch out of this many.
@@ -285,8 +301,10 @@ func (sh *Shipper) HelloCSN() uint64 { return sh.helloCSN.Load() }
 func (sh *Shipper) LagBytes() int64 { return sh.lagBytes.Load() }
 
 // ShipOnce lists the primary's PLogs and pulls every local mirror up to
-// date, sealing mirrors of sealed PLogs (torn state mirrored). Returns
-// the number of bytes shipped.
+// date, sealing mirrors of sealed PLogs (torn state mirrored), and deletes
+// the mirror of a PLog the primary no longer lists: it was dropped there --
+// a compacted segment, a superseded checkpoint image. Returns the number of
+// bytes shipped.
 func (sh *Shipper) ShipOnce() (int64, error) {
 	body, err := sh.roundTrip(wire.OpReplList, nil, false)
 	if err != nil {
@@ -297,7 +315,9 @@ func (sh *Shipper) ShipOnce() (int64, error) {
 		return 0, err
 	}
 	var shipped, lag int64
+	listed := make(map[srss.PLogID]bool, len(stats))
 	for _, st := range stats {
+		listed[st.ID] = true
 		n, behind, err := sh.shipOne(st)
 		shipped += n
 		lag += behind
@@ -307,6 +327,15 @@ func (sh *Shipper) ShipOnce() (int64, error) {
 		}
 	}
 	sh.lagBytes.Store(lag)
+	// Only after a whole pass: the primary drops a PLog once what
+	// supersedes it is durable, and the pass has mirrored that too. A
+	// mirror already gone is all a failed delete can mean.
+	for id := range sh.mirrored {
+		if !listed[id] {
+			_ = sh.svc.Delete(id)
+		}
+	}
+	sh.mirrored = listed
 	return shipped, nil
 }
 

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -218,13 +219,22 @@ func PayloadOffset(buf []byte, payloadLen int) int {
 // the op byte the record is stored with: what a point read returns does not
 // say whether the record carries a CSN, the stored op byte's marks do.
 func HeaderLen(op byte, rec Record) int {
-	var b [binary.MaxVarintLen64]byte
-	n := bodyAt(op & markBits)
-	for _, v := range [...]uint64{uint64(rec.Table), rec.RID, uint64(len(rec.Payload))} {
-		n += binary.PutUvarint(b[:], v)
-	}
-	return n
+	return RecordLen(op&markCont == 0, rec.Table, rec.RID, len(rec.Payload)) - len(rec.Payload) - 4
 }
+
+// RecordLen returns the length of a record of table's row rid with an n-byte
+// payload: its header -- with the CSN when first, the record being its
+// transaction's first -- the payload and the checksum.
+func RecordLen(first bool, table uint32, rid uint64, n int) int {
+	h := bodyAt(markCont)
+	if first {
+		h = bodyAt(0)
+	}
+	return h + uvarintLen(uint64(table)) + uvarintLen(rid) + uvarintLen(uint64(n)) + n + 4
+}
+
+// uvarintLen is the length of x's uvarint encoding: seven bits a byte.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // StampTxn readies the transaction buffer buf, whose last record begins at
 // last, for the log: its CSN goes into the first record and the end mark onto

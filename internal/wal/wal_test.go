@@ -835,3 +835,24 @@ func TestSegmentIDsExhaustedFailStop(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordLen: RecordLen is the length AppendRecord encodes, for a
+// transaction's first record and a continuation alike, across the uvarint
+// widths of table, RID and payload length.
+func TestRecordLen(t *testing.T) {
+	for _, table := range []uint32{0, 127, 128, 1 << 20, 1<<32 - 1} {
+		for _, rid := range []uint64{0, 1, 1 << 14, 1<<48 - 1, 1<<64 - 1} {
+			for _, n := range []int{0, 1, 127, 128, 20000} {
+				payload := make([]byte, n)
+				first, _ := AppendRecord(nil, OpUpdate, table, rid, payload)
+				both, off := AppendRecord(first, OpUpdate, table, rid, payload)
+				if got := RecordLen(true, table, rid, n); got != len(first) {
+					t.Fatalf("first record (%d, %d, %d): RecordLen %d, encoded %d", table, rid, n, got, len(first))
+				}
+				if got := RecordLen(false, table, rid, n); got != len(both)-off {
+					t.Fatalf("continuation (%d, %d, %d): RecordLen %d, encoded %d", table, rid, n, got, len(both)-off)
+				}
+			}
+		}
+	}
+}
