@@ -595,11 +595,12 @@ func BenchmarkWritePath(b *testing.B) {
 
 // crashedIngest is the repository benchmark's ingest_recover in small:
 // 140-byte rows bulk-loaded by two clients, 128 per commit, a checkpoint
-// after three quarters of them, then the crash. It returns the configuration
-// to recover with, whose Service is the storage the log survives in.
-func crashedIngest(tb testing.TB, rows int) core.Config {
+// after the first checkpointed of them, tail more, then the crash. It returns
+// the configuration to recover with, whose Service is the storage the log
+// survives in, and the bytes the tail added to the log.
+func crashedIngest(tb testing.TB, checkpointed, tail int) (cfg core.Config, tailBytes int64) {
 	tb.Helper()
-	cfg := core.Config{Service: srss.New(srss.Config{Model: delay.Zero()}), Workers: 4}
+	cfg = core.Config{Service: srss.New(srss.Config{Model: delay.Zero()}), Workers: 4}
 	e, err := core.Open(cfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -646,20 +647,22 @@ func crashedIngest(tb testing.TB, rows int) core.Config {
 			}
 		}
 	}
-	load(0, rows*3/4)
+	load(0, checkpointed)
 	if _, err := e.Checkpoint(); err != nil {
 		tb.Fatal(err)
 	}
-	load(rows*3/4, rows)
+	before := e.Log().TotalBytes()
+	load(checkpointed, checkpointed+tail)
+	tailBytes = e.Log().TotalBytes() - before
 	e.Close()
-	return cfg
+	return cfg, tailBytes
 }
 
 // BenchmarkRecover is one crash recovery of crashedIngest's 200k rows with
-// two threads: checkpoint load, replay of the last quarter, index rebuild.
+// two threads: checkpoint load, replay of the last quarter, indexes.
 func BenchmarkRecover(b *testing.B) {
 	const rows = 200_000
-	cfg := crashedIngest(b, rows)
+	cfg, _ := crashedIngest(b, rows*3/4, rows/4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var st *core.RecoveryStats
@@ -681,15 +684,15 @@ func BenchmarkRecover(b *testing.B) {
 // Version -- the header of its log-backed payload is inside it; its int key's
 // RID is a word in an index node's slot, no leaf -- plus the amortised rest
 // (the tree's inner nodes and value arrays, the PIA's pages). It also holds
-// the storage reads of a recovery to the log's chunks, not its rows -- the
-// count behind recover_s that no host can blur -- and checks that a rebuilt
-// row is read back from memory.
+// the storage reads of a recovery to the chunks of the log's tail -- no
+// checkpointed row is read -- and checks that a checkpointed row's first read
+// is one storage read, and a replayed row's none.
 func TestRecoveryAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads 200k rows")
 	}
 	const rows = 200_000
-	cfg := crashedIngest(t, rows)
+	cfg, tailBytes := crashedIngest(t, rows*3/4, rows/4)
 	svc := cfg.Service
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -702,40 +705,76 @@ func TestRecoveryAllocs(t *testing.T) {
 	defer e.Close()
 	reads := svc.Stats().Reads.Load() - readsBefore
 	runtime.ReadMemStats(&after)
-	if st.IndexKeys != rows || st.CheckpointEntries != rows*3/4 || st.RecordsApplied != rows/4 {
-		t.Fatalf("recovered %d keys from %d checkpoint entries and %d replayed records, want %d, %d, %d",
-			st.IndexKeys, st.CheckpointEntries, st.RecordsApplied, rows, rows*3/4, rows/4)
+	if st.IndexKeys != rows || st.ImageKeys != rows*3/4 || st.CheckpointEntries != rows*3/4 || st.RecordsApplied != rows/4 {
+		t.Fatalf("recovered %d keys (%d from the image) from %d checkpoint entries and %d replayed records, want %d, %d, %d, %d",
+			st.IndexKeys, st.ImageKeys, st.CheckpointEntries, st.RecordsApplied, rows, rows*3/4, rows*3/4, rows/4)
 	}
 	if perRow := float64(after.Mallocs-before.Mallocs) / rows; perRow > 1.1 {
 		t.Errorf("recovery allocates %.2f times per recovered row, want <= 1.1", perRow)
 	} else {
 		t.Logf("%.3f allocations per recovered row", perRow)
 	}
-	// 28 MB of log in 256 KiB chunks, read by a replay pass over a quarter
-	// of it and by two rebuild workers over all of it.
-	if reads > 1000 || st.WindowReads > reads {
-		t.Errorf("recovery issued %d storage reads (%d of them log windows) for %d rows, want <= 1000", reads, st.WindowReads, rows)
+	// A window per 256 KiB chunk of the tail, up to two more reads for the
+	// record a chunk boundary cuts, and one more per segment scanned.
+	chunks := tailBytes/(256<<10) + 1
+	if bound := 3*chunks + int64(st.SegmentsScanned); st.WindowReads > bound || st.WindowReads > reads {
+		t.Errorf("recovery issued %d log window reads (%d storage reads) for a %d-byte tail, want <= %d", st.WindowReads, reads, tailBytes, bound)
 	} else {
-		t.Logf("%d storage reads, %d of them log windows", reads, st.WindowReads)
+		t.Logf("%d storage reads, %d of them log windows, for a tail of %d chunks", reads, st.WindowReads, chunks)
 	}
 
 	tbl, err := e.Table("ingest")
 	if err != nil {
 		t.Fatal(err)
 	}
-	readsBefore = svc.Stats().Reads.Load()
 	tx, err := e.Begin(0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer tx.Abort()
 	for id := int64(0); id < rows; id += 997 {
+		readsBefore = svc.Stats().Reads.Load()
 		_, row, err := tx.GetByKey(tbl, 0, core.I(id))
 		if err != nil || row[1].Int() != id*7919 {
 			t.Fatalf("row %d after recovery: %v, %v", id, row, err)
 		}
+		want := int64(0) // replayed: the payload is the log's, resident
+		if id < rows*3/4 {
+			want = 1 // checkpointed: faulted in, checksum-verified, on its first read
+		}
+		if got := svc.Stats().Reads.Load() - readsBefore; got != want {
+			t.Fatalf("the first read of row %d cost %d storage reads, want %d", id, got, want)
+		}
 	}
-	tx.Abort()
-	if got := svc.Stats().Reads.Load() - readsBefore; got != 0 {
-		t.Errorf("reading %d rebuilt rows cost %d storage reads, want 0: the rebuild caches each payload", rows/997+1, got)
+}
+
+// TestRecoveryReadsOnlyTheTail: recovery's log reads scale with the tail, not
+// the table. Twice the checkpointed rows under the same tail cost the same
+// window reads, and twice the tail about twice as many.
+func TestRecoveryReadsOnlyTheTail(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads 450k rows")
+	}
+	windows := func(checkpointed, tail int) (int64, int64) {
+		cfg, tailBytes := crashedIngest(t, checkpointed, tail)
+		e, st, err := core.RecoverByName(cfg, core.RecoverOptions{ReplayThreads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Close()
+		if st.ImageKeys != int64(checkpointed) || st.IndexKeys != int64(checkpointed+tail) {
+			t.Fatalf("%d checkpointed rows and a tail of %d: %d keys, %d from the image", checkpointed, tail, st.IndexKeys, st.ImageKeys)
+		}
+		return st.WindowReads, tailBytes
+	}
+	small, tailBytes := windows(50_000, 25_000)
+	big, bigTail := windows(100_000, 25_000)
+	t.Logf("%d window reads over %d checkpointed rows, %d over twice as many; a %d-byte tail", small, 50_000, big, tailBytes)
+	if big != small || bigTail != tailBytes {
+		t.Errorf("twice the checkpointed rows under the same %d-byte tail (%d bytes) cost %d window reads, once as many %d",
+			tailBytes, bigTail, big, small)
+	}
+	if double, _ := windows(50_000, 50_000); double < small*3/2 {
+		t.Errorf("twice the tail cost %d window reads, once %d", double, small)
 	}
 }

@@ -99,7 +99,8 @@ func main() {
 	defer engine2.Close()
 	fmt.Printf("recovered: checkpoint entries=%d, segments=%d, records scanned=%d applied=%d\n",
 		stats.CheckpointEntries, stats.SegmentsScanned, stats.RecordsScanned, stats.RecordsApplied)
-	fmt.Printf("replay %v (PIAs only), index rebuild %v\n", stats.ReplayDuration, stats.IndexDuration)
+	fmt.Printf("replay %v (PIAs only), indexes %v (%d image keys, %d tail keys)\n",
+		stats.ReplayDuration, stats.IndexDuration, stats.ImageKeys, stats.IndexKeys-stats.ImageKeys)
 
 	events2, _ := engine2.Table("events")
 	check, _ := engine2.Begin(0)

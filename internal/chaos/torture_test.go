@@ -331,6 +331,7 @@ func recoverAndDiff(t *testing.T, ch *chaos.Engine, svc *srss.Service, cfg core.
 	if err != nil {
 		t.Fatalf("recovered engine lost the table: %v", err)
 	}
+	checkIndexes(t, e, tbl)
 	tx, err := e.Begin(0)
 	if err != nil {
 		t.Fatalf("begin on recovered engine: %v", err)
@@ -393,4 +394,48 @@ func recoverAndDiff(t *testing.T, ch *chaos.Engine, svc *srss.Service, cfg core.
 		ch.Arm(r)
 	}
 	return e, tbl
+}
+
+// checkIndexes checks a just-recovered table's indexes against its rows: the
+// (key, RID) pairs each index holds are exactly the keys of the rows read
+// back, one per row.
+func checkIndexes(t *testing.T, e *core.Engine, tbl *core.Table) {
+	t.Helper()
+	tx, err := e.Begin(0)
+	if err != nil {
+		t.Fatalf("begin on recovered engine: %v", err)
+	}
+	defer tx.Abort()
+	for i, def := range tbl.Schema.Indexes {
+		got := map[string]core.RID{}
+		if err := tbl.Index(i).Scan(nil, nil, func(k []byte, rid uint64) bool {
+			got[string(k)] = core.RID(rid)
+			return true
+		}); err != nil {
+			t.Fatalf("index %s: %v", def.Name, err)
+		}
+		rows := 0
+		tbl.Rows().Range(func(rid core.RID, _ *core.Version) bool {
+			row, err := tx.Get(tbl, rid)
+			if err != nil {
+				t.Fatalf("rid %v: read after recovery: %v", rid, err)
+			}
+			vals := make([]core.Value, len(def.Columns))
+			for j, c := range def.Columns {
+				vals[j] = row[c]
+			}
+			k := core.EncodeKey(nil, vals...)
+			if !def.Unique {
+				k = core.EncodeRIDSuffix(k, uint64(rid))
+			}
+			if r, ok := got[string(k)]; !ok || r != rid {
+				t.Fatalf("index %s: the key of row %v (%v) maps to %v (present %v)", def.Name, rid, row, r, ok)
+			}
+			rows++
+			return true
+		})
+		if rows != len(got) {
+			t.Fatalf("index %s holds %d keys for %d rows", def.Name, len(got), rows)
+		}
+	}
 }

@@ -22,8 +22,8 @@ import (
 //
 // The passes differ in one thing, which the applier knows from its own state:
 // whether the engine already serves reads. Recovery's pass has no readers: it
-// swaps a dataless stub in for a row's head, newest CSN wins, and leaves
-// payloads and indexes to the rebuild and delete markers to a post-pass. A
+// swaps a version in for a row's head, newest CSN wins, and leaves indexes to
+// the index phase and delete markers to a post-pass. A
 // later pass has readers: it installs a record the way a commit installs a
 // write -- on top of the chain, the superseded head retired to GC at the
 // record's CSN, index keys added -- so a snapshot keeps the versions it sees,
@@ -147,7 +147,7 @@ func (a *applier) pass(threads int, st *RecoveryStats) (stalled bool, err error)
 				default:
 					for i := range txn {
 						r := &txn[i]
-						if t := a.tables[r.Table]; t != nil && a.apply(t, r.Addr, r.Record) {
+						if t := a.tables[r.Table]; t != nil && a.apply(t, r.Addr, r.Record, i == 0) {
 							applied++
 						}
 					}
@@ -219,12 +219,14 @@ func (a *applier) table(id uint32) (t *Table, ok bool) {
 }
 
 // apply installs one record of table t at addr unless the row already holds a
-// newer version, and reports whether it did. A record at the head's own CSN
-// is the head relocated by a compaction rewrite (rewrites keep their CSNs):
-// the version takes the new address and lets go of a payload cached from the
-// old one, which the primary drops once the rewrite is durable. Not counted
-// as applied -- the version's content and indexes are already in place.
-func (a *applier) apply(t *Table, addr wal.Addr, rec wal.Record) bool {
+// newer version, and reports whether it did; first says the record is its
+// transaction's first. The version's payload is the record's, where the scan
+// found it. A record at the head's own CSN is the head relocated by a
+// compaction rewrite (rewrites keep their CSNs): the version takes the new
+// address and the rewrite's payload, letting go of one cached from the old
+// record, which the primary drops once the rewrite is durable. Not counted as
+// applied -- the version's content and indexes are already in place.
+func (a *applier) apply(t *Table, addr wal.Addr, rec wal.Record, first bool) bool {
 	rid := RID(rec.RID)
 	if err := t.rows.AllocAt(rid); err != nil {
 		return false
@@ -232,8 +234,11 @@ func (a *applier) apply(t *Table, addr wal.Addr, rec wal.Record) bool {
 	v := &Version{tomb: rec.Op == wal.OpDelete}
 	v.tmin.Store(rec.CSN)
 	v.addr.Store(uint64(addr))
-	if a.live && !v.tomb {
+	if !v.tomb {
 		v.setData(rec.Payload)
+	}
+	if first {
+		v.flags.Store(flagCSN)
 	}
 	for {
 		head := t.rows.Get(rid)
@@ -244,7 +249,12 @@ func (a *applier) apply(t *Table, addr wal.Addr, rec wal.Record) bool {
 			}
 			if have == rec.CSN {
 				head.addr.Store(uint64(addr))
-				head.data.Store(nil)
+				if !head.tomb {
+					head.setData(rec.Payload)
+				}
+				if first {
+					head.setFlag(flagCSN)
+				}
 				return false
 			}
 		}
@@ -400,7 +410,7 @@ func (a *applier) commitPrepared(addr wal.Addr, payload, body []byte, csn uint64
 	base := addr.Add(uint32(prepHeaderLen(len(payload)) + len(payload) - len(body)))
 	_ = forEachEmbedded(body, func(off int, rec wal.Record) error {
 		rec.CSN = csn
-		if t := a.tables[rec.Table]; t != nil && a.apply(t, base.Add(uint32(off)), rec) {
+		if t := a.tables[rec.Table]; t != nil && a.apply(t, base.Add(uint32(off)), rec, off == 0) {
 			applied++
 		}
 		return nil

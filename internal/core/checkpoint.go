@@ -1,11 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -18,188 +18,15 @@ import (
 
 // Dataless checkpoints and parallel recovery (Section 4.3).
 //
-// A checkpoint persists only the indirection arrays -- (table, RID,
-// permanent log address, CSN) tuples, delta-encoded (imageWriter) -- never
-// record data. Recovery
-// reconstructs the PIAs from the newest checkpoint image and then replays
-// log segments in parallel, using a newest-CSN-wins compare-and-swap per
-// entry so the scattered multi-stream redo logs can be applied in any
-// order. No record data is loaded: entries point back into the replicated
-// log, and later accesses fault data in through SRSS mmap views.
-
-const checkpointHeader byte = 'K'
-
-// The checkpoint image, after its header byte, is a sequence of table runs:
-// a uvarint table ID, the table's entries in ascending RID order, and a
-// uvarint 0. An entry is
-//
-//   - uvarint delta<<1 | switched: delta (>= 1) is the RID minus the run's
-//     previous RID (0 before the first); switched says the entry's segment
-//     key differs from the image's previous entry's, and then
-//   - uvarint key: addr>>32, the segment key (the first entry compares
-//     with key 0);
-//   - varint (zigzag) offset delta: addr's low 32 bits minus the offset of
-//     the image's last entry under the same key (0 before the first);
-//   - varint (zigzag) CSN delta against that same entry, modulo 2^64.
-//
-// Rows in RID order lie in log order within each stream's segments, so an
-// entry is mostly a one-byte RID delta, a record's length and a CSN delta of
-// 0: three to five bytes where four plain uvarints took 12-14. SRSS is
-// memory-only, so no image of an older format ever has to load.
-
-// maxImageRID is the largest RID a PIA addresses: a 16-bit partition and a
-// 32-bit slot.
-const maxImageRID = 1<<48 - 1
-
-// imageCursor is the last entry under one segment key: what the next one's
-// offset and CSN are encoded against.
-type imageCursor struct{ off, csn uint64 }
-
-// imageWriter encodes a checkpoint image into buf.
-type imageWriter struct {
-	buf   []byte
-	run   bool // a table run is open
-	table uint32
-	rid   RID
-	key   uint64
-	cur   *imageCursor // key's cursor
-	last  map[uint64]*imageCursor
-}
-
-// cursorOf returns segment key k's cursor in m, adding a zero one.
-func cursorOf(m map[uint64]*imageCursor, k uint64) *imageCursor {
-	c := m[k]
-	if c == nil {
-		c = new(imageCursor)
-		m[k] = c
-	}
-	return c
-}
-
-// add appends one entry. Within a table run RIDs must ascend strictly.
-func (w *imageWriter) add(table uint32, rid RID, addr, csn uint64) {
-	if w.last == nil {
-		w.last = map[uint64]*imageCursor{}
-		w.cur = cursorOf(w.last, 0)
-	}
-	if !w.run || table != w.table {
-		w.end()
-		w.buf = binary.AppendUvarint(w.buf, uint64(table))
-		w.run, w.table, w.rid = true, table, 0
-	}
-	key, off := addr>>32, addr&math.MaxUint32
-	head := uint64(rid-w.rid) << 1
-	if key != w.key {
-		w.buf = binary.AppendUvarint(w.buf, head|1)
-		w.buf = binary.AppendUvarint(w.buf, key)
-		w.key, w.cur = key, cursorOf(w.last, key)
-	} else {
-		w.buf = binary.AppendUvarint(w.buf, head)
-	}
-	w.buf = binary.AppendVarint(w.buf, int64(off-w.cur.off))
-	w.buf = binary.AppendVarint(w.buf, int64(csn-w.cur.csn))
-	w.cur.off, w.cur.csn, w.rid = off, csn, rid
-}
-
-// end closes the open table run, if any.
-func (w *imageWriter) end() {
-	if w.run {
-		w.buf = append(w.buf, 0)
-		w.run = false
-	}
-}
-
-// imageReader decodes varints off a checkpoint image; the first error sticks.
-type imageReader struct {
-	b   []byte
-	pos int
-	err error
-}
-
-func (r *imageReader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("core: corrupt checkpoint image: %s at byte %d", what, r.pos+1)
-	}
-}
-
-func (r *imageReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	x, n := binary.Uvarint(r.b[r.pos:])
-	if n <= 0 {
-		r.fail("bad uvarint")
-		return 0
-	}
-	r.pos += n
-	return x
-}
-
-func (r *imageReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	x, n := binary.Varint(r.b[r.pos:])
-	if n <= 0 {
-		r.fail("bad varint")
-		return 0
-	}
-	r.pos += n
-	return x
-}
-
-// readImage hands fn every entry of a checkpoint image (b is the bytes after
-// its header). Bytes that are not an image are an error, never a panic: a
-// varint cut short or overlong, a run without its end, a RID delta of 0 or
-// one past 48 bits, a segment key past 32 bits, an offset outside
-// [0, 2^32).
-func readImage(b []byte, fn func(table uint32, rid RID, addr, csn uint64) error) error {
-	r := imageReader{b: b}
-	last := map[uint64]*imageCursor{}
-	key, cur := uint64(0), cursorOf(last, 0)
-	for r.pos < len(b) {
-		table := r.uvarint()
-		if table > math.MaxUint32 {
-			r.fail("table id past 32 bits")
-		}
-		var rid uint64
-		for {
-			head := r.uvarint()
-			if r.err != nil {
-				return r.err
-			}
-			if head == 0 {
-				break
-			}
-			d := head >> 1
-			if d == 0 || d > maxImageRID-rid {
-				r.fail("RID delta out of range")
-				return r.err
-			}
-			rid += d
-			if head&1 != 0 {
-				if key = r.uvarint(); key > math.MaxUint32 {
-					r.fail("segment key past 32 bits")
-				}
-				cur = cursorOf(last, key)
-			}
-			dOff, dCSN := r.varint(), r.varint()
-			if r.err != nil {
-				return r.err
-			}
-			off := int64(cur.off) + dOff
-			if off < 0 || off > math.MaxUint32 {
-				r.fail("offset out of range")
-				return r.err
-			}
-			cur.off, cur.csn = uint64(off), cur.csn+uint64(dCSN)
-			if err := fn(uint32(table), RID(rid), key<<32|cur.off, cur.csn); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
+// A checkpoint persists the indirection arrays -- each row's table, RID,
+// permanent log address, CSN, record framing and index keys, delta-encoded
+// (image.go) -- never record data. Recovery reconstructs the PIAs from the
+// newest checkpoint image and then replays the log segments the checkpoint
+// did not fence in parallel, using a newest-CSN-wins compare-and-swap per
+// entry so the scattered multi-stream redo logs can be applied in any order.
+// It builds the indexes from the image's keys and the replayed tail's rows.
+// No checkpointed record is read: entries point back into the replicated
+// log, and a row's first read faults it in through SRSS mmap views.
 
 // Checkpoint writes a new checkpoint image and registers it in the
 // manifest. It runs concurrently with forward processing: the image is a
@@ -267,11 +94,12 @@ func (e *Engine) checkpointLocked() (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	img := imageWriter{buf: make([]byte, 0, 64<<10)}
+	img := imageWriter{buf: make([]byte, 0, imageBlockSize+imageBlockSize/8)}
 	img.buf = append(img.buf, checkpointHeader)
 	entries := int64(0)
 	flushes := 0
 	flush := func() error {
+		img.closeBlock()
 		if len(img.buf) == 0 {
 			return nil
 		}
@@ -296,7 +124,18 @@ func (e *Engine) checkpointLocked() (uint64, error) {
 	}
 	e.mu.RUnlock()
 
+	// An entry's keys come from the version it records: resident in a live
+	// engine, read through one windowed reader, in RID order, for a stub no
+	// read has loaded since recovery.
+	var ent imageEntry
+	var view RowView
+	var rd *wal.Reader
+	var keys [][]byte
 	for _, t := range tables {
+		for len(keys) < len(t.indexes) {
+			keys = append(keys, nil)
+		}
+		ent.table, ent.keys = t.ID, keys[:len(t.indexes)]
 		var werr error
 		t.rows.Range(func(rid RID, head *Version) bool {
 			// Walk to the newest durable version visible at ckptCSN.
@@ -313,9 +152,28 @@ func (e *Engine) checkpointLocked() (uint64, error) {
 				if v.tomb {
 					return true // a durable delete: omit the record entirely
 				}
-				img.add(t.ID, rid, addr, ts)
+				p, ok := v.resident()
+				if !ok {
+					if rd == nil {
+						rd = e.log.NewReader()
+					}
+					if p, werr = v.reload(rd); werr != nil {
+						return false
+					}
+				}
+				if _, werr = view.Reset(p); werr != nil {
+					return false
+				}
+				for i, k := range ent.keys {
+					if ent.keys[i], werr = view.AppendKey(k[:0], t.Schema.Indexes[i].Columns); werr != nil {
+						return false
+					}
+				}
+				ent.rid, ent.addr, ent.csn = rid, addr, ts
+				ent.first, ent.n = v.flags.Load()&flagCSN != 0, len(p)
+				img.add(&ent)
 				entries++
-				if len(img.buf) >= 64<<10 {
+				if len(img.buf) >= imageBlockSize {
 					if werr = flush(); werr != nil {
 						return false
 					}
@@ -328,7 +186,6 @@ func (e *Engine) checkpointLocked() (uint64, error) {
 			return 0, werr
 		}
 	}
-	img.end()
 	if err := flush(); err != nil {
 		return 0, err
 	}
@@ -383,17 +240,20 @@ type RecoveryStats struct {
 	RecordsApplied    int64
 	MaxCSN            uint64
 	// ReplayDuration runs from the start of the checkpoint load to the end
-	// of log replay (CheckpointLoadDuration is its first part);
-	// IndexDuration is the index rebuild after it.
+	// of log replay, when the PIAs are up (CheckpointLoadDuration is its
+	// first part); IndexDuration is the index phase after it.
 	ReplayDuration         time.Duration
 	CheckpointLoadDuration time.Duration
 	IndexDuration          time.Duration
 	// WindowReads counts the storage reads recovery issued against the log
-	// (wal.Manager.WindowReads): about one per 256 KiB chunk a thread passes
-	// over, whatever the row count. IndexKeys counts the keys the rebuild
-	// inserted.
+	// (wal.Manager.WindowReads): about one per 256 KiB chunk of the tail the
+	// replay passes over. No checkpointed record is read.
 	WindowReads int64
-	IndexKeys   int64
+	// IndexKeys counts the keys the index phase inserted; ImageKeys those of
+	// them it took from the checkpoint image, the rest coming from the
+	// replayed tail's rows.
+	IndexKeys int64
+	ImageKeys int64
 	// TornTails counts checksum-invalid segment tails (torn writes from a
 	// crash mid-replication) that replay truncated at the last valid
 	// record; TruncatedBytes is the total tail bytes dropped. Truncated
@@ -423,7 +283,7 @@ func RecoverByName(cfg Config, opt RecoverOptions) (*Engine, *RecoveryStats, err
 }
 
 // Recover rebuilds an engine from its manifest PLog: catalog, checkpoint
-// image, the log applier's parallel pass, and the index rebuild.
+// image, the log applier's parallel pass, and the indexes.
 func Recover(cfg Config, manifestID srss.PLogID, opt RecoverOptions) (*Engine, *RecoveryStats, error) {
 	a, stats, err := recoverLog(cfg, manifestID, opt)
 	if err != nil {
@@ -458,7 +318,7 @@ func recoverLog(cfg Config, manifestID srss.PLogID, opt RecoverOptions) (*applie
 		pendForget: make(map[string]bool),
 	}
 	var walMeta, ckptID srss.PLogID
-	var epoch, fencedBy uint64
+	var epoch, fencedBy, ckptEntries uint64
 	if err := scanManifest(manifest, func(typ byte, payload []byte) error {
 		switch typ {
 		case manifestWAL:
@@ -488,7 +348,7 @@ func recoverLog(cfg Config, manifestID srss.PLogID, opt RecoverOptions) (*applie
 			}
 			pos += n
 			a.skipCSN = csn
-			if _, n = binary.Uvarint(payload[pos:]); n > 0 { // entry count
+			if ckptEntries, n = binary.Uvarint(payload[pos:]); n > 0 {
 				pos += n
 			}
 			a.fenced = map[uint16]bool{}
@@ -532,14 +392,14 @@ func recoverLog(cfg Config, manifestID srss.PLogID, opt RecoverOptions) (*applie
 	stats := &RecoveryStats{}
 	start := time.Now()
 
-	// Phase 1: load the checkpoint image (addresses only -- dataless).
+	// Phase 1: load the checkpoint image into PIA stubs: addresses and
+	// framing, no row data.
+	var blocks [][]byte
 	if !ckptID.IsZero() {
 		stats.CheckpointCSN = a.skipCSN
-		n, err := e.loadCheckpoint(ckptID)
-		if err != nil {
+		if blocks, stats.CheckpointEntries, err = e.loadCheckpoint(ckptID, ckptEntries, opt.ReplayThreads); err != nil {
 			return nil, nil, err
 		}
-		stats.CheckpointEntries = n
 		stats.CheckpointLoadDuration = time.Since(start)
 	}
 
@@ -555,17 +415,33 @@ func recoverLog(cfg Config, manifestID srss.PLogID, opt RecoverOptions) (*applie
 	stats.TornTails, stats.TruncatedBytes = log.TailTruncations()
 	stats.MaxCSN = a.maxCSN
 
-	// Phase 3: clear tombstone heads (deletes).
+	// Phase 3: clear tombstone heads (deletes), and gather the rows the
+	// replay installed, whose keys the image does not hold.
+	var tail []rowChunk
 	for _, t := range e.tablesByID {
 		var live int64
+		c := rowChunk{t: t}
 		t.rows.RangeAll(func(rid RID, v *Version) bool {
-			if v != nil && v.tomb {
+			switch {
+			case v == nil:
+			case v.tomb:
 				_, _ = t.rows.DeleteIf(rid, v)
-			} else if v != nil {
+			default:
 				live++
+				if v.flags.Load()&flagImage == 0 {
+					if c.rids == nil {
+						c.rids = make([]RID, 0, indexChunk)
+					}
+					if c.rids = append(c.rids, rid); len(c.rids) == indexChunk {
+						tail, c.rids = append(tail, c), nil
+					}
+				}
 			}
 			return true
 		})
+		if len(c.rids) > 0 {
+			tail = append(tail, c)
+		}
 		t.liveRows.Store(live)
 	}
 	stats.ReplayDuration = time.Since(start)
@@ -573,12 +449,13 @@ func recoverLog(cfg Config, manifestID srss.PLogID, opt RecoverOptions) (*applie
 	// Resume CSN allocation above everything replayed.
 	e.clk.AdvanceTo(stats.MaxCSN)
 
-	// Phase 4: rebuild in-memory indexes by scanning the PIAs.
+	// Phase 4: the indexes, from the image's keys and the tail's rows.
 	ixStart := time.Now()
-	var live []int64
-	if stats.IndexKeys, live, err = e.rebuildIndexes(opt.ReplayThreads); err != nil {
+	ix, err := e.buildIndexes(blocks, tail, opt.ReplayThreads)
+	if err != nil {
 		return nil, nil, err
 	}
+	stats.IndexKeys, stats.ImageKeys = ix.keys+ix.imageKeys, ix.imageKeys
 	stats.IndexDuration = time.Since(ixStart)
 
 	// Phase 5, on a writable engine: the end of the log (a replica's comes
@@ -590,8 +467,12 @@ func recoverLog(cfg Config, manifestID srss.PLogID, opt RecoverOptions) (*applie
 	}
 	a.live = true
 	stats.WindowReads = log.WindowReads()
+	e.obs.Gauge("core.recover_load_ns").Set(int64(stats.CheckpointLoadDuration))
+	e.obs.Gauge("core.recover_replay_ns").Set(int64(stats.ReplayDuration - stats.CheckpointLoadDuration))
+	e.obs.Gauge("core.recover_index_ns").Set(int64(stats.IndexDuration))
+	e.obs.Gauge("core.recover_image_keys").Set(stats.ImageKeys)
 	if !opt.readOnly && cfg.GCEveryNCommits > 0 {
-		e.startMaintenance(e.seedDeadLog(live))
+		e.startMaintenance(e.seedDeadLog(ix.live))
 	}
 	return a, stats, nil
 }
@@ -610,199 +491,272 @@ func (e *Engine) durableAddr(v *Version) (uint64, error) {
 	}
 }
 
-// loadCheckpoint reads a checkpoint image into the PIAs.
-func (e *Engine) loadCheckpoint(id srss.PLogID) (int64, error) {
+// loadCheckpoint reads the checkpoint image id, which the manifest says
+// holds want entries, into PIA stubs on threads goroutines, a block each at
+// a time. It returns the image's blocks, which the index phase reads again
+// for their keys, and its entry count.
+func (e *Engine) loadCheckpoint(id srss.PLogID, want uint64, threads int) ([][]byte, int64, error) {
 	plog, err := e.svc.Open(id)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	v := plog.Mmap()
 	size := v.Len()
 	if size == 0 {
-		return 0, nil
+		return nil, 0, nil
 	}
 	b, err := v.At(0, int(size))
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	if b[0] != checkpointHeader {
-		return 0, fmt.Errorf("core: bad checkpoint header %#x", b[0])
+		return nil, 0, fmt.Errorf("core: bad checkpoint header %#x", b[0])
 	}
 	e.mCheckpointImage.Set(size)
 	e.lastImage = id
-	var n int64
+	blocks, err := imageBlocks(b[1:])
+	if err != nil {
+		return nil, 0, err
+	}
+	var total atomic.Int64
+	err = parallel(threads, len(blocks), func(next func() (int, bool)) error {
+		var r imageReader
+		var t *Table
+		var n int64
+		var rids []RID
+		var stubs []*Version
+		defer func() { total.Add(n) }()
+		// Each table's stubs go into its PIA a run at a time.
+		flush := func() error {
+			err := error(nil)
+			if t != nil && len(rids) > 0 {
+				err = t.rows.StoreRun(rids, stubs)
+			}
+			rids, stubs = rids[:0], stubs[:0]
+			return err
+		}
+		load := func(en *imageEntry) error {
+			n++
+			if t == nil || t.ID != en.table {
+				if err := flush(); err != nil {
+					return err
+				}
+				t, _ = e.tableByID(en.table)
+			}
+			if t == nil {
+				return nil
+			}
+			stub := &Version{}
+			stub.tmin.Store(en.csn)
+			stub.addr.Store(en.addr)
+			stub.n.Store(uint32(en.n))
+			f := flagImage
+			if en.first {
+				f |= flagCSN
+			}
+			stub.flags.Store(f)
+			rids, stubs = append(rids, en.rid), append(stubs, stub)
+			return nil
+		}
+		for i, ok := next(); ok; i, ok = next() {
+			if err := r.readBlock(blocks[i], false, load); err != nil {
+				return err
+			}
+			if err := flush(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	if n := total.Load(); uint64(n) != want {
+		return nil, 0, fmt.Errorf("core: checkpoint image holds %d entries, its manifest record %d", n, want)
+	}
+	return blocks, total.Load(), nil
+}
+
+// parallel runs work on threads goroutines, handing them the indexes
+// [0, n) through next, one at a time, and returns the first error.
+func parallel(threads, n int, work func(next func() (int, bool)) error) error {
+	var at atomic.Int64
+	next := func() (int, bool) {
+		i := int(at.Add(1) - 1)
+		return i, i < n
+	}
+	errs := make(chan error, threads)
+	for w := 0; w < threads; w++ {
+		go func() { errs <- work(next) }()
+	}
+	var err error
+	for w := 0; w < threads; w++ {
+		err = cmp.Or(err, <-errs)
+	}
+	return err
+}
+
+// indexChunk is the rows of the tail an index worker takes at a time: one
+// pin per index for that many rows, not per row.
+const indexChunk = 512
+
+// rowChunk is a run of a table's rows that the replay installed.
+type rowChunk struct {
+	t    *Table
+	rids []RID
+}
+
+// indexer is one index worker's state.
+type indexer struct {
+	e       *Engine
+	img     imageReader
+	view    RowView
+	kbuf    []byte
+	t       *Table // the table loaders pins
+	loaders []index.Loader
+	// imageKeys and keys count the keys taken from the image and from rows;
+	// live is, by segment id, the bytes of the records of the rows indexed.
+	imageKeys, keys int64
+	live            []int64
+}
+
+// pin makes loaders pins on t's indexes.
+func (x *indexer) pin(t *Table) {
+	if x.t == t {
+		return
+	}
+	x.unpin()
+	for _, ix := range t.indexes {
+		x.loaders = append(x.loaders, ix.Load())
+	}
+	x.t = t
+}
+
+func (x *indexer) unpin() {
+	for _, l := range x.loaders {
+		l.Done()
+	}
+	x.loaders, x.t = x.loaders[:0], nil
+}
+
+// book counts n bytes of the record at addr live.
+func (x *indexer) book(addr uint64, n int64) {
+	seg := int(wal.Addr(addr).Segment())
+	if seg >= len(x.live) {
+		x.live = append(x.live, make([]int64, seg+1-len(x.live))...)
+	}
+	x.live[seg] += n
+}
+
+// imageBlock indexes the rows of one image block that are still the stubs
+// their entries made -- no replayed record superseded or deleted them -- by
+// the entries' keys.
+func (x *indexer) imageBlock(body []byte) error {
+	defer x.unpin()
 	var t *Table
-	err = readImage(b[1:], func(table uint32, rid RID, addr, csn uint64) error {
-		if t == nil || t.ID != table {
-			// The image is written table by table: look each up once.
-			if t, _ = e.tableByID(table); t == nil {
+	return x.img.readBlock(body, true, func(en *imageEntry) error {
+		if t == nil || t.ID != en.table {
+			if t, _ = x.e.tableByID(en.table); t == nil {
 				return nil
 			}
 		}
-		if err := t.rows.AllocAt(rid); err != nil {
-			return err
+		if len(en.keys) != len(t.indexes) {
+			return fmt.Errorf("core: checkpoint image has %d keys per row of table %q, which has %d indexes",
+				len(en.keys), t.Schema.Name, len(t.indexes))
 		}
-		stub := &Version{}
-		stub.tmin.Store(csn)
-		stub.addr.Store(addr)
-		if err := t.rows.Store(rid, stub); err != nil {
-			return err
+		if v := t.rows.Get(en.rid); v == nil || v.flags.Load()&flagImage == 0 {
+			return nil
 		}
-		n++
+		x.pin(t)
+		for i, k := range en.keys {
+			if !t.Schema.Indexes[i].Unique {
+				x.kbuf = EncodeRIDSuffix(append(x.kbuf[:0], k...), uint64(en.rid))
+				k = x.kbuf
+			}
+			if err := x.loaders[i].Insert(k, uint64(en.rid)); err != nil {
+				return err
+			}
+		}
+		x.imageKeys += int64(len(en.keys))
+		x.book(en.addr, int64(wal.RecordLen(en.first, en.table, uint64(en.rid), en.n)))
 		return nil
 	})
-	return n, err
 }
 
-// rebuildChunk is the rows a rebuild worker takes at a time: one channel
-// send and one pin per index for that many rows, not per row -- at a few
-// hundred nanoseconds of work per key either would otherwise dominate.
-const rebuildChunk = 512
-
-// rebuilder is one rebuild worker's state.
-type rebuilder struct {
-	log  *wal.Reader
-	view RowView
-	kbuf []byte
-	// live is, by segment id, the bytes of the records of the rows it added.
-	live []int64
-}
-
-// add indexes one row version in every index of its table, through the
-// loaders its chunk holds on them.
-func (r *rebuilder) add(t *Table, loaders []index.Loader, rid RID, v *Version) error {
-	p, ok := v.resident()
-	if !ok {
-		var err error
-		if p, err = v.reload(r.log); err != nil {
-			return err
+// rows indexes a chunk of rows the replay installed, by their payloads,
+// which the replay left resident.
+func (x *indexer) rows(c rowChunk) error {
+	defer x.unpin()
+	x.pin(c.t)
+	for _, rid := range c.rids {
+		v := c.t.rows.Get(rid)
+		if v == nil || v.tomb {
+			continue
 		}
-	}
-	seg := int(wal.Addr(v.addr.Load()).Segment())
-	if seg >= len(r.live) {
-		r.live = append(r.live, make([]int64, seg+1-len(r.live))...)
-	}
-	r.live[seg] += v.logLen(t.ID, rid)
-	if _, err := r.view.Reset(p); err != nil {
-		return err
-	}
-	for i, l := range loaders {
-		k, err := t.viewIndexKeyAppend(r.kbuf[:0], i, &r.view, rid)
+		p, err := v.payload(x.e)
 		if err != nil {
 			return err
 		}
-		r.kbuf = k
-		if err := l.Insert(k, uint64(rid)); err != nil {
+		if _, err := x.view.Reset(p); err != nil {
 			return err
 		}
+		for i, l := range x.loaders {
+			if x.kbuf, err = c.t.viewIndexKeyAppend(x.kbuf[:0], i, &x.view, rid); err != nil {
+				return err
+			}
+			if err := l.Insert(x.kbuf, uint64(rid)); err != nil {
+				return err
+			}
+		}
+		x.keys += int64(len(x.loaders))
+		x.book(v.addr.Load(), v.logLen(c.t.ID, rid))
 	}
 	return nil
 }
 
-// RebuildIndexes repopulates every table's in-memory indexes from the
-// indirection arrays and returns the number of keys it inserted. A version
-// whose payload is not resident gets it back from the log, cached and
-// aliasing storage. The rebuild reads the log as a log: rows in RID order
-// lie in log order within each stream's segments, so a worker's wal.Reader
-// serves a chunk's worth of them from one storage read.
-func (e *Engine) RebuildIndexes(parallelism int) (keys int64, err error) {
-	keys, _, err = e.rebuildIndexes(parallelism)
-	return keys, err
+// indexed is what the index phase did: the keys it inserted, from the image
+// and from rows, and by segment id the bytes of the records its rows live
+// in, which seed the dead-log ledger.
+type indexed struct {
+	imageKeys, keys int64
+	live            []int64
 }
 
-// rebuildIndexes is RebuildIndexes, also returning, by segment id, the bytes
-// of the records the rows it indexed live in.
-func (e *Engine) rebuildIndexes(parallelism int) (keys int64, live []int64, err error) {
-	if parallelism <= 0 {
-		parallelism = 1
-	}
-	e.mu.RLock()
-	tables := make([]*Table, 0, len(e.tablesByID))
-	for _, t := range e.tablesByID {
-		tables = append(tables, t)
-	}
-	e.mu.RUnlock()
-
-	type item struct {
-		rid RID
-		v   *Version
-	}
-	type chunk struct {
-		t     *Table
-		items []item
-	}
-	ch := make(chan chunk, 2*parallelism) // a chunk in hand and one waiting per worker
-	var wg sync.WaitGroup
-	var total atomic.Int64
-	var liveMu sync.Mutex
-	errCh := make(chan error, parallelism)
-	for i := 0; i < parallelism; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r := rebuilder{log: e.log.NewReader()}
-			defer func() {
-				liveMu.Lock()
-				if len(r.live) > len(live) {
-					live = append(live, make([]int64, len(r.live)-len(live))...)
-				}
-				for s, n := range r.live {
-					live[s] += n
-				}
-				liveMu.Unlock()
-			}()
-			var loaders []index.Loader
-			failed := false // a failed worker keeps draining so the feeder never blocks
-			for c := range ch {
-				if failed {
-					continue
-				}
-				loaders = loaders[:0]
-				for _, ix := range c.t.indexes {
-					loaders = append(loaders, ix.Load())
-				}
-				var err error
-				for _, it := range c.items {
-					if err = r.add(c.t, loaders, it.rid, it.v); err != nil {
-						break
-					}
-				}
-				for _, l := range loaders {
-					l.Done()
-				}
-				if err != nil {
-					errCh <- err
-					failed = true
-					continue
-				}
-				total.Add(int64(len(c.items) * len(loaders)))
+// buildIndexes fills every table's indexes once the PIAs are up, on threads
+// goroutines: the keys of the image's blocks for the rows still at their
+// stubs, and the keys of the replayed rows in tail. It reads no checkpointed
+// record.
+func (e *Engine) buildIndexes(blocks [][]byte, tail []rowChunk, threads int) (indexed, error) {
+	var out indexed
+	var mu sync.Mutex
+	err := parallel(threads, len(blocks)+len(tail), func(next func() (int, bool)) error {
+		x := indexer{e: e}
+		defer func() {
+			mu.Lock()
+			out.imageKeys += x.imageKeys
+			out.keys += x.keys
+			if len(x.live) > len(out.live) {
+				out.live = append(out.live, make([]int64, len(x.live)-len(out.live))...)
 			}
+			for s, n := range x.live {
+				out.live[s] += n
+			}
+			mu.Unlock()
 		}()
-	}
-	for _, t := range tables {
-		items := make([]item, 0, rebuildChunk)
-		t.rows.Range(func(rid RID, v *Version) bool {
-			if !v.tomb {
-				items = append(items, item{rid: rid, v: v})
-				if len(items) == rebuildChunk {
-					ch <- chunk{t: t, items: items}
-					items = make([]item, 0, rebuildChunk)
-				}
+		for i, ok := next(); ok; i, ok = next() {
+			var err error
+			if i < len(blocks) {
+				err = x.imageBlock(blocks[i])
+			} else {
+				err = x.rows(tail[i-len(blocks)])
 			}
-			return true
-		})
-		if len(items) > 0 {
-			ch <- chunk{t: t, items: items}
+			if err != nil {
+				return err
+			}
 		}
-	}
-	close(ch)
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		return 0, nil, err
-	default:
-		return total.Load(), live, nil
-	}
+		return nil
+	})
+	return out, err
 }
 
 // segmentSize returns a segment's byte size (0 when unresolvable).

@@ -233,8 +233,8 @@ func (e *Engine) logDeadBytes() int64 {
 }
 
 // seedDeadLog is a recovered engine's ledger: each segment's size less the
-// bytes of the records its versions live in, live[seg] (the rebuild's
-// count over the checkpoint image's entries and the replay's winners).
+// bytes of the records its versions live in, live[seg] (the index phase's
+// count, from the checkpoint image's framing and the replay's winners).
 func (e *Engine) seedDeadLog(live []int64) *deadLog {
 	dl := &deadLog{}
 	segs := e.log.Segments()

@@ -136,6 +136,73 @@ func TestDeadLogCountsWhatGCPrunes(t *testing.T) {
 	}
 }
 
+// TestDeadLogBooksAnUnreadStub: a recovered row no read has loaded knows its
+// record's framing from the checkpoint image, so what GC books when it prunes
+// the row is exactly the record at its address -- a transaction's first
+// record and a continuation alike -- without reading it first.
+func TestDeadLogBooksAnUnreadStub(t *testing.T) {
+	cfg := deadLogConfig(srss.New(srss.Config{}))
+	e, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	preloadUsers(t, e, mustTable(t, e, usersSchema()), 1000)
+	if _, err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	manifest := e.ManifestID()
+	e.Close()
+	e2, _, err := Recover(cfg, manifest, RecoverOptions{ReplayThreads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	e2.HoldCompaction()
+	tbl, _ := e2.Table("users")
+	booked := map[uint16]int64{}
+	want := map[uint16]int64{}
+	for _, id := range []int64{0, 1} { // the first transaction's first record, then a continuation
+		rid, ok, err := tbl.indexes[0].Get(EncodeKey(nil, I(id)))
+		if err != nil || !ok {
+			t.Fatalf("id %d: %v %v", id, ok, err)
+		}
+		v := tbl.rows.Get(RID(rid))
+		if _, read := v.resident(); read || v.flags.Load()&flagImage == 0 {
+			t.Fatalf("id %d: the row was read, or is not the image's stub", id)
+		}
+		seg := v.Addr().Segment()
+		var next wal.Addr
+		if err := e2.log.ScanSegment(seg, func(addr wal.Addr, _ wal.Record) bool {
+			if addr > v.Addr() {
+				next = addr
+				return false
+			}
+			return true
+		}); err != nil || next == 0 {
+			t.Fatalf("id %d: no record after %v: %v", id, v.Addr(), err)
+		}
+		n := int64(next.Offset() - v.Addr().Offset())
+		if got := v.logLen(tbl.ID, RID(rid)); got != n {
+			t.Errorf("id %d: the unread stub's record is %d bytes long, the log's %d", id, got, n)
+		}
+		want[seg] += n
+		booked[seg] = e2.deadBytesOf(seg)
+		tx := begin(t, e2, 0)
+		if err := tx.Delete(tbl, RID(rid)); err != nil {
+			t.Fatal(err)
+		}
+		commit(t, tx)
+	}
+	if e2.RunGC() == 0 {
+		t.Fatal("GC reclaimed nothing")
+	}
+	for seg, n := range want {
+		if got := e2.deadBytesOf(seg) - booked[seg]; got != n {
+			t.Errorf("segment %d: GC booked %d dead bytes for the two rows, their records are %d", seg, got, n)
+		}
+	}
+}
+
 // TestEngineCompactsNearlyDeadSegments: the GC pass that leaves a sealed
 // segment with at most a twentieth of its bytes live wakes the engine's own
 // compaction, which drops the segment and rewrites no more than that share.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"hiengine/internal/srss"
@@ -322,11 +323,61 @@ func TestLostUncommittedNotRecovered(t *testing.T) {
 	_ = errors.Is
 }
 
-// TestRebuildReadsTheLogThroughWindows: the index rebuild leaves every row's
-// payload cached and aliasing the log's storage, reads the log in windows
-// (far fewer storage reads than rows), and a second rebuild -- every payload
-// now resident -- reads nothing. The same recovery over storage in 64-byte
-// chunks, where nearly every record straddles one, recovers the same rows.
+// checkIndexes checks every index of every table of a just-recovered engine
+// against the rows: the (key, RID) pairs an index holds are exactly the keys
+// the rows' payloads derive, one per row and index.
+func checkIndexes(t *testing.T, e *Engine) {
+	t.Helper()
+	for _, tbl := range e.tablesByID {
+		want := make([]map[string]RID, len(tbl.indexes))
+		for i := range want {
+			want[i] = map[string]RID{}
+		}
+		var view RowView
+		tbl.rows.Range(func(rid RID, v *Version) bool {
+			p, err := v.payload(e)
+			if err == nil {
+				_, err = view.Reset(p)
+			}
+			if err != nil {
+				t.Fatalf("table %s rid %v: %v", tbl.Schema.Name, rid, err)
+			}
+			for i := range tbl.indexes {
+				k, err := tbl.viewIndexKeyAppend(nil, i, &view, rid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[i][string(k)] = rid
+			}
+			return true
+		})
+		for i, ix := range tbl.indexes {
+			got := map[string]RID{}
+			if err := ix.Scan(nil, nil, func(k []byte, rid uint64) bool {
+				got[string(k)] = RID(rid)
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want[i]) {
+				t.Errorf("table %s index %s: %d keys, its rows derive %d", tbl.Schema.Name, tbl.Schema.Indexes[i].Name, len(got), len(want[i]))
+			}
+			for k, rid := range want[i] {
+				if g, ok := got[k]; !ok || g != rid {
+					t.Fatalf("table %s index %s: key %x of rid %v maps to %v (present %v)", tbl.Schema.Name, tbl.Schema.Indexes[i].Name, k, rid, g, ok)
+				}
+			}
+		}
+	}
+}
+
+// TestRebuildReadsTheLogThroughWindows: recovery reads the log's tail in
+// windows (far fewer storage reads than rows) and no checkpointed row at all:
+// a row the image covers stays unread until its first read, which is one
+// storage read, checksum-verified, whose payload then aliases the log. The
+// tail's rows come back aliasing the log's storage. The same recovery over
+// storage in 64-byte chunks, where nearly every record straddles one,
+// recovers the same rows and indexes.
 func TestRebuildReadsTheLogThroughWindows(t *testing.T) {
 	for _, chunk := range []int{0, 64} { // 0: the default, 256 KiB
 		svc := srss.New(srss.Config{ChunkSize: chunk})
@@ -345,35 +396,159 @@ func TestRebuildReadsTheLogThroughWindows(t *testing.T) {
 		before := svc.Stats().Reads.Load()
 		e2, stats := recoverEngine(t, e, RecoverOptions{ReplayThreads: 2})
 		reads := svc.Stats().Reads.Load() - before
-		if got := snapshotTable(t, e2, "users"); len(got) != rows || fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("chunk %d: recovered %d rows, want the %d before the crash", chunk, len(got), rows)
-		}
-		if stats.IndexKeys != 2*rows || stats.WindowReads == 0 || stats.WindowReads > reads ||
+		if stats.IndexKeys != 2*rows || stats.ImageKeys != 2*stats.CheckpointEntries || stats.CheckpointEntries != rows/2+1 ||
+			stats.WindowReads == 0 || stats.WindowReads > reads ||
 			stats.CheckpointLoadDuration <= 0 || stats.CheckpointLoadDuration > stats.ReplayDuration {
 			t.Errorf("chunk %d: stats %+v with %d storage reads", chunk, *stats, reads)
 		}
-		if chunk == 0 && reads > rows/10 {
-			t.Errorf("recovery of %d rows issued %d storage reads, want a few per log chunk", rows, reads)
+		if chunk == 0 && reads > rows/20 {
+			t.Errorf("recovery of %d rows issued %d storage reads, want a few per log chunk of the tail", rows, reads)
 		}
 		tbl2, _ := e2.Table("users")
+		var cold *Version
+		stubs := 0
 		tbl2.rows.Range(func(rid RID, v *Version) bool {
 			d, ok := v.resident()
+			if v.flags.Load()&flagImage != 0 {
+				if ok {
+					t.Fatalf("chunk %d: rid %v: recovery read a checkpointed row", chunk, rid)
+				}
+				stubs++
+				cold = v
+				return true
+			}
 			if !ok {
-				t.Fatalf("chunk %d: rid %v: payload not cached by the rebuild", chunk, rid)
+				t.Fatalf("chunk %d: rid %v: a replayed row is not resident", chunk, rid)
 			}
 			if rec, err := e2.log.ReadRecord(v.Addr()); err != nil || !bytes.Equal(rec.Payload, d) {
-				t.Fatalf("chunk %d: rid %v: cached payload is not the log's (%v)", chunk, rid, err)
+				t.Fatalf("chunk %d: rid %v: payload is not the log's (%v)", chunk, rid, err)
 			} else if chunk == 0 && &rec.Payload[0] != &d[0] {
-				t.Fatalf("rid %v: cached payload is a copy of the log's bytes", rid)
+				t.Fatalf("rid %v: payload is a copy of the log's bytes", rid)
 			}
 			return true
 		})
-		windows := e2.log.WindowReads()
-		if _, err := e2.RebuildIndexes(2); err != nil {
-			t.Fatal(err)
+		if int64(stubs) != stats.CheckpointEntries {
+			t.Fatalf("chunk %d: %d rows still at their stubs, want the image's %d", chunk, stubs, stats.CheckpointEntries)
 		}
-		if got := e2.log.WindowReads() - windows; got != 0 {
-			t.Errorf("chunk %d: a rebuild over resident payloads read the log %d times", chunk, got)
+		if chunk == 0 {
+			before := svc.Stats().Reads.Load()
+			p, err := cold.payload(e2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := svc.Stats().Reads.Load() - before; got != 1 {
+				t.Errorf("a cold read cost %d storage reads, want 1", got)
+			}
+			if d, ok := cold.resident(); !ok || &d[0] != &p[0] {
+				t.Error("a cold read left the payload uncached")
+			}
 		}
+		if got := snapshotTable(t, e2, "users"); len(got) != rows || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("chunk %d: recovered %d rows, want the %d before the crash", chunk, len(got), rows)
+		}
+		checkIndexes(t, e2)
+	}
+}
+
+// TestRecoveryEquivalenceUnderWriters: a checkpoint taken while writers
+// insert, update key columns -- the primary key and by_name's non-unique
+// name -- and delete, followed by more of the same before the crash,
+// recovers indexes whose (key, RID) pairs are exactly those the recovered
+// rows derive, and rows that read back as they were.
+func TestRecoveryEquivalenceUnderWriters(t *testing.T) {
+	e := testEngine(t, func(c *Config) { c.Workers = 4; c.LogStreams = 2; c.GCEveryNCommits = 16 })
+	tbl := mustTable(t, e, usersSchema())
+	const rows = 2000
+	for i := int64(0); i < rows; i++ {
+		insertUser(t, e, tbl, int(i%4), i, fmt.Sprintf("user-%d", i%37), i)
+	}
+	// Writer w owns the ids == w mod 3 and moves each row it touches to an
+	// id of its own above rows, with a name shared with other rows.
+	churn := func(w int, round int64) error {
+		for i := int64(w); i < rows; i += 3 * 7 {
+			tx, err := e.Begin(w)
+			if err != nil {
+				return err
+			}
+			id := i + round*rows
+			rid, row, err := tx.GetByKey(tbl, 0, I(id))
+			if err != nil {
+				tx.Abort()
+				return fmt.Errorf("id %d: %w", id, err)
+			}
+			switch {
+			case i%2 == 0:
+				err = tx.Update(tbl, rid, Row{I(id + rows), S(fmt.Sprintf("moved-%d", i%11)), row[2]})
+			case i%5 == 1:
+				err = tx.Update(tbl, rid, Row{I(id + rows), row[1], I(-i)})
+			default:
+				if err = tx.Delete(tbl, rid); err == nil {
+					_, err = tx.Insert(tbl, Row{I(id + rows), S("again"), I(i)})
+				}
+			}
+			if err != nil {
+				tx.Abort()
+				return err
+			}
+			if err := tx.Commit(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for round := int64(0); round < 2; round++ {
+		var wg sync.WaitGroup
+		errs := make(chan error, 4)
+		for w := 0; w < 3; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				errs <- churn(w, round)
+			}(w)
+		}
+		if round == 0 {
+			if _, err := e.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	insertUser(t, e, tbl, 3, 10*rows, "user-1", 1)
+	want := snapshotTable(t, e, "users")
+	e2, stats := recoverEngine(t, e, RecoverOptions{ReplayThreads: 3})
+	if stats.ImageKeys == 0 || stats.IndexKeys <= stats.ImageKeys {
+		t.Fatalf("keys from the image %d of %d: want both sources used", stats.ImageKeys, stats.IndexKeys)
+	}
+	if got := snapshotTable(t, e2, "users"); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("recovered %d rows differently from the %d before the crash", len(got), len(want))
+	}
+	checkIndexes(t, e2)
+	tbl2, _ := e2.Table("users")
+	tx := begin(t, e2, 0)
+	defer tx.Abort()
+	n := 0
+	if err := tx.ScanPrefix(tbl2, 1, []Value{S("again")}, func(_ RID, row Row) bool {
+		if row[1].Str() != "again" {
+			t.Errorf("by_name scan of \"again\" returned %v", row)
+		}
+		n++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	wantN := 0
+	for _, r := range want {
+		if r[0] == "again" {
+			wantN++
+		}
+	}
+	if n != wantN || n == 0 {
+		t.Fatalf("by_name finds %d rows named \"again\", want %d", n, wantN)
 	}
 }

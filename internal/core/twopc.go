@@ -541,8 +541,8 @@ func (e *Engine) protect2PCSegments(drop map[uint16]bool) {
 // promotion): TID-stamped versions are installed on top of the current heads
 // -- re-acquiring the write locks -- and index entries are re-inserted for
 // keys the transaction added, exactly mirroring the live write path so a
-// later abort uninstalls cleanly. Runs single-threaded after replay and index
-// rebuild.
+// later abort uninstalls cleanly. Runs single-threaded after replay and the
+// index phase.
 func (e *Engine) reconstructInDoubt(gtid string, addr wal.Addr, payload []byte) error {
 	_, body, err := decodePreparePayload(payload)
 	if err != nil {

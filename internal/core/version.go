@@ -37,11 +37,12 @@ type Version struct {
 	// then on (setData). It may be evicted (set to nil) for durable
 	// versions; readers then reload it through the log's mmap view using
 	// addr. Every payload a version is given is the same row, so n is set
-	// once, before data is first published -- by a checkpoint stub, at its
-	// first load.
+	// once, before data is first published -- by a checkpoint stub, from the
+	// image.
 	data atomic.Pointer[byte]
 	n    atomic.Uint32
-	// flags holds the version's flag bits (flagPriv, flagCSN, flagDead).
+	// flags holds the version's flag bits (flagPriv, flagCSN, flagDead,
+	// flagImage).
 	flags atomic.Uint32
 	// tomb marks delete markers (immutable after creation).
 	tomb bool
@@ -61,6 +62,9 @@ const (
 	// flagDead says GC has put the record's bytes on the dead-log ledger:
 	// once, whichever prune reaches the version first.
 	flagDead
+	// flagImage says the version is a stub recovery made from a checkpoint
+	// image entry: recovery's index phase takes its keys from the image.
+	flagImage
 )
 
 // newVersion builds a version around a payload (nil for a delete marker):
@@ -96,16 +100,14 @@ func (v *Version) setFlag(f uint32) bool {
 }
 
 // logLen is the length of v's log record, v being a version of table's row
-// rid: what the log holds for it, and frees when GC prunes it. A checkpoint
-// stub no read has loaded yet knows neither its payload's length nor its
-// framing, and undercounts.
+// rid: what the log holds for it, and frees when GC prunes it.
 func (v *Version) logLen(table uint32, rid RID) int64 {
 	return int64(wal.RecordLen(v.flags.Load()&flagCSN != 0, table, uint64(rid), int(v.n.Load())))
 }
 
 // setData makes b, the row's bytes, v's payload: a pre-durable write's in its
-// transaction's buffer, the record's in the durable log (a reload, the index
-// rebuild, the swing at durability, compaction), or a private copy. The
+// transaction's buffer, the record's in the durable log (a reload, the
+// replay, the swing at durability, compaction), or a private copy. The
 // length is stored first, so a reader that sees the pointer sees its length;
 // a reader that loaded the previous payload goes on reading the same
 // immutable bytes.
@@ -186,9 +188,6 @@ func (v *Version) reload(log recordReader) ([]byte, error) {
 		return nil, err
 	}
 	v.setData(rec.Payload)
-	if rec.CSN != 0 && v.flags.Load()&flagCSN == 0 {
-		v.setFlag(flagCSN) // a checkpoint stub learns its framing
-	}
 	return rec.Payload, nil
 }
 

@@ -319,7 +319,8 @@ func TestWritePathAllocs(t *testing.T) {
 // and the payload a pointer and a length, not a slice header (either back in
 // the version puts it in the 64-byte class). Its indirection entry is one
 // word. Its checkpoint entry, over two log streams whose transactions
-// interleave their RIDs, is at most 6 bytes of each image.
+// interleave their RIDs, is at most 6 bytes of address and CSN, and at most 5
+// of record framing and keys for its two indexes.
 func TestRowFootprint(t *testing.T) {
 	if n := reflect.TypeOf(Version{}).Size(); n != 48 {
 		t.Errorf("a Version is %d bytes, want 48", n)
@@ -360,10 +361,62 @@ func TestRowFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	img := e.Obs().Gauge("core.checkpoint_image_bytes").Load()
-	t.Logf("checkpoint image: %d bytes for %d rows", img, rows)
-	if per := float64(img) / rows; per > 6 {
-		t.Errorf("the checkpoint image is %d bytes for %d rows, %.2f per entry, want <= 6", img, rows, per)
+	addr, keys := imageParts(t, e)
+	if addr+keys != img {
+		t.Fatalf("the image's parts add up to %d bytes, the image is %d", addr+keys, img)
 	}
+	t.Logf("checkpoint image: %d bytes for %d rows, %d of them keys and framing", img, rows, keys)
+	if per := float64(addr) / rows; per > 6 {
+		t.Errorf("the checkpoint image's addresses and CSNs are %d bytes for %d rows, %.2f per entry, want <= 6", addr, rows, per)
+	}
+	if per := float64(keys) / rows; per > 5 {
+		t.Errorf("the checkpoint image's keys and framing are %d bytes for %d rows, %.2f per entry, want <= 5", keys, rows, per)
+	}
+}
+
+// imageParts splits e's newest checkpoint image into its bytes of addresses
+// and CSNs -- the image re-encoded without keys, less its framing -- and the
+// rest, keys and framing: a payload length an entry spells because it
+// differs from the previous one's under its segment key in the run.
+func imageParts(t *testing.T, e *Engine) (addr, keys int64) {
+	t.Helper()
+	p, err := e.svc.Open(e.lastImage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, p.Size())
+	if _, err := p.ReadAt(b, 0); err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := imageBlocks(b[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := imageWriter{buf: []byte{checkpointHeader}}
+	var r imageReader
+	framing := 0
+	for _, body := range blocks {
+		table, lastN := uint32(0), map[uint64]int{}
+		if err := r.readBlock(body, true, func(en *imageEntry) error {
+			if en.table != table {
+				table = en.table
+				clear(lastN)
+			}
+			if seg := en.addr >> 32; lastN[seg] != en.n {
+				framing += len(binary.AppendUvarint(nil, uint64(en.n)))
+				lastN[seg] = en.n
+			}
+			c := *en
+			c.keys = nil
+			bare.add(&c)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		bare.closeBlock()
+	}
+	addr = int64(len(bare.buf) - framing)
+	return addr, int64(len(b)) - addr
 }
 
 // --- the transaction's buffer as the row's home ---------------------------------

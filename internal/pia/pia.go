@@ -247,6 +247,33 @@ func (m *Map[T]) AllocAt(rid RID) error {
 	return nil
 }
 
+// StoreRun stores vs[i], which is not nil, at rids[i] for every i,
+// allocating each RID as AllocAt does: recovery's bulk load. The RIDs
+// ascend. Each partition the run touches has its allocation cursor raised and
+// its live count adjusted once, not once per RID, so runs stored from several
+// goroutines at once do not contend on them.
+func (m *Map[T]) StoreRun(rids []RID, vs []*T) error {
+	for i := 0; i < len(rids); {
+		j := i + 1
+		for j < len(rids) && rids[j].Partition() == rids[i].Partition() {
+			j++
+		}
+		if err := m.AllocAt(rids[j-1]); err != nil {
+			return err
+		}
+		p := m.part(rids[i].Partition())
+		var live int64
+		for k := i; k < j; k++ {
+			if p.slot(rids[k].Slot(), true).ptr.Swap(vs[k]) == nil {
+				live++
+			}
+		}
+		p.live.Add(live)
+		i = j
+	}
+	return nil
+}
+
 // Get loads the pointer stored at rid (nil if unset or deleted).
 func (m *Map[T]) Get(rid RID) *T {
 	p := m.part(rid.Partition())

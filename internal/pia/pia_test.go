@@ -150,6 +150,34 @@ func TestAllocAtForRecovery(t *testing.T) {
 	}
 }
 
+// TestStoreRunForRecovery: a run across partitions, one not there yet, stores
+// every version, counts each once, and leaves no RID for Alloc to reissue; a
+// run past a partition's capacity is an error.
+func TestStoreRunForRecovery(t *testing.T) {
+	m := New[rec](Config{SlotBits: 12})
+	rids := []RID{MakeRID(0, 3), MakeRID(0, 4000), MakeRID(1, 7), MakeRID(1, 9)}
+	vs := []*rec{{1}, {2}, {3}, {4}}
+	if err := m.StoreRun(rids, vs); err != nil {
+		t.Fatal(err)
+	}
+	for i, rid := range rids {
+		if m.Get(rid) != vs[i] {
+			t.Fatalf("rid %v: got %v", rid, m.Get(rid))
+		}
+	}
+	if err := m.StoreRun(rids[2:], []*rec{{5}, {6}}); err != nil || m.Live() != 4 {
+		t.Fatalf("a second run over stored RIDs: %v, %d live, want 4", err, m.Live())
+	}
+	for i := 0; i < 200; i++ {
+		if r, _ := m.Alloc(); r == rids[1] || r == rids[3] {
+			t.Fatalf("Alloc reissued stored RID %v", r)
+		}
+	}
+	if err := m.StoreRun([]RID{MakeRID(0, 5), MakeRID(0, 1<<12)}, []*rec{{7}, {8}}); err == nil {
+		t.Fatal("a run past capacity stored")
+	}
+}
+
 func TestBadRID(t *testing.T) {
 	m := New[rec](Config{SlotBits: 12})
 	bad := MakeRID(9, 0)
