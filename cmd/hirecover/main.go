@@ -78,12 +78,12 @@ func run(args []string, _ io.Reader, stdout, stderr io.Writer) int {
 	engine.Close()
 	fmt.Fprintf(stdout, "CRASH. (%.1f MB of log across %d segments)\n\n", logMB, segments)
 
-	// The three phases of a recovery: the checkpoint image into the PIAs,
-	// the unfenced log segments over them, the indexes from the image's keys
-	// and the replayed tail's rows. The speedup is that of the first two
-	// together (the PIAs are set up).
-	fmt.Fprintf(stdout, "%-14s  %-15s  %-12s  %-12s  %-10s  %-9s  %-12s  %s\n",
-		"replay threads", "checkpoint load", "log replay", "index phase", "image keys", "tail keys", "window reads", "speedup")
+	// The three phases of a recovery: the unfenced log segments into the
+	// PIAs, the checkpoint image's stubs into what the tail left, indexed by
+	// the image's keys, and the keys of the tail's surviving rows. The
+	// speedup is that of the first two together (the PIAs are set up).
+	fmt.Fprintf(stdout, "%-14s  %-12s  %-12s  %-12s  %-15s  %-12s  %s\n",
+		"replay threads", "tail replay", "image pass", "tail keys", "image/tail keys", "window reads", "speedup")
 	var serial time.Duration
 	for rt := 1; rt <= *maxReplay; rt *= 2 {
 		e2, stats, err := core.Recover(core.Config{Service: svc, Workers: 4, SegmentSize: 4 << 20},
@@ -94,12 +94,12 @@ func run(args []string, _ io.Reader, stdout, stderr io.Writer) int {
 		if rt == 1 {
 			serial = stats.ReplayDuration
 		}
-		fmt.Fprintf(stdout, "%-14d  %-15v  %-12v  %-12v  %-10d  %-9d  %-12d  %.2fx\n",
+		fmt.Fprintf(stdout, "%-14d  %-12v  %-12v  %-12v  %-15s  %-12d  %.2fx\n",
 			rt,
-			stats.CheckpointLoadDuration.Round(time.Microsecond),
 			(stats.ReplayDuration - stats.CheckpointLoadDuration).Round(time.Microsecond),
+			stats.CheckpointLoadDuration.Round(time.Microsecond),
 			stats.IndexDuration.Round(time.Microsecond),
-			stats.ImageKeys, stats.IndexKeys-stats.ImageKeys, stats.WindowReads,
+			fmt.Sprintf("%d/%d", stats.ImageKeys, stats.IndexKeys-stats.ImageKeys), stats.WindowReads,
 			float64(serial)/float64(stats.ReplayDuration))
 		if rt*2 > *maxReplay {
 			// Validate the final recovered instance with the TPC-C

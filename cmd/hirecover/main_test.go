@@ -18,7 +18,7 @@ func TestCrashAndRecover(t *testing.T) {
 				t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
 			}
 			out := stdout.String()
-			want := []string{"CRASH.", "checkpoint load", "log replay", "index phase", "image keys", "tail keys", "\n1  ", "\n2  ",
+			want := []string{"CRASH.", "tail replay", "image pass", "tail keys", "image/tail keys", "\n1  ", "\n2  ",
 				"recovered state passes TPC-C consistency checks"}
 			if extra != nil {
 				want = append(want, "dataless checkpoint at CSN")

@@ -99,8 +99,9 @@ func main() {
 	defer engine2.Close()
 	fmt.Printf("recovered: checkpoint entries=%d, segments=%d, records scanned=%d applied=%d\n",
 		stats.CheckpointEntries, stats.SegmentsScanned, stats.RecordsScanned, stats.RecordsApplied)
-	fmt.Printf("replay %v (PIAs only), indexes %v (%d image keys, %d tail keys)\n",
-		stats.ReplayDuration, stats.IndexDuration, stats.ImageKeys, stats.IndexKeys-stats.ImageKeys)
+	fmt.Printf("tail replay %v, image pass %v (%d image keys), tail keys %v (%d keys)\n",
+		stats.ReplayDuration-stats.CheckpointLoadDuration, stats.CheckpointLoadDuration, stats.ImageKeys,
+		stats.IndexDuration, stats.IndexKeys-stats.ImageKeys)
 
 	events2, _ := engine2.Table("events")
 	check, _ := engine2.Begin(0)

@@ -103,7 +103,7 @@ func Fig8(o Options) (*Report, error) {
 		"with a fresh dataless checkpoint (%d entries), 4-thread replay takes %v -- checkpoints bound the log replayed, the paper's motivation for frequent checkpoints",
 		statsCk.CheckpointEntries, statsCk.ReplayDuration.Round(time.Microsecond)))
 	r.Notes = append(r.Notes,
-		"replay time is RecoveryStats.ReplayDuration: the PIAs rebuilt from the dataless checkpoint and the log, not the index phase after it; record data faults in lazily via SRSS mmap views")
+		"replay time is RecoveryStats.ReplayDuration: the log's tail replayed, then the dataless checkpoint's stubs and their index keys, until the PIAs are up; not the tail's index keys after it; record data faults in lazily via SRSS mmap views")
 	if o.Stats {
 		r.attachStats(heReg) // log-generation phase of the crashed engine
 	}

@@ -22,13 +22,14 @@ import (
 //
 // The passes differ in one thing, which the applier knows from its own state:
 // whether the engine already serves reads. Recovery's pass has no readers: it
-// swaps a version in for a row's head, newest CSN wins, and leaves indexes to
-// the index phase and delete markers to a post-pass. A
-// later pass has readers: it installs a record the way a commit installs a
-// write -- on top of the chain, the superseded head retired to GC at the
-// record's CSN, index keys added -- so a snapshot keeps the versions it sees,
-// and GC, not the apply, clears a delete marker, after the pass: an older
-// record of the row arriving in the same pass loses to it.
+// swaps a version in for a row's head, newest CSN wins, and keeps a list of the
+// versions it installed, whose index keys and delete markers recovery deals
+// with once the checkpoint image is in (recoverLog). A later pass has readers:
+// it installs a record the way a commit installs a write -- on top of the
+// chain, the superseded head retired to GC at the record's CSN, index keys
+// added -- so a snapshot keeps the versions it sees, and GC, not the apply,
+// clears a delete marker, after the pass: an older record of the row arriving
+// in the same pass loses to it.
 
 // applier is one engine's replay state: what it has read of the log, and what
 // it holds until a later record completes it.
@@ -56,6 +57,8 @@ type applier struct {
 	// maxCSN is the highest CSN applied: RecoveryStats.MaxCSN, a replica's
 	// AppliedCSN and what its clock advances to.
 	maxCSN uint64
+	// replayed holds the versions recovery's pass installed.
+	replayed replayLog
 	// live says the engine serves reads.
 	live bool
 
@@ -71,6 +74,26 @@ type applier struct {
 	// records instead of made for each.
 	view, prev  RowView
 	kbuf, kbuf2 []byte
+}
+
+// replayed is a version recovery's pass installed at rid in t.
+type replayed struct {
+	t   *Table
+	rid RID
+	v   *Version
+}
+
+// replayLog is a list of replayed versions in chunks of indexChunk, which
+// recovery's tail-keys phase hands its workers one at a time.
+type replayLog [][]replayed
+
+// add appends r, starting a chunk when the last one is full.
+func (l *replayLog) add(r replayed) {
+	n := len(*l)
+	if n == 0 || len((*l)[n-1]) == indexChunk {
+		*l, n = append(*l, make([]replayed, 0, indexChunk)), n+1
+	}
+	(*l)[n-1] = append((*l)[n-1], r)
 }
 
 // prepared is an OpPrepare record the matcher holds.
@@ -126,6 +149,7 @@ func (a *applier) pass(threads int, st *RecoveryStats) (stalled bool, err error)
 			// shared atomics per record would serialize the threads.
 			var scanned, applied int64
 			var top uint64
+			var got replayLog
 			halted := false
 			fn := func(txn []wal.Entry) bool {
 				scanned += int64(len(txn))
@@ -138,7 +162,7 @@ func (a *applier) pass(threads int, st *RecoveryStats) (stalled bool, err error)
 				case op == wal.OpPrepare || op == wal.OpDecide || op == wal.OpForget:
 					var n int64
 					a.twopcMu.Lock()
-					n, ok = a.match(txn[0].Addr, txn[0].Record)
+					n, ok = a.match(txn[0].Addr, txn[0].Record, &got)
 					a.twopcMu.Unlock()
 					applied += n
 				case !a.live && csn <= a.skipCSN:
@@ -147,7 +171,7 @@ func (a *applier) pass(threads int, st *RecoveryStats) (stalled bool, err error)
 				default:
 					for i := range txn {
 						r := &txn[i]
-						if t := a.tables[r.Table]; t != nil && a.apply(t, r.Addr, r.Record, i == 0) {
+						if t := a.tables[r.Table]; t != nil && a.apply(t, r.Addr, r.Record, i == 0, &got) {
 							applied++
 						}
 					}
@@ -183,6 +207,7 @@ func (a *applier) pass(threads int, st *RecoveryStats) (stalled bool, err error)
 			st.RecordsApplied += applied
 			a.maxCSN = max(a.maxCSN, top)
 			stalled = stalled || halted
+			a.replayed = append(a.replayed, got...)
 			mu.Unlock()
 		}()
 	}
@@ -220,13 +245,14 @@ func (a *applier) table(id uint32) (t *Table, ok bool) {
 
 // apply installs one record of table t at addr unless the row already holds a
 // newer version, and reports whether it did; first says the record is its
-// transaction's first. The version's payload is the record's, where the scan
-// found it. A record at the head's own CSN is the head relocated by a
-// compaction rewrite (rewrites keep their CSNs): the version takes the new
-// address and the rewrite's payload, letting go of one cached from the old
-// record, which the primary drops once the rewrite is durable. Not counted as
-// applied -- the version's content and indexes are already in place.
-func (a *applier) apply(t *Table, addr wal.Addr, rec wal.Record, first bool) bool {
+// transaction's first; recovery's pass adds the version it installs to got.
+// The version's payload is the record's, where the scan found it. A record
+// at the head's own CSN is the head relocated by a compaction rewrite
+// (rewrites keep their CSNs): the version takes the new address and the
+// rewrite's payload, letting go of one cached from the old record, which the
+// primary drops once the rewrite is durable. Not counted as applied -- the
+// version's content and indexes are already in place.
+func (a *applier) apply(t *Table, addr wal.Addr, rec wal.Record, first bool, got *replayLog) bool {
 	rid := RID(rec.RID)
 	if err := t.rows.AllocAt(rid); err != nil {
 		return false
@@ -266,6 +292,8 @@ func (a *applier) apply(t *Table, addr wal.Addr, rec wal.Record, first bool) boo
 		} else if ok {
 			if a.live {
 				a.installed(t, rid, v, head, rec.Payload)
+			} else {
+				got.add(replayed{t, rid, v})
 			}
 			return true
 		}
@@ -343,8 +371,9 @@ func (a *applier) addKeys(t *Table, rid RID, payload []byte, head *Version) (cha
 //
 // What still waits at the end of the log is settle's. ok is false when a
 // prepare writes a table the catalog does not know (see known): a prepare is
-// a transaction of its own. Requires twopcMu.
-func (a *applier) match(addr wal.Addr, rec wal.Record) (applied int64, ok bool) {
+// a transaction of its own. The writes it applies go to got (apply). Requires
+// twopcMu.
+func (a *applier) match(addr wal.Addr, rec wal.Record, got *replayLog) (applied int64, ok bool) {
 	var gtid string
 	switch rec.Op {
 	case wal.OpPrepare:
@@ -376,7 +405,7 @@ func (a *applier) match(addr wal.Addr, rec wal.Record) (applied int64, ok bool) 
 		commit, csn := first && entry.commit, entry.csn
 		entry.mu.Unlock()
 		if commit {
-			applied = a.commitPrepared(addr, rec.Payload, body, csn)
+			applied = a.commitPrepared(addr, rec.Payload, body, csn, got)
 		}
 	case wal.OpDecide:
 		g, commit, err := decodeDecidePayload(rec.Payload)
@@ -388,7 +417,7 @@ func (a *applier) match(addr wal.Addr, rec wal.Record) (applied int64, ok bool) 
 		delete(a.pendPrep, gtid)
 		if waiting && commit {
 			if _, body, err := decodePreparePayload(p.payload); err == nil {
-				applied = a.commitPrepared(p.addr, p.payload, body, rec.CSN)
+				applied = a.commitPrepared(p.addr, p.payload, body, rec.CSN, got)
 			}
 		}
 		a.e.noteDecision(gtid, commit, rec.CSN, addr.Segment(), p.addr.Segment(), waiting)
@@ -406,11 +435,11 @@ func (a *applier) match(addr wal.Addr, rec wal.Record) (applied int64, ok bool) 
 
 // commitPrepared applies the writes embedded in body, the write buffer of the
 // prepare record at addr whose payload is payload, at the commit's CSN.
-func (a *applier) commitPrepared(addr wal.Addr, payload, body []byte, csn uint64) (applied int64) {
+func (a *applier) commitPrepared(addr wal.Addr, payload, body []byte, csn uint64, got *replayLog) (applied int64) {
 	base := addr.Add(uint32(prepHeaderLen(len(payload)) + len(payload) - len(body)))
 	_ = forEachEmbedded(body, func(off int, rec wal.Record) error {
 		rec.CSN = csn
-		if t := a.tables[rec.Table]; t != nil && a.apply(t, base.Add(uint32(off)), rec, off == 0) {
+		if t := a.tables[rec.Table]; t != nil && a.apply(t, base.Add(uint32(off)), rec, off == 0, got) {
 			applied++
 		}
 		return nil

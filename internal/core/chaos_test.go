@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"hiengine/internal/chaos"
 	"hiengine/internal/srss"
@@ -166,6 +167,63 @@ func TestCommitBeginCrashSite(t *testing.T) {
 		t.Fatalf("%d rows visible, want 1", len(got))
 	}
 	insertUser(t, e, tbl, 0, 3, "after", 3)
+}
+
+// TestCommitDrawnDelaySite: a Delay armed between the CSN draw and the log
+// append is hit once per commit that writes, and holds no commit back from
+// durability: every one is acknowledged, and recovery returns it.
+func TestCommitDrawnDelaySite(t *testing.T) {
+	ch := chaos.New(5)
+	svc := srss.New(srss.Config{Chaos: ch})
+	cfg := Config{Name: "drawn-test", Service: svc, Workers: 2, LogStreams: 2}
+	e, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := mustTable(t, e, usersSchema())
+	ch.Arm(chaos.Rule{Site: SiteCommitDrawn, Action: chaos.Delay, Prob: 1, Delay: 200 * time.Microsecond})
+	hits := ch.Hits(SiteCommitDrawn)
+	const perWorker = 20
+	errs := make(chan error, 2)
+	for w := 0; w < 2; w++ {
+		go func(w int) {
+			for i := 0; i < perWorker; i++ {
+				tx, err := e.Begin(w)
+				if err == nil {
+					_, err = tx.Insert(tbl, Row{I(int64(w*perWorker + i)), S("drawn"), I(int64(i))})
+				}
+				if err == nil {
+					err = tx.Commit()
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}(w)
+	}
+	for w := 0; w < 2; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	tx := begin(t, e, 0)
+	if _, _, err := tx.GetByKey(tbl, 0, I(0)); err != nil {
+		t.Fatal(err)
+	}
+	commit(t, tx) // read-only: no CSN drawn
+	if got := ch.Hits(SiteCommitDrawn) - hits; got != 2*perWorker {
+		t.Fatalf("the site was hit %d times by %d commits", got, 2*perWorker)
+	}
+	if e.DurabilityLost() {
+		t.Fatal("a delayed commit lost durability")
+	}
+	ch.Disarm(SiteCommitDrawn)
+	e2, _ := recoverEngine(t, e, RecoverOptions{ReplayThreads: 2})
+	if got := snapshotTable(t, e2, "users"); len(got) != 2*perWorker {
+		t.Fatalf("recovered %d of %d delayed commits", len(got), 2*perWorker)
+	}
 }
 
 // TestCheckpointMidCrashSite: a crash between checkpoint flushes fails the

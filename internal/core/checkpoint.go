@@ -20,13 +20,14 @@ import (
 //
 // A checkpoint persists the indirection arrays -- each row's table, RID,
 // permanent log address, CSN, record framing and index keys, delta-encoded
-// (image.go) -- never record data. Recovery reconstructs the PIAs from the
-// newest checkpoint image and then replays the log segments the checkpoint
-// did not fence in parallel, using a newest-CSN-wins compare-and-swap per
-// entry so the scattered multi-stream redo logs can be applied in any order.
-// It builds the indexes from the image's keys and the replayed tail's rows.
-// No checkpointed record is read: entries point back into the replicated
-// log, and a row's first read faults it in through SRSS mmap views.
+// (image.go) -- never record data. Recovery replays the log segments the
+// checkpoint did not fence in parallel, using a newest-CSN-wins
+// compare-and-swap per entry so the scattered multi-stream redo logs can be
+// applied in any order, then fills the PIAs from the newest checkpoint image
+// by the same rule, indexing each stub it stores by the image's keys, and
+// last indexes the replayed tail's surviving rows. No checkpointed record is
+// read: entries point back into the replicated log, and a row's first read
+// faults it in through SRSS mmap views.
 
 // Checkpoint writes a new checkpoint image and registers it in the
 // manifest. It runs concurrently with forward processing: the image is a
@@ -239,9 +240,10 @@ type RecoveryStats struct {
 	RecordsScanned    int64
 	RecordsApplied    int64
 	MaxCSN            uint64
-	// ReplayDuration runs from the start of the checkpoint load to the end
-	// of log replay, when the PIAs are up (CheckpointLoadDuration is its
-	// first part); IndexDuration is the index phase after it.
+	// ReplayDuration runs from the start of log replay to the end of the
+	// checkpoint image's pass, when the PIAs are up; CheckpointLoadDuration
+	// is the image's pass, its keys included, and IndexDuration the tail's
+	// keys after it.
 	ReplayDuration         time.Duration
 	CheckpointLoadDuration time.Duration
 	IndexDuration          time.Duration
@@ -249,9 +251,9 @@ type RecoveryStats struct {
 	// (wal.Manager.WindowReads): about one per 256 KiB chunk of the tail the
 	// replay passes over. No checkpointed record is read.
 	WindowReads int64
-	// IndexKeys counts the keys the index phase inserted; ImageKeys those of
-	// them it took from the checkpoint image, the rest coming from the
-	// replayed tail's rows.
+	// IndexKeys counts the keys recovery inserted; ImageKeys those of them
+	// it took from the checkpoint image, the rest coming from the replayed
+	// tail's rows.
 	IndexKeys int64
 	ImageKeys int64
 	// TornTails counts checksum-invalid segment tails (torn writes from a
@@ -282,8 +284,9 @@ func RecoverByName(cfg Config, opt RecoverOptions) (*Engine, *RecoveryStats, err
 	return Recover(cfg, id, opt)
 }
 
-// Recover rebuilds an engine from its manifest PLog: catalog, checkpoint
-// image, the log applier's parallel pass, and the indexes.
+// Recover rebuilds an engine from its manifest PLog: catalog, the log
+// applier's parallel pass over the tail, the checkpoint image, and the tail's
+// index keys.
 func Recover(cfg Config, manifestID srss.PLogID, opt RecoverOptions) (*Engine, *RecoveryStats, error) {
 	a, stats, err := recoverLog(cfg, manifestID, opt)
 	if err != nil {
@@ -392,21 +395,10 @@ func recoverLog(cfg Config, manifestID srss.PLogID, opt RecoverOptions) (*applie
 	stats := &RecoveryStats{}
 	start := time.Now()
 
-	// Phase 1: load the checkpoint image into PIA stubs: addresses and
-	// framing, no row data.
-	var blocks [][]byte
-	if !ckptID.IsZero() {
-		stats.CheckpointCSN = a.skipCSN
-		if blocks, stats.CheckpointEntries, err = e.loadCheckpoint(ckptID, ckptEntries, opt.ReplayThreads); err != nil {
-			return nil, nil, err
-		}
-		stats.CheckpointLoadDuration = time.Since(start)
-	}
-
-	// Phase 2: the applier's pass, newest CSN wins. Segments fenced by the
-	// checkpoint are skipped: their records are represented in (or
-	// superseded by) the checkpoint image; the segments themselves stay
-	// available as version storage.
+	// Phase 1: the applier's pass over the tail, into empty PIAs, newest CSN
+	// wins. Segments fenced by the checkpoint are skipped: their records are
+	// represented in (or superseded by) the checkpoint image; the segments
+	// themselves stay available as version storage.
 	a.maxCSN = a.skipCSN
 	a.tables = maps.Clone(e.tablesByID)
 	if _, err := a.pass(opt.ReplayThreads, stats); err != nil {
@@ -415,50 +407,38 @@ func recoverLog(cfg Config, manifestID srss.PLogID, opt RecoverOptions) (*applie
 	stats.TornTails, stats.TruncatedBytes = log.TailTruncations()
 	stats.MaxCSN = a.maxCSN
 
-	// Phase 3: clear tombstone heads (deletes), and gather the rows the
-	// replay installed, whose keys the image does not hold.
-	var tail []rowChunk
-	for _, t := range e.tablesByID {
-		var live int64
-		c := rowChunk{t: t}
-		t.rows.RangeAll(func(rid RID, v *Version) bool {
-			switch {
-			case v == nil:
-			case v.tomb:
-				_, _ = t.rows.DeleteIf(rid, v)
-			default:
-				live++
-				if v.flags.Load()&flagImage == 0 {
-					if c.rids == nil {
-						c.rids = make([]RID, 0, indexChunk)
-					}
-					if c.rids = append(c.rids, rid); len(c.rids) == indexChunk {
-						tail, c.rids = append(tail, c), nil
-					}
-				}
-			}
-			return true
-		})
-		if len(c.rids) > 0 {
-			tail = append(tail, c)
+	// Phase 2: the checkpoint image, in one pass: a stub, with its keys, for
+	// every row the tail left no version as new (loadImage).
+	var ix indexed
+	if !ckptID.IsZero() {
+		stats.CheckpointCSN = a.skipCSN
+		loadStart := time.Now()
+		if err := e.loadImage(ckptID, ckptEntries, opt.ReplayThreads, &ix); err != nil {
+			return nil, nil, err
 		}
-		t.liveRows.Store(live)
+		stats.CheckpointEntries = ix.entries
+		stats.CheckpointLoadDuration = time.Since(loadStart)
 	}
 	stats.ReplayDuration = time.Since(start)
 
 	// Resume CSN allocation above everything replayed.
 	e.clk.AdvanceTo(stats.MaxCSN)
 
-	// Phase 4: the indexes, from the image's keys and the tail's rows.
+	// Phase 3: the tail's keys. Each version the replay installed that is
+	// still its row's head is indexed from its resident payload, or cleared if
+	// it is a delete.
 	ixStart := time.Now()
-	ix, err := e.buildIndexes(blocks, tail, opt.ReplayThreads)
-	if err != nil {
+	chunks := a.replayed
+	a.replayed = nil
+	if err := e.recoverParallel(opt.ReplayThreads, len(chunks), &ix, func(x *indexer, i int) error {
+		return x.tail(chunks[i])
+	}); err != nil {
 		return nil, nil, err
 	}
 	stats.IndexKeys, stats.ImageKeys = ix.keys+ix.imageKeys, ix.imageKeys
 	stats.IndexDuration = time.Since(ixStart)
 
-	// Phase 5, on a writable engine: the end of the log (a replica's comes
+	// Phase 4, on a writable engine: the end of the log (a replica's comes
 	// at Promote).
 	if !opt.readOnly {
 		if stats.InDoubt, err = a.settle(); err != nil {
@@ -491,103 +471,66 @@ func (e *Engine) durableAddr(v *Version) (uint64, error) {
 	}
 }
 
-// loadCheckpoint reads the checkpoint image id, which the manifest says
-// holds want entries, into PIA stubs on threads goroutines, a block each at
-// a time. It returns the image's blocks, which the index phase reads again
-// for their keys, and its entry count.
-func (e *Engine) loadCheckpoint(id srss.PLogID, want uint64, threads int) ([][]byte, int64, error) {
+// loadImage is recovery's one pass over the checkpoint image id, which the
+// manifest says holds want entries, on threads goroutines, a block each at a
+// time. An entry becomes a stub in its row's PIA slot unless the replay left a
+// version there at least as new: the tail's records are newer than the image's
+// except a retained 2PC write replayed at its decision CSN, which the image
+// supersedes when the row was updated before the checkpoint, and equals when
+// not. A stub it stores is indexed by the entry's keys.
+func (e *Engine) loadImage(id srss.PLogID, want uint64, threads int, out *indexed) error {
 	plog, err := e.svc.Open(id)
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
 	v := plog.Mmap()
 	size := v.Len()
 	if size == 0 {
-		return nil, 0, nil
+		return nil
 	}
 	b, err := v.At(0, int(size))
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
 	if b[0] != checkpointHeader {
-		return nil, 0, fmt.Errorf("core: bad checkpoint header %#x", b[0])
+		return fmt.Errorf("core: bad checkpoint header %#x", b[0])
 	}
 	e.mCheckpointImage.Set(size)
 	e.lastImage = id
 	blocks, err := imageBlocks(b[1:])
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
-	var total atomic.Int64
-	err = parallel(threads, len(blocks), func(next func() (int, bool)) error {
-		var r imageReader
-		var t *Table
-		var n int64
-		var rids []RID
-		var stubs []*Version
-		defer func() { total.Add(n) }()
-		// Each table's stubs go into its PIA a run at a time.
-		flush := func() error {
-			err := error(nil)
-			if t != nil && len(rids) > 0 {
-				err = t.rows.StoreRun(rids, stubs)
-			}
-			rids, stubs = rids[:0], stubs[:0]
-			return err
-		}
-		load := func(en *imageEntry) error {
-			n++
-			if t == nil || t.ID != en.table {
-				if err := flush(); err != nil {
-					return err
-				}
-				t, _ = e.tableByID(en.table)
-			}
-			if t == nil {
-				return nil
-			}
-			stub := &Version{}
-			stub.tmin.Store(en.csn)
-			stub.addr.Store(en.addr)
-			stub.n.Store(uint32(en.n))
-			f := flagImage
-			if en.first {
-				f |= flagCSN
-			}
-			stub.flags.Store(f)
-			rids, stubs = append(rids, en.rid), append(stubs, stub)
-			return nil
-		}
-		for i, ok := next(); ok; i, ok = next() {
-			if err := r.readBlock(blocks[i], false, load); err != nil {
-				return err
-			}
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, 0, err
+	if err := e.recoverParallel(threads, len(blocks), out, func(x *indexer, i int) error {
+		return x.loadBlock(blocks[i])
+	}); err != nil {
+		return err
 	}
-	if n := total.Load(); uint64(n) != want {
-		return nil, 0, fmt.Errorf("core: checkpoint image holds %d entries, its manifest record %d", n, want)
+	if uint64(out.entries) != want {
+		return fmt.Errorf("core: checkpoint image holds %d entries, its manifest record %d", out.entries, want)
 	}
-	return blocks, total.Load(), nil
+	return nil
 }
 
-// parallel runs work on threads goroutines, handing them the indexes
-// [0, n) through next, one at a time, and returns the first error.
-func parallel(threads, n int, work func(next func() (int, bool)) error) error {
+// recoverParallel runs work on the items [0, n) on threads goroutines, each
+// with an indexer of its own, which take the items one at a time. It adds
+// what the indexers counted to out and returns the first error.
+func (e *Engine) recoverParallel(threads, n int, out *indexed, work func(x *indexer, i int) error) error {
 	var at atomic.Int64
-	next := func() (int, bool) {
-		i := int(at.Add(1) - 1)
-		return i, i < n
-	}
+	var mu sync.Mutex
 	errs := make(chan error, threads)
 	for w := 0; w < threads; w++ {
-		go func() { errs <- work(next) }()
+		go func() {
+			x := indexer{e: e}
+			var err error
+			for i := int(at.Add(1) - 1); i < n && err == nil; i = int(at.Add(1) - 1) {
+				err = work(&x, i)
+			}
+			mu.Lock()
+			out.add(&x.indexed)
+			mu.Unlock()
+			errs <- err
+		}()
 	}
 	var err error
 	for w := 0; w < threads; w++ {
@@ -596,28 +539,48 @@ func parallel(threads, n int, work func(next func() (int, bool)) error) error {
 	return err
 }
 
-// indexChunk is the rows of the tail an index worker takes at a time: one
+// indexChunk is the replayed versions an index worker takes at a time: one
 // pin per index for that many rows, not per row.
 const indexChunk = 512
 
-// rowChunk is a run of a table's rows that the replay installed.
-type rowChunk struct {
-	t    *Table
-	rids []RID
+// indexed is what recovery's image pass and index phase did: the image
+// entries read, the keys inserted from the image and from rows, and by
+// segment id the bytes of the records its rows live in, which seed the
+// dead-log ledger.
+type indexed struct {
+	entries, imageKeys, keys int64
+	live                     []int64
 }
 
-// indexer is one index worker's state.
+// add adds x's counts to o's.
+func (o *indexed) add(x *indexed) {
+	o.entries += x.entries
+	o.imageKeys += x.imageKeys
+	o.keys += x.keys
+	if len(x.live) > len(o.live) {
+		o.live = append(o.live, make([]int64, len(x.live)-len(o.live))...)
+	}
+	for s, n := range x.live {
+		o.live[s] += n
+	}
+}
+
+// indexer is one recovery worker's state.
 type indexer struct {
+	indexed
 	e       *Engine
 	img     imageReader
 	view    RowView
 	kbuf    []byte
 	t       *Table // the table loaders pins
 	loaders []index.Loader
-	// imageKeys and keys count the keys taken from the image and from rows;
-	// live is, by segment id, the bytes of the records of the rows indexed.
-	imageKeys, keys int64
-	live            []int64
+	rows    int64 // the live rows of t counted since it was pinned
+	// The image entries of t read but not stored yet: RIDs, stubs, and the
+	// keys, end to end in keyBytes, keyEnds[i] the end of the i-th.
+	rids     []RID
+	stubs    []*Version
+	keyBytes []byte
+	keyEnds  []int
 }
 
 // pin makes loaders pins on t's indexes.
@@ -632,11 +595,15 @@ func (x *indexer) pin(t *Table) {
 	x.t = t
 }
 
+// unpin lets go of the pins, and books the rows counted against their table.
 func (x *indexer) unpin() {
 	for _, l := range x.loaders {
 		l.Done()
 	}
-	x.loaders, x.t = x.loaders[:0], nil
+	if x.t != nil {
+		x.t.liveRows.Add(x.rows)
+	}
+	x.loaders, x.t, x.rows = x.loaders[:0], nil, 0
 }
 
 // book counts n bytes of the record at addr live.
@@ -648,51 +615,102 @@ func (x *indexer) book(addr uint64, n int64) {
 	x.live[seg] += n
 }
 
-// imageBlock indexes the rows of one image block that are still the stubs
-// their entries made -- no replayed record superseded or deleted them -- by
-// the entries' keys.
-func (x *indexer) imageBlock(body []byte) error {
+// loadBlock loads one image block: its entries' stubs, stored a table run at
+// a time (store), and their keys.
+func (x *indexer) loadBlock(body []byte) error {
 	defer x.unpin()
 	var t *Table
-	return x.img.readBlock(body, true, func(en *imageEntry) error {
+	err := x.img.readBlock(body, true, func(en *imageEntry) error {
+		x.entries++
 		if t == nil || t.ID != en.table {
+			if err := x.store(); err != nil {
+				return err
+			}
 			if t, _ = x.e.tableByID(en.table); t == nil {
 				return nil
 			}
+			if len(en.keys) != len(t.indexes) {
+				return fmt.Errorf("core: checkpoint image has %d keys per row of table %q, which has %d indexes",
+					len(en.keys), t.Schema.Name, len(t.indexes))
+			}
+			x.pin(t)
 		}
-		if len(en.keys) != len(t.indexes) {
-			return fmt.Errorf("core: checkpoint image has %d keys per row of table %q, which has %d indexes",
-				len(en.keys), t.Schema.Name, len(t.indexes))
+		stub := &Version{}
+		stub.tmin.Store(en.csn)
+		stub.addr.Store(en.addr)
+		stub.n.Store(uint32(en.n))
+		f := flagImage
+		if en.first {
+			f |= flagCSN
 		}
-		if v := t.rows.Get(en.rid); v == nil || v.flags.Load()&flagImage == 0 {
-			return nil
-		}
-		x.pin(t)
+		stub.flags.Store(f)
+		x.rids, x.stubs = append(x.rids, en.rid), append(x.stubs, stub)
 		for i, k := range en.keys {
-			if !t.Schema.Indexes[i].Unique {
-				x.kbuf = EncodeRIDSuffix(append(x.kbuf[:0], k...), uint64(en.rid))
-				k = x.kbuf
+			if x.keyBytes = append(x.keyBytes, k...); !t.Schema.Indexes[i].Unique {
+				x.keyBytes = EncodeRIDSuffix(x.keyBytes, uint64(en.rid))
 			}
-			if err := x.loaders[i].Insert(k, uint64(en.rid)); err != nil {
-				return err
-			}
+			x.keyEnds = append(x.keyEnds, len(x.keyBytes))
 		}
-		x.imageKeys += int64(len(en.keys))
-		x.book(en.addr, int64(wal.RecordLen(en.first, en.table, uint64(en.rid), en.n)))
 		return nil
 	})
+	if err != nil {
+		return err
+	}
+	return x.store()
 }
 
-// rows indexes a chunk of rows the replay installed, by their payloads,
-// which the replay left resident.
-func (x *indexer) rows(c rowChunk) error {
+// store stores the pinned table's pending stubs in its PIA, each unless its
+// slot holds a version at least as new, and indexes those it stored.
+func (x *indexer) store() error {
+	t := x.t
+	defer func() {
+		x.rids, x.stubs, x.keyBytes, x.keyEnds = x.rids[:0], x.stubs[:0], x.keyBytes[:0], x.keyEnds[:0]
+	}()
+	if len(x.rids) == 0 {
+		return nil
+	}
+	if err := t.rows.StoreRun(x.rids, x.stubs, func(have, stub *Version) bool {
+		return have.tmin.Load() >= stub.tmin.Load()
+	}); err != nil {
+		return err
+	}
+	n := len(x.loaders)
+	for i, stub := range x.stubs {
+		if stub == nil {
+			continue // the replay's version stays
+		}
+		rid, start := x.rids[i], 0
+		if i > 0 && n > 0 {
+			start = x.keyEnds[i*n-1]
+		}
+		for j, end := range x.keyEnds[i*n : (i+1)*n] {
+			if err := x.loaders[j].Insert(x.keyBytes[start:end], uint64(rid)); err != nil {
+				return err
+			}
+			start = end
+		}
+		x.imageKeys += int64(n)
+		x.rows++
+		x.book(stub.addr.Load(), stub.logLen(t.ID, rid))
+	}
+	return nil
+}
+
+// tail indexes the versions of one chunk the replay installed that are still
+// their rows' heads, by their payloads, which the replay left resident, and
+// clears those that are deletes.
+func (x *indexer) tail(vs []replayed) error {
 	defer x.unpin()
-	x.pin(c.t)
-	for _, rid := range c.rids {
-		v := c.t.rows.Get(rid)
-		if v == nil || v.tomb {
+	for _, r := range vs {
+		t, rid, v := r.t, r.rid, r.v
+		if t.rows.Get(rid) != v {
+			continue // superseded: by a newer record, or by the image
+		}
+		if v.tomb {
+			_, _ = t.rows.DeleteIf(rid, v)
 			continue
 		}
+		x.pin(t)
 		p, err := v.payload(x.e)
 		if err != nil {
 			return err
@@ -701,7 +719,7 @@ func (x *indexer) rows(c rowChunk) error {
 			return err
 		}
 		for i, l := range x.loaders {
-			if x.kbuf, err = c.t.viewIndexKeyAppend(x.kbuf[:0], i, &x.view, rid); err != nil {
+			if x.kbuf, err = t.viewIndexKeyAppend(x.kbuf[:0], i, &x.view, rid); err != nil {
 				return err
 			}
 			if err := l.Insert(x.kbuf, uint64(rid)); err != nil {
@@ -709,54 +727,10 @@ func (x *indexer) rows(c rowChunk) error {
 			}
 		}
 		x.keys += int64(len(x.loaders))
-		x.book(v.addr.Load(), v.logLen(c.t.ID, rid))
+		x.rows++
+		x.book(v.addr.Load(), v.logLen(t.ID, rid))
 	}
 	return nil
-}
-
-// indexed is what the index phase did: the keys it inserted, from the image
-// and from rows, and by segment id the bytes of the records its rows live
-// in, which seed the dead-log ledger.
-type indexed struct {
-	imageKeys, keys int64
-	live            []int64
-}
-
-// buildIndexes fills every table's indexes once the PIAs are up, on threads
-// goroutines: the keys of the image's blocks for the rows still at their
-// stubs, and the keys of the replayed rows in tail. It reads no checkpointed
-// record.
-func (e *Engine) buildIndexes(blocks [][]byte, tail []rowChunk, threads int) (indexed, error) {
-	var out indexed
-	var mu sync.Mutex
-	err := parallel(threads, len(blocks)+len(tail), func(next func() (int, bool)) error {
-		x := indexer{e: e}
-		defer func() {
-			mu.Lock()
-			out.imageKeys += x.imageKeys
-			out.keys += x.keys
-			if len(x.live) > len(out.live) {
-				out.live = append(out.live, make([]int64, len(x.live)-len(out.live))...)
-			}
-			for s, n := range x.live {
-				out.live[s] += n
-			}
-			mu.Unlock()
-		}()
-		for i, ok := next(); ok; i, ok = next() {
-			var err error
-			if i < len(blocks) {
-				err = x.imageBlock(blocks[i])
-			} else {
-				err = x.rows(tail[i-len(blocks)])
-			}
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	return out, err
 }
 
 // segmentSize returns a segment's byte size (0 when unresolvable).

@@ -93,6 +93,8 @@ func (t *Txn) commitStart(durable func(error)) {
 	// TID; drop it now that stamping is complete.
 	t.e.status.remove(t.tid)
 	t.retireWrites(csn)
+	// A Crash rule here latches the crash, which fails the append below.
+	_ = t.e.svc.Chaos().Check(SiteCommitDrawn)
 
 	// Hand the buffer to the stream's I/O goroutine; the worker slot is
 	// freed immediately (commit pipelining). The write set is the log's

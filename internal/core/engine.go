@@ -24,6 +24,10 @@ const (
 	// CSN is acquired or any version is stamped: a crash here aborts the
 	// transaction cleanly -- nothing became visible and nothing was logged.
 	SiteCommitBegin = "core.commit.begin"
+	// SiteCommitDrawn fires between a commit's CSN draw and the hand-off of
+	// its log buffer, once its versions are stamped: a Delay holds the
+	// commit back from the log while commits with later CSNs reach it first.
+	SiteCommitDrawn = "core.commit.drawn"
 	// SiteCheckpointMid fires between checkpoint-image flushes: a crash
 	// leaves a partial, unregistered checkpoint PLog; the previous
 	// checkpoint (if any) remains the recovery anchor.
@@ -32,6 +36,7 @@ const (
 
 func init() {
 	chaos.RegisterSite(SiteCommitBegin, "crash at commit start: clean abort, nothing visible or logged")
+	chaos.RegisterSite(SiteCommitDrawn, "delay between CSN draw and log append: later CSNs can reach the log first")
 	chaos.RegisterSite(SiteCheckpointMid, "crash between checkpoint flushes: partial unregistered image")
 }
 

@@ -416,9 +416,11 @@ func TestForgetPrunesDecided(t *testing.T) {
 	}
 }
 
-// TestDecidedTwoPCSurvivesCheckpoint: a checkpoint taken after the decision
-// must cover (or fence correctly around) 2PC writes, and an undecided
-// prepare must survive a checkpoint + recovery cycle.
+// TestTwoPCAcrossCheckpoint: a checkpoint taken after the decision must
+// cover (or fence correctly around) 2PC writes, and an undecided prepare must
+// survive a checkpoint + recovery cycle. The decided row is updated before the
+// checkpoint: recovery replays the retained write at its decision CSN, and
+// the image's newer version of the row must win over it.
 func TestTwoPCAcrossCheckpoint(t *testing.T) {
 	e := testEngine(t)
 	tbl := mustTable(t, e, usersSchema())
@@ -431,6 +433,7 @@ func TestTwoPCAcrossCheckpoint(t *testing.T) {
 	}
 	prepare(t, tx, "h0-done")
 	resolve(t, e, "h0-done", true)
+	updateUsers(t, e, tbl, []int64{10}, 20)
 
 	tx2, _ := e.Begin(1)
 	if _, err := tx2.Insert(tbl, Row{I(11), S("pending"), I(11)}); err != nil {
@@ -446,8 +449,8 @@ func TestTwoPCAcrossCheckpoint(t *testing.T) {
 
 	e2, _ := recoverEngine(t, e, RecoverOptions{ReplayThreads: 2})
 	snap := snapshotTable(t, e2, "users")
-	if snap[10][1].(int64) != 10 || snap[12][1].(int64) != 12 {
-		t.Fatalf("checkpointed 2PC commit lost: %v", snap)
+	if snap[10][1].(int64) != 20 || snap[12][1].(int64) != 12 {
+		t.Fatalf("checkpointed 2PC commit or its update lost: %v", snap)
 	}
 	if _, ok := snap[11]; ok {
 		t.Fatal("undecided prepare visible after recovery")

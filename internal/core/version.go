@@ -63,7 +63,7 @@ const (
 	// once, whichever prune reaches the version first.
 	flagDead
 	// flagImage says the version is a stub recovery made from a checkpoint
-	// image entry: recovery's index phase takes its keys from the image.
+	// image entry, and indexed by the entry's keys.
 	flagImage
 )
 

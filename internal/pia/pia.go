@@ -247,12 +247,14 @@ func (m *Map[T]) AllocAt(rid RID) error {
 	return nil
 }
 
-// StoreRun stores vs[i], which is not nil, at rids[i] for every i,
-// allocating each RID as AllocAt does: recovery's bulk load. The RIDs
-// ascend. Each partition the run touches has its allocation cursor raised and
-// its live count adjusted once, not once per RID, so runs stored from several
+// StoreRun stores vs[i], which is not nil, at rids[i] for every i, allocating
+// each RID as AllocAt does: recovery's bulk load. Where the slot already holds
+// a pointer that vs[i] yields to (yield(have, vs[i])), the slot keeps it and
+// vs[i] is set to nil, so the caller sees which it stored. The RIDs ascend.
+// Each partition the run touches has its allocation cursor raised and its live
+// count adjusted once, not once per RID, so runs stored from several
 // goroutines at once do not contend on them.
-func (m *Map[T]) StoreRun(rids []RID, vs []*T) error {
+func (m *Map[T]) StoreRun(rids []RID, vs []*T, yield func(have, v *T) bool) error {
 	for i := 0; i < len(rids); {
 		j := i + 1
 		for j < len(rids) && rids[j].Partition() == rids[i].Partition() {
@@ -264,8 +266,19 @@ func (m *Map[T]) StoreRun(rids []RID, vs []*T) error {
 		p := m.part(rids[i].Partition())
 		var live int64
 		for k := i; k < j; k++ {
-			if p.slot(rids[k].Slot(), true).ptr.Swap(vs[k]) == nil {
-				live++
+			e := p.slot(rids[k].Slot(), true)
+			for {
+				have := e.ptr.Load()
+				if have != nil && yield(have, vs[k]) {
+					vs[k] = nil
+					break
+				}
+				if e.ptr.CompareAndSwap(have, vs[k]) {
+					if have == nil {
+						live++
+					}
+					break
+				}
 			}
 		}
 		p.live.Add(live)
@@ -409,30 +422,6 @@ func (m *Map[T]) Range(fn func(rid RID, v *T) bool) {
 				if !fn(MakeRID(p.id, s), v) {
 					return
 				}
-			}
-		}
-	}
-}
-
-// RangeAll is Range but also visits nil-pointer slots that were allocated
-// (recovery and invariant checks need to see tombstoned entries).
-func (m *Map[T]) RangeAll(fn func(rid RID, v *T) bool) {
-	for _, p := range *m.partitions.Load() {
-		if p == nil {
-			continue
-		}
-		limit := p.next.Load()
-		if limit > p.capacity() {
-			limit = p.capacity()
-		}
-		for s := uint32(0); s < limit; s++ {
-			e := p.slot(s, false)
-			if e == nil {
-				s |= 1<<pageBits - 1
-				continue
-			}
-			if !fn(MakeRID(p.id, s), e.ptr.Load()) {
-				return
 			}
 		}
 	}

@@ -152,12 +152,15 @@ func TestAllocAtForRecovery(t *testing.T) {
 
 // TestStoreRunForRecovery: a run across partitions, one not there yet, stores
 // every version, counts each once, and leaves no RID for Alloc to reissue; a
-// run past a partition's capacity is an error.
+// run over occupied slots replaces only the occupants its versions do not
+// yield to, and clears those that yield; a run past a partition's capacity is
+// an error.
 func TestStoreRunForRecovery(t *testing.T) {
 	m := New[rec](Config{SlotBits: 12})
+	newer := func(have, v *rec) bool { return have.v >= v.v }
 	rids := []RID{MakeRID(0, 3), MakeRID(0, 4000), MakeRID(1, 7), MakeRID(1, 9)}
 	vs := []*rec{{1}, {2}, {3}, {4}}
-	if err := m.StoreRun(rids, vs); err != nil {
+	if err := m.StoreRun(rids, append([]*rec(nil), vs...), newer); err != nil {
 		t.Fatal(err)
 	}
 	for i, rid := range rids {
@@ -165,15 +168,20 @@ func TestStoreRunForRecovery(t *testing.T) {
 			t.Fatalf("rid %v: got %v", rid, m.Get(rid))
 		}
 	}
-	if err := m.StoreRun(rids[2:], []*rec{{5}, {6}}); err != nil || m.Live() != 4 {
+	older, younger := &rec{2}, &rec{5}
+	run := []*rec{older, younger}
+	if err := m.StoreRun(rids[2:], run, newer); err != nil || m.Live() != 4 {
 		t.Fatalf("a second run over stored RIDs: %v, %d live, want 4", err, m.Live())
+	}
+	if run[0] != nil || m.Get(rids[2]) != vs[2] || run[1] != younger || m.Get(rids[3]) != younger {
+		t.Fatalf("a run over a newer and an older occupant: stored %v, slots %v %v", run, m.Get(rids[2]), m.Get(rids[3]))
 	}
 	for i := 0; i < 200; i++ {
 		if r, _ := m.Alloc(); r == rids[1] || r == rids[3] {
 			t.Fatalf("Alloc reissued stored RID %v", r)
 		}
 	}
-	if err := m.StoreRun([]RID{MakeRID(0, 5), MakeRID(0, 1<<12)}, []*rec{{7}, {8}}); err == nil {
+	if err := m.StoreRun([]RID{MakeRID(0, 5), MakeRID(0, 1<<12)}, []*rec{{7}, {8}}, newer); err == nil {
 		t.Fatal("a run past capacity stored")
 	}
 }
@@ -231,26 +239,6 @@ func TestRangeEarlyStop(t *testing.T) {
 	m.Range(func(RID, *rec) bool { n++; return n < 10 })
 	if n != 10 {
 		t.Fatalf("early stop visited %d", n)
-	}
-}
-
-func TestRangeAllSeesTombstones(t *testing.T) {
-	m := New[rec](Config{SlotBits: 12})
-	rid, _ := m.Alloc()
-	m.Store(rid, &rec{1})
-	m.Delete(rid)
-	found := false
-	m.RangeAll(func(r RID, v *rec) bool {
-		if r == rid {
-			found = true
-			if v != nil {
-				t.Fatal("tombstone has value")
-			}
-		}
-		return true
-	})
-	if !found {
-		t.Fatal("RangeAll skipped tombstoned slot")
 	}
 }
 
