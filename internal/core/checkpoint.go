@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,8 +55,8 @@ func (e *Engine) checkpointLocked() (uint64, error) {
 	defer func() { e.mCheckpointDur.Record(int64(time.Since(ckptStart))) }()
 	// Fence: after rotating every stream, all sealed segments are
 	// permanently closed, and every record in them carries a CSN below
-	// the reading of the clock that follows (appends carry CSNs acquired
-	// before they are queued, and rotation drains each stream's queue in
+	// the reading of the clock that follows (a CSN is drawn under its
+	// stream's enqueue lock, and rotation drains each stream's queue in
 	// order).
 	if err := e.log.RotateAll(); err != nil {
 		return 0, err
@@ -70,26 +69,17 @@ func (e *Engine) checkpointLocked() (uint64, error) {
 	// with CSN <= ckptCSN -- which is what makes fencing (and the general
 	// skip rule) safe against resurrecting deleted rows whose delete
 	// records would otherwise be skipped while their older inserts are
-	// replayed. Stamped: a commit at or below ckptCSN raised its slot's flag
-	// before drawing the CSN, so before the clock was read; once the slot is
-	// seen quiet its versions carry the CSN. Durable: the walk waits for
-	// each such version's own address (durableAddr). The count of started
-	// commits is waited for as well, for what it guarantees the 2PC filter
-	// below; on its own it is no barrier, since a commit started after the
-	// count was read can stand in for an earlier one still in flight.
-	for i := range e.workers {
-		for e.workers[i].stamping.Load() {
-			runtime.Gosched()
-		}
-	}
-	target := e.commitsStarted.Load()
-	for e.commitsDurable.Load() < target {
-		runtime.Gosched()
+	// replayed. Each stream holds its records in CSN order, so a marker
+	// queued behind what every stream holds now completes after every such
+	// commit has been stamped and has landed, and after every 2PC decision
+	// at or below ckptCSN has been applied.
+	if err := e.log.Flush(); err != nil {
+		return 0, err
 	}
 	// Segments recovery still needs for 2PC state (undecided prepares,
-	// retained decisions) must stay outside the fence. The barrier above
-	// guarantees every entry whose records reached a sealed segment is
-	// registered with stable fields.
+	// retained decisions) must stay outside the fence. Every entry whose
+	// records reached a sealed segment is registered with stable fields: a
+	// record's completion runs before its stream seals its segment.
 	fence = e.filterFence2PC(fence, ckptCSN)
 	plog, err := e.svc.Create(srss.TierCompute)
 	if err != nil {
@@ -145,9 +135,10 @@ func (e *Engine) checkpointLocked() (uint64, error) {
 				if isTID(ts) || ts > ckptCSN {
 					continue
 				}
-				addr, err := e.durableAddr(v)
-				if err != nil {
-					werr = err
+				addr := v.addr.Load()
+				if addr == 0 {
+					// Past the flush, no address means the append failed.
+					werr = ErrDurabilityLost
 					return false
 				}
 				if v.tomb {
@@ -455,20 +446,6 @@ func recoverLog(cfg Config, manifestID srss.PLogID, opt RecoverOptions) (*applie
 		e.startMaintenance(e.seedDeadLog(ix.live))
 	}
 	return a, stats, nil
-}
-
-// durableAddr returns v's permanent log address, waiting for it if v's
-// commit has stamped its CSN but the log has not reported it durable yet.
-func (e *Engine) durableAddr(v *Version) (uint64, error) {
-	for {
-		if addr := v.addr.Load(); addr != 0 {
-			return addr, nil
-		}
-		if e.durabilityLost.Load() {
-			return 0, ErrDurabilityLost // the append failed: no address will come
-		}
-		runtime.Gosched()
-	}
 }
 
 // loadImage is recovery's one pass over the checkpoint image id, which the

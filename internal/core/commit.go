@@ -60,54 +60,21 @@ func (t *Txn) commitCheck() (readOnly bool, err error) {
 }
 
 // commitStart runs the synchronous part of a commit commitCheck let through:
-// CSN acquisition, version stamping and handing the log buffer to the I/O
-// goroutine. durable is invoked (from the I/O goroutine) with the
-// durability result.
+// handing the log buffer to its stream, under whose enqueue lock the CSN is
+// drawn and stamped (writeSet.onStamp). durable is invoked (from the I/O
+// goroutine) with the durability result.
 func (t *Txn) commitStart(durable func(error)) {
-	// From before the CSN exists until every version carries it, the slot
-	// says so: a checkpoint that reads the clock and then finds the slot
-	// quiet knows no commit at or below its CSN is still unstamped here.
-	t.slot.stamping.Store(true)
-	// Announce the commit before its CSN exists (precommitted, CSN 0): a
-	// snapshot drawn after the clock moves must not find this transaction
-	// still "active" -- it would skip the version now and see it, stamped at
-	// or below its begin, on its next read. A reader that meets the
-	// announcement waits for the CSN (visible).
-	t.statusWord.Store(packStatus(txPrecommitted, 0))
-	// Acquire the commit sequence number (atomic fetch-add on the global
-	// counter, Section 3.5).
-	csn := t.e.clk.Next()
-	t.statusWord.Store(packStatus(txPrecommitted, csn))
-
-	// Stamp versions: replace TIDs with the CSN in tmin of new versions
-	// (Section 5.1). After this point other transactions read the new data.
-	// The log buffer takes the CSN once, in its first record, and the end
-	// mark on its last.
-	ws := t.ws
-	for i := range ws.writes {
-		ws.writes[i].newV.tmin.Store(csn)
-	}
-	wal.StampTxn(ws.log, ws.writes[len(ws.writes)-1].logOff, csn)
-	t.slot.stamping.Store(false)
-	// The status-map entry is only needed while versions still carry the
-	// TID; drop it now that stamping is complete.
-	t.e.status.remove(t.tid)
-	t.retireWrites(csn)
-	// A Crash rule here latches the crash, which fails the append below.
-	_ = t.e.svc.Chaos().Check(SiteCommitDrawn)
-
 	// Hand the buffer to the stream's I/O goroutine; the worker slot is
 	// freed immediately (commit pipelining). The write set is the log's
 	// from here: it returns to the slot from the completion callback, which
 	// may run before AppendTraced does.
+	ws := t.ws
 	t.ws = nil
 	t.slot.lastLogBytes = len(ws.log)
-	ws.durable = durable
+	ws.txn, ws.durable = t, durable
 	t.e.mPrivateBytes.Add(int64(ws.private))
-	t.e.commitsStarted.Add(1)
-	t.e.log.AppendTraced(t.worker, ws.log, t.trace, ws.logDone)
+	t.e.log.AppendTraced(t.worker, ws.log, t.trace, ws.stamp, ws.logDone)
 
-	t.statusWord.Store(packStatus(txCommitted, csn))
 	t.finishSlot()
 	t.finished = true
 	t.e.stats.Commits.Add(1)
@@ -115,6 +82,42 @@ func (t *Txn) commitStart(durable func(error)) {
 
 	// Interleave incremental GC with forward processing (Section 4.4).
 	t.e.maybeGC(t.worker)
+}
+
+// onStamp is the part of a commit that runs under its log stream's enqueue
+// lock, before the buffer is queued: the CSN is drawn and stamped on
+// everything that carries it. So each stream holds its commits in CSN
+// order, and a log flush that follows a clock reading (wal.Manager.Flush)
+// returns with every commit at or below the reading stamped and landed.
+func (ws *writeSet) onStamp() {
+	t := ws.txn
+	// Announce the commit before its CSN exists (precommitted, CSN 0): a
+	// snapshot drawn after the clock moves must not find this transaction
+	// still "active" -- it would skip the version now and see it, stamped at
+	// or below its begin, on its next read. A reader that meets the
+	// announcement waits for the CSN (visible), which is drawn next, under
+	// the same lock.
+	t.statusWord.Store(packStatus(txPrecommitted, 0))
+	// Acquire the commit sequence number (atomic fetch-add on the global
+	// counter, Section 3.5).
+	csn := t.e.clk.Next()
+	t.statusWord.Store(packStatus(txCommitted, csn))
+
+	// Stamp versions: replace TIDs with the CSN in tmin of new versions
+	// (Section 5.1). After this point other transactions read the new data.
+	// The log buffer takes the CSN once, in its first record, and the end
+	// mark on its last.
+	for i := range ws.writes {
+		ws.writes[i].newV.tmin.Store(csn)
+	}
+	wal.StampTxn(ws.log, ws.writes[len(ws.writes)-1].logOff, csn)
+	// The status-map entry is only needed while versions still carry the
+	// TID; drop it now that stamping is complete.
+	t.e.status.remove(t.tid)
+	t.slot.retireWrites(ws.writes, csn)
+	// A Delay rule here stalls the stream; a Crash rule latches the crash,
+	// which fails the append.
+	_ = t.e.svc.Chaos().Check(SiteCommitDrawn)
 }
 
 // validate is what commit and prepare share before anything is logged:
@@ -270,15 +273,15 @@ func (t *Txn) finishSlot() {
 	slot.activeBegin.Store(0)
 }
 
-// retireWrites hands superseded versions to the worker's GC bag
-// (Section 4.4: stale versions are reclaimed once no snapshot can see them).
-func (t *Txn) retireWrites(csn uint64) {
-	slot := &t.e.workers[t.worker]
-	slot.mu.Lock()
-	for i := range t.ws.writes {
-		slot.retire(&t.ws.writes[i], csn)
+// retireWrites hands the versions writes committed at csn superseded to the
+// slot's GC bag (Section 4.4: stale versions are reclaimed once no snapshot
+// can see them).
+func (s *workerSlot) retireWrites(writes []writeEntry, csn uint64) {
+	s.mu.Lock()
+	for i := range writes {
+		s.retire(&writes[i], csn)
 	}
-	slot.mu.Unlock()
+	s.mu.Unlock()
 }
 
 // retire puts what a write committed at csn made garbage in the slot's bag:

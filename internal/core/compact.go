@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hiengine/internal/chaos"
 	"hiengine/internal/wal"
@@ -302,24 +301,11 @@ func (e *Engine) compact(pick func() ([]uint16, error)) (CompactionStats, error)
 	for _, s := range picked {
 		oldSegs[s] = true
 	}
-	// Wait for in-flight prepare/decision/commit appends so every 2PC
-	// record that landed in a sealed segment has registered its segment,
-	// then keep those segments: an OpPrepare backing an undecided (or
-	// committed) transaction and every retained OpDecide record must
-	// survive compaction for recovery.
-	// The wait is a bounded sleep-poll, not a Gosched spin: the in-flight
-	// appends complete at WAL I/O latency (microseconds to milliseconds),
-	// and a spinning compactor would burn a core for that whole window --
-	// and live-lock a GOMAXPROCS=1 process if the appender needs the
-	// scheduler. If the engine closes mid-wait the stragglers may never
-	// drain; fail the compaction rather than hang.
-	target := e.commitsStarted.Load()
-	for e.commitsDurable.Load() < target {
-		if e.closed.Load() {
-			return stats, ErrClosed
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	// Keep every segment holding a live 2PC record: an OpPrepare backing an
+	// undecided (or committed) transaction and every retained OpDecide
+	// record must survive compaction for recovery. A record's completion,
+	// which registers its segment, runs before its stream seals the
+	// segment, so every such record in a picked (sealed) segment is known.
 	e.protect2PCSegments(oldSegs)
 	if len(oldSegs) == 0 {
 		return stats, nil

@@ -269,8 +269,7 @@ func (t *Txn) prepareStart(gtid string, durable func(readOnly bool, err error)) 
 	t.prepared = true
 	worker := t.worker
 	e.mPrivateBytes.Add(int64(ws.private))
-	e.commitsStarted.Add(1)
-	e.log.AppendTraced(worker, buf, t.trace, func(base wal.Addr, err error) {
+	e.log.AppendTraced(worker, buf, t.trace, nil, func(base wal.Addr, err error) {
 		if err == nil {
 			// Stamp permanent addresses NOW: the embedded records are full
 			// WAL records, so each version's home -- and its payload from
@@ -285,7 +284,6 @@ func (t *Txn) prepareStart(gtid string, durable func(readOnly bool, err error)) 
 			e.durabilityLost.Store(true)
 			e.mDurabilityFail.Inc()
 		}
-		e.commitsDurable.Add(1)
 		durable(false, err)
 	})
 	// Free the worker slot: the session moves on, the prepared transaction
@@ -353,22 +351,25 @@ func (e *Engine) Resolve(gtid string, commit bool, done func(csn uint64, err err
 		entry.mu.Unlock()
 		return err
 	}
-	// Both verdicts consume a CSN: stamping the decision record with a real
-	// CSN keeps the checkpoint fence invariant uniform (every record in a
-	// fenced segment has CSN <= the fencing checkpoint's CSN).
-	csn := e.clk.Next()
 	entry.deciding = true
 	entry.commit = commit
-	entry.csn = csn
 	entry.waiters = append(entry.waiters, done)
 	entry.mu.Unlock()
 
 	buf, off := wal.AppendRecord(nil, wal.OpDecide, 0, 0, encodeDecidePayload(gtid, commit))
-	wal.StampTxn(buf, off, csn)
-	e.commitsStarted.Add(1)
-	e.log.AppendTraced(0, buf, nil, func(base wal.Addr, err error) {
+	// Both verdicts consume a CSN: stamping the decision record with a real
+	// CSN keeps the checkpoint fence invariant uniform (every record in a
+	// fenced segment has CSN <= the fencing checkpoint's CSN). It is drawn
+	// under stream 0's enqueue lock, as a commit's is under its stream's.
+	var csn uint64
+	stamp := func() {
+		csn = e.clk.Next()
+		wal.StampTxn(buf, off, csn)
+	}
+	e.log.AppendTraced(0, buf, nil, stamp, func(base wal.Addr, err error) {
 		entry.mu.Lock()
 		if err == nil {
+			entry.csn = csn
 			entry.decSeg = base.Segment()
 			e.applyDecisionLocked(entry)
 			entry.decided = true
@@ -380,7 +381,6 @@ func (e *Engine) Resolve(gtid string, commit bool, done func(csn uint64, err err
 		ws := entry.waiters
 		entry.waiters = nil
 		entry.mu.Unlock()
-		e.commitsDurable.Add(1)
 		out := uint64(0)
 		if err == nil && commit {
 			out = csn
@@ -394,7 +394,7 @@ func (e *Engine) Resolve(gtid string, commit bool, done func(csn uint64, err err
 
 // applyDecisionLocked applies a durable decision to the prepared transaction
 // state. Caller holds entry.mu. For commit, versions are stamped with the
-// decision CSN exactly like commitStart's stamping loop; for abort, the
+// decision CSN exactly like a commit's stamp (writeSet.onStamp); for abort, the
 // writes are uninstalled like Abort. Neither path touches the worker slot --
 // it was released at prepare and may be running another transaction.
 func (e *Engine) applyDecisionLocked(entry *pend2pcEntry) {
@@ -405,13 +405,12 @@ func (e *Engine) applyDecisionLocked(entry *pend2pcEntry) {
 	}
 	if entry.commit {
 		csn := entry.csn
-		t.statusWord.Store(packStatus(txPrecommitted, csn))
+		t.statusWord.Store(packStatus(txCommitted, csn))
 		for i := range t.ws.writes {
 			t.ws.writes[i].newV.tmin.Store(csn)
 		}
 		e.status.remove(t.tid)
-		t.statusWord.Store(packStatus(txCommitted, csn))
-		t.retireWrites(csn)
+		e.workers[t.worker].retireWrites(t.ws.writes, csn)
 		t.finished = true
 		e.stats.Commits.Add(1)
 		e.mCommits.Inc()
@@ -656,8 +655,7 @@ func (e *Engine) Forget(gtid string, done func(err error)) error {
 	}
 	buf, off := wal.AppendRecord(nil, wal.OpForget, 0, 0, encodeGTIDPayload(gtid))
 	wal.StampTxn(buf, off, 0)
-	e.commitsStarted.Add(1)
-	e.log.AppendTraced(0, buf, nil, func(_ wal.Addr, err error) {
+	e.log.AppendTraced(0, buf, nil, nil, func(_ wal.Addr, err error) {
 		if err == nil {
 			e.pendMu.Lock()
 			if e.pend2pc[gtid] == entry {
@@ -668,7 +666,6 @@ func (e *Engine) Forget(gtid string, done func(err error)) error {
 			e.durabilityLost.Store(true)
 			e.mDurabilityFail.Inc()
 		}
-		e.commitsDurable.Add(1)
 		done(err)
 	})
 	return nil

@@ -20,19 +20,26 @@ func prepare(t *testing.T, tx *Txn, gtid string) {
 
 func resolve(t *testing.T, e *Engine, gtid string, commit bool) uint64 {
 	t.Helper()
+	csn, err := resolveWait(e, gtid, commit)
+	if err != nil {
+		t.Fatalf("resolve %s: %v", gtid, err)
+	}
+	return csn
+}
+
+// resolveWait delivers a 2PC decision and waits for it to be durable and
+// applied; it returns the decision's CSN (0 for an abort).
+func resolveWait(e *Engine, gtid string, commit bool) (uint64, error) {
 	type res struct {
 		csn uint64
 		err error
 	}
 	ch := make(chan res, 1)
 	if err := e.Resolve(gtid, commit, func(csn uint64, err error) { ch <- res{csn, err} }); err != nil {
-		t.Fatalf("resolve %s: %v", gtid, err)
+		return 0, err
 	}
 	r := <-ch
-	if r.err != nil {
-		t.Fatalf("resolve %s durability: %v", gtid, r.err)
-	}
-	return r.csn
+	return r.csn, r.err
 }
 
 func TestPrepareCommitVisibility(t *testing.T) {
@@ -284,13 +291,18 @@ func TestInDoubtSurvivesRecovery(t *testing.T) {
 // forget is a test helper: runs Forget and waits for record durability.
 func forget(t *testing.T, e *Engine, gtid string) {
 	t.Helper()
-	ch := make(chan error, 1)
-	if err := e.Forget(gtid, func(err error) { ch <- err }); err != nil {
+	if err := forgetWait(e, gtid); err != nil {
 		t.Fatalf("forget %s: %v", gtid, err)
 	}
-	if err := <-ch; err != nil {
-		t.Fatalf("forget %s durability: %v", gtid, err)
+}
+
+// forgetWait logs a Forget for gtid and waits for it to be durable.
+func forgetWait(e *Engine, gtid string) error {
+	ch := make(chan error, 1)
+	if err := e.Forget(gtid, func(err error) { ch <- err }); err != nil {
+		return err
 	}
+	return <-ch
 }
 
 // TestConcurrentDuplicatePrepare: the gtid is reserved atomically with the

@@ -46,10 +46,13 @@ type writeSet struct {
 	// the engine's private-payload ledger when it hands the log over.
 	private int
 
-	// durable is the committing transaction's callback; logDone is
-	// ws.onLogDone, bound once for the write set's life so a commit hands
-	// the WAL a callback without allocating one.
+	// txn and durable are the committing transaction and its callback;
+	// stamp and logDone are ws.onStamp and ws.onLogDone, bound once for the
+	// write set's life so a commit hands the WAL its callbacks without
+	// allocating them.
+	txn     *Txn
 	durable func(error)
+	stamp   func()
 	logDone func(wal.Addr, error)
 }
 
@@ -76,7 +79,7 @@ func (t *Txn) writeSet() *writeSet {
 	}
 	if t.ws == nil {
 		ws := &writeSet{e: t.e, slot: t.slot}
-		ws.logDone = ws.onLogDone
+		ws.stamp, ws.logDone = ws.onStamp, ws.onLogDone
 		t.ws = ws
 	}
 	if s := t.slot; s != nil && s.lastLogBytes > 0 {
@@ -96,7 +99,7 @@ func (ws *writeSet) release() {
 		return
 	}
 	clear(ws.writes) // drop the version pointers
-	ws.log, ws.writes, ws.private, ws.durable = nil, ws.writes[:0], 0, nil
+	ws.log, ws.writes, ws.private, ws.txn, ws.durable = nil, ws.writes[:0], 0, nil, nil
 	s.mu.Lock()
 	if len(s.free) < maxFreeWriteSets {
 		s.free = append(s.free, ws)
@@ -142,7 +145,6 @@ func (ws *writeSet) onLogDone(base wal.Addr, err error) {
 		e.durabilityLost.Store(true)
 		e.mDurabilityFail.Inc()
 	}
-	e.commitsDurable.Add(1)
 	durable := ws.durable
 	ws.release()
 	durable(err)
@@ -275,7 +277,7 @@ func (t *Txn) visible(v *Version) bool {
 		switch st {
 		case txPrecommitted, txCommitted:
 			if csn == 0 {
-				// Committing, CSN not drawn yet (commitStart): whether it
+				// Committing, CSN not drawn yet (writeSet.onStamp): whether it
 				// lands at or below t.begin is not knowable; ask again.
 				runtime.Gosched()
 				continue
