@@ -15,9 +15,13 @@
 // microsecond latency. Storage-tier PLogs live on SSDs behind the slower
 // cross-layer network. Either tier supports mmap-style read-only views.
 //
-// The simulation materializes every replica independently (so replication
-// bugs are observable), charges tier-appropriate latencies through a
-// delay.Model, and supports failure injection on individual nodes.
+// The simulation materializes every replica independently up to a full
+// chunk: each replica appends into its own tail chunk, so a torn write leaves
+// divergent prefixes. A chunk that fills is verified against replica 0's and
+// then shared, so one heap holds each verified byte once, not once per
+// replica; a chunk that differs fail-stops the PLog (ErrReplicaDiverged).
+// The simulation charges tier-appropriate latencies through a delay.Model and
+// supports failure injection on individual nodes.
 package srss
 
 import (
@@ -113,6 +117,10 @@ var (
 	ErrNoHealthyNodes = errors.New("srss: not enough healthy nodes")
 	// ErrDeleted is returned when operating on a deleted PLog.
 	ErrDeleted = errors.New("srss: plog deleted")
+	// ErrReplicaDiverged is returned when a filled chunk differs between
+	// replicas: a replication bug. The PLog seals and the chunk is not
+	// shared.
+	ErrReplicaDiverged = errors.New("srss: replica diverged")
 )
 
 // PlacementError is the typed failure of replica placement: a tier had
@@ -198,6 +206,8 @@ type Stats struct {
 	// PlacementFailures counts replica placements rejected for lack of
 	// healthy nodes (PLog creation and repair).
 	PlacementFailures atomic.Int64
+	// Divergences counts filled chunks that differed between replicas.
+	Divergences atomic.Int64
 }
 
 // Service is a simulated SRSS deployment: a set of compute nodes and storage
@@ -241,6 +251,7 @@ type obsMetrics struct {
 	tornAppends       *obs.Counter
 	repairs           *obs.Counter
 	placementFailures *obs.Counter
+	divergences       *obs.Counter
 }
 
 // AttachObs wires the service's hot paths to an observability registry.
@@ -259,25 +270,28 @@ func (s *Service) AttachObs(reg *obs.Registry) {
 		tornAppends:       reg.Counter("srss.torn_appends"),
 		repairs:           reg.Counter("srss.repairs"),
 		placementFailures: reg.Counter("srss.placement_failures"),
+		divergences:       reg.Counter("srss.replica_divergences"),
 	}
 	s.obsM.CompareAndSwap(nil, m)
-	reg.GaugeFunc("srss.replica_bytes", s.replicaBytes)
+	reg.GaugeFunc("srss.replica_bytes", func() int64 { n, _ := s.replicaBytes(); return n })
+	reg.GaugeFunc("srss.replica_logical_bytes", func() int64 { _, n := s.replicaBytes(); return n })
 }
 
 // replicaBytes is the chunk capacity the replicas of every PLog not deleted
-// hold: the log, checkpoint images and metadata, three times over.
-func (s *Service) replicaBytes() int64 {
+// hold: physical counts a shared chunk once, logical once per replica (the
+// log, checkpoint images and metadata, three times over).
+func (s *Service) replicaBytes() (physical, logical int64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var n int64
 	for _, p := range s.plogs {
 		for _, r := range p.replicaList() {
 			r.mu.RLock()
-			n += int64(len(r.chunks)) * int64(r.chunkSize)
+			physical += int64(len(r.chunks)-r.verified) * int64(r.chunkSize)
+			logical += int64(len(r.chunks)) * int64(r.chunkSize)
 			r.mu.RUnlock()
 		}
 	}
-	return n
+	return physical, logical
 }
 
 // Node is one simulated compute or storage node.
@@ -565,6 +579,9 @@ type replica struct {
 	mu     sync.RWMutex
 	chunks [][]byte
 	size   int64
+	// verified counts the leading chunks that are replica 0's own, shared
+	// by reference; replica 0's is always 0, so it owns every shared chunk.
+	verified int
 }
 
 func (r *replica) append(data []byte) {
@@ -584,6 +601,37 @@ func (r *replica) append(data []byte) {
 	}
 	r.size += int64(len(data))
 }
+
+// share verifies each chunk of r that has filled since the last call against
+// ref's and swaps it for ref's, which is full and so immutable. It returns
+// the index of the first chunk that differs, or -1. The caller holds the
+// PLog's lock, which every writer of either replica holds.
+func (r *replica) share(ref *replica) int {
+	full := int(min(r.size, ref.size) / int64(r.chunkSize))
+	if r.verified >= full {
+		return -1
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for ; r.verified < full; r.verified++ {
+		c := ref.chunks[r.verified]
+		if !bytes.Equal(r.chunks[r.verified], c) {
+			return r.verified
+		}
+		r.chunks[r.verified] = c
+	}
+	return -1
+}
+
+// chunk returns chunk ci's bytes.
+func (r *replica) chunk(ci int) []byte {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.chunks[ci]
+}
+
+// sameChunk reports whether a and b are one chunk held by reference.
+func sameChunk(a, b []byte) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
 
 // extent returns the replica's persisted length. Replica extents can
 // diverge from the PLog size (and from each other) only after a torn
@@ -743,6 +791,17 @@ func (p *PLog) AppendTimed(data []byte) (off int64, replicateNS int64, err error
 	p.svc.chargeAppend(p.tier, len(data))
 	for _, r := range reps {
 		r.append(data)
+	}
+	for _, r := range reps[1:] {
+		if ci := r.share(reps[0]); ci >= 0 {
+			p.sealTornLocked(false)
+			p.svc.stats.Divergences.Add(1)
+			if om := p.svc.obsM.Load(); om != nil {
+				om.divergences.Inc()
+			}
+			return 0, 0, fmt.Errorf("%w: %v chunk %d on replica node %d",
+				ErrReplicaDiverged, p.id, ci, r.node.ID)
+		}
 	}
 	replicateNS = int64(time.Since(replStart))
 	p.size.Store(off + int64(len(data)))
@@ -927,50 +986,6 @@ func (p *PLog) CheckReplicas() bool { return p.replicasEqual() }
 // Replicas returns the current replica count.
 func (p *PLog) Replicas() int { return len(p.replicaList()) }
 
-// ReplicaNodes returns the node IDs currently hosting replicas, in replica
-// order. Repair changes this set.
-func (p *PLog) ReplicaNodes() []int {
-	reps := p.replicaList()
-	ids := make([]int, len(reps))
-	for i, r := range reps {
-		ids[i] = r.node.ID
-	}
-	return ids
-}
-
-// ReplicaExtent returns the persisted length of replica i. Extents diverge
-// from Size (and from each other) only on torn PLogs.
-func (p *PLog) ReplicaExtent(i int) int64 {
-	reps := p.replicaList()
-	if i < 0 || i >= len(reps) {
-		return -1
-	}
-	return reps[i].extent()
-}
-
-// ReadReplicaAt reads from one specific replica, bypassing routing; recovery
-// uses it to cross-check replicas around a suspected torn tail. Returns the
-// number of bytes the replica could serve (short on torn replicas).
-func (p *PLog) ReadReplicaAt(i int, b []byte, off int64) (int, error) {
-	reps := p.replicaList()
-	if i < 0 || i >= len(reps) {
-		return 0, fmt.Errorf("%w: replica %d of %d", ErrOutOfRange, i, len(reps))
-	}
-	r := reps[i]
-	ext := r.extent()
-	if off < 0 || off > ext {
-		return 0, fmt.Errorf("%w: replica %d offset %d of %d", ErrOutOfRange, i, off, ext)
-	}
-	n := len(b)
-	if int64(n) > ext-off {
-		n = int(ext - off)
-	}
-	if n > 0 {
-		r.readAt(b[:n], off)
-	}
-	return n, nil
-}
-
 // ReplicasConsistentFrom reports whether every replica agrees byte-for-byte
 // from off to the physical end of the PLog: equal extents and equal
 // contents. A torn write leaves divergent suffixes, so recovery calls this
@@ -990,14 +1005,16 @@ func (p *PLog) ReplicasConsistentFrom(off int64) bool {
 	if off >= ext {
 		return true
 	}
-	n := ext - off
-	ref := make([]byte, n)
-	reps[0].readAt(ref, off)
-	buf := make([]byte, n)
-	for _, r := range reps[1:] {
-		r.readAt(buf, off)
-		if !bytes.Equal(ref, buf) {
-			return false
+	// Chunk by chunk from off's, up to ext: appends may be landing past it.
+	// A chunk held by reference is equal.
+	cs := int64(reps[0].chunkSize)
+	for ci := off / cs; ci*cs < ext; ci++ {
+		lo, hi := max(off-ci*cs, 0), min(ext-ci*cs, cs)
+		ref := reps[0].chunk(int(ci))
+		for _, r := range reps[1:] {
+			if c := r.chunk(int(ci)); !sameChunk(c, ref) && !bytes.Equal(c[lo:hi], ref[lo:hi]) {
+				return false
+			}
 		}
 	}
 	return true
@@ -1105,6 +1122,14 @@ func (s *Service) repairPLog(p *PLog) (int, error) {
 	if src == nil {
 		return 0, nil
 	}
+	// The source's full chunks that are replica 0's go by reference; only
+	// the rest is copied.
+	ext := src.extent()
+	shared := 0
+	for shared < int(ext/int64(s.cfg.ChunkSize)) && shared < len(old[0].chunks) &&
+		sameChunk(src.chunks[shared], old[0].chunks[shared]) {
+		shared++
+	}
 	spares := s.spareNodes(p)
 	replaced := 0
 	next := make([]*replica, len(old))
@@ -1118,11 +1143,14 @@ func (s *Service) repairPLog(p *PLog) (int, error) {
 		}
 		node := spares[0]
 		spares = spares[1:]
-		nr := &replica{node: node, chunkSize: s.cfg.ChunkSize}
-		ext := src.extent()
+		nr := &replica{node: node, chunkSize: s.cfg.ChunkSize, size: int64(shared * s.cfg.ChunkSize)}
+		nr.chunks = append(nr.chunks, src.chunks[:shared]...)
+		if i > 0 {
+			nr.verified = shared
+		}
 		const batch = 1 << 20
 		buf := make([]byte, batch)
-		for off := int64(0); off < ext; {
+		for off := nr.size; off < ext; {
 			n := batch
 			if int64(n) > ext-off {
 				n = int(ext - off)

@@ -428,26 +428,30 @@ func TestWellKnownRegistry(t *testing.T) {
 }
 
 // TestReplicaBytes: the heap ledger's srss.replica_bytes is the chunk
-// capacity every replica allocated, and a deleted PLog's leaves it.
+// capacity the replicas hold, a shared chunk once, and
+// srss.replica_logical_bytes the same once per replica; a deleted PLog's
+// leaves both.
 func TestReplicaBytes(t *testing.T) {
 	s := testService(t) // 256-byte chunks, three replicas
 	p, err := s.Create(TierCompute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := s.replicaBytes(); n != 0 {
-		t.Fatalf("an empty PLog holds %d bytes", n)
+	if phys, logical := s.replicaBytes(); phys != 0 || logical != 0 {
+		t.Fatalf("an empty PLog holds %d/%d bytes", phys, logical)
 	}
+	// 300 bytes: a full chunk, shared, and a 44-byte tail chunk per replica.
 	if _, err := p.Append(make([]byte, 300)); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.replicaBytes(); n != 3*2*256 {
-		t.Fatalf("300 bytes in 256-byte chunks hold %d bytes over three replicas, want %d", n, 3*2*256)
+	if phys, logical := s.replicaBytes(); phys != 4*256 || logical != 3*2*256 {
+		t.Fatalf("300 bytes in 256-byte chunks hold %d physical, %d logical bytes; want %d, %d",
+			phys, logical, 4*256, 3*2*256)
 	}
 	if err := s.Delete(p.ID()); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.replicaBytes(); n != 0 {
-		t.Fatalf("a deleted PLog still counts %d bytes", n)
+	if phys, logical := s.replicaBytes(); phys != 0 || logical != 0 {
+		t.Fatalf("a deleted PLog still counts %d/%d bytes", phys, logical)
 	}
 }
