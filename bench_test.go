@@ -21,7 +21,6 @@ import (
 	"hiengine/internal/core"
 	"hiengine/internal/delay"
 	"hiengine/internal/engineapi"
-	"hiengine/internal/index"
 	"hiengine/internal/numa"
 	"hiengine/internal/pia"
 	"hiengine/internal/sqlfront"
@@ -468,44 +467,6 @@ func BenchmarkAblationGroupCommit(b *testing.B) {
 			b.StopTimer()
 			for i := 0; i < cap(window); i++ {
 				window <- struct{}{}
-			}
-		})
-	}
-}
-
-// --- Ablation: LSM index component count ----------------------------------------
-
-func BenchmarkAblationIndexComponents(b *testing.B) {
-	build := func(b *testing.B, freezes int) *index.Index {
-		svc := srss.New(srss.Config{})
-		ix := index.New(index.Config{Service: svc})
-		per := 30000 / (freezes + 1)
-		n := 0
-		for f := 0; f <= freezes; f++ {
-			for i := 0; i < per; i++ {
-				key := core.EncodeKey(nil, core.I(int64(n)))
-				if err := ix.Insert(key, uint64(n+1)); err != nil {
-					b.Fatal(err)
-				}
-				n++
-			}
-			if f < freezes {
-				if err := ix.Freeze(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		return ix
-	}
-	for _, comps := range []int{0, 1, 3} {
-		b.Run(fmt.Sprintf("frozen-components-%d", comps), func(b *testing.B) {
-			ix := build(b, comps)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				key := core.EncodeKey(nil, core.I(int64(i%30000)))
-				if _, ok, err := ix.Get(key); err != nil || !ok {
-					b.Fatalf("miss at %d: %v", i%30000, err)
-				}
 			}
 		})
 	}

@@ -1,15 +1,11 @@
 // Package art implements the concurrent adaptive radix tree (ART) HiEngine
-// uses as its baseline index structure (Section 4.5, building on Leis et
-// al., ICDE 2013), together with the paper's LSM-like persistence support:
-// trees can be serialized into SRSS PLogs in an append-only format and
-// searched directly in their serialized (mmap'ed) form, which package index
-// merges component by component.
+// uses as its index structure (Section 4.5, building on Leis et al., ICDE
+// 2013). A tree lives in memory only: the checkpoint image carries every
+// index key and recovery re-inserts them, so nothing here is serialized.
 //
 // Values are 64-bit record IDs: HiEngine indexes store only key->RID
-// mappings, never record data, which is what keeps merges and compaction
-// cheap. Deletion inserts a tombstone so that lookups do not fall through to
-// stale entries in older read-only components; physical removal happens when
-// components are merged.
+// mappings, never record data. Deletion inserts a tombstone, which a lookup
+// reports as deleted; tombstones are never physically removed.
 //
 // A key's value sits in the child slot of its parent node that the key's
 // last byte selects -- Leis et al.'s combined pointer/value slots -- whenever
@@ -32,9 +28,16 @@ package art
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
 	"sync/atomic"
 )
+
+// MaxKeyLen bounds index keys.
+const MaxKeyLen = 2048
+
+// ErrKeyTooLong is returned for keys exceeding MaxKeyLen.
+var ErrKeyTooLong = errors.New("art: key exceeds MaxKeyLen")
 
 // kind discriminates node layouts.
 type kind uint8
@@ -431,19 +434,13 @@ func (t *Tree) Len() int {
 	return n
 }
 
-// Empty reports whether the tree holds no entry. The root is never replaced
-// and never loses a slot, so an entry anywhere shows there.
-func (t *Tree) Empty() bool {
-	return t.root.term.Load() == nil && t.root.b256.count.Load() == 0
-}
-
 // Insert upserts key -> rid.
 func (t *Tree) Insert(key []byte, rid uint64) {
 	t.insert(key, rid, false)
 }
 
 // InsertTombstone records a deletion marker for key; Search will report the
-// key as deleted rather than falling through to older index components.
+// key as deleted.
 func (t *Tree) InsertTombstone(key []byte) {
 	t.insert(key, 0, true)
 }

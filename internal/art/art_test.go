@@ -3,7 +3,6 @@ package art
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -401,221 +400,5 @@ func TestConcurrentMixedHotKeys(t *testing.T) {
 				t.Fatalf("Len = %d, want %d", tr.Len(), hot)
 			}
 		})
-	}
-}
-
-// --- serialized components ------------------------------------------------
-
-// memRegion is an in-memory Appender/ByteSource for tests.
-type memRegion struct {
-	b []byte
-}
-
-func (m *memRegion) Append(data []byte) (int64, error) {
-	off := int64(len(m.b))
-	m.b = append(m.b, data...)
-	return off, nil
-}
-
-func (m *memRegion) At(off int64, n int) ([]byte, error) {
-	if off < 0 || off+int64(n) > int64(len(m.b)) {
-		return nil, fmt.Errorf("memRegion: out of range")
-	}
-	return m.b[off : off+int64(n)], nil
-}
-
-func (m *memRegion) Len() int64 { return int64(len(m.b)) }
-
-func buildComponent(t *testing.T, tr *Tree) *Component {
-	t.Helper()
-	r := &memRegion{}
-	res, err := SerializeTree(tr, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := OpenComponent(r, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
-func TestSerializeSearchEquivalence(t *testing.T) {
-	tr := New()
-	rng := rand.New(rand.NewSource(1))
-	ref := make(map[string]uint64)
-	for i := 0; i < 4000; i++ {
-		k := u64key(uint64(rng.Intn(10000)))
-		if rng.Intn(10) == 0 {
-			k = k[:rng.Intn(8)] // variable lengths
-		}
-		tr.Insert(k, uint64(i+1))
-		ref[string(k)] = uint64(i + 1)
-	}
-	tr.InsertTombstone([]byte("gone"))
-	c := buildComponent(t, tr)
-	if c.Count() != int64(tr.Len()) {
-		t.Fatalf("Count = %d, want %d", c.Count(), tr.Len())
-	}
-	for k, v := range ref {
-		rid, ok, tomb, err := c.Search([]byte(k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok || tomb || rid != v {
-			t.Fatalf("disk[%x] = %d,%v,%v want %d", k, rid, ok, tomb, v)
-		}
-	}
-	if _, ok, tomb, _ := c.Search([]byte("gone")); !ok || !tomb {
-		t.Fatal("tombstone lost in serialization")
-	}
-	if _, ok, _, _ := c.Search([]byte("never-inserted")); ok {
-		t.Fatal("found absent key on disk")
-	}
-}
-
-func TestSerializedScanMatchesTreeScan(t *testing.T) {
-	tr := New()
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 3000; i++ {
-		tr.Insert(u64key(uint64(rng.Intn(50000))), uint64(i))
-	}
-	c := buildComponent(t, tr)
-	var mem, disk []Entry
-	tr.Scan(u64key(1000), u64key(40000), func(k []byte, rid uint64, tomb bool) bool {
-		mem = append(mem, Entry{Key: append([]byte(nil), k...), RID: rid, Tomb: tomb})
-		return true
-	})
-	if err := c.Scan(u64key(1000), u64key(40000), func(k []byte, rid uint64, tomb bool) bool {
-		disk = append(disk, Entry{Key: append([]byte(nil), k...), RID: rid, Tomb: tomb})
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(mem) != len(disk) {
-		t.Fatalf("scan lengths differ: mem=%d disk=%d", len(mem), len(disk))
-	}
-	for i := range mem {
-		if !bytes.Equal(mem[i].Key, disk[i].Key) || mem[i].RID != disk[i].RID {
-			t.Fatalf("scan entry %d differs", i)
-		}
-	}
-}
-
-func TestComponentIterOrdered(t *testing.T) {
-	tr := New()
-	for i := 0; i < 1000; i++ {
-		tr.Insert(u64key(uint64(i*7)), uint64(i))
-	}
-	c := buildComponent(t, tr)
-	it := c.Iter()
-	var prev []byte
-	n := 0
-	for {
-		e, ok := it.Next()
-		if !ok {
-			break
-		}
-		if prev != nil && bytes.Compare(prev, e.Key) >= 0 {
-			t.Fatalf("iterator out of order at %d", n)
-		}
-		prev = append(prev[:0], e.Key...)
-		n++
-	}
-	if it.Err() != nil {
-		t.Fatal(it.Err())
-	}
-	if n != 1000 {
-		t.Fatalf("iterated %d, want 1000", n)
-	}
-}
-
-func TestBuildFromSortedEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	ref := make(map[string]uint64)
-	for i := 0; i < 2000; i++ {
-		ref[string(u64key(uint64(rng.Intn(100000))))] = uint64(i)
-	}
-	var entries []Entry
-	for k, v := range ref {
-		entries = append(entries, Entry{Key: []byte(k), RID: v})
-	}
-	sort.Slice(entries, func(i, j int) bool { return bytes.Compare(entries[i].Key, entries[j].Key) < 0 })
-	r := &memRegion{}
-	res, err := BuildFromSorted(entries, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := OpenComponent(r, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Count() != int64(len(entries)) {
-		t.Fatalf("Count = %d want %d", c.Count(), len(entries))
-	}
-	for k, v := range ref {
-		rid, ok, _, err := c.Search([]byte(k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok || rid != v {
-			t.Fatalf("built[%x] = %d,%v want %d", k, rid, ok, v)
-		}
-	}
-	// Ordered iteration equals input order.
-	it := c.Iter()
-	for i := range entries {
-		e, ok := it.Next()
-		if !ok || !bytes.Equal(e.Key, entries[i].Key) {
-			t.Fatalf("iter mismatch at %d", i)
-		}
-	}
-}
-
-func TestBuildFromSortedRejectsUnsorted(t *testing.T) {
-	r := &memRegion{}
-	entries := []Entry{{Key: []byte("b")}, {Key: []byte("a")}}
-	if _, err := BuildFromSorted(entries, r); err == nil {
-		t.Fatal("unsorted input accepted")
-	}
-	dup := []Entry{{Key: []byte("a")}, {Key: []byte("a")}}
-	if _, err := BuildFromSorted(dup, r); err == nil {
-		t.Fatal("duplicate keys accepted")
-	}
-}
-
-func TestBuildFromSortedEmpty(t *testing.T) {
-	r := &memRegion{}
-	res, err := BuildFromSorted(nil, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := OpenComponent(r, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _, _ := c.Search([]byte("x")); ok {
-		t.Fatal("found key in empty component")
-	}
-	if _, ok := c.Iter().Next(); ok {
-		t.Fatal("empty component iterated entries")
-	}
-}
-
-func TestEmptyTreeSerialize(t *testing.T) {
-	c := buildComponent(t, New())
-	if _, ok, _, _ := c.Search([]byte("x")); ok {
-		t.Fatal("found key in empty tree component")
-	}
-}
-
-func TestOpenComponentRejectsGarbage(t *testing.T) {
-	r := &memRegion{b: []byte{'Z', 1, 2, 3}}
-	if _, err := OpenComponent(r, SerializeResult{RootOff: 1, Length: 4}); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	r2 := &memRegion{b: []byte{'A', 1, 2, 3}}
-	if _, err := OpenComponent(r2, SerializeResult{RootOff: 99, Length: 4}); err == nil {
-		t.Fatal("bad root offset accepted")
 	}
 }

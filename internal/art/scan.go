@@ -7,8 +7,8 @@ import (
 
 // Scan visits entries with from <= key < to in ascending key order, calling
 // fn until it returns false. A nil from means "from the beginning"; a nil to
-// means "to the end". Tombstones are visited with tomb=true so that
-// multi-component merging scans can suppress deleted keys. The key handed to
+// means "to the end". Tombstones are visited with tomb=true; the caller decides whether a
+// deleted key counts. The key handed to
 // fn is valid only during the call: an inline value's key is rebuilt from
 // the path in the scan's own buffer.
 //

@@ -31,8 +31,7 @@ func (o oracleOp) apply(tr *Tree, ref map[string]entry) {
 
 // checkAgainst holds tr to the map oracle: every key searches to its entry,
 // Len counts them, a full scan and a scan of each one-key range visit them
-// in order with their entries, and the serialized tree searches and scans
-// to the same.
+// in order with their entries.
 func checkAgainst(t *testing.T, tr *Tree, ref map[string]entry) {
 	t.Helper()
 	keys := make([]string, 0, len(ref))
@@ -61,37 +60,19 @@ func checkAgainst(t *testing.T, tr *Tree, ref map[string]entry) {
 			t.Fatalf("scan of [%q, %q\\x00) = %v", k, k, one)
 		}
 	}
-	c := buildComponent(t, tr)
-	if c.Count() != int64(len(ref)) {
-		t.Fatalf("component Count = %d, want %d", c.Count(), len(ref))
-	}
-	for _, k := range keys {
-		rid, found, tomb, err := c.Search([]byte(k))
-		if err != nil || !found || rid != ref[k].rid || tomb != ref[k].tomb {
-			t.Fatalf("component Search(%q) = %d %v %v %v, want %+v", k, rid, found, tomb, err, ref[k])
-		}
-	}
-	var disk []Entry
-	if err := c.Scan(nil, nil, func(k []byte, rid uint64, tomb bool) bool {
-		disk = append(disk, Entry{Key: append([]byte(nil), k...), RID: rid, Tomb: tomb})
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(disk) != len(got) {
-		t.Fatalf("component scan visited %d entries, tree %d", len(disk), len(got))
-	}
-	for i := range got {
-		if !bytes.Equal(disk[i].Key, got[i].Key) || disk[i].RID != got[i].RID || disk[i].Tomb != got[i].Tomb {
-			t.Fatalf("component scan entry %d = %+v, tree %+v", i, disk[i], got[i])
-		}
-	}
 }
 
-func scanEntries(tr *Tree, from, to []byte) []Entry {
-	var out []Entry
+// scanned is one entry a Scan visited, its key copied out of the callback.
+type scanned struct {
+	Key  []byte
+	RID  uint64
+	Tomb bool
+}
+
+func scanEntries(tr *Tree, from, to []byte) []scanned {
+	var out []scanned
 	tr.Scan(from, to, func(k []byte, rid uint64, tomb bool) bool {
-		out = append(out, Entry{Key: append([]byte(nil), k...), RID: rid, Tomb: tomb})
+		out = append(out, scanned{Key: append([]byte(nil), k...), RID: rid, Tomb: tomb})
 		return true
 	})
 	return out
@@ -131,7 +112,7 @@ func holder(tr *Tree, key []byte) (*node, string) {
 
 // TestInlineSlotTransitions walks each slot rule -- where an entry is kept
 // after each write, and the node size class that holds it -- against the
-// map oracle, Scan order and the serialized form.
+// map oracle and Scan order.
 func TestInlineSlotTransitions(t *testing.T) {
 	const big = 1 << 62 // the first RID a slot word cannot hold
 	var grow []oracleOp
@@ -211,8 +192,7 @@ func TestInlineSlotTransitions(t *testing.T) {
 
 // FuzzTreeOps drives a tree with inserts, tombstones, searches and scans
 // over short keys from a four-byte alphabet -- so keys are prefixes of one
-// another and every slot transition happens -- and holds it to a map oracle,
-// its serialized form included.
+// another and every slot transition happens -- and holds it to a map oracle.
 func FuzzTreeOps(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 5, 0, 2, 0, 1, 6, 2, 1, 0, 3, 0, 4})
 	f.Add([]byte{0, 3, 1, 2, 3, 9, 0, 2, 1, 2, 200, 1, 1, 1, 3, 2, 0, 3})

@@ -195,17 +195,6 @@ func (db *DB) table(name string) (*table, error) {
 	return t, nil
 }
 
-// FlushDirtyPages writes back all dirty pages (checkpoint), charging
-// storage-tier writes -- twice for the MySQL variant's doublewrite buffer.
-func (db *DB) FlushDirtyPages() int {
-	n := db.pool.flushAll()
-	if db.cfg.Variant == VariantMySQL {
-		// Doublewrite: each flushed page is written twice.
-		db.pool.chargeWrites(n)
-	}
-	return n
-}
-
 // --- transactions ---------------------------------------------------------
 
 type pendingWrite struct {

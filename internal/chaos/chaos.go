@@ -28,9 +28,6 @@ package chaos
 import (
 	"errors"
 	"fmt"
-	"os"
-	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -116,26 +113,6 @@ func RegisterSite(name, desc string) {
 	catalog[name] = desc
 }
 
-// Sites returns the registered site names, sorted (for docs and tests).
-func Sites() []string {
-	catalogMu.Lock()
-	defer catalogMu.Unlock()
-	out := make([]string, 0, len(catalog))
-	for n := range catalog {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// SiteDoc returns a site's registered description.
-func SiteDoc(name string) (string, bool) {
-	catalogMu.Lock()
-	defer catalogMu.Unlock()
-	d, ok := catalog[name]
-	return d, ok
-}
-
 // --- deterministic randomness --------------------------------------------
 
 // splitmix64 is the SplitMix64 finalizer: a high-quality 64-bit mix used
@@ -182,9 +159,6 @@ func (r *Rand) Uint64() uint64 {
 // Intn returns a draw in [0,n). n must be > 0.
 func (r *Rand) Intn(n int) int { return int(r.Uint64() % uint64(n)) }
 
-// Float64 returns a draw in [0,1).
-func (r *Rand) Float64() float64 { return unitFloat(r.Uint64()) }
-
 // --- engine ---------------------------------------------------------------
 
 // siteState is per-site runtime state: a hit counter driving decisions and
@@ -217,20 +191,6 @@ func New(seed uint64) *Engine {
 		rules: make(map[string][]*armedRule),
 		sites: make(map[string]*siteState),
 	}
-}
-
-// SeedFromEnv reads CHAOS_SEED (decimal or 0x hex). ok is false when the
-// variable is unset or unparsable.
-func SeedFromEnv() (seed uint64, ok bool) {
-	v := os.Getenv("CHAOS_SEED")
-	if v == "" {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(v, 0, 64)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
 }
 
 // Seed returns the engine's seed (0 for nil).

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hiengine/internal/index"
 	"hiengine/internal/srss"
 	"hiengine/internal/wal"
 )
@@ -516,8 +515,7 @@ func (e *Engine) recoverParallel(threads, n int, out *indexed, work func(x *inde
 	return err
 }
 
-// indexChunk is the replayed versions an index worker takes at a time: one
-// pin per index for that many rows, not per row.
+// indexChunk is the replayed versions an index worker takes at a time.
 const indexChunk = 512
 
 // indexed is what recovery's image pass and index phase did: the image
@@ -545,13 +543,12 @@ func (o *indexed) add(x *indexed) {
 // indexer is one recovery worker's state.
 type indexer struct {
 	indexed
-	e       *Engine
-	img     imageReader
-	view    RowView
-	kbuf    []byte
-	t       *Table // the table loaders pins
-	loaders []index.Loader
-	rows    int64 // the live rows of t counted since it was pinned
+	e    *Engine
+	img  imageReader
+	view RowView
+	kbuf []byte
+	t    *Table // the table whose live rows x counts
+	rows int64  // the live rows of t counted since x moved to it
 	// The image entries of t read but not stored yet: RIDs, stubs, and the
 	// keys, end to end in keyBytes, keyEnds[i] the end of the i-th.
 	rids     []RID
@@ -560,27 +557,22 @@ type indexer struct {
 	keyEnds  []int
 }
 
-// pin makes loaders pins on t's indexes.
-func (x *indexer) pin(t *Table) {
+// countFor makes t the table whose live rows x counts, booking those counted
+// so far against theirs.
+func (x *indexer) countFor(t *Table) {
 	if x.t == t {
 		return
 	}
-	x.unpin()
-	for _, ix := range t.indexes {
-		x.loaders = append(x.loaders, ix.Load())
-	}
+	x.bookRows()
 	x.t = t
 }
 
-// unpin lets go of the pins, and books the rows counted against their table.
-func (x *indexer) unpin() {
-	for _, l := range x.loaders {
-		l.Done()
-	}
+// bookRows books the live rows counted against their table.
+func (x *indexer) bookRows() {
 	if x.t != nil {
 		x.t.liveRows.Add(x.rows)
 	}
-	x.loaders, x.t, x.rows = x.loaders[:0], nil, 0
+	x.t, x.rows = nil, 0
 }
 
 // book counts n bytes of the record at addr live.
@@ -595,7 +587,7 @@ func (x *indexer) book(addr uint64, n int64) {
 // loadBlock loads one image block: its entries' stubs, stored a table run at
 // a time (store), and their keys.
 func (x *indexer) loadBlock(body []byte) error {
-	defer x.unpin()
+	defer x.bookRows()
 	var t *Table
 	err := x.img.readBlock(body, true, func(en *imageEntry) error {
 		x.entries++
@@ -610,7 +602,7 @@ func (x *indexer) loadBlock(body []byte) error {
 				return fmt.Errorf("core: checkpoint image has %d keys per row of table %q, which has %d indexes",
 					len(en.keys), t.Schema.Name, len(t.indexes))
 			}
-			x.pin(t)
+			x.countFor(t)
 		}
 		stub := &Version{}
 		stub.tmin.Store(en.csn)
@@ -636,7 +628,7 @@ func (x *indexer) loadBlock(body []byte) error {
 	return x.store()
 }
 
-// store stores the pinned table's pending stubs in its PIA, each unless its
+// store stores the counted table's pending stubs in its PIA, each unless its
 // slot holds a version at least as new, and indexes those it stored.
 func (x *indexer) store() error {
 	t := x.t
@@ -651,7 +643,7 @@ func (x *indexer) store() error {
 	}); err != nil {
 		return err
 	}
-	n := len(x.loaders)
+	n := len(t.indexes)
 	for i, stub := range x.stubs {
 		if stub == nil {
 			continue // the replay's version stays
@@ -661,7 +653,7 @@ func (x *indexer) store() error {
 			start = x.keyEnds[i*n-1]
 		}
 		for j, end := range x.keyEnds[i*n : (i+1)*n] {
-			if err := x.loaders[j].Insert(x.keyBytes[start:end], uint64(rid)); err != nil {
+			if err := t.indexes[j].Insert(x.keyBytes[start:end], uint64(rid)); err != nil {
 				return err
 			}
 			start = end
@@ -677,7 +669,7 @@ func (x *indexer) store() error {
 // their rows' heads, by their payloads, which the replay left resident, and
 // clears those that are deletes.
 func (x *indexer) tail(vs []replayed) error {
-	defer x.unpin()
+	defer x.bookRows()
 	for _, r := range vs {
 		t, rid, v := r.t, r.rid, r.v
 		if t.rows.Get(rid) != v {
@@ -687,7 +679,7 @@ func (x *indexer) tail(vs []replayed) error {
 			_, _ = t.rows.DeleteIf(rid, v)
 			continue
 		}
-		x.pin(t)
+		x.countFor(t)
 		p, err := v.payload(x.e)
 		if err != nil {
 			return err
@@ -695,15 +687,15 @@ func (x *indexer) tail(vs []replayed) error {
 		if _, err := x.view.Reset(p); err != nil {
 			return err
 		}
-		for i, l := range x.loaders {
+		for i, ix := range t.indexes {
 			if x.kbuf, err = t.viewIndexKeyAppend(x.kbuf[:0], i, &x.view, rid); err != nil {
 				return err
 			}
-			if err := l.Insert(x.kbuf, uint64(rid)); err != nil {
+			if err := ix.Insert(x.kbuf, uint64(rid)); err != nil {
 				return err
 			}
 		}
-		x.keys += int64(len(x.loaders))
+		x.keys += int64(len(t.indexes))
 		x.rows++
 		x.book(v.addr.Load(), v.logLen(t.ID, rid))
 	}

@@ -397,20 +397,12 @@ func (e *Engine) Stats() *Stats { return &e.stats }
 // Obs returns the engine's observability registry (nil when disabled).
 func (e *Engine) Obs() *obs.Registry { return e.obs }
 
-// DurabilityLost reports whether the engine has fail-stopped after a
-// durability failure.
-func (e *Engine) DurabilityLost() bool { return e.durabilityLost.Load() }
-
 // ManifestID returns the bootstrap PLog ID used by Recover.
 func (e *Engine) ManifestID() srss.PLogID {
 	e.manifestMu.Lock()
 	defer e.manifestMu.Unlock()
 	return e.manifest.ID()
 }
-
-// LastCheckpointCSN returns the CSN of the newest completed checkpoint (0
-// if none was taken).
-func (e *Engine) LastCheckpointCSN() uint64 { return e.lastCkpt.Load() }
 
 // CurrentCSN returns the engine clock's current commit sequence number
 // without advancing it. A primary reports this to replicas so they can
@@ -643,7 +635,7 @@ func (e *Engine) CreateTable(s *Schema) (*Table, error) {
 func (e *Engine) buildTable(id uint32, s *Schema) (*Table, error) {
 	t := &Table{ID: id, Schema: s, rows: pia.New[Version](pia.Config{})}
 	for range s.Indexes {
-		t.indexes = append(t.indexes, index.New(index.Config{Service: e.svc, Tier: srss.TierCompute}))
+		t.indexes = append(t.indexes, index.New(index.Config{}))
 	}
 	return t, nil
 }
@@ -800,25 +792,4 @@ func (e *Engine) reserveImport(tbl *Table, pk []byte, view *RowView, v *Version)
 		}
 	}
 	return rid, nil
-}
-
-// Evict drops in-memory payloads of all durable versions of a table,
-// simulating memory pressure; subsequent reads reload them through SRSS
-// mmap views (the partial-memory story of Section 4.2).
-func (e *Engine) Evict(tableName string) (int, error) {
-	t, err := e.Table(tableName)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	t.rows.Range(func(_ RID, v *Version) bool {
-		for ; v != nil; v = v.next.Load() {
-			if v.Evict() {
-				n++
-				e.dropPrivate(v)
-			}
-		}
-		return true
-	})
-	return n, nil
 }

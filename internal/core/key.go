@@ -92,11 +92,3 @@ func KeySuccessor(k []byte) []byte {
 func EncodeRIDSuffix(buf []byte, rid uint64) []byte {
 	return binary.BigEndian.AppendUint64(buf, rid)
 }
-
-// DecodeRIDSuffix extracts the trailing RID from a secondary-index key.
-func DecodeRIDSuffix(key []byte) uint64 {
-	if len(key) < 8 {
-		return 0
-	}
-	return binary.BigEndian.Uint64(key[len(key)-8:])
-}

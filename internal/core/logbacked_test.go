@@ -246,7 +246,7 @@ func TestSwingUnderConcurrentReaders(t *testing.T) {
 					return
 				}
 				if rid != 0 {
-					if err := tx.GetRaw(tbl, RID(rid-1), check); err != nil {
+					if err := tx.getRaw(tbl, RID(rid-1), check); err != nil {
 						t.Errorf("GetRaw: %v", err)
 					}
 				}

@@ -109,9 +109,6 @@ func (t *Table) Rows() *pia.Map[Version] { return t.rows }
 // Index returns index i (0 = primary).
 func (t *Table) Index(i int) *index.Index { return t.indexes[i] }
 
-// NumIndexes returns the index count.
-func (t *Table) NumIndexes() int { return len(t.indexes) }
-
 // indexPos returns the position of ix within the table's indexes, or -1.
 func (t *Table) indexPos(ix *index.Index) int {
 	for i, x := range t.indexes {

@@ -228,9 +228,6 @@ func (e *Engine) Begin(worker int) (*Txn, error) {
 	return t, nil
 }
 
-// TID returns the transaction ID.
-func (t *Txn) TID() uint64 { return t.tid }
-
 // CSN returns the commit sequence number (0 while active, after abort, or
 // for read-only commits, which consume no CSN).
 func (t *Txn) CSN() uint64 {
@@ -308,8 +305,8 @@ func (t *Txn) visibleVersion(head *Version) *Version {
 // be storage-backed memory: it is valid only until the callback returns, and
 // a caller that keeps any of it must copy it out before then.
 
-// GetRaw hands fn the encoded row at rid visible to t.
-func (t *Txn) GetRaw(tbl *Table, rid RID, fn func(payload []byte) error) error {
+// getRaw hands fn the encoded row at rid visible to t.
+func (t *Txn) getRaw(tbl *Table, rid RID, fn func(payload []byte) error) error {
 	if t.finished {
 		return ErrTxnDone
 	}
@@ -330,7 +327,7 @@ func (t *Txn) GetRaw(tbl *Table, rid RID, fn func(payload []byte) error) error {
 
 // Get returns the row at rid visible to t.
 func (t *Txn) Get(tbl *Table, rid RID) (row Row, err error) {
-	err = t.GetRaw(tbl, rid, func(p []byte) (derr error) {
+	err = t.getRaw(tbl, rid, func(p []byte) (derr error) {
 		row, derr = DecodeRow(p)
 		return derr
 	})
@@ -357,7 +354,7 @@ func (t *Txn) GetByKeyRaw(tbl *Table, idx int, vals []Value, fn func(rid RID, pa
 		return ErrNotFound
 	}
 	rid := RID(ridU)
-	return t.GetRaw(tbl, rid, func(p []byte) error {
+	return t.getRaw(tbl, rid, func(p []byte) error {
 		// Index entries are single-versioned: verify the visible row still
 		// carries the probed key (it may be a newer entry for a key this
 		// snapshot should not see, or a stale entry for a changed key).

@@ -261,10 +261,7 @@ func TestKeySuccessor(t *testing.T) {
 
 func TestRIDSuffix(t *testing.T) {
 	k := EncodeRIDSuffix([]byte("base"), 0xdeadbeefcafe)
-	if got := DecodeRIDSuffix(k); got != 0xdeadbeefcafe {
-		t.Fatalf("rid suffix round trip: %x", got)
-	}
-	if DecodeRIDSuffix([]byte("shrt")) != 0 {
-		t.Fatal("short key suffix not zero")
+	if want := []byte("base\x00\x00\xde\xad\xbe\xef\xca\xfe"); !bytes.Equal(k, want) {
+		t.Fatalf("rid suffix = %x, want %x", k, want)
 	}
 }

@@ -142,9 +142,6 @@ func (v *Version) release() bool {
 	}
 }
 
-// Tomb reports whether the version is a delete marker.
-func (v *Version) Tomb() bool { return v.tomb }
-
 // Addr returns the version's permanent log address (0 if not yet durable).
 func (v *Version) Addr() wal.Addr { return wal.Addr(v.addr.Load()) }
 
@@ -228,16 +225,6 @@ func (v *Version) swing(win *logWindow, addr wal.Addr, n int) (released int, ok 
 		released = n
 	}
 	return released, true
-}
-
-// Evict drops the in-memory payload of a durable version. Returns false if
-// the version is not durable yet (evicting it would lose data).
-func (v *Version) Evict() bool {
-	if v.addr.Load() == 0 || v.tomb {
-		return false
-	}
-	v.data.Store(nil)
-	return true
 }
 
 // txn status words, packed as state<<62 | csn.

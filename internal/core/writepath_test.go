@@ -492,7 +492,7 @@ func TestPreDurablePayloadOutlivesTheSwing(t *testing.T) {
 // writes out of its log buffer, and that buffer is copied to a larger one as
 // later writes fill it. Every insert, Update and UpdateColumns the transaction
 // made -- of rows it inserted itself and of a row committed before it began --
-// reads back whole after each growth, through GetRaw and ScanPrefixRaw: its
+// reads back whole after each growth, through getRaw and ScanPrefixRaw: its
 // record was complete before its version was published, and a growth copies
 // the buffer without touching a published payload. A later snapshot then
 // reads the same rows, committed.
@@ -515,7 +515,7 @@ func TestOwnWritesStayCompleteAsTheBufferGrows(t *testing.T) {
 	readAll := func(tx *Txn, when string) {
 		t.Helper()
 		for id, rid := range rids {
-			if err := tx.GetRaw(tbl, rid, func(p []byte) error {
+			if err := tx.getRaw(tbl, rid, func(p []byte) error {
 				if !bytes.Equal(p, want[id]) {
 					return fmt.Errorf("reads %x, want %x", p, want[id])
 				}

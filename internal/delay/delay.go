@@ -74,18 +74,6 @@ func CloudProfile() *Model {
 	}
 }
 
-// StorageCentricProfile is CloudProfile as experienced by an engine that must
-// force its commit log across the cross-layer network (Aurora/Taurus-style
-// direct deployment); used by the baselines and the commit-side ablation.
-func StorageCentricProfile() *Model {
-	m := CloudProfile()
-	// A storage-centric engine has no compute-side persistence: its
-	// "append" is a cross-layer round trip plus an SSD write.
-	m.ComputePMAppend = m.CrossLayerRTT + m.SSDWrite
-	m.IntraComputeRTT = 0 // replication is the storage service's problem
-	return m
-}
-
 // Zero returns a model with no simulated latency (unit tests, functional
 // checks).
 func Zero() *Model { return &Model{} }
@@ -145,6 +133,3 @@ func (w *CountingWaiter) Wait(d time.Duration) {
 
 // Total returns the accumulated charged latency.
 func (w *CountingWaiter) Total() time.Duration { return time.Duration(w.total.Load()) }
-
-// Calls returns how many waits were charged (including zero-length ones).
-func (w *CountingWaiter) Calls() int64 { return w.calls.Load() }

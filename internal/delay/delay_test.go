@@ -52,15 +52,6 @@ func TestCloudProfileRatios(t *testing.T) {
 	}
 }
 
-func TestStorageCentricProfileSlowerCommit(t *testing.T) {
-	cloud := CloudProfile()
-	sc := StorageCentricProfile()
-	if sc.ComputePMAppend <= cloud.ComputePMAppend {
-		t.Fatalf("storage-centric commit persistence %v should exceed compute-side %v",
-			sc.ComputePMAppend, cloud.ComputePMAppend)
-	}
-}
-
 func TestZeroModelChargesNothing(t *testing.T) {
 	var w CountingWaiter
 	m := Zero()

@@ -2,13 +2,11 @@ package index
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"hiengine/internal/raceflag"
-	"hiengine/internal/srss"
 )
 
 func key(v uint64) []byte {
@@ -17,15 +15,8 @@ func key(v uint64) []byte {
 	return b[:]
 }
 
-func testIndex(t *testing.T, cfg Config) (*Index, *srss.Service) {
-	t.Helper()
-	svc := srss.New(srss.Config{MaxPLogSize: 1 << 24})
-	cfg.Service = svc
-	return New(cfg), svc
-}
-
 func TestGetInsertDelete(t *testing.T) {
-	ix, _ := testIndex(t, Config{})
+	ix := New(Config{})
 	ix.Insert(key(1), 100)
 	ix.Insert(key(2), 200)
 	if rid, ok, _ := ix.Get(key(1)); !ok || rid != 100 {
@@ -40,136 +31,8 @@ func TestGetInsertDelete(t *testing.T) {
 	}
 }
 
-func TestFreezeKeepsLookups(t *testing.T) {
-	ix, _ := testIndex(t, Config{})
-	for i := 0; i < 1000; i++ {
-		ix.Insert(key(uint64(i)), uint64(i+1))
-	}
-	if err := ix.Freeze(); err != nil {
-		t.Fatal(err)
-	}
-	if got := ix.MemLen(); got != 0 {
-		t.Fatalf("mem not emptied: %d", got)
-	}
-	if got := ix.Components(); got != 1 {
-		t.Fatalf("components = %d", got)
-	}
-	for i := 0; i < 1000; i++ {
-		if rid, ok, err := ix.Get(key(uint64(i))); err != nil || !ok || rid != uint64(i+1) {
-			t.Fatalf("post-freeze get %d: %d %v %v", i, rid, ok, err)
-		}
-	}
-	// New writes land in the fresh mem component and shadow old ones.
-	ix.Insert(key(5), 999)
-	if rid, _, _ := ix.Get(key(5)); rid != 999 {
-		t.Fatalf("shadowing failed: %d", rid)
-	}
-}
-
-func TestTombstoneMasksFrozenEntry(t *testing.T) {
-	ix, _ := testIndex(t, Config{})
-	ix.Insert(key(7), 70)
-	ix.Freeze()
-	ix.Delete(key(7))
-	if _, ok, _ := ix.Get(key(7)); ok {
-		t.Fatal("tombstone did not mask frozen entry")
-	}
-	ix.Freeze() // tombstone now lives in its own component
-	if _, ok, _ := ix.Get(key(7)); ok {
-		t.Fatal("frozen tombstone did not mask older component")
-	}
-}
-
-func TestMergeDropsTombstonesAndDeadPLogs(t *testing.T) {
-	ix, svc := testIndex(t, Config{})
-	for i := 0; i < 100; i++ {
-		ix.Insert(key(uint64(i)), uint64(i+1))
-	}
-	ix.Freeze()
-	for i := 0; i < 50; i++ {
-		ix.Delete(key(uint64(i)))
-	}
-	ix.Insert(key(200), 201)
-	ix.Freeze()
-	before := len(svc.List(srss.TierCompute))
-	if err := ix.Merge(); err != nil {
-		t.Fatal(err)
-	}
-	if got := ix.Components(); got != 1 {
-		t.Fatalf("components after merge = %d", got)
-	}
-	after := len(svc.List(srss.TierCompute))
-	if after >= before {
-		t.Fatalf("merged-away plogs not reclaimed: %d -> %d", before, after)
-	}
-	for i := 0; i < 50; i++ {
-		if _, ok, _ := ix.Get(key(uint64(i))); ok {
-			t.Fatalf("deleted key %d resurfaced after merge", i)
-		}
-	}
-	for i := 50; i < 100; i++ {
-		if rid, ok, _ := ix.Get(key(uint64(i))); !ok || rid != uint64(i+1) {
-			t.Fatalf("live key %d lost after merge", i)
-		}
-	}
-	if rid, ok, _ := ix.Get(key(200)); !ok || rid != 201 {
-		t.Fatal("newest component entry lost")
-	}
-}
-
-func TestScanAcrossComponents(t *testing.T) {
-	ix, _ := testIndex(t, Config{})
-	// Oldest component: evens.
-	for i := 0; i < 100; i += 2 {
-		ix.Insert(key(uint64(i)), uint64(1000+i))
-	}
-	ix.Freeze()
-	// Middle: odds, plus delete of key 4.
-	for i := 1; i < 100; i += 2 {
-		ix.Insert(key(uint64(i)), uint64(2000+i))
-	}
-	ix.Delete(key(4))
-	ix.Freeze()
-	// Mem: overwrite key 6.
-	ix.Insert(key(6), 9999)
-
-	var got []uint64
-	var rids []uint64
-	err := ix.Scan(key(0), key(20), func(k []byte, rid uint64) bool {
-		got = append(got, binary.BigEndian.Uint64(k))
-		rids = append(rids, rid)
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []uint64{0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19}
-	if len(got) != len(want) {
-		t.Fatalf("scan got %v want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("scan got %v want %v", got, want)
-		}
-	}
-	for i, k := range got {
-		var expect uint64
-		switch {
-		case k == 6:
-			expect = 9999
-		case k%2 == 0:
-			expect = 1000 + k
-		default:
-			expect = 2000 + k
-		}
-		if rids[i] != expect {
-			t.Fatalf("key %d rid = %d want %d", k, rids[i], expect)
-		}
-	}
-}
-
 func TestScanEarlyStop(t *testing.T) {
-	ix, _ := testIndex(t, Config{})
+	ix := New(Config{})
 	for i := 0; i < 50; i++ {
 		ix.Insert(key(uint64(i)), uint64(i))
 	}
@@ -177,37 +40,6 @@ func TestScanEarlyStop(t *testing.T) {
 	ix.Scan(nil, nil, func([]byte, uint64) bool { n++; return n < 7 })
 	if n != 7 {
 		t.Fatalf("visited %d", n)
-	}
-}
-
-func TestAttachRoundTrip(t *testing.T) {
-	svc := srss.New(srss.Config{MaxPLogSize: 1 << 24})
-	ix := New(Config{Service: svc})
-	for i := 0; i < 500; i++ {
-		ix.Insert(key(uint64(i)), uint64(i+1))
-	}
-	ix.Freeze()
-	metas := ix.Metas()
-	if len(metas) != 1 {
-		t.Fatalf("metas = %d", len(metas))
-	}
-	// A fresh index (recovery) reattaches the component.
-	ix2 := New(Config{Service: svc})
-	if err := ix2.Attach(metas[0]); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 500; i += 13 {
-		if rid, ok, err := ix2.Get(key(uint64(i))); err != nil || !ok || rid != uint64(i+1) {
-			t.Fatalf("attached get %d: %d %v %v", i, rid, ok, err)
-		}
-	}
-}
-
-func TestFreezeWithoutService(t *testing.T) {
-	ix := New(Config{})
-	ix.Insert(key(1), 1)
-	if err := ix.Freeze(); err == nil {
-		t.Fatal("freeze without service succeeded")
 	}
 }
 
@@ -222,8 +54,8 @@ func TestKeyTooLong(t *testing.T) {
 	}
 }
 
-func TestConcurrentWritesWithFreezes(t *testing.T) {
-	ix, _ := testIndex(t, Config{})
+func TestConcurrentWrites(t *testing.T) {
+	ix := New(Config{})
 	const workers, per = 4, 2000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -235,24 +67,13 @@ func TestConcurrentWritesWithFreezes(t *testing.T) {
 			}
 		}(w)
 	}
-	// Interleave freezes with the writers.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 10; i++ {
-			if err := ix.Freeze(); err != nil {
-				t.Errorf("freeze: %v", err)
-			}
-		}
-	}()
 	wg.Wait()
-	ix.Freeze()
 	missing := 0
 	for i := 0; i < workers*per; i++ {
 		if rid, ok, err := ix.Get(key(uint64(i))); err != nil || !ok || rid != uint64(i+1) {
 			missing++
 			if missing < 5 {
-				t.Errorf("key %d missing after concurrent freeze (rid=%d ok=%v err=%v)", i, rid, ok, err)
+				t.Errorf("key %d missing after concurrent writes (rid=%d ok=%v err=%v)", i, rid, ok, err)
 			}
 		}
 	}
@@ -262,22 +83,10 @@ func TestConcurrentWritesWithFreezes(t *testing.T) {
 }
 
 func TestScanRandomizedAgainstReference(t *testing.T) {
-	ix, _ := testIndex(t, Config{})
+	ix := New(Config{})
 	ref := map[uint64]uint64{}
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 3000; i++ {
-		// Freeze every 300 operations and merge past three components, so
-		// the scan below reads the memory component and merged ones.
-		if i > 0 && i%300 == 0 {
-			if err := ix.Freeze(); err != nil {
-				t.Fatal(err)
-			}
-			if ix.Components() > 3 {
-				if err := ix.Merge(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
 		k := uint64(rng.Intn(1000))
 		if rng.Intn(5) == 0 {
 			ix.Delete(key(k))
@@ -287,12 +96,15 @@ func TestScanRandomizedAgainstReference(t *testing.T) {
 			ref[k] = uint64(i + 1)
 		}
 	}
-	if ix.Components() < 2 || ix.MemLen() == 0 {
-		t.Fatalf("%d components and %d keys in memory: the scan would not cross components", ix.Components(), ix.MemLen())
-	}
 	got := map[uint64]uint64{}
+	prev := -1
 	if err := ix.Scan(nil, nil, func(k []byte, rid uint64) bool {
-		got[binary.BigEndian.Uint64(k)] = rid
+		v := int(binary.BigEndian.Uint64(k))
+		if v <= prev {
+			t.Fatalf("scan visited %d after %d", v, prev)
+		}
+		prev = v
+		got[uint64(v)] = rid
 		return true
 	}); err != nil {
 		t.Fatal(err)
@@ -305,75 +117,111 @@ func TestScanRandomizedAgainstReference(t *testing.T) {
 			t.Fatalf("key %d = %d, want %d", k, got[k], v)
 		}
 	}
-	// Point lookups agree too.
-	for k, v := range ref {
+	// Point lookups agree too, deleted keys included.
+	for k := uint64(0); k < 1000; k++ {
 		rid, ok, err := ix.Get(key(k))
-		if err != nil || !ok || rid != v {
-			t.Fatalf("get %d: %d %v %v want %d", k, rid, ok, err, v)
+		if v, live := ref[k]; err != nil || ok != live || rid != v && live {
+			t.Fatalf("get %d: %d %v %v, want %d %v", k, rid, ok, err, v, live)
 		}
 	}
-	_ = fmt.Sprint(ix) // String smoke test
 }
 
-func TestConcurrentReadsDuringMerge(t *testing.T) {
-	// Point lookups and scans must stay correct while Freeze and Merge
-	// swap the component list underneath them.
-	ix, _ := testIndex(t, Config{})
-	const n = 2000
-	for i := 0; i < n; i++ {
-		ix.Insert(key(uint64(i)), uint64(i+1))
-		if i%500 == 499 {
-			if err := ix.Freeze(); err != nil {
-				t.Fatal(err)
+// TestConcurrentOperations runs Insert, Delete, Get, Scan and LockKey at once
+// on one index. Each writer owns the keys congruent to its number, so under
+// a key's lock it knows exactly what Get must return; readers check that a
+// RID names the key it was found under (rid>>16 is the key) and that a scan
+// ascends. After the writers stop, the index holds each writer's last state.
+func TestConcurrentOperations(t *testing.T) {
+	const writers, keys, rounds = 4, 512, 40
+	ix := New(Config{})
+	owned := make([]map[uint64]uint64, writers) // key -> rid, live keys only
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		owned[w] = map[uint64]uint64{}
+		wg.Add(1)
+		go func(w int, mine map[uint64]uint64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for r := 0; r < rounds; r++ {
+				for k := uint64(w); k < keys; k += writers {
+					l := ix.LockKey(key(k))
+					rid, ok, _ := ix.Get(key(k))
+					if want, live := mine[k]; ok != live || ok && rid != want {
+						l.Unlock()
+						t.Errorf("writer %d: get %d = %d %v, want %d %v", w, k, rid, ok, want, live)
+						return
+					}
+					if rng.Intn(4) == 0 {
+						ix.Delete(key(k))
+						delete(mine, k)
+					} else {
+						rid := k<<16 | uint64(r)
+						ix.Insert(key(k), rid)
+						mine[k] = rid
+					}
+					l.Unlock()
+				}
 			}
-		}
+		}(w, owned[w])
 	}
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
 		go func(r int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(r)))
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(int64(100 + r)))
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				k := uint64(rng.Intn(n))
-				rid, ok, err := ix.Get(key(k))
-				if err != nil || !ok || rid != k+1 {
-					t.Errorf("get %d during merge: %d %v %v", k, rid, ok, err)
+				k := uint64(rng.Intn(keys))
+				if rid, ok, err := ix.Get(key(k)); err != nil || ok && rid>>16 != k {
+					t.Errorf("get %d = %d %v %v", k, rid, ok, err)
 					return
 				}
-				if rng.Intn(50) == 0 {
-					cnt := 0
-					if err := ix.Scan(key(100), key(200), func([]byte, uint64) bool {
-						cnt++
-						return true
-					}); err != nil {
-						t.Errorf("scan during merge: %v", err)
-						return
+				lo := uint64(rng.Intn(keys))
+				prev := -1
+				if err := ix.Scan(key(lo), key(lo+64), func(kb []byte, rid uint64) bool {
+					v := binary.BigEndian.Uint64(kb)
+					if int(v) <= prev || v < lo || v >= lo+64 || rid>>16 != v {
+						t.Errorf("scan [%d, %d) visited %d (rid %d) after %d", lo, lo+64, v, rid, prev)
+						return false
 					}
-					if cnt != 100 {
-						t.Errorf("scan during merge saw %d entries, want 100", cnt)
-						return
-					}
+					prev = int(v)
+					return true
+				}); err != nil {
+					t.Errorf("scan: %v", err)
+					return
 				}
 			}
 		}(r)
 	}
-	for i := 0; i < 5; i++ {
-		if err := ix.Merge(); err != nil {
-			t.Fatal(err)
-		}
-		if err := ix.Freeze(); err != nil {
-			t.Fatal(err)
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	want := map[uint64]uint64{}
+	for _, mine := range owned {
+		for k, rid := range mine {
+			want[k] = rid
 		}
 	}
-	close(stop)
-	wg.Wait()
+	got := map[uint64]uint64{}
+	ix.Scan(nil, nil, func(kb []byte, rid uint64) bool {
+		got[binary.BigEndian.Uint64(kb)] = rid
+		return true
+	})
+	if len(got) != len(want) {
+		t.Fatalf("scan found %d live keys, want %d", len(got), len(want))
+	}
+	for k := uint64(0); k < keys; k++ {
+		rid, ok, _ := ix.Get(key(k))
+		if w, live := want[k]; ok != live || ok && rid != w || got[k] != w {
+			t.Fatalf("key %d: get %d %v, scan %d, want %d %v", k, rid, ok, got[k], w, live)
+		}
+	}
 }
 
 // TestLockKeyAllocFree: taking and releasing a key's stripe lock is on every
@@ -382,7 +230,7 @@ func TestLockKeyAllocFree(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	ix, _ := testIndex(t, Config{})
+	ix := New(Config{})
 	k := key(42)
 	if avg := testing.AllocsPerRun(1000, func() { ix.LockKey(k).Unlock() }); avg != 0 {
 		t.Fatalf("LockKey allocates %.1f times, want 0", avg)

@@ -66,9 +66,6 @@ func X86Xeon() Topology {
 	}
 }
 
-// TotalCores returns the core count.
-func (t Topology) TotalCores() int { return t.Sockets * t.DiesPerSocket * t.CoresPerDie }
-
 // TotalDies returns the die count.
 func (t Topology) TotalDies() int { return t.Sockets * t.DiesPerSocket }
 
@@ -85,9 +82,6 @@ func (t Topology) Core(id int) Core {
 	die := id / t.CoresPerDie % t.TotalDies()
 	return Core{ID: id, Die: die, Socket: die / t.DiesPerSocket}
 }
-
-// DieOfSocket returns the global die index for (socket, die-in-socket).
-func (t Topology) DieOfSocket(socket, die int) int { return socket*t.DiesPerSocket + die }
 
 // Policy selects how data is placed on memory nodes (dies).
 type Policy int
@@ -183,16 +177,6 @@ func (a *Accountant) RemoteFraction() float64 {
 		return 0
 	}
 	return float64(rd+rs) / float64(total)
-}
-
-// CrossSocketFraction returns the fraction of accesses crossing sockets.
-func (a *Accountant) CrossSocketFraction() float64 {
-	l, rd, rs := a.Counts()
-	total := l + rd + rs
-	if total == 0 {
-		return 0
-	}
-	return float64(rs) / float64(total)
 }
 
 // Reset zeroes the counters.

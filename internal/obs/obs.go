@@ -302,8 +302,8 @@ type HistValue struct {
 	Buckets []Bucket `json:"buckets,omitempty"`
 }
 
-// Mean returns the arithmetic mean (0 when empty).
-func (h HistValue) Mean() float64 {
+// mean returns the arithmetic mean (0 when empty).
+func (h HistValue) mean() float64 {
 	if h.Count == 0 {
 		return 0
 	}
@@ -397,7 +397,7 @@ func (s Snapshot) String() string {
 		case KindHistogram:
 			h := m.Hist
 			fmt.Fprintf(&b, "%-*s  count=%d mean=%.0f p50=%d p95=%d p99=%d max=%d",
-				w, m.Name, h.Count, h.Mean(), h.P50, h.P95, h.P99, h.Max)
+				w, m.Name, h.Count, h.mean(), h.P50, h.P95, h.P99, h.Max)
 			if len(h.Buckets) > 0 {
 				b.WriteString(" buckets[")
 				for i, bk := range h.Buckets {

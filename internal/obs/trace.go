@@ -288,9 +288,6 @@ func (t *Trace) PlanCacheSeen() (hit, miss bool) {
 	return t.planHit, t.planMis
 }
 
-// Forced reports whether the trace was client-requested.
-func (t *Trace) Forced() bool { return t != nil && t.forced }
-
 // VisitStages calls fn for every begun stage in pipeline (enum) order.
 // Open stages are reported with their accumulated duration so far.
 func (t *Trace) VisitStages(fn func(s Stage, beginNS, durNS int64)) {
@@ -595,15 +592,6 @@ func (tr *Tracer) Slow() []*TraceRecord {
 		return nil
 	}
 	return tr.slow.dump()
-}
-
-// SlowThreshold returns the configured slow threshold (0 when unset or the
-// tracer is nil).
-func (tr *Tracer) SlowThreshold() time.Duration {
-	if tr == nil {
-		return 0
-	}
-	return tr.cfg.SlowThreshold
 }
 
 // PublishDistributed records one assembled multi-hop distributed trace,

@@ -154,7 +154,6 @@ func TestTraceNilSafety(t *testing.T) {
 	tc.VisitStages(func(Stage, int64, int64) { t.Fatal("visit on nil") })
 	_ = tc.Since()
 	_ = tc.ID()
-	_ = tc.Forced()
 	tc.Finish()
 	tc.Discard()
 	if tr.Recent() != nil || tr.Slow() != nil {

@@ -34,19 +34,19 @@ type RID uint64
 // that InvalidRID is never a live record.
 const InvalidRID RID = 0
 
-// MakeRID packs a partition and slot into a RID.
-func MakeRID(partition uint16, slot uint32) RID {
+// makeRID packs a partition and slot into a RID.
+func makeRID(partition uint16, slot uint32) RID {
 	return RID(uint64(partition)<<32 | uint64(slot))
 }
 
-// Partition extracts the partition ID.
-func (r RID) Partition() uint16 { return uint16(r >> 32) }
+// partition extracts the partition ID.
+func (r RID) partition() uint16 { return uint16(r >> 32) }
 
-// Slot extracts the slot ID.
-func (r RID) Slot() uint32 { return uint32(r) }
+// slot extracts the slot ID.
+func (r RID) slot() uint32 { return uint32(r) }
 
 // String renders the RID as partition:slot.
-func (r RID) String() string { return fmt.Sprintf("%d:%d", r.Partition(), r.Slot()) }
+func (r RID) String() string { return fmt.Sprintf("%d:%d", r.partition(), r.slot()) }
 
 // Errors.
 var (
@@ -156,14 +156,6 @@ func New[T any](cfg Config) *Map[T] {
 	return m
 }
 
-// SlotBits reports the configured slots-per-partition exponent.
-func (m *Map[T]) SlotBits() uint { return m.slotBits }
-
-// Partitions returns the current partition count.
-func (m *Map[T]) Partitions() int {
-	return len(*m.partitions.Load())
-}
-
 // part returns partition id, or nil when out of range or dropped.
 func (m *Map[T]) part(id uint16) *partition[T] {
 	parts := *m.partitions.Load()
@@ -201,7 +193,7 @@ func (m *Map[T]) Alloc() (RID, error) {
 		p := m.allocPart.Load()
 		s := p.next.Add(1) - 1
 		if s < p.capacity() {
-			return MakeRID(p.id, s), nil
+			return makeRID(p.id, s), nil
 		}
 		// Partition exhausted; grow (or pick up a concurrent grow).
 		np, err := m.grow()
@@ -217,7 +209,7 @@ func (m *Map[T]) Alloc() (RID, error) {
 // arrays exactly as the checkpoint and log dictate; the fast path is
 // read-locked so parallel replay threads do not serialize here.
 func (m *Map[T]) AllocAt(rid RID) error {
-	pid := rid.Partition()
+	pid := rid.partition()
 	p := m.part(pid)
 	if p == nil {
 		m.mu.Lock()
@@ -231,19 +223,19 @@ func (m *Map[T]) AllocAt(rid RID) error {
 		p = parts[pid]
 		m.mu.Unlock()
 	}
-	if rid.Slot() >= p.capacity() {
+	if rid.slot() >= p.capacity() {
 		return fmt.Errorf("%w: %v (cap %d)", ErrBadRID, rid, p.capacity())
 	}
 	// Raise the allocation cursor past this slot so future Allocs do not
 	// hand it out again.
 	for {
 		cur := p.next.Load()
-		if cur > rid.Slot() || p.next.CompareAndSwap(cur, rid.Slot()+1) {
+		if cur > rid.slot() || p.next.CompareAndSwap(cur, rid.slot()+1) {
 			break
 		}
 	}
 	// Touch the slot's page so later Get/CAS calls find it allocated.
-	p.slot(rid.Slot(), true)
+	p.slot(rid.slot(), true)
 	return nil
 }
 
@@ -257,16 +249,16 @@ func (m *Map[T]) AllocAt(rid RID) error {
 func (m *Map[T]) StoreRun(rids []RID, vs []*T, yield func(have, v *T) bool) error {
 	for i := 0; i < len(rids); {
 		j := i + 1
-		for j < len(rids) && rids[j].Partition() == rids[i].Partition() {
+		for j < len(rids) && rids[j].partition() == rids[i].partition() {
 			j++
 		}
 		if err := m.AllocAt(rids[j-1]); err != nil {
 			return err
 		}
-		p := m.part(rids[i].Partition())
+		p := m.part(rids[i].partition())
 		var live int64
 		for k := i; k < j; k++ {
-			e := p.slot(rids[k].Slot(), true)
+			e := p.slot(rids[k].slot(), true)
 			for {
 				have := e.ptr.Load()
 				if have != nil && yield(have, vs[k]) {
@@ -289,11 +281,11 @@ func (m *Map[T]) StoreRun(rids []RID, vs []*T, yield func(have, v *T) bool) erro
 
 // Get loads the pointer stored at rid (nil if unset or deleted).
 func (m *Map[T]) Get(rid RID) *T {
-	p := m.part(rid.Partition())
-	if p == nil || rid.Slot() >= p.capacity() {
+	p := m.part(rid.partition())
+	if p == nil || rid.slot() >= p.capacity() {
 		return nil
 	}
-	e := p.slot(rid.Slot(), false)
+	e := p.slot(rid.slot(), false)
 	if e == nil {
 		return nil
 	}
@@ -327,7 +319,7 @@ func (m *Map[T]) CompareAndSwap(rid RID, old, v *T) (bool, error) {
 }
 
 func (m *Map[T]) accountSwap(rid RID, old, v *T) {
-	p := m.part(rid.Partition())
+	p := m.part(rid.partition())
 	if p == nil {
 		return
 	}
@@ -346,7 +338,7 @@ func (m *Map[T]) Delete(rid RID) error {
 		return err
 	}
 	if e.ptr.Swap(nil) != nil {
-		m.part(rid.Partition()).live.Add(-1)
+		m.part(rid.partition()).live.Add(-1)
 	}
 	return nil
 }
@@ -361,25 +353,14 @@ func (m *Map[T]) DeleteIf(rid RID, old *T) (bool, error) {
 }
 
 func (m *Map[T]) entryOf(rid RID) (*entry[T], error) {
-	p := m.part(rid.Partition())
+	p := m.part(rid.partition())
 	if p == nil {
 		return nil, fmt.Errorf("%w: %v (no partition)", ErrBadRID, rid)
 	}
-	if rid.Slot() >= p.capacity() {
+	if rid.slot() >= p.capacity() {
 		return nil, fmt.Errorf("%w: %v (cap %d)", ErrBadRID, rid, p.capacity())
 	}
-	return p.slot(rid.Slot(), true), nil
-}
-
-// Live returns the approximate number of slots holding non-nil pointers.
-func (m *Map[T]) Live() int64 {
-	var n int64
-	for _, p := range *m.partitions.Load() {
-		if p != nil {
-			n += p.live.Load()
-		}
-	}
-	return n
+	return p.slot(rid.slot(), true), nil
 }
 
 // SlotBytes returns the bytes of the slot pages allocated so far: what the
@@ -419,7 +400,7 @@ func (m *Map[T]) Range(fn func(rid RID, v *T) bool) {
 				continue
 			}
 			if v := e.ptr.Load(); v != nil {
-				if !fn(MakeRID(p.id, s), v) {
+				if !fn(makeRID(p.id, s), v) {
 					return
 				}
 			}

@@ -9,11 +9,11 @@ import (
 type rec struct{ v int }
 
 func TestRIDPacking(t *testing.T) {
-	r := MakeRID(0x1234, 0xdeadbeef)
-	if r.Partition() != 0x1234 || r.Slot() != 0xdeadbeef {
+	r := makeRID(0x1234, 0xdeadbeef)
+	if r.partition() != 0x1234 || r.slot() != 0xdeadbeef {
 		t.Fatalf("pack/unpack: %v", r)
 	}
-	if InvalidRID.Partition() != 0 || InvalidRID.Slot() != 0 {
+	if InvalidRID.partition() != 0 || InvalidRID.slot() != 0 {
 		t.Fatal("InvalidRID not zero")
 	}
 }
@@ -127,7 +127,7 @@ func TestConcurrentAllocUnique(t *testing.T) {
 
 func TestAllocAtForRecovery(t *testing.T) {
 	m := New[rec](Config{SlotBits: 12})
-	rid := MakeRID(2, 100) // partition 2 does not exist yet
+	rid := makeRID(2, 100) // partition 2 does not exist yet
 	if err := m.AllocAt(rid); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestAllocAtForRecovery(t *testing.T) {
 		}
 	}
 	// Out-of-range slot in an existing partition.
-	if err := m.AllocAt(MakeRID(0, 1<<13)); err == nil {
+	if err := m.AllocAt(makeRID(0, 1<<13)); err == nil {
 		t.Fatal("AllocAt past capacity succeeded")
 	}
 }
@@ -158,7 +158,7 @@ func TestAllocAtForRecovery(t *testing.T) {
 func TestStoreRunForRecovery(t *testing.T) {
 	m := New[rec](Config{SlotBits: 12})
 	newer := func(have, v *rec) bool { return have.v >= v.v }
-	rids := []RID{MakeRID(0, 3), MakeRID(0, 4000), MakeRID(1, 7), MakeRID(1, 9)}
+	rids := []RID{makeRID(0, 3), makeRID(0, 4000), makeRID(1, 7), makeRID(1, 9)}
 	vs := []*rec{{1}, {2}, {3}, {4}}
 	if err := m.StoreRun(rids, append([]*rec(nil), vs...), newer); err != nil {
 		t.Fatal(err)
@@ -181,14 +181,14 @@ func TestStoreRunForRecovery(t *testing.T) {
 			t.Fatalf("Alloc reissued stored RID %v", r)
 		}
 	}
-	if err := m.StoreRun([]RID{MakeRID(0, 5), MakeRID(0, 1<<12)}, []*rec{{7}, {8}}, newer); err == nil {
+	if err := m.StoreRun([]RID{makeRID(0, 5), makeRID(0, 1<<12)}, []*rec{{7}, {8}}, newer); err == nil {
 		t.Fatal("a run past capacity stored")
 	}
 }
 
 func TestBadRID(t *testing.T) {
 	m := New[rec](Config{SlotBits: 12})
-	bad := MakeRID(9, 0)
+	bad := makeRID(9, 0)
 	if m.Get(bad) != nil {
 		t.Fatal("Get on missing partition returned value")
 	}

@@ -151,7 +151,7 @@ type Shipper struct {
 	fr     *wire.FrameReader
 	reqSeq uint64
 
-	manifest srss.PLogID
+	manifest srss.PLogID // the primary's manifest PLog, valid after Hello
 	// Atomic: read by lag gauges while the shipping goroutine advances
 	// them mid-poll.
 	helloCSN atomic.Uint64
@@ -289,23 +289,12 @@ func (sh *Shipper) Hello() (srss.PLogID, uint64, error) {
 	return m, csn, nil
 }
 
-// Manifest returns the primary's manifest PLog ID (valid after Hello).
-func (sh *Shipper) Manifest() srss.PLogID { return sh.manifest }
-
-// HelloCSN returns the primary CSN observed by the last Hello: the
-// freshness target the lag gauges measure against.
-func (sh *Shipper) HelloCSN() uint64 { return sh.helloCSN.Load() }
-
-// LagBytes returns the bytes the local mirror trailed the primary by at
-// the end of the last ShipOnce.
-func (sh *Shipper) LagBytes() int64 { return sh.lagBytes.Load() }
-
-// ShipOnce lists the primary's PLogs and pulls every local mirror up to
+// shipOnce lists the primary's PLogs and pulls every local mirror up to
 // date, sealing mirrors of sealed PLogs (torn state mirrored), and deletes
 // the mirror of a PLog the primary no longer lists: it was dropped there --
 // a compacted segment, a superseded checkpoint image. Returns the number of
 // bytes shipped.
-func (sh *Shipper) ShipOnce() (int64, error) {
+func (sh *Shipper) shipOnce() (int64, error) {
 	body, err := sh.roundTrip(wire.OpReplList, nil, false)
 	if err != nil {
 		return 0, err
@@ -430,10 +419,10 @@ type Follower struct {
 	mPollErrs *obs.Counter
 }
 
-// NewFollower binds a shipper and an open core.Replica into a polling
+// newFollower binds a shipper and an open core.Replica into a polling
 // loop (interval <= 0 defaults to 10ms). Lag gauges land in reg (nil =
 // none): replica.applied_csn, replica.lag_csn, replica.lag_bytes.
-func NewFollower(sh *Shipper, rep *core.Replica, interval time.Duration, reg *obs.Registry) *Follower {
+func newFollower(sh *Shipper, rep *core.Replica, interval time.Duration, reg *obs.Registry) *Follower {
 	if interval <= 0 {
 		interval = 10 * time.Millisecond
 	}
@@ -443,7 +432,7 @@ func NewFollower(sh *Shipper, rep *core.Replica, interval time.Duration, reg *ob
 		interval:  interval,
 		chaos:     rep.Engine().Service().Chaos(),
 		watermark: rep.AppliedCSN(),
-		target:    sh.HelloCSN(),
+		target:    sh.helloCSN.Load(),
 		wake:      make(chan struct{}),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
@@ -455,7 +444,7 @@ func NewFollower(sh *Shipper, rep *core.Replica, interval time.Duration, reg *ob
 	if reg != nil {
 		reg.GaugeFunc("replica.applied_csn", func() int64 { return int64(f.AppliedCSN()) })
 		reg.GaugeFunc("replica.lag_csn", func() int64 { return f.LagCSN() })
-		reg.GaugeFunc("replica.lag_bytes", func() int64 { return f.sh.LagBytes() })
+		reg.GaugeFunc("replica.lag_bytes", func() int64 { return f.sh.lagBytes.Load() })
 	}
 	return f
 }
@@ -540,8 +529,8 @@ func (f *Follower) Poll() error {
 	if err == nil {
 		// The hello response names the primary's CURRENT manifest; track
 		// it so catch-up catalog refreshes survive manifest migration.
-		f.rep.TrackManifest(f.sh.Manifest())
-		_, err = f.sh.ShipOnce()
+		f.rep.TrackManifest(f.sh.manifest)
+		_, err = f.sh.shipOnce()
 	}
 	if err == nil {
 		if err = f.chaos.Check(SiteApply); err == nil {
@@ -682,8 +671,8 @@ func (f *Follower) Promote() (uint64, error) {
 	// everything shipped. Ship errors are expected (dead primary); a
 	// catch-up failure is not -- promotion must not lose applied history.
 	if _, _, err := f.sh.Hello(); err == nil {
-		f.rep.TrackManifest(f.sh.Manifest())
-		_, _ = f.sh.ShipOnce()
+		f.rep.TrackManifest(f.sh.manifest)
+		_, _ = f.sh.shipOnce()
 	}
 	if _, err := f.rep.CatchUp(); err != nil {
 		return 0, err
@@ -755,7 +744,7 @@ func Bootstrap(primaryAddr string, cfg core.Config, opt core.RecoverOptions, reg
 	if err != nil {
 		return nil, nil, err
 	}
-	if _, err := sh.ShipOnce(); err != nil {
+	if _, err := sh.shipOnce(); err != nil {
 		sh.Close()
 		return nil, nil, err
 	}
@@ -764,6 +753,6 @@ func Bootstrap(primaryAddr string, cfg core.Config, opt core.RecoverOptions, reg
 		sh.Close()
 		return nil, nil, err
 	}
-	f := NewFollower(sh, rep, 0, reg)
+	f := newFollower(sh, rep, 0, reg)
 	return f, rep, nil
 }

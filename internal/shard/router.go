@@ -52,28 +52,6 @@ func NewRouter(m *Map, opts client.Options, ch *chaos.Engine) *Router {
 		m: m, clients: make(map[uint32]*client.Client)}
 }
 
-// Bootstrap builds a router by asking any cluster member for the shard map
-// (OpShardMap): clients need one address, not the topology.
-func Bootstrap(addr string, opts client.Options, ch *chaos.Engine) (*Router, error) {
-	bo := opts
-	bo.Addr = addr
-	cl, err := client.New(bo)
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Close()
-	s, err := cl.Session()
-	if err != nil {
-		return nil, err
-	}
-	wm, err := s.ShardMap(false, 0)
-	s.Close()
-	if err != nil {
-		return nil, fmt.Errorf("shard: bootstrap from %s: %w", addr, err)
-	}
-	return NewRouter(&Map{*wm}, opts, ch), nil
-}
-
 // Map returns the current topology.
 func (r *Router) Map() *Map {
 	r.mu.Lock()
@@ -117,8 +95,8 @@ func (r *Router) Client(id uint32) (*client.Client, error) {
 	return c, nil
 }
 
-// ClientForKey returns the client owning an integer primary key.
-func (r *Router) ClientForKey(key int64) (*client.Client, error) {
+// clientForKey returns the client owning an integer primary key.
+func (r *Router) clientForKey(key int64) (*client.Client, error) {
 	return r.Client(r.Map().ShardOfInt(key))
 }
 
@@ -127,7 +105,7 @@ func (r *Router) ClientForKey(key int64) (*client.Client, error) {
 // unwrapped, so retry/backoff, replica routing, failover, and error
 // identity are exactly those of an unsharded client.
 func (r *Router) Exec(key int64, sql string, args ...core.Value) (*wire.Result, error) {
-	c, err := r.ClientForKey(key)
+	c, err := r.clientForKey(key)
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +121,7 @@ func (r *Router) Exec(key int64, sql string, args ...core.Value) (*wire.Result, 
 // identity are exactly those of an unsharded client. Cross-shard scans are
 // the caller's concern (issue one Query per shard and merge).
 func (r *Router) Query(key int64, sql string, args ...core.Value) (*client.Rows, error) {
-	c, err := r.ClientForKey(key)
+	c, err := r.clientForKey(key)
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +136,7 @@ func (r *Router) Query(key int64, sql string, args ...core.Value) (*client.Rows,
 // ExecBatch runs one atomic batch on the shard owning key. Every statement
 // in the batch must route to the same shard; the key names it.
 func (r *Router) ExecBatch(key int64, stmts []wire.BatchStmt) ([]int, error) {
-	c, err := r.ClientForKey(key)
+	c, err := r.clientForKey(key)
 	if err != nil {
 		return nil, err
 	}
@@ -184,12 +162,6 @@ type Txn struct {
 	done    bool
 }
 
-// GTID returns the global transaction id, or "" unless Commit took the
-// cross-shard 2PC path. After an unknown-outcome commit error, the caller
-// can learn the authoritative result by asking the gtid's home shard
-// (Session.TxnStatus) once it is reachable again.
-func (t *Txn) GTID() string { return t.gtid }
-
 // Begin opens a distributed transaction. No network traffic until the
 // first statement.
 func (r *Router) Begin() *Txn {
@@ -200,12 +172,12 @@ func (r *Router) Begin() *Txn {
 // Exec runs one statement on the shard owning key, opening that shard's
 // session (and its server-side transaction) on first touch.
 func (t *Txn) Exec(key int64, sql string, args ...core.Value) (*wire.Result, error) {
-	return t.ExecOn(t.r.Map().ShardOfInt(key), sql, args...)
+	return t.execOn(t.r.Map().ShardOfInt(key), sql, args...)
 }
 
-// ExecOn runs one statement on an explicit shard (for statements whose
+// execOn runs one statement on an explicit shard (for statements whose
 // routing key is not the primary key, e.g. secondary-index reads).
-func (t *Txn) ExecOn(id uint32, sql string, args ...core.Value) (*wire.Result, error) {
+func (t *Txn) execOn(id uint32, sql string, args ...core.Value) (*wire.Result, error) {
 	if t.done {
 		return nil, ErrTxnDone
 	}

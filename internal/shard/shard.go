@@ -96,10 +96,10 @@ func (m *Map) N() int { return len(m.Addrs) }
 // Addr returns the node serving shard id.
 func (m *Map) Addr(id uint32) string { return m.Addrs[id] }
 
-// ShardOf routes a key's byte form: FNV-1a over the bytes, mod the shard
+// shardOf routes a key's byte form: FNV-1a over the bytes, mod the shard
 // count. The hash is part of the persisted contract -- every client and
 // every node must place a key identically, forever.
-func (m *Map) ShardOf(key []byte) uint32 {
+func (m *Map) shardOf(key []byte) uint32 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -120,7 +120,7 @@ func (m *Map) ShardOfInt(k int64) uint32 {
 		b[i] = byte(u)
 		u >>= 8
 	}
-	return m.ShardOf(b[:])
+	return m.shardOf(b[:])
 }
 
 // NewGTID builds a global transaction id naming its home shard (the commit

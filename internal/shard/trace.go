@@ -55,17 +55,6 @@ type DistTraceTree struct {
 // DistTraceTree (see LastDistTrace).
 func (r *Router) Trace(on bool) { r.tracing.Store(on) }
 
-// SetTracer attaches the sink that assembled trees are published to (its
-// distributed ring backs the admin plane's /traces?distributed=1). Nil
-// detaches.
-func (r *Router) SetTracer(t *obs.Tracer) {
-	if t == nil {
-		r.traceSink.Store(nil)
-		return
-	}
-	r.traceSink.Store(t)
-}
-
 // LastDistTrace returns the most recently assembled tree (nil before the
 // first traced transaction completes).
 func (r *Router) LastDistTrace() *DistTraceTree { return r.lastDist.Load() }

@@ -39,8 +39,6 @@ type RowStream struct {
 	stop chan struct{} // closed by Close
 	done chan error    // buffered 1: the producer's terminal status
 
-	one RowBuf // NextRow's one-row page, reused
-
 	finished bool
 	err      error
 }
@@ -148,19 +146,6 @@ func (rs *RowStream) NextPage(sink *RowBuf, maxRows, maxBytes int) (done bool, e
 	rs.finished = true
 	rs.err = <-rs.done
 	return true, rs.err
-}
-
-// NextRow returns the next row. ok=false means the stream is finished: err
-// then carries the terminal status (nil on clean exhaustion; the scan or
-// its read-only commit error otherwise). After ok=false the stream is
-// closed and needs no Close.
-func (rs *RowStream) NextRow() (row core.Row, ok bool, err error) {
-	rs.one = RowBuf{Data: rs.one.Data[:0]}
-	if _, err := rs.NextPage(&rs.one, 1, 0); err != nil || rs.one.N == 0 {
-		return nil, false, err
-	}
-	row, err = core.DecodeRow(rs.one.Data)
-	return row, err == nil, err
 }
 
 // Next collects the next bounded page of at most max rows (max <= 0 is

@@ -20,3 +20,9 @@ func (p *PLog) ReplicaExtent(i int) int64 {
 	}
 	return reps[i].extent()
 }
+
+// CheckReplicas is the exported invariant hook for tests.
+func (p *PLog) CheckReplicas() bool { return p.replicasEqual() }
+
+// Replicas returns the current replica count.
+func (p *PLog) Replicas() int { return len(p.replicaList()) }

@@ -361,9 +361,6 @@ func (s *Service) Chaos() *chaos.Engine { return s.cfg.Chaos }
 // ComputeNode returns compute node i (for failure injection in tests).
 func (s *Service) ComputeNode(i int) *Node { return s.computeNodes[i] }
 
-// StorageNode returns storage node i.
-func (s *Service) StorageNode(i int) *Node { return s.storageNodes[i] }
-
 // MaxPLogSize reports the configured PLog capacity.
 func (s *Service) MaxPLogSize() int64 { return s.cfg.MaxPLogSize }
 
@@ -979,12 +976,6 @@ func (p *PLog) Appended(off int64) []byte {
 func (p *PLog) replicasEqual() bool {
 	return p.ReplicasConsistentFrom(0)
 }
-
-// CheckReplicas is the exported invariant hook for tests.
-func (p *PLog) CheckReplicas() bool { return p.replicasEqual() }
-
-// Replicas returns the current replica count.
-func (p *PLog) Replicas() int { return len(p.replicaList()) }
 
 // ReplicasConsistentFrom reports whether every replica agrees byte-for-byte
 // from off to the physical end of the PLog: equal extents and equal

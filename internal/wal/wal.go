@@ -1699,17 +1699,6 @@ func (m *Manager) DestageSealed() (int, error) {
 	return n, nil
 }
 
-// DestagedSegments returns the segment -> archive PLog mapping.
-func (m *Manager) DestagedSegments() map[uint16]srss.PLogID {
-	m.destageMu.Lock()
-	defer m.destageMu.Unlock()
-	out := make(map[uint16]srss.PLogID, len(m.destaged))
-	for k, v := range m.destaged {
-		out[k] = v
-	}
-	return out
-}
-
 // TotalBytes sums bytes written across streams.
 func (m *Manager) TotalBytes() int64 {
 	var n int64

@@ -110,7 +110,7 @@ func TestGoldenCodes(t *testing.T) {
 		if got := g.code.String(); got != g.name {
 			t.Errorf("code %d: String() = %q, frozen name %q", g.id, got, g.name)
 		}
-		if got := Retryable(g.code); got != g.retryable {
+		if got := retryable(g.code); got != g.retryable {
 			t.Errorf("code %s: Retryable = %v, want %v", g.name, got, g.retryable)
 		}
 		if got := Fatal(g.code); got != g.fatal {

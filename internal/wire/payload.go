@@ -178,12 +178,6 @@ func AppendExec(buf []byte, sql string, args []core.Value) []byte {
 	return core.EncodeRow(buf, args)
 }
 
-// DecodeExec parses an OpExec payload, ignoring its flags.
-func DecodeExec(payload []byte) (sql string, args []core.Value, err error) {
-	sql, args, _, err = DecodeExecFlags(payload, nil)
-	return sql, args, err
-}
-
 // DecodeExecFlags parses an OpExec payload and its flags trailer. The
 // argument row is decoded into dst's backing array when it has room: a
 // caller that passes the same row every time decodes without allocating one.
@@ -293,20 +287,20 @@ func appendResultHeader(buf []byte, affected int, cols []string, nRows int) []by
 	return binary.AppendUvarint(buf, uint64(nRows))
 }
 
-// AppendEncodedResult appends a Result body whose rows arrive pre-encoded:
+// appendEncodedResult appends a Result body whose rows arrive pre-encoded:
 // rowData must hold exactly nRows core.EncodeRow encodings. This is how the
 // server sends every row-bearing response, one-shot or cursor page: rows
 // reach it already in wire form, spliced out of storage, and are never
 // decoded on the way to the socket.
-func AppendEncodedResult(buf []byte, affected int, cols []string, nRows int, rowData []byte) []byte {
+func appendEncodedResult(buf []byte, affected int, cols []string, nRows int, rowData []byte) []byte {
 	buf = appendResultHeader(buf, affected, cols, nRows)
 	return append(buf, rowData...)
 }
 
-// AppendEncodedResultCSN is AppendEncodedResult followed by the session's
+// AppendEncodedResultCSN is appendEncodedResult followed by the session's
 // last commit CSN as a trailer: the read-your-writes token.
 func AppendEncodedResultCSN(buf []byte, affected int, cols []string, nRows int, rowData []byte, csn uint64) []byte {
-	buf = AppendEncodedResult(buf, affected, cols, nRows, rowData)
+	buf = appendEncodedResult(buf, affected, cols, nRows, rowData)
 	return binary.AppendUvarint(buf, csn)
 }
 
@@ -439,13 +433,13 @@ func DecodeScanNext(payload []byte) (id uint64, fetchSize int, err error) {
 
 // AppendCursorPage appends a cursor-page response body (the success body of
 // OpScanOpen and OpScanNext): cursor id, done flag, then an encoded-rows
-// Result (see AppendEncodedResult). Taking the rows in encoded form lets the
+// Result (see appendEncodedResult). Taking the rows in encoded form lets the
 // server bound a page by bytes while it pulls rows.
 func AppendCursorPage(buf []byte, id uint64, done bool, cols []string, nRows int, rowData []byte) []byte {
 	buf = binary.AppendUvarint(buf, id)
 	buf = appendFlag(buf, done)
 	// affected 0: a scan mutates nothing
-	return AppendEncodedResult(buf, 0, cols, nRows, rowData)
+	return appendEncodedResult(buf, 0, cols, nRows, rowData)
 }
 
 // DecodeCursorPage parses a cursor-page body. done=true means the server
@@ -915,16 +909,6 @@ func AppendTraceBlock(buf []byte, tr *obs.Trace) []byte {
 		shardEnc = uint64(shard) + 1
 	}
 	return binary.AppendUvarint(buf, shardEnc)
-}
-
-// DecodeTraceBlock parses a stage-timing block off the front of a traced
-// response payload, returning the info and the remaining payload (the
-// standard code/msg/body response). The caller fills TraceID and Hop from
-// the frame.
-func DecodeTraceBlock(payload []byte) (*TraceInfo, []byte, error) {
-	r := reader{b: payload}
-	ti := r.traceBlock()
-	return ti, r.b, r.err
 }
 
 func (r *reader) traceBlock() *TraceInfo {

@@ -74,7 +74,7 @@ func TestEncodedResultMatchesAppendResult(t *testing.T) {
 	res := scanResult()
 	res.Affected = 3
 	rowData := encodeRows(res.Rows)
-	if got, want := AppendEncodedResult(nil, 3, res.Columns, len(res.Rows), rowData), AppendResult(nil, res); !bytes.Equal(got, want) {
+	if got, want := appendEncodedResult(nil, 3, res.Columns, len(res.Rows), rowData), AppendResult(nil, res); !bytes.Equal(got, want) {
 		t.Fatal("AppendEncodedResult differs from AppendResult")
 	}
 	if got, want := AppendEncodedResultCSN(nil, 3, res.Columns, len(res.Rows), rowData, 300), append(AppendResult(nil, res), 0xAC, 0x02); !bytes.Equal(got, want) {

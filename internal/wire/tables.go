@@ -87,7 +87,7 @@ const (
 )
 
 // RetryClass says when a client may reissue a request whose response was a
-// retryable code (Retryable: conflict, busy). I/O errors and every other
+// retryable code (retryable: conflict, busy). I/O errors and every other
 // code are never retried, whatever the class.
 type RetryClass uint8
 
@@ -114,9 +114,9 @@ const (
 func (rc RetryClass) Allows(code Code, inTxn bool) bool {
 	switch rc {
 	case RetryAlways:
-		return Retryable(code)
+		return retryable(code)
 	case RetryOutsideTxn:
-		return Retryable(code) && !inTxn
+		return retryable(code) && !inTxn
 	case RetryBusyOnly:
 		return code == CodeBusy
 	}
@@ -321,8 +321,8 @@ func (c Code) String() string {
 	return codeTable[c].name
 }
 
-// Retryable reports whether a client may retry a request answered with c.
-func Retryable(c Code) bool { return c <= MaxCode && codeTable[c].retryable }
+// retryable reports whether a client may retry a request answered with c.
+func retryable(c Code) bool { return c <= MaxCode && codeTable[c].retryable }
 
 // Fatal reports codes after which the endpoint is known dead for further
 // work: the client should fail fast and surface the error.
@@ -408,7 +408,7 @@ func (e *Error) Unwrap() error {
 }
 
 // Retryable reports whether the error may be retried.
-func (e *Error) Retryable() bool { return Retryable(e.Code) }
+func (e *Error) Retryable() bool { return retryable(e.Code) }
 
 // FromCode rehydrates a wire error (nil for CodeOK).
 func FromCode(c Code, msg string) error {

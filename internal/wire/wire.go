@@ -21,7 +21,7 @@
 // Classify with fatal codes taking precedence, and the client rehydrates
 // the code into an error that satisfies errors.Is against the same
 // sentinel the server saw (engineapi.ErrConflict, core.ErrClosed, ...).
-// Retryable reports the retryability matrix: only CodeConflict and
+// Error.Retryable reports the retryability matrix: only CodeConflict and
 // CodeBusy may be retried; in particular CodeClosed and CodeDurabilityLost
 // are fatal so a client never retries into a fail-stopped engine.
 //

@@ -188,8 +188,8 @@ func TestErrorRoundTrip(t *testing.T) {
 			if code != tc.code {
 				t.Fatalf("Classify(%v) = %v, want %v", tc.err, code, tc.code)
 			}
-			if Retryable(code) != tc.retryable {
-				t.Fatalf("Retryable(%v) = %v, want %v", code, Retryable(code), tc.retryable)
+			if retryable(code) != tc.retryable {
+				t.Fatalf("retryable(%v) = %v, want %v", code, retryable(code), tc.retryable)
 			}
 			// Cross the wire: encode, decode, rehydrate.
 			p := AppendResponse(nil, code, tc.err.Error(), nil)

@@ -47,15 +47,15 @@ func LastName(n int) string {
 // nuRandCLast is the spec's constant C for the customer-last-name NURand.
 const nuRandCLast = 123
 
-// NURand is the TPC-C non-uniform random function.
-func NURand(rng *rand.Rand, a, c, x, y int) int {
+// nuRand is the TPC-C non-uniform random function (the spec's NURand).
+func nuRand(rng *rand.Rand, a, c, x, y int) int {
 	return (((rng.Intn(a+1) | (rng.Intn(y-x+1) + x)) + c) % (y - x + 1)) + x
 }
 
 // randomCustomerID draws a customer per the spec distribution.
 func randomCustomerID(rng *rand.Rand, sc Scale) int {
 	if sc.Customers >= 3000 {
-		return NURand(rng, 1023, 259, 1, sc.Customers)
+		return nuRand(rng, 1023, 259, 1, sc.Customers)
 	}
 	return rng.Intn(sc.Customers) + 1
 }
@@ -63,14 +63,14 @@ func randomCustomerID(rng *rand.Rand, sc Scale) int {
 // randomItemID draws an item per the spec distribution.
 func randomItemID(rng *rand.Rand, sc Scale) int {
 	if sc.Items >= 100000 {
-		return NURand(rng, 8191, 7911, 1, sc.Items)
+		return nuRand(rng, 8191, 7911, 1, sc.Items)
 	}
 	return rng.Intn(sc.Items) + 1
 }
 
 // randomLastNameNum draws a last-name number for Payment/OrderStatus.
 func randomLastNameNum(rng *rand.Rand, sc Scale) int {
-	n := NURand(rng, 255, nuRandCLast, 0, 999)
+	n := nuRand(rng, 255, nuRandCLast, 0, 999)
 	if sc.Customers < 1000 {
 		// Reduced scale: keep the name space aligned with loaded names.
 		n %= sc.Customers
@@ -237,7 +237,7 @@ func loadWarehouse(db engineapi.DB, worker, w int, sc Scale) error {
 			for j := 0; j < batch && c <= sc.Customers; j++ {
 				lastNum := c - 1
 				if lastNum > 999 {
-					lastNum = NURand(rng, 255, nuRandCLast, 0, 999)
+					lastNum = nuRand(rng, 255, nuRandCLast, 0, 999)
 				}
 				credit := "GC"
 				if rng.Intn(10) == 0 {

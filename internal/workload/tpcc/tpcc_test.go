@@ -47,7 +47,7 @@ func TestLastName(t *testing.T) {
 func TestNURandInRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 10000; i++ {
-		v := NURand(rng, 1023, 259, 1, 3000)
+		v := nuRand(rng, 1023, 259, 1, 3000)
 		if v < 1 || v > 3000 {
 			t.Fatalf("NURand out of range: %d", v)
 		}
