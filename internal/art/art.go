@@ -73,7 +73,10 @@ type inner struct {
 
 // Slot i of a body is children[i] and vals[i]: a child node, an inline value
 // word, or neither (an empty Node256 slot). vals is allocated, under the
-// node's write lock, when its first inline value arrives.
+// node's write lock, when its first inline value arrives, and so are a
+// Node48's and a Node256's children when their first child does: a bottom
+// node of dense fixed-width keys holds only values and has no child array.
+// A reader that finds no array reads an empty half-slot.
 type body16 struct {
 	count    atomic.Int32
 	keys     [16]atomic.Uint32 // key bytes, unsorted; only [0,count) valid
@@ -84,14 +87,26 @@ type body16 struct {
 type body48 struct {
 	count    atomic.Int32
 	index    [256]atomic.Int32 // 0 = empty, else slot+1
-	children [48]atomic.Pointer[node]
+	children atomic.Pointer[[48]atomic.Pointer[node]]
 	vals     atomic.Pointer[[48]atomic.Uint64]
 }
 
 type body256 struct {
 	count    atomic.Int32
-	children [256]atomic.Pointer[node]
+	children atomic.Pointer[[256]atomic.Pointer[node]]
 	vals     atomic.Pointer[[256]atomic.Uint64]
+}
+
+// lazy returns the array p points at, nil when there is none yet unless
+// alloc is set: then it allocates and publishes one. Only a writer holding
+// the node's lock, or building a node no reader can reach yet, sets alloc.
+func lazy[A any](p *atomic.Pointer[A], alloc bool) *A {
+	a := p.Load()
+	if a == nil && alloc {
+		a = new(A)
+		p.Store(a)
+	}
+	return a
 }
 
 // An inline value word is inlineBit | tomb<<62 | rid; 0 is an empty slot.
@@ -224,29 +239,38 @@ func (n *node) find(b byte) int {
 	return -1
 }
 
-func (n *node) children() []atomic.Pointer[node] {
+// children returns n's child array, nil before a Node48's or Node256's first
+// child unless alloc is set (see lazy).
+func (n *node) children(alloc bool) []atomic.Pointer[node] {
 	switch n.kind {
 	case k16:
 		return n.b16.children[:]
 	case k48:
-		return n.b48.children[:]
+		if cs := lazy(&n.b48.children, alloc); cs != nil {
+			return cs[:]
+		}
+	case k256:
+		if cs := lazy(&n.b256.children, alloc); cs != nil {
+			return cs[:]
+		}
 	}
-	return n.b256.children[:]
+	return nil
 }
 
-// vals returns n's value array, nil before its first inline value.
-func (n *node) vals() []atomic.Uint64 {
+// vals returns n's value array, nil before its first inline value unless
+// alloc is set (see lazy).
+func (n *node) vals(alloc bool) []atomic.Uint64 {
 	switch n.kind {
 	case k16:
-		if vs := n.b16.vals.Load(); vs != nil {
+		if vs := lazy(&n.b16.vals, alloc); vs != nil {
 			return vs[:]
 		}
 	case k48:
-		if vs := n.b48.vals.Load(); vs != nil {
+		if vs := lazy(&n.b48.vals, alloc); vs != nil {
 			return vs[:]
 		}
 	case k256:
-		if vs := n.b256.vals.Load(); vs != nil {
+		if vs := lazy(&n.b256.vals, alloc); vs != nil {
 			return vs[:]
 		}
 	}
@@ -254,43 +278,30 @@ func (n *node) vals() []atomic.Uint64 {
 }
 
 // slot returns what byte b's slot holds: a child, a value word, or neither.
-func (n *node) slot(b byte) (*node, uint64) {
+func (n *node) slot(b byte) (c *node, w uint64) {
 	i := n.find(b)
 	if i < 0 {
 		return nil, 0
 	}
-	var w uint64
-	if vs := n.vals(); vs != nil {
+	if cs := n.children(false); cs != nil {
+		c = cs[i].Load()
+	}
+	if vs := n.vals(false); vs != nil {
 		w = vs[i].Load()
 	}
-	return n.children()[i].Load(), w
+	return c, w
 }
 
-// fill writes slot i: child c or value word w, the other half cleared.
+// fill writes slot i: child c or value word w, the other half cleared. An
+// array that does not exist yet is allocated only for a non-zero half.
 // Caller holds the write lock.
 func (n *node) fill(i int, c *node, w uint64) {
-	n.children()[i].Store(c)
-	vs := n.vals()
-	if vs == nil {
-		if w == 0 {
-			return
-		}
-		switch n.kind {
-		case k16:
-			a := new([16]atomic.Uint64)
-			n.b16.vals.Store(a)
-			vs = a[:]
-		case k48:
-			a := new([48]atomic.Uint64)
-			n.b48.vals.Store(a)
-			vs = a[:]
-		case k256:
-			a := new([256]atomic.Uint64)
-			n.b256.vals.Store(a)
-			vs = a[:]
-		}
+	if cs := n.children(c != nil); cs != nil {
+		cs[i].Store(c)
 	}
-	vs[i].Store(w)
+	if vs := n.vals(w != 0); vs != nil {
+		vs[i].Store(w)
+	}
 }
 
 // full reports whether addSlot would overflow the node's size class.
@@ -340,9 +351,12 @@ type slotEntry struct {
 // appendSlots appends n's occupied slots to dst in ascending byte order. A
 // lock-free reader validates n's version afterwards.
 func (n *node) appendSlots(dst []slotEntry) []slotEntry {
-	cs, vs := n.children(), n.vals()
+	cs, vs := n.children(false), n.vals(false)
 	add := func(b byte, i int) {
-		e := slotEntry{b: b, c: cs[i].Load()}
+		e := slotEntry{b: b}
+		if cs != nil {
+			e.c = cs[i].Load()
+		}
 		if vs != nil {
 			e.w = vs[i].Load()
 		}

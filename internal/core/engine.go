@@ -349,6 +349,8 @@ func (e *Engine) initObs() {
 	// The indirection arrays' share of the heap ledger: the slot pages of
 	// every table's PIA.
 	reg.GaugeFunc("pia.slot_bytes", e.piaSlotBytes)
+	// The indexes' share: every table's index trees, walked on each scrape.
+	reg.GaugeFunc("index.node_bytes", e.indexNodeBytes)
 	e.mPrivateBytes = reg.Gauge("core.payload_private_bytes")
 	e.mSwings = reg.Counter("core.payload_swings")
 	// Durability lag: log buffers queued (commits, prepares, decisions)
@@ -366,6 +368,19 @@ func (e *Engine) piaSlotBytes() int64 {
 	var n int64
 	for _, t := range e.tablesByID {
 		n += t.rows.SlotBytes()
+	}
+	return n
+}
+
+// indexNodeBytes is the bytes the nodes of every table's indexes hold.
+func (e *Engine) indexNodeBytes() int64 {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	var n int64
+	for _, t := range e.tablesByID {
+		for _, ix := range t.indexes {
+			n += ix.NodeBytes()
+		}
 	}
 	return n
 }

@@ -357,6 +357,15 @@ func TestRowFootprint(t *testing.T) {
 	if pages := int64(rows/4096 + 1); tbl.rows.SlotBytes() != pages*4096*8 {
 		t.Errorf("%d rows hold %d bytes of PIA slots, want %d pages of 8-byte entries", rows, tbl.rows.SlotBytes(), pages)
 	}
+	// The indexes' ledger entry is their trees' nodes, walked on the scrape.
+	var ixBytes int64
+	for _, ix := range tbl.indexes {
+		ixBytes += ix.NodeBytes()
+	}
+	if got := metric(e, "index.node_bytes"); ixBytes == 0 || got != ixBytes {
+		t.Errorf("index.node_bytes = %d, the table's indexes hold %d bytes", got, ixBytes)
+	}
+	t.Logf("indexes: %d bytes for %d rows", ixBytes, rows)
 	if _, err := e.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}

@@ -34,6 +34,9 @@ func New(Config) *Index {
 	return &Index{tree: art.New()}
 }
 
+// NodeBytes returns the heap bytes the index's tree holds (art.Tree.NodeBytes).
+func (ix *Index) NodeBytes() int64 { return ix.tree.NodeBytes() }
+
 // Insert upserts key -> rid.
 func (ix *Index) Insert(key []byte, rid uint64) error {
 	if len(key) > art.MaxKeyLen {

@@ -74,9 +74,6 @@ type partition[T any] struct {
 
 	// next is the next slot to hand out in this partition.
 	next atomic.Uint32
-	// live counts slots holding a non-nil pointer (approximate under
-	// concurrency; exact when quiesced).
-	live atomic.Int64
 }
 
 func newPartition[T any](id uint16, slotBits uint) *partition[T] {
@@ -243,9 +240,9 @@ func (m *Map[T]) AllocAt(rid RID) error {
 // each RID as AllocAt does: recovery's bulk load. Where the slot already holds
 // a pointer that vs[i] yields to (yield(have, vs[i])), the slot keeps it and
 // vs[i] is set to nil, so the caller sees which it stored. The RIDs ascend.
-// Each partition the run touches has its allocation cursor raised and its live
-// count adjusted once, not once per RID, so runs stored from several
-// goroutines at once do not contend on them.
+// Each partition the run touches has its allocation cursor raised once, not
+// once per RID, so runs stored from several goroutines at once do not contend
+// on it.
 func (m *Map[T]) StoreRun(rids []RID, vs []*T, yield func(have, v *T) bool) error {
 	for i := 0; i < len(rids); {
 		j := i + 1
@@ -256,7 +253,6 @@ func (m *Map[T]) StoreRun(rids []RID, vs []*T, yield func(have, v *T) bool) erro
 			return err
 		}
 		p := m.part(rids[i].partition())
-		var live int64
 		for k := i; k < j; k++ {
 			e := p.slot(rids[k].slot(), true)
 			for {
@@ -266,14 +262,10 @@ func (m *Map[T]) StoreRun(rids []RID, vs []*T, yield func(have, v *T) bool) erro
 					break
 				}
 				if e.ptr.CompareAndSwap(have, vs[k]) {
-					if have == nil {
-						live++
-					}
 					break
 				}
 			}
 		}
-		p.live.Add(live)
 		i = j
 	}
 	return nil
@@ -298,8 +290,7 @@ func (m *Map[T]) Store(rid RID, v *T) error {
 	if err != nil {
 		return err
 	}
-	old := e.ptr.Swap(v)
-	m.accountSwap(rid, old, v)
+	e.ptr.Store(v)
 	return nil
 }
 
@@ -311,24 +302,7 @@ func (m *Map[T]) CompareAndSwap(rid RID, old, v *T) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	ok := e.ptr.CompareAndSwap(old, v)
-	if ok {
-		m.accountSwap(rid, old, v)
-	}
-	return ok, nil
-}
-
-func (m *Map[T]) accountSwap(rid RID, old, v *T) {
-	p := m.part(rid.partition())
-	if p == nil {
-		return
-	}
-	switch {
-	case old == nil && v != nil:
-		p.live.Add(1)
-	case old != nil && v == nil:
-		p.live.Add(-1)
-	}
+	return e.ptr.CompareAndSwap(old, v), nil
 }
 
 // Delete clears the pointer at rid.
@@ -337,9 +311,7 @@ func (m *Map[T]) Delete(rid RID) error {
 	if err != nil {
 		return err
 	}
-	if e.ptr.Swap(nil) != nil {
-		m.part(rid.partition()).live.Add(-1)
-	}
+	e.ptr.Store(nil)
 	return nil
 }
 

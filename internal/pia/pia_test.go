@@ -44,18 +44,23 @@ func TestStoreGetDelete(t *testing.T) {
 	if got := m.Get(rid); got != v {
 		t.Fatal("Get != stored value")
 	}
-	if m.Live() != 1 {
-		t.Fatalf("Live = %d", m.Live())
-	}
 	if err := m.Delete(rid); err != nil {
 		t.Fatal(err)
 	}
 	if m.Get(rid) != nil {
 		t.Fatal("Get after delete not nil")
 	}
-	if m.Live() != 0 {
-		t.Fatalf("Live after delete = %d", m.Live())
+}
+
+// stored counts the RIDs among rids whose slots hold a pointer.
+func stored[T any](m *Map[T], rids []RID) int {
+	n := 0
+	for _, rid := range rids {
+		if m.Get(rid) != nil {
+			n++
+		}
 	}
+	return n
 }
 
 func TestCompareAndSwap(t *testing.T) {
@@ -170,8 +175,8 @@ func TestStoreRunForRecovery(t *testing.T) {
 	}
 	older, younger := &rec{2}, &rec{5}
 	run := []*rec{older, younger}
-	if err := m.StoreRun(rids[2:], run, newer); err != nil || m.Live() != 4 {
-		t.Fatalf("a second run over stored RIDs: %v, %d live, want 4", err, m.Live())
+	if err := m.StoreRun(rids[2:], run, newer); err != nil || stored(m, rids) != 4 {
+		t.Fatalf("a second run over stored RIDs: %v, %d stored, want 4", err, stored(m, rids))
 	}
 	if run[0] != nil || m.Get(rids[2]) != vs[2] || run[1] != younger || m.Get(rids[3]) != younger {
 		t.Fatalf("a run over a newer and an older occupant: stored %v, slots %v %v", run, m.Get(rids[2]), m.Get(rids[3]))
@@ -282,8 +287,8 @@ func TestPropertyMapEquivalence(t *testing.T) {
 			t.Fatalf("final mismatch at %v", rid)
 		}
 	}
-	if m.Live() != int64(len(ref)) {
-		t.Fatalf("Live = %d, want %d", m.Live(), len(ref))
+	if n := stored(m, rids); n != len(ref) {
+		t.Fatalf("%d RIDs stored, want %d", n, len(ref))
 	}
 }
 
@@ -299,11 +304,11 @@ func TestDeleteIfSparesANewerPointer(t *testing.T) {
 	if err := m.Store(rid, a); err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := m.DeleteIf(rid, b); ok || err != nil || m.Get(rid) != a || m.Live() != 1 {
-		t.Fatalf("DeleteIf with a stale pointer: ok=%v err=%v live=%d", ok, err, m.Live())
+	if ok, err := m.DeleteIf(rid, b); ok || err != nil || m.Get(rid) != a {
+		t.Fatalf("DeleteIf with a stale pointer: ok=%v err=%v", ok, err)
 	}
-	if ok, err := m.DeleteIf(rid, a); !ok || err != nil || m.Get(rid) != nil || m.Live() != 0 {
-		t.Fatalf("DeleteIf with the current pointer: ok=%v err=%v live=%d", ok, err, m.Live())
+	if ok, err := m.DeleteIf(rid, a); !ok || err != nil || m.Get(rid) != nil {
+		t.Fatalf("DeleteIf with the current pointer: ok=%v err=%v", ok, err)
 	}
 }
 

@@ -158,8 +158,11 @@ func TestPlacementErrorTyped(t *testing.T) {
 
 // TestTornAppend: a chaos-injected torn write seals the PLog, marks it torn,
 // leaves divergent replica prefixes with the longest visible as the physical
-// extent, and repair preserves the longest prefix.
+// extent, routes reads to a replica that covers them, and repair preserves
+// the longest prefix. The torn write starts at 100 in 64-byte chunks, so
+// most cuts cross a chunk boundary.
 func TestTornAppend(t *testing.T) {
+	crossed := 0
 	for seed := uint64(1); seed <= 20; seed++ {
 		ch := chaos.New(seed)
 		ch.Arm(chaos.Rule{Site: SiteAppendTear, Action: chaos.Tear, OnHit: 2})
@@ -217,12 +220,39 @@ func TestTornAppend(t *testing.T) {
 		if !bytes.Equal(got, first) {
 			t.Fatalf("seed %d: acked prefix mismatch", seed)
 		}
-		// Repair of a torn PLog copies the longest replica everywhere.
+		// Each replica's extent is its own cut of the one chunk list: a read
+		// up to it returns the bytes written. A read of the whole extent
+		// goes to the longest replica, failed or not.
+		want := append(append([]byte(nil), first...), second...)
+		longest := 0
+		for i := 0; i < p.Replicas(); i++ {
+			ext := p.ReplicaExtent(i)
+			got := make([]byte, ext)
+			if _, err := p.ReadAt(got, 0); err != nil || !bytes.Equal(got, want[:ext]) {
+				t.Fatalf("seed %d: read of replica %d's extent %d: %v", seed, i, ext, err)
+			}
+			if ext > p.ReplicaExtent(longest) {
+				longest = i
+			}
+		}
+		if size > 128 {
+			crossed++
+		}
+		s.ComputeNode(p.ReplicaNodes()[longest]).Fail()
+		got = make([]byte, size)
+		if _, err := p.ReadAt(got, 0); err != nil || !bytes.Equal(got, want[:size]) {
+			t.Fatalf("seed %d: read of the torn extent with its replica's node failed: %v", seed, err)
+		}
+		if a := p.Appended(size - 1); len(a) != 1 || a[0] != 'b' {
+			t.Fatalf("seed %d: Appended(%d) = %q", seed, size-1, a)
+		}
+		s.ComputeNode(p.ReplicaNodes()[longest]).Heal()
+		// Repair of a torn PLog gives the new replica the longest extent.
 		s.ComputeNode(p.ReplicaNodes()[0]).Fail()
 		if _, err := s.RepairOnce(); err != nil {
 			t.Fatalf("seed %d: RepairOnce: %v", seed, err)
 		}
-		longest := 0
+		longest = 0
 		for i := 0; i < p.Replicas(); i++ {
 			if p.ReplicaExtent(i) > p.ReplicaExtent(longest) {
 				longest = i
@@ -232,6 +262,9 @@ func TestTornAppend(t *testing.T) {
 			t.Fatalf("seed %d: repair lost the longest prefix: %d != %d",
 				seed, p.ReplicaExtent(longest), size)
 		}
+	}
+	if crossed == 0 {
+		t.Fatal("no torn write crossed a chunk boundary")
 	}
 }
 

@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
+	"runtime"
 	"sync"
 	"testing"
-
-	"hiengine/internal/obs"
 )
 
 // pattern is the byte at offset off of the logs these tests write.
@@ -23,8 +21,17 @@ func patterned(off int64, n int) []byte {
 	return b
 }
 
-// TestFullChunksAreShared: once a chunk fills, replicas 1 and 2 hold replica
-// 0's chunk by reference; their tail chunks stay their own.
+// allocatedBy returns the bytes the heap handed out while fn ran.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestFullChunksAreShared: the three replicas of a PLog hold one chunk list,
+// so the heap ledger counts each chunk once.
 func TestFullChunksAreShared(t *testing.T) {
 	s := New(Config{MaxPLogSize: 1 << 20, ChunkSize: 64})
 	p, _ := s.Create(TierCompute)
@@ -33,121 +40,101 @@ func TestFullChunksAreShared(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	reps := p.replicaList()
-	for i, r := range reps[1:] {
-		if r.verified != 15 {
-			t.Fatalf("replica %d shares %d chunks, want 15", i+1, r.verified)
-		}
-		for ci := 0; ci < 15; ci++ {
-			if !sameChunk(r.chunks[ci], reps[0].chunks[ci]) {
-				t.Fatalf("replica %d chunk %d is a copy", i+1, ci)
-			}
-		}
-		if sameChunk(r.chunks[15], reps[0].chunks[15]) {
-			t.Fatalf("replica %d shares its tail chunk", i+1)
-		}
-	}
-	if phys, logical := s.replicaBytes(); phys != 18*64 || logical != 3*16*64 {
-		t.Fatalf("replica bytes %d physical, %d logical; want %d, %d", phys, logical, 18*64, 3*16*64)
+	if n := s.replicaBytes(); n != 16*64 {
+		t.Fatalf("replica bytes %d, want %d", n, 16*64)
 	}
 	if !p.CheckReplicas() || !p.ReplicasConsistentFrom(333) {
 		t.Fatal("shared replicas read as inconsistent")
 	}
 }
 
-// TestReplicaDivergenceFailStops: a replica whose tail chunk differs from
-// replica 0's when it fills fails the append with ErrReplicaDiverged, seals
-// the PLog, counts once and shares nothing.
-func TestReplicaDivergenceFailStops(t *testing.T) {
-	s := testService(t) // 256-byte chunks
-	reg := obs.NewRegistry("test")
-	s.AttachObs(reg)
-	p, _ := s.Create(TierCompute)
-	if _, err := p.Append(patterned(0, 100)); err != nil {
+// TestAppendAllocatesOneCopy: 1 MiB appended to a three-replica PLog with
+// 256 KiB chunks allocates four chunks, not twelve.
+func TestAppendAllocatesOneCopy(t *testing.T) {
+	s := New(Config{MaxPLogSize: 4 << 20})
+	p, err := s.Create(TierCompute)
+	if err != nil {
 		t.Fatal(err)
 	}
-	p.replicaList()[1].chunks[0][7] ^= 0xff // replica 1's tail chunk, not yet full
-	_, err := p.Append(patterned(100, 200))
-	if !errors.Is(err, ErrReplicaDiverged) {
-		t.Fatalf("append over a diverged chunk: %v, want ErrReplicaDiverged", err)
-	}
-	if !strings.Contains(err.Error(), p.ID().String()) || !strings.Contains(err.Error(), "chunk 0") {
-		t.Fatalf("error %q names neither the PLog nor the chunk", err)
-	}
-	if !p.Sealed() {
-		t.Fatal("a diverged PLog did not seal")
-	}
-	if n := s.Stats().Divergences.Load(); n != 1 {
-		t.Fatalf("Divergences = %d, want 1", n)
-	}
-	if n := reg.Counter("srss.replica_divergences").Load(); n != 1 {
-		t.Fatalf("srss.replica_divergences = %d, want 1", n)
-	}
-	for i, r := range p.replicaList() {
-		if r.verified != 0 {
-			t.Fatalf("replica %d shares %d chunks after a divergence", i, r.verified)
+	const chunk = 256 << 10
+	data := patterned(0, 4*chunk)
+	n := allocatedBy(func() {
+		for off := 0; off < len(data); off += 4096 {
+			if _, err := p.Append(data[off : off+4096]); err != nil {
+				t.Fatal(err)
+			}
 		}
+	})
+	if n < 4*chunk || n >= 5*chunk {
+		t.Fatalf("1 MiB appended allocated %d bytes, want four %d-byte chunks", n, chunk)
 	}
-	if phys, logical := s.replicaBytes(); phys != logical {
-		t.Fatalf("physical %d != logical %d: a diverged chunk was shared", phys, logical)
+	if got := s.replicaBytes(); got != 4*chunk {
+		t.Fatalf("replica bytes %d, want %d", got, 4*chunk)
 	}
-	if p.CheckReplicas() {
-		t.Fatal("diverged replicas read as consistent")
-	}
-	if _, err := p.Append([]byte("x")); !errors.Is(err, ErrSealed) {
-		t.Fatalf("append after divergence: %v, want ErrSealed", err)
+	got := make([]byte, len(data))
+	if _, err := p.ReadAt(got, 0); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read back: %v", err)
 	}
 }
 
-// TestRepairSharesFullChunks: repair gives the new replica the source's
-// shared chunks by reference and copies only its tail, wherever the lost
-// replica sat; appends after repair verify against the new set.
-func TestRepairSharesFullChunks(t *testing.T) {
+// TestRepairCopiesNoBytes: repair of a lost replica at any index gives the
+// spare the source's extent over the same chunks, allocating less than one
+// chunk, and appends after the repair reach the new set.
+func TestRepairCopiesNoBytes(t *testing.T) {
+	const chunk = 64 << 10
 	for victim := 0; victim < 3; victim++ {
-		s := New(Config{ComputeNodes: 5, MaxPLogSize: 1 << 20, ChunkSize: 64})
+		s := New(Config{ComputeNodes: 5, MaxPLogSize: 32 * chunk, ChunkSize: chunk})
 		p, _ := s.Create(TierCompute)
-		if _, err := p.Append(patterned(0, 1000)); err != nil { // 15 full chunks and a tail
+		if _, err := p.Append(patterned(0, 16*chunk+100)); err != nil { // 16 full chunks and a tail
 			t.Fatal(err)
 		}
-		before, _ := s.replicaBytes()
-		s.ComputeNode(p.ReplicaNodes()[victim]).Fail()
-		if n, err := s.RepairOnce(); n != 1 || err != nil {
+		before := s.replicaBytes()
+		lost := p.ReplicaNodes()[victim]
+		s.ComputeNode(lost).Fail()
+		var n int
+		var err error
+		if a := allocatedBy(func() { n, err = s.RepairOnce() }); a >= chunk {
+			t.Fatalf("victim %d: repair allocated %d bytes", victim, a)
+		}
+		if n != 1 || err != nil {
 			t.Fatalf("victim %d: RepairOnce = %d, %v", victim, n, err)
+		}
+		if nodes := p.ReplicaNodes(); nodes[victim] == lost || p.ReplicaExtent(victim) != p.Size() {
+			t.Fatalf("victim %d: replica %d on node %d with extent %d, want a spare with %d",
+				victim, victim, nodes[victim], p.ReplicaExtent(victim), p.Size())
 		}
 		if !p.CheckReplicas() {
 			t.Fatalf("victim %d: replicas diverge after repair", victim)
 		}
-		// The lost replica's tail leaves, the new one's copied tail arrives;
-		// a copy of the whole extent would add 15 chunks.
-		if after, _ := s.replicaBytes(); after != before {
-			t.Fatalf("victim %d: physical bytes %d -> %d after repair", victim, before, after)
+		if after := s.replicaBytes(); after != before {
+			t.Fatalf("victim %d: replica bytes %d -> %d after repair", victim, before, after)
 		}
-		if _, err := p.Append(patterned(1000, 200)); err != nil {
+		if _, err := p.Append(patterned(16*chunk+100, 200)); err != nil {
 			t.Fatalf("victim %d: append after repair: %v", victim, err)
 		}
-		if !p.CheckReplicas() {
-			t.Fatalf("victim %d: replicas diverge after the next append", victim)
+		for i := 0; i < p.Replicas(); i++ {
+			if p.ReplicaExtent(i) != p.Size() {
+				t.Fatalf("victim %d: replica %d extent %d after the next append, want %d",
+					victim, i, p.ReplicaExtent(i), p.Size())
+			}
 		}
-		if phys, _ := s.replicaBytes(); phys != (19+2)*64 {
-			t.Fatalf("victim %d: physical bytes %d, want %d", victim, phys, (19+2)*64)
-		}
-		got := make([]byte, 1200)
-		if _, err := p.ReadAt(got, 0); err != nil || !bytes.Equal(got, patterned(0, 1200)) {
+		got := make([]byte, p.Size())
+		if _, err := p.ReadAt(got, 0); err != nil || !bytes.Equal(got, patterned(0, len(got))) {
 			t.Fatalf("victim %d: read back after repair: %v", victim, err)
 		}
 	}
 }
 
-// TestReadersRaceTheShareSwap: readers take zero-copy slices, windows and
+// TestReadersRaceAppendsAndRepair: readers take zero-copy slices, windows and
 // the writer's look at the log, compare replicas and count their bytes while
-// appends fill chunks and swap them for replica 0's; every byte read is the
-// byte written (run under -race).
-func TestReadersRaceTheShareSwap(t *testing.T) {
-	s := New(Config{MaxPLogSize: 1 << 20, ChunkSize: 64})
+// appends add chunks and a node fails and is repaired under them; every byte
+// read is the byte written (run under -race).
+func TestReadersRaceAppendsAndRepair(t *testing.T) {
+	s := New(Config{ComputeNodes: 4, MaxPLogSize: 1 << 20, ChunkSize: 64})
 	p, _ := s.Create(TierCompute)
 	const total = 20000
 	done := make(chan struct{})
-	errc := make(chan error, 3) // one send at most per reader
+	errc := make(chan error, 4) // one send at most per goroutine
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
 		wg.Add(1)
@@ -187,17 +174,36 @@ func TestReadersRaceTheShareSwap(t *testing.T) {
 				if !check(off, b, "At") || !check(off, w, "Window") || !check(off, p.Appended(off), "Appended") {
 					return
 				}
-				// These two read replicas 1 and 2, whose chunks the swap
-				// replaces; the result may be false mid-append.
+				// Extents advance one replica at a time, so this may be
+				// false mid-append.
 				p.ReplicasConsistentFrom(off)
 				s.replicaBytes()
 			}
 		}(int64(g))
 	}
+	// Halfway through, a replica's node fails and is repaired while the
+	// writer keeps appending: an append that sees the failure seals the
+	// PLog, which ends the writing.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for p.Size() < total/2 {
+			runtime.Gosched()
+		}
+		s.ComputeNode(p.ReplicaNodes()[1]).Fail()
+		if _, err := s.RepairOnce(); err != nil {
+			errc <- err
+		}
+	}()
 	for off := int64(0); off < total; off += 24 {
-		if _, err := p.Append(patterned(off, 24)); err != nil {
+		if _, err := p.Append(patterned(off, 24)); errors.Is(err, ErrSealed) {
+			break
+		} else if err != nil {
 			t.Fatal(err)
 		}
+	}
+	for p.Size() < total/2 || p.degraded() {
+		runtime.Gosched() // the writer sealed before the repair ran
 	}
 	close(done)
 	wg.Wait()

@@ -15,17 +15,16 @@
 // microsecond latency. Storage-tier PLogs live on SSDs behind the slower
 // cross-layer network. Either tier supports mmap-style read-only views.
 //
-// The simulation materializes every replica independently up to a full
-// chunk: each replica appends into its own tail chunk, so a torn write leaves
-// divergent prefixes. A chunk that fills is verified against replica 0's and
-// then shared, so one heap holds each verified byte once, not once per
-// replica; a chunk that differs fail-stops the PLog (ErrReplicaDiverged).
+// The simulation keeps all replicas of a PLog in one heap, so it holds each
+// logged byte once: a PLog has one list of fixed-size chunks, and a replica
+// is a node and an extent, the prefix of that list the node holds. An append
+// copies its bytes into the list once and advances every extent; a torn
+// write leaves the extents apart, each at its own cut.
 // The simulation charges tier-appropriate latencies through a delay.Model and
 // supports failure injection on individual nodes.
 package srss
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -117,10 +116,6 @@ var (
 	ErrNoHealthyNodes = errors.New("srss: not enough healthy nodes")
 	// ErrDeleted is returned when operating on a deleted PLog.
 	ErrDeleted = errors.New("srss: plog deleted")
-	// ErrReplicaDiverged is returned when a filled chunk differs between
-	// replicas: a replication bug. The PLog seals and the chunk is not
-	// shared.
-	ErrReplicaDiverged = errors.New("srss: replica diverged")
 )
 
 // PlacementError is the typed failure of replica placement: a tier had
@@ -206,8 +201,6 @@ type Stats struct {
 	// PlacementFailures counts replica placements rejected for lack of
 	// healthy nodes (PLog creation and repair).
 	PlacementFailures atomic.Int64
-	// Divergences counts filled chunks that differed between replicas.
-	Divergences atomic.Int64
 }
 
 // Service is a simulated SRSS deployment: a set of compute nodes and storage
@@ -251,7 +244,6 @@ type obsMetrics struct {
 	tornAppends       *obs.Counter
 	repairs           *obs.Counter
 	placementFailures *obs.Counter
-	divergences       *obs.Counter
 }
 
 // AttachObs wires the service's hot paths to an observability registry.
@@ -270,28 +262,21 @@ func (s *Service) AttachObs(reg *obs.Registry) {
 		tornAppends:       reg.Counter("srss.torn_appends"),
 		repairs:           reg.Counter("srss.repairs"),
 		placementFailures: reg.Counter("srss.placement_failures"),
-		divergences:       reg.Counter("srss.replica_divergences"),
 	}
 	s.obsM.CompareAndSwap(nil, m)
-	reg.GaugeFunc("srss.replica_bytes", func() int64 { n, _ := s.replicaBytes(); return n })
-	reg.GaugeFunc("srss.replica_logical_bytes", func() int64 { _, n := s.replicaBytes(); return n })
+	reg.GaugeFunc("srss.replica_bytes", s.replicaBytes)
 }
 
-// replicaBytes is the chunk capacity the replicas of every PLog not deleted
-// hold: physical counts a shared chunk once, logical once per replica (the
-// log, checkpoint images and metadata, three times over).
-func (s *Service) replicaBytes() (physical, logical int64) {
+// replicaBytes is the chunk capacity of every PLog not deleted: the log,
+// checkpoint images and metadata, once, whatever the replication factor.
+func (s *Service) replicaBytes() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	var n int64
 	for _, p := range s.plogs {
-		for _, r := range p.replicaList() {
-			r.mu.RLock()
-			physical += int64(len(r.chunks)-r.verified) * int64(r.chunkSize)
-			logical += int64(len(r.chunks)) * int64(r.chunkSize)
-			r.mu.RUnlock()
-		}
+		n += int64(len(p.chunkList())) * int64(s.cfg.ChunkSize)
 	}
-	return physical, logical
+	return n
 }
 
 // Node is one simulated compute or storage node.
@@ -414,11 +399,7 @@ func (s *Service) Create(tier Tier) (*PLog, error) {
 		tier: tier,
 		svc:  s,
 	}
-	reps := make([]*replica, 0, len(nodes))
-	for _, n := range nodes {
-		reps = append(reps, &replica{node: n, chunkSize: s.cfg.ChunkSize})
-	}
-	p.reps.Store(&reps)
+	p.setNodes(nodes)
 	s.mu.Lock()
 	s.plogs[p.id] = p
 	s.mu.Unlock()
@@ -447,11 +428,7 @@ func (s *Service) ImportPLog(id PLogID, tier Tier) (*PLog, error) {
 		return nil, err
 	}
 	p := &PLog{id: id, tier: tier, svc: s}
-	reps := make([]*replica, 0, len(nodes))
-	for _, n := range nodes {
-		reps = append(reps, &replica{node: n, chunkSize: s.cfg.ChunkSize})
-	}
-	p.reps.Store(&reps)
+	p.setNodes(nodes)
 	s.mu.Lock()
 	if existing, ok := s.plogs[id]; ok { // lost a race with another import
 		s.mu.Unlock()
@@ -567,110 +544,15 @@ func (s *Service) chargeRead(tier Tier, n int) {
 	_ = n
 }
 
-// replica is one node's copy of a PLog, stored in fixed-size chunks so that
-// committed bytes never move (append-only => stable zero-copy views).
+// replica is one node's copy of a PLog: the prefix of the PLog's chunk list
+// the node holds. Extents differ from the PLog size (and from each other)
+// only after a torn write.
 type replica struct {
-	node      *Node
-	chunkSize int
-
-	mu     sync.RWMutex
-	chunks [][]byte
-	size   int64
-	// verified counts the leading chunks that are replica 0's own, shared
-	// by reference; replica 0's is always 0, so it owns every shared chunk.
-	verified int
+	node *Node
+	ext  atomic.Int64
 }
 
-func (r *replica) append(data []byte) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	off := 0
-	for off < len(data) {
-		last := len(r.chunks) - 1
-		if last < 0 || len(r.chunks[last]) == cap(r.chunks[last]) {
-			r.chunks = append(r.chunks, make([]byte, 0, r.chunkSize))
-			last++
-		}
-		c := r.chunks[last]
-		n := copy(c[len(c):cap(c)], data[off:])
-		r.chunks[last] = c[:len(c)+n]
-		off += n
-	}
-	r.size += int64(len(data))
-}
-
-// share verifies each chunk of r that has filled since the last call against
-// ref's and swaps it for ref's, which is full and so immutable. It returns
-// the index of the first chunk that differs, or -1. The caller holds the
-// PLog's lock, which every writer of either replica holds.
-func (r *replica) share(ref *replica) int {
-	full := int(min(r.size, ref.size) / int64(r.chunkSize))
-	if r.verified >= full {
-		return -1
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for ; r.verified < full; r.verified++ {
-		c := ref.chunks[r.verified]
-		if !bytes.Equal(r.chunks[r.verified], c) {
-			return r.verified
-		}
-		r.chunks[r.verified] = c
-	}
-	return -1
-}
-
-// chunk returns chunk ci's bytes.
-func (r *replica) chunk(ci int) []byte {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.chunks[ci]
-}
-
-// sameChunk reports whether a and b are one chunk held by reference.
-func sameChunk(a, b []byte) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
-
-// extent returns the replica's persisted length. Replica extents can
-// diverge from the PLog size (and from each other) only after a torn
-// write.
-func (r *replica) extent() int64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.size
-}
-
-// readAt copies len(p) bytes at off into p. The caller validated the range.
-func (r *replica) readAt(p []byte, off int64) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	cs := int64(r.chunkSize)
-	for len(p) > 0 {
-		ci := off / cs
-		co := off % cs
-		c := r.chunks[ci]
-		n := copy(p, c[co:])
-		p = p[n:]
-		off += int64(n)
-	}
-}
-
-// slice returns a zero-copy view of [off, off+n) when it fits in one chunk,
-// else a copy. Safe because appended bytes are immutable.
-func (r *replica) slice(off int64, n int) []byte {
-	r.mu.RLock()
-	cs := int64(r.chunkSize)
-	ci := off / cs
-	co := off % cs
-	if co+int64(n) <= int64(len(r.chunks[ci])) {
-		b := r.chunks[ci][co : co+int64(n) : co+int64(n)]
-		r.mu.RUnlock()
-		return b
-	}
-	r.mu.RUnlock()
-	out := make([]byte, n)
-	r.readAt(out, off)
-	return out
-}
+func (r *replica) extent() int64 { return r.ext.Load() }
 
 // PLog is one replicated persistent log.
 type PLog struct {
@@ -690,10 +572,76 @@ type PLog struct {
 	// atomically so readers never lock; repair replaces failed-node
 	// replicas under p.mu (serialized against appends).
 	reps atomic.Pointer[[]*replica]
+	// chunks is the one copy of every replica's bytes: ChunkSize-byte
+	// chunks that never move, so a slice into one stays valid for the
+	// PLog's life. Appends write it under p.mu and publish a new list
+	// when they add a chunk, before any extent covers its bytes.
+	chunks atomic.Pointer[[][]byte]
+}
+
+// setNodes gives p one empty replica on each node.
+func (p *PLog) setNodes(nodes []*Node) {
+	reps := make([]*replica, len(nodes))
+	for i, n := range nodes {
+		reps[i] = &replica{node: n}
+	}
+	p.reps.Store(&reps)
 }
 
 // replicaList returns the current replica set (immutable snapshot).
 func (p *PLog) replicaList() []*replica { return *p.reps.Load() }
+
+// chunkList returns the chunks written so far (immutable snapshot).
+func (p *PLog) chunkList() [][]byte {
+	if cs := p.chunks.Load(); cs != nil {
+		return *cs
+	}
+	return nil
+}
+
+// write copies data into the chunk list at off, the end of the longest
+// extent. Caller holds p.mu.
+func (p *PLog) write(off int64, data []byte) {
+	cs := int64(p.svc.cfg.ChunkSize)
+	list := p.chunkList()
+	for len(data) > 0 {
+		ci := off / cs
+		if ci == int64(len(list)) {
+			// Readers hold the old list, which this append never writes
+			// inside: it only adds past the old list's length.
+			next := append(list, make([]byte, cs))
+			p.chunks.Store(&next)
+			list = next
+		}
+		n := copy(list[ci][off%cs:], data)
+		data = data[n:]
+		off += int64(n)
+	}
+}
+
+// readAt copies len(b) bytes at off into b. The caller checked that a
+// replica's extent covers the range.
+func (p *PLog) readAt(b []byte, off int64) {
+	cs := int64(p.svc.cfg.ChunkSize)
+	list := p.chunkList()
+	for len(b) > 0 {
+		n := copy(b, list[off/cs][off%cs:])
+		b = b[n:]
+		off += int64(n)
+	}
+}
+
+// slice returns a zero-copy view of [off, off+n) when it fits in one chunk,
+// else a copy. Safe because appended bytes are immutable.
+func (p *PLog) slice(off int64, n int) []byte {
+	cs := int64(p.svc.cfg.ChunkSize)
+	if co := off % cs; co+int64(n) <= cs {
+		return p.chunkList()[off/cs][co : co+int64(n) : co+int64(n)]
+	}
+	out := make([]byte, n)
+	p.readAt(out, off)
+	return out
+}
 
 // ID returns the PLog's identifier.
 func (p *PLog) ID() PLogID { return p.id }
@@ -730,7 +678,7 @@ func (p *PLog) Append(data []byte) (int64, error) {
 
 // AppendTimed is Append, additionally reporting the wall-clock nanoseconds
 // spent in the replication fan-out (the modeled per-tier latency charge
-// plus writing every replica). Tracing uses this to carve the replication
+// plus the one copy every replica's extent covers). Tracing uses this to carve the replication
 // cost out of the enclosing group-commit flush span.
 func (p *PLog) AppendTimed(data []byte) (off int64, replicateNS int64, err error) {
 	if len(data) == 0 {
@@ -767,13 +715,12 @@ func (p *PLog) AppendTimed(data []byte) (off int64, replicateNS int64, err error
 		// replica keeps its own prefix; the physical extent recovery will
 		// scan is the longest prefix, and it was never acked.
 		ext := 0
+		for _, c := range cuts {
+			ext = max(ext, c)
+		}
+		p.write(off, data[:ext])
 		for i, r := range reps {
-			if cuts[i] > 0 {
-				r.append(data[:cuts[i]])
-			}
-			if cuts[i] > ext {
-				ext = cuts[i]
-			}
+			r.ext.Store(off + int64(cuts[i]))
 		}
 		p.sealTornLocked(true)
 		p.size.Store(off + int64(ext))
@@ -786,22 +733,13 @@ func (p *PLog) AppendTimed(data []byte) (off int64, replicateNS int64, err error
 	}
 	replStart := time.Now()
 	p.svc.chargeAppend(p.tier, len(data))
+	p.write(off, data)
+	end := off + int64(len(data))
 	for _, r := range reps {
-		r.append(data)
-	}
-	for _, r := range reps[1:] {
-		if ci := r.share(reps[0]); ci >= 0 {
-			p.sealTornLocked(false)
-			p.svc.stats.Divergences.Add(1)
-			if om := p.svc.obsM.Load(); om != nil {
-				om.divergences.Inc()
-			}
-			return 0, 0, fmt.Errorf("%w: %v chunk %d on replica node %d",
-				ErrReplicaDiverged, p.id, ci, r.node.ID)
-		}
+		r.ext.Store(end)
 	}
 	replicateNS = int64(time.Since(replStart))
-	p.size.Store(off + int64(len(data)))
+	p.size.Store(end)
 	p.svc.stats.Appends.Add(1)
 	p.svc.stats.AppendBytes.Add(int64(len(data)))
 	if err := ch.Check(SiteAppendAfter); err != nil {
@@ -888,7 +826,7 @@ func (p *PLog) ReadAt(b []byte, off int64) (int, error) {
 		// Only reachable on a torn PLog: no replica covers the range.
 		return 0, fmt.Errorf("%w: [%d,+%d) torn at %d", ErrOutOfRange, off, len(b), r.extent())
 	}
-	r.readAt(b, off)
+	p.readAt(b, off)
 	p.svc.stats.Reads.Add(1)
 	p.svc.stats.ReadBytes.Add(int64(len(b)))
 	return len(b), nil
@@ -933,7 +871,7 @@ func (v *View) At(off int64, n int) ([]byte, error) {
 	}
 	p.svc.stats.Reads.Add(1)
 	p.svc.stats.ReadBytes.Add(int64(n))
-	return r.slice(off, n), nil
+	return p.slice(off, n), nil
 }
 
 // Window returns the durable bytes from off to the end of the chunk that
@@ -963,14 +901,13 @@ func (p *PLog) Appended(off int64) []byte {
 	}
 	cs := int64(p.svc.cfg.ChunkSize)
 	end := min(size, (off/cs+1)*cs)
-	r := p.replicaFor(end)
-	if r.extent() < end {
+	if p.replicaFor(end).extent() < end {
 		return nil // torn: no replica holds the whole range
 	}
-	return r.slice(off, int(end-off))
+	return p.slice(off, int(end-off))
 }
 
-// replicasEqual verifies that all replicas hold identical bytes over the
+// replicasEqual verifies that all replicas hold the same bytes over the
 // full durable extent; used by invariant tests. Torn PLogs fail this check
 // by design (replica extents diverge past the last acked append).
 func (p *PLog) replicasEqual() bool {
@@ -978,34 +915,16 @@ func (p *PLog) replicasEqual() bool {
 }
 
 // ReplicasConsistentFrom reports whether every replica agrees byte-for-byte
-// from off to the physical end of the PLog: equal extents and equal
-// contents. A torn write leaves divergent suffixes, so recovery calls this
-// to distinguish "record half-written then crashed" (inconsistent or short
-// replicas => truncate) from genuine corruption.
+// from off to the physical end of the PLog. Replicas hold prefixes of one
+// chunk list, so they agree from any offset exactly when their extents are
+// equal. A torn write leaves unequal extents, so recovery calls this to
+// distinguish "record half-written then crashed" (short replicas =>
+// truncate) from genuine corruption.
 func (p *PLog) ReplicasConsistentFrom(off int64) bool {
 	reps := p.replicaList()
-	if len(reps) == 0 {
-		return true
-	}
-	ext := reps[0].extent()
 	for _, r := range reps[1:] {
-		if r.extent() != ext {
+		if r.extent() != reps[0].extent() {
 			return false
-		}
-	}
-	if off >= ext {
-		return true
-	}
-	// Chunk by chunk from off's, up to ext: appends may be landing past it.
-	// A chunk held by reference is equal.
-	cs := int64(reps[0].chunkSize)
-	for ci := off / cs; ci*cs < ext; ci++ {
-		lo, hi := max(off-ci*cs, 0), min(ext-ci*cs, cs)
-		ref := reps[0].chunk(int(ci))
-		for _, r := range reps[1:] {
-			if c := r.chunk(int(ci)); !sameChunk(c, ref) && !bytes.Equal(c[lo:hi], ref[lo:hi]) {
-				return false
-			}
 		}
 	}
 	return true
@@ -1054,8 +973,10 @@ func (s *Service) Destage(p *PLog) (*PLog, error) {
 // When a replica node fails, the PLog seals and the writer moves on to a
 // fresh PLog -- but the sealed PLog keeps serving reads with a degraded
 // replica set. RepairOnce restores full redundancy: for each PLog with a
-// failed replica node it copies the longest replica's extent onto a healthy
-// spare node and swaps the new replica into the set.
+// failed replica node it gives a healthy spare node the longest replica's
+// extent and swaps the new replica into the set. The bytes are the PLog's
+// one chunk list, so nothing is copied; the re-replication is charged as an
+// append of the extent.
 // ---------------------------------------------------------------------------
 
 // degraded reports whether any replica sits on a failed node.
@@ -1113,14 +1034,7 @@ func (s *Service) repairPLog(p *PLog) (int, error) {
 	if src == nil {
 		return 0, nil
 	}
-	// The source's full chunks that are replica 0's go by reference; only
-	// the rest is copied.
 	ext := src.extent()
-	shared := 0
-	for shared < int(ext/int64(s.cfg.ChunkSize)) && shared < len(old[0].chunks) &&
-		sameChunk(src.chunks[shared], old[0].chunks[shared]) {
-		shared++
-	}
 	spares := s.spareNodes(p)
 	replaced := 0
 	next := make([]*replica, len(old))
@@ -1134,22 +1048,8 @@ func (s *Service) repairPLog(p *PLog) (int, error) {
 		}
 		node := spares[0]
 		spares = spares[1:]
-		nr := &replica{node: node, chunkSize: s.cfg.ChunkSize, size: int64(shared * s.cfg.ChunkSize)}
-		nr.chunks = append(nr.chunks, src.chunks[:shared]...)
-		if i > 0 {
-			nr.verified = shared
-		}
-		const batch = 1 << 20
-		buf := make([]byte, batch)
-		for off := nr.size; off < ext; {
-			n := batch
-			if int64(n) > ext-off {
-				n = int(ext - off)
-			}
-			src.readAt(buf[:n], off)
-			nr.append(buf[:n])
-			off += int64(n)
-		}
+		nr := &replica{node: node}
+		nr.ext.Store(ext)
 		s.chargeAppend(p.tier, int(ext))
 		next[i] = nr
 		replaced++

@@ -428,30 +428,28 @@ func TestWellKnownRegistry(t *testing.T) {
 }
 
 // TestReplicaBytes: the heap ledger's srss.replica_bytes is the chunk
-// capacity the replicas hold, a shared chunk once, and
-// srss.replica_logical_bytes the same once per replica; a deleted PLog's
-// leaves both.
+// capacity of a PLog's one chunk list, whatever the replication factor; a
+// deleted PLog's leaves it.
 func TestReplicaBytes(t *testing.T) {
 	s := testService(t) // 256-byte chunks, three replicas
 	p, err := s.Create(TierCompute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if phys, logical := s.replicaBytes(); phys != 0 || logical != 0 {
-		t.Fatalf("an empty PLog holds %d/%d bytes", phys, logical)
+	if n := s.replicaBytes(); n != 0 {
+		t.Fatalf("an empty PLog holds %d bytes", n)
 	}
-	// 300 bytes: a full chunk, shared, and a 44-byte tail chunk per replica.
+	// 300 bytes: a full chunk and a 44-byte tail, once for three replicas.
 	if _, err := p.Append(make([]byte, 300)); err != nil {
 		t.Fatal(err)
 	}
-	if phys, logical := s.replicaBytes(); phys != 4*256 || logical != 3*2*256 {
-		t.Fatalf("300 bytes in 256-byte chunks hold %d physical, %d logical bytes; want %d, %d",
-			phys, logical, 4*256, 3*2*256)
+	if n := s.replicaBytes(); n != 2*256 {
+		t.Fatalf("300 bytes in 256-byte chunks hold %d bytes; want %d", n, 2*256)
 	}
 	if err := s.Delete(p.ID()); err != nil {
 		t.Fatal(err)
 	}
-	if phys, logical := s.replicaBytes(); phys != 0 || logical != 0 {
-		t.Fatalf("a deleted PLog still counts %d/%d bytes", phys, logical)
+	if n := s.replicaBytes(); n != 0 {
+		t.Fatalf("a deleted PLog still counts %d bytes", n)
 	}
 }
