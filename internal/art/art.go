@@ -24,6 +24,19 @@
 // replaced through their parent. The classic Node4 and Node16 size classes
 // are coalesced into one 16-way class (Go's allocator size classes make a
 // separate 4-way node unprofitable); Node48 and Node256 are as in the paper.
+//
+// A caller whose keys arrive nearly in order -- recovery's workers, a
+// worker's inserts -- passes a Hint to InsertHint and SearchHint. It
+// remembers the last few nodes the caller filled, each with the key bytes
+// spelling its path, and a key one byte longer than such a path goes to
+// that node's slot under the node's own lock: one node visit instead of a
+// descent from the root. A live node is safe to reuse because growth and a
+// prefix split replace a node by a copy and mark the original obsolete,
+// and nothing else moves a node, so a live node's path still spells the
+// key. The hinted path only puts a value word in an empty slot
+// of a node that is not full, or replaces one; everything else, growth and
+// splits included, is the descent's, so a hint never changes the tree's
+// shape.
 package art
 
 import (
@@ -450,24 +463,150 @@ func (t *Tree) Len() int {
 
 // Insert upserts key -> rid.
 func (t *Tree) Insert(key []byte, rid uint64) {
-	t.insert(key, rid, false)
+	t.insert(key, rid, false, nil)
+}
+
+// InsertHint is Insert, first trying the nodes h remembers (see Hint), and
+// remembering the node key's value lands in.
+func (t *Tree) InsertHint(key []byte, rid uint64, h *Hint) {
+	t.insert(key, rid, false, h)
 }
 
 // InsertTombstone records a deletion marker for key; Search will report the
 // key as deleted.
 func (t *Tree) InsertTombstone(key []byte) {
-	t.insert(key, 0, true)
+	t.insert(key, 0, true, nil)
 }
 
 // Search returns the RID for key. found is false when the key is absent;
 // tomb is true when the freshest entry is a deletion marker (rid invalid).
 func (t *Tree) Search(key []byte) (rid uint64, found, tomb bool) {
+	return t.SearchHint(key, nil)
+}
+
+// SearchHint is Search, first trying the nodes h remembers (see Hint).
+func (t *Tree) SearchHint(key []byte, h *Hint) (rid uint64, found, tomb bool) {
+	if rid, found, tomb, ok := t.searchHinted(key, h); ok {
+		return rid, found, tomb
+	}
 	for {
 		rid, found, tomb, ok := t.search(key)
 		if ok {
 			return rid, found, tomb
 		}
 	}
+}
+
+// --- Hint ----------------------------------------------------------------
+
+// hintWays is how many nodes a Hint remembers: one per index a row has, for
+// the usual table, and two interleaved key ranges of one index.
+const hintWays = 4
+
+// Hint remembers the last few nodes its caller filled, each with its tree
+// and the key bytes that spell the node's path. A key one byte longer than a
+// remembered path, that matches it, has its slot in that node, which a
+// hinted insert or search visits alone instead of descending from the root.
+// Only a value word goes in that way -- into an empty slot of a node that is
+// not full, or over a value word -- and a remembered node found obsolete is
+// forgotten (the package comment says why a live one is safe to reuse).
+//
+// A Hint is not safe for concurrent use. Its zero value is ready.
+type Hint struct {
+	ways [hintWays]hintWay
+	tick uint64
+}
+
+// hintWay is one remembered node; n == nil is an empty way.
+type hintWay struct {
+	t    *Tree
+	n    *node
+	path []byte // the key bytes that spell n's path, in the way's own buffer
+	used uint64 // h.tick at its last use: the least recent is replaced
+}
+
+// node returns the node h remembers for key in t -- the node whose path is
+// key minus its last byte -- and its read version, when there is one and it
+// is live. A remembered node found obsolete is forgotten.
+func (h *Hint) node(t *Tree, key []byte) (*node, uint64) {
+	if h == nil || len(key) == 0 {
+		return nil, 0
+	}
+	for i := range h.ways {
+		w := &h.ways[i]
+		if w.n == nil || w.t != t || !bytes.Equal(w.path, key[:len(key)-1]) {
+			continue
+		}
+		v, alive := w.n.rLock()
+		if !alive {
+			*w = hintWay{path: w.path[:0]}
+			return nil, 0
+		}
+		h.tick++
+		w.used = h.tick
+		return w.n, v
+	}
+	return nil, 0
+}
+
+// remember records that key, in t, ended in a slot of n at depth d, when it
+// did: n's path is key[:d]. It takes the way remembering that path -- at
+// most one live node has it, so a node there is n or one n replaced -- or
+// else the least recently used one.
+func (h *Hint) remember(t *Tree, n *node, key []byte, d int) {
+	if h == nil || len(key) != d+1 {
+		return
+	}
+	w := &h.ways[0]
+	for i := range h.ways {
+		if x := &h.ways[i]; x.n != nil && x.t == t && bytes.Equal(x.path, key[:d]) {
+			w = x
+			break
+		}
+		if h.ways[i].used < w.used {
+			w = &h.ways[i]
+		}
+	}
+	h.tick++
+	w.t, w.n, w.path, w.used = t, n, append(w.path[:0], key[:d]...), h.tick
+}
+
+// insertHinted stores value word w for key in the node h remembers for it,
+// and reports whether it did; when not, the descent does. It takes an empty
+// slot of a node that is not full, or a slot holding a value word (upsert);
+// a child, a leaf, a full node or a lost upgrade is the descent's.
+func (t *Tree) insertHinted(key []byte, w uint64, h *Hint) bool {
+	n, v := h.node(t, key)
+	if n == nil {
+		return false
+	}
+	b := key[len(key)-1]
+	c, old := n.slot(b)
+	if c != nil || (old == 0 && n.full()) || !n.upgrade(v) {
+		return false
+	}
+	if old == 0 {
+		n.addSlot(b, nil, w)
+	} else {
+		n.setSlot(b, nil, w)
+	}
+	n.unlock()
+	return true
+}
+
+// searchHinted looks key up in the node h remembers for it: a value word is
+// a hit and an empty slot is absent. ok is false when there is no such node,
+// or its slot holds a child or a leaf: the descent answers.
+func (t *Tree) searchHinted(key []byte, h *Hint) (rid uint64, found, tomb, ok bool) {
+	n, v := h.node(t, key)
+	if n == nil {
+		return 0, false, false, false
+	}
+	c, w := n.slot(key[len(key)-1])
+	if c != nil || !n.rValidate(v) {
+		return 0, false, false, false
+	}
+	return wordRID(w), w != 0, wordTomb(w), true
 }
 
 func matchLen(a, b []byte) int {
@@ -538,8 +677,12 @@ func (t *Tree) search(key []byte) (rid uint64, found, tomb, ok bool) {
 	}
 }
 
-// insert is the OLC upsert.
-func (t *Tree) insert(key []byte, rid uint64, tomb bool) {
+// insert is the OLC upsert. With a hint it first tries the node h remembers
+// for key (insertHinted), and remembers the node key's value lands in.
+func (t *Tree) insert(key []byte, rid uint64, tomb bool, h *Hint) {
+	if w, ok := slotWord(key, len(key)-1, rid, tomb); ok && t.insertHinted(key, w, h) {
+		return
+	}
 restart:
 	n := t.root
 	v, alive := n.rLock()
@@ -575,6 +718,7 @@ restart:
 				parent.setSlot(parentByte, ni, 0)
 				n.unlockObsolete()
 				parent.unlock()
+				h.remember(t, ni, key, depth+m)
 				return
 			}
 			depth += len(p)
@@ -612,6 +756,7 @@ restart:
 					parent.setSlot(parentByte, big, 0)
 					n.unlockObsolete()
 					parent.unlock()
+					h.remember(t, big, key, depth)
 					return
 				}
 				if !n.upgrade(v) {
@@ -619,6 +764,7 @@ restart:
 				}
 				n.addSlot(b, c, w)
 				n.unlock()
+				h.remember(t, n, key, depth)
 				return
 			}
 			if w != 0 || next.kind == kLeaf {
@@ -635,6 +781,7 @@ restart:
 					c, w := newEntry(key, depth, rid, tomb)
 					n.setSlot(b, c, w)
 					n.unlock()
+					h.remember(t, n, key, depth)
 					return
 				}
 				// Two distinct keys share the slot: push both under a
@@ -648,6 +795,7 @@ restart:
 				ni.place(key, d2, rid, tomb, nil)
 				n.setSlot(b, ni, 0)
 				n.unlock()
+				h.remember(t, ni, key, d2)
 				return
 			}
 			// Descend.

@@ -193,10 +193,13 @@ func TestInlineSlotTransitions(t *testing.T) {
 // FuzzTreeOps drives a tree with inserts, tombstones, searches and scans
 // over short keys from a four-byte alphabet -- so keys are prefixes of one
 // another and every slot transition happens -- and holds it to a map oracle.
+// An op byte with bit 0x10 set makes its insert or search a hinted one,
+// through one Hint the whole program shares.
 func FuzzTreeOps(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 5, 0, 2, 0, 1, 6, 2, 1, 0, 3, 0, 4})
 	f.Add([]byte{0, 3, 1, 2, 3, 9, 0, 2, 1, 2, 200, 1, 1, 1, 3, 2, 0, 3})
 	f.Add(bytes.Repeat([]byte{0, 2, 3, 1}, 64))
+	f.Add([]byte{0x10, 2, 1, 1, 0x10, 2, 1, 2, 0x10, 2, 1, 3, 0x12, 2, 1, 2, 0x12, 2, 2, 2, 1, 2, 1, 2, 0x10, 2, 1, 2, 9})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		next := func() byte {
 			if len(prog) == 0 {
@@ -215,21 +218,28 @@ func FuzzTreeOps(f *testing.F) {
 			return k
 		}
 		tr, ref := New(), map[string]entry{}
+		var h Hint
 		for len(prog) > 0 {
-			switch next() % 4 {
+			op := next()
+			hint := (*Hint)(nil)
+			if op&0x10 != 0 {
+				hint = &h
+			}
+			switch op % 4 {
 			case 0:
 				k, r := key(), next()
 				rid := uint64(r)
 				if r >= 0xF0 {
 					rid += 1 << 62 // kept in a leaf
 				}
-				oracleOp{key: string(k), rid: rid}.apply(tr, ref)
+				tr.InsertHint(k, rid, hint)
+				ref[string(k)] = entry{rid: rid}
 			case 1:
 				oracleOp{key: string(key()), tomb: true}.apply(tr, ref)
 			case 2:
 				k := key()
 				want, ok := ref[string(k)]
-				if rid, found, tomb := tr.Search(k); found != ok || rid != want.rid || tomb != want.tomb {
+				if rid, found, tomb := tr.SearchHint(k, hint); found != ok || rid != want.rid || tomb != want.tomb {
 					t.Fatalf("Search(%x) = %d %v %v, want %+v %v", k, rid, found, tomb, want, ok)
 				}
 			case 3:

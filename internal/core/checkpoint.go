@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hiengine/internal/art"
 	"hiengine/internal/srss"
 	"hiengine/internal/wal"
 )
@@ -547,8 +548,9 @@ type indexer struct {
 	img  imageReader
 	view RowView
 	kbuf []byte
-	t    *Table // the table whose live rows x counts
-	rows int64  // the live rows of t counted since x moved to it
+	hint art.Hint // the index nodes x's inserts last filled
+	t    *Table   // the table whose live rows x counts
+	rows int64    // the live rows of t counted since x moved to it
 	// The image entries of t read but not stored yet: RIDs, stubs, and the
 	// keys, end to end in keyBytes, keyEnds[i] the end of the i-th.
 	rids     []RID
@@ -653,7 +655,7 @@ func (x *indexer) store() error {
 			start = x.keyEnds[i*n-1]
 		}
 		for j, end := range x.keyEnds[i*n : (i+1)*n] {
-			if err := t.indexes[j].Insert(x.keyBytes[start:end], uint64(rid)); err != nil {
+			if err := t.indexes[j].InsertHint(x.keyBytes[start:end], uint64(rid), &x.hint); err != nil {
 				return err
 			}
 			start = end
@@ -691,7 +693,7 @@ func (x *indexer) tail(vs []replayed) error {
 			if x.kbuf, err = t.viewIndexKeyAppend(x.kbuf[:0], i, &x.view, rid); err != nil {
 				return err
 			}
-			if err := ix.Insert(x.kbuf, uint64(rid)); err != nil {
+			if err := ix.InsertHint(x.kbuf, uint64(rid), &x.hint); err != nil {
 				return err
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"hiengine/internal/art"
 	"hiengine/internal/chaos"
 	"hiengine/internal/clock"
 	"hiengine/internal/delay"
@@ -156,14 +157,20 @@ type workerSlot struct {
 	// on one goroutine): view and view2 walk encoded rows -- a row read, a
 	// write's old and new payloads -- kbuf and kbuf2 hold the index keys
 	// derived from them, and rowbuf an insert's row until its record has a
-	// RID to be reserved under.
+	// RID to be reserved under. hint remembers the index nodes the slot's
+	// inserts last filled, for its uniqueness checks and inserts.
 	view, view2 RowView
 	kbuf, kbuf2 []byte
 	rowbuf      []byte
+	hint        art.Hint
 	// What the slot's last committing transaction filled of its log buffer:
 	// the next one's buffer is allocated that size. The active
 	// transaction's, like the scratch.
 	lastLogBytes int
+	// Slots sit side by side in Engine.workers. Whole cache lines keep one
+	// slot's writes off the line of its neighbour's activeBegin and mu
+	// (TestWorkerSlotIsWholeCacheLines).
+	_ [56]byte
 }
 
 // Engine is a HiEngine instance.

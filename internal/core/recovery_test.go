@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -550,5 +551,69 @@ func TestRecoveryEquivalenceUnderWriters(t *testing.T) {
 	}
 	if n != wantN || n == 0 {
 		t.Fatalf("by_name finds %d rows named \"again\", want %d", n, wantN)
+	}
+}
+
+// TestRecoveryIndexesInterleavedRuns: recovery's workers insert the index
+// keys of the checkpoint image, and then of the tail, through a hint that
+// remembers the bottom nodes they last filled. The image here holds a table
+// whose rows alternate between two ascending key ranges -- its primary keys
+// and its non-unique secondary's keys both take turns between two bottom
+// nodes -- and a table of random keys, which a hint seldom helps. After the
+// crash every key is found, each index holds exactly the keys its rows
+// derive, and the counts of keys from the image and in all are exact.
+func TestRecoveryIndexesInterleavedRuns(t *testing.T) {
+	e := testEngine(t)
+	users := mustTable(t, e, usersSchema())
+	rnd := mustTable(t, e, &Schema{
+		Name:    "rnd",
+		Columns: []Column{{Name: "id", Kind: KindInt}, {Name: "v", Kind: KindInt}},
+		Indexes: []IndexDef{{Name: "pk", Columns: []int{0}, Unique: true}},
+	})
+	const pairs, tail = 2000, 300
+	rng := rand.New(rand.NewSource(1))
+	var rndKeys []int64
+	load := func(from, to int64) {
+		for i := from; i < to; i++ {
+			tx := begin(t, e, int(i%4))
+			for _, id := range []int64{i, 1<<32 + i} {
+				if _, err := tx.Insert(users, Row{I(id), S(fmt.Sprintf("n%08d", id)), I(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			k := rng.Int63()
+			if _, err := tx.Insert(rnd, Row{I(k), I(i)}); err != nil {
+				t.Fatal(err)
+			}
+			rndKeys = append(rndKeys, k)
+			commit(t, tx)
+		}
+	}
+	load(0, pairs)
+	if _, err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	load(pairs, pairs+tail)
+
+	e2, stats := recoverEngine(t, e, RecoverOptions{ReplayThreads: 2})
+	imageRows := int64(3 * pairs) // users' two per pair, with two keys each; rnd's one
+	if stats.ImageKeys != 2*2*pairs+pairs || stats.IndexKeys != stats.ImageKeys+(2*2+1)*tail || stats.CheckpointEntries != imageRows {
+		t.Fatalf("recovered %d keys, %d from the image of %d entries; want %d, %d, %d",
+			stats.IndexKeys, stats.ImageKeys, stats.CheckpointEntries, 5*(pairs+tail), 5*pairs, imageRows)
+	}
+	checkIndexes(t, e2) // by_name's keys, exactly
+	users2, _ := e2.Table("users")
+	rnd2, _ := e2.Table("rnd")
+	tx := begin(t, e2, 0)
+	defer tx.Abort()
+	for i := int64(0); i < pairs+tail; i++ {
+		for _, id := range []int64{i, 1<<32 + i} {
+			if _, row, err := tx.GetByKey(users2, 0, I(id)); err != nil || row[2].Int() != i {
+				t.Fatalf("users key %d: %v %v", id, row, err)
+			}
+		}
+		if _, row, err := tx.GetByKey(rnd2, 0, I(rndKeys[i])); err != nil || row[1].Int() != i {
+			t.Fatalf("rnd key %d: %v %v", rndKeys[i], row, err)
+		}
 	}
 }

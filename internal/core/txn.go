@@ -559,7 +559,7 @@ func (t *Txn) Insert(tbl *Table, row Row) (RID, error) {
 	t.wrote(we)
 	tbl.liveRows.Add(1)
 	if !havePrev {
-		err = primary.Insert(s.kbuf, uint64(rid))
+		err = primary.InsertHint(s.kbuf, uint64(rid), &s.hint)
 	}
 	lock.Unlock()
 
@@ -637,16 +637,16 @@ func (t *Txn) wrote(we writeEntry) *writeEntry {
 // addIndexEntry maps key to rid in index i, under the key's lock and after
 // the uniqueness check when the index is unique.
 func (t *Txn) addIndexEntry(tbl *Table, i int, key []byte, rid RID) error {
-	ix := tbl.indexes[i]
+	ix, h := tbl.indexes[i], &t.slot.hint
 	if !tbl.Schema.Indexes[i].Unique {
-		return ix.Insert(key, uint64(rid))
+		return ix.InsertHint(key, uint64(rid), h)
 	}
 	lock := ix.LockKey(key)
 	defer lock.Unlock()
 	if _, _, err := t.checkUnique(tbl, ix, key, rid); err != nil {
 		return err
 	}
-	return ix.Insert(key, uint64(rid))
+	return ix.InsertHint(key, uint64(rid), h)
 }
 
 // checkUnique inspects the chain behind an existing index entry for key.
@@ -656,7 +656,7 @@ func (t *Txn) addIndexEntry(tbl *Table, i int, key []byte, rid RID) error {
 // to one it held before -- is no violation. Errors: ErrDuplicateKey for a
 // live or pending record, ErrConflict for an uncommitted writer.
 func (t *Txn) checkUnique(tbl *Table, ix *index.Index, key []byte, self RID) (RID, bool, error) {
-	ridU, ok, err := ix.Get(key)
+	ridU, ok, err := ix.GetHint(key, &t.slot.hint)
 	if err != nil {
 		return 0, false, err
 	}

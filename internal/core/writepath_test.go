@@ -314,6 +314,16 @@ func TestWritePathAllocs(t *testing.T) {
 	}
 }
 
+// TestWorkerSlotIsWholeCacheLines: a worker slot is a whole number of
+// 64-byte cache lines, so in Engine.workers no line holds two slots, and
+// one slot's commit and index hint writes do not false-share with the next
+// slot's Begin. A field added to workerSlot changes its padding.
+func TestWorkerSlotIsWholeCacheLines(t *testing.T) {
+	if n := reflect.TypeOf(workerSlot{}).Size(); n%64 != 0 {
+		t.Fatalf("a workerSlot is %d bytes, not a multiple of 64: re-pad it", n)
+	}
+}
+
 // TestRowFootprint: what a resident row costs the engine beside its bytes in
 // the log. Its version is the allocator's 48-byte class: no end timestamp,
 // and the payload a pointer and a length, not a slice header (either back in
@@ -1062,4 +1072,67 @@ func TestRecycledLogBufferNotRewrittenBeforeDurable(t *testing.T) {
 	}
 	defer rec.Close()
 	check("recovered", rec)
+}
+
+// TestDuplicateKeyBesideRememberedNode: a worker slot's index hint remembers
+// the nodes its inserts filled, and the uniqueness check of the next insert
+// looks there first. Two sessions take turns on one slot, each inserting its
+// own ascending range, so the hint holds both ranges' bottom nodes. A
+// duplicate of a key in a remembered node -- a primary key and a unique
+// secondary's, from either session -- still fails with ErrDuplicateKey, as
+// does one far from them; a fresh key beside them goes in, and a deleted
+// row's key is taken again.
+func TestDuplicateKeyBesideRememberedNode(t *testing.T) {
+	e := testEngine(t)
+	tbl := mustTable(t, e, accountsSchema())
+	const n = 300
+	email := func(id int64) string { return fmt.Sprintf("e%08d", id) }
+	insert := func(row Row) error {
+		tx := begin(t, e, 0)
+		if _, err := tx.Insert(tbl, row); err != nil {
+			return err
+		}
+		return tx.Commit()
+	}
+	for i := int64(0); i < n; i++ {
+		for _, id := range []int64{i, 1<<20 + i} { // session A's key, then B's
+			if err := insert(account(id, email(id), "c")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, row := range []Row{
+		account(n-1, "fresh-1", "c"),         // A's last primary key
+		account(1<<20+n-2, "fresh-2", "c"),   // B's, one before its last
+		account(5000, email(n-1), "c"),       // A's last email
+		account(5001, email(1<<20+n-1), "c"), // B's
+		account(0, "fresh-3", "c"),           // far from both
+		account(5002, email(1<<20+10), "c"),  // far, in B's range
+	} {
+		if err := insert(row); !errors.Is(err, ErrDuplicateKey) {
+			t.Fatalf("insert of %v: %v, want ErrDuplicateKey", row, err)
+		}
+	}
+	if err := insert(account(n, email(n), "c")); err != nil {
+		t.Fatalf("a fresh key beside A's last: %v", err)
+	}
+	tx := begin(t, e, 0)
+	rid, _, err := tx.GetByKey(tbl, 0, I(n-2))
+	if err == nil {
+		err = tx.Delete(tbl, rid)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit(t, tx)
+	if err := insert(account(n-2, email(n-2), "d")); err != nil {
+		t.Fatalf("re-insert of a deleted row's keys: %v", err)
+	}
+	tx = begin(t, e, 1)
+	defer tx.Abort()
+	for _, id := range []int64{0, n - 2, n - 1, n, 1<<20 + n - 1} {
+		if _, row, err := tx.GetByKey(tbl, 1, S(email(id))); err != nil || row[0].Int() != id {
+			t.Fatalf("email of %d: %v %v", id, row, err)
+		}
+	}
 }

@@ -39,10 +39,17 @@ func (ix *Index) NodeBytes() int64 { return ix.tree.NodeBytes() }
 
 // Insert upserts key -> rid.
 func (ix *Index) Insert(key []byte, rid uint64) error {
+	return ix.InsertHint(key, rid, nil)
+}
+
+// InsertHint is Insert through h (art.Hint), which remembers the nodes its
+// caller filled: a key beside one of them goes in with one node visit. h is
+// the caller's own; nil is Insert.
+func (ix *Index) InsertHint(key []byte, rid uint64, h *art.Hint) error {
 	if len(key) > art.MaxKeyLen {
 		return art.ErrKeyTooLong
 	}
-	ix.tree.Insert(key, rid)
+	ix.tree.InsertHint(key, rid, h)
 	return nil
 }
 
@@ -58,7 +65,12 @@ func (ix *Index) Delete(key []byte) error {
 // Get returns the RID for key. ok is false when the key is absent or
 // deleted. The error is always nil.
 func (ix *Index) Get(key []byte) (rid uint64, ok bool, err error) {
-	rid, found, tomb := ix.tree.Search(key)
+	return ix.GetHint(key, nil)
+}
+
+// GetHint is Get through h, as InsertHint; nil is Get.
+func (ix *Index) GetHint(key []byte, h *art.Hint) (rid uint64, ok bool, err error) {
+	rid, found, tomb := ix.tree.SearchHint(key, h)
 	return rid, found && !tomb, nil
 }
 
