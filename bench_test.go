@@ -641,10 +641,11 @@ func BenchmarkRecover(b *testing.B) {
 	b.ReportMetric(float64(st.WindowReads), "window-reads")
 }
 
-// TestRecoveryAllocs holds recovery to what a recovered row needs: its
-// Version -- the header of its log-backed payload is inside it; its int key's
-// RID is a word in an index node's slot, no leaf -- plus the amortised rest
-// (the tree's inner nodes and value arrays, the PIA's pages). It also holds
+// TestRecoveryAllocs holds recovery to what a recovered row needs: a replayed
+// row's Version, a checkpointed row's a 256th of its stub slab -- the header
+// of its log-backed payload is inside it; its int key's RID is a word in an
+// index node's slot, no leaf -- plus the amortised rest (the tree's inner
+// nodes and value arrays, the PIA's pages). It also holds
 // the storage reads of a recovery to the chunks of the log's tail -- no
 // checkpointed row is read -- and checks that a checkpointed row's first read
 // is one storage read, and a replayed row's none.
@@ -670,8 +671,8 @@ func TestRecoveryAllocs(t *testing.T) {
 		t.Fatalf("recovered %d keys (%d from the image) from %d checkpoint entries and %d replayed records, want %d, %d, %d, %d",
 			st.IndexKeys, st.ImageKeys, st.CheckpointEntries, st.RecordsApplied, rows, rows*3/4, rows*3/4, rows/4)
 	}
-	if perRow := float64(after.Mallocs-before.Mallocs) / rows; perRow > 1.1 {
-		t.Errorf("recovery allocates %.2f times per recovered row, want <= 1.1", perRow)
+	if perRow := float64(after.Mallocs-before.Mallocs) / rows; perRow > 0.35 {
+		t.Errorf("recovery allocates %.2f times per recovered row, want <= 0.35", perRow)
 	} else {
 		t.Logf("%.3f allocations per recovered row", perRow)
 	}

@@ -105,7 +105,6 @@ type body48 struct {
 }
 
 type body256 struct {
-	count    atomic.Int32
 	children atomic.Pointer[[256]atomic.Pointer[node]]
 	vals     atomic.Pointer[[256]atomic.Uint64]
 }
@@ -344,7 +343,6 @@ func (n *node) addSlot(b byte, c *node, w uint64) {
 		n.b48.index[b].Store(i + 1)
 	case k256:
 		n.fill(int(b), c, w)
-		n.b256.count.Add(1)
 	}
 }
 

@@ -4,14 +4,19 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"hiengine/internal/raceflag"
 )
 
 // TestDenseNodeBytesPerKey: a bottom Node256 full of inline values has a
 // value array and no child array, so it holds its 256 keys in at most 9
-// bytes each (17.4 with a child array of 256 nil pointers).
+// bytes each (17.4 with a child array of 256 nil pointers). Its body is the
+// two array pointers and nothing else: it keeps no slot count.
 func TestDenseNodeBytesPerKey(t *testing.T) {
+	if n := unsafe.Sizeof(body256{}); n != 16 {
+		t.Fatalf("a Node256's body is %d bytes, want 16", n)
+	}
 	tr := New()
 	for i := 0; i < 256; i++ {
 		tr.Insert([]byte{'x', byte(i)}, uint64(i))

@@ -21,12 +21,23 @@ import (
 // guarantee comes from MVCC visibility over the returned RIDs, not from the
 // index itself.
 func (t *Tree) Scan(from, to []byte, fn func(key []byte, rid uint64, tomb bool) bool) {
+	t.scan(from, to, fn, nil)
+}
+
+// ScanLive is Scan without the tombstones: fn sees live entries only. It
+// hands fn on as it is, so a caller that keeps its callback allocates nothing.
+func (t *Tree) ScanLive(from, to []byte, fn func(key []byte, rid uint64) bool) {
+	t.scan(from, to, nil, fn)
+}
+
+// scan runs Scan (fn) or ScanLive (live).
+func (t *Tree) scan(from, to []byte, fn func(key []byte, rid uint64, tomb bool) bool, live func(key []byte, rid uint64) bool) {
 	s := scanPool.Get().(*scanner)
-	s.from, s.to, s.fn = from, to, fn
+	s.from, s.to, s.fn, s.live = from, to, fn, live
 	for !s.node(t.root, 0, s.from != nil, to != nil) && s.restart {
 		s.restart = false
 	}
-	s.from, s.to, s.fn = nil, nil, nil
+	s.from, s.to, s.fn, s.live = nil, nil, nil, nil
 	scanPool.Put(s)
 }
 
@@ -39,6 +50,7 @@ func (t *Tree) Scan(from, to []byte, fn func(key []byte, rid uint64, tomb bool) 
 type scanner struct {
 	from, to []byte
 	fn       func(key []byte, rid uint64, tomb bool) bool
+	live     func(key []byte, rid uint64) bool
 	slots    []slotEntry
 	path     []byte
 	// restart says the walk met a replaced node and stopped; from is then
@@ -84,6 +96,9 @@ func keyInRange(k, from, to []byte) bool {
 func (s *scanner) emit(key []byte, rid uint64, tomb, check bool) bool {
 	if check && !keyInRange(key, s.from, s.to) {
 		return true
+	}
+	if s.live != nil {
+		return tomb || s.live(key, rid)
 	}
 	return s.fn(key, rid, tomb)
 }

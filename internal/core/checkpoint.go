@@ -557,6 +557,26 @@ type indexer struct {
 	stubs    []*Version
 	keyBytes []byte
 	keyEnds  []int
+	// slab is what is left of the block the image pass takes stubs from.
+	slab []Version
+}
+
+// stubSlabLen is how many image stubs one allocation holds.
+const stubSlabLen = 256
+
+// stub returns a zero Version for an image entry, from x's slab. A slab is
+// reachable while any of its stubs is, so rows updated since recovery can
+// leave pruned stubs pinned by a live neighbour: at most one recovery's stubs
+// (48 B an image row), and no slab is made after recovery. The live applier
+// and the write path allocate their versions one by one, since theirs are
+// pruned one by one without end.
+func (x *indexer) stub() *Version {
+	if len(x.slab) == 0 {
+		x.slab = make([]Version, stubSlabLen)
+	}
+	v := &x.slab[0]
+	x.slab = x.slab[1:]
+	return v
 }
 
 // countFor makes t the table whose live rows x counts, booking those counted
@@ -606,7 +626,7 @@ func (x *indexer) loadBlock(body []byte) error {
 			}
 			x.countFor(t)
 		}
-		stub := &Version{}
+		stub := x.stub()
 		stub.tmin.Store(en.csn)
 		stub.addr.Store(en.addr)
 		stub.n.Store(uint32(en.n))

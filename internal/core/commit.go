@@ -185,17 +185,22 @@ func (t *Txn) undo() {
 	var u keyScratch
 	for i := len(t.ws.writes) - 1; i >= 0; i-- {
 		we := &t.ws.writes[i]
+		tomb := we.newV.tomb
+		if !tomb {
+			we.table.dropsBegun.Add(1) // see Table.dropsBegun
+		}
 		// The CAS cannot fail: our TID head blocks other writers.
 		_, _ = we.table.rows.CompareAndSwap(we.rid, we.newV, we.oldV)
 		if t.prepared {
 			// A prepared transaction's payloads went on the ledger with its vote.
 			t.e.dropPrivate(we.newV)
 		}
-		if we.newV.tomb {
+		if tomb {
 			we.table.liveRows.Add(1) // a delete
 			continue
 		}
 		t.e.dropKeysOf(&u, we.table, we.rid, we.newV, nil)
+		we.table.dropsEnded.Add(1)
 		if we.oldV == nil || we.oldV.tomb {
 			we.table.liveRows.Add(-1) // an insert, onto a fresh RID or a deleted row's
 		}
@@ -286,9 +291,16 @@ func (s *workerSlot) retireWrites(writes []writeEntry, csn uint64) {
 
 // retire puts what a write committed at csn made garbage in the slot's bag:
 // the version it superseded, and for a delete the PIA entry. A follower's
-// applier retires a shipped record's the same way. Requires s.mu.
+// applier retires a shipped record's the same way. Requires s.mu. It marks a
+// superseded version whose keys changed, for a GC pass that unlinks it below
+// another victim before its own entry is due (gcWorker). A one-phase commit
+// retires before it releases its slot, whose begin holds the watermark below
+// csn, so no such pass can run first.
 func (s *workerSlot) retire(we *writeEntry, csn uint64) {
 	if we.oldV != nil {
+		if we.keysChanged {
+			we.oldV.setFlag(flagKeysChanged)
+		}
 		s.retired = append(s.retired, retiredVersion{
 			owner:       we.newV,
 			victim:      we.oldV,

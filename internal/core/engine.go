@@ -158,11 +158,13 @@ type workerSlot struct {
 	// write's old and new payloads -- kbuf and kbuf2 hold the index keys
 	// derived from them, and rowbuf an insert's row until its record has a
 	// RID to be reserved under. hint remembers the index nodes the slot's
-	// inserts last filled, for its uniqueness checks and inserts.
+	// inserts last filled, for its uniqueness checks and inserts. scan is
+	// the state of the slot's index scans (scan.go).
 	view, view2 RowView
 	kbuf, kbuf2 []byte
 	rowbuf      []byte
 	hint        art.Hint
+	scan        scanBatch
 	// What the slot's last committing transaction filled of its log buffer:
 	// the next one's buffer is allocated that size. The active
 	// transaction's, like the scratch.
@@ -170,7 +172,7 @@ type workerSlot struct {
 	// Slots sit side by side in Engine.workers. Whole cache lines keep one
 	// slot's writes off the line of its neighbour's activeBegin and mu
 	// (TestWorkerSlotIsWholeCacheLines).
-	_ [56]byte
+	_ [16]byte
 }
 
 // Engine is a HiEngine instance.
@@ -313,6 +315,9 @@ func newEngine(cfg Config) *Engine {
 		status:     newStatusMap(),
 		workers:    make([]workerSlot, cfg.Workers),
 		pend2pc:    make(map[string]*pend2pcEntry),
+	}
+	for i := range e.workers {
+		e.workers[i].scan.init()
 	}
 	e.initObs()
 	return e

@@ -106,17 +106,38 @@ func (e *Engine) gcWorker(w int, wm uint64) int {
 		// Remove stale index keys BEFORE pruning the chain: readers skip
 		// key verification on single-version chains, which is only sound
 		// if no stale entry can outlive the chain's extra versions
-		// (sequentially consistent atomics make this ordering visible).
-		// The stale keys are the victim's that no row above it carries too
-		// (an A->B->A key flip re-validated the entry, or a newer insert
-		// reused the RID with the same key).
-		if r.keysChanged {
-			e.dropKeysOf(&u, r.table, r.rid, r.victim, r.victim)
+		// (sequentially consistent atomics make this ordering visible), and
+		// if a reader that read an entry before its removal knows a removal
+		// ran (Table.dropsBegun). The stale keys are the victim's that no
+		// row above it carries too (an A->B->A key flip re-validated the
+		// entry, or a newer insert reused the RID with the same key). The
+		// prune unlinks every version below the victim as well, whose own
+		// bag entries may not be due yet (another worker's bag), so the
+		// stale keys of those marked flagKeysChanged go now too.
+		unlink := r.owner != nil && r.owner.next.Load() == r.victim
+		var below *Version
+		if unlink {
+			below = r.victim.next.Load()
+		}
+		drops := r.keysChanged
+		for v := below; v != nil && !drops; v = v.next.Load() {
+			drops = v.flags.Load()&flagKeysChanged != 0
+		}
+		if drops {
+			r.table.dropsBegun.Add(1)
+			if r.keysChanged {
+				e.dropKeysOf(&u, r.table, r.rid, r.victim, r.victim)
+			}
+			for v := below; v != nil; v = v.next.Load() {
+				if v.flags.Load()&flagKeysChanged != 0 {
+					e.dropKeysOf(&u, r.table, r.rid, v, r.victim)
+				}
+			}
 		}
 		// Prune the chain below the superseding version: victim and
 		// everything older is unreachable by any current or future
 		// snapshot.
-		if r.owner != nil && r.owner.next.Load() == r.victim {
+		if unlink {
 			r.owner.next.Store(nil)
 			for v := r.victim; v != nil; v = v.next.Load() {
 				e.dropPrivate(v)
@@ -125,6 +146,9 @@ func (e *Engine) gcWorker(w int, wm uint64) int {
 				}
 				reclaimed++
 			}
+		}
+		if drops {
+			r.table.dropsEnded.Add(1)
 		}
 	}
 	if count && (dead.n > 0 || e.dead.due.Load()) {

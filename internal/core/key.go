@@ -74,16 +74,21 @@ func appendKeyStr[T string | []byte](buf []byte, p T) []byte {
 // appending 0xFF... forever is approximated by incrementing the last
 // possible byte. Used to turn "prefix scan" into a [k, successor) range.
 func KeySuccessor(k []byte) []byte {
-	out := make([]byte, len(k), len(k)+1)
-	copy(out, k)
-	for i := len(out) - 1; i >= 0; i-- {
-		if out[i] != 0xFF {
-			out[i]++
-			return out[:i+1]
+	return appendKeySuccessor(make([]byte, 0, len(k)+1), k)
+}
+
+// appendKeySuccessor appends KeySuccessor(k) to dst, which must not overlap k.
+func appendKeySuccessor(dst, k []byte) []byte {
+	base := len(dst)
+	dst = append(dst, k...)
+	for i := len(dst) - 1; i >= base; i-- {
+		if dst[i] != 0xFF {
+			dst[i]++
+			return dst[:i+1]
 		}
 	}
 	// All 0xFF: no successor; return a key longer than any real key.
-	return append(out, 0xFF)
+	return append(dst, 0xFF)
 }
 
 // EncodeRIDSuffix appends a RID in big-endian to a secondary-index key,

@@ -265,7 +265,7 @@ func TestReplicaSnapshotSurvivesCatchUp(t *testing.T) {
 	if head := rtbl.rows.Get(rid); head == nil || head.next.Load() != nil {
 		t.Fatal("the superseded version outlived every snapshot and a pass")
 	}
-	old := encodePrefix([]Value{S("v1")})
+	old := EncodeKey(nil, S("v1"))
 	stale := 0
 	if err := rtbl.indexes[1].Scan(old, KeySuccessor(old), func([]byte, uint64) bool { stale++; return true }); err != nil {
 		t.Fatal(err)

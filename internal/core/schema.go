@@ -97,6 +97,17 @@ type Table struct {
 
 	// liveRows approximates the visible row count (diagnostics only).
 	liveRows atomic.Int64
+
+	// dropsBegun and dropsEnded count, as each starts and as it ends, the
+	// passes that take index entries out while they make the chain under
+	// them look like one version: GC unlinking a version whose keys changed
+	// (drop, then prune) and an abort uninstalling a write (uninstall, then
+	// drop). A scan that skips verifying an entry on a one-version chain
+	// relies on them (scanBatch.mayBeStale). They get a cache line of their
+	// own, off liveRows' writers.
+	_          [56]byte
+	dropsBegun atomic.Uint64
+	dropsEnded atomic.Uint64
 }
 
 // RID is re-exported for callers of the engine API.

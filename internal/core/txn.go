@@ -386,38 +386,46 @@ func (t *Txn) GetByKey(tbl *Table, idx int, vals ...Value) (rid RID, row Row, er
 // ScanPrefixRaw visits the visible rows whose index keys start with the
 // given values, encoded.
 func (t *Txn) ScanPrefixRaw(tbl *Table, idx int, prefix []Value, fn func(rid RID, payload []byte) bool) error {
-	p := encodePrefix(prefix)
-	return t.scanEncoded(tbl, idx, p, KeySuccessor(p), fn)
+	b, err := t.scanBatch()
+	if err != nil {
+		return err
+	}
+	b.setPrefix(prefix)
+	return t.scanEncoded(b, tbl, idx, b.from, b.to, fn)
 }
 
 // ScanKey visits, in key order, the visible rows whose index-idx keys fall
 // in [from, to), decoded. A nil bound is open.
 func (t *Txn) ScanKey(tbl *Table, idx int, from, to []Value, fn func(rid RID, row Row) bool) error {
+	b, err := t.scanBatch()
+	if err != nil {
+		return err
+	}
 	var fromK, toK []byte
-	if from != nil {
-		fromK = EncodeKey(nil, from...)
+	if len(from) > 0 {
+		b.from = EncodeKey(b.from[:0], from...)
+		fromK = b.from
 	}
-	if to != nil {
-		toK = EncodeKey(nil, to...)
+	if len(to) > 0 {
+		b.to = EncodeKey(b.to[:0], to...)
+		toK = b.to
 	}
-	return t.scanDecoded(tbl, idx, fromK, toK, fn)
+	return t.scanDecoded(b, tbl, idx, fromK, toK, fn)
 }
 
 // ScanPrefix is ScanPrefixRaw handing fn decoded rows.
 func (t *Txn) ScanPrefix(tbl *Table, idx int, prefix []Value, fn func(rid RID, row Row) bool) error {
-	p := encodePrefix(prefix)
-	return t.scanDecoded(tbl, idx, p, KeySuccessor(p), fn)
+	b, err := t.scanBatch()
+	if err != nil {
+		return err
+	}
+	b.setPrefix(prefix)
+	return t.scanDecoded(b, tbl, idx, b.from, b.to, fn)
 }
 
-// encodePrefix is EncodeKey into a buffer sized for a few fixed-width
-// columns, so the usual prefix costs one allocation, not one per growth.
-func encodePrefix(prefix []Value) []byte {
-	return EncodeKey(make([]byte, 0, 32), prefix...)
-}
-
-func (t *Txn) scanDecoded(tbl *Table, idx int, fromK, toK []byte, fn func(rid RID, row Row) bool) error {
+func (t *Txn) scanDecoded(b *scanBatch, tbl *Table, idx int, fromK, toK []byte, fn func(rid RID, row Row) bool) error {
 	var derr error
-	err := t.scanEncoded(tbl, idx, fromK, toK, func(rid RID, p []byte) bool {
+	err := t.scanEncoded(b, tbl, idx, fromK, toK, func(rid RID, p []byte) bool {
 		var row Row
 		if row, derr = DecodeRow(p); derr != nil {
 			return false
@@ -426,52 +434,6 @@ func (t *Txn) scanDecoded(tbl *Table, idx int, fromK, toK []byte, fn func(rid RI
 	})
 	if derr != nil {
 		return derr
-	}
-	return err
-}
-
-func (t *Txn) scanEncoded(tbl *Table, idx int, fromK, toK []byte, fn func(rid RID, payload []byte) bool) error {
-	if t.finished {
-		return ErrTxnDone
-	}
-	var scanErr error
-	err := tbl.indexes[idx].Scan(fromK, toK, func(key []byte, ridU uint64) bool {
-		rid := RID(ridU)
-		head := tbl.rows.Get(rid)
-		if head == nil {
-			return true
-		}
-		v := t.visibleVersion(head)
-		if v == nil || v.tomb {
-			return true // not visible in this snapshot
-		}
-		p, err := v.payload(t.e)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		// Verify the entry's key matches the visible row (a stale entry
-		// for a changed key, or a newer key this snapshot must not see).
-		// A single-version chain whose head is the visible version cannot
-		// have stale entries: GC removes stale keys before pruning chains
-		// to depth one, so the verification is skipped on that fast path.
-		if t.e.readOnly.Load() || v != head || head.next.Load() != nil {
-			s := t.slot
-			if _, err = s.view.Reset(p); err == nil {
-				s.kbuf, err = tbl.viewIndexKeyAppend(s.kbuf[:0], idx, &s.view, rid)
-			}
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if string(s.kbuf) != string(key) {
-				return true
-			}
-		}
-		return fn(rid, p)
-	})
-	if scanErr != nil {
-		return scanErr
 	}
 	return err
 }

@@ -42,7 +42,7 @@ type Version struct {
 	data atomic.Pointer[byte]
 	n    atomic.Uint32
 	// flags holds the version's flag bits (flagPriv, flagCSN, flagDead,
-	// flagImage).
+	// flagImage, flagKeysChanged).
 	flags atomic.Uint32
 	// tomb marks delete markers (immutable after creation).
 	tomb bool
@@ -65,6 +65,10 @@ const (
 	// flagImage says the version is a stub recovery made from a checkpoint
 	// image entry, and indexed by the entry's keys.
 	flagImage
+	// flagKeysChanged says the write that superseded the version dropped one
+	// of its index keys (writeEntry.keysChanged): whichever prune unlinks the
+	// version takes those entries out.
+	flagKeysChanged
 )
 
 // newVersion builds a version around a payload (nil for a delete marker):

@@ -78,9 +78,7 @@ func (ix *Index) GetHint(key []byte, h *art.Hint) (rid uint64, ok bool, err erro
 // skipping tombstones, until fn returns false. The key handed to fn is valid
 // only during the call. The error is always nil.
 func (ix *Index) Scan(from, to []byte, fn func(key []byte, rid uint64) bool) error {
-	ix.tree.Scan(from, to, func(k []byte, rid uint64, tomb bool) bool {
-		return tomb || fn(k, rid)
-	})
+	ix.tree.ScanLive(from, to, fn)
 	return nil
 }
 

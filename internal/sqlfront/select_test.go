@@ -73,8 +73,9 @@ func loadScanTable(t *testing.T, s *Session) {
 
 // TestSelectWireSinkAllocs is the scan allocation regression: a 100-row
 // SELECT over a real engine into the wire sink stays encoded end to end --
-// no Value, no per-row slice -- so it costs a fixed handful of allocations,
-// not several per row.
+// no Value, no per-row slice -- and the engine's scan state is its worker
+// slot's, so it costs 3 allocations (the auto-commit transaction's two and
+// the adapter's scan callback), not several per row.
 func TestSelectWireSinkAllocs(t *testing.T) {
 	f, _ := testFrontend(t)
 	s := f.NewSession(0)
@@ -94,8 +95,8 @@ func TestSelectWireSinkAllocs(t *testing.T) {
 	if sink.N != 100 {
 		t.Fatalf("scan produced %d rows", sink.N)
 	}
-	if avg > 16 && !raceflag.Enabled {
-		t.Fatalf("100-row SELECT into the wire sink allocates %.1f times, want <= 16", avg)
+	if avg > 4 && !raceflag.Enabled {
+		t.Fatalf("100-row SELECT into the wire sink allocates %.1f times, want <= 4", avg)
 	}
 	// The sink holds exactly what encoding the in-process result would.
 	res, err := st.Exec(args...)
