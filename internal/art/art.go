@@ -4,8 +4,9 @@
 // index key and recovery re-inserts them, so nothing here is serialized.
 //
 // Values are 64-bit record IDs: HiEngine indexes store only key->RID
-// mappings, never record data. Deletion inserts a tombstone, which a lookup
-// reports as deleted; tombstones are never physically removed.
+// mappings, never record data. An entry is present or absent: Delete
+// removes it from its node, and a node the removal leaves with no entry
+// leaves the tree (see Delete).
 //
 // A key's value sits in the child slot of its parent node that the key's
 // last byte selects -- Leis et al.'s combined pointer/value slots -- whenever
@@ -21,9 +22,11 @@
 // writers lock only the nodes they modify and restart on conflict. A slot's
 // (child, value) pair changes only under its node's write lock, and a reader
 // validates the node's version after reading both. Leaves are immutable and
-// replaced through their parent. The classic Node4 and Node16 size classes
-// are coalesced into one 16-way class (Go's allocator size classes make a
-// separate 4-way node unprofitable); Node48 and Node256 are as in the paper.
+// replaced through their parent. A Node16's or Node48's count is its number
+// of entries: a removal moves the node's last slot into the hole. The
+// classic Node4 and Node16 size classes are coalesced into one 16-way class
+// (Go's allocator size classes make a separate 4-way node unprofitable);
+// Node48 and Node256 are as in the paper.
 //
 // A caller whose keys arrive nearly in order -- recovery's workers, a
 // worker's inserts -- passes a Hint to InsertHint and SearchHint. It
@@ -31,12 +34,12 @@
 // spelling its path, and a key one byte longer than such a path goes to
 // that node's slot under the node's own lock: one node visit instead of a
 // descent from the root. A live node is safe to reuse because growth and a
-// prefix split replace a node by a copy and mark the original obsolete,
-// and nothing else moves a node, so a live node's path still spells the
-// key. The hinted path only puts a value word in an empty slot
-// of a node that is not full, or replaces one; everything else, growth and
-// splits included, is the descent's, so a hint never changes the tree's
-// shape.
+// prefix split replace a node by a copy and mark the original obsolete, a
+// removal that empties a node unlinks it and marks it obsolete, and nothing
+// else moves a node, so a live node's path still spells the key. The hinted
+// path only puts a value word in an empty slot of a node that is not full,
+// or replaces one; everything else, growth and splits included, is the
+// descent's, so a hint never changes the tree's shape.
 package art
 
 import (
@@ -62,12 +65,11 @@ const (
 	k256
 )
 
-// node is a leaf or an inner node. A leaf is the first four fields and
+// node is a leaf or an inner node. A leaf is the first three fields and
 // nothing else: it is immutable after construction, so everything only an
 // inner node needs sits behind the one embedded pointer (nil in a leaf).
 type node struct {
 	kind kind
-	tomb bool
 	rid  uint64
 	key  []byte // the leaf's full key
 
@@ -121,54 +123,46 @@ func lazy[A any](p *atomic.Pointer[A], alloc bool) *A {
 	return a
 }
 
-// An inline value word is inlineBit | tomb<<62 | rid; 0 is an empty slot.
-const (
-	inlineBit uint64 = 1 << 63
-	tombBit   uint64 = 1 << 62
-)
+// An inline value word is inlineBit | rid; 0 is an empty slot.
+const inlineBit uint64 = 1 << 63
 
 // slotWord is key's entry as the value word of the slot at depth d, when key
-// ends at that slot's edge and rid fits beside the two flag bits.
-func slotWord(key []byte, d int, rid uint64, tomb bool) (uint64, bool) {
-	if len(key) != d+1 || rid >= tombBit {
+// ends at that slot's edge and rid fits beside the flag bit.
+func slotWord(key []byte, d int, rid uint64) (uint64, bool) {
+	if len(key) != d+1 || rid >= inlineBit {
 		return 0, false
 	}
-	w := inlineBit | rid
-	if tomb {
-		w |= tombBit
-	}
-	return w, true
+	return inlineBit | rid, true
 }
 
-func wordRID(w uint64) uint64 { return w &^ (inlineBit | tombBit) }
-func wordTomb(w uint64) bool  { return w&tombBit != 0 }
+func wordRID(w uint64) uint64 { return w &^ inlineBit }
 
 // leafInlineKey is the longest key stored in its leaf's own allocation: a
 // fixed-width column or two (an encoded int is 9 bytes), which is what most
 // primary keys are.
 const leafInlineKey = 16
 
-func newLeaf(key []byte, rid uint64, tomb bool) *node {
+func newLeaf(key []byte, rid uint64) *node {
 	if len(key) <= leafInlineKey {
 		l := &struct {
 			node
 			buf [leafInlineKey]byte
-		}{node: node{kind: kLeaf, rid: rid, tomb: tomb}}
+		}{node: node{kind: kLeaf, rid: rid}}
 		l.key = l.buf[:copy(l.buf[:], key)]
 		return &l.node
 	}
 	k := make([]byte, len(key))
 	copy(k, key)
-	return &node{kind: kLeaf, key: k, rid: rid, tomb: tomb}
+	return &node{kind: kLeaf, key: k, rid: rid}
 }
 
 // newEntry is key's entry for the slot at depth d: a value word when
 // slotWord allows one, else a fresh leaf.
-func newEntry(key []byte, d int, rid uint64, tomb bool) (*node, uint64) {
-	if w, ok := slotWord(key, d, rid, tomb); ok {
+func newEntry(key []byte, d int, rid uint64) (*node, uint64) {
+	if w, ok := slotWord(key, d, rid); ok {
 		return nil, w
 	}
-	return newLeaf(key, rid, tomb), 0
+	return newLeaf(key, rid), 0
 }
 
 func newInner(k kind, prefix []byte) *node {
@@ -352,6 +346,67 @@ func (n *node) setSlot(b byte, c *node, w uint64) {
 	n.fill(n.find(b), c, w)
 }
 
+// removeSlot empties byte b's slot. A Node16 or Node48 forgets b and moves
+// its last slot into the hole, so its count stays its number of entries and
+// a later addSlot registers b once. Caller holds the write lock; the slot
+// must hold an entry.
+func (n *node) removeSlot(b byte) {
+	i, last := n.find(b), int(b)
+	switch n.kind {
+	case k16:
+		last = int(n.b16.count.Load()) - 1
+		n.b16.keys[i].Store(n.b16.keys[last].Load())
+		n.b16.count.Store(int32(last))
+	case k48:
+		last = int(n.b48.count.Load()) - 1
+		for x := 0; x < 256 && i != last; x++ {
+			if n.b48.index[x].Load() == int32(last+1) {
+				n.b48.index[x].Store(int32(i + 1))
+				break
+			}
+		}
+		n.b48.index[b].Store(0)
+		n.b48.count.Store(int32(last))
+	}
+	if cs := n.children(false); cs != nil {
+		cs[i].Store(cs[last].Load())
+		cs[last].Store(nil)
+	}
+	if vs := n.vals(false); vs != nil {
+		vs[i].Store(vs[last].Load())
+		vs[last].Store(0)
+	}
+}
+
+// keepsOther reports whether n holds an entry besides e, the one a removal
+// takes: byte e's slot, or n's terminal leaf when e < 0. A Node16's or
+// Node48's count answers; a Node256 looks for an occupied slot, starting
+// past e, where keys removed in ascending order leave their successor. A
+// lock-free reader validates n's version afterwards.
+func (n *node) keepsOther(e int) bool {
+	var held int32 // the slots e accounts for
+	if e >= 0 {
+		if n.term.Load() != nil {
+			return true
+		}
+		held = 1
+	}
+	switch n.kind {
+	case k16:
+		return n.b16.count.Load() > held
+	case k48:
+		return n.b48.count.Load() > held
+	}
+	cs, vs := n.children(false), n.vals(false)
+	for i := 1; i <= 256; i++ {
+		j := (e + i) & 255
+		if j != e && (cs != nil && cs[j].Load() != nil || vs != nil && vs[j].Load() != 0) {
+			return true
+		}
+	}
+	return false
+}
+
 // slotEntry is one occupied slot: its byte, and its child or value word.
 type slotEntry struct {
 	b byte
@@ -420,20 +475,20 @@ func (n *node) copyAs(k kind, p []byte) *node {
 // place stores key's entry in n, a new node no reader can reach yet whose
 // path ends at depth d: as its terminal leaf when key ends there, else in
 // slot key[d]. l, when not nil, is an existing leaf holding the entry.
-func (n *node) place(key []byte, d int, rid uint64, tomb bool, l *node) {
+func (n *node) place(key []byte, d int, rid uint64, l *node) {
 	if d == len(key) {
 		if l == nil {
-			l = newLeaf(key, rid, tomb)
+			l = newLeaf(key, rid)
 		}
 		n.term.Store(l)
 		return
 	}
-	if w, ok := slotWord(key, d, rid, tomb); ok {
+	if w, ok := slotWord(key, d, rid); ok {
 		n.addSlot(key[d], nil, w)
 		return
 	}
 	if l == nil {
-		l = newLeaf(key, rid, tomb)
+		l = newLeaf(key, rid)
 	}
 	n.addSlot(key[d], l, 0)
 }
@@ -451,48 +506,129 @@ func New() *Tree {
 	return &Tree{root: newInner(k256, nil)}
 }
 
-// Len returns the number of entries, counting tombstones, by walking the
-// tree: no insert pays for a count that only tests and diagnostics ask for.
-func (t *Tree) Len() int {
-	n := 0
-	t.Scan(nil, nil, func([]byte, uint64, bool) bool { n++; return true })
-	return n
-}
-
 // Insert upserts key -> rid.
 func (t *Tree) Insert(key []byte, rid uint64) {
-	t.insert(key, rid, false, nil)
+	t.insert(key, rid, nil)
 }
 
 // InsertHint is Insert, first trying the nodes h remembers (see Hint), and
 // remembering the node key's value lands in.
 func (t *Tree) InsertHint(key []byte, rid uint64, h *Hint) {
-	t.insert(key, rid, false, h)
+	t.insert(key, rid, h)
 }
 
-// InsertTombstone records a deletion marker for key; Search will report the
-// key as deleted.
-func (t *Tree) InsertTombstone(key []byte) {
-	t.insert(key, 0, true, nil)
-}
-
-// Search returns the RID for key. found is false when the key is absent;
-// tomb is true when the freshest entry is a deletion marker (rid invalid).
-func (t *Tree) Search(key []byte) (rid uint64, found, tomb bool) {
+// Search returns the RID for key; found is false when the key is absent.
+func (t *Tree) Search(key []byte) (rid uint64, found bool) {
 	return t.SearchHint(key, nil)
 }
 
 // SearchHint is Search, first trying the nodes h remembers (see Hint).
-func (t *Tree) SearchHint(key []byte, h *Hint) (rid uint64, found, tomb bool) {
-	if rid, found, tomb, ok := t.searchHinted(key, h); ok {
-		return rid, found, tomb
+func (t *Tree) SearchHint(key []byte, h *Hint) (rid uint64, found bool) {
+	if rid, found, ok := t.searchHinted(key, h); ok {
+		return rid, found
 	}
 	for {
-		rid, found, tomb, ok := t.search(key)
+		rid, found, ok := t.search(key)
 		if ok {
-			return rid, found, tomb
+			return rid, found
 		}
 	}
+}
+
+// Delete removes key's entry, when it has one. A node the removal leaves with
+// no entry is unlinked from its parent, and so is each ancestor that held
+// nothing but the path to it: all of them are locked beside the node above
+// them that keeps an entry, and each is marked obsolete as its lock is
+// released, as growth retires a node. So no node below the root is ever
+// empty, and a writer holding a pointer to an unlinked node finds it
+// obsolete instead of writing into it.
+func (t *Tree) Delete(key []byte) {
+	for !t.remove(key) {
+	}
+}
+
+// link is a node remove unlinks, with the version it read there.
+type link struct {
+	n *node
+	v uint64
+}
+
+// remove is one OLC attempt at Delete; false means restart. Down key's path
+// it keeps top, the lowest node that holds an entry besides the one the
+// removal takes, with the entry it empties there (te: a slot's byte, or -1
+// for the terminal leaf), and chain, the nodes below top, each holding
+// nothing but the path to key's entry. Locking them all at the versions the
+// descent read validates every read it made in them.
+func (t *Tree) remove(key []byte) bool {
+	var buf [8]link // a longer chain spills to the heap
+	chain := buf[:0]
+	n := t.root
+	v, alive := n.rLock()
+	if !alive {
+		return false
+	}
+	top, tv, te := n, v, 0
+	for depth := 0; ; depth++ {
+		p := n.prefix
+		if matchLen(p, key[depth:]) < len(p) {
+			return n.rValidate(v) // absent: key diverges inside the prefix
+		}
+		depth += len(p)
+		e, next := -1, (*node)(nil) // key's slot in n, or its terminal leaf
+		if depth == len(key) {
+			if n.term.Load() == nil {
+				return n.rValidate(v)
+			}
+		} else {
+			c, w := n.slot(key[depth])
+			switch {
+			case w != 0 && depth+1 == len(key): // key's inline value
+			case c != nil && c.kind != kLeaf:
+				next = c
+			case c == nil || w != 0 || !bytes.Equal(c.key, key):
+				return n.rValidate(v) // absent
+			default: // key's leaf
+			}
+			e = int(key[depth])
+		}
+		if n == t.root || n.keepsOther(e) {
+			top, tv, te, chain = n, v, e, chain[:0]
+		} else {
+			chain = append(chain, link{n, v})
+		}
+		if next == nil {
+			break // n holds key's entry
+		}
+		if !n.rValidate(v) {
+			return false
+		}
+		n = next
+		if v, alive = n.rLock(); !alive {
+			return false
+		}
+	}
+	if !top.upgrade(tv) {
+		return false
+	}
+	for i, l := range chain {
+		if !l.n.upgrade(l.v) {
+			for _, m := range chain[:i] {
+				m.n.unlock()
+			}
+			top.unlock()
+			return false
+		}
+	}
+	if te < 0 {
+		top.term.Store(nil)
+	} else {
+		top.removeSlot(byte(te))
+	}
+	for _, l := range chain {
+		l.n.unlockObsolete()
+	}
+	top.unlock()
+	return true
 }
 
 // --- Hint ----------------------------------------------------------------
@@ -595,16 +731,16 @@ func (t *Tree) insertHinted(key []byte, w uint64, h *Hint) bool {
 // searchHinted looks key up in the node h remembers for it: a value word is
 // a hit and an empty slot is absent. ok is false when there is no such node,
 // or its slot holds a child or a leaf: the descent answers.
-func (t *Tree) searchHinted(key []byte, h *Hint) (rid uint64, found, tomb, ok bool) {
+func (t *Tree) searchHinted(key []byte, h *Hint) (rid uint64, found, ok bool) {
 	n, v := h.node(t, key)
 	if n == nil {
-		return 0, false, false, false
+		return 0, false, false
 	}
 	c, w := n.slot(key[len(key)-1])
 	if c != nil || !n.rValidate(v) {
-		return 0, false, false, false
+		return 0, false, false
 	}
-	return wordRID(w), w != 0, wordTomb(w), true
+	return wordRID(w), w != 0, true
 }
 
 func matchLen(a, b []byte) int {
@@ -620,11 +756,11 @@ func matchLen(a, b []byte) int {
 	return n
 }
 
-func (t *Tree) search(key []byte) (rid uint64, found, tomb, ok bool) {
+func (t *Tree) search(key []byte) (rid uint64, found, ok bool) {
 	n := t.root
 	v, alive := n.rLock()
 	if !alive {
-		return 0, false, false, false
+		return 0, false, false
 	}
 	depth := 0
 	for {
@@ -632,53 +768,53 @@ func (t *Tree) search(key []byte) (rid uint64, found, tomb, ok bool) {
 		m := matchLen(p, key[depth:])
 		if m < len(p) {
 			if !n.rValidate(v) {
-				return 0, false, false, false
+				return 0, false, false
 			}
-			return 0, false, false, true // diverges inside the prefix
+			return 0, false, true // diverges inside the prefix
 		}
 		depth += len(p)
 		if depth == len(key) {
 			l := n.term.Load()
 			if !n.rValidate(v) {
-				return 0, false, false, false
+				return 0, false, false
 			}
 			if l == nil {
-				return 0, false, false, true
+				return 0, false, true
 			}
-			return l.rid, true, l.tomb, true
+			return l.rid, true, true
 		}
 		next, w := n.slot(key[depth])
 		if !n.rValidate(v) {
-			return 0, false, false, false
+			return 0, false, false
 		}
 		switch {
 		case w != 0:
 			// The path spells the value's key: it is key when key ends here.
 			if depth+1 == len(key) {
-				return wordRID(w), true, wordTomb(w), true
+				return wordRID(w), true, true
 			}
-			return 0, false, false, true
+			return 0, false, true
 		case next == nil:
-			return 0, false, false, true
+			return 0, false, true
 		case next.kind == kLeaf:
 			if bytes.Equal(next.key, key) {
-				return next.rid, true, next.tomb, true
+				return next.rid, true, true
 			}
-			return 0, false, false, true
+			return 0, false, true
 		}
 		depth++
 		n = next
 		v, alive = n.rLock()
 		if !alive {
-			return 0, false, false, false
+			return 0, false, false
 		}
 	}
 }
 
 // insert is the OLC upsert. With a hint it first tries the node h remembers
 // for key (insertHinted), and remembers the node key's value lands in.
-func (t *Tree) insert(key []byte, rid uint64, tomb bool, h *Hint) {
-	if w, ok := slotWord(key, len(key)-1, rid, tomb); ok && t.insertHinted(key, w, h) {
+func (t *Tree) insert(key []byte, rid uint64, h *Hint) {
+	if w, ok := slotWord(key, len(key)-1, rid); ok && t.insertHinted(key, w, h) {
 		return
 	}
 restart:
@@ -712,7 +848,7 @@ restart:
 				}
 				ni := newInner(k16, p[:m])
 				ni.addSlot(p[m], n.copyAs(n.kind, p[m+1:]), 0)
-				ni.place(key, depth+m, rid, tomb, nil)
+				ni.place(key, depth+m, rid, nil)
 				parent.setSlot(parentByte, ni, 0)
 				n.unlockObsolete()
 				parent.unlock()
@@ -725,7 +861,7 @@ restart:
 				if !n.upgrade(v) {
 					goto restart
 				}
-				n.term.Store(newLeaf(key, rid, tomb))
+				n.term.Store(newLeaf(key, rid))
 				n.unlock()
 				return
 			}
@@ -735,7 +871,7 @@ restart:
 				goto restart
 			}
 			if next == nil && w == 0 {
-				c, w := newEntry(key, depth, rid, tomb)
+				c, w := newEntry(key, depth, rid)
 				if n.full() {
 					// Grow n into the next size class; the copy replaces
 					// n under the parent's edge.
@@ -768,15 +904,15 @@ restart:
 			if w != 0 || next.kind == kLeaf {
 				// The slot holds one entry: an inline value, whose key is
 				// the path to the slot, or a leaf.
-				okey, orid, otomb, oleaf := key[:depth+1], wordRID(w), wordTomb(w), next
+				okey, orid, oleaf := key[:depth+1], wordRID(w), next
 				if w == 0 {
-					okey, orid, otomb = next.key, next.rid, next.tomb
+					okey, orid = next.key, next.rid
 				}
 				if !n.upgrade(v) {
 					goto restart
 				}
 				if bytes.Equal(okey, key) {
-					c, w := newEntry(key, depth, rid, tomb)
+					c, w := newEntry(key, depth, rid)
 					n.setSlot(b, c, w)
 					n.unlock()
 					h.remember(t, n, key, depth)
@@ -789,8 +925,8 @@ restart:
 				common := matchLen(okey[depth+1:], key[depth+1:])
 				d2 := depth + 1 + common
 				ni := newInner(k16, key[depth+1:d2])
-				ni.place(okey, d2, orid, otomb, oleaf)
-				ni.place(key, d2, rid, tomb, nil)
+				ni.place(okey, d2, orid, oleaf)
+				ni.place(key, d2, rid, nil)
 				n.setSlot(b, ni, 0)
 				n.unlock()
 				h.remember(t, ni, key, d2)

@@ -12,17 +12,24 @@ import (
 	"testing/quick"
 )
 
+// Len is the tree's number of entries, counted by a scan.
+func (t *Tree) Len() int {
+	n := 0
+	t.Scan(nil, nil, func([]byte, uint64) bool { n++; return true })
+	return n
+}
+
 func TestInsertSearchBasic(t *testing.T) {
 	tr := New()
 	tr.Insert([]byte("hello"), 1)
 	tr.Insert([]byte("world"), 2)
-	if rid, ok, tomb := tr.Search([]byte("hello")); !ok || tomb || rid != 1 {
-		t.Fatalf("hello: %d %v %v", rid, ok, tomb)
+	if rid, ok := tr.Search([]byte("hello")); !ok || rid != 1 {
+		t.Fatalf("hello: %d %v", rid, ok)
 	}
-	if rid, ok, _ := tr.Search([]byte("world")); !ok || rid != 2 {
+	if rid, ok := tr.Search([]byte("world")); !ok || rid != 2 {
 		t.Fatalf("world: %d %v", rid, ok)
 	}
-	if _, ok, _ := tr.Search([]byte("nope")); ok {
+	if _, ok := tr.Search([]byte("nope")); ok {
 		t.Fatal("found absent key")
 	}
 	if tr.Len() != 2 {
@@ -34,7 +41,7 @@ func TestUpsertReplaces(t *testing.T) {
 	tr := New()
 	tr.Insert([]byte("k"), 1)
 	tr.Insert([]byte("k"), 2)
-	if rid, ok, _ := tr.Search([]byte("k")); !ok || rid != 2 {
+	if rid, ok := tr.Search([]byte("k")); !ok || rid != 2 {
 		t.Fatalf("got %d %v", rid, ok)
 	}
 	if tr.Len() != 1 {
@@ -50,15 +57,15 @@ func TestPrefixKeys(t *testing.T) {
 		tr.Insert([]byte(k), uint64(i+1))
 	}
 	for i, k := range keys {
-		rid, ok, _ := tr.Search([]byte(k))
+		rid, ok := tr.Search([]byte(k))
 		if !ok || rid != uint64(i+1) {
 			t.Fatalf("key %q: rid=%d ok=%v", k, rid, ok)
 		}
 	}
-	if _, ok, _ := tr.Search([]byte("abcde")); ok {
+	if _, ok := tr.Search([]byte("abcde")); ok {
 		t.Fatal("found absent extension")
 	}
-	if _, ok, _ := tr.Search([]byte("abce")); ok {
+	if _, ok := tr.Search([]byte("abce")); ok {
 		t.Fatal("found absent sibling")
 	}
 }
@@ -71,19 +78,30 @@ func TestPrefixSplit(t *testing.T) {
 	tr.Insert([]byte("aaaaaaaaaaX2"), 2)
 	tr.Insert([]byte("aaaaaBBBBBBB"), 3) // diverges inside "aaaaaaaaaaX"
 	for k, want := range map[string]uint64{"aaaaaaaaaaX1": 1, "aaaaaaaaaaX2": 2, "aaaaaBBBBBBB": 3} {
-		if rid, ok, _ := tr.Search([]byte(k)); !ok || rid != want {
+		if rid, ok := tr.Search([]byte(k)); !ok || rid != want {
 			t.Fatalf("key %q: rid=%d ok=%v want %d", k, rid, ok, want)
 		}
 	}
 }
 
-func TestTombstone(t *testing.T) {
+func TestDeleteRemovesTheEntry(t *testing.T) {
 	tr := New()
 	tr.Insert([]byte("k"), 9)
-	tr.InsertTombstone([]byte("k"))
-	rid, ok, tomb := tr.Search([]byte("k"))
-	if !ok || !tomb {
-		t.Fatalf("tombstone not visible: rid=%d ok=%v tomb=%v", rid, ok, tomb)
+	tr.Insert([]byte("j"), 8)
+	tr.Delete([]byte("k"))
+	if rid, ok := tr.Search([]byte("k")); ok {
+		t.Fatalf("a deleted key is found: rid=%d", rid)
+	}
+	if n := tr.Len(); n != 1 {
+		t.Fatalf("Len = %d after a delete, want 1", n)
+	}
+	tr.Delete([]byte("k")) // absent: nothing to do
+	tr.Insert([]byte("k"), 10)
+	if rid, ok := tr.Search([]byte("k")); !ok || rid != 10 {
+		t.Fatalf("re-inserted key: rid=%d ok=%v", rid, ok)
+	}
+	if n := tr.Len(); n != 2 {
+		t.Fatalf("Len = %d after the re-insert, want 2", n)
 	}
 }
 
@@ -96,7 +114,7 @@ func TestNodeGrowth(t *testing.T) {
 	}
 	for i := 0; i < 256; i++ {
 		key := []byte{'p', byte(i), 'x'}
-		if rid, ok, _ := tr.Search(key); !ok || rid != uint64(i+1) {
+		if rid, ok := tr.Search(key); !ok || rid != uint64(i+1) {
 			t.Fatalf("key %v: rid=%d ok=%v", key, rid, ok)
 		}
 	}
@@ -121,11 +139,11 @@ func TestPropertyMapEquivalence(t *testing.T) {
 		tr.Insert(key, rid)
 		ref[string(key)] = rid
 		// Spot-check this key and one random existing key.
-		if got, ok, _ := tr.Search(key); !ok || got != rid {
+		if got, ok := tr.Search(key); !ok || got != rid {
 			return false
 		}
 		for k, v := range ref {
-			got, ok, _ := tr.Search([]byte(k))
+			got, ok := tr.Search([]byte(k))
 			return ok && got == v
 		}
 		return true
@@ -135,7 +153,7 @@ func TestPropertyMapEquivalence(t *testing.T) {
 	}
 	// Full sweep.
 	for k, v := range ref {
-		if got, ok, _ := tr.Search([]byte(k)); !ok || got != v {
+		if got, ok := tr.Search([]byte(k)); !ok || got != v {
 			t.Fatalf("final check %q: got=%d ok=%v want=%d", k, got, ok, v)
 		}
 	}
@@ -159,7 +177,7 @@ func TestScanOrderedComplete(t *testing.T) {
 	}
 	sort.Strings(keys)
 	i := 0
-	tr.Scan(nil, nil, func(k []byte, rid uint64, tomb bool) bool {
+	tr.Scan(nil, nil, func(k []byte, rid uint64) bool {
 		if i >= len(keys) {
 			t.Fatalf("scan produced extra key %x", k)
 		}
@@ -184,7 +202,7 @@ func TestScanRange(t *testing.T) {
 	}
 	from, to := u64key(300), u64key(600)
 	var got []uint64
-	tr.Scan(from, to, func(k []byte, rid uint64, _ bool) bool {
+	tr.Scan(from, to, func(k []byte, rid uint64) bool {
 		got = append(got, binary.BigEndian.Uint64(k))
 		return true
 	})
@@ -211,7 +229,7 @@ func TestScanEarlyStop(t *testing.T) {
 		tr.Insert(u64key(uint64(i)), uint64(i))
 	}
 	n := 0
-	tr.Scan(nil, nil, func([]byte, uint64, bool) bool { n++; return n < 5 })
+	tr.Scan(nil, nil, func([]byte, uint64) bool { n++; return n < 5 })
 	if n != 5 {
 		t.Fatalf("visited %d, want 5", n)
 	}
@@ -225,7 +243,7 @@ func TestScanVariableLengthKeysOrdered(t *testing.T) {
 		tr.Insert([]byte(keys[i]), uint64(i))
 	}
 	var got []string
-	tr.Scan(nil, nil, func(k []byte, _ uint64, _ bool) bool {
+	tr.Scan(nil, nil, func(k []byte, _ uint64) bool {
 		got = append(got, string(k))
 		return true
 	})
@@ -279,7 +297,7 @@ func TestConcurrentInsertSearch(t *testing.T) {
 					for i := 0; i < per; i++ {
 						k := key(w, i)
 						tr.Insert(k, uint64(w*per+i+1))
-						if rid, ok, _ := tr.Search(k); !ok || rid != uint64(w*per+i+1) {
+						if rid, ok := tr.Search(k); !ok || rid != uint64(w*per+i+1) {
 							t.Errorf("lost own insert w=%d i=%d", w, i)
 							return
 						}
@@ -304,7 +322,7 @@ func TestConcurrentInsertSearch(t *testing.T) {
 					}
 					clear(seen)
 					var prev []byte
-					tr.Scan(nil, nil, func(k []byte, _ uint64, _ bool) bool {
+					tr.Scan(nil, nil, func(k []byte, _ uint64) bool {
 						if prev != nil && bytes.Compare(prev, k) >= 0 {
 							t.Errorf("scan out of order: %x after %x", k, prev)
 							return false
@@ -331,7 +349,7 @@ func TestConcurrentInsertSearch(t *testing.T) {
 			}
 			for w := 0; w < workers; w++ {
 				for i := 0; i < per; i++ {
-					if rid, ok, _ := tr.Search(key(w, i)); !ok || rid != uint64(w*per+i+1) {
+					if rid, ok := tr.Search(key(w, i)); !ok || rid != uint64(w*per+i+1) {
 						t.Fatalf("post-hoc miss w=%d i=%d", w, i)
 					}
 				}
@@ -341,7 +359,7 @@ func TestConcurrentInsertSearch(t *testing.T) {
 }
 
 func TestConcurrentMixedHotKeys(t *testing.T) {
-	// Contended upserts and tombstones on a small key space plus concurrent
+	// Contended upserts and deletes on a small key space plus concurrent
 	// scans: the OLC paths must neither lose updates nor crash/livelock, and
 	// every scan must come out in key order.
 	for _, ks := range concurrentKeySets {
@@ -357,7 +375,7 @@ func TestConcurrentMixedHotKeys(t *testing.T) {
 					defer writers.Done()
 					for i := 0; i < 3000; i++ {
 						if i%7 == w {
-							tr.InsertTombstone(ks.key(uint64(i % hot)))
+							tr.Delete(ks.key(uint64(i % hot)))
 						}
 						tr.Insert(ks.key(uint64(i%hot)), uint64(i+1))
 					}
@@ -376,7 +394,7 @@ func TestConcurrentMixedHotKeys(t *testing.T) {
 						}
 						prev = prev[:0]
 						n := 0
-						tr.Scan(nil, nil, func(k []byte, _ uint64, _ bool) bool {
+						tr.Scan(nil, nil, func(k []byte, _ uint64) bool {
 							if n > 0 && bytes.Compare(prev, k) >= 0 {
 								t.Errorf("scan out of order: %x after %x", k, prev)
 								return false
@@ -392,8 +410,8 @@ func TestConcurrentMixedHotKeys(t *testing.T) {
 			close(stop)
 			scanners.Wait()
 			for i := 0; i < hot; i++ {
-				if _, ok, tomb := tr.Search(ks.key(uint64(i))); !ok || tomb {
-					t.Fatalf("hot key %d: found %v tomb %v", i, ok, tomb)
+				if _, ok := tr.Search(ks.key(uint64(i))); !ok {
+					t.Fatalf("hot key %d is missing", i)
 				}
 			}
 			if tr.Len() != hot {

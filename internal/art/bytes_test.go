@@ -32,7 +32,7 @@ func TestDenseNodeBytesPerKey(t *testing.T) {
 		t.Fatalf("a dense Node256 holds %.1f bytes per key, want <= 9", perKey)
 	}
 	for i := 0; i < 256; i++ {
-		if rid, ok, _ := tr.Search([]byte{'x', byte(i)}); !ok || rid != uint64(i) {
+		if rid, ok := tr.Search([]byte{'x', byte(i)}); !ok || rid != uint64(i) {
 			t.Fatalf("key %d: %d, %v", i, rid, ok)
 		}
 	}

@@ -2,8 +2,10 @@ package art
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hiengine/internal/raceflag"
@@ -18,7 +20,7 @@ func denseKey(v uint64) []byte { return append([]byte{1}, u64key(v)...) }
 // both trees scan to the same entries and hold the same NodeBytes -- a hint
 // changes the route to a slot, never the tree's shape. The writes mix dense
 // 9-byte keys in two interleaved ascending runs, keys from a four-byte
-// alphabet that are prefixes of one another, tombstones, RIDs too large for a
+// alphabet that are prefixes of one another, deletes, RIDs too large for a
 // slot word (a leaf in the slot), one node's bytes in random order (growth
 // 16 -> 48 -> 256 under a remembered node) and long shared prefixes that a
 // later key splits.
@@ -27,7 +29,7 @@ func TestHintMatchesUnhinted(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		plain, hinted := New(), New()
 		var h Hint
-		ref := map[string]entry{}
+		ref := map[string]uint64{}
 		alphabet := []byte{0x00, 'a', 'b', 0xFF}
 		growth := rng.Perm(256)
 		runs := [2]uint64{0, 1 << 20}
@@ -59,22 +61,22 @@ func TestHintMatchesUnhinted(t *testing.T) {
 			case r < 6:
 				rid := uint64(rng.Int63n(1 << 40))
 				if rng.Intn(20) == 0 {
-					rid += 1 << 62 // kept in a leaf
+					rid += 1 << 63 // kept in a leaf
 				}
 				plain.Insert(k, rid)
 				hinted.InsertHint(k, rid, &h)
-				ref[string(k)] = entry{rid: rid}
+				ref[string(k)] = rid
 			case r < 7:
-				plain.InsertTombstone(k)
-				hinted.InsertTombstone(k)
-				ref[string(k)] = entry{tomb: true}
+				plain.Delete(k)
+				hinted.Delete(k)
+				delete(ref, string(k))
 			default:
 				want, ok := ref[string(k)]
-				rid, found, tomb := hinted.SearchHint(k, &h)
-				prid, pfound, ptomb := plain.Search(k)
-				if found != ok || rid != want.rid || tomb != want.tomb || rid != prid || found != pfound || tomb != ptomb {
-					t.Fatalf("seed %d op %d: SearchHint(%x) = %d %v %v, Search %d %v %v, want %+v %v",
-						seed, op, k, rid, found, tomb, prid, pfound, ptomb, want, ok)
+				rid, found := hinted.SearchHint(k, &h)
+				prid, pfound := plain.Search(k)
+				if found != ok || rid != want || rid != prid || found != pfound {
+					t.Fatalf("seed %d op %d: SearchHint(%x) = %d %v, Search %d %v, want %d %v",
+						seed, op, k, rid, found, prid, pfound, want, ok)
 				}
 			}
 		}
@@ -84,7 +86,7 @@ func TestHintMatchesUnhinted(t *testing.T) {
 			t.Fatalf("seed %d: hinted tree scans %d entries, plain %d", seed, len(got), len(want))
 		}
 		for i := range got {
-			if !bytes.Equal(got[i].Key, want[i].Key) || got[i].RID != want[i].RID || got[i].Tomb != want[i].Tomb {
+			if !bytes.Equal(got[i].Key, want[i].Key) || got[i].RID != want[i].RID {
 				t.Fatalf("seed %d: scan entry %d = %+v, plain %+v", seed, i, got[i], want[i])
 			}
 		}
@@ -95,15 +97,17 @@ func TestHintMatchesUnhinted(t *testing.T) {
 }
 
 // TestHintForgetsRetiredNode: a node a hint remembers is retired by a prefix
-// split and by growth. The next hinted insert beside it finds it obsolete,
-// forgets it, descends, and remembers the copy that replaced it; the tree
-// holds every key.
+// split, by growth and by the removals that empty it. The next hinted insert
+// beside it finds it obsolete, forgets it and descends -- remembering the
+// copy that replaced it, or building a new node where the old one was
+// unlinked -- so it never writes into a detached node; the tree holds every
+// key.
 func TestHintForgetsRetiredNode(t *testing.T) {
-	tr, ref := New(), map[string]entry{}
+	tr, ref := New(), map[string]uint64{}
 	var h Hint
 	put := func(k string, rid uint64) {
 		tr.InsertHint([]byte(k), rid, &h)
-		ref[k] = entry{rid: rid}
+		ref[k] = rid
 	}
 	remembers := func(k string) *node {
 		t.Helper()
@@ -135,16 +139,37 @@ func TestHintForgetsRetiredNode(t *testing.T) {
 	if grown := remembers("zz\x10"); grown == full || grown.kind != k48 {
 		t.Fatalf("after growth the hint remembers a %v node, the old one %v", grown.kind, grown == full)
 	}
+	put("rr\x01", 1)
+	put("rr\x02", 2)
+	emptied := remembers("rr\x02")
+	for _, k := range []string{"rr\x01", "rr\x02"} {
+		tr.Delete([]byte(k))
+		delete(ref, k)
+	}
+	if _, alive := emptied.rLock(); alive {
+		t.Fatal("the removals left the emptied node live")
+	}
+	put("rr\x03", 3)
+	if hn, _ := h.node(tr, []byte("rr\x04")); hn == emptied {
+		t.Fatal("the hint still remembers the unlinked node")
+	}
 	checkAgainst(t, tr, ref)
 }
 
 // TestHintedWritersRace: hinted inserters over overlapping ranges of dense
-// keys run beside plain inserters, hinted searchers and scanners. Every
-// writer gives a key the same RID, so whoever wins, a search that finds it
-// must read that RID; at the end the tree holds every key once, and scans in
+// keys run beside plain inserters, hinted searchers and scanners, and beside
+// a deleter that empties whole bottom nodes. Every writer gives a key the
+// same RID, so whoever wins, a search that finds it must read that RID. The
+// churned nodes are filled in two passes by one hinted inserter: the even
+// keys of node b, which the deleter then removes, unlinking the node, and
+// later the odd ones, through a hint that still remembers the unlinked node;
+// it must find it obsolete rather than write into it. At the end the tree
+// holds every stable key and every odd churned key once, and scans in
 // order. Run it under -race.
 func TestHintedWritersRace(t *testing.T) {
 	const n = 20000
+	const blocks = 64     // churned bottom nodes
+	const churn = 1 << 20 // their first key, above the stable ones
 	rid := func(v uint64) uint64 { return v*3 + 1 }
 	tr := New()
 	var writers, readers sync.WaitGroup
@@ -176,6 +201,38 @@ func TestHintedWritersRace(t *testing.T) {
 			}
 		}(w)
 	}
+	evens := make(chan int, blocks)
+	var settled atomic.Int64 // churned nodes whose odd keys are all in
+	writers.Add(2)
+	go func() {
+		defer writers.Done()
+		var h Hint
+		put := func(b, odd int) {
+			for j := odd; j < 256; j += 2 {
+				v := uint64(churn + b*256 + j)
+				tr.InsertHint(denseKey(v), rid(v), &h)
+			}
+		}
+		for b := 0; b <= blocks; b++ {
+			if b < blocks {
+				put(b, 0)
+				evens <- b
+			}
+			if b > 0 {
+				put(b-1, 1)
+				settled.Store(int64(b))
+			}
+		}
+		close(evens)
+	}()
+	go func() {
+		defer writers.Done()
+		for b := range evens {
+			for j := 0; j < 256; j += 2 {
+				tr.Delete(denseKey(uint64(churn + b*256 + j)))
+			}
+		}
+	}()
 	for r := 0; r < 2; r++ {
 		readers.Add(1)
 		go func(r int) {
@@ -190,36 +247,55 @@ func TestHintedWritersRace(t *testing.T) {
 				}
 				if r == 0 {
 					base := uint64(rng.Intn(n - 64))
+					if rng.Intn(2) == 0 {
+						base = churn + uint64(rng.Intn(blocks*256-64))
+					}
+					done := churn + 256*uint64(settled.Load())
 					for v := base; v < base+64; v++ {
-						if got, found, tomb := tr.SearchHint(denseKey(v), &h); found && (tomb || got != rid(v)) {
-							t.Errorf("key %d: %d %v, want %d", v, got, tomb, rid(v))
+						got, found := tr.SearchHint(denseKey(v), &h)
+						if found && got != rid(v) || !found && v >= churn && v < done && v%2 == 1 {
+							t.Errorf("key %d: %d %v, want %d", v, got, found, rid(v))
 							return
 						}
 					}
 					continue
 				}
+				done := churn + 256*uint64(settled.Load())
 				var prev []byte
-				tr.Scan(nil, nil, func(k []byte, got uint64, _ bool) bool {
+				odd := 0
+				tr.Scan(nil, nil, func(k []byte, got uint64) bool {
 					if prev != nil && bytes.Compare(prev, k) >= 0 {
 						t.Errorf("scan out of order: %x after %x", k, prev)
 						return false
 					}
 					prev = append(prev[:0], k...)
+					if v := binary.BigEndian.Uint64(k[1:]); v >= churn && v < done && v%2 == 1 {
+						odd++
+					}
 					return true
 				})
+				if want := int(done-churn) / 2; odd != want {
+					t.Errorf("scan visited %d odd keys of settled churned nodes, want %d", odd, want)
+					return
+				}
 			}
 		}(r)
 	}
 	writers.Wait()
 	close(stop)
 	readers.Wait()
-	if tr.Len() != n {
-		t.Fatalf("Len = %d, want %d", tr.Len(), n)
+	if want := n + blocks*128; tr.Len() != want {
+		t.Fatalf("Len = %d, want %d", tr.Len(), want)
 	}
 	var h Hint
 	for v := uint64(0); v < n; v++ {
-		if got, found, tomb := tr.SearchHint(denseKey(v), &h); !found || tomb || got != rid(v) {
-			t.Fatalf("key %d: %d %v %v, want %d", v, got, found, tomb, rid(v))
+		if got, found := tr.SearchHint(denseKey(v), &h); !found || got != rid(v) {
+			t.Fatalf("key %d: %d %v, want %d", v, got, found, rid(v))
+		}
+	}
+	for v := uint64(churn); v < churn+blocks*256; v++ {
+		if got, found := tr.SearchHint(denseKey(v), &h); found != (v%2 == 1) || found && got != rid(v) {
+			t.Fatalf("churned key %d: %d %v", v, got, found)
 		}
 	}
 }
@@ -252,7 +328,7 @@ func TestHintedOpsAllocFree(t *testing.T) {
 			t.Errorf("a hinted %s allocates %.1f times, want 0", name, allocs)
 		}
 	}
-	if rid, found, _ := tr.Search(keys[next-1]); !found || rid != 2 {
+	if rid, found := tr.Search(keys[next-1]); !found || rid != 2 {
 		t.Fatalf("the last hinted insert: %d %v", rid, found)
 	}
 }

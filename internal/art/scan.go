@@ -7,37 +7,26 @@ import (
 
 // Scan visits entries with from <= key < to in ascending key order, calling
 // fn until it returns false. A nil from means "from the beginning"; a nil to
-// means "to the end". Tombstones are visited with tomb=true; the caller decides whether a
-// deleted key counts. The key handed to
-// fn is valid only during the call: an inline value's key is rebuilt from
-// the path in the scan's own buffer.
+// means "to the end". The key handed to fn is valid only during the call: an
+// inline value's key is rebuilt from the path in the scan's own buffer, and a
+// caller that keeps its callback allocates nothing.
 //
 // Scan is safe to run concurrently with writers; it reads each node under
 // optimistic version validation and retries nodes that change underneath it.
-// A node replaced while the scan walks to it (grown, or copied by a prefix
-// split) sends the scan back to the root, resuming where the node's keys
-// begin, so no key present throughout the scan is missed or repeated. It
+// A node replaced or unlinked while the scan walks to it (grown, copied by a
+// prefix split, or emptied by Delete) sends the scan back to the root,
+// resuming where the node's keys begin, so no key present throughout the
+// scan is missed or repeated. It
 // does not promise a point-in-time snapshot of the index -- in HiEngine that
 // guarantee comes from MVCC visibility over the returned RIDs, not from the
 // index itself.
-func (t *Tree) Scan(from, to []byte, fn func(key []byte, rid uint64, tomb bool) bool) {
-	t.scan(from, to, fn, nil)
-}
-
-// ScanLive is Scan without the tombstones: fn sees live entries only. It
-// hands fn on as it is, so a caller that keeps its callback allocates nothing.
-func (t *Tree) ScanLive(from, to []byte, fn func(key []byte, rid uint64) bool) {
-	t.scan(from, to, nil, fn)
-}
-
-// scan runs Scan (fn) or ScanLive (live).
-func (t *Tree) scan(from, to []byte, fn func(key []byte, rid uint64, tomb bool) bool, live func(key []byte, rid uint64) bool) {
+func (t *Tree) Scan(from, to []byte, fn func(key []byte, rid uint64) bool) {
 	s := scanPool.Get().(*scanner)
-	s.from, s.to, s.fn, s.live = from, to, fn, live
+	s.from, s.to, s.fn = from, to, fn
 	for !s.node(t.root, 0, s.from != nil, to != nil) && s.restart {
 		s.restart = false
 	}
-	s.from, s.to, s.fn, s.live = nil, nil, nil, nil
+	s.from, s.to, s.fn = nil, nil, nil
 	scanPool.Put(s)
 }
 
@@ -49,12 +38,12 @@ func (t *Tree) scan(from, to []byte, fn func(key []byte, rid uint64, tomb bool) 
 // the slot being visited.
 type scanner struct {
 	from, to []byte
-	fn       func(key []byte, rid uint64, tomb bool) bool
-	live     func(key []byte, rid uint64) bool
+	fn       func(key []byte, rid uint64) bool
 	slots    []slotEntry
 	path     []byte
-	// restart says the walk met a replaced node and stopped; from is then
-	// resume, the path to that node, unless from was already past it.
+	// restart says the walk met a replaced or unlinked node and stopped;
+	// from is then resume, the path to that node, unless from was already
+	// past it.
 	restart bool
 	resume  []byte
 }
@@ -93,14 +82,11 @@ func keyInRange(k, from, to []byte) bool {
 
 // emit hands fn one entry, checking it against the bounds first when check
 // says the walk has not ruled it in.
-func (s *scanner) emit(key []byte, rid uint64, tomb, check bool) bool {
+func (s *scanner) emit(key []byte, rid uint64, check bool) bool {
 	if check && !keyInRange(key, s.from, s.to) {
 		return true
 	}
-	if s.live != nil {
-		return tomb || s.live(key, rid)
-	}
-	return s.fn(key, rid, tomb)
+	return s.fn(key, rid)
 }
 
 // node scans the subtree under n, which sits depth key bytes below the
@@ -114,7 +100,7 @@ func (s *scanner) emit(key []byte, rid uint64, tomb, check bool) bool {
 // child is ruled in or out by one byte, its own against the bound's next.
 func (s *scanner) node(n *node, depth int, lo, hi bool) bool {
 	if n.kind == kLeaf {
-		return s.emit(n.key, n.rid, n.tomb, lo || hi)
+		return s.emit(n.key, n.rid, lo || hi)
 	}
 	base := len(s.slots)
 	more := s.inner(n, depth, lo, hi)
@@ -127,9 +113,9 @@ func (s *scanner) inner(n *node, depth int, lo, hi bool) bool {
 	base := len(s.slots)
 	term, ok := s.snapshot(n)
 	if !ok {
-		// A writer replaced n after the walk read the pointer to it. Every
-		// key handed out so far is below the path to n and every key of
-		// n's replacement starts with it: walk again from there.
+		// A writer replaced or unlinked n after the walk read the pointer to
+		// it. Every key handed out so far is below the path to n and every
+		// key of n's replacement starts with it: walk again from there.
 		if !lo {
 			s.resume = append(s.resume[:0], s.path[:depth]...)
 			s.from = s.resume
@@ -156,7 +142,7 @@ func (s *scanner) inner(n *node, depth int, lo, hi bool) bool {
 			hi = false
 		}
 	}
-	if term != nil && !s.emit(term.key, term.rid, term.tomb, lo || hi) {
+	if term != nil && !s.emit(term.key, term.rid, lo || hi) {
 		return false
 	}
 	for i := base; i < len(s.slots); i++ {
@@ -177,7 +163,7 @@ func (s *scanner) inner(n *node, depth int, lo, hi bool) bool {
 		s.path = append(s.path[:depth], e.b)
 		var more bool
 		if e.w != 0 {
-			more = s.emit(s.path, wordRID(e.w), wordTomb(e.w), clo || chi)
+			more = s.emit(s.path, wordRID(e.w), clo || chi)
 		} else {
 			more = s.node(e.c, depth+1, clo, chi)
 		}

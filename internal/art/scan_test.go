@@ -69,9 +69,9 @@ func TestScanRangeRandomizedOracle(t *testing.T) {
 				want = want[:limit]
 			}
 			var got []string
-			tr.Scan(from, to, func(k []byte, rid uint64, tomb bool) bool {
-				if rid != uint64(len(k)) || tomb {
-					t.Fatalf("key %x: rid %d tomb %v", k, rid, tomb)
+			tr.Scan(from, to, func(k []byte, rid uint64) bool {
+				if rid != uint64(len(k)) {
+					t.Fatalf("key %x: rid %d", k, rid)
 				}
 				got = append(got, string(k))
 				return len(got) != limit
@@ -97,7 +97,7 @@ func TestScanInnerNodesAllocFree(t *testing.T) {
 	}
 	from, to := u64key(50000), u64key(50100)
 	n := 0
-	visit := func([]byte, uint64, bool) bool { n++; return true }
+	visit := func([]byte, uint64) bool { n++; return true }
 	if allocs := testing.AllocsPerRun(100, func() { tr.Scan(from, to, visit) }); allocs != 0 && !raceflag.Enabled {
 		t.Fatalf("range scan allocates %.1f times, want 0", allocs)
 	}
@@ -113,7 +113,8 @@ func TestScanInnerNodesAllocFree(t *testing.T) {
 // Node256 with their value arrays per 256 keys, and one lazy leaf that the
 // second key of each bottom node expands -- amortised over their keys: about
 // one allocation per 25 keys and 27 bytes per key, where a leaf per key cost
-// one allocation and 64 bytes each.
+// one allocation and 64 bytes each. Deleting keys, which empties and unlinks
+// bottom nodes, allocates nothing.
 func TestInlineSlotAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -134,8 +135,18 @@ func TestInlineSlotAllocs(t *testing.T) {
 		t.Fatalf("%d inserts cost %d allocations and %d bytes, want <= %d and <= 32 bytes per key", n, mallocs, nbytes, n/16)
 	}
 	for i := range keys {
-		if rid, ok, tomb := tr.Search(keys[i]); !ok || tomb || rid != uint64(i) {
-			t.Fatalf("key %d: %d %v %v", i, rid, ok, tomb)
+		if rid, ok := tr.Search(keys[i]); !ok || rid != uint64(i) {
+			t.Fatalf("key %d: %d %v", i, rid, ok)
+		}
+	}
+	// A delete allocates nothing, unlinking the nodes it empties included.
+	del := 0
+	if allocs := testing.AllocsPerRun(1000, func() { tr.Delete(keys[del]); del++ }); allocs != 0 {
+		t.Fatalf("a delete allocates %.1f times, want 0", allocs)
+	}
+	for i := range keys {
+		if _, ok := tr.Search(keys[i]); ok != (i >= del) {
+			t.Fatalf("key %d: found %v after %d deletes", i, ok, del)
 		}
 	}
 }
@@ -180,7 +191,7 @@ func TestScanResumesPastReplacedNodes(t *testing.T) {
 				from = []byte(tc.from)
 			}
 			var got []string
-			tr.Scan(from, nil, func(k []byte, _ uint64, _ bool) bool {
+			tr.Scan(from, nil, func(k []byte, _ uint64) bool {
 				if len(got) == 0 {
 					tr.Insert([]byte(tc.inject), 99)
 				}

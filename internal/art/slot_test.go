@@ -6,33 +6,27 @@ import (
 	"testing"
 )
 
-// entry is the map oracle's value for a key.
-type entry struct {
-	rid  uint64
-	tomb bool
-}
-
-// oracleOp is one write: an upsert, or a tombstone when tomb is set.
+// oracleOp is one write: an upsert, or a delete when del is set.
 type oracleOp struct {
-	key  string
-	rid  uint64
-	tomb bool
+	key string
+	rid uint64
+	del bool
 }
 
-func (o oracleOp) apply(tr *Tree, ref map[string]entry) {
-	if o.tomb {
-		tr.InsertTombstone([]byte(o.key))
-		ref[o.key] = entry{tomb: true}
+func (o oracleOp) apply(tr *Tree, ref map[string]uint64) {
+	if o.del {
+		tr.Delete([]byte(o.key))
+		delete(ref, o.key)
 		return
 	}
 	tr.Insert([]byte(o.key), o.rid)
-	ref[o.key] = entry{rid: o.rid}
+	ref[o.key] = o.rid
 }
 
-// checkAgainst holds tr to the map oracle: every key searches to its entry,
+// checkAgainst holds tr to the map oracle: every key searches to its RID,
 // Len counts them, a full scan and a scan of each one-key range visit them
-// in order with their entries.
-func checkAgainst(t *testing.T, tr *Tree, ref map[string]entry) {
+// in order with their RIDs.
+func checkAgainst(t *testing.T, tr *Tree, ref map[string]uint64) {
 	t.Helper()
 	keys := make([]string, 0, len(ref))
 	for k := range ref {
@@ -40,8 +34,8 @@ func checkAgainst(t *testing.T, tr *Tree, ref map[string]entry) {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		if rid, found, tomb := tr.Search([]byte(k)); !found || rid != ref[k].rid || tomb != ref[k].tomb {
-			t.Fatalf("Search(%q) = %d %v %v, want %+v", k, rid, found, tomb, ref[k])
+		if rid, found := tr.Search([]byte(k)); !found || rid != ref[k] {
+			t.Fatalf("Search(%q) = %d %v, want %d", k, rid, found, ref[k])
 		}
 	}
 	if tr.Len() != len(ref) {
@@ -52,8 +46,8 @@ func checkAgainst(t *testing.T, tr *Tree, ref map[string]entry) {
 		t.Fatalf("scan visited %d entries, want %d: %v", len(got), len(keys), got)
 	}
 	for i, k := range keys {
-		if string(got[i].Key) != k || got[i].RID != ref[k].rid || got[i].Tomb != ref[k].tomb {
-			t.Fatalf("scan entry %d = %q %d %v, want %q %+v", i, got[i].Key, got[i].RID, got[i].Tomb, k, ref[k])
+		if string(got[i].Key) != k || got[i].RID != ref[k] {
+			t.Fatalf("scan entry %d = %q %d, want %q %d", i, got[i].Key, got[i].RID, k, ref[k])
 		}
 		one := scanEntries(tr, []byte(k), append([]byte(k), 0))
 		if len(one) != 1 || string(one[0].Key) != k {
@@ -64,15 +58,14 @@ func checkAgainst(t *testing.T, tr *Tree, ref map[string]entry) {
 
 // scanned is one entry a Scan visited, its key copied out of the callback.
 type scanned struct {
-	Key  []byte
-	RID  uint64
-	Tomb bool
+	Key []byte
+	RID uint64
 }
 
 func scanEntries(tr *Tree, from, to []byte) []scanned {
 	var out []scanned
-	tr.Scan(from, to, func(k []byte, rid uint64, tomb bool) bool {
-		out = append(out, scanned{Key: append([]byte(nil), k...), RID: rid, Tomb: tomb})
+	tr.Scan(from, to, func(k []byte, rid uint64) bool {
+		out = append(out, scanned{Key: append([]byte(nil), k...), RID: rid})
 		return true
 	})
 	return out
@@ -114,7 +107,7 @@ func holder(tr *Tree, key []byte) (*node, string) {
 // after each write, and the node size class that holds it -- against the
 // map oracle and Scan order.
 func TestInlineSlotTransitions(t *testing.T) {
-	const big = 1 << 62 // the first RID a slot word cannot hold
+	const big = 1 << 63 // the first RID a slot word cannot hold
 	var grow []oracleOp
 	for i := 0; i < 256; i++ {
 		grow = append(grow, oracleOp{key: "g" + string(rune(0)) + string([]byte{byte(i)}), rid: uint64(i)})
@@ -122,7 +115,7 @@ func TestInlineSlotTransitions(t *testing.T) {
 	type want struct {
 		after int    // check after this many ops (0: after all)
 		key   string // whose entry is kept
-		how   string // "inline", "leaf" or "term"
+		how   string // "inline", "leaf", "term" or "" (absent)
 		kind  kind   // of the node keeping it, when set
 	}
 	cases := []struct {
@@ -136,8 +129,8 @@ func TestInlineSlotTransitions(t *testing.T) {
 			[]want{{key: "abc", how: "leaf"}}},
 		{"inline upsert", []oracleOp{{key: "a", rid: 1}, {key: "a", rid: 2}},
 			[]want{{key: "a", how: "inline"}}},
-		{"inline tombstone", []oracleOp{{key: "a", rid: 1}, {key: "a", tomb: true}},
-			[]want{{key: "a", how: "inline"}}},
+		{"inline delete", []oracleOp{{key: "a", rid: 1}, {key: "a", del: true}},
+			[]want{{key: "a", how: ""}}},
 		{"inline to inner with a term leaf", []oracleOp{{key: "a", rid: 1}, {key: "ab", rid: 2}},
 			[]want{{key: "a", how: "term", kind: k16}, {key: "ab", how: "inline", kind: k16}}},
 		{"inline to inner, longer key lazy", []oracleOp{{key: "a", rid: 1}, {key: "abcd", rid: 2}},
@@ -150,8 +143,8 @@ func TestInlineSlotTransitions(t *testing.T) {
 			[]want{{key: "xy12", how: "leaf"}, {key: "xz34", how: "leaf"}}},
 		{"prefix split", []oracleOp{{key: "p1234a", rid: 1}, {key: "p1234b", rid: 2}, {key: "p12X", rid: 3}, {key: "p1", rid: 4}},
 			[]want{{key: "p1234a", how: "inline"}, {key: "p12X", how: "inline"}, {key: "p1", how: "term"}}},
-		{"term upsert and tombstone", []oracleOp{{key: "a", rid: 1}, {key: "ab", rid: 2}, {key: "a", rid: 3}, {key: "a", tomb: true}},
-			[]want{{key: "a", how: "term"}}},
+		{"term upsert and delete", []oracleOp{{key: "a", rid: 1}, {key: "ab", rid: 2}, {key: "a", rid: 3}, {key: "a", del: true}},
+			[]want{{after: 3, key: "a", how: "term"}, {key: "a", how: ""}, {key: "ab", how: "inline", kind: k16}}},
 		{"growth carries values", grow,
 			[]want{
 				{after: 16, key: grow[0].key, how: "inline", kind: k16},
@@ -172,7 +165,7 @@ func TestInlineSlotTransitions(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tr, ref := New(), map[string]entry{}
+			tr, ref := New(), map[string]uint64{}
 			for i, op := range tc.ops {
 				op.apply(tr, ref)
 				for _, w := range tc.want {
@@ -190,11 +183,102 @@ func TestInlineSlotTransitions(t *testing.T) {
 	}
 }
 
-// FuzzTreeOps drives a tree with inserts, tombstones, searches and scans
+// TestDeleteThenReinsertRegistersOnce: a key deleted from a Node16, Node48
+// or Node256 that is not full and inserted again -- through the descent, or
+// through a Hint that remembers the node -- is found, and so is a key with
+// a fresh byte beside it, and a scan visits each once. A removal unregisters
+// its byte, so the insert does not register it a second time behind an
+// empty slot that a lookup would find first.
+func TestDeleteThenReinsertRegistersOnce(t *testing.T) {
+	for _, c := range []struct {
+		kind kind
+		keys int
+	}{{k16, 8}, {k48, 30}, {k256, 100}} {
+		for _, hinted := range []bool{false, true} {
+			tr, ref := New(), map[string]uint64{}
+			var h *Hint
+			if hinted {
+				h = new(Hint)
+			}
+			put := func(b int, rid uint64) {
+				k := string([]byte{'n', byte(b)})
+				tr.InsertHint([]byte(k), rid, h)
+				ref[k] = rid
+			}
+			for i := 0; i < c.keys; i++ {
+				put(2*i, uint64(i))
+			}
+			for _, i := range []int{c.keys / 2, 0, c.keys - 1} {
+				k := []byte{'n', byte(2 * i)}
+				tr.Delete(k)
+				delete(ref, string(k))
+				put(2*i, 1000+uint64(i))
+				put(2*i+1, 2000+uint64(i))
+				if n, how := holder(tr, k); how != "inline" || n.kind != c.kind {
+					t.Fatalf("kind %d, hinted %v: %q is kept %q, want inline in kind %d", c.kind, hinted, k, how, c.kind)
+				}
+				checkAgainst(t, tr, ref)
+			}
+		}
+	}
+}
+
+// TestDeleteUnlinksEmptiedNodes: a removal that empties a node unlinks it,
+// with each ancestor that held nothing but the path to it, and marks them
+// obsolete; a node that keeps a slot or its terminal leaf stays. When the
+// keys are gone, NodeBytes is what it was before they came (the root, which
+// already had a child, keeps its arrays).
+func TestDeleteUnlinksEmptiedNodes(t *testing.T) {
+	tr, ref := New(), map[string]uint64{"q1": 1, "q2": 2}
+	for k, rid := range ref {
+		tr.Insert([]byte(k), rid)
+	}
+	base := tr.NodeBytes()
+	for i, k := range []string{"xa1", "xa2", "xb1", "xb2", "xb"} {
+		tr.Insert([]byte(k), uint64(i))
+	}
+	x, _ := tr.root.slot('x') // "xa*" and "xb*" below a node with slots 'a' and 'b'
+	a, _ := x.slot('a')
+	b, _ := x.slot('b')
+	if x == nil || a == nil || b == nil || b.term.Load() == nil {
+		t.Fatalf("unexpected shape: x %v, a %v, b %v", x, a, b)
+	}
+	live := func(n *node) bool { _, ok := n.rLock(); return ok }
+	del := func(keys ...string) {
+		for _, k := range keys {
+			tr.Delete([]byte(k))
+		}
+	}
+	del("xa1", "xa2") // a empties; x keeps b
+	if live(a) || !live(x) {
+		t.Fatalf("after emptying a: a live %v, x live %v", live(a), live(x))
+	}
+	if c, w := x.slot('a'); c != nil || w != 0 {
+		t.Fatal("x still holds a's slot")
+	}
+	del("xb1", "xb2") // b keeps its terminal leaf
+	if !live(b) || !live(x) {
+		t.Fatal("a node that keeps its terminal leaf was unlinked")
+	}
+	del("xb") // b empties, and x, which held only b, with it
+	if live(b) || live(x) {
+		t.Fatalf("after emptying b: b live %v, x live %v", live(b), live(x))
+	}
+	if c, w := tr.root.slot('x'); c != nil || w != 0 {
+		t.Fatal("the root still holds x's slot")
+	}
+	if got := tr.NodeBytes(); got != base {
+		t.Fatalf("NodeBytes = %d with the keys gone, want %d", got, base)
+	}
+	checkAgainst(t, tr, ref)
+}
+
+// FuzzTreeOps drives a tree with inserts, deletes, searches and scans
 // over short keys from a four-byte alphabet -- so keys are prefixes of one
 // another and every slot transition happens -- and holds it to a map oracle.
 // An op byte with bit 0x10 set makes its insert or search a hinted one,
-// through one Hint the whole program shares.
+// through one Hint the whole program shares; a delete is the same either
+// way, and a hinted insert after it lands beside the nodes it emptied.
 func FuzzTreeOps(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 5, 0, 2, 0, 1, 6, 2, 1, 0, 3, 0, 4})
 	f.Add([]byte{0, 3, 1, 2, 3, 9, 0, 2, 1, 2, 200, 1, 1, 1, 3, 2, 0, 3})
@@ -217,7 +301,7 @@ func FuzzTreeOps(f *testing.F) {
 			}
 			return k
 		}
-		tr, ref := New(), map[string]entry{}
+		tr, ref := New(), map[string]uint64{}
 		var h Hint
 		for len(prog) > 0 {
 			op := next()
@@ -230,17 +314,17 @@ func FuzzTreeOps(f *testing.F) {
 				k, r := key(), next()
 				rid := uint64(r)
 				if r >= 0xF0 {
-					rid += 1 << 62 // kept in a leaf
+					rid += 1 << 63 // kept in a leaf
 				}
 				tr.InsertHint(k, rid, hint)
-				ref[string(k)] = entry{rid: rid}
+				ref[string(k)] = rid
 			case 1:
-				oracleOp{key: string(key()), tomb: true}.apply(tr, ref)
+				oracleOp{key: string(key()), del: true}.apply(tr, ref)
 			case 2:
 				k := key()
 				want, ok := ref[string(k)]
-				if rid, found, tomb := tr.SearchHint(k, hint); found != ok || rid != want.rid || tomb != want.tomb {
-					t.Fatalf("Search(%x) = %d %v %v, want %+v %v", k, rid, found, tomb, want, ok)
+				if rid, found := tr.SearchHint(k, hint); found != ok || rid != want {
+					t.Fatalf("Search(%x) = %d %v, want %d %v", k, rid, found, want, ok)
 				}
 			case 3:
 				from, to := key(), key()
@@ -256,7 +340,7 @@ func FuzzTreeOps(f *testing.F) {
 					t.Fatalf("Scan(%x, %x) visited %d entries, want %d", from, to, len(got), len(want))
 				}
 				for i := range got {
-					if string(got[i].Key) != want[i] || got[i].RID != ref[want[i]].rid {
+					if string(got[i].Key) != want[i] || got[i].RID != ref[want[i]] {
 						t.Fatalf("Scan(%x, %x) entry %d = %x, want %x", from, to, i, got[i].Key, want[i])
 					}
 				}

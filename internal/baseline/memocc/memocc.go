@@ -335,7 +335,7 @@ func (t *Txn) lookupRID(tbl *table, key []byte) (pia.RID, bool) {
 			return rid, true
 		}
 	}
-	ridU, found, _ := tbl.indexes[0].Search(key)
+	ridU, found := tbl.indexes[0].Search(key)
 	if !found {
 		return 0, false
 	}
@@ -373,7 +373,7 @@ func (t *Txn) GetByKey(table string, idx int, key ...core.Value) (core.Row, erro
 	if idx == 0 {
 		rid, found = t.lookupRID(tbl, k)
 	} else {
-		ridU, f, _ := tbl.indexes[idx].Search(k)
+		ridU, f := tbl.indexes[idx].Search(k)
 		rid, found = pia.RID(ridU), f
 	}
 	if !found {
@@ -408,10 +408,7 @@ func (t *Txn) ScanPrefix(table string, idx int, prefix []core.Value, fn func(cor
 	}
 	p := core.EncodeKey(nil, prefix...)
 	var scanErr error
-	tbl.indexes[idx].Scan(p, core.KeySuccessor(p), func(_ []byte, ridU uint64, tomb bool) bool {
-		if tomb {
-			return true
-		}
+	tbl.indexes[idx].Scan(p, core.KeySuccessor(p), func(_ []byte, ridU uint64) bool {
 		rec := tbl.records.Get(pia.RID(ridU))
 		if rec == nil {
 			return true
@@ -454,7 +451,7 @@ func (t *Txn) Insert(table string, row core.Row) error {
 
 	mu := tbl.stripe(pk)
 	mu.Lock()
-	ridU, found, _ := tbl.indexes[0].Search(pk)
+	ridU, found := tbl.indexes[0].Search(pk)
 	var rid pia.RID
 	var rec *record
 	if found {

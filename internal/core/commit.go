@@ -214,7 +214,7 @@ type keyScratch struct {
 	key, otherKey []byte
 }
 
-// dropKeysOf tombstones the index entries of v's row that map to rid, except
+// dropKeysOf deletes the index entries of v's row that map to rid, except
 // those a live row in rid's chain, from its head down to (not including)
 // stop, also carries: such an entry serves the snapshots that see that row.
 // An abort calls it for the version it uninstalled, over the whole chain
@@ -237,7 +237,7 @@ func (e *Engine) dropKeysOf(u *keyScratch, tbl *Table, rid RID, v, stop *Version
 		// already, and the entry stays, or finds the entry gone.
 		lock := ix.LockKey(u.key)
 		if cur, found, _ := ix.Get(u.key); found && cur == uint64(rid) && !e.chainCarriesKey(u, tbl, i, rid, tbl.rows.Get(rid), stop) {
-			_ = ix.Delete(u.key)
+			ix.Delete(u.key)
 		}
 		lock.Unlock()
 	}

@@ -499,6 +499,56 @@ func TestGCDeleteClearsPIAAndIndex(t *testing.T) {
 	}
 }
 
+// TestSlidingWindowIndexPlateaus: a table whose rows come and go as a
+// sliding window -- each round inserts the next rows and deletes as many of
+// the oldest, then runs GC, which drops a deleted row's index keys -- keeps
+// its index trees at the window's size. The index.node_bytes gauge after the
+// last round is within 10% of what it was after the first few, where a
+// tombstone per deleted key grew it every round.
+func TestSlidingWindowIndexPlateaus(t *testing.T) {
+	e := testEngine(t, func(c *Config) { c.GCEveryNCommits = 0 })
+	tbl := mustTable(t, e, usersSchema())
+	const window, step, rounds = 2000, 500, 40
+	rids := make(map[int64]RID)
+	insert := func(tx *Txn, id int64) {
+		rid, err := tx.Insert(tbl, Row{I(id), S(fmt.Sprintf("user-%d", id)), I(id)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids[id] = rid
+	}
+	tx, _ := e.Begin(0)
+	for id := int64(0); id < window; id++ {
+		insert(tx, id)
+	}
+	commit(t, tx)
+	var early int64
+	for r := int64(0); r < rounds; r++ {
+		tx, _ := e.Begin(0)
+		for id := window + r*step; id < window+(r+1)*step; id++ {
+			insert(tx, id)
+			if err := tx.Delete(tbl, rids[id-window]); err != nil {
+				t.Fatal(err)
+			}
+			delete(rids, id-window)
+		}
+		commit(t, tx)
+		e.RunGC()
+		if r == 3 {
+			early = metric(e, "index.node_bytes")
+		}
+	}
+	late := metric(e, "index.node_bytes")
+	t.Logf("index.node_bytes: %d after 4 rounds, %d after %d", early, late, rounds)
+	if late > early*11/10 {
+		t.Fatalf("index.node_bytes grew from %d to %d over %d rounds of a %d-row window", early, late, rounds-4, window)
+	}
+	n := 0
+	if err := tbl.Index(0).Scan(nil, nil, func([]byte, uint64) bool { n++; return true }); err != nil || n != window {
+		t.Fatalf("the primary index holds %d keys, want %d (%v)", n, window, err)
+	}
+}
+
 func TestEvictionReloadsThroughLog(t *testing.T) {
 	e := testEngine(t)
 	tbl := mustTable(t, e, usersSchema())

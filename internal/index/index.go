@@ -5,8 +5,8 @@
 // An index is not persisted on its own. The checkpoint image carries every
 // row's index keys and recovery re-inserts them, then indexes the log tail's
 // rows; the paper's frozen, serialized LSM components (Section 4.5) are not
-// built (DESIGN.md, deviation 13). A delete leaves a tombstone in the tree,
-// which lookups and scans skip; tombstones are never physically removed.
+// built (DESIGN.md, deviation 13). A delete removes the key's entry from the
+// tree, and the nodes it empties with it.
 package index
 
 import (
@@ -53,32 +53,29 @@ func (ix *Index) InsertHint(key []byte, rid uint64, h *art.Hint) error {
 	return nil
 }
 
-// Delete records a tombstone for key.
-func (ix *Index) Delete(key []byte) error {
-	if len(key) > art.MaxKeyLen {
-		return art.ErrKeyTooLong
-	}
-	ix.tree.InsertTombstone(key)
-	return nil
+// Delete removes key's entry, when it has one. A key over art.MaxKeyLen is
+// never in the tree, so there is nothing to refuse.
+func (ix *Index) Delete(key []byte) {
+	ix.tree.Delete(key)
 }
 
-// Get returns the RID for key. ok is false when the key is absent or
-// deleted. The error is always nil.
+// Get returns the RID for key; ok is false when the key is absent. The
+// error is always nil.
 func (ix *Index) Get(key []byte) (rid uint64, ok bool, err error) {
 	return ix.GetHint(key, nil)
 }
 
 // GetHint is Get through h, as InsertHint; nil is Get.
 func (ix *Index) GetHint(key []byte, h *art.Hint) (rid uint64, ok bool, err error) {
-	rid, found, tomb := ix.tree.SearchHint(key, h)
-	return rid, found && !tomb, nil
+	rid, ok = ix.tree.SearchHint(key, h)
+	return rid, ok, nil
 }
 
-// Scan visits live entries with from <= key < to in ascending key order,
-// skipping tombstones, until fn returns false. The key handed to fn is valid
-// only during the call. The error is always nil.
+// Scan visits entries with from <= key < to in ascending key order until fn
+// returns false. The key handed to fn is valid only during the call. The
+// error is always nil.
 func (ix *Index) Scan(from, to []byte, fn func(key []byte, rid uint64) bool) error {
-	ix.tree.ScanLive(from, to, fn)
+	ix.tree.Scan(from, to, fn)
 	return nil
 }
 

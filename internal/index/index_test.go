@@ -49,9 +49,6 @@ func TestKeyTooLong(t *testing.T) {
 	if err := ix.Insert(long, 1); err == nil {
 		t.Fatal("oversized key accepted")
 	}
-	if err := ix.Delete(long); err == nil {
-		t.Fatal("oversized key delete accepted")
-	}
 }
 
 func TestConcurrentWrites(t *testing.T) {
@@ -221,6 +218,44 @@ func TestConcurrentOperations(t *testing.T) {
 		if w, live := want[k]; ok != live || ok && rid != w || got[k] != w {
 			t.Fatalf("key %d: get %d %v, scan %d, want %d %v", k, rid, ok, got[k], w, live)
 		}
+	}
+}
+
+// TestSlidingWindowPlateaus: a window of 9-byte int keys slid by inserting
+// key N and deleting key N-window -- rows that come and go -- keeps the
+// index at the window's size. It holds the window's keys throughout, and
+// its NodeBytes after many slides is within 10% of what it was after a
+// quarter as many, and at most twice a freshly built window's.
+func TestSlidingWindowPlateaus(t *testing.T) {
+	const window = 10_000
+	slides := 100_000
+	if raceflag.Enabled {
+		slides = 20_000
+	}
+	ix := New(Config{})
+	k := func(v int) []byte { return append([]byte{1}, key(uint64(v))...) }
+	for v := 0; v < window; v++ {
+		ix.Insert(k(v), uint64(v))
+	}
+	fresh := ix.NodeBytes()
+	next := window
+	slide := func(n int) int64 {
+		for end := next + n; next < end; next++ {
+			ix.Insert(k(next), uint64(next))
+			ix.Delete(k(next - window))
+		}
+		live := 0
+		ix.Scan(nil, nil, func([]byte, uint64) bool { live++; return true })
+		if live != window {
+			t.Fatalf("after %d slides the index holds %d keys, want %d", next-window, live, window)
+		}
+		return ix.NodeBytes()
+	}
+	early := slide(slides)
+	late := slide(3 * slides)
+	t.Logf("NodeBytes: %d fresh, %d after %d slides, %d after %d", fresh, early, slides, late, 4*slides)
+	if late > 2*fresh || late > early*11/10 || late < early*9/10 {
+		t.Fatalf("NodeBytes went %d -> %d -> %d over %d slides of a %d-key window", fresh, early, late, 4*slides, window)
 	}
 }
 
