@@ -1,11 +1,11 @@
 // Package hiengine_test holds the repository-level per-operation benchmarks:
-// the workload unit of each measured figure of the paper's evaluation
-// (Section 6; Figure 8's is BenchmarkRecover) plus the ablation benchmarks
-// for the design decisions called out in DESIGN.md.
+// the workload unit of Figures 5 and 7 of the paper's evaluation (Section 6;
+// Figure 8's is BenchmarkRecover), the clock grant and the PIA ablation.
 // Full figure regeneration (sweeps, series, expected-shape comparisons) is
-// cmd/hibench; these benchmarks measure the per-operation cost of each
-// figure's workload unit so `go test -bench` gives ns/op and allocs for the
-// same code paths.
+// cmd/hibench, which alone measures Figure 6 (-exp fig6) and the commit,
+// group-commit and checkpoint ablations (-exp ablations); these benchmarks
+// measure the per-operation cost of a figure's workload unit so
+// `go test -bench` gives ns/op and allocs for the same code paths.
 package hiengine_test
 
 import (
@@ -16,7 +16,6 @@ import (
 
 	"hiengine/internal/adapt"
 	"hiengine/internal/baseline/innosim"
-	"hiengine/internal/baseline/memocc"
 	"hiengine/internal/clock"
 	"hiengine/internal/core"
 	"hiengine/internal/delay"
@@ -25,7 +24,6 @@ import (
 	"hiengine/internal/pia"
 	"hiengine/internal/sqlfront"
 	"hiengine/internal/srss"
-	"hiengine/internal/workload/tpcc"
 )
 
 // --- Figure 5: sysbench through the SQL layer -------------------------------
@@ -131,61 +129,7 @@ func BenchmarkFig5bCompiled(b *testing.B) {
 	}
 }
 
-// --- Figure 6/7: TPC-C transaction units ------------------------------------
-
-func tpccDriver(b *testing.B, engine string) *tpcc.Driver {
-	b.Helper()
-	model := delay.CloudProfile()
-	var db engineapi.DB
-	pipeline := 0
-	switch engine {
-	case "hiengine":
-		e, err := core.Open(core.Config{Service: srss.New(srss.Config{Model: model}),
-			Workers: 8, SegmentSize: 64 << 20})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(e.Close)
-		db = adapt.New(e)
-		pipeline = 8
-	case "dbms-m":
-		d, err := memocc.New(memocc.Config{Service: srss.New(srss.Config{Model: model}),
-			Workers: 8, SegmentSize: 64 << 20})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(d.Close)
-		db = d
-	}
-	sc := tpcc.SmallScale()
-	if err := tpcc.Load(db, 2, sc, 4); err != nil {
-		b.Fatal(err)
-	}
-	return tpcc.NewDriver(tpcc.Config{
-		DB: db, Warehouses: 2, Threads: 1, Scale: sc,
-		Partitioned: true, PipelineDepth: pipeline, Seed: 1,
-	})
-}
-
-func BenchmarkFig6TPCC(b *testing.B) {
-	for _, engine := range []string{"hiengine", "dbms-m"} {
-		for _, tt := range []tpcc.TxnType{tpcc.TxnNewOrder, tpcc.TxnPayment} {
-			b.Run(fmt.Sprintf("%s/%v", engine, tt), func(b *testing.B) {
-				d := tpccDriver(b, engine)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := d.RunOne(0, tt, 0); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				if err := d.DrainSessions(); err != nil {
-					b.Fatal(err)
-				}
-			})
-		}
-	}
-}
+// --- Figure 7: remote-memory access -----------------------------------------
 
 func BenchmarkFig7NumaAccess(b *testing.B) {
 	topo := numa.ARMKunpeng920()
@@ -284,192 +228,6 @@ func BenchmarkAblationPIA(b *testing.B) {
 			}
 		}
 	})
-}
-
-// --- Ablation: commit pipelining (DESIGN.md #2) --------------------------------
-
-func ablationEngine(b *testing.B, tier srss.Tier, batch int) (*core.Engine, *core.Table) {
-	b.Helper()
-	e, err := core.Open(core.Config{
-		Service:          srss.New(srss.Config{Model: delay.CloudProfile()}),
-		Workers:          64,
-		LogTier:          tier,
-		GroupCommitBatch: batch,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(e.Close)
-	tbl, err := e.CreateTable(&core.Schema{
-		Name:    "t",
-		Columns: []core.Column{{Name: "id", Kind: core.KindInt}, {Name: "v", Kind: core.KindString}},
-		Indexes: []core.IndexDef{{Name: "pk", Columns: []int{0}, Unique: true}},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return e, tbl
-}
-
-func BenchmarkAblationPipeline(b *testing.B) {
-	b.Run("sync-commit", func(b *testing.B) {
-		e, tbl := ablationEngine(b, srss.TierCompute, 64)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tx, err := e.Begin(0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := tx.Insert(tbl, core.Row{core.I(int64(i)), core.S("v")}); err != nil {
-				b.Fatal(err)
-			}
-			if err := tx.Commit(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("pipelined-commit", func(b *testing.B) {
-		e, tbl := ablationEngine(b, srss.TierCompute, 64)
-		window := make(chan struct{}, 8)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tx, err := e.Begin(0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := tx.Insert(tbl, core.Row{core.I(int64(i)), core.S("v")}); err != nil {
-				b.Fatal(err)
-			}
-			window <- struct{}{}
-			if err := tx.CommitAsync(func(error) { <-window }); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		for i := 0; i < cap(window); i++ {
-			window <- struct{}{}
-		}
-	})
-}
-
-// --- Ablation: compute-side vs storage-side commit (DESIGN.md #3) ---------------
-
-func BenchmarkAblationCommitSide(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		tier srss.Tier
-	}{{"compute-side", srss.TierCompute}, {"storage-side", srss.TierStorage}} {
-		b.Run(c.name, func(b *testing.B) {
-			e, tbl := ablationEngine(b, c.tier, 64)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tx, err := e.Begin(0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := tx.Insert(tbl, core.Row{core.I(int64(i)), core.S("v")}); err != nil {
-					b.Fatal(err)
-				}
-				if err := tx.Commit(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// --- Ablation: dataless vs full-data checkpoint (DESIGN.md #4) ------------------
-
-func BenchmarkAblationCheckpoint(b *testing.B) {
-	setup := func(b *testing.B) (*core.Engine, *core.Table) {
-		e, tbl := ablationEngine(b, srss.TierCompute, 64)
-		for i := 0; i < 20000; i++ {
-			tx, _ := e.Begin(0)
-			if _, err := tx.Insert(tbl, core.Row{core.I(int64(i)), core.S("payload-payload-payload-payload")}); err != nil {
-				b.Fatal(err)
-			}
-			if err := tx.Commit(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return e, tbl
-	}
-	b.Run("dataless", func(b *testing.B) {
-		e, _ := setup(b)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := e.Checkpoint(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("full-data", func(b *testing.B) {
-		// What a conventional checkpoint would write: every live row's
-		// payload, not just its address.
-		e, tbl := setup(b)
-		svc := e.Service()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			plog, err := svc.Create(srss.TierCompute)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tx, _ := e.Begin(1)
-			buf := make([]byte, 0, 64<<10)
-			err = tx.ScanKey(tbl, 0, nil, nil, func(_ core.RID, row core.Row) bool {
-				buf = core.EncodeRow(buf, row)
-				if len(buf) >= 64<<10 {
-					if _, err := plog.Append(buf); err != nil {
-						b.Fatal(err)
-					}
-					buf = buf[:0]
-				}
-				return true
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(buf) > 0 {
-				if _, err := plog.Append(buf); err != nil {
-					b.Fatal(err)
-				}
-			}
-			tx.Commit()
-			svc.Delete(plog.ID())
-		}
-	})
-}
-
-// --- Ablation: group commit batch size (DESIGN.md #6) ---------------------------
-
-// Group commit engages when multiple in-flight commits share one log stream
-// (the paper's per-core I/O thread serving a pipelining worker), so the
-// ablation drives one worker with a deep pipeline and varies the batch cap.
-func BenchmarkAblationGroupCommit(b *testing.B) {
-	for _, batch := range []int{1, 16, 64} {
-		b.Run(fmt.Sprintf("batch-%d", batch), func(b *testing.B) {
-			e, tbl := ablationEngine(b, srss.TierCompute, batch)
-			window := make(chan struct{}, 32)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tx, err := e.Begin(0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := tx.Insert(tbl, core.Row{core.I(int64(i)), core.S("v")}); err != nil {
-					b.Fatal(err)
-				}
-				window <- struct{}{}
-				if err := tx.CommitAsync(func(error) { <-window }); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			for i := 0; i < cap(window); i++ {
-				window <- struct{}{}
-			}
-		})
-	}
 }
 
 // --- Ablation: one-pass write path (ISSUE 14) -------------------------------------

@@ -287,7 +287,7 @@ func serve(args []string, stderr io.Writer, signals <-chan os.Signal) error {
 		for {
 			select {
 			case <-tick:
-				fmt.Fprintf(stderr, "hiserver: %s\n", n.StatsLine())
+				fmt.Fprintf(stderr, "hiserver: %s\n", node.StatsLine(engine))
 			case sig := <-signals:
 				if sig != syscall.SIGUSR1 {
 					fmt.Fprintln(stderr, "hiserver: draining...")
@@ -322,7 +322,7 @@ func serve(args []string, stderr io.Writer, signals <-chan os.Signal) error {
 	// The accept loop returns when the drain begins: wait for it to finish,
 	// then dump the full metrics snapshot so the run's numbers survive it.
 	n.Close()
-	fmt.Fprintln(stderr, "hiserver: final stats:", n.StatsLine())
+	fmt.Fprintln(stderr, "hiserver: final stats:", node.StatsLine(engine))
 	fmt.Fprint(stderr, reg.Snapshot().String())
 	fmt.Fprintln(stderr, "hiserver: drained, bye")
 	return nil

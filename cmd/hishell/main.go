@@ -37,6 +37,7 @@ import (
 	"hiengine/internal/client"
 	"hiengine/internal/core"
 	"hiengine/internal/delay"
+	"hiengine/internal/node"
 	"hiengine/internal/sqlfront"
 	"hiengine/internal/srss"
 	"hiengine/internal/wire"
@@ -372,10 +373,5 @@ func (l *localBackend) Exec(sql string, args ...core.Value) (*wire.Result, error
 }
 
 func (l *localBackend) Stats() (string, error) {
-	s := l.engine.Stats()
-	head := fmt.Sprintf("commits=%d aborts=%d conflicts=%d reclaimed=%d checkpoints=%d compactions=%d log=%dB\n",
-		s.Commits.Load(), s.Aborts.Load(), s.Conflicts.Load(),
-		s.ReclaimedVersions.Load(), s.Checkpoints.Load(), s.Compactions.Load(),
-		l.engine.Log().TotalBytes())
-	return head + l.engine.Obs().Snapshot().String(), nil
+	return node.StatsLine(l.engine) + "\n" + l.engine.Obs().Snapshot().String(), nil
 }

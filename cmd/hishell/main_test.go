@@ -71,7 +71,7 @@ func TestScriptAgainstANode(t *testing.T) {
 			t.Errorf("output lacks %q:\n%s", want, out)
 		}
 	}
-	if got := engine.Stats().Commits.Load(); got != 2 {
+	if got := engine.Obs().Counter("core.commits").Load(); got != 2 {
 		t.Errorf("the node committed %d transactions, want 2 (the table and the row)", got)
 	}
 }

@@ -106,6 +106,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("dataless checkpoint at CSN %d; log holds %d bytes\n", csn, engine.Log().TotalBytes())
+	m := engine.Obs()
 	fmt.Printf("engine stats: %d commits, %d aborts\n",
-		engine.Stats().Commits.Load(), engine.Stats().Aborts.Load())
+		m.Counter("core.commits").Load(), m.Counter("core.aborts").Load())
 }

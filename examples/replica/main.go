@@ -1,9 +1,9 @@
 // Read-only replicas (Section 3.1): spawn additional compute-side instances
 // on demand from the shared log. The replica recovers from the primary's
 // manifest (dataless: pointers only), then follows the log with CatchUp;
-// freshness is whatever the catch-up cadence buys. Meanwhile the primary
-// destages sealed log segments to the storage tier in the background for
-// archival and cross-AZ reliability.
+// freshness is whatever the catch-up cadence buys. The compute tier's log
+// is the only copy: nothing archives it to the storage tier (DESIGN.md
+// deviation 14).
 package main
 
 import (
@@ -102,13 +102,4 @@ func main() {
 	}
 	tx.Commit()
 	fmt.Println("replica rejects writes (read-only)")
-
-	// Background destaging: sealed segments are archived to the storage
-	// tier while compute-side copies keep serving reads.
-	segs, err := primary.DestageLog()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("destaged %d sealed log segments to the storage tier (%d storage-tier PLogs total)\n",
-		segs, len(svc.List(srss.TierStorage)))
 }

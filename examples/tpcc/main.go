@@ -65,9 +65,10 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println(res)
+	m := engine.Obs()
 	fmt.Printf("engine: %d commits, %d aborts, %d conflicts, %d versions reclaimed\n",
-		engine.Stats().Commits.Load(), engine.Stats().Aborts.Load(),
-		engine.Stats().Conflicts.Load(), engine.Stats().ReclaimedVersions.Load())
+		m.Counter("core.commits").Load(), m.Counter("core.aborts").Load(),
+		m.Counter("core.conflicts").Load(), m.Counter("core.gc_reclaimed_versions").Load())
 
 	if err := driver.Verify(); err != nil {
 		log.Fatalf("TPC-C consistency check failed: %v", err)

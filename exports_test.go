@@ -25,29 +25,27 @@ var exportAllowlist = map[string]string{
 	"srss.Service.RepairOnce":   "ROADMAP 3(c): the storage tier's repair loop calls it",
 
 	// Test APIs other packages' tests use.
-	"admin.Server.Handler":      "node and shard tests serve the admin plane over httptest",
-	"chaos.Engine.ClearCrash":   "crash tests in core, shard, srss and wal reset a fired crash",
-	"chaos.Engine.Crashed":      "shard tests ask whether a crash site fired",
-	"chaos.Engine.Disarm":       "core, server, shard and wal tests disarm a site mid-test",
-	"chaos.Engine.Fired":        "core, replica and server tests count a site's firings",
-	"chaos.New":                 "fault-injection tests in seven packages build their engine",
-	"client.Client.Greeting":    "replica tests read the role a replica announces",
-	"client.Session.ExecAt":     "replica tests read at a CSN token",
-	"core.B":                    "client, sqlfront and wire tests build BYTES values",
-	"core.RowView.NumCols":      "wire tests compare the row walker with the decoder",
-	"core.Value.Bytes":          "client and wire tests read BYTES values back",
-	"core.Value.IsNull":         "wire tests check NULL round trips",
-	"replica.NewShipper":        "node tests dial a fenced primary as a follower would",
-	"replica.Shipper.Hello":     "node tests check a fenced primary refuses a follower",
-	"srss.Node.Heal":            "chaos, srss and wal tests heal a node they failed",
-	"tpcc.Driver.DrainSessions": "the root package's TPC-C benchmark drains its sessions",
-	"tpcc.Driver.RunOne":        "the root package's TPC-C benchmark runs one transaction at a time",
-	"wal.HeaderLen":             "core tests find a payload inside its log record",
-	"wal.MakeAddr":              "core tests build log addresses",
-	"wal.Manager.ScanSegment":   "core tests read back what a commit logged",
-	"wire.Error.Retryable":      "server tests check which refusals a client may retry",
-	"wire.Fatal":                "server tests check which codes end a session",
-	"wire.ReadFrame":            "server tests speak the protocol on a raw connection",
+	"admin.Server.Handler":    "node and shard tests serve the admin plane over httptest",
+	"chaos.Engine.ClearCrash": "crash tests in core, shard, srss and wal reset a fired crash",
+	"chaos.Engine.Crashed":    "shard tests ask whether a crash site fired",
+	"chaos.Engine.Disarm":     "core, server, shard and wal tests disarm a site mid-test",
+	"chaos.Engine.Fired":      "core, replica and server tests count a site's firings",
+	"chaos.New":               "fault-injection tests in seven packages build their engine",
+	"client.Client.Greeting":  "replica tests read the role a replica announces",
+	"client.Session.ExecAt":   "replica tests read at a CSN token",
+	"core.B":                  "client, sqlfront and wire tests build BYTES values",
+	"core.RowView.NumCols":    "wire tests compare the row walker with the decoder",
+	"core.Value.Bytes":        "client and wire tests read BYTES values back",
+	"core.Value.IsNull":       "wire tests check NULL round trips",
+	"replica.NewShipper":      "node tests dial a fenced primary as a follower would",
+	"replica.Shipper.Hello":   "node tests check a fenced primary refuses a follower",
+	"srss.Node.Heal":          "chaos, srss and wal tests heal a node they failed",
+	"wal.HeaderLen":           "core tests find a payload inside its log record",
+	"wal.MakeAddr":            "core tests build log addresses",
+	"wal.Manager.ScanSegment": "core tests read back what a commit logged",
+	"wire.Error.Retryable":    "server tests check which refusals a client may retry",
+	"wire.Fatal":              "server tests check which codes end a session",
+	"wire.ReadFrame":          "server tests speak the protocol on a raw connection",
 }
 
 // stdlibCalls are the method names the standard library calls through its

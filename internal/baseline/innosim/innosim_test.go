@@ -11,6 +11,7 @@ import (
 	"hiengine/internal/core"
 	"hiengine/internal/delay"
 	"hiengine/internal/engineapi"
+	"hiengine/internal/obs"
 	"hiengine/internal/srss"
 )
 
@@ -214,19 +215,22 @@ func TestCommitForcesStorageTier(t *testing.T) {
 	var w delay.CountingWaiter
 	m := delay.CloudProfile()
 	svc := srss.New(srss.Config{Model: m, Waiter: &w})
+	reg := obs.NewRegistry("test")
+	svc.AttachObs(reg)
 	db, err := New(Config{Service: svc, SegmentSize: 1 << 20, BatchMax: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
 	db.CreateTable(schema())
-	before := svc.Stats().CrossLayerOps.Load()
+	crossLayer := reg.Counter("srss.cross_layer_ops")
+	before := crossLayer.Load()
 	tx, _ := db.Begin(0)
 	tx.Insert("t", core.Row{core.I(1), core.S("x")})
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if svc.Stats().CrossLayerOps.Load() == before {
+	if crossLayer.Load() == before {
 		t.Fatal("commit did not cross the compute/storage network")
 	}
 	// The charged commit latency must exceed the cross-layer RTT.

@@ -1,8 +1,9 @@
 // Package chaos is HiEngine's deterministic fault-injection subsystem.
 //
-// Components (srss, wal, core) register named injection sites -- crash
-// points at commit-pipeline stages, torn replicated writes on the last
-// append, checkpoint/destage crashes, transient slowness -- and a seeded
+// Components (srss, wal, core, server, shard, replica) register named
+// injection sites -- crash points at commit-pipeline stages, torn
+// replicated writes on the last append, checkpoint and compaction crashes,
+// transient slowness -- and a seeded
 // Engine decides, reproducibly, which hits of which sites fire which
 // faults. The whole schedule is a pure function of the seed: the Nth hit
 // of a site fires (or not) regardless of goroutine interleaving, so any

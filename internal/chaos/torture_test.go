@@ -132,6 +132,8 @@ func tortureOne(t *testing.T, seed uint64) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
+	// The first engine attached svc to its registry; later ones share svc.
+	torn := e.Obs().Counter("srss.torn_appends")
 	tbl, err := e.CreateTable(tortureSchema())
 	if err != nil {
 		t.Fatalf("create table: %v", err)
@@ -241,7 +243,7 @@ func tortureOne(t *testing.T, seed uint64) {
 	}
 	e.Close()
 	t.Logf("seed %d: %d crashes, %d replicas repaired, %d live keys, %d torn appends",
-		seed, crashes, repairs, len(o.committed), svc.Stats().TornAppends.Load())
+		seed, crashes, repairs, len(o.committed), torn.Load())
 }
 
 // writeKeys writes keys in tx and returns what it wrote at each, nil when

@@ -206,7 +206,6 @@ func (e *Engine) checkpointLocked() (uint64, error) {
 	}
 	e.lastImage = id
 	e.lastCkpt.Store(ckptCSN)
-	e.stats.Checkpoints.Add(1)
 	e.mCheckpoints.Inc()
 	return ckptCSN, nil
 }

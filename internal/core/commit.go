@@ -77,7 +77,6 @@ func (t *Txn) commitStart(durable func(error)) {
 
 	t.finishSlot()
 	t.finished = true
-	t.e.stats.Commits.Add(1)
 	t.e.mCommits.Inc()
 
 	// Interleave incremental GC with forward processing (Section 4.4).
@@ -142,7 +141,6 @@ func (t *Txn) validate() (readOnly bool, err error) {
 	}
 	if !t.hasWrites() {
 		t.finish(txCommitted, 0)
-		t.e.stats.Commits.Add(1)
 		t.e.mCommits.Inc()
 		return true, nil
 	}
@@ -167,7 +165,6 @@ func (t *Txn) Abort() error {
 		t.ws = nil
 	}
 	t.finish(txAborted, 0)
-	t.e.stats.Aborts.Add(1)
 	t.e.mAborts.Inc()
 	return nil
 }

@@ -383,7 +383,6 @@ func (e *Engine) compact(pick func() ([]uint16, error)) (CompactionStats, error)
 		dl.mu.Unlock()
 	}
 	stats.BytesReclaimed = oldBytes - stats.BytesRewritten
-	e.stats.Compactions.Add(1)
 	e.mCompactions.Inc()
 	e.mCompactedBytes.Add(stats.BytesRewritten)
 	return stats, nil

@@ -67,9 +67,9 @@ func span(lo, hi int64) []int64 {
 // waitCompactions waits for e to have completed n compactions.
 func waitCompactions(t *testing.T, e *Engine, n int64) {
 	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); e.Stats().Compactions.Load() < n; {
+	for deadline := time.Now().Add(10 * time.Second); e.mCompactions.Load() < n; {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d compactions after 10s, want %d", e.Stats().Compactions.Load(), n)
+			t.Fatalf("%d compactions after 10s, want %d", e.mCompactions.Load(), n)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -128,7 +128,7 @@ func TestDeadLogCountsWhatGCPrunes(t *testing.T) {
 	if got := metric(e, "core.log_dead_bytes"); got != total {
 		t.Fatalf("core.log_dead_bytes = %d, want %d", got, total)
 	}
-	if n := e.Stats().Compactions.Load(); n != 0 {
+	if n := e.mCompactions.Load(); n != 0 {
 		t.Fatalf("%d compactions while held", n)
 	}
 	if _, err := e.CompactFull(); !errors.Is(err, ErrCompactionHeld) {
@@ -275,8 +275,8 @@ func TestGCOffCountsNothing(t *testing.T) {
 	if e.RunGC() == 0 {
 		t.Fatal("GC reclaimed nothing")
 	}
-	if e.dead != nil || metric(e, "core.log_dead_bytes") != 0 || e.Stats().Compactions.Load() != 0 {
-		t.Fatalf("an engine without GC counted %d dead bytes, compacted %d times", metric(e, "core.log_dead_bytes"), e.Stats().Compactions.Load())
+	if e.dead != nil || metric(e, "core.log_dead_bytes") != 0 || e.mCompactions.Load() != 0 {
+		t.Fatalf("an engine without GC counted %d dead bytes, compacted %d times", metric(e, "core.log_dead_bytes"), e.mCompactions.Load())
 	}
 }
 
@@ -370,7 +370,7 @@ func TestRecoveredEngineCompactsDeadSegments(t *testing.T) {
 			t.Fatalf("preload segment %d: %d of %d bytes booked dead after recovery", seg, e2.deadBytesOf(seg), segmentSize(e2, seg))
 		}
 	}
-	if len(e2.dead.wake) != 0 || e2.Stats().Compactions.Load() != 0 {
+	if len(e2.dead.wake) != 0 || e2.mCompactions.Load() != 0 {
 		t.Fatal("the recovered engine compacted before its first GC pass")
 	}
 	e2.RunGC()

@@ -128,16 +128,6 @@ func (c *Config) fill() {
 	}
 }
 
-// Stats counts engine activity.
-type Stats struct {
-	Commits           atomic.Int64
-	Aborts            atomic.Int64
-	Conflicts         atomic.Int64
-	ReclaimedVersions atomic.Int64
-	Checkpoints       atomic.Int64
-	Compactions       atomic.Int64
-}
-
 // workerSlot is per-worker state: the active transaction's begin timestamp
 // (the worker's readCSN of Section 4.4), the garbage-collection bag, and
 // what the slot's transactions reuse one after another instead of
@@ -253,7 +243,6 @@ type Engine struct {
 	mPrivateBytes *obs.Gauge
 	mSwings       *obs.Counter
 
-	stats  Stats
 	closed atomic.Bool
 
 	// readOnly marks replica engines: write operations are rejected, and
@@ -417,9 +406,6 @@ func (e *Engine) Service() *srss.Service { return e.svc }
 
 // Log returns the WAL manager.
 func (e *Engine) Log() *wal.Manager { return e.log }
-
-// Stats returns the engine counters.
-func (e *Engine) Stats() *Stats { return &e.stats }
 
 // Obs returns the engine's observability registry (nil when disabled).
 func (e *Engine) Obs() *obs.Registry { return e.obs }
@@ -709,17 +695,6 @@ func (e *Engine) watermark() uint64 {
 		}
 	}
 	return min
-}
-
-// DestageLog archives sealed log segments to the storage tier in the
-// background (Section 3.1: the log is batched and flushed periodically to
-// the storage layer for reliability and archival; compute-side copies keep
-// serving reads). Returns the number of segments destaged.
-func (e *Engine) DestageLog() (int, error) {
-	if e.closed.Load() {
-		return 0, ErrClosed
-	}
-	return e.log.DestageSealed()
 }
 
 // ImportRow installs a row as bulk-loaded data: its version carries the

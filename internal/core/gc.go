@@ -155,7 +155,6 @@ func (e *Engine) gcWorker(w int, wm uint64) int {
 		e.flushDead(&dead)
 	}
 	if reclaimed > 0 {
-		e.stats.ReclaimedVersions.Add(int64(reclaimed))
 		e.mReclaimed.Add(int64(reclaimed))
 	}
 	return reclaimed

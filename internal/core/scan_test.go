@@ -383,7 +383,7 @@ func TestScansRaceUpdatersAndGC(t *testing.T) {
 	done.Store(true)
 	scanners.Wait()
 	<-gcDone
-	if e.Stats().ReclaimedVersions.Load() == 0 {
+	if e.mReclaimed.Load() == 0 {
 		t.Fatal("GC reclaimed nothing: the scans never met a pruned chain")
 	}
 }

@@ -412,7 +412,6 @@ func (e *Engine) applyDecisionLocked(entry *pend2pcEntry) {
 		e.status.remove(t.tid)
 		e.workers[t.worker].retireWrites(t.ws.writes, csn)
 		t.finished = true
-		e.stats.Commits.Add(1)
 		e.mCommits.Inc()
 		return
 	}
@@ -420,7 +419,6 @@ func (e *Engine) applyDecisionLocked(entry *pend2pcEntry) {
 	t.undo()
 	e.status.remove(t.tid)
 	t.finished = true
-	e.stats.Aborts.Add(1)
 	e.mAborts.Inc()
 }
 

@@ -781,7 +781,6 @@ func (t *Txn) writableHead(tbl *Table, rid RID) (*Version, error) {
 	if isTID(raw) && raw != t.tid || !isTID(raw) && raw > t.begin {
 		// Another transaction's pending write, or one committed after our
 		// snapshot: first committer wins.
-		t.e.stats.Conflicts.Add(1)
 		t.e.mConflicts.Inc()
 		return nil, t.failWith(ErrConflict)
 	}

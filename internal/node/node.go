@@ -154,7 +154,7 @@ func (n *Node) Serve(ln net.Listener) error {
 		Obs:          e.Obs(),
 		Tracer:       n.tracer,
 		Chaos:        e.Service().Chaos(),
-		Stats:        func() string { return n.StatsLine() + "\n" },
+		Stats:        func() string { return StatsLine(e) + "\n" },
 		Epoch:        e.Epoch,
 		ObserveEpoch: e.ObserveEpoch,
 		ShardInfo:    n.shardMap,
@@ -262,13 +262,14 @@ func (n *Node) shardMap() *wire.ShardMap {
 	return sm
 }
 
-// StatsLine is the one-line engine summary OpStats responses lead with.
-func (n *Node) StatsLine() string {
-	s := n.engine.Stats()
+// StatsLine is the one-line engine summary OpStats responses lead with,
+// read off the engine's registry.
+func StatsLine(e *core.Engine) string {
+	c := e.Obs().Counter
 	return fmt.Sprintf("commits=%d aborts=%d conflicts=%d reclaimed=%d checkpoints=%d compactions=%d log=%dB",
-		s.Commits.Load(), s.Aborts.Load(), s.Conflicts.Load(),
-		s.ReclaimedVersions.Load(), s.Checkpoints.Load(), s.Compactions.Load(),
-		n.engine.Log().TotalBytes())
+		c("core.commits").Load(), c("core.aborts").Load(), c("core.conflicts").Load(),
+		c("core.gc_reclaimed_versions").Load(), c("core.checkpoints").Load(), c("core.compactions").Load(),
+		e.Log().TotalBytes())
 }
 
 // Status is the node's live /statusz block. The replication watermarks are

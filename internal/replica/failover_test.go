@@ -261,7 +261,7 @@ func tortureOneSeed(t *testing.T, seed uint64) {
 	// Revive the old primary at its old address. The promoted node's
 	// fencer (and client probes) must demote it before it commits
 	// anything.
-	oldCommits := primary.engine.Stats().Commits.Load()
+	oldCommits := primary.engine.Obs().Counter("core.commits").Load()
 	primary.revive(t)
 	waitFor(t, 10*time.Second, "old primary fenced", func() bool {
 		return primary.engine.Fenced()
@@ -318,7 +318,7 @@ func tortureOneSeed(t *testing.T, seed uint64) {
 	}
 
 	// Oracle 2: the old primary acked nothing after the kill.
-	if got := primary.engine.Stats().Commits.Load(); got != oldCommits {
+	if got := primary.engine.Obs().Counter("core.commits").Load(); got != oldCommits {
 		t.Fatalf("dual-primary writes: old primary commits went %d -> %d after kill", oldCommits, got)
 	}
 

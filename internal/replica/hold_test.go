@@ -120,7 +120,7 @@ func TestFollowerHoldsCompaction(t *testing.T) {
 	alone, aloneAddr := startPrimary(t)
 	loadKV(t, alone, aloneAddr)
 	eventually(t, "the primary without a follower never compacted", func() bool {
-		return alone.Stats().Compactions.Load() > 0
+		return alone.Obs().Counter("core.compactions").Load() > 0
 	})
 
 	primary, addr := startPrimary(t)
@@ -132,7 +132,7 @@ func TestFollowerHoldsCompaction(t *testing.T) {
 	if !follower.WaitCSN(primary.CurrentCSN(), 10*time.Second) {
 		t.Fatalf("follower stuck at CSN %d", follower.AppliedCSN())
 	}
-	if n := primary.Stats().Compactions.Load(); n != 0 {
+	if n := primary.Obs().Counter("core.compactions").Load(); n != 0 {
 		t.Fatalf("the primary compacted %d times with a follower attached", n)
 	}
 	if _, err := primary.CompactFull(); !errors.Is(err, core.ErrCompactionHeld) {

@@ -68,9 +68,9 @@ func newHarnessModel(t testing.TB, model *delay.Model, mutate func(*Config), eng
 		Chaos:       eng,
 		Obs:         reg,
 		Stats: func() string {
-			s := engine.Stats()
+			c := engine.Obs().Counter
 			return fmt.Sprintf("commits=%d aborts=%d conflicts=%d\n",
-				s.Commits.Load(), s.Aborts.Load(), s.Conflicts.Load())
+				c("core.commits").Load(), c("core.aborts").Load(), c("core.conflicts").Load())
 		},
 	}
 	if mutate != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hiengine/internal/chaos"
+	"hiengine/internal/obs"
 )
 
 // TestReadFallbackWithFailedReplicas: reads must succeed from any surviving
@@ -56,6 +57,8 @@ func TestReadFallbackWithFailedReplicas(t *testing.T) {
 // failed node permanently down.
 func TestRepairAfterNodeFailure(t *testing.T) {
 	s := New(Config{ComputeNodes: 5, MaxPLogSize: 1 << 20, ChunkSize: 64})
+	reg := obs.NewRegistry("test")
+	s.AttachObs(reg)
 	p, err := s.Create(TierCompute)
 	if err != nil {
 		t.Fatal(err)
@@ -86,8 +89,8 @@ func TestRepairAfterNodeFailure(t *testing.T) {
 			t.Fatalf("repaired set %v still contains failed node %d", p.ReplicaNodes(), victim)
 		}
 	}
-	if got := s.Stats().Repairs.Load(); got != 1 {
-		t.Fatalf("Repairs stat = %d, want 1", got)
+	if got := reg.Counter("srss.repairs").Load(); got != 1 {
+		t.Fatalf("srss.repairs = %d, want 1", got)
 	}
 	if got := s.Stats().RepairedPLogs.Load(); got != 1 {
 		t.Fatalf("RepairedPLogs stat = %d, want 1", got)
@@ -139,6 +142,8 @@ func TestRepairNoSpares(t *testing.T) {
 // failure.
 func TestPlacementErrorTyped(t *testing.T) {
 	s := New(Config{ComputeNodes: 3, MaxPLogSize: 1 << 20})
+	reg := obs.NewRegistry("test")
+	s.AttachObs(reg)
 	s.ComputeNode(0).Fail()
 	_, err := s.Create(TierCompute)
 	var pe *PlacementError
@@ -151,8 +156,8 @@ func TestPlacementErrorTyped(t *testing.T) {
 	if !errors.Is(err, ErrNoHealthyNodes) {
 		t.Fatal("PlacementError does not unwrap to ErrNoHealthyNodes")
 	}
-	if got := s.Stats().PlacementFailures.Load(); got != 1 {
-		t.Fatalf("PlacementFailures = %d, want 1", got)
+	if got := reg.Counter("srss.placement_failures").Load(); got != 1 {
+		t.Fatalf("srss.placement_failures = %d, want 1", got)
 	}
 }
 
@@ -167,6 +172,8 @@ func TestTornAppend(t *testing.T) {
 		ch := chaos.New(seed)
 		ch.Arm(chaos.Rule{Site: SiteAppendTear, Action: chaos.Tear, OnHit: 2})
 		s := New(Config{ComputeNodes: 5, MaxPLogSize: 1 << 20, ChunkSize: 64, Chaos: ch})
+		reg := obs.NewRegistry("test")
+		s.AttachObs(reg)
 		p, err := s.Create(TierCompute)
 		if err != nil {
 			t.Fatal(err)
@@ -183,8 +190,8 @@ func TestTornAppend(t *testing.T) {
 		if !p.Torn() || !p.Sealed() {
 			t.Fatalf("seed %d: torn=%v sealed=%v", seed, p.Torn(), p.Sealed())
 		}
-		if s.Stats().TornAppends.Load() != 1 {
-			t.Fatalf("seed %d: TornAppends = %d", seed, s.Stats().TornAppends.Load())
+		if got := reg.Counter("srss.torn_appends").Load(); got != 1 {
+			t.Fatalf("seed %d: srss.torn_appends = %d", seed, got)
 		}
 		// Physical size = 100 + longest kept prefix, in (100, 300).
 		size := p.Size()

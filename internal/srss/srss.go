@@ -53,9 +53,6 @@ const (
 	// SiteRead fires on PLog reads and mmap-view accesses (crash or
 	// transient slowness on the read path).
 	SiteRead = "srss.read"
-	// SiteDestageMid fires between destage copy batches: a crash leaves a
-	// partial, unregistered storage-tier PLog behind.
-	SiteDestageMid = "srss.destage.mid"
 )
 
 func init() {
@@ -63,7 +60,6 @@ func init() {
 	chaos.RegisterSite(SiteAppendTear, "torn replicated write: divergent replica prefixes, PLog seals, crash latches")
 	chaos.RegisterSite(SiteAppendAfter, "crash after replication: append durable, ack lost")
 	chaos.RegisterSite(SiteRead, "crash or slowness on PLog read / mmap access")
-	chaos.RegisterSite(SiteDestageMid, "crash between destage copy batches: partial archive PLog")
 }
 
 // Tier identifies where a PLog's replicas are placed.
@@ -183,24 +179,16 @@ func (c *Config) fill() {
 	}
 }
 
-// Stats counts service activity; all fields are updated atomically.
+// Stats holds the service counters no registry metric has: appends, reads
+// and repaired PLogs. Every other event is tallied only in the registry
+// given to AttachObs. All fields are updated atomically.
 type Stats struct {
-	Appends        atomic.Int64
-	AppendBytes    atomic.Int64
-	Reads          atomic.Int64
-	ReadBytes      atomic.Int64
-	Seals          atomic.Int64
-	CrossLayerOps  atomic.Int64
-	ComputeTierOps atomic.Int64
-	// TornAppends counts chaos-injected torn replicated writes.
-	TornAppends atomic.Int64
-	// Repairs counts replicas re-replicated onto healthy nodes.
-	Repairs atomic.Int64
+	Appends     atomic.Int64
+	AppendBytes atomic.Int64
+	Reads       atomic.Int64
+	ReadBytes   atomic.Int64
 	// RepairedPLogs counts PLogs restored to a fully healthy replica set.
 	RepairedPLogs atomic.Int64
-	// PlacementFailures counts replica placements rejected for lack of
-	// healthy nodes (PLog creation and repair).
-	PlacementFailures atomic.Int64
 }
 
 // Service is a simulated SRSS deployment: a set of compute nodes and storage
@@ -379,7 +367,6 @@ func (s *Service) pickNodes(tier Tier) ([]*Node, error) {
 		}
 	}
 	if len(picked) < s.cfg.Replicas {
-		s.stats.PlacementFailures.Add(1)
 		if om := s.obsM.Load(); om != nil {
 			om.placementFailures.Inc()
 		}
@@ -502,12 +489,10 @@ func (s *Service) chargeAppend(tier Tier, n int) {
 		// Local PM persist plus parallel RDMA replication to the two
 		// peers: the synchronous wait is the slower of the two.
 		d = m.ComputePMAppend + m.IntraComputeRTT
-		s.stats.ComputeTierOps.Add(1)
 	} else {
 		// Cross the compute->storage network, then the primary
 		// replicates inside the storage tier and persists to SSD.
 		d = m.CrossLayerRTT + m.IntraStorageRTT + m.SSDWrite
-		s.stats.CrossLayerOps.Add(1)
 	}
 	d += time.Duration(n) * m.PerByteAppend
 	if om := s.obsM.Load(); om != nil {
@@ -522,15 +507,13 @@ func (s *Service) chargeAppend(tier Tier, n int) {
 }
 
 // chargeRead applies the tier-appropriate read latency.
-func (s *Service) chargeRead(tier Tier, n int) {
+func (s *Service) chargeRead(tier Tier) {
 	m := s.cfg.Model
 	var d time.Duration
 	if tier == TierCompute {
 		d = m.PMRead
-		s.stats.ComputeTierOps.Add(1)
 	} else {
 		d = m.CrossLayerRTT + m.SSDRead
-		s.stats.CrossLayerOps.Add(1)
 	}
 	if om := s.obsM.Load(); om != nil {
 		om.readLatency.Record(int64(d))
@@ -541,7 +524,6 @@ func (s *Service) chargeRead(tier Tier, n int) {
 		}
 	}
 	s.cfg.Waiter.Wait(d)
-	_ = n
 }
 
 // replica is one node's copy of a PLog: the prefix of the PLog's chunk list
@@ -658,7 +640,6 @@ func (p *PLog) Sealed() bool { return p.sealed.Load() }
 // Seal permanently closes the PLog to writes. Reads remain valid.
 func (p *PLog) Seal() {
 	if !p.sealed.Swap(true) {
-		p.svc.stats.Seals.Add(1)
 		if om := p.svc.obsM.Load(); om != nil {
 			om.seals.Inc()
 		}
@@ -724,7 +705,6 @@ func (p *PLog) AppendTimed(data []byte) (off int64, replicateNS int64, err error
 		}
 		p.sealTornLocked(true)
 		p.size.Store(off + int64(ext))
-		p.svc.stats.TornAppends.Add(1)
 		if om := p.svc.obsM.Load(); om != nil {
 			om.tornAppends.Inc()
 		}
@@ -758,7 +738,6 @@ func (p *PLog) sealTornLocked(torn bool) {
 		p.torn.Store(true)
 	}
 	if !p.sealed.Swap(true) {
-		p.svc.stats.Seals.Add(1)
 		if om := p.svc.obsM.Load(); om != nil {
 			om.seals.Inc()
 		}
@@ -820,7 +799,7 @@ func (p *PLog) ReadAt(b []byte, off int64) (int, error) {
 	if off < 0 || off+int64(len(b)) > p.size.Load() {
 		return 0, fmt.Errorf("%w: [%d,+%d) of %d", ErrOutOfRange, off, len(b), p.size.Load())
 	}
-	p.svc.chargeRead(p.tier, len(b))
+	p.svc.chargeRead(p.tier)
 	r := p.replicaFor(off + int64(len(b)))
 	if r.extent() < off+int64(len(b)) {
 		// Only reachable on a torn PLog: no replica covers the range.
@@ -864,7 +843,7 @@ func (v *View) At(off int64, n int) ([]byte, error) {
 	if off < 0 || off+int64(n) > p.size.Load() {
 		return nil, fmt.Errorf("%w: [%d,+%d) of %d", ErrOutOfRange, off, n, p.size.Load())
 	}
-	p.svc.chargeRead(p.tier, n)
+	p.svc.chargeRead(p.tier)
 	r := p.replicaFor(off + int64(n))
 	if r.extent() < off+int64(n) {
 		return nil, fmt.Errorf("%w: [%d,+%d) torn at %d", ErrOutOfRange, off, n, r.extent())
@@ -928,43 +907,6 @@ func (p *PLog) ReplicasConsistentFrom(off int64) bool {
 		}
 	}
 	return true
-}
-
-// Destage copies a compute-tier PLog into a new storage-tier PLog and
-// returns it. HiEngine destages the log tail to the storage tier in the
-// background for archival and cross-AZ durability (Section 3.1).
-func (s *Service) Destage(p *PLog) (*PLog, error) {
-	if p.tier != TierCompute {
-		return nil, fmt.Errorf("srss: destage of %v plog", p.tier)
-	}
-	dst, err := s.Create(TierStorage)
-	if err != nil {
-		return nil, err
-	}
-	const batch = 1 << 20
-	buf := make([]byte, batch)
-	size := p.Size()
-	for off := int64(0); off < size; {
-		if off > 0 {
-			if err := s.cfg.Chaos.Check(SiteDestageMid); err != nil {
-				// Crash between copy batches: dst is a partial,
-				// unregistered storage PLog the directory never records.
-				return nil, fmt.Errorf("destage of %v at %d/%d: %w", p.id, off, size, err)
-			}
-		}
-		n := batch
-		if int64(n) > size-off {
-			n = int(size - off)
-		}
-		if _, err := p.ReadAt(buf[:n], off); err != nil {
-			return nil, err
-		}
-		if _, err := dst.Append(buf[:n]); err != nil {
-			return nil, err
-		}
-		off += int64(n)
-	}
-	return dst, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -1053,7 +995,6 @@ func (s *Service) repairPLog(p *PLog) (int, error) {
 		s.chargeAppend(p.tier, int(ext))
 		next[i] = nr
 		replaced++
-		s.stats.Repairs.Add(1)
 		if om := s.obsM.Load(); om != nil {
 			om.repairs.Inc()
 		}

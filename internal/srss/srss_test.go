@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"hiengine/internal/delay"
+	"hiengine/internal/obs"
 )
 
 func testService(t *testing.T) *Service {
@@ -318,28 +319,6 @@ func TestViewWindow(t *testing.T) {
 	}
 }
 
-func TestDestage(t *testing.T) {
-	s := testService(t)
-	p, _ := s.Create(TierCompute)
-	data := bytes.Repeat([]byte("destage-me;"), 1000)
-	p.Append(data)
-	dst, err := s.Destage(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dst.Tier() != TierStorage {
-		t.Fatalf("destaged to %v", dst.Tier())
-	}
-	got := make([]byte, dst.Size())
-	dst.ReadAt(got, 0)
-	if !bytes.Equal(got, data) {
-		t.Fatal("destaged bytes differ")
-	}
-	if _, err := s.Destage(dst); err == nil {
-		t.Fatal("destaging a storage-tier plog succeeded")
-	}
-}
-
 func TestLatencyCharging(t *testing.T) {
 	var w delay.CountingWaiter
 	m := &delay.Model{
@@ -350,6 +329,8 @@ func TestLatencyCharging(t *testing.T) {
 		SSDWrite:        80 * time.Microsecond,
 	}
 	s := New(Config{Model: m, Waiter: &w, MaxPLogSize: 1 << 20})
+	reg := obs.NewRegistry("test")
+	s.AttachObs(reg)
 	pc, _ := s.Create(TierCompute)
 	pc.Append([]byte("x"))
 	if got := w.Total(); got != 6*time.Microsecond {
@@ -360,8 +341,8 @@ func TestLatencyCharging(t *testing.T) {
 	if got := w.Total(); got != (6+105)*time.Microsecond {
 		t.Fatalf("storage append charged %v total, want 111µs", got)
 	}
-	if s.Stats().CrossLayerOps.Load() != 1 {
-		t.Fatalf("cross-layer ops = %d", s.Stats().CrossLayerOps.Load())
+	if got := reg.Counter("srss.cross_layer_ops").Load(); got != 1 {
+		t.Fatalf("cross-layer ops = %d", got)
 	}
 }
 

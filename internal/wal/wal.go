@@ -648,9 +648,6 @@ type Manager struct {
 	scanRefs    map[uint16]int
 	droppedSegs map[uint16]bool
 
-	destageMu sync.Mutex
-	destaged  map[uint16]srss.PLogID
-
 	closed atomic.Bool
 }
 
@@ -1654,49 +1651,6 @@ func (m *Manager) SealedSegments() []uint16 {
 		out = append(out, seg)
 	}
 	return out
-}
-
-// DestageSealed copies every sealed, not-yet-destaged segment to the
-// storage tier (Section 3.1: the log is flushed to the storage layer in the
-// background for archival and cross-AZ reliability; reads keep being served
-// from the compute side). Returns the number of segments destaged. Safe to
-// call periodically.
-func (m *Manager) DestageSealed() (int, error) {
-	if m.cfg.Tier != srss.TierCompute {
-		return 0, nil // already storage-resident
-	}
-	n := 0
-	for _, seg := range m.dir.Segments() {
-		m.destageMu.Lock()
-		_, done := m.destaged[seg]
-		m.destageMu.Unlock()
-		if done {
-			continue
-		}
-		id, ok := m.dir.Lookup(seg)
-		if !ok {
-			continue
-		}
-		p, err := m.cfg.Service.Open(id)
-		if err != nil {
-			continue // dropped concurrently
-		}
-		if !p.Sealed() {
-			continue // still the open segment of some stream
-		}
-		archive, err := m.cfg.Service.Destage(p)
-		if err != nil {
-			return n, err
-		}
-		m.destageMu.Lock()
-		if m.destaged == nil {
-			m.destaged = make(map[uint16]srss.PLogID)
-		}
-		m.destaged[seg] = archive.ID()
-		m.destageMu.Unlock()
-		n++
-	}
-	return n, nil
 }
 
 // TotalBytes sums bytes written across streams.

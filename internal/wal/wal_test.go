@@ -414,67 +414,6 @@ func TestLogIsRedoOnly(t *testing.T) {
 	}
 }
 
-func TestDestageSealed(t *testing.T) {
-	svc := srss.New(srss.Config{MaxPLogSize: 1 << 20})
-	m, err := Open(Config{Service: svc, Streams: 1, SegmentSize: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	for i := 0; i < 40; i++ {
-		buf, off := AppendRecord(nil, OpInsert, 1, uint64(i), bytes.Repeat([]byte("z"), 40))
-		StampTxn(buf, off, uint64(i+1))
-		if _, err := m.AppendSync(0, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(m.Segments()) < 3 {
-		t.Fatalf("expected several segments, got %d", len(m.Segments()))
-	}
-	before := len(svc.List(srss.TierStorage))
-	n, err := m.DestageSealed()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("nothing destaged despite sealed segments")
-	}
-	after := len(svc.List(srss.TierStorage))
-	if after != before+n {
-		t.Fatalf("storage tier plogs %d -> %d for %d destaged", before, after, n)
-	}
-	// Archive content matches the compute-side segment.
-	for seg, archID := range m.DestagedSegments() {
-		srcID, _ := m.Directory().Lookup(seg)
-		src, err := svc.Open(srcID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		arch, err := svc.Open(archID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if arch.Size() != src.Size() {
-			t.Fatalf("archive size %d != segment size %d", arch.Size(), src.Size())
-		}
-		a := make([]byte, arch.Size())
-		b := make([]byte, src.Size())
-		arch.ReadAt(a, 0)
-		src.ReadAt(b, 0)
-		if !bytes.Equal(a, b) {
-			t.Fatalf("archive of segment %d differs", seg)
-		}
-	}
-	// Idempotent: nothing new to destage.
-	n2, err := m.DestageSealed()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n2 != 0 {
-		t.Fatalf("second destage moved %d segments", n2)
-	}
-}
-
 func TestScanSegmentFromResumes(t *testing.T) {
 	_, m := testManager(t, Config{Streams: 1, SegmentSize: 1 << 18})
 	var want []uint64

@@ -121,9 +121,6 @@ type Driver struct {
 	cfg        Config
 	historySeq atomic.Int64
 	entrySeq   atomic.Int64
-
-	sessMu   sync.Mutex
-	sessions map[int]*session // RunOne benchmark sessions
 }
 
 // NewDriver builds a driver; Load must have populated the database.
@@ -239,48 +236,6 @@ func (d *Driver) Run() (Result, error) {
 		res.LatP99[tt] = l[len(l)*99/100]
 	}
 	return res, nil
-}
-
-// RunOne executes a single transaction of the given type on thread's
-// session against warehouse w (0 = the thread's home warehouse), retrying
-// conflicts. ok is false for intentional rollbacks. Benchmark harnesses use
-// this to measure per-transaction cost.
-func (d *Driver) RunOne(thread int, tt TxnType, w int) (bool, error) {
-	d.sessMu.Lock()
-	if d.sessions == nil {
-		d.sessions = make(map[int]*session)
-	}
-	s := d.sessions[thread]
-	if s == nil {
-		s = &session{
-			d:      d,
-			thread: thread,
-			rng:    rand.New(rand.NewSource(d.cfg.Seed + int64(thread)*104729 + 7)),
-			homeW:  thread%d.cfg.Warehouses + 1,
-		}
-		if d.cfg.PipelineDepth > 0 {
-			s.inflight = make(chan struct{}, d.cfg.PipelineDepth)
-		}
-		d.sessions[thread] = s
-	}
-	d.sessMu.Unlock()
-	if w <= 0 {
-		w = s.homeW
-	}
-	var rollbacks, conflicts atomic.Int64
-	return d.runWithRetry(s, tt, w, &rollbacks, &conflicts)
-}
-
-// DrainSessions waits out pipelined commits of RunOne sessions.
-func (d *Driver) DrainSessions() error {
-	d.sessMu.Lock()
-	defer d.sessMu.Unlock()
-	for _, s := range d.sessions {
-		if err := s.drain(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func (d *Driver) pickTxn(rng *rand.Rand) TxnType {

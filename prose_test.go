@@ -9,9 +9,9 @@ import (
 // only falls: a change that adds text to one of these files deletes as much
 // from the same file, and one that shrinks a file lowers its bound.
 var proseBudget = map[string]int64{
-	"DESIGN.md":                      139_093,
-	"EXPERIMENTS.md":                 195_287,
-	"CHANGES.md":                     27_555,
+	"DESIGN.md":                      139_086,
+	"EXPERIMENTS.md":                 195_283,
+	"CHANGES.md":                     27_377,
 	".claude/skills/verify/SKILL.md": 20_110,
 	"benchmark/README.md":            29_930,
 }
