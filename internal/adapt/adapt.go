@@ -242,13 +242,12 @@ func (tx *Txn) ScanPrefix(table string, idx int, prefix []core.Value, fn func(co
 	}))
 }
 
-// ScanPrefixRaw implements engineapi.RawReader.
-func (tx *Txn) ScanPrefixRaw(table string, idx int, prefix []core.Value, fn func([]byte) bool) error {
+// ScanPrefixRaw implements engineapi.RawReader. fn goes to the engine as it
+// is: wrapping it would be an allocation per scan.
+func (tx *Txn) ScanPrefixRaw(table string, idx int, prefix []core.Value, fn func(core.RID, []byte) bool) error {
 	t, err := tx.db.table(table)
 	if err != nil {
 		return err
 	}
-	return mapErr(tx.t.ScanPrefixRaw(t, idx, prefix, func(_ core.RID, p []byte) bool {
-		return fn(p)
-	}))
+	return mapErr(tx.t.ScanPrefixRaw(t, idx, prefix, fn))
 }

@@ -182,3 +182,45 @@ func TestMemoProbeAllocFree(t *testing.T) {
 		t.Fatalf("memo probe: hit=%v, %.1f allocations, want a hit and 0", hit, avg)
 	}
 }
+
+// TestScanPrefixRawAllocFree: a raw prefix scan through the adapter hands
+// the caller's callback to the engine as it is, so a scan on a slot that has
+// scanned before allocates nothing.
+func TestScanPrefixRawAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	db := testDB(t)
+	load, err := db.Begin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 100; i++ {
+		if err := load.Insert("t", core.Row{core.I(i), core.I(1), core.S("v")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := load.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	btx, err := db.Begin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer btx.Abort()
+	tx := btx.(engineapi.RawReader)
+	prefix, n := []core.Value{core.I(1)}, 0
+	fn := func(core.RID, []byte) bool { n++; return true }
+	scan := func() {
+		if err := tx.ScanPrefixRaw("t", 1, prefix, fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan()
+	if avg := testing.AllocsPerRun(100, scan); avg != 0 {
+		t.Fatalf("a 100-row ScanPrefixRaw through the adapter allocates %.2f times, want 0", avg)
+	}
+	if n%100 != 0 {
+		t.Fatalf("the scans visited %d rows, not 100 each", n)
+	}
+}

@@ -91,7 +91,8 @@ type inner struct {
 // node's write lock, when its first inline value arrives, and so are a
 // Node48's and a Node256's children when their first child does: a bottom
 // node of dense fixed-width keys holds only values and has no child array.
-// A reader that finds no array reads an empty half-slot.
+// A Node48's or Node256's array goes again with its last entry (shed). A
+// reader that finds no array reads an empty half-slot.
 type body16 struct {
 	count    atomic.Int32
 	keys     [16]atomic.Uint32 // key bytes, unsorted; only [0,count) valid
@@ -299,14 +300,59 @@ func (n *node) slot(b byte) (c *node, w uint64) {
 }
 
 // fill writes slot i: child c or value word w, the other half cleared. An
-// array that does not exist yet is allocated only for a non-zero half.
-// Caller holds the write lock.
+// array that does not exist yet is allocated only for a non-zero half, and
+// one the cleared half was the last entry of is released (shed). Caller
+// holds the write lock.
 func (n *node) fill(i int, c *node, w uint64) {
+	cleared := false
 	if cs := n.children(c != nil); cs != nil {
+		cleared = c == nil && cs[i].Load() != nil
 		cs[i].Store(c)
 	}
 	if vs := n.vals(w != 0); vs != nil {
+		cleared = cleared || w == 0 && vs[i].Load() != 0
 		vs[i].Store(w)
+	}
+	if cleared {
+		n.shed(i)
+	}
+}
+
+// shed releases a Node48's or Node256's child array, and its value array,
+// when it holds no entry any more: the inverse of lazy, after a write that
+// emptied half of slot i. It looks past i first, where keys removed in
+// ascending order leave their successor. Caller holds the write lock; a
+// reader that loaded a released array fails its validation.
+func (n *node) shed(i int) {
+	slots := 256
+	switch n.kind {
+	case k16:
+		return // its children are in its body, and its values at most 128 B
+	case k48:
+		slots = int(n.b48.count.Load()) // its entries are slots [0,count)
+	}
+	cs, vs := n.children(false), n.vals(false)
+	keepC, keepV := cs == nil, vs == nil
+	for j := 1; j <= slots && !(keepC && keepV); j++ {
+		k := (i + j) % slots
+		keepC = keepC || cs[k].Load() != nil
+		keepV = keepV || vs[k].Load() != 0
+	}
+	switch n.kind {
+	case k48:
+		if !keepC {
+			n.b48.children.Store(nil)
+		}
+		if !keepV {
+			n.b48.vals.Store(nil)
+		}
+	case k256:
+		if !keepC {
+			n.b256.children.Store(nil)
+		}
+		if !keepV {
+			n.b256.vals.Store(nil)
+		}
 	}
 }
 
@@ -348,8 +394,8 @@ func (n *node) setSlot(b byte, c *node, w uint64) {
 
 // removeSlot empties byte b's slot. A Node16 or Node48 forgets b and moves
 // its last slot into the hole, so its count stays its number of entries and
-// a later addSlot registers b once. Caller holds the write lock; the slot
-// must hold an entry.
+// a later addSlot registers b once; an array left with no entry goes (shed).
+// Caller holds the write lock; the slot must hold an entry.
 func (n *node) removeSlot(b byte) {
 	i, last := n.find(b), int(b)
 	switch n.kind {
@@ -376,6 +422,7 @@ func (n *node) removeSlot(b byte) {
 		vs[i].Store(vs[last].Load())
 		vs[last].Store(0)
 	}
+	n.shed(i)
 }
 
 // keepsOther reports whether n holds an entry besides e, the one a removal

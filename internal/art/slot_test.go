@@ -229,7 +229,7 @@ func TestDeleteThenReinsertRegistersOnce(t *testing.T) {
 // keys are gone, NodeBytes is what it was before they came (the root, which
 // already had a child, keeps its arrays).
 func TestDeleteUnlinksEmptiedNodes(t *testing.T) {
-	tr, ref := New(), map[string]uint64{"q1": 1, "q2": 2}
+	tr, ref := New(), map[string]uint64{"q1": 1, "q2": 2, "z": 3} // "z" is a value word in the root
 	for k, rid := range ref {
 		tr.Insert([]byte(k), rid)
 	}
@@ -271,6 +271,13 @@ func TestDeleteUnlinksEmptiedNodes(t *testing.T) {
 		t.Fatalf("NodeBytes = %d with the keys gone, want %d", got, base)
 	}
 	checkAgainst(t, tr, ref)
+	// The root, a Node256, lets go of its child array with its last child
+	// and of its value array with its last value: emptied, it is as small as
+	// a new tree's.
+	del("q1", "q2", "z")
+	if got, want := tr.NodeBytes(), New().NodeBytes(); got != want {
+		t.Fatalf("NodeBytes = %d with every key gone, want an empty tree's %d", got, want)
+	}
 }
 
 // FuzzTreeOps drives a tree with inserts, deletes, searches and scans

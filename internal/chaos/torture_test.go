@@ -132,8 +132,6 @@ func tortureOne(t *testing.T, seed uint64) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	// The first engine attached svc to its registry; later ones share svc.
-	torn := e.Obs().Counter("srss.torn_appends")
 	tbl, err := e.CreateTable(tortureSchema())
 	if err != nil {
 		t.Fatalf("create table: %v", err)
@@ -149,6 +147,9 @@ func tortureOne(t *testing.T, seed uint64) {
 	o := newOracle()
 	failed := map[int]bool{} // currently-failed compute nodes
 	crashes, repairs := 0, 0
+	// Each engine counts svc's torn appends in its own registry while it is
+	// open: recoverAndDiff adds up the closed ones'.
+	var torn int64
 
 	const ops = 400
 	for op := 0; op < ops; op++ {
@@ -177,7 +178,7 @@ func tortureOne(t *testing.T, seed uint64) {
 				if !crashy(cerr) {
 					t.Fatalf("op %d: checkpoint: %v", op, cerr)
 				}
-				e, tbl = recoverAndDiff(t, ch, svc, cfg, o, &crashes, e, rules)
+				e, tbl = recoverAndDiff(t, ch, svc, cfg, o, &crashes, &torn, e, rules)
 			}
 		}
 
@@ -197,7 +198,7 @@ func tortureOne(t *testing.T, seed uint64) {
 			if !crashy(berr) {
 				t.Fatalf("op %d: begin: %v", op, berr)
 			}
-			e, tbl = recoverAndDiff(t, ch, svc, cfg, o, &crashes, e, rules)
+			e, tbl = recoverAndDiff(t, ch, svc, cfg, o, &crashes, &torn, e, rules)
 			continue
 		}
 		writes, werr := writeKeys(tx, tbl, keys, bal, del)
@@ -208,7 +209,7 @@ func tortureOne(t *testing.T, seed uint64) {
 			if !crashy(werr) {
 				t.Fatalf("op %d: write keys %v: %v", op, keys, werr)
 			}
-			e, tbl = recoverAndDiff(t, ch, svc, cfg, o, &crashes, e, rules)
+			e, tbl = recoverAndDiff(t, ch, svc, cfg, o, &crashes, &torn, e, rules)
 			continue
 		}
 		if writes == nil {
@@ -228,7 +229,7 @@ func tortureOne(t *testing.T, seed uint64) {
 			for i, k := range keys {
 				o.indeterminate[k] = writes[i]
 			}
-			e, tbl = recoverAndDiff(t, ch, svc, cfg, o, &crashes, e, rules)
+			e, tbl = recoverAndDiff(t, ch, svc, cfg, o, &crashes, &torn, e, rules)
 		default:
 			t.Fatalf("op %d: commit keys %v: %v", op, keys, cerr)
 		}
@@ -236,14 +237,15 @@ func tortureOne(t *testing.T, seed uint64) {
 
 	// Final verification pass; leave the schedule disarmed so Close runs
 	// on clean hardware.
-	e, tbl = recoverAndDiff(t, ch, svc, cfg, o, &crashes, e, rules)
+	e, tbl = recoverAndDiff(t, ch, svc, cfg, o, &crashes, &torn, e, rules)
 	_ = tbl
 	for _, r := range rules {
 		ch.Disarm(r.Site)
 	}
 	e.Close()
+	torn += e.Obs().Counter("srss.torn_appends").Load()
 	t.Logf("seed %d: %d crashes, %d replicas repaired, %d live keys, %d torn appends",
-		seed, crashes, repairs, len(o.committed), torn.Load())
+		seed, crashes, repairs, len(o.committed), torn)
 }
 
 // writeKeys writes keys in tx and returns what it wrote at each, nil when
@@ -306,9 +308,10 @@ func writeKeys(tx *core.Txn, tbl *core.Table, keys []int64, bal int64, del bool)
 // crash latch, heal storage redundancy, recover from the manifest, and diff
 // the visible state against the oracle. Indeterminate keys (in-flight at a
 // crash) are resolved to whatever recovery produced; determinate keys must
-// match exactly. Returns the recovered engine ready for more traffic.
+// match exactly. Returns the recovered engine ready for more traffic. It adds
+// the dead engine's torn appends to torn.
 func recoverAndDiff(t *testing.T, ch *chaos.Engine, svc *srss.Service, cfg core.Config,
-	o *oracle, crashes *int, dead *core.Engine, rules []chaos.Rule) (*core.Engine, *core.Table) {
+	o *oracle, crashes *int, torn *int64, dead *core.Engine, rules []chaos.Rule) (*core.Engine, *core.Table) {
 	t.Helper()
 	*crashes++
 	// A restart quiesces the fault schedule: the armed rules model faults in
@@ -320,6 +323,7 @@ func recoverAndDiff(t *testing.T, ch *chaos.Engine, svc *srss.Service, cfg core.
 	}
 	ch.ClearCrash()
 	dead.Close()
+	*torn += dead.Obs().Counter("srss.torn_appends").Load()
 	// Repair degraded PLogs before recovery reads them (the repairer would
 	// normally have been running all along); failed nodes may still be
 	// down, which repair tolerates when spares exist.

@@ -257,15 +257,18 @@ func (a *applier) apply(t *Table, addr wal.Addr, rec wal.Record, first bool, got
 	if err := t.rows.AllocAt(rid); err != nil {
 		return false
 	}
-	v := &Version{tomb: rec.Op == wal.OpDelete}
-	v.tmin.Store(rec.CSN)
-	v.addr.Store(uint64(addr))
-	if !v.tomb {
-		v.setData(rec.Payload)
-	}
+	var f uint64
 	if first {
-		v.flags.Store(flagCSN)
+		f = flagCSN
 	}
+	v := &Version{}
+	v.tmin.Store(rec.CSN)
+	if rec.Op == wal.OpDelete {
+		f |= flagTomb
+	} else {
+		v.setData(rec.Frame())
+	}
+	v.word.Store(f | uint64(addr))
 	for {
 		head := t.rows.Get(rid)
 		if head != nil {
@@ -274,12 +277,9 @@ func (a *applier) apply(t *Table, addr wal.Addr, rec wal.Record, first bool, got
 				return false
 			}
 			if have == rec.CSN {
-				head.addr.Store(uint64(addr))
-				if !head.tomb {
-					head.setData(rec.Payload)
-				}
-				if first {
-					head.setFlag(flagCSN)
+				head.setAddr(addr, f&flagCSN)
+				if !head.tomb() {
+					head.setData(rec.Frame())
 				}
 				return false
 			}
@@ -303,11 +303,11 @@ func (a *applier) apply(t *Table, addr wal.Addr, rec wal.Record, first bool, got
 // installed is a live pass's bookkeeping for v, installed over head: what a
 // commit does for a write, on worker 0's GC bag.
 func (a *applier) installed(t *Table, rid RID, v, head *Version, payload []byte) {
-	wasLive := head != nil && !head.tomb
+	wasLive := head != nil && !head.tomb()
 	we := writeEntry{table: t, rid: rid, newV: v, oldV: head, keysChanged: wasLive}
-	if v.tomb && wasLive {
+	if v.tomb() && wasLive {
 		t.liveRows.Add(-1)
-	} else if !v.tomb {
+	} else if !v.tomb() {
 		if !wasLive {
 			t.liveRows.Add(1)
 		}
@@ -327,7 +327,7 @@ func (a *applier) addKeys(t *Table, rid RID, payload []byte, head *Version) (cha
 	if _, err := a.view.Reset(payload); err != nil {
 		return true
 	}
-	old := head != nil && !head.tomb
+	old := head != nil && !head.tomb()
 	if old {
 		p, err := head.payload(a.e)
 		if err == nil {

@@ -135,13 +135,13 @@ func (e *Engine) checkpointLocked() (uint64, error) {
 				if isTID(ts) || ts > ckptCSN {
 					continue
 				}
-				addr := v.addr.Load()
+				addr := uint64(v.Addr())
 				if addr == 0 {
 					// Past the flush, no address means the append failed.
 					werr = ErrDurabilityLost
 					return false
 				}
-				if v.tomb {
+				if v.tomb() {
 					return true // a durable delete: omit the record entirely
 				}
 				p, ok := v.resident()
@@ -162,7 +162,7 @@ func (e *Engine) checkpointLocked() (uint64, error) {
 					}
 				}
 				ent.rid, ent.addr, ent.csn = rid, addr, ts
-				ent.first, ent.n = v.flags.Load()&flagCSN != 0, len(p)
+				ent.first, ent.n = v.has(flagCSN), len(p)
 				img.add(&ent)
 				entries++
 				if len(img.buf) >= imageBlockSize {
@@ -550,10 +550,12 @@ type indexer struct {
 	hint art.Hint // the index nodes x's inserts last filled
 	t    *Table   // the table whose live rows x counts
 	rows int64    // the live rows of t counted since x moved to it
-	// The image entries of t read but not stored yet: RIDs, stubs, and the
-	// keys, end to end in keyBytes, keyEnds[i] the end of the i-th.
+	// The image entries of t read but not stored yet: RIDs, stubs, their
+	// records' lengths (the image's framing: a stub's row is not read), and
+	// the keys, end to end in keyBytes, keyEnds[i] the end of the i-th.
 	rids     []RID
 	stubs    []*Version
+	lens     []int64
 	keyBytes []byte
 	keyEnds  []int
 	// slab is what is left of the block the image pass takes stubs from.
@@ -566,7 +568,7 @@ const stubSlabLen = 256
 // stub returns a zero Version for an image entry, from x's slab. A slab is
 // reachable while any of its stubs is, so rows updated since recovery can
 // leave pruned stubs pinned by a live neighbour: at most one recovery's stubs
-// (48 B an image row), and no slab is made after recovery. The live applier
+// (32 B an image row), and no slab is made after recovery. The live applier
 // and the write path allocate their versions one by one, since theirs are
 // pruned one by one without end.
 func (x *indexer) stub() *Version {
@@ -627,14 +629,13 @@ func (x *indexer) loadBlock(body []byte) error {
 		}
 		stub := x.stub()
 		stub.tmin.Store(en.csn)
-		stub.addr.Store(en.addr)
-		stub.n.Store(uint32(en.n))
 		f := flagImage
 		if en.first {
 			f |= flagCSN
 		}
-		stub.flags.Store(f)
+		stub.word.Store(f | en.addr)
 		x.rids, x.stubs = append(x.rids, en.rid), append(x.stubs, stub)
+		x.lens = append(x.lens, int64(wal.RecordLen(en.first, en.table, uint64(en.rid), en.n)))
 		for i, k := range en.keys {
 			if x.keyBytes = append(x.keyBytes, k...); !t.Schema.Indexes[i].Unique {
 				x.keyBytes = EncodeRIDSuffix(x.keyBytes, uint64(en.rid))
@@ -654,7 +655,7 @@ func (x *indexer) loadBlock(body []byte) error {
 func (x *indexer) store() error {
 	t := x.t
 	defer func() {
-		x.rids, x.stubs, x.keyBytes, x.keyEnds = x.rids[:0], x.stubs[:0], x.keyBytes[:0], x.keyEnds[:0]
+		x.rids, x.stubs, x.lens, x.keyBytes, x.keyEnds = x.rids[:0], x.stubs[:0], x.lens[:0], x.keyBytes[:0], x.keyEnds[:0]
 	}()
 	if len(x.rids) == 0 {
 		return nil
@@ -681,7 +682,7 @@ func (x *indexer) store() error {
 		}
 		x.imageKeys += int64(n)
 		x.rows++
-		x.book(stub.addr.Load(), stub.logLen(t.ID, rid))
+		x.book(uint64(stub.Addr()), x.lens[i])
 	}
 	return nil
 }
@@ -696,7 +697,7 @@ func (x *indexer) tail(vs []replayed) error {
 		if t.rows.Get(rid) != v {
 			continue // superseded: by a newer record, or by the image
 		}
-		if v.tomb {
+		if v.tomb() {
 			_, _ = t.rows.DeleteIf(rid, v)
 			continue
 		}
@@ -718,7 +719,7 @@ func (x *indexer) tail(vs []replayed) error {
 		}
 		x.keys += int64(len(t.indexes))
 		x.rows++
-		x.book(v.addr.Load(), v.logLen(t.ID, rid))
+		x.book(uint64(v.Addr()), v.logLen(x.e.log, t.ID, rid))
 	}
 	return nil
 }

@@ -182,7 +182,7 @@ func (t *Txn) undo() {
 	var u keyScratch
 	for i := len(t.ws.writes) - 1; i >= 0; i-- {
 		we := &t.ws.writes[i]
-		tomb := we.newV.tomb
+		tomb := we.newV.tomb()
 		if !tomb {
 			we.table.dropsBegun.Add(1) // see Table.dropsBegun
 		}
@@ -198,7 +198,7 @@ func (t *Txn) undo() {
 		}
 		t.e.dropKeysOf(&u, we.table, we.rid, we.newV, nil)
 		we.table.dropsEnded.Add(1)
-		if we.oldV == nil || we.oldV.tomb {
+		if we.oldV == nil || we.oldV.tomb() {
 			we.table.liveRows.Add(-1) // an insert, onto a fresh RID or a deleted row's
 		}
 	}
@@ -244,7 +244,7 @@ func (e *Engine) dropKeysOf(u *keyScratch, tbl *Table, rid RID, v, stop *Version
 // but not including, stop has u.key as its index-i key.
 func (e *Engine) chainCarriesKey(u *keyScratch, tbl *Table, i int, rid RID, v, stop *Version) bool {
 	for ; v != nil && v != stop; v = v.next.Load() {
-		if v.tomb {
+		if v.tomb() {
 			continue
 		}
 		p, err := v.payload(e)
@@ -307,7 +307,7 @@ func (s *workerSlot) retire(we *writeEntry, csn uint64) {
 			keysChanged: we.keysChanged,
 		})
 	}
-	if we.newV.tomb {
+	if we.newV.tomb() {
 		// A committed delete: once reclaimable, the PIA entry is cleared.
 		// Its index entries go with the deleted row,
 		// retired just above under the same CSN.

@@ -135,11 +135,11 @@ type deadTally struct {
 
 // version books pruned version v of table's row rid, once, if it is durable.
 func (d *deadTally) version(e *Engine, table uint32, rid RID, v *Version) {
-	addr := v.addr.Load()
+	addr := v.Addr()
 	if addr == 0 || !v.setFlag(flagDead) {
 		return
 	}
-	seg, n := wal.Addr(addr).Segment(), v.logLen(table, rid)
+	seg, n := addr.Segment(), v.logLen(e.log, table, rid)
 	for i := 0; i < d.n; i++ {
 		if d.seg[i] == seg {
 			d.b[i] += n
@@ -331,11 +331,10 @@ func (e *Engine) compact(pick func() ([]uint16, error)) (CompactionStats, error)
 		var rerr error
 		t.rows.Range(func(rid RID, head *Version) bool {
 			for v := head; v != nil; v = v.next.Load() {
-				addrRaw := v.addr.Load()
-				if addrRaw == 0 {
+				addr := v.Addr()
+				if addr == 0 {
 					continue // not durable yet; lives in memory only
 				}
-				addr := wal.Addr(addrRaw)
 				if !oldSegs[addr.Segment()] {
 					continue // already in a fresh segment
 				}
@@ -402,7 +401,7 @@ type compactor struct {
 }
 
 // rewritten is a version whose record the compactor's buffer holds, at off,
-// its n-byte payload at pay.
+// the frame of its n-byte payload at pay.
 type rewritten struct {
 	v        *Version
 	off, pay int
@@ -414,7 +413,7 @@ type rewritten struct {
 func (c *compactor) rewrite(t *Table, rid RID, v *Version) error {
 	op := wal.OpUpdate
 	var payload []byte
-	if v.tomb {
+	if v.tomb() {
 		op = wal.OpDelete
 	} else {
 		var err error
@@ -438,7 +437,7 @@ func (c *compactor) rewrite(t *Table, rid RID, v *Version) error {
 	rec, _ := wal.AppendRecord(c.buf[at:at], op, t.ID, uint64(rid), payload)
 	wal.StampTxn(rec, 0, v.tmin.Load())
 	c.buf = c.buf[:at+len(rec)]
-	c.moved = append(c.moved, rewritten{v: v, off: at, pay: at + wal.PayloadOffset(rec, len(payload)), n: len(payload)})
+	c.moved = append(c.moved, rewritten{v: v, off: at, pay: at + wal.FrameOffset(rec, len(payload)), n: len(payload)})
 	return nil
 }
 
@@ -457,9 +456,8 @@ func (c *compactor) flush() error {
 	}
 	for _, m := range c.moved {
 		v := m.v
-		v.addr.Store(uint64(base.Add(uint32(m.off))))
-		v.setFlag(flagCSN)
-		if v.tomb {
+		v.setAddr(base.Add(uint32(m.off)), flagCSN)
+		if v.tomb() {
 			continue
 		}
 		if n, ok := v.swing(&c.win, base.Add(uint32(m.pay)), m.n); ok {

@@ -167,7 +167,7 @@ func TestDeadLogBooksAnUnreadStub(t *testing.T) {
 			t.Fatalf("id %d: %v %v", id, ok, err)
 		}
 		v := tbl.rows.Get(RID(rid))
-		if _, read := v.resident(); read || v.flags.Load()&flagImage == 0 {
+		if _, read := v.resident(); read || !v.has(flagImage) {
 			t.Fatalf("id %d: the row was read, or is not the image's stub", id)
 		}
 		seg := v.Addr().Segment()
@@ -182,7 +182,7 @@ func TestDeadLogBooksAnUnreadStub(t *testing.T) {
 			t.Fatalf("id %d: no record after %v: %v", id, v.Addr(), err)
 		}
 		n := int64(next.Offset() - v.Addr().Offset())
-		if got := v.logLen(tbl.ID, RID(rid)); got != n {
+		if got := v.logLen(e2.log, tbl.ID, RID(rid)); got != n {
 			t.Errorf("id %d: the unread stub's record is %d bytes long, the log's %d", id, got, n)
 		}
 		want[seg] += n

@@ -250,7 +250,7 @@ func TestConcurrentMixedWorkloadWithGC(t *testing.T) {
 	// dropping a key's entry, or clearing a RID, under an insert that was
 	// reusing them left rows no index led to.)
 	tbl.rows.Range(func(rid RID, v *Version) bool {
-		if v.tomb {
+		if v.tomb() {
 			return true
 		}
 		p, err := v.payload(e)

@@ -396,8 +396,9 @@ func (e *Engine) swung(n, released int) {
 // dropPrivate takes v off the private-payload ledger, if it is still on it,
 // when its payload goes away private: an eviction, GC, a 2PC abort.
 func (e *Engine) dropPrivate(v *Version) {
+	p, _ := v.resident()
 	if v.release() {
-		e.mPrivateBytes.Add(-int64(v.n.Load()))
+		e.mPrivateBytes.Add(-int64(len(p)))
 	}
 }
 
@@ -482,6 +483,9 @@ func (e *Engine) Close() {
 	}
 	e.stopMaintenance()
 	e.log.Close()
+	// The deployment outlives the engine: an engine recovered over it
+	// counts its srss.* events in its own registry.
+	e.svc.DetachObs(e.obs)
 }
 
 // --- manifest ------------------------------------------------------------
@@ -713,9 +717,11 @@ func (e *Engine) ImportRow(tbl *Table, row Row) (RID, error) {
 		return 0, fmt.Errorf("core: row arity %d != %d columns", len(row), len(tbl.Schema.Columns))
 	}
 	// One row, logged on its own: its bytes before durability are a buffer of
-	// exactly their size, which is also what a record that straddles a
-	// storage chunk keeps.
-	payload := EncodeRow(make([]byte, 0, encodedRowLen(row)), row)
+	// exactly their size behind their length, which is also what a record
+	// that straddles a storage chunk keeps.
+	n := encodedRowLen(row)
+	frame := EncodeRow(binary.AppendUvarint(make([]byte, 0, wal.FrameLen(n)), uint64(n)), row)
+	payload := frame[len(frame)-n:]
 	var view RowView
 	if _, err := view.Reset(payload); err != nil {
 		return 0, err
@@ -734,7 +740,7 @@ func (e *Engine) ImportRow(tbl *Table, row Row) (RID, error) {
 	// checkpoint's CSN, so recovery replays it from the tail, and one queued
 	// ahead of it has landed before the checkpoint walks its image.
 	const loadCSN = 1
-	v := newVersion(e.tidSeq.Add(1)|tidFlag, payload, nil, true)
+	v := newVersion(e.tidSeq.Add(1)|tidFlag, frame, nil, true)
 	rid, err := e.reserveImport(tbl, pk, &view, v)
 	if err != nil {
 		return 0, err
@@ -746,10 +752,10 @@ func (e *Engine) ImportRow(tbl *Table, row Row) (RID, error) {
 	e.log.AppendTraced(0, buf, nil, stamp, func(base wal.Addr, err error) {
 		if err == nil {
 			win := logWindow{log: e.log}
-			if n, ok := v.swing(&win, base.Add(uint32(wal.PayloadOffset(buf, len(payload)))), len(payload)); ok {
-				e.swung(1, n)
+			if released, ok := v.swing(&win, base.Add(uint32(wal.FrameOffset(buf, n))), n); ok {
+				e.swung(1, released)
 			}
-			v.addr.Store(uint64(base.Add(uint32(off))))
+			v.setAddr(base.Add(uint32(off)), 0)
 			v.tmin.Store(loadCSN)
 		}
 		landed <- err
@@ -770,7 +776,7 @@ func (e *Engine) reserveImport(tbl *Table, pk []byte, view *RowView, v *Version)
 	if ridU, ok, err := primary.Get(pk); err != nil {
 		return 0, err
 	} else if ok {
-		if head := tbl.rows.Get(RID(ridU)); head != nil && !head.tomb {
+		if head := tbl.rows.Get(RID(ridU)); head != nil && !head.tomb() {
 			return 0, fmt.Errorf("%w: import of existing key", ErrDuplicateKey)
 		}
 	}

@@ -33,12 +33,12 @@ func (e *Engine) Evict(tableName string) (int, error) {
 func (t *Table) NumIndexes() int { return len(t.indexes) }
 
 // Tomb reports whether the version is a delete marker.
-func (v *Version) Tomb() bool { return v.tomb }
+func (v *Version) Tomb() bool { return v.tomb() }
 
 // Evict drops the in-memory payload of a durable version. Returns false if
 // the version is not durable yet (evicting it would lose data).
 func (v *Version) Evict() bool {
-	if v.addr.Load() == 0 || v.tomb {
+	if v.Addr() == 0 || v.tomb() {
 		return false
 	}
 	v.data.Store(nil)

@@ -81,6 +81,36 @@ func TestNodeFailureSealMigration(t *testing.T) {
 	commit(t, tx)
 }
 
+// TestRecoveredEngineCountsStorageEvents: an engine recovered over the
+// deployment of a closed one counts the deployment's srss.* events in its own
+// registry, not the closed engine's.
+func TestRecoveredEngineCountsStorageEvents(t *testing.T) {
+	svc := srss.New(srss.Config{})
+	cfg := Config{Name: "srss-obs", Service: svc, SegmentSize: 1 << 16}
+	e, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := mustTable(t, e, usersSchema())
+	insertUser(t, e, tbl, 0, 1, "before", 1)
+	first := e.Obs().Histogram("srss.append_latency_ns")
+	e.Close()
+	e2, _, err := RecoverByName(cfg, RecoverOptions{ReplayThreads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	before, closed := e2.Obs().Histogram("srss.append_latency_ns").Count(), first.Count()
+	tbl2, _ := e2.Table("users")
+	insertUser(t, e2, tbl2, 0, 2, "after", 2)
+	if got := e2.Obs().Histogram("srss.append_latency_ns").Count(); got == before {
+		t.Errorf("a commit on the recovered engine moved no srss.append_latency_ns in its registry (%d)", got)
+	}
+	if first.Count() != closed {
+		t.Errorf("the closed engine's registry still counts the deployment's appends")
+	}
+}
+
 // TestRecoverByNameUnknown rejects unregistered names.
 func TestRecoverByNameUnknown(t *testing.T) {
 	svc := srss.New(srss.Config{})

@@ -121,7 +121,7 @@ func (e *Engine) gcWorker(w int, wm uint64) int {
 		}
 		drops := r.keysChanged
 		for v := below; v != nil && !drops; v = v.next.Load() {
-			drops = v.flags.Load()&flagKeysChanged != 0
+			drops = v.has(flagKeysChanged)
 		}
 		if drops {
 			r.table.dropsBegun.Add(1)
@@ -129,7 +129,7 @@ func (e *Engine) gcWorker(w int, wm uint64) int {
 				e.dropKeysOf(&u, r.table, r.rid, r.victim, r.victim)
 			}
 			for v := below; v != nil; v = v.next.Load() {
-				if v.flags.Load()&flagKeysChanged != 0 {
+				if v.has(flagKeysChanged) {
 					e.dropKeysOf(&u, r.table, r.rid, v, r.victim)
 				}
 			}

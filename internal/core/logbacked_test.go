@@ -64,7 +64,7 @@ func TestDurablePayloadIsTheLog(t *testing.T) {
 				t.Fatalf("after %s: rid %v (addr %v, private %v) does not read the log's bytes", what, rid, v.Addr(), v.private())
 			}
 			// Which is where a cold read of the same address looks.
-			if rec, err := e.log.ReadRecord(v.Addr()); err != nil || &rec.Payload[0] != v.data.Load() {
+			if rec, err := e.log.ReadRecord(v.Addr()); err != nil || &rec.Frame()[0] != v.data.Load() {
 				t.Fatalf("after %s: rid %v: ReadRecord(%v) returns other memory than the version holds (%v)", what, rid, v.Addr(), err)
 			}
 		}
@@ -312,9 +312,102 @@ func overlap(a, b []byte) bool {
 	return false
 }
 
+// TestVersionWordUnderConcurrentWriters: each round, the versions of 32
+// durable rows are given private payloads, then a compaction rewrite moves
+// them -- a new address with flagCSN, a swing onto the new record -- while GC
+// sets flagDead and flagKeysChanged on them and two readers read them. Every
+// read returns the row, at an address with no flag bit in it; after the round
+// every version is at its new record, reads it, and keeps every flag set.
+func TestVersionWordUnderConcurrentWriters(t *testing.T) {
+	e := testEngine(t, func(c *Config) { c.GCEveryNCommits = -1 })
+	tbl := mustTable(t, e, usersSchema())
+	const rows, rounds = 32, 40
+	tx := begin(t, e, 0)
+	var vs [rows]*Version
+	var rids [rows]RID
+	var want [rows][]byte
+	for i := range vs {
+		rid, err := tx.Insert(tbl, swingRow(int64(i), 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		vs[i], rids[i] = tbl.rows.Get(rid), rid
+	}
+	commit(t, tx)
+	for i, v := range vs {
+		p, _ := v.resident()
+		want[i] = bytes.Clone(p)
+	}
+	for round := 0; round < rounds; round++ {
+		var before [rows]wal.Addr
+		for i, v := range vs {
+			f, n := v.frame()
+			v.setData(bytes.Clone(f))
+			v.setFlag(flagPriv)
+			e.mPrivateBytes.Add(int64(n))
+			v.word.Store(v.word.Load() &^ (flagDead | flagKeysChanged))
+			before[i] = v.Addr()
+		}
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		for r := 0; r < 2; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					for i, v := range vs {
+						p, ok := v.resident()
+						if a := v.Addr(); !ok || !bytes.Equal(p, want[i]) || a == 0 || uint64(a)&flagBits != 0 || v.tomb() {
+							t.Errorf("round %d: row %d read %q (resident %v) at %#x", round, i, p, ok, uint64(a))
+							return
+						}
+					}
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() { // GC's prunes
+			defer wg.Done()
+			for _, v := range vs {
+				v.setFlag(flagDead)
+				runtime.Gosched()
+				v.setFlag(flagKeysChanged)
+			}
+		}()
+		var stats CompactionStats
+		c := compactor{e: e, win: logWindow{log: e.log}, stats: &stats, buf: make([]byte, 0, compactBatch)}
+		for i, v := range vs {
+			if err := c.rewrite(tbl, rids[i], v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.flush(); err != nil {
+			t.Fatal(err)
+		}
+		close(stop)
+		wg.Wait()
+		for i, v := range vs {
+			if v.Addr() == before[i] || !logBacked(t, e, v) {
+				t.Fatalf("round %d: row %d is not at its rewritten record (%v, before %v)", round, i, v.Addr(), before[i])
+			}
+			if !v.has(flagDead) || !v.has(flagKeysChanged) || !v.has(flagCSN) || v.private() {
+				t.Fatalf("round %d: row %d lost a flag: %#x", round, i, v.word.Load()&flagBits)
+			}
+		}
+		if got := privateBytes(e); got != 0 {
+			t.Fatalf("round %d: %d private bytes left after every version swung", round, got)
+		}
+	}
+}
+
 // TestStraddlingRecordStaysPrivate: over storage in 64-byte chunks most
 // records cross a chunk boundary, and no one slice of the log holds such a
-// payload. Those versions keep private payloads -- the ledger counts exactly
+// payload with its length in front. Those versions keep private payloads -- the ledger counts exactly
 // them -- the rest are swung, and every row reads the same live and
 // recovered. A straddler's private payload is its own: left
 // in the transaction's log buffer it would keep the whole buffer alive, for
@@ -352,8 +445,11 @@ func TestStraddlingRecordStaysPrivate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		from := int64(payloadAddr(e, v.Addr(), rec).Offset())
-		straddles := from/chunk != (from+int64(len(d))-1)/chunk
+		// What the version points at is the payload's frame: its length, then
+		// the payload.
+		k := int64(uvarintLen(uint64(len(d))))
+		from := int64(payloadAddr(e, v.Addr(), rec).Offset()) - k
+		straddles := from/chunk != (from+k+int64(len(d))-1)/chunk
 		switch backed := logBacked(t, e, v); {
 		case straddles && (backed || !v.private()):
 			t.Fatalf("rid %v: payload [%d,+%d) straddles a chunk and is not private", rid, from, len(d))
@@ -413,6 +509,7 @@ func TestFailedAppendKeepsPrivatePayload(t *testing.T) {
 		}
 		v := tbl.rows.Get(rid)
 		payload, _ := v.resident()
+		held := v.data.Load()
 		ch.Arm(chaos.Rule{Site: site, Action: chaos.Crash, OnHit: ch.Hits(site) + 1})
 		if err := tx.Commit(); !errors.Is(err, chaos.ErrCrashed) {
 			t.Fatalf("%s: commit returned %v, want the crash", site, err)
@@ -420,7 +517,7 @@ func TestFailedAppendKeepsPrivatePayload(t *testing.T) {
 		if !e.DurabilityLost() {
 			t.Errorf("%s: the failed append did not latch fail-stop", site)
 		}
-		if v.data.Load() != &payload[0] || !v.private() || v.Addr() != wal.InvalidAddr {
+		if v.data.Load() != held || !v.private() || v.Addr() != wal.InvalidAddr {
 			t.Errorf("%s: the version of the failed commit was touched (addr %v, private %v)", site, v.Addr(), v.private())
 		}
 		if got := privateBytes(e); got != int64(len(payload)) {

@@ -410,7 +410,7 @@ func TestRebuildReadsTheLogThroughWindows(t *testing.T) {
 		stubs := 0
 		tbl2.rows.Range(func(rid RID, v *Version) bool {
 			d, ok := v.resident()
-			if v.flags.Load()&flagImage != 0 {
+			if v.has(flagImage) {
 				if ok {
 					t.Fatalf("chunk %d: rid %v: recovery read a checkpointed row", chunk, rid)
 				}

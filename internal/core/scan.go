@@ -108,7 +108,8 @@ func (b *scanBatch) flush() bool {
 	heads, vis := b.heads[:n], b.vis[:n]
 	// Each loop's loads are independent of one another: the PIA heads, their
 	// tmin words (what visibility reads first), the visible versions, and
-	// the first byte of each visible payload (what a reader reads first).
+	// the first byte of each visible frame (the payload's length, what a
+	// reader reads first).
 	for i := range heads {
 		heads[i] = rows.Get(b.rids[i])
 	}
@@ -167,7 +168,7 @@ func (b *scanBatch) mayBeStale(head, v *Version) bool {
 // emit hands fn the row at rid if its visible version v (under head) is live
 // and carries the entry's key. It reports whether the scan goes on.
 func (b *scanBatch) emit(key []byte, rid RID, head, v *Version) bool {
-	if v == nil || v.tomb {
+	if v == nil || v.tomb() {
 		return true // not visible in this snapshot
 	}
 	t := b.t

@@ -568,13 +568,14 @@ func (e *Engine) reconstructInDoubt(gtid string, addr wal.Addr, payload []byte) 
 		}
 		head := tbl.rows.Get(rid)
 		tomb := rec.Op == wal.OpDelete
-		var pay []byte
+		var frame, pay []byte
 		if !tomb {
-			pay = bytes.Clone(rec.Payload)
-			e.mPrivateBytes.Add(int64(len(rec.Payload)))
+			frame = bytes.Clone(rec.Frame())
+			pay = frame[len(frame)-len(rec.Payload):]
+			e.mPrivateBytes.Add(int64(len(pay)))
 		}
-		newV := newVersion(t.tid, pay, head, off == 0)
-		newV.addr.Store(uint64(addr.Add(uint32(embBase + off))))
+		newV := newVersion(t.tid, frame, head, off == 0)
+		newV.setAddr(addr.Add(uint32(embBase+off)), 0)
 		if ok, err := tbl.rows.CompareAndSwap(rid, head, newV); err != nil || !ok {
 			return fmt.Errorf("core: in-doubt reconstruction lost a CAS on table %d rid %d", rec.Table, rid)
 		}
@@ -585,7 +586,7 @@ func (e *Engine) reconstructInDoubt(gtid string, addr wal.Addr, payload []byte) 
 			tbl.liveRows.Add(-1)
 			return nil
 		}
-		if head == nil || head.tomb {
+		if head == nil || head.tomb() {
 			tbl.liveRows.Add(1)
 		}
 		// Mirror the live path's index discipline: inserts (and updates with
@@ -595,7 +596,7 @@ func (e *Engine) reconstructInDoubt(gtid string, addr wal.Addr, payload []byte) 
 			return err
 		}
 		haveOld := false
-		if rec.Op == wal.OpUpdate && head != nil && !head.tomb {
+		if rec.Op == wal.OpUpdate && head != nil && !head.tomb() {
 			if p, err := head.payload(e); err == nil && p != nil {
 				_, err = oldRow.Reset(p)
 				haveOld = err == nil

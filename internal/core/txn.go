@@ -20,7 +20,9 @@ type writeEntry struct {
 	newV   *Version
 	oldV   *Version // version superseded by newV (nil for a fresh insert)
 	logOff int      // offset of the op record in the write set's log buffer
-	payOff int      // offset of the record's payload, newV's row, in the same
+	// frameOff is the offset of the record's framed payload, newV's row, in
+	// the same buffer.
+	frameOff int
 	// keysChanged says oldV carries an index key newV does not (a
 	// key-changing update, a delete): its entries become garbage when oldV
 	// is reclaimed. Old entries stay until then -- older snapshots still
@@ -120,15 +122,15 @@ func (ws *writeSet) landed(base wal.Addr) {
 	swings, released := 0, 0
 	for i := range ws.writes {
 		we := &ws.writes[i]
-		if p, ok := we.newV.resident(); ok { // a delete marker has none
-			if n, ok := we.newV.swing(&win, base.Add(uint32(we.payOff)), len(p)); ok {
+		if f, n := we.newV.frame(); f != nil { // a delete marker has none
+			if r, ok := we.newV.swing(&win, base.Add(uint32(we.frameOff)), n); ok {
 				swings++
-				released += n
+				released += r
 			} else {
-				we.newV.setData(bytes.Clone(p))
+				we.newV.setData(bytes.Clone(f))
 			}
 		}
-		we.newV.addr.Store(uint64(base.Add(uint32(we.logOff))))
+		we.newV.setAddr(base.Add(uint32(we.logOff)), 0)
 	}
 	ws.e.swung(swings, released)
 }
@@ -315,7 +317,7 @@ func (t *Txn) getRaw(tbl *Table, rid RID, fn func(payload []byte) error) error {
 		return ErrNotFound
 	}
 	v := t.visibleVersion(head)
-	if v == nil || v.tomb {
+	if v == nil || v.tomb() {
 		return ErrNotFound
 	}
 	p, err := v.payload(t.e)
@@ -554,7 +556,7 @@ func (t *Txn) stage(op byte, tbl *Table, rid RID, n int) (we writeEntry, payload
 	ws := t.writeSet()
 	we.table, we.rid = tbl, rid
 	ws.log, we.logOff, payload = wal.ReserveRecord(ws.log, op, tbl.ID, uint64(rid), n)
-	we.payOff = len(ws.log) - n
+	we.frameOff = len(ws.log) - wal.FrameLen(n)
 	return we, payload
 }
 
@@ -564,8 +566,12 @@ func (t *Txn) stage(op byte, tbl *Table, rid RID, n int) (we writeEntry, payload
 // be published.
 func (t *Txn) seal(we *writeEntry, payload []byte, next *Version) {
 	ws := t.ws
+	var frame []byte
+	if payload != nil {
+		frame = ws.log[we.frameOff:]
+	}
 	ws.log = wal.SealRecord(ws.log, we.logOff)
-	we.newV, we.oldV = newVersion(t.tid, payload, next, we.logOff == 0), next
+	we.newV, we.oldV = newVersion(t.tid, frame, next, we.logOff == 0), next
 }
 
 // publish swaps the sealed write's version in for the one it supersedes. A
@@ -596,17 +602,20 @@ func (t *Txn) wrote(we writeEntry) *writeEntry {
 	return &ws.writes[len(ws.writes)-1]
 }
 
-// addIndexEntry maps key to rid in index i, under the key's lock and after
-// the uniqueness check when the index is unique.
+// addIndexEntry maps key to rid in index i, under the key's lock, and after
+// the uniqueness check when the index is unique. The lock also orders the
+// insert against a key drop (dropKeysOf): an entry an older version put
+// there may be the one this write needs, and a drop that read the chain
+// before this write's version was published would otherwise delete it after
+// this insert found it present.
 func (t *Txn) addIndexEntry(tbl *Table, i int, key []byte, rid RID) error {
 	ix, h := tbl.indexes[i], &t.slot.hint
-	if !tbl.Schema.Indexes[i].Unique {
-		return ix.InsertHint(key, uint64(rid), h)
-	}
 	lock := ix.LockKey(key)
 	defer lock.Unlock()
-	if _, _, err := t.checkUnique(tbl, ix, key, rid); err != nil {
-		return err
+	if tbl.Schema.Indexes[i].Unique {
+		if _, _, err := t.checkUnique(tbl, ix, key, rid); err != nil {
+			return err
+		}
 	}
 	return ix.InsertHint(key, uint64(rid), h)
 }
@@ -635,7 +644,7 @@ func (t *Txn) checkUnique(tbl *Table, ix *index.Index, key []byte, self RID) (RI
 		// Pending insert/update by another transaction.
 		return 0, false, ErrConflict
 	}
-	if v := t.visibleVersion(head); v != nil && !v.tomb {
+	if v := t.visibleVersion(head); v != nil && !v.tomb() {
 		// Live row under our snapshot... but also guard against a
 		// committed-but-invisible newer live version (first-committer
 		// wins on insert too).
@@ -644,7 +653,7 @@ func (t *Txn) checkUnique(tbl *Table, ix *index.Index, key []byte, self RID) (RI
 	// Invisible or deleted. If the newest version is a delete -- committed,
 	// or our own in this transaction -- the RID is reusable; if the newest
 	// is a live version committed after our snapshot, that is a conflict.
-	if head.tomb {
+	if head.tomb() {
 		return rid, true, nil
 	}
 	return 0, false, ErrConflict
@@ -784,7 +793,7 @@ func (t *Txn) writableHead(tbl *Table, rid RID) (*Version, error) {
 		t.e.mConflicts.Inc()
 		return nil, t.failWith(ErrConflict)
 	}
-	if head.tomb {
+	if head.tomb() {
 		return nil, ErrNotFound
 	}
 	return head, nil

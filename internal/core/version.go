@@ -16,46 +16,46 @@ func isTID(ts uint64) bool { return ts&tidFlag != 0 }
 
 // Version is one record version, chained new-to-old from the record's PIA
 // entry (Section 4). All mutable fields are atomics: versions are read
-// lock-free by any transaction. It is 48 bytes, the allocator's 48-byte
+// lock-free by any transaction. It is 32 bytes, the allocator's 32-byte
 // class: a version's end is the start of the one above it in the chain
-// (tmin of next-newer), so it keeps no tmax, and its payload is a pointer and
-// a length, not a slice header.
+// (tmin of next-newer), so it keeps no tmax; its payload is one pointer to
+// bytes that carry their own length; and its flags ride in the spare bits of
+// its address.
 type Version struct {
 	// tmin is the creating transaction: TID (flagged) while uncommitted,
 	// then the creator's CSN.
 	tmin atomic.Uint64
 	// next points to the previous (older) version.
 	next atomic.Pointer[Version]
-	// addr is the version's permanent address in the log, set when the
-	// creating transaction's log records become durable. A version with
-	// addr 0 exists only in memory (not yet durable).
-	addr atomic.Uint64
-	// data is the first byte of the full row payload (Section 4.2: updates
-	// write complete record contents), n bytes long: the record's payload
-	// where it lies in the creating transaction's log buffer until the
-	// version's log record is durable, the record's own bytes in the log from
-	// then on (setData). It may be evicted (set to nil) for durable
-	// versions; readers then reload it through the log's mmap view using
-	// addr. Every payload a version is given is the same row, so n is set
-	// once, before data is first published -- by a checkpoint stub, from the
-	// image.
+	// word is the version's permanent address in the log (wal.Addr, bits
+	// [0,32) and [48,64)), set when the creating transaction's log records
+	// become durable and moved by compaction, and its flag bits in [32,38),
+	// which wal.Addr leaves unused. A version with address 0 exists only in
+	// memory (not yet durable). Every store keeps the bits it does not own
+	// (setAddr, setFlag, release).
+	word atomic.Uint64
+	// data is the version's row framed as its log record frames it: the
+	// payload-length uvarint, then the full row (Section 4.2: updates write
+	// complete record contents) -- where it lies in the creating
+	// transaction's log buffer until the version's log record is durable, the
+	// record's own bytes in the log from then on, or a private copy (setData).
+	// It may be evicted (set to nil) for durable versions; readers then
+	// reload it through the log's mmap view using the address. A checkpoint
+	// stub's stays nil until its row is first read.
 	data atomic.Pointer[byte]
-	n    atomic.Uint32
-	// flags holds the version's flag bits (flagPriv, flagCSN, flagDead,
-	// flagImage, flagKeysChanged).
-	flags atomic.Uint32
-	// tomb marks delete markers (immutable after creation).
-	tomb bool
 }
 
-// Version flag bits.
+// Version flag bits, in word's bits [32,38); [38,48) stay free for wider
+// segment IDs.
 const (
+	// flagTomb marks a delete marker (set at creation, never changed).
+	flagTomb uint64 = 1 << (32 + iota)
 	// flagPriv says data is still the bytes the version was built around,
 	// beside the log's: the transaction's buffer, or a payload of its own.
 	// Whoever clears it (release) takes those bytes off the engine's ledger
 	// of them (core.payload_private_bytes): the swing onto the log, an
 	// eviction, GC.
-	flagPriv uint32 = 1 << iota
+	flagPriv
 	// flagCSN says the version's record is its transaction's first, the one
 	// that carries the CSN: eight bytes longer than a continuation (logLen).
 	flagCSN
@@ -69,85 +69,122 @@ const (
 	// of its index keys (writeEntry.keysChanged): whichever prune unlinks the
 	// version takes those entries out.
 	flagKeysChanged
+
+	flagBits = 1<<38 - 1<<32
 )
 
-// newVersion builds a version around a payload (nil for a delete marker):
-// the version itself is its only allocation. first says its record is its
-// transaction's first.
-func newVersion(tid uint64, payload []byte, next *Version, first bool) *Version {
-	v := &Version{tomb: payload == nil}
+// newVersion builds a version around frame, its framed row (nil for a delete
+// marker): the version itself is its only allocation. first says its record
+// is its transaction's first.
+func newVersion(tid uint64, frame []byte, next *Version, first bool) *Version {
+	v := &Version{}
 	v.tmin.Store(tid)
-	var f uint32
-	if payload != nil {
-		v.setData(payload)
+	f := flagTomb
+	if frame != nil {
+		v.setData(frame)
 		f = flagPriv
 	}
 	if first {
 		f |= flagCSN
 	}
-	v.flags.Store(f)
+	v.word.Store(f)
 	v.next.Store(next)
 	return v
 }
 
+// has reports whether flag f is set.
+func (v *Version) has(f uint64) bool { return v.word.Load()&f != 0 }
+
+// tomb reports whether v is a delete marker.
+func (v *Version) tomb() bool { return v.has(flagTomb) }
+
 // setFlag sets f and reports whether this call set it.
-func (v *Version) setFlag(f uint32) bool {
+func (v *Version) setFlag(f uint64) bool {
 	for {
-		old := v.flags.Load()
+		old := v.word.Load()
 		if old&f != 0 {
 			return false
 		}
-		if v.flags.CompareAndSwap(old, old|f) {
+		if v.word.CompareAndSwap(old, old|f) {
 			return true
 		}
 	}
 }
-
-// logLen is the length of v's log record, v being a version of table's row
-// rid: what the log holds for it, and frees when GC prunes it.
-func (v *Version) logLen(table uint32, rid RID) int64 {
-	return int64(wal.RecordLen(v.flags.Load()&flagCSN != 0, table, uint64(rid), int(v.n.Load())))
-}
-
-// setData makes b, the row's bytes, v's payload: a pre-durable write's in its
-// transaction's buffer, the record's in the durable log (a reload, the
-// replay, the swing at durability, compaction), or a private copy. The
-// length is stored first, so a reader that sees the pointer sees its length;
-// a reader that loaded the previous payload goes on reading the same
-// immutable bytes.
-func (v *Version) setData(b []byte) {
-	v.n.Store(uint32(len(b)))
-	v.data.Store(unsafe.SliceData(b))
-}
-
-// resident returns v's payload and true when it is in memory; false when it
-// is evicted, not loaded yet, or v is a delete marker.
-func (v *Version) resident() ([]byte, bool) {
-	p := v.data.Load()
-	if p == nil {
-		return nil, false
-	}
-	return unsafe.Slice(p, v.n.Load()), true
-}
-
-// private reports whether v's payload is still off the log (flagPriv).
-func (v *Version) private() bool { return v.flags.Load()&flagPriv != 0 }
 
 // release clears flagPriv and reports whether this call cleared it.
 func (v *Version) release() bool {
 	for {
-		old := v.flags.Load()
+		old := v.word.Load()
 		if old&flagPriv == 0 {
 			return false
 		}
-		if v.flags.CompareAndSwap(old, old&^flagPriv) {
+		if v.word.CompareAndSwap(old, old&^flagPriv) {
 			return true
+		}
+	}
+}
+
+// setAddr moves v to its record at addr, setting flags f with it. The flags
+// already set stay: GC may set flagDead while compaction moves the record.
+func (v *Version) setAddr(addr wal.Addr, f uint64) {
+	for {
+		old := v.word.Load()
+		if v.word.CompareAndSwap(old, old&flagBits|f|uint64(addr)) {
+			return
 		}
 	}
 }
 
 // Addr returns the version's permanent log address (0 if not yet durable).
-func (v *Version) Addr() wal.Addr { return wal.Addr(v.addr.Load()) }
+func (v *Version) Addr() wal.Addr { return wal.Addr(v.word.Load() &^ flagBits) }
+
+// logLen is the length of v's log record, v being a version of table's row
+// rid: what the log holds for it, and frees when GC prunes it. A version
+// whose row is not in memory -- an evicted one, a stub no read has loaded --
+// reads its record from the log; 0 when that fails.
+func (v *Version) logLen(log recordReader, table uint32, rid RID) int64 {
+	p, ok := v.resident()
+	if !ok && !v.tomb() {
+		rec, err := log.ReadRecord(v.Addr())
+		if err != nil {
+			return 0
+		}
+		p = rec.Payload
+	}
+	return int64(wal.RecordLen(v.has(flagCSN), table, uint64(rid), len(p)))
+}
+
+// setData makes frame, the row's bytes behind their length, v's payload: a
+// pre-durable write's in its transaction's buffer, the record's in the
+// durable log (a reload, the replay, the swing at durability, compaction), or
+// a private copy. A reader that loaded the previous payload goes on reading
+// the same immutable bytes.
+func (v *Version) setData(frame []byte) { v.data.Store(unsafe.SliceData(frame)) }
+
+// resident returns v's payload and true when it is in memory; false when it
+// is evicted, not loaded yet, or v is a delete marker. It reads the frame
+// (wal.Framed), never the op byte or the CSN of v's record, which commit
+// writes into a transaction's buffer after publication (wal.StampTxn).
+func (v *Version) resident() ([]byte, bool) {
+	p := v.data.Load()
+	if p == nil {
+		return nil, false
+	}
+	f, n := wal.Framed(p)
+	return f[len(f)-n:], true
+}
+
+// frame returns v's frame and its payload's length, or nil when v's payload
+// is not in memory.
+func (v *Version) frame() (f []byte, n int) {
+	if p := v.data.Load(); p != nil {
+		return wal.Framed(p)
+	}
+	return nil, 0
+}
+
+// private reports whether v's payload is still off the log (flagPriv).
+func (v *Version) private() bool { return v.has(flagPriv) }
 
 // CSN returns the creation CSN, or 0 while uncommitted.
 func (v *Version) CSN() uint64 {
@@ -168,7 +205,7 @@ func (v *Version) payload(e *Engine) ([]byte, error) {
 	if p, ok := v.resident(); ok {
 		return p, nil
 	}
-	if v.tomb {
+	if v.tomb() {
 		return nil, nil
 	}
 	return v.reload(e.log)
@@ -184,11 +221,11 @@ type recordReader interface {
 // version. The payload aliases storage-backed memory: the log's bytes are
 // the row.
 func (v *Version) reload(log recordReader) ([]byte, error) {
-	rec, err := log.ReadRecord(wal.Addr(v.addr.Load()))
+	rec, err := log.ReadRecord(v.Addr())
 	if err != nil {
 		return nil, err
 	}
-	v.setData(rec.Payload)
+	v.setData(rec.Frame())
 	return rec.Payload, nil
 }
 
@@ -215,12 +252,12 @@ func (w *logWindow) bytes(addr wal.Addr, n int) []byte {
 	return w.b[off : off+n : off+n]
 }
 
-// swing points v's payload at the n bytes at addr in the durable log -- the
-// payload of v's record there. It reports false, with v untouched, when no
-// single chunk holds those bytes, and otherwise how many bytes of private
-// payload v let go of.
+// swing points v's payload at the frame at addr in the durable log -- the
+// length and the n-byte payload of v's record there. It reports false, with
+// v untouched, when no single chunk holds those bytes, and otherwise how
+// many bytes of private payload v let go of.
 func (v *Version) swing(win *logWindow, addr wal.Addr, n int) (released int, ok bool) {
-	b := win.bytes(addr, n)
+	b := win.bytes(addr, wal.FrameLen(n))
 	if b == nil {
 		return 0, false
 	}

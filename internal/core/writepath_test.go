@@ -325,15 +325,16 @@ func TestWorkerSlotIsWholeCacheLines(t *testing.T) {
 }
 
 // TestRowFootprint: what a resident row costs the engine beside its bytes in
-// the log. Its version is the allocator's 48-byte class: no end timestamp,
-// and the payload a pointer and a length, not a slice header (either back in
-// the version puts it in the 64-byte class). Its indirection entry is one
+// the log. Its version is the allocator's 32-byte class: no end timestamp,
+// the payload one pointer to bytes that carry their own length, and the flags
+// in the address word (any of the three back in the version puts it in the
+// 48-byte class). Its indirection entry is one
 // word. Its checkpoint entry, over two log streams whose transactions
 // interleave their RIDs, is at most 6 bytes of address and CSN, and at most 5
 // of record framing and keys for its two indexes.
 func TestRowFootprint(t *testing.T) {
-	if n := reflect.TypeOf(Version{}).Size(); n != 48 {
-		t.Errorf("a Version is %d bytes, want 48", n)
+	if n := reflect.TypeOf(Version{}).Size(); n != 32 {
+		t.Errorf("a Version is %d bytes, want 32", n)
 	}
 	e := testEngine(t, func(c *Config) { c.Workers = 2; c.LogStreams = 2; c.GCEveryNCommits = -1 })
 	tbl := mustTable(t, e, usersSchema())
@@ -486,7 +487,7 @@ func TestPreDurablePayloadOutlivesTheSwing(t *testing.T) {
 	}()
 	commit(t, tx)
 	for i, v := range versions {
-		if v.data.Load() == &payloads[i][0] || !logBacked(t, e, v) {
+		if p, _ := v.resident(); &p[0] == &payloads[i][0] || !logBacked(t, e, v) {
 			t.Fatalf("row %d still reads the transaction's buffer after Commit returned", i)
 		}
 	}

@@ -112,8 +112,9 @@ type Txn interface {
 type RawReader interface {
 	// GetByKeyRaw is GetByKey handing fn the encoded row.
 	GetByKeyRaw(table string, idx int, key []core.Value, fn func(payload []byte) error) error
-	// ScanPrefixRaw is ScanPrefix handing fn encoded rows.
-	ScanPrefixRaw(table string, idx int, prefix []core.Value, fn func(payload []byte) bool) error
+	// ScanPrefixRaw is ScanPrefix handing fn encoded rows, each with its
+	// RID where the engine has one (0 where it does not).
+	ScanPrefixRaw(table string, idx int, prefix []core.Value, fn func(rid core.RID, payload []byte) bool) error
 }
 
 // ColumnUpdater is optionally implemented by transactions that can run a
@@ -159,10 +160,10 @@ func (a *RawAdapter) GetByKeyRaw(table string, idx int, key []core.Value, fn fun
 	return fn(a.buf)
 }
 
-// ScanPrefixRaw implements RawReader.
-func (a *RawAdapter) ScanPrefixRaw(table string, idx int, prefix []core.Value, fn func([]byte) bool) error {
+// ScanPrefixRaw implements RawReader, with RID 0: Txn's rows have none.
+func (a *RawAdapter) ScanPrefixRaw(table string, idx int, prefix []core.Value, fn func(core.RID, []byte) bool) error {
 	return a.tx.ScanPrefix(table, idx, prefix, func(row core.Row) bool {
 		a.buf = core.EncodeRow(a.buf[:0], row)
-		return fn(a.buf)
+		return fn(0, a.buf)
 	})
 }

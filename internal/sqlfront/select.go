@@ -67,7 +67,7 @@ type selectRun struct {
 	// first run: a closure or method value made per run would be an
 	// allocation each time.
 	get  func(payload []byte) error
-	scan func(payload []byte) bool
+	scan func(rid core.RID, payload []byte) bool
 
 	// emitted, when set, runs after each row lands in sink (a stream hands
 	// a full page over here); returning false ends the scan.
@@ -76,7 +76,7 @@ type selectRun struct {
 
 // row is the scan callback: filter on the residual predicate and splice the
 // projection, both against the encoded payload, which is not retained.
-func (r *selectRun) row(payload []byte) bool {
+func (r *selectRun) row(_ core.RID, payload []byte) bool {
 	if _, r.err = r.view.Reset(payload); r.err != nil {
 		return false
 	}
@@ -105,7 +105,7 @@ func (r *selectRun) run(tx engineapi.Txn) error {
 	if r.scan == nil {
 		r.scan = r.row
 		r.get = func(payload []byte) error {
-			r.row(payload)
+			r.row(0, payload)
 			return nil
 		}
 	}

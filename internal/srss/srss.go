@@ -224,6 +224,7 @@ type Service struct {
 
 // obsMetrics is the set of handles recorded on the service hot paths.
 type obsMetrics struct {
+	reg               *obs.Registry  // the registry they are in
 	appendLatency     *obs.Histogram // charged append+replication latency, ns
 	readLatency       *obs.Histogram // charged read latency, ns
 	crossLayerOps     *obs.Counter
@@ -235,13 +236,15 @@ type obsMetrics struct {
 }
 
 // AttachObs wires the service's hot paths to an observability registry.
-// The first attachment wins; later calls (e.g. a replica engine sharing
-// the deployment) are no-ops so counters are not split across registries.
+// The first attachment wins until DetachObs gives it back; later calls (e.g.
+// a replica engine sharing the deployment) are no-ops so counters are not
+// split across registries.
 func (s *Service) AttachObs(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
 	m := &obsMetrics{
+		reg:               reg,
 		appendLatency:     reg.Histogram("srss.append_latency_ns"),
 		readLatency:       reg.Histogram("srss.read_latency_ns"),
 		crossLayerOps:     reg.Counter("srss.cross_layer_ops"),
@@ -253,6 +256,14 @@ func (s *Service) AttachObs(reg *obs.Registry) {
 	}
 	s.obsM.CompareAndSwap(nil, m)
 	reg.GaugeFunc("srss.replica_bytes", s.replicaBytes)
+}
+
+// DetachObs gives back reg's attachment, if reg holds it, so that the next
+// AttachObs wins: an engine recovered over the deployment of a closed one.
+func (s *Service) DetachObs(reg *obs.Registry) {
+	if m := s.obsM.Load(); m != nil && m.reg == reg {
+		s.obsM.CompareAndSwap(m, nil)
+	}
 }
 
 // replicaBytes is the chunk capacity of every PLog not deleted: the log,

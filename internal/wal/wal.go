@@ -32,6 +32,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"hiengine/internal/chaos"
 	"hiengine/internal/obs"
@@ -127,6 +128,25 @@ type Record struct {
 	Payload []byte
 }
 
+// Frame returns rec's payload with its length uvarint in front, the bytes
+// the record holds from that uvarint on: a row that carries its own length,
+// wherever it lies. Every payload a record is built or decoded with has its
+// length right before it in the same memory (ReserveRecord, decode, and a
+// straddling record's copy, which is the whole record), so the frame is the
+// payload's memory one uvarint earlier. An empty payload's frame is the one
+// byte 0, not in the record: a zero-capacity slice does not point into it.
+func (r Record) Frame() []byte {
+	n := len(r.Payload)
+	if n == 0 {
+		return emptyFrame
+	}
+	k := uvarintLen(uint64(n))
+	return unsafe.Slice((*byte)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(r.Payload)), -k)), k+n)
+}
+
+// emptyFrame is the frame of an empty payload.
+var emptyFrame = []byte{0}
+
 // The transaction is the log's unit. A transaction's buffer is its records
 // back to back; only the first carries the CSN, and commit stamps it once:
 //
@@ -208,11 +228,28 @@ func AppendRecord(buf []byte, op byte, table uint32, rid uint64, payload []byte)
 	return SealRecord(buf, off), off
 }
 
-// PayloadOffset returns where in buf the payload of the record AppendRecord
-// has just encoded begins, given the payload's length: the record ends buf,
-// and only its checksum follows the payload.
-func PayloadOffset(buf []byte, payloadLen int) int {
-	return len(buf) - 4 - payloadLen
+// FrameLen is the length of an n-byte payload's frame: its length uvarint,
+// then the payload, as every record holds it.
+func FrameLen(n int) int { return uvarintLen(uint64(n)) + n }
+
+// FrameOffset returns where in buf the frame of the n-byte payload of the
+// record AppendRecord has just encoded begins: the record ends buf, and only
+// its checksum follows the payload.
+func FrameOffset(buf []byte, n int) int { return len(buf) - 4 - FrameLen(n) }
+
+// Framed returns the frame that begins at p, a payload's length uvarint as
+// Record.Frame returns it, and the payload's length. It reads the uvarint a
+// byte at a time and no byte past it, then takes the payload behind it, so a
+// frame is read safely while the rest of its record is written
+// (StampTxn).
+func Framed(p *byte) (frame []byte, n int) {
+	for k := 0; ; k++ {
+		b := *(*byte)(unsafe.Add(unsafe.Pointer(p), k))
+		n |= int(b&0x7f) << (7 * k)
+		if b < 0x80 {
+			return unsafe.Slice(p, k+1+n), n
+		}
+	}
 }
 
 // HeaderLen returns how far into its record the payload of rec begins, given
@@ -284,7 +321,9 @@ func decodeHeader(buf []byte) (r Record, mark byte, pos, plen int, err error) {
 		if n == 0 {
 			return r, 0, 0, 0, errShort
 		}
-		if n < 0 {
+		// The payload length is in its shortest form, as ReserveRecord
+		// writes it: Record.Frame steps back over exactly that many bytes.
+		if n < 0 || i == 2 && n != uvarintLen(v) {
 			return r, 0, 0, 0, decodeError("wal: bad record header")
 		}
 		field[i] = v

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -47,6 +48,16 @@ func TestRecordRoundTrip(t *testing.T) {
 	if rec.Op != OpInsert || rec.CSN != 99 || rec.Table != 7 || rec.RID != 42 || string(rec.Payload) != "payload" {
 		t.Fatalf("round trip: %+v", rec)
 	}
+	// The frame is the record's own length byte and payload.
+	if f := rec.Frame(); len(f) != 8 || f[0] != 7 || &f[1] != &rec.Payload[0] {
+		t.Fatalf("frame %q of payload %q", f, rec.Payload)
+	}
+	if f, n := Framed(&rec.Frame()[0]); n != 7 || &f[1] != &rec.Payload[0] {
+		t.Fatalf("Framed: %q, %d", f, n)
+	}
+	if f := (Record{}).Frame(); !bytes.Equal(f, []byte{0}) {
+		t.Fatalf("an empty payload's frame is %q", f)
+	}
 }
 
 func TestRecordDecodeErrors(t *testing.T) {
@@ -62,6 +73,13 @@ func TestRecordDecodeErrors(t *testing.T) {
 	buf[0] = 'U'
 	if _, _, err := DecodeRecord(buf[:len(buf)-1]); err == nil {
 		t.Fatal("truncated payload accepted")
+	}
+	// A payload length in two bytes where one does, under a valid checksum.
+	body := []byte{1, 2, 0x83, 0x00, 'x', 'y', 'z'}
+	long := binary.LittleEndian.AppendUint32(append(make([]byte, 9), body...), checksum(OpUpdate, body))
+	long[0] = OpUpdate
+	if _, _, err := DecodeRecord(long); err == nil {
+		t.Fatal("a payload length not in its shortest form accepted")
 	}
 }
 
@@ -122,8 +140,8 @@ func TestAppendSyncAndReadRecord(t *testing.T) {
 	// in, found by the address done reported, without a storage read.
 	reads := m.WindowReads()
 	a := m.Appended(base)
-	at := PayloadOffset(buf, len(rec.Payload))
-	if !bytes.HasPrefix(a, buf) || &a[at] != &rec.Payload[0] || m.WindowReads() != reads {
+	at := FrameOffset(buf, len(rec.Payload))
+	if !bytes.HasPrefix(a, buf) || &a[at] != &rec.Frame()[0] || m.WindowReads() != reads {
 		t.Fatalf("Appended(%v): %d bytes, %d storage reads", base, len(a), m.WindowReads()-reads)
 	}
 	if a := m.Appended(base.Add(uint32(len(buf)))); a != nil {
