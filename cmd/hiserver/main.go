@@ -12,12 +12,11 @@
 //	hishell -connect localhost:7609     # remote REPL
 //
 // The admin plane (-http) serves /metrics (Prometheus), /statusz (JSON),
-// /traces (recent/slow request traces; ?distributed=1 for stitched
-// multi-hop trees), /clusterz (the whole cluster's merged status; peers
-// named by -peer-admin), /healthz (readiness: 503 when fenced, draining,
-// or lagging past -ready-max-lag) and /debug/pprof. Request tracing is
-// configured with -trace-sample and -trace-slow; client-flagged requests
-// are always traced.
+// /traces (recent/slow request traces), /clusterz (the whole cluster's
+// merged status; peers named by -peer-admin), /healthz (readiness: 503
+// when fenced, draining, or lagging past -ready-max-lag) and /debug/pprof.
+// Request tracing is configured with -trace-sample and -trace-slow;
+// client-flagged requests are always traced.
 //
 // SIGINT/SIGTERM triggers a graceful drain: the listener closes, new
 // requests are refused with the fatal wire code, and in-flight commits

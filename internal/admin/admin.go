@@ -6,8 +6,7 @@
 //	/healthz        readiness probe: "ok", or 503 with the unready reason
 //	/metrics        metrics in Prometheus text exposition format
 //	/statusz        JSON status: uptime, build info, full metrics snapshot
-//	/traces         recent/slow request traces as JSON (?min_us=N filters;
-//	                ?distributed=1 switches to stitched multi-hop trees)
+//	/traces         recent/slow request traces as JSON (?min_us=N filters)
 //	/clusterz       cluster topology: this node's status merged with every
 //	                peer's, fetched in parallel under a bounded timeout
 //	/promote        POST: promote a replica process to primary
@@ -174,8 +173,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTraces returns the tracer's recent and slow rings, oldest first.
-// ?min_us=N keeps only traces at least N microseconds long;
-// ?distributed=1 switches to the stitched multi-hop distributed ring.
+// ?min_us=N keeps only traces at least N microseconds long.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	minUS := int64(0)
 	if v := r.URL.Query().Get("min_us"); v != "" {
@@ -185,23 +183,6 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		minUS = n
-	}
-	if r.URL.Query().Get("distributed") == "1" {
-		type dtraces struct {
-			Enabled     bool                   `json:"enabled"`
-			MinUS       int64                  `json:"min_us,omitempty"`
-			Distributed []*obs.DistTraceRecord `json:"distributed"`
-		}
-		out := dtraces{Enabled: s.cfg.Tracer != nil, MinUS: minUS}
-		if t := s.cfg.Tracer; t != nil {
-			for _, rec := range t.Distributed() {
-				if rec.TotalNS >= minUS*1000 {
-					out.Distributed = append(out.Distributed, rec)
-				}
-			}
-		}
-		writeJSON(w, out)
-		return
 	}
 	type traces struct {
 		Enabled bool               `json:"enabled"`

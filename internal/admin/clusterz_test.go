@@ -7,8 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"hiengine/internal/obs"
 )
 
 func TestHealthzUnready(t *testing.T) {
@@ -116,47 +114,5 @@ func TestClusterzNoPeers(t *testing.T) {
 	nodes := clusterzNodes(t, s, "/clusterz")
 	if len(nodes) != 1 || nodes[0].Name != "self" || nodes[0].Status["role"] != "primary" {
 		t.Fatalf("nodes = %+v", nodes)
-	}
-}
-
-// TestTracesDistributed: ?distributed=1 serves the tracer's stitched
-// multi-hop ring, honoring min_us against the tree's total.
-func TestTracesDistributed(t *testing.T) {
-	reg := obs.NewRegistry("admintest")
-	tc := obs.NewTracer(obs.TracerConfig{SampleEvery: 1, Registry: reg})
-	s := New(Config{Registry: reg, Tracer: tc})
-
-	tc.PublishDistributed(&obs.DistTraceRecord{
-		TraceID: 42,
-		TotalNS: 4_000_000,
-		Shards:  2,
-		Hops: []obs.DistHopRecord{
-			{Hop: 1, Shard: 0, HasShard: true, Op: "txn_prepare"},
-			{Hop: 2, Shard: 1, HasShard: true, Op: "txn_prepare"},
-		},
-	}, true)
-
-	code, body := get(t, s, "/traces?distributed=1")
-	if code != 200 {
-		t.Fatalf("status = %d", code)
-	}
-	var out struct {
-		Enabled     bool                   `json:"enabled"`
-		Distributed []*obs.DistTraceRecord `json:"distributed"`
-	}
-	if err := json.Unmarshal([]byte(body), &out); err != nil {
-		t.Fatalf("distributed traces not JSON: %v\n%s", err, body)
-	}
-	if !out.Enabled || len(out.Distributed) != 1 {
-		t.Fatalf("distributed traces = %s", body)
-	}
-	rec := out.Distributed[0]
-	if rec.TraceID != 42 || rec.Shards != 2 || len(rec.Hops) != 2 || rec.Hops[1].Shard != 1 {
-		t.Fatalf("distributed record = %+v", rec)
-	}
-
-	// min_us above the tree's total filters it out.
-	if _, body := get(t, s, "/traces?distributed=1&min_us=10000"); strings.Contains(body, `"id": 42`) {
-		t.Fatalf("min_us filter kept distributed trace: %s", body)
 	}
 }

@@ -63,33 +63,31 @@ var (
 type Config struct {
 	Service *srss.Service
 	Variant Variant
-	// Workers is the session-slot count (default 8).
-	Workers int
-	// BufferPoolPages caps resident pages (default 8192).
-	BufferPoolPages int
-	// LeafCapacity is entries per leaf page (default 64).
-	LeafCapacity int
-	// LogStreams / SegmentSize / BatchMax configure the redo log.
-	LogStreams  int
+	// SegmentSize / BatchMax configure the redo log, which has logStreams
+	// streams.
 	SegmentSize int64
 	BatchMax    int
+
+	// Sizes this package's tests shrink; fill gives each its default.
+	//
+	// bufferPoolPages caps resident pages (8192).
+	bufferPoolPages int
+	// leafCapacity is entries per leaf page (64).
+	leafCapacity int
 }
+
+// logStreams is the redo log's stream count.
+const logStreams = 4
 
 func (c *Config) fill() error {
 	if c.Service == nil {
 		return errors.New("innosim: Config.Service required")
 	}
-	if c.Workers <= 0 {
-		c.Workers = 8
+	if c.bufferPoolPages <= 0 {
+		c.bufferPoolPages = 8192
 	}
-	if c.BufferPoolPages <= 0 {
-		c.BufferPoolPages = 8192
-	}
-	if c.LeafCapacity <= 0 {
-		c.LeafCapacity = 64
-	}
-	if c.LogStreams <= 0 {
-		c.LogStreams = 4
+	if c.leafCapacity <= 0 {
+		c.leafCapacity = 64
 	}
 	if c.SegmentSize <= 0 {
 		c.SegmentSize = 8 << 20
@@ -125,7 +123,7 @@ func New(cfg Config) (*DB, error) {
 	}
 	log, err := wal.Open(wal.Config{
 		Service: cfg.Service, Tier: srss.TierStorage,
-		Streams: cfg.LogStreams, SegmentSize: cfg.SegmentSize, BatchMax: cfg.BatchMax,
+		Streams: logStreams, SegmentSize: cfg.SegmentSize, BatchMax: cfg.BatchMax,
 	})
 	if err != nil {
 		return nil, err
@@ -138,7 +136,7 @@ func New(cfg Config) (*DB, error) {
 		cfg:    cfg,
 		svc:    cfg.Service,
 		log:    log,
-		pool:   newBufferPool(cfg.Service, cfg.BufferPoolPages, touchFactor),
+		pool:   newBufferPool(cfg.Service, cfg.bufferPoolPages, touchFactor),
 		tables: make(map[string]*table),
 	}
 	if cfg.Variant == VariantMySQL {
@@ -181,7 +179,7 @@ func (db *DB) CreateTable(s *core.Schema) error {
 		return fmt.Errorf("innosim: table %q exists", s.Name)
 	}
 	id := uint32(len(db.tables) + 1)
-	db.tables[s.Name] = newTable(id, s, db.pool, db.cfg.LeafCapacity)
+	db.tables[s.Name] = newTable(id, s, db.pool, db.cfg.leafCapacity)
 	return nil
 }
 

@@ -140,7 +140,7 @@ func TestRowLockConflictNoWait(t *testing.T) {
 }
 
 func TestBTreeSplitsAndScan(t *testing.T) {
-	db := testDB(t, func(c *Config) { c.LeafCapacity = 8 })
+	db := testDB(t, func(c *Config) { c.leafCapacity = 8 })
 	const n = 1000
 	perm := rand.Perm(n)
 	for _, i := range perm {
@@ -180,7 +180,7 @@ func TestBTreeSplitsAndScan(t *testing.T) {
 }
 
 func TestConcurrentDistinctKeys(t *testing.T) {
-	db := testDB(t, func(c *Config) { c.LeafCapacity = 16 })
+	db := testDB(t, func(c *Config) { c.leafCapacity = 16 })
 	const workers, per = 8, 300
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -269,7 +269,7 @@ func TestMySQLVariantCostsMore(t *testing.T) {
 func TestBufferPoolEvictionCharges(t *testing.T) {
 	var w delay.CountingWaiter
 	svc := srss.New(srss.Config{Model: delay.CloudProfile(), Waiter: &w})
-	db, err := New(Config{Service: svc, BufferPoolPages: 4, LeafCapacity: 4, SegmentSize: 1 << 20})
+	db, err := New(Config{Service: svc, bufferPoolPages: 4, leafCapacity: 4, SegmentSize: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

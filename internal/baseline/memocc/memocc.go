@@ -53,17 +53,19 @@ type Config struct {
 	// Workers is the session-slot count (default 8); each slot owns a
 	// thread-local row cache.
 	Workers int
-	// RowCacheSize bounds each worker's row cache (default 4096; 0
-	// disables the cache).
-	RowCacheSize int
-	// GroupWindow is the group-commit epoch: commit acknowledgements wait
-	// for the next epoch tick after their log records are written (MOT's
-	// group commit). 0 disables the wait (ablation). Default 200us.
-	GroupWindow time.Duration
-	LogStreams  int
+	// SegmentSize configures the redo log (default 8 MiB); it has one
+	// stream per worker.
 	SegmentSize int64
-	BatchMax    int
 }
+
+const (
+	// rowCacheSize bounds each worker's row cache.
+	rowCacheSize = 4096
+	// groupWindow is the group-commit epoch: commit acknowledgements wait
+	// for the next epoch tick after their log records are written (MOT's
+	// group commit).
+	groupWindow = 200 * time.Microsecond
+)
 
 func (c *Config) fill() error {
 	if c.Service == nil {
@@ -72,20 +74,8 @@ func (c *Config) fill() error {
 	if c.Workers <= 0 {
 		c.Workers = 8
 	}
-	if c.RowCacheSize == 0 {
-		c.RowCacheSize = 4096
-	}
-	if c.GroupWindow == 0 {
-		c.GroupWindow = 200 * time.Microsecond
-	}
-	if c.LogStreams <= 0 {
-		c.LogStreams = c.Workers
-	}
 	if c.SegmentSize <= 0 {
 		c.SegmentSize = 8 << 20
-	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 64
 	}
 	return nil
 }
@@ -181,8 +171,7 @@ func (t *table) indexKey(idx int, row core.Row, rid pia.RID) []byte {
 // rowCache is the transactional thread-local row cache: it memoizes
 // key -> RID resolutions so repeated accesses skip the shared index.
 type rowCache struct {
-	m   map[string]pia.RID
-	cap int
+	m map[string]pia.RID
 }
 
 func (c *rowCache) get(k string) (pia.RID, bool) {
@@ -194,13 +183,10 @@ func (c *rowCache) get(k string) (pia.RID, bool) {
 }
 
 func (c *rowCache) put(k string, rid pia.RID) {
-	if c.cap <= 0 {
-		return
-	}
 	if c.m == nil {
 		c.m = make(map[string]pia.RID, 64)
 	}
-	if len(c.m) >= c.cap {
+	if len(c.m) >= rowCacheSize {
 		for key := range c.m { // random-ish eviction
 			delete(c.m, key)
 			break
@@ -234,16 +220,13 @@ func New(cfg Config) (*DB, error) {
 	}
 	log, err := wal.Open(wal.Config{
 		Service: cfg.Service, Tier: srss.TierCompute,
-		Streams: cfg.LogStreams, SegmentSize: cfg.SegmentSize, BatchMax: cfg.BatchMax,
+		Streams: cfg.Workers, SegmentSize: cfg.SegmentSize,
 	})
 	if err != nil {
 		return nil, err
 	}
 	db := &DB{cfg: cfg, svc: cfg.Service, log: log, tables: make(map[string]*table)}
 	db.caches = make([]rowCache, cfg.Workers)
-	for i := range db.caches {
-		db.caches[i].cap = cfg.RowCacheSize
-	}
 	return db, nil
 }
 
@@ -644,10 +627,8 @@ func (t *Txn) Commit() error {
 		t.fail()
 		return err
 	}
-	if w := t.db.cfg.GroupWindow; w > 0 {
-		now := time.Now()
-		delay.Wait(now.Truncate(w).Add(w).Sub(now))
-	}
+	now := time.Now()
+	delay.Wait(now.Truncate(groupWindow).Add(groupWindow).Sub(now))
 	t.finished = true
 	t.db.Commits.Add(1)
 	return nil

@@ -6,12 +6,17 @@ import (
 
 	"hiengine/internal/core"
 	"hiengine/internal/delay"
+	"hiengine/internal/obs"
 	"hiengine/internal/srss"
 )
 
 // Ablations measures the design decisions DESIGN.md calls out, as wall-time
 // per operation (the same measurements exist as testing.B benchmarks in the
 // repository root; this runner makes them part of the hibench report set).
+// Each commit variant also reports two counts the host cannot move, read as
+// its own deltas of the registry every variant's engine records into:
+// commits per SRSS append (wal.batch_txns) and cross-layer SRSS operations
+// per commit (srss.cross_layer_ops).
 func Ablations(o Options) (*Report, error) {
 	iters := 2000
 	if o.Quick {
@@ -21,10 +26,10 @@ func Ablations(o Options) (*Report, error) {
 		ID:       "ablations",
 		Title:    "Design-decision ablations (see DESIGN.md)",
 		Expected: "compute-side commit ~10x cheaper than storage-side; pipelining ~2x; group commit amortizes appends; dataless checkpoints ~10x cheaper than full-data",
-		Header:   []string{"ablation", "variant", "per-op"},
+		Header:   []string{"ablation", "variant", "per-op", "commits/append", "cross-layer ops/commit"},
 	}
 
-	reg := o.statsReg("ablations:hiengine")
+	reg := obs.NewRegistry("ablations:hiengine")
 	newEngine := func(tier srss.Tier, batch int) (*core.Engine, *core.Table, error) {
 		e, err := core.Open(core.Config{
 			Service:          srss.New(srss.Config{Model: delay.CloudProfile()}),
@@ -48,56 +53,46 @@ func Ablations(o Options) (*Report, error) {
 		return e, tbl, nil
 	}
 
-	// Commit side (the paper's core claim).
-	for _, c := range []struct {
-		name string
-		tier srss.Tier
-	}{{"compute-side", srss.TierCompute}, {"storage-side", srss.TierStorage}} {
-		o.progress("ablations: commit-side %s", c.name)
-		e, tbl, err := newEngine(c.tier, 64)
+	// commitLoop times one variant's insert loop and counts its appends,
+	// the commits they carried and its cross-layer operations. The counts
+	// are read once Close has stopped the streams, so every batch is in.
+	batches, crossOps := reg.Histogram("wal.batch_txns"), reg.Counter("srss.cross_layer_ops")
+	commitLoop := func(ablation, variant string, tier srss.Tier, batch int, pipeline bool) error {
+		o.progress("ablations: %s %s", ablation, variant)
+		e, tbl, err := newEngine(tier, batch)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		d, err := insertLoop(e, tbl, iters, false)
-		e.Close()
-		if err != nil {
-			return nil, err
-		}
-		r.row("commit persistence", c.name, took(d))
-	}
-
-	// Pipelining.
-	for _, pipeline := range []bool{false, true} {
-		name := "sync"
-		if pipeline {
-			name = "pipelined"
-		}
-		o.progress("ablations: pipeline %s", name)
-		e, tbl, err := newEngine(srss.TierCompute, 64)
-		if err != nil {
-			return nil, err
-		}
+		appends, commits, cross := batches.Count(), batches.Sum(), crossOps.Load()
 		d, err := insertLoop(e, tbl, iters, pipeline)
 		e.Close()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		r.row("commit pipelining", name, took(d))
+		appends, commits, cross = batches.Count()-appends, batches.Sum()-commits, crossOps.Load()-cross
+		r.row(ablation, variant, took(d), f2(float64(commits)/float64(appends)), f2(float64(cross)/float64(iters)))
+		return nil
 	}
 
+	// Commit side (the paper's core claim).
+	if err := commitLoop("commit persistence", "compute-side", srss.TierCompute, 64, false); err != nil {
+		return nil, err
+	}
+	if err := commitLoop("commit persistence", "storage-side", srss.TierStorage, 64, false); err != nil {
+		return nil, err
+	}
+	// Pipelining.
+	if err := commitLoop("commit pipelining", "sync", srss.TierCompute, 64, false); err != nil {
+		return nil, err
+	}
+	if err := commitLoop("commit pipelining", "pipelined", srss.TierCompute, 64, true); err != nil {
+		return nil, err
+	}
 	// Group commit batch size (single stream, pipelined).
 	for _, batch := range []int{1, 64} {
-		o.progress("ablations: group commit batch %d", batch)
-		e, tbl, err := newEngine(srss.TierCompute, batch)
-		if err != nil {
+		if err := commitLoop("group commit", fmt.Sprintf("batch-%d", batch), srss.TierCompute, batch, true); err != nil {
 			return nil, err
 		}
-		d, err := insertLoop(e, tbl, iters, true)
-		e.Close()
-		if err != nil {
-			return nil, err
-		}
-		r.row("group commit", fmt.Sprintf("batch-%d", batch), took(d))
 	}
 
 	// Dataless vs full-data checkpoint.
@@ -149,11 +144,13 @@ func Ablations(o Options) (*Report, error) {
 		tx.Commit()
 		fulldata := time.Since(start)
 		e.Close()
-		r.row("checkpoint", "dataless (PIA only)", took(dataless))
-		r.row("checkpoint", "full-data", took(fulldata))
+		r.row("checkpoint", "dataless (PIA only)", took(dataless), "", "")
+		r.row("checkpoint", "full-data", took(fulldata), "", "")
 		r.Notes = append(r.Notes, fmt.Sprintf("checkpoint table had %d rows; full-data/dataless = %s", rows, ratio(float64(fulldata), float64(dataless)).text))
 	}
-	r.attachStats(reg) // aggregated across the ablation engines
+	if o.Stats {
+		r.attachStats(reg) // aggregated across the ablation engines
+	}
 	return r, nil
 }
 

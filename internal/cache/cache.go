@@ -22,7 +22,6 @@ import (
 
 	"hiengine/internal/core"
 	"hiengine/internal/engineapi"
-	"hiengine/internal/obs"
 )
 
 // Mode selects how committed writes reach the backing engine.
@@ -54,15 +53,15 @@ type Config struct {
 	Back engineapi.DB
 	// Mode selects write-through (default) or write-behind.
 	Mode Mode
-	// QueueDepth bounds the write-behind queue (default 1024).
-	QueueDepth int
-	// LoaderWorker is the front-engine worker slot reserved for fault-in
-	// loads (default 7). Application sessions must not use it.
-	LoaderWorker int
-	// Obs, when non-nil, receives cache metrics (fault-ins, negative
-	// entries, write-behind throughput and queue depth).
-	Obs *obs.Registry
 }
+
+const (
+	// queueDepth bounds the write-behind queue.
+	queueDepth = 1024
+	// loaderWorker is the front-engine worker slot reserved for fault-in
+	// loads. Application sessions must not use it.
+	loaderWorker = 7
+)
 
 // DB is the cache deployment.
 type DB struct {
@@ -81,12 +80,6 @@ type DB struct {
 
 	wbMu  sync.Mutex
 	wbErr error
-
-	mFaultIns    *obs.Counter
-	mNegatives   *obs.Counter
-	mPreloadRows *obs.Counter
-	mWBApplied   *obs.Counter
-	mWBErrors    *obs.Counter
 }
 
 type backWrite struct {
@@ -101,33 +94,14 @@ func New(cfg Config) (*DB, error) {
 	if cfg.Front == nil || cfg.Back == nil {
 		return nil, errors.New("cache: Front and Back engines are required")
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 1024
-	}
-	if cfg.LoaderWorker == 0 {
-		cfg.LoaderWorker = 7
-	}
 	db := &DB{
 		cfg:       cfg,
 		schemas:   make(map[string]*core.Schema),
 		cached:    make(map[string]bool),
 		preloaded: make(map[string]bool),
 	}
-	if reg := cfg.Obs; reg != nil {
-		db.mFaultIns = reg.Counter("cache.fault_ins")
-		db.mNegatives = reg.Counter("cache.negative_entries")
-		db.mPreloadRows = reg.Counter("cache.preload_rows")
-		db.mWBApplied = reg.Counter("cache.write_behind_applied")
-		db.mWBErrors = reg.Counter("cache.write_behind_errors")
-		reg.GaugeFunc("cache.write_behind_queue_depth", func() int64 {
-			if db.queue == nil {
-				return 0
-			}
-			return int64(len(db.queue))
-		})
-	}
 	if cfg.Mode == WriteBehind {
-		db.queue = make(chan backWrite, cfg.QueueDepth)
+		db.queue = make(chan backWrite, queueDepth)
 		db.wg.Add(1)
 		go db.writeBehindLoop()
 	}
@@ -209,7 +183,7 @@ func (db *DB) ensureCached(table string, pk []core.Value) error {
 	}
 	db.mu.Unlock()
 
-	btx, err := db.cfg.Back.Begin(db.cfg.LoaderWorker)
+	btx, err := db.cfg.Back.Begin(loaderWorker)
 	if err != nil {
 		return err
 	}
@@ -217,7 +191,6 @@ func (db *DB) ensureCached(table string, pk []core.Value) error {
 	if errors.Is(err, engineapi.ErrNotFound) {
 		btx.Abort()
 		db.markCached(key) // negative entry: the back has nothing either
-		db.mNegatives.Inc()
 		return nil
 	}
 	if err != nil {
@@ -230,7 +203,6 @@ func (db *DB) ensureCached(table string, pk []core.Value) error {
 		return err
 	}
 	db.markCached(key)
-	db.mFaultIns.Inc()
 	return nil
 }
 
@@ -247,7 +219,7 @@ func (db *DB) loadIntoFront(table string, row core.Row) error {
 		}
 		return err
 	}
-	ftx, err := db.cfg.Front.Begin(db.cfg.LoaderWorker)
+	ftx, err := db.cfg.Front.Begin(loaderWorker)
 	if err != nil {
 		return err
 	}
@@ -272,7 +244,7 @@ func (db *DB) markCached(key string) {
 func (db *DB) Preload(table string) (int, error) {
 	db.loaderMu.Lock()
 	defer db.loaderMu.Unlock()
-	btx, err := db.cfg.Back.Begin(db.cfg.LoaderWorker)
+	btx, err := db.cfg.Back.Begin(loaderWorker)
 	if err != nil {
 		return 0, err
 	}
@@ -302,7 +274,6 @@ func (db *DB) Preload(table string) (int, error) {
 			return n, err
 		}
 		db.markCached(key)
-		db.mPreloadRows.Inc()
 		n++
 	}
 	db.mu.Lock()
@@ -369,21 +340,18 @@ func (db *DB) writeBehindLoop() {
 			continue
 		}
 		if err := db.applyToBack(w); err != nil {
-			db.mWBErrors.Inc()
 			db.wbMu.Lock()
 			if db.wbErr == nil {
 				db.wbErr = err
 			}
 			db.wbMu.Unlock()
-		} else {
-			db.mWBApplied.Inc()
 		}
 	}
 }
 
 // applyToBack upserts/deletes one committed post-image in the back engine.
 func (db *DB) applyToBack(w backWrite) error {
-	btx, err := db.cfg.Back.Begin(db.cfg.LoaderWorker)
+	btx, err := db.cfg.Back.Begin(loaderWorker)
 	if err != nil {
 		return err
 	}

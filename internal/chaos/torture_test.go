@@ -119,7 +119,7 @@ func tortureOne(t *testing.T, seed uint64) {
 		{Site: srss.SiteRead, Action: chaos.Delay, Prob: 0.02, Delay: 50 * time.Microsecond},
 	}
 
-	svc := srss.New(srss.Config{ComputeNodes: 6, StorageNodes: 4, Chaos: ch})
+	svc := srss.New(srss.Config{ComputeNodes: 6, Chaos: ch})
 	name := fmt.Sprintf("torture-%d", seed)
 	cfg := core.Config{
 		Name:        name,

@@ -69,6 +69,15 @@ var ErrStmtClosed = errors.New("client: statement closed")
 // rediscovery from scratch.
 var ErrNoPrimary = errors.New("client: no reachable primary")
 
+const (
+	// retryMax caps a retry's backoff.
+	retryMax = 250 * time.Millisecond
+	// defaultFetchSize is a session's rows-per-page hint for streaming
+	// queries (Query / Rows) until SetFetchSize changes it. The server
+	// additionally bounds every page by bytes.
+	defaultFetchSize = 512
+)
+
 // Options configures a Client.
 type Options struct {
 	// Addr is the server address (host:port). Required.
@@ -84,17 +93,11 @@ type Options struct {
 	// MaxRetries bounds retry attempts after a retryable wire error
 	// (default 4; 0 disables retry).
 	MaxRetries int
-	// RetryBase / RetryMax shape the backoff: attempt i sleeps a
-	// jittered duration around RetryBase<<i, capped at RetryMax
-	// (defaults 2ms / 250ms).
+	// RetryBase shapes the backoff: attempt i sleeps a jittered duration
+	// around RetryBase<<i, capped at retryMax (default 2ms).
 	RetryBase time.Duration
-	RetryMax  time.Duration
 	// Seed seeds the deterministic backoff jitter (default 1).
 	Seed uint64
-	// FetchSize is the default rows-per-page hint for streaming queries
-	// (Query / Rows), overridable per session with SetFetchSize
-	// (default 512). The server additionally bounds every page by bytes.
-	FetchSize int
 	// ReplicaAddrs lists read-replica endpoints. When non-empty, read-only
 	// autocommit statements (SELECT text) issued through Client.Exec are
 	// routed round-robin to a replica, carrying the client's last observed
@@ -135,14 +138,8 @@ func (o *Options) fill() {
 	if o.RetryBase <= 0 {
 		o.RetryBase = 2 * time.Millisecond
 	}
-	if o.RetryMax <= 0 {
-		o.RetryMax = 250 * time.Millisecond
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.FetchSize <= 0 {
-		o.FetchSize = 512
 	}
 	if o.FailoverRetries <= 0 {
 		o.FailoverRetries = 8
@@ -288,7 +285,7 @@ func (c *Client) retry(class wire.RetryClass, inTxn bool, fn func() error) error
 		if err == nil || attempt >= c.opts.MaxRetries || !class.Allows(wire.CodeOf(err), inTxn) {
 			return err
 		}
-		c.jitter(c.opts.RetryBase, c.opts.RetryMax, attempt)
+		c.jitter(c.opts.RetryBase, retryMax, attempt)
 	}
 }
 
@@ -599,7 +596,7 @@ type Session struct {
 	rows   map[uint64]*Rows // open server-side cursors
 	inTxn  bool
 	closed bool
-	fetch  int // streaming-page row hint; 0 = Options.FetchSize
+	fetch  int // streaming-page row hint; 0 = defaultFetchSize
 
 	// begin: Begin was called and no request has told the server yet. The
 	// first OpExec/OpExecStmt carries it as wire.FlagBegin; any other

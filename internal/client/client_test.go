@@ -145,7 +145,7 @@ func (fs *fakeServer) stmtFlags() []uint64 {
 
 func (fs *fakeServer) client(t *testing.T, mutate func(*Options)) *Client {
 	t.Helper()
-	opts := Options{Addr: fs.addr, MaxRetries: 3, RetryBase: 50 * time.Microsecond, RetryMax: time.Millisecond}
+	opts := Options{Addr: fs.addr, MaxRetries: 3, RetryBase: 50 * time.Microsecond}
 	if mutate != nil {
 		mutate(&opts)
 	}

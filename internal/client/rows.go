@@ -122,7 +122,7 @@ func (s *Session) fetchSize() int {
 	if s.fetch > 0 {
 		return s.fetch
 	}
-	return s.c.opts.FetchSize
+	return defaultFetchSize
 }
 
 // Next advances to the next row, fetching the next page from the server

@@ -10,7 +10,6 @@ import (
 	"hiengine/internal/art"
 	"hiengine/internal/chaos"
 	"hiengine/internal/clock"
-	"hiengine/internal/delay"
 	"hiengine/internal/index"
 	"hiengine/internal/obs"
 	"hiengine/internal/pia"
@@ -71,10 +70,9 @@ type Config struct {
 	// Name identifies this engine instance in the SRSS management-node
 	// registry (well-known bootstrap location). Default "hiengine".
 	Name string
-	// Service is the SRSS deployment; one is created (with Model) if nil.
+	// Service is the SRSS deployment; one with no latency is created if
+	// nil.
 	Service *srss.Service
-	// Model is the latency model used when Service is nil.
-	Model *delay.Model
 	// Workers is the number of session slots (paper: transaction worker
 	// threads bound to cores). Default 8.
 	Workers int
@@ -103,10 +101,7 @@ func (c *Config) fill() {
 		c.Name = "hiengine"
 	}
 	if c.Service == nil {
-		if c.Model == nil {
-			c.Model = delay.Zero()
-		}
-		c.Service = srss.New(srss.Config{Model: c.Model})
+		c.Service = srss.New(srss.Config{})
 	}
 	if c.Workers <= 0 {
 		c.Workers = 8

@@ -48,8 +48,8 @@ type Config struct {
 	// Engines are registered beside the node's own (WITH ENGINE=<name>).
 	Engines map[string]engineapi.DB
 	// The wire server's limits; zero takes server.Config's default.
-	MaxConns, MaxInFlight             int
-	SlotWait, DrainTimeout, TokenWait time.Duration
+	MaxConns, MaxInFlight int
+	DrainTimeout          time.Duration
 	// TraceSample head-samples 1 in N requests and TraceSlow keeps every
 	// trace at least that slow (0 = off); a request the client flags is
 	// traced whatever the policy.
@@ -149,7 +149,6 @@ func (n *Node) Serve(ln net.Listener) error {
 		WorkerSlots:  e.Workers(),
 		MaxConns:     cfg.MaxConns,
 		MaxInFlight:  cfg.MaxInFlight,
-		SlotWait:     cfg.SlotWait,
 		DrainTimeout: cfg.DrainTimeout,
 		Obs:          e.Obs(),
 		Tracer:       n.tracer,
@@ -177,7 +176,6 @@ func (n *Node) Serve(ln net.Listener) error {
 			PrimaryAddr: cfg.PrimaryAddr,
 			AppliedCSN:  f.AppliedCSN,
 			WaitCSN:     f.WaitCSN,
-			TokenWait:   cfg.TokenWait,
 		}
 	} else {
 		scfg.ReplSource = replica.NewSource(e)

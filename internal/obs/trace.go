@@ -423,73 +423,32 @@ type TraceRecord struct {
 	Stages   []StageSpan `json:"stages"`
 }
 
-// DistHopRecord is one participant's contribution to an assembled
-// distributed trace: the hop id the coordinator stamped on the request,
-// the shard that answered, and that shard's stage timings.
-type DistHopRecord struct {
-	Hop      uint32      `json:"hop"`
-	Shard    uint32      `json:"shard"`
-	HasShard bool        `json:"has_shard,omitempty"`
-	Op       string      `json:"op"`
-	BeginNS  int64       `json:"begin_ns"` // send offset from the trace start
-	RTTNS    int64       `json:"rtt_ns"`   // coordinator-observed round trip
-	ServerNS int64       `json:"server_ns"`
-	Stages   []StageSpan `json:"stages,omitempty"`
-}
-
-// DistTraceRecord is one assembled multi-hop distributed transaction
-// trace: the coordinator's wall time decomposed into the 2PC phases, plus
-// every participant hop's tagged stage timings.
-type DistTraceRecord struct {
-	TraceID   uint64          `json:"id"`
-	Start     time.Time       `json:"start"`
-	TotalNS   int64           `json:"total_ns"`
-	PrepareNS int64           `json:"prepare_ns,omitempty"`
-	DecideNS  int64           `json:"decide_ns,omitempty"`
-	FanoutNS  int64           `json:"fanout_ns,omitempty"`
-	Shards    int             `json:"shards"`
-	Slow      bool            `json:"slow,omitempty"`
-	Hops      []DistHopRecord `json:"hops"`
-}
+// ringSize is the capacity of the recent and slow rings, a power of two so
+// index masking is a single AND.
+const ringSize = 256
 
 // ring is a lock-free overwrite-on-wrap buffer of completed records.
 type ring[T any] struct {
-	slots []atomic.Pointer[T]
+	slots [ringSize]atomic.Pointer[T]
 	cur   atomic.Uint64 // next slot index
-}
-
-func newRing[T any](n int) ring[T] {
-	if n <= 0 {
-		n = defaultRingSize
-	}
-	// Round up to a power of two so index masking is a single AND.
-	size := 1
-	for size < n {
-		size <<= 1
-	}
-	return ring[T]{slots: make([]atomic.Pointer[T], size)}
 }
 
 func (r *ring[T]) push(rec *T) {
 	i := r.cur.Add(1) - 1
-	r.slots[i&uint64(len(r.slots)-1)].Store(rec)
+	r.slots[i&(ringSize-1)].Store(rec)
 }
 
 // dump returns the ring contents, oldest first.
 func (r *ring[T]) dump() []*T {
-	n := len(r.slots)
 	cur := r.cur.Load()
-	out := make([]*T, 0, n)
-	for k := 0; k < n; k++ {
-		if rec := r.slots[(cur+uint64(k))&uint64(n-1)].Load(); rec != nil {
+	out := make([]*T, 0, ringSize)
+	for k := uint64(0); k < ringSize; k++ {
+		if rec := r.slots[(cur+k)&(ringSize-1)].Load(); rec != nil {
 			out = append(out, rec)
 		}
 	}
 	return out
 }
-
-// defaultRingSize is the default capacity of the recent and slow rings.
-const defaultRingSize = 256
 
 // TracerConfig configures a Tracer.
 type TracerConfig struct {
@@ -497,9 +456,6 @@ type TracerConfig struct {
 	SampleEvery int
 	// SlowThreshold always publishes traces at least this slow (0 disables).
 	SlowThreshold time.Duration
-	// RingSize is the capacity of the recent and slow rings (rounded up to
-	// a power of two; default 256).
-	RingSize int
 	// Registry receives the per-stage and total duration histograms and
 	// tracer counters (nil for none — histograms become no-ops).
 	Registry *Registry
@@ -513,31 +469,25 @@ type Tracer struct {
 	pool   sync.Pool
 	recent ring[TraceRecord]
 	slow   ring[TraceRecord]
-	dist   ring[DistTraceRecord]
 
-	mStarted       *Counter
-	mFinished      *Counter
-	mPublished     *Counter
-	mSlow          *Counter
-	mDistPublished *Counter
-	mTotal         *Histogram
-	mStage         [NumStages]*Histogram
+	mStarted   *Counter
+	mFinished  *Counter
+	mPublished *Counter
+	mSlow      *Counter
+	mTotal     *Histogram
+	mStage     [NumStages]*Histogram
 }
 
 // NewTracer builds a Tracer. A nil return is never produced; callers that
 // want tracing off hold a nil *Tracer instead.
 func NewTracer(cfg TracerConfig) *Tracer {
 	t := &Tracer{cfg: cfg}
-	t.recent = newRing[TraceRecord](cfg.RingSize)
-	t.slow = newRing[TraceRecord](cfg.RingSize)
-	t.dist = newRing[DistTraceRecord](cfg.RingSize)
 	t.pool.New = func() any { return &Trace{tr: t} }
 	r := cfg.Registry
 	t.mStarted = r.Counter("trace.started")
 	t.mFinished = r.Counter("trace.finished")
 	t.mPublished = r.Counter("trace.published")
 	t.mSlow = r.Counter("trace.slow")
-	t.mDistPublished = r.Counter("trace.dist_published")
 	t.mTotal = r.Histogram("trace.total_ns")
 	for i := 0; i < NumStages; i++ {
 		t.mStage[i] = r.Histogram("trace.stage." + stageNames[i] + "_ns")
@@ -592,28 +542,4 @@ func (tr *Tracer) Slow() []*TraceRecord {
 		return nil
 	}
 	return tr.slow.dump()
-}
-
-// PublishDistributed records one assembled multi-hop distributed trace,
-// mirroring Finish's publication policy: a forced (client/coordinator
-// requested) tree always publishes; otherwise only trees over the slow
-// threshold do. Marks rec.Slow as a side effect.
-func (tr *Tracer) PublishDistributed(rec *DistTraceRecord, forced bool) {
-	if tr == nil || rec == nil {
-		return
-	}
-	rec.Slow = tr.cfg.SlowThreshold > 0 && rec.TotalNS >= int64(tr.cfg.SlowThreshold)
-	if !forced && !rec.Slow {
-		return
-	}
-	tr.dist.push(rec)
-	tr.mDistPublished.Inc()
-}
-
-// Distributed returns the distributed-trace ring, oldest first.
-func (tr *Tracer) Distributed() []*DistTraceRecord {
-	if tr == nil {
-		return nil
-	}
-	return tr.dist.dump()
 }

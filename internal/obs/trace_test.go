@@ -162,17 +162,17 @@ func TestTraceNilSafety(t *testing.T) {
 }
 
 func TestTraceRingWraps(t *testing.T) {
-	tr := NewTracer(TracerConfig{SampleEvery: 1, RingSize: 8})
-	for i := 0; i < 100; i++ {
+	tr := NewTracer(TracerConfig{SampleEvery: 1})
+	for i := 0; i < ringSize+44; i++ {
 		tc := tr.Start(uint64(i)+1, false)
 		tc.Finish()
 	}
 	recs := tr.Recent()
-	if len(recs) != 8 {
-		t.Fatalf("ring len = %d, want 8", len(recs))
+	if len(recs) != ringSize {
+		t.Fatalf("ring len = %d, want %d", len(recs), ringSize)
 	}
 	for i, rec := range recs {
-		if want := uint64(93 + i); rec.ID != want {
+		if want := uint64(45 + i); rec.ID != want {
 			t.Fatalf("ring[%d].ID = %d, want %d (oldest-first)", i, rec.ID, want)
 		}
 	}

@@ -395,7 +395,7 @@ func TestClientGreetingRediscovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	seedCl.Close()
-	_, _, replicaAddr := startReplica(t, primaryAddr, time.Second)
+	_, _, replicaAddr := startReplica(t, primaryAddr)
 
 	// A dead "old" primary address: the cluster moved, the client's
 	// config did not. Only the replica endpoint still answers, and its

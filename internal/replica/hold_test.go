@@ -124,7 +124,7 @@ func TestFollowerHoldsCompaction(t *testing.T) {
 	})
 
 	primary, addr := startPrimary(t)
-	follower, rep, _ := startReplica(t, addr, time.Second)
+	follower, rep, _ := startReplica(t, addr)
 	if _, err := primary.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}

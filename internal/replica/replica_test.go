@@ -49,7 +49,7 @@ func startPrimary(t *testing.T) (*core.Engine, string) {
 
 // startReplica bootstraps a replica of the primary and serves it with the
 // read-your-writes token honored against the follower's watermark.
-func startReplica(t *testing.T, primaryAddr string, tokenWait time.Duration) (*replica.Follower, *core.Replica, string) {
+func startReplica(t *testing.T, primaryAddr string) (*replica.Follower, *core.Replica, string) {
 	t.Helper()
 	reg := obs.NewRegistry("replicatest")
 	f, rep, err := replica.Bootstrap(primaryAddr, core.Config{
@@ -61,7 +61,7 @@ func startReplica(t *testing.T, primaryAddr string, tokenWait time.Duration) (*r
 		t.Fatal(err)
 	}
 	n := serveNode(t, rep.Engine(), node.Config{
-		Follower: f, PrimaryAddr: primaryAddr, Poll: 2 * time.Millisecond, TokenWait: tokenWait,
+		Follower: f, PrimaryAddr: primaryAddr, Poll: 2 * time.Millisecond,
 	})
 	return f, rep, n.Addr()
 }
@@ -86,7 +86,7 @@ func TestReplicaEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	follower, rep, replicaAddr := startReplica(t, primaryAddr, time.Second)
+	follower, rep, replicaAddr := startReplica(t, primaryAddr)
 
 	// The bootstrap image already holds the seeded row.
 	rcl, err := client.New(client.Options{Addr: replicaAddr})
@@ -196,7 +196,7 @@ func TestReplicaSoakUnderLiveWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	follower, rep, _ := startReplica(t, primaryAddr, time.Second)
+	follower, rep, _ := startReplica(t, primaryAddr)
 
 	// Hammer commits while the follower polls concurrently; then verify
 	// the replica holds exactly the committed state.

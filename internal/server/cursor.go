@@ -6,9 +6,9 @@
 // cursor leases its own worker slot (a pinned snapshot is engine work in
 // flight, exactly like a transaction) and holds it until the scan is
 // exhausted, closed, or the connection dies. The cursor table is bounded
-// (Config.MaxCursors); reaping rides the connection lifecycle -- while any
-// cursor is open the read loop waits under ReadTimeout instead of
-// IdleTimeout, and teardown closes every cursor -- so an abandoned cursor
+// (Config.maxCursors); reaping rides the connection lifecycle -- while any
+// cursor is open the read loop waits under readTimeout instead of
+// idleTimeout, and teardown closes every cursor -- so an abandoned cursor
 // can pin its slot for at most one read budget. Graceful drain finishes
 // the page in flight and then refuses further OpScanNext with CodeClosed
 // (handle()'s admission check), cancelling the cursor with the connection.
@@ -41,7 +41,7 @@ type cursorEntry struct {
 	fetch int
 }
 
-// leaseSlot acquires a worker slot from the pool with the bounded SlotWait,
+// leaseSlot acquires a worker slot from the pool with the bounded slotWait,
 // independent of the connection's per-transaction lease (cursors hold their
 // own). tr may be nil.
 func (s *Server) leaseSlot(tr *obs.Trace) (int, error) {
@@ -52,14 +52,14 @@ func (s *Server) leaseSlot(tr *obs.Trace) (int, error) {
 		return slot, nil
 	default:
 	}
-	t := time.NewTimer(s.cfg.SlotWait)
+	t := time.NewTimer(s.cfg.slotWait)
 	defer t.Stop()
 	select {
 	case slot := <-s.slots:
 		return slot, nil
 	case <-t.C:
 		s.mSlotWaitBusy.Inc()
-		return 0, fmt.Errorf("no free worker slot in %v: %w", s.cfg.SlotWait, ErrServerBusy)
+		return 0, fmt.Errorf("no free worker slot in %v: %w", s.cfg.slotWait, ErrServerBusy)
 	}
 }
 
@@ -76,7 +76,7 @@ func (c *conn) scanOpen(rq request, p []byte) bool {
 	if c.sess.InTxn() {
 		return rq.fail(fmt.Errorf("%w: cannot open a cursor inside an explicit transaction", wire.ErrBadStatement))
 	}
-	if len(c.cursors) >= c.s.cfg.MaxCursors {
+	if len(c.cursors) >= c.s.cfg.maxCursors {
 		return rq.fail(fmt.Errorf("%w: cursor table full (%d open)", wire.ErrBadStatement, len(c.cursors)))
 	}
 	slot, err := c.s.leaseSlot(c.tr)

@@ -447,7 +447,7 @@ func (c *conn) execAt(rq request, p []byte) bool {
 	if err != nil {
 		return rq.corrupt(err)
 	}
-	if rc := c.s.replicaCfg(); rc != nil && minCSN > 0 && !rc.WaitCSN(minCSN, rc.TokenWait) {
+	if rc := c.s.replicaCfg(); rc != nil && minCSN > 0 && !rc.WaitCSN(minCSN, tokenWait) {
 		return rq.fail(fmt.Errorf("replica behind read-your-writes token %d: %w", minCSN, ErrServerBusy))
 	}
 	return c.exec(rq, exec)
@@ -476,7 +476,7 @@ func (c *conn) prepare(rq request, p []byte) bool {
 	if err != nil {
 		return rq.corrupt(err)
 	}
-	if len(c.stmts) >= c.s.cfg.MaxStmts {
+	if len(c.stmts) >= c.s.cfg.maxStmts {
 		return rq.fail(fmt.Errorf("%w: statement table full (%d open)", wire.ErrBadStatement, len(c.stmts)))
 	}
 	st, err := c.compile(sql)

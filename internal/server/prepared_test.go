@@ -205,7 +205,7 @@ func TestPreparedFlow(t *testing.T) {
 // connection survives), close is idempotent, and a prepare beyond the
 // statement-table bound is refused.
 func TestPreparedRawProtocol(t *testing.T) {
-	h := newHarness(t, func(c *Config) { c.MaxStmts = 4 }, nil)
+	h := newHarness(t, func(c *Config) { c.maxStmts = 4 }, nil)
 	setup := h.client(t, nil)
 	if _, err := setup.Exec("CREATE TABLE t (id INT, PRIMARY KEY(id))"); err != nil {
 		t.Fatal(err)
@@ -272,7 +272,7 @@ func TestPreparedRawProtocol(t *testing.T) {
 		t.Fatalf("exec closed stmt: code=%v", code)
 	}
 
-	// The statement table is bounded: the (MaxStmts+1)th prepare fails,
+	// The statement table is bounded: the (maxStmts+1)th prepare fails,
 	// earlier ones survive.
 	var ids []uint64
 	for i := 0; i < 4; i++ {
@@ -408,13 +408,13 @@ func TestStmtHygienePooledReuse(t *testing.T) {
 }
 
 // TestIdleReap is the connection-starvation regression: a connection that
-// sends nothing holds a MaxConns seat only until IdleTimeout; the reap
+// sends nothing holds a MaxConns seat only until idleTimeout; the reap
 // frees the seat for a real client and the server keeps running.
 func TestIdleReap(t *testing.T) {
 	h := newHarness(t, func(c *Config) {
 		c.MaxConns = 1
-		c.IdleTimeout = 150 * time.Millisecond
-		c.ReadTimeout = 100 * time.Millisecond
+		c.idleTimeout = 150 * time.Millisecond
+		c.readTimeout = 100 * time.Millisecond
 	}, nil)
 
 	// The slowloris: connect and go silent, pinning the only seat.
@@ -457,12 +457,12 @@ func TestIdleReap(t *testing.T) {
 }
 
 // TestReadTimeoutMidFrame stalls a frame after its length prefix: the
-// per-frame ReadTimeout must kill the connection even though the idle
+// per-frame readTimeout must kill the connection even though the idle
 // budget is long, because the frame has started arriving.
 func TestReadTimeoutMidFrame(t *testing.T) {
 	h := newHarness(t, func(c *Config) {
-		c.ReadTimeout = 100 * time.Millisecond
-		c.IdleTimeout = time.Hour // only the per-frame budget may fire
+		c.readTimeout = 100 * time.Millisecond
+		c.idleTimeout = time.Hour // only the per-frame budget may fire
 	}, nil)
 
 	nc, err := net.Dial("tcp", h.addr)
@@ -483,7 +483,7 @@ func TestReadTimeoutMidFrame(t *testing.T) {
 		}
 	}
 	if waited := time.Since(start); waited > 3*time.Second {
-		t.Fatalf("mid-frame stall survived %v (ReadTimeout 100ms)", waited)
+		t.Fatalf("mid-frame stall survived %v (readTimeout 100ms)", waited)
 	}
 	if got := h.reg.Counter("server.read_timeouts").Load(); got == 0 {
 		t.Fatal("mid-frame stall closed without a read_timeouts count")
@@ -500,8 +500,8 @@ func TestReadTimeoutMidFrame(t *testing.T) {
 func TestReadTimeoutReleasesSlot(t *testing.T) {
 	h := newHarness(t, func(c *Config) {
 		c.WorkerSlots = 1
-		c.SlotWait = 20 * time.Millisecond
-		c.ReadTimeout = 150 * time.Millisecond
+		c.slotWait = 20 * time.Millisecond
+		c.readTimeout = 150 * time.Millisecond
 	}, nil)
 	cl := h.client(t, func(o *client.Options) { o.MaxRetries = -1 })
 
@@ -564,8 +564,8 @@ func TestTimeoutsUnderReadChaos(t *testing.T) {
 	eng := chaos.New(7)
 	eng.Arm(chaos.Rule{Site: SiteRead, Action: chaos.Delay, Prob: 0.5, Delay: 2 * time.Millisecond})
 	h := newHarness(t, func(c *Config) {
-		c.ReadTimeout = 300 * time.Millisecond
-		c.IdleTimeout = 400 * time.Millisecond
+		c.readTimeout = 300 * time.Millisecond
+		c.idleTimeout = 400 * time.Millisecond
 	}, eng)
 	cl := h.client(t, nil)
 

@@ -31,7 +31,7 @@ func (h *harness) requests() int64 {
 // notice as its own error.
 func TestPooledConnReapedIsDiscarded(t *testing.T) {
 	t.Run("idle reap", func(t *testing.T) {
-		h := newHarness(t, func(c *Config) { c.IdleTimeout = 50 * time.Millisecond }, nil)
+		h := newHarness(t, func(c *Config) { c.idleTimeout = 50 * time.Millisecond }, nil)
 		cl := h.client(t, func(o *client.Options) { o.MaxRetries = -1 })
 		if err := cl.Ping(); err != nil {
 			t.Fatal(err)
@@ -177,7 +177,7 @@ func benchTxn(t testing.TB, s *client.Session) (txn func(i int64) error, check f
 func TestBeginFlagRawProtocol(t *testing.T) {
 	h := newHarness(t, func(c *Config) {
 		c.WorkerSlots = 1
-		c.SlotWait = 20 * time.Millisecond
+		c.slotWait = 20 * time.Millisecond
 	}, nil)
 	other := h.client(t, func(o *client.Options) { o.MaxRetries = -1 })
 	if _, err := other.Exec("CREATE TABLE t (id INT, PRIMARY KEY(id))"); err != nil {

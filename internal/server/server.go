@@ -20,11 +20,11 @@
 //     compiled plan (the wire form of Section 3.3's one-time full-stack
 //     code generation). Unprepared OpExec traffic shares the same plan
 //     cache keyed by SQL text, so it too stops re-parsing after first
-//     sight. Statement tables are bounded (MaxStmts) and die with the
+//     sight. Statement tables are bounded (maxStmts) and die with the
 //     connection.
 //
-//   - Silence is bounded: IdleTimeout reaps connections that hold a
-//     MaxConns seat without sending anything; ReadTimeout bounds a frame's
+//   - Silence is bounded: an idle timeout reaps connections that hold a
+//     MaxConns seat without sending anything; a read timeout bounds a frame's
 //     arrival once started (slowloris) and all waiting while a transaction
 //     pins a leased worker slot. Timeouts fail the connection, never the
 //     server, and release every resource the connection held.
@@ -115,31 +115,6 @@ type Config struct {
 	// including commits awaiting durability (default 4096). Excess
 	// requests are answered CodeBusy immediately.
 	MaxInFlight int
-	// SlotWait bounds how long a transaction waits for a free worker
-	// slot before CodeBusy (default 250ms). This is the only bounded
-	// queue in the admission path.
-	SlotWait time.Duration
-	// ReadTimeout bounds a request frame's arrival once its first bytes
-	// are on the wire, and bounds inter-statement idle time while a
-	// transaction is open (default 30s). A peer that stalls mid-frame
-	// (slowloris) or stalls holding a transaction -- and with it a leased
-	// worker slot -- fails its own connection; the slot and the MaxConns
-	// seat are released, the server is unaffected.
-	ReadTimeout time.Duration
-	// IdleTimeout reaps connections with no open transaction that send
-	// nothing at all (default 5m): abandoned application connections
-	// release their MaxConns seat instead of pinning it forever.
-	IdleTimeout time.Duration
-	// MaxStmts bounds each connection's prepared-statement table
-	// (default 256). Prepare beyond the bound is CodeBadRequest.
-	MaxStmts int
-	// MaxCursors bounds each connection's open-cursor table (default 4).
-	// Every cursor pins an MVCC snapshot and leases a worker slot for its
-	// lifetime, so the bound is deliberately small; OpScanOpen beyond it is
-	// CodeBadRequest.
-	MaxCursors int
-	// WriteTimeout bounds each response write (default 10s).
-	WriteTimeout time.Duration
 	// DrainTimeout bounds Close()'s wait for in-flight requests
 	// (default 5s).
 	DrainTimeout time.Duration
@@ -184,7 +159,42 @@ type Config struct {
 	// (OpTxnDecide/OpTxnStatus/OpTxnRecover). OpTxnPrepare needs only the
 	// frontend (the session's open transaction prepares through it).
 	TwoPC *TwoPCConfig
+
+	// Limits this package's tests shorten; fill gives each its default.
+	//
+	// slotWait bounds how long a transaction waits for a free worker slot
+	// before CodeBusy (250ms). This is the only bounded queue in the
+	// admission path.
+	slotWait time.Duration
+	// readTimeout bounds a request frame's arrival once its first bytes are
+	// on the wire, and bounds inter-statement idle time while a transaction
+	// is open (30s). A peer that stalls mid-frame (slowloris) or stalls
+	// holding a transaction -- and with it a leased worker slot -- fails its
+	// own connection; the slot and the MaxConns seat are released, the
+	// server is unaffected.
+	readTimeout time.Duration
+	// idleTimeout reaps connections with no open transaction that send
+	// nothing at all (5m): abandoned application connections release their
+	// MaxConns seat instead of pinning it forever.
+	idleTimeout time.Duration
+	// maxStmts bounds each connection's prepared-statement table (256).
+	// Prepare beyond the bound is CodeBadRequest.
+	maxStmts int
+	// maxCursors bounds each connection's open-cursor table (4). Every
+	// cursor pins an MVCC snapshot and leases a worker slot for its
+	// lifetime, so the bound is deliberately small; OpScanOpen beyond it is
+	// CodeBadRequest.
+	maxCursors int
 }
+
+const (
+	// writeTimeout bounds each response write.
+	writeTimeout = 10 * time.Second
+	// tokenWait bounds how long a replica's OpExecAt waits for the
+	// read-your-writes token before answering CodeBusy, at which point the
+	// client redirects the read to the primary.
+	tokenWait = time.Second
+)
 
 // TwoPCConfig wires the server's 2PC participant opcodes to the engine.
 type TwoPCConfig struct {
@@ -212,10 +222,6 @@ type ReplicaConfig struct {
 	// WaitCSN blocks until the watermark reaches csn or the timeout
 	// expires, reporting whether it did. Required.
 	WaitCSN func(csn uint64, timeout time.Duration) bool
-	// TokenWait bounds how long OpExecAt waits for the read-your-writes
-	// token before answering CodeBusy (default 1s), at which point the
-	// client redirects the read to the primary.
-	TokenWait time.Duration
 }
 
 // ReplicationSource exposes a primary's PLogs to shipping followers.
@@ -236,29 +242,23 @@ func (c *Config) fill() {
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 4096
 	}
-	if c.SlotWait <= 0 {
-		c.SlotWait = 250 * time.Millisecond
+	if c.slotWait <= 0 {
+		c.slotWait = 250 * time.Millisecond
 	}
-	if c.ReadTimeout <= 0 {
-		c.ReadTimeout = 30 * time.Second
+	if c.readTimeout <= 0 {
+		c.readTimeout = 30 * time.Second
 	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 5 * time.Minute
+	if c.idleTimeout <= 0 {
+		c.idleTimeout = 5 * time.Minute
 	}
-	if c.MaxStmts <= 0 {
-		c.MaxStmts = 256
+	if c.maxStmts <= 0 {
+		c.maxStmts = 256
 	}
-	if c.MaxCursors <= 0 {
-		c.MaxCursors = 4
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
+	if c.maxCursors <= 0 {
+		c.maxCursors = 4
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 5 * time.Second
-	}
-	if c.Replica != nil && c.Replica.TokenWait <= 0 {
-		c.Replica.TokenWait = time.Second
 	}
 }
 
@@ -474,7 +474,7 @@ func (s *Server) admitConn(nc net.Conn) bool {
 			s.mBusy.Inc()
 		}
 		s.mConnsReject.Inc()
-		nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 		wire.WriteFrame(nc, wire.Frame{Op: wire.OpResponse,
 			Payload: wire.AppendResponse(nil, refuse, "connection refused", nil)})
 		nc.Close()
@@ -540,13 +540,13 @@ type conn struct {
 
 	// stmts is the connection's prepared-statement table: ids issued by
 	// OpPrepare, scoped to (and dying with) the connection. Bounded by
-	// Config.MaxStmts.
+	// Config.maxStmts.
 	stmts   map[uint64]*sqlfront.Stmt
 	stmtSeq uint64
 
 	// cursors is the connection's open-cursor table: ids issued by
 	// OpScanOpen, scoped to (and dying with) the connection. Bounded by
-	// Config.MaxCursors; each entry leases its own worker slot.
+	// Config.maxCursors; each entry leases its own worker slot.
 	cursors map[uint64]*cursorEntry
 	curSeq  uint64
 
@@ -593,14 +593,14 @@ func isTimeout(err error) bool {
 // durability callbacks.
 //
 // Read deadlines bound a peer's silence: waiting between frames is
-// budgeted IdleTimeout (ReadTimeout while a transaction is open, since an
+// budgeted idleTimeout (readTimeout while a transaction is open, since an
 // open transaction pins a leased worker slot), and once a frame's first
-// bytes arrive its remainder must land within ReadTimeout -- a peer
+// bytes arrive its remainder must land within readTimeout -- a peer
 // trickling a frame byte-by-byte (slowloris) cannot hold the connection
 // open past it. A deadline failure kills only this connection; teardown
 // releases the worker slot and the MaxConns seat. Deadlines are armed lazily
 // (wire.Deadline): none fires early, each at most a quarter of its budget
-// late, and a transaction's frames, all under the one ReadTimeout budget,
+// late, and a transaction's frames, all under the one readTimeout budget,
 // cost a clock read each instead of two timer updates.
 func (c *conn) serve() {
 	defer c.teardown()
@@ -611,19 +611,19 @@ func (c *conn) serve() {
 	fr.OnFrameStart = func() {
 		inFrame = true
 		frameT0 = time.Now()
-		c.rdl.Arm(c.nc.SetReadDeadline, frameT0, c.s.cfg.ReadTimeout)
+		c.rdl.Arm(c.nc.SetReadDeadline, frameT0, c.s.cfg.readTimeout)
 		// A continuing trace attributes the frame's bytes-on-the-wire time
 		// (first byte to full frame), not the idle wait before it.
 		c.tr.Begin(obs.StageFrameRead)
 	}
 	for {
 		inFrame = false
-		wait := c.s.cfg.IdleTimeout
+		wait := c.s.cfg.idleTimeout
 		if c.sess.InTxn() || len(c.cursors) > 0 {
 			// An open transaction or cursor pins a leased worker slot (and,
 			// for a cursor, an MVCC snapshot): the peer must keep talking
 			// under the tighter budget or lose the connection.
-			wait = c.s.cfg.ReadTimeout
+			wait = c.s.cfg.readTimeout
 		}
 		c.rdl.Arm(c.nc.SetReadDeadline, time.Now(), wait)
 		f, err := fr.Read()
@@ -720,7 +720,7 @@ func (c *conn) teardown() {
 }
 
 // acquireSlot leases a worker slot for a new transaction, waiting at most
-// SlotWait. The lease is already held when a transaction is open.
+// slotWait. The lease is already held when a transaction is open.
 func (c *conn) acquireSlot() error {
 	if c.hasSlot {
 		return nil
@@ -841,7 +841,7 @@ func (c *conn) write(buf []byte) {
 		c.nc.Close()
 		return
 	}
-	c.wdl.Arm(c.nc.SetWriteDeadline, time.Now(), c.s.cfg.WriteTimeout)
+	c.wdl.Arm(c.nc.SetWriteDeadline, time.Now(), writeTimeout)
 	if _, err := c.nc.Write(buf); err != nil {
 		c.dead = true
 		c.nc.Close()

@@ -429,7 +429,7 @@ func TestPoolExhaustionRetryable(t *testing.T) {
 func TestBusyBackpressure(t *testing.T) {
 	h := newHarness(t, func(c *Config) {
 		c.WorkerSlots = 1
-		c.SlotWait = 20 * time.Millisecond
+		c.slotWait = 20 * time.Millisecond
 	}, nil)
 	cl := h.client(t, func(o *client.Options) { o.MaxRetries = -1 }) // no retry
 
@@ -664,8 +664,8 @@ func TestSoakChaos(t *testing.T) {
 		c.DrainTimeout = 10 * time.Second
 		// Timeouts armed but generous: chaos read delays and storm-induced
 		// stalls must never be misread as slowloris connections.
-		c.ReadTimeout = 2 * time.Second
-		c.IdleTimeout = 5 * time.Second
+		c.readTimeout = 2 * time.Second
+		c.idleTimeout = 5 * time.Second
 	}, eng)
 
 	setup := h.client(t, func(o *client.Options) { o.MaxRetries = 20; o.RetryBase = time.Millisecond })

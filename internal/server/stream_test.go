@@ -95,13 +95,14 @@ func TestStreamingOversizeScan(t *testing.T) {
 // snapshot, however slowly the client drains.
 func TestStreamSnapshotUnderWriters(t *testing.T) {
 	h := newHarness(t, nil, nil)
-	cl := h.client(t, func(o *client.Options) { o.FetchSize = 50 })
+	cl := h.client(t, nil)
 
 	s, err := cl.Session()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	s.SetFetchSize(50)
 	if _, err := s.Exec("CREATE TABLE snap (id INT, v TEXT, PRIMARY KEY(id))"); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestStreamSnapshotUnderWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rs, err := cl.Query("SELECT * FROM snap")
+	rs, err := s.Query("SELECT * FROM snap")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,17 +239,15 @@ func TestCursorGoneAndIdempotentClose(t *testing.T) {
 // TestCursorRefusals covers the bounded cursor table and the in-txn
 // refusal, and that Rows recovers the session for further use.
 func TestCursorRefusals(t *testing.T) {
-	h := newHarness(t, func(c *Config) { c.MaxCursors = 2 }, nil)
-	cl := h.client(t, func(o *client.Options) {
-		o.FetchSize = 5
-		o.MaxRetries = -1
-	})
+	h := newHarness(t, func(c *Config) { c.maxCursors = 2 }, nil)
+	cl := h.client(t, func(o *client.Options) { o.MaxRetries = -1 })
 
 	s, err := cl.Session()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	s.SetFetchSize(5)
 	if _, err := s.Exec("CREATE TABLE cr (id INT, PRIMARY KEY(id))"); err != nil {
 		t.Fatal(err)
 	}
@@ -411,12 +410,14 @@ func TestExecBatchSemantics(t *testing.T) {
 // must reap it -- snapshot and worker slot released.
 func TestDrainWithOpenCursor(t *testing.T) {
 	h := newHarness(t, nil, nil)
-	cl := h.client(t, func(o *client.Options) { o.FetchSize = 10 })
+	cl := h.client(t, nil)
 
 	s, err := cl.Session()
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
+	s.SetFetchSize(10)
 	if _, err := s.Exec("CREATE TABLE dr (id INT, PRIMARY KEY(id))"); err != nil {
 		t.Fatal(err)
 	}
@@ -425,9 +426,8 @@ func TestDrainWithOpenCursor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.Close()
 
-	rs, err := cl.Query("SELECT * FROM dr")
+	rs, err := s.Query("SELECT * FROM dr")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +474,7 @@ func TestSessionCloseReleasesUndrainedCursor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// More lessees than Config.MaxCursors (4): the fifth used to be refused.
+	// More lessees than Config.maxCursors (4): the fifth used to be refused.
 	for i := 0; i < 6; i++ {
 		s, err := cl.Session()
 		if err != nil {

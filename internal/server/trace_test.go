@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"hiengine/internal/chaos"
-	"hiengine/internal/client"
 	"hiengine/internal/core"
 	"hiengine/internal/delay"
 	"hiengine/internal/obs"
@@ -245,13 +244,14 @@ func TestTraceUntracedSessionUnaffected(t *testing.T) {
 // must carry cursor_produce without re-reporting cursor_open.
 func TestStreamedScanTraceStages(t *testing.T) {
 	h, tracer := traceHarness(t, delay.Zero(), obs.TracerConfig{SampleEvery: 1}, nil)
-	cl := h.client(t, func(o *client.Options) { o.FetchSize = 16 })
+	cl := h.client(t, nil)
 
 	s, err := cl.Session()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	s.SetFetchSize(16)
 	if _, err := s.Exec("CREATE TABLE scantrace (id INT, v TEXT, PRIMARY KEY(id))"); err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@ package shard
 // /clusterz on any node merges every node's status into one topology view,
 // degrades to an annotated partial result when a node dies, and a traced
 // cross-shard transaction stitches into a multi-hop distributed trace with
-// monotone per-hop stage offsets, served by /traces?distributed=1.
+// monotone per-hop stage offsets.
 //
 // The nodes are not newCluster's because the plane needs what the chaos
 // harness leaves out: a tracer that samples every request (so traced frames
@@ -35,13 +35,12 @@ import (
 	"hiengine/internal/wire"
 )
 
-// cpNode is one cluster-plane node: its wire address, trace sink, and admin
-// plane over a real listener.
+// cpNode is one cluster-plane node: its wire address and admin plane over a
+// real listener.
 type cpNode struct {
-	name   string
-	addr   string // wire address
-	tracer *obs.Tracer
-	adm    *httptest.Server
+	name string
+	addr string // wire address
+	adm  *httptest.Server
 }
 
 func (n *cpNode) adminAddr() string { return strings.TrimPrefix(n.adm.URL, "http://") }
@@ -125,7 +124,7 @@ func newClusterPlane(t *testing.T) (*Map, []*cpNode) {
 			Status:   nd.Status,
 			Peers:    peersFor(name),
 		})
-		n := &cpNode{name: name, addr: nd.Addr(), tracer: nd.Tracer(), adm: httptest.NewServer(adm.Handler())}
+		n := &cpNode{name: name, addr: nd.Addr(), adm: httptest.NewServer(adm.Handler())}
 		t.Cleanup(n.adm.Close)
 		addPeer(n.name, n.adminAddr())
 		nodes = append(nodes, n)
@@ -220,7 +219,6 @@ func TestClusterPlaneAcceptance(t *testing.T) {
 	r := NewRouter(m, client.Options{Addr: "routed"}, nil)
 	defer r.Close()
 	r.Trace(true)
-	r.SetTracer(nodes[0].tracer)
 
 	// Two keys on distinct shards.
 	k1 := int64(1)
@@ -273,25 +271,6 @@ func TestClusterPlaneAcceptance(t *testing.T) {
 	}
 	if len(distinct) < 2 {
 		t.Fatalf("hops tag %d distinct shards, want >= 2: %+v", len(distinct), dt.Hops)
-	}
-
-	// The coordinator published the tree to shard0's tracer, so shard0's
-	// admin serves it from the distributed ring.
-	var traces struct {
-		Distributed []*obs.DistTraceRecord `json:"distributed"`
-	}
-	cpGet(t, nodes[0], "/traces?distributed=1", &traces)
-	found := false
-	for _, rec := range traces.Distributed {
-		if rec.TraceID == dt.TraceID {
-			found = true
-			if rec.Shards != dt.Shards || len(rec.Hops) != len(dt.Hops) {
-				t.Fatalf("published record diverges from tree: %+v vs %+v", rec, dt)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("trace %d not in /traces?distributed=1 (%d records)", dt.TraceID, len(traces.Distributed))
 	}
 
 	// --- partial failure: one node down, /clusterz still answers ---------

@@ -5,19 +5,7 @@ import (
 
 	"hiengine/internal/chaos"
 	"hiengine/internal/client"
-	"hiengine/internal/obs"
 )
-
-// SetTracer attaches the sink that assembled trees are published to (its
-// distributed ring backs the admin plane's /traces?distributed=1). Nil
-// detaches.
-func (r *Router) SetTracer(t *obs.Tracer) {
-	if t == nil {
-		r.traceSink.Store(nil)
-		return
-	}
-	r.traceSink.Store(t)
-}
 
 // GTID returns the global transaction id, or "" unless Commit took the
 // cross-shard 2PC path. After an unknown-outcome commit error, the caller

@@ -103,7 +103,6 @@ func (n *tnode) serve(t *testing.T, engine *core.Engine, ln net.Listener) {
 	n.engine = engine
 	n.node = serveOn(t, engine, ln, node.Config{
 		DrainTimeout: 250 * time.Millisecond,
-		SlotWait:     100 * time.Millisecond,
 	})
 }
 

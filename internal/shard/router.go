@@ -10,7 +10,6 @@ import (
 	"hiengine/internal/chaos"
 	"hiengine/internal/client"
 	"hiengine/internal/core"
-	"hiengine/internal/obs"
 	"hiengine/internal/wire"
 )
 
@@ -30,11 +29,10 @@ type Router struct {
 
 	// Distributed tracing (see trace.go): while tracing is on, every
 	// transaction shares one trace id across its shards and the stitched
-	// tree is stored in lastDist and published to traceSink.
-	tracing   atomic.Bool
-	distSeq   atomic.Uint64 // per-coordinator distributed trace ids
-	traceSink atomic.Pointer[obs.Tracer]
-	lastDist  atomic.Pointer[DistTraceTree]
+	// tree is stored in lastDist.
+	tracing  atomic.Bool
+	distSeq  atomic.Uint64 // per-coordinator distributed trace ids
+	lastDist atomic.Pointer[DistTraceTree]
 
 	mu      sync.Mutex
 	m       *Map

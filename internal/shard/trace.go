@@ -3,15 +3,14 @@
 // distributed transaction — coordinator wall time decomposed into the 2PC
 // phases (parallel prepare, decide-point durability at the home shard,
 // best-effort fan-out), each hop tagged (trace id, hop, shard, opcode)
-// with the participant's own stage timings. Assembled trees go to the
-// router's tracer sink, whose distributed ring backs /traces?distributed=1.
+// with the participant's own stage timings. The last assembled tree is the
+// router's LastDistTrace.
 package shard
 
 import (
 	"time"
 
 	"hiengine/internal/client"
-	"hiengine/internal/obs"
 	"hiengine/internal/wire"
 )
 
@@ -69,12 +68,11 @@ func (r *Router) distTrace() *client.DistTrace {
 	return client.NewDistTrace(r.seed<<32 + r.distSeq.Add(1))
 }
 
-// publishDist stitches dt's collected hops into a tree, stores it as the
-// router's last trace, and publishes it to the tracer sink (forced: the
-// coordinator asked for this trace). Nil-safe on dt; returns the tree.
-func (r *Router) publishDist(dt *client.DistTrace, prepare, decide, fanout time.Duration) *DistTraceTree {
+// publishDist stitches dt's collected hops into a tree and stores it as the
+// router's last trace. Nil-safe on dt.
+func (r *Router) publishDist(dt *client.DistTrace, prepare, decide, fanout time.Duration) {
 	if dt == nil {
-		return nil
+		return
 	}
 	tree := &DistTraceTree{
 		TraceID: dt.ID(),
@@ -95,43 +93,4 @@ func (r *Router) publishDist(dt *client.DistTrace, prepare, decide, fanout time.
 	}
 	tree.Shards = len(shards)
 	r.lastDist.Store(tree)
-	if t := r.traceSink.Load(); t != nil {
-		t.PublishDistributed(tree.record(), true)
-	}
-	return tree
-}
-
-// record converts the tree into the obs-layer form the tracer's
-// distributed ring holds.
-func (t *DistTraceTree) record() *obs.DistTraceRecord {
-	rec := &obs.DistTraceRecord{
-		TraceID:   t.TraceID,
-		Start:     t.Start,
-		TotalNS:   int64(t.Total),
-		PrepareNS: int64(t.Prepare),
-		DecideNS:  int64(t.Decide),
-		FanoutNS:  int64(t.Fanout),
-		Shards:    t.Shards,
-	}
-	for _, h := range t.Hops {
-		hr := obs.DistHopRecord{
-			Hop:      h.Hop,
-			Shard:    h.Shard,
-			HasShard: h.HasShard,
-			Op:       h.Op.String(),
-			BeginNS:  int64(h.Start),
-			RTTNS:    int64(h.RTT),
-		}
-		if h.Info != nil {
-			hr.ServerNS = h.Info.TotalNS
-			for _, st := range h.Info.Stages {
-				hr.Stages = append(hr.Stages, obs.StageSpan{
-					Stage: st.Stage, Name: st.Stage.String(),
-					BeginNS: st.BeginNS, DurNS: st.DurNS,
-				})
-			}
-		}
-		rec.Hops = append(rec.Hops, hr)
-	}
-	return rec
 }

@@ -138,11 +138,9 @@ type Config struct {
 	Model *delay.Model
 	// Waiter charges latencies; nil means a real sleeping waiter.
 	Waiter delay.Waiter
-	// ComputeNodes and StorageNodes size the two tiers. Defaults: 3 and 3.
+	// ComputeNodes sizes the compute tier (default 3); the storage tier
+	// has storageNodes.
 	ComputeNodes int
-	StorageNodes int
-	// Replicas is the replication factor (default 3).
-	Replicas int
 	// MaxPLogSize caps each PLog (paper: 4 GiB). Tests use small values.
 	MaxPLogSize int64
 	// ChunkSize is the allocation granularity of replica buffers. Reads
@@ -155,6 +153,14 @@ type Config struct {
 	Chaos *chaos.Engine
 }
 
+const (
+	// replicas is the replication factor: every PLog is written to this
+	// many nodes of its tier.
+	replicas = 3
+	// storageNodes sizes the storage tier.
+	storageNodes = 3
+)
+
 func (c *Config) fill() {
 	if c.Model == nil {
 		c.Model = delay.Zero()
@@ -164,12 +170,6 @@ func (c *Config) fill() {
 	}
 	if c.ComputeNodes == 0 {
 		c.ComputeNodes = 3
-	}
-	if c.StorageNodes == 0 {
-		c.StorageNodes = 3
-	}
-	if c.Replicas == 0 {
-		c.Replicas = 3
 	}
 	if c.MaxPLogSize == 0 {
 		c.MaxPLogSize = 4 << 30
@@ -306,7 +306,7 @@ func New(cfg Config) *Service {
 	for i := 0; i < cfg.ComputeNodes; i++ {
 		s.computeNodes = append(s.computeNodes, &Node{ID: i, Tier: TierCompute})
 	}
-	for i := 0; i < cfg.StorageNodes; i++ {
+	for i := 0; i < storageNodes; i++ {
 		s.storageNodes = append(s.storageNodes, &Node{ID: i, Tier: TierStorage})
 	}
 	return s
@@ -371,17 +371,17 @@ func (s *Service) pickNodes(tier Tier) ([]*Node, error) {
 	}
 	start := int(rr.Add(1))
 	var picked []*Node
-	for i := 0; i < len(pool) && len(picked) < s.cfg.Replicas; i++ {
+	for i := 0; i < len(pool) && len(picked) < replicas; i++ {
 		n := pool[(start+i)%len(pool)]
 		if !n.Failed() {
 			picked = append(picked, n)
 		}
 	}
-	if len(picked) < s.cfg.Replicas {
+	if len(picked) < replicas {
 		if om := s.obsM.Load(); om != nil {
 			om.placementFailures.Inc()
 		}
-		return nil, &PlacementError{Tier: tier, Need: s.cfg.Replicas, Have: len(picked)}
+		return nil, &PlacementError{Tier: tier, Need: replicas, Have: len(picked)}
 	}
 	return picked, nil
 }
@@ -1012,7 +1012,7 @@ func (s *Service) repairPLog(p *PLog) (int, error) {
 	}
 	if replaced == 0 {
 		if len(s.spareNodes(p)) == 0 {
-			return 0, &PlacementError{Tier: p.tier, Need: s.cfg.Replicas, Have: len(spares)}
+			return 0, &PlacementError{Tier: p.tier, Need: replicas, Have: len(spares)}
 		}
 		return 0, nil
 	}

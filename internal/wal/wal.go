@@ -382,6 +382,9 @@ const errOutOfPlace decodeError = "wal: record out of place in its transaction"
 // is never a record address.
 const segmentHeader byte = 'S'
 
+// queueDepth is the length of each stream's commit queue.
+const queueDepth = 256
+
 // Config configures a Manager.
 type Config struct {
 	// Service is the SRSS deployment backing the log.
@@ -398,8 +401,6 @@ type Config struct {
 	// BatchMax bounds the number of commits folded into one group append.
 	// Default 64. A value of 1 disables group commit (ablation).
 	BatchMax int
-	// QueueDepth is the per-stream commit queue length. Default 256.
-	QueueDepth int
 	// OnMetaChange is invoked when the directory's metadata PLog migrates
 	// to a new identity after a seal (node failure); the caller persists
 	// the new bootstrap ID (e.g. in its manifest and the management-node
@@ -425,9 +426,6 @@ func (c *Config) fill() error {
 	}
 	if c.BatchMax <= 0 {
 		c.BatchMax = 64
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
 	}
 	return nil
 }
@@ -820,7 +818,7 @@ func (m *Manager) startStreams() error {
 		seed = ch.Seed()
 	}
 	for i := 0; i < cfg.Streams; i++ {
-		st := &Stream{id: i, mgr: m, ch: make(chan commitReq, cfg.QueueDepth)}
+		st := &Stream{id: i, mgr: m, ch: make(chan commitReq, queueDepth)}
 		st.backoff = chaos.NewRand(seed, fmt.Sprintf("wal.stream.%d.backoff", i))
 		if err := st.rotate(); err != nil {
 			return err

@@ -53,8 +53,6 @@ type Config struct {
 	Warehouses int
 	Threads    int
 	Scale      Scale
-	// TxnsPerThread bounds the run when Duration is zero.
-	TxnsPerThread int
 	// Duration bounds the run by wall-clock time when non-zero.
 	Duration time.Duration
 	Seed     int64
@@ -62,8 +60,6 @@ type Config struct {
 	// warehouse i%W+1); otherwise each transaction draws a random
 	// warehouse. Figure 7 studies this knob.
 	Partitioned bool
-	// MaxRetries bounds per-transaction retry on conflicts (default 10).
-	MaxRetries int
 	// PipelineDepth enables pipelined commits for engines implementing
 	// engineapi.AsyncCommitter (HiEngine): up to this many transactions
 	// per thread may be awaiting durability while the worker proceeds
@@ -77,7 +73,14 @@ type Config struct {
 	// costs for the engine's shared structures (CSN counter, log tails)
 	// here -- the paper's explanation for the >64-core scalability dip.
 	OnCommit func(thread int)
+
+	// txnsPerThread bounds the run when Duration is zero (default 100);
+	// this package's tests set it.
+	txnsPerThread int
 }
+
+// maxRetries bounds per-transaction retry on conflicts.
+const maxRetries = 10
 
 // Result summarizes a run.
 type Result struct {
@@ -128,9 +131,6 @@ func NewDriver(cfg Config) *Driver {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
 	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 10
-	}
 	if cfg.Scale.Districts == 0 {
 		cfg.Scale = FullScale()
 	}
@@ -148,7 +148,7 @@ func (d *Driver) Run() (Result, error) {
 	if d.cfg.Duration > 0 {
 		deadline = time.Now().Add(d.cfg.Duration)
 	}
-	limit := d.cfg.TxnsPerThread
+	limit := d.cfg.txnsPerThread
 	if limit <= 0 && d.cfg.Duration <= 0 {
 		limit = 100
 	}
@@ -253,7 +253,7 @@ func (d *Driver) pickTxn(rng *rand.Rand) TxnType {
 // runWithRetry executes one transaction, retrying conflict aborts. ok is
 // false when the transaction ended in an intentional rollback.
 func (d *Driver) runWithRetry(s *session, tt TxnType, w int, rollbacks, conflicts *atomic.Int64) (bool, error) {
-	for attempt := 0; attempt <= d.cfg.MaxRetries; attempt++ {
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		var err error
 		switch tt {
 		case TxnNewOrder:

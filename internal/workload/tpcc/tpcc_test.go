@@ -60,7 +60,7 @@ func TestLoadAndMixOnHiEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDriver(Config{DB: db, Warehouses: 2, Threads: 4, Scale: SmallScale(),
-		TxnsPerThread: 100, Seed: 1})
+		txnsPerThread: 100, Seed: 1})
 	res, err := d.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestLoadAndMixOnMemOCC(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDriver(Config{DB: db, Warehouses: 2, Threads: 4, Scale: SmallScale(),
-		TxnsPerThread: 100, Seed: 2})
+		txnsPerThread: 100, Seed: 2})
 	res, err := d.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestPartitionedModeBindsWarehouses(t *testing.T) {
 	warehousesSeen := make(map[int]map[int]bool) // thread -> warehouses
 	var mu sync.Mutex
 	d := NewDriver(Config{DB: db, Warehouses: 4, Threads: 4, Scale: SmallScale(),
-		TxnsPerThread: 30, Seed: 3, Partitioned: true,
+		txnsPerThread: 30, Seed: 3, Partitioned: true,
 		OnAccess: func(thread, w int) {
 			mu.Lock()
 			if warehousesSeen[thread] == nil {
@@ -164,7 +164,7 @@ func TestUserRollbackRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDriver(Config{DB: db, Warehouses: 1, Threads: 2, Scale: SmallScale(),
-		TxnsPerThread: 400, Seed: 5})
+		txnsPerThread: 400, Seed: 5})
 	res, err := d.Run()
 	if err != nil {
 		t.Fatal(err)
