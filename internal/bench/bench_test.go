@@ -185,16 +185,24 @@ func TestClockBenchShape(t *testing.T) {
 // TestAblationsShape asserts each commit claim in a counted unit, the
 // variant's own delta of the registry: pipelining folds more commits into one
 // SRSS append than synchronous commit does, and a compute-side commit makes
-// fewer cross-layer SRSS operations than a storage-side one. The wall-clock
-// column stays in the report, unasserted.
+// fewer cross-layer SRSS operations than a storage-side one. The checkpoint
+// claim is in bytes written per row: a dataless image
+// (core.checkpoint_image_bytes) is smaller than a full-data PLog of the same
+// rows. The wall-clock column stays in the report, unasserted.
 func TestAblationsShape(t *testing.T) {
 	rep := runQuick(t, "ablations")
-	perAppend, crossPerCommit := map[string]float64{}, map[string]float64{}
+	perAppend, crossPerCommit, bytesPerRow := map[string]float64{}, map[string]float64{}, map[string]float64{}
 	for _, row := range rep.Rows {
 		if row[3] != "" {
 			perAppend[row[0]+"/"+row[1]] = cellFloat(t, row[3])
 			crossPerCommit[row[0]+"/"+row[1]] = cellFloat(t, row[4])
 		}
+		if row[5] != "" {
+			bytesPerRow[row[1]] = cellFloat(t, row[5])
+		}
+	}
+	if dataless, full := bytesPerRow["dataless (PIA only)"], bytesPerRow["full-data"]; dataless <= 0 || dataless >= full {
+		t.Errorf("a dataless checkpoint writes %.2f bytes per row, a full-data one %.2f: want fewer, and some", dataless, full)
 	}
 	if sync, piped := perAppend["commit pipelining/sync"], perAppend["commit pipelining/pipelined"]; piped <= sync {
 		t.Errorf("pipelined commit carries %.2f commits per SRSS append, sync %.2f: want more", piped, sync)

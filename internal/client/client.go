@@ -755,9 +755,9 @@ func (s *Session) sendBegin() error {
 // fails otherwise the server has rolled back what it opened, so the next
 // statement carries the flag again.
 //
-// cols is the statement's previous column slice, which the result takes
-// instead of a fresh one when its names are the same (nil: none).
-func (s *Session) stmt(op wire.Op, cols []string) (*wire.Result, error) {
+// dst is the prepared statement's Result, which the response is decoded
+// into (nil: a fresh Result).
+func (s *Session) stmt(op wire.Op, dst *wire.Result) (*wire.Result, error) {
 	class := op.Retry()
 	if s.begin {
 		s.buf = wire.AppendStmtFlags(s.buf, wire.FlagBegin)
@@ -771,7 +771,7 @@ func (s *Session) stmt(op wire.Op, cols []string) (*wire.Result, error) {
 		return nil, err
 	}
 	s.begin = false
-	return decodeResultNote(s.w, r.Body, cols)
+	return decodeResultNote(s.w, r.Body, dst)
 }
 
 // call round-trips one request, reissuing it as class allows, and mirrors
@@ -1024,14 +1024,13 @@ func (s *Session) result(r wire.Response, err error) (*wire.Result, error) {
 	return decodeResultNote(s.w, r.Body, nil)
 }
 
-// decodeResultNote decodes a Result body, taking cols as its Columns when
-// the names match (see wire.DecodeResultCSN), and folds its CSN trailer into
-// the client token.
-func decodeResultNote(w *wconn, body []byte, cols []string) (*wire.Result, error) {
+// decodeResultNote decodes a Result body, into dst when it is not nil (see
+// wire.DecodeResultCSN), and folds its CSN trailer into the client token.
+func decodeResultNote(w *wconn, body []byte, dst *wire.Result) (*wire.Result, error) {
 	if len(body) == 0 {
 		return &wire.Result{}, nil
 	}
-	res, csn, err := wire.DecodeResultCSN(body, cols)
+	res, csn, err := wire.DecodeResultCSN(body, dst)
 	if err != nil {
 		return nil, err
 	}
@@ -1047,15 +1046,17 @@ func decodeResultNote(w *wconn, body []byte, cols []string) (*wire.Result, error
 // server-side session) and, like the session, is not safe for concurrent
 // use. Session.Close closes any statements still open.
 //
-// The results of one Stmt share their Columns slice for as long as the names
-// stay the same (a new one when they change): it is read-only.
+// A Stmt decodes every result into its one Result (as a JDBC ResultSet is
+// its Statement's): the Columns slice stays for as long as the server sends
+// the same names (a new one when they change), and the rows are decoded
+// into the same row headers and Value arena each time.
 type Stmt struct {
 	s       *Session
 	id      uint64
 	verb    string // BEGIN/COMMIT/ROLLBACK, delegated to session state tracking
 	nParams int
 	closed  bool
-	cols    []string // the column names of its last result
+	res     wire.Result // the result of its last Exec, decoded into by the next
 }
 
 // Prepare compiles sql server-side and returns its statement handle.
@@ -1080,9 +1081,14 @@ func (s *Session) Prepare(sql string) (*Stmt, error) {
 // NumParams reports the statement's parameter count.
 func (st *Stmt) NumParams() int { return st.nParams }
 
-// Exec runs the prepared statement. Prepared BEGIN/COMMIT/ROLLBACK
-// delegate to the session's transaction methods so client-side state
-// tracking (and the pipelined commit path) stay exactly as for text.
+// Exec runs the prepared statement. Its Result is the statement's, valid
+// until the statement's next Exec, which overwrites it and its rows; a
+// Value taken out of a row stays valid (its bytes are an immutable copy), a
+// Row slice does not. A caller that keeps rows past the next Exec copies
+// them, or reads through Session.Exec or a cursor, whose results are its
+// own. Prepared BEGIN/COMMIT/ROLLBACK delegate to the session's transaction
+// methods so client-side state tracking (and the pipelined commit path)
+// stay exactly as for text.
 func (st *Stmt) Exec(args ...core.Value) (*wire.Result, error) {
 	if st.closed {
 		return nil, ErrStmtClosed
@@ -1091,11 +1097,7 @@ func (st *Stmt) Exec(args ...core.Value) (*wire.Result, error) {
 		return st.s.control(st.verb)
 	}
 	st.s.buf = wire.AppendExecStmt(st.s.buf[:0], st.id, args)
-	res, err := st.s.stmt(wire.OpExecStmt, st.cols)
-	if err == nil {
-		st.cols = res.Columns
-	}
-	return res, err
+	return st.s.stmt(wire.OpExecStmt, &st.res)
 }
 
 // ExecPipe sends a prepared execution without waiting (no retry). A

@@ -138,8 +138,8 @@ func TestDecodeRowHostileCount(t *testing.T) {
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	_, _, err := DecodeRowPrefix(nil, hostile)
-	_, _, rerr := DecodeRows(hostile, 1)
-	_, _, nerr := DecodeRows(hostile, 1<<30)
+	_, _, rerr := DecodeRows(nil, hostile, 1)
+	_, _, nerr := DecodeRows(nil, hostile, 1<<30)
 	runtime.ReadMemStats(&ms1)
 	if err == nil || rerr == nil || nerr == nil {
 		t.Fatalf("hostile column count accepted: %v %v %v", err, rerr, nerr)
@@ -162,7 +162,7 @@ func TestDecodeRowsArena(t *testing.T) {
 		data = EncodeRow(data, row)
 	}
 	data = append(data, 0xEE)
-	got, rest, err := DecodeRows(data, len(rows))
+	got, rest, err := DecodeRows(nil, data, len(rows))
 	if err != nil || len(rest) != 1 || len(got) != len(rows) {
 		t.Fatalf("DecodeRows: %d rows, rest %x, err %v", len(got), rest, err)
 	}
@@ -191,13 +191,68 @@ func TestDecodeRowsArena(t *testing.T) {
 	for _, row := range rows {
 		data = EncodeRow(data, row)
 	}
-	if allocs := testing.AllocsPerRun(50, func() { DecodeRows(data, len(rows)) }); allocs > 3 {
+	if allocs := testing.AllocsPerRun(50, func() { DecodeRows(nil, data, len(rows)) }); allocs > 3 {
 		t.Fatalf("DecodeRows of %d rows allocates %.1f times, want <= 3", len(rows), allocs)
 	}
-	if rows, rest, err := DecodeRows(data, 0); rows != nil || err != nil || len(rest) != len(data) {
+	if rows, rest, err := DecodeRows(nil, data, 0); rows != nil || err != nil || len(rest) != len(data) {
 		t.Fatalf("DecodeRows(0): %v %v", rows, err)
 	}
-	if _, _, err := DecodeRows(data, len(rows)+1); err == nil {
+	if _, _, err := DecodeRows(nil, data, len(rows)+1); err == nil {
 		t.Fatal("more rows than the data holds accepted")
+	}
+}
+
+// TestDecodeRowsIntoRowArena: decoding into a RowArena reuses its row
+// headers and Value arena -- a warmed decode allocates only the copy of
+// the bytes, nothing for rows of ints -- while a Value taken out of an
+// earlier decode keeps its bytes; arrays above MaxRowScratch are not kept.
+func TestDecodeRowsIntoRowArena(t *testing.T) {
+	encode := func(rows ...Row) []byte {
+		var b []byte
+		for _, r := range rows {
+			b = EncodeRow(b, r)
+		}
+		return b
+	}
+	var a RowArena
+	first, _, err := DecodeRows(&a, encode(Row{I(1), S("one")}, Row{I(2), S("two")}), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := first[1][1]
+	second, _, err := DecodeRows(&a, encode(Row{I(3), S("three")}), 1)
+	if err != nil || len(second) != 1 || second[0][1].Str() != "three" {
+		t.Fatalf("second decode: %v, %v", second, err)
+	}
+	if &second[0][0] != &first[0][0] {
+		t.Fatal("the second decode did not reuse the first's arrays")
+	}
+	if kept.Str() != "two" {
+		t.Fatalf("a Value taken from the first decode reads %q after the second", kept.Str())
+	}
+	if a.vals[3] != (Value{}) || first[1] != nil {
+		t.Fatal("the arena still references the first decode's second row")
+	}
+
+	ints, text := encode(Row{I(7), I(8), I(9)}), encode(Row{I(7), S("seven")})
+	for _, c := range []struct {
+		name string
+		data []byte
+		want float64
+	}{{"ints", ints, 0}, {"text", text, 1}} {
+		if got := testing.AllocsPerRun(100, func() { DecodeRows(&a, c.data, 1) }); got != c.want {
+			t.Errorf("a warmed decode of a row of %s allocates %.1f times, want %.0f", c.name, got, c.want)
+		}
+	}
+
+	var wide []Row
+	for i := 0; i < 2000; i++ { // 2000 * (24 + 2*32) bytes of arrays
+		wide = append(wide, Row{I(int64(i)), I(-1)})
+	}
+	if _, _, err := DecodeRows(&a, encode(wide...), len(wide)); err != nil {
+		t.Fatal(err)
+	}
+	if a.rows != nil || a.vals != nil {
+		t.Fatalf("a %d-row result left the arena holding %d rows and %d values", len(wide), cap(a.rows), cap(a.vals))
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Kind enumerates column types.
@@ -254,11 +255,15 @@ func SkipRows(data []byte, n int) ([]byte, error) {
 // DecodeRows parses n rows packed back to back at the front of data (the
 // wire protocol's result encoding) and returns the unconsumed remainder.
 // The whole result is materialised into one Value arena plus one private
-// copy of the encoded bytes that every string and bytes value points into:
-// three allocations however many rows, none of them aliasing data. Nothing
-// is allocated before data has been validated, so a hostile count cannot
-// pre-size anything beyond the bytes actually present.
-func DecodeRows(data []byte, n int) ([]Row, []byte, error) {
+// copy of the encoded bytes that every string and bytes value points into,
+// none of it aliasing data. With a nil dst that is three allocations however
+// many rows, all of them the caller's to keep. With a non-nil dst the row
+// headers and the Value arena are dst's, reused from its previous decode when
+// they have room: the rows that decode returned are overwritten, and only the
+// copy of the bytes is new, so a Value taken out of a row stays valid.
+// Nothing is allocated before data has been validated, so a hostile count
+// cannot pre-size anything beyond the bytes actually present.
+func DecodeRows(dst *RowArena, data []byte, n int) ([]Row, []byte, error) {
 	end, nVals, hasVar, err := measureRows(data, n)
 	if err != nil {
 		return nil, nil, err
@@ -266,9 +271,44 @@ func DecodeRows(data []byte, n int) ([]Row, []byte, error) {
 	if n == 0 {
 		return nil, data, nil
 	}
-	rows := make([]Row, n)
-	fillRows(data[:end], n, hasVar, make([]Value, nVals), rows)
+	rows, vals := dst.take(n, nVals)
+	fillRows(data[:end], n, hasVar, vals, rows)
 	return rows, data[end:], nil
+}
+
+// MaxRowScratch bounds the decoding scratch a session or a statement
+// retains between calls, so one wide result does not pin its size for the
+// holder's life.
+const MaxRowScratch = 64 << 10
+
+// RowArena is a destination DecodeRows reuses: the row headers and the
+// Value arena of the last result decoded into it. Arrays that together
+// exceed MaxRowScratch bytes are used once and not kept.
+type RowArena struct {
+	rows []Row
+	vals []Value
+}
+
+// take returns n row headers and nVals values: a's arrays when they have
+// room, fresh ones otherwise (always, for a nil a). What it does not hand
+// out is cleared, so a's arrays reference nothing of an earlier result.
+func (a *RowArena) take(n, nVals int) ([]Row, []Value) {
+	if a == nil {
+		return make([]Row, n), make([]Value, nVals)
+	}
+	if cap(a.rows) < n {
+		a.rows = make([]Row, n)
+	}
+	if cap(a.vals) < nVals {
+		a.vals = make([]Value, nVals)
+	}
+	rows, vals := a.rows[:n], a.vals[:nVals]
+	clear(a.rows[n:cap(a.rows)])
+	clear(a.vals[nVals:cap(a.vals)])
+	if cap(a.rows)*int(unsafe.Sizeof(Row(nil)))+cap(a.vals)*int(unsafe.Sizeof(Value{})) > MaxRowScratch {
+		*a = RowArena{}
+	}
+	return rows, vals
 }
 
 // maxRowCols bounds a row's declared column count.

@@ -315,12 +315,16 @@ func (s *Session) SetWorker(worker int) {
 // and of a SELECT run through ExecEncoded (its rows are in the caller's
 // sink), is the session's one, reused: it is valid until the session's next
 // statement, and a caller that wants a field for longer copies it out. The
-// Result of a SELECT run through Exec, with its rows, is the caller's to
-// keep.
+// Result of a SELECT run through Stmt.Exec is the statement's, rows and all:
+// valid until the statement's next Exec, which decodes into the same arrays.
+// The Result of a SELECT run through Session.Exec is the caller's to keep.
+// A Value taken out of any result stays valid.
 type Result struct {
 	Rows     []core.Row
 	Columns  []string
 	Affected int
+
+	arena core.RowArena // what a Stmt's SELECT decodes Rows into
 }
 
 // Exec runs sql through the frontend plan cache: first sight of a SQL text
@@ -337,18 +341,15 @@ func (s *Session) Exec(sql string, args ...core.Value) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.execute(c, args, nil)
+	return s.execute(c, args, nil, nil)
 }
-
-// maxRowScratch bounds what a session's row scratch may retain, so one
-// large in-process result does not pin its size for the session's life.
-const maxRowScratch = 64 << 10
 
 // execute is the exec stage shared by Exec, Stmt.Exec and Stmt.ExecEncoded.
 // A SELECT appends its rows to sink in wire form and leaves Result.Rows
 // nil; with a nil sink they go to the session's scratch and are decoded
-// from there into Result.Rows, one arena for the whole result.
-func (s *Session) execute(c *compiled, args []core.Value, sink *RowBuf) (*Result, error) {
+// from there into Result.Rows, one arena for the whole result: dst's,
+// reused, or with a nil dst a fresh Result and arena.
+func (s *Session) execute(c *compiled, args []core.Value, sink *RowBuf, dst *Result) (*Result, error) {
 	if c.nParams != len(args) {
 		return nil, fmt.Errorf("%w: statement has %d, got %d", ErrParamCount, c.nParams, len(args))
 	}
@@ -366,17 +367,25 @@ func (s *Session) execute(c *compiled, args []core.Value, sink *RowBuf) (*Result
 	}
 	s.rows = RowBuf{Data: s.rows.Data[:0]}
 	err := c.sel.exec(s, args, &s.rows)
+	var arena *core.RowArena
+	if dst != nil {
+		arena = &dst.arena
+	}
 	var rows []core.Row
 	if err == nil {
-		rows, _, err = core.DecodeRows(s.rows.Data, s.rows.N)
+		rows, _, err = core.DecodeRows(arena, s.rows.Data, s.rows.N)
 	}
-	if cap(s.rows.Data) > maxRowScratch {
+	if cap(s.rows.Data) > core.MaxRowScratch {
 		s.rows.Data = nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Columns: c.sel.cols, Rows: rows}, nil
+	if dst == nil {
+		return &Result{Columns: c.sel.cols, Rows: rows}, nil
+	}
+	dst.Rows, dst.Columns, dst.Affected = rows, c.sel.cols, 0
+	return dst, nil
 }
 
 // Stmt is a compiled statement handle: the parse/plan work is done once
@@ -387,6 +396,7 @@ type Stmt struct {
 	s   *Session
 	sql string
 	c   *compiled
+	res Result // a SELECT's result, reused by each Exec
 }
 
 // Prepare compiles sql (through the shared plan cache).
@@ -413,8 +423,10 @@ func (st *Stmt) NumParams() int { return st.c.nParams }
 func (st *Stmt) TxnVerb() string { return st.c.verb }
 
 // Exec runs the compiled statement; a SELECT's rows come back decoded in
-// Result.Rows. A DML statement's Result is the session's, valid until its
-// next statement (see Result).
+// Result.Rows. A SELECT's Result is the statement's: valid until its next
+// Exec, which decodes into the same Result and arrays, though a Value taken
+// out of it stays valid. A DML statement's Result is the session's, valid
+// until its next statement (see Result).
 func (st *Stmt) Exec(args ...core.Value) (*Result, error) {
 	return st.ExecEncoded(nil, args...)
 }
@@ -443,7 +455,7 @@ func (st *Stmt) ExecEncoded(sink *RowBuf, args ...core.Value) (*Result, error) {
 		s.tr.PlanCache(true)
 	}
 	s.tr.End(obs.StagePlanCache)
-	return s.execute(st.c, args, sink)
+	return s.execute(st.c, args, sink, &st.res)
 }
 
 // --- transaction handling --------------------------------------------------

@@ -150,6 +150,92 @@ func TestInTxnPointSelectAllocs(t *testing.T) {
 	}
 }
 
+// TestStmtResultIsTheStatements: a prepared SELECT's Result is its
+// statement's until the statement's next Exec -- two Execs return the same
+// Result, decoded in place -- while a Value taken out of the first keeps its
+// bytes, and two statements' results coexist, as do a statement's and a
+// Session.Exec's.
+func TestStmtResultIsTheStatements(t *testing.T) {
+	f, _ := testFrontend(t)
+	s := f.NewSession(0)
+	loadScanTable(t, s)
+	a, err := s.Prepare("SELECT id, c FROM scanb WHERE grp = ? AND id = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.Prepare("SELECT c FROM scanb WHERE grp = ? AND id = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := func(st *Stmt, grp, id int64) (*Result, string) {
+		t.Helper()
+		res, err := st.Exec(core.I(grp), core.I(id))
+		if err != nil || len(res.Rows) != 1 {
+			t.Fatalf("exec: %v, %v", res, err)
+		}
+		return res, fmt.Sprintf("%d:%098d", grp, id)
+	}
+	first, firstText := exec(a, 1, 5)
+	kept := first.Rows[0][1]
+	other, otherText := exec(b, 2, 6)
+	second, secondText := exec(a, 0, 7)
+	if second != first {
+		t.Fatalf("two Execs of one statement returned %p and %p", first, second)
+	}
+	if got := second.Rows[0][1].Str(); got != secondText || second.Rows[0][0].Int() != 7 {
+		t.Fatalf("the second Exec reads %v, want 7 and %q", second.Rows[0], secondText)
+	}
+	if kept.Str() != firstText {
+		t.Fatalf("a Value taken from the first result reads %q after the second Exec, want %q", kept.Str(), firstText)
+	}
+	if got := other.Rows[0][0].Str(); other == first || got != otherText {
+		t.Fatalf("the other statement's result reads %q, want %q", got, otherText)
+	}
+	own := mustExec(t, s, "SELECT c FROM scanb WHERE grp = 2 AND id = 8")
+	exec(a, 1, 9)
+	exec(b, 0, 1)
+	if got, want := own.Rows[0][0].Str(), fmt.Sprintf("%d:%098d", 2, 8); got != want {
+		t.Fatalf("a Session.Exec result reads %q after later statements, want %q", got, want)
+	}
+}
+
+// TestStmtDecodeAllocs: a warmed prepared point SELECT inside an open
+// transaction, run through Stmt.Exec, decodes into its statement's Result
+// without allocating for a row of ints, and with one allocation, its row
+// bytes, for a row with TEXT.
+func TestStmtDecodeAllocs(t *testing.T) {
+	f, _ := testFrontend(t)
+	s := f.NewSession(0)
+	mustExec(t, s, "CREATE TABLE pt (id INT, k INT, c TEXT, PRIMARY KEY(id))")
+	mustExec(t, s, "INSERT INTO pt VALUES (1, 10, 'one')")
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Rollback()
+	args := []core.Value{core.I(1)}
+	for _, c := range []struct {
+		sql  string
+		want float64
+	}{{"SELECT id, k FROM pt WHERE id = ?", 0}, {"SELECT k, c FROM pt WHERE id = ?", 1}} {
+		st, err := s.Prepare(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res *Result
+		avg := testing.AllocsPerRun(100, func() {
+			if res, err = st.Exec(args...); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if len(res.Rows) != 1 || len(res.Rows[0]) != 2 {
+			t.Fatalf("%s: %v", c.sql, res.Rows)
+		}
+		if avg != c.want && !raceflag.Enabled {
+			t.Errorf("%s: a warmed Exec allocates %.2f times, want %.0f", c.sql, avg, c.want)
+		}
+	}
+}
+
 // TestResultRowsSurviveReuseAndCompaction is the aliasing contract on the
 // in-process side: Result.Rows own their bytes. They are decoded out of the
 // session's reused scratch, whose rows were spliced out of version
@@ -208,7 +294,7 @@ func TestStreamPageBounds(t *testing.T) {
 	if done, err := rs.NextPage(&page, 65, 0); done || err != nil || page.N != 65 {
 		t.Fatalf("last full page: n=%d done=%v err=%v", page.N, done, err)
 	}
-	rows, _, err := core.DecodeRows(page.Data, page.N)
+	rows, _, err := core.DecodeRows(nil, page.Data, page.N)
 	if err != nil || rows[64][0].Int() != 99 {
 		t.Fatalf("last row: %v %v", rows[64], err)
 	}

@@ -161,7 +161,7 @@ func (rs *RowStream) Next(max int) (page *Result, done bool, err error) {
 	if done, err = rs.NextPage(&buf, max, 0); err != nil {
 		return page, true, err
 	}
-	page.Rows, _, err = core.DecodeRows(buf.Data, buf.N)
+	page.Rows, _, err = core.DecodeRows(nil, buf.Data, buf.N)
 	return page, done, err
 }
 

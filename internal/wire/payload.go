@@ -266,6 +266,8 @@ type Result struct {
 	Columns  []string
 	Rows     []core.Row
 	Affected int
+
+	arena core.RowArena // Rows' arrays, when DecodeResultCSN decodes into this Result
 }
 
 // AppendResult appends a Result in response-body form to buf.
@@ -310,13 +312,18 @@ func DecodeResult(body []byte) (*Result, error) {
 	return res, err
 }
 
-// DecodeResultCSN parses a Result body plus its commit-CSN trailer. When the
-// body's column names equal cols, cols itself becomes Result.Columns: a
-// caller that passes a statement's previous column slice decodes its next
-// result without allocating one.
-func DecodeResultCSN(body []byte, cols []string) (*Result, uint64, error) {
+// DecodeResultCSN parses a Result body plus its commit-CSN trailer. With a
+// nil dst the Result is a fresh one, the caller's to keep with its rows. With
+// a non-nil dst it is dst, decoded into in place: dst's Columns slice stays
+// when the body's names equal it (comparing allocates nothing), and the rows
+// reuse dst's row headers and Value arena (core.RowArena), so the Rows of
+// dst's previous result are overwritten and only the copy of the row bytes
+// is new. A Value taken out of any result stays valid. A prepared statement
+// decodes each of its results into its own Result this way: a result is the
+// statement's until its next Exec.
+func DecodeResultCSN(body []byte, dst *Result) (*Result, uint64, error) {
 	r := reader{b: body}
-	res := r.result(cols)
+	res := r.result(dst)
 	csn := r.trailer()
 	if r.err != nil {
 		return nil, 0, r.err
@@ -351,20 +358,28 @@ func ResultCSN(body []byte) (uint64, error) {
 // (core.DecodeRows), so nothing in the Result aliases the payload -- which
 // may be a FrameReader's or a pooled buffer, reused as soon as the caller
 // returns. A column name is at least its length byte and a row at least its
-// column-count byte, which is what bounds the two counts.
-func (r *reader) result(cols []string) *Result {
-	res := &Result{Affected: int(r.uvarint()), Columns: r.columns(cols)}
+// column-count byte, which is what bounds the two counts. A nil dst decodes
+// into a fresh Result, a non-nil one in place (see DecodeResultCSN).
+func (r *reader) result(dst *Result) *Result {
+	var arena *core.RowArena
+	if dst == nil {
+		dst = new(Result)
+	} else {
+		arena = &dst.arena
+	}
+	dst.Affected = int(r.uvarint())
+	dst.Columns = r.columns(dst.Columns)
 	nRows := r.count(1 << 24)
 	if r.err != nil {
 		return nil
 	}
-	rows, rest, err := core.DecodeRows(r.b, nRows)
+	rows, rest, err := core.DecodeRows(arena, r.b, nRows)
 	if err != nil {
 		r.fail(fmt.Errorf("%w: %v", ErrPayloadCorrupt, err))
 		return nil
 	}
-	res.Rows, r.b = rows, rest
-	return res
+	dst.Rows, r.b = rows, rest
+	return dst
 }
 
 // columns reads a result's column names: prev itself when they equal it
