@@ -27,12 +27,6 @@ func New(e *core.Engine) *DB {
 	return &DB{e: e, tables: make(map[string]*core.Table)}
 }
 
-// Engine exposes the wrapped engine (for checkpoint/GC control in benches).
-func (db *DB) Engine() *core.Engine { return db.e }
-
-// Name implements engineapi.DB.
-func (db *DB) Name() string { return "hiengine" }
-
 // CreateTable implements engineapi.DB.
 func (db *DB) CreateTable(s *core.Schema) error {
 	t, err := db.e.CreateTable(s)

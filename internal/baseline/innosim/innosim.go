@@ -153,9 +153,6 @@ func New(cfg Config) (*DB, error) {
 	return db, nil
 }
 
-// Name implements engineapi.DB.
-func (db *DB) Name() string { return "innosim-" + db.cfg.Variant.String() }
-
 // Close shuts the engine down.
 func (db *DB) Close() {
 	db.log.Close()

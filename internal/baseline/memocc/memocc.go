@@ -230,9 +230,6 @@ func New(cfg Config) (*DB, error) {
 	return db, nil
 }
 
-// Name implements engineapi.DB.
-func (db *DB) Name() string { return "memocc" }
-
 // Close shuts the engine down.
 func (db *DB) Close() { db.log.Close() }
 

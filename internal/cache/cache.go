@@ -33,7 +33,7 @@ const (
 	// point; a backing-engine failure is surfaced but does not undo it.
 	WriteThrough Mode = iota
 	// WriteBehind queues committed changes and applies them from a
-	// background goroutine; Flush forces the queue empty.
+	// background goroutine; flush forces the queue empty.
 	WriteBehind
 )
 
@@ -106,11 +106,6 @@ func New(cfg Config) (*DB, error) {
 		go db.writeBehindLoop()
 	}
 	return db, nil
-}
-
-// Name implements engineapi.DB.
-func (db *DB) Name() string {
-	return fmt.Sprintf("cache(%s->%s)", db.cfg.Front.Name(), db.cfg.Back.Name())
 }
 
 // CreateTable registers the table in both engines. Backing engines that do
@@ -313,8 +308,8 @@ func (db *DB) Close() error {
 	return db.takeWBErr()
 }
 
-// Flush blocks until all queued write-behind changes are applied.
-func (db *DB) Flush() error {
+// flush blocks until all queued write-behind changes are applied.
+func (db *DB) flush() error {
 	if db.queue == nil {
 		return nil
 	}

@@ -145,7 +145,7 @@ func TestWriteBehindFlush(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := db.Flush(); err != nil {
+	if err := db.flush(); err != nil {
 		t.Fatal(err)
 	}
 	btx, _ := back.Begin(1)

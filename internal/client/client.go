@@ -6,11 +6,9 @@
 // session closes. The calling goroutine drives its connection: it writes
 // its request and reads the socket itself until its response arrives, with
 // the socket deadline as the timeout; no goroutine belongs to a connection.
-// Requests are matched by request ID, so pipelined requests (ExecPipe,
-// CommitPipe: several in flight before the first response, notably commits
-// answered only at durability) complete out of order exactly as the server
-// sends them: whoever reads a response meant for another in-flight request
-// parks it with that request's Pending.
+// A connection has at most one request in flight: a response carries the
+// request's ID, and one to any other request is a protocol error that fails
+// the connection.
 //
 // BEGIN costs no round trip: Session.Begin only notes it, and the first
 // statement carries it to the server as a flag (wire.FlagBegin), so errors
@@ -372,10 +370,10 @@ func (c *Client) dial() (*wconn, error) {
 	return newWconn(c, nc), nil
 }
 
-// release returns a session's connection to the pool (healthy, nothing in
-// flight) or drops it (failed / mid-transaction / responses still owed).
+// release returns a session's connection to the pool (healthy) or drops it
+// (failed / mid-transaction / a cleanup request failed).
 func (c *Client) release(w *wconn, reusable bool) {
-	reusable = reusable && w.settled()
+	reusable = reusable && w.healthy()
 	c.mu.Lock()
 	if reusable && !c.closed {
 		c.idle = append(c.idle, w)
@@ -690,28 +688,16 @@ func (s *Session) Close() {
 		s.Rollback() // sends nothing if the server never heard of the BEGIN
 	}
 	reusable := !s.inTxn
-	if len(s.stmts)+len(s.rows) > 0 && s.w.healthy() {
-		// Pipeline the closes: start them all, then collect.
-		pend := make([]*Pending, 0, len(s.stmts)+len(s.rows))
-		closeHandle := func(op wire.Op, id uint64) {
-			p, err := s.w.start(op, wire.EncodeHandle(id), 0, 0)
-			if err != nil {
-				reusable = false
-				return
-			}
-			pend = append(pend, p)
+	closeHandle := func(op wire.Op, id uint64) {
+		if _, err := s.do(op, wire.EncodeHandle(id)); err != nil {
+			reusable = false
 		}
-		for id := range s.stmts {
-			closeHandle(wire.OpCloseStmt, id)
-		}
-		for id := range s.rows {
-			closeHandle(wire.OpScanClose, id)
-		}
-		for _, p := range pend {
-			if _, err := p.wait(); err != nil {
-				reusable = false
-			}
-		}
+	}
+	for id := range s.stmts {
+		closeHandle(wire.OpCloseStmt, id)
+	}
+	for id := range s.rows {
+		closeHandle(wire.OpScanClose, id)
 	}
 	for _, st := range s.stmts {
 		st.closed = true
@@ -1087,8 +1073,7 @@ func (st *Stmt) NumParams() int { return st.nParams }
 // Row slice does not. A caller that keeps rows past the next Exec copies
 // them, or reads through Session.Exec or a cursor, whose results are its
 // own. Prepared BEGIN/COMMIT/ROLLBACK delegate to the session's transaction
-// methods so client-side state tracking (and the pipelined commit path)
-// stay exactly as for text.
+// methods so client-side state tracking stays exactly as for text.
 func (st *Stmt) Exec(args ...core.Value) (*wire.Result, error) {
 	if st.closed {
 		return nil, ErrStmtClosed
@@ -1098,21 +1083,6 @@ func (st *Stmt) Exec(args ...core.Value) (*wire.Result, error) {
 	}
 	st.s.buf = wire.AppendExecStmt(st.s.buf[:0], st.id, args)
 	return st.s.stmt(wire.OpExecStmt, &st.res)
-}
-
-// ExecPipe sends a prepared execution without waiting (no retry). A
-// prepared COMMIT/ROLLBACK updates the client-side transaction flag like
-// CommitPipe; otherwise transaction-state tracking is the caller's
-// concern when pipelining.
-func (st *Stmt) ExecPipe(args ...core.Value) (*Pending, error) {
-	if st.closed {
-		return nil, ErrStmtClosed
-	}
-	p, err := st.s.pipe(wire.OpExecStmt, wire.AppendExecStmt(nil, st.id, args))
-	if st.verb != "" {
-		st.s.inTxn, st.s.begin = st.verb == "BEGIN", false
-	}
-	return p, err
 }
 
 // Close releases the server-side statement. Closing twice (or closing
@@ -1131,90 +1101,7 @@ func (st *Stmt) Close() error {
 	return err
 }
 
-// --- pipelined futures -----------------------------------------------------
-
-// Pending is an in-flight request: the pipelining primitive. Start
-// several, then wait; responses complete in whatever order the server
-// answers (commits answer at durability). A Pending belongs to its session
-// and, like it, is not safe for concurrent use.
-type Pending struct {
-	w  *wconn
-	id uint64
-
-	// Set, under w.mu, by whoever reads this request's response off the
-	// socket while waiting for another: r is the parked response (its body a
-	// copy) and done says it is there.
-	r    wire.Response
-	done bool
-}
-
-// pipe sends one request without waiting for its response (no retry). A
-// BEGIN the server has not heard of is sent, and answered, first: nothing may
-// be in flight behind a BEGIN that might yet be refused.
-func (s *Session) pipe(op wire.Op, payload []byte) (*Pending, error) {
-	if s.closed {
-		return nil, ErrClientClosed
-	}
-	if err := s.sendBegin(); err != nil {
-		return nil, err
-	}
-	tid, hop := s.traceIDs()
-	return s.w.start(op, payload, tid, hop)
-}
-
-// ExecPipe sends a statement without waiting (no retry; transaction-state
-// tracking is the caller's concern when pipelining).
-func (s *Session) ExecPipe(sql string, args ...core.Value) (*Pending, error) {
-	return s.pipe(wire.OpExec, wire.AppendExec(nil, sql, args))
-}
-
-// CommitPipe sends a commit without waiting; Wait returns at durability.
-func (s *Session) CommitPipe() (*Pending, error) {
-	p, err := s.pipe(wire.OpCommit, nil)
-	s.inTxn, s.begin = false, false
-	return p, err
-}
-
-// Wait blocks for the response.
-func (p *Pending) Wait() (*wire.Result, error) {
-	r, err := p.wait()
-	if err != nil {
-		return nil, err
-	}
-	return decodeResultNote(p.w, r.Body, nil)
-}
-
-// wait blocks for the future's response, the connection's failure, or the
-// timeout (which fails the connection: request IDs cannot be resynced
-// once a response is abandoned).
-func (p *Pending) wait() (wire.Response, error) {
-	w := p.w
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	switch {
-	case p.done:
-		// r rides along with an error: traced error responses still carry
-		// stage timings worth surfacing.
-		return p.r, p.r.Err()
-	case w.err != nil:
-		return wire.Response{}, w.err
-	case w.piped[p.id] != p:
-		return wire.Response{}, fmt.Errorf("client: request %d already waited for", p.id)
-	}
-	delete(w.piped, p.id)
-	w.arm(time.Now())
-	return w.recv(p.id)
-}
-
 // --- connection ------------------------------------------------------------
-
-// maxUnread bounds the pipelined requests one connection may have sent
-// without reading their responses. A sender about to exceed it reads one
-// response first (parking it with its Pending), so however far a caller
-// pipelines ahead of its Waits, the responses owed never outgrow what the
-// socket buffers hold and the server never blocks writing to a connection
-// nobody reads -- which would stop it reading, and deadlock the sender.
-const maxUnread = 64
 
 // wconn is one TCP connection, driven by whichever goroutine is using it:
 // that goroutine writes its request and reads the socket until its response
@@ -1231,9 +1118,6 @@ type wconn struct {
 	wbuf []byte        // the request frame being written
 	dl   wire.Deadline // socket deadline (read and write), armed lazily
 
-	// piped holds the pipelined requests whose responses are still on the
-	// socket (at most maxUnread); a synchronous round trip is never in it.
-	piped  map[uint64]*Pending
 	reqSeq uint64
 	err    error // sticky: set once the connection fails
 }
@@ -1252,14 +1136,6 @@ func (w *wconn) healthy() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.err == nil
-}
-
-// settled reports whether the connection is healthy with nothing in flight:
-// fit to be pooled.
-func (w *wconn) settled() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err == nil && len(w.piped) == 0
 }
 
 // quiet is the lease-time check of a pooled connection: healthy, and nothing
@@ -1290,14 +1166,13 @@ func (w *wconn) fail(err error) {
 func (w *wconn) failLocked(err error) error {
 	if w.err == nil {
 		w.err = err
-		w.piped = nil
 		w.nc.Close()
 	}
 	return w.err
 }
 
 // arm makes the socket deadline cover RequestTimeout from now: a request's
-// write and the read of its response, or one Wait.
+// write and the read of its response.
 func (w *wconn) arm(now time.Time) {
 	w.dl.Arm(w.nc.SetDeadline, now, w.c.opts.RequestTimeout)
 }
@@ -1315,26 +1190,6 @@ func (w *wconn) roundTrip(op wire.Op, payload []byte, now time.Time, traceID uin
 		return wire.Response{}, err
 	}
 	return w.recv(id)
-}
-
-// start sends one pipelined request and returns its future.
-func (w *wconn) start(op wire.Op, payload []byte, traceID uint64, hop uint32) (*Pending, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.arm(time.Now())
-	if _, err := w.recv(0); err != nil { // keep within maxUnread
-		return nil, err
-	}
-	id, err := w.send(op, payload, traceID, hop)
-	if err != nil {
-		return nil, err
-	}
-	p := &Pending{w: w, id: id}
-	if w.piped == nil {
-		w.piped = make(map[uint64]*Pending)
-	}
-	w.piped[id] = p
-	return p, nil
 }
 
 // send frames one request into the connection's buffer and writes it.
@@ -1365,19 +1220,14 @@ const maxRetainedBuf = 64 << 10
 
 // recv is the connection's one read path: it reads the socket until request
 // id's response arrives and returns it, its body still in the frame buffer,
-// with its status as the error. With id 0 it reads only while maxUnread
-// pipelined responses are unread. On the way, a response to another in-flight
-// request is parked, its body copied, with that request's Pending. A
-// RequestID-0 frame is a connection-level notice, acted on here: the greeting
-// is recorded, a non-OK code (the server's refusal, idle reap or read
-// timeout) fails the connection with that error so current and future
-// requests see it. Any failure -- I/O, timeout, an undecodable frame, a
-// response nobody is owed -- fails the connection.
+// with its status as the error. A RequestID-0 frame is a connection-level
+// notice, acted on here: the greeting is recorded, a non-OK code (the
+// server's refusal, idle reap or read timeout) fails the connection with that
+// error so current and future requests see it. Any failure -- I/O, timeout,
+// an undecodable frame, a response to a request not in flight -- fails the
+// connection.
 func (w *wconn) recv(id uint64) (wire.Response, error) {
-	for id != 0 || len(w.piped) >= maxUnread {
-		if w.err != nil {
-			return wire.Response{}, w.err
-		}
+	for {
 		f, err := w.fr.Read()
 		if err != nil {
 			return wire.Response{}, w.failLocked(fmt.Errorf("client: read: %w", err))
@@ -1386,8 +1236,8 @@ func (w *wconn) recv(id uint64) (wire.Response, error) {
 		if err != nil {
 			return wire.Response{}, w.failLocked(fmt.Errorf("client: %w", err))
 		}
-		switch p := w.piped[f.RequestID]; {
-		case f.RequestID == 0:
+		switch f.RequestID {
+		case 0:
 			if err := r.Err(); err != nil {
 				return wire.Response{}, w.failLocked(err)
 			}
@@ -1395,16 +1245,11 @@ func (w *wconn) recv(id uint64) (wire.Response, error) {
 				w.c.noteEpoch(epoch)
 				w.c.greeting.Store(&Greeting{Role: role, PrimaryAddr: primary, Epoch: epoch})
 			}
-		case f.RequestID == id:
+		case id:
 			return r, r.Err()
-		case p != nil:
-			delete(w.piped, f.RequestID)
-			r.Body = append([]byte(nil), r.Body...)
-			p.r, p.done = r, true
 		default:
 			return wire.Response{}, w.failLocked(fmt.Errorf("client: %w: response to request %d, which is not in flight",
 				wire.ErrProtocol, f.RequestID))
 		}
 	}
-	return wire.Response{}, nil
 }

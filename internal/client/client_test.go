@@ -381,21 +381,7 @@ func TestBeginRidesFirstStatement(t *testing.T) {
 			"ping":       (*Session).Ping,
 			"prepare":    func(s *Session) error { _, err := s.Prepare("SELECT 1"); return err },
 			"exec_batch": func(s *Session) error { _, err := s.ExecBatch([]wire.BatchStmt{{SQL: "X"}}); return err },
-			"exec pipe": func(s *Session) error {
-				p, err := s.ExecPipe("INSERT INTO t VALUES (1)")
-				if err == nil {
-					_, err = p.Wait()
-				}
-				return err
-			},
-			"commit pipe": func(s *Session) error {
-				p, err := s.CommitPipe()
-				if err == nil {
-					_, err = p.Wait()
-				}
-				return err
-			},
-			"begin": (*Session).Begin,
+			"begin":      (*Session).Begin,
 		} {
 			fs, _, s := session(t, allOK)
 			if err := send(s); err != nil {
@@ -510,104 +496,81 @@ func TestPoolExhaustionIsBusy(t *testing.T) {
 
 func affected(n int) []byte { return wire.AppendEncodedResultCSN(nil, n, nil, 0, nil, 0) }
 
-// TestOutOfOrderResponseReachesItsWaiter: a commit answered only after a
-// later statement's response is parked by whoever reads it and handed to its
-// own waiter, whichever of the two is waited for first.
-func TestOutOfOrderResponseReachesItsWaiter(t *testing.T) {
-	for _, commitFirst := range []bool{false, true} {
-		fs := newFakeServer(t, nil)
-		var held uint64 // the commit's request id, answered after the next request's
-		fs.set(func(fs *fakeServer) {
-			fs.handle = func(fc *fakeConn, f wire.Frame) {
-				switch {
-				case f.Op == wire.OpCommit:
-					held = f.RequestID
-				case held != 0:
-					fc.reply(f.RequestID, wire.CodeOK, affected(2))
-					fc.reply(held, wire.CodeOK, affected(1))
-					held = 0
-				default:
-					fc.reply(f.RequestID, wire.CodeOK, nil)
-				}
-			}
-		})
-		s, err := fs.client(t, nil).Session()
-		if err != nil {
-			t.Fatal(err)
-		}
-		pc, err := s.CommitPipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		pe, err := s.ExecPipe("INSERT INTO t VALUES (1)")
-		if err != nil {
-			t.Fatal(err)
-		}
-		order := []*Pending{pe, pc}
-		want := []int{2, 1}
-		if commitFirst {
-			order, want = []*Pending{pc, pe}, []int{1, 2}
-		}
-		for i, p := range order {
-			res, err := p.Wait()
-			if err != nil || res.Affected != want[i] {
-				t.Fatalf("commitFirst=%v: waiter %d got %+v, %v; want affected %d", commitFirst, i, res, err, want[i])
-			}
-		}
-		// The same through a synchronous call: it reads past nothing of its
-		// own, and the connection is clean enough to be pooled afterwards.
-		if err := s.Ping(); err != nil {
-			t.Fatal(err)
-		}
-		if !s.w.settled() {
-			t.Fatal("responses still owed after every waiter was served")
-		}
-		s.Close()
-	}
-}
-
-// TestPipelineFarAheadOfWaits: 10,000 pipelined statements, each answered
-// with a kilobyte, before the first Wait. Nobody reads the socket on the
-// caller's behalf, so the sender itself must: it neither deadlocks against
-// the server's writes nor lets more than maxUnread responses sit unread, and
-// the connection holds on to none of it once the waiters have been served.
-func TestPipelineFarAheadOfWaits(t *testing.T) {
-	const n = 10000
-	fs := newFakeServer(t, allOK)
-	pad := make([]byte, 1024)
+// TestResponseNotInFlightFailsTheConnection: a connection has one request in
+// flight, so a response to any other fails the call with wire.ErrProtocol and
+// the connection with it; the connection is not pooled, and the next lease
+// dials.
+func TestResponseNotInFlightFailsTheConnection(t *testing.T) {
+	fs := newFakeServer(t, nil)
 	fs.set(func(fs *fakeServer) {
-		fs.body = func(f wire.Frame) []byte {
-			res := &wire.Result{Affected: int(f.RequestID), Rows: []core.Row{{core.B(pad)}}}
-			return wire.AppendResult(nil, res)
+		fs.handle = func(fc *fakeConn, f wire.Frame) {
+			id := f.RequestID
+			if f.Op == wire.OpStats {
+				id += 100
+			}
+			fc.reply(id, wire.CodeOK, nil)
 		}
 	})
-	s, err := fs.client(t, func(o *Options) { o.RequestTimeout = 20 * time.Second }).Session()
+	c := fs.client(t, nil)
+	s, err := c.Session()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	pend := make([]*Pending, n)
-	for i := range pend {
-		if pend[i], err = s.ExecPipe("INSERT INTO t VALUES (?)", core.I(int64(i))); err != nil {
-			t.Fatal(err)
-		}
-		if got := len(s.w.piped); got > maxUnread {
-			t.Fatalf("after %d sends %d responses are unread, bound %d", i+1, got, maxUnread)
-		}
+	if err := s.Ping(); err != nil {
+		t.Fatal(err)
 	}
-	for i, p := range pend {
-		res, err := p.Wait()
-		if err != nil || res.Affected != int(p.id) || len(res.Rows) != 1 {
-			t.Fatalf("waiter %d (request %d): %+v, %v", i, p.id, res, err)
+	if _, err := s.Stats(); !errors.Is(err, wire.ErrProtocol) {
+		t.Fatalf("a response to a request not in flight: got %v, want %v", err, wire.ErrProtocol)
+	}
+	if s.w.healthy() {
+		t.Fatal("the connection survived a response to a request not in flight")
+	}
+	s.Close()
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	fs.mu.Lock()
+	accepts := fs.accepts
+	fs.mu.Unlock()
+	if accepts != 2 {
+		t.Fatalf("%d connections accepted, want the failed one and a fresh one", accepts)
+	}
+}
+
+// TestFailedCloseDiscardsTheConnection: Session.Close closes each open
+// statement and cursor with a request of its own; when one of them fails the
+// connection may still hold server-side state, so it is discarded, not
+// pooled.
+func TestFailedCloseDiscardsTheConnection(t *testing.T) {
+	fs := newFakeServer(t, func(op wire.Op) wire.Code {
+		if op == wire.OpScanClose {
+			return wire.CodeInternal
 		}
+		return wire.CodeOK
+	})
+	c := fs.client(t, nil)
+	s, err := c.Session()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(s.w.piped) != 0 || !s.w.settled() {
-		t.Fatalf("%d requests still tracked after every Wait", len(s.w.piped))
+	if _, err := s.Prepare("SELECT 1"); err != nil {
+		t.Fatal(err)
 	}
-	// The last response was read by its own waiter, straight off the socket:
-	// a second Wait has nothing to return and nothing to wait for.
-	if _, err := pend[n-1].Wait(); err == nil {
-		t.Fatal("a second Wait on a request read off the socket succeeded")
+	if _, err := s.Query("SELECT 1"); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if fs.count(wire.OpCloseStmt) != 1 || fs.count(wire.OpScanClose) != 1 {
+		t.Fatalf("closed %d statements and %d cursors, want 1 and 1", fs.count(wire.OpCloseStmt), fs.count(wire.OpScanClose))
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	fs.mu.Lock()
+	accepts := fs.accepts
+	fs.mu.Unlock()
+	if accepts != 2 {
+		t.Fatalf("%d connections accepted: a connection whose cleanup failed was pooled", accepts)
 	}
 }
 
@@ -701,15 +664,7 @@ func TestResultSurvivesNextCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	snapshot := fmt.Sprintf("%v %v", first.Columns, first.Rows)
-	p, err := s.ExecPipe("SELECT 2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := s.Exec("SELECT 3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	parked, err := p.Wait() // read, and parked, by the call after it
+	second, err := s.Exec("SELECT 2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -719,7 +674,7 @@ func TestResultSurvivesNextCall(t *testing.T) {
 	if got := fmt.Sprintf("%v %v", first.Columns, first.Rows); got != snapshot {
 		t.Fatalf("the first result changed under later calls:\n was %s\n now %s", snapshot, got)
 	}
-	for i, res := range []*wire.Result{first, parked, second} {
+	for i, res := range []*wire.Result{first, second} {
 		if want := fmt.Sprintf("row-of-request-%d", i+1); res.Rows[0][0].Str() != want || string(res.Rows[0][1].Bytes()) != want {
 			t.Fatalf("result %d holds %v, want %s", i+1, res.Rows, want)
 		}

@@ -33,7 +33,6 @@ type Rows struct {
 	ownSess bool
 	id      uint64
 	fetch   int
-	cols    []string
 
 	page []core.Row
 	idx  int
@@ -50,14 +49,7 @@ type Rows struct {
 // exactly like Exec -- nothing has streamed yet, so replaying the open is
 // safe.
 func (c *Client) Query(sql string, args ...core.Value) (*Rows, error) {
-	return c.QueryTraced(nil, sql, args...)
-}
-
-// QueryTraced is Query with dt attached to the session for the life of the
-// cursor: the open and every page fetch record hops into dt (nil =
-// untraced).
-func (c *Client) QueryTraced(dt *DistTrace, sql string, args ...core.Value) (*Rows, error) {
-	s, err := c.lease(dt)
+	s, err := c.lease(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -101,7 +93,7 @@ func (r *Rows) loadPage(body []byte) error {
 	if err != nil {
 		return err
 	}
-	r.id, r.cols, r.page, r.idx, r.srvDone = id, res.Columns, res.Rows, 0, done
+	r.id, r.page, r.idx, r.srvDone = id, res.Rows, 0, done
 	if done {
 		delete(r.s.rows, id)
 	}
@@ -157,9 +149,6 @@ func (r *Rows) Next() bool {
 // next call to Next).
 func (r *Rows) Row() core.Row { return r.row }
 
-// Columns returns the projected column list (nil for SELECT *).
-func (r *Rows) Columns() []string { return r.cols }
-
 // Err returns the error that terminated iteration, nil after a clean
 // exhaustion or before one.
 func (r *Rows) Err() error { return r.err }
@@ -210,18 +199,4 @@ func (s *Session) ExecBatch(stmts []wire.BatchStmt) ([]int, error) {
 	}
 	s.w.noteCSN(csn)
 	return aff, nil
-}
-
-// ExecBatch runs one atomic batch on a pooled connection.
-func (c *Client) ExecBatch(stmts []wire.BatchStmt) ([]int, error) {
-	return c.ExecBatchTraced(nil, stmts)
-}
-
-// ExecBatchTraced is ExecBatch on a session carrying dt (nil = untraced).
-func (c *Client) ExecBatchTraced(dt *DistTrace, stmts []wire.BatchStmt) (aff []int, err error) {
-	err = c.withSession(dt, func(s *Session) error {
-		aff, err = s.ExecBatch(stmts)
-		return err
-	})
-	return aff, err
 }

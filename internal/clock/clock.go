@@ -18,11 +18,8 @@ import (
 // for bulk-loaded data.
 type CSN = uint64
 
-// Source grants begin timestamps and commit sequence numbers.
+// Source grants commit sequence numbers.
 type Source interface {
-	// Now returns the current timestamp without advancing the clock
-	// (transaction begin).
-	Now() CSN
 	// Next advances the clock and returns a fresh, globally unique
 	// timestamp (transaction commit).
 	Next() CSN
@@ -41,7 +38,8 @@ func NewCounter(start CSN) *Counter {
 	return c
 }
 
-// Now implements Source.
+// Now returns the current timestamp without advancing the counter
+// (transaction begin).
 func (c *Counter) Now() CSN { return c.csn.Load() }
 
 // Next implements Source.
@@ -86,8 +84,8 @@ func NewLogicalClock(model *delay.Model, waiter delay.Waiter, nicPPS int64) *Log
 	return &LogicalClock{model: model, waiter: waiter, nicPPS: nicPPS}
 }
 
-// Now performs a remote read of the counter (one RDMA round trip).
-func (l *LogicalClock) Now() CSN {
+// now performs a remote read of the counter (one RDMA round trip).
+func (l *LogicalClock) now() CSN {
 	l.charge()
 	return l.counter.Load()
 }
@@ -144,8 +142,8 @@ func NewGlobalClock(epsilon time.Duration, waiter delay.Waiter) *GlobalClock {
 	return &GlobalClock{epsilon: epsilon, waiter: waiter}
 }
 
-// Now returns the current physical timestamp (monotone, nanoseconds).
-func (g *GlobalClock) Now() CSN {
+// now returns the current physical timestamp (monotone, nanoseconds).
+func (g *GlobalClock) now() CSN {
 	ts := uint64(time.Now().UnixNano())
 	for {
 		last := g.last.Load()
@@ -162,7 +160,7 @@ func (g *GlobalClock) Now() CSN {
 // the uncertainty interval so that the timestamp is in the past on every
 // node when released.
 func (g *GlobalClock) Next() CSN {
-	ts := g.Now()
+	ts := g.now()
 	g.waiter.Wait(g.epsilon)
 	return ts
 }

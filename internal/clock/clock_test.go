@@ -66,11 +66,11 @@ func TestLogicalClockChargesRDMA(t *testing.T) {
 	lc := NewLogicalClock(m, &w, 0)
 	lc.Next()
 	lc.Next()
-	lc.Now()
+	lc.now()
 	if got := w.Total(); got != 39*time.Microsecond {
 		t.Fatalf("charged %v, want 39µs (3 RDMA ops)", got)
 	}
-	if got := lc.Now(); got != 2 {
+	if got := lc.now(); got != 2 {
 		t.Fatalf("counter = %d, want 2", got)
 	}
 }
@@ -89,9 +89,9 @@ func TestLogicalClockNICCapQueues(t *testing.T) {
 
 func TestGlobalClockMonotone(t *testing.T) {
 	g := NewGlobalClock(0, &delay.CountingWaiter{})
-	prev := g.Now()
+	prev := g.now()
 	for i := 0; i < 10000; i++ {
-		cur := g.Now()
+		cur := g.now()
 		if cur <= prev {
 			t.Fatalf("timestamp regressed: %d after %d", cur, prev)
 		}

@@ -113,7 +113,7 @@ func TestDurablePayloadIsTheLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.Prepare("g1"); err != nil {
+	if _, err := tx.prepare("g1"); err != nil {
 		t.Fatal(err)
 	}
 	check("Prepare", prepared)

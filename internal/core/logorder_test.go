@@ -24,7 +24,7 @@ func twoPCInsert(e *Engine, tbl *Table, worker int, gtid string, row Row, commit
 		_ = tx.Abort()
 		return err
 	}
-	if _, err := tx.Prepare(gtid); err != nil {
+	if _, err := tx.prepare(gtid); err != nil {
 		return err
 	}
 	if _, err := resolveWait(e, gtid, commit); err != nil {

@@ -181,10 +181,10 @@ func forEachEmbedded(body []byte, fn func(off int, rec wal.Record) error) error 
 	return nil
 }
 
-// Prepare is the synchronous form of PrepareAsync: it blocks until the
+// prepare is the synchronous form of PrepareAsync: it blocks until the
 // prepare record is durable and returns the vote (readOnly=true means the
 // transaction wrote nothing and committed locally; no decision is owed).
-func (t *Txn) Prepare(gtid string) (readOnly bool, err error) {
+func (t *Txn) prepare(gtid string) (readOnly bool, err error) {
 	type vote struct {
 		ro  bool
 		err error

@@ -9,7 +9,7 @@ import (
 // prepare is a test helper: runs Prepare and fails the test on error.
 func prepare(t *testing.T, tx *Txn, gtid string) {
 	t.Helper()
-	ro, err := tx.Prepare(gtid)
+	ro, err := tx.prepare(gtid)
 	if err != nil {
 		t.Fatalf("prepare %s: %v", gtid, err)
 	}
@@ -166,7 +166,7 @@ func TestPrepareAbortUninstalls(t *testing.T) {
 	if _, err := tx3.Insert(tbl, Row{I(4), S("dave"), I(4)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx3.Prepare("nope"); err == nil {
+	if _, err := tx3.prepare("nope"); err == nil {
 		t.Fatal("late prepare under a fenced gtid succeeded")
 	}
 	// Committing a NEVER-seen gtid still fails loudly.
@@ -183,7 +183,7 @@ func TestReadOnlyPrepareVotes(t *testing.T) {
 	if _, _, err := tx.GetByKey(tbl, 0, I(1)); err != nil {
 		t.Fatal(err)
 	}
-	ro, err := tx.Prepare("h0-ro")
+	ro, err := tx.prepare("h0-ro")
 	if err != nil || !ro {
 		t.Fatalf("read-only prepare: ro=%v err=%v", ro, err)
 	}
@@ -324,7 +324,7 @@ func TestConcurrentDuplicatePrepare(t *testing.T) {
 	errs := make(chan error, 2)
 	for _, tx := range []*Txn{txA, txB} {
 		go func(tx *Txn) {
-			_, err := tx.Prepare("h0-dup")
+			_, err := tx.prepare("h0-dup")
 			errs <- err
 		}(tx)
 	}

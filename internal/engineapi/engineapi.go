@@ -40,8 +40,6 @@ type DB interface {
 	CreateTable(schema *core.Schema) error
 	// Begin starts a transaction on a worker slot.
 	Begin(worker int) (Txn, error)
-	// Name identifies the engine in reports.
-	Name() string
 }
 
 // AsyncCommitter is optionally implemented by transactions that support

@@ -2,7 +2,7 @@ package numa
 
 // CrossSocketFraction returns the fraction of accesses crossing sockets.
 func (a *Accountant) CrossSocketFraction() float64 {
-	l, rd, rs := a.Counts()
+	l, rd, rs := a.counts()
 	total := l + rd + rs
 	if total == 0 {
 		return 0

@@ -145,9 +145,6 @@ func NewAccountant(topo Topology, waiter delay.Waiter) *Accountant {
 	return &Accountant{topo: topo, waiter: waiter}
 }
 
-// Topology returns the accountant's topology.
-func (a *Accountant) Topology() Topology { return a.topo }
-
 // Access charges one tracked access from core to a datum homed on homeDie.
 func (a *Accountant) Access(core Core, homeDie int) {
 	switch {
@@ -163,15 +160,15 @@ func (a *Accountant) Access(core Core, homeDie int) {
 	}
 }
 
-// Counts returns (local, remote-die, remote-socket) access counts.
-func (a *Accountant) Counts() (local, remoteDie, remoteSocket int64) {
+// counts returns (local, remote-die, remote-socket) access counts.
+func (a *Accountant) counts() (local, remoteDie, remoteSocket int64) {
 	return a.local.Load(), a.remoteDie.Load(), a.remoteSocket.Load()
 }
 
 // RemoteFraction returns the fraction of accesses that crossed a die or
 // socket boundary (0 when no accesses were recorded).
 func (a *Accountant) RemoteFraction() float64 {
-	l, rd, rs := a.Counts()
+	l, rd, rs := a.counts()
 	total := l + rd + rs
 	if total == 0 {
 		return 0
@@ -179,8 +176,8 @@ func (a *Accountant) RemoteFraction() float64 {
 	return float64(rd+rs) / float64(total)
 }
 
-// Reset zeroes the counters.
-func (a *Accountant) Reset() {
+// reset zeroes the counters.
+func (a *Accountant) reset() {
 	a.local.Store(0)
 	a.remoteDie.Store(0)
 	a.remoteSocket.Store(0)

@@ -65,7 +65,7 @@ func TestAccountantCountsAndCharges(t *testing.T) {
 	a.Access(arm.Core(0), 0) // local
 	a.Access(arm.Core(0), 1) // remote die, same socket
 	a.Access(arm.Core(0), 2) // remote socket
-	l, rd, rs := a.Counts()
+	l, rd, rs := a.counts()
 	if l != 1 || rd != 1 || rs != 1 {
 		t.Fatalf("counts: %d %d %d", l, rd, rs)
 	}
@@ -79,7 +79,7 @@ func TestAccountantCountsAndCharges(t *testing.T) {
 	if f := a.CrossSocketFraction(); f < 0.33 || f > 0.34 {
 		t.Fatalf("cross socket fraction = %f", f)
 	}
-	a.Reset()
+	a.reset()
 	if f := a.RemoteFraction(); f != 0 {
 		t.Fatalf("fraction after reset = %f", f)
 	}

@@ -130,14 +130,6 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// Max returns the exact maximum observation (0 when empty).
-func (h *Histogram) Max() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.max.Load()
-}
-
 // bucketUpper is the largest value bucket i can hold.
 func bucketUpper(i int) int64 {
 	if i == 0 {

@@ -91,8 +91,8 @@ func TestHistogramPercentileOracle(t *testing.T) {
 			t.Fatalf("q=%v: estimate %d exceeds 2*oracle+1 (%d)", q, got, 2*oracle+1)
 		}
 	}
-	if h.Max() != vals[len(vals)-1] {
-		t.Fatalf("max = %d, want %d", h.Max(), vals[len(vals)-1])
+	if h.max.Load() != vals[len(vals)-1] {
+		t.Fatalf("max = %d, want %d", h.max.Load(), vals[len(vals)-1])
 	}
 }
 
@@ -107,8 +107,8 @@ func TestHistogramEdgeValues(t *testing.T) {
 		t.Fatalf("zero-value histogram: count=%d sum=%d", h.Count(), h.Sum())
 	}
 	h.Record(1 << 40)
-	if h.Max() != 1<<40 {
-		t.Fatalf("max = %d", h.Max())
+	if h.max.Load() != 1<<40 {
+		t.Fatalf("max = %d", h.max.Load())
 	}
 	// Quantile is clamped to the exact max, not the bucket upper bound.
 	if q := h.Quantile(1.0); q != 1<<40 {
@@ -141,8 +141,8 @@ func TestHistogramConcurrent(t *testing.T) {
 	if h.Sum() != want {
 		t.Fatalf("sum = %d, want %d", h.Sum(), want)
 	}
-	if h.Max() != goroutines*per-1 {
-		t.Fatalf("max = %d, want %d", h.Max(), goroutines*per-1)
+	if h.max.Load() != goroutines*per-1 {
+		t.Fatalf("max = %d, want %d", h.max.Load(), goroutines*per-1)
 	}
 }
 

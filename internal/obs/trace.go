@@ -272,14 +272,6 @@ func (t *Trace) SetOp(name string) {
 	t.op = name
 }
 
-// Op returns the tagged opcode name ("" for nil or untagged).
-func (t *Trace) Op() string {
-	if t == nil {
-		return ""
-	}
-	return t.op
-}
-
 // PlanCacheSeen reports whether the trace saw plan-cache hits / misses.
 func (t *Trace) PlanCacheSeen() (hit, miss bool) {
 	if t == nil {

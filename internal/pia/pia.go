@@ -305,8 +305,8 @@ func (m *Map[T]) CompareAndSwap(rid RID, old, v *T) (bool, error) {
 	return e.ptr.CompareAndSwap(old, v), nil
 }
 
-// Delete clears the pointer at rid.
-func (m *Map[T]) Delete(rid RID) error {
+// remove clears the pointer at rid.
+func (m *Map[T]) remove(rid RID) error {
 	e, err := m.entryOf(rid)
 	if err != nil {
 		return err
@@ -315,7 +315,7 @@ func (m *Map[T]) Delete(rid RID) error {
 	return nil
 }
 
-// DeleteIf is Delete provided the pointer at rid is still old: the clear and
+// DeleteIf clears the pointer at rid provided it is still old: the clear and
 // the check are one step, so a version installed in between (an insert
 // reusing the RID) is never swept out with the delete marker it replaced. The
 // caller holds old, so it cannot be freed and reused in between: a pointer

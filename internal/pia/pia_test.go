@@ -44,7 +44,7 @@ func TestStoreGetDelete(t *testing.T) {
 	if got := m.Get(rid); got != v {
 		t.Fatal("Get != stored value")
 	}
-	if err := m.Delete(rid); err != nil {
+	if err := m.remove(rid); err != nil {
 		t.Fatal(err)
 	}
 	if m.Get(rid) != nil {
@@ -268,7 +268,7 @@ func TestPropertyMapEquivalence(t *testing.T) {
 			rids = append(rids, rid)
 		case op%4 == 2: // delete
 			rid := rids[((val%len(rids))+len(rids))%len(rids)]
-			m.Delete(rid)
+			m.remove(rid)
 			delete(ref, rid)
 		default: // get
 			rid := rids[((val%len(rids))+len(rids))%len(rids)]

@@ -188,13 +188,6 @@ func NewShipper(addr string, svc *srss.Service) *Shipper {
 	return sh
 }
 
-// Epoch returns the highest primary epoch observed so far.
-func (sh *Shipper) Epoch() uint64 { return sh.epoch.Load() }
-
-// LastFetchTrace returns the primary's stage-timing block from the most
-// recent sampled traced fetch (nil before the first one completes).
-func (sh *Shipper) LastFetchTrace() *wire.TraceInfo { return sh.lastTrace.Load() }
-
 // ObserveEpoch raises the shipper's observed epoch (monotonic). Callers
 // seed it with the replica's recovered epoch so the first hello already
 // presents the lineage being followed.
@@ -269,7 +262,7 @@ func (sh *Shipper) roundTrip(op wire.Op, payload []byte, traced bool) ([]byte, e
 // hello fails with core.ErrStaleEpoch so the follower never applies a
 // superseded lineage's log.
 func (sh *Shipper) Hello() (srss.PLogID, uint64, error) {
-	body, err := sh.roundTrip(wire.OpReplHello, wire.EncodeReplHelloReq(sh.Epoch()), false)
+	body, err := sh.roundTrip(wire.OpReplHello, wire.EncodeReplHelloReq(sh.epoch.Load()), false)
 	if err != nil {
 		return srss.PLogID{}, 0, err
 	}
@@ -278,7 +271,7 @@ func (sh *Shipper) Hello() (srss.PLogID, uint64, error) {
 		return srss.PLogID{}, 0, err
 	}
 	if epoch != 0 {
-		if cur := sh.Epoch(); epoch < cur {
+		if cur := sh.epoch.Load(); epoch < cur {
 			return srss.PLogID{}, 0, fmt.Errorf("replica: primary %s at epoch %d, already observed %d: %w",
 				sh.addr, epoch, cur, core.ErrStaleEpoch)
 		}
@@ -381,7 +374,7 @@ func (sh *Shipper) fetch(id srss.PLogID, off int64, max int) (wire.PLogStat, []b
 	}
 	sh.fetchSeq++
 	traced := (sh.fetchSeq-1)%fetchTraceEvery == 0
-	body, err := sh.roundTrip(wire.OpReplFetch, wire.EncodeReplFetch(id, off, max, sh.Epoch()), traced)
+	body, err := sh.roundTrip(wire.OpReplFetch, wire.EncodeReplFetch(id, off, max, sh.epoch.Load()), traced)
 	if err != nil {
 		return wire.PLogStat{}, nil, err
 	}
@@ -452,17 +445,7 @@ func newFollower(sh *Shipper, rep *core.Replica, interval time.Duration, reg *ob
 // LastFetchTrace returns the primary's stage timings from the most recent
 // sampled traced log-shipping fetch (nil before one completes): the
 // replication path's contribution to the node's observability surface.
-func (f *Follower) LastFetchTrace() *wire.TraceInfo { return f.sh.LastFetchTrace() }
-
-// Epoch returns the highest primary epoch this node knows: its own
-// engine's (bumped by promotion) or the highest observed while shipping.
-func (f *Follower) Epoch() uint64 {
-	e := f.rep.Engine().Epoch()
-	if o := f.sh.Epoch(); o > e {
-		e = o
-	}
-	return e
-}
+func (f *Follower) LastFetchTrace() *wire.TraceInfo { return f.sh.lastTrace.Load() }
 
 // SetInterval adjusts the poll cadence. Call before Start.
 func (f *Follower) SetInterval(d time.Duration) {
@@ -680,7 +663,7 @@ func (f *Follower) Promote() (uint64, error) {
 	if err := f.chaos.Check(SitePromote); err != nil {
 		return 0, err
 	}
-	epoch, err := f.rep.Promote(f.sh.Epoch())
+	epoch, err := f.rep.Promote(f.sh.epoch.Load())
 	if err != nil {
 		return 0, err
 	}

@@ -149,9 +149,7 @@ func TestPreparedFlow(t *testing.T) {
 		t.Fatalf("txn prepared insert not visible: %v %+v", err, res)
 	}
 
-	// Fully pipelined prepared transaction: BEGIN, two prepared inserts,
-	// and a prepared COMMIT all in flight before the first response. The
-	// prepared COMMIT must take the server's pipelined durability path.
+	// A prepared COMMIT ends the client-side transaction as Commit does.
 	commit, err := s.Prepare("COMMIT")
 	if err != nil {
 		t.Fatal(err)
@@ -159,24 +157,39 @@ func TestPreparedFlow(t *testing.T) {
 	if err := s.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	p1, err := ins.ExecPipe(core.I(200), core.S("p"))
-	if err != nil {
+	if _, err := ins.Exec(core.I(101), core.S("txn")); err != nil {
 		t.Fatal(err)
 	}
-	p2, err := ins.ExecPipe(core.I(201), core.S("p"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc, err := commit.ExecPipe()
-	if err != nil {
+	if _, err := commit.Exec(); err != nil {
 		t.Fatal(err)
 	}
 	if s.InTxn() {
-		t.Fatal("pipelined prepared COMMIT did not clear the txn flag")
+		t.Fatal("prepared COMMIT did not clear the txn flag")
 	}
-	for _, p := range []*client.Pending{p1, p2, pc} {
-		if _, err := p.Wait(); err != nil {
-			t.Fatal(err)
+
+	// Fully pipelined prepared transaction: BEGIN, two prepared inserts,
+	// and a prepared COMMIT all in flight before the first response. The
+	// prepared COMMIT must take the server's pipelined durability path.
+	rc := dialRaw(t, h.addr)
+	prepare := func(sql string) uint64 {
+		t.Helper()
+		r := rc.roundTrip(wire.OpPrepare, wire.EncodePrepare(sql))
+		id, _, err := wire.DecodePrepareResult(r.Body)
+		if err := errors.Join(r.Err(), err); err != nil {
+			t.Fatalf("prepare %q: %v", sql, err)
+		}
+		return id
+	}
+	rawIns, rawCommit := prepare("INSERT INTO t VALUES (?, ?)"), prepare("COMMIT")
+	ids := []uint64{
+		rc.send(wire.OpBegin, nil),
+		rc.send(wire.OpExecStmt, wire.AppendExecStmt(nil, rawIns, []core.Value{core.I(200), core.S("p")})),
+		rc.send(wire.OpExecStmt, wire.AppendExecStmt(nil, rawIns, []core.Value{core.I(201), core.S("p")})),
+		rc.send(wire.OpExecStmt, wire.AppendExecStmt(nil, rawCommit, nil)),
+	}
+	for id, r := range rc.await(ids...) {
+		if err := r.Err(); err != nil {
+			t.Fatalf("pipelined request %d: %v", id, err)
 		}
 	}
 	if res, err := sel.Exec(core.I(201)); err != nil || len(res.Rows) != 1 {
@@ -211,34 +224,11 @@ func TestPreparedRawProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	nc, err := net.Dial("tcp", h.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	nc.SetDeadline(time.Now().Add(10 * time.Second))
-	if f, err := wire.ReadFrame(nc, false); err != nil || f.RequestID != 0 {
-		t.Fatalf("greeting frame: id=%d err=%v", f.RequestID, err)
-	}
-	var reqID uint64
+	rc := dialRaw(t, h.addr)
 	roundTrip := func(op wire.Op, payload []byte) (wire.Code, string, []byte) {
 		t.Helper()
-		reqID++
-		if err := wire.WriteFrame(nc, wire.Frame{RequestID: reqID, Op: op, Payload: payload}); err != nil {
-			t.Fatal(err)
-		}
-		f, err := wire.ReadFrame(nc, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.RequestID != reqID {
-			t.Fatalf("response id %d, want %d", f.RequestID, reqID)
-		}
-		code, msg, body, err := decodeResponse(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return code, msg, body
+		r := rc.roundTrip(op, payload)
+		return r.Code, r.Msg, r.Body
 	}
 
 	// Executing an id never issued is a bad request, not a dead connection.
@@ -404,6 +394,50 @@ func TestStmtHygienePooledReuse(t *testing.T) {
 	}
 	if got := open.Load(); got != 1 {
 		t.Fatalf("stmts_open = %d, want 1", got)
+	}
+}
+
+// TestSessionCloseClosesStatementsAndCursors: Session.Close closes every open
+// statement and cursor, one request each, before it pools the connection:
+// the server's statement and cursor gauges return to 0, and the next session
+// gets the same connection.
+func TestSessionCloseClosesStatementsAndCursors(t *testing.T) {
+	h := newHarness(t, nil, nil)
+	cl := h.client(t, func(o *client.Options) { o.PoolSize = 1 })
+	s, err := cl.Session()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Exec("CREATE TABLE t (id INT, PRIMARY KEY(id))"); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 3; i++ {
+		if _, err := s.Exec("INSERT INTO t VALUES (?)", core.I(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, sql := range []string{"INSERT INTO t VALUES (?)", "SELECT id FROM t WHERE id = ?"} {
+		if _, err := s.Prepare(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.SetFetchSize(1)
+	if _, err := s.Query("SELECT id FROM t"); err != nil {
+		t.Fatal(err)
+	}
+	stmts := h.reg.Gauge("server.stmts_open")
+	if stmts.Load() != 2 || h.srv.CursorsOpen() != 1 {
+		t.Fatalf("open before Close: %d statements, %d cursors; want 2 and 1", stmts.Load(), h.srv.CursorsOpen())
+	}
+	s.Close()
+	if stmts.Load() != 0 || h.srv.CursorsOpen() != 0 {
+		t.Fatalf("open after Close: %d statements, %d cursors; want 0 and 0", stmts.Load(), h.srv.CursorsOpen())
+	}
+	if err := cl.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	if n := h.reg.Counter("server.conns_total").Load(); n != 1 {
+		t.Fatalf("%d connections accepted: the closed session's connection was not pooled", n)
 	}
 }
 

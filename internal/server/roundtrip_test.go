@@ -56,7 +56,7 @@ func TestPooledConnReapedIsDiscarded(t *testing.T) {
 		if err := cl.Ping(); err != nil {
 			t.Fatal(err)
 		}
-		if err := h.srv.Shutdown(context.Background()); err != nil {
+		if err := h.srv.shutdown(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		// A second server takes over the address, as a restarted node would.
@@ -184,31 +184,11 @@ func TestBeginFlagRawProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	nc, err := net.Dial("tcp", h.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	nc.SetDeadline(time.Now().Add(10 * time.Second))
-	if f, err := wire.ReadFrame(nc, false); err != nil || f.RequestID != 0 {
-		t.Fatalf("greeting frame: id=%d err=%v", f.RequestID, err)
-	}
-	var reqID uint64
+	rc := dialRaw(t, h.addr)
 	roundTrip := func(op wire.Op, payload []byte) (wire.Code, string) {
 		t.Helper()
-		reqID++
-		if err := wire.WriteFrame(nc, wire.Frame{RequestID: reqID, Op: op, Payload: payload}); err != nil {
-			t.Fatal(err)
-		}
-		f, err := wire.ReadFrame(nc, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		code, msg, _, err := decodeResponse(f)
-		if err != nil || f.RequestID != reqID {
-			t.Fatalf("response id %d to request %d: %v", f.RequestID, reqID, err)
-		}
-		return code, msg
+		r := rc.roundTrip(op, payload)
+		return r.Code, r.Msg
 	}
 	exec := func(flags uint64, sql string, args ...core.Value) (wire.Code, string) {
 		t.Helper()

@@ -38,7 +38,7 @@
 //     (fail-stopped or closed engine, draining server) carry fatal codes
 //     that clients must not retry.
 //
-//   - Shutdown drains: the listener closes, new requests are refused with
+//   - Close drains: the listener closes, new requests are refused with
 //     CodeClosed (fatal, so clients fail fast instead of retry-storming),
 //     and in-flight requests -- including commits waiting on durability
 //     callbacks -- complete before connections are torn down.
@@ -271,7 +271,7 @@ type Server struct {
 	inflight chan struct{} // admission semaphore
 
 	// admitMu orders request admission against drain start: handle()'s
-	// draining check + reqWG.Add(1) happen under it, and Shutdown sets
+	// draining check + reqWG.Add(1) happen under it, and shutdown sets
 	// draining under it before calling reqWG.Wait, so an Add can never
 	// start concurrently with Wait at a zero counter (WaitGroup misuse) --
 	// once draining is observable, no further request is admitted.
@@ -422,7 +422,7 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	s.ln = ln
 	s.mu.Unlock()
-	if s.closed.Load() { // Shutdown raced Serve: don't accept
+	if s.closed.Load() { // shutdown raced Serve: don't accept
 		ln.Close()
 		return nil
 	}
@@ -485,11 +485,11 @@ func (s *Server) admitConn(nc net.Conn) bool {
 	return true
 }
 
-// Shutdown gracefully drains the server: the listener closes, refused
+// shutdown gracefully drains the server: the listener closes, refused
 // requests carry CodeClosed, and all admitted requests -- including
 // commits waiting for durability -- complete before connections close.
 // Returns ctx.Err() if the drain deadline expired first.
-func (s *Server) Shutdown(ctx context.Context) error {
+func (s *Server) shutdown(ctx context.Context) error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
@@ -526,7 +526,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 func (s *Server) Close() error {
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
 	defer cancel()
-	return s.Shutdown(ctx)
+	return s.shutdown(ctx)
 }
 
 // --- connection handling ---------------------------------------------------

@@ -183,26 +183,19 @@ func TestRemoteBasic(t *testing.T) {
 		t.Fatalf("stats snapshot missing engine counters: %q", stats)
 	}
 
-	// Pipelined path: several statements in flight, commit answered at
-	// durability, all out-of-order completions resolve.
-	if err := s.Begin(); err != nil {
-		t.Fatal(err)
+	// Pipelined path: several statements in flight on one connection, the
+	// commit answered at durability, and every completion resolves, in
+	// whichever order the server answers.
+	rc := dialRaw(t, h.addr)
+	ids := []uint64{
+		rc.send(wire.OpBegin, nil),
+		rc.send(wire.OpExec, wire.AppendExec(nil, "INSERT INTO fast VALUES (?, ?)", []core.Value{core.I(10), core.S("a")})),
+		rc.send(wire.OpExec, wire.AppendExec(nil, "INSERT INTO fast VALUES (?, ?)", []core.Value{core.I(11), core.S("b")})),
+		rc.send(wire.OpCommit, nil),
 	}
-	p1, err := s.ExecPipe("INSERT INTO fast VALUES (?, ?)", core.I(10), core.S("a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := s.ExecPipe("INSERT INTO fast VALUES (?, ?)", core.I(11), core.S("b"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc, err := s.CommitPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []*client.Pending{p1, p2, pc} {
-		if _, err := p.Wait(); err != nil {
-			t.Fatal(err)
+	for id, r := range rc.await(ids...) {
+		if err := r.Err(); err != nil {
+			t.Fatalf("pipelined request %d: %v", id, err)
 		}
 	}
 	if res := mustExec("SELECT v FROM fast WHERE id = ?", core.I(11)); len(res.Rows) != 1 {
@@ -583,9 +576,9 @@ func TestMaxConnsGreeting(t *testing.T) {
 	}
 }
 
-// TestGracefulDrain shuts down while a pipelined commit is in flight: the
-// drain must wait for its durability callback, the commit must succeed,
-// and Shutdown must return nil (no timeout). The cloud latency model
+// TestGracefulDrain shuts down while a commit is in flight: the drain must
+// wait for its durability callback, the commit must succeed, and the drain
+// must return nil (no timeout). The cloud latency model
 // keeps the commit in its durability wait long enough to observe it
 // admitted (via the inflight gauge) before the drain starts.
 func TestGracefulDrain(t *testing.T) {
@@ -605,10 +598,8 @@ func TestGracefulDrain(t *testing.T) {
 	if _, err := s.Exec("INSERT INTO t VALUES (?)", core.I(1)); err != nil {
 		t.Fatal(err)
 	}
-	pc, err := s.CommitPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
+	committed := make(chan error, 1)
+	go func() { committed <- s.Commit() }()
 	// Wait until the commit is admitted (it holds its in-flight token
 	// until the durability callback answers). If the window is missed the
 	// commit already answered, which the assertions below still cover.
@@ -625,7 +616,7 @@ func TestGracefulDrain(t *testing.T) {
 	if err := h.srv.Close(); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if _, err := pc.Wait(); err != nil {
+	if err := <-committed; err != nil {
 		t.Fatalf("in-flight commit lost by drain: %v", err)
 	}
 	// New work is refused.
@@ -843,4 +834,71 @@ func TestSoakChaos(t *testing.T) {
 func decodeResponse(f wire.Frame) (wire.Code, string, []byte, error) {
 	r, err := wire.DecodeResponseFrame(f)
 	return r.Code, r.Msg, r.Body, err
+}
+
+// rawConn speaks the protocol on a bare connection, so a test can put several
+// requests in flight before it reads a response, as a pipelining client
+// would.
+type rawConn struct {
+	t     testing.TB
+	nc    net.Conn
+	reqID uint64
+}
+
+// dialRaw connects to addr and reads the greeting.
+func dialRaw(t testing.TB, addr string) *rawConn {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	if f, err := wire.ReadFrame(nc, false); err != nil || f.RequestID != 0 {
+		t.Fatalf("greeting frame: id=%d err=%v", f.RequestID, err)
+	}
+	return &rawConn{t: t, nc: nc}
+}
+
+// send writes one request and returns its id.
+func (rc *rawConn) send(op wire.Op, payload []byte) uint64 {
+	rc.t.Helper()
+	rc.reqID++
+	if err := wire.WriteFrame(rc.nc, wire.Frame{RequestID: rc.reqID, Op: op, Payload: payload}); err != nil {
+		rc.t.Fatal(err)
+	}
+	return rc.reqID
+}
+
+// await reads the responses to ids, in whichever order the server sends them,
+// and returns them by id; a response to any other request fails the test.
+func (rc *rawConn) await(ids ...uint64) map[uint64]wire.Response {
+	rc.t.Helper()
+	got := make(map[uint64]wire.Response, len(ids))
+	want := make(map[uint64]bool, len(ids))
+	for _, id := range ids {
+		want[id] = true
+	}
+	for len(got) < len(ids) {
+		f, err := wire.ReadFrame(rc.nc, false)
+		if err != nil {
+			rc.t.Fatal(err)
+		}
+		if _, dup := got[f.RequestID]; !want[f.RequestID] || dup {
+			rc.t.Fatalf("response to request %d, which is not in flight", f.RequestID)
+		}
+		r, err := wire.DecodeResponseFrame(f)
+		if err != nil {
+			rc.t.Fatal(err)
+		}
+		got[f.RequestID] = r
+	}
+	return got
+}
+
+// roundTrip sends one request and reads its response.
+func (rc *rawConn) roundTrip(op wire.Op, payload []byte) wire.Response {
+	rc.t.Helper()
+	id := rc.send(op, payload)
+	return rc.await(id)[id]
 }

@@ -30,7 +30,6 @@ func TestStreamingOversizeScan(t *testing.T) {
 	if _, err := s.Exec("CREATE TABLE big (id INT, v TEXT, PRIMARY KEY(id))"); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
 
 	// ~132 MiB of result: >= 8x the 16 MiB frame cap.
 	const rows, width, batch = 33000, 4096, 500
@@ -41,7 +40,7 @@ func TestStreamingOversizeScan(t *testing.T) {
 			stmts[i] = wire.BatchStmt{SQL: "INSERT INTO big VALUES (?, ?)",
 				Args: []core.Value{core.I(int64(base + i)), core.S(wide)}}
 		}
-		aff, err := cl.ExecBatch(stmts)
+		aff, err := s.ExecBatch(stmts)
 		if err != nil {
 			t.Fatalf("batch at %d: %v", base, err)
 		}
@@ -49,6 +48,7 @@ func TestStreamingOversizeScan(t *testing.T) {
 			t.Fatalf("batch at %d: %d affected entries", base, len(aff))
 		}
 	}
+	s.Close()
 
 	// The one-shot path still rejects the oversize result (last-resort
 	// guard unchanged)...
@@ -112,7 +112,7 @@ func TestStreamSnapshotUnderWriters(t *testing.T) {
 		stmts[i] = wire.BatchStmt{SQL: "INSERT INTO snap VALUES (?, 'old')",
 			Args: []core.Value{core.I(int64(i))}}
 	}
-	if _, err := cl.ExecBatch(stmts); err != nil {
+	if _, err := s.ExecBatch(stmts); err != nil {
 		t.Fatal(err)
 	}
 
@@ -137,7 +137,7 @@ func TestStreamSnapshotUnderWriters(t *testing.T) {
 		more[i] = wire.BatchStmt{SQL: "INSERT INTO snap VALUES (?, 'late')",
 			Args: []core.Value{core.I(int64(before + i))}}
 	}
-	if _, err := cl.ExecBatch(more); err != nil {
+	if _, err := w.ExecBatch(more); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()

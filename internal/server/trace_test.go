@@ -261,7 +261,7 @@ func TestStreamedScanTraceStages(t *testing.T) {
 		stmts[i] = wire.BatchStmt{SQL: "INSERT INTO scantrace VALUES (?, 'v')",
 			Args: []core.Value{core.I(int64(i))}}
 	}
-	if _, err := cl.ExecBatch(stmts); err != nil {
+	if _, err := s.ExecBatch(stmts); err != nil {
 		t.Fatal(err)
 	}
 

@@ -50,8 +50,8 @@ func NewRouter(m *Map, opts client.Options, ch *chaos.Engine) *Router {
 		m: m, clients: make(map[uint32]*client.Client)}
 }
 
-// Map returns the current topology.
-func (r *Router) Map() *Map {
+// topology returns the current map.
+func (r *Router) topology() *Map {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.m
@@ -69,8 +69,8 @@ func (r *Router) Close() {
 	}
 }
 
-// Client returns (dialing lazily) the pooled client for shard id.
-func (r *Router) Client(id uint32) (*client.Client, error) {
+// shardClient returns (dialing lazily) the pooled client for shard id.
+func (r *Router) shardClient(id uint32) (*client.Client, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -95,7 +95,7 @@ func (r *Router) Client(id uint32) (*client.Client, error) {
 
 // clientForKey returns the client owning an integer primary key.
 func (r *Router) clientForKey(key int64) (*client.Client, error) {
-	return r.Client(r.Map().ShardOfInt(key))
+	return r.shardClient(r.topology().ShardOfInt(key))
 }
 
 // Exec runs one autocommit statement on the shard owning key. This is the
@@ -111,37 +111,6 @@ func (r *Router) Exec(key int64, sql string, args ...core.Value) (*wire.Result, 
 	res, err := c.ExecTraced(dt, sql, args...)
 	r.publishDist(dt, 0, 0, 0)
 	return res, err
-}
-
-// Query opens a streaming SELECT on the shard owning key. Like Exec, this
-// is the single-shard fast path: it delegates to that shard's client.Query
-// unwrapped, so the cursor protocol, its retry behavior, and error
-// identity are exactly those of an unsharded client. Cross-shard scans are
-// the caller's concern (issue one Query per shard and merge).
-func (r *Router) Query(key int64, sql string, args ...core.Value) (*client.Rows, error) {
-	c, err := r.clientForKey(key)
-	if err != nil {
-		return nil, err
-	}
-	dt := r.distTrace()
-	rows, err := c.QueryTraced(dt, sql, args...)
-	// The open hop is in; page hops keep accumulating on dt but the
-	// published tree snapshots the cursor open.
-	r.publishDist(dt, 0, 0, 0)
-	return rows, err
-}
-
-// ExecBatch runs one atomic batch on the shard owning key. Every statement
-// in the batch must route to the same shard; the key names it.
-func (r *Router) ExecBatch(key int64, stmts []wire.BatchStmt) ([]int, error) {
-	c, err := r.clientForKey(key)
-	if err != nil {
-		return nil, err
-	}
-	dt := r.distTrace()
-	affected, err := c.ExecBatchTraced(dt, stmts)
-	r.publishDist(dt, 0, 0, 0)
-	return affected, err
 }
 
 func (r *Router) chaosCheck(site string) error { return r.ch.Check(site) }
@@ -170,7 +139,7 @@ func (r *Router) Begin() *Txn {
 // Exec runs one statement on the shard owning key, opening that shard's
 // session (and its server-side transaction) on first touch.
 func (t *Txn) Exec(key int64, sql string, args ...core.Value) (*wire.Result, error) {
-	return t.execOn(t.r.Map().ShardOfInt(key), sql, args...)
+	return t.execOn(t.r.topology().ShardOfInt(key), sql, args...)
 }
 
 // execOn runs one statement on an explicit shard (for statements whose
@@ -181,7 +150,7 @@ func (t *Txn) execOn(id uint32, sql string, args ...core.Value) (*wire.Result, e
 	}
 	s := t.parts[id]
 	if s == nil {
-		c, err := t.r.Client(id)
+		c, err := t.r.shardClient(id)
 		if err != nil {
 			return nil, err
 		}
@@ -419,7 +388,7 @@ type RecoveryReport struct {
 	Aborted   int // resolved by presumed abort
 }
 
-// Recover is the coordinator-recovery protocol: sweep every shard for
+// resolveInDoubt is the coordinator-recovery protocol: sweep every shard for
 // in-doubt transactions (OpTxnRecover), ask each gtid's home shard for the
 // authoritative outcome (OpTxnStatus), and deliver it (OpTxnDecide).
 // Presumed abort supplies the default: unless the home shard shows a
@@ -428,9 +397,9 @@ type RecoveryReport struct {
 // is durable. Idempotent and safe to re-run; a conflicting-decision error
 // (the status changed between read and delivery) retries with the fresh
 // status.
-func (r *Router) Recover() (RecoveryReport, error) {
+func (r *Router) resolveInDoubt() (RecoveryReport, error) {
 	var rep RecoveryReport
-	m := r.Map()
+	m := r.topology()
 	indoubt := make(map[string][]uint32)
 	for id := uint32(0); int(id) < m.N(); id++ {
 		s, err := r.session(id)
@@ -520,7 +489,7 @@ func (r *Router) resolveOne(gtid string, home uint32, shards []uint32, rep *Reco
 
 // session leases a session on shard id.
 func (r *Router) session(id uint32) (*client.Session, error) {
-	c, err := r.Client(id)
+	c, err := r.shardClient(id)
 	if err != nil {
 		return nil, err
 	}

@@ -394,8 +394,8 @@ func TestWrongShardDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.Map().N() != 3 {
-		t.Fatalf("bootstrapped map: %+v", r.Map())
+	if r.topology().N() != 3 {
+		t.Fatalf("bootstrapped map: %+v", r.topology())
 	}
 	if v, ok := readVal(t, r, keys[1]); !ok || v != 100 {
 		t.Fatalf("bootstrapped read: %d %v", v, ok)
@@ -448,7 +448,7 @@ func TestRecoverAfterCoordinatorCrash(t *testing.T) {
 			// A fresh resolver (the restarted coordinator) repairs the
 			// cluster from the shards' own in-doubt lists.
 			r2 := c.router(t, nil, nil)
-			rep, err := r2.Recover()
+			rep, err := r2.resolveInDoubt()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -518,7 +518,7 @@ func TestRecoverAcrossParticipantRestart(t *testing.T) {
 	}
 
 	r2 := c.router(t, nil, nil)
-	rep, err := r2.Recover()
+	rep, err := r2.resolveInDoubt()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +567,7 @@ func TestResolverFencesHomeFirst(t *testing.T) {
 	// The sweep finds the orphan, reads TxnUnknown at the home, presumes
 	// abort, and resolves it.
 	r := c.router(t, nil, nil)
-	rep, err := r.Recover()
+	rep, err := r.resolveInDoubt()
 	if err != nil {
 		t.Fatal(err)
 	}

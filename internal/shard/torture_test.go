@@ -145,7 +145,7 @@ func TestTwoPCTorture(t *testing.T) {
 	r2 := c.router(t, nil, nil)
 	var firstPass RecoveryReport
 	for pass := 0; ; pass++ {
-		rep, err := r2.Recover()
+		rep, err := r2.resolveInDoubt()
 		if err != nil {
 			t.Fatalf("recovery pass %d: %v", pass, err)
 		}

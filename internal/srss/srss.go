@@ -292,9 +292,6 @@ func (n *Node) Fail() { n.failed.Store(true) }
 // Heal clears the failed state.
 func (n *Node) Heal() { n.failed.Store(false) }
 
-// Failed reports whether the node is marked failed.
-func (n *Node) Failed() bool { return n.failed.Load() }
-
 // New builds a service from cfg.
 func New(cfg Config) *Service {
 	cfg.fill()
@@ -373,7 +370,7 @@ func (s *Service) pickNodes(tier Tier) ([]*Node, error) {
 	var picked []*Node
 	for i := 0; i < len(pool) && len(picked) < replicas; i++ {
 		n := pool[(start+i)%len(pool)]
-		if !n.Failed() {
+		if !n.failed.Load() {
 			picked = append(picked, n)
 		}
 	}
@@ -696,7 +693,7 @@ func (p *PLog) AppendTimed(data []byte) (off int64, replicateNS int64, err error
 	}
 	reps := p.replicaList()
 	for _, r := range reps {
-		if r.node.Failed() {
+		if r.node.failed.Load() {
 			p.sealTornLocked(false)
 			return 0, 0, fmt.Errorf("%w: %v (replica node %d failed mid-write)",
 				ErrSealed, p.id, r.node.ID)
@@ -785,7 +782,7 @@ func (p *PLog) replicaFor(end int64) *replica {
 		if ext < end {
 			continue
 		}
-		if !r.node.Failed() {
+		if !r.node.failed.Load() {
 			return r
 		}
 		if anyCovering == nil {
@@ -935,7 +932,7 @@ func (p *PLog) ReplicasConsistentFrom(off int64) bool {
 // degraded reports whether any replica sits on a failed node.
 func (p *PLog) degraded() bool {
 	for _, r := range p.replicaList() {
-		if r.node.Failed() {
+		if r.node.failed.Load() {
 			return true
 		}
 	}
@@ -955,7 +952,7 @@ func (s *Service) spareNodes(p *PLog) []*Node {
 	}
 	var spares []*Node
 	for _, n := range pool {
-		if !n.Failed() && !hosting[n.ID] {
+		if !n.failed.Load() && !hosting[n.ID] {
 			spares = append(spares, n)
 		}
 	}
@@ -993,7 +990,7 @@ func (s *Service) repairPLog(p *PLog) (int, error) {
 	next := make([]*replica, len(old))
 	copy(next, old)
 	for i, r := range next {
-		if !r.node.Failed() {
+		if !r.node.failed.Load() {
 			continue
 		}
 		if len(spares) == 0 {
@@ -1019,7 +1016,7 @@ func (s *Service) repairPLog(p *PLog) (int, error) {
 	p.reps.Store(&next)
 	healthy := true
 	for _, r := range next {
-		if r.node.Failed() {
+		if r.node.failed.Load() {
 			healthy = false
 			break
 		}

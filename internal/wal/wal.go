@@ -537,8 +537,8 @@ func (d *Directory) Lookup(seg uint16) (srss.PLogID, bool) {
 	return id, ok
 }
 
-// Segments returns all registered segment IDs in ascending order.
-func (d *Directory) Segments() []uint16 {
+// segments returns all registered segment IDs in ascending order.
+func (d *Directory) segments() []uint16 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	out := make([]uint16, 0, len(d.m))
@@ -771,7 +771,7 @@ func Reopen(cfg Config, metaID srss.PLogID) (*Manager, error) {
 		return nil, err
 	}
 	next := uint32(0)
-	for _, s := range dir.Segments() {
+	for _, s := range dir.segments() {
 		if uint32(s)+1 > next {
 			next = uint32(s) + 1
 		}
@@ -857,7 +857,7 @@ func (m *Manager) Promote(onMetaChange func(srss.PLogID) error) error {
 		return err
 	}
 	next := uint32(0)
-	for _, seg := range m.dir.Segments() {
+	for _, seg := range m.dir.segments() {
 		if uint32(seg)+1 > next {
 			next = uint32(seg) + 1
 		}
@@ -1669,14 +1669,14 @@ func (m *Manager) DropSegment(seg uint16) error {
 }
 
 // Segments lists all segment IDs known to the directory.
-func (m *Manager) Segments() []uint16 { return m.dir.Segments() }
+func (m *Manager) Segments() []uint16 { return m.dir.segments() }
 
 // SealedSegments lists segments whose PLogs are sealed: they can never
 // receive another record, so a checkpoint taken after RotateAll may fence
 // them for recovery.
 func (m *Manager) SealedSegments() []uint16 {
 	var out []uint16
-	for _, seg := range m.dir.Segments() {
+	for _, seg := range m.dir.segments() {
 		id, ok := m.dir.Lookup(seg)
 		if !ok {
 			continue

@@ -121,6 +121,7 @@ func TestKnobsHaveCallers(t *testing.T) {
 // files and what the type checker recorded about them.
 type typedPackage struct {
 	*types.Package
+	fset  *token.FileSet
 	files []*ast.File
 	info  *types.Info
 }
@@ -174,7 +175,8 @@ func typeCheckRepo(t *testing.T) []*typedPackage {
 			return p.Package, nil
 		}
 		l := srcs[path]
-		p := &typedPackage{info: &types.Info{
+		p := &typedPackage{fset: fset, info: &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
 			Uses:       map[*ast.Ident]types.Object{},
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		}}
