@@ -7,9 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
+
+const workflow = ".github/workflows/ci.yml"
 
 // TestCIRunPatternsNameTests: every |-alternative of a `go test -run`
 // pattern in the CI workflow (other than ^$) matches a Test or Fuzz function
@@ -17,12 +20,80 @@ import (
 // silently, so without this a deleted or renamed test drops out of the step
 // that was meant to run it without notice.
 func TestCIRunPatternsNameTests(t *testing.T) {
-	const workflow = ".github/workflows/ci.yml"
+	checked := 0
+	for _, c := range ciGoTests(t) {
+		if c.pattern == "" || c.pattern == "^$" {
+			continue
+		}
+		var names []string
+		for _, pkg := range c.pkgs {
+			names = append(names, testFuncs(t, filepath.Join(c.dir, pkg))...)
+		}
+		for _, alt := range splitAlternatives(strings.Split(c.pattern, "/")[0]) {
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				t.Errorf("%s:%d: -run alternative %q: %v", workflow, c.line, alt, err)
+				continue
+			}
+			found := false
+			for _, name := range names {
+				found = found || re.MatchString(name)
+			}
+			if !found {
+				t.Errorf("%s:%d: -run alternative %q names no test in %s", workflow, c.line, alt, strings.Join(c.pkgs, " "))
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatalf("no -run pattern found in %s", workflow)
+	}
+}
+
+// TestCIRacesTheWholeTree: the workflow runs `go test -race ./...` once, so
+// every test runs under the race detector without a list naming it. Any
+// other -race command repeats tests (-count >= 2): at -count=1 it reruns
+// what the whole-tree run already ran. A non-race command is `go test ./...`
+// (the root module's or benchmark/'s) or a fuzz smoke, since `go test ./...`
+// runs every test once without -race.
+func TestCIRacesTheWholeTree(t *testing.T) {
+	whole := 0
+	for _, c := range ciGoTests(t) {
+		tree := c.pattern == "" && len(c.pkgs) == 1 && c.pkgs[0] == "./..."
+		switch {
+		case c.race && tree && c.count == 1:
+			whole++
+		case c.race && c.count < 2:
+			t.Errorf("%s:%d: a -race command at -count=%d reruns tests `go test -race ./...` runs; repeat them (-count >= 2) or delete it", workflow, c.line, c.count)
+		case !c.race && !tree && !c.fuzz:
+			t.Errorf("%s:%d: a non-race command reruns tests `go test ./...` runs; delete it", workflow, c.line)
+		}
+	}
+	if whole != 1 {
+		t.Errorf("%s runs `go test -race ./...` %d times, want once", workflow, whole)
+	}
+}
+
+// goTest is one `go test` command of the workflow.
+type goTest struct {
+	line    int    // in the workflow
+	dir     string // it runs in, relative to the repository
+	pattern string // -run
+	pkgs    []string
+	count   int
+	race    bool
+	fuzz    bool
+}
+
+// ciGoTests parses the `go test` commands out of the workflow, one command
+// per line or per part of a line split at && and ;.
+func ciGoTests(t *testing.T) []goTest {
+	t.Helper()
 	src, err := os.ReadFile(workflow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked := 0
+	var cmds []goTest
 	for n, line := range strings.Split(string(src), "\n") {
 		if strings.HasPrefix(strings.TrimSpace(line), "#") {
 			continue
@@ -37,58 +108,48 @@ func TestCIRunPatternsNameTests(t *testing.T) {
 			if i < 0 || i+1 >= len(words) || words[i+1] != "test" {
 				continue
 			}
-			pattern, pkgs := goTestArgs(words[i+2:])
-			if pattern == "" || pattern == "^$" {
-				continue
-			}
-			var names []string
-			for _, pkg := range pkgs {
-				names = append(names, testFuncs(t, filepath.Join(dir, pkg))...)
-			}
-			for _, alt := range splitAlternatives(strings.Split(pattern, "/")[0]) {
-				re, err := regexp.Compile(alt)
-				if err != nil {
-					t.Errorf("%s:%d: -run alternative %q: %v", workflow, n+1, alt, err)
-					continue
-				}
-				found := false
-				for _, name := range names {
-					found = found || re.MatchString(name)
-				}
-				if !found {
-					t.Errorf("%s:%d: -run alternative %q names no test in %s", workflow, n+1, alt, strings.Join(pkgs, " "))
-				}
-				checked++
-			}
+			c := goTestArgs(t, words[i+2:])
+			c.line, c.dir = n+1, dir
+			cmds = append(cmds, c)
 		}
 	}
-	if checked == 0 {
-		t.Fatalf("no -run pattern found in %s", workflow)
+	if len(cmds) == 0 {
+		t.Fatalf("no go test command found in %s", workflow)
 	}
+	return cmds
 }
 
-// goTestArgs returns the -run pattern and the package arguments of a
-// `go test` command's words (after "test").
-func goTestArgs(words []string) (pattern string, pkgs []string) {
+// goTestArgs parses a `go test` command's words (after "test").
+func goTestArgs(t *testing.T, words []string) goTest {
+	c := goTest{count: 1}
 	valued := map[string]bool{"-run": true, "-count": true, "-fuzz": true, "-fuzztime": true}
 	for i := 0; i < len(words); i++ {
-		w := words[i]
-		switch {
-		case strings.HasPrefix(w, "-run="):
-			pattern = strings.TrimPrefix(w, "-run=")
-		case valued[w] && i+1 < len(words):
-			if w == "-run" {
-				pattern = words[i+1]
-			}
+		flag, val, hasVal := strings.Cut(words[i], "=")
+		if !hasVal && valued[flag] && i+1 < len(words) {
+			val, hasVal = words[i+1], true
 			i++
-		case !strings.HasPrefix(w, "-"):
-			pkgs = append(pkgs, w)
+		}
+		switch {
+		case flag == "-run":
+			c.pattern = val
+		case flag == "-count":
+			n, err := strconv.Atoi(val)
+			if err != nil {
+				t.Fatalf("-count %q: %v", val, err)
+			}
+			c.count = n
+		case flag == "-race":
+			c.race = true
+		case flag == "-fuzz":
+			c.fuzz = true
+		case !strings.HasPrefix(flag, "-"):
+			c.pkgs = append(c.pkgs, words[i])
 		}
 	}
-	if len(pkgs) == 0 {
-		pkgs = []string{"."}
+	if len(c.pkgs) == 0 {
+		c.pkgs = []string{"."}
 	}
-	return pattern, pkgs
+	return c
 }
 
 // testFuncs lists the Test and Fuzz functions declared in the test files of

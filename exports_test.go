@@ -43,6 +43,7 @@ var exportAllowlist = map[string]string{
 	"node.Node.Serve":              "replica failover tests revive a stopped node on a new listener",
 	"replica.Follower.Poll":        "node tests drive one follower poll against a failing primary",
 	"replica.NewShipper":           "node tests dial a fenced primary as a follower would",
+	"replica.Shipper.Close":        "node tests close the shipper they dialled",
 	"replica.Shipper.Hello":        "node tests check a fenced primary refuses a follower",
 	"replica.Shipper.ObserveEpoch": "node tests fence a primary with a newer epoch",
 	"srss.Node.Heal":               "chaos, srss and wal tests heal a node they failed",
@@ -63,37 +64,36 @@ var stdlibCalls = map[string]bool{"Error": true, "String": true, "Unwrap": true}
 // file of the repository (benchmark/ included). A use is resolved by type: a
 // reference to that very function or method (to the generic one an
 // instantiation comes from), so a same-named method of another type does not
-// count. A method is also used where a method of its name is called through
-// an interface, since such a call names no receiver type. An exported name
-// only tests use is surface: delete it, unexport it if its own package's tests
-// are all that need it, or allowlist the test seam of another package.
+// count. A method is also used where an interface method of its name is
+// called and its type T, or *T, implements that interface, since such a call
+// names no receiver type. An exported name only tests use is surface: delete
+// it, unexport it if its own package's tests are all that need it, or
+// allowlist the test seam of another package.
 func TestExportsHaveCallers(t *testing.T) {
 	root, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
 	pkgs := typeCheckRepo(t)
-	// The files that use each function or method, and, keyed by name, the
-	// files that call a method through an interface. A selector's name is in
-	// Uses too, so Uses alone covers calls, method values and expressions.
-	refs := map[any]map[string]bool{}
-	mark := func(key any, file string) {
-		if refs[key] == nil {
-			refs[key] = map[string]bool{}
-		}
-		refs[key][file] = true
-	}
+	// The files that use each function or method, and, by name, the
+	// interface methods called. A selector's name is in Uses too, so Uses
+	// alone covers calls, method values and expressions.
+	refs := map[*types.Func]map[string]bool{}
+	viaIface := map[string][]*types.Func{}
 	for _, p := range pkgs {
 		for id, obj := range p.info.Uses {
 			fn, ok := obj.(*types.Func)
 			if !ok {
 				continue
 			}
-			file := p.fset.Position(id.Pos()).Filename
-			mark(fn.Origin(), file)
-			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
-				mark(fn.Name(), file)
+			fn = fn.Origin()
+			if refs[fn] == nil {
+				refs[fn] = map[string]bool{}
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+					viaIface[fn.Name()] = append(viaIface[fn.Name()], fn)
+				}
 			}
+			refs[fn][p.fset.Position(id.Pos()).Filename] = true
 		}
 	}
 	var bad []string
@@ -110,16 +110,17 @@ func TestExportsHaveCallers(t *testing.T) {
 				if !ok || !fd.Name.IsExported() {
 					continue
 				}
-				id, name := p.Name()+"."+fd.Name.Name, fd.Name.Name
-				users := []map[string]bool{refs[p.info.Defs[fd.Name]]}
+				fn := p.info.Defs[fd.Name].(*types.Func)
+				id := p.Name() + "." + fd.Name.Name
+				users := []*types.Func{fn}
 				isUsed := false
 				if fd.Recv != nil {
-					id = p.Name() + "." + recvName(fd.Recv.List[0].Type) + "." + name
-					users = append(users, refs[name])
-					isUsed = stdlibCalls[name]
+					id = p.Name() + "." + recvName(fd.Recv.List[0].Type) + "." + fd.Name.Name
+					users = append(users, implemented(fn, viaIface[fn.Name()])...)
+					isUsed = stdlibCalls[fn.Name()]
 				}
-				for _, files := range users {
-					for other := range files {
+				for _, u := range users {
+					for other := range refs[u] {
 						isUsed = isUsed || other != file
 					}
 				}
@@ -142,6 +143,23 @@ func TestExportsHaveCallers(t *testing.T) {
 	for _, b := range bad {
 		t.Error(b)
 	}
+}
+
+// implemented returns the methods among called whose interface method m's
+// receiver type T, or *T, implements.
+func implemented(m *types.Func, called []*types.Func) []*types.Func {
+	recv := m.Type().(*types.Signature).Recv().Type()
+	if ptr, ok := recv.(*types.Pointer); ok {
+		recv = ptr.Elem()
+	}
+	var out []*types.Func
+	for _, im := range called {
+		iface := im.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+		if types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface) {
+			out = append(out, im)
+		}
+	}
+	return out
 }
 
 // recvName is the type name of a method receiver: T of T, *T, T[P] or *T[P].

@@ -391,15 +391,6 @@ func (c *Client) Ping() error {
 	return c.withSession(nil, (*Session).Ping)
 }
 
-// Stats fetches the server's stats snapshot text.
-func (c *Client) Stats() (text string, err error) {
-	err = c.withSession(nil, func(s *Session) error {
-		text, err = s.Stats()
-		return err
-	})
-	return text, err
-}
-
 // isReadOnlySQL reports whether sql is a statement safe to route to a
 // read replica (SELECT text).
 func isReadOnlySQL(sql string) bool {

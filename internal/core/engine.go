@@ -133,6 +133,7 @@ type workerSlot struct {
 
 	mu            sync.Mutex
 	retired       []retiredVersion
+	reap          []retiredVersion // a GC pass's scratch for the due entries (gcWorker)
 	commitCounter int
 	// free holds write sets whose log records are durable (or were rolled
 	// back), ready for the slot's next writing transaction.
@@ -157,7 +158,7 @@ type workerSlot struct {
 	// Slots sit side by side in Engine.workers. Whole cache lines keep one
 	// slot's writes off the line of its neighbour's activeBegin and mu
 	// (TestWorkerSlotIsWholeCacheLines).
-	_ [16]byte
+	_ [56]byte
 }
 
 // Engine is a HiEngine instance.

@@ -433,7 +433,7 @@ func TestGCReclaimsOldVersions(t *testing.T) {
 	}
 	// Chain is 51 versions deep before GC.
 	depth := 0
-	for v := tbl.Rows().Get(rid); v != nil; v = v.Next() {
+	for v := tbl.Rows().Get(rid); v != nil; v = v.next.Load() {
 		depth++
 	}
 	if depth < 50 {
@@ -444,7 +444,7 @@ func TestGCReclaimsOldVersions(t *testing.T) {
 		t.Fatal("GC reclaimed nothing")
 	}
 	depth = 0
-	for v := tbl.Rows().Get(rid); v != nil; v = v.Next() {
+	for v := tbl.Rows().Get(rid); v != nil; v = v.next.Load() {
 		depth++
 	}
 	if depth != 1 {

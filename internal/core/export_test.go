@@ -44,3 +44,13 @@ func (v *Version) Evict() bool {
 	v.data.Store(nil)
 	return true
 }
+
+// haltMaintenance stops e's maintenance goroutine, for a test that compacts
+// by hand and measures the log around it. Close, which stops it again, finds
+// it stopped.
+func (e *Engine) haltMaintenance() {
+	e.stopMaintenance()
+	dl := e.dead
+	dl.stop, dl.done = make(chan struct{}), make(chan struct{})
+	close(dl.done)
+}

@@ -64,10 +64,14 @@ func (e *Engine) gcWorker(w int, wm uint64) int {
 	gcStart := time.Now()
 	defer func() { e.mGCPause.Record(int64(time.Since(gcStart))) }()
 	slot := &e.workers[w]
+	// The bag keeps its entries not yet due in place and moves the due ones
+	// to the slot's reap scratch, taken here and given back below, so a
+	// steady-state pass allocates nothing. Both are cleared past what they
+	// hold, so no reclaimed version stays reachable from the slot.
 	slot.mu.Lock()
-	bag := slot.retired
-	var keep []retiredVersion
-	var reap []retiredVersion
+	bag, reap := slot.retired, slot.reap
+	slot.reap = nil
+	keep := bag[:0]
 	for _, r := range bag {
 		if r.retireCSN <= wm {
 			reap = append(reap, r)
@@ -75,6 +79,7 @@ func (e *Engine) gcWorker(w int, wm uint64) int {
 			keep = append(keep, r)
 		}
 	}
+	clear(bag[len(keep):])
 	slot.retired = keep
 	slot.mu.Unlock()
 
@@ -151,6 +156,10 @@ func (e *Engine) gcWorker(w int, wm uint64) int {
 			r.table.dropsEnded.Add(1)
 		}
 	}
+	clear(reap)
+	slot.mu.Lock()
+	slot.reap = reap[:0]
+	slot.mu.Unlock()
 	if count && (dead.n > 0 || e.dead.due.Load()) {
 		e.flushDead(&dead)
 	}

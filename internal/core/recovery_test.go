@@ -238,11 +238,16 @@ func TestRecoveryAfterCompaction(t *testing.T) {
 	}
 }
 
+// TestCompactionReclaimsSpace: a full compaction of a log of dead versions
+// drops segments and shrinks the log. The engine's maintenance goroutine is
+// stopped first: RunGC wakes it, and a compaction of its own before the
+// first measurement would leave nothing to reclaim.
 func TestCompactionReclaimsSpace(t *testing.T) {
 	e := testEngine(t, func(c *Config) {
 		c.SegmentSize = 8192
 		c.GCEveryNCommits = 0
 	})
+	e.haltMaintenance()
 	tbl := mustTable(t, e, usersSchema())
 	rid := insertUser(t, e, tbl, 0, 1, "hot", 0)
 	// Overwrite one row many times: the log fills with dead versions.

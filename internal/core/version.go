@@ -195,9 +195,6 @@ func (v *Version) CSN() uint64 {
 	return ts
 }
 
-// Next returns the next older version.
-func (v *Version) Next() *Version { return v.next.Load() }
-
 // payload returns the row bytes, reloading evicted data from the log
 // through the engine's mmap read path (the partial-memory story of Section
 // 4.2). Loaded data is cached back into the version.

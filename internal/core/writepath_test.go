@@ -314,6 +314,47 @@ func TestWritePathAllocs(t *testing.T) {
 	}
 }
 
+// TestGCPassAllocFree: once a slot's GC bag and reap scratch have grown, what
+// a commit hands GC and the pass that reclaims it allocate nothing. The pass
+// keeps the entries not yet due in place in the bag and moves the due ones to
+// the slot's scratch; built afresh each pass, the two cost about an
+// allocation each per commit, counted in every process-wide allocation gate.
+func TestGCPassAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	e := testEngine(t, func(c *Config) { c.Workers = 1 })
+	tbl := mustTable(t, e, usersSchema())
+	rid := insertUser(t, e, tbl, 0, 1, "hot", 0)
+	tx, _ := e.Begin(0)
+	if err := tx.Update(tbl, rid, Row{I(1), S("hot"), I(1)}); err != nil {
+		t.Fatal(err)
+	}
+	commit(t, tx)
+	newV := tbl.rows.Get(rid)
+	oldV := newV.next.Load()
+	e.RunGC()
+	// The update's two versions, retired again and again: one entry due at
+	// csn, reclaimed by each pass, and one never due, kept by each.
+	csn := e.CurrentCSN()
+	slot := &e.workers[0]
+	we := []writeEntry{{table: tbl, rid: rid, newV: newV, oldV: oldV}}
+	slot.retireWrites(we, csn+1)
+	allocs := testing.AllocsPerRun(100, func() {
+		newV.next.Store(oldV) // unlinked by the last pass
+		slot.retireWrites(we, csn)
+		if n := e.gcWorker(0, csn); n != 1 {
+			t.Fatalf("a GC pass reclaimed %d versions, want 1", n)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a commit's retire and a GC pass allocate %.2f times, want 0", allocs)
+	}
+	if len(slot.retired) != 1 {
+		t.Errorf("the bag holds %d entries after the passes, want the 1 never due", len(slot.retired))
+	}
+}
+
 // TestWorkerSlotIsWholeCacheLines: a worker slot is a whole number of
 // 64-byte cache lines, so in Engine.workers no line holds two slots, and
 // one slot's commit and index hint writes do not false-share with the next

@@ -18,12 +18,14 @@ import (
 // what its caller keeps -- its argument row, row sink, Result and scan
 // callback belong to the connection or the session, a commit's answer is read
 // for its CSN alone, a prepared statement decodes each result into its own
-// Result, row arrays and column names, and a read-only commit allocates
-// nothing (before: 13.01, 16.00, 10.22, 34.26 for the prepared and text
-// SELECT, the UPDATE and the transaction; 5.01, 7.21 and 19.26 for the
-// prepared three while a prepared statement's result was a fresh one) --
-// plus 0.05: no later change may add an allocation to a request. The last row
-// is the benchmark's own oltp_wire transaction.
+// Result, row arrays and column names, a read-only commit allocates nothing,
+// and neither does the GC pass a commit's garbage meets (before: 13.01, 16.00,
+// 10.22, 34.26 for the prepared and text SELECT, the UPDATE and the
+// transaction; 5.01, 7.21 and 19.26 for the prepared three while a prepared
+// statement's result was a fresh one; 6.21 and 11.27 for the last two while a
+// GC pass built its lists afresh) -- the most each read beside two spinning
+// cores, plus 0.05: no later change may add an allocation to a request. The last row is
+// the benchmark's own oltp_wire transaction.
 func TestServiceRoundTripAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -68,7 +70,7 @@ func TestServiceRoundTripAllocs(t *testing.T) {
 			}
 			return s.Commit()
 		}},
-		{"BEGIN + prepared UPDATE + COMMIT", 6.31, func() error {
+		{"BEGIN + prepared UPDATE + COMMIT", 6.12, func() error {
 			if err := s.Begin(); err != nil {
 				return err
 			}
@@ -77,7 +79,7 @@ func TestServiceRoundTripAllocs(t *testing.T) {
 			}
 			return s.Commit()
 		}},
-		{"BEGIN, 2 SELECT, UPDATE, INSERT, COMMIT", 11.33, func() error { txns++; return txn(txns) }},
+		{"BEGIN, 2 SELECT, UPDATE, INSERT, COMMIT", 11.16, func() error { txns++; return txn(txns) }},
 	}
 	// With the collector off, sync.Pool keeps what it is given and the
 	// counts repeat; the loop allocates a few MB at most.

@@ -406,16 +406,6 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // CursorsOpen returns the number of currently open streaming cursors.
 func (s *Server) CursorsOpen() int64 { return s.mCursorsOpen.Load() }
 
-// Addr returns the listener address ("" before Serve).
-func (s *Server) Addr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
-
 // Serve accepts connections on ln until the server shuts down. It returns
 // nil after a graceful shutdown, or the accept error otherwise.
 func (s *Server) Serve(ln net.Listener) error {

@@ -191,7 +191,7 @@ func (c *cluster) createBench(t *testing.T, keys []int64, val int64) {
 	}
 	r := c.router(t, nil, nil)
 	for _, k := range keys {
-		if _, err := r.Exec(k, "INSERT INTO bench VALUES (?, ?)", core.I(k), core.I(val)); err != nil {
+		if _, err := r.exec(k, "INSERT INTO bench VALUES (?, ?)", core.I(k), core.I(val)); err != nil {
 			t.Fatalf("seed key %d: %v", k, err)
 		}
 	}
@@ -200,7 +200,7 @@ func (c *cluster) createBench(t *testing.T, keys []int64, val int64) {
 // readVal reads one key's val through the router's single-shard path.
 func readVal(t *testing.T, r *Router, key int64) (int64, bool) {
 	t.Helper()
-	res, err := r.Exec(key, "SELECT val FROM bench WHERE id = ?", core.I(key))
+	res, err := r.exec(key, "SELECT val FROM bench WHERE id = ?", core.I(key))
 	if err != nil {
 		t.Fatalf("read key %d: %v", key, err)
 	}

@@ -67,7 +67,7 @@ func TestTracedReadRoutesLikeUntraced(t *testing.T) {
 
 	read := func(what string, want int64) {
 		t.Helper()
-		res, err := r.Exec(1, "SELECT val FROM bench WHERE id = ?", core.I(1))
+		res, err := r.exec(1, "SELECT val FROM bench WHERE id = ?", core.I(1))
 		if err != nil || len(res.Rows) != 1 || res.Rows[0][0].Int() != 41 {
 			t.Fatalf("%s read: %v %+v", what, err, res)
 		}

@@ -98,11 +98,11 @@ func (r *Router) clientForKey(key int64) (*client.Client, error) {
 	return r.shardClient(r.topology().ShardOfInt(key))
 }
 
-// Exec runs one autocommit statement on the shard owning key. This is the
+// exec runs one autocommit statement on the shard owning key. This is the
 // single-shard fast path: it delegates to that shard's client.Exec
 // unwrapped, so retry/backoff, replica routing, failover, and error
 // identity are exactly those of an unsharded client.
-func (r *Router) Exec(key int64, sql string, args ...core.Value) (*wire.Result, error) {
+func (r *Router) exec(key int64, sql string, args ...core.Value) (*wire.Result, error) {
 	c, err := r.clientForKey(key)
 	if err != nil {
 		return nil, err

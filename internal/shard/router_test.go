@@ -198,7 +198,7 @@ func TestErrorIdentityThroughRouter(t *testing.T) {
 		// Fence the owner of keys[0]: a newer lineage claimed primacy.
 		owner := c.nodes[c.m.ShardOfInt(keys[0])]
 		owner.engine.ObserveEpoch(owner.engine.Epoch() + 1)
-		_, err := r.Exec(keys[0], "UPDATE bench SET val = 1 WHERE id = ?", core.I(keys[0]))
+		_, err := r.exec(keys[0], "UPDATE bench SET val = 1 WHERE id = ?", core.I(keys[0]))
 		if !errors.Is(err, core.ErrStaleEpoch) {
 			t.Fatalf("fenced write through router: %v", err)
 		}
@@ -231,7 +231,7 @@ func TestErrorIdentityThroughRouter(t *testing.T) {
 			}
 		}
 		r := c.router(t, nil, func(o *client.Options) { o.MaxRetries = 1 })
-		_, err := r.Exec(keys[0], "UPDATE bench SET val = 1 WHERE id = ?", core.I(keys[0]))
+		_, err := r.exec(keys[0], "UPDATE bench SET val = 1 WHERE id = ?", core.I(keys[0]))
 		if !errors.Is(err, wire.ErrServerBusy) {
 			t.Fatalf("slot-starved write through router: %v", err)
 		}
@@ -258,16 +258,16 @@ func TestErrorIdentityThroughRouter(t *testing.T) {
 			o.MaxRetries = 1
 		})
 		// Warm the route, then kill the owner.
-		if _, err := r.Exec(keys[0], "UPDATE bench SET val = 1 WHERE id = ?", core.I(keys[0])); err != nil {
+		if _, err := r.exec(keys[0], "UPDATE bench SET val = 1 WHERE id = ?", core.I(keys[0])); err != nil {
 			t.Fatal(err)
 		}
 		c.nodes[c.m.ShardOfInt(keys[0])].crash()
-		_, err = r.Exec(keys[0], "UPDATE bench SET val = 2 WHERE id = ?", core.I(keys[0]))
+		_, err = r.exec(keys[0], "UPDATE bench SET val = 2 WHERE id = ?", core.I(keys[0]))
 		if !errors.Is(err, client.ErrNoPrimary) {
 			t.Fatalf("dead-shard write through router: %v", err)
 		}
 		// The sibling shard keeps serving through the same router.
-		if _, err := r.Exec(keys[1], "UPDATE bench SET val = 3 WHERE id = ?", core.I(keys[1])); err != nil {
+		if _, err := r.exec(keys[1], "UPDATE bench SET val = 3 WHERE id = ?", core.I(keys[1])); err != nil {
 			t.Fatalf("healthy shard collateral damage: %v", err)
 		}
 	})

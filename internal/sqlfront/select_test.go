@@ -51,7 +51,7 @@ func TestExecStreamUsesPlanCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if page, done, err := rs.Next(10); err != nil || !done || len(page.Rows) != 1 {
+		if page, done, err := rs.next(10); err != nil || !done || len(page.Rows) != 1 {
 			t.Fatalf("page: %+v done=%v err=%v", page, done, err)
 		}
 	}

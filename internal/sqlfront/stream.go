@@ -148,23 +148,6 @@ func (rs *RowStream) NextPage(sink *RowBuf, maxRows, maxBytes int) (done bool, e
 	return true, rs.err
 }
 
-// Next collects the next bounded page of at most max rows (max <= 0 is
-// treated as 1). done=true means the stream is exhausted -- the returned
-// page (possibly empty) is the last one and err carries the terminal
-// status.
-func (rs *RowStream) Next(max int) (page *Result, done bool, err error) {
-	if max <= 0 {
-		max = 1
-	}
-	var buf RowBuf
-	page = &Result{Columns: rs.Columns}
-	if done, err = rs.NextPage(&buf, max, 0); err != nil {
-		return page, true, err
-	}
-	page.Rows, _, err = core.DecodeRows(nil, buf.Data, buf.N)
-	return page, done, err
-}
-
 // Close abandons the stream early: the producer unwinds out of the scan,
 // the pinned transaction is finished, and the terminal status is returned.
 // Idempotent; a stream already drained to exhaustion returns its terminal

@@ -7,6 +7,18 @@ import (
 	"hiengine/internal/core"
 )
 
+// next decodes the stream's next page of at most max rows; done says it is
+// the last, and err the stream's terminal status.
+func (rs *RowStream) next(max int) (page *Result, done bool, err error) {
+	var buf RowBuf
+	page = &Result{Columns: rs.Columns}
+	if done, err = rs.NextPage(&buf, max, 0); err != nil {
+		return page, true, err
+	}
+	page.Rows, _, err = core.DecodeRows(nil, buf.Data, buf.N)
+	return page, done, err
+}
+
 func TestExecStreamBasic(t *testing.T) {
 	f, _ := testFrontend(t)
 	s := f.NewSession(0)
@@ -58,7 +70,7 @@ func TestExecStreamPages(t *testing.T) {
 	}
 	total, pages := 0, 0
 	for {
-		page, done, err := rs.Next(10)
+		page, done, err := rs.next(10)
 		if err != nil {
 			t.Fatal(err)
 		}
