@@ -198,8 +198,9 @@ func serve(args []string, stderr io.Writer, signals <-chan os.Signal) error {
 
 	// Sharded deployment: persist the flag-supplied topology (stamped with
 	// this node's shard id) as the newest manifest record; the node serves
-	// whatever the manifest holds over OpShardMap so clients and resolvers
-	// can self-bootstrap from any member. A restart without the flags keeps
+	// whatever the manifest holds over OpShardMap so clients can
+	// self-bootstrap from any member, and its own peers' addresses tell it
+	// whom to ask about a gtid left in doubt. A restart without the flags keeps
 	// serving the persisted map; a replica inherits its primary's record
 	// through log shipping.
 	if len(shardAddrs) > 0 {

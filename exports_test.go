@@ -49,7 +49,6 @@ var exportAllowlist = map[string]string{
 	"srss.Node.Heal":               "chaos, srss and wal tests heal a node they failed",
 	"wal.HeaderLen":                "core tests find a payload inside its log record",
 	"wal.MakeAddr":                 "core tests build log addresses",
-	"wal.Manager.ScanSegment":      "core tests read back what a commit logged",
 	"wire.Error.Retryable":         "server tests check which refusals a client may retry",
 	"wire.Fatal":                   "server tests check which codes end a session",
 	"wire.ReadFrame":               "server tests speak the protocol on a raw connection",

@@ -879,8 +879,8 @@ func (s *Session) ShardMap(expect bool, id uint32) (*wire.ShardMap, error) {
 // server has already aborted the transaction. The session transaction is
 // over either way: a prepared participant belongs to the engine's decision
 // path, never to this session. Prepare is never retried here -- a lost ack
-// leaves the participant in-doubt, and only the coordinator's recovery
-// protocol may resolve that.
+// leaves the participant in-doubt, and only the coordinator's decision, or
+// the participant's own termination, may resolve that.
 func (s *Session) TxnPrepare(gtid string) (vote byte, err error) {
 	r, err := s.do(wire.OpTxnPrepare, wire.EncodeGTID(gtid))
 	// Any definitive server answer means the transaction is gone; only
@@ -910,24 +910,14 @@ func (s *Session) TxnDecide(gtid string, commit bool) (uint64, error) {
 }
 
 // TxnStatus asks a participant for a gtid's outcome (wire.Txn* state byte
-// plus commit CSN). Recovering coordinators use it against a transaction's
-// home shard to learn the authoritative decision.
+// plus commit CSN). A participant long in doubt asks the gtid's home shard,
+// whose answer is the authoritative decision.
 func (s *Session) TxnStatus(gtid string) (state byte, csn uint64, err error) {
 	r, err := s.do(wire.OpTxnStatus, wire.EncodeGTID(gtid))
 	if err != nil {
 		return 0, 0, err
 	}
 	return wire.DecodeTxnState(r.Body)
-}
-
-// TxnRecover lists the gtids prepared on this node but still undecided --
-// the in-doubt set a recovering coordinator must resolve.
-func (s *Session) TxnRecover() ([]string, error) {
-	r, err := s.do(wire.OpTxnRecover, nil)
-	if err != nil {
-		return nil, err
-	}
-	return wire.DecodeGTIDList(r.Body)
 }
 
 // TxnForget tells a participant to prune a decided gtid's 2PC bookkeeping.

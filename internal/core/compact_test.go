@@ -98,7 +98,7 @@ func TestDeadLogCountsWhatGCPrunes(t *testing.T) {
 	for _, seg := range e.log.Segments() {
 		var addrs []wal.Addr
 		var ops []byte
-		if err := e.log.ScanSegment(seg, func(addr wal.Addr, rec wal.Record) bool {
+		if err := scanSegment(e.log, seg, func(addr wal.Addr, rec wal.Record) bool {
 			addrs, ops = append(addrs, addr), append(ops, rec.Op)
 			return true
 		}); err != nil {
@@ -172,7 +172,7 @@ func TestDeadLogBooksAnUnreadStub(t *testing.T) {
 		}
 		seg := v.Addr().Segment()
 		var next wal.Addr
-		if err := e2.log.ScanSegment(seg, func(addr wal.Addr, _ wal.Record) bool {
+		if err := scanSegment(e2.log, seg, func(addr wal.Addr, _ wal.Record) bool {
 			if addr > v.Addr() {
 				next = addr
 				return false

@@ -25,7 +25,9 @@ import (
 // the CSN into the versions (commit) or uninstalls them (abort). A crash
 // between the two leaves the prepare record in the log without a decision;
 // recovery reconstructs the transaction into the in-doubt list, TID stamps
-// and all, and the coordinator resolves it on reconnect.
+// and all, until a decision arrives: the coordinator's, or the one the node
+// fetches itself from the home once the gtid has been in doubt too long
+// (internal/node's terminator).
 //
 // Decision ownership: the gtid encodes a "home" participant. The commit
 // point of a cross-shard transaction is the home's durable decision record;
@@ -85,8 +87,9 @@ const (
 // checkpoint fence excludes the backing log segments accordingly (see
 // filterFence2PC). Retention ends when the coordinator confirms the
 // decision is durably applied everywhere and prunes the entry (Forget);
-// entries whose coordinator never confirms (resolver-resolved or
-// crash-orphaned gtids) are retained indefinitely.
+// entries whose coordinator never confirms (gtids their participants
+// terminated, and the home's abort fences among them) are retained
+// indefinitely.
 type pend2pcEntry struct {
 	gtid string
 
@@ -242,8 +245,8 @@ func (t *Txn) prepareStart(gtid string, durable func(readOnly bool, err error)) 
 	// both pass the check and the second entry would overwrite the first,
 	// orphaning a prepared transaction that still holds its write locks
 	// with no entry left to resolve it. The reservation also fences late
-	// prepares against a gtid a recovery sweep already presume-aborted
-	// (its decision-only entry trips the duplicate check).
+	// prepares against a gtid a participant already presume-aborted at its
+	// home (the decision-only entry trips the duplicate check).
 	entry := &pend2pcEntry{gtid: gtid, txn: t}
 	e.pendMu.Lock()
 	if _, dup := e.pend2pc[gtid]; dup {
@@ -301,11 +304,11 @@ func (t *Txn) prepareStart(gtid string, durable func(readOnly bool, err error)) 
 // re-delivering the same decision attaches to the outcome; a contradicting
 // decision fails with ErrConflictingDecision. An abort for an unknown gtid
 // durably installs a decision-only abort entry -- a FENCE, not a no-op: a
-// recovery sweep presume-aborting a gtid may be racing a live coordinator
-// whose prepare has not reached this node yet, and the fence makes the late
-// prepare (duplicate-gtid check) or a late conflicting commit decision fail
-// here instead of letting the transaction commit after the sweep already
-// aborted other participants. A commit for an unknown gtid fails with
+// participant terminating a gtid by presumed abort may be racing a live
+// coordinator whose prepare has not reached this home yet, and the fence
+// makes the late prepare (duplicate-gtid check) or a late conflicting
+// commit decision fail here instead of letting the transaction commit after
+// the participant aborted. A commit for an unknown gtid fails with
 // ErrUnknownGTID.
 func (e *Engine) Resolve(gtid string, commit bool, done func(csn uint64, err error)) error {
 	if e.closed.Load() {
@@ -424,9 +427,9 @@ func (e *Engine) applyDecisionLocked(entry *pend2pcEntry) {
 
 // TxnStatus reports this participant's durable knowledge of a gtid. On the
 // transaction's home participant this is the protocol's source of truth: a
-// recovering coordinator treats TxnCommitted as commit and everything else
-// as abort (presumed abort -- a home without a durable decision has never
-// acknowledged the commit).
+// participant terminating the gtid treats TxnCommitted as commit and
+// everything else as abort (presumed abort -- a home without a durable
+// decision has never acknowledged the commit).
 func (e *Engine) TxnStatus(gtid string) (TxnState, uint64) {
 	entry := e.pendEntry(gtid)
 	if entry == nil {

@@ -59,7 +59,7 @@ func assertNeverLogged(t *testing.T, e *Engine, table string, row Row) {
 	t.Helper()
 	want := EncodeRow(nil, row)
 	for _, seg := range e.Log().Segments() {
-		err := e.Log().ScanSegment(seg, func(addr wal.Addr, rec wal.Record) bool {
+		err := scanSegment(e.Log(), seg, func(addr wal.Addr, rec wal.Record) bool {
 			if bytes.Equal(rec.Payload, want) {
 				t.Errorf("the log holds the failed write of %v at %v", row, addr)
 			}
@@ -154,7 +154,7 @@ func TestUnpublishedWriteLeavesTheLogBuffer(t *testing.T) {
 	commit(t, tx)
 	records := 0
 	for _, seg := range e.Log().Segments() {
-		if err := e.Log().ScanSegment(seg, func(_ wal.Addr, rec wal.Record) bool {
+		if err := scanSegment(e.Log(), seg, func(_ wal.Addr, rec wal.Record) bool {
 			records++
 			return true
 		}); err != nil {
@@ -1177,4 +1177,18 @@ func TestDuplicateKeyBesideRememberedNode(t *testing.T) {
 			t.Fatalf("email of %d: %v %v", id, row, err)
 		}
 	}
+}
+
+// scanSegment calls fn with each record of segment seg's whole transactions,
+// in append order, with its permanent address and its transaction's CSN.
+func scanSegment(m *wal.Manager, seg uint16, fn func(addr wal.Addr, rec wal.Record) bool) error {
+	_, err := m.ScanSegmentFrom(seg, 0, func(txn []wal.Entry) bool {
+		for _, r := range txn {
+			if !fn(r.Addr, r.Record) {
+				return false
+			}
+		}
+		return true
+	})
+	return err
 }

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"hiengine/internal/adapt"
+	"hiengine/internal/client"
 	"hiengine/internal/core"
 	"hiengine/internal/engineapi"
 	"hiengine/internal/obs"
@@ -29,6 +30,15 @@ import (
 
 // defaultEngine is the name the node's own engine is registered under.
 const defaultEngine = "hiengine"
+
+// inDoubtAfter is how long a gtid stays in doubt here before this node
+// terminates it itself. A live coordinator decides within one prepare and
+// one decide round trip -- an acked 2PC commit's p99 in the 2PC torture
+// under the race detector is 1-20 ms on 2 vCPUs -- so a second is fifty
+// times that: past it the coordinator is presumed dead, and ending the
+// transaction early costs an abort at worst, never atomicity (see
+// terminate).
+const inDoubtAfter = time.Second
 
 // Config is what the sites set differently. Everything else a node needs it
 // reads off its engine: worker slots, the metrics registry (Engine.Obs), the
@@ -68,6 +78,11 @@ type Node struct {
 
 	// A replica's catalog re-sync loop: stopSync ends it, at promotion or Close.
 	stopSync func()
+	// The in-doubt terminator: stopTerm ends it at Close. doubtMu guards
+	// doubtSince, each in-doubt gtid's first-seen time.
+	stopTerm   func()
+	doubtMu    sync.Mutex
+	doubtSince map[string]time.Time
 }
 
 // serving is one life of the wire server: Stop ends it, Serve starts the next.
@@ -104,13 +119,11 @@ func New(engine *core.Engine, ln net.Listener, cfg Config) (*Node, error) {
 		return nil, err
 	}
 	if f := cfg.Follower; f != nil {
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan struct{})
-		go n.syncLoop(ctx, done)
-		n.stopSync = func() { cancel(); <-done }
+		n.stopSync = every(cfg.Poll, func(context.Context) { n.adoptTables() })
 		f.SetInterval(cfg.Poll)
 		f.Start()
 	}
+	n.stopTerm = every(inDoubtAfter/4, n.terminate)
 	return n, nil
 }
 
@@ -127,15 +140,106 @@ func (n *Node) adoptTables() {
 	_, _ = n.front.AdoptAll(defaultEngine, schemas)
 }
 
-func (n *Node) syncLoop(ctx context.Context, done chan<- struct{}) {
-	defer close(done)
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(n.cfg.Poll):
-			n.adoptTables()
+// every runs fn each interval on its own goroutine; the returned stop ends
+// it, waits for it, and may be called again.
+func every(interval time.Duration, fn func(ctx context.Context)) (stop func()) {
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-time.After(interval):
+				fn(ctx)
+			}
 		}
+	}()
+	return func() { cancel(); <-done }
+}
+
+// terminate is one tick of the participant's in-doubt rule, cooperative
+// termination under presumed abort. It notes when each in-doubt gtid was
+// first seen; on a primary with a shard map, a gtid in doubt for
+// inDoubtAfter gets the coordinator's decision from the one place that has
+// it. At its home the node aborts: the home has no durable decision, so no
+// client was told commit, and the abort record is itself the fence a late
+// commit decision or prepare fails on. Elsewhere it asks the home
+// OpTxnStatus: commit there is commit here; anything else is abort, but
+// only once the home has acked an abort decision first, so the home is
+// fenced before any participant lets go. A failure waits for the next
+// tick. With nothing in doubt no frame is sent and no record written.
+func (n *Node) terminate(ctx context.Context) {
+	gtids := n.engine.InDoubt()
+	now := time.Now()
+	since := make(map[string]time.Time, len(gtids))
+	var due []string
+	n.doubtMu.Lock()
+	for _, g := range gtids {
+		t0, ok := n.doubtSince[g]
+		if !ok {
+			t0 = now
+		}
+		since[g] = t0
+		if now.Sub(t0) >= inDoubtAfter {
+			due = append(due, g)
+		}
+	}
+	n.doubtSince = since
+	n.doubtMu.Unlock()
+	if len(due) == 0 || n.following() {
+		return
+	}
+	sm := n.shardMap()
+	for _, g := range due {
+		if sm == nil || ctx.Err() != nil {
+			return
+		}
+		_ = n.terminateOne(ctx, sm, g) // a failure: the gtid is due again at the next tick
+	}
+}
+
+// terminateOne applies terminate's rule to one gtid.
+func (n *Node) terminateOne(ctx context.Context, sm *wire.ShardMap, gtid string) error {
+	home, err := wire.HomeShard(gtid)
+	if err != nil {
+		return err
+	}
+	commit := false
+	if home != sm.SelfID {
+		if int(home) >= len(sm.Addrs) {
+			return fmt.Errorf("node: gtid %s names shard %d of %d", gtid, home, len(sm.Addrs))
+		}
+		c, err := client.New(client.Options{Addr: sm.Addrs[home]})
+		if err != nil {
+			return err
+		}
+		defer c.Close()
+		s, err := c.Session()
+		if err != nil {
+			return err
+		}
+		defer s.Close()
+		st, _, err := s.TxnStatus(gtid)
+		if err != nil {
+			return err
+		}
+		if commit = st == wire.TxnCommitted; !commit {
+			if _, err := s.TxnDecide(gtid, false); err != nil {
+				return err
+			}
+		}
+	}
+	done := make(chan error, 1)
+	if err := n.engine.Resolve(gtid, commit, func(_ uint64, err error) { done <- err }); err != nil {
+		return err
+	}
+	select {
+	case err := <-done:
+		return err
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
@@ -158,8 +262,8 @@ func (n *Node) Serve(ln net.Listener) error {
 		ObserveEpoch: e.ObserveEpoch,
 		ShardInfo:    n.shardMap,
 		// Unconditional: a promoted replica adopts its primary's prepared
-		// transactions and must answer OpTxnRecover/OpTxnDecide for
-		// coordinator recovery. The core TxnState values are the
+		// transactions and must answer a peer's OpTxnStatus/OpTxnDecide when
+		// it is their home. The core TxnState values are the
 		// wire-stable bytes (Unknown=0, InDoubt=1, Committed=2, Aborted=3).
 		TwoPC: &server.TwoPCConfig{
 			Resolve: e.Resolve,
@@ -215,10 +319,11 @@ func (n *Node) Stop() (err error) {
 	return err
 }
 
-// Close stops the wire server, the follower and the catalog re-sync, then
-// closes the engine.
+// Close stops the wire server, the in-doubt terminator, the follower and
+// the catalog re-sync, then closes the engine.
 func (n *Node) Close() {
 	_ = n.Stop() // a drain cut short by its timeout still closed every connection
+	n.stopTerm()
 	if f := n.cfg.Follower; f != nil {
 		n.stopSync()
 		f.Stop()
@@ -282,6 +387,13 @@ func (n *Node) Status() map[string]any {
 		"cursors_open": n.cur.Load().srv.CursorsOpen(),
 		"indoubt_2pc":  e.InDoubt(),
 	}
+	var oldest time.Duration
+	n.doubtMu.Lock()
+	for _, t0 := range n.doubtSince {
+		oldest = max(oldest, time.Since(t0))
+	}
+	n.doubtMu.Unlock()
+	st["indoubt_oldest_ms"] = oldest.Milliseconds()
 	if f := n.cfg.Follower; n.following() {
 		st["role"] = "replica"
 		st["applied_csn"] = f.AppliedCSN()

@@ -88,7 +88,7 @@ const (
 // TestEveryKindOfNodeIsWiredAlike pins what the hand-wired harnesses had
 // drifted from: however its engine came to be, a node serves the tables the
 // engine holds (created here, recovered, or replayed after bootstrap -- the
-// test calls no catalog function), answers the 2PC recovery opcode, can be
+// test calls no catalog function), answers the 2PC status opcode, can be
 // fenced by a higher epoch, and leaves no goroutine behind.
 func TestEveryKindOfNodeIsWiredAlike(t *testing.T) {
 	type built struct {
@@ -166,8 +166,8 @@ func TestEveryKindOfNodeIsWiredAlike(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if gtids, err := s.TxnRecover(); err != nil || len(gtids) != 0 {
-				t.Fatalf("OpTxnRecover = %v, %v; want the empty list", gtids, err)
+			if st, csn, err := s.TxnStatus(wire.NewGTID(0, 1, 1)); err != nil || st != wire.TxnUnknown || csn != 0 {
+				t.Fatalf("OpTxnStatus of an unknown gtid = %d, %d, %v; want TxnUnknown", st, csn, err)
 			}
 			sm, err := s.ShardMap(false, 0)
 			if k.name == "shard member" {

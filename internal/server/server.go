@@ -155,9 +155,11 @@ type Config struct {
 	// the map's SelfID is answered CodeWrongShard -- the router's stale-map
 	// detector. nil (or a nil map) = sharding not enabled.
 	ShardInfo func() *wire.ShardMap
-	// TwoPC, when set, serves the coordinator-facing 2PC opcodes
-	// (OpTxnDecide/OpTxnStatus/OpTxnRecover). OpTxnPrepare needs only the
-	// frontend (the session's open transaction prepares through it).
+	// TwoPC, when set, serves the 2PC decision opcodes: a coordinator's
+	// OpTxnDecide/OpTxnForget, and the OpTxnStatus/OpTxnDecide a peer
+	// participant sends a gtid's home to terminate it (OpTxnRecover lists
+	// the in-doubt set). OpTxnPrepare needs only the frontend (the session's
+	// open transaction prepares through it).
 	TwoPC *TwoPCConfig
 
 	// Limits this package's tests shorten; fill gives each its default.

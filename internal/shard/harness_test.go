@@ -146,6 +146,40 @@ func (n *tnode) restart(t *testing.T) *core.RecoveryStats {
 	return stats
 }
 
+// terminateWithin bounds how long a gtid a dead coordinator left in doubt
+// survives on a live node: five times node's inDoubtAfter (1s), time enough
+// for a tick to see it, one to terminate it, and a busy host.
+const terminateWithin = 5 * time.Second
+
+// awaitTerminated waits, restarting any node a chaos crash latched, until no
+// node holds a gtid in doubt, and returns the restarts; past terminateWithin
+// of a healthy cluster it fails the test.
+func (c *cluster) awaitTerminated(t *testing.T) (restarts int) {
+	t.Helper()
+	deadline := time.Now().Add(terminateWithin)
+	for {
+		left := map[uint32][]string{}
+		for _, n := range c.nodes {
+			if n.ch.Crashed() {
+				n.crash()
+				n.restart(t)
+				restarts++
+				deadline = time.Now().Add(terminateWithin)
+			}
+			if g := n.engine.InDoubt(); len(g) > 0 {
+				left[n.id] = g
+			}
+		}
+		if len(left) == 0 {
+			return restarts
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("still in doubt %v after %v without a coordinator", left, terminateWithin)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // client opens a direct (router-less) client to one shard.
 func (c *cluster) client(t *testing.T, id uint32, mutate func(*client.Options)) *client.Client {
 	t.Helper()

@@ -200,9 +200,10 @@ func (t *Txn) Rollback() error {
 // ordinary pipelined commit, byte-for-byte the unsharded path. Multiple
 // shards: presumed-abort 2PC -- parallel prepares, then the decision at
 // the home shard (the commit point; a nil return means that record is
-// durable), then best-effort fan-out to the rest (recovery completes any
-// straggler). An error from the home decision itself means the outcome is
-// unknown until a resolver asks the home shard.
+// durable), then best-effort fan-out to the rest (a straggler asks the home
+// and completes itself). An error from the home decision itself means the
+// outcome is unknown until the caller asks the home shard (the error names
+// the gtid).
 func (t *Txn) Commit() error {
 	if t.done {
 		return ErrTxnDone
@@ -237,7 +238,7 @@ func (t *Txn) Commit() error {
 		}
 		return first
 	}
-	gtid := NewGTID(home, t.r.seed, t.r.seq.Add(1))
+	gtid := wire.NewGTID(home, t.r.seed, t.r.seq.Add(1))
 	t.gtid = gtid
 
 	// Phase one: every participant prepares in parallel. A vote error has
@@ -286,17 +287,17 @@ func (t *Txn) Commit() error {
 	decideT0 := time.Now()
 	if _, err := t.parts[home].TxnDecide(gtid, true); err != nil {
 		// The decision may or may not be durable: the outcome is unknown
-		// until a resolver asks the home shard for the gtid's status.
+		// until someone asks the home shard for the gtid's status.
 		return fmt.Errorf("shard: decision on home shard %d for %s (outcome unknown): %w", home, gtid, err)
 	}
 	decideD = time.Since(decideT0)
 	if err := t.r.chaosCheck(SiteCoordFanout); err != nil {
 		// Committed -- the home decision is durable -- but the fan-out is
-		// lost; recovery reads the home status and completes it.
+		// lost; each straggler reads the home status and completes itself.
 		return fmt.Errorf("shard: coordinator failed after commit point for %s: %w", gtid, err)
 	}
-	// Phase two, step two: best-effort fan-out. Failures here are repaired
-	// by recovery; the transaction is already committed.
+	// Phase two, step two: best-effort fan-out. A participant it misses
+	// terminates itself; the transaction is already committed.
 	fanT0 := time.Now()
 	prepared := make([]uint32, 0, len(t.order))
 	for _, id := range t.order {
@@ -327,11 +328,11 @@ func (t *Txn) Commit() error {
 // participant that prepared writes has durably acknowledged the decision, so
 // no one will ever ask a participant about this gtid again. Deliberately
 // home-last, so the home keeps answering TxnStatus until every other
-// participant is pruned. A resolver, by contrast, must never forget:
-// unknown-outcome clients (and the next sweep) settle against the home's
-// retained status, and dropping the home's abort fence would let a late
-// prepare reopen a gtid the sweep already presume-aborted elsewhere.
-// Best effort -- a lost forget only retains metadata.
+// participant is pruned. A participant that terminated a gtid itself never
+// forgets: unknown-outcome clients settle against the home's retained
+// status, and dropping the home's abort fence would let a late prepare
+// reopen a gtid already presume-aborted elsewhere. Best effort -- a lost
+// forget only retains metadata.
 func (t *Txn) forgetAll(gtid string, home uint32, ids []uint32) {
 	for _, id := range ids {
 		if id != home {
@@ -353,14 +354,14 @@ func (t *Txn) firstWriter() (uint32, bool) {
 }
 
 // abortPrepared delivers the abort decision to every participant that
-// successfully prepared writes (best effort: unreached participants stay
-// in-doubt and recovery presumes abort). If every such participant durably
-// acknowledges the abort, the outcome is definite and the bookkeeping is
-// pruned. A participant whose prepare ACK was lost is invisible here and
-// stays in-doubt; pruning is still safe -- a later sweep finds the home
-// without state (TxnUnknown) and presumes abort, which is the outcome.
+// successfully prepared writes (best effort: an unreached participant stays
+// in doubt until it terminates itself by presumed abort). If every such
+// participant durably acknowledges the abort, the outcome is definite and
+// the bookkeeping is pruned. A participant whose prepare ACK was lost is
+// invisible here and stays in doubt; pruning is still safe -- it finds the
+// home without state (TxnUnknown) and presumes abort, which is the outcome.
 func (t *Txn) abortPrepared(gtid string, votes map[uint32]byte) {
-	home, err := HomeShard(gtid)
+	home, err := wire.HomeShard(gtid)
 	if err != nil {
 		return
 	}
@@ -379,119 +380,4 @@ func (t *Txn) abortPrepared(gtid string, votes map[uint32]byte) {
 	if allAcked && len(acked) > 0 {
 		t.forgetAll(gtid, home, acked)
 	}
-}
-
-// RecoveryReport summarizes one resolver pass.
-type RecoveryReport struct {
-	InDoubt   int // distinct in-doubt gtids found across the cluster
-	Committed int // resolved forward (home had a durable commit decision)
-	Aborted   int // resolved by presumed abort
-}
-
-// resolveInDoubt is the coordinator-recovery protocol: sweep every shard for
-// in-doubt transactions (OpTxnRecover), ask each gtid's home shard for the
-// authoritative outcome (OpTxnStatus), and deliver it (OpTxnDecide).
-// Presumed abort supplies the default: unless the home shard shows a
-// durable commit decision, the transaction aborts -- which is safe exactly
-// because the commit protocol acknowledges no client before that decision
-// is durable. Idempotent and safe to re-run; a conflicting-decision error
-// (the status changed between read and delivery) retries with the fresh
-// status.
-func (r *Router) resolveInDoubt() (RecoveryReport, error) {
-	var rep RecoveryReport
-	m := r.topology()
-	indoubt := make(map[string][]uint32)
-	for id := uint32(0); int(id) < m.N(); id++ {
-		s, err := r.session(id)
-		if err != nil {
-			return rep, fmt.Errorf("shard %d recover sweep: %w", id, err)
-		}
-		gtids, err := s.TxnRecover()
-		s.Close()
-		if err != nil {
-			return rep, fmt.Errorf("shard %d recover sweep: %w", id, err)
-		}
-		for _, g := range gtids {
-			indoubt[g] = append(indoubt[g], id)
-		}
-	}
-	rep.InDoubt = len(indoubt)
-	for gtid, shards := range indoubt {
-		home, err := HomeShard(gtid)
-		if err != nil {
-			return rep, err
-		}
-		if err := r.resolveOne(gtid, home, shards, &rep); err != nil {
-			return rep, err
-		}
-	}
-	return rep, nil
-}
-
-// resolveOne drives one gtid to resolution, re-reading the home status on a
-// decision failure (a concurrent decider may have gotten there first with
-// the opposite verdict).
-func (r *Router) resolveOne(gtid string, home uint32, shards []uint32, rep *RecoveryReport) error {
-	for attempt := 0; ; attempt++ {
-		s, err := r.session(home)
-		if err != nil {
-			return fmt.Errorf("status of %s on home shard %d: %w", gtid, home, err)
-		}
-		st, _, err := s.TxnStatus(gtid)
-		s.Close()
-		if err != nil {
-			return fmt.Errorf("status of %s on home shard %d: %w", gtid, home, err)
-		}
-		commit := st == wire.TxnCommitted
-		// Deliver the decision to the HOME shard first, whether or not the
-		// home reported in-doubt state. For a presumed abort this is the
-		// FENCE that makes the sweep safe against a still-live coordinator:
-		// the home durably records a decision-only abort entry, so a late
-		// prepare (duplicate gtid) or a late commit decision
-		// (ErrConflictingDecision) fails at the home instead of committing a
-		// transaction whose other participants this sweep is about to abort.
-		// Only after the home's record is durable may any other participant
-		// learn the outcome -- abort-ascending delivery without the fence is
-		// a permanent atomicity split waiting for the race.
-		order := make([]uint32, 1, len(shards)+1)
-		order[0] = home
-		for _, id := range shards {
-			if id != home {
-				order = append(order, id)
-			}
-		}
-		ok := true
-		for _, id := range order {
-			ds, err := r.session(id)
-			if err != nil {
-				return fmt.Errorf("deciding %s on shard %d: %w", gtid, id, err)
-			}
-			_, derr := ds.TxnDecide(gtid, commit)
-			ds.Close()
-			if derr != nil {
-				if attempt < 2 {
-					ok = false
-					break // re-read the status and retry
-				}
-				return fmt.Errorf("deciding %s on shard %d: %w", gtid, id, derr)
-			}
-		}
-		if ok {
-			if commit {
-				rep.Committed++
-			} else {
-				rep.Aborted++
-			}
-			return nil
-		}
-	}
-}
-
-// session leases a session on shard id.
-func (r *Router) session(id uint32) (*client.Session, error) {
-	c, err := r.shardClient(id)
-	if err != nil {
-		return nil, err
-	}
-	return c.Session()
 }

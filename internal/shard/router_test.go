@@ -5,6 +5,7 @@ import (
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"hiengine/internal/chaos"
 	"hiengine/internal/client"
@@ -45,13 +46,13 @@ func TestMapAndGTID(t *testing.T) {
 		t.Fatalf("map round-trip: %+v", m2)
 	}
 	// GTIDs name their home shard.
-	g := NewGTID(2, 0xabc, 7)
-	home, err := HomeShard(g)
+	g := wire.NewGTID(2, 0xabc, 7)
+	home, err := wire.HomeShard(g)
 	if err != nil || home != 2 {
 		t.Fatalf("HomeShard(%q) = %d, %v", g, home, err)
 	}
 	for _, bad := range []string{"", "x1.2.3", "h.1.2", "hx.1.2"} {
-		if _, err := HomeShard(bad); err == nil {
+		if _, err := wire.HomeShard(bad); err == nil {
 			t.Fatalf("HomeShard(%q) accepted", bad)
 		}
 	}
@@ -113,7 +114,7 @@ func TestSingleShardAndCrossShard(t *testing.T) {
 	if tx.GTID() == "" {
 		t.Fatal("cross-shard commit took the non-2PC path")
 	}
-	if home, err := HomeShard(tx.GTID()); err != nil || home != c.m.ShardOfInt(keys[0]) {
+	if home, err := wire.HomeShard(tx.GTID()); err != nil || home != c.m.ShardOfInt(keys[0]) {
 		t.Fatalf("gtid home %q: %d, %v", tx.GTID(), home, err)
 	}
 	if v, _ := readVal(t, r, keys[0]); v != 80 {
@@ -402,71 +403,94 @@ func TestWrongShardDetection(t *testing.T) {
 	}
 }
 
-// TestRecoverAfterCoordinatorCrash covers both phase-two crash windows:
-// before the home decision (recovery must abort everywhere) and after it
-// (recovery must complete the commit fan-out).
+// coordinatorWindows are phase two's two crash windows: before the home
+// decision the transaction must abort everywhere, after it commit.
+var coordinatorWindows = []struct {
+	site       string
+	wantCommit bool
+}{
+	{SiteCoordDecide, false},
+	{SiteCoordFanout, true},
+}
+
+// crashCoordinator sets each of keys to base+i in one cross-shard
+// transaction whose coordinator dies at site, and returns it.
+func crashCoordinator(t *testing.T, c *cluster, site string, keys []int64, base int64) *Txn {
+	t.Helper()
+	coordCh := chaos.New(99)
+	coordCh.Arm(chaos.Rule{Site: site, Action: chaos.Fault, OnHit: 1})
+	r := c.router(t, coordCh, nil)
+	tx := r.Begin()
+	for i, k := range keys {
+		if _, err := tx.Exec(k, "UPDATE bench SET val = ? WHERE id = ?", core.I(base+int64(i)), core.I(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err == nil {
+		t.Fatal("commit survived an injected coordinator crash")
+	} else if !strings.Contains(err.Error(), tx.GTID()) {
+		t.Fatalf("crash error does not name the gtid: %v", err)
+	}
+	return tx
+}
+
+// inDoubt counts the gtids in doubt across the cluster.
+func (c *cluster) inDoubt() int {
+	total := 0
+	for _, n := range c.nodes {
+		total += len(n.engine.InDoubt())
+	}
+	return total
+}
+
+// TestInDoubtTerminatesWithoutResolver: the coordinator dies in either
+// phase-two window and nothing else ever speaks for it. The participants
+// end the transaction themselves within terminateWithin, each the way the
+// home's durable state says: no node keeps a gtid in doubt, and the two
+// keys agree.
+func TestInDoubtTerminatesWithoutResolver(t *testing.T) {
+	for _, window := range coordinatorWindows {
+		t.Run(window.site, func(t *testing.T) {
+			c := newCluster(t, 3, 71)
+			keys := c.keysOnDistinctShards(1, 2)
+			c.createBench(t, keys, 100)
+			crashCoordinator(t, c, window.site, keys, 200)
+			if c.inDoubt() == 0 {
+				t.Fatal("no participant left in doubt by the crash")
+			}
+			c.awaitTerminated(t)
+			r := c.router(t, nil, nil)
+			v0, _ := readVal(t, r, keys[0])
+			v1, _ := readVal(t, r, keys[1])
+			want := map[bool][2]int64{false: {100, 100}, true: {200, 201}}[window.wantCommit]
+			if [2]int64{v0, v1} != want {
+				t.Fatalf("keys read %d, %d after termination; want %v", v0, v1, want)
+			}
+		})
+	}
+}
+
+// TestRecoverAfterCoordinatorCrash covers both phase-two crash windows
+// from the restarted coordinator's side: the crash leaves some participant
+// in doubt holding its write locks, the participants terminate it, and then
+// a fresh router finds the transfer atomic and the keys writable again.
 func TestRecoverAfterCoordinatorCrash(t *testing.T) {
-	for _, window := range []struct {
-		site       string
-		wantCommit bool
-	}{
-		{SiteCoordDecide, false},
-		{SiteCoordFanout, true},
-	} {
+	for _, window := range coordinatorWindows {
 		t.Run(window.site, func(t *testing.T) {
 			c := newCluster(t, 2, 31)
 			keys := c.keysOnDistinctShards(1, 2)
 			c.createBench(t, keys, 100)
-
-			coordCh := chaos.New(99)
-			coordCh.Arm(chaos.Rule{Site: window.site, Action: chaos.Fault, OnHit: 1})
-			r := c.router(t, coordCh, nil)
-
-			tx := r.Begin()
-			for i, k := range keys {
-				if _, err := tx.Exec(k, "UPDATE bench SET val = ? WHERE id = ?", core.I(int64(200+i)), core.I(k)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			err := tx.Commit()
-			if err == nil {
-				t.Fatal("commit survived an injected coordinator crash")
-			}
-			if !strings.Contains(err.Error(), tx.GTID()) {
-				t.Fatalf("crash error does not name the gtid: %v", err)
-			}
+			crashCoordinator(t, c, window.site, keys, 200)
 
 			// Some participant is now in-doubt, holding its write locks.
-			total := 0
-			for _, n := range c.nodes {
-				total += len(n.engine.InDoubt())
-			}
-			if total == 0 {
+			if c.inDoubt() == 0 {
 				t.Fatal("no participant left in-doubt by the crash")
 			}
+			c.awaitTerminated(t)
 
-			// A fresh resolver (the restarted coordinator) repairs the
-			// cluster from the shards' own in-doubt lists.
-			r2 := c.router(t, nil, nil)
-			rep, err := r2.resolveInDoubt()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.InDoubt == 0 {
-				t.Fatal("resolver saw no in-doubt transactions")
-			}
-			if window.wantCommit && rep.Committed == 0 {
-				t.Fatalf("post-commit-point crash resolved as abort: %+v", rep)
-			}
-			if !window.wantCommit && rep.Aborted == 0 {
-				t.Fatalf("pre-commit-point crash resolved as commit: %+v", rep)
-			}
-			for _, n := range c.nodes {
-				if got := n.engine.InDoubt(); len(got) != 0 {
-					t.Fatalf("shard %d still in-doubt: %v", n.id, got)
-				}
-			}
-			// Atomicity: both updates or neither.
+			// Atomicity: both updates or neither. The restarted coordinator
+			// is a new identity: its gtids must not meet the dead one's.
+			r2 := c.router(t, nil, func(o *client.Options) { o.Seed = 2 })
 			v0, _ := readVal(t, r2, keys[0])
 			v1, _ := readVal(t, r2, keys[1])
 			if window.wantCommit {
@@ -475,6 +499,17 @@ func TestRecoverAfterCoordinatorCrash(t *testing.T) {
 				}
 			} else if v0 != 100 || v1 != 100 {
 				t.Fatalf("aborted transfer leaked: %d %d", v0, v1)
+			}
+			// The locks went with the doubt: the restarted coordinator's
+			// next transfer over the same keys commits.
+			tx := r2.Begin()
+			for i, k := range keys {
+				if _, err := tx.Exec(k, "UPDATE bench SET val = ? WHERE id = ?", core.I(int64(400+i)), core.I(k)); err != nil {
+					t.Fatalf("key %d still locked: %v", k, err)
+				}
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
@@ -487,23 +522,10 @@ func TestRecoverAcrossParticipantRestart(t *testing.T) {
 	c := newCluster(t, 2, 41)
 	keys := c.keysOnDistinctShards(1, 2)
 	c.createBench(t, keys, 100)
-
-	coordCh := chaos.New(77)
-	coordCh.Arm(chaos.Rule{Site: SiteCoordFanout, Action: chaos.Fault, OnHit: 1})
-	r := c.router(t, coordCh, nil)
-
-	tx := r.Begin()
-	for i, k := range keys {
-		if _, err := tx.Exec(k, "UPDATE bench SET val = ? WHERE id = ?", core.I(int64(300+i)), core.I(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tx.Commit(); err == nil {
-		t.Fatal("commit survived the fan-out crash")
-	}
+	tx := crashCoordinator(t, c, SiteCoordFanout, keys, 300)
 
 	// Crash and restart the non-home participant while it is in-doubt.
-	home, err := HomeShard(tx.GTID())
+	home, err := wire.HomeShard(tx.GTID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,14 +539,19 @@ func TestRecoverAcrossParticipantRestart(t *testing.T) {
 		t.Fatalf("restart reconstructed %d in-doubt txns, want 1", stats.InDoubt)
 	}
 
+	// The restarted node reports the gtid's age once its terminator has
+	// seen it, and terminates it as committed: the home decided.
+	for deadline := time.Now().Add(terminateWithin); other.node.Status()["indoubt_oldest_ms"] == int64(0); {
+		if time.Now().After(deadline) {
+			t.Fatalf("indoubt_oldest_ms stayed 0 with %v in doubt", other.engine.InDoubt())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	c.awaitTerminated(t)
+	if st, _ := other.engine.TxnStatus(tx.GTID()); st != core.TxnCommitted {
+		t.Fatalf("restarted participant terminated %s as %v, want committed", tx.GTID(), st)
+	}
 	r2 := c.router(t, nil, nil)
-	rep, err := r2.resolveInDoubt()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Committed != 1 {
-		t.Fatalf("recovery report: %+v", rep)
-	}
 	v0, _ := readVal(t, r2, keys[0])
 	v1, _ := readVal(t, r2, keys[1])
 	if v0 != 300 || v1 != 301 {
@@ -533,79 +560,82 @@ func TestRecoverAcrossParticipantRestart(t *testing.T) {
 }
 
 // TestResolverFencesHomeFirst: a coordinator that dies mid-prepare can leave
-// a participant holding prepared writes for a gtid the home shard never saw.
-// The resolver presumes abort -- but before aborting anyone it must install a
-// durable abort fence AT THE HOME, so a still-live (zombie) coordinator that
-// wakes up and drives its commit point cannot commit a transaction whose
-// other participants the sweep just aborted (a permanent atomicity split).
+// one participant holding prepared writes for a gtid no one else saw. It is
+// terminated by presumed abort -- but a participant other than the home
+// lets go only after the home has durably recorded the abort, and the home
+// aborting its own is that record. Either way the home holds a durable
+// abort FENCE, so a still-live (zombie) coordinator that wakes up and
+// drives its commit point cannot commit a transaction whose other
+// participants already aborted (a permanent atomicity split).
 func TestResolverFencesHomeFirst(t *testing.T) {
-	c := newCluster(t, 2, 61)
-	keys := c.keysOnDistinctShards(1, 2)
-	c.createBench(t, keys, 100)
+	for _, orphan := range []string{"participant", "home"} {
+		t.Run(orphan, func(t *testing.T) {
+			c := newCluster(t, 2, 61)
+			keys := c.keysOnDistinctShards(1, 2)
+			c.createBench(t, keys, 100)
 
-	home := c.m.ShardOfInt(keys[0])
-	part := c.m.ShardOfInt(keys[1])
-	gtid := NewGTID(home, 0xfe, 1)
+			home := c.m.ShardOfInt(keys[0])
+			gtid := wire.NewGTID(home, 0xfe, 1)
+			key := keys[1]
+			if orphan == "home" {
+				key = keys[0]
+			}
 
-	// Hand-drive the dead coordinator's prepare on the participant only.
-	cl := c.client(t, part, nil)
-	s, err := cl.Session()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Exec("UPDATE bench SET val = 999 WHERE id = ?", core.I(keys[1])); err != nil {
-		t.Fatal(err)
-	}
-	if vote, err := s.TxnPrepare(gtid); err != nil || vote != wire.PreparedWrites {
-		t.Fatalf("prepare on participant: vote %d err %v", vote, err)
-	}
+			// Hand-drive the dead coordinator's prepare on one node only.
+			cl := c.client(t, c.m.ShardOfInt(key), nil)
+			s, err := cl.Session()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.Begin(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Exec("UPDATE bench SET val = 999 WHERE id = ?", core.I(key)); err != nil {
+				t.Fatal(err)
+			}
+			if vote, err := s.TxnPrepare(gtid); err != nil || vote != wire.PreparedWrites {
+				t.Fatalf("prepare on %s: vote %d err %v", orphan, vote, err)
+			}
 
-	// The sweep finds the orphan, reads TxnUnknown at the home, presumes
-	// abort, and resolves it.
-	r := c.router(t, nil, nil)
-	rep, err := r.resolveInDoubt()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.InDoubt != 1 || rep.Aborted != 1 {
-		t.Fatalf("recovery report: %+v", rep)
-	}
-	if v, _ := readVal(t, r, keys[1]); v != 100 {
-		t.Fatalf("presume-aborted write leaked: %d", v)
-	}
+			// The orphan reads TxnUnknown at the home (or is the home),
+			// presumes abort, and terminates.
+			c.awaitTerminated(t)
+			r := c.router(t, nil, nil)
+			if v, _ := readVal(t, r, key); v != 100 {
+				t.Fatalf("presume-aborted write leaked: %d", v)
+			}
 
-	// The fence: the home durably remembers the abort rather than staying
-	// TxnUnknown...
-	hcl := c.client(t, home, nil)
-	hs, err := hcl.Session()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hs.Close()
-	st, _, err := hs.TxnStatus(gtid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st != wire.TxnAborted {
-		t.Fatalf("home status after sweep: %d, want durable abort fence", st)
-	}
-	// ...so the zombie coordinator's commit point fails at the home...
-	if _, err := hs.TxnDecide(gtid, true); err == nil {
-		t.Fatal("late commit decision slipped past the abort fence")
-	}
-	// ...and so does a late prepare reopening the swept gtid.
-	if err := hs.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hs.Exec("UPDATE bench SET val = 5 WHERE id = ?", core.I(keys[0])); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hs.TxnPrepare(gtid); err == nil {
-		t.Fatal("late prepare slipped past the abort fence")
+			// The fence: the home durably remembers the abort rather than
+			// staying TxnUnknown...
+			hcl := c.client(t, home, nil)
+			hs, err := hcl.Session()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer hs.Close()
+			st, _, err := hs.TxnStatus(gtid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st != wire.TxnAborted {
+				t.Fatalf("home status after termination: %d, want durable abort fence", st)
+			}
+			// ...so the zombie coordinator's commit point fails at the home...
+			if _, err := hs.TxnDecide(gtid, true); err == nil {
+				t.Fatal("late commit decision slipped past the abort fence")
+			}
+			// ...and so does a late prepare reopening the terminated gtid.
+			if err := hs.Begin(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := hs.Exec("UPDATE bench SET val = 5 WHERE id = ?", core.I(keys[0])); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := hs.TxnPrepare(gtid); err == nil {
+				t.Fatal("late prepare slipped past the abort fence")
+			}
+		})
 	}
 }
 

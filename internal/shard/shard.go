@@ -20,17 +20,14 @@
 // acknowledged, and only then are the remaining participants told. Under
 // presumed abort this is crash-safe in every window: a coordinator that
 // dies before the home decision leaves participants in-doubt, and since
-// the home has no durable decision, no client was acknowledged and
-// recovery aborts everywhere; a coordinator that dies after it leaves the
-// home committed, and recovery reads the home's status and completes the
-// commit fan-out.
+// the home has no durable decision, no client was acknowledged and the
+// participants abort (internal/node terminates a long-in-doubt gtid); a
+// coordinator that dies after it leaves the home committed, and each
+// straggler reads the home's status and commits.
 package shard
 
 import (
 	"errors"
-	"fmt"
-	"strconv"
-	"strings"
 
 	"hiengine/internal/chaos"
 	"hiengine/internal/wire"
@@ -43,12 +40,12 @@ import (
 const (
 	// SiteCoordDecide fires after all participants voted yes, before the
 	// home-shard decision is written: a crash here leaves every
-	// participant in-doubt with no commit point -- recovery must abort.
+	// participant in-doubt with no commit point -- they must terminate by abort.
 	SiteCoordDecide = "shard.coord.decide"
 	// SiteCoordFanout fires after the home decision is durable, before
 	// the remaining participants are told: a crash here leaves the
-	// transaction committed with stragglers in-doubt -- recovery must
-	// complete the commit.
+	// transaction committed with stragglers in-doubt -- they must
+	// terminate by commit.
 	SiteCoordFanout = "shard.coord.fanout"
 )
 
@@ -121,29 +118,4 @@ func (m *Map) ShardOfInt(k int64) uint32 {
 		u >>= 8
 	}
 	return m.shardOf(b[:])
-}
-
-// NewGTID builds a global transaction id naming its home shard (the commit
-// point), the coordinator's identity seed, and a per-coordinator sequence
-// number: "h<home>.<seed>.<seq>". The home is recoverable from the string
-// alone -- a resolver holding only the gtid knows whom to ask for the
-// authoritative outcome.
-func NewGTID(home uint32, seed, seq uint64) string {
-	return fmt.Sprintf("h%d.%x.%d", home, seed, seq)
-}
-
-// HomeShard extracts the home shard id from a gtid.
-func HomeShard(gtid string) (uint32, error) {
-	if !strings.HasPrefix(gtid, "h") {
-		return 0, fmt.Errorf("shard: malformed gtid %q", gtid)
-	}
-	dot := strings.IndexByte(gtid, '.')
-	if dot < 2 {
-		return 0, fmt.Errorf("shard: malformed gtid %q", gtid)
-	}
-	id, err := strconv.ParseUint(gtid[1:dot], 10, 32)
-	if err != nil {
-		return 0, fmt.Errorf("shard: malformed gtid %q: %v", gtid, err)
-	}
-	return uint32(id), nil
 }

@@ -71,7 +71,7 @@ func TestFlushCrashSites(t *testing.T) {
 		}
 		seen := 0
 		for _, seg := range m2.Segments() {
-			if err := m2.ScanSegment(seg, func(_ Addr, _ Record) bool { seen++; return true }); err != nil {
+			if err := scanSegment(m2, seg, func(_ Addr, _ Record) bool { seen++; return true }); err != nil {
 				t.Fatalf("%s: scan: %v", site, err)
 			}
 		}
@@ -172,7 +172,7 @@ func TestGenuineCorruptionStillFails(t *testing.T) {
 	if _, err := p.Append([]byte{0xff, 0xff, 0xff, 0xff}); err != nil {
 		t.Fatal(err)
 	}
-	err = m.ScanSegment(seg, func(_ Addr, _ Record) bool { return true })
+	err = scanSegment(m, seg, func(_ Addr, _ Record) bool { return true })
 	if err == nil {
 		t.Fatal("consistent corruption was silently truncated")
 	}

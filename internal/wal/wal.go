@@ -1385,21 +1385,6 @@ func (m *Manager) Appended(addr Addr) []byte {
 // a record that straddles a chunk boundary.
 func (m *Manager) WindowReads() int64 { return m.windowReads.Load() }
 
-// ScanSegment iterates the records of one segment's whole transactions in
-// append order, calling fn with each record's permanent address and its
-// transaction's CSN.
-func (m *Manager) ScanSegment(seg uint16, fn func(addr Addr, rec Record) bool) error {
-	_, err := m.ScanSegmentFrom(seg, 0, func(txn []Entry) bool {
-		for _, r := range txn {
-			if !fn(r.Addr, r.Record) {
-				return false
-			}
-		}
-		return true
-	})
-	return err
-}
-
 // Entry is a record as a scan delivers it: its permanent address, and the
 // record with its transaction's CSN.
 type Entry struct {

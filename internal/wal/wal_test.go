@@ -272,7 +272,7 @@ func TestScanSegmentSequential(t *testing.T) {
 	}
 	var got []uint64
 	for _, seg := range m.Segments() {
-		err := m.ScanSegment(seg, func(addr Addr, rec Record) bool {
+		err := scanSegment(m, seg, func(addr Addr, rec Record) bool {
 			if addr.Segment() != seg {
 				t.Fatalf("addr segment mismatch")
 			}
@@ -417,7 +417,7 @@ func TestLogIsRedoOnly(t *testing.T) {
 	}
 	seen := map[uint64]bool{}
 	for _, seg := range m.Segments() {
-		m.ScanSegment(seg, func(_ Addr, rec Record) bool {
+		scanSegment(m, seg, func(_ Addr, rec Record) bool {
 			seen[rec.RID] = true
 			return true
 		})
@@ -812,4 +812,18 @@ func TestRecordLen(t *testing.T) {
 			}
 		}
 	}
+}
+
+// scanSegment calls fn with each record of segment seg's whole transactions,
+// in append order, with its permanent address and its transaction's CSN.
+func scanSegment(m *Manager, seg uint16, fn func(addr Addr, rec Record) bool) error {
+	_, err := m.ScanSegmentFrom(seg, 0, func(txn []Entry) bool {
+		for _, r := range txn {
+			if !fn(r.Addr, r.Record) {
+				return false
+			}
+		}
+		return true
+	})
+	return err
 }

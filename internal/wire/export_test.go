@@ -19,3 +19,13 @@ func DecodeTraceBlock(payload []byte) (*TraceInfo, []byte, error) {
 	ti := r.traceBlock()
 	return ti, r.b, r.err
 }
+
+// DecodeGTIDList parses an OpTxnRecover success body.
+func DecodeGTIDList(body []byte) ([]string, error) {
+	r := reader{b: body}
+	out := r.strings(1 << 20)
+	if err := r.end(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}

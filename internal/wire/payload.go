@@ -3,6 +3,8 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"hiengine/internal/core"
 	"hiengine/internal/obs"
@@ -792,6 +794,28 @@ func DecodeGTID(payload []byte) (string, error) {
 	return gtid, nil
 }
 
+// NewGTID builds a global transaction id naming its home shard (the commit
+// point), the coordinator's identity seed, and a per-coordinator sequence
+// number: "h<home>.<seed>.<seq>". The home is recoverable from the string
+// alone -- a participant holding only the gtid knows whom to ask for the
+// authoritative outcome.
+func NewGTID(home uint32, seed, seq uint64) string {
+	return fmt.Sprintf("h%d.%x.%d", home, seed, seq)
+}
+
+// HomeShard extracts the home shard id from a gtid.
+func HomeShard(gtid string) (uint32, error) {
+	dot := strings.IndexByte(gtid, '.')
+	if !strings.HasPrefix(gtid, "h") || dot < 2 {
+		return 0, fmt.Errorf("wire: malformed gtid %q", gtid)
+	}
+	id, err := strconv.ParseUint(gtid[1:dot], 10, 32)
+	if err != nil {
+		return 0, fmt.Errorf("wire: malformed gtid %q: %v", gtid, err)
+	}
+	return uint32(id), nil
+}
+
 // EncodeTxnDecide builds an OpTxnDecide payload: the gtid and the
 // coordinator's decision.
 func EncodeTxnDecide(gtid string, commit bool) []byte {
@@ -849,16 +873,6 @@ func DecodeTxnCSN(body []byte) (uint64, error) {
 // EncodeGTIDList builds the OpTxnRecover success body: the participant's
 // in-doubt gtids.
 func EncodeGTIDList(gtids []string) []byte { return appendStrings(nil, gtids) }
-
-// DecodeGTIDList parses an OpTxnRecover success body.
-func DecodeGTIDList(body []byte) ([]string, error) {
-	r := reader{b: body}
-	out := r.strings(1 << 20)
-	if err := r.end(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
 
 // --- trace block -----------------------------------------------------------
 
