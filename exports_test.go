@@ -33,7 +33,6 @@ var exportAllowlist = map[string]string{
 	"client.Session.ShardMap":      "node, shard and hiserver tests fetch a node's shard map",
 	"client.Stmt.NumParams":        "server tests check the parameter count a prepare returns",
 	"core.B":                       "client, sqlfront and wire tests build BYTES values",
-	"core.RowView.NumCols":         "wire tests compare the row walker with the decoder",
 	"core.Table.Index":             "the chaos torture checks a recovered table's indexes against its rows",
 	"core.Table.Rows":              "the chaos torture walks a recovered table's rows",
 	"core.Value.Bytes":             "client and wire tests read BYTES values back",

@@ -7,7 +7,9 @@ package adapt
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
+	"sync/atomic"
 
 	"hiengine/internal/core"
 	"hiengine/internal/engineapi"
@@ -18,13 +20,18 @@ import (
 type DB struct {
 	e *core.Engine
 
-	mu     sync.RWMutex
-	tables map[string]*core.Table
+	// tables is the name-to-table cache every statement reads: a map never
+	// written once published, so a hit takes no lock. A miss, or a
+	// CreateTable, publishes a copy with the table added under mu.
+	tables atomic.Pointer[map[string]*core.Table]
+	mu     sync.Mutex
 }
 
 // New wraps an engine.
 func New(e *core.Engine) *DB {
-	return &DB{e: e, tables: make(map[string]*core.Table)}
+	db := &DB{e: e}
+	db.tables.Store(&map[string]*core.Table{})
+	return db
 }
 
 // CreateTable implements engineapi.DB.
@@ -33,27 +40,31 @@ func (db *DB) CreateTable(s *core.Schema) error {
 	if err != nil {
 		return err
 	}
-	db.mu.Lock()
-	db.tables[s.Name] = t
-	db.mu.Unlock()
+	db.publish(s.Name, t)
 	return nil
 }
 
 func (db *DB) table(name string) (*core.Table, error) {
-	db.mu.RLock()
-	t, ok := db.tables[name]
-	db.mu.RUnlock()
-	if ok {
+	if t, ok := (*db.tables.Load())[name]; ok {
 		return t, nil
 	}
 	t, err := db.e.Table(name)
 	if err != nil {
 		return nil, err
 	}
-	db.mu.Lock()
-	db.tables[name] = t
-	db.mu.Unlock()
+	db.publish(name, t)
 	return t, nil
+}
+
+// publish replaces the table cache with a copy that maps name to t.
+func (db *DB) publish(name string, t *core.Table) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	old := *db.tables.Load()
+	m := make(map[string]*core.Table, len(old)+1)
+	maps.Copy(m, old)
+	m[name] = t
+	db.tables.Store(&m)
 }
 
 // Import implements engineapi.Importer: the row is installed as bulk-loaded
@@ -67,29 +78,27 @@ func (db *DB) Import(table string, row core.Row) error {
 	return mapErr(err)
 }
 
-// Begin implements engineapi.DB.
+// Begin implements engineapi.DB. The core transaction lives inside the
+// adapter's, so a transaction is one allocation.
 func (db *DB) Begin(worker int) (engineapi.Txn, error) {
-	t, err := db.e.Begin(worker % db.e.Workers())
-	if err != nil {
+	tx := &Txn{db: db}
+	if err := db.e.BeginInto(&tx.t, worker%db.e.Workers()); err != nil {
 		return nil, err
 	}
-	return &Txn{db: db, t: t}, nil
+	return tx, nil
 }
 
 // Txn adapts core.Txn. It memoizes the most recent key lookup so the
 // common GetByKey-then-UpdateByKey driver pattern resolves the RID once.
 type Txn struct {
 	db *DB
-	t  *core.Txn
+	t  core.Txn
 
 	lastTable *core.Table
 	lastIdx   int
 	lastKey   []byte
 	lastRID   core.RID
 }
-
-// Unwrap exposes the underlying transaction.
-func (tx *Txn) Unwrap() *core.Txn { return tx.t }
 
 // SetTrace implements engineapi.Traceable: the trace rides the core
 // transaction through the WAL commit pipeline.

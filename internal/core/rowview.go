@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"math"
+	"unsafe"
 )
 
 // RowView is the late-materialisation primitive: the column layout of one
@@ -54,6 +55,27 @@ func (v *RowView) AppendProjection(dst []byte, cols []int) ([]byte, error) {
 		dst = append(dst, v.p[v.off[c]:v.off[c+1]]...)
 	}
 	return dst, nil
+}
+
+// col returns column c, which the row has, as a Value. A string or bytes
+// value aliases the view's bytes instead of copying them.
+func (v *RowView) col(c int) Value {
+	k := Kind(v.p[v.off[c]])
+	b := v.p[v.off[c]+1 : v.off[c+1]]
+	switch k {
+	case KindInt:
+		x, _ := binary.Varint(b)
+		return I(x)
+	case KindFloat:
+		return Value{kind: KindFloat, num: binary.LittleEndian.Uint64(b)}
+	case KindString, KindBytes:
+		_, w := uvarint(b)
+		if w == len(b) {
+			return Value{kind: k}
+		}
+		return Value{kind: k, s: unsafe.String(&b[w], len(b)-w)}
+	}
+	return Null
 }
 
 // ColValue names a column by position and gives a value for it: one SET

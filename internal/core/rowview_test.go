@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestValueIs32Bytes(t *testing.T) {
@@ -205,7 +208,7 @@ func TestDecodeRowsArena(t *testing.T) {
 // TestDecodeRowsIntoRowArena: decoding into a RowArena reuses its row
 // headers and Value arena -- a warmed decode allocates only the copy of
 // the bytes, nothing for rows of ints -- while a Value taken out of an
-// earlier decode keeps its bytes; arrays above MaxRowScratch are not kept.
+// earlier decode keeps its bytes; arrays above maxRowScratch are not kept.
 func TestDecodeRowsIntoRowArena(t *testing.T) {
 	encode := func(rows ...Row) []byte {
 		var b []byte
@@ -254,5 +257,63 @@ func TestDecodeRowsIntoRowArena(t *testing.T) {
 	}
 	if a.rows != nil || a.vals != nil {
 		t.Fatalf("a %d-row result left the arena holding %d rows and %d values", len(wide), cap(a.rows), cap(a.vals))
+	}
+}
+
+// TestAppendRowMatchesDecodeRow: AppendRow decodes every kind, NULL and the
+// empty string included, as DecodeRow does, whole or projected, over a Value
+// arena that grows under rows already appended; its TEXT aliases the row's
+// bytes; a column the row lacks is refused and appends nothing; and Rows
+// starts the next result over the same arrays, clearing what the last one
+// held beyond the new one.
+func TestAppendRowMatchesDecodeRow(t *testing.T) {
+	rows := []Row{
+		{I(-5), F(2.5), S("text"), B([]byte{0, 1}), Null, S("")},
+		{I(1 << 40), F(-1), S(strings.Repeat("y", 300)), B(nil), I(0), S("z")},
+	}
+	var a RowArena
+	var v RowView
+	for n := 0; n < 20; n++ { // 20 rows of 6 values: the arena grows several times
+		p := EncodeRow(nil, rows[n%2])
+		if _, err := v.Reset(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.AppendRow(&v, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := a.Rows()
+	if len(got) != 20 {
+		t.Fatalf("%d rows", len(got))
+	}
+	for i, r := range got {
+		want, _ := DecodeRow(EncodeRow(nil, rows[i%2]))
+		if fmt.Sprint(r) != fmt.Sprint(want) {
+			t.Fatalf("row %d: %v, want %v", i, r, want)
+		}
+	}
+
+	p := EncodeRow(nil, rows[0])
+	if _, err := v.Reset(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.AppendRow(&v, []int{2, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.AppendRow(&v, []int{1, 6}); err != ErrRowCorrupt {
+		t.Fatalf("a projection past the row's columns: %v", err)
+	}
+	one := a.Rows()
+	if len(one) != 1 || len(one[0]) != 2 || one[0][0].Str() != "text" || one[0][1].Int() != -5 {
+		t.Fatalf("projected row: %v", one)
+	}
+	if unsafe.StringData(one[0][0].Str()) != &p[1+2+9+2] { // header, the int, the float, kind and length
+		t.Fatal("the TEXT value does not alias the row's bytes")
+	}
+	if a.vals[:cap(a.vals)][2] != (Value{}) || a.rows[:cap(a.rows)][1] != nil {
+		t.Fatal("the arena still references the earlier result")
+	}
+	if a.Rows() != nil {
+		t.Fatal("an empty result is not nil")
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -197,14 +198,30 @@ func (t *Txn) SetTrace(tr *obs.Trace) {
 // Begin starts a transaction on a worker slot. Each worker slot can run one
 // transaction at a time (the paper binds one worker thread per core).
 func (e *Engine) Begin(worker int) (*Txn, error) {
+	t := new(Txn)
+	if err := e.BeginInto(t, worker); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// BeginInto is Begin starting the transaction in t, memory the caller
+// allocated: a front end that holds its core transaction by value pays one
+// allocation per transaction, not two. t must be a zero Txn; one that has
+// begun before is refused, since readers that looked it up in the status
+// map may still hold it.
+func (e *Engine) BeginInto(t *Txn, worker int) error {
+	if t.e != nil {
+		return errors.New("core: transaction begun twice")
+	}
 	if e.closed.Load() {
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	if e.durabilityLost.Load() {
-		return nil, ErrDurabilityLost
+		return ErrDurabilityLost
 	}
 	if worker < 0 || worker >= len(e.workers) {
-		return nil, fmt.Errorf("core: worker %d out of range [0,%d)", worker, len(e.workers))
+		return fmt.Errorf("core: worker %d out of range [0,%d)", worker, len(e.workers))
 	}
 	// Pin the slot below every snapshot before reading the clock: watermark
 	// reads its clock before it walks the slots, so a slot it saw idle begins
@@ -214,20 +231,15 @@ func (e *Engine) Begin(worker int) (*Txn, error) {
 	// needs.)
 	slot := &e.workers[worker]
 	if !slot.activeBegin.CompareAndSwap(0, 1) {
-		return nil, ErrWorkerBusy
+		return ErrWorkerBusy
 	}
 	begin := e.clk.Now()
 	slot.activeBegin.Store(begin)
-	t := &Txn{
-		e:      e,
-		worker: worker,
-		slot:   slot,
-		tid:    e.tidSeq.Add(1) | tidFlag,
-		begin:  begin,
-	}
+	t.e, t.worker, t.slot = e, worker, slot
+	t.tid, t.begin = e.tidSeq.Add(1)|tidFlag, begin
 	t.statusWord.Store(packStatus(txActive, 0))
 	e.status.register(t)
-	return t, nil
+	return nil
 }
 
 // CSN returns the commit sequence number (0 while active, after abort, or
@@ -302,10 +314,16 @@ func (t *Txn) visibleVersion(head *Version) *Version {
 // --- reads ---------------------------------------------------------------
 //
 // The raw reads are the implementation; Get, GetByKey, ScanKey and
-// ScanPrefix decode on top of them (the scans through scanEncoded). A raw callback receives the visible
-// version's payload -- the encoded row exactly as it was logged -- which may
-// be storage-backed memory: it is valid only until the callback returns, and
-// a caller that keeps any of it must copy it out before then.
+// ScanPrefix decode on top of them (the scans through scanEncoded). A raw
+// callback receives the visible version's payload -- the encoded row exactly
+// as it was logged -- and those bytes are never rewritten or recycled,
+// wherever they lie: a published version's sealed record in its log buffer (which
+// is fresh per transaction, and whose growth copies rather than moves), a
+// chunk of the log (append-only storage), or a private copy (of a record
+// that straddles a chunk, at durability or on a reload). So a payload is
+// immutable and may be kept, or values aliasing it (RowArena.AppendRow); a
+// kept payload pins its chunk, or its transaction's buffer, for as long as
+// it is kept.
 
 // getRaw hands fn the encoded row at rid visible to t.
 func (t *Txn) getRaw(tbl *Table, rid RID, fn func(payload []byte) error) error {

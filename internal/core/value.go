@@ -47,8 +47,10 @@ func (k Kind) String() string {
 
 // Value is one typed column value. The zero Value is NULL. It is 32 bytes:
 // int and float share the num word, string and bytes share s. A Value is
-// immutable and owns its payload: B copies the slice it is given and Bytes
-// returns a fresh copy, so no Value aliases a buffer someone may reuse.
+// immutable and so is its payload: B copies the slice it is given and Bytes
+// returns a fresh copy, and a Value RowArena.AppendRow decodes shares the
+// bytes of a raw read, which are never rewritten -- so no Value aliases a
+// buffer someone may reuse.
 type Value struct {
 	kind Kind   // 0 = NULL
 	num  uint64 // KindInt: the int64; KindFloat: the IEEE bits
@@ -276,14 +278,14 @@ func DecodeRows(dst *RowArena, data []byte, n int) ([]Row, []byte, error) {
 	return rows, data[end:], nil
 }
 
-// MaxRowScratch bounds the decoding scratch a session or a statement
+// maxRowScratch bounds the decoding scratch a session or a statement
 // retains between calls, so one wide result does not pin its size for the
 // holder's life.
-const MaxRowScratch = 64 << 10
+const maxRowScratch = 64 << 10
 
 // RowArena is a destination DecodeRows reuses: the row headers and the
 // Value arena of the last result decoded into it. Arrays that together
-// exceed MaxRowScratch bytes are used once and not kept.
+// exceed maxRowScratch bytes are used once and not kept.
 type RowArena struct {
 	rows []Row
 	vals []Value
@@ -303,12 +305,60 @@ func (a *RowArena) take(n, nVals int) ([]Row, []Value) {
 		a.vals = make([]Value, nVals)
 	}
 	rows, vals := a.rows[:n], a.vals[:nVals]
+	a.trim(n, nVals)
+	return rows, vals
+}
+
+// trim clears what follows the first n rows and nVals values, which a
+// result holds, and lets go of arrays grown past maxRowScratch.
+func (a *RowArena) trim(n, nVals int) {
 	clear(a.rows[n:cap(a.rows)])
 	clear(a.vals[nVals:cap(a.vals)])
-	if cap(a.rows)*int(unsafe.Sizeof(Row(nil)))+cap(a.vals)*int(unsafe.Sizeof(Value{})) > MaxRowScratch {
+	if cap(a.rows)*int(unsafe.Sizeof(Row(nil)))+cap(a.vals)*int(unsafe.Sizeof(Value{})) > maxRowScratch {
 		*a = RowArena{}
 	}
-	return rows, vals
+}
+
+// AppendRow decodes the given columns of the row v is on (nil: every
+// column) into a new row at the end of the arena's current result, which
+// Rows hands out. A string or bytes value aliases the bytes v was Reset on,
+// so those must never be rewritten: a raw read's payload qualifies (see the
+// reads in txn.go), a buffer its owner reuses does not.
+func (a *RowArena) AppendRow(v *RowView, cols []int) error {
+	start := len(a.vals)
+	if cols == nil {
+		for c := 0; c < v.NumCols(); c++ {
+			a.vals = append(a.vals, v.col(c))
+		}
+	} else {
+		for _, c := range cols {
+			if c >= v.NumCols() {
+				a.vals = a.vals[:start]
+				return ErrRowCorrupt
+			}
+			a.vals = append(a.vals, v.col(c))
+		}
+	}
+	a.rows = append(a.rows, a.vals[start:len(a.vals):len(a.vals)])
+	return nil
+}
+
+// Rows returns the rows AppendRow added since the last Rows (nil for none)
+// and starts the next result over the same arrays: the rows are valid until
+// the arena's next use, the Values in them for good.
+func (a *RowArena) Rows() []Row {
+	rows, pos := a.rows, 0
+	for i, r := range rows {
+		// Growing the Value arena moved the rows appended before it.
+		rows[i] = a.vals[pos : pos+len(r) : pos+len(r)]
+		pos += len(r)
+	}
+	a.rows, a.vals = a.rows[:0], a.vals[:0]
+	a.trim(len(rows), pos)
+	if len(rows) == 0 {
+		return nil
+	}
+	return rows
 }
 
 // maxRowCols bounds a row's declared column count.

@@ -106,7 +106,9 @@ type Txn interface {
 // row in its stored encoding (core.EncodeRow form) instead of decoding it,
 // so a reader that only forwards or filters rows (the SQL layer's SELECT)
 // never materialises the columns it does not look at. The payload passed to
-// fn may be storage-backed: it is valid only until fn returns.
+// fn is immutable and may be kept, or values aliasing it: HiEngine's is the
+// version's logged row, RawAdapter's a stretch of a buffer it never
+// rewrites. A kept payload pins the memory it lies in.
 type RawReader interface {
 	// GetByKeyRaw is GetByKey handing fn the encoded row.
 	GetByKeyRaw(table string, idx int, key []core.Value, fn func(payload []byte) error) error
@@ -144,8 +146,24 @@ func Raw(tx Txn, a *RawAdapter) RawReader {
 
 // RawAdapter implements RawReader over any Txn; see Raw.
 type RawAdapter struct {
-	tx  Txn
+	tx Txn
+	// buf holds the rows encoded so far, back to back. It is only ever
+	// appended to, so a payload handed out is never rewritten; a buffer
+	// past maxAdapterBuf is left to whoever still holds payloads in it.
 	buf []byte
+}
+
+// maxAdapterBuf is the size past which a RawAdapter starts a new buffer.
+const maxAdapterBuf = 64 << 10
+
+// encode appends row's encoding to the adapter's buffer and returns it.
+func (a *RawAdapter) encode(row core.Row) []byte {
+	if len(a.buf) > maxAdapterBuf {
+		a.buf = nil
+	}
+	start := len(a.buf)
+	a.buf = core.EncodeRow(a.buf, row)
+	return a.buf[start:len(a.buf):len(a.buf)]
 }
 
 // GetByKeyRaw implements RawReader.
@@ -154,14 +172,12 @@ func (a *RawAdapter) GetByKeyRaw(table string, idx int, key []core.Value, fn fun
 	if err != nil {
 		return err
 	}
-	a.buf = core.EncodeRow(a.buf[:0], row)
-	return fn(a.buf)
+	return fn(a.encode(row))
 }
 
 // ScanPrefixRaw implements RawReader, with RID 0: Txn's rows have none.
 func (a *RawAdapter) ScanPrefixRaw(table string, idx int, prefix []core.Value, fn func(core.RID, []byte) bool) error {
 	return a.tx.ScanPrefix(table, idx, prefix, func(row core.Row) bool {
-		a.buf = core.EncodeRow(a.buf[:0], row)
-		return fn(0, a.buf)
+		return fn(0, a.encode(row))
 	})
 }

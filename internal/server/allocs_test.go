@@ -19,13 +19,16 @@ import (
 // callback belong to the connection or the session, a commit's answer is read
 // for its CSN alone, a prepared statement decodes each result into its own
 // Result, row arrays and column names, a read-only commit allocates nothing,
-// and neither does the GC pass a commit's garbage meets (before: 13.01, 16.00,
-// 10.22, 34.26 for the prepared and text SELECT, the UPDATE and the
-// transaction; 5.01, 7.21 and 19.26 for the prepared three while a prepared
-// statement's result was a fresh one; 6.21 and 11.27 for the last two while a
-// GC pass built its lists afresh) -- the most each read beside two spinning
-// cores, plus 0.05: no later change may add an allocation to a request. The last row is
-// the benchmark's own oltp_wire transaction.
+// and neither does the GC pass a commit's garbage meets, a transaction is one
+// allocation on the server, and a commit's callbacks are records the session
+// and the connection reuse (before: 13.01, 16.00, 10.22, 34.26 for the
+// prepared and text SELECT, the UPDATE and the transaction; 5.01, 7.21 and
+// 19.26 for the prepared three while a prepared statement's result was a
+// fresh one; 6.21 and 11.27 for the last two while a GC pass built its lists
+// afresh; 2.06, 9.05, 6.12 and 11.16 while a transaction was two allocations
+// and a commit made two closures) -- the most each read beside two spinning
+// cores, plus 0.05: no later change may add an allocation to a request. The
+// last row is the benchmark's own oltp_wire transaction.
 func TestServiceRoundTripAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -62,15 +65,15 @@ func TestServiceRoundTripAllocs(t *testing.T) {
 		op   func() error
 	}{
 		{"ping", 0.05, s.Ping},
-		{"prepared point SELECT", 2.06, func() error { _, err := sel.Exec(one...); return err }},
-		{"text point SELECT", 9.05, func() error { _, err := s.Exec("SELECT v FROM a WHERE k = ?", one...); return err }},
+		{"prepared point SELECT", 1.06, func() error { _, err := sel.Exec(one...); return err }},
+		{"text point SELECT", 8.05, func() error { _, err := s.Exec("SELECT v FROM a WHERE k = ?", one...); return err }},
 		{"empty BEGIN+COMMIT", 0.05, func() error { // no request at all
 			if err := s.Begin(); err != nil {
 				return err
 			}
 			return s.Commit()
 		}},
-		{"BEGIN + prepared UPDATE + COMMIT", 6.12, func() error {
+		{"BEGIN + prepared UPDATE + COMMIT", 3.12, func() error {
 			if err := s.Begin(); err != nil {
 				return err
 			}
@@ -79,7 +82,7 @@ func TestServiceRoundTripAllocs(t *testing.T) {
 			}
 			return s.Commit()
 		}},
-		{"BEGIN, 2 SELECT, UPDATE, INSERT, COMMIT", 11.16, func() error { txns++; return txn(txns) }},
+		{"BEGIN, 2 SELECT, UPDATE, INSERT, COMMIT", 8.16, func() error { txns++; return txn(txns) }},
 	}
 	// With the collector off, sync.Pool keeps what it is given and the
 	// counts repeat; the loop allocates a few MB at most.

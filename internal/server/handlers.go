@@ -16,8 +16,9 @@ import (
 )
 
 // request is one admitted request. It is passed by value: it lives on the
-// read loop's stack, or -- for a deferred answer -- inside the durability
-// callback's closure, so a request costs no allocation of its own.
+// read loop's stack, or -- for a deferred answer -- in a commit's answer
+// record or a durability callback's closure, so a request costs no
+// allocation of its own.
 type request struct {
 	c     *conn
 	id    uint64
@@ -110,7 +111,8 @@ func (rq request) okBuilt(build func(buf []byte) []byte) bool {
 // (commit, an atomic batch, and 2PC's prepare, decide and forget): the
 // request and the trace it terminates, detached from the read loop, which
 // moves on to the connection's next frame -- the out-of-order case of the
-// protocol. The durability callback captures it by value.
+// protocol. A commit's answer record holds it (commitAnswer); the other
+// opcodes' durability callbacks capture it by value.
 type deferred struct {
 	rq request
 	tr *obs.Trace
@@ -188,21 +190,64 @@ func (c *conn) ackLost(site string, tr *obs.Trace) bool {
 // vector -- suffixed with the session's post-commit CSN, the
 // read-your-writes token the client presents to replicas.
 func (c *conn) commit(rq request, affected []int) bool {
-	d := c.deferAnswer(rq, "")
-	done := func(err error) {
-		d.answerAtDurability(err, func(buf []byte) []byte {
-			if affected != nil {
-				return wire.AppendBatchResult(buf, affected, c.sess.LastCSN())
-			}
-			return wire.AppendEncodedResultCSN(buf, 0, nil, 0, nil, c.sess.LastCSN())
-		})
-	}
-	async, err := c.sess.CommitAsync(done)
+	a := c.takeAnswer()
+	a.d, a.affected = c.deferAnswer(rq, ""), affected
+	async, err := c.sess.CommitAsync(a.durable)
 	c.detached()
 	if !async {
-		done(err)
+		a.onDurable(err)
 	}
 	return true
+}
+
+// commitAnswer is a commit's deferred answer: the request and, for an atomic
+// batch, its affected vector. durable is the record's onDurable, bound once
+// when the record is made, so a commit hands the session its callback
+// without allocating one. Records come from the connection's free list and
+// go back to it once answered; a connection may have several commits in
+// flight, each answered on the log's I/O goroutine.
+type commitAnswer struct {
+	c        *conn
+	d        deferred
+	affected []int
+	durable  func(error)
+}
+
+// maxFreeAnswers bounds the commit records a connection keeps.
+const maxFreeAnswers = 8
+
+// takeAnswer returns a commit record, from the free list when it has one.
+func (c *conn) takeAnswer() *commitAnswer {
+	c.answerMu.Lock()
+	var a *commitAnswer
+	if n := len(c.answerFree); n > 0 {
+		a, c.answerFree[n-1] = c.answerFree[n-1], nil
+		c.answerFree = c.answerFree[:n-1]
+	}
+	c.answerMu.Unlock()
+	if a == nil {
+		a = &commitAnswer{c: c}
+		a.durable = a.onDurable
+	}
+	return a
+}
+
+// onDurable answers the commit, the body an empty Result or the batch's
+// affected vector, suffixed with the session's post-commit CSN.
+func (a *commitAnswer) onDurable(err error) {
+	c, d, affected := a.c, a.d, a.affected
+	a.d, a.affected = deferred{}, nil
+	c.answerMu.Lock()
+	if len(c.answerFree) < maxFreeAnswers {
+		c.answerFree = append(c.answerFree, a)
+	}
+	c.answerMu.Unlock()
+	d.answerAtDurability(err, func(buf []byte) []byte {
+		if affected != nil {
+			return wire.AppendBatchResult(buf, affected, c.sess.LastCSN())
+		}
+		return wire.AppendEncodedResultCSN(buf, 0, nil, 0, nil, c.sess.LastCSN())
+	})
 }
 
 func (c *conn) commitTxn(rq request, _ []byte) bool { return c.commit(rq, nil) }

@@ -562,6 +562,11 @@ type conn struct {
 	// read loop, wdl to whoever holds writeMu.
 	rdl, wdl wire.Deadline
 
+	// answerFree is commit's free list of deferred answers, under answerMu:
+	// an answer returns to it from the log's I/O goroutine.
+	answerMu   sync.Mutex
+	answerFree []*commitAnswer
+
 	// tr is the active request trace. It spans a whole transaction
 	// (BEGIN..COMMIT arrive as separate frames) and completes with the
 	// terminal response: a deferred answer's durability callback, or any

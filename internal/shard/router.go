@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,10 +23,13 @@ var ErrTxnDone = errors.New("shard: transaction finished")
 // as an unsharded deployment; only cross-shard transactions pay for
 // coordination.
 type Router struct {
-	opts client.Options // template; Addr is overridden per shard
-	seed uint64         // coordinator identity, stamped into gtids
-	seq  atomic.Uint64  // per-coordinator gtid sequence
-	ch   *chaos.Engine  // coordinator-side fault injection (nil = inert)
+	opts client.Options // template; Addr and Seed are overridden per shard
+	// ident is the coordinator's identity, stamped into its gtids and trace
+	// ids: drawn at random once per Router, so a restarted coordinator never
+	// mints its predecessor's gtids, whatever Options it is given.
+	ident uint64
+	seq   atomic.Uint64 // per-coordinator gtid sequence
+	ch    *chaos.Engine // coordinator-side fault injection (nil = inert)
 
 	// Distributed tracing (see trace.go): while tracing is on, every
 	// transaction shares one trace id across its shards and the stitched
@@ -41,12 +45,13 @@ type Router struct {
 }
 
 // NewRouter builds a router over a known map. opts is the per-shard client
-// template (Addr is ignored); ch injects coordinator-side faults (nil ok).
+// template (Addr is ignored; Seed seeds each shard client's backoff jitter);
+// ch injects coordinator-side faults (nil ok).
 func NewRouter(m *Map, opts client.Options, ch *chaos.Engine) *Router {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	return &Router{opts: opts, seed: opts.Seed, ch: ch,
+	return &Router{opts: opts, ident: rand.Uint64(), ch: ch,
 		m: m, clients: make(map[uint32]*client.Client)}
 }
 
@@ -84,7 +89,7 @@ func (r *Router) shardClient(id uint32) (*client.Client, error) {
 	}
 	o := r.opts
 	o.Addr = r.m.Addr(id)
-	o.Seed = r.seed + uint64(id) + 1
+	o.Seed = r.opts.Seed + uint64(id) + 1
 	c, err := client.New(o)
 	if err != nil {
 		return nil, err
@@ -238,7 +243,7 @@ func (t *Txn) Commit() error {
 		}
 		return first
 	}
-	gtid := wire.NewGTID(home, t.r.seed, t.r.seq.Add(1))
+	gtid := wire.NewGTID(home, t.r.ident, t.r.seq.Add(1))
 	t.gtid = gtid
 
 	// Phase one: every participant prepares in parallel. A vote error has

@@ -488,9 +488,10 @@ func TestRecoverAfterCoordinatorCrash(t *testing.T) {
 			}
 			c.awaitTerminated(t)
 
-			// Atomicity: both updates or neither. The restarted coordinator
-			// is a new identity: its gtids must not meet the dead one's.
-			r2 := c.router(t, nil, func(o *client.Options) { o.Seed = 2 })
+			// Atomicity: both updates or neither. The restarted coordinator,
+			// built from the same Options, is a new identity: its gtids do not
+			// meet the dead one's (TestRoutersMintDisjointGTIDs).
+			r2 := c.router(t, nil, nil)
 			v0, _ := readVal(t, r2, keys[0])
 			v1, _ := readVal(t, r2, keys[1])
 			if window.wantCommit {
@@ -512,6 +513,39 @@ func TestRecoverAfterCoordinatorCrash(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestRoutersMintDisjointGTIDs: two routers built from one Options -- a
+// coordinator and its restart -- mint disjoint gtids. The identity in a
+// gtid is drawn per Router; Options.Seed only seeds backoff jitter.
+func TestRoutersMintDisjointGTIDs(t *testing.T) {
+	c := newCluster(t, 2, 17)
+	keys := c.keysOnDistinctShards(1, 2)
+	c.createBench(t, keys, 100)
+	opts := func(o *client.Options) { o.Seed = 7 }
+	seen := map[string]int{}
+	for i := 0; i < 2; i++ {
+		r := c.router(t, nil, opts)
+		for n := 0; n < 3; n++ {
+			tx := r.Begin()
+			for j, k := range keys {
+				if _, err := tx.Exec(k, "UPDATE bench SET val = ? WHERE id = ?", core.I(int64(10*n+j)), core.I(k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if tx.GTID() == "" {
+				t.Fatal("a cross-shard commit minted no gtid")
+			}
+			if prev, dup := seen[tx.GTID()]; dup {
+				t.Fatalf("router %d minted %s, as router %d did", i, tx.GTID(), prev)
+			}
+			seen[tx.GTID()] = i
+		}
+		r.Close()
 	}
 }
 

@@ -65,7 +65,7 @@ func (r *Router) distTrace() *client.DistTrace {
 	if !r.tracing.Load() {
 		return nil
 	}
-	return client.NewDistTrace(r.seed<<32 + r.distSeq.Add(1))
+	return client.NewDistTrace(r.ident<<32 + r.distSeq.Add(1))
 }
 
 // publishDist stitches dt's collected hops into a tree and stores it as the

@@ -206,11 +206,11 @@ type Session struct {
 	// while it is set carry it through the engine's commit pipeline.
 	tr *obs.Trace
 
-	// sel and rows are SELECT scratch reused across statements (a session
-	// runs one at a time): the scan state, and the encoded rows Exec decodes
-	// Result.Rows from.
-	sel  selectRun
-	rows RowBuf
+	// sel and arena are SELECT scratch reused across statements (a session
+	// runs one at a time): the scan state, and the arrays Session.Exec
+	// decodes a result into before copying it out.
+	sel   selectRun
+	arena core.RowArena
 
 	// vals, where and set are what a write statement binds its parameters
 	// into -- an INSERT's row or a key, an UPDATE's residual conditions and
@@ -229,6 +229,11 @@ type Session struct {
 	// channel, and the callback that signals it, made once per session.
 	autoDone      chan error
 	autoCommitted func(error)
+
+	// commitFree is CommitAsync's free list of commit records, under
+	// commitMu: records fire on the log's I/O goroutine.
+	commitMu   sync.Mutex
+	commitFree []*commitRec
 }
 
 // affected returns the session's DML result, reporting n rows.
@@ -346,9 +351,9 @@ func (s *Session) Exec(sql string, args ...core.Value) (*Result, error) {
 
 // execute is the exec stage shared by Exec, Stmt.Exec and Stmt.ExecEncoded.
 // A SELECT appends its rows to sink in wire form and leaves Result.Rows
-// nil; with a nil sink they go to the session's scratch and are decoded
-// from there into Result.Rows, one arena for the whole result: dst's,
-// reused, or with a nil dst a fresh Result and arena.
+// nil; with a nil sink it decodes them straight out of the rows it reads
+// into Result.Rows: into dst's arena, reused, or with a nil dst into the
+// session's, copied out into a fresh Result.
 func (s *Session) execute(c *compiled, args []core.Value, sink *RowBuf, dst *Result) (*Result, error) {
 	if c.nParams != len(args) {
 		return nil, fmt.Errorf("%w: statement has %d, got %d", ErrParamCount, c.nParams, len(args))
@@ -359,33 +364,43 @@ func (s *Session) execute(c *compiled, args []core.Value, sink *RowBuf, dst *Res
 		return c.fn(s, args)
 	}
 	if sink != nil {
-		if err := c.sel.exec(s, args, sink); err != nil {
+		if err := c.sel.exec(s, args, sink, nil); err != nil {
 			return nil, err
 		}
 		s.res = Result{Columns: c.sel.cols}
 		return &s.res, nil
 	}
-	s.rows = RowBuf{Data: s.rows.Data[:0]}
-	err := c.sel.exec(s, args, &s.rows)
-	var arena *core.RowArena
+	arena := &s.arena
 	if dst != nil {
 		arena = &dst.arena
 	}
-	var rows []core.Row
-	if err == nil {
-		rows, _, err = core.DecodeRows(arena, s.rows.Data, s.rows.N)
-	}
-	if cap(s.rows.Data) > core.MaxRowScratch {
-		s.rows.Data = nil
-	}
+	err := c.sel.exec(s, args, nil, arena)
+	rows := arena.Rows()
 	if err != nil {
 		return nil, err
 	}
 	if dst == nil {
-		return &Result{Columns: c.sel.cols, Rows: rows}, nil
+		return &Result{Columns: c.sel.cols, Rows: ownRows(rows)}, nil
 	}
 	dst.Rows, dst.Columns, dst.Affected = rows, c.sel.cols, 0
 	return dst, nil
+}
+
+// ownRows copies rows into one fresh Value array and row headers over it.
+func ownRows(rows []core.Row) []core.Row {
+	if rows == nil {
+		return nil
+	}
+	n := 0
+	for _, r := range rows {
+		n += len(r)
+	}
+	vals, out := make([]core.Value, 0, n), make([]core.Row, len(rows))
+	for i, r := range rows {
+		vals = append(vals, r...)
+		out[i] = vals[len(vals)-len(r) : len(vals) : len(vals)]
+	}
+	return out
 }
 
 // Stmt is a compiled statement handle: the parse/plan work is done once
@@ -550,15 +565,9 @@ func (s *Session) CommitAsync(done func(error)) (async bool, err error) {
 	s.txn = nil
 	s.txnEngine = ""
 	if ac, ok := t.(engineapi.AsyncCommitter); ok {
-		wrapped := func(err error) {
-			if err == nil {
-				// Publish the token before done: the network server builds
-				// its commit response (which carries the token) inside done.
-				s.noteCSN(t)
-			}
-			done(err)
-		}
-		if err := ac.CommitAsync(wrapped); err != nil {
+		r := s.takeCommit(t, done)
+		if err := ac.CommitAsync(r.durable); err != nil {
+			s.putCommit(r)
 			return false, err
 		}
 		return true, nil
@@ -568,6 +577,62 @@ func (s *Session) CommitAsync(done func(error)) (async bool, err error) {
 		s.noteCSN(t)
 	}
 	return false, err
+}
+
+// commitRec is one pipelined commit in flight on a session: the
+// transaction and the caller's callback. durable is the record's onDurable,
+// bound once when the record is made, so handing the engine a callback
+// allocates nothing. Records come from the session's free list and go back
+// to it when they fire; several may be in flight at once, and one may fire
+// on the log's I/O goroutine, before CommitAsync has returned.
+type commitRec struct {
+	s       *Session
+	t       engineapi.Txn
+	done    func(error)
+	durable func(error)
+}
+
+// maxFreeCommits bounds the records a session keeps between commits.
+const maxFreeCommits = 8
+
+// takeCommit returns a record for t's commit, from the free list when it
+// has one.
+func (s *Session) takeCommit(t engineapi.Txn, done func(error)) *commitRec {
+	s.commitMu.Lock()
+	var r *commitRec
+	if n := len(s.commitFree); n > 0 {
+		r, s.commitFree[n-1] = s.commitFree[n-1], nil
+		s.commitFree = s.commitFree[:n-1]
+	}
+	s.commitMu.Unlock()
+	if r == nil {
+		r = &commitRec{s: s}
+		r.durable = r.onDurable
+	}
+	r.t, r.done = t, done
+	return r
+}
+
+// putCommit returns a record that will not fire (again) to the free list.
+func (s *Session) putCommit(r *commitRec) {
+	r.t, r.done = nil, nil
+	s.commitMu.Lock()
+	if len(s.commitFree) < maxFreeCommits {
+		s.commitFree = append(s.commitFree, r)
+	}
+	s.commitMu.Unlock()
+}
+
+// onDurable is a pipelined commit's engine callback.
+func (r *commitRec) onDurable(err error) {
+	s, t, done := r.s, r.t, r.done
+	s.putCommit(r)
+	if err == nil {
+		// Publish the token before done: the network server builds its
+		// commit response (which carries the token) inside done.
+		s.noteCSN(t)
+	}
+	done(err)
 }
 
 // PrepareTxn votes on the open transaction as a two-phase-commit

@@ -8,11 +8,12 @@ import (
 	"hiengine/internal/engineapi"
 )
 
-// RowBuf is the sink every SELECT writes into: N result rows in wire form,
-// each the core.EncodeRow encoding of the projected columns, back to back.
-// The select core splices those bytes straight out of the stored row, so a
-// row is never decoded on its way to a socket; in-process callers get
-// Result.Rows by decoding the finished buffer once (core.DecodeRows).
+// RowBuf is the sink a SELECT bound for the wire writes into: N result rows
+// in wire form, each the core.EncodeRow encoding of the projected columns,
+// back to back. The select core splices those bytes straight out of the
+// stored row, so a row is never decoded on its way to a socket. An
+// in-process SELECT has no sink: it decodes the projected columns straight
+// out of the stored row into Result.Rows (core.RowArena.AppendRow).
 type RowBuf struct {
 	Data []byte
 	N    int
@@ -55,7 +56,9 @@ func (f *Frontend) compileSelect(st *selectStmt) (*selectPlan, error) {
 type selectRun struct {
 	p    *selectPlan
 	args []core.Value
+	// The rows go to sink in wire form or, when it is nil, to out decoded.
 	sink *RowBuf
+	out  *core.RowArena
 	sent int   // rows emitted so far, for LIMIT
 	err  error // a row that could not be read; ends the scan
 
@@ -75,7 +78,8 @@ type selectRun struct {
 }
 
 // row is the scan callback: filter on the residual predicate and splice the
-// projection, both against the encoded payload, which is not retained.
+// projection, both against the encoded payload. A raw read's payload is
+// immutable (engineapi.RawReader), so a row decoded into out aliases it.
 func (r *selectRun) row(_ core.RID, payload []byte) bool {
 	if _, r.err = r.view.Reset(payload); r.err != nil {
 		return false
@@ -85,10 +89,14 @@ func (r *selectRun) row(_ core.RID, payload []byte) bool {
 			return true
 		}
 	}
-	if r.sink.Data, r.err = r.view.AppendProjection(r.sink.Data, r.p.proj); r.err != nil {
+	if r.out != nil {
+		r.err = r.out.AppendRow(&r.view, r.p.proj)
+	} else if r.sink.Data, r.err = r.view.AppendProjection(r.sink.Data, r.p.proj); r.err == nil {
+		r.sink.N++
+	}
+	if r.err != nil {
 		return false
 	}
-	r.sink.N++
 	r.sent++
 	if r.emitted != nil && !r.emitted() {
 		return false
@@ -126,16 +134,17 @@ func (r *selectRun) run(tx engineapi.Txn) error {
 	return err
 }
 
-// exec runs the SELECT as one statement of s, appending its rows to sink.
-func (p *selectPlan) exec(s *Session, args []core.Value, sink *RowBuf) error {
+// exec runs the SELECT as one statement of s, appending its rows to sink,
+// or with a nil sink to out.
+func (p *selectPlan) exec(s *Session, args []core.Value, sink *RowBuf, out *core.RowArena) error {
 	tx, auto, err := s.txnFor(p.ti)
 	if err != nil {
 		return err
 	}
 	r := &s.sel
-	r.p, r.args, r.sink, r.sent, r.err = p, args, sink, 0, nil
+	r.p, r.args, r.sink, r.out, r.sent, r.err = p, args, sink, out, 0, nil
 	err = r.run(tx)
-	r.args, r.sink = nil, nil
+	r.args, r.sink, r.out = nil, nil, nil
 	if err != nil {
 		s.opFailed(tx, auto, err)
 		return err

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hiengine/internal/adapt"
@@ -519,4 +521,125 @@ func TestWriteStatementAllocs(t *testing.T) {
 		t.Errorf("a prepared point UPDATE allocates %.1f times, want <= 2", avg)
 	}
 	mustExec(t, s, "COMMIT")
+}
+
+// TestCommitRecordsInFlight: one session with many pipelined commits in
+// flight at once -- more than it keeps commit records for, over rounds that
+// reuse them -- fires each caller's callback exactly once, the session's
+// read-your-writes token already published. The first commit's callback
+// holds the log's I/O goroutine until every later commit is queued behind
+// it, so they are all in flight together.
+func TestCommitRecordsInFlight(t *testing.T) {
+	f, _ := testFrontend(t)
+	s := f.NewSession(0)
+	mustExec(t, s, "CREATE TABLE inflight (id INT, v INT, PRIMARY KEY(id))")
+	const n = 2 * maxFreeCommits
+	next := int64(0)
+	for round := 0; round < 3; round++ {
+		var wg sync.WaitGroup
+		fired := make([]atomic.Int32, n)
+		release := make(chan struct{})
+		for i := 0; i < n; i++ {
+			mustExec(t, s, "BEGIN")
+			next++
+			mustExec(t, s, "INSERT INTO inflight VALUES (?, ?)", core.I(next), core.I(int64(i)))
+			wg.Add(1)
+			async, err := s.CommitAsync(func(err error) {
+				defer wg.Done()
+				if i == 0 {
+					<-release
+				}
+				if err != nil {
+					t.Errorf("round %d, commit %d: %v", round, i, err)
+				}
+				if s.LastCSN() == 0 {
+					t.Errorf("round %d, commit %d fired before the session's token moved", round, i)
+				}
+				fired[i].Add(1)
+			})
+			if !async || err != nil {
+				t.Fatalf("round %d, commit %d: async=%v err=%v", round, i, async, err)
+			}
+		}
+		close(release)
+		wg.Wait()
+		for i := range fired {
+			if got := fired[i].Load(); got != 1 {
+				t.Fatalf("round %d: commit %d's callback fired %d times", round, i, got)
+			}
+		}
+		s.commitMu.Lock()
+		kept := len(s.commitFree)
+		s.commitMu.Unlock()
+		if kept > maxFreeCommits {
+			t.Fatalf("the session keeps %d commit records, bound %d", kept, maxFreeCommits)
+		}
+	}
+	if res := mustExec(t, s, "SELECT id FROM inflight"); len(res.Rows) != int(next) {
+		t.Fatalf("%d rows committed, want %d", len(res.Rows), next)
+	}
+}
+
+// TestTransactionAllocs holds the benchmark's transaction, in process, to
+// what outlives it: a warmed BEGIN, two prepared point SELECTs, a point
+// UPDATE, an INSERT and CommitAsync allocate the transaction's handle, its
+// log buffer and the two versions it writes -- no closure for the commit, no
+// copy of a row the SELECTs return (their TEXT aliases the versions'
+// payloads).
+func TestTransactionAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	f, _ := testFrontend(t)
+	s := f.NewSession(0)
+	mustExec(t, s, "CREATE TABLE bench (id INT, k INT, c TEXT, PRIMARY KEY(id))")
+	text := core.S(strings.Repeat("x", 100))
+	for i := int64(0); i < 100; i++ {
+		mustExec(t, s, "INSERT INTO bench VALUES (?, ?, ?)", core.I(i), core.I(i), text)
+	}
+	prepare := func(sql string) *Stmt {
+		t.Helper()
+		st, err := s.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	sel := prepare("SELECT k, c FROM bench WHERE id = ?")
+	upd := prepare("UPDATE bench SET k = ?, c = ? WHERE id = ?")
+	ins := prepare("INSERT INTO bench VALUES (?, ?, ?)")
+	durable := make(chan error, 1)
+	committed := func(err error) { durable <- err }
+	one, three := make([]core.Value, 1), make([]core.Value, 3)
+	next := int64(100)
+	avg := testing.AllocsPerRun(500, func() {
+		next++
+		if err := s.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []int64{next % 97, next % 89} {
+			one[0] = core.I(id)
+			if res, err := sel.Exec(one...); err != nil || len(res.Rows) != 1 || res.Rows[0][1].Str() == "" {
+				t.Fatal(res, err)
+			}
+		}
+		three[0], three[1], three[2] = core.I(next), text, core.I(next%83)
+		if res, err := upd.Exec(three...); err != nil || res.Affected != 1 {
+			t.Fatal(res, err)
+		}
+		three[0], three[1], three[2] = core.I(next), core.I(next), text
+		if _, err := ins.Exec(three...); err != nil {
+			t.Fatal(err)
+		}
+		if async, err := s.CommitAsync(committed); err != nil || !async {
+			t.Fatal(async, err)
+		}
+		if err := <-durable; err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("a transaction allocates %.1f times", avg)
+	if avg > 4 {
+		t.Errorf("a transaction allocates %.1f times, want <= 4: its handle, its log buffer and two versions", avg)
+	}
 }
