@@ -1,189 +1,24 @@
-// Package hiengine_test holds the repository-level per-operation benchmarks:
-// the workload unit of Figures 5 and 7 of the paper's evaluation (Section 6;
-// Figure 8's is BenchmarkRecover), the clock grant and the PIA ablation.
-// Full figure regeneration (sweeps, series, expected-shape comparisons) is
-// cmd/hibench, which alone measures Figure 6 (-exp fig6) and the commit,
-// group-commit and checkpoint ablations (-exp ablations); these benchmarks
-// measure the per-operation cost of a figure's workload unit so
-// `go test -bench` gives ns/op and allocs for the same code paths.
+// Package hiengine_test holds the repository-level per-operation benchmarks
+// that no experiment of cmd/hibench measures: the PIA against the maps it
+// replaces, the write path through sqlfront and one crash recovery, with the
+// tests that hold recovery to its allocations and its log reads. The paper's
+// figures, the clock grant and the commit and checkpoint ablations are
+// cmd/hibench's (-exp fig5a ... ablations), each measured by one runner of
+// internal/bench.
 package hiengine_test
 
 import (
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
 
 	"hiengine/internal/adapt"
-	"hiengine/internal/baseline/innosim"
-	"hiengine/internal/clock"
 	"hiengine/internal/core"
 	"hiengine/internal/delay"
-	"hiengine/internal/engineapi"
-	"hiengine/internal/numa"
 	"hiengine/internal/pia"
 	"hiengine/internal/sqlfront"
 	"hiengine/internal/srss"
 )
-
-// --- Figure 5: sysbench through the SQL layer -------------------------------
-
-func fig5Frontend(b *testing.B, engine string) *sqlfront.Frontend {
-	b.Helper()
-	model := delay.CloudProfile()
-	var db engineapi.DB
-	switch engine {
-	case "hiengine":
-		e, err := core.Open(core.Config{Service: srss.New(srss.Config{Model: model}), Workers: 32})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(e.Close)
-		db = adapt.New(e)
-	case "dbms-t":
-		d, err := innosim.New(innosim.Config{Service: srss.New(srss.Config{Model: model})})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(d.Close)
-		db = d
-	case "mysql":
-		d, err := innosim.New(innosim.Config{Service: srss.New(srss.Config{Model: model}),
-			Variant: innosim.VariantMySQL})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(d.Close)
-		db = d
-	}
-	front := sqlfront.NewFrontend(engine, db)
-	sess := front.NewSession(0)
-	if _, err := sess.Exec("CREATE TABLE sbtest (id INT, k INT, c TEXT, pad TEXT, PRIMARY KEY(id))"); err != nil {
-		b.Fatal(err)
-	}
-	ins, err := sess.Prepare("INSERT INTO sbtest VALUES (?, ?, ?, ?)")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 1000; i++ {
-		if _, err := ins.Exec(core.I(int64(i+1)), core.I(int64(i%97)),
-			core.S("sysbench-value"), core.S("pad")); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return front
-}
-
-func BenchmarkFig5aInterpreted(b *testing.B) {
-	for _, engine := range []string{"hiengine", "dbms-t", "mysql"} {
-		for _, mode := range []string{"read", "write"} {
-			b.Run(engine+"/"+mode, func(b *testing.B) {
-				front := fig5Frontend(b, engine)
-				sess := front.NewSession(1)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					id := core.I(int64(i%1000 + 1))
-					var err error
-					if mode == "write" {
-						_, err = sess.Exec("UPDATE sbtest SET c = ? WHERE id = ?", core.S("v"), id)
-					} else {
-						_, err = sess.Exec("SELECT c FROM sbtest WHERE id = ?", id)
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-func BenchmarkFig5bCompiled(b *testing.B) {
-	for _, engine := range []string{"hiengine", "dbms-t", "mysql"} {
-		for _, mode := range []string{"read", "write"} {
-			b.Run(engine+"/"+mode, func(b *testing.B) {
-				front := fig5Frontend(b, engine)
-				sess := front.NewSession(1)
-				sel, err := sess.Prepare("SELECT c FROM sbtest WHERE id = ?")
-				if err != nil {
-					b.Fatal(err)
-				}
-				upd, err := sess.Prepare("UPDATE sbtest SET c = ? WHERE id = ?")
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					id := core.I(int64(i%1000 + 1))
-					if mode == "write" {
-						_, err = upd.Exec(core.S("v"), id)
-					} else {
-						_, err = sel.Exec(id)
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// --- Figure 7: remote-memory access -----------------------------------------
-
-func BenchmarkFig7NumaAccess(b *testing.B) {
-	topo := numa.ARMKunpeng920()
-	acct := numa.NewAccountant(topo, nil)
-	cases := []struct {
-		name string
-		core numa.Core
-		die  int
-	}{
-		{"local", topo.Core(0), 0},
-		{"remote-die", topo.Core(0), 1},
-		{"remote-socket", topo.Core(0), 2},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				acct.Access(c.core, c.die)
-			}
-		})
-	}
-}
-
-// --- Section 5.3: clocks -------------------------------------------------------
-
-func BenchmarkClockGrant(b *testing.B) {
-	b.Run("logical-rdma-3nodes", func(b *testing.B) {
-		lc := clock.NewLogicalClock(&delay.Model{RDMAFetchAdd: 40 * time.Microsecond}, nil, 1_500_000)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			lc.Next()
-		}
-	})
-	b.Run("global-eps10us", func(b *testing.B) {
-		gc := clock.NewGlobalClock(10*time.Microsecond, nil)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			gc.Next()
-		}
-	})
-	b.Run("global-eps20us", func(b *testing.B) {
-		gc := clock.NewGlobalClock(20*time.Microsecond, nil)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			gc.Next()
-		}
-	})
-	b.Run("local-counter", func(b *testing.B) {
-		c := clock.NewCounter(0)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			c.Next()
-		}
-	})
-}
 
 // --- Ablation: PIA vs alternatives (DESIGN.md #1) ----------------------------
 

@@ -55,46 +55,36 @@ func Ablations(o Options) (*Report, error) {
 		return e, tbl, nil
 	}
 
-	// commitLoop times one variant's insert loop and counts its appends,
-	// the commits they carried and its cross-layer operations. The counts
-	// are read once Close has stopped the streams, so every batch is in.
+	// Each commit variant times its insert loop and counts its appends, the
+	// commits they carried and its cross-layer operations. The counts are
+	// read once Close has stopped the streams, so every batch is in.
 	batches, crossOps := reg.Histogram("wal.batch_txns"), reg.Counter("srss.cross_layer_ops")
-	commitLoop := func(ablation, variant string, tier srss.Tier, batch int, pipeline bool) error {
-		o.progress("ablations: %s %s", ablation, variant)
-		e, tbl, err := newEngine(tier, batch)
+	for _, v := range []struct {
+		ablation, variant string
+		tier              srss.Tier
+		batch             int
+		pipeline          bool
+	}{
+		{"commit persistence", "compute-side", srss.TierCompute, 64, false}, // the paper's core claim
+		{"commit persistence", "storage-side", srss.TierStorage, 64, false},
+		{"commit pipelining", "sync", srss.TierCompute, 64, false},
+		{"commit pipelining", "pipelined", srss.TierCompute, 64, true},
+		{"group commit", "batch-1", srss.TierCompute, 1, true}, // single stream, pipelined
+		{"group commit", "batch-64", srss.TierCompute, 64, true},
+	} {
+		o.progress("ablations: %s %s", v.ablation, v.variant)
+		e, tbl, err := newEngine(v.tier, v.batch)
 		if err != nil {
-			return err
-		}
-		appends, commits, cross := batches.Count(), batches.Sum(), crossOps.Load()
-		d, err := insertLoop(e, tbl, iters, pipeline)
-		e.Close()
-		if err != nil {
-			return err
-		}
-		appends, commits, cross = batches.Count()-appends, batches.Sum()-commits, crossOps.Load()-cross
-		r.row(ablation, variant, took(d), f2(float64(commits)/float64(appends)), f2(float64(cross)/float64(iters)), "")
-		return nil
-	}
-
-	// Commit side (the paper's core claim).
-	if err := commitLoop("commit persistence", "compute-side", srss.TierCompute, 64, false); err != nil {
-		return nil, err
-	}
-	if err := commitLoop("commit persistence", "storage-side", srss.TierStorage, 64, false); err != nil {
-		return nil, err
-	}
-	// Pipelining.
-	if err := commitLoop("commit pipelining", "sync", srss.TierCompute, 64, false); err != nil {
-		return nil, err
-	}
-	if err := commitLoop("commit pipelining", "pipelined", srss.TierCompute, 64, true); err != nil {
-		return nil, err
-	}
-	// Group commit batch size (single stream, pipelined).
-	for _, batch := range []int{1, 64} {
-		if err := commitLoop("group commit", fmt.Sprintf("batch-%d", batch), srss.TierCompute, batch, true); err != nil {
 			return nil, err
 		}
+		appends, commits, cross := batches.Count(), batches.Sum(), crossOps.Load()
+		d, err := insertLoop(e, tbl, iters, v.pipeline)
+		e.Close()
+		if err != nil {
+			return nil, err
+		}
+		appends, commits, cross = batches.Count()-appends, batches.Sum()-commits, crossOps.Load()-cross
+		r.row(v.ablation, v.variant, took(d), f2(float64(commits)/float64(appends)), f2(float64(cross)/float64(iters)), "")
 	}
 
 	// Dataless vs full-data checkpoint.

@@ -5,16 +5,15 @@ import (
 	"os"
 	"reflect"
 	"regexp"
-	"strconv"
+	"slices"
 	"strings"
 	"testing"
 	"time"
-
-	"hiengine/internal/raceflag"
 )
 
 // The quick-mode runners double as integration tests: every figure pipeline
-// must execute end to end and produce structurally sane reports.
+// must execute end to end and produce structurally sane reports, and
+// TestEveryExperimentRuns runs each once.
 
 func runQuick(t *testing.T, id string) *Report {
 	t.Helper()
@@ -35,181 +34,31 @@ func runQuick(t *testing.T, id string) *Report {
 	return rep
 }
 
-// skipShapes skips the remaining performance-shape assertions when the
-// measurements are not meaningful (race detector active: its
-// instrumentation multiplies CPU costs and swamps the modeled latencies).
-// It is called AFTER the experiment pipeline ran, so integration coverage
-// is unaffected.
-func skipShapes(t *testing.T) {
+// at is the value of column name in the row labelled label, read from the
+// report's series.
+func at(t *testing.T, rep *Report, name, label string) float64 {
 	t.Helper()
-	if raceflag.Enabled {
-		t.Skip("performance shapes are not meaningful under the race detector")
+	for _, s := range rep.Series {
+		if i := slices.Index(s.Labels, label); s.Name == name && i >= 0 {
+			return s.Values[i]
+		}
 	}
+	t.Fatalf("%s has no %q value for %q", rep.ID, name, label)
+	return 0
 }
 
-func cellFloat(t *testing.T, s string) float64 {
+// reports holds each report TestEveryExperimentRuns made in this pass, for
+// the shape test of its experiment to check and take, so a go test runs each
+// experiment once; a shape test run on its own (-run) makes its own.
+var reports = map[string]*Report{}
+
+func report(t *testing.T, id string) *Report {
 	t.Helper()
-	s = strings.TrimSuffix(strings.TrimSuffix(s, "x"), "%")
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		t.Fatalf("parse %q: %v", s, err)
+	if rep, ok := reports[id]; ok {
+		delete(reports, id)
+		return rep
 	}
-	return v
-}
-
-func TestTable1(t *testing.T) {
-	rep := runQuick(t, "table1")
-	if len(rep.Rows) != 9 {
-		t.Fatalf("table1 rows = %d", len(rep.Rows))
-	}
-}
-
-func TestFig5aShape(t *testing.T) {
-	rep := runQuick(t, "fig5a")
-	skipShapes(t)
-	// Rows: HiEngine, DBMS-T, MySQL; HiEngine write TPS must beat both
-	// baselines and MySQL must trail DBMS-T.
-	byName := map[string][]string{}
-	for _, row := range rep.Rows {
-		byName[row[0]] = row
-	}
-	hiW := cellFloat(t, byName["HiEngine"][2])
-	dtW := cellFloat(t, byName["DBMS-T"][2])
-	myW := cellFloat(t, byName["MySQL"][2])
-	if !(hiW > dtW && dtW >= myW) {
-		t.Fatalf("write ordering violated: hi=%v dbms-t=%v mysql=%v", hiW, dtW, myW)
-	}
-	hiR := cellFloat(t, byName["HiEngine"][1])
-	myR := cellFloat(t, byName["MySQL"][1])
-	if hiR <= myR {
-		t.Fatalf("read ordering violated: hi=%v mysql=%v", hiR, myR)
-	}
-}
-
-func TestFig5bShape(t *testing.T) {
-	rep := runQuick(t, "fig5b")
-	skipShapes(t)
-	byName := map[string][]string{}
-	for _, row := range rep.Rows {
-		byName[row[0]] = row
-	}
-	hiW := cellFloat(t, byName["HiEngine"][2])
-	myW := cellFloat(t, byName["MySQL"][2])
-	if hiW <= myW {
-		t.Fatalf("compiled write ordering violated: hi=%v mysql=%v", hiW, myW)
-	}
-}
-
-func TestFig6Shape(t *testing.T) {
-	rep := runQuick(t, "fig6")
-	skipShapes(t)
-	// Every HiEngine row should carry a ratio >= 1 against DBMS-M... the
-	// paper claims 2x avg on ARM, 1.3x on x86; under quick scale we only
-	// require HiEngine to not lose.
-	sawARM, sawX86 := false, false
-	for _, row := range rep.Rows {
-		if row[2] != "HiEngine" {
-			continue
-		}
-		switch row[0] {
-		case "ARM":
-			sawARM = true
-		case "x86":
-			sawX86 = true
-		}
-		if r := cellFloat(t, row[5]); r < 0.8 {
-			t.Fatalf("HiEngine lost badly to DBMS-M on %s/%s: %v", row[0], row[1], r)
-		}
-	}
-	if !sawARM || !sawX86 {
-		t.Fatal("missing platform rows")
-	}
-}
-
-func TestFig7Shape(t *testing.T) {
-	rep := runQuick(t, "fig7")
-	skipShapes(t)
-	var bestRemote, worstRemote float64
-	for _, row := range rep.Rows {
-		if row[1] != "HiEngine" {
-			continue
-		}
-		switch row[0] {
-		case "partitioned+local":
-			bestRemote = cellFloat(t, row[3])
-		case "partitioned+remote":
-			worstRemote = cellFloat(t, row[3])
-		}
-	}
-	if worstRemote <= bestRemote {
-		t.Fatalf("remote policy did not raise remote fraction: best=%v worst=%v", bestRemote, worstRemote)
-	}
-}
-
-func TestFig8Shape(t *testing.T) {
-	rep := runQuick(t, "fig8")
-	// Speedup with more replay threads must be >= 1 (monotone modulo
-	// noise on tiny datasets); replay time strings must parse.
-	for _, row := range rep.Rows {
-		if _, err := time.ParseDuration(row[1]); err != nil {
-			t.Fatalf("bad duration %q", row[1])
-		}
-	}
-	last := rep.Rows[len(rep.Rows)-1]
-	if sp := cellFloat(t, last[2]); sp < 0.5 {
-		t.Fatalf("parallel replay slower than serial: %v", sp)
-	}
-}
-
-func TestClockBenchShape(t *testing.T) {
-	rep := runQuick(t, "clock")
-	skipShapes(t)
-	// At 3 nodes the global clock must grant faster than the logical one.
-	var logical3, global3 float64
-	for _, row := range rep.Rows {
-		if row[0] != "3" {
-			continue
-		}
-		switch {
-		case strings.HasPrefix(row[1], "logical"):
-			logical3 = cellFloat(t, row[2])
-		case strings.HasPrefix(row[1], "global (eps=10us)"):
-			global3 = cellFloat(t, row[2])
-		}
-	}
-	if global3 <= logical3 {
-		t.Fatalf("global clock (%v/s) not faster than logical (%v/s) at 3 nodes", global3, logical3)
-	}
-}
-
-// TestAblationsShape asserts each commit claim in a counted unit, the
-// variant's own delta of the registry: pipelining folds more commits into one
-// SRSS append than synchronous commit does, and a compute-side commit makes
-// fewer cross-layer SRSS operations than a storage-side one. The checkpoint
-// claim is in bytes written per row: a dataless image
-// (core.checkpoint_image_bytes) is smaller than a full-data PLog of the same
-// rows. The wall-clock column stays in the report, unasserted.
-func TestAblationsShape(t *testing.T) {
-	rep := runQuick(t, "ablations")
-	perAppend, crossPerCommit, bytesPerRow := map[string]float64{}, map[string]float64{}, map[string]float64{}
-	for _, row := range rep.Rows {
-		if row[3] != "" {
-			perAppend[row[0]+"/"+row[1]] = cellFloat(t, row[3])
-			crossPerCommit[row[0]+"/"+row[1]] = cellFloat(t, row[4])
-		}
-		if row[5] != "" {
-			bytesPerRow[row[1]] = cellFloat(t, row[5])
-		}
-	}
-	if dataless, full := bytesPerRow["dataless (PIA only)"], bytesPerRow["full-data"]; dataless <= 0 || dataless >= full {
-		t.Errorf("a dataless checkpoint writes %.2f bytes per row, a full-data one %.2f: want fewer, and some", dataless, full)
-	}
-	if sync, piped := perAppend["commit pipelining/sync"], perAppend["commit pipelining/pipelined"]; piped <= sync {
-		t.Errorf("pipelined commit carries %.2f commits per SRSS append, sync %.2f: want more", piped, sync)
-	}
-	if comp, stor := crossPerCommit["commit persistence/compute-side"], crossPerCommit["commit persistence/storage-side"]; comp >= stor {
-		t.Errorf("compute-side commit makes %.2f cross-layer SRSS ops per commit, storage-side %.2f: want fewer", comp, stor)
-	}
+	return runQuick(t, id)
 }
 
 // experimentIDs is the registry as a reader of -list sees it.
@@ -232,10 +81,12 @@ func TestFindAndAll(t *testing.T) {
 	}
 }
 
-// TestEveryExperimentRuns runs the whole registry at quick scale. A service
-// runner's correctness conditions (every routed read returns one row,
-// streamed rows == loaded rows, no shard error but a tolerated busy, every
-// failover client reconverges) are errors of its Run, so they fail here.
+// TestEveryExperimentRuns runs the whole registry at quick scale, each
+// experiment once, and keeps each report for its shape test. A
+// service runner's correctness conditions (every routed read returns one
+// row, streamed rows == loaded rows, no shard error but a tolerated busy,
+// every failover client reconverges) are errors of its Run, so they fail
+// here.
 func TestEveryExperimentRuns(t *testing.T) {
 	for _, r := range All() {
 		t.Run(r.ID, func(t *testing.T) {
@@ -267,7 +118,117 @@ func TestEveryExperimentRuns(t *testing.T) {
 					t.Fatalf("malformed series %+v", s)
 				}
 			}
+			reports[r.ID] = rep
 		})
+	}
+}
+
+// The shape tests, which follow TestEveryExperimentRuns so as to check its
+// reports, hold an experiment's claims, each in a unit no load on the host
+// moves, so each holds under the race detector too: a count, or the
+// latency the model charged per operation (a meter's "modelled" column).
+// Wall-clock columns stay in the reports, unasserted.
+
+func TestTable1(t *testing.T) {
+	rep := report(t, "table1")
+	if len(rep.Rows) != 9 {
+		t.Errorf("table1 rows = %d", len(rep.Rows))
+	}
+}
+
+// HiEngine's transactions cost less modelled time than the baselines',
+// by at least the paper's lowest factor, and MySQL's writes no less than
+// DBMS-T's: writes, for the commit each forces (compute-side, or across
+// the network to storage), reads for the buffer pool's page touches.
+// Ordering alone would pass a HiEngine that commits to the storage tier:
+// its 105 us per commit is still below DBMS-T's 110.
+func TestFig5aShape(t *testing.T) {
+	rep := report(t, "fig5a")
+	w := func(engine string) float64 { return at(t, rep, "write modelled us/txn", engine) }
+	if hi, dt, my := w("HiEngine"), w("DBMS-T"), w("MySQL"); !(3.6*hi <= dt && dt <= my) {
+		t.Errorf("a write costs HiEngine %.2f us, DBMS-T %.2f, MySQL %.2f: want 3.6x less, then no more", hi, dt, my)
+	}
+	if hi, my := at(t, rep, "read modelled us/txn", "HiEngine"), at(t, rep, "read modelled us/txn", "MySQL"); 4.2*hi >= my {
+		t.Errorf("a read costs HiEngine %.2f us, MySQL %.2f: want 4.2x less", hi, my)
+	}
+}
+
+func TestFig5bShape(t *testing.T) {
+	rep := report(t, "fig5b")
+	if hi, my := at(t, rep, "write modelled us/txn", "HiEngine"), at(t, rep, "write modelled us/txn", "MySQL"); 8*hi >= my {
+		t.Errorf("a compiled write costs HiEngine %.2f us, MySQL %.2f: want 8x less", hi, my)
+	}
+}
+
+// The paper claims 2x on ARM and 1.3x on x86; at quick scale HiEngine
+// only must not lose badly: at most 1/0.8 of DBMS-M's cost.
+func TestFig6Shape(t *testing.T) {
+	rep := report(t, "fig6")
+	platforms := map[string]bool{}
+	for _, row := range rep.Rows {
+		if row[2] != "HiEngine" {
+			continue
+		}
+		platforms[row[0]] = true
+		hi := at(t, rep, "modelled us/txn", row[0]+"/"+row[1]+"/HiEngine")
+		if dm := at(t, rep, "modelled us/txn", row[0]+"/"+row[1]+"/DBMS-M"); 0.8*hi > dm {
+			t.Errorf("HiEngine lost badly to DBMS-M on %s/%s: %.2f us per transaction, DBMS-M %.2f", row[0], row[1], hi, dm)
+		}
+	}
+	if !platforms["ARM"] || !platforms["x86"] {
+		t.Errorf("platforms %v, want ARM and x86", platforms)
+	}
+}
+
+func TestFig7Shape(t *testing.T) {
+	rep := report(t, "fig7")
+	best := at(t, rep, "remote-access", "partitioned+local/HiEngine")
+	if worst := at(t, rep, "remote-access", "partitioned+remote/HiEngine"); worst <= best {
+		t.Errorf("remote policy did not raise remote fraction: best=%v worst=%v", best, worst)
+	}
+}
+
+// More replay threads spread the log's segments: at the top thread
+// count the busiest worker replays fewer records than there are.
+func TestFig8Shape(t *testing.T) {
+	rep := report(t, "fig8")
+	for _, row := range rep.Rows {
+		if _, err := time.ParseDuration(row[1]); err != nil {
+			t.Errorf("bad duration %q", row[1])
+		}
+	}
+	top := rep.Rows[len(rep.Rows)-1][0]
+	if spread := at(t, rep, "records/busiest worker", top); spread <= 1 {
+		t.Errorf("%s replay workers: the busiest replays 1/%.2f of the records, want less than all", top, spread)
+	}
+}
+
+// At 3 nodes a global-clock grant costs less than a logical-clock one.
+func TestClockBenchShape(t *testing.T) {
+	rep := report(t, "clock")
+	logical := at(t, rep, "modelled us/grant", "3/logical (RDMA FAA)")
+	if global := at(t, rep, "modelled us/grant", "3/global (eps=10us)"); global >= logical {
+		t.Errorf("a global-clock grant costs %.2f us at 3 nodes, a logical one %.2f: want less", global, logical)
+	}
+}
+
+// Each commit claim in a counted unit, the variant's own delta of the
+// registry: pipelining folds more commits into one SRSS append than
+// synchronous commit does, and a compute-side commit makes fewer
+// cross-layer SRSS operations than a storage-side one. The checkpoint
+// claim is in bytes written per row: a dataless image
+// (core.checkpoint_image_bytes) is smaller than a full-data PLog of the
+// same rows.
+func TestAblationsShape(t *testing.T) {
+	rep := report(t, "ablations")
+	if dataless, full := at(t, rep, "bytes/row", "checkpoint/dataless (PIA only)"), at(t, rep, "bytes/row", "checkpoint/full-data"); dataless <= 0 || dataless >= full {
+		t.Errorf("a dataless checkpoint writes %.2f bytes per row, a full-data one %.2f: want fewer, and some", dataless, full)
+	}
+	if sync, piped := at(t, rep, "commits/append", "commit pipelining/sync"), at(t, rep, "commits/append", "commit pipelining/pipelined"); piped <= sync {
+		t.Errorf("pipelined commit carries %.2f commits per SRSS append, sync %.2f: want more", piped, sync)
+	}
+	if comp, stor := at(t, rep, "cross-layer ops/commit", "commit persistence/compute-side"), at(t, rep, "cross-layer ops/commit", "commit persistence/storage-side"); comp >= stor {
+		t.Errorf("compute-side commit makes %.2f cross-layer SRSS ops per commit, storage-side %.2f: want fewer", comp, stor)
 	}
 }
 

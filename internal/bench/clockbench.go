@@ -12,7 +12,8 @@ import (
 // advanced over one-sided RDMA (latency ~40us at 3 nodes and capped by the
 // hosting NIC's ~1.5M packets/s) versus the high-precision global clock
 // with a 10-20us uncertainty bound, which grants locally and scales with
-// node count.
+// node count. Each grant's modelled cost is the latency the clock charged
+// it: the RDMA round trip, or the uncertainty wait.
 func ClockBench(o Options) (*Report, error) {
 	d := o.dur(500*time.Millisecond, 100*time.Millisecond)
 	nodeCounts := []int{1, 3, 6, 12}
@@ -25,8 +26,9 @@ func ClockBench(o Options) (*Report, error) {
 		ID:       "clock",
 		Title:    "Timestamp grant latency/throughput: logical clock vs global clock",
 		Expected: "logical clock ~40us average at 3 nodes, degrading with node count (NIC PPS cap); global clock grants at eps=10us (atomic clock) or 20us, ~2x faster and scalable",
-		Header:   []string{"nodes", "mechanism", "grants/s", "avg latency"},
+		Header:   []string{"nodes", "mechanism", "grants/s", "avg latency", "modelled us/grant"},
 	}
+	w := new(meter)
 
 	for _, nodes := range nodeCounts {
 		o.progress("clock: %d nodes", nodes)
@@ -37,10 +39,11 @@ func ClockBench(o Options) (*Report, error) {
 			name string
 			src  clock.Source
 		}{
-			{"logical (RDMA FAA)", clock.NewLogicalClock(m, nil, 1_500_000)},
-			{"global (eps=10us)", clock.NewGlobalClock(10*time.Microsecond, nil)},
-			{"global (eps=20us)", clock.NewGlobalClock(20*time.Microsecond, nil)},
+			{"logical (RDMA FAA)", clock.NewLogicalClock(m, w, 1_500_000)},
+			{"global (eps=10us)", clock.NewGlobalClock(10*time.Microsecond, w)},
+			{"global (eps=20us)", clock.NewGlobalClock(20*time.Microsecond, w)},
 		} {
+			from := w.charged.Load()
 			out, err := drive(load{clients: nodes * clientsPerNode, dur: d}, func(int) (op, error) {
 				return func(int64) (int, error) { c.src.Next(); return 0, nil }, nil
 			})
@@ -51,7 +54,7 @@ func ClockBench(o Options) (*Report, error) {
 			if n := out.lat[0].Count(); n > 0 {
 				mean = time.Duration(out.lat[0].Sum() / n)
 			}
-			r.row(nodes, c.name, f0(out.rate()), took(mean))
+			r.row(nodes, c.name, f0(out.rate()), took(mean), w.perOp(from, out.ops()))
 		}
 	}
 	r.Notes = append(r.Notes,

@@ -2,10 +2,12 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"hiengine/internal/delay"
 	"hiengine/internal/obs"
 )
 
@@ -37,14 +39,16 @@ type outcome struct {
 	elapsed   time.Duration
 }
 
-// rate is the completed operations of every class per second.
-func (o *outcome) rate() float64 {
-	var n int64
+// ops is the operations completed, of every class.
+func (o *outcome) ops() (n int64) {
 	for i := range o.lat {
 		n += o.lat[i].Count()
 	}
-	return float64(n) / o.elapsed.Seconds()
+	return n
 }
+
+// rate is the completed operations of every class per second.
+func (o *outcome) rate() float64 { return float64(o.ops()) / o.elapsed.Seconds() }
 
 // drive runs l against the operation open builds for each client (its
 // session, prepared statements and key range live in that closure). The
@@ -92,4 +96,23 @@ func drive(l load, open func(client int) (op, error)) (*outcome, error) {
 	default:
 	}
 	return out, err
+}
+
+// meter is the delay.Waiter a runner gives the devices it simulates: it waits
+// as delay.SleepWaiter does, and adds up the latency it charged. That sum is
+// the modelled cost of a run, which no other load on the host moves.
+type meter struct{ charged atomic.Int64 }
+
+func (m *meter) Wait(d time.Duration) {
+	m.charged.Add(int64(d))
+	delay.Wait(d)
+}
+
+// perOp is the latency charged since the reading from, in microseconds per
+// operation of ops.
+func (m *meter) perOp(from, ops int64) cell {
+	if ops == 0 {
+		return cell{"-", math.NaN()}
+	}
+	return f2(float64(m.charged.Load()-from) / 1e3 / float64(ops))
 }

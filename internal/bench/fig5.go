@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"hiengine/internal/adapt"
@@ -28,19 +27,29 @@ import (
 // and 4.2-10.8x. (b) writes 3-5x vs DBMS-T, 8-16x vs MySQL; reads 2-3x and
 // 7-19x; compiled simple transactions approach 1M TPS and roughly double the
 // prepare+execute path.
+//
+// Beside TPS, each engine reports the latency the model charged it per
+// transaction (page touches, log forces, PM appends): the modelled cost, in
+// which the figure's orderings hold whatever else the host runs.
 
 type fig5Engine struct {
 	name  string
 	front *sqlfront.Frontend
 	close func()
+	// meter is the waiter of the engine's devices: what the latency model
+	// charged it.
+	meter *meter
 }
 
 func buildFig5Engines(o Options) ([]fig5Engine, *obs.Registry, error) {
 	model := delay.CloudProfile()
-	var out []fig5Engine
-
+	service := func() (*srss.Service, *meter) {
+		m := new(meter)
+		return srss.New(srss.Config{Model: model, Waiter: m}), m
+	}
+	svc, m := service()
 	he, err := core.Open(core.Config{
-		Service:     srss.New(srss.Config{Model: model}),
+		Service:     svc,
 		Workers:     64,
 		SegmentSize: 64 << 20,
 		Obs:         o.statsReg("fig5:hiengine"),
@@ -48,39 +57,18 @@ func buildFig5Engines(o Options) ([]fig5Engine, *obs.Registry, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	out = append(out, fig5Engine{
-		name:  "HiEngine",
-		front: sqlfront.NewFrontend("hiengine", adapt.New(he)),
-		close: he.Close,
-	})
-
-	dbmst, err := innosim.New(innosim.Config{
-		Service:     srss.New(srss.Config{Model: model}),
-		Variant:     innosim.VariantDBMST,
-		SegmentSize: 64 << 20,
-	})
-	if err != nil {
-		return nil, nil, err
+	out := []fig5Engine{{"HiEngine", sqlfront.NewFrontend("hiengine", adapt.New(he)), he.Close, m}}
+	for _, b := range []struct {
+		name    string
+		variant innosim.Variant
+	}{{"DBMS-T", innosim.VariantDBMST}, {"MySQL", innosim.VariantMySQL}} {
+		svc, m := service()
+		db, err := innosim.New(innosim.Config{Service: svc, Variant: b.variant, SegmentSize: 64 << 20})
+		if err != nil {
+			return nil, nil, err
+		}
+		out = append(out, fig5Engine{b.name, sqlfront.NewFrontend(b.variant.String(), db), db.Close, m})
 	}
-	out = append(out, fig5Engine{
-		name:  "DBMS-T",
-		front: sqlfront.NewFrontend("dbms-t", dbmst),
-		close: dbmst.Close,
-	})
-
-	mysql, err := innosim.New(innosim.Config{
-		Service:     srss.New(srss.Config{Model: model}),
-		Variant:     innosim.VariantMySQL,
-		SegmentSize: 64 << 20,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	out = append(out, fig5Engine{
-		name:  "MySQL",
-		front: sqlfront.NewFrontend("mysql", mysql),
-		close: mysql.Close,
-	})
 	return out, he.Obs(), nil
 }
 
@@ -91,44 +79,33 @@ func fig5Load(front *sqlfront.Frontend, size, threads int) error {
 	if _, err := s.Exec(fig5Table); err != nil {
 		return err
 	}
-	var wg sync.WaitGroup
-	errCh := make(chan error, threads)
+	errs := make(chan error, threads)
 	per := (size + threads - 1) / threads
 	for w := 0; w < threads; w++ {
-		wg.Add(1)
 		go func(w int) {
-			defer wg.Done()
 			sess := front.NewSession(w)
 			ins, err := sess.Prepare("INSERT INTO sbtest VALUES (?, ?, ?, ?)")
-			if err != nil {
-				errCh <- err
-				return
+			for id := w*per + 1; err == nil && id <= min((w+1)*per, size); id++ {
+				_, err = ins.Exec(core.I(int64(id)), core.I(int64(id%97)),
+					core.S("sysbench-value-sysbench-value"), core.S("pad"))
 			}
-			lo, hi := w*per+1, (w+1)*per
-			if hi > size {
-				hi = size
-			}
-			for id := lo; id <= hi; id++ {
-				if _, err := ins.Exec(core.I(int64(id)), core.I(int64(id%97)),
-					core.S("sysbench-value-sysbench-value"), core.S("pad")); err != nil {
-					errCh <- err
-					return
-				}
-			}
+			errs <- err
 		}(w)
 	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		return err
-	default:
-		return nil
+	var first error
+	for w := 0; w < threads; w++ {
+		if err := <-errs; first == nil {
+			first = err
+		}
 	}
+	return first
 }
 
-// fig5Run measures TPS for one engine/mix/mode combination.
-func fig5Run(front *sqlfront.Frontend, size, threads, queriesPerTxn int,
-	write, compiled bool, dur time.Duration) (float64, error) {
+// fig5Run measures one engine/mix/mode combination: its TPS, and the latency
+// the model charged per transaction.
+func fig5Run(e fig5Engine, size, threads, queriesPerTxn int,
+	write, compiled bool, dur time.Duration) (float64, cell, error) {
+	from := e.meter.charged.Load()
 	out, err := drive(load{
 		clients: threads,
 		dur:     dur,
@@ -136,7 +113,7 @@ func fig5Run(front *sqlfront.Frontend, size, threads, queriesPerTxn int,
 			return errors.Is(err, engineapi.ErrConflict)
 		},
 	}, func(w int) (op, error) {
-		sess := front.NewSession(w)
+		sess := e.front.NewSession(w)
 		rng := rand.New(rand.NewSource(int64(w)*31 + 1))
 		// The compiled path executes prepared handles, the interpreted one
 		// hands the same text to the session each time.
@@ -192,9 +169,9 @@ func fig5Run(front *sqlfront.Frontend, size, threads, queriesPerTxn int,
 		}, nil
 	})
 	if err != nil {
-		return 0, err
+		return 0, cell{}, err
 	}
-	return out.rate(), nil
+	return out.rate(), e.meter.perOp(from, out.ops()), nil
 }
 
 func fig5(o Options, compiled bool) (*Report, error) {
@@ -221,19 +198,21 @@ func fig5(o Options, compiled bool) (*Report, error) {
 		}
 	}
 
-	type cell struct{ read, write float64 }
-	results := map[string]cell{}
+	type meas struct {
+		read, write     float64
+		readUs, writeUs cell
+	}
+	results := map[string]meas{}
 	for _, e := range engines {
 		o.progress("fig5: running %s (compiled=%v)", e.name, compiled)
-		read, err := fig5Run(e.front, size, threads, queries, false, compiled, dur)
-		if err != nil {
+		var c meas
+		if c.read, c.readUs, err = fig5Run(e, size, threads, queries, false, compiled, dur); err != nil {
 			return nil, fmt.Errorf("%s read: %w", e.name, err)
 		}
-		write, err := fig5Run(e.front, size, threads, queries, true, compiled, dur)
-		if err != nil {
+		if c.write, c.writeUs, err = fig5Run(e, size, threads, queries, true, compiled, dur); err != nil {
 			return nil, fmt.Errorf("%s write: %w", e.name, err)
 		}
-		results[e.name] = cell{read: read, write: write}
+		results[e.name] = c
 	}
 
 	id, title := "fig5a", "Performance of inlined (interpreted) queries"
@@ -245,7 +224,8 @@ func fig5(o Options, compiled bool) (*Report, error) {
 	r := &Report{
 		ID: id, Title: title, Expected: expected,
 		Header: []string{"engine", "read-only TPS", "write-only TPS",
-			"read vs MySQL", "write vs MySQL", "read vs DBMS-T", "write vs DBMS-T"},
+			"read vs MySQL", "write vs MySQL", "read vs DBMS-T", "write vs DBMS-T",
+			"read modelled us/txn", "write modelled us/txn"},
 	}
 	my := results["MySQL"]
 	dt := results["DBMS-T"]
@@ -253,7 +233,7 @@ func fig5(o Options, compiled bool) (*Report, error) {
 		c := results[e.name]
 		r.row(e.name, f0(c.read), f0(c.write),
 			ratio(c.read, my.read), ratio(c.write, my.write),
-			ratio(c.read, dt.read), ratio(c.write, dt.write))
+			ratio(c.read, dt.read), ratio(c.write, dt.write), c.readUs, c.writeUs)
 	}
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("%d threads, %d-query transactions, %d rows, cloud latency profile (compute PM append 1us, cross-layer RTT 20us, SSD write 80us)",
@@ -261,12 +241,11 @@ func fig5(o Options, compiled bool) (*Report, error) {
 	if compiled {
 		// The 1-query "simple transaction" data point and the
 		// compiled-vs-interpreted factor.
-		he := engines[0]
-		simple, err := fig5Run(he.front, size, threads, 1, true, true, dur)
+		simple, _, err := fig5Run(engines[0], size, threads, 1, true, true, dur)
 		if err != nil {
 			return nil, err
 		}
-		interp, err := fig5Run(he.front, size, threads, 1, true, false, dur)
+		interp, _, err := fig5Run(engines[0], size, threads, 1, true, false, dur)
 		if err != nil {
 			return nil, err
 		}

@@ -36,7 +36,8 @@ type fig6Engine struct {
 	// accountant (1.0 = every access; DBMS-M's thread-local row cache
 	// absorbs repeated accesses within a transaction).
 	damping float64
-	build   func() (engineapi.DB, func(), error)
+	// build opens the engine over devices that charge w.
+	build func(w delay.Waiter) (engineapi.DB, func(), error)
 }
 
 func fig6Engines(model *delay.Model, workers int, reg *obs.Registry) []fig6Engine {
@@ -44,9 +45,9 @@ func fig6Engines(model *delay.Model, workers int, reg *obs.Registry) []fig6Engin
 		{
 			name:    "HiEngine",
 			damping: 1.0,
-			build: func() (engineapi.DB, func(), error) {
+			build: func(w delay.Waiter) (engineapi.DB, func(), error) {
 				e, err := core.Open(core.Config{
-					Service:     srss.New(srss.Config{Model: model}),
+					Service:     srss.New(srss.Config{Model: model, Waiter: w}),
 					Workers:     workers,
 					SegmentSize: 64 << 20,
 					Obs:         reg,
@@ -60,9 +61,9 @@ func fig6Engines(model *delay.Model, workers int, reg *obs.Registry) []fig6Engin
 		{
 			name:    "DBMS-M",
 			damping: 0.6,
-			build: func() (engineapi.DB, func(), error) {
+			build: func(w delay.Waiter) (engineapi.DB, func(), error) {
 				db, err := memocc.New(memocc.Config{
-					Service:     srss.New(srss.Config{Model: model}),
+					Service:     srss.New(srss.Config{Model: model, Waiter: w}),
 					Workers:     workers,
 					SegmentSize: 64 << 20,
 				})
@@ -75,31 +76,35 @@ func fig6Engines(model *delay.Model, workers int, reg *obs.Registry) []fig6Engin
 	}
 }
 
+// tpccRun is what one TPC-C run measured.
+type tpccRun struct {
+	tpmC   float64
+	remote float64 // the fraction of memory accesses off the worker's die
+	// modelled is the latency the model charged per committed transaction,
+	// memory accesses and log appends, in microseconds. DBMS-M's wait for
+	// its group-commit epoch is real time, not a charge, so it is not in it.
+	modelled cell
+}
+
 // runTPCC loads and runs one engine at the given thread count on a topology.
 func runTPCC(eng fig6Engine, topo numa.Topology, threads, warehouses int,
-	sc tpcc.Scale, dur time.Duration, partitioned bool, policy numa.Policy) (tpcc.Result, *numa.Accountant, error) {
-	db, closeFn, err := eng.build()
+	sc tpcc.Scale, dur time.Duration, partitioned bool, policy numa.Policy) (tpccRun, error) {
+	m := new(meter)
+	db, closeFn, err := eng.build(m)
 	if err != nil {
-		return tpcc.Result{}, nil, err
+		return tpccRun{}, err
 	}
 	defer closeFn()
 	if err := tpcc.Load(db, warehouses, sc, 8); err != nil {
-		return tpcc.Result{}, nil, err
+		return tpccRun{}, err
 	}
-	acct := numa.NewAccountant(topo, nil)
-	activeDies := (threads + topo.CoresPerDie - 1) / topo.CoresPerDie
-	if activeDies < 1 {
-		activeDies = 1
-	}
-	if activeDies > topo.TotalDies() {
-		activeDies = topo.TotalDies()
-	}
+	from := m.charged.Load()
+	acct := numa.NewAccountant(topo, m)
+	activeDies := min(max((threads+topo.CoresPerDie-1)/topo.CoresPerDie, 1), topo.TotalDies())
 	// Each warehouse is homed on the die of the thread that owns it under
 	// partitioned placement; the policy can override (Figure 7).
 	homeDie := func(w int) int {
-		ownerThread := (w - 1) % threads
-		ownerDie := topo.Core(ownerThread).Die
-		return policy.Place(w, ownerDie, activeDies)
+		return policy.Place(w, topo.Core((w-1)%threads).Die, activeDies)
 	}
 	// Shared-structure cross-socket charges: when the active cores span
 	// more than one socket, every commit bounces the CSN counter's and the
@@ -145,12 +150,13 @@ func runTPCC(eng fig6Engine, topo numa.Topology, threads, warehouses int,
 	})
 	res, err := d.Run()
 	if err != nil {
-		return tpcc.Result{}, nil, err
+		return tpccRun{}, err
 	}
+	run := tpccRun{res.TpmC(), acct.RemoteFraction(), m.perOp(from, res.Total())}
 	if err := d.Verify(); err != nil {
-		return tpcc.Result{}, nil, fmt.Errorf("consistency after run: %w", err)
+		return tpccRun{}, fmt.Errorf("consistency after run: %w", err)
 	}
-	return res, acct, nil
+	return run, nil
 }
 
 // Fig6 regenerates Figure 6.
@@ -171,32 +177,25 @@ func Fig6(o Options) (*Report, error) {
 		ID:       "fig6",
 		Title:    "Overall TPC-C performance on ARM and x86 platforms",
 		Expected: "HiEngine ~2x DBMS-M on ARM (up to 4.5x), ~+30% on x86; HiEngine dips past 64 ARM cores from cross-socket accesses",
-		Header:   []string{"platform", "cores", "engine", "tpmC", "remote-access", "HiEngine/DBMS-M"},
+		Header:   []string{"platform", "cores", "engine", "tpmC", "remote-access", "HiEngine/DBMS-M", "modelled us/txn"},
 	}
 	type key struct {
 		platform string
 		cores    int
 	}
-	results := map[key]map[string]float64{}
-	remotes := map[key]map[string]float64{}
+	results := map[key]map[string]tpccRun{}
 
 	run := func(platform string, topo numa.Topology, counts []int) error {
 		for _, cores := range counts {
-			warehouses := cores
-			engines := fig6Engines(model, cores, reg)
-			for _, eng := range engines {
+			k := key{platform, cores}
+			results[k] = map[string]tpccRun{}
+			for _, eng := range fig6Engines(model, cores, reg) {
 				o.progress("fig6: %s %d cores %s", platform, cores, eng.name)
-				res, acct, err := runTPCC(eng, topo, cores, warehouses, sc, dur, true, numa.PolicyLocal)
+				res, err := runTPCC(eng, topo, cores, cores, sc, dur, true, numa.PolicyLocal)
 				if err != nil {
 					return fmt.Errorf("%s/%d/%s: %w", platform, cores, eng.name, err)
 				}
-				k := key{platform, cores}
-				if results[k] == nil {
-					results[k] = map[string]float64{}
-					remotes[k] = map[string]float64{}
-				}
-				results[k][eng.name] = res.TpmC()
-				remotes[k][eng.name] = acct.RemoteFraction()
+				results[k][eng.name] = res
 			}
 		}
 		return nil
@@ -212,11 +211,9 @@ func Fig6(o Options) (*Report, error) {
 
 	emit := func(platform string, counts []int) {
 		for _, cores := range counts {
-			k := key{platform, cores}
-			hi := results[k]["HiEngine"]
-			dm := results[k]["DBMS-M"]
-			r.row(platform, cores, "HiEngine", f0(hi), pct(remotes[k]["HiEngine"]), ratio(hi, dm))
-			r.row(platform, cores, "DBMS-M", f0(dm), pct(remotes[k]["DBMS-M"]), "")
+			hi, dm := results[key{platform, cores}]["HiEngine"], results[key{platform, cores}]["DBMS-M"]
+			r.row(platform, cores, "HiEngine", f0(hi.tpmC), pct(hi.remote), ratio(hi.tpmC, dm.tpmC), hi.modelled)
+			r.row(platform, cores, "DBMS-M", f0(dm.tpmC), pct(dm.remote), "", dm.modelled)
 		}
 	}
 	emit("ARM", armCounts)

@@ -51,28 +51,24 @@ func Fig7(o Options) (*Report, error) {
 		Header:   []string{"combination", "engine", "tpmC", "remote-access", "HiEngine/DBMS-M"},
 	}
 
-	type meas struct {
-		tpmc   float64
-		remote float64
-	}
 	reg := o.statsReg("fig7:hiengine")
-	all := map[string]map[string]meas{}
+	all := map[string]map[string]tpccRun{}
 	for _, c := range combos {
-		all[c.label] = map[string]meas{}
+		all[c.label] = map[string]tpccRun{}
 		for _, eng := range fig6Engines(model, threads, reg) {
 			o.progress("fig7: %s %s", c.label, eng.name)
-			res, acct, err := runTPCC(eng, topo, threads, warehouses, sc, dur, c.partitioned, c.policy)
+			res, err := runTPCC(eng, topo, threads, warehouses, sc, dur, c.partitioned, c.policy)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", c.label, eng.name, err)
 			}
-			all[c.label][eng.name] = meas{tpmc: res.TpmC(), remote: acct.RemoteFraction()}
+			all[c.label][eng.name] = res
 		}
 	}
 	for _, c := range combos {
 		hi := all[c.label]["HiEngine"]
 		dm := all[c.label]["DBMS-M"]
-		r.row(c.label, "HiEngine", f0(hi.tpmc), pct(hi.remote), ratio(hi.tpmc, dm.tpmc))
-		r.row(c.label, "DBMS-M", f0(dm.tpmc), pct(dm.remote), "")
+		r.row(c.label, "HiEngine", f0(hi.tpmC), pct(hi.remote), ratio(hi.tpmC, dm.tpmC))
+		r.row(c.label, "DBMS-M", f0(dm.tpmC), pct(dm.remote), "")
 	}
 
 	// Derived observations mirroring the paper's text.
@@ -80,15 +76,15 @@ func Fig7(o Options) (*Report, error) {
 	worst := all["partitioned+remote"]["HiEngine"]
 	rnd := all["random+interleave"]["HiEngine"]
 	if worst.remote > best.remote {
-		slope := (1 - worst.tpmc/best.tpmc) / ((worst.remote - best.remote) / 0.10)
+		slope := (1 - worst.tpmC/best.tpmC) / ((worst.remote - best.remote) / 0.10)
 		r.Notes = append(r.Notes, fmt.Sprintf(
 			"HiEngine tpmC drop per +10%% remote accesses: %.1f%% (paper: ~5%%); worst-case remote fraction %s (paper: 69%%)",
 			slope*100, pct(worst.remote).text))
 	}
-	if rnd.tpmc > 0 {
+	if rnd.tpmC > 0 {
 		r.Notes = append(r.Notes, fmt.Sprintf(
 			"partitioning effect (HiEngine): remote accesses %s -> %s, tpmC %sx vs random placement",
-			pct(rnd.remote).text, pct(best.remote).text, f2(best.tpmc/rnd.tpmc).text))
+			pct(rnd.remote).text, pct(best.remote).text, f2(best.tpmC/rnd.tpmC).text))
 	}
 	r.attachStats(reg) // aggregated across HiEngine runs in every combo
 	return r, nil

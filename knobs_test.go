@@ -24,7 +24,6 @@ import (
 var knobExemptions = map[string]string{
 	"core.Config.GCEveryNCommits":   "tests stop automatic GC, or force it, so version chains stay as the test built them",
 	"srss.Config.Chaos":             "fault-injection tests in eight packages give a deployment its chaos engine",
-	"srss.Config.Waiter":            "tests charge the latency model to a fake waiter and read the charge",
 	"srss.Config.MaxPLogSize":       "tests fill a PLog to its cap with a few records",
 	"srss.Config.ChunkSize":         "tests put records across chunk boundaries with 64-byte chunks",
 	"client.Options.RequestTimeout": "tests time out a request against a stalled server in milliseconds",
