@@ -88,6 +88,21 @@ func (db *DB) Begin(worker int) (engineapi.Txn, error) {
 	return tx, nil
 }
 
+// Rebegin implements engineapi.Rebeginner: prev's handle begins again when
+// it is this DB's and its core transaction finished without writing
+// (core.Txn.Reusable).
+func (db *DB) Rebegin(worker int, prev engineapi.Txn) (engineapi.Txn, error) {
+	tx, ok := prev.(*Txn)
+	if !ok || tx.db != db || !tx.t.Reusable() {
+		return db.Begin(worker)
+	}
+	tx.lastTable = nil
+	if err := db.e.BeginInto(&tx.t, worker%db.e.Workers()); err != nil {
+		return nil, err
+	}
+	return tx, nil
+}
+
 // Txn adapts core.Txn. It memoizes the most recent key lookup so the
 // common GetByKey-then-UpdateByKey driver pattern resolves the RID once.
 type Txn struct {
@@ -243,6 +258,15 @@ func (tx *Txn) ScanPrefix(table string, idx int, prefix []core.Value, fn func(co
 	return mapErr(tx.t.ScanPrefix(t, idx, prefix, func(_ core.RID, row core.Row) bool {
 		return fn(row)
 	}))
+}
+
+// ScanRangeRaw implements engineapi.RangeReader.
+func (tx *Txn) ScanRangeRaw(table string, idx int, from, to []byte, fn func(key, payload []byte) bool) error {
+	t, err := tx.db.table(table)
+	if err != nil {
+		return err
+	}
+	return mapErr(tx.t.ScanRangeRaw(t, idx, from, to, fn))
 }
 
 // ScanPrefixRaw implements engineapi.RawReader. fn goes to the engine as it

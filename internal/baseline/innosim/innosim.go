@@ -326,6 +326,27 @@ func (t *Txn) DeleteByKey(tableName string, key ...core.Value) error {
 
 // ScanPrefix implements engineapi.Txn (primary index only).
 func (t *Txn) ScanPrefix(tableName string, idx int, prefix []core.Value, fn func(core.Row) bool) error {
+	p := core.EncodeKey(nil, prefix...)
+	var decErr error
+	err := t.ScanRangeRaw(tableName, idx, p, core.KeySuccessor(p), func(_, enc []byte) bool {
+		row, err := core.DecodeRow(enc)
+		if err != nil {
+			decErr = err
+			return false
+		}
+		return fn(row)
+	})
+	if err != nil {
+		return err
+	}
+	return decErr
+}
+
+// ScanRangeRaw implements engineapi.RangeReader (primary index only): the
+// B-tree's leaves from from up to to, with this transaction's own updates
+// and deletes laid over them. A leaf's row is never rewritten in place (an
+// update swaps in a new encoding), so a payload handed out may be kept.
+func (t *Txn) ScanRangeRaw(tableName string, idx int, from, to []byte, fn func(key, payload []byte) bool) error {
 	if t.finished {
 		return ErrTxnDone
 	}
@@ -336,23 +357,16 @@ func (t *Txn) ScanPrefix(tableName string, idx int, prefix []core.Value, fn func
 	if err != nil {
 		return err
 	}
-	p := core.EncodeKey(nil, prefix...)
-	var scanErr error
-	tbl.scan(p, core.KeySuccessor(p), func(k, enc []byte) bool {
+	tbl.scan(from, to, func(k, enc []byte) bool {
 		if t.pendingDelete(tbl, k) {
 			return true
 		}
 		if pe := t.pendingRow(tbl, k); pe != nil {
 			enc = pe
 		}
-		row, err := core.DecodeRow(enc)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		return fn(row)
+		return fn(k, enc)
 	})
-	return scanErr
+	return nil
 }
 
 // pendingRow returns this txn's buffered row for key (nil if none/deleted).

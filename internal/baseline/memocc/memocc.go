@@ -27,8 +27,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hiengine/internal/delay"
-
 	"hiengine/internal/art"
 	"hiengine/internal/core"
 	"hiengine/internal/engineapi"
@@ -379,6 +377,27 @@ func (t *Txn) GetByKey(table string, idx int, key ...core.Value) (core.Row, erro
 
 // ScanPrefix implements engineapi.Txn.
 func (t *Txn) ScanPrefix(table string, idx int, prefix []core.Value, fn func(core.Row) bool) error {
+	p := core.EncodeKey(nil, prefix...)
+	var decErr error
+	err := t.ScanRangeRaw(table, idx, p, core.KeySuccessor(p), func(_, data []byte) bool {
+		row, err := core.DecodeRow(data)
+		if err != nil {
+			decErr = err
+			return false
+		}
+		return fn(row)
+	})
+	if err != nil {
+		return err
+	}
+	return decErr
+}
+
+// ScanRangeRaw implements engineapi.RangeReader: the index's entries from
+// from up to to, each row read into the read set (or taken from this
+// transaction's own writes). A record's committed encoding is swapped, never
+// rewritten, so a payload handed out may be kept.
+func (t *Txn) ScanRangeRaw(table string, idx int, from, to []byte, fn func(key, payload []byte) bool) error {
 	if t.finished {
 		return ErrTxnDone
 	}
@@ -386,9 +405,7 @@ func (t *Txn) ScanPrefix(table string, idx int, prefix []core.Value, fn func(cor
 	if err != nil {
 		return err
 	}
-	p := core.EncodeKey(nil, prefix...)
-	var scanErr error
-	tbl.indexes[idx].Scan(p, core.KeySuccessor(p), func(_ []byte, ridU uint64) bool {
+	tbl.indexes[idx].Scan(from, to, func(k []byte, ridU uint64) bool {
 		rec := tbl.records.Get(pia.RID(ridU))
 		if rec == nil {
 			return true
@@ -404,14 +421,9 @@ func (t *Txn) ScanPrefix(table string, idx int, prefix []core.Value, fn func(cor
 		if data == nil {
 			return true
 		}
-		row, err := core.DecodeRow(data)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		return fn(row)
+		return fn(k, data)
 	})
-	return scanErr
+	return nil
 }
 
 // Insert implements engineapi.Txn.
@@ -625,7 +637,7 @@ func (t *Txn) Commit() error {
 		return err
 	}
 	now := time.Now()
-	delay.Wait(now.Truncate(groupWindow).Add(groupWindow).Sub(now))
+	t.db.svc.Waiter().Wait(now.Truncate(groupWindow).Add(groupWindow).Sub(now))
 	t.finished = true
 	t.db.Commits.Add(1)
 	return nil

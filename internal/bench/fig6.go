@@ -81,8 +81,8 @@ type tpccRun struct {
 	tpmC   float64
 	remote float64 // the fraction of memory accesses off the worker's die
 	// modelled is the latency the model charged per committed transaction,
-	// memory accesses and log appends, in microseconds. DBMS-M's wait for
-	// its group-commit epoch is real time, not a charge, so it is not in it.
+	// memory accesses and log appends, in microseconds -- and DBMS-M's wait
+	// for its group-commit epoch, which goes through the same waiter.
 	modelled cell
 }
 

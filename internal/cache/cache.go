@@ -143,14 +143,25 @@ func cacheKey(table string, pk []core.Value) string {
 	return table + "\x00" + string(core.EncodeKey(nil, pk...))
 }
 
-// pkOf extracts the primary key values of row.
+// pkOf extracts the primary key values of row, the transaction's own copy.
 func pkOf(s *core.Schema, row core.Row) []core.Value {
 	cols := s.Indexes[0].Columns
 	pk := make([]core.Value, len(cols))
 	for i, c := range cols {
-		pk[i] = row[c]
+		pk[i] = row[c].Clone()
 	}
 	return pk
+}
+
+// own copies values a statement lent the transaction, payloads included:
+// they may point into the caller's request (engineapi.Txn), and the
+// transaction keeps them until its writes reach the backing engine.
+func own(vals []core.Value) []core.Value {
+	out := make([]core.Value, len(vals))
+	for i, v := range vals {
+		out[i] = v.Clone()
+	}
+	return out
 }
 
 // ensureCached faults the row for (table, pk) into the front engine if it
@@ -403,6 +414,22 @@ func (t *Txn) ScanPrefix(table string, idx int, prefix []core.Value, fn func(cor
 	return t.front.ScanPrefix(table, idx, prefix, fn)
 }
 
+// errNoRanges refuses a key-range scan on a front engine without one.
+var errNoRanges = errors.New("cache: front engine scans no key ranges")
+
+// ScanRangeRaw implements engineapi.RangeReader (preloaded tables, on a
+// front engine that implements it).
+func (t *Txn) ScanRangeRaw(table string, idx int, from, to []byte, fn func(key, payload []byte) bool) error {
+	if !t.db.isPreloaded(table) {
+		return ErrNotCached
+	}
+	rr, ok := t.front.(engineapi.RangeReader)
+	if !ok {
+		return errNoRanges
+	}
+	return rr.ScanRangeRaw(table, idx, from, to, fn)
+}
+
 // Insert implements engineapi.Txn.
 func (t *Txn) Insert(table string, row core.Row) error {
 	s, err := t.db.schema(table)
@@ -418,7 +445,7 @@ func (t *Txn) Insert(table string, row core.Row) error {
 	if err := t.front.Insert(table, row); err != nil {
 		return err
 	}
-	t.pending = append(t.pending, backWrite{table: table, pk: pk, row: append(core.Row{}, row...)})
+	t.pending = append(t.pending, backWrite{table: table, pk: pk, row: own(row)})
 	return nil
 }
 
@@ -437,7 +464,7 @@ func (t *Txn) UpdateByKey(table string, idx int, key []core.Value, newRow core.R
 	if err != nil {
 		return err
 	}
-	t.pending = append(t.pending, backWrite{table: table, pk: pkOf(s, newRow), row: append(core.Row{}, newRow...)})
+	t.pending = append(t.pending, backWrite{table: table, pk: pkOf(s, newRow), row: own(newRow)})
 	return nil
 }
 
@@ -449,7 +476,7 @@ func (t *Txn) DeleteByKey(table string, key ...core.Value) error {
 	if err := t.front.DeleteByKey(table, key...); err != nil {
 		return err
 	}
-	t.pending = append(t.pending, backWrite{table: table, pk: append([]core.Value{}, key...), row: nil})
+	t.pending = append(t.pending, backWrite{table: table, pk: own(key), row: nil})
 	return nil
 }
 

@@ -592,6 +592,9 @@ type Session struct {
 	// request is preceded by an explicit OpBegin (do).
 	begin bool
 	buf   []byte // statement payload scratch, reused across calls
+	// curCols are the column names of the last cursor opened, which the next
+	// one's pages decode against: a query run again keeps them.
+	curCols []string
 
 	trace      bool // request server-side tracing on every request
 	curTraceID uint64
@@ -741,14 +744,20 @@ func (s *Session) stmt(op wire.Op, dst *wire.Result) (*wire.Result, error) {
 		class = wire.RetryBusyOnly
 	}
 	r, err := s.call(op, class, s.buf)
-	if cap(s.buf) > maxRetainedBuf {
-		s.buf = nil
-	}
+	s.trimBuf()
 	if err != nil {
 		return nil, err
 	}
 	s.begin = false
 	return decodeResultNote(s.w, r.Body, dst)
+}
+
+// trimBuf drops the statement payload scratch once a request has grown it
+// past maxRetainedBuf.
+func (s *Session) trimBuf() {
+	if cap(s.buf) > maxRetainedBuf {
+		s.buf = nil
+	}
 }
 
 // call round-trips one request, reissuing it as class allows, and mirrors

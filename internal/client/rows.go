@@ -34,6 +34,7 @@ type Rows struct {
 	id      uint64
 	fetch   int
 
+	res  wire.Result // what each page decodes into: its Columns stay
 	page []core.Row
 	idx  int
 	row  core.Row
@@ -70,14 +71,18 @@ func (c *Client) Query(sql string, args ...core.Value) (*Rows, error) {
 // that Session.Close can release it.
 func (s *Session) Query(sql string, args ...core.Value) (*Rows, error) {
 	fetch := s.fetchSize()
-	resp, err := s.do(wire.OpScanOpen, wire.AppendScanOpen(nil, fetch, sql, args))
+	s.buf = wire.AppendScanOpen(s.buf[:0], fetch, sql, args)
+	resp, err := s.do(wire.OpScanOpen, s.buf)
+	s.trimBuf()
 	if err != nil {
 		return nil, err
 	}
 	r := &Rows{s: s, fetch: fetch}
+	r.res.Columns = s.curCols // kept when this cursor's names are the same
 	if err := r.loadPage(resp.Body); err != nil {
 		return nil, err
 	}
+	s.curCols = r.res.Columns
 	if !r.srvDone {
 		if s.rows == nil {
 			s.rows = make(map[uint64]*Rows)
@@ -89,7 +94,7 @@ func (s *Session) Query(sql string, args ...core.Value) (*Rows, error) {
 
 // loadPage installs one cursor-page body as the current page.
 func (r *Rows) loadPage(body []byte) error {
-	id, done, res, err := wire.DecodeCursorPage(body)
+	id, done, res, err := wire.DecodeCursorPage(body, &r.res)
 	if err != nil {
 		return err
 	}
@@ -131,7 +136,8 @@ func (r *Rows) Next() bool {
 			r.finish(nil)
 			return false
 		}
-		resp, err := r.s.do(wire.OpScanNext, wire.EncodeScanNext(r.id, r.fetch))
+		r.s.buf = wire.AppendScanNext(r.s.buf[:0], r.id, r.fetch)
+		resp, err := r.s.do(wire.OpScanNext, r.s.buf)
 		if err == nil {
 			err = r.loadPage(resp.Body)
 		}

@@ -264,7 +264,9 @@ func (e *Engine) chainCarriesKey(u *keyScratch, tbl *Table, i int, rid RID, v, s
 // finish marks the transaction terminal and releases its worker slot.
 func (t *Txn) finish(state, csn uint64) {
 	t.statusWord.Store(packStatus(state, csn))
-	t.e.status.remove(t.tid)
+	if t.registered {
+		t.e.status.remove(t.tid)
+	}
 	t.finishSlot()
 	t.finished = true
 }

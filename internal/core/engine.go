@@ -158,7 +158,7 @@ type workerSlot struct {
 	// Slots sit side by side in Engine.workers. Whole cache lines keep one
 	// slot's writes off the line of its neighbour's activeBegin and mu
 	// (TestWorkerSlotIsWholeCacheLines).
-	_ [56]byte
+	_ [48]byte
 }
 
 // Engine is a HiEngine instance.

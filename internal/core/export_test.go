@@ -54,3 +54,9 @@ func (e *Engine) haltMaintenance() {
 	dl.stop, dl.done = make(chan struct{}), make(chan struct{})
 	close(dl.done)
 }
+
+// DecodeRowPrefix is DecodeRowBorrowed decoding into a private copy of the
+// row's bytes, as DecodeRow does.
+func DecodeRowPrefix(dst Row, buf []byte) (Row, []byte, error) {
+	return decodeRowPrefix(dst, buf, false)
+}

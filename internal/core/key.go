@@ -74,11 +74,11 @@ func appendKeyStr[T string | []byte](buf []byte, p T) []byte {
 // appending 0xFF... forever is approximated by incrementing the last
 // possible byte. Used to turn "prefix scan" into a [k, successor) range.
 func KeySuccessor(k []byte) []byte {
-	return appendKeySuccessor(make([]byte, 0, len(k)+1), k)
+	return AppendKeySuccessor(make([]byte, 0, len(k)+1), k)
 }
 
-// appendKeySuccessor appends KeySuccessor(k) to dst, which must not overlap k.
-func appendKeySuccessor(dst, k []byte) []byte {
+// AppendKeySuccessor appends KeySuccessor(k) to dst, which must not overlap k.
+func AppendKeySuccessor(dst, k []byte) []byte {
 	base := len(dst)
 	dst = append(dst, k...)
 	for i := len(dst) - 1; i >= base; i-- {

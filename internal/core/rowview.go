@@ -19,7 +19,7 @@ type RowView struct {
 }
 
 // Reset walks the encoded row at the front of p and returns the unconsumed
-// remainder. It accepts and rejects exactly what DecodeRowPrefix does.
+// remainder. It accepts and rejects exactly what DecodeRowBorrowed does.
 func (v *RowView) Reset(p []byte) (rest []byte, err error) {
 	nCols, pos, err := rowHeader(p, 0)
 	if err != nil {

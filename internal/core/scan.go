@@ -26,7 +26,9 @@ type scanBatch struct {
 	tbl *Table
 	idx int
 	fn  func(rid RID, payload []byte) bool
-	err error
+	// keyed, when set, takes fn's place and is handed each entry's key.
+	keyed func(key, payload []byte) bool
+	err   error
 	// busy says a scan is running on the batch.
 	busy bool
 	// collect is b.add, bound once when the batch is made: handing the index
@@ -70,7 +72,7 @@ func (t *Txn) scanBatch() (*scanBatch, error) {
 // setPrefix encodes prefix as the scan's bounds: [prefix, its successor).
 func (b *scanBatch) setPrefix(prefix []Value) {
 	b.from = EncodeKey(b.from[:0], prefix...)
-	b.to = appendKeySuccessor(b.to[:0], b.from)
+	b.to = AppendKeySuccessor(b.to[:0], b.from)
 }
 
 // scanEncoded visits, in key order, the visible rows whose index-idx keys
@@ -87,7 +89,7 @@ func (t *Txn) scanEncoded(b *scanBatch, tbl *Table, idx int, fromK, toK []byte, 
 	if b.err != nil {
 		err = b.err
 	}
-	b.t, b.tbl, b.fn, b.err, b.busy = nil, nil, nil, nil, false
+	b.t, b.tbl, b.fn, b.keyed, b.err, b.busy = nil, nil, nil, nil, nil, false
 	return err
 }
 
@@ -192,6 +194,9 @@ func (b *scanBatch) emit(key []byte, rid RID, head, v *Version) bool {
 		if string(s.kbuf) != string(key) {
 			return true
 		}
+	}
+	if b.keyed != nil {
+		return b.keyed(key, p)
 	}
 	return b.fn(rid, p)
 }

@@ -557,6 +557,7 @@ func (e *Engine) reconstructInDoubt(gtid string, addr wal.Addr, payload []byte) 
 		prepared: true,
 	}
 	t.statusWord.Store(packStatus(txActive, 0))
+	t.registered = true
 	e.status.register(t)
 	var newRow, oldRow RowView
 	var kbuf []byte

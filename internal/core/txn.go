@@ -85,6 +85,14 @@ func (t *Txn) writeSet() *writeSet {
 		ws.stamp, ws.logDone = ws.onStamp, ws.onLogDone
 		t.ws = ws
 	}
+	// The first write registers the transaction, before any version carrying
+	// its TID can be published: a reader that meets the TID must find its
+	// owner (Txn.visible). A transaction that never writes is never looked
+	// up, so it never registers.
+	if !t.registered {
+		t.registered = true
+		t.e.status.register(t)
+	}
 	if s := t.slot; s != nil && s.lastLogBytes > 0 {
 		// An eighth over what the last one filled: a transaction a little
 		// larger than its predecessor does not pay a second buffer and a copy.
@@ -169,7 +177,10 @@ type Txn struct {
 
 	ws *writeSet // nil until the first write
 
-	finished bool
+	// registered says the transaction is in the status map: from its first
+	// write (writeSet) until its versions carry its CSN or are gone.
+	registered bool
+	finished   bool
 	// prepared marks a 2PC participant transaction that has voted and now
 	// awaits the coordinator's decision: no further operations, commits or
 	// aborts are accepted through the Txn; Engine.Resolve owns its fate.
@@ -207,11 +218,11 @@ func (e *Engine) Begin(worker int) (*Txn, error) {
 
 // BeginInto is Begin starting the transaction in t, memory the caller
 // allocated: a front end that holds its core transaction by value pays one
-// allocation per transaction, not two. t must be a zero Txn; one that has
-// begun before is refused, since readers that looked it up in the status
-// map may still hold it.
+// allocation per transaction, not two. t must be a zero Txn or a Reusable
+// one; one that wrote is refused, since readers that looked it up in the
+// status map may still hold it.
 func (e *Engine) BeginInto(t *Txn, worker int) error {
-	if t.e != nil {
+	if !t.Reusable() {
 		return errors.New("core: transaction begun twice")
 	}
 	if e.closed.Load() {
@@ -237,9 +248,17 @@ func (e *Engine) BeginInto(t *Txn, worker int) error {
 	slot.activeBegin.Store(begin)
 	t.e, t.worker, t.slot = e, worker, slot
 	t.tid, t.begin = e.tidSeq.Add(1)|tidFlag, begin
+	t.finished, t.prepared, t.trace = false, false, nil
 	t.statusWord.Store(packStatus(txActive, 0))
-	e.status.register(t)
 	return nil
+}
+
+// Reusable reports whether t may begin (again) through BeginInto: it never
+// began, or it finished without writing. Such a transaction was never in
+// the status map, so no reader can hold it, and its owner -- the one
+// goroutine that used it -- may begin the next one in the same memory.
+func (t *Txn) Reusable() bool {
+	return t.e == nil || t.finished && !t.registered
 }
 
 // CSN returns the commit sequence number (0 while active, after abort, or
@@ -412,6 +431,19 @@ func (t *Txn) ScanPrefixRaw(tbl *Table, idx int, prefix []Value, fn func(rid RID
 	}
 	b.setPrefix(prefix)
 	return t.scanEncoded(b, tbl, idx, b.from, b.to, fn)
+}
+
+// ScanRangeRaw visits, in key order, the visible rows whose raw index-idx
+// keys fall in [from, to) (a nil bound is open), handing fn each entry's key,
+// valid for the call, and the row encoded: a scan that stops can resume just
+// past the last key it was handed.
+func (t *Txn) ScanRangeRaw(tbl *Table, idx int, from, to []byte, fn func(key, payload []byte) bool) error {
+	b, err := t.scanBatch()
+	if err != nil {
+		return err
+	}
+	b.keyed = fn
+	return t.scanEncoded(b, tbl, idx, from, to, nil)
 }
 
 // ScanKey visits, in key order, the visible rows whose index-idx keys fall

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"unsafe"
 )
 
@@ -50,7 +51,8 @@ func (k Kind) String() string {
 // immutable and so is its payload: B copies the slice it is given and Bytes
 // returns a fresh copy, and a Value RowArena.AppendRow decodes shares the
 // bytes of a raw read, which are never rewritten -- so no Value aliases a
-// buffer someone may reuse.
+// buffer someone may reuse, except one DecodeRowBorrowed decodes, which lives
+// no longer than its buffer (Clone gives it its own payload).
 type Value struct {
 	kind Kind   // 0 = NULL
 	num  uint64 // KindInt: the int64; KindFloat: the IEEE bits
@@ -108,6 +110,15 @@ func (v Value) Bytes() []byte {
 		return nil
 	}
 	return []byte(v.s)
+}
+
+// Clone returns v with a payload of its own: what a holder of a borrowed
+// Value (DecodeRowBorrowed) keeps past the buffer's life.
+func (v Value) Clone() Value {
+	if v.kind == KindString || v.kind == KindBytes {
+		v.s = strings.Clone(v.s)
+	}
+	return v
 }
 
 // String renders the value for diagnostics.
@@ -220,17 +231,26 @@ func encodedRowLen(row Row) int {
 // DecodeRow parses an encoded row. String and bytes payloads are copied so
 // the result does not alias storage-backed buffers.
 func DecodeRow(buf []byte) (Row, error) {
-	row, _, err := DecodeRowPrefix(nil, buf)
+	row, _, err := decodeRowPrefix(nil, buf, false)
 	return row, err
 }
 
-// DecodeRowPrefix parses an encoded row from the front of buf and returns
+// DecodeRowBorrowed parses an encoded row from the front of buf and returns
 // the unconsumed remainder, so callers can decode rows packed back to back.
 // The row is decoded into dst's backing array when it has room (a caller
 // that owns dst reuses one row across decodes), into a fresh one otherwise.
-// Payloads are copied as in DecodeRow: all of the row's string and bytes
-// values share one private copy of the row's bytes.
-func DecodeRowPrefix(dst Row, buf []byte) (Row, []byte, error) {
+// Unlike DecodeRow's, the row's string and bytes values point into buf, so
+// the row is valid only while buf's bytes are -- a request's arguments,
+// decoded straight out of its frame, live as long as the request. A holder
+// that keeps one of them longer keeps a Clone.
+func DecodeRowBorrowed(dst Row, buf []byte) (Row, []byte, error) {
+	return decodeRowPrefix(dst, buf, true)
+}
+
+// decodeRowPrefix is DecodeRowBorrowed, or with borrow false DecodeRow's
+// decode: all of the row's string and bytes values share one private copy of
+// the row's bytes.
+func decodeRowPrefix(dst Row, buf []byte, borrow bool) (Row, []byte, error) {
 	end, nVals, hasVar, err := measureRows(buf, 1)
 	if err != nil {
 		return nil, nil, err
@@ -240,7 +260,7 @@ func DecodeRowPrefix(dst Row, buf []byte) (Row, []byte, error) {
 		row = make(Row, nVals)
 	}
 	row = row[:nVals]
-	fillRows(buf[:end], 1, hasVar, row, nil)
+	fillRows(buf[:end], 1, hasVar, borrow, row, nil)
 	return row, buf[end:], nil
 }
 
@@ -274,7 +294,7 @@ func DecodeRows(dst *RowArena, data []byte, n int) ([]Row, []byte, error) {
 		return nil, data, nil
 	}
 	rows, vals := dst.take(n, nVals)
-	fillRows(data[:end], n, hasVar, vals, rows)
+	fillRows(data[:end], n, hasVar, false, vals, rows)
 	return rows, data[end:], nil
 }
 
@@ -449,11 +469,15 @@ func measureRows(p []byte, n int) (end, nVals int, hasVar bool, err error) {
 }
 
 // fillRows decodes the n rows measureRows validated in p into vals, carving
-// rows[i] out of vals when rows is non-nil. hasVar says a private copy of p
-// is needed for string and bytes values to point into.
-func fillRows(p []byte, n int, hasVar bool, vals []Value, rows []Row) {
+// rows[i] out of vals when rows is non-nil. hasVar says string or bytes
+// values need bytes to point into: a private copy of p, or with borrow p
+// itself.
+func fillRows(p []byte, n int, hasVar, borrow bool, vals []Value, rows []Row) {
 	var blob string
-	if hasVar {
+	switch {
+	case hasVar && borrow:
+		blob = unsafe.String(unsafe.SliceData(p), len(p))
+	case hasVar:
 		blob = string(p)
 	}
 	pos, vi := 0, 0

@@ -42,6 +42,28 @@ type DB interface {
 	Begin(worker int) (Txn, error)
 }
 
+// Rebeginner is optionally implemented by engines whose transactions that
+// finished without writing can begin again in the same handle. A caller
+// that owns such a handle -- the SQL layer's session, for its auto-commit
+// SELECTs and its cursors -- begins each read in it instead of allocating
+// one. A transaction that wrote is never reused: a reader that found it
+// while it was in flight may still hold it.
+type Rebeginner interface {
+	// Rebegin begins a transaction on worker, in prev's handle when prev is
+	// a finished transaction of this engine that wrote nothing, in a fresh
+	// one otherwise.
+	Rebegin(worker int, prev Txn) (Txn, error)
+}
+
+// BeginReusing begins a transaction on db, in prev's handle when db is a
+// Rebeginner that can reuse it (prev may be nil).
+func BeginReusing(db DB, worker int, prev Txn) (Txn, error) {
+	if r, ok := db.(Rebeginner); ok && prev != nil {
+		return r.Rebegin(worker, prev)
+	}
+	return db.Begin(worker)
+}
+
 // AsyncCommitter is optionally implemented by transactions that support
 // pipelined commits (HiEngine, Section 4.2): CommitAsync makes the
 // transaction's effects visible, frees the worker immediately, and invokes
@@ -82,9 +104,11 @@ type Importer interface {
 	Import(table string, row core.Row) error
 }
 
-// Txn is one transaction. Rows and keys passed in are borrowed for the call:
-// an engine that keeps any of one copies it, so a caller may bind every
-// statement's values into the same scratch.
+// Txn is one transaction. Rows and keys passed in are borrowed for the call,
+// their values' payloads included: an engine that keeps any of one copies it
+// (core.Value.Clone), so a caller may bind every statement's values into the
+// same scratch, and the network server hands the engine arguments that point
+// into the request they came in.
 type Txn interface {
 	Commit() error
 	Abort() error
@@ -115,6 +139,17 @@ type RawReader interface {
 	// ScanPrefixRaw is ScanPrefix handing fn encoded rows, each with its
 	// RID where the engine has one (0 where it does not).
 	ScanPrefixRaw(table string, idx int, prefix []core.Value, fn func(rid core.RID, payload []byte) bool) error
+}
+
+// RangeReader is optionally implemented by transactions that can scan a
+// range of raw index keys and say, row by row, which entry they are on: a
+// reader that stopped mid-scan resumes just past the last key it saw (the
+// SQL layer's cursor pages, each a scan of its own under one snapshot).
+type RangeReader interface {
+	// ScanRangeRaw visits, in key order, the rows whose index-idx keys fall
+	// in [from, to), handing fn each entry's key (valid for the call) and
+	// the encoded row (as RawReader's), until fn returns false.
+	ScanRangeRaw(table string, idx int, from, to []byte, fn func(key, payload []byte) bool) error
 }
 
 // ColumnUpdater is optionally implemented by transactions that can run a

@@ -54,12 +54,12 @@ const (
 	// StageRespond: encoding + writing the response frame.
 	StageRespond
 	// StageCursorOpen: opening a streaming cursor — planning the SELECT and
-	// starting its producer goroutine (OpScanOpen). Appended after
+	// beginning its read transaction (OpScanOpen). Appended after
 	// StageRespond for wire stability, so cursor traces are the one case
 	// where enum order is not strict pipeline order.
 	StageCursorOpen
-	// StageCursorProduce: pulling rows from the cursor's producer for one
-	// page (OpScanOpen's first page and every OpScanNext).
+	// StageCursorProduce: scanning one page of the cursor's rows
+	// (OpScanOpen's first page and every OpScanNext).
 	StageCursorProduce
 
 	// NumStages is the number of pipeline stages.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -21,14 +22,21 @@ import (
 // Result, row arrays and column names, a read-only commit allocates nothing,
 // and neither does the GC pass a commit's garbage meets, a transaction is one
 // allocation on the server, and a commit's callbacks are records the session
-// and the connection reuse (before: 13.01, 16.00, 10.22, 34.26 for the
+// and the connection reuse, a read-only transaction begins in the handle
+// its session's last one finished in, the server's arguments point into the
+// request frame, and a cursor's pages are pulled through a stream the
+// connection reopens in place (before: 13.01, 16.00, 10.22, 34.26 for the
 // prepared and text SELECT, the UPDATE and the transaction; 5.01, 7.21 and
 // 19.26 for the prepared three while a prepared statement's result was a
 // fresh one; 6.21 and 11.27 for the last two while a GC pass built its lists
 // afresh; 2.06, 9.05, 6.12 and 11.16 while a transaction was two allocations
-// and a commit made two closures) -- the most each read beside two spinning
+// and a commit made two closures; 1.06, 8.05 and 8.16 for the SELECTs and
+// the transaction while a read-only transaction was a fresh handle and the
+// server copied its arguments) -- the most each read beside two spinning
 // cores, plus 0.05: no later change may add an allocation to a request. The
-// last row is the benchmark's own oltp_wire transaction.
+// transaction is the benchmark's own oltp_wire one, the cursor scan
+// scan_wire's every tenth: of its 15, 12 are the three arrays each of the
+// four pages decodes into, which the caller keeps.
 func TestServiceRoundTripAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -58,6 +66,32 @@ func TestServiceRoundTripAllocs(t *testing.T) {
 	two := []core.Value{core.I(5), core.I(1)}
 	txn, _ := benchTxn(t, s)
 	var txns int64
+	_, err = s.Exec("CREATE TABLE g (grp INT, id INT, c TEXT, PRIMARY KEY(grp, id))")
+	must(err)
+	for i := int64(0); i < 100; i++ {
+		_, err = s.Exec("INSERT INTO g VALUES (1, ?, 'a text column of some length')", core.I(i))
+		must(err)
+	}
+	var kept []core.Row
+	scan := func() error { // 100 rows in pages of 32: the open and three more pages
+		s.SetFetchSize(32)
+		defer s.SetFetchSize(0)
+		rows, err := s.Query("SELECT id, c FROM g WHERE grp = ?", one...)
+		if err != nil {
+			return err
+		}
+		kept = kept[:0]
+		for rows.Next() {
+			kept = append(kept, rows.Row())
+		}
+		if err := rows.Close(); err != nil {
+			return err
+		}
+		if len(kept) != 100 {
+			return fmt.Errorf("cursor scan: %d rows, want 100", len(kept))
+		}
+		return nil
+	}
 
 	cases := []struct {
 		name string
@@ -65,8 +99,8 @@ func TestServiceRoundTripAllocs(t *testing.T) {
 		op   func() error
 	}{
 		{"ping", 0.05, s.Ping},
-		{"prepared point SELECT", 1.06, func() error { _, err := sel.Exec(one...); return err }},
-		{"text point SELECT", 8.05, func() error { _, err := s.Exec("SELECT v FROM a WHERE k = ?", one...); return err }},
+		{"prepared point SELECT", 0.06, func() error { _, err := sel.Exec(one...); return err }},
+		{"text point SELECT", 7.05, func() error { _, err := s.Exec("SELECT v FROM a WHERE k = ?", one...); return err }},
 		{"empty BEGIN+COMMIT", 0.05, func() error { // no request at all
 			if err := s.Begin(); err != nil {
 				return err
@@ -82,7 +116,8 @@ func TestServiceRoundTripAllocs(t *testing.T) {
 			}
 			return s.Commit()
 		}},
-		{"BEGIN, 2 SELECT, UPDATE, INSERT, COMMIT", 8.16, func() error { txns++; return txn(txns) }},
+		{"BEGIN, 2 SELECT, UPDATE, INSERT, COMMIT", 6.12, func() error { txns++; return txn(txns) }},
+		{"100-row cursor scan in 4 pages", 15.06, scan},
 	}
 	// With the collector off, sync.Pool keeps what it is given and the
 	// counts repeat; the loop allocates a few MB at most.

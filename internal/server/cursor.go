@@ -1,17 +1,14 @@
 // Streaming scans: the server side of the cursor protocol
-// (OpScanOpen/OpScanNext/OpScanClose).
-//
-// A cursor is a connection-scoped handle over a sqlfront.RowStream: one
-// SELECT pinned to its own MVCC snapshot, drained in bounded pages. Each
-// cursor leases its own worker slot (a pinned snapshot is engine work in
-// flight, exactly like a transaction) and holds it until the scan is
-// exhausted, closed, or the connection dies. The cursor table is bounded
-// (Config.maxCursors); reaping rides the connection lifecycle -- while any
-// cursor is open the read loop waits under readTimeout instead of
-// idleTimeout, and teardown closes every cursor -- so an abandoned cursor
-// can pin its slot for at most one read budget. Graceful drain finishes
-// the page in flight and then refuses further OpScanNext with CodeClosed
-// (handle()'s admission check), cancelling the cursor with the connection.
+// (OpScanOpen/OpScanNext/OpScanClose). A cursor is a connection-scoped
+// handle over a sqlfront.RowStream: one SELECT pinned to its own MVCC
+// snapshot, its bounded pages pulled by the read loop. Each cursor leases
+// its own worker slot (a pinned snapshot is engine work in flight, like a
+// transaction) until the scan is exhausted, closed, or the connection dies.
+// The table is bounded (Config.maxCursors); while any cursor is open the
+// read loop waits under readTimeout, not idleTimeout, and teardown closes
+// every cursor, so an abandoned one pins its slot for one read budget at
+// most. Graceful drain finishes the page in flight, then refuses OpScanNext
+// with CodeClosed (handle()'s admission check).
 package server
 
 import (
@@ -34,9 +31,10 @@ const defaultFetchRows = 256
 const pageByteCap = 1 << 20
 
 // cursorEntry is one open cursor: its row stream, the worker slot it
-// leases, and its default page size.
+// leases, and its default page size. A closed one's entry goes to the
+// connection's free list, and the next cursor reuses its stream.
 type cursorEntry struct {
-	rs    *sqlfront.RowStream
+	rs    sqlfront.RowStream
 	slot  int
 	fetch int
 }
@@ -63,9 +61,8 @@ func (s *Server) leaseSlot(tr *obs.Trace) (int, error) {
 	}
 }
 
-// scanOpen handles OpScanOpen: parse/plan the SELECT, pin its snapshot in a
-// dedicated stream transaction under a freshly leased worker slot, register
-// the cursor and answer with the first page.
+// scanOpen handles OpScanOpen: plan the SELECT, pin its snapshot under a
+// freshly leased worker slot, register the cursor, answer its first page.
 func (c *conn) scanOpen(rq request, p []byte) bool {
 	fetch, sql, args, err := wire.DecodeScanOpen(p)
 	if err != nil {
@@ -83,14 +80,14 @@ func (c *conn) scanOpen(rq request, p []byte) bool {
 	if err != nil {
 		return rq.fail(err)
 	}
-	// The stream gets its own throwaway session bound to the leased slot:
-	// the connection's session keeps serving interleaved statements while
-	// the cursor is open, and an engine transaction must stay
-	// single-goroutine (the stream's producer owns it). That ownership
-	// split is why cursor stages are attributed here on the connection's
-	// trace: the producer's transaction can never carry them.
+	var ce *cursorEntry
+	if n := len(c.curFree); n > 0 {
+		ce, c.curFree = c.curFree[n-1], c.curFree[:n-1]
+	} else {
+		ce = new(cursorEntry)
+	}
 	c.tr.Begin(obs.StageCursorOpen)
-	rs, err := c.s.cfg.Frontend.NewSession(slot).ExecStream(sql, args...)
+	err = c.sess.OpenStream(&ce.rs, slot, sql, args...)
 	c.tr.End(obs.StageCursorOpen)
 	if err != nil {
 		c.s.slots <- slot
@@ -104,8 +101,8 @@ func (c *conn) scanOpen(rq request, p []byte) bool {
 	if c.cursors == nil {
 		c.cursors = make(map[uint64]*cursorEntry)
 	}
+	ce.slot, ce.fetch = slot, fetch
 	c.curSeq++
-	ce := &cursorEntry{rs: rs, slot: slot, fetch: fetch}
 	c.cursors[c.curSeq] = ce
 	c.s.mCursorsOpen.Add(1)
 	return c.cursorPage(rq, c.curSeq, ce, fetch)
@@ -151,12 +148,11 @@ func (c *conn) cursorPage(rq request, id uint64, ce *cursorEntry, fetch int) boo
 		fetch = ce.fetch
 	}
 	rowsBP := wire.GetBuf()
-	defer wire.PutBuf(rowsBP)
-	rows := sqlfront.RowBuf{Data: (*rowsBP)[:0]}
+	c.rows = sqlfront.RowBuf{Data: (*rowsBP)[:0]}
+	defer c.putRows(rowsBP)
 	c.tr.Begin(obs.StageCursorProduce)
-	done, err := ce.rs.NextPage(&rows, fetch, pageByteCap)
+	done, err := ce.rs.NextPage(&c.rows, fetch, pageByteCap)
 	c.tr.End(obs.StageCursorProduce)
-	*rowsBP = rows.Data
 	if done || err != nil {
 		c.closeCursor(id, ce)
 	}
@@ -164,15 +160,15 @@ func (c *conn) cursorPage(rq request, id uint64, ce *cursorEntry, fetch int) boo
 		return rq.fail(err)
 	}
 	return rq.okBuilt(func(buf []byte) []byte {
-		return wire.AppendCursorPage(buf, id, done, ce.rs.Columns, rows.N, rows.Data)
+		return wire.AppendCursorPage(buf, id, done, ce.rs.Columns, c.rows.N, c.rows.Data)
 	})
 }
 
-// closeCursor finishes a cursor's stream (unwinding its producer and its
-// pinned transaction), returns its worker slot and drops it from the table.
+// closeCursor ends a cursor's stream, returns its slot and frees its entry.
 func (c *conn) closeCursor(id uint64, ce *cursorEntry) {
 	ce.rs.Close()
 	c.s.slots <- ce.slot
 	delete(c.cursors, id)
+	c.curFree = append(c.curFree, ce)
 	c.s.mCursorsOpen.Add(-1)
 }

@@ -267,6 +267,11 @@ func (c *Config) fill() {
 // Server is one wire-protocol endpoint.
 type Server struct {
 	cfg Config
+	// handled, when set, sees each request frame's payload once its handler
+	// has returned, before the read loop reads the next frame over it: this
+	// package's tests overwrite it there (export_test.go), so that whatever
+	// kept a piece of a request past the request reads garbage.
+	handled func(payload []byte)
 
 	ln       net.Listener
 	slots    chan int      // worker-slot lease pool
@@ -541,11 +546,15 @@ type conn struct {
 	// Config.maxCursors; each entry leases its own worker slot.
 	cursors map[uint64]*cursorEntry
 	curSeq  uint64
+	// curFree holds closed cursors' entries, which the next cursors open in
+	// (at most maxCursors: every entry was once in the table).
+	curFree []*cursorEntry
 
-	// Statement scratch, the read loop's, valid for one OpExec or
-	// OpExecStmt: args is the row its arguments decode into (a cursor and a
-	// batch decode their own, which they keep), rows the sink its result rows
-	// are encoded into, over a pooled buffer lent for the statement.
+	// Statement scratch, the read loop's, valid for one request: args is the
+	// row an OpExec's or OpExecStmt's arguments decode into (a cursor and a
+	// batch decode their own), rows the sink a statement's result rows or a
+	// cursor's page are encoded into, over a pooled buffer lent for the
+	// request.
 	args core.Row
 	rows sqlfront.RowBuf
 
@@ -670,7 +679,11 @@ func (c *conn) serve() {
 		// (the last tag before Finish wins).
 		c.tr.SetOp(f.Op.String())
 		c.s.mBytesIn.Add(int64(fr.WireLen()))
-		if !c.handle(f) {
+		ok := c.handle(f)
+		if c.s.handled != nil {
+			c.s.handled(f.Payload)
+		}
+		if !ok {
 			return
 		}
 	}

@@ -40,6 +40,13 @@ func newHarness(t testing.TB, mutate func(*Config), eng *chaos.Engine) *harness 
 
 func newHarnessModel(t testing.TB, model *delay.Model, mutate func(*Config), eng *chaos.Engine) *harness {
 	t.Helper()
+	return newHarnessServer(t, model, mutate, eng, nil)
+}
+
+// newHarnessServer is newHarnessModel calling prep, when set, on the server
+// before it serves.
+func newHarnessServer(t testing.TB, model *delay.Model, mutate func(*Config), eng *chaos.Engine, prep func(*Server)) *harness {
+	t.Helper()
 	reg := obs.NewRegistry("servertest")
 	// The chaos engine reaches the storage stack (wal, srss sites) through
 	// the SRSS service, so server-level tests can also inject storage
@@ -85,6 +92,9 @@ func newHarnessModel(t testing.TB, model *delay.Model, mutate func(*Config), eng
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if prep != nil {
+		prep(srv)
 	}
 	go srv.Serve(ln)
 	h := &harness{engine: engine, inno: inno, srv: srv, addr: ln.Addr().String(), reg: reg}

@@ -157,6 +157,78 @@ func TestStreamSnapshotUnderWriters(t *testing.T) {
 	}
 }
 
+// TestCursorInterleavedWithUpdates: a cursor's pages are scans of their own,
+// each resumed past the last key the one before stopped at, between which
+// the same connection updates, deletes and inserts rows ahead of the cursor
+// and behind it. Every page reads the snapshot the cursor opened: each
+// original row once, in key order, with its original value, and no row
+// inserted since. innodb reads no snapshot, only its live B-tree: there
+// rows deleted and inserted behind the cursor's position move none of the
+// rows still ahead of it.
+func TestCursorInterleavedWithUpdates(t *testing.T) {
+	h := newHarness(t, nil, nil)
+	s, err := h.client(t, nil).Session()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	exec := func(sql string, args ...core.Value) {
+		t.Helper()
+		if _, err := s.Exec(sql, args...); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	const n = 100
+	s.SetFetchSize(4)
+	for _, tc := range []struct {
+		engine string
+		// between runs when the cursor has handed out id last, a page's
+		// last row: the next page resumes after it.
+		between func(tbl string, last int64)
+	}{
+		{"", func(tbl string, last int64) {
+			exec("UPDATE "+tbl+" SET v = 'new' WHERE id = ?", core.I(last))   // behind
+			exec("UPDATE "+tbl+" SET v = 'new' WHERE id = ?", core.I(last+2)) // the next page's first
+			exec("INSERT INTO "+tbl+" VALUES (?, 'late')", core.I(last+1))    // just past the resume key
+			if last+4 < n {
+				exec("DELETE FROM "+tbl+" WHERE id = ?", core.I(last+4))
+			}
+		}},
+		{" WITH ENGINE=innodb", func(tbl string, last int64) {
+			exec("DELETE FROM "+tbl+" WHERE id = ?", core.I(last-2))
+			exec("DELETE FROM "+tbl+" WHERE id = ?", core.I(last))
+			exec("INSERT INTO "+tbl+" VALUES (?, 'late')", core.I(last-1))
+		}},
+	} {
+		tbl := "il" + fmt.Sprint(len(tc.engine))
+		exec("CREATE TABLE " + tbl + " (id INT, v TEXT, PRIMARY KEY(id))" + tc.engine)
+		for i := int64(0); i < n; i += 2 { // even ids now, odd ones inserted under the cursor
+			exec("INSERT INTO "+tbl+" VALUES (?, 'old')", core.I(i))
+		}
+		rows, err := s.Query("SELECT id, v FROM " + tbl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := int64(0)
+		for rows.Next() {
+			if id, v := rows.Row()[0].Int(), rows.Row()[1].Str(); id != next || v != "old" {
+				t.Fatalf("%s: cursor row (%d, %q), want (%d, \"old\")", tbl, id, v, next)
+			}
+			if next%8 == 6 {
+				tc.between(tbl, next)
+			}
+			next += 2
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatal(err)
+		}
+		rows.Close()
+		if next != n {
+			t.Fatalf("%s: the cursor ended at id %d, want %d", tbl, next, n)
+		}
+	}
+}
+
 // rawRequest round-trips one hand-built frame on a raw connection.
 func rawRequest(t *testing.T, nc net.Conn, id uint64, op wire.Op, payload []byte) (wire.Code, string, []byte) {
 	t.Helper()
@@ -210,7 +282,7 @@ func TestCursorGoneAndIdempotentClose(t *testing.T) {
 	defer nc.Close()
 
 	// ScanNext on a cursor that never existed.
-	code, msg, _ := rawRequest(t, nc, 1, wire.OpScanNext, wire.EncodeScanNext(42, 10))
+	code, msg, _ := rawRequest(t, nc, 1, wire.OpScanNext, wire.AppendScanNext(nil, 42, 10))
 	if code != wire.CodeCursorGone {
 		t.Fatalf("unknown cursor: code %v (%s), want cursor_gone", code, msg)
 	}
@@ -223,11 +295,11 @@ func TestCursorGoneAndIdempotentClose(t *testing.T) {
 	if code != wire.CodeOK {
 		t.Fatalf("scan open: code %v (%s)", code, msg)
 	}
-	id, done, res, err := wire.DecodeCursorPage(body)
+	id, done, res, err := wire.DecodeCursorPage(body, nil)
 	if err != nil || !done || len(res.Rows) != 1 {
 		t.Fatalf("first page: id=%d done=%v rows=%d err=%v", id, done, len(res.Rows), err)
 	}
-	if code, msg, _ = rawRequest(t, nc, 4, wire.OpScanNext, wire.EncodeScanNext(id, 10)); code != wire.CodeCursorGone {
+	if code, msg, _ = rawRequest(t, nc, 4, wire.OpScanNext, wire.AppendScanNext(nil, id, 10)); code != wire.CodeCursorGone {
 		t.Fatalf("next after done: code %v (%s), want cursor_gone", code, msg)
 	}
 	// The connection survived every refusal above.

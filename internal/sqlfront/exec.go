@@ -208,9 +208,12 @@ type Session struct {
 
 	// sel and arena are SELECT scratch reused across statements (a session
 	// runs one at a time): the scan state, and the arrays Session.Exec
-	// decodes a result into before copying it out.
+	// decodes a result into before copying it out. read is the transaction
+	// handle of the last auto-commit SELECT, which the next one begins in:
+	// a transaction that wrote nothing may begin again (engineapi.Rebeginner).
 	sel   selectRun
 	arena core.RowArena
+	read  engineapi.Txn
 
 	// vals, where and set are what a write statement binds its parameters
 	// into -- an INSERT's row or a key, an UPDATE's residual conditions and
@@ -487,9 +490,11 @@ func (s *Session) begin() error {
 }
 
 // txnFor returns the open transaction bound to ti's engine, opening an
-// auto-commit transaction when none is open. Queries in one transaction
-// cannot span engines (Section 3.4's current limitation).
-func (s *Session) txnFor(ti *tableInfo) (engineapi.Txn, bool, error) {
+// auto-commit transaction when none is open: for a read (an auto-commit
+// SELECT), in the handle the session's previous read finished in
+// (engineapi.BeginReusing). Queries in one transaction cannot span engines
+// (Section 3.4's current limitation).
+func (s *Session) txnFor(ti *tableInfo, read bool) (engineapi.Txn, bool, error) {
 	if s.txnEngine == "?pending" {
 		t, err := ti.db.Begin(s.worker)
 		if err != nil {
@@ -507,7 +512,14 @@ func (s *Session) txnFor(ti *tableInfo) (engineapi.Txn, bool, error) {
 		}
 		return s.txn, false, nil
 	}
-	t, err := ti.db.Begin(s.worker)
+	var t engineapi.Txn
+	var err error
+	if read {
+		t, err = engineapi.BeginReusing(ti.db, s.worker, s.read)
+		s.read = t
+	} else {
+		t, err = ti.db.Begin(s.worker)
+	}
 	if err != nil {
 		return nil, false, err
 	}
@@ -886,7 +898,7 @@ func (f *Frontend) compile(st stmt) (func(*Session, []core.Value) (*Result, erro
 		}
 		vals := st.vals
 		return func(s *Session, args []core.Value) (*Result, error) {
-			tx, auto, err := s.txnFor(ti)
+			tx, auto, err := s.txnFor(ti, false)
 			if err != nil {
 				return nil, err
 			}
@@ -925,7 +937,7 @@ func (f *Frontend) compile(st stmt) (func(*Session, []core.Value) (*Result, erro
 		}
 		residual := pl.residual
 		return func(s *Session, args []core.Value) (*Result, error) {
-			tx, auto, err := s.txnFor(ti)
+			tx, auto, err := s.txnFor(ti, false)
 			if err != nil {
 				return nil, err
 			}
@@ -969,7 +981,7 @@ func (f *Frontend) compile(st stmt) (func(*Session, []core.Value) (*Result, erro
 			return nil, fmt.Errorf("%w: DELETE requires full primary key equality", ErrBadPlan)
 		}
 		return func(s *Session, args []core.Value) (*Result, error) {
-			tx, auto, err := s.txnFor(ti)
+			tx, auto, err := s.txnFor(ti, false)
 			if err != nil {
 				return nil, err
 			}

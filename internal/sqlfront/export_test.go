@@ -2,6 +2,16 @@ package sqlfront
 
 import "hiengine/internal/core"
 
+// ExecStream opens a streaming SELECT on the session's own worker: the
+// tests' way into OpenStream.
+func (s *Session) ExecStream(sql string, args ...core.Value) (*RowStream, error) {
+	rs := new(RowStream)
+	if err := s.OpenStream(rs, s.worker, sql, args...); err != nil {
+		return nil, err
+	}
+	return rs, nil
+}
+
 // NextRow returns the next row. ok=false means the stream is finished: err
 // then carries the terminal status (nil on clean exhaustion; the scan or
 // its read-only commit error otherwise). After ok=false the stream is

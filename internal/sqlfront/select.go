@@ -21,7 +21,7 @@ type RowBuf struct {
 
 // selectPlan is a compiled SELECT: every name resolved to a position at
 // compile time, shared through the plan cache. It is the one select core:
-// Exec, ExecEncoded and ExecStream all drive it through a selectRun.
+// Exec, ExecEncoded and a RowStream all drive it through a selectRun.
 type selectPlan struct {
 	ti    *tableInfo
 	pl    plan
@@ -52,7 +52,8 @@ func (f *Frontend) compileSelect(st *selectStmt) (*selectPlan, error) {
 }
 
 // selectRun is one execution of a selectPlan: the per-row state of the scan
-// callback. A session reuses one across its statements; a stream owns one.
+// callback. A session reuses one across its statements; a stream owns one
+// across its pages.
 type selectRun struct {
 	p    *selectPlan
 	args []core.Value
@@ -72,9 +73,10 @@ type selectRun struct {
 	get  func(payload []byte) error
 	scan func(rid core.RID, payload []byte) bool
 
-	// emitted, when set, runs after each row lands in sink (a stream hands
-	// a full page over here); returning false ends the scan.
-	emitted func() bool
+	// maxRows and maxBytes bound a stream's page in sink (0: a statement's
+	// result, unbounded); paused says a full page stopped the scan.
+	maxRows, maxBytes int
+	paused            bool
 }
 
 // row is the scan callback: filter on the residual predicate and splice the
@@ -98,10 +100,14 @@ func (r *selectRun) row(_ core.RID, payload []byte) bool {
 		return false
 	}
 	r.sent++
-	if r.emitted != nil && !r.emitted() {
+	if r.p.limit >= 0 && r.sent >= r.p.limit {
 		return false
 	}
-	return r.p.limit < 0 || r.sent < r.p.limit
+	if r.maxRows > 0 && (r.sink.N >= r.maxRows || r.maxBytes > 0 && len(r.sink.Data) >= r.maxBytes) {
+		r.paused = true
+		return false
+	}
+	return true
 }
 
 // run drives the plan's point lookup or prefix scan under tx.
@@ -137,7 +143,7 @@ func (r *selectRun) run(tx engineapi.Txn) error {
 // exec runs the SELECT as one statement of s, appending its rows to sink,
 // or with a nil sink to out.
 func (p *selectPlan) exec(s *Session, args []core.Value, sink *RowBuf, out *core.RowArena) error {
-	tx, auto, err := s.txnFor(p.ti)
+	tx, auto, err := s.txnFor(p.ti, true)
 	if err != nil {
 		return err
 	}

@@ -8,156 +8,147 @@ import (
 	"hiengine/internal/engineapi"
 )
 
-// ErrNotStreamable marks statements that cannot run through ExecStream:
+// ErrNotStreamable marks statements that cannot run through a RowStream:
 // only SELECT produces a row stream.
 var ErrNotStreamable = errors.New("sqlfront: only SELECT can stream")
 
-// RowStream is a resumable scan: a SELECT executing against one pinned
-// MVCC snapshot, handing rows out in demand-driven, bounded pages instead
-// of materializing the full result (the server's cursor protocol sits
-// directly on top of it). The scan runs in a producer goroutine parked
-// inside the engine's scan callback; each NextPage call lends the producer
-// a RowBuf, the producer splices rows into it until the page's row or byte
-// bound is reached, and parks again -- one hand-off per page, nothing
-// buffered beyond it. The producer owns the stream's dedicated read
-// transaction end to end -- it opens under the session's worker slot in
-// ExecStream and is finished (committed on clean exhaustion or early Close,
-// aborted on error; for a read-only snapshot the two are equivalent) only
-// by the producer itself, which keeps the engine transaction
-// single-goroutine.
-//
-// A RowStream is not safe for concurrent use, matching Session. Callers
-// must either drain it to exhaustion or Close it; an abandoned stream pins
-// its snapshot and its producer goroutine forever.
+// errNoRanges fails a stream's scan on an engine whose transactions cannot
+// resume one (engineapi.RangeReader): every engine served here can.
+var errNoRanges = errors.New("sqlfront: engine cannot resume a scan by key")
+
+// RowStream is a SELECT against one pinned MVCC snapshot, handed out in
+// bounded pages (the server's cursors). It holds its read transaction and a
+// resume key: each NextPage runs the select core on the caller's goroutine
+// from just past the last index entry the previous page visited, seeing
+// what one scan would, LIMIT and residual filter included. The transaction
+// ends with the stream (committed, or aborted on error); the next open in
+// the same RowStream begins in its handle (engineapi.Rebeginner). Not safe
+// for concurrent use; an undrained, unclosed one pins its snapshot and slot.
 type RowStream struct {
 	// Columns is the projected column list (nil for SELECT *), known at
 	// open so every page can carry it.
 	Columns []string
 
-	req  chan pageReq  // consumer -> producer: fill this page
-	more chan bool     // producer -> consumer: page handed back; false = scan over
-	stop chan struct{} // closed by Close
-	done chan error    // buffered 1: the producer's terminal status
-
-	finished bool
-	err      error
+	tx   engineapi.Txn // open, or once finished the handle the next open reuses
+	run  selectRun
+	args []core.Value // the stream's own copies: every page reads them
+	// from..to is the key range left; a full page's next from goes to resume
+	// while the scan still reads from.
+	from, to, resume []byte
+	keyed            func(key, payload []byte) bool // entry, bound once
+	finished         bool
+	err              error
 }
 
-// pageReq is one NextPage call: the sink to fill and its bounds.
-type pageReq struct {
-	sink     *RowBuf
-	maxRows  int
-	maxBytes int // <= 0: unbounded
-}
-
-// ExecStream opens a streaming SELECT: the plan is resolved eagerly through
-// the plan cache (errors surface here, never mid-stream), a dedicated read
-// transaction pins the MVCC snapshot, and the returned stream yields rows
-// from that snapshot regardless of concurrent writers. Streaming inside an
-// explicit transaction is refused: the stream's snapshot would not see the
-// transaction's own writes, which is a silent-surprise semantic.
-func (s *Session) ExecStream(sql string, args ...core.Value) (*RowStream, error) {
+// OpenStream opens a streaming SELECT in rs (zero or finished) on worker, a
+// slot the caller holds for the stream's life; plan errors surface here, and
+// the stream copies the arguments it keeps. Refused inside an explicit
+// transaction, whose writes the stream's snapshot would not see.
+func (s *Session) OpenStream(rs *RowStream, worker int, sql string, args ...core.Value) error {
 	if s.InTxn() {
-		return nil, errors.New("sqlfront: cannot stream inside an explicit transaction")
+		return errors.New("sqlfront: cannot stream inside an explicit transaction")
 	}
+	rs.Close()
 	c, _, err := s.f.prepare(sql)
+	switch {
+	case err != nil:
+		return err
+	case c.sel == nil:
+		return ErrNotStreamable
+	case c.nParams != len(args):
+		return fmt.Errorf("%w: statement has %d, got %d", ErrParamCount, c.nParams, len(args))
+	}
+	p := c.sel
+	tx, err := engineapi.BeginReusing(p.ti.db, worker, rs.tx)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if c.sel == nil {
-		return nil, ErrNotStreamable
+	rs.tx, rs.Columns, rs.finished, rs.err = tx, p.cols, false, nil
+	rs.args = rs.args[:0]
+	for _, a := range args {
+		rs.args = append(rs.args, a.Clone())
 	}
-	if c.nParams != len(args) {
-		return nil, fmt.Errorf("%w: statement has %d, got %d", ErrParamCount, c.nParams, len(args))
+	r := &rs.run
+	r.p, r.args, r.sent, r.err = p, rs.args, 0, nil
+	r.key = bindAll(r.key[:0], p.pl.prefix, rs.args)
+	rs.from = core.EncodeKey(rs.from[:0], r.key...)
+	rs.to = core.AppendKeySuccessor(rs.to[:0], rs.from)
+	if rs.keyed == nil {
+		rs.keyed = rs.entry
 	}
-	tx, err := c.sel.ti.db.Begin(s.worker)
-	if err != nil {
-		return nil, err
-	}
-	rs := &RowStream{
-		Columns: c.sel.cols,
-		req:     make(chan pageReq),
-		more:    make(chan bool),
-		stop:    make(chan struct{}),
-		done:    make(chan error, 1),
-	}
-	go rs.produce(s, tx, &selectRun{p: c.sel, args: args})
-	return rs, nil
+	return nil
 }
 
-// produce is the producer goroutine: it waits for the first page request,
-// runs the select core with a page hand-off after every row, finishes the
-// transaction and reports the terminal status.
-func (rs *RowStream) produce(s *Session, tx engineapi.Txn, r *selectRun) {
-	var rq pageReq
-	// next parks until the consumer asks for a page (true) or closes.
-	next := func() bool {
-		select {
-		case rq = <-rs.req:
-			r.sink = rq.sink
-			return true
-		case <-rs.stop:
-			return false
-		}
-	}
-	r.emitted = func() bool {
-		if r.sink.N < rq.maxRows && (rq.maxBytes <= 0 || len(r.sink.Data) < rq.maxBytes) {
-			return true
-		}
-		rs.more <- true
-		return next()
-	}
-	var terr error
-	serving := next()
-	if serving {
-		terr = r.run(tx)
-		// A scan that unwound because Close arrived is not serving a page.
-		select {
-		case <-rs.stop:
-			serving = false
-		default:
-		}
-	}
-	if terr != nil {
-		tx.Abort()
-	} else if terr = tx.Commit(); terr == nil {
-		s.noteCSN(tx)
-	}
-	rs.done <- terr
-	if serving {
-		rs.more <- false
-	}
-}
-
-// NextPage appends the next page to sink: at most maxRows rows, and no more
-// rows once sink.Data has reached maxBytes (<= 0: no byte bound; sink's
-// prior content counts towards both). done=true means the stream is
-// finished and err carries the terminal status (nil on clean exhaustion);
-// the rows appended alongside done=true are the last ones, and none are
-// valid if err != nil.
+// NextPage appends the next page to sink: at most maxRows rows, and none
+// once sink.Data has reached maxBytes (<= 0: no byte bound; sink's prior
+// content counts). done=true means the stream is finished with status err;
+// rows appended alongside it are the last, and none are valid if err != nil.
 func (rs *RowStream) NextPage(sink *RowBuf, maxRows, maxBytes int) (done bool, err error) {
 	if rs.finished {
 		return true, rs.err
 	}
-	rs.req <- pageReq{sink: sink, maxRows: maxRows, maxBytes: maxBytes}
-	if <-rs.more {
+	r := &rs.run
+	r.sink, r.maxRows, r.maxBytes, r.paused = sink, maxRows, maxBytes, false
+	err = rs.scan()
+	r.sink = nil
+	if err == nil && r.paused {
 		return false, nil
 	}
-	rs.finished = true
-	rs.err = <-rs.done
-	return true, rs.err
+	return true, rs.finish(err)
 }
 
-// Close abandons the stream early: the producer unwinds out of the scan,
-// the pinned transaction is finished, and the terminal status is returned.
-// Idempotent; a stream already drained to exhaustion returns its terminal
-// error unchanged.
+// scan runs the select core over what is left of the stream's range.
+func (rs *RowStream) scan() error {
+	r := &rs.run
+	p := r.p
+	var err error
+	rr, ranged := rs.tx.(engineapi.RangeReader)
+	switch {
+	case p.pl.point || p.limit == 0:
+		err = r.run(rs.tx)
+		r.paused = false // one lookup, or nothing: the first page is the last
+	case ranged:
+		err = rr.ScanRangeRaw(p.ti.schema.Name, p.pl.idx, rs.from, rs.to, rs.keyed)
+		if r.paused {
+			rs.from, rs.resume = rs.resume, rs.from
+		}
+	default:
+		err = errNoRanges
+	}
+	if r.err != nil {
+		return r.err
+	}
+	return err
+}
+
+// entry is the range scan's callback: the select core's, recording the
+// resume key, the entry's successor, when the row fills the page.
+func (rs *RowStream) entry(key, payload []byte) bool {
+	ok := rs.run.row(0, payload)
+	if rs.run.paused {
+		rs.resume = append(append(rs.resume[:0], key...), 0)
+	}
+	return ok
+}
+
+// finish ends the transaction (aborted after err) and latches the status.
+func (rs *RowStream) finish(err error) error {
+	if err != nil {
+		rs.tx.Abort()
+	} else {
+		err = rs.tx.Commit()
+	}
+	clear(rs.args)
+	clear(rs.run.key)
+	rs.run.args, rs.finished, rs.err = nil, true, err
+	return err
+}
+
+// Close ends the stream early and returns its terminal status; closing a
+// finished stream returns its status unchanged.
 func (rs *RowStream) Close() error {
-	if rs.finished {
+	if rs.finished || rs.tx == nil {
 		return rs.err
 	}
-	close(rs.stop)
-	rs.finished = true
-	rs.err = <-rs.done
-	return rs.err
+	return rs.finish(nil)
 }

@@ -2,9 +2,14 @@ package sqlfront
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
+	"hiengine/internal/baseline/innosim"
+	"hiengine/internal/baseline/memocc"
 	"hiengine/internal/core"
+	"hiengine/internal/raceflag"
+	"hiengine/internal/srss"
 )
 
 // next decodes the stream's next page of at most max rows; done says it is
@@ -213,5 +218,102 @@ func TestExecStreamLimit(t *testing.T) {
 		if n != tc.want {
 			t.Fatalf("%q streamed %d rows, want %d", tc.sql, n, tc.want)
 		}
+	}
+}
+
+// TestStreamResumesOnEveryEngine: on each engine (HiEngine, innosim,
+// memocc) each page resumes the scan just past the last key the one before
+// visited, and LIMIT and the residual filter carry across pages. One
+// RowStream serves every query, reopened in place; on HiEngine an open and
+// its drain allocate nothing once it has run (its transaction begins in the
+// handle the last one finished in).
+func TestStreamResumesOnEveryEngine(t *testing.T) {
+	f, _ := testFrontend(t)
+	inno, err := innosim.New(innosim.Config{Service: srss.New(srss.Config{}), SegmentSize: 1 << 22})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(inno.Close)
+	f.Register("innodb", inno)
+	mem, err := memocc.New(memocc.Config{Service: srss.New(srss.Config{}), SegmentSize: 1 << 22})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(mem.Close)
+	f.Register("memocc", mem)
+	s := f.NewSession(0)
+	var rs RowStream
+	defer rs.Close()
+	page := RowBuf{Data: make([]byte, 0, 1<<10)}
+	drain := func(sql string, args ...core.Value) (ids []int64) {
+		t.Helper()
+		if err := s.OpenStream(&rs, 1, sql, args...); err != nil {
+			t.Fatal(err)
+		}
+		for done := false; !done; {
+			page = RowBuf{Data: page.Data[:0]}
+			if done, err = rs.NextPage(&page, 4, 0); err != nil {
+				t.Fatal(err)
+			}
+			rows, _, err := core.DecodeRows(nil, page.Data, page.N)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range rows {
+				ids = append(ids, r[0].Int())
+			}
+		}
+		return ids
+	}
+	for _, engine := range []string{"hiengine", "innodb", "memocc"} {
+		tbl := "r" + engine
+		mustExec(t, s, "CREATE TABLE "+tbl+" (grp INT, id INT, tag INT, PRIMARY KEY(grp, id)) WITH ENGINE="+engine)
+		for g := int64(0); g < 3; g++ {
+			for i := int64(0); i < 50; i++ {
+				mustExec(t, s, "INSERT INTO "+tbl+" VALUES (?, ?, ?)", core.I(g), core.I(i), core.I(i%3))
+			}
+		}
+		for _, q := range []struct {
+			where string
+			args  []core.Value
+			ids   func(i int64) bool
+			limit int
+		}{
+			{"grp = ?", []core.Value{core.I(1)}, func(int64) bool { return true }, 50},
+			{"grp = ? AND tag = ?", []core.Value{core.I(1), core.I(2)}, func(i int64) bool { return i%3 == 2 }, 50},
+			{"grp = ? AND tag = ? LIMIT 7", []core.Value{core.I(1), core.I(2)}, func(i int64) bool { return i%3 == 2 }, 7},
+			{"grp = ? LIMIT 8", []core.Value{core.I(2)}, func(int64) bool { return true }, 8},
+		} {
+			var want []int64
+			for i := int64(0); i < 50 && len(want) < q.limit; i++ {
+				if q.ids(i) {
+					want = append(want, i)
+				}
+			}
+			got := drain("SELECT id FROM "+tbl+" WHERE "+q.where, q.args...)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s, %s: streamed %v, want %v", engine, q.where, got, want)
+			}
+		}
+	}
+	args := []core.Value{core.I(1)}
+	count := func() {
+		if err := s.OpenStream(&rs, 1, "SELECT id FROM rhiengine WHERE grp = ?", args...); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for done := false; !done; n += page.N {
+			page = RowBuf{Data: page.Data[:0]}
+			if done, err = rs.NextPage(&page, 4, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n != 50 {
+			t.Fatalf("streamed %d rows, want 50", n)
+		}
+	}
+	count()
+	if avg := testing.AllocsPerRun(20, count); avg > 0 && !raceflag.Enabled {
+		t.Fatalf("reopening a stream and draining 50 rows in pages of 4 allocates %.2f times, want 0", avg)
 	}
 }

@@ -121,12 +121,15 @@ func (r *reader) plogID() (id srss.PLogID) {
 }
 
 // args reads one core.EncodeRow encoding (a statement's argument row) into
-// dst's backing array when it has room (see core.DecodeRowPrefix).
+// dst's backing array when it has room. The row is borrowed
+// (core.DecodeRowBorrowed): its strings point into the payload, so an
+// argument lives as long as the request it came in, and whatever keeps one
+// longer clones it.
 func (r *reader) args(dst []core.Value) []core.Value {
 	if r.err != nil {
 		return nil
 	}
-	row, rest, err := core.DecodeRowPrefix(dst, r.b)
+	row, rest, err := core.DecodeRowBorrowed(dst, r.b)
 	if err != nil {
 		r.fail(fmt.Errorf("%w: %v", ErrPayloadCorrupt, err))
 		return nil
@@ -183,6 +186,8 @@ func AppendExec(buf []byte, sql string, args []core.Value) []byte {
 // DecodeExecFlags parses an OpExec payload and its flags trailer. The
 // argument row is decoded into dst's backing array when it has room: a
 // caller that passes the same row every time decodes without allocating one.
+// Like every request decoder's, the arguments borrow the payload (see
+// reader.args).
 func DecodeExecFlags(payload []byte, dst []core.Value) (sql string, args []core.Value, flags uint64, err error) {
 	r := reader{b: payload}
 	sql, args, flags = r.str(), r.args(dst), r.trailer()
@@ -325,7 +330,7 @@ func DecodeResult(body []byte) (*Result, error) {
 // statement's until its next Exec.
 func DecodeResultCSN(body []byte, dst *Result) (*Result, uint64, error) {
 	r := reader{b: body}
-	res := r.result(dst)
+	res := r.result(dst, true)
 	csn := r.trailer()
 	if r.err != nil {
 		return nil, 0, r.err
@@ -361,12 +366,14 @@ func ResultCSN(body []byte) (uint64, error) {
 // may be a FrameReader's or a pooled buffer, reused as soon as the caller
 // returns. A column name is at least its length byte and a row at least its
 // column-count byte, which is what bounds the two counts. A nil dst decodes
-// into a fresh Result, a non-nil one in place (see DecodeResultCSN).
-func (r *reader) result(dst *Result) *Result {
+// into a fresh Result, a non-nil one in place (see DecodeResultCSN), its
+// rows into its arena when reuseRows says so and into fresh arrays
+// otherwise.
+func (r *reader) result(dst *Result, reuseRows bool) *Result {
 	var arena *core.RowArena
 	if dst == nil {
 		dst = new(Result)
-	} else {
+	} else if reuseRows {
 		arena = &dst.arena
 	}
 	dst.Affected = int(r.uvarint())
@@ -434,10 +441,10 @@ func DecodeScanOpen(payload []byte) (fetchSize int, sql string, args []core.Valu
 	return fetchSize, sql, args, r.err
 }
 
-// EncodeScanNext builds an OpScanNext payload: cursor id, then the fetch
+// AppendScanNext appends an OpScanNext payload: cursor id, then the fetch
 // size for this page (0 keeps the cursor's current size).
-func EncodeScanNext(id uint64, fetchSize int) []byte {
-	buf := binary.AppendUvarint(nil, id)
+func AppendScanNext(buf []byte, id uint64, fetchSize int) []byte {
+	buf = binary.AppendUvarint(buf, id)
 	return binary.AppendUvarint(buf, uint64(fetchSize))
 }
 
@@ -461,10 +468,12 @@ func AppendCursorPage(buf []byte, id uint64, done bool, cols []string, nRows int
 
 // DecodeCursorPage parses a cursor-page body. done=true means the server
 // exhausted the scan and already closed the cursor; the client must not
-// send OpScanNext or OpScanClose for it.
-func DecodeCursorPage(body []byte) (id uint64, done bool, res *Result, err error) {
+// send OpScanNext or OpScanClose for it. A non-nil dst is the Result the
+// page decodes into, its Columns kept when the names equal them; the rows
+// are fresh either way, the caller's to keep past the next page.
+func DecodeCursorPage(body []byte, dst *Result) (id uint64, done bool, res *Result, err error) {
 	r := reader{b: body}
-	id, done, res = r.uvarint(), r.flag(), r.result(nil)
+	id, done, res = r.uvarint(), r.flag(), r.result(dst, false)
 	if err := r.end(); err != nil {
 		return 0, false, nil, err
 	}

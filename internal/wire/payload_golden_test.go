@@ -223,7 +223,7 @@ var goldenPayloads = []goldenPayload{
 		want: execReq{Fetch: 512, SQL: goldenSQL, Args: goldenArgs}},
 	{name: "scan_next", op: OpScanNext,
 		hex: "09" + "8001",
-		enc: func() []byte { return EncodeScanNext(9, 128) },
+		enc: func() []byte { return AppendScanNext(nil, 9, 128) },
 		dec: func(b []byte) (any, error) {
 			id, fetch, err := DecodeScanNext(b)
 			return idReq{id, fetch}, err
@@ -312,7 +312,7 @@ var goldenPayloads = []goldenPayload{
 			return AppendCursorPage(nil, 9, true, goldenResult.Columns, 2, goldenRowData())
 		},
 		dec: func(b []byte) (any, error) {
-			id, done, r, err := DecodeCursorPage(b)
+			id, done, r, err := DecodeCursorPage(b, nil)
 			return page{id, done, r}, err
 		},
 		want: page{9, true, goldenResult}},

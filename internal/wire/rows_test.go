@@ -60,7 +60,7 @@ func TestDecodeResultAllocs(t *testing.T) {
 	}
 	page := AppendCursorPage(nil, 7, true, []string{"id", "c"}, 100, body[len(body)-len(encodeRows(scanResult().Rows)):])
 	avg = testing.AllocsPerRun(100, func() {
-		if _, _, _, err := DecodeCursorPage(page); err != nil {
+		if _, _, _, err := DecodeCursorPage(page, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -226,7 +226,7 @@ func goldenRows() [][]byte {
 }
 
 // FuzzRowWalk: on arbitrary bytes the allocation-free walker never panics,
-// accepts and rejects exactly what DecodeRowPrefix does, agrees with it on
+// accepts and rejects exactly what DecodeRowBorrowed does, agrees with it on
 // every column, and neither of them allocates more than a small multiple
 // of the input's length.
 func FuzzRowWalk(f *testing.F) {
@@ -236,7 +236,7 @@ func FuzzRowWalk(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var v core.RowView
 		rest, verr := v.Reset(data)
-		row, drest, derr := core.DecodeRowPrefix(nil, data)
+		row, drest, derr := core.DecodeRowBorrowed(nil, data)
 		// A column is at least one byte and costs a 32-byte Value, an
 		// 8-byte offset and its share of the copied bytes. TotalAlloc is
 		// process-wide and the fuzzing engine allocates alongside, so the
@@ -247,7 +247,7 @@ func FuzzRowWalk(f *testing.F) {
 			runtime.ReadMemStats(&ms0)
 			var v2 core.RowView
 			v2.Reset(data)
-			core.DecodeRowPrefix(nil, data)
+			core.DecodeRowBorrowed(nil, data)
 			runtime.ReadMemStats(&ms1)
 			grew = min(grew, ms1.TotalAlloc-ms0.TotalAlloc)
 		}
@@ -287,7 +287,7 @@ func FuzzSpliceProjection(f *testing.F) {
 		f.Add(seed, []byte{byte(i), 0, byte(i >> 1), 3})
 	}
 	f.Fuzz(func(t *testing.T, data, pick []byte) {
-		row, rest, err := core.DecodeRowPrefix(nil, data)
+		row, rest, err := core.DecodeRowBorrowed(nil, data)
 		if err != nil {
 			return
 		}
@@ -339,7 +339,7 @@ func FuzzSpliceUpdate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data, pick []byte, num int64, str string) {
 		var v core.RowView
 		rest, verr := v.Reset(data)
-		row, _, derr := core.DecodeRowPrefix(nil, data)
+		row, _, derr := core.DecodeRowBorrowed(nil, data)
 		if (verr == nil) != (derr == nil) {
 			t.Fatalf("walker err %v, decoder err %v", verr, derr)
 		}

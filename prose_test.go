@@ -9,10 +9,10 @@ import (
 // only falls: a change that adds text to one of these files deletes as much
 // from the same file, and one that shrinks a file lowers its bound.
 var proseBudget = map[string]int64{
-	"DESIGN.md":                      137_380,
-	"EXPERIMENTS.md":                 193_867,
-	"CHANGES.md":                     22_813,
-	".claude/skills/verify/SKILL.md": 19_604,
+	"DESIGN.md":                      137_379,
+	"EXPERIMENTS.md":                 193_637,
+	"CHANGES.md":                     22_353,
+	".claude/skills/verify/SKILL.md": 19_600,
 	"benchmark/README.md":            29_930,
 }
 
