@@ -89,7 +89,7 @@ func (db *DB) Begin(worker int) (engineapi.Txn, error) {
 }
 
 // Rebegin implements engineapi.Rebeginner: prev's handle begins again when
-// it is this DB's and its core transaction finished without writing
+// it is this DB's and its core transaction finished unprepared
 // (core.Txn.Reusable).
 func (db *DB) Rebegin(worker int, prev engineapi.Txn) (engineapi.Txn, error) {
 	tx, ok := prev.(*Txn)
@@ -138,11 +138,12 @@ func mapErr(err error) error {
 func (tx *Txn) Commit() error { return mapErr(tx.t.Commit()) }
 
 // CommitAsync implements engineapi.AsyncCommitter: the transaction's
-// versions are visible when this returns; cb fires on durability. cb goes to
-// the engine as it is: a durability error is the log's or the storage
-// service's, never one of the categories mapErr translates.
-func (tx *Txn) CommitAsync(cb func(error)) error {
-	return mapErr(tx.t.CommitAsync(cb))
+// versions are visible when this returns; cb fires on durability with the
+// commit's CSN. cb goes to the engine as it is: a durability error is the
+// log's or the storage service's, never one of the categories mapErr
+// translates.
+func (tx *Txn) CommitAsync(cb func(csn uint64, err error)) error {
+	return mapErr(tx.t.CommitAsyncCSN(cb))
 }
 
 // PrepareAsync implements engineapi.Preparer: the transaction becomes a 2PC

@@ -140,11 +140,15 @@ func TestAdapterAsyncCommit(t *testing.T) {
 		t.Fatal("adapter transactions must support async commit")
 	}
 	done := make(chan error, 1)
-	if err := ac.CommitAsync(func(err error) { done <- err }); err != nil {
+	var csn uint64
+	if err := ac.CommitAsync(func(c uint64, err error) { csn = c; done <- err }); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+	if csn == 0 || csn != tx.(engineapi.CSNReporter).CSN() {
+		t.Fatalf("the durability callback got CSN %d, the transaction committed at %d", csn, tx.(engineapi.CSNReporter).CSN())
 	}
 	tx2, _ := db.Begin(0)
 	if _, err := tx2.GetByKey("t", 0, core.I(7)); err != nil {

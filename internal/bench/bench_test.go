@@ -9,6 +9,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hiengine/internal/delay"
+	"hiengine/internal/numa"
+	"hiengine/internal/workload/tpcc"
 )
 
 // The quick-mode runners double as integration tests: every figure pipeline
@@ -177,6 +181,37 @@ func TestFig6Shape(t *testing.T) {
 	}
 	if !platforms["ARM"] || !platforms["x86"] {
 		t.Errorf("platforms %v, want ARM and x86", platforms)
+	}
+}
+
+// TestTPCCAcrossSocketsChargesTheInterconnect: fig6's quick runs stay on
+// one socket, so this is what reaches runTPCC's per-commit cross-socket
+// charge. Two HiEngine threads run 100 transactions each, on a socket of two
+// cores and then on two sockets of one: spanning them must raise the
+// remote-access fraction and the modelled latency per transaction. Both are
+// ratios of charges, not of wall time; a cross-socket access costs 20 us
+// here, so the charge stands far above what group commit's batching moves
+// the log's share by from run to run.
+func TestTPCCAcrossSocketsChargesTheInterconnect(t *testing.T) {
+	run := func(sockets int) tpccRun {
+		t.Helper()
+		topo := numa.Topology{Name: "tiny", Sockets: sockets, DiesPerSocket: 1, CoresPerDie: 2 / sockets,
+			LocalAccess: 80 * time.Nanosecond, RemoteDie: 80 * time.Nanosecond, RemoteSocket: 20 * time.Microsecond}
+		hi := fig6Engines(delay.CloudProfile(), 2, nil)[0]
+		r, err := runTPCC(hi, topo, 2, 2, tpcc.SmallScale(), 0, true, numa.PolicyLocal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	one, two := run(1), run(2)
+	t.Logf("one socket: %.2f%% remote, %s us/txn; two: %.2f%% remote, %s us/txn",
+		one.remote*100, one.modelled.text, two.remote*100, two.modelled.text)
+	if two.remote <= one.remote {
+		t.Errorf("spanning two sockets left the remote-access fraction at %.4f (one socket: %.4f)", two.remote, one.remote)
+	}
+	if two.modelled.val <= one.modelled.val {
+		t.Errorf("spanning two sockets left the modelled latency at %.2f us/txn (one socket: %.2f)", two.modelled.val, one.modelled.val)
 	}
 }
 

@@ -95,7 +95,8 @@ func runTPCC(eng fig6Engine, topo numa.Topology, threads, warehouses int,
 		return tpccRun{}, err
 	}
 	defer closeFn()
-	if err := tpcc.Load(db, warehouses, sc, 8); err != nil {
+	// At most one loader per worker slot: two on one slot collide.
+	if err := tpcc.Load(db, warehouses, sc, min(8, threads)); err != nil {
 		return tpccRun{}, err
 	}
 	from := m.charged.Load()

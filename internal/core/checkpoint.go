@@ -291,7 +291,9 @@ func recoverLog(cfg Config, manifestID srss.PLogID, opt RecoverOptions) (*applie
 	if cfg.Service == nil {
 		return nil, nil, errors.New("core: Recover requires the SRSS service")
 	}
-	cfg.fill()
+	if err := cfg.fill(); err != nil {
+		return nil, nil, err
+	}
 	if opt.ReplayThreads <= 0 {
 		opt.ReplayThreads = 1
 	}

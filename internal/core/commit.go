@@ -8,15 +8,19 @@ import (
 // durable (persisted and replicated by SRSS on the compute side). Visibility
 // is pipelined: versions become visible to other transactions as soon as the
 // commit sequence number is stamped, while the client acknowledgement waits
-// for durability -- HiEngine's early-commit design (Section 5.2). Read-only
-// transactions commit without touching the log, and without allocating.
+// for durability -- HiEngine's early-commit design (Section 5.2). It waits
+// on a channel the handle keeps. Read-only transactions commit without
+// touching the log, and without allocating.
 func (t *Txn) Commit() error {
 	if readOnly, err := t.commitCheck(); err != nil || readOnly {
 		return err
 	}
-	done := make(chan error, 1)
-	t.commitStart(func(err error) { done <- err })
-	return <-done
+	if t.wait == nil {
+		wait := make(chan error, 1)
+		t.wait, t.waitDone = wait, func(_ uint64, err error) { wait <- err }
+	}
+	t.commitStart(t.waitDone)
+	return <-t.wait
 }
 
 // CommitAsync starts the commit and invokes cb (possibly on an I/O
@@ -24,12 +28,19 @@ func (t *Txn) Commit() error {
 // begin its next transaction -- the commit-pipelining behavior of
 // Section 4.2.
 func (t *Txn) CommitAsync(cb func(error)) error {
+	return t.CommitAsyncCSN(func(_ uint64, err error) { cb(err) })
+}
+
+// CommitAsyncCSN is CommitAsync handing cb the CSN the transaction committed
+// at (0 for one that wrote nothing): the handle may have begun its next
+// transaction by the time cb runs, so the CSN travels with the commit.
+func (t *Txn) CommitAsyncCSN(cb func(csn uint64, err error)) error {
 	readOnly, err := t.commitCheck()
 	if err != nil {
 		return err
 	}
 	if readOnly {
-		cb(nil)
+		cb(0, nil)
 		return nil
 	}
 	t.commitStart(cb)
@@ -62,8 +73,8 @@ func (t *Txn) commitCheck() (readOnly bool, err error) {
 // commitStart runs the synchronous part of a commit commitCheck let through:
 // handing the log buffer to its stream, under whose enqueue lock the CSN is
 // drawn and stamped (writeSet.onStamp). durable is invoked (from the I/O
-// goroutine) with the durability result.
-func (t *Txn) commitStart(durable func(error)) {
+// goroutine) with the CSN and the durability result.
+func (t *Txn) commitStart(durable func(csn uint64, err error)) {
 	// Hand the buffer to the stream's I/O goroutine; the worker slot is
 	// freed immediately (commit pipelining). The write set is the log's
 	// from here: it returns to the slot from the completion callback, which
@@ -84,36 +95,35 @@ func (t *Txn) commitStart(durable func(error)) {
 }
 
 // onStamp is the part of a commit that runs under its log stream's enqueue
-// lock, before the buffer is queued: the CSN is drawn and stamped on
-// everything that carries it. So each stream holds its commits in CSN
-// order, and a log flush that follows a clock reading (wal.Manager.Flush)
-// returns with every commit at or below the reading stamped and landed.
+// lock, before the buffer is queued, on the committing goroutine: the CSN is
+// drawn and stamped on everything that carries it. So each stream holds its
+// commits in CSN order, and a log flush that follows a clock reading
+// (wal.Manager.Flush) returns with every commit at or below the reading
+// stamped and landed.
 func (ws *writeSet) onStamp() {
-	t := ws.txn
+	t, s := ws.txn, ws.slot
 	// Announce the commit before its CSN exists (precommitted, CSN 0): a
 	// snapshot drawn after the clock moves must not find this transaction
 	// still "active" -- it would skip the version now and see it, stamped at
 	// or below its begin, on its next read. A reader that meets the
-	// announcement waits for the CSN (visible), which is drawn next, under
+	// announcement waits for the CSN (visibleTID), which is drawn next, under
 	// the same lock.
-	t.statusWord.Store(packStatus(txPrecommitted, 0))
+	s.status.Store(packStatus(txPrecommitted, 0))
 	// Acquire the commit sequence number (atomic fetch-add on the global
 	// counter, Section 3.5).
 	csn := t.e.clk.Next()
-	t.statusWord.Store(packStatus(txCommitted, csn))
+	s.status.Store(packStatus(txCommitted, csn))
+	t.csn, ws.csn = csn, csn
 
 	// Stamp versions: replace TIDs with the CSN in tmin of new versions
-	// (Section 5.1). After this point other transactions read the new data.
-	// The log buffer takes the CSN once, in its first record, and the end
-	// mark on its last.
+	// (Section 5.1). After this point other transactions read the new data,
+	// and the slot may move on to its next transaction. The log buffer takes
+	// the CSN once, in its first record, and the end mark on its last.
 	for i := range ws.writes {
 		ws.writes[i].newV.tmin.Store(csn)
 	}
 	wal.StampTxn(ws.log, ws.writes[len(ws.writes)-1].logOff, csn)
-	// The status-map entry is only needed while versions still carry the
-	// TID; drop it now that stamping is complete.
-	t.e.status.remove(t.tid)
-	t.slot.retireWrites(ws.writes, csn)
+	s.retireWrites(ws.writes, csn)
 	// A Delay rule here stalls the stream; a Crash rule latches the crash,
 	// which fails the append.
 	_ = t.e.svc.Chaos().Check(SiteCommitDrawn)
@@ -158,7 +168,7 @@ func (t *Txn) Abort() error {
 		// in-doubt until the coordinator's decision arrives via Resolve.
 		return ErrInDoubt
 	}
-	t.statusWord.Store(packStatus(txAborted, 0))
+	t.slot.status.Store(packStatus(txAborted, 0))
 	t.undo()
 	if t.ws != nil {
 		t.ws.release()
@@ -263,16 +273,13 @@ func (e *Engine) chainCarriesKey(u *keyScratch, tbl *Table, i int, rid RID, v, s
 
 // finish marks the transaction terminal and releases its worker slot.
 func (t *Txn) finish(state, csn uint64) {
-	t.statusWord.Store(packStatus(state, csn))
-	if t.registered {
-		t.e.status.remove(t.tid)
-	}
+	t.slot.status.Store(packStatus(state, csn))
 	t.finishSlot()
 	t.finished = true
 }
 
 func (t *Txn) finishSlot() {
-	slot := &t.e.workers[t.worker]
+	slot := t.slot
 	slot.lastRead.Store(t.e.clk.Now())
 	slot.activeBegin.Store(0)
 }

@@ -96,7 +96,10 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-func (c *Config) fill() {
+func (c *Config) fill() error {
+	if c.Workers >= slotless {
+		return fmt.Errorf("core: %d workers, at most %d (a TID names its slot in 16 bits)", c.Workers, slotless-1)
+	}
 	if c.Name == "" {
 		c.Name = "hiengine"
 	}
@@ -121,6 +124,7 @@ func (c *Config) fill() {
 	if c.Obs == nil {
 		c.Obs = obs.NewRegistry(c.Name)
 	}
+	return nil
 }
 
 // workerSlot is per-worker state: the active transaction's begin timestamp
@@ -130,6 +134,11 @@ func (c *Config) fill() {
 type workerSlot struct {
 	activeBegin atomic.Uint64 // 0 = idle
 	lastRead    atomic.Uint64 // last refreshed readCSN
+	// tid and status are the TID and status word (packStatus) of the slot's
+	// live transaction, or of its last one until the next begins: what a
+	// reader that meets the TID in a version resolves it by (resolve). A
+	// prepared transaction hands its TID to the side table and clears tid.
+	tid, status atomic.Uint64
 
 	mu            sync.Mutex
 	retired       []retiredVersion
@@ -152,13 +161,16 @@ type workerSlot struct {
 	hint        art.Hint
 	scan        scanBatch
 	// What the slot's last committing transaction filled of its log buffer:
-	// the next one's buffer is allocated that size. The active
-	// transaction's, like the scratch.
+	// the next one's buffer is carved that size from arena, what is left of
+	// the slot's current log arena (carve). seq is the sequence number of
+	// the slot's last TID. The active transaction's, like the scratch.
 	lastLogBytes int
+	arena        []byte
+	seq          uint64
 	// Slots sit side by side in Engine.workers. Whole cache lines keep one
-	// slot's writes off the line of its neighbour's activeBegin and mu
-	// (TestWorkerSlotIsWholeCacheLines).
-	_ [48]byte
+	// slot's writes off the line of its neighbour's activeBegin, tid and mu
+	// (TestWorkerSlotIsWholeCacheLines): the fields fill 19 lines exactly,
+	// so no padding is needed until one is added.
 }
 
 // Engine is a HiEngine instance.
@@ -184,8 +196,9 @@ type Engine struct {
 	// to core; internal/shard owns the encoding) for the same reason.
 	lastShardPayload []byte
 
-	tidSeq atomic.Uint64
-	status *statusMap
+	// side resolves the TIDs no worker slot holds: prepared and in-doubt
+	// 2PC transactions (tidTable).
+	side tidTable
 
 	// pend2pc tracks global (2PC) transactions prepared on this node, keyed
 	// by gtid. Undecided entries are the in-doubt list; decided entries are
@@ -260,7 +273,9 @@ type Engine struct {
 
 // Open creates a fresh engine instance.
 func Open(cfg Config) (*Engine, error) {
-	cfg.fill()
+	if err := cfg.fill(); err != nil {
+		return nil, err
+	}
 	e := newEngine(cfg)
 	manifest, err := e.svc.Create(srss.TierCompute)
 	if err != nil {
@@ -297,7 +312,7 @@ func newEngine(cfg Config) *Engine {
 		clk:        clock.NewCounter(1),
 		tables:     make(map[string]*Table),
 		tablesByID: make(map[uint32]*Table),
-		status:     newStatusMap(),
+		side:       tidTable{m: make(map[uint64]uint64)},
 		workers:    make([]workerSlot, cfg.Workers),
 		pend2pc:    make(map[string]*pend2pcEntry),
 	}
@@ -727,8 +742,8 @@ func (e *Engine) ImportRow(tbl *Table, row Row) (RID, error) {
 		return 0, err
 	}
 	// The row is reserved under its key's lock by a version carrying a TID
-	// no transaction owns -- invisible to readers, a conflict to writers of
-	// the key -- and logged once the lock is released: the log's I/O
+	// no transaction owns (ownerlessTID) -- invisible to readers, a conflict
+	// to writers of the key -- and logged once the lock is released: the log's I/O
 	// goroutine takes key locks (a 2PC abort's undo). The version takes its
 	// address and the load CSN when its record lands, on that goroutine.
 	// The record carries a CSN drawn under stream 0's enqueue lock, like a
@@ -736,7 +751,7 @@ func (e *Engine) ImportRow(tbl *Table, row Row) (RID, error) {
 	// checkpoint's CSN, so recovery replays it from the tail, and one queued
 	// ahead of it has landed before the checkpoint walks its image.
 	const loadCSN = 1
-	v := newVersion(e.tidSeq.Add(1)|tidFlag, frame, nil, true)
+	v := newVersion(ownerlessTID, frame, nil, true)
 	rid, err := e.reserveImport(tbl, pk, &view, v)
 	if err != nil {
 		return 0, err

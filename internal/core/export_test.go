@@ -60,3 +60,10 @@ func (e *Engine) haltMaintenance() {
 func DecodeRowPrefix(dst Row, buf []byte) (Row, []byte, error) {
 	return decodeRowPrefix(dst, buf, false)
 }
+
+// onSlotRead runs f between a reader's first load of a slot's TID and its
+// load of the slot's status word (Engine.resolve), until restore is called.
+func onSlotRead(f func()) (restore func()) {
+	slotReadHook.Store(&f)
+	return func() { slotReadHook.Store(nil) }
+}

@@ -8,11 +8,12 @@ import (
 	"hiengine/internal/raceflag"
 )
 
-// TestReadOnlyTxnReusesItsHandle: a transaction that never writes never
-// registers in the status map, so once finished it may begin again in the
-// same memory -- Begin, a point read and Commit on it allocate nothing. One
-// that wrote, committed or aborted, is refused: a reader that met its TID may
-// still hold it.
+// TestReadOnlyTxnReusesItsHandle: a finished transaction begins again in
+// the same memory -- Begin, a point read and Commit on a reused read-only one
+// allocate nothing -- since no reader holds a Txn: from its Begin its slot
+// answers for its TID. One that wrote, committed or aborted, begins again
+// too, under a new TID; a prepared one is refused, as its 2PC decision still
+// owns it.
 func TestReadOnlyTxnReusesItsHandle(t *testing.T) {
 	e := testEngine(t)
 	tbl := mustTable(t, e, usersSchema())
@@ -21,12 +22,13 @@ func TestReadOnlyTxnReusesItsHandle(t *testing.T) {
 	var tx Txn
 	key, rows := []Value{I(1)}, 0
 	read := func(RID, []byte) error { rows++; return nil }
+	slot := &e.workers[2]
 	op := func() {
 		if err := e.BeginInto(&tx, 2); err != nil {
 			t.Fatal(err)
 		}
-		if e.status.lookup(tx.tid) != nil {
-			t.Fatal("a transaction that has not written is in the status map")
+		if st, _, ok := e.resolve(tx.tid); slot.tid.Load() != tx.tid || !ok || st != txActive {
+			t.Fatal("the slot does not answer for its active transaction's TID")
 		}
 		if err := tx.GetByKeyRaw(tbl, 0, key, read); err != nil {
 			t.Fatal(err)
@@ -66,19 +68,45 @@ func TestReadOnlyTxnReusesItsHandle(t *testing.T) {
 		if err := finish(&tx); err != nil {
 			t.Fatal(err)
 		}
-		if tx.Reusable() || e.BeginInto(&tx, 2) == nil {
-			t.Fatal("a transaction that wrote begins again in the same memory")
+		old := tx.tid
+		if !tx.Reusable() || e.BeginInto(&tx, 2) != nil {
+			t.Fatal("a finished transaction that wrote does not begin again in the same memory")
 		}
-		tx = Txn{}
+		if tx.tid == old || slot.tid.Load() != tx.tid {
+			t.Fatalf("begun again under TID %#x (was %#x); the slot holds %#x", tx.tid, old, slot.tid.Load())
+		}
+		if err := tx.Abort(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A prepared one does not: its versions still carry its TID, which the
+	// side table answers for now.
+	if err := e.BeginInto(&tx, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Update(tbl, rid, Row{I(1), S("a"), I(12)}); err != nil {
+		t.Fatal(err)
+	}
+	prepare(t, &tx, "g-reuse")
+	if tx.Reusable() || e.BeginInto(&tx, 2) == nil {
+		t.Fatal("a prepared transaction begins again in the same memory")
+	}
+	if st, _, ok := e.resolve(tx.tid); slot.tid.Load() == tx.tid || !ok || st != txActive {
+		t.Fatal("a prepared transaction's TID is not the side table's")
+	}
+	resolve(t, e, "g-reuse", false)
+	if _, _, ok := e.resolve(tx.tid); ok {
+		t.Fatal("a decided transaction's TID is still in the side table")
 	}
 }
 
-// TestWriteRegistersBeforeItsVersionIsVisible: a transaction enters the
-// status map at its first write, before the version carrying its TID is
-// published, so a reader that meets the TID always finds the owner (or, once
-// the owner is gone from the map, the CSN in the TID's place). Writers update
-// rows while readers walk their heads; a TID whose owner is missing and which
-// is still in place would be a version published ahead of its registration.
+// TestWriteRegistersBeforeItsVersionIsVisible: a transaction's slot holds
+// its TID from its Begin, before any version carrying the TID is published,
+// so a reader that meets the TID always resolves it (or, once the slot has
+// moved on, finds the CSN in the TID's place). Writers update rows while
+// readers walk their heads; a TID nothing resolves and which is still in
+// place would be a version published ahead of its slot.
 func TestWriteRegistersBeforeItsVersionIsVisible(t *testing.T) {
 	e := testEngine(t)
 	tbl := mustTable(t, e, usersSchema())
@@ -87,19 +115,22 @@ func TestWriteRegistersBeforeItsVersionIsVisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.status.lookup(w.tid) != nil {
-		t.Fatal("registered before its first write")
+	if e.workers[1].tid.Load() != w.tid {
+		t.Fatal("the slot does not hold its transaction's TID before its first write")
 	}
 	rid, err := w.Insert(tbl, Row{I(1), S("a"), I(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if raw := tbl.rows.Get(rid).tmin.Load(); raw != w.tid || e.status.lookup(raw) != w {
-		t.Fatalf("a published TID %#x finds owner %p, want %p", raw, e.status.lookup(raw), w)
+	if raw := tbl.rows.Get(rid).tmin.Load(); raw != w.tid {
+		t.Fatalf("a published TID %#x, want %#x", raw, w.tid)
+	} else if st, _, ok := e.resolve(raw); !ok || st != txActive {
+		t.Fatalf("a published TID resolves to state %d (found %v), want active", st, ok)
 	}
 	commit(t, w)
-	if e.status.lookup(w.tid) != nil {
-		t.Fatal("still registered once its versions carry the CSN")
+	if st, csn, ok := e.resolve(w.tid); !ok || st != txCommitted || csn != w.CSN() || tbl.rows.Get(rid).tmin.Load() != csn {
+		t.Fatalf("a committed TID resolves to state %d csn %d (found %v); its version carries %d, want csn %d",
+			st, csn, ok, tbl.rows.Get(rid).tmin.Load(), w.CSN())
 	}
 
 	const nRows = 8
@@ -145,10 +176,93 @@ func TestWriteRegistersBeforeItsVersionIsVisible(t *testing.T) {
 				continue
 			}
 			met++
-			if e.status.lookup(raw) == nil && v.tmin.Load() == raw {
-				t.Fatalf("a reader met TID %#x with no owner in the status map", raw)
+			if _, _, ok := e.resolve(raw); !ok && v.tmin.Load() == raw {
+				t.Fatalf("a reader met TID %#x that nothing resolves", raw)
 			}
 		}
 	}
 	t.Logf("readers met %d in-flight TIDs", met)
+}
+
+// TestTIDResolvesAcrossSlotReuse: a reader that meets T's TID and finds it
+// in T's slot, while the slot finishes T and begins U in the same handle
+// before the reader reads the status word, judges T by what T did -- its CSN,
+// or its abort -- never by U's status. The reader's snapshot is the CSN that
+// commit draws, as a snapshot drawn just after it is: so a committed T is
+// visible to it, and U's status, were the reader to take it for T's, would
+// say the opposite (active for a committed T, committed for an aborted one).
+func TestTIDResolvesAcrossSlotReuse(t *testing.T) {
+	e := testEngine(t, func(c *Config) { c.GCEveryNCommits = -1 })
+	tbl := mustTable(t, e, usersSchema())
+	rid := insertUser(t, e, tbl, 0, 1, "a", 10)
+	other := insertUser(t, e, tbl, 0, 2, "b", 20)
+
+	for _, abort := range []bool{false, true} {
+		var w Txn
+		if err := e.BeginInto(&w, 0); err != nil {
+			t.Fatal(err)
+		}
+		prev := int64(10)
+		if abort { // the first round committed 11
+			prev = 11
+		}
+		if err := w.Update(tbl, rid, Row{I(1), S("a"), I(prev + 1)}); err != nil {
+			t.Fatal(err)
+		}
+		tid := w.tid
+		r, err := e.Begin(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The snapshot the hook's commit lands in: the next CSN drawn.
+		r.begin = e.CurrentCSN() + 1
+		fired := false
+		restore := onSlotRead(func() {
+			if fired {
+				return
+			}
+			fired = true
+			// T finishes; U begins in its handle, on its slot.
+			if abort {
+				if err := w.Abort(); err != nil {
+					t.Error(err)
+				}
+			} else if err := w.Commit(); err != nil {
+				t.Error(err)
+			}
+			if err := e.BeginInto(&w, 0); err != nil {
+				t.Error(err)
+				return
+			}
+			if abort { // U commits: its status says committed, at a CSN the reader sees
+				if err := w.Update(tbl, other, Row{I(2), S("b"), I(21)}); err != nil {
+					t.Error(err)
+				}
+				if err := w.Commit(); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+		row, err := r.Get(tbl, rid)
+		restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !fired {
+			t.Fatalf("abort=%v: the reader never resolved T's TID %#x through its slot", abort, tid)
+		}
+		want := prev + 1
+		if abort {
+			want = prev
+		}
+		if got := row[2].Int(); got != want {
+			t.Fatalf("abort=%v: the reader saw v=%d, want %d: it judged T by U's status", abort, got, want)
+		}
+		commit(t, r)
+		if !w.finished {
+			if err := w.Abort(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 }

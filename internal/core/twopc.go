@@ -290,7 +290,11 @@ func (t *Txn) prepareStart(gtid string, durable func(readOnly bool, err error)) 
 		durable(false, err)
 	})
 	// Free the worker slot: the session moves on, the prepared transaction
-	// belongs to the coordinator now.
+	// belongs to the coordinator now. Its TID goes to the side table first,
+	// then the slot stops answering for it, so a reader that meets it always
+	// finds one of the two (resolve).
+	e.side.set(t.tid, packStatus(txActive, 0))
+	t.slot.tid.Store(0)
 	t.finishSlot()
 	return false, nil
 }
@@ -408,19 +412,19 @@ func (e *Engine) applyDecisionLocked(entry *pend2pcEntry) {
 	}
 	if entry.commit {
 		csn := entry.csn
-		t.statusWord.Store(packStatus(txCommitted, csn))
+		e.side.set(t.tid, packStatus(txCommitted, csn))
 		for i := range t.ws.writes {
 			t.ws.writes[i].newV.tmin.Store(csn)
 		}
-		e.status.remove(t.tid)
+		e.side.remove(t.tid)
 		e.workers[t.worker].retireWrites(t.ws.writes, csn)
-		t.finished = true
+		t.csn, t.finished = csn, true
 		e.mCommits.Inc()
 		return
 	}
-	t.statusWord.Store(packStatus(txAborted, 0))
+	e.side.set(t.tid, packStatus(txAborted, 0))
 	t.undo()
-	e.status.remove(t.tid)
+	e.side.remove(t.tid)
 	t.finished = true
 	e.mAborts.Inc()
 }
@@ -552,13 +556,10 @@ func (e *Engine) reconstructInDoubt(gtid string, addr wal.Addr, payload []byte) 
 	t := &Txn{
 		e:        e,
 		worker:   0,
-		tid:      e.tidSeq.Add(1) | tidFlag,
+		tid:      e.side.newTID(),
 		ws:       &writeSet{e: e},
 		prepared: true,
 	}
-	t.statusWord.Store(packStatus(txActive, 0))
-	t.registered = true
-	e.status.register(t)
 	var newRow, oldRow RowView
 	var kbuf []byte
 	err = forEachEmbedded(body, func(off int, rec wal.Record) error {

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync/atomic"
 
 	"hiengine/internal/index"
 	"hiengine/internal/obs"
@@ -37,8 +35,9 @@ type writeEntry struct {
 // (or the transaction rolls back). The buffer does not: until then it is
 // where the transaction's versions read their rows (Version.data), and a
 // reader that loaded such a payload may go on reading it after the swing, so
-// every transaction's buffer is a fresh one, sized by what the slot's previous
-// transaction filled.
+// no buffer is ever written again once its transaction is done with it. Each
+// is carved from its slot's log arena (workerSlot.carve), sized by what the
+// slot's previous transaction filled.
 type writeSet struct {
 	e    *Engine
 	slot *workerSlot // nil: not recycled (a prepared transaction's outlives its slot's use of it)
@@ -49,12 +48,13 @@ type writeSet struct {
 	// the engine's private-payload ledger when it hands the log over.
 	private int
 
-	// txn and durable are the committing transaction and its callback;
-	// stamp and logDone are ws.onStamp and ws.onLogDone, bound once for the
-	// write set's life so a commit hands the WAL its callbacks without
-	// allocating them.
+	// txn is the committing transaction, csn the CSN onStamp drew for it,
+	// and durable its callback; stamp and logDone are ws.onStamp and
+	// ws.onLogDone, bound once for the write set's life so a commit hands the
+	// WAL its callbacks without allocating them.
 	txn     *Txn
-	durable func(error)
+	csn     uint64
+	durable func(csn uint64, err error)
 	stamp   func()
 	logDone func(wal.Addr, error)
 }
@@ -66,38 +66,57 @@ const (
 	maxKeptWriteSlots = 1 << 13
 )
 
+// Log arenas. A transaction's log buffer is carved from its slot's current
+// arena when it fits one (Section 4.2's per-worker log buffers): carved
+// space is never rewound, not even on abort, nor reused, and an arena is
+// the collector's once every version carved from it has swung to the log
+// (writeSet.landed) and no reader keeps a payload in it. A slot's first
+// transaction, with no predecessor to size by, gets firstLogBytes.
+const (
+	logArenaBytes = 16 << 10
+	firstLogBytes = 256
+)
+
+// carve returns an empty log buffer of capacity n: cut from the slot's
+// arena, a fresh one when what is left is too small, or allocated alone when
+// n exceeds an arena.
+func (s *workerSlot) carve(n int) []byte {
+	if n > logArenaBytes {
+		return make([]byte, 0, n)
+	}
+	if n > len(s.arena) {
+		s.arena = make([]byte, logArenaBytes)
+	}
+	b := s.arena[:0:n]
+	s.arena = s.arena[n:]
+	return b
+}
+
 // writeSet returns the transaction's write set, taking one from the slot on
-// the first write.
+// the first write, with a log buffer carved from the slot's arena: an eighth
+// over what the slot's last transaction filled, so one a little larger than
+// its predecessor does not pay a second buffer and a copy.
 func (t *Txn) writeSet() *writeSet {
 	if t.ws != nil {
 		return t.ws
 	}
-	if s := t.slot; s != nil {
-		s.mu.Lock()
-		if n := len(s.free); n > 0 {
-			t.ws, s.free[n-1] = s.free[n-1], nil
-			s.free = s.free[:n-1]
-		}
-		s.mu.Unlock()
+	s := t.slot
+	s.mu.Lock()
+	if n := len(s.free); n > 0 {
+		t.ws, s.free[n-1] = s.free[n-1], nil
+		s.free = s.free[:n-1]
 	}
+	s.mu.Unlock()
 	if t.ws == nil {
-		ws := &writeSet{e: t.e, slot: t.slot}
+		ws := &writeSet{e: t.e, slot: s}
 		ws.stamp, ws.logDone = ws.onStamp, ws.onLogDone
 		t.ws = ws
 	}
-	// The first write registers the transaction, before any version carrying
-	// its TID can be published: a reader that meets the TID must find its
-	// owner (Txn.visible). A transaction that never writes is never looked
-	// up, so it never registers.
-	if !t.registered {
-		t.registered = true
-		t.e.status.register(t)
+	n := firstLogBytes
+	if s.lastLogBytes > 0 {
+		n = s.lastLogBytes + s.lastLogBytes/8
 	}
-	if s := t.slot; s != nil && s.lastLogBytes > 0 {
-		// An eighth over what the last one filled: a transaction a little
-		// larger than its predecessor does not pay a second buffer and a copy.
-		t.ws.log = make([]byte, 0, s.lastLogBytes+s.lastLogBytes/8)
-	}
+	t.ws.log = s.carve(n)
 	return t.ws
 }
 
@@ -156,13 +175,15 @@ func (ws *writeSet) onLogDone(base wal.Addr, err error) {
 		e.durabilityLost.Store(true)
 		e.mDurabilityFail.Inc()
 	}
-	durable := ws.durable
+	durable, csn := ws.durable, ws.csn
 	ws.release()
-	durable(err)
+	durable(csn, err)
 }
 
 // Txn is one transaction. A Txn is not safe for concurrent use; it belongs
-// to the session (worker) that began it.
+// to the session (worker) that began it, which may begin the next one in it
+// once it is finished (Reusable). No reader holds a Txn: a TID resolves
+// through its slot (resolve).
 type Txn struct {
 	e      *Engine
 	worker int
@@ -172,19 +193,22 @@ type Txn struct {
 	slot  *workerSlot
 	tid   uint64
 	begin uint64
-
-	statusWord atomic.Uint64 // packStatus(state, csn)
+	csn   uint64 // drawn at commit (writeSet.onStamp)
 
 	ws *writeSet // nil until the first write
 
-	// registered says the transaction is in the status map: from its first
-	// write (writeSet) until its versions carry its CSN or are gone.
-	registered bool
-	finished   bool
+	finished bool
 	// prepared marks a 2PC participant transaction that has voted and now
 	// awaits the coordinator's decision: no further operations, commits or
-	// aborts are accepted through the Txn; Engine.Resolve owns its fate.
+	// aborts are accepted through the Txn; Engine.Resolve owns its fate, and
+	// the Txn never begins again.
 	prepared bool
+
+	// wait is what a synchronous Commit waits on and waitDone the callback
+	// that signals it, made at the handle's first one and kept for every
+	// later one.
+	wait     chan error
+	waitDone func(csn uint64, err error)
 
 	// trace, when non-nil, attributes the commit pipeline's WAL and
 	// replication stages to this transaction's request trace. Owned by the
@@ -217,10 +241,9 @@ func (e *Engine) Begin(worker int) (*Txn, error) {
 }
 
 // BeginInto is Begin starting the transaction in t, memory the caller
-// allocated: a front end that holds its core transaction by value pays one
-// allocation per transaction, not two. t must be a zero Txn or a Reusable
-// one; one that wrote is refused, since readers that looked it up in the
-// status map may still hold it.
+// allocated: a front end that holds its core transaction by value, and
+// begins each of its transactions in it, pays no allocation per transaction
+// for it. t must be a zero Txn or a Reusable one.
 func (e *Engine) BeginInto(t *Txn, worker int) error {
 	if !t.Reusable() {
 		return errors.New("core: transaction begun twice")
@@ -246,77 +269,45 @@ func (e *Engine) BeginInto(t *Txn, worker int) error {
 	}
 	begin := e.clk.Now()
 	slot.activeBegin.Store(begin)
+	// The TID before the status: a reader that loaded the previous TID here
+	// loads it again after the status word, and finds it gone (resolve).
+	slot.seq++
+	tid := makeTID(worker, slot.seq)
+	slot.tid.Store(tid)
+	slot.status.Store(packStatus(txActive, 0))
 	t.e, t.worker, t.slot = e, worker, slot
-	t.tid, t.begin = e.tidSeq.Add(1)|tidFlag, begin
+	t.tid, t.begin, t.csn = tid, begin, 0
 	t.finished, t.prepared, t.trace = false, false, nil
-	t.statusWord.Store(packStatus(txActive, 0))
 	return nil
 }
 
 // Reusable reports whether t may begin (again) through BeginInto: it never
-// began, or it finished without writing. Such a transaction was never in
-// the status map, so no reader can hold it, and its owner -- the one
-// goroutine that used it -- may begin the next one in the same memory.
+// began, or it finished and was not prepared. No reader holds a finished
+// transaction -- its TID resolves through its slot -- so its owner, the one
+// goroutine that used it, may begin the next one in the same memory, while
+// its commit is still in flight. A prepared one belongs to its 2PC decision.
 func (t *Txn) Reusable() bool {
-	return t.e == nil || t.finished && !t.registered
+	return t.e == nil || t.finished && !t.prepared
 }
 
 // CSN returns the commit sequence number (0 while active, after abort, or
 // for read-only commits, which consume no CSN).
-func (t *Txn) CSN() uint64 {
-	st, csn := t.state()
-	if st == txPrecommitted || st == txCommitted {
-		return csn
-	}
-	return 0
-}
-
-// state returns (state, csn).
-func (t *Txn) state() (uint64, uint64) {
-	w := t.statusWord.Load()
-	return statusState(w), statusCSN(w)
-}
+func (t *Txn) CSN() uint64 { return t.csn }
 
 // --- visibility ----------------------------------------------------------
 
 // visible reports whether version v is visible to t under snapshot
-// isolation, resolving TID-stamped versions through the status map
-// (Section 5.1). Another transaction's write is visible once its CSN is
-// drawn at or below t's snapshot, before it is durable (Section 5.2's early
-// commit); an active transaction's write is not.
+// isolation, resolving a TID-stamped version through its writer's slot
+// (Section 5.1, Engine.visibleTID).
 func (t *Txn) visible(v *Version) bool {
-	for {
-		raw := v.tmin.Load()
-		if !isTID(raw) {
-			return raw <= t.begin
-		}
-		if raw == t.tid {
-			return true // own write
-		}
-		owner := t.e.status.lookup(raw)
-		if owner == nil {
-			// Already stamped (or uninstalled); re-read and resolve.
-			if v.tmin.Load() == raw {
-				// Still TID and gone from the map: the owner aborted
-				// and is uninstalling; invisible.
-				return false
-			}
-			continue
-		}
-		st, csn := owner.state()
-		switch st {
-		case txPrecommitted, txCommitted:
-			if csn == 0 {
-				// Committing, CSN not drawn yet (writeSet.onStamp): whether it
-				// lands at or below t.begin is not knowable; ask again.
-				runtime.Gosched()
-				continue
-			}
-			return csn <= t.begin
-		default: // aborted or active
-			return false
-		}
+	raw := v.tmin.Load()
+	switch {
+	case !isTID(raw):
+		return raw <= t.begin
+	case raw == t.tid:
+		return true // own write
 	}
+	return t.e.visibleTID(v, raw, t.begin)
 }
 
 // visibleVersion walks the chain from head and returns the first version
@@ -336,13 +327,13 @@ func (t *Txn) visibleVersion(head *Version) *Version {
 // ScanPrefix decode on top of them (the scans through scanEncoded). A raw
 // callback receives the visible version's payload -- the encoded row exactly
 // as it was logged -- and those bytes are never rewritten or recycled,
-// wherever they lie: a published version's sealed record in its log buffer (which
-// is fresh per transaction, and whose growth copies rather than moves), a
-// chunk of the log (append-only storage), or a private copy (of a record
-// that straddles a chunk, at durability or on a reload). So a payload is
-// immutable and may be kept, or values aliasing it (RowArena.AppendRow); a
-// kept payload pins its chunk, or its transaction's buffer, for as long as
-// it is kept.
+// wherever they lie: a published version's sealed record in its log buffer (a
+// stretch of its slot's log arena no one writes again, whose growth copies
+// rather than moves), a chunk of the log (append-only storage), or a private
+// copy (of a record that straddles a chunk, at durability or on a reload).
+// So a payload is immutable and may be kept, or values aliasing it
+// (RowArena.AppendRow); a kept payload pins its chunk, or its log arena, for
+// as long as it is kept.
 
 // getRaw hands fn the encoded row at rid visible to t.
 func (t *Txn) getRaw(tbl *Table, rid RID, fn func(payload []byte) error) error {

@@ -249,9 +249,10 @@ func TestLiveRowsAbortMirrorsWrites(t *testing.T) {
 
 // TestWritePathAllocs holds the engine's write path to what outlives a
 // transaction: the version of an insert or an update (an int key's RID is a
-// word in its index node's slot, no leaf), and per transaction the Txn, a
-// sync Commit's channel and callback and the log buffer its rows live in
-// until they are durable.
+// word in its index node's slot, no leaf). A transaction begun again in the
+// same handle allocates nothing of its own: its TID resolves through its
+// slot, its log buffer is carved from the slot's arena, and a sync Commit
+// waits on the channel the handle keeps.
 func TestWritePathAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -262,10 +263,10 @@ func TestWritePathAllocs(t *testing.T) {
 	tbl := mustTable(t, e, schema)
 	next := int64(0)
 	row := Row{I(0), S("a-name-of-some-length"), I(0)}
+	var tx Txn
 	insertTxn := func(n int) func() {
 		return func() {
-			tx, err := e.Begin(0)
-			if err != nil {
+			if err := e.BeginInto(&tx, 0); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < n; i++ {
@@ -280,14 +281,14 @@ func TestWritePathAllocs(t *testing.T) {
 			}
 		}
 	}
-	// Txn, Commit's channel and closure, the log buffer; then the version
-	// per row, the index's inner nodes amortised.
-	if avg := testing.AllocsPerRun(200, insertTxn(1)); avg > 6 {
-		t.Errorf("a one-insert transaction allocates %.1f times, want <= 6", avg)
+	// The version per row; the index's inner nodes and the log arenas
+	// amortised.
+	if avg := testing.AllocsPerRun(200, insertTxn(1)); avg > 2 {
+		t.Errorf("a one-insert transaction allocates %.1f times, want <= 2", avg)
 	}
 	// The same: no allocation per row but the one that stays.
-	if avg := testing.AllocsPerRun(20, insertTxn(128)); avg > 2+128+10 {
-		t.Errorf("a 128-insert transaction allocates %.1f times, want <= %d", avg, 2+128+10)
+	if avg := testing.AllocsPerRun(20, insertTxn(128)); avg > 128+8 {
+		t.Errorf("a 128-insert transaction allocates %.1f times, want <= %d", avg, 128+8)
 	}
 
 	key := []Value{I(0)}
@@ -295,8 +296,7 @@ func TestWritePathAllocs(t *testing.T) {
 	where := []ColValue{{Col: 1, Val: row[1]}}
 	n := int64(0)
 	update := func() {
-		tx, err := e.Begin(0)
-		if err != nil {
+		if err := e.BeginInto(&tx, 0); err != nil {
 			t.Fatal(err)
 		}
 		n++
@@ -308,9 +308,9 @@ func TestWritePathAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Txn, channel, closure, log buffer, version.
-	if avg := testing.AllocsPerRun(200, update); avg > 6 {
-		t.Errorf("a point-update transaction allocates %.1f times, want <= 6", avg)
+	// The version.
+	if avg := testing.AllocsPerRun(200, update); avg > 1 {
+		t.Errorf("a point-update transaction allocates %.1f times, want <= 1", avg)
 	}
 }
 

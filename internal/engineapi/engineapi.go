@@ -42,16 +42,16 @@ type DB interface {
 	Begin(worker int) (Txn, error)
 }
 
-// Rebeginner is optionally implemented by engines whose transactions that
-// finished without writing can begin again in the same handle. A caller
-// that owns such a handle -- the SQL layer's session, for its auto-commit
-// SELECTs and its cursors -- begins each read in it instead of allocating
-// one. A transaction that wrote is never reused: a reader that found it
-// while it was in flight may still hold it.
+// Rebeginner is optionally implemented by engines whose finished
+// transactions can begin again in the same handle, their commits still in
+// flight. A caller that owns such a handle -- the SQL layer's session, for
+// every transaction it runs, and its cursors -- begins each transaction in it
+// instead of allocating one. A prepared 2PC participant is never reused: its
+// decision still owns it.
 type Rebeginner interface {
 	// Rebegin begins a transaction on worker, in prev's handle when prev is
-	// a finished transaction of this engine that wrote nothing, in a fresh
-	// one otherwise.
+	// a finished, unprepared transaction of this engine, in a fresh one
+	// otherwise.
 	Rebegin(worker int, prev Txn) (Txn, error)
 }
 
@@ -67,10 +67,12 @@ func BeginReusing(db DB, worker int, prev Txn) (Txn, error) {
 // AsyncCommitter is optionally implemented by transactions that support
 // pipelined commits (HiEngine, Section 4.2): CommitAsync makes the
 // transaction's effects visible, frees the worker immediately, and invokes
-// cb once the log records are durable. Engines that must hold locks across
-// the log force (the OCC baseline) do not implement it.
+// cb once the log records are durable, with the CSN the transaction
+// committed at (0 for one that wrote nothing): its handle may have begun
+// again by then (Rebeginner), so cb cannot ask it. Engines that must hold
+// locks across the log force (the OCC baseline) do not implement it.
 type AsyncCommitter interface {
-	CommitAsync(cb func(error)) error
+	CommitAsync(cb func(csn uint64, err error)) error
 }
 
 // Preparer is optionally implemented by transactions that can act as a
@@ -132,7 +134,8 @@ type Txn interface {
 // never materialises the columns it does not look at. The payload passed to
 // fn is immutable and may be kept, or values aliasing it: HiEngine's is the
 // version's logged row, RawAdapter's a stretch of a buffer it never
-// rewrites. A kept payload pins the memory it lies in.
+// rewrites. A kept payload pins the memory it lies in: for HiEngine a log
+// chunk, or before durability its worker slot's log arena.
 type RawReader interface {
 	// GetByKeyRaw is GetByKey handing fn the encoded row.
 	GetByKeyRaw(table string, idx int, key []core.Value, fn func(payload []byte) error) error

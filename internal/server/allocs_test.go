@@ -24,19 +24,25 @@ import (
 // allocation on the server, and a commit's callbacks are records the session
 // and the connection reuse, a read-only transaction begins in the handle
 // its session's last one finished in, the server's arguments point into the
-// request frame, and a cursor's pages are pulled through a stream the
-// connection reopens in place (before: 13.01, 16.00, 10.22, 34.26 for the
+// request frame, a cursor's pages are pulled through a stream the
+// connection reopens in place, every transaction begins in its session's
+// last handle with its log buffer carved from its worker slot's arena, and a
+// cursor open decodes its SQL text and arguments borrowed, into the entry it
+// takes (before: 13.01, 16.00, 10.22, 34.26 for the
 // prepared and text SELECT, the UPDATE and the transaction; 5.01, 7.21 and
 // 19.26 for the prepared three while a prepared statement's result was a
 // fresh one; 6.21 and 11.27 for the last two while a GC pass built its lists
 // afresh; 2.06, 9.05, 6.12 and 11.16 while a transaction was two allocations
 // and a commit made two closures; 1.06, 8.05 and 8.16 for the SELECTs and
 // the transaction while a read-only transaction was a fresh handle and the
-// server copied its arguments) -- the most each read beside two spinning
-// cores, plus 0.05: no later change may add an allocation to a request. The
-// transaction is the benchmark's own oltp_wire one, the cursor scan
-// scan_wire's every tenth: of its 15, 12 are the three arrays each of the
-// four pages decodes into, which the caller keeps.
+// server copied its arguments; 3.12, 6.12 and 15.06 for the UPDATE, the
+// transaction and the cursor scan while a writing transaction was a fresh
+// handle and log buffer and a cursor open copied its text and arguments) --
+// the most each read in five runs beside a running benchmark, plus 0.05: no
+// later change may add an allocation to a request. The transaction is the
+// benchmark's own oltp_wire one, the cursor scan scan_wire's every tenth: of
+// its 13, 12 are the three arrays each of the four pages decodes into, which
+// the caller keeps.
 func TestServiceRoundTripAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -107,7 +113,7 @@ func TestServiceRoundTripAllocs(t *testing.T) {
 			}
 			return s.Commit()
 		}},
-		{"BEGIN + prepared UPDATE + COMMIT", 3.12, func() error {
+		{"BEGIN + prepared UPDATE + COMMIT", 1.12, func() error {
 			if err := s.Begin(); err != nil {
 				return err
 			}
@@ -116,8 +122,8 @@ func TestServiceRoundTripAllocs(t *testing.T) {
 			}
 			return s.Commit()
 		}},
-		{"BEGIN, 2 SELECT, UPDATE, INSERT, COMMIT", 6.12, func() error { txns++; return txn(txns) }},
-		{"100-row cursor scan in 4 pages", 15.06, scan},
+		{"BEGIN, 2 SELECT, UPDATE, INSERT, COMMIT", 4.12, func() error { txns++; return txn(txns) }},
+		{"100-row cursor scan in 4 pages", 13.06, scan},
 	}
 	// With the collector off, sync.Pool keeps what it is given and the
 	// counts repeat; the loop allocates a few MB at most.

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"time"
 
+	"hiengine/internal/core"
 	"hiengine/internal/obs"
 	"hiengine/internal/sqlfront"
 	"hiengine/internal/wire"
@@ -32,11 +33,13 @@ const pageByteCap = 1 << 20
 
 // cursorEntry is one open cursor: its row stream, the worker slot it
 // leases, and its default page size. A closed one's entry goes to the
-// connection's free list, and the next cursor reuses its stream.
+// connection's free list, and the next cursor reuses its stream and the row
+// its open request's arguments were decoded into.
 type cursorEntry struct {
 	rs    sqlfront.RowStream
 	slot  int
 	fetch int
+	args  []core.Value
 }
 
 // leaseSlot acquires a worker slot from the pool with the bounded slotWait,
@@ -63,28 +66,40 @@ func (s *Server) leaseSlot(tr *obs.Trace) (int, error) {
 
 // scanOpen handles OpScanOpen: plan the SELECT, pin its snapshot under a
 // freshly leased worker slot, register the cursor, answer its first page.
+// The SQL text and the arguments are decoded borrowed, the arguments into
+// the row of the entry the cursor takes: the plan cache looks the text up
+// without a copy, and the stream copies the arguments it keeps
+// (sqlfront.Session.OpenStream).
 func (c *conn) scanOpen(rq request, p []byte) bool {
-	fetch, sql, args, err := wire.DecodeScanOpen(p)
-	if err != nil {
-		return rq.corrupt(err)
-	}
-	// A cursor pins its own snapshot, which would not see an open explicit
-	// transaction's writes -- refuse rather than surprise.
-	if c.sess.InTxn() {
-		return rq.fail(fmt.Errorf("%w: cannot open a cursor inside an explicit transaction", wire.ErrBadStatement))
-	}
-	if len(c.cursors) >= c.s.cfg.maxCursors {
-		return rq.fail(fmt.Errorf("%w: cursor table full (%d open)", wire.ErrBadStatement, len(c.cursors)))
-	}
-	slot, err := c.s.leaseSlot(c.tr)
-	if err != nil {
-		return rq.fail(err)
-	}
 	var ce *cursorEntry
 	if n := len(c.curFree); n > 0 {
 		ce, c.curFree = c.curFree[n-1], c.curFree[:n-1]
 	} else {
 		ce = new(cursorEntry)
+	}
+	fetch, sql, args, err := wire.DecodeScanOpen(p, ce.args[:0])
+	if args != nil {
+		ce.args = args
+	}
+	defer clear(args) // the frame's bytes, once the stream has its copies
+	fail := func(err error) bool {
+		c.curFree = append(c.curFree, ce)
+		return rq.fail(err)
+	}
+	switch {
+	case err != nil:
+		c.curFree = append(c.curFree, ce)
+		return rq.corrupt(err)
+	case c.sess.InTxn():
+		// A cursor pins its own snapshot, which would not see an open
+		// explicit transaction's writes -- refuse rather than surprise.
+		return fail(fmt.Errorf("%w: cannot open a cursor inside an explicit transaction", wire.ErrBadStatement))
+	case len(c.cursors) >= c.s.cfg.maxCursors:
+		return fail(fmt.Errorf("%w: cursor table full (%d open)", wire.ErrBadStatement, len(c.cursors)))
+	}
+	slot, err := c.s.leaseSlot(c.tr)
+	if err != nil {
+		return fail(err)
 	}
 	c.tr.Begin(obs.StageCursorOpen)
 	err = c.sess.OpenStream(&ce.rs, slot, sql, args...)
@@ -93,7 +108,7 @@ func (c *conn) scanOpen(rq request, p []byte) bool {
 		c.s.slots <- slot
 		// Engine sentinels (closed, busy) keep their codes through the
 		// wrap; everything else from open is a bad request.
-		return rq.fail(fmt.Errorf("%w: %w", wire.ErrBadStatement, err))
+		return fail(fmt.Errorf("%w: %w", wire.ErrBadStatement, err))
 	}
 	if fetch <= 0 {
 		fetch = defaultFetchRows

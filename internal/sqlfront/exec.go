@@ -133,7 +133,8 @@ func (f *Frontend) PlanCacheStats() PlanCacheStats {
 // re-resolve after CREATE TABLE. The generation is captured before
 // compiling: if DDL races the compile, the entry is stamped with the older
 // generation and discarded on its next lookup (a wasted recompile, never a
-// stale execution).
+// stale execution). sql may be borrowed, pointing into a request frame: a
+// hit only looks it up, and a miss parses and keeps a copy.
 func (f *Frontend) prepare(sql string) (*compiled, bool, error) {
 	f.mu.RLock()
 	pc := f.plans
@@ -142,6 +143,7 @@ func (f *Frontend) prepare(sql string) (*compiled, bool, error) {
 	if c := pc.get(sql, gen); c != nil {
 		return c, true, nil
 	}
+	sql = strings.Clone(sql)
 	st, nParams, err := parse(sql)
 	if err != nil {
 		return nil, false, err
@@ -208,12 +210,12 @@ type Session struct {
 
 	// sel and arena are SELECT scratch reused across statements (a session
 	// runs one at a time): the scan state, and the arrays Session.Exec
-	// decodes a result into before copying it out. read is the transaction
-	// handle of the last auto-commit SELECT, which the next one begins in:
-	// a transaction that wrote nothing may begin again (engineapi.Rebeginner).
+	// decodes a result into before copying it out.
 	sel   selectRun
 	arena core.RowArena
-	read  engineapi.Txn
+	// last is the handle of the session's last transaction, which its next
+	// one begins in (engineapi.Rebeginner), its commit in flight or not.
+	last engineapi.Txn
 
 	// vals, where and set are what a write statement binds its parameters
 	// into -- an INSERT's row or a key, an UPDATE's residual conditions and
@@ -229,9 +231,11 @@ type Session struct {
 	res Result
 
 	// autoDone and autoCommitted are commitAuto's wait for durability: the
-	// channel, and the callback that signals it, made once per session.
+	// channel, and the callback that signals it with autoCSN set, made once
+	// per session.
 	autoDone      chan error
-	autoCommitted func(error)
+	autoCommitted func(csn uint64, err error)
+	autoCSN       uint64
 
 	// commitFree is CommitAsync's free list of commit records, under
 	// commitMu: records fire on the log's I/O goroutine.
@@ -249,13 +253,17 @@ func (s *Session) affected(n int) *Result {
 // number of its most recent write commit (0 before the first one).
 func (s *Session) LastCSN() uint64 { return s.lastCSN.Load() }
 
-// noteCSN records t's commit CSN as the session token (monotonic max).
-func (s *Session) noteCSN(t engineapi.Txn) {
-	r, ok := t.(engineapi.CSNReporter)
-	if !ok {
-		return
+// txnCSN is the CSN a synchronous commit of t drew, 0 when its engine
+// reports none.
+func txnCSN(t engineapi.Txn) uint64 {
+	if r, ok := t.(engineapi.CSNReporter); ok {
+		return r.CSN()
 	}
-	csn := r.CSN()
+	return 0
+}
+
+// noteCSN records a commit CSN as the session token (monotonic max).
+func (s *Session) noteCSN(csn uint64) {
 	if csn == 0 {
 		return
 	}
@@ -277,12 +285,15 @@ func (s *Session) commitAuto(tx engineapi.Txn) error {
 		if err := tx.Commit(); err != nil {
 			return err
 		}
-		s.noteCSN(tx)
+		s.noteCSN(txnCSN(tx))
 		return nil
 	}
 	if s.autoDone == nil {
 		done := make(chan error, 1)
-		s.autoDone, s.autoCommitted = done, func(err error) { done <- err }
+		s.autoDone, s.autoCommitted = done, func(csn uint64, err error) {
+			s.autoCSN = csn
+			done <- err
+		}
 	}
 	if err := ac.CommitAsync(s.autoCommitted); err != nil {
 		return err
@@ -290,7 +301,7 @@ func (s *Session) commitAuto(tx engineapi.Txn) error {
 	if err := <-s.autoDone; err != nil {
 		return err
 	}
-	s.noteCSN(tx)
+	s.noteCSN(s.autoCSN)
 	return nil
 }
 
@@ -489,18 +500,17 @@ func (s *Session) begin() error {
 	return nil
 }
 
-// txnFor returns the open transaction bound to ti's engine, opening an
-// auto-commit transaction when none is open: for a read (an auto-commit
-// SELECT), in the handle the session's previous read finished in
-// (engineapi.BeginReusing). Queries in one transaction cannot span engines
-// (Section 3.4's current limitation).
-func (s *Session) txnFor(ti *tableInfo, read bool) (engineapi.Txn, bool, error) {
+// txnFor returns the open transaction bound to ti's engine, opening one
+// when none is open -- the pending explicit transaction, or an auto-commit
+// one -- in the handle the session's last transaction finished in
+// (beginTxn). Queries in one transaction cannot span engines (Section 3.4's
+// current limitation).
+func (s *Session) txnFor(ti *tableInfo) (engineapi.Txn, bool, error) {
 	if s.txnEngine == "?pending" {
-		t, err := ti.db.Begin(s.worker)
+		t, err := s.beginTxn(ti)
 		if err != nil {
 			return nil, false, err
 		}
-		s.attachTrace(t)
 		s.txn = t
 		s.txnEngine = ti.engine
 		return t, false, nil
@@ -512,19 +522,24 @@ func (s *Session) txnFor(ti *tableInfo, read bool) (engineapi.Txn, bool, error) 
 		}
 		return s.txn, false, nil
 	}
-	var t engineapi.Txn
-	var err error
-	if read {
-		t, err = engineapi.BeginReusing(ti.db, s.worker, s.read)
-		s.read = t
-	} else {
-		t, err = ti.db.Begin(s.worker)
-	}
+	t, err := s.beginTxn(ti)
 	if err != nil {
 		return nil, false, err
 	}
-	s.attachTrace(t)
 	return t, true, nil
+}
+
+// beginTxn begins a transaction on ti's engine, in the session's last
+// handle when the engine can reuse it (engineapi.BeginReusing), tagged with
+// the session's trace.
+func (s *Session) beginTxn(ti *tableInfo) (engineapi.Txn, error) {
+	t, err := engineapi.BeginReusing(ti.db, s.worker, s.last)
+	if err != nil {
+		return nil, err
+	}
+	s.last = t
+	s.attachTrace(t)
+	return t, nil
 }
 
 // attachTrace tags a freshly opened engine transaction with the session's
@@ -551,7 +566,7 @@ func (s *Session) commit() error {
 	s.txn = nil
 	s.txnEngine = ""
 	if err == nil {
-		s.noteCSN(t)
+		s.noteCSN(txnCSN(t))
 	}
 	return err
 }
@@ -577,7 +592,7 @@ func (s *Session) CommitAsync(done func(error)) (async bool, err error) {
 	s.txn = nil
 	s.txnEngine = ""
 	if ac, ok := t.(engineapi.AsyncCommitter); ok {
-		r := s.takeCommit(t, done)
+		r := s.takeCommit(done)
 		if err := ac.CommitAsync(r.durable); err != nil {
 			s.putCommit(r)
 			return false, err
@@ -586,30 +601,30 @@ func (s *Session) CommitAsync(done func(error)) (async bool, err error) {
 	}
 	err = t.Commit()
 	if err == nil {
-		s.noteCSN(t)
+		s.noteCSN(txnCSN(t))
 	}
 	return false, err
 }
 
-// commitRec is one pipelined commit in flight on a session: the
-// transaction and the caller's callback. durable is the record's onDurable,
-// bound once when the record is made, so handing the engine a callback
-// allocates nothing. Records come from the session's free list and go back
-// to it when they fire; several may be in flight at once, and one may fire
-// on the log's I/O goroutine, before CommitAsync has returned.
+// commitRec is one pipelined commit in flight on a session: the caller's
+// callback. durable is the record's onDurable, bound once when the record is
+// made, so handing the engine a callback allocates nothing. Records come
+// from the session's free list and go back to it when they fire; several may
+// be in flight at once, and one may fire on the log's I/O goroutine, before
+// CommitAsync has returned, or once the session's handle runs its next
+// transaction: the CSN comes with the callback.
 type commitRec struct {
 	s       *Session
-	t       engineapi.Txn
 	done    func(error)
-	durable func(error)
+	durable func(csn uint64, err error)
 }
 
 // maxFreeCommits bounds the records a session keeps between commits.
 const maxFreeCommits = 8
 
-// takeCommit returns a record for t's commit, from the free list when it
-// has one.
-func (s *Session) takeCommit(t engineapi.Txn, done func(error)) *commitRec {
+// takeCommit returns a record for a commit reporting to done, from the free
+// list when it has one.
+func (s *Session) takeCommit(done func(error)) *commitRec {
 	s.commitMu.Lock()
 	var r *commitRec
 	if n := len(s.commitFree); n > 0 {
@@ -621,13 +636,13 @@ func (s *Session) takeCommit(t engineapi.Txn, done func(error)) *commitRec {
 		r = &commitRec{s: s}
 		r.durable = r.onDurable
 	}
-	r.t, r.done = t, done
+	r.done = done
 	return r
 }
 
 // putCommit returns a record that will not fire (again) to the free list.
 func (s *Session) putCommit(r *commitRec) {
-	r.t, r.done = nil, nil
+	r.done = nil
 	s.commitMu.Lock()
 	if len(s.commitFree) < maxFreeCommits {
 		s.commitFree = append(s.commitFree, r)
@@ -636,13 +651,13 @@ func (s *Session) putCommit(r *commitRec) {
 }
 
 // onDurable is a pipelined commit's engine callback.
-func (r *commitRec) onDurable(err error) {
-	s, t, done := r.s, r.t, r.done
+func (r *commitRec) onDurable(csn uint64, err error) {
+	s, done := r.s, r.done
 	s.putCommit(r)
 	if err == nil {
 		// Publish the token before done: the network server builds its
 		// commit response (which carries the token) inside done.
-		s.noteCSN(t)
+		s.noteCSN(csn)
 	}
 	done(err)
 }
@@ -898,7 +913,7 @@ func (f *Frontend) compile(st stmt) (func(*Session, []core.Value) (*Result, erro
 		}
 		vals := st.vals
 		return func(s *Session, args []core.Value) (*Result, error) {
-			tx, auto, err := s.txnFor(ti, false)
+			tx, auto, err := s.txnFor(ti)
 			if err != nil {
 				return nil, err
 			}
@@ -937,7 +952,7 @@ func (f *Frontend) compile(st stmt) (func(*Session, []core.Value) (*Result, erro
 		}
 		residual := pl.residual
 		return func(s *Session, args []core.Value) (*Result, error) {
-			tx, auto, err := s.txnFor(ti, false)
+			tx, auto, err := s.txnFor(ti)
 			if err != nil {
 				return nil, err
 			}
@@ -981,7 +996,7 @@ func (f *Frontend) compile(st stmt) (func(*Session, []core.Value) (*Result, erro
 			return nil, fmt.Errorf("%w: DELETE requires full primary key equality", ErrBadPlan)
 		}
 		return func(s *Session, args []core.Value) (*Result, error) {
-			tx, auto, err := s.txnFor(ti, false)
+			tx, auto, err := s.txnFor(ti)
 			if err != nil {
 				return nil, err
 			}

@@ -143,7 +143,7 @@ func (r *selectRun) run(tx engineapi.Txn) error {
 // exec runs the SELECT as one statement of s, appending its rows to sink,
 // or with a nil sink to out.
 func (p *selectPlan) exec(s *Session, args []core.Value, sink *RowBuf, out *core.RowArena) error {
-	tx, auto, err := s.txnFor(p.ti, true)
+	tx, auto, err := s.txnFor(p.ti)
 	if err != nil {
 		return err
 	}

@@ -41,8 +41,9 @@ type RowStream struct {
 }
 
 // OpenStream opens a streaming SELECT in rs (zero or finished) on worker, a
-// slot the caller holds for the stream's life; plan errors surface here, and
-// the stream copies the arguments it keeps. Refused inside an explicit
+// slot the caller holds for the stream's life; plan errors surface here.
+// sql and args may be borrowed for the call: the plan cache copies a text it
+// keeps, and the stream the arguments. Refused inside an explicit
 // transaction, whose writes the stream's snapshot would not see.
 func (s *Session) OpenStream(rs *RowStream, worker int, sql string, args ...core.Value) error {
 	if s.InTxn() {

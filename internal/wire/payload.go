@@ -9,6 +9,7 @@ import (
 	"hiengine/internal/core"
 	"hiengine/internal/obs"
 	"hiengine/internal/srss"
+	"unsafe"
 )
 
 // Payload codecs: one AppendX/EncodeX and one DecodeX per payload shape.
@@ -114,6 +115,12 @@ func (r *reader) uint16() uint16 {
 }
 
 func (r *reader) str() string { return string(r.take(r.uvarint())) }
+
+// borrowedStr is str aliasing the payload: valid as long as the payload is.
+func (r *reader) borrowedStr() string {
+	b := r.take(r.uvarint())
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
 
 func (r *reader) plogID() (id srss.PLogID) {
 	copy(id[:], r.take(uint64(len(id))))
@@ -434,10 +441,13 @@ func AppendScanOpen(buf []byte, fetchSize int, sql string, args []core.Value) []
 	return AppendExec(buf, sql, args)
 }
 
-// DecodeScanOpen parses an OpScanOpen payload.
-func DecodeScanOpen(payload []byte) (fetchSize int, sql string, args []core.Value, err error) {
+// DecodeScanOpen parses an OpScanOpen payload, decoding the argument row
+// into dst's backing array when it has room. Both the SQL text and the
+// arguments are borrowed: they point into the payload, so whatever keeps
+// either past the request copies it.
+func DecodeScanOpen(payload []byte, dst []core.Value) (fetchSize int, sql string, args []core.Value, err error) {
 	r := reader{b: payload}
-	fetchSize, sql, args = int(r.upTo(MaxFetchSize)), r.str(), r.args(nil)
+	fetchSize, sql, args = int(r.upTo(MaxFetchSize)), r.borrowedStr(), r.args(dst)
 	return fetchSize, sql, args, r.err
 }
 

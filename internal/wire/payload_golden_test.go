@@ -217,7 +217,7 @@ var goldenPayloads = []goldenPayload{
 		hex: "8004" + "1b53454c45435420762046524f4d2074205748455245206b203d203f02010e030178",
 		enc: func() []byte { return AppendScanOpen(nil, 512, goldenSQL, goldenArgs) },
 		dec: func(b []byte) (any, error) {
-			fetch, sql, args, err := DecodeScanOpen(b)
+			fetch, sql, args, err := DecodeScanOpen(b, nil)
 			return execReq{Fetch: fetch, SQL: sql, Args: args}, err
 		},
 		want: execReq{Fetch: 512, SQL: goldenSQL, Args: goldenArgs}},

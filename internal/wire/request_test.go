@@ -45,7 +45,7 @@ var requestDecoders = map[Op]func(p []byte) (int, error){
 	OpTxnRecover: nil,
 	OpTxnForget:  func(p []byte) (int, error) { _, err := DecodeGTID(p); return 0, err },
 	OpScanOpen: func(p []byte) (int, error) {
-		_, _, args, err := DecodeScanOpen(p)
+		_, _, args, err := DecodeScanOpen(p, nil)
 		return len(args), err
 	},
 	OpScanNext:  func(p []byte) (int, error) { _, _, err := DecodeScanNext(p); return 0, err },

@@ -457,7 +457,7 @@ func (s *session) finish(tx engineapi.Txn) error {
 	if s.inflight != nil {
 		if ac, ok := tx.(engineapi.AsyncCommitter); ok {
 			s.inflight <- struct{}{}
-			err := ac.CommitAsync(func(err error) {
+			err := ac.CommitAsync(func(_ uint64, err error) {
 				if err != nil {
 					s.asyncErr.CompareAndSwap(nil, &err)
 				}
