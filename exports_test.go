@@ -59,8 +59,10 @@ var exportAllowlist = map[string]string{
 // TestExportsHaveCallers: every exported top-level function and method
 // declared in a non-test file under internal/ is used by another non-test
 // file of the repository (benchmark/ included), as exportUses resolves uses.
-// An exported name only tests use is surface: delete it, unexport it if its
-// own package's tests are all that need it, or allowlist the test seam of
+// A program under examples/ is such a file: an example is a program that
+// shows the API to its reader, and what it calls is API it needs. An
+// exported name only tests use is surface: delete it, unexport it if its own
+// package's tests are all that need it, or allowlist the test seam of
 // another package.
 func TestExportsHaveCallers(t *testing.T) {
 	root, err := os.Getwd()

@@ -613,7 +613,7 @@ func (t *Txn) Commit() error {
 	for i := range t.writes {
 		last = max(last, t.writes[i].logOff)
 	}
-	wal.StampTxn(t.logBuf, last, ctid)
+	t.logBuf = wal.StampTxn(t.logBuf, last, ctid)
 	for i := range t.writes {
 		w := &t.writes[i]
 		if w.newData != nil {

@@ -439,7 +439,8 @@ func (a *applier) commitPrepared(addr wal.Addr, payload, body []byte, csn uint64
 	base := addr.Add(uint32(prepHeaderLen(len(payload)) + len(payload) - len(body)))
 	_ = forEachEmbedded(body, func(off int, rec wal.Record) error {
 		rec.CSN = csn
-		if t := a.tables[rec.Table]; t != nil && a.apply(t, base.Add(uint32(off)), rec, off == 0, got) {
+		// No record of a prepared buffer is charged a trailer (flagCSN).
+		if t := a.tables[rec.Table]; t != nil && a.apply(t, base.Add(uint32(off)), rec, false, got) {
 			applied++
 		}
 		return nil

@@ -8,6 +8,7 @@ import (
 
 	"hiengine/internal/chaos"
 	"hiengine/internal/srss"
+	"hiengine/internal/wal"
 )
 
 // TestTornTailRecovery injects a torn replicated write into the final log
@@ -129,6 +130,39 @@ func TestTornTransactionIsAllOrNothing(t *testing.T) {
 	}
 	if partial > 0 {
 		t.Errorf("%d of 200 torn transactions recovered in part", partial)
+	}
+}
+
+// TestMissingTrailerFailsRecovery: a transaction that ends its segment
+// without the CSN after its last record, on a segment sealed untorn with its
+// replicas in agreement, is no crash's tail but corruption: recovery fails
+// with wal.ErrCorrupt rather than replaying the log without it.
+func TestMissingTrailerFailsRecovery(t *testing.T) {
+	cfg := Config{Name: "no-trailer", Workers: 1, LogStreams: 1, Service: srss.New(srss.Config{})}
+	e, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := mustTable(t, e, usersSchema())
+	insertUser(t, e, tbl, 0, 1, "kept", 1)
+	segs := e.Log().Segments()
+	id, _ := e.Log().Directory().Lookup(segs[len(segs)-1])
+	e.Close()
+	p, err := cfg.Service.Open(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, off := wal.AppendRecord(nil, wal.OpInsert, tbl.ID, 2, EncodeRow(nil, Row{I(2), S("unstamped"), I(2)}))
+	buf[off] |= 0x20 // the end mark, without StampTxn's CSN after it
+	if _, err := p.Append(buf); err != nil {
+		t.Fatal(err)
+	}
+	p.Seal()
+	if rec, _, err := RecoverByName(cfg, RecoverOptions{ReplayThreads: 2}); !errors.Is(err, wal.ErrCorrupt) {
+		if err == nil {
+			rec.Close()
+		}
+		t.Fatalf("recover over a transaction without its CSN: %v, want wal.ErrCorrupt", err)
 	}
 }
 

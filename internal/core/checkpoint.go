@@ -637,7 +637,7 @@ func (x *indexer) loadBlock(body []byte) error {
 		}
 		stub.word.Store(f | en.addr)
 		x.rids, x.stubs = append(x.rids, en.rid), append(x.stubs, stub)
-		x.lens = append(x.lens, int64(wal.RecordLen(en.first, en.table, uint64(en.rid), en.n)))
+		x.lens = append(x.lens, int64(logBytes(en.first, en.table, en.rid, en.n, en.csn)))
 		for i, k := range en.keys {
 			if x.keyBytes = append(x.keyBytes, k...); !t.Schema.Indexes[i].Unique {
 				x.keyBytes = EncodeRIDSuffix(x.keyBytes, uint64(en.rid))

@@ -115,15 +115,24 @@ func FuzzCheckpointImage(f *testing.F) {
 	f.Add([]byte{0x85, 1, 2, 3, 4, 5, 6, 7, 0x91, 9, 8, 7, 0x31, 9, 8, 7, 6, 5, 4, 3, 0x02, 0xff, 0xff, 0xff, 0xff, 1, 1, 1})
 	f.Add([]byte{0xe7, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x41, 0, 0, 0, 0x41, 0, 0, 0, 0, 0, 0, 0, 0x31, 0xff, 0, 0x80})
 	seed := []byte("some-seed-bytes-that-make-a-few-entries-for-the-corpus, with keys")
-	f.Add(seed)
-	var w imageWriter
-	es, _ := entriesFrom(seed)
-	for _, e := range es {
-		w.add(&e)
+	// RIDs past a table's first partition: 2^20, partition 1's first at the
+	// engine's 20 slot bits, the one after it, and one 2^32 further on.
+	dense := []byte{
+		0x40, 0xff, 0xff, 0x0f, 0, 0, 0, 0, 0x01, 0, 0, 0,
+		0x00, 1, 2, 3, 4, 5, 6, 7, 0x00, 0, 0, 0,
+		0x40, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0x01, 0, 0, 0,
 	}
-	w.closeBlock()
-	f.Add(w.buf)
-	f.Add(w.buf[4 : len(w.buf)-4])
+	for _, in := range [][]byte{seed, dense} {
+		f.Add(in)
+		var w imageWriter
+		es, _ := entriesFrom(in)
+		for _, e := range es {
+			w.add(&e)
+		}
+		w.closeBlock()
+		f.Add(w.buf)
+		f.Add(w.buf[4 : len(w.buf)-4])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, closeAt := entriesFrom(data)
 		var w imageWriter

@@ -96,11 +96,11 @@ func (t *Txn) commitStart(durable func(csn uint64, err error)) {
 
 // onStamp is the part of a commit that runs under its log stream's enqueue
 // lock, before the buffer is queued, on the committing goroutine: the CSN is
-// drawn and stamped on everything that carries it. So each stream holds its
-// commits in CSN order, and a log flush that follows a clock reading
-// (wal.Manager.Flush) returns with every commit at or below the reading
-// stamped and landed.
-func (ws *writeSet) onStamp() {
+// drawn and stamped on everything that carries it, and the stamped buffer is
+// what the stream queues. So each stream holds its commits in CSN order, and
+// a log flush that follows a clock reading (wal.Manager.Flush) returns with
+// every commit at or below the reading stamped and landed.
+func (ws *writeSet) onStamp(buf []byte) []byte {
 	t, s := ws.txn, ws.slot
 	// Announce the commit before its CSN exists (precommitted, CSN 0): a
 	// snapshot drawn after the clock moves must not find this transaction
@@ -118,15 +118,16 @@ func (ws *writeSet) onStamp() {
 	// Stamp versions: replace TIDs with the CSN in tmin of new versions
 	// (Section 5.1). After this point other transactions read the new data,
 	// and the slot may move on to its next transaction. The log buffer takes
-	// the CSN once, in its first record, and the end mark on its last.
+	// the end mark on its last record and the CSN once, after it.
 	for i := range ws.writes {
 		ws.writes[i].newV.tmin.Store(csn)
 	}
-	wal.StampTxn(ws.log, ws.writes[len(ws.writes)-1].logOff, csn)
+	buf = wal.StampTxn(buf, ws.writes[len(ws.writes)-1].logOff, csn)
 	s.retireWrites(ws.writes, csn)
 	// A Delay rule here stalls the stream; a Crash rule latches the crash,
 	// which fails the append.
 	_ = t.e.svc.Chaos().Check(SiteCommitDrawn)
+	return buf
 }
 
 // validate is what commit and prepare share before anything is logged:

@@ -421,7 +421,7 @@ func (c *compactor) rewrite(t *Table, rid RID, v *Version) error {
 			return err
 		}
 	}
-	need := wal.RecordLen(true, t.ID, uint64(rid), len(payload))
+	need := wal.RecordLen(t.ID, uint64(rid), len(payload)) + wal.MaxTrailerLen
 	if len(c.buf)+need > cap(c.buf) {
 		if err := c.flush(); err != nil {
 			return err
@@ -431,13 +431,14 @@ func (c *compactor) rewrite(t *Table, rid RID, v *Version) error {
 		}
 	}
 	// The record is a transaction of its own: encoded onto the buffer's
-	// empty tail, it is a first record, with room for its CSN, and with the
-	// capacity checked above it is encoded in place.
+	// empty tail, it is a first record, and with the capacity checked above
+	// it and its CSN are encoded in place.
 	at := len(c.buf)
 	rec, _ := wal.AppendRecord(c.buf[at:at], op, t.ID, uint64(rid), payload)
-	wal.StampTxn(rec, 0, v.tmin.Load())
+	pay := at + wal.FrameOffset(rec, len(payload))
+	rec = wal.StampTxn(rec, 0, v.tmin.Load())
 	c.buf = c.buf[:at+len(rec)]
-	c.moved = append(c.moved, rewritten{v: v, off: at, pay: at + wal.FrameOffset(rec, len(payload)), n: len(payload)})
+	c.moved = append(c.moved, rewritten{v: v, off: at, pay: pay, n: len(payload)})
 	return nil
 }
 

@@ -138,8 +138,9 @@ func TestDeadLogCountsWhatGCPrunes(t *testing.T) {
 
 // TestDeadLogBooksAnUnreadStub: a recovered row no read has loaded knows its
 // record's framing from the checkpoint image, so what GC books when it prunes
-// the row is exactly the record at its address -- a transaction's first
-// record and a continuation alike -- without reading it first.
+// the row is exactly the record at its address -- and for a transaction's
+// first record, the CSN trailer its transaction ends with -- without reading
+// it first.
 func TestDeadLogBooksAnUnreadStub(t *testing.T) {
 	cfg := deadLogConfig(srss.New(srss.Config{}))
 	e, err := Open(cfg)
@@ -182,6 +183,11 @@ func TestDeadLogBooksAnUnreadStub(t *testing.T) {
 			t.Fatalf("id %d: no record after %v: %v", id, v.Addr(), err)
 		}
 		n := int64(next.Offset() - v.Addr().Offset())
+		if first := id == 0; first != v.has(flagCSN) {
+			t.Fatalf("id %d: first record %v, flagCSN %v", id, first, v.has(flagCSN))
+		} else if first {
+			n += int64(wal.TrailerLen(v.CSN()))
+		}
 		if got := v.logLen(e2.log, tbl.ID, RID(rid)); got != n {
 			t.Errorf("id %d: the unread stub's record is %d bytes long, the log's %d", id, got, n)
 		}

@@ -408,7 +408,7 @@ func (e *Engine) swung(n, released int) {
 // when its payload goes away private: an eviction, GC, a 2PC abort.
 func (e *Engine) dropPrivate(v *Version) {
 	p, _ := v.resident()
-	if v.release() {
+	if v.clearFlag(flagPriv) {
 		e.mPrivateBytes.Add(-int64(len(p)))
 	}
 }
@@ -759,7 +759,7 @@ func (e *Engine) ImportRow(tbl *Table, row Row) (RID, error) {
 	buf, off := wal.AppendRecord(nil, wal.OpInsert, tbl.ID, uint64(rid), payload)
 	e.mPrivateBytes.Add(int64(len(payload)))
 	landed := make(chan error, 1)
-	stamp := func() { wal.StampTxn(buf, off, e.clk.Next()) }
+	stamp := func(b []byte) []byte { return wal.StampTxn(b, off, e.clk.Next()) }
 	e.log.AppendTraced(0, buf, nil, stamp, func(base wal.Addr, err error) {
 		if err == nil {
 			win := logWindow{log: e.log}

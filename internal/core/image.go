@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-
-	"hiengine/internal/wal"
 )
 
 // The checkpoint image (Section 4.3) holds, for every row, what recovery
@@ -27,13 +25,14 @@ import (
 //     is the RID minus the run's previous RID (0 before the first). switched
 //     says the segment key (addr>>32) differs from the block's previous
 //     entry's (0 before the first). first says the record is its
-//     transaction's first, the one that carries the CSN. resized says the
+//     transaction's first, which is charged the CSN trailer. resized says the
 //     payload length differs from that of the previous entry under the same
 //     segment key (below: the cursor's);
 //   - uvarint segment key, if switched;
 //   - uvarint payload length, if resized;
 //   - varint (zigzag) offset delta: addr's low 32 bits minus the end of the
-//     cursor's record (its offset plus wal.RecordLen), modulo 2^64;
+//     cursor's record (its offset plus wal.RecordLen, plus the CSN trailer's
+//     length if first: a one-record transaction's end), modulo 2^64;
 //   - varint (zigzag) CSN delta against the cursor's, modulo 2^64;
 //   - one key per index, coded against the cursor's key of the same index:
 //     uvarint h = a<<4 | min(t,7)<<1 | (d != a), uvarint d if d != a,
@@ -56,8 +55,8 @@ const checkpointHeader byte = 'K'
 // imageBlockSize is the body size at which a checkpoint flushes a block.
 const imageBlockSize = 64 << 10
 
-// maxImageRID is the largest RID a PIA addresses: a 16-bit partition and a
-// 32-bit slot.
+// maxImageRID is the largest RID a PIA addresses: 2^16 partitions of at most
+// 2^32 slots.
 const maxImageRID = 1<<48 - 1
 
 // maxImageKeys bounds a run's key count: a larger one is damage, not a table.
@@ -71,7 +70,7 @@ type imageEntry struct {
 	table     uint32
 	rid       RID
 	addr, csn uint64
-	first     bool // the record carries its transaction's CSN
+	first     bool // the record is its transaction's first (flagCSN)
 	n         int  // payload length
 	keys      [][]byte
 }
@@ -149,7 +148,7 @@ func (s *imageState) openRun(table uint32, nkeys int) {
 // advance moves the current cursor past entry e's record, at offset off.
 func (s *imageState) advance(e *imageEntry, off uint64) {
 	c := &s.curs[s.cur]
-	c.end, c.csn, c.n = off+uint64(wal.RecordLen(e.first, e.table, uint64(e.rid), e.n)), e.csn, e.n
+	c.end, c.csn, c.n = off+uint64(logBytes(e.first, e.table, e.rid, e.n, e.csn)), e.csn, e.n
 	s.rid = e.rid
 }
 

@@ -37,13 +37,13 @@ func logBacked(t *testing.T, e *Engine, v *Version) bool {
 	}
 	// (ReadRecord's own payload is a copy whenever any part of the record
 	// crosses a chunk, so it is not what to compare with.)
-	w := e.log.Appended(payloadAddr(e, v.Addr(), rec))
+	w := e.log.Appended(payloadAddr(v.Addr(), rec))
 	return len(w) >= len(d) && &w[0] == &d[0]
 }
 
 // payloadAddr is where the payload of rec, the record at addr, lies.
-func payloadAddr(e *Engine, addr wal.Addr, rec wal.Record) wal.Addr {
-	return addr.Add(uint32(wal.HeaderLen(e.log.Appended(addr)[0], rec)))
+func payloadAddr(addr wal.Addr, rec wal.Record) wal.Addr {
+	return addr.Add(uint32(wal.HeaderLen(rec)))
 }
 
 func privateBytes(e *Engine) int64 { return e.Obs().Gauge("core.payload_private_bytes").Load() }
@@ -448,7 +448,7 @@ func TestStraddlingRecordStaysPrivate(t *testing.T) {
 		// What the version points at is the payload's frame: its length, then
 		// the payload.
 		k := int64(uvarintLen(uint64(len(d))))
-		from := int64(payloadAddr(e, v.Addr(), rec).Offset()) - k
+		from := int64(payloadAddr(v.Addr(), rec).Offset()) - k
 		straddles := from/chunk != (from+k+int64(len(d))-1)/chunk
 		switch backed := logBacked(t, e, v); {
 		case straddles && (backed || !v.private()):

@@ -109,10 +109,10 @@ type pend2pcEntry struct {
 }
 
 // prepHeaderLen is the encoded header size of an OpPrepare/OpDecide record
-// (op + fixed CSN + table 0 + rid 0 + payload length) -- the offset from the
-// record's address to its payload.
+// (op + table 0 + rid 0 + payload length) -- the offset from the record's
+// address to its payload.
 func prepHeaderLen(payloadLen int) int {
-	return 1 + 8 + 1 + 1 + uvarintLen(uint64(payloadLen))
+	return 1 + 1 + 1 + uvarintLen(uint64(payloadLen))
 }
 
 // encodePreparePayload wraps a gtid and a transaction's raw log buffer into
@@ -262,9 +262,12 @@ func (t *Txn) prepareStart(gtid string, durable func(readOnly bool, err error)) 
 	ws := t.ws
 	ws.slot = nil
 	t.slot.lastLogBytes = len(ws.log)
+	// The buffer goes into the prepare record unstamped, with no CSN trailer
+	// to charge to its first record.
+	ws.writes[0].newV.clearFlag(flagCSN)
 	payload := encodePreparePayload(gtid, ws.log)
 	buf, off := wal.AppendRecord(nil, wal.OpPrepare, 0, 0, payload)
-	wal.StampTxn(buf, off, 0)
+	buf = wal.StampTxn(buf, off, 0)
 	// Byte offset from the OpPrepare record's address to the embedded write
 	// buffer: record header, then the gtid length prefix and gtid.
 	embBase := off + prepHeaderLen(len(payload)) + uvarintLen(uint64(len(gtid))) + len(gtid)
@@ -369,9 +372,9 @@ func (e *Engine) Resolve(gtid string, commit bool, done func(csn uint64, err err
 	// fenced segment has CSN <= the fencing checkpoint's CSN). It is drawn
 	// under stream 0's enqueue lock, as a commit's is under its stream's.
 	var csn uint64
-	stamp := func() {
+	stamp := func(b []byte) []byte {
 		csn = e.clk.Next()
-		wal.StampTxn(buf, off, csn)
+		return wal.StampTxn(b, off, csn)
 	}
 	e.log.AppendTraced(0, buf, nil, stamp, func(base wal.Addr, err error) {
 		entry.mu.Lock()
@@ -579,7 +582,7 @@ func (e *Engine) reconstructInDoubt(gtid string, addr wal.Addr, payload []byte) 
 			pay = frame[len(frame)-len(rec.Payload):]
 			e.mPrivateBytes.Add(int64(len(pay)))
 		}
-		newV := newVersion(t.tid, frame, head, off == 0)
+		newV := newVersion(t.tid, frame, head, false)
 		newV.setAddr(addr.Add(uint32(embBase+off)), 0)
 		if ok, err := tbl.rows.CompareAndSwap(rid, head, newV); err != nil || !ok {
 			return fmt.Errorf("core: in-doubt reconstruction lost a CAS on table %d rid %d", rec.Table, rid)
@@ -658,7 +661,7 @@ func (e *Engine) Forget(gtid string, done func(err error)) error {
 		return ErrDurabilityLost
 	}
 	buf, off := wal.AppendRecord(nil, wal.OpForget, 0, 0, encodeGTIDPayload(gtid))
-	wal.StampTxn(buf, off, 0)
+	buf = wal.StampTxn(buf, off, 0)
 	e.log.AppendTraced(0, buf, nil, nil, func(_ wal.Addr, err error) {
 		if err == nil {
 			e.pendMu.Lock()

@@ -55,7 +55,7 @@ type writeSet struct {
 	txn     *Txn
 	csn     uint64
 	durable func(csn uint64, err error)
-	stamp   func()
+	stamp   func([]byte) []byte
 	logDone func(wal.Addr, error)
 }
 
@@ -94,8 +94,9 @@ func (s *workerSlot) carve(n int) []byte {
 
 // writeSet returns the transaction's write set, taking one from the slot on
 // the first write, with a log buffer carved from the slot's arena: an eighth
-// over what the slot's last transaction filled, so one a little larger than
-// its predecessor does not pay a second buffer and a copy.
+// over what the slot's last transaction filled, and room for its CSN, so one
+// a little larger than its predecessor does not pay a second buffer and a
+// copy.
 func (t *Txn) writeSet() *writeSet {
 	if t.ws != nil {
 		return t.ws
@@ -114,7 +115,7 @@ func (t *Txn) writeSet() *writeSet {
 	}
 	n := firstLogBytes
 	if s.lastLogBytes > 0 {
-		n = s.lastLogBytes + s.lastLogBytes/8
+		n = s.lastLogBytes + s.lastLogBytes/8 + wal.MaxTrailerLen
 	}
 	t.ws.log = s.carve(n)
 	return t.ws
@@ -500,7 +501,8 @@ func (t *Txn) scanDecoded(b *scanBatch, tbl *Table, idx int, fromK, toK []byte, 
 //     was published takes the record out of the buffer again (unstage).
 //   - What happens to the buffer after a version is published touches no byte
 //     a published payload covers: later records are appended behind it,
-//     StampTxn writes header bytes, a buffer that grows is copied, not moved.
+//     StampTxn writes an op byte and the CSN after the last record, a buffer
+//     that grows is copied, not moved.
 //
 // Every write records its writeEntry as soon as its version is installed,
 // before index maintenance: whatever fails afterwards aborts the

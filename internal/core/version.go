@@ -32,7 +32,7 @@ type Version struct {
 	// become durable and moved by compaction, and its flag bits in [32,38),
 	// which wal.Addr leaves unused. A version with address 0 exists only in
 	// memory (not yet durable). Every store keeps the bits it does not own
-	// (setAddr, setFlag, release).
+	// (setAddr, setFlag, clearFlag).
 	word atomic.Uint64
 	// data is the version's row framed as its log record frames it: the
 	// payload-length uvarint, then the full row (Section 4.2: updates write
@@ -52,12 +52,14 @@ const (
 	flagTomb uint64 = 1 << (32 + iota)
 	// flagPriv says data is still the bytes the version was built around,
 	// beside the log's: the transaction's buffer, or a payload of its own.
-	// Whoever clears it (release) takes those bytes off the engine's ledger
+	// Whoever clears it (clearFlag) takes those bytes off the engine's ledger
 	// of them (core.payload_private_bytes): the swing onto the log, an
 	// eviction, GC.
 	flagPriv
 	// flagCSN says the version's record is its transaction's first, the one
-	// that carries the CSN: eight bytes longer than a continuation (logLen).
+	// the log charges its transaction's CSN trailer to (logBytes). A record
+	// inside a 2PC prepare's payload is none: the prepared buffer has no
+	// trailer.
 	flagCSN
 	// flagDead says GC has put the record's bytes on the dead-log ledger:
 	// once, whichever prune reaches the version first.
@@ -111,14 +113,14 @@ func (v *Version) setFlag(f uint64) bool {
 	}
 }
 
-// release clears flagPriv and reports whether this call cleared it.
-func (v *Version) release() bool {
+// clearFlag clears f and reports whether this call cleared it.
+func (v *Version) clearFlag(f uint64) bool {
 	for {
 		old := v.word.Load()
-		if old&flagPriv == 0 {
+		if old&f == 0 {
 			return false
 		}
-		if v.word.CompareAndSwap(old, old&^flagPriv) {
+		if v.word.CompareAndSwap(old, old&^f) {
 			return true
 		}
 	}
@@ -139,9 +141,12 @@ func (v *Version) setAddr(addr wal.Addr, f uint64) {
 func (v *Version) Addr() wal.Addr { return wal.Addr(v.word.Load() &^ flagBits) }
 
 // logLen is the length of v's log record, v being a version of table's row
-// rid: what the log holds for it, and frees when GC prunes it. A version
-// whose row is not in memory -- an evicted one, a stub no read has loaded --
-// reads its record from the log; 0 when that fails.
+// rid, with its transaction's CSN trailer when v's record is the first
+// (flagCSN): what the log holds for it, and frees when GC prunes it. A
+// version whose row is not in memory -- an evicted one, a stub no read has
+// loaded -- reads its record from the log; 0 when that fails. The trailer is
+// charged at v's CSN, which is the logged one except for a row ImportRow
+// loaded, whose CSN 1 is at most as long.
 func (v *Version) logLen(log recordReader, table uint32, rid RID) int64 {
 	p, ok := v.resident()
 	if !ok && !v.tomb() {
@@ -151,7 +156,19 @@ func (v *Version) logLen(log recordReader, table uint32, rid RID) int64 {
 		}
 		p = rec.Payload
 	}
-	return int64(wal.RecordLen(v.has(flagCSN), table, uint64(rid), len(p)))
+	return int64(logBytes(v.has(flagCSN), table, rid, len(p), v.tmin.Load()))
+}
+
+// logBytes is what the log holds for a record of table's row rid with an
+// n-byte payload, committed at csn: the record, and when first, the record
+// being its transaction's first, the CSN trailer its transaction ends with.
+// Charged so, a transaction's records sum to its bytes in the log.
+func logBytes(first bool, table uint32, rid RID, n int, csn uint64) int {
+	l := wal.RecordLen(table, uint64(rid), n)
+	if first {
+		l += wal.TrailerLen(csn)
+	}
+	return l
 }
 
 // setData makes frame, the row's bytes behind their length, v's payload: a
@@ -163,8 +180,9 @@ func (v *Version) setData(frame []byte) { v.data.Store(unsafe.SliceData(frame)) 
 
 // resident returns v's payload and true when it is in memory; false when it
 // is evicted, not loaded yet, or v is a delete marker. It reads the frame
-// (wal.Framed), never the op byte or the CSN of v's record, which commit
-// writes into a transaction's buffer after publication (wal.StampTxn).
+// (wal.Framed), never the op byte of v's record or the CSN after its
+// transaction, which commit writes into a transaction's buffer after
+// publication (wal.StampTxn).
 func (v *Version) resident() ([]byte, bool) {
 	p := v.data.Load()
 	if p == nil {
@@ -259,7 +277,7 @@ func (v *Version) swing(win *logWindow, addr wal.Addr, n int) (released int, ok 
 		return 0, false
 	}
 	v.setData(b)
-	if v.release() {
+	if v.clearFlag(flagPriv) {
 		released = n
 	}
 	return released, true

@@ -750,14 +750,15 @@ func walImageRun(t *testing.T, splice bool) *Engine {
 	return e
 }
 
-// The log image of walImageRun. crcImage is today's: the transaction is the
-// log's unit, its CSN in its first record only. recordCSNImage is the image
-// every commit up to the one before this kept, in which each record repeated
-// its transaction's CSN (SRSS is memory-only: no image in the old format
-// outlives its process, so nothing has to read both).
+// The log image of walImageRun. trailerImage is today's: every record laid
+// out alike, a transaction's CSN a uvarint after its last record.
+// csnFirstImage is the image every commit up to the one before this kept, in
+// which a transaction's first record carried its CSN in eight bytes after
+// its op byte (SRSS is memory-only: no image in the old format outlives its
+// process, so nothing has to read both).
 const (
-	recordCSNImage = "47a1f4dccc06574360949482992868abedf459a90064435b74cffd9ed6253e13"
-	crcImage       = "e25be58bb526e29944192bb51313b46ebb27769dcb66ff24a9287eefd20ef7c0"
+	csnFirstImage = "e25be58bb526e29944192bb51313b46ebb27769dcb66ff24a9287eefd20ef7c0"
+	trailerImage  = "1743d50788afa5abd5e71b6444c7bedc2cb6e97206c5e51e14bf1db52b42787e"
 )
 
 // TestWALImageUnchanged pins the log format byte for byte, whether the
@@ -765,57 +766,59 @@ const (
 // and log_bytes_per_user_byte depend on nothing here moving.
 func TestWALImageUnchanged(t *testing.T) {
 	for _, splice := range []bool{false, true} {
-		if got := walImageHash(walSegments(t, walImageRun(t, splice))); got != crcImage {
-			t.Errorf("splice=%v: WAL image hash %s, want %s", splice, got, crcImage)
+		if got := walImageHash(walSegments(t, walImageRun(t, splice))); got != trailerImage {
+			t.Errorf("splice=%v: WAL image hash %s, want %s", splice, got, trailerImage)
 		}
 	}
 }
 
-// TestWALImageOnlyFramingMoved shows that the re-freeze of crcImage moved
-// nothing but the framing of a transaction: write every record the log's scan
-// delivers in the layout every commit up to the one before this kept -- op,
-// its transaction's CSN, table, RID, payload length, payload, checksum, no
-// marks -- and the log is that image again: every payload, table, RID and
-// checksum is what it was. The image is the 32 continuations' 8 bytes
-// shorter.
+// TestWALImageOnlyFramingMoved shows that the re-freeze of trailerImage moved
+// nothing but where a transaction keeps its CSN: move each transaction's CSN
+// from the trailer after its last record back into its first, as eight bytes
+// right after the op byte, and the log is csnFirstImage again, byte for
+// byte: every mark, payload, table, RID and checksum is what it was. Each of
+// the six transactions is 8 - uvarintLen(CSN) bytes shorter.
 func TestWALImageOnlyFramingMoved(t *testing.T) {
 	e := walImageRun(t, false)
 	segs := walSegments(t, e)
-	records, txns, newLen, oldLen := 0, 0, 0, 0
+	records, txns, saved, shrunk := 0, 0, 0, 0
 	for i, s := range segs {
 		old := s.b[:1:1] // byte 0 is the segment header
 		end, err := e.Log().ScanSegmentFrom(s.id, 0, func(txn []wal.Entry) bool {
-			for _, r := range txn {
-				// A record alone in its buffer is a first record with room for
-				// the CSN right after its op byte, and no end mark until stamped.
-				rec, _ := wal.AppendRecord(nil, r.Op, r.Table, r.RID, r.Payload)
-				binary.LittleEndian.PutUint64(rec[1:9], r.CSN)
+			for j, r := range txn {
+				at := int(r.Addr.Offset())
+				rec := s.b[at : at+wal.RecordLen(r.Table, r.RID, len(r.Payload))]
+				if j == 0 {
+					old = binary.LittleEndian.AppendUint64(append(old, rec[0]), r.CSN)
+					rec = rec[1:]
+				}
 				old = append(old, rec...)
 			}
 			records, txns = records+len(txn), txns+1
+			saved += 8 - wal.TrailerLen(txn[0].CSN)
 			return true
 		})
 		if err != nil || end != int64(len(s.b)) {
 			t.Fatalf("segment %d: scan stopped at %d of %d: %v", s.id, end, len(s.b), err)
 		}
-		newLen, oldLen = newLen+len(s.b), oldLen+len(old)
+		shrunk += len(old) - len(s.b)
 		segs[i].b = old
 	}
-	if records != 4*8+5+1 || txns != 6 {
-		t.Errorf("walked %d records in %d transactions, want 38 in 6", records, txns)
+	if records != 4*8+5+1 || txns != 6 || saved != 6*7 || shrunk != saved {
+		t.Errorf("walked %d records in %d transactions, %d bytes shorter, %d saved by the CSNs; want 38 in 6, 42 and 42", records, txns, shrunk, saved)
 	}
-	if oldLen-newLen != 32*8 {
-		t.Errorf("the image is %d bytes shorter than with a CSN in every record, want %d", oldLen-newLen, 32*8)
-	}
-	if got := walImageHash(segs); got != recordCSNImage {
-		t.Errorf("with a CSN in every record the image hashes to %s, want the parent's %s", got, recordCSNImage)
+	if got := walImageHash(segs); got != csnFirstImage {
+		t.Errorf("with each CSN in its first record the image hashes to %s, want the parent's %s", got, csnFirstImage)
 	}
 }
 
-// TestTransactionLogBytes counts what logging a transaction as the unit
-// saves: a 128-insert transaction's buffer is 127 CSNs, 8 bytes each, shorter
-// than its records each written as a one-record transaction, and a one-insert
-// transaction's buffer is byte for byte that one record.
+// TestTransactionLogBytes counts what logging a transaction as the unit, its
+// CSN a trailer, saves: a transaction pays its CSN once, in uvarintLen(CSN)
+// bytes -- 8 - uvarintLen(CSN) fewer than a fixed-width CSN in its first
+// record -- so a 128-insert transaction's buffer is its records and one
+// trailer, 127 trailers shorter than its records each written as a
+// one-record transaction, and a one-insert transaction's buffer is byte for
+// byte that one record and its trailer.
 func TestTransactionLogBytes(t *testing.T) {
 	e := testEngine(t, func(c *Config) { c.LogStreams = 1 })
 	tbl := mustTable(t, e, usersSchema())
@@ -839,9 +842,10 @@ func TestTransactionLogBytes(t *testing.T) {
 		}
 		commit(t, tx)
 		var standalone []byte
+		recBytes := 0
 		for _, rec := range records {
-			wal.StampTxn(rec, 0, tx.CSN())
-			standalone = append(standalone, rec...)
+			recBytes += len(rec)
+			standalone = append(standalone, wal.StampTxn(rec, 0, tx.CSN())...)
 		}
 		// The transaction is the last thing its stream logged.
 		at := tbl.rows.Get(first).Addr()
@@ -851,8 +855,12 @@ func TestTransactionLogBytes(t *testing.T) {
 				logged = s.b[at.Offset():]
 			}
 		}
-		if saved := len(standalone) - len(logged); saved != (n-1)*8 {
-			t.Errorf("a %d-insert transaction logs %d bytes, its records on their own %d: %d saved, want %d", n, len(logged), len(standalone), saved, (n-1)*8)
+		trailer := wal.TrailerLen(tx.CSN())
+		if len(logged) != recBytes+trailer || trailer >= 8 {
+			t.Errorf("a %d-insert transaction logs %d bytes, its records are %d and its CSN %d: want the CSN paid once, in under 8 bytes", n, len(logged), recBytes, trailer)
+		}
+		if saved := len(standalone) - len(logged); saved != (n-1)*trailer {
+			t.Errorf("a %d-insert transaction logs %d bytes, its records on their own %d: %d saved, want %d", n, len(logged), len(standalone), saved, (n-1)*trailer)
 		}
 		if n == 1 && !bytes.Equal(logged, standalone) {
 			t.Errorf("a one-insert transaction logs %x, its record on its own is %x", logged, standalone)

@@ -3,12 +3,15 @@
 // head of each record's version chain, realizing "the log is the database".
 //
 // A table is represented by one or more fixed-size indirection arrays
-// (partitions). A RID packs a 16-bit partition ID and a 32-bit slot ID, so
-// locating a record is two array indexing steps -- no hashing, no tree
-// traversal -- while partitions can still be created and dropped on demand
-// to grow and shrink the table. Within a partition, slot pages are allocated
-// lazily, mirroring the paper's trick of reserving virtual address space and
-// letting the OS back it with physical pages on first touch.
+// (partitions). A RID packs a 16-bit partition ID above its table's slot
+// bits, so locating a record is two array indexing steps -- no hashing, no
+// tree traversal -- while partitions can still be created and dropped on
+// demand to grow and shrink the table. The RIDs of a table are dense: its
+// partitions' slots number on from one partition to the next, so a RID is as
+// small as the table, and so is its uvarint in the log. Within a partition,
+// slot pages are allocated lazily, mirroring the paper's trick of reserving
+// virtual address space and letting the OS back it with physical pages on
+// first touch.
 //
 // Each entry is one atomic pointer, a machine word: version installation is a
 // single CAS (Section 5.1), and a delete clears it. The paper's per-entry
@@ -19,34 +22,22 @@ package pia
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"unsafe"
 )
 
-// RID is a record identifier: bits [32,48) are the partition ID and bits
-// [0,32) the slot within the partition. A RID uniquely identifies a record
-// and never changes during the record's lifetime.
+// RID is a record identifier: partition<<slotBits | slot, with its table's
+// slot bits (Config.SlotBits). A RID uniquely identifies a record and never
+// changes during the record's lifetime. Only its Map can split it.
 type RID uint64
 
 // InvalidRID is the zero RID; slot 0 of partition 0 is never allocated so
 // that InvalidRID is never a live record.
 const InvalidRID RID = 0
 
-// makeRID packs a partition and slot into a RID.
-func makeRID(partition uint16, slot uint32) RID {
-	return RID(uint64(partition)<<32 | uint64(slot))
-}
-
-// partition extracts the partition ID.
-func (r RID) partition() uint16 { return uint16(r >> 32) }
-
-// slot extracts the slot ID.
-func (r RID) slot() uint32 { return uint32(r) }
-
-// String renders the RID as partition:slot.
-func (r RID) String() string { return fmt.Sprintf("%d:%d", r.partition(), r.slot()) }
+// maxPartitions is how many partitions a table may have: a 16-bit ID each.
+const maxPartitions = 1 << 16
 
 // Errors.
 var (
@@ -153,10 +144,21 @@ func New[T any](cfg Config) *Map[T] {
 	return m
 }
 
+// makeRID packs a partition and slot into a RID.
+func (m *Map[T]) makeRID(partition uint16, slot uint32) RID {
+	return RID(uint64(partition)<<m.slotBits | uint64(slot))
+}
+
+// split returns rid's partition ID, which may be past the last a table can
+// have, and its slot.
+func (m *Map[T]) split(rid RID) (partition uint64, slot uint32) {
+	return uint64(rid) >> m.slotBits, uint32(rid & (1<<m.slotBits - 1))
+}
+
 // part returns partition id, or nil when out of range or dropped.
-func (m *Map[T]) part(id uint16) *partition[T] {
+func (m *Map[T]) part(id uint64) *partition[T] {
 	parts := *m.partitions.Load()
-	if int(id) >= len(parts) {
+	if id >= uint64(len(parts)) {
 		return nil
 	}
 	return parts[id]
@@ -172,7 +174,7 @@ func (m *Map[T]) grow() (*partition[T], error) {
 		return cur, nil
 	}
 	old := *m.partitions.Load()
-	if len(old) > math.MaxUint16 {
+	if len(old) >= maxPartitions {
 		return nil, ErrTableFull
 	}
 	p := newPartition[T](uint16(len(old)), m.slotBits)
@@ -190,7 +192,7 @@ func (m *Map[T]) Alloc() (RID, error) {
 		p := m.allocPart.Load()
 		s := p.next.Add(1) - 1
 		if s < p.capacity() {
-			return makeRID(p.id, s), nil
+			return m.makeRID(p.id, s), nil
 		}
 		// Partition exhausted; grow (or pick up a concurrent grow).
 		np, err := m.grow()
@@ -206,12 +208,15 @@ func (m *Map[T]) Alloc() (RID, error) {
 // arrays exactly as the checkpoint and log dictate; the fast path is
 // read-locked so parallel replay threads do not serialize here.
 func (m *Map[T]) AllocAt(rid RID) error {
-	pid := rid.partition()
+	pid, slot := m.split(rid)
+	if pid >= maxPartitions {
+		return fmt.Errorf("%w: %v (partition %d)", ErrBadRID, rid, pid)
+	}
 	p := m.part(pid)
 	if p == nil {
 		m.mu.Lock()
 		parts := append([]*partition[T](nil), *m.partitions.Load()...)
-		for int(pid) >= len(parts) {
+		for pid >= uint64(len(parts)) {
 			np := newPartition[T](uint16(len(parts)), m.slotBits)
 			parts = append(parts, np)
 			m.allocPart.Store(np)
@@ -220,19 +225,16 @@ func (m *Map[T]) AllocAt(rid RID) error {
 		p = parts[pid]
 		m.mu.Unlock()
 	}
-	if rid.slot() >= p.capacity() {
-		return fmt.Errorf("%w: %v (cap %d)", ErrBadRID, rid, p.capacity())
-	}
 	// Raise the allocation cursor past this slot so future Allocs do not
 	// hand it out again.
 	for {
 		cur := p.next.Load()
-		if cur > rid.slot() || p.next.CompareAndSwap(cur, rid.slot()+1) {
+		if cur > slot || p.next.CompareAndSwap(cur, slot+1) {
 			break
 		}
 	}
 	// Touch the slot's page so later Get/CAS calls find it allocated.
-	p.slot(rid.slot(), true)
+	p.slot(slot, true)
 	return nil
 }
 
@@ -245,16 +247,18 @@ func (m *Map[T]) AllocAt(rid RID) error {
 // on it.
 func (m *Map[T]) StoreRun(rids []RID, vs []*T, yield func(have, v *T) bool) error {
 	for i := 0; i < len(rids); {
+		pid, _ := m.split(rids[i])
 		j := i + 1
-		for j < len(rids) && rids[j].partition() == rids[i].partition() {
+		for j < len(rids) && uint64(rids[j])>>m.slotBits == pid {
 			j++
 		}
 		if err := m.AllocAt(rids[j-1]); err != nil {
 			return err
 		}
-		p := m.part(rids[i].partition())
+		p := m.part(pid)
 		for k := i; k < j; k++ {
-			e := p.slot(rids[k].slot(), true)
+			_, slot := m.split(rids[k])
+			e := p.slot(slot, true)
 			for {
 				have := e.ptr.Load()
 				if have != nil && yield(have, vs[k]) {
@@ -273,11 +277,12 @@ func (m *Map[T]) StoreRun(rids []RID, vs []*T, yield func(have, v *T) bool) erro
 
 // Get loads the pointer stored at rid (nil if unset or deleted).
 func (m *Map[T]) Get(rid RID) *T {
-	p := m.part(rid.partition())
-	if p == nil || rid.slot() >= p.capacity() {
+	pid, slot := m.split(rid)
+	p := m.part(pid)
+	if p == nil {
 		return nil
 	}
-	e := p.slot(rid.slot(), false)
+	e := p.slot(slot, false)
 	if e == nil {
 		return nil
 	}
@@ -325,14 +330,12 @@ func (m *Map[T]) DeleteIf(rid RID, old *T) (bool, error) {
 }
 
 func (m *Map[T]) entryOf(rid RID) (*entry[T], error) {
-	p := m.part(rid.partition())
+	pid, slot := m.split(rid)
+	p := m.part(pid)
 	if p == nil {
-		return nil, fmt.Errorf("%w: %v (no partition)", ErrBadRID, rid)
+		return nil, fmt.Errorf("%w: %v (no partition %d)", ErrBadRID, rid, pid)
 	}
-	if rid.slot() >= p.capacity() {
-		return nil, fmt.Errorf("%w: %v (cap %d)", ErrBadRID, rid, p.capacity())
-	}
-	return p.slot(rid.slot(), true), nil
+	return p.slot(slot, true), nil
 }
 
 // SlotBytes returns the bytes of the slot pages allocated so far: what the
@@ -372,7 +375,7 @@ func (m *Map[T]) Range(fn func(rid RID, v *T) bool) {
 				continue
 			}
 			if v := e.ptr.Load(); v != nil {
-				if !fn(makeRID(p.id, s), v) {
+				if !fn(m.makeRID(p.id, s), v) {
 					return
 				}
 			}

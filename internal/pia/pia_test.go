@@ -1,6 +1,7 @@
 package pia
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -9,12 +10,44 @@ import (
 type rec struct{ v int }
 
 func TestRIDPacking(t *testing.T) {
-	r := makeRID(0x1234, 0xdeadbeef)
-	if r.partition() != 0x1234 || r.slot() != 0xdeadbeef {
-		t.Fatalf("pack/unpack: %v", r)
+	for _, bits := range []uint{12, 20, 32} {
+		m := New[rec](Config{SlotBits: bits})
+		slot := uint32(0xdeadbeef) & (1<<bits - 1)
+		r := m.makeRID(0x1234, slot)
+		if p, s := m.split(r); p != 0x1234 || s != slot {
+			t.Fatalf("%d slot bits: pack/unpack: %v is %d:%d", bits, r, p, s)
+		}
+		if p, s := m.split(InvalidRID); p != 0 || s != 0 {
+			t.Fatal("InvalidRID not zero")
+		}
 	}
-	if InvalidRID.partition() != 0 || InvalidRID.slot() != 0 {
-		t.Fatal("InvalidRID not zero")
+}
+
+// TestRIDsAreDense: a RID is partition<<slotBits | slot, so partition 1's
+// first RID follows partition 0's last, RIDs ascend across the boundary as
+// Alloc hands them out, and a RID prints as the number it is.
+func TestRIDsAreDense(t *testing.T) {
+	const bits = 12
+	m := New[rec](Config{SlotBits: bits})
+	if r := m.makeRID(1, 0); r != 1<<bits {
+		t.Fatalf("partition 1's first RID is %d, want %d", r, 1<<bits)
+	}
+	prev := InvalidRID
+	for i := 1; i < 3<<bits; i++ {
+		r, err := m.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r != prev+1 {
+			t.Fatalf("Alloc %d: RID %d after %d", i, r, prev)
+		}
+		prev = r
+	}
+	if m.Partitions() != 3 {
+		t.Fatalf("%d RIDs in %d partitions, want 3", 3<<bits-1, m.Partitions())
+	}
+	if s := fmt.Sprint(m.makeRID(1, 0)); s != "4096" {
+		t.Fatalf("partition 1's first RID prints as %q, want 4096", s)
 	}
 }
 
@@ -132,7 +165,7 @@ func TestConcurrentAllocUnique(t *testing.T) {
 
 func TestAllocAtForRecovery(t *testing.T) {
 	m := New[rec](Config{SlotBits: 12})
-	rid := makeRID(2, 100) // partition 2 does not exist yet
+	rid := m.makeRID(2, 100) // partition 2 does not exist yet
 	if err := m.AllocAt(rid); err != nil {
 		t.Fatal(err)
 	}
@@ -149,21 +182,21 @@ func TestAllocAtForRecovery(t *testing.T) {
 			t.Fatal("Alloc reissued recovered RID")
 		}
 	}
-	// Out-of-range slot in an existing partition.
-	if err := m.AllocAt(makeRID(0, 1<<13)); err == nil {
-		t.Fatal("AllocAt past capacity succeeded")
+	// A RID past the last partition a table can have.
+	if err := m.AllocAt(RID(maxPartitions << 12)); err == nil {
+		t.Fatal("AllocAt past the last partition succeeded")
 	}
 }
 
 // TestStoreRunForRecovery: a run across partitions, one not there yet, stores
 // every version, counts each once, and leaves no RID for Alloc to reissue; a
 // run over occupied slots replaces only the occupants its versions do not
-// yield to, and clears those that yield; a run past a partition's capacity is
-// an error.
+// yield to, and clears those that yield; a run past the last partition a
+// table can have is an error.
 func TestStoreRunForRecovery(t *testing.T) {
 	m := New[rec](Config{SlotBits: 12})
 	newer := func(have, v *rec) bool { return have.v >= v.v }
-	rids := []RID{makeRID(0, 3), makeRID(0, 4000), makeRID(1, 7), makeRID(1, 9)}
+	rids := []RID{m.makeRID(0, 3), m.makeRID(0, 4000), m.makeRID(1, 7), m.makeRID(1, 9)}
 	vs := []*rec{{1}, {2}, {3}, {4}}
 	if err := m.StoreRun(rids, append([]*rec(nil), vs...), newer); err != nil {
 		t.Fatal(err)
@@ -186,14 +219,14 @@ func TestStoreRunForRecovery(t *testing.T) {
 			t.Fatalf("Alloc reissued stored RID %v", r)
 		}
 	}
-	if err := m.StoreRun([]RID{makeRID(0, 5), makeRID(0, 1<<12)}, []*rec{{7}, {8}}, newer); err == nil {
-		t.Fatal("a run past capacity stored")
+	if err := m.StoreRun([]RID{m.makeRID(0, 5), RID(maxPartitions << 12)}, []*rec{{7}, {8}}, newer); err == nil {
+		t.Fatal("a run past the last partition stored")
 	}
 }
 
 func TestBadRID(t *testing.T) {
 	m := New[rec](Config{SlotBits: 12})
-	bad := makeRID(9, 0)
+	bad := m.makeRID(9, 0)
 	if m.Get(bad) != nil {
 		t.Fatal("Get on missing partition returned value")
 	}

@@ -106,7 +106,7 @@ func TestServiceRoundTripAllocs(t *testing.T) {
 	}{
 		{"ping", 0.05, s.Ping},
 		{"prepared point SELECT", 0.06, func() error { _, err := sel.Exec(one...); return err }},
-		{"text point SELECT", 7.05, func() error { _, err := s.Exec("SELECT v FROM a WHERE k = ?", one...); return err }},
+		{"text point SELECT", 6.05, func() error { _, err := s.Exec("SELECT v FROM a WHERE k = ?", one...); return err }},
 		{"empty BEGIN+COMMIT", 0.05, func() error { // no request at all
 			if err := s.Begin(); err != nil {
 				return err

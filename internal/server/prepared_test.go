@@ -644,3 +644,42 @@ func TestTimeoutsUnderReadChaos(t *testing.T) {
 		t.Fatal("idle connection survived with chaos armed")
 	}
 }
+
+// TestTextSQLCachedPastItsFrame: an OpExec's SQL text is decoded borrowed,
+// aliasing the request frame, which the connection reads its next request
+// into. Two texts of one length, each executed in turn over one connection
+// so that the second's frame overwrites the first's bytes, are each compiled
+// once and then found in the plan cache under their own text: the cache
+// keeps copies, never the frame.
+func TestTextSQLCachedPastItsFrame(t *testing.T) {
+	h := newHarness(t, nil, nil)
+	s, err := h.client(t, nil).Session()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, q := range []string{
+		"CREATE TABLE a (id INT, v TEXT, PRIMARY KEY(id))",
+		"CREATE TABLE b (id INT, v TEXT, PRIMARY KEY(id))",
+		"INSERT INTO a VALUES (1, 'one')",
+		"INSERT INTO b VALUES (1, 'uno')",
+	} {
+		if _, err := s.Exec(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	texts := []struct{ q, want string }{{"SELECT v FROM a WHERE id = ?", "one"}, {"SELECT v FROM b WHERE id = ?", "uno"}}
+	before := h.srv.cfg.Frontend.PlanCacheStats()
+	for round := 0; round < 2; round++ {
+		for _, x := range texts {
+			res, err := s.Exec(x.q, core.I(1))
+			if err != nil || len(res.Rows) != 1 || !res.Rows[0][0].Equal(core.S(x.want)) {
+				t.Fatalf("round %d, %q: %v %+v, want %q", round, x.q, err, res, x.want)
+			}
+		}
+	}
+	after := h.srv.cfg.Frontend.PlanCacheStats()
+	if misses, hits := after.Misses-before.Misses, after.Hits-before.Hits; misses != 2 || hits != 2 {
+		t.Fatalf("two texts executed twice each: %d misses and %d hits, want 2 and 2", misses, hits)
+	}
+}

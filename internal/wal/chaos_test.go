@@ -23,7 +23,7 @@ func TestAppendGiveupWhenTierDown(t *testing.T) {
 		svc.ComputeNode(i).Fail()
 	}
 	buf, off := AppendRecord(nil, OpInsert, 1, 1, []byte("doomed"))
-	StampTxn(buf, off, 1)
+	buf = StampTxn(buf, off, 1)
 	_, aerr := m.AppendSync(0, buf)
 	if !errors.Is(aerr, srss.ErrNoHealthyNodes) {
 		t.Fatalf("append with tier down: %v, want wrapped ErrNoHealthyNodes", aerr)
@@ -53,7 +53,7 @@ func TestFlushCrashSites(t *testing.T) {
 			t.Fatal(err)
 		}
 		buf, off := AppendRecord(nil, OpInsert, 1, 7, []byte("batch"))
-		StampTxn(buf, off, 5)
+		buf = StampTxn(buf, off, 5)
 		_, aerr := m.AppendSync(0, buf)
 		if !errors.Is(aerr, chaos.ErrCrashed) {
 			t.Fatalf("%s: append error = %v", site, aerr)
@@ -101,7 +101,7 @@ func TestTornTailTruncation(t *testing.T) {
 		var good []Addr
 		for i := 0; i < 2; i++ {
 			buf, off := AppendRecord(nil, OpInsert, 1, uint64(i), []byte("intact-record-payload"))
-			StampTxn(buf, off, uint64(i+1))
+			buf = StampTxn(buf, off, uint64(i+1))
 			a, err := m.AppendSync(0, buf)
 			if err != nil {
 				t.Fatalf("seed %d: good append %d: %v", seed, i, err)
@@ -110,7 +110,7 @@ func TestTornTailTruncation(t *testing.T) {
 		}
 		ch.Arm(chaos.Rule{Site: srss.SiteAppendTear, Action: chaos.Tear, OnHit: ch.Hits(srss.SiteAppendTear) + 1})
 		buf, off := AppendRecord(nil, OpInsert, 1, 99, []byte("this-record-will-be-torn-apart"))
-		StampTxn(buf, off, 3)
+		buf = StampTxn(buf, off, 3)
 		if _, err := m.AppendSync(0, buf); !errors.Is(err, chaos.ErrCrashed) {
 			t.Fatalf("seed %d: torn append error = %v", seed, err)
 		}
@@ -157,7 +157,7 @@ func TestGenuineCorruptionStillFails(t *testing.T) {
 	}
 	defer m.Close()
 	buf, off := AppendRecord(nil, OpInsert, 1, 1, []byte("valid"))
-	StampTxn(buf, off, 1)
+	buf = StampTxn(buf, off, 1)
 	if _, err := m.AppendSync(0, buf); err != nil {
 		t.Fatal(err)
 	}
@@ -178,5 +178,50 @@ func TestGenuineCorruptionStillFails(t *testing.T) {
 	}
 	if cnt, _ := m.TailTruncations(); cnt != 0 {
 		t.Fatalf("truncation counted for genuine corruption: %d", cnt)
+	}
+}
+
+// TestMissingTrailer: a transaction whose last record ends the segment without
+// the CSN that follows it is a torn tail on a torn segment -- truncated at
+// its first record -- and corruption on a sealed, untorn one, whose replicas
+// agree: the scan fails with ErrCorrupt and truncates nothing.
+func TestMissingTrailer(t *testing.T) {
+	for _, torn := range []bool{true, false} {
+		svc := srss.New(srss.Config{MaxPLogSize: 1 << 20})
+		m, err := Open(Config{Service: svc, Streams: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf, off := AppendRecord(nil, OpInsert, 1, 1, []byte("whole"))
+		if _, err := m.AppendSync(0, StampTxn(buf, off, 1)); err != nil {
+			t.Fatal(err)
+		}
+		// A second transaction, end-marked, without its trailer.
+		buf, off = AppendRecord(nil, OpInsert, 1, 2, []byte("unstamped"))
+		buf[off] |= markEnd
+		p := m.Stream(0).plog
+		if _, err := p.Append(buf); err != nil {
+			t.Fatal(err)
+		}
+		if torn {
+			p.SealTorn()
+		} else {
+			p.Seal()
+		}
+		var rids []uint64
+		err = scanSegment(m, m.Stream(0).seg, func(_ Addr, r Record) bool {
+			rids = append(rids, r.RID)
+			return true
+		})
+		cnt, _ := m.TailTruncations()
+		switch {
+		case len(rids) != 1 || rids[0] != 1:
+			t.Fatalf("torn %v: scan delivered RIDs %v, want [1]", torn, rids)
+		case torn && (err != nil || cnt != 1):
+			t.Fatalf("torn: %v, %d truncations; want the tail truncated once", err, cnt)
+		case !torn && (!errors.Is(err, ErrCorrupt) || cnt != 0):
+			t.Fatalf("sealed untorn: %v, %d truncations; want ErrCorrupt and none", err, cnt)
+		}
+		m.Close()
 	}
 }

@@ -35,7 +35,7 @@ func TestFollowerLiveTailSoak(t *testing.T) {
 		defer close(writeErr)
 		for i := uint64(1); i <= total; i++ {
 			buf, off := AppendRecord(nil, OpInsert, 1, i, []byte("soak-payload-of-nontrivial-length"))
-			StampTxn(buf, off, i)
+			buf = StampTxn(buf, off, i)
 			if _, err := w.AppendSync(0, buf); err != nil {
 				writeErr <- err
 				return
@@ -108,13 +108,13 @@ func TestTailTruncationCountedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf, off := AppendRecord(nil, OpInsert, 1, 1, []byte("good-record"))
-	StampTxn(buf, off, 1)
+	buf = StampTxn(buf, off, 1)
 	if _, err := m.AppendSync(0, buf); err != nil {
 		t.Fatal(err)
 	}
 	ch.Arm(chaos.Rule{Site: srss.SiteAppendTear, Action: chaos.Tear, OnHit: ch.Hits(srss.SiteAppendTear) + 1})
 	buf, off = AppendRecord(nil, OpInsert, 1, 2, []byte("torn-record-payload"))
-	StampTxn(buf, off, 2)
+	buf = StampTxn(buf, off, 2)
 	if _, err := m.AppendSync(0, buf); !errors.Is(err, chaos.ErrCrashed) {
 		t.Fatalf("torn append error = %v", err)
 	}
@@ -150,7 +150,7 @@ func TestDropSegmentFencesScans(t *testing.T) {
 	defer m.Close()
 	for i := uint64(1); i <= 3; i++ {
 		buf, off := AppendRecord(nil, OpInsert, 1, i, []byte("fenced"))
-		StampTxn(buf, off, i)
+		buf = StampTxn(buf, off, i)
 		if _, err := m.AppendSync(0, buf); err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 
 	"hiengine/internal/srss"
@@ -11,7 +12,8 @@ import (
 // fuzzSegment is a real segment's transactions: every op, payloads from none
 // to several chunks of the fuzz targets' 64-byte storage, RIDs and tables
 // whose uvarints put record boundaries everywhere relative to the chunks',
-// one-record transactions and a three-record one.
+// one-record transactions and a three-record one, CSN trailers from one byte
+// to six.
 func fuzzSegment() []byte {
 	var seg, txn []byte
 	var off int
@@ -22,7 +24,7 @@ func fuzzSegment() []byte {
 		}
 		txn, off = AppendRecord(txn, op, uint32(i*i*1000), uint64(1)<<(7*i), payload)
 		if i < 5 || i == 7 { // records 5, 6 and 7 are one transaction
-			StampTxn(txn, off, uint64(i+1)<<(5*i))
+			txn = StampTxn(txn, off, uint64(i+1)<<(5*i))
 			seg, txn = append(seg, txn...), txn[:0]
 		}
 	}
@@ -37,9 +39,10 @@ type found struct {
 }
 
 // walkTxns is the reference a scan of data is held to: the whole transactions
-// a walk of the contiguous bytes finds, and the error it stops at, if any. It
+// a walk of the contiguous bytes finds, each record with the CSN of the
+// trailer after its transaction's last, and the error it stops at, if any. It
 // also checks that every payload DecodeRecord returns lies inside its input.
-func walkTxns(t *testing.T, data []byte) (txns [][]found, err error) {
+func walkTxns(t testing.TB, data []byte) (txns [][]found, err error) {
 	for pos := 0; pos < len(data); {
 		var txn []found
 		for end := false; !end; {
@@ -60,25 +63,33 @@ func walkTxns(t *testing.T, data []byte) (txns [][]found, err error) {
 			if len(rec.Payload) > 0 && &rec.Payload[0] != &data[last-len(rec.Payload)] || cap(rec.Payload) != len(rec.Payload) {
 				t.Fatalf("record at %d: its payload is not the %d bytes before its checksum", pos, len(rec.Payload))
 			}
-			if len(txn) > 0 {
-				rec.CSN = txn[0].rec.CSN
-			}
 			txn = append(txn, found{pos, rec})
 			pos += n
 			end = mark&markEnd != 0
 		}
+		csn, k := binary.Uvarint(data[pos:])
+		switch {
+		case k == 0:
+			return txns, errShort
+		case k < 0 || k != uvarintLen(csn):
+			return txns, errTrailer
+		}
+		for i := range txn {
+			txn[i].rec.CSN = csn
+		}
+		pos += k
 		txns = append(txns, txn)
 	}
 	return txns, nil
 }
 
 // scanRaw appends data to a fresh log stored in 64-byte chunks, so that most
-// records straddle one -- sealed torn if torn -- and scans it. It checks the
-// scan's rules against the bytes themselves: every transaction delivered is
-// whole, its first record carries its CSN and is no continuation, every later
-// one is a continuation up to the one marked the end, transactions follow each
-// other from the first byte on, and every record delivered reads back the same
-// by address.
+// records straddle one, seals it -- torn if torn -- and scans it. It checks
+// the scan's rules against the bytes themselves: every transaction delivered
+// is whole, its first record is no continuation, every later one is a
+// continuation up to the one marked the end, each carries the CSN of the
+// trailer after that one, transactions follow each other from the first byte
+// on, and every record delivered reads back the same by address.
 func scanRaw(t *testing.T, data []byte, torn bool) (got [][]found, end int, truncations int64, err error) {
 	svc := srss.New(srss.Config{MaxPLogSize: 1 << 20, ChunkSize: 64})
 	m, oerr := Open(Config{Service: svc, Streams: 1})
@@ -89,6 +100,8 @@ func scanRaw(t *testing.T, data []byte, torn bool) (got [][]found, end int, trun
 	base := appendRaw(t, m, data)
 	if torn {
 		m.Stream(0).plog.SealTorn()
+	} else {
+		m.Stream(0).plog.Seal()
 	}
 	stop, err := m.ScanSegmentFrom(base.Segment(), 0, func(txn []Entry) bool {
 		var fs []found
@@ -101,6 +114,9 @@ func scanRaw(t *testing.T, data []byte, torn bool) (got [][]found, end int, trun
 	next := 0
 	r := m.NewReader()
 	for i, txn := range got {
+		lastOff := txn[len(txn)-1].off
+		_, _, lastLen, _ := decode(data[lastOff:])
+		csn, k := binary.Uvarint(data[lastOff+lastLen:])
 		for j, f := range txn {
 			if f.off != next {
 				t.Fatalf("transaction %d record %d at %d, want %d: a scan delivers whole transactions back to back", i, j, f.off, next)
@@ -112,8 +128,8 @@ func scanRaw(t *testing.T, data []byte, torn bool) (got [][]found, end int, trun
 			if end := op&markEnd != 0; end != (j == len(txn)-1) {
 				t.Fatalf("transaction %d record %d at %d: end mark %v, %d records delivered", i, j, f.off, end, len(txn))
 			}
-			if csn := binary.LittleEndian.Uint64(data[txn[0].off+1:]); f.rec.CSN != csn {
-				t.Fatalf("transaction %d record %d: CSN %d, its first record's is %d", i, j, f.rec.CSN, csn)
+			if f.rec.CSN != csn {
+				t.Fatalf("transaction %d record %d: CSN %d, its trailer's is %d", i, j, f.rec.CSN, csn)
 			}
 			byAddr, rerr := r.ReadRecord(base.Add(uint32(f.off)))
 			if rerr != nil {
@@ -125,6 +141,7 @@ func scanRaw(t *testing.T, data []byte, torn bool) (got [][]found, end int, trun
 			_, _, n, _ := decode(data[f.off:])
 			next += n
 		}
+		next += k
 	}
 	if err == nil && int(stop-int64(base.Offset())) != next {
 		t.Fatalf("scan stopped at %d, past its last transaction at %d", stop-int64(base.Offset()), next)
@@ -134,39 +151,49 @@ func scanRaw(t *testing.T, data []byte, torn bool) (got [][]found, end int, trun
 }
 
 // FuzzRecordScan feeds hostile bytes to what decides truncate-versus-fail
-// for a segment. The bytes, appended to a segment that is neither torn nor
-// growing, must scan through the chunk windows to exactly the transactions a
-// walk of the contiguous bytes finds, failing if and only if that walk does:
-// a record that does not decode, one out of place in its transaction, or
-// bytes that end inside one.
+// for a segment. The bytes, appended to a segment that is sealed but neither
+// torn nor growing, must scan through the chunk windows to exactly the
+// transactions a walk of the contiguous bytes finds, failing if and only if
+// that walk does, with ErrCorrupt and no truncation: a record that does not
+// decode, one out of place in its transaction, a CSN trailer that does not
+// decode, or bytes that end inside a transaction or its trailer.
 func FuzzRecordScan(f *testing.F) {
 	seg := fuzzSegment()
+	txns, _ := walkTxns(f, seg)
+	last := txns[len(txns)-1]
+	lastOff := last[len(last)-1].off // the three-record transaction's last record
+	_, _, lastLen, _ := decode(seg[lastOff:])
 	f.Add(seg)
-	f.Add(seg[:len(seg)-3])       // cut inside the last checksum
-	f.Add(seg[:len(seg)/2])       // cut inside a payload
-	f.Add(seg[:12])               // cut inside a header
-	f.Add(append([]byte{}, 0xff)) // no op tag
+	f.Add(seg[:len(seg)-3])        // cut inside the last trailer, six bytes long
+	f.Add(seg[:lastOff+lastLen])   // the last record ends the segment, with no trailer
+	f.Add(seg[:lastOff+lastLen-3]) // cut inside the last checksum
+	f.Add(seg[:len(seg)/2])        // cut inside a payload
+	f.Add(seg[:12])                // cut inside a header
+	f.Add(append([]byte{}, 0xff))  // no op tag
+	long, off := AppendRecord(seg[:len(seg):len(seg)], OpDelete, 4, 0x44, nil)
+	long[off] |= markEnd
+	long = long[:len(long):len(long)]                                                  // each seed below its own copy
+	f.Add(append(long, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0)) // an 11-byte trailer
+	f.Add(append(long, 0x81, 0))                                                       // a CSN of 1 in two bytes
 	flipped := append([]byte(nil), seg...)
 	flipped[70] ^= 1
 	f.Add(flipped)
 	unended := append([]byte(nil), seg...)
-	last := 0
-	for pos := 0; pos < len(unended); {
-		_, _, n, _ := decode(unended[pos:])
-		last, pos = pos, pos+n
-	}
-	unended[last] &^= markEnd // the three-record transaction loses its end
+	unended[lastOff] &^= markEnd // the three-record transaction loses its end
 	f.Add(unended)
-	huge := append([]byte{OpInsert, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1}, bytes.Repeat([]byte{0xff}, 9)...)
+	huge := append([]byte{OpInsert, 1, 1}, bytes.Repeat([]byte{0xff}, 9)...)
 	f.Add(append(huge, 0x7f)) // a payload length near 2^63
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<14 {
 			t.Skip()
 		}
 		want, wantErr := walkTxns(t, data)
-		got, _, _, scanErr := scanRaw(t, data, false)
+		got, _, truncations, scanErr := scanRaw(t, data, false)
 		if (scanErr != nil) != (wantErr != nil) {
 			t.Fatalf("scan: %v; walk of the same bytes: %v", scanErr, wantErr)
+		}
+		if scanErr != nil && !errors.Is(scanErr, ErrCorrupt) || truncations != 0 {
+			t.Fatalf("scan: %v, %d truncations; want ErrCorrupt and none", scanErr, truncations)
 		}
 		if len(got) != len(want) {
 			t.Fatalf("scan found %d transactions, the walk %d", len(got), len(want))
@@ -188,12 +215,16 @@ func FuzzRecordScan(f *testing.F) {
 // FuzzTornGroupAppend cuts a group append of valid transactions anywhere, as
 // a writer dying mid-replication does, and scans what is left of it: the
 // scan succeeds and delivers exactly the transactions wholly inside the cut,
-// and a cut inside a transaction truncates at its first record -- not at the
-// last whole record before the cut.
+// CSN trailers included, and a cut inside a transaction or its trailer
+// truncates at its first record -- not at the last whole record before the
+// cut.
 func FuzzTornGroupAppend(f *testing.F) {
 	f.Add([]byte{0x05, 0x06, 0x87, 0x02, 0x90, 0x03, 0x04, 0x05, 0x06, 0x07, 0x88}, uint16(100))
 	f.Add([]byte{0x85, 0x86, 0x87}, uint16(40))
 	f.Add([]byte{0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08}, uint16(77))
+	f.Add([]byte{0x85}, uint16(16))       // inside the 14-byte record's 5-byte trailer
+	f.Add([]byte{0x85, 0x86}, uint16(35)) // inside the second transaction's trailer, bytes 32-36
+	f.Add([]byte{0x85, 0x86}, uint16(14)) // the first record, whole, without its trailer
 	f.Fuzz(func(t *testing.T, shape []byte, cut uint16) {
 		if len(shape) > 64 {
 			t.Skip()
@@ -211,7 +242,7 @@ func FuzzTornGroupAppend(f *testing.F) {
 			var off int
 			txn, off = AppendRecord(txn, op, uint32(b), uint64(i)<<(b%50), payload)
 			if b&0x80 != 0 || i == len(shape)-1 {
-				StampTxn(txn, off, uint64(i+1)*0x0101010101)
+				txn = StampTxn(txn, off, uint64(i+1)*0x0101010101)
 				group, txn = append(group, txn...), txn[:0]
 				ends = append(ends, len(group))
 			}

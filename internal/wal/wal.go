@@ -101,11 +101,11 @@ const (
 	// OpPrepare is a 2PC prepare record: its payload wraps the gtid plus
 	// the transaction's whole (unstamped) write buffer, so the prepared
 	// writes become durable in one group-commit append without becoming
-	// visible. Table/RID are 0 and the CSN field stays 0 -- visibility is
+	// visible. Table/RID are 0 and its CSN is 0 -- visibility is
 	// deferred to the decision.
 	OpPrepare byte = 'P'
 	// OpDecide is a 2PC decision record: payload carries the gtid and the
-	// commit/abort verdict; the CSN field carries the decision CSN (commit
+	// commit/abort verdict; its CSN is the decision CSN (commit
 	// and abort both consume one, so checkpoint fencing can order every
 	// decision against the checkpoint horizon).
 	OpDecide byte = 'G'
@@ -113,13 +113,13 @@ const (
 	// the coordinator has confirmed durably applied at every participant.
 	// Recovery and followers drop the gtid's retained 2PC entry, releasing
 	// the checkpoint-fence and compaction protection on its prepare and
-	// decision segments. The CSN field stays 0.
+	// decision segments. Its CSN is 0.
 	OpForget byte = 'F'
 )
 
 // Record is one decoded log record: a full record version (or a delete
-// marker) tagged with its creating transaction's CSN -- which a point read of
-// a transaction's later records does not know (see DecodeRecord).
+// marker) tagged with its creating transaction's CSN -- which only a scan
+// knows, from the trailer its transaction ends with (see DecodeRecord).
 type Record struct {
 	Op      byte
 	CSN     uint64
@@ -148,29 +148,26 @@ func (r Record) Frame() []byte {
 var emptyFrame = []byte{0}
 
 // The transaction is the log's unit. A transaction's buffer is its records
-// back to back; only the first carries the CSN, and commit stamps it once:
+// back to back, every one laid out alike, and its CSN after the last of them,
+// once, as a uvarint trailer:
 //
-//	first record:  op | CSN (8 bytes) | table | RID | payload length | payload | CRC-32C
-//	continuation:  op |                 table | RID | payload length | payload | CRC-32C
+//	record:  op | table | RID | payload length | payload | CRC-32C
+//	buffer:  record | record | ... | record | CSN
 //
-// Spare bits of the op byte (the tags are ASCII capitals) say which a record
-// is, and commit marks the transaction's last record as its end. Neither mark
-// is under the checksum, like the CSN. A one-record transaction is a first
-// record with the end mark, exactly as long as a record has always been.
+// Spare bits of the op byte (the tags are ASCII capitals) say which records
+// continue a transaction, and commit marks the transaction's last record as
+// its end, the one the CSN follows. Neither mark is under the checksum, nor is
+// the CSN. A one-record transaction is its record with the end mark, then a
+// CSN of one to three bytes for the first 2^21 commits.
 const (
-	markCont byte = 0x80 // a continuation: no CSN of its own
-	markEnd  byte = 0x20 // the last record of its transaction
+	markCont byte = 0x80 // a continuation: not its transaction's first record
+	markEnd  byte = 0x20 // the last record of its transaction, the CSN after it
 	markBits      = markCont | markEnd
 )
 
-// bodyAt is where the checksummed body of a record with the given marks
-// begins: past the op byte and, in a transaction's first record, the CSN.
-func bodyAt(mark byte) int {
-	if mark&markCont != 0 {
-		return 1
-	}
-	return 9
-}
+// MaxTrailerLen is the room a transaction's buffer keeps past its last record
+// for its CSN: the longest uvarint.
+const MaxTrailerLen = binary.MaxVarintLen64
 
 // castagnoli is the CRC-32C table: amd64 and arm64 compute it with a CPU
 // instruction, several bytes per cycle, where a byte-serial hash costs a
@@ -179,8 +176,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // checksum is a record's integrity checksum (storage and network corruption
 // must not replay as valid data): CRC-32C over the record's body -- the
-// three uvarints and the payload -- seeded with op+1, so that the op tag is
-// covered too and a run of zero bytes never sums to zero.
+// three uvarints and the payload, everything past the op byte -- seeded with
+// op+1, so that the op tag is covered too and a run of zero bytes never sums
+// to zero.
 func checksum(op byte, body []byte) uint32 {
 	return crc32.Update(uint32(op)+1, castagnoli, body)
 }
@@ -189,26 +187,27 @@ func checksum(op byte, body []byte) uint32 {
 // by an encoder can have it encoded where it will be logged: ReserveRecord
 // writes the header and makes room for the payload, the caller fills the
 // payload in, SealRecord closes the record with its checksum. Once the
-// transaction's records are sealed, StampTxn stamps its CSN and end mark.
+// transaction's records are sealed, StampTxn marks its end and appends its
+// CSN.
 
 // ReserveRecord appends to buf, a transaction's buffer, the header of a record
 // with an n-byte payload and n bytes for the payload, which it returns (cap ==
 // len) for the caller to fill before SealRecord, together with the record's
-// offset within buf. The record at offset 0 is the transaction's first, with
-// room for the CSN; any later one is a continuation. The extended buffer has
-// room for the checksum: SealRecord does not move it.
+// offset within buf. The record at offset 0 is the transaction's first; any
+// later one is a continuation. The extended buffer has room for the checksum
+// and past it for the CSN: neither SealRecord nor StampTxn moves it.
 func ReserveRecord(buf []byte, op byte, table uint32, rid uint64, n int) (out []byte, off int, payload []byte) {
 	var hdr [maxRecordHeader]byte
 	hdr[0] = op
 	if len(buf) > 0 {
 		hdr[0] |= markCont
 	}
-	h := bodyAt(hdr[0])
+	h := 1
 	h += binary.PutUvarint(hdr[h:], uint64(table))
 	h += binary.PutUvarint(hdr[h:], rid)
 	h += binary.PutUvarint(hdr[h:], uint64(n))
 	off = len(buf)
-	buf = append(slices.Grow(buf, h+n+4), hdr[:h]...)
+	buf = append(slices.Grow(buf, h+n+4+MaxTrailerLen), hdr[:h]...)
 	end := len(buf) + n
 	return buf[:end], off, buf[end-n : end : end]
 }
@@ -216,8 +215,7 @@ func ReserveRecord(buf []byte, op byte, table uint32, rid uint64, n int) (out []
 // SealRecord closes the record ReserveRecord began at off, whose payload now
 // ends buf, with its checksum.
 func SealRecord(buf []byte, off int) []byte {
-	op := buf[off]
-	return binary.LittleEndian.AppendUint32(buf, checksum(op&^markBits, buf[off+bodyAt(op):]))
+	return binary.LittleEndian.AppendUint32(buf, checksum(buf[off]&^markBits, buf[off+1:]))
 }
 
 // AppendRecord encodes a record with the given payload onto buf and returns
@@ -252,34 +250,33 @@ func Framed(p *byte) (frame []byte, n int) {
 	}
 }
 
-// HeaderLen returns how far into its record the payload of rec begins, given
-// the op byte the record is stored with: what a point read returns does not
-// say whether the record carries a CSN, the stored op byte's marks do.
-func HeaderLen(op byte, rec Record) int {
-	return RecordLen(op&markCont == 0, rec.Table, rec.RID, len(rec.Payload)) - len(rec.Payload) - 4
+// HeaderLen returns how far into its record the payload of rec begins.
+func HeaderLen(rec Record) int {
+	return RecordLen(rec.Table, rec.RID, len(rec.Payload)) - len(rec.Payload) - 4
 }
 
 // RecordLen returns the length of a record of table's row rid with an n-byte
-// payload: its header -- with the CSN when first, the record being its
-// transaction's first -- the payload and the checksum.
-func RecordLen(first bool, table uint32, rid uint64, n int) int {
-	h := bodyAt(markCont)
-	if first {
-		h = bodyAt(0)
-	}
-	return h + uvarintLen(uint64(table)) + uvarintLen(rid) + uvarintLen(uint64(n)) + n + 4
+// payload: its header, the payload and the checksum -- the three uvarints, n,
+// and 5 for the op byte and the checksum, in one sum cheap enough that
+// callers that add a trailer's length to it still inline.
+func RecordLen(table uint32, rid uint64, n int) int {
+	return uvarintLen(uint64(table)) + uvarintLen(rid) + uvarintLen(uint64(n)) + n + 5
 }
+
+// TrailerLen returns the length of the trailer that carries csn.
+func TrailerLen(csn uint64) int { return uvarintLen(csn) }
 
 // uvarintLen is the length of x's uvarint encoding: seven bits a byte.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // StampTxn readies the transaction buffer buf, whose last record begins at
-// last, for the log: its CSN goes into the first record and the end mark onto
-// the last. It writes no byte a checksum or a payload covers, so commit
-// stamps a transaction whose rows readers may already be reading.
-func StampTxn(buf []byte, last int, csn uint64) {
-	binary.LittleEndian.PutUint64(buf[1:9], csn)
+// last and ends buf, for the log: the end mark goes onto the last record and
+// the CSN after it, into the room ReserveRecord kept. It writes no byte a
+// checksum or a payload covers, so commit stamps a transaction whose rows
+// readers may already be reading, and it never moves buf.
+func StampTxn(buf []byte, last int, csn uint64) []byte {
 	buf[last] |= markEnd
+	return binary.AppendUvarint(buf, csn)
 }
 
 // decodeError is what DecodeRecord rejects bytes with. A scan classifies it
@@ -289,12 +286,22 @@ type decodeError string
 
 func (e decodeError) Error() string { return string(e) }
 
-// errShort rejects bytes that end before the record they begin does.
+// ErrCorrupt is what a scan fails with when a segment holds bytes that are
+// not a log and were not left by a writer dying mid-append: a record that
+// does not decode or is out of place, or a transaction without its CSN, on a
+// segment that is sealed, not torn, and whose replicas agree.
+var ErrCorrupt = errors.New("wal: corrupt log")
+
+// errShort rejects bytes that end before the record -- or the CSN trailer --
+// they begin does.
 const errShort decodeError = "wal: short record"
 
-// maxRecordHeader bounds what precedes a record's payload: the op tag, the
-// fixed-width CSN, and the table, RID and payload-length uvarints.
-const maxRecordHeader = 1 + 8 + binary.MaxVarintLen32 + 2*binary.MaxVarintLen64
+// errTrailer rejects a CSN trailer that is not a uvarint in its shortest form.
+const errTrailer decodeError = "wal: bad CSN trailer"
+
+// maxRecordHeader bounds what precedes a record's payload: the op tag, and
+// the table, RID and payload-length uvarints.
+const maxRecordHeader = 1 + binary.MaxVarintLen32 + 2*binary.MaxVarintLen64
 
 // decodeHeader parses what precedes the payload of the record at buf[0:]
 // and returns its marks and the payload's position and length.
@@ -308,13 +315,7 @@ func decodeHeader(buf []byte) (r Record, mark byte, pos, plen int, err error) {
 	default:
 		return r, 0, 0, 0, decodeError(fmt.Sprintf("wal: bad op tag %#x", buf[0]))
 	}
-	pos = bodyAt(mark)
-	if len(buf) < pos {
-		return r, 0, 0, 0, errShort
-	}
-	if pos == 9 {
-		r.CSN = binary.LittleEndian.Uint64(buf[1:9])
-	}
+	pos = 1
 	var field [3]uint64 // table, RID, payload length
 	for i := range field {
 		v, n := binary.Uvarint(buf[pos:])
@@ -347,8 +348,9 @@ func recordLen(buf []byte) (int, error) {
 
 // DecodeRecord parses the record at buf[0:] on its own and returns it
 // together with its encoded length: op, table, RID and payload, checksum
-// verified. A continuation's CSN is its transaction's, which only a scan
-// knows: here it is 0. The returned payload aliases buf.
+// verified. Its CSN is its transaction's, which follows the transaction's
+// last record and only a scan reads: here it is 0. The returned payload
+// aliases buf.
 func DecodeRecord(buf []byte) (Record, int, error) {
 	r, _, n, err := decode(buf)
 	return r, n, err
@@ -366,7 +368,7 @@ func decode(buf []byte) (Record, byte, int, error) {
 	}
 	r.Payload = buf[pos:end:end]
 	want := binary.LittleEndian.Uint32(buf[end : end+4])
-	if got := checksum(r.Op, buf[bodyAt(mark):end]); got != want {
+	if got := checksum(r.Op, buf[1:end]); got != want {
 		return Record{}, 0, 0, decodeError(fmt.Sprintf("wal: record checksum mismatch (%08x != %08x)", got, want))
 	}
 	return r, mark, end + 4, nil
@@ -906,26 +908,27 @@ func (m *Manager) Append(stream int, payload []byte, done func(base Addr, err er
 
 // AppendTraced is Append with an optional trace and stamp. stamp, when
 // non-nil, runs under the stream's enqueue lock just before the buffer is
-// queued -- and also when the buffer is refused, before done reports why:
-// a commit draws its CSN there, so each stream holds its commits in CSN
-// order. Enqueue marks the wal_enqueue stage; the I/O goroutine closes it
+// queued -- and also when the buffer is refused, before done reports why --
+// and what it returns is what is queued: a commit draws its CSN there and
+// appends it to its buffer (StampTxn), so each stream holds its commits in
+// CSN order. Enqueue marks the wal_enqueue stage; the I/O goroutine closes it
 // when the request joins a group flush. Trace ownership transfers with the
 // request: the caller must not touch tr again until done fires (done runs
 // on the I/O goroutine with the trace handed back).
-func (m *Manager) AppendTraced(stream int, payload []byte, tr *obs.Trace, stamp func(), done func(base Addr, err error)) {
+func (m *Manager) AppendTraced(stream int, payload []byte, tr *obs.Trace, stamp func([]byte) []byte, done func(base Addr, err error)) {
 	if err := m.enqueue(stream, commitReq{payload: payload, done: done, tr: tr}, stamp); err != nil {
 		done(InvalidAddr, err)
 	}
 }
 
-// enqueue queues req behind what stream i holds, running stamp first under
-// the stream's enqueue lock, and sends under it too (blocking while the queue
-// is full): the queue's order is the order the stamps ran in. It fails only
-// on a closed or read-only manager.
-func (m *Manager) enqueue(i int, req commitReq, stamp func()) error {
+// enqueue queues req behind what stream i holds, running stamp on its payload
+// first under the stream's enqueue lock and queueing what stamp returns, and
+// sends under it too (blocking while the queue is full): the queue's order is
+// the order the stamps ran in. It fails only on a closed or read-only manager.
+func (m *Manager) enqueue(i int, req commitReq, stamp func([]byte) []byte) error {
 	if len(m.streams) == 0 {
 		if stamp != nil {
-			stamp()
+			stamp(req.payload)
 		}
 		return ErrReadOnly
 	}
@@ -933,7 +936,7 @@ func (m *Manager) enqueue(i int, req commitReq, stamp func()) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if stamp != nil {
-		stamp()
+		req.payload = stamp(req.payload)
 	}
 	if m.closed.Load() {
 		return ErrClosed
@@ -1280,15 +1283,10 @@ type window struct {
 // is a decodeError when the bytes are there and do not parse, else the
 // storage's.
 func (w *window) record(off int64) (Record, byte, int, error) {
-	if off < w.off || off >= w.off+int64(len(w.b)) {
-		b, err := w.v.Window(off)
-		if err != nil {
-			return Record{}, 0, 0, err
-		}
-		w.m.windowReads.Add(1)
-		w.off, w.b = off, b
+	b, err := w.at(off)
+	if err != nil {
+		return Record{}, 0, 0, err
 	}
-	b := w.b[off-w.off:]
 	rec, mark, n, err := decode(b)
 	if err != errShort {
 		return rec, mark, n, err
@@ -1319,6 +1317,50 @@ func (w *window) record(off int64) (Record, byte, int, error) {
 		return Record{}, 0, 0, err
 	}
 	return decode(b)
+}
+
+// at returns the window's bytes from offset off of the segment on, moving the
+// window to the chunk that holds off unless it does already.
+func (w *window) at(off int64) ([]byte, error) {
+	if off < w.off || off >= w.off+int64(len(w.b)) {
+		b, err := w.v.Window(off)
+		if err != nil {
+			return nil, err
+		}
+		w.m.windowReads.Add(1)
+		w.off, w.b = off, b
+	}
+	return w.b[off-w.off:], nil
+}
+
+// trailer decodes the CSN trailer at offset off of the segment, which ends
+// the transaction before it, and returns the CSN with the trailer's length.
+// One that runs past the window is read on its own, as a straddling record
+// is.
+func (w *window) trailer(off int64) (uint64, int, error) {
+	rem := w.v.Len() - off
+	if rem <= 0 {
+		return 0, 0, errShort
+	}
+	b, err := w.at(off)
+	if err != nil {
+		return 0, 0, err
+	}
+	csn, n := binary.Uvarint(b)
+	if n == 0 && int64(len(b)) < rem {
+		w.m.windowReads.Add(1)
+		if b, err = w.v.At(off, int(min(MaxTrailerLen, rem))); err != nil {
+			return 0, 0, err
+		}
+		csn, n = binary.Uvarint(b)
+	}
+	switch {
+	case n == 0:
+		return 0, 0, errShort
+	case n < 0 || n != uvarintLen(csn):
+		return 0, 0, errTrailer
+	}
+	return csn, n, nil
 }
 
 // ReadRecord materializes the log record at addr through the segment's mmap
@@ -1394,16 +1436,16 @@ type Entry struct {
 
 // ScanSegmentFrom scans a segment a transaction at a time, starting at byte
 // offset from (0 = the beginning). It decodes a transaction's records up to
-// the one marked its end before fn sees any of them, then hands fn all of
-// them, each with the first record's CSN; the slice is the scan's, reused for
-// the next transaction. A transaction the segment holds only part of -- a
-// torn tail, or one still being appended or shipped -- is not delivered at
-// all. The scan returns where it stopped, which a follower passes back on its
-// next catch-up scan: always a transaction's first record, the one fn
-// declined or the one after the last delivered. Replay threads run one scan
-// per segment in parallel (Section 4.3). The scan is sequential -- the
-// cheapest access pattern on log-structured storage -- and copies nothing:
-// records are decoded in the chunk windows of the segment's view.
+// the one marked its end, and the CSN trailer after it, before fn sees any of
+// them, then hands fn all of them, each with that CSN; the slice is the
+// scan's, reused for the next transaction. A transaction the segment holds
+// only part of -- a torn tail, or one still being appended or shipped -- is
+// not delivered at all. The scan returns where it stopped, which a follower
+// passes back on its next catch-up scan: always a transaction's first record,
+// the one fn declined or the one after the last delivered. Replay threads run
+// one scan per segment in parallel (Section 4.3). The scan is sequential --
+// the cheapest access pattern on log-structured storage -- and copies
+// nothing: records are decoded in the chunk windows of the segment's view.
 func (m *Manager) ScanSegmentFrom(seg uint16, from int64, fn func(txn []Entry) bool) (int64, error) {
 	if err := m.beginScan(seg); err != nil {
 		return from, err
@@ -1450,7 +1492,7 @@ func (m *Manager) ScanSegmentFrom(seg uint16, from int64, fn func(txn []Entry) b
 				// corrupt -- the follower retries from pos on its next poll.
 				return pos, nil
 			}
-			return pos, fmt.Errorf("wal: segment %d at %d: %w", seg, at, err)
+			return pos, fmt.Errorf("%w: segment %d at %d: %w", ErrCorrupt, seg, at, err)
 		}
 		if !fn(txn) {
 			return pos, nil
@@ -1461,9 +1503,10 @@ func (m *Manager) ScanSegmentFrom(seg uint16, from int64, fn func(txn []Entry) b
 }
 
 // readTxn appends to txn the records of the transaction whose first record is
-// at pos, up to its end mark, and returns it with the offset past it. On an
-// error the offset is where the transaction stopped decoding: at a record that
-// does not decode or is out of place, or at the segment's end.
+// at pos, up to its end mark, each with the CSN of the trailer after it, and
+// returns it with the offset past the trailer. On an error the offset is
+// where the transaction stopped decoding: at a record that does not decode or
+// is out of place, at a trailer that does not, or at the segment's end.
 func (w *window) readTxn(seg uint16, pos, size int64, txn []Entry) ([]Entry, int64, error) {
 	for at := pos; at < size; {
 		rec, mark, n, err := w.record(at)
@@ -1473,13 +1516,17 @@ func (w *window) readTxn(seg uint16, pos, size int64, txn []Entry) ([]Entry, int
 		if err != nil {
 			return txn, at, err
 		}
-		if at > pos {
-			rec.CSN = txn[0].CSN
-		}
 		txn = append(txn, Entry{MakeAddr(seg, uint32(at)), rec})
 		at += int64(n)
 		if mark&markEnd != 0 {
-			return txn, at, nil
+			csn, k, err := w.trailer(at)
+			if err != nil {
+				return txn, at, err
+			}
+			for i := range txn {
+				txn[i].CSN = csn
+			}
+			return txn, at + int64(k), nil
 		}
 	}
 	return txn, size, errShort // the segment ends inside the transaction

@@ -37,15 +37,16 @@ func TestAddrPacking(t *testing.T) {
 
 func TestRecordRoundTrip(t *testing.T) {
 	buf, off := AppendRecord(nil, OpInsert, 7, 42, []byte("payload"))
-	StampTxn(buf, off, 99)
+	buf = StampTxn(buf, off, 99)
 	rec, n, err := DecodeRecord(buf[off:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(buf) {
-		t.Fatalf("decoded length %d, want %d", n, len(buf))
+	// The CSN trails the record: one byte for 99, and not the record's.
+	if n != len(buf)-1 || buf[n] != 99 {
+		t.Fatalf("decoded length %d of %d, trailer %x", n, len(buf), buf[n:])
 	}
-	if rec.Op != OpInsert || rec.CSN != 99 || rec.Table != 7 || rec.RID != 42 || string(rec.Payload) != "payload" {
+	if rec.Op != OpInsert || rec.CSN != 0 || rec.Table != 7 || rec.RID != 42 || string(rec.Payload) != "payload" {
 		t.Fatalf("round trip: %+v", rec)
 	}
 	// The frame is the record's own length byte and payload.
@@ -65,27 +66,28 @@ func TestRecordDecodeErrors(t *testing.T) {
 		t.Fatal("short record accepted")
 	}
 	buf, off := AppendRecord(nil, OpUpdate, 1, 2, []byte("xyz"))
-	StampTxn(buf, off, 1)
+	buf = StampTxn(buf, off, 1)
 	buf[0] = 'Z'
 	if _, _, err := DecodeRecord(buf); err == nil {
 		t.Fatal("bad op tag accepted")
 	}
 	buf[0] = 'U'
-	if _, _, err := DecodeRecord(buf[:len(buf)-1]); err == nil {
-		t.Fatal("truncated payload accepted")
+	if _, _, err := DecodeRecord(buf[:len(buf)-2]); err == nil { // the CSN and a checksum byte
+		t.Fatal("truncated record accepted")
 	}
 	// A payload length in two bytes where one does, under a valid checksum.
 	body := []byte{1, 2, 0x83, 0x00, 'x', 'y', 'z'}
-	long := binary.LittleEndian.AppendUint32(append(make([]byte, 9), body...), checksum(OpUpdate, body))
+	long := binary.LittleEndian.AppendUint32(append(make([]byte, 1), body...), checksum(OpUpdate, body))
 	long[0] = OpUpdate
 	if _, _, err := DecodeRecord(long); err == nil {
 		t.Fatal("a payload length not in its shortest form accepted")
 	}
 }
 
-// TestMultipleRecordsOneBuffer: a transaction's first record carries its CSN,
-// every later one is 8 bytes shorter and decodes on its own with CSN 0, and
-// the stamp marks the last record, and only it, as the end.
+// TestMultipleRecordsOneBuffer: a transaction's records are laid out alike
+// and decode on their own with CSN 0, the stamp marks the last record, and
+// only it, as the end, and the CSN follows it as a uvarint -- in the room
+// ReserveRecord kept, so stamping never moves the buffer.
 func TestMultipleRecordsOneBuffer(t *testing.T) {
 	var buf []byte
 	var offs []int
@@ -94,7 +96,15 @@ func TestMultipleRecordsOneBuffer(t *testing.T) {
 		buf, off = AppendRecord(buf, OpInsert, 1, uint64(i), []byte(fmt.Sprintf("v%d", i)))
 		offs = append(offs, off)
 	}
-	StampTxn(buf, offs[4], 100)
+	unstamped := len(buf)
+	stamped := StampTxn(buf, offs[4], 300)
+	if &stamped[0] != &buf[0] || len(stamped) != unstamped+2 {
+		t.Fatalf("stamping moved the buffer, or wrote %d bytes, not 2", len(stamped)-unstamped)
+	}
+	if csn, k := binary.Uvarint(stamped[unstamped:]); csn != 300 || k != 2 {
+		t.Fatalf("trailer %x", stamped[unstamped:])
+	}
+	buf = stamped[:unstamped]
 	pos := 0
 	for i := 0; pos < len(buf); i++ {
 		rec, mark, n, err := decode(buf[pos:])
@@ -104,17 +114,17 @@ func TestMultipleRecordsOneBuffer(t *testing.T) {
 		if pos != offs[i] {
 			t.Fatalf("record %d at %d, expected %d", i, pos, offs[i])
 		}
-		wantCSN, wantMark, wantLen := uint64(100), byte(0), 9+1+1+1+2+4
+		wantMark, wantLen := byte(0), 1+1+1+1+2+4
 		if i > 0 {
-			wantCSN, wantMark, wantLen = 0, markCont, wantLen-8
+			wantMark = markCont
 		}
 		if i == 4 {
 			wantMark |= markEnd
 		}
-		if rec.Op != OpInsert || rec.RID != uint64(i) || rec.CSN != wantCSN || mark != wantMark || n != wantLen {
-			t.Fatalf("record %d: %+v, marks %#x, %d bytes; want CSN %d, marks %#x, %d bytes", i, rec, mark, n, wantCSN, wantMark, wantLen)
+		if rec.Op != OpInsert || rec.RID != uint64(i) || rec.CSN != 0 || mark != wantMark || n != wantLen {
+			t.Fatalf("record %d: %+v, marks %#x, %d bytes; want CSN 0, marks %#x, %d bytes", i, rec, mark, n, wantMark, wantLen)
 		}
-		if h := HeaderLen(buf[pos], rec); &buf[pos+h] != &rec.Payload[0] {
+		if h := HeaderLen(rec); &buf[pos+h] != &rec.Payload[0] {
 			t.Fatalf("record %d: HeaderLen %d, its payload begins at %d", i, h, cap(buf[pos:])-cap(rec.Payload))
 		}
 		pos += n
@@ -123,8 +133,8 @@ func TestMultipleRecordsOneBuffer(t *testing.T) {
 
 func TestAppendSyncAndReadRecord(t *testing.T) {
 	_, m := testManager(t, Config{Streams: 2, SegmentSize: 1 << 16})
-	buf, off := AppendRecord(nil, OpInsert, 3, 11, []byte("hello"))
-	StampTxn(buf, off, 5)
+	record, off := AppendRecord(nil, OpInsert, 3, 11, []byte("hello"))
+	buf := StampTxn(record, off, 5)
 	base, err := m.AppendSync(0, buf)
 	if err != nil {
 		t.Fatal(err)
@@ -133,14 +143,16 @@ func TestAppendSyncAndReadRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.RID != 11 || string(rec.Payload) != "hello" || rec.CSN != 5 {
+	// A point read does not know its transaction's CSN: only a scan reads
+	// the trailer.
+	if rec.RID != 11 || string(rec.Payload) != "hello" || rec.CSN != 0 {
 		t.Fatalf("read back: %+v", rec)
 	}
 	// The appender's look at its record: the same memory ReadRecord decoded
 	// in, found by the address done reported, without a storage read.
 	reads := m.WindowReads()
 	a := m.Appended(base)
-	at := FrameOffset(buf, len(rec.Payload))
+	at := FrameOffset(record, len(rec.Payload))
 	if !bytes.HasPrefix(a, buf) || &a[at] != &rec.Frame()[0] || m.WindowReads() != reads {
 		t.Fatalf("Appended(%v): %d bytes, %d storage reads", base, len(a), m.WindowReads()-reads)
 	}
@@ -155,7 +167,7 @@ func TestLoneRequestIsAppendedFromItsOwnBuffer(t *testing.T) {
 	_, m := testManager(t, Config{Streams: 1, SegmentSize: 1 << 12})
 	for i := 0; i < 200; i++ { // enough to rotate a few times
 		buf, off := AppendRecord(nil, OpInsert, 1, uint64(i), bytes.Repeat([]byte{byte(i)}, 40))
-		StampTxn(buf, off, uint64(i+1))
+		buf = StampTxn(buf, off, uint64(i+1))
 		base, err := m.AppendSync(0, buf)
 		if err != nil {
 			t.Fatal(err)
@@ -178,7 +190,7 @@ func TestGroupCommitBatches(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		buf, off := AppendRecord(nil, OpInsert, 1, uint64(i), bytes.Repeat([]byte{byte(i)}, 20))
-		StampTxn(buf, off, uint64(i+1))
+		buf = StampTxn(buf, off, uint64(i+1))
 		wg.Add(1)
 		m.Append(0, buf, func(base Addr, err error) {
 			if err != nil {
@@ -203,7 +215,7 @@ func TestGroupCommitBatches(t *testing.T) {
 func TestStatsCountABatchBeforeItsCallbacks(t *testing.T) {
 	_, m := testManager(t, Config{Streams: 1})
 	buf, off := AppendRecord(nil, OpInsert, 1, 1, []byte("row"))
-	StampTxn(buf, off, 1)
+	buf = StampTxn(buf, off, 1)
 	type stats struct{ appends, txns, bytes int64 }
 	seen := make(chan stats, 1)
 	m.Append(0, buf, func(Addr, error) {
@@ -221,7 +233,7 @@ func TestSegmentRotation(t *testing.T) {
 	var addrs []Addr
 	for i := 0; i < 50; i++ {
 		buf, off := AppendRecord(nil, OpInsert, 1, uint64(i), bytes.Repeat([]byte("x"), 40))
-		StampTxn(buf, off, uint64(i+1))
+		buf = StampTxn(buf, off, uint64(i+1))
 		a, err := m.AppendSync(0, buf)
 		if err != nil {
 			t.Fatal(err)
@@ -254,7 +266,7 @@ func TestTooLargeTxn(t *testing.T) {
 	}
 	// Manager still usable.
 	buf, off := AppendRecord(nil, OpInsert, 1, 1, []byte("ok"))
-	StampTxn(buf, off, 1)
+	buf = StampTxn(buf, off, 1)
 	if _, err := m.AppendSync(0, buf); err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +277,7 @@ func TestScanSegmentSequential(t *testing.T) {
 	const n = 100
 	for i := 0; i < n; i++ {
 		buf, off := AppendRecord(nil, OpUpdate, 2, uint64(i), []byte(fmt.Sprintf("val-%d", i)))
-		StampTxn(buf, off, uint64(i+1))
+		buf = StampTxn(buf, off, uint64(i+1))
 		if _, err := m.AppendSync(0, buf); err != nil {
 			t.Fatal(err)
 		}
@@ -304,7 +316,7 @@ func TestConcurrentStreams(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				buf, off := AppendRecord(nil, OpInsert, uint32(w), uint64(i), []byte("d"))
-				StampTxn(buf, off, uint64(w*per+i+1))
+				buf = StampTxn(buf, off, uint64(w*per+i+1))
 				a, err := m.AppendSync(w, buf)
 				if err != nil {
 					t.Errorf("append: %v", err)
@@ -334,7 +346,7 @@ func TestReopenRecoversDirectory(t *testing.T) {
 	var addrs []Addr
 	for i := 0; i < 40; i++ {
 		buf, off := AppendRecord(nil, OpInsert, 1, uint64(i), bytes.Repeat([]byte("y"), 60))
-		StampTxn(buf, off, uint64(i+1))
+		buf = StampTxn(buf, off, uint64(i+1))
 		a, err := m.AppendSync(i%2, buf)
 		if err != nil {
 			t.Fatal(err)
@@ -362,7 +374,7 @@ func TestReopenRecoversDirectory(t *testing.T) {
 		t.Fatalf("reopen created no fresh segments: %d <= %d", got, oldSegs)
 	}
 	buf, off := AppendRecord(nil, OpInsert, 1, 999, []byte("post"))
-	StampTxn(buf, off, 1000)
+	buf = StampTxn(buf, off, 1000)
 	a, err := m2.AppendSync(0, buf)
 	if err != nil {
 		t.Fatal(err)
@@ -380,7 +392,7 @@ func TestSealRetryOnNodeFailureThenHeal(t *testing.T) {
 	}
 	defer m.Close()
 	buf, off := AppendRecord(nil, OpInsert, 1, 1, []byte("pre"))
-	StampTxn(buf, off, 1)
+	buf = StampTxn(buf, off, 1)
 	if _, err := m.AppendSync(0, buf); err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +400,7 @@ func TestSealRetryOnNodeFailureThenHeal(t *testing.T) {
 	// stream must rotate to a plog on the remaining healthy nodes.
 	svc.ComputeNode(0).Fail()
 	buf2, off2 := AppendRecord(nil, OpInsert, 1, 2, []byte("during"))
-	StampTxn(buf2, off2, 2)
+	buf2 = StampTxn(buf2, off2, 2)
 	a, err := m.AppendSync(0, buf2)
 	if err != nil {
 		t.Fatalf("append during failure: %v", err)
@@ -409,7 +421,7 @@ func TestLogIsRedoOnly(t *testing.T) {
 			continue // "aborted": never appended
 		}
 		buf, off := AppendRecord(nil, OpInsert, 1, uint64(i), []byte("c"))
-		StampTxn(buf, off, uint64(i+1))
+		buf = StampTxn(buf, off, uint64(i+1))
 		if _, err := m.AppendSync(i%2, buf); err != nil {
 			t.Fatal(err)
 		}
@@ -437,7 +449,7 @@ func TestScanSegmentFromResumes(t *testing.T) {
 	var want []uint64
 	for i := 0; i < 20; i++ {
 		buf, off := AppendRecord(nil, OpInsert, 1, uint64(i), []byte("r"))
-		StampTxn(buf, off, uint64(i+1))
+		buf = StampTxn(buf, off, uint64(i+1))
 		if _, err := m.AppendSync(0, buf); err != nil {
 			t.Fatal(err)
 		}
@@ -455,7 +467,7 @@ func TestScanSegmentFromResumes(t *testing.T) {
 	// More records appended after the scan position.
 	for i := 20; i < 30; i++ {
 		buf, off := AppendRecord(nil, OpInsert, 1, uint64(i), []byte("r"))
-		StampTxn(buf, off, uint64(i+1))
+		buf = StampTxn(buf, off, uint64(i+1))
 		if _, err := m.AppendSync(0, buf); err != nil {
 			t.Fatal(err)
 		}
@@ -496,7 +508,7 @@ func TestOpenReadOnlyRejectsAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf, off := AppendRecord(nil, OpInsert, 1, 1, []byte("x"))
-	StampTxn(buf, off, 1)
+	buf = StampTxn(buf, off, 1)
 	addr, err := m.AppendSync(0, buf)
 	if err != nil {
 		t.Fatal(err)
@@ -522,7 +534,7 @@ func TestOpenReadOnlyRejectsAppends(t *testing.T) {
 	// The follower picks up segments the primary creates later.
 	for i := 0; i < 100; i++ {
 		big, boff := AppendRecord(nil, OpInsert, 1, uint64(i+10), bytes.Repeat([]byte("y"), 800))
-		StampTxn(big, boff, uint64(i+2))
+		big = StampTxn(big, boff, uint64(i+2))
 		if _, err := m.AppendSync(0, big); err != nil {
 			t.Fatal(err)
 		}
@@ -552,7 +564,7 @@ func TestDirectoryMetaMigrationOnSeal(t *testing.T) {
 	var addrs []Addr
 	for i := 0; i < 10; i++ {
 		buf, off := AppendRecord(nil, OpInsert, 1, uint64(i), bytes.Repeat([]byte("a"), 100))
-		StampTxn(buf, off, uint64(i+1))
+		buf = StampTxn(buf, off, uint64(i+1))
 		a, err := m.AppendSync(0, buf)
 		if err != nil {
 			t.Fatal(err)
@@ -565,7 +577,7 @@ func TestDirectoryMetaMigrationOnSeal(t *testing.T) {
 	svc.ComputeNode(1).Fail()
 	for i := 10; i < 120 && newMeta.IsZero(); i++ {
 		buf, off := AppendRecord(nil, OpInsert, 1, uint64(i), bytes.Repeat([]byte("b"), 100))
-		StampTxn(buf, off, uint64(i+1))
+		buf = StampTxn(buf, off, uint64(i+1))
 		a, err := m.AppendSync(0, buf)
 		if err != nil {
 			t.Fatal(err)
@@ -603,8 +615,8 @@ func TestDirectoryMetaMigrationOnSeal(t *testing.T) {
 
 func TestRecordChecksumDetectsCorruption(t *testing.T) {
 	buf, off := AppendRecord(nil, OpInsert, 3, 7, []byte("integrity"))
-	StampTxn(buf, off, 42)
-	// Sanity: intact record decodes, CSN patch does not break the sum.
+	buf = StampTxn(buf, off, 42)
+	// Sanity: intact record decodes, the stamp does not break the sum.
 	if _, _, err := DecodeRecord(buf); err != nil {
 		t.Fatal(err)
 	}
@@ -754,7 +766,7 @@ func TestSegmentIDsExhaustedFailStop(t *testing.T) {
 	var failed error
 	for i := 0; i < 40 && failed == nil; i++ {
 		buf, off := AppendRecord(nil, OpInsert, 1, uint64(i), bytes.Repeat([]byte("x"), 40))
-		StampTxn(buf, off, uint64(i+1))
+		buf = StampTxn(buf, off, uint64(i+1))
 		a, err := m.AppendSync(0, buf)
 		if err != nil {
 			failed = err
@@ -795,7 +807,8 @@ func TestSegmentIDsExhaustedFailStop(t *testing.T) {
 
 // TestRecordLen: RecordLen is the length AppendRecord encodes, for a
 // transaction's first record and a continuation alike, across the uvarint
-// widths of table, RID and payload length.
+// widths of table, RID and payload length, and TrailerLen the length
+// StampTxn appends, across the CSN's.
 func TestRecordLen(t *testing.T) {
 	for _, table := range []uint32{0, 127, 128, 1 << 20, 1<<32 - 1} {
 		for _, rid := range []uint64{0, 1, 1 << 14, 1<<48 - 1, 1<<64 - 1} {
@@ -803,13 +816,16 @@ func TestRecordLen(t *testing.T) {
 				payload := make([]byte, n)
 				first, _ := AppendRecord(nil, OpUpdate, table, rid, payload)
 				both, off := AppendRecord(first, OpUpdate, table, rid, payload)
-				if got := RecordLen(true, table, rid, n); got != len(first) {
-					t.Fatalf("first record (%d, %d, %d): RecordLen %d, encoded %d", table, rid, n, got, len(first))
-				}
-				if got := RecordLen(false, table, rid, n); got != len(both)-off {
-					t.Fatalf("continuation (%d, %d, %d): RecordLen %d, encoded %d", table, rid, n, got, len(both)-off)
+				if got := RecordLen(table, rid, n); got != len(first) || got != len(both)-off {
+					t.Fatalf("(%d, %d, %d): RecordLen %d, encoded %d first and %d continuing", table, rid, n, got, len(first), len(both)-off)
 				}
 			}
+		}
+	}
+	for _, csn := range []uint64{0, 1, 127, 128, 1<<21 - 1, 1 << 21, 1<<64 - 1} {
+		buf, off := AppendRecord(nil, OpDelete, 1, 1, nil)
+		if got, want := TrailerLen(csn), len(StampTxn(buf, off, csn))-len(buf); got != want {
+			t.Fatalf("CSN %d: TrailerLen %d, stamped %d", csn, got, want)
 		}
 	}
 }

@@ -193,11 +193,12 @@ func AppendExec(buf []byte, sql string, args []core.Value) []byte {
 // DecodeExecFlags parses an OpExec payload and its flags trailer. The
 // argument row is decoded into dst's backing array when it has room: a
 // caller that passes the same row every time decodes without allocating one.
-// Like every request decoder's, the arguments borrow the payload (see
-// reader.args).
+// Both the SQL text and the arguments are borrowed, as DecodeScanOpen's are:
+// they point into the payload, so whatever keeps either past the request
+// copies it (the plan cache copies the text of a miss before it parses it).
 func DecodeExecFlags(payload []byte, dst []core.Value) (sql string, args []core.Value, flags uint64, err error) {
 	r := reader{b: payload}
-	sql, args, flags = r.str(), r.args(dst), r.trailer()
+	sql, args, flags = r.borrowedStr(), r.args(dst), r.trailer()
 	return sql, args, flags, r.err
 }
 

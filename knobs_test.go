@@ -34,13 +34,14 @@ var knobExemptions = map[string]string{
 // TestKnobsHaveCallers: every exported field of every struct named *Config
 // or *Options declared in a non-test file under internal/ is set by a
 // program outside its own package -- a non-test file anywhere in the
-// repository, benchmark/ included. A field counts as set where it is tied to
-// its own type: a key in a literal of that struct, or an assignment to or
-// the address (a flag binding) of the field through a value of that type,
-// so a same-named field of another struct does not count. A knob only tests
-// turn doubles the configurations to cover and no deployment picks its
-// value: make it a constant, or an unexported field the package's own tests
-// set.
+// repository, benchmark/ included, and a program under examples/ too: an
+// example shows a deployment choosing the knob. A field counts as set where
+// it is tied to its own type: a key in a literal of that struct, or an
+// assignment to or the address (a flag binding) of the field through a value
+// of that type, so a same-named field of another struct does not count. A
+// knob only tests turn doubles the configurations to cover and no deployment
+// picks its value: make it a constant, or an unexported field the package's
+// own tests set.
 func TestKnobsHaveCallers(t *testing.T) {
 	pkgs := typeCheckRepo(t)
 	knobs := map[*types.Var]string{} // field -> "pkg.Type.Field"
