@@ -152,9 +152,6 @@ func (tx *Txn) PrepareAsync(gtid string, cb func(readOnly bool, err error)) erro
 	return mapErr(tx.t.PrepareAsync(gtid, func(ro bool, err error) { cb(ro, mapErr(err)) }))
 }
 
-// CSN implements engineapi.CSNReporter.
-func (tx *Txn) CSN() uint64 { return tx.t.CSN() }
-
 // Abort implements engineapi.Txn.
 func (tx *Txn) Abort() error { return mapErr(tx.t.Abort()) }
 
@@ -268,14 +265,4 @@ func (tx *Txn) ScanRangeRaw(table string, idx int, from, to []byte, fn func(key,
 		return err
 	}
 	return mapErr(tx.t.ScanRangeRaw(t, idx, from, to, fn))
-}
-
-// ScanPrefixRaw implements engineapi.RawReader. fn goes to the engine as it
-// is: wrapping it would be an allocation per scan.
-func (tx *Txn) ScanPrefixRaw(table string, idx int, prefix []core.Value, fn func(core.RID, []byte) bool) error {
-	t, err := tx.db.table(table)
-	if err != nil {
-		return err
-	}
-	return mapErr(tx.t.ScanPrefixRaw(t, idx, prefix, fn))
 }

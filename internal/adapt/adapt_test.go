@@ -139,22 +139,32 @@ func TestAdapterAsyncCommit(t *testing.T) {
 	if !ok {
 		t.Fatal("adapter transactions must support async commit")
 	}
-	done := make(chan error, 1)
-	var csn uint64
-	if err := ac.CommitAsync(func(c uint64, err error) { csn = c; done <- err }); err != nil {
-		t.Fatal(err)
+	commit := func(ac engineapi.AsyncCommitter) uint64 {
+		done := make(chan error, 1)
+		var csn uint64
+		if err := ac.CommitAsync(func(c uint64, err error) { csn = c; done <- err }); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		return csn
 	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if csn == 0 || csn != tx.(engineapi.CSNReporter).CSN() {
-		t.Fatalf("the durability callback got CSN %d, the transaction committed at %d", csn, tx.(engineapi.CSNReporter).CSN())
-	}
+	first := commit(ac)
 	tx2, _ := db.Begin(0)
 	if _, err := tx2.GetByKey("t", 0, core.I(7)); err != nil {
 		t.Fatalf("async-committed row missing: %v", err)
 	}
-	tx2.Commit()
+	if csn := commit(tx2.(engineapi.AsyncCommitter)); first == 0 || csn != 0 {
+		t.Fatalf("the durability callbacks got CSN %d for a write and %d for a read, want a CSN and 0", first, csn)
+	}
+	tx3, _ := db.Begin(0)
+	if err := tx3.Insert("t", core.Row{core.I(8), core.I(8), core.S("later")}); err != nil {
+		t.Fatal(err)
+	}
+	if csn := commit(tx3.(engineapi.AsyncCommitter)); csn <= first {
+		t.Fatalf("a later write commit's callback got CSN %d, the first's %d", csn, first)
+	}
 }
 
 // TestMemoProbeAllocFree: the drivers' GetByKey-then-UpdateByKey pattern
@@ -187,10 +197,10 @@ func TestMemoProbeAllocFree(t *testing.T) {
 	}
 }
 
-// TestScanPrefixRawAllocFree: a raw prefix scan through the adapter hands
-// the caller's callback to the engine as it is, so a scan on a slot that has
-// scanned before allocates nothing.
-func TestScanPrefixRawAllocFree(t *testing.T) {
+// TestScanRangeRawAllocFree: a raw scan of a prefix's key range through the
+// adapter hands the caller's callback to the engine as it is, so a scan on a
+// slot that has scanned before allocates nothing.
+func TestScanRangeRawAllocFree(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
@@ -212,17 +222,18 @@ func TestScanPrefixRawAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer btx.Abort()
-	tx := btx.(engineapi.RawReader)
-	prefix, n := []core.Value{core.I(1)}, 0
-	fn := func(core.RID, []byte) bool { n++; return true }
+	tx := btx.(engineapi.RangeReader)
+	from := core.EncodeKey(nil, core.I(1))
+	to, n := core.KeySuccessor(from), 0
+	fn := func(_, _ []byte) bool { n++; return true }
 	scan := func() {
-		if err := tx.ScanPrefixRaw("t", 1, prefix, fn); err != nil {
+		if err := tx.ScanRangeRaw("t", 1, from, to, fn); err != nil {
 			t.Fatal(err)
 		}
 	}
 	scan()
 	if avg := testing.AllocsPerRun(100, scan); avg != 0 {
-		t.Fatalf("a 100-row ScanPrefixRaw through the adapter allocates %.2f times, want 0", avg)
+		t.Fatalf("a 100-row ScanRangeRaw through the adapter allocates %.2f times, want 0", avg)
 	}
 	if n%100 != 0 {
 		t.Fatalf("the scans visited %d rows, not 100 each", n)

@@ -68,7 +68,7 @@ func TestSerialEquivalencePerKey(t *testing.T) {
 					t.Errorf("commit: %v", err)
 					return
 				}
-				local = append(local, event{csn: tx.CSN(), key: k, read: read, wrote: wrote})
+				local = append(local, event{csn: tx.csn, key: k, read: read, wrote: wrote})
 			}
 			mu.Lock()
 			events = append(events, local...)

@@ -252,15 +252,16 @@ func TestSwingUnderConcurrentReaders(t *testing.T) {
 				}
 				if i%8 == 0 {
 					n := 0
-					err := tx.ScanPrefixRaw(tbl, 1, []Value{S(fmt.Sprintf("w%d", w))}, func(_ RID, p []byte) bool {
+					from, to := prefixRange(S(fmt.Sprintf("w%d", w)))
+					err := tx.ScanRangeRaw(tbl, 1, from, to, func(_, p []byte) bool {
 						n++
 						if err := check(p); err != nil {
-							t.Errorf("ScanPrefixRaw: %v", err)
+							t.Errorf("ScanRangeRaw: %v", err)
 						}
 						return true
 					})
 					if err != nil || n > rowsPer {
-						t.Errorf("ScanPrefixRaw saw %d rows of writer %d (%v), want at most %d", n, w, err, rowsPer)
+						t.Errorf("ScanRangeRaw saw %d rows of writer %d (%v), want at most %d", n, w, err, rowsPer)
 					}
 				}
 				tx.Abort()

@@ -128,9 +128,9 @@ func TestWriteRegistersBeforeItsVersionIsVisible(t *testing.T) {
 		t.Fatalf("a published TID resolves to state %d (found %v), want active", st, ok)
 	}
 	commit(t, w)
-	if st, csn, ok := e.resolve(w.tid); !ok || st != txCommitted || csn != w.CSN() || tbl.rows.Get(rid).tmin.Load() != csn {
+	if st, csn, ok := e.resolve(w.tid); !ok || st != txCommitted || csn != w.csn || tbl.rows.Get(rid).tmin.Load() != csn {
 		t.Fatalf("a committed TID resolves to state %d csn %d (found %v); its version carries %d, want csn %d",
-			st, csn, ok, tbl.rows.Get(rid).tmin.Load(), w.CSN())
+			st, csn, ok, tbl.rows.Get(rid).tmin.Load(), w.csn)
 	}
 
 	const nRows = 8

@@ -302,7 +302,7 @@ func TestReplicaStalledCommitIsNotApplied(t *testing.T) {
 		t.Fatal(err)
 	}
 	commit(t, tx)
-	csn := tx.CSN()
+	csn := tx.csn
 
 	catchUp(t, rep, 0)
 	if got := rep.AppliedCSN(); got >= csn {
@@ -346,7 +346,7 @@ func TestReplicaStallRetriesTheWholeTransaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	commit(t, tx)
-	csn := tx.CSN()
+	csn := tx.csn
 
 	catchUp(t, rep, 0)
 	if got := rep.AppliedCSN(); got >= csn {
@@ -434,7 +434,7 @@ func TestReplicaNeverShowsPartOfATransaction(t *testing.T) {
 			rids = append(rids, rid)
 		}
 		commit(t, tx)
-		csn := tx.CSN()
+		csn := tx.csn
 		// The copy ends at the transaction's fourth record, or 3 bytes into
 		// its last.
 		at := users.rows.Get(rids[3]).Addr()

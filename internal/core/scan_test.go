@@ -78,18 +78,36 @@ func perRow(tx *Txn, tbl *Table, rids []RID, keep func(Row) bool) []scanned {
 	return out
 }
 
-// scanPrefix runs a raw prefix scan that stops after stop rows (stop < 0: never).
+// prefixRange returns the raw key range of an index prefix: the keys that
+// start with its encoding.
+func prefixRange(prefix ...Value) (from, to []byte) {
+	from = EncodeKey(nil, prefix...)
+	return from, KeySuccessor(from)
+}
+
+// scanPrefix runs a raw scan of a prefix's key range that stops after stop
+// rows (stop < 0: never). A raw scan hands out no RIDs: each row's is 0.
 func scanPrefix(tx *Txn, tbl *Table, idx int, prefix []Value, stop int) ([]scanned, error) {
 	var out []scanned
-	err := tx.ScanPrefixRaw(tbl, idx, prefix, func(rid RID, p []byte) bool {
+	from, to := prefixRange(prefix...)
+	err := tx.ScanRangeRaw(tbl, idx, from, to, func(_, p []byte) bool {
 		row, err := DecodeRow(p)
 		if err != nil {
 			panic(err)
 		}
-		out = append(out, scanned{rid, row})
+		out = append(out, scanned{row: row})
 		return stop < 0 || len(out) < stop
 	})
 	return out, err
+}
+
+// noRIDs returns rows with their RIDs zeroed, as a raw scan hands them out.
+func noRIDs(rows []scanned) []scanned {
+	out := make([]scanned, len(rows))
+	for i, r := range rows {
+		out[i].row = r.row
+	}
+	return out
 }
 
 // sameRows reports whether two scans gave the same rows (none is none,
@@ -115,7 +133,7 @@ func checkScans(t *testing.T, tx *Txn, tbl *Table, groups [][]RID) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			w := want
+			w := noRIDs(want)
 			if stop > 0 {
 				w = w[:stop]
 			}
@@ -142,7 +160,7 @@ func checkScans(t *testing.T, tx *Txn, tbl *Table, groups [][]RID) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w := perRow(tx, tbl, all, func(r Row) bool { return r[2].Str() == tag }); !sameRows(got, w) {
+		if w := noRIDs(perRow(tx, tbl, all, func(r Row) bool { return r[2].Str() == tag })); !sameRows(got, w) {
 			t.Fatalf("tag %s: scan gave %v, per-row reads %v", tag, got, w)
 		}
 	}
@@ -400,7 +418,7 @@ func checkRacedScans(tx *Txn, tbl *Table, rids [][]RID, total int64) error {
 		for _, r := range got {
 			sum += r.row[3].Int()
 		}
-		if want := perRow(tx, tbl, rids[g], func(Row) bool { return true }); !sameRows(got, want) || sum != total {
+		if want := noRIDs(perRow(tx, tbl, rids[g], func(Row) bool { return true })); !sameRows(got, want) || sum != total {
 			return fmt.Errorf("group %d: scan gave %v (total %d), per-row reads %v (total %d)", g, got, sum, want, total)
 		}
 	}
@@ -448,10 +466,10 @@ func moveVal(e *Engine, tbl *Table, w int, a, b RID, rng *rand.Rand) error {
 	return tx.Commit()
 }
 
-// TestScanPrefixRawAllocFree: a raw prefix scan on a transaction whose slot
-// has scanned before allocates nothing -- its batch, bounds and index
-// callback are the slot's.
-func TestScanPrefixRawAllocFree(t *testing.T) {
+// TestScanRangeRawAllocFree: a raw scan of a prefix's key range on a
+// transaction whose slot has scanned before allocates nothing -- its batch
+// and index callback are the slot's.
+func TestScanRangeRawAllocFree(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector allocates")
 	}
@@ -463,16 +481,17 @@ func TestScanPrefixRawAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tx.Abort()
-	prefix, n := []Value{I(1)}, 0
-	fn := func(RID, []byte) bool { n++; return true }
+	from, to := prefixRange(I(1))
+	n := 0
+	fn := func(_, _ []byte) bool { n++; return true }
 	scan := func() {
-		if err := tx.ScanPrefixRaw(tbl, 0, prefix, fn); err != nil {
+		if err := tx.ScanRangeRaw(tbl, 0, from, to, fn); err != nil {
 			t.Fatal(err)
 		}
 	}
 	scan()
 	if avg := testing.AllocsPerRun(100, scan); avg != 0 {
-		t.Fatalf("a 100-row ScanPrefixRaw allocates %.2f times, want 0", avg)
+		t.Fatalf("a 100-row ScanRangeRaw allocates %.2f times, want 0", avg)
 	}
 	if n%100 != 0 {
 		t.Fatalf("the scans visited %d rows, not 100 each", n)

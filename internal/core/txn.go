@@ -291,10 +291,6 @@ func (t *Txn) Reusable() bool {
 	return t.e == nil || t.finished && !t.prepared
 }
 
-// CSN returns the commit sequence number (0 while active, after abort, or
-// for read-only commits, which consume no CSN).
-func (t *Txn) CSN() uint64 { return t.csn }
-
 // --- visibility ----------------------------------------------------------
 
 // visible reports whether version v is visible to t under snapshot
@@ -414,17 +410,6 @@ func (t *Txn) GetByKey(tbl *Table, idx int, vals ...Value) (rid RID, row Row, er
 	return rid, row, nil
 }
 
-// ScanPrefixRaw visits the visible rows whose index keys start with the
-// given values, encoded.
-func (t *Txn) ScanPrefixRaw(tbl *Table, idx int, prefix []Value, fn func(rid RID, payload []byte) bool) error {
-	b, err := t.scanBatch()
-	if err != nil {
-		return err
-	}
-	b.setPrefix(prefix)
-	return t.scanEncoded(b, tbl, idx, b.from, b.to, fn)
-}
-
 // ScanRangeRaw visits, in key order, the visible rows whose raw index-idx
 // keys fall in [from, to) (a nil bound is open), handing fn each entry's key,
 // valid for the call, and the row encoded: a scan that stops can resume just
@@ -457,7 +442,8 @@ func (t *Txn) ScanKey(tbl *Table, idx int, from, to []Value, fn func(rid RID, ro
 	return t.scanDecoded(b, tbl, idx, fromK, toK, fn)
 }
 
-// ScanPrefix is ScanPrefixRaw handing fn decoded rows.
+// ScanPrefix visits the visible rows whose index keys start with the given
+// values, decoded.
 func (t *Txn) ScanPrefix(tbl *Table, idx int, prefix []Value, fn func(rid RID, row Row) bool) error {
 	b, err := t.scanBatch()
 	if err != nil {

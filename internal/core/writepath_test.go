@@ -553,7 +553,7 @@ func TestPreDurablePayloadOutlivesTheSwing(t *testing.T) {
 // writes out of its log buffer, and that buffer is copied to a larger one as
 // later writes fill it. Every insert, Update and UpdateColumns the transaction
 // made -- of rows it inserted itself and of a row committed before it began --
-// reads back whole after each growth, through getRaw and ScanPrefixRaw: its
+// reads back whole after each growth, through getRaw and ScanRangeRaw: its
 // record was complete before its version was published, and a growth copies
 // the buffer without touching a published payload. A later snapshot then
 // reads the same rows, committed.
@@ -586,10 +586,11 @@ func TestOwnWritesStayCompleteAsTheBufferGrows(t *testing.T) {
 			}
 		}
 		seen := 0
-		if err := tx.ScanPrefixRaw(tbl, 1, []Value{S("w0")}, func(_ RID, p []byte) bool {
+		from, to := prefixRange(S("w0"))
+		if err := tx.ScanRangeRaw(tbl, 1, from, to, func(_, p []byte) bool {
 			row, err := DecodeRow(p)
 			if err != nil || !bytes.Equal(p, want[row[0].Int()]) {
-				t.Fatalf("%s: ScanPrefixRaw reads %x (%v)", when, p, err)
+				t.Fatalf("%s: ScanRangeRaw reads %x (%v)", when, p, err)
 			}
 			seen++
 			return true
@@ -597,7 +598,7 @@ func TestOwnWritesStayCompleteAsTheBufferGrows(t *testing.T) {
 			t.Fatal(err)
 		}
 		if seen != len(want) {
-			t.Fatalf("%s: ScanPrefixRaw saw %d rows, want %d", when, seen, len(want))
+			t.Fatalf("%s: ScanRangeRaw saw %d rows, want %d", when, seen, len(want))
 		}
 	}
 
@@ -845,7 +846,7 @@ func TestTransactionLogBytes(t *testing.T) {
 		recBytes := 0
 		for _, rec := range records {
 			recBytes += len(rec)
-			standalone = append(standalone, wal.StampTxn(rec, 0, tx.CSN())...)
+			standalone = append(standalone, wal.StampTxn(rec, 0, tx.csn)...)
 		}
 		// The transaction is the last thing its stream logged.
 		at := tbl.rows.Get(first).Addr()
@@ -855,7 +856,7 @@ func TestTransactionLogBytes(t *testing.T) {
 				logged = s.b[at.Offset():]
 			}
 		}
-		trailer := wal.TrailerLen(tx.CSN())
+		trailer := wal.TrailerLen(tx.csn)
 		if len(logged) != recBytes+trailer || trailer >= 8 {
 			t.Errorf("a %d-insert transaction logs %d bytes, its records are %d and its CSN %d: want the CSN paid once, in under 8 bytes", n, len(logged), recBytes, trailer)
 		}

@@ -88,16 +88,6 @@ type Preparer interface {
 	PrepareAsync(gtid string, cb func(readOnly bool, err error)) error
 }
 
-// CSNReporter is optionally implemented by transactions that can report the
-// commit sequence number they committed at. The service layer uses it to
-// hand clients a read-your-writes token they can present to a replica.
-type CSNReporter interface {
-	// CSN returns the transaction's commit sequence number: nonzero once
-	// the transaction has (pre)committed a write, 0 for read-only commits
-	// and uncommitted transactions.
-	CSN() uint64
-}
-
 // Importer is optionally implemented by engines that can install rows as
 // bulk-loaded data visible to every snapshot (HiEngine's load CSN). The
 // ACID-cache deployment uses it to fault in cold rows from a backing engine
@@ -133,21 +123,21 @@ type Txn interface {
 // so a reader that only forwards or filters rows (the SQL layer's SELECT)
 // never materialises the columns it does not look at. The payload passed to
 // fn is immutable and may be kept, or values aliasing it: HiEngine's is the
-// version's logged row, RawAdapter's a stretch of a buffer it never
-// rewrites. A kept payload pins the memory it lies in: for HiEngine a log
+// version's logged row. A kept payload pins the memory it lies in: a log
 // chunk, or before durability its worker slot's log arena.
 type RawReader interface {
 	// GetByKeyRaw is GetByKey handing fn the encoded row.
 	GetByKeyRaw(table string, idx int, key []core.Value, fn func(payload []byte) error) error
-	// ScanPrefixRaw is ScanPrefix handing fn encoded rows, each with its
-	// RID where the engine has one (0 where it does not).
-	ScanPrefixRaw(table string, idx int, prefix []core.Value, fn func(rid core.RID, payload []byte) bool) error
 }
 
 // RangeReader is optionally implemented by transactions that can scan a
-// range of raw index keys and say, row by row, which entry they are on: a
-// reader that stopped mid-scan resumes just past the last key it saw (the
-// SQL layer's cursor pages, each a scan of its own under one snapshot).
+// range of raw index keys and say, row by row, which entry they are on. It
+// is the SQL layer's one scan: a SELECT reads its prefix's keys,
+// [core.EncodeKey(prefix), core.KeySuccessor of that), and a cursor page,
+// each a scan of its own under one snapshot, resumes just past the last key
+// the page before it saw. Every engine served here implements it; a
+// transaction that does not is read through Txn.ScanPrefix, and pages no
+// cursor.
 type RangeReader interface {
 	// ScanRangeRaw visits, in key order, the rows whose index-idx keys fall
 	// in [from, to), handing fn each entry's key (valid for the call) and
@@ -167,55 +157,4 @@ type ColumnUpdater interface {
 	// when it does not satisfy where -- and ErrNotFound when no row has the
 	// key.
 	UpdateColumns(table string, idx int, key []core.Value, where, set []core.ColValue) (updated bool, err error)
-}
-
-// Raw returns tx's raw read interface: tx itself when it implements
-// RawReader, otherwise a, set up to re-encode each row tx's decoding reads
-// return (the baselines and test stubs, which have no stored encoding to
-// hand out). The zero RawAdapter is ready to use; a caller that passes the
-// same one on every call keeps its buffer across them.
-func Raw(tx Txn, a *RawAdapter) RawReader {
-	if r, ok := tx.(RawReader); ok {
-		return r
-	}
-	a.tx = tx
-	return a
-}
-
-// RawAdapter implements RawReader over any Txn; see Raw.
-type RawAdapter struct {
-	tx Txn
-	// buf holds the rows encoded so far, back to back. It is only ever
-	// appended to, so a payload handed out is never rewritten; a buffer
-	// past maxAdapterBuf is left to whoever still holds payloads in it.
-	buf []byte
-}
-
-// maxAdapterBuf is the size past which a RawAdapter starts a new buffer.
-const maxAdapterBuf = 64 << 10
-
-// encode appends row's encoding to the adapter's buffer and returns it.
-func (a *RawAdapter) encode(row core.Row) []byte {
-	if len(a.buf) > maxAdapterBuf {
-		a.buf = nil
-	}
-	start := len(a.buf)
-	a.buf = core.EncodeRow(a.buf, row)
-	return a.buf[start:len(a.buf):len(a.buf)]
-}
-
-// GetByKeyRaw implements RawReader.
-func (a *RawAdapter) GetByKeyRaw(table string, idx int, key []core.Value, fn func([]byte) error) error {
-	row, err := a.tx.GetByKey(table, idx, key...)
-	if err != nil {
-		return err
-	}
-	return fn(a.encode(row))
-}
-
-// ScanPrefixRaw implements RawReader, with RID 0: Txn's rows have none.
-func (a *RawAdapter) ScanPrefixRaw(table string, idx int, prefix []core.Value, fn func(core.RID, []byte) bool) error {
-	return a.tx.ScanPrefix(table, idx, prefix, func(row core.Row) bool {
-		return fn(0, a.encode(row))
-	})
 }

@@ -63,8 +63,9 @@ type partition[T any] struct {
 	mu    sync.Mutex // guards page allocation only
 	pages []atomic.Pointer[[1 << pageBits]entry[T]]
 
-	// next is the next slot to hand out in this partition.
-	next atomic.Uint32
+	// next is the next slot to hand out in this partition: 64 bits, so it
+	// neither wraps nor reads as 0 at 32 slot bits.
+	next atomic.Uint64
 }
 
 func newPartition[T any](id uint16, slotBits uint) *partition[T] {
@@ -76,7 +77,7 @@ func newPartition[T any](id uint16, slotBits uint) *partition[T] {
 	}
 }
 
-func (p *partition[T]) capacity() uint32 { return 1 << p.slotBits }
+func (p *partition[T]) capacity() uint64 { return 1 << p.slotBits }
 
 // slot returns the entry for s, allocating its page on first touch; nil if
 // the page was never touched and alloc is false.
@@ -192,7 +193,7 @@ func (m *Map[T]) Alloc() (RID, error) {
 		p := m.allocPart.Load()
 		s := p.next.Add(1) - 1
 		if s < p.capacity() {
-			return m.makeRID(p.id, s), nil
+			return m.makeRID(p.id, uint32(s)), nil
 		}
 		// Partition exhausted; grow (or pick up a concurrent grow).
 		np, err := m.grow()
@@ -229,7 +230,7 @@ func (m *Map[T]) AllocAt(rid RID) error {
 	// hand it out again.
 	for {
 		cur := p.next.Load()
-		if cur > slot || p.next.CompareAndSwap(cur, slot+1) {
+		if cur > uint64(slot) || p.next.CompareAndSwap(cur, uint64(slot)+1) {
 			break
 		}
 	}
@@ -367,15 +368,15 @@ func (m *Map[T]) Range(fn func(rid RID, v *T) bool) {
 		if limit > p.capacity() {
 			limit = p.capacity()
 		}
-		for s := uint32(0); s < limit; s++ {
-			e := p.slot(s, false)
+		for s := uint64(0); s < limit; s++ {
+			e := p.slot(uint32(s), false)
 			if e == nil {
 				// Skip the rest of this untouched page.
 				s |= 1<<pageBits - 1
 				continue
 			}
 			if v := e.ptr.Load(); v != nil {
-				if !fn(m.makeRID(p.id, s), v) {
+				if !fn(m.makeRID(p.id, uint32(s)), v) {
 					return
 				}
 			}

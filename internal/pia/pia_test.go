@@ -51,6 +51,29 @@ func TestRIDsAreDense(t *testing.T) {
 	}
 }
 
+// TestThirtyTwoSlotBits: at the largest slot width a partition's capacity,
+// 2^32, still fits its bound: Alloc hands out dense RIDs from partition 0
+// without growing one, and once recovery has taken the partition's last slot
+// the next RID is partition 1's first, not a wrapped slot 0.
+func TestThirtyTwoSlotBits(t *testing.T) {
+	m := New[rec](Config{SlotBits: 32})
+	for want := RID(1); want <= 1000; want++ {
+		r, err := m.Alloc()
+		if err != nil || r != want {
+			t.Fatalf("Alloc = %d (%v), want %d", r, err, want)
+		}
+	}
+	if m.Partitions() != 1 {
+		t.Fatalf("1000 RIDs in %d partitions, want 1", m.Partitions())
+	}
+	if err := m.AllocAt(m.makeRID(0, 1<<32-1)); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := m.Alloc(); err != nil || r != 1<<32 {
+		t.Fatalf("Alloc past partition 0's last slot = %d (%v), want %d", r, err, RID(1<<32))
+	}
+}
+
 func TestAllocNeverReturnsInvalid(t *testing.T) {
 	m := New[rec](Config{SlotBits: 12})
 	for i := 0; i < 100; i++ {

@@ -197,10 +197,10 @@ type Session struct {
 	txnEngine string
 
 	// lastCSN is the session's read-your-writes token: the highest commit
-	// sequence number this session has committed at (engines that report
-	// one, see engineapi.CSNReporter). Atomic because pipelined commits
-	// publish it from the WAL durability callback while the session is
-	// already executing its next statement.
+	// sequence number this session has committed at (an engine's pipelined
+	// commit reports one with its durability, see engineapi.AsyncCommitter).
+	// Atomic because pipelined commits publish it from the WAL durability
+	// callback while the session is already executing its next statement.
 	lastCSN atomic.Uint64
 
 	// tr, when non-nil, is the active request trace: Exec brackets the
@@ -230,14 +230,12 @@ type Session struct {
 	// statement would be an allocation per statement for nothing.
 	res Result
 
-	// autoDone and autoCommitted are commitAuto's wait for durability: the
-	// channel, and the callback that signals it with autoCSN set, made once
-	// per session.
-	autoDone      chan error
-	autoCommitted func(csn uint64, err error)
-	autoCSN       uint64
+	// synced and syncDone are commitSync's wait for durability: the channel,
+	// and the callback that signals it, made once per session.
+	synced   chan error
+	syncDone func(error)
 
-	// commitFree is CommitAsync's free list of commit records, under
+	// commitFree is commitTxn's free list of commit records, under
 	// commitMu: records fire on the log's I/O goroutine.
 	commitMu   sync.Mutex
 	commitFree []*commitRec
@@ -253,15 +251,6 @@ func (s *Session) affected(n int) *Result {
 // number of its most recent write commit (0 before the first one).
 func (s *Session) LastCSN() uint64 { return s.lastCSN.Load() }
 
-// txnCSN is the CSN a synchronous commit of t drew, 0 when its engine
-// reports none.
-func txnCSN(t engineapi.Txn) uint64 {
-	if r, ok := t.(engineapi.CSNReporter); ok {
-		return r.CSN()
-	}
-	return 0
-}
-
 // noteCSN records a commit CSN as the session token (monotonic max).
 func (s *Session) noteCSN(csn uint64) {
 	if csn == 0 {
@@ -275,34 +264,36 @@ func (s *Session) noteCSN(csn uint64) {
 	}
 }
 
-// commitAuto finishes an auto-commit statement: commit, then record the
-// session's read-your-writes token. It waits for durability on the session's
-// own channel, through the engine's pipelined commit when it has one, so a
+// commitSync commits t and returns once it is durable: a text COMMIT and an
+// auto-commit statement. It waits on the session's own channel, so a
 // statement's commit allocates nothing of its own.
-func (s *Session) commitAuto(tx engineapi.Txn) error {
-	ac, ok := tx.(engineapi.AsyncCommitter)
-	if !ok {
-		if err := tx.Commit(); err != nil {
-			return err
-		}
-		s.noteCSN(txnCSN(tx))
-		return nil
-	}
-	if s.autoDone == nil {
+func (s *Session) commitSync(t engineapi.Txn) error {
+	if s.synced == nil {
 		done := make(chan error, 1)
-		s.autoDone, s.autoCommitted = done, func(csn uint64, err error) {
-			s.autoCSN = csn
-			done <- err
-		}
+		s.synced, s.syncDone = done, func(err error) { done <- err }
 	}
-	if err := ac.CommitAsync(s.autoCommitted); err != nil {
-		return err
+	async, err := s.commitTxn(t, s.syncDone)
+	if async {
+		err = <-s.synced
 	}
-	if err := <-s.autoDone; err != nil {
-		return err
+	return err
+}
+
+// commitTxn commits t through the engine's pipelined commit when it has one
+// (engineapi.AsyncCommitter): async=true, and done fires once the commit is
+// durable, the session's token noted. Otherwise it calls Txn.Commit, and done
+// never fires.
+func (s *Session) commitTxn(t engineapi.Txn, done func(error)) (async bool, err error) {
+	ac, ok := t.(engineapi.AsyncCommitter)
+	if !ok {
+		return false, t.Commit()
 	}
-	s.noteCSN(s.autoCSN)
-	return nil
+	r := s.takeCommit(done)
+	if err := ac.CommitAsync(r.durable); err != nil {
+		s.putCommit(r)
+		return false, err
+	}
+	return true, nil
 }
 
 // SetTrace attaches (or with nil, detaches) the active request trace. An
@@ -310,8 +301,16 @@ func (s *Session) commitAuto(tx engineapi.Txn) error {
 // started mid-transaction still attributes its commit stages.
 func (s *Session) SetTrace(tr *obs.Trace) {
 	s.tr = tr
-	if t, ok := s.txn.(engineapi.Traceable); ok && s.txn != nil {
-		t.SetTrace(tr)
+	if s.txn != nil {
+		setTrace(s.txn, tr)
+	}
+}
+
+// setTrace tags t with tr when its engine carries traces
+// (engineapi.Traceable).
+func setTrace(t engineapi.Txn, tr *obs.Trace) {
+	if tt, ok := t.(engineapi.Traceable); ok {
+		tt.SetTrace(tr)
 	}
 }
 
@@ -538,37 +537,30 @@ func (s *Session) beginTxn(ti *tableInfo) (engineapi.Txn, error) {
 		return nil, err
 	}
 	s.last = t
-	s.attachTrace(t)
+	if s.tr != nil {
+		setTrace(t, s.tr)
+	}
 	return t, nil
 }
 
-// attachTrace tags a freshly opened engine transaction with the session's
-// active trace, when the engine supports it (engineapi.Traceable).
-func (s *Session) attachTrace(t engineapi.Txn) {
-	if s.tr == nil {
-		return
+// endTxn detaches the open transaction from the session and returns it:
+// nil, with a nil error, after a BEGIN that ran no statement, and with
+// ErrNoTxn when none is open.
+func (s *Session) endTxn() (engineapi.Txn, error) {
+	t := s.txn
+	if t == nil && s.txnEngine != "?pending" {
+		return nil, ErrNoTxn
 	}
-	if tt, ok := t.(engineapi.Traceable); ok {
-		tt.SetTrace(s.tr)
-	}
+	s.txn, s.txnEngine = nil, ""
+	return t, nil
 }
 
 func (s *Session) commit() error {
-	if s.txn == nil {
-		if s.txnEngine == "?pending" { // BEGIN; COMMIT with no statements
-			s.txnEngine = ""
-			return nil
-		}
-		return ErrNoTxn
+	t, err := s.endTxn()
+	if t == nil {
+		return err
 	}
-	t := s.txn
-	err := t.Commit()
-	s.txn = nil
-	s.txnEngine = ""
-	if err == nil {
-		s.noteCSN(txnCSN(t))
-	}
-	return err
+	return s.commitSync(t)
 }
 
 // CommitAsync commits the open transaction through the engine's pipelined
@@ -581,29 +573,11 @@ func (s *Session) commit() error {
 // pipelines on: many connections' commits batch into one WAL group append
 // while their sessions keep executing.
 func (s *Session) CommitAsync(done func(error)) (async bool, err error) {
-	if s.txn == nil {
-		if s.txnEngine == "?pending" { // BEGIN; COMMIT with no statements
-			s.txnEngine = ""
-			return false, nil
-		}
-		return false, ErrNoTxn
+	t, err := s.endTxn()
+	if t == nil {
+		return false, err
 	}
-	t := s.txn
-	s.txn = nil
-	s.txnEngine = ""
-	if ac, ok := t.(engineapi.AsyncCommitter); ok {
-		r := s.takeCommit(done)
-		if err := ac.CommitAsync(r.durable); err != nil {
-			s.putCommit(r)
-			return false, err
-		}
-		return true, nil
-	}
-	err = t.Commit()
-	if err == nil {
-		s.noteCSN(txnCSN(t))
-	}
-	return false, err
+	return s.commitTxn(t, done)
 }
 
 // commitRec is one pipelined commit in flight on a session: the caller's
@@ -673,17 +647,13 @@ func (r *commitRec) onDurable(csn uint64, err error) {
 // returns -- a prepared participant is finished only by the engine's
 // decision path, never by this session.
 func (s *Session) PrepareTxn(gtid string, done func(readOnly bool, err error)) error {
-	if s.txn == nil {
-		if s.txnEngine == "?pending" { // BEGIN; PREPARE with no statements
-			s.txnEngine = ""
+	t, err := s.endTxn()
+	if t == nil {
+		if err == nil { // BEGIN; PREPARE with no statements
 			done(true, nil)
-			return nil
 		}
-		return ErrNoTxn
+		return err
 	}
-	t := s.txn
-	s.txn = nil
-	s.txnEngine = ""
 	p, ok := t.(engineapi.Preparer)
 	if !ok {
 		t.Abort()
@@ -693,17 +663,11 @@ func (s *Session) PrepareTxn(gtid string, done func(readOnly bool, err error)) e
 }
 
 func (s *Session) rollback() error {
-	if s.txn == nil {
-		if s.txnEngine == "?pending" {
-			s.txnEngine = ""
-			return nil
-		}
-		return ErrNoTxn
+	t, err := s.endTxn()
+	if t == nil {
+		return err
 	}
-	err := s.txn.Abort()
-	s.txn = nil
-	s.txnEngine = ""
-	return err
+	return t.Abort()
 }
 
 // Begin opens an explicit transaction (the wire protocol's OpBegin; SQL
@@ -923,7 +887,7 @@ func (f *Frontend) compile(st stmt) (func(*Session, []core.Value) (*Result, erro
 				return nil, err
 			}
 			if auto {
-				if err := s.commitAuto(tx); err != nil {
+				if err := s.commitSync(tx); err != nil {
 					return nil, err
 				}
 			}
@@ -976,7 +940,7 @@ func (f *Frontend) compile(st stmt) (func(*Session, []core.Value) (*Result, erro
 				return s.affected(0), nil
 			}
 			if auto {
-				if err := s.commitAuto(tx); err != nil {
+				if err := s.commitSync(tx); err != nil {
 					return nil, err
 				}
 			}
@@ -1012,7 +976,7 @@ func (f *Frontend) compile(st stmt) (func(*Session, []core.Value) (*Result, erro
 				return nil, err
 			}
 			if auto {
-				if err := s.commitAuto(tx); err != nil {
+				if err := s.commitSync(tx); err != nil {
 					return nil, err
 				}
 			}

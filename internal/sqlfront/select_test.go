@@ -6,10 +6,8 @@ import (
 	"testing"
 
 	"hiengine/internal/adapt"
-	"hiengine/internal/baseline/innosim"
 	"hiengine/internal/core"
 	"hiengine/internal/raceflag"
-	"hiengine/internal/srss"
 )
 
 // TestUnknownProjectionFailsAtCompile is the silent-bad-statement
@@ -347,17 +345,12 @@ func TestResultRowsSurviveReuseAndCompaction(t *testing.T) {
 }
 
 // TestAdapterResultsSurviveLaterReads is the same contract for an engine
-// without raw reads (innosim): the raw adapter encodes each row it hands out
-// behind the last, never over it, so a Value kept from an in-process SELECT
-// reads the same after enough later reads to fill the adapter's buffer and
+// without raw reads (plainDB): the select core encodes each row it is handed
+// decoded behind the last, never over it, so a Value kept from an in-process
+// SELECT reads the same after enough later reads to fill its buffer and
 // start another, and after the row's UPDATE.
 func TestAdapterResultsSurviveLaterReads(t *testing.T) {
-	inno, err := innosim.New(innosim.Config{Service: srss.New(srss.Config{}), SegmentSize: 1 << 22})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(inno.Close)
-	s := NewFrontend("innodb", inno).NewSession(0)
+	s := plainFrontend(t).NewSession(0)
 	loadScanTable(t, s)
 	st, err := s.Prepare("SELECT c FROM scanb WHERE grp = ? AND id = ?")
 	if err != nil {
@@ -369,7 +362,7 @@ func TestAdapterResultsSurviveLaterReads(t *testing.T) {
 	}
 	kept := res.Rows[0][0]
 	scan := mustExec(t, s, "SELECT id, c FROM scanb WHERE grp = ?", core.I(2))
-	for i := int64(0); i < 10; i++ { // 10 scans of ~11 KB: past the adapter's 64 KB
+	for i := int64(0); i < 10; i++ { // 10 scans of ~11 KB: past the buffer's 64 KB
 		mustExec(t, s, "SELECT id, c FROM scanb WHERE grp = ?", core.I(0))
 		if _, err := st.Exec(core.I(0), core.I(i)); err != nil {
 			t.Fatal(err)

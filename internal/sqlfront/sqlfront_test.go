@@ -544,7 +544,8 @@ func TestCommitRecordsInFlight(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		var wg sync.WaitGroup
 		fired := make([]atomic.Int32, n)
-		csns := make([]uint64, n)
+		tokens := make([]uint64, n)
+		prev := s.LastCSN()
 		release := make(chan struct{})
 		for i := 0; i < n; i++ {
 			mustExec(t, s, "BEGIN")
@@ -559,17 +560,12 @@ func TestCommitRecordsInFlight(t *testing.T) {
 				if err != nil {
 					t.Errorf("round %d, commit %d: %v", round, i, err)
 				}
-				// The callbacks run in commit order, so the token is this
-				// commit's, not a later one's.
-				if got := s.LastCSN(); got != csns[i] {
-					t.Errorf("round %d, commit %d fired with the session's token at %d, want its CSN %d", round, i, got, csns[i])
-				}
+				tokens[i] = s.LastCSN()
 				fired[i].Add(1)
 			})
 			if !async || err != nil {
 				t.Fatalf("round %d, commit %d: async=%v err=%v", round, i, async, err)
 			}
-			csns[i] = s.last.(engineapi.CSNReporter).CSN()
 		}
 		// The handle runs the next transaction while the commits are in flight.
 		mustExec(t, s, "BEGIN")
@@ -582,6 +578,14 @@ func TestCommitRecordsInFlight(t *testing.T) {
 			if got := fired[i].Load(); got != 1 {
 				t.Fatalf("round %d: commit %d's callback fired %d times", round, i, got)
 			}
+			// Each callback sees a token at least its own commit's CSN,
+			// and only the round's n commits draw CSNs past prev: n tokens
+			// that rise are the n CSNs in commit order, each callback's
+			// its own commit's, not a later one's.
+			if tokens[i] <= prev {
+				t.Fatalf("round %d: commit %d fired with the session's token at %d, after %d", round, i, tokens[i], prev)
+			}
+			prev = tokens[i]
 		}
 		s.commitMu.Lock()
 		kept := len(s.commitFree)

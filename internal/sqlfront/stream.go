@@ -12,8 +12,8 @@ import (
 // only SELECT produces a row stream.
 var ErrNotStreamable = errors.New("sqlfront: only SELECT can stream")
 
-// errNoRanges fails a stream's scan on an engine whose transactions cannot
-// resume one (engineapi.RangeReader): every engine served here can.
+// errNoRanges fails a stream's page on an engine whose transactions cannot
+// resume a scan by key (engineapi.RangeReader): every engine served here can.
 var errNoRanges = errors.New("sqlfront: engine cannot resume a scan by key")
 
 // RowStream is a SELECT against one pinned MVCC snapshot, handed out in
@@ -29,15 +29,11 @@ type RowStream struct {
 	// open so every page can carry it.
 	Columns []string
 
-	tx   engineapi.Txn // open, or once finished the handle the next open reuses
-	run  selectRun
-	args []core.Value // the stream's own copies: every page reads them
-	// from..to is the key range left; a full page's next from goes to resume
-	// while the scan still reads from.
-	from, to, resume []byte
-	keyed            func(key, payload []byte) bool // entry, bound once
-	finished         bool
-	err              error
+	tx       engineapi.Txn // open, or once finished the handle the next open reuses
+	run      selectRun     // holds the key range left
+	args     []core.Value  // the stream's own copies: every page reads them
+	finished bool
+	err      error
 }
 
 // OpenStream opens a streaming SELECT in rs (zero or finished) on worker, a
@@ -69,14 +65,7 @@ func (s *Session) OpenStream(rs *RowStream, worker int, sql string, args ...core
 	for _, a := range args {
 		rs.args = append(rs.args, a.Clone())
 	}
-	r := &rs.run
-	r.p, r.args, r.sent, r.err = p, rs.args, 0, nil
-	r.key = bindAll(r.key[:0], p.pl.prefix, rs.args)
-	rs.from = core.EncodeKey(rs.from[:0], r.key...)
-	rs.to = core.AppendKeySuccessor(rs.to[:0], rs.from)
-	if rs.keyed == nil {
-		rs.keyed = rs.entry
-	}
+	rs.run.start(p, rs.args)
 	return nil
 }
 
@@ -90,46 +79,12 @@ func (rs *RowStream) NextPage(sink *RowBuf, maxRows, maxBytes int) (done bool, e
 	}
 	r := &rs.run
 	r.sink, r.maxRows, r.maxBytes, r.paused = sink, maxRows, maxBytes, false
-	err = rs.scan()
+	err = r.run(rs.tx)
 	r.sink = nil
 	if err == nil && r.paused {
 		return false, nil
 	}
 	return true, rs.finish(err)
-}
-
-// scan runs the select core over what is left of the stream's range.
-func (rs *RowStream) scan() error {
-	r := &rs.run
-	p := r.p
-	var err error
-	rr, ranged := rs.tx.(engineapi.RangeReader)
-	switch {
-	case p.pl.point || p.limit == 0:
-		err = r.run(rs.tx)
-		r.paused = false // one lookup, or nothing: the first page is the last
-	case ranged:
-		err = rr.ScanRangeRaw(p.ti.schema.Name, p.pl.idx, rs.from, rs.to, rs.keyed)
-		if r.paused {
-			rs.from, rs.resume = rs.resume, rs.from
-		}
-	default:
-		err = errNoRanges
-	}
-	if r.err != nil {
-		return r.err
-	}
-	return err
-}
-
-// entry is the range scan's callback: the select core's, recording the
-// resume key, the entry's successor, when the row fills the page.
-func (rs *RowStream) entry(key, payload []byte) bool {
-	ok := rs.run.row(0, payload)
-	if rs.run.paused {
-		rs.resume = append(append(rs.resume[:0], key...), 0)
-	}
-	return ok
 }
 
 // finish ends the transaction (aborted after err) and latches the status.

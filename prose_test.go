@@ -9,10 +9,10 @@ import (
 // only falls: a change that adds text to one of these files deletes as much
 // from the same file, and one that shrinks a file lowers its bound.
 var proseBudget = map[string]int64{
-	"DESIGN.md":                      137_297,
+	"DESIGN.md":                      137_258,
 	"EXPERIMENTS.md":                 193_616,
-	"CHANGES.md":                     21_411,
-	".claude/skills/verify/SKILL.md": 19_590,
+	"CHANGES.md":                     21_338,
+	".claude/skills/verify/SKILL.md": 19_576,
 	"benchmark/README.md":            29_930,
 }
 
