@@ -247,29 +247,40 @@ func (t *Txn) Insert(tableName string, row core.Row) error {
 }
 
 // GetByKey implements engineapi.Txn (primary index only).
-func (t *Txn) GetByKey(tableName string, idx int, key ...core.Value) (core.Row, error) {
+func (t *Txn) GetByKey(tableName string, idx int, key ...core.Value) (row core.Row, err error) {
+	err = t.GetByKeyRaw(tableName, idx, key, func(enc []byte) (derr error) {
+		row, derr = core.DecodeRow(enc)
+		return derr
+	})
+	return row, err
+}
+
+// GetByKeyRaw implements engineapi.RawReader (primary index only). A leaf's
+// row, like this transaction's own pending one, is never rewritten in place
+// (an update swaps in a new encoding), so the payload may be kept.
+func (t *Txn) GetByKeyRaw(tableName string, idx int, key []core.Value, fn func(payload []byte) error) error {
 	if t.finished {
-		return nil, ErrTxnDone
+		return ErrTxnDone
 	}
 	if idx != 0 {
-		return nil, ErrUnsupported
+		return ErrUnsupported
 	}
 	tbl, err := t.db.table(tableName)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	k := core.EncodeKey(nil, key...)
 	if enc := t.pendingRow(tbl, k); enc != nil {
-		return core.DecodeRow(enc)
+		return fn(enc)
 	}
 	if t.pendingDelete(tbl, k) {
-		return nil, ErrNotFound
+		return ErrNotFound
 	}
 	enc, found := tbl.search(k)
 	if !found {
-		return nil, ErrNotFound
+		return ErrNotFound
 	}
-	return core.DecodeRow(enc)
+	return fn(enc)
 }
 
 // UpdateByKey implements engineapi.Txn.

@@ -312,3 +312,58 @@ func TestSecondaryIndexRejected(t *testing.T) {
 func TestImplementsEngineAPI(t *testing.T) {
 	var _ engineapi.DB = (*DB)(nil)
 }
+
+// TestGetByKeyRawKeepsItsPayload: a transaction hands out a row in its
+// stored encoding (engineapi.RawReader), its own pending write before the
+// tree's, and a payload kept past a later update still reads as it did: an
+// update swaps in a new encoding, it never rewrites the old one.
+func TestGetByKeyRawKeepsItsPayload(t *testing.T) {
+	db := testDB(t)
+	put := func(v string) {
+		t.Helper()
+		tx, _ := db.Begin(0)
+		if err := tx.UpdateByKey("t", 0, []core.Value{core.I(1)}, core.Row{core.I(1), core.S(v)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tx, _ := db.Begin(0)
+	if err := tx.Insert("t", core.Row{core.I(1), core.S("one")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	raw := func(tx engineapi.Txn, key int64) ([]byte, error) {
+		t.Helper()
+		rr, ok := tx.(engineapi.RawReader)
+		if !ok {
+			t.Fatal("an innosim transaction hands out no raw rows")
+		}
+		var kept []byte
+		err := rr.GetByKeyRaw("t", 0, []core.Value{core.I(key)}, func(p []byte) error { kept = p; return nil })
+		return kept, err
+	}
+	tx, _ = db.Begin(0)
+	kept, err := raw(tx, 1)
+	if want := core.EncodeRow(nil, core.Row{core.I(1), core.S("one")}); err != nil || string(kept) != string(want) {
+		t.Fatalf("raw row %x, %v; want %x", kept, err, want)
+	}
+	if _, err := raw(tx, 2); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("missing key: %v", err)
+	}
+	if err := tx.UpdateByKey("t", 0, []core.Value{core.I(1)}, core.Row{core.I(1), core.S("own")}); err != nil {
+		t.Fatal(err)
+	}
+	if own, err := raw(tx, 1); err != nil || string(own) != string(core.EncodeRow(nil, core.Row{core.I(1), core.S("own")})) {
+		t.Fatalf("own pending write reads %x, %v", own, err)
+	}
+	tx.Abort()
+	put("uno")
+	put("eins")
+	if row, err := core.DecodeRow(kept); err != nil || row[1].Str() != "one" {
+		t.Fatalf("a kept payload reads %v, %v after two updates", row, err)
+	}
+}

@@ -333,17 +333,28 @@ func (t *Txn) pendingWrite(rec *record) *writeOp {
 }
 
 // GetByKey implements engineapi.Txn.
-func (t *Txn) GetByKey(table string, idx int, key ...core.Value) (core.Row, error) {
+func (t *Txn) GetByKey(table string, idx int, key ...core.Value) (row core.Row, err error) {
+	err = t.GetByKeyRaw(table, idx, key, func(data []byte) (derr error) {
+		row, derr = core.DecodeRow(data)
+		return derr
+	})
+	return row, err
+}
+
+// GetByKeyRaw implements engineapi.RawReader: the row read into the read set
+// (or taken from this transaction's own writes). A record's committed
+// encoding is swapped, never rewritten, so the payload may be kept.
+func (t *Txn) GetByKeyRaw(table string, idx int, key []core.Value, fn func(payload []byte) error) error {
 	if t.finished {
-		return nil, ErrTxnDone
+		return ErrTxnDone
 	}
 	tbl, err := t.db.table(table)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	def := tbl.schema.Indexes[idx]
 	if !def.Unique {
-		return nil, fmt.Errorf("memocc: GetByKey on non-unique index %q", def.Name)
+		return fmt.Errorf("memocc: GetByKey on non-unique index %q", def.Name)
 	}
 	k := core.EncodeKey(nil, key...)
 	var rid pia.RID
@@ -355,24 +366,24 @@ func (t *Txn) GetByKey(table string, idx int, key ...core.Value) (core.Row, erro
 		rid, found = pia.RID(ridU), f
 	}
 	if !found {
-		return nil, ErrNotFound
+		return ErrNotFound
 	}
 	rec := tbl.records.Get(rid)
 	if rec == nil {
-		return nil, ErrNotFound
+		return ErrNotFound
 	}
 	if w := t.pendingWrite(rec); w != nil {
 		if w.newData == nil {
-			return nil, ErrNotFound
+			return ErrNotFound
 		}
-		return core.DecodeRow(w.newData)
+		return fn(w.newData)
 	}
 	data, ver := rec.stableRead()
 	t.reads = append(t.reads, readEntry{rec: rec, ver: ver})
 	if data == nil {
-		return nil, ErrNotFound
+		return ErrNotFound
 	}
-	return core.DecodeRow(data)
+	return fn(data)
 }
 
 // ScanPrefix implements engineapi.Txn.

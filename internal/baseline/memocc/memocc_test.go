@@ -338,3 +338,58 @@ func TestConcurrentMixedStress(t *testing.T) {
 func TestImplementsEngineAPI(t *testing.T) {
 	var _ engineapi.DB = (*DB)(nil)
 }
+
+// TestGetByKeyRawKeepsItsPayload: a transaction hands out a row in its
+// stored encoding (engineapi.RawReader), through either unique lookup and
+// its own pending write first, the read joining the read set; a payload
+// kept past a later update still reads as it did: a record's encoding is
+// swapped, never rewritten.
+func TestGetByKeyRawKeepsItsPayload(t *testing.T) {
+	db := testDB(t)
+	put(t, db, 1, 10, "one")
+	raw := func(tx engineapi.Txn, key int64) ([]byte, error) {
+		t.Helper()
+		rr, ok := tx.(engineapi.RawReader)
+		if !ok {
+			t.Fatal("a memocc transaction hands out no raw rows")
+		}
+		var kept []byte
+		err := rr.GetByKeyRaw("t", 0, []core.Value{core.I(key)}, func(p []byte) error { kept = p; return nil })
+		return kept, err
+	}
+	tx, _ := db.Begin(0)
+	kept, err := raw(tx, 1)
+	if want := core.EncodeRow(nil, core.Row{core.I(1), core.I(10), core.S("one")}); err != nil || string(kept) != string(want) {
+		t.Fatalf("raw row %x, %v; want %x", kept, err, want)
+	}
+	if _, err := raw(tx, 2); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("missing key: %v", err)
+	}
+	own := core.Row{core.I(1), core.I(10), core.S("own")}
+	if err := tx.UpdateByKey("t", 0, []core.Value{core.I(1)}, own); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := raw(tx, 1); err != nil || string(got) != string(core.EncodeRow(nil, own)) {
+		t.Fatalf("own pending write reads %x, %v", got, err)
+	}
+	tx.Abort()
+
+	// The read is validated like GetByKey's: a writer in between aborts it.
+	tx, _ = db.Begin(0)
+	if _, err := raw(tx, 1); err != nil {
+		t.Fatal(err)
+	}
+	upd, _ := db.Begin(1)
+	if err := upd.UpdateByKey("t", 0, []core.Value{core.I(1)}, core.Row{core.I(1), core.I(10), core.S("uno")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := upd.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); !errors.Is(err, ErrAbort) {
+		t.Fatalf("a raw read overwritten before commit: %v, want ErrAbort", err)
+	}
+	if row, err := core.DecodeRow(kept); err != nil || row[2].Str() != "one" {
+		t.Fatalf("a kept payload reads %v, %v after an update", row, err)
+	}
+}

@@ -390,14 +390,38 @@ type Txn struct {
 // GetByKey implements engineapi.Txn. Primary-key lookups fault rows in on
 // demand; secondary unique lookups require Preload.
 func (t *Txn) GetByKey(table string, idx int, key ...core.Value) (core.Row, error) {
-	if idx == 0 {
-		if err := t.db.ensureCached(table, key); err != nil {
-			return nil, err
-		}
-	} else if !t.db.isPreloaded(table) {
-		return nil, ErrNotCached
+	if err := t.cached(table, idx, key); err != nil {
+		return nil, err
 	}
 	return t.front.GetByKey(table, idx, key...)
+}
+
+// errNoRaw refuses a raw read on a front engine without one.
+var errNoRaw = errors.New("cache: front engine hands out no raw rows")
+
+// GetByKeyRaw implements engineapi.RawReader (rows GetByKey would read, on a
+// front engine that implements it).
+func (t *Txn) GetByKeyRaw(table string, idx int, key []core.Value, fn func(payload []byte) error) error {
+	if err := t.cached(table, idx, key); err != nil {
+		return err
+	}
+	rr, ok := t.front.(engineapi.RawReader)
+	if !ok {
+		return errNoRaw
+	}
+	return rr.GetByKeyRaw(table, idx, key, fn)
+}
+
+// cached makes the row a lookup on index idx reads present in the front
+// engine: a primary key's is faulted in, a secondary one needs Preload.
+func (t *Txn) cached(table string, idx int, key []core.Value) error {
+	if idx == 0 {
+		return t.db.ensureCached(table, key)
+	}
+	if !t.db.isPreloaded(table) {
+		return ErrNotCached
+	}
+	return nil
 }
 
 func (db *DB) isPreloaded(table string) bool {

@@ -233,3 +233,33 @@ func TestClosedCache(t *testing.T) {
 		t.Fatal("double close errored")
 	}
 }
+
+// TestGetByKeyRawFaultsIn: a cache transaction hands out a row in its stored
+// encoding (engineapi.RawReader) as GetByKey reads it, a cold row faulted in
+// from the back engine first, and a secondary lookup on a table not
+// preloaded is refused the same way.
+func TestGetByKeyRawFaultsIn(t *testing.T) {
+	db, _ := setup(t, WriteThrough, 10)
+	tx, err := db.Begin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Commit()
+	rr, ok := tx.(engineapi.RawReader)
+	if !ok {
+		t.Fatal("a cache transaction hands out no raw rows")
+	}
+	var got []byte
+	if err := rr.GetByKeyRaw("items", 0, []core.Value{core.I(3)}, func(p []byte) error { got = p; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if want := core.EncodeRow(nil, core.Row{core.I(3), core.S("cold-3")}); string(got) != string(want) {
+		t.Fatalf("raw row %x, want %x", got, want)
+	}
+	if err := rr.GetByKeyRaw("items", 0, []core.Value{core.I(42)}, func([]byte) error { return nil }); !errors.Is(err, engineapi.ErrNotFound) {
+		t.Fatalf("miss: %v", err)
+	}
+	if err := rr.GetByKeyRaw("items", 1, []core.Value{core.S("x")}, func([]byte) error { return nil }); !errors.Is(err, ErrNotCached) {
+		t.Fatalf("secondary lookup on a table not preloaded: %v", err)
+	}
+}

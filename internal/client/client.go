@@ -592,9 +592,6 @@ type Session struct {
 	// request is preceded by an explicit OpBegin (do).
 	begin bool
 	buf   []byte // statement payload scratch, reused across calls
-	// curCols are the column names of the last cursor opened, which the next
-	// one's pages decode against: a query run again keeps them.
-	curCols []string
 
 	trace      bool // request server-side tracing on every request
 	curTraceID uint64
@@ -763,8 +760,8 @@ func (s *Session) trimBuf() {
 // call round-trips one request, reissuing it as class allows, and mirrors
 // what the outcome did to the server-side transaction: conflict and duplicate
 // errors abort it there (the session is detached), as does losing the
-// connection. The response body aliases the connection's read buffer: it is
-// valid until the session's next request.
+// connection. The response body lies in the connection's receive arena
+// (wire.FrameReader.ReadKept): no later read rewrites it.
 func (s *Session) call(op wire.Op, class wire.RetryClass, payload []byte) (r wire.Response, err error) {
 	if s.closed {
 		return r, ErrClientClosed
@@ -1059,8 +1056,9 @@ func (st *Stmt) NumParams() int { return st.nParams }
 
 // Exec runs the prepared statement. Its Result is the statement's, valid
 // until the statement's next Exec, which overwrites it and its rows; a
-// Value taken out of a row stays valid (its bytes are an immutable copy), a
-// Row slice does not. A caller that keeps rows past the next Exec copies
+// Value taken out of a row stays valid (its bytes lie in the connection's
+// receive arena, which is never rewritten, and pin their chunk), a Row
+// slice does not. A caller that keeps rows past the next Exec copies
 // them, or reads through Session.Exec or a cursor, whose results are its
 // own. Prepared BEGIN/COMMIT/ROLLBACK delegate to the session's transaction
 // methods so client-side state tracking stays exactly as for text.
@@ -1096,8 +1094,10 @@ func (st *Stmt) Close() error {
 // wconn is one TCP connection, driven by whichever goroutine is using it:
 // that goroutine writes its request and reads the socket until its response
 // arrives. mu serialises them; a session is used by one goroutine at a time,
-// so it is uncontended. A response body aliases the frame reader's buffer:
-// valid until the next read on the connection.
+// so it is uncontended. A response lands in the frame reader's receive
+// arena (wire.FrameReader.ReadKept), which is never rewritten, so a result
+// decoded out of it aliases it instead of copying: a Value kept pins its
+// chunk.
 type wconn struct {
 	c  *Client
 	nc net.Conn
@@ -1107,6 +1107,10 @@ type wconn struct {
 	fr   *wire.FrameReader
 	wbuf []byte        // the request frame being written
 	dl   wire.Deadline // socket deadline (read and write), armed lazily
+	// page is what every cursor page read on the connection decodes into:
+	// its Columns stay while cursors' names repeat, and its slab carves the
+	// pages' rows, which no later page overwrites.
+	page wire.Result
 
 	reqSeq uint64
 	err    error // sticky: set once the connection fails
@@ -1209,8 +1213,8 @@ func (w *wconn) send(op wire.Op, payload []byte, traceID uint64, hop uint32) (ui
 const maxRetainedBuf = 64 << 10
 
 // recv is the connection's one read path: it reads the socket until request
-// id's response arrives and returns it, its body still in the frame buffer,
-// with its status as the error. A RequestID-0 frame is a connection-level
+// id's response arrives and returns it, its body in the receive arena, with
+// its status as the error. A RequestID-0 frame is a connection-level
 // notice, acted on here: the greeting is recorded, a non-OK code (the
 // server's refusal, idle reap or read timeout) fails the connection with that
 // error so current and future requests see it. Any failure -- I/O, timeout,
@@ -1218,7 +1222,7 @@ const maxRetainedBuf = 64 << 10
 // connection.
 func (w *wconn) recv(id uint64) (wire.Response, error) {
 	for {
-		f, err := w.fr.Read()
+		f, err := w.fr.ReadKept()
 		if err != nil {
 			return wire.Response{}, w.failLocked(fmt.Errorf("client: read: %w", err))
 		}

@@ -641,8 +641,8 @@ func TestGreetingObservedBeforeFirstResponse(t *testing.T) {
 }
 
 // TestResultSurvivesNextCall: a response is decoded straight out of the
-// connection's read buffer, which the next call overwrites; nothing a caller
-// was handed may alias it.
+// connection's receive arena, which no later call rewrites; nothing a caller
+// was handed changes under it.
 func TestResultSurvivesNextCall(t *testing.T) {
 	fs := newFakeServer(t, allOK)
 	fs.set(func(fs *fakeServer) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -31,7 +32,10 @@ func (c *scriptConn) SetWriteDeadline(time.Time) error { return nil }
 // could put on the socket, under a fixed sequence of synchronous and
 // streaming calls. The path never panics or hangs, and every call either
 // returns a decoded answer, returns the server's or a decoder's error with
-// the connection still in step, or fails the connection for good.
+// the connection still in step, or fails the connection for good. Every
+// Value taken out of a result or a cursor row stays as it was read after
+// each later frame: a response lands in the receive arena, which is never
+// rewritten.
 func FuzzClientResponseStream(f *testing.F) {
 	frame := func(id uint64, code wire.Code, body []byte) []byte {
 		return wire.AppendResponseFrame(nil, id, nil, code, "", body)
@@ -67,6 +71,13 @@ func FuzzClientResponseStream(f *testing.F) {
 	f.Add(cat(frame(1, wire.CodeOK, nil), frame(2, wire.CodeOK, []byte{0xff, 0xff, 0xff})))
 	f.Add([]byte("HTTP/1.1 400 Bad Request\r\n\r\n"))
 	f.Add([]byte{})
+	// The receive arena's edges: responses whose payloads fill a chunk
+	// exactly, then one that spills past a chunk's end, then one over a
+	// quarter chunk, which is allocated on its own.
+	f.Add(arenaEdge(f, greeting, batch, 0))
+	f.Add(arenaEdge(f, greeting, batch, 1))
+	f.Add(cat(greeting, frame(1, wire.CodeOK, nil), frame(2, wire.CodeOK, textResult(wire.RecvChunk/4+1)),
+		frame(3, wire.CodeOK, page), frame(4, wire.CodeOK, batch)))
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		c, err := New(Options{Addr: "fuzz", MaxRetries: -1})
@@ -75,6 +86,23 @@ func FuzzClientResponseStream(f *testing.F) {
 		}
 		w := newWconn(c, &scriptConn{r: bytes.NewReader(stream)})
 		s := &Session{c: c, w: w}
+
+		// kept holds every Value read so far, want a copy of each.
+		var kept, want []core.Value
+		keep := func(rows []core.Row) {
+			for _, row := range rows {
+				for _, v := range row {
+					kept, want = append(kept, v), append(want, v.Clone())
+				}
+			}
+		}
+		unchanged := func() {
+			for i := range kept {
+				if !kept[i].Equal(want[i]) || kept[i].Kind() != want[i].Kind() {
+					t.Fatalf("value %d read %.60v, now reads %.60v", i, want[i], kept[i])
+				}
+			}
+		}
 
 		// check judges one call's outcome and reports whether to go on.
 		check := func(err error) bool {
@@ -94,22 +122,84 @@ func FuzzClientResponseStream(f *testing.F) {
 		}
 		steps := []func() error{
 			s.Ping,
-			func() error { _, err := s.Exec("SELECT k, v FROM t"); return err },
+			func() error {
+				res, err := s.Exec("SELECT k, v FROM t")
+				if err == nil {
+					keep(res.Rows)
+				}
+				return err
+			},
 			func() error {
 				rows, err := s.Query("SELECT k FROM t")
 				if err != nil {
 					return err
 				}
 				for rows.Next() {
+					unchanged()
+					keep([]core.Row{rows.Row()})
 				}
 				return rows.Close()
 			},
 			func() error { _, err := s.ExecBatch([]wire.BatchStmt{{SQL: "X"}}); return err },
 		}
 		for _, step := range steps {
-			if !check(step()) {
+			err := step()
+			unchanged()
+			if !check(err) {
 				return
 			}
 		}
 	})
+}
+
+// textResult is a one-row Result body whose payload, behind a response's
+// code and empty message, is n bytes long.
+func textResult(n int) []byte {
+	body := func(w int) []byte {
+		return wire.AppendResult(nil, &wire.Result{Columns: []string{"v"}, Rows: []core.Row{{core.S(strings.Repeat("r", w))}}})
+	}
+	for w := n; w >= 0; w-- {
+		if b := body(w); len(b)+3 == n {
+			return b
+		}
+	}
+	panic("no width fits")
+}
+
+// arenaEdge is an in-order answer to the fuzz target's calls -- the
+// greeting, the ping, a TEXT result, cursor pages until the receive arena's
+// first chunk is full, then the last page and the batch -- whose payloads
+// reach the chunk's end plus over bytes exactly at one page: over 0 fills
+// the chunk, over 1 spills that page into a new one.
+func arenaEdge(tb testing.TB, greeting, batch []byte, over int) []byte {
+	frame := func(id uint64, body []byte) []byte {
+		return wire.AppendResponseFrame(nil, id, nil, wire.CodeOK, "", body)
+	}
+	page := func(id uint64, done bool, width int) []byte {
+		rows := core.EncodeRow(nil, core.Row{core.S("p")})
+		rows = core.EncodeRow(rows, core.Row{core.S(strings.Repeat("q", width))})
+		return frame(id, wire.AppendCursorPage(nil, 9, done, []string{"k"}, 2, rows))
+	}
+	const frameHead = 13 // length prefix, request id, opcode
+	frames := [][]byte{greeting, frame(1, nil), frame(2, textResult(3000))}
+	used := 0
+	for _, fr := range frames {
+		used += len(fr) - frameHead
+	}
+	id := uint64(3)
+	for wire.RecvChunk-used > wire.RecvChunk/8 {
+		fr := page(id, false, 8000)
+		frames, used, id = append(frames, fr), used+len(fr)-frameHead, id+1
+	}
+	for w := 0; ; w++ {
+		fr := page(id, false, w)
+		if n := used + len(fr) - frameHead; n == wire.RecvChunk+over {
+			frames = append(frames, fr)
+			break
+		} else if n > wire.RecvChunk+over {
+			tb.Fatal("no page width reaches the chunk's edge")
+		}
+	}
+	frames = append(frames, page(id+1, true, 10), frame(id+2, batch))
+	return bytes.Join(frames, nil)
 }

@@ -34,7 +34,6 @@ type Rows struct {
 	id      uint64
 	fetch   int
 
-	res  wire.Result // what each page decodes into: its Columns stay
 	page []core.Row
 	idx  int
 	row  core.Row
@@ -78,11 +77,9 @@ func (s *Session) Query(sql string, args ...core.Value) (*Rows, error) {
 		return nil, err
 	}
 	r := &Rows{s: s, fetch: fetch}
-	r.res.Columns = s.curCols // kept when this cursor's names are the same
 	if err := r.loadPage(resp.Body); err != nil {
 		return nil, err
 	}
-	s.curCols = r.res.Columns
 	if !r.srvDone {
 		if s.rows == nil {
 			s.rows = make(map[uint64]*Rows)
@@ -92,9 +89,10 @@ func (s *Session) Query(sql string, args ...core.Value) (*Rows, error) {
 	return r, nil
 }
 
-// loadPage installs one cursor-page body as the current page.
+// loadPage installs one cursor-page body as the current page, decoded into
+// the connection's page Result.
 func (r *Rows) loadPage(body []byte) error {
-	id, done, res, err := wire.DecodeCursorPage(body, &r.res)
+	id, done, res, err := wire.DecodeCursorPage(body, &r.s.w.page)
 	if err != nil {
 		return err
 	}
@@ -151,8 +149,9 @@ func (r *Rows) Next() bool {
 	return true
 }
 
-// Row returns the current row (valid after Next returned true, until the
-// next call to Next).
+// Row returns the current row, valid after Next returned true. The row is
+// the caller's to keep: no later page, query or request overwrites it, or
+// the bytes its values alias.
 func (r *Rows) Row() core.Row { return r.row }
 
 // Err returns the error that terminated iteration, nil after a clean

@@ -205,10 +205,10 @@ func TestDecodeRowsArena(t *testing.T) {
 	}
 }
 
-// TestDecodeRowsIntoRowArena: decoding into a RowArena reuses its row
-// headers and Value arena -- a warmed decode allocates only the copy of
-// the bytes, nothing for rows of ints -- while a Value taken out of an
-// earlier decode keeps its bytes; arrays above maxRowScratch are not kept.
+// TestDecodeRowsIntoRowArena: a kept decode into a RowArena reuses its row
+// headers and Value arena -- a warmed decode allocates nothing, its values
+// aliasing the bytes -- while a Value taken out of an earlier decode keeps
+// its bytes; arrays above maxRowScratch are not kept.
 func TestDecodeRowsIntoRowArena(t *testing.T) {
 	encode := func(rows ...Row) []byte {
 		var b []byte
@@ -218,12 +218,12 @@ func TestDecodeRowsIntoRowArena(t *testing.T) {
 		return b
 	}
 	var a RowArena
-	first, _, err := DecodeRows(&a, encode(Row{I(1), S("one")}, Row{I(2), S("two")}), 2)
+	first, _, err := DecodeKeptRows(&a, encode(Row{I(1), S("one")}, Row{I(2), S("two")}), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	kept := first[1][1]
-	second, _, err := DecodeRows(&a, encode(Row{I(3), S("three")}), 1)
+	second, _, err := DecodeKeptRows(&a, encode(Row{I(3), S("three")}), 1)
 	if err != nil || len(second) != 1 || second[0][1].Str() != "three" {
 		t.Fatalf("second decode: %v, %v", second, err)
 	}
@@ -242,8 +242,8 @@ func TestDecodeRowsIntoRowArena(t *testing.T) {
 		name string
 		data []byte
 		want float64
-	}{{"ints", ints, 0}, {"text", text, 1}} {
-		if got := testing.AllocsPerRun(100, func() { DecodeRows(&a, c.data, 1) }); got != c.want {
+	}{{"ints", ints, 0}, {"text", text, 0}} {
+		if got := testing.AllocsPerRun(100, func() { DecodeKeptRows(&a, c.data, 1) }); got != c.want {
 			t.Errorf("a warmed decode of a row of %s allocates %.1f times, want %.0f", c.name, got, c.want)
 		}
 	}
@@ -252,7 +252,7 @@ func TestDecodeRowsIntoRowArena(t *testing.T) {
 	for i := 0; i < 2000; i++ { // 2000 * (24 + 2*32) bytes of arrays
 		wide = append(wide, Row{I(int64(i)), I(-1)})
 	}
-	if _, _, err := DecodeRows(&a, encode(wide...), len(wide)); err != nil {
+	if _, _, err := DecodeKeptRows(&a, encode(wide...), len(wide)); err != nil {
 		t.Fatal(err)
 	}
 	if a.rows != nil || a.vals != nil {
@@ -315,5 +315,49 @@ func TestAppendRowMatchesDecodeRow(t *testing.T) {
 	}
 	if a.Rows() != nil {
 		t.Fatal("an empty result is not nil")
+	}
+}
+
+// TestDecodeRowsIntoRowSlab: results decoded into a RowSlab never share an
+// array or a byte with one another or with the encoding they came from --
+// scribbling over the encoding and decoding more leaves every earlier row
+// as it was -- successive small results share a chunk, and one over a
+// quarter of a chunk gets arrays of its own.
+func TestDecodeRowsIntoRowSlab(t *testing.T) {
+	var s RowSlab
+	var kept []Row
+	var want []string
+	data := make([]byte, 0, 256)
+	for i := 0; i < 3*slabRows; i++ { // runs through three row chunks
+		data = EncodeRow(data[:0], Row{I(int64(i)), S(fmt.Sprintf("row-%d", i))})
+		rows, _, err := DecodeRows(&s, data, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept, want = append(kept, rows[0]), append(want, fmt.Sprint(rows[0]))
+		for j := range data {
+			data[j] = 0xAA
+		}
+	}
+	for i, row := range kept {
+		if got := fmt.Sprint(row); got != want[i] || cap(row) != 2 {
+			t.Fatalf("row %d reads %s (cap %d), decoded as %s", i, got, cap(row), want[i])
+		}
+	}
+	if uintptr(unsafe.Pointer(&kept[1][0])) != uintptr(unsafe.Pointer(&kept[0][1]))+unsafe.Sizeof(Value{}) {
+		t.Fatal("two small results did not share a chunk")
+	}
+	var wide []Row
+	for i := 0; i < slabRows; i++ {
+		wide = append(wide, Row{I(int64(i))})
+	}
+	var enc []byte
+	for _, r := range wide {
+		enc = EncodeRow(enc, r)
+	}
+	before := cap(s.rows) - len(s.rows)
+	rows, _, err := DecodeRows(&s, enc, len(wide))
+	if err != nil || len(rows) != len(wide) || cap(s.rows)-len(s.rows) != before {
+		t.Fatalf("a result over a quarter chunk: %d rows, %v, chunk room %d -> %d", len(rows), err, before, cap(s.rows)-len(s.rows))
 	}
 }

@@ -49,10 +49,11 @@ func (k Kind) String() string {
 // Value is one typed column value. The zero Value is NULL. It is 32 bytes:
 // int and float share the num word, string and bytes share s. A Value is
 // immutable and so is its payload: B copies the slice it is given and Bytes
-// returns a fresh copy, and a Value RowArena.AppendRow decodes shares the
-// bytes of a raw read, which are never rewritten -- so no Value aliases a
-// buffer someone may reuse, except one DecodeRowBorrowed decodes, which lives
-// no longer than its buffer (Clone gives it its own payload).
+// returns a fresh copy, and a Value RowArena.AppendRow or DecodeKeptRows
+// decodes shares bytes that are never rewritten (a raw read's, a client's
+// receive arena) -- so no Value aliases a buffer someone may reuse, except
+// one DecodeRowBorrowed decodes, which lives no longer than its buffer
+// (Clone gives it its own payload).
 type Value struct {
 	kind Kind   // 0 = NULL
 	num  uint64 // KindInt: the int64; KindFloat: the IEEE bits
@@ -276,16 +277,13 @@ func SkipRows(data []byte, n int) ([]byte, error) {
 
 // DecodeRows parses n rows packed back to back at the front of data (the
 // wire protocol's result encoding) and returns the unconsumed remainder.
-// The whole result is materialised into one Value arena plus one private
-// copy of the encoded bytes that every string and bytes value points into,
-// none of it aliasing data. With a nil dst that is three allocations however
-// many rows, all of them the caller's to keep. With a non-nil dst the row
-// headers and the Value arena are dst's, reused from its previous decode when
-// they have room: the rows that decode returned are overwritten, and only the
-// copy of the bytes is new, so a Value taken out of a row stays valid.
-// Nothing is allocated before data has been validated, so a hostile count
-// cannot pre-size anything beyond the bytes actually present.
-func DecodeRows(dst *RowArena, data []byte, n int) ([]Row, []byte, error) {
+// The rows' headers and values, and a copy of the bytes every string and
+// bytes value points into, are carved from dst (RowSlab), so nothing
+// aliases data; a nil dst makes them fresh: three allocations however many
+// rows. Either way they are the caller's to keep. Nothing is allocated before
+// data has been validated, so a hostile count cannot pre-size anything
+// beyond the bytes actually present.
+func DecodeRows(dst *RowSlab, data []byte, n int) ([]Row, []byte, error) {
 	end, nVals, hasVar, err := measureRows(data, n)
 	if err != nil {
 		return nil, nil, err
@@ -294,8 +292,86 @@ func DecodeRows(dst *RowArena, data []byte, n int) ([]Row, []byte, error) {
 		return nil, data, nil
 	}
 	rows, vals := dst.take(n, nVals)
-	fillRows(data[:end], n, hasVar, false, vals, rows)
+	p := data[:end]
+	if hasVar {
+		p = dst.own(p)
+	}
+	fillRows(p, n, hasVar, true, vals, rows)
 	return rows, data[end:], nil
+}
+
+// DecodeKeptRows is DecodeRows over bytes that are never rewritten -- a
+// client's receive arena (wire.FrameReader.ReadKept) -- without the copy:
+// every string and bytes value aliases data, and a Value kept pins the
+// memory data lies in. The row headers and values are dst's, reused from its
+// previous decode when they have room: the rows that decode returned are
+// overwritten, a Value taken out of one stays valid. A nil dst makes them
+// fresh.
+func DecodeKeptRows(dst *RowArena, data []byte, n int) ([]Row, []byte, error) {
+	end, nVals, hasVar, err := measureRows(data, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	if n == 0 {
+		return nil, data, nil
+	}
+	rows, vals := dst.take(n, nVals)
+	fillRows(data[:end], n, hasVar, true, vals, rows)
+	return rows, data[end:], nil
+}
+
+// RowSlab chunk sizes: 64 KiB of row bytes, 1,024 values (32 KiB) and 512
+// row headers (12 KiB), which run out together for rows of two columns and
+// 128 bytes.
+const (
+	slabBytes = 64 << 10
+	slabVals  = 1 << 10
+	slabRows  = 1 << 9
+)
+
+// RowSlab carves results from append-only chunks: what it hands out it
+// never hands out again, so rows decoded into it stay valid for good, and a
+// chunk is garbage once nothing references it. A result wider than a quarter
+// of a chunk gets an array of its own. The values point into the slab's own
+// copy of the row bytes, so what a kept row pins is the slab's chunks alone,
+// whatever traffic its encoding arrived amid. A client connection's cursor
+// pages are decoded into one.
+type RowSlab struct {
+	rows  []Row
+	vals  []Value
+	bytes []byte
+}
+
+func (s *RowSlab) take(n, nVals int) ([]Row, []Value) {
+	if s == nil {
+		return make([]Row, n), make([]Value, nVals)
+	}
+	return carve(&s.rows, n, slabRows), carve(&s.vals, nVals, slabVals)
+}
+
+func (s *RowSlab) own(p []byte) []byte {
+	if s == nil {
+		return append([]byte(nil), p...)
+	}
+	c := carve(&s.bytes, len(p), slabBytes)
+	copy(c, p)
+	return c
+}
+
+// carve hands out the next n elements of *chunk, starting a chunk of size
+// when the current one has no room, or a slice of its own for n over a
+// quarter of size. A carved slice is capped at its length, so appending to
+// it never reaches its neighbour.
+func carve[T any](chunk *[]T, n, size int) []T {
+	if n > size/4 {
+		return make([]T, n)
+	}
+	c := *chunk
+	if cap(c)-len(c) < n {
+		c = make([]T, 0, size)
+	}
+	*chunk = c[:len(c)+n]
+	return c[len(c) : len(c)+n : len(c)+n]
 }
 
 // maxRowScratch bounds the decoding scratch a session or a statement
@@ -303,7 +379,7 @@ func DecodeRows(dst *RowArena, data []byte, n int) ([]Row, []byte, error) {
 // holder's life.
 const maxRowScratch = 64 << 10
 
-// RowArena is a destination DecodeRows reuses: the row headers and the
+// RowArena is a destination DecodeKeptRows reuses: the row headers and the
 // Value arena of the last result decoded into it. Arrays that together
 // exceed maxRowScratch bytes are used once and not kept.
 type RowArena struct {

@@ -11,6 +11,7 @@ package index
 
 import (
 	"sync"
+	"unsafe"
 
 	"hiengine/internal/art"
 )
@@ -26,7 +27,15 @@ type Index struct {
 
 	// keyLocks stripe-serializes check-then-insert sequences on unique
 	// keys (engine uniqueness enforcement).
-	keyLocks [64]sync.Mutex
+	keyLocks [stripes]keyStripe
+}
+
+// keyStripe is one key-lock stripe, alone on its cache line, so writers of
+// keys on different stripes never contend for one line
+// (BenchmarkLockKeyParallel).
+type keyStripe struct {
+	sync.Mutex
+	_ [64 - unsafe.Sizeof(sync.Mutex{})]byte
 }
 
 // New builds an empty index.
@@ -89,11 +98,19 @@ func (l KeyLock) Unlock() { l.mu.Unlock() }
 // Unique-constraint enforcement wraps its lookup-check-insert sequence in
 // this lock so concurrent inserts of the same key serialize.
 func (ix *Index) LockKey(key []byte) KeyLock {
+	mu := &ix.keyLocks[stripeOf(key)].Mutex
+	mu.Lock()
+	return KeyLock{mu}
+}
+
+// stripes is the number of key-lock stripes.
+const stripes = 64
+
+// stripeOf is the stripe covering key: its FNV-1a hash, modulo stripes.
+func stripeOf(key []byte) uint32 {
 	var h uint32 = 2166136261
 	for _, c := range key {
 		h = (h ^ uint32(c)) * 16777619
 	}
-	mu := &ix.keyLocks[h&63]
-	mu.Lock()
-	return KeyLock{mu}
+	return h % stripes
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hiengine/internal/raceflag"
@@ -270,4 +271,25 @@ func TestLockKeyAllocFree(t *testing.T) {
 	if avg := testing.AllocsPerRun(1000, func() { ix.LockKey(k).Unlock() }); avg != 0 {
 		t.Fatalf("LockKey allocates %.1f times, want 0", avg)
 	}
+}
+
+// BenchmarkLockKeyParallel takes and releases stripe locks from parallel
+// goroutines, each on a key of its own whose stripe neighbours the next
+// goroutine's: no two goroutines ever want one stripe, so what they share,
+// if anything, is the stripes' cache line.
+func BenchmarkLockKeyParallel(b *testing.B) {
+	ix := New(Config{})
+	var next atomic.Uint32
+	b.RunParallel(func(pb *testing.PB) {
+		g := next.Add(1) - 1
+		var k []byte
+		for i := uint64(0); ; i++ { // the first key on stripe g
+			if k = key(i); stripeOf(k) == g%stripes {
+				break
+			}
+		}
+		for pb.Next() {
+			ix.LockKey(k).Unlock()
+		}
+	})
 }

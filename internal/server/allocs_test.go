@@ -28,7 +28,8 @@ import (
 // connection reopens in place, every transaction begins in its session's
 // last handle with its log buffer carved from its worker slot's arena, and a
 // cursor open decodes its SQL text and arguments borrowed, into the entry it
-// takes (before: 13.01, 16.00, 10.22, 34.26 for the
+// takes, and the client's results alias its receive arena, a cursor's pages
+// carved from the connection's slab (before: 13.01, 16.00, 10.22, 34.26 for the
 // prepared and text SELECT, the UPDATE and the transaction; 5.01, 7.21 and
 // 19.26 for the prepared three while a prepared statement's result was a
 // fresh one; 6.21 and 11.27 for the last two while a GC pass built its lists
@@ -37,12 +38,14 @@ import (
 // the transaction while a read-only transaction was a fresh handle and the
 // server copied its arguments; 3.12, 6.12 and 15.06 for the UPDATE, the
 // transaction and the cursor scan while a writing transaction was a fresh
-// handle and log buffer and a cursor open copied its text and arguments) --
+// handle and log buffer and a cursor open copied its text and arguments;
+// 4.12 and 13.06 for the transaction and the cursor scan while the client
+// copied each result's row bytes and gave each page arrays of its own) --
 // the most each read in five runs beside a running benchmark, plus 0.05: no
 // later change may add an allocation to a request. The transaction is the
 // benchmark's own oltp_wire one, the cursor scan scan_wire's every tenth: of
-// its 13, 12 are the three arrays each of the four pages decodes into, which
-// the caller keeps.
+// its 1.5, 1 is the Rows, the rest the slab's chunks, shared by some five
+// scans.
 func TestServiceRoundTripAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -122,8 +125,8 @@ func TestServiceRoundTripAllocs(t *testing.T) {
 			}
 			return s.Commit()
 		}},
-		{"BEGIN, 2 SELECT, UPDATE, INSERT, COMMIT", 4.12, func() error { txns++; return txn(txns) }},
-		{"100-row cursor scan in 4 pages", 13.06, scan},
+		{"BEGIN, 2 SELECT, UPDATE, INSERT, COMMIT", 2.11, func() error { txns++; return txn(txns) }},
+		{"100-row cursor scan in 4 pages", 1.56, scan},
 	}
 	// With the collector off, sync.Pool keeps what it is given and the
 	// counts repeat; the loop allocates a few MB at most.

@@ -573,3 +573,94 @@ func TestSessionCloseReleasesUndrainedCursor(t *testing.T) {
 		t.Fatalf("server.conns_total = %d, want the one pooled connection", n)
 	}
 }
+
+// TestCursorRowsAreKeptForGood is the client's cursor row contract, which
+// the benchmark's scan driver relies on: every row of a four-page cursor,
+// kept past Next, stays as it was read after Close, after a later Query and
+// after 1,000 more requests on the connection. Those take some 10 MB of
+// responses, so the receive arena starts a chunk many times over, and
+// include results over a quarter chunk, which are allocated on their own,
+// and updates that change every byte the kept rows were read from.
+func TestCursorRowsAreKeptForGood(t *testing.T) {
+	h := newHarness(t, nil, nil)
+	s, err := h.client(t, func(o *client.Options) { o.PoolSize = 1 }).Session()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Exec("CREATE TABLE g (grp INT, id INT, c TEXT, PRIMARY KEY(grp, id))"); err != nil {
+		t.Fatal(err)
+	}
+	text := func(grp, id int64, ver int) string {
+		return fmt.Sprintf("g%d-r%03d-v%d-%s", grp, id, ver, strings.Repeat("x", int(grp)*90))
+	}
+	for grp := int64(1); grp <= 2; grp++ { // group 1: ~10 KB a scan, group 2: ~19 KB
+		for id := int64(0); id < 100; id++ {
+			if _, err := s.Exec("INSERT INTO g VALUES (?, ?, ?)", core.I(grp), core.I(id), core.S(text(grp, id, 0))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	query := func() []core.Row {
+		t.Helper()
+		rows, err := s.Query("SELECT id, c FROM g WHERE grp = ?", core.I(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var kept []core.Row
+		for rows.Next() {
+			kept = append(kept, rows.Row())
+		}
+		if err := rows.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return kept
+	}
+	s.SetFetchSize(25)
+	kept := query()
+	want := fmt.Sprint(kept)
+	check := func(after string) {
+		t.Helper()
+		if got := fmt.Sprint(kept); got != want {
+			t.Fatalf("kept cursor rows changed after %s:\nwas %s\nnow %s", after, want, got)
+		}
+	}
+	if len(kept) != 100 || kept[0][1].Str() != text(1, 0, 0) || kept[99][1].Str() != text(1, 99, 0) {
+		t.Fatalf("cursor read %d rows: %v", len(kept), kept)
+	}
+	check("Close")
+	if again := query(); fmt.Sprint(again) != want {
+		t.Fatal("a second cursor over the same rows reads differently")
+	}
+	check("a later Query")
+
+	sel, err := s.Prepare("SELECT id, c FROM g WHERE grp = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	upd, err := s.Prepare("UPDATE g SET c = ? WHERE grp = ? AND id = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		var err error
+		switch i % 4 {
+		case 0:
+			_, err = upd.Exec(core.S(text(1, int64(i/4%100), i)), core.I(1), core.I(int64(i/4%100)))
+		case 1:
+			_, err = sel.Exec(core.I(2)) // over a quarter chunk
+		case 2:
+			_, err = s.Exec("SELECT id, c FROM g WHERE grp = ?", core.I(1))
+		default:
+			if got := query(); len(got) != 100 {
+				err = fmt.Errorf("cursor read %d rows", len(got))
+			}
+		}
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if i%100 == 99 {
+			check(fmt.Sprintf("%d more requests", i+1))
+		}
+	}
+}

@@ -283,6 +283,7 @@ type Result struct {
 	Affected int
 
 	arena core.RowArena // Rows' arrays, when DecodeResultCSN decodes into this Result
+	slab  core.RowSlab  // Rows' arrays, when DecodeCursorPage decodes into this Result
 }
 
 // AppendResult appends a Result in response-body form to buf.
@@ -321,21 +322,30 @@ func AppendEncodedResultCSN(buf []byte, affected int, cols []string, nRows int, 
 	return binary.AppendUvarint(buf, csn)
 }
 
-// DecodeResult parses a Result body, ignoring the CSN trailer.
+// DecodeResult parses a Result body, ignoring the CSN trailer, into a fresh
+// Result whose rows copy what they need of body: body may be reused as soon
+// as it returns.
 func DecodeResult(body []byte) (*Result, error) {
-	res, _, err := DecodeResultCSN(body, nil)
-	return res, err
+	r := reader{b: body}
+	res := r.result(nil, false)
+	r.trailer()
+	if r.err != nil {
+		return nil, r.err
+	}
+	return res, nil
 }
 
-// DecodeResultCSN parses a Result body plus its commit-CSN trailer. With a
-// nil dst the Result is a fresh one, the caller's to keep with its rows. With
-// a non-nil dst it is dst, decoded into in place: dst's Columns slice stays
-// when the body's names equal it (comparing allocates nothing), and the rows
-// reuse dst's row headers and Value arena (core.RowArena), so the Rows of
-// dst's previous result are overwritten and only the copy of the row bytes
-// is new. A Value taken out of any result stays valid. A prepared statement
-// decodes each of its results into its own Result this way: a result is the
-// statement's until its next Exec.
+// DecodeResultCSN parses a Result body that is never rewritten -- one
+// FrameReader.ReadKept read -- plus its commit-CSN trailer: a string or bytes
+// value in the rows aliases body (core.DecodeKeptRows), and a Value kept
+// pins body's chunk. With a nil dst the Result is a fresh one, the caller's
+// to keep with its rows. With a non-nil dst it is dst, decoded into in place:
+// dst's Columns slice stays when the body's names equal it (comparing
+// allocates nothing), and the rows reuse dst's row headers and Value arena
+// (core.RowArena), so the Rows of dst's previous result are overwritten and
+// nothing is allocated. A Value taken out of any result stays valid. A
+// prepared statement decodes each of its results into its own Result this
+// way: a result is the statement's until its next Exec.
 func DecodeResultCSN(body []byte, dst *Result) (*Result, uint64, error) {
 	r := reader{b: body}
 	res := r.result(dst, true)
@@ -368,21 +378,21 @@ func ResultCSN(body []byte) (uint64, error) {
 	return csn, r.err
 }
 
-// result materialises a whole result with a handful of allocations: the rows
-// share one Value arena and one private copy of the row bytes
-// (core.DecodeRows), so nothing in the Result aliases the payload -- which
-// may be a FrameReader's or a pooled buffer, reused as soon as the caller
-// returns. A column name is at least its length byte and a row at least its
-// column-count byte, which is what bounds the two counts. A nil dst decodes
-// into a fresh Result, a non-nil one in place (see DecodeResultCSN), its
-// rows into its arena when reuseRows says so and into fresh arrays
-// otherwise.
-func (r *reader) result(dst *Result, reuseRows bool) *Result {
+// result materialises a whole result into dst with a handful of
+// allocations. A kept payload, never rewritten, is aliased by the values,
+// whose arrays are dst's arena's (core.DecodeKeptRows); any other, which may
+// be a buffer reused as soon as the caller returns, is copied, and the copy
+// and the arrays are carved from dst's slab (core.DecodeRows). A nil dst
+// decodes into a fresh Result and fresh arrays. A column name is at least
+// its length byte and a row at least its column-count byte, which is what
+// bounds the two counts.
+func (r *reader) result(dst *Result, kept bool) *Result {
 	var arena *core.RowArena
+	var slab *core.RowSlab
 	if dst == nil {
 		dst = new(Result)
-	} else if reuseRows {
-		arena = &dst.arena
+	} else {
+		arena, slab = &dst.arena, &dst.slab
 	}
 	dst.Affected = int(r.uvarint())
 	dst.Columns = r.columns(dst.Columns)
@@ -390,12 +400,16 @@ func (r *reader) result(dst *Result, reuseRows bool) *Result {
 	if r.err != nil {
 		return nil
 	}
-	rows, rest, err := core.DecodeRows(arena, r.b, nRows)
+	var err error
+	if kept {
+		dst.Rows, r.b, err = core.DecodeKeptRows(arena, r.b, nRows)
+	} else {
+		dst.Rows, r.b, err = core.DecodeRows(slab, r.b, nRows)
+	}
 	if err != nil {
 		r.fail(fmt.Errorf("%w: %v", ErrPayloadCorrupt, err))
 		return nil
 	}
-	dst.Rows, r.b = rows, rest
 	return dst
 }
 
@@ -478,10 +492,13 @@ func AppendCursorPage(buf []byte, id uint64, done bool, cols []string, nRows int
 }
 
 // DecodeCursorPage parses a cursor-page body. done=true means the server
-// exhausted the scan and already closed the cursor; the client must not
-// send OpScanNext or OpScanClose for it. A non-nil dst is the Result the
-// page decodes into, its Columns kept when the names equal them; the rows
-// are fresh either way, the caller's to keep past the next page.
+// exhausted the scan and already closed the cursor; the client must not send
+// OpScanNext or OpScanClose for it. A non-nil dst is the Result the page
+// decodes into, its Columns kept when the names equal them, and the rows,
+// with a copy of their bytes, are carved from dst's append-only slab
+// (core.RowSlab); with a nil dst all of it is fresh. Either way nothing in
+// the rows aliases body and no later page overwrites them: they are the
+// caller's to keep, and pin only the slab's chunks they lie in.
 func DecodeCursorPage(body []byte, dst *Result) (id uint64, done bool, res *Result, err error) {
 	r := reader{b: body}
 	id, done, res = r.uvarint(), r.flag(), r.result(dst, false)

@@ -7,6 +7,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"hiengine/internal/core"
 )
@@ -36,8 +37,10 @@ func checkScanResult(t *testing.T, got *Result) {
 
 // TestDecodeResultAllocs is the result-decoding allocation regression: a
 // whole result is one Value arena plus one copy of the row bytes, not
-// three allocations per row, and decoded into a statement's previous Result
-// it is the copy of the bytes alone. The ceilings are the counts plus 0.05.
+// three allocations per row, and a kept body decoded into a statement's
+// previous Result allocates nothing, its values aliasing the body (before
+// the client's receive arena, the copy of the bytes: 1.05). The ceilings
+// are the counts plus 0.05.
 func TestDecodeResultAllocs(t *testing.T) {
 	body := AppendResult(nil, scanResult())
 	avg := testing.AllocsPerRun(100, func() {
@@ -55,8 +58,8 @@ func TestDecodeResultAllocs(t *testing.T) {
 		}
 	})
 	checkScanResult(t, &dst)
-	if avg > 1.05 { // the bytes
-		t.Fatalf("decoding a 100-row result into the previous one allocates %.2f times, want <= 1.05", avg)
+	if avg > 0.05 {
+		t.Fatalf("decoding a 100-row result into the previous one allocates %.2f times, want <= 0.05", avg)
 	}
 	page := AppendCursorPage(nil, 7, true, []string{"id", "c"}, 100, body[len(body)-len(encodeRows(scanResult().Rows)):])
 	avg = testing.AllocsPerRun(100, func() {
@@ -389,4 +392,44 @@ func FuzzSpliceUpdate(f *testing.F) {
 			t.Fatal("AppendSplice accepted a column past the row's end")
 		}
 	})
+}
+
+// TestReadKeptNeverRewrites: ReadKept carves each payload from the receive
+// arena once -- five that fill a chunk to its last byte, one over a quarter
+// chunk allocated on its own, four that leave a chunk 10 bytes short and one
+// that spills past them into the next -- so every payload reads as it
+// arrived after all later reads, and none can be appended into its
+// neighbour.
+func TestReadKeptNeverRewrites(t *testing.T) {
+	const q = RecvChunk / 4
+	sizes := []int{q, q, q, q - 100, 100, q + 1, q, q, q, q - 10, 11}
+	var stream bytes.Buffer
+	for i, n := range sizes {
+		p := bytes.Repeat([]byte{byte(i + 1)}, n)
+		stream.Write(AppendFrame(nil, Frame{RequestID: uint64(i), Op: OpResponse, Payload: p}))
+	}
+	fr := NewFrameReader(&stream, false)
+	var got [][]byte
+	for range sizes {
+		f, err := fr.ReadKept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(f.Payload) != len(f.Payload) {
+			t.Fatalf("payload %d: capacity %d past its length %d", len(got), cap(f.Payload), len(f.Payload))
+		}
+		got = append(got, f.Payload)
+	}
+	for i, p := range got {
+		if !bytes.Equal(p, bytes.Repeat([]byte{byte(i + 1)}, sizes[i])) {
+			t.Fatalf("payload %d (%d bytes) changed after later reads", i, sizes[i])
+		}
+	}
+	addr := func(p []byte) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(p))) }
+	if addr(got[4])+100 != addr(got[0])+RecvChunk {
+		t.Fatal("the first five payloads do not fill one chunk exactly")
+	}
+	if addr(got[10]) == addr(got[9])+uintptr(len(got[9])) {
+		t.Fatal("a payload that does not fit its chunk's rest was carved from it")
+	}
 }

@@ -159,15 +159,15 @@ func WriteFrame(w io.Writer, f Frame) error {
 
 // FrameReader reads frames from one stream into a reusable payload buffer.
 // The returned Frame's Payload aliases that buffer: it is valid only until
-// the next Read. Callers that keep payload bytes past it (the client, parking
-// a response for a pipelined request that is not the one being waited for)
-// must copy them first; callers that decode before they read again (the
-// server's request loop, the client's own response -- row decoding copies)
-// need not. One FrameReader serves one goroutine at a time.
+// the next Read, so a caller decodes before it reads again (the server's
+// request loop). ReadKept is the client's read: the payload lands in the
+// reader's receive arena instead, which is never rewritten. One FrameReader
+// serves one goroutine at a time.
 type FrameReader struct {
 	r           io.Reader
 	requestSide bool
 	buf         []byte
+	chunk       []byte               // the receive arena's current chunk: ReadKept carves payloads from it
 	hdr         [4 + headerSize]byte // reused: a stack header would escape through the io.Reader call
 	wireLen     int
 
@@ -182,12 +182,26 @@ type FrameReader struct {
 // NewFrameReader builds a reader; requestSide selects which opcodes are
 // legal exactly as in ReadFrame.
 func NewFrameReader(r io.Reader, requestSide bool) *FrameReader {
-	return &FrameReader{r: r, requestSide: requestSide, buf: make([]byte, 0, 4096)}
+	return &FrameReader{r: r, requestSide: requestSide}
 }
+
+// RecvChunk is the size of the chunks ReadKept carves payloads from. A
+// payload over a quarter of it is allocated on its own.
+const RecvChunk = 64 << 10
 
 // Read reads one frame with the same validation and error contract as
 // ReadFrame. The frame's Payload is only valid until the next Read.
-func (fr *FrameReader) Read() (Frame, error) {
+func (fr *FrameReader) Read() (Frame, error) { return fr.read(false) }
+
+// ReadKept is Read with the payload carved from the reader's receive arena,
+// append-only chunks of RecvChunk bytes: no later read rewrites it, so the
+// payload, and anything decoded to alias it, may be kept for good. A kept
+// slice pins its chunk. A client connection reads its responses this way,
+// which is what lets DecodeResultCSN alias the payload instead of copying
+// it.
+func (fr *FrameReader) ReadKept() (Frame, error) { return fr.read(true) }
+
+func (fr *FrameReader) read(kept bool) (Frame, error) {
 	hdr := fr.hdr[:]
 	if _, err := io.ReadFull(fr.r, hdr[:4]); err != nil {
 		return Frame{}, err // io.EOF if clean, ErrUnexpectedEOF if torn
@@ -219,21 +233,47 @@ func (fr *FrameReader) Read() (Frame, error) {
 		return Frame{}, fmt.Errorf("%w: expected response frame, got opcode %d", ErrProtocol, uint8(f.Op))
 	}
 	if rest := int(n) - headerSize; rest > 0 {
-		if cap(fr.buf) < rest || cap(fr.buf) > maxRetainedBuf && rest <= maxRetainedBuf {
-			// Grow to fit, or shrink back after an oversize frame so one
-			// huge scan result does not pin its high-water mark.
-			fr.buf = make([]byte, 0, max(rest, 4096))
+		if kept {
+			f.Payload = fr.carve(rest)
+		} else {
+			f.Payload = fr.grow(rest)
 		}
-		fr.buf = fr.buf[:rest]
-		if _, err := io.ReadFull(fr.r, fr.buf); err != nil {
+		if _, err := io.ReadFull(fr.r, f.Payload); err != nil {
 			return Frame{}, unexpectedEOF(err)
 		}
-		f.Payload = fr.buf
 	}
 	if err := stripTraceID(&f); err != nil {
 		return Frame{}, err
 	}
 	return f, nil
+}
+
+// grow returns the reusable buffer at length n.
+func (fr *FrameReader) grow(n int) []byte {
+	if cap(fr.buf) < n || cap(fr.buf) > maxRetainedBuf && n <= maxRetainedBuf {
+		// Grow to fit, or shrink back after an oversize frame so one
+		// huge scan result does not pin its high-water mark.
+		fr.buf = make([]byte, 0, max(n, 4096))
+	}
+	fr.buf = fr.buf[:n]
+	return fr.buf
+}
+
+// carve returns the receive arena's next n bytes, starting a chunk when the
+// current one has no room: a chunk's bytes are handed out once, before they
+// are read into, so not even a torn read leaves a range to hand out again.
+// A carved slice is capped at its length, so appending to it never reaches
+// the next payload.
+func (fr *FrameReader) carve(n int) []byte {
+	if n > RecvChunk/4 {
+		return make([]byte, n)
+	}
+	c := fr.chunk
+	if cap(c)-len(c) < n {
+		c = make([]byte, 0, RecvChunk)
+	}
+	fr.chunk = c[:len(c)+n]
+	return c[len(c) : len(c)+n : len(c)+n]
 }
 
 // WireLen is the number of bytes the frame last read occupied on the wire:

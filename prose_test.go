@@ -9,10 +9,10 @@ import (
 // only falls: a change that adds text to one of these files deletes as much
 // from the same file, and one that shrinks a file lowers its bound.
 var proseBudget = map[string]int64{
-	"DESIGN.md":                      137_258,
-	"EXPERIMENTS.md":                 193_616,
-	"CHANGES.md":                     21_338,
-	".claude/skills/verify/SKILL.md": 19_576,
+	"DESIGN.md":                      137_247,
+	"EXPERIMENTS.md":                 193_339,
+	"CHANGES.md":                     20_046,
+	".claude/skills/verify/SKILL.md": 19_543,
 	"benchmark/README.md":            29_930,
 }
 
